@@ -10,7 +10,7 @@
 //!
 //! The cache is a plain LRU over `(kind, fingerprint)` keys storing
 //! type-erased `Arc`s. It keeps deterministic hit/miss/eviction counters
-//! (total and per kind, via [`Counters`]) so reports and tests can prove
+//! (total and per kind, exported as [`Counters`]) so reports and tests can prove
 //! that a warm re-analysis reused artifacts instead of rebuilding them.
 //! The cache itself never affects analysis *results* — only how much
 //! work it took to produce them.
@@ -88,7 +88,10 @@ pub struct ArtifactCache {
     entries: HashMap<(&'static str, Fingerprint), Entry>,
     tick: u64,
     stats: CacheStats,
-    by_kind: Counters,
+    /// Activity per kind, in order of first use. A handful of kinds
+    /// exist, so finding one is a short scan with no allocation — unlike
+    /// formatting a counter name on every lookup.
+    by_kind: Vec<(&'static str, CacheStats)>,
 }
 
 impl ArtifactCache {
@@ -99,8 +102,19 @@ impl ArtifactCache {
             entries: HashMap::new(),
             tick: 0,
             stats: CacheStats::default(),
-            by_kind: Counters::new(),
+            by_kind: Vec::new(),
         }
+    }
+
+    fn kind_stats(&mut self, kind: &'static str) -> &mut CacheStats {
+        let index = match self.by_kind.iter().position(|(k, _)| *k == kind) {
+            Some(index) => index,
+            None => {
+                self.by_kind.push((kind, CacheStats::default()));
+                self.by_kind.len() - 1
+            }
+        };
+        &mut self.by_kind[index].1
     }
 
     /// Looks up an artifact, counting a hit or a miss.
@@ -125,11 +139,11 @@ impl ArtifactCache {
         match &found {
             Some(_) => {
                 self.stats.hits += 1;
-                self.by_kind.inc(&format!("cache.{kind}.hits"));
+                self.kind_stats(kind).hits += 1;
             }
             None => {
                 self.stats.misses += 1;
-                self.by_kind.inc(&format!("cache.{kind}.misses"));
+                self.kind_stats(kind).misses += 1;
             }
         }
         found
@@ -206,7 +220,7 @@ impl ArtifactCache {
         {
             self.entries.remove(&key);
             self.stats.evictions += 1;
-            self.by_kind.inc(&format!("cache.{}.evictions", key.0));
+            self.kind_stats(key.0).evictions += 1;
         }
     }
 
@@ -217,9 +231,21 @@ impl ArtifactCache {
 
     /// Per-kind activity as dotted counters
     /// (`cache.<kind>.hits|misses|evictions`), mergeable into the obs
-    /// layer's pipeline counters.
-    pub fn kind_counters(&self) -> &Counters {
-        &self.by_kind
+    /// layer's pipeline counters. A counter that never moved is absent.
+    pub fn kind_counters(&self) -> Counters {
+        let mut counters = Counters::new();
+        for (kind, stats) in &self.by_kind {
+            for (event, n) in [
+                ("hits", stats.hits),
+                ("misses", stats.misses),
+                ("evictions", stats.evictions),
+            ] {
+                if n > 0 {
+                    counters.set(&format!("cache.{kind}.{event}"), n);
+                }
+            }
+        }
+        counters
     }
 
     /// Number of artifacts currently stored.

@@ -296,6 +296,12 @@ pub mod json {
 
     use std::fmt;
 
+    /// How deep arrays and objects may nest in a parsed document. Nothing
+    /// this workspace emits comes near it; the bound exists so that a
+    /// hostile document fails with an error instead of overflowing the
+    /// recursive parser's stack.
+    pub const MAX_DEPTH: usize = 128;
+
     /// A JSON value. Numbers are restricted to `i64`: every quantity the
     /// diagnostics pipeline emits (offsets, lines, counts) is integral.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -356,6 +362,7 @@ pub mod json {
             let mut p = Parser {
                 bytes: text.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             p.skip_ws();
             let v = p.value()?;
@@ -399,25 +406,36 @@ pub mod json {
         }
     }
 
+    /// Writes `s` as a JSON string literal. Bytes that need no escape are
+    /// emitted as maximal runs, one `write_str` per run; every byte that
+    /// needs one is ASCII, so a run always ends on a `char` boundary.
     fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
         f.write_str("\"")?;
-        for c in s.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => write!(f, "{c}")?,
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            f.write_str(&s[run..i])?;
+            run = i + 1;
+            match b {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                _ => write!(f, "\\u{b:04x}")?,
             }
         }
+        f.write_str(&s[run..])?;
         f.write_str("\"")
     }
 
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open around `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -455,11 +473,30 @@ pub mod json {
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
+                Some(b'[') => self.nested(Self::array),
+                Some(b'{') => self.nested(Self::object),
                 Some(b'-' | b'0'..=b'9') => self.number(),
                 _ => Err(format!("unexpected input at byte {}", self.pos)),
             }
+        }
+
+        /// Parses one array or object, refusing to recurse past
+        /// [`MAX_DEPTH`]: the parser is recursive, and input from outside
+        /// the program must not be able to exhaust the stack.
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let v = parse(self);
+            self.depth -= 1;
+            v
         }
 
         fn number(&mut self) -> Result<Value, String> {
@@ -481,44 +518,41 @@ pub mod json {
             self.expect(b'"')?;
             let mut out = String::new();
             loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or("bad \\u escape")?;
-                                out.push(char::from_u32(hex).ok_or("bad \\u codepoint")?);
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Copy one UTF-8 character verbatim.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid utf-8".to_string())?;
-                        let c = rest.chars().next().expect("non-empty by get()");
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                // Copy the maximal run up to the next quote or backslash,
+                // validating it once. Both delimiters are ASCII, so a run
+                // never splits a multi-byte character.
+                let rest = &self.bytes[self.pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .ok_or("unterminated string")?;
+                out.push_str(
+                    std::str::from_utf8(&rest[..run]).map_err(|_| "invalid utf-8".to_string())?,
+                );
+                self.pos += run + 1;
+                if rest[run] == b'"' {
+                    return Ok(out);
                 }
+                match self.bytes.get(self.pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hex = self
+                            .bytes
+                            .get(self.pos + 1..self.pos + 5)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .ok_or("bad \\u escape")?;
+                        out.push(char::from_u32(hex).ok_or("bad \\u codepoint")?);
+                        self.pos += 4;
+                    }
+                    _ => return Err(format!("bad escape at byte {}", self.pos)),
+                }
+                self.pos += 1;
             }
         }
 
@@ -571,6 +605,233 @@ pub mod json {
                     _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
                 }
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod reference {
+        //! The per-`char` emitter and string parser that the run-based
+        //! ones replaced, kept as what the differential tests compare
+        //! against.
+
+        use std::fmt::Write;
+
+        pub fn write_escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        /// Parses the string literal that starts at `bytes[*pos]`.
+        pub fn string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+            if bytes.get(*pos) != Some(&b'"') {
+                return Err(format!("expected `\"` at byte {pos}"));
+            }
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match bytes.get(*pos) {
+                    None => return Err("unterminated string".to_string()),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match bytes.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'u') => {
+                                let hex = bytes
+                                    .get(*pos + 1..*pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or("bad \\u escape")?;
+                                out.push(char::from_u32(hex).ok_or("bad \\u codepoint")?);
+                                *pos += 4;
+                            }
+                            _ => return Err(format!("bad escape at byte {pos}")),
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        // Copy one UTF-8 character verbatim.
+                        let rest = std::str::from_utf8(&bytes[*pos..])
+                            .map_err(|_| "invalid utf-8".to_string())?;
+                        let c = rest.chars().next().expect("non-empty by get()");
+                        out.push(c);
+                        *pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::{reference, Parser, Value, MAX_DEPTH};
+        use crate::corpus::SplitMix64;
+
+        /// Characters of every UTF-8 width, the boundary code points of
+        /// each width among them.
+        const WIDE: [char; 8] = [
+            '\u{7f}', '\u{80}', 'é', '\u{7ff}', '\u{800}', '漢', '\u{ffff}', '😀',
+        ];
+
+        fn plain_run(rng: &mut SplitMix64, out: &mut String) {
+            for _ in 0..rng.below(12) {
+                out.push(char::from(b' ' + rng.below(95) as u8));
+            }
+        }
+
+        /// A string mixing plain runs, multi-byte characters, quotes,
+        /// backslashes and control characters. Control character
+        /// `n % 32` is always in string `n`, so 2 000 strings cover each.
+        fn random_text(rng: &mut SplitMix64, n: u64) -> String {
+            let mut s = String::new();
+            for piece in 0..rng.below(24) {
+                match rng.below(6) {
+                    0 => s.push(WIDE[rng.below(8) as usize]),
+                    1 => s.push('"'),
+                    2 => s.push('\\'),
+                    3 => s.push(char::from(rng.below(0x20) as u8)),
+                    _ => plain_run(rng, &mut s),
+                }
+                if piece == 3 {
+                    s.push(char::from((n % 32) as u8));
+                }
+            }
+            s
+        }
+
+        /// A string *literal*, well formed or not: plain runs, raw
+        /// multi-byte and control characters, every escape form, broken
+        /// escapes, and an end that is a closing quote, nothing (the last
+        /// run reaches the document's last byte) or a lone backslash.
+        fn random_literal(rng: &mut SplitMix64) -> String {
+            let mut s = String::from("\"");
+            for _ in 0..rng.below(16) {
+                match rng.below(12) {
+                    0 => s.push(WIDE[rng.below(8) as usize]),
+                    1 => s.push(char::from(rng.below(0x20) as u8)),
+                    2 => s.push_str(
+                        ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t"][rng.below(6) as usize],
+                    ),
+                    3 => s.push_str(&format!("\\u{:04x}", rng.below(0x1_0000))),
+                    4 => s.push_str(&format!("\\u{:04X}", rng.below(0x20))),
+                    5 if rng.below(4) == 0 => {
+                        s.push_str(
+                            ["\\x", "\\u12", "\\uzzzz", "\\ud800", "\\é"][rng.below(5) as usize],
+                        );
+                    }
+                    _ => plain_run(rng, &mut s),
+                }
+            }
+            match rng.below(8) {
+                0 => {}
+                1 => s.push('\\'),
+                _ => s.push('"'),
+            }
+            // Whatever follows a literal is not its business.
+            if rng.below(2) == 0 {
+                s.push_str(",\"next\"");
+            }
+            s
+        }
+
+        #[test]
+        fn run_based_emitter_matches_the_per_char_reference() {
+            let mut rng = SplitMix64::new(0x5eed_0001);
+            for n in 0..2_000 {
+                let text = random_text(&mut rng, n);
+                let mut expected = String::new();
+                reference::write_escaped(&mut expected, &text);
+                let emitted = Value::Str(text.clone()).to_string();
+                assert_eq!(emitted, expected, "string {n}: {text:?}");
+                assert_eq!(Value::parse(&emitted), Ok(Value::Str(text)), "string {n}");
+            }
+        }
+
+        #[test]
+        fn run_based_string_parser_matches_the_per_char_reference() {
+            let mut rng = SplitMix64::new(0x5eed_0002);
+            let (mut accepted, mut rejected, mut open_ended) = (0, 0, 0);
+            for n in 0..4_000 {
+                let doc = random_literal(&mut rng);
+                let mut p = Parser {
+                    bytes: doc.as_bytes(),
+                    pos: 0,
+                    depth: 0,
+                };
+                let got = p.string().map(|s| (s, p.pos));
+                let mut pos = 0;
+                let expected = reference::string(doc.as_bytes(), &mut pos).map(|s| (s, pos));
+                assert_eq!(got, expected, "literal {n}: {doc:?}");
+                match &got {
+                    Ok(_) => accepted += 1,
+                    Err(e) if e == "unterminated string" => open_ended += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+            // The generator must keep exercising all three outcomes.
+            assert!(accepted > 2_000, "{accepted} accepted");
+            assert!(rejected > 100, "{rejected} rejected");
+            assert!(open_ended > 100, "{open_ended} open-ended");
+        }
+
+        #[test]
+        fn a_four_mebibyte_string_parses_and_emits_in_linear_time() {
+            // Per-character re-validation of the remaining document made
+            // this 10^13 byte checks; it now has to finish within a unit
+            // test. An escape every 61 bytes keeps the runs many and short.
+            let mut text = String::with_capacity(4 << 20);
+            while text.len() < 4 << 20 {
+                text.push_str("let v = A[(MYPROC + 1) % PROCS]; // μ-op, 漢字 \"quoted\" \\ \t\n");
+            }
+            let doc = Value::Obj(vec![("source".to_string(), Value::Str(text))]);
+            let line = doc.to_string();
+            assert!(line.len() > 4 << 20 && !line.contains('\n'));
+            let back = Value::parse(&line).unwrap();
+            assert_eq!(back, doc);
+            assert_eq!(back.to_string(), line);
+        }
+
+        #[test]
+        fn nesting_is_bounded_with_the_offending_offset() {
+            let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+            assert_eq!(
+                Value::parse(&nested(MAX_DEPTH + 1)),
+                Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+                ))
+            );
+            // Objects count too, and the repro that used to overflow the
+            // stack is an ordinary error.
+            let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+            assert!(Value::parse(&objects)
+                .unwrap_err()
+                .contains("nesting deeper"));
+            assert!(Value::parse(&"[".repeat(200_000))
+                .unwrap_err()
+                .contains("at byte 128"));
+            // Depth counts open containers, not containers seen.
+            let siblings = format!("[{}]", vec!["[[]]"; 1_000].join(","));
+            assert!(Value::parse(&siblings).is_ok());
         }
     }
 }

@@ -9,9 +9,9 @@
 
 use crate::commands::{CmdOut, Query};
 use crate::rpc::{
-    decode_response, encode_request, Reply, ReplyBody, Request, RequestBody, RpcError,
+    control_request, decode_response, query_request, write_message, Reply, ReplyBody, RpcError,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use syncopt_core::cache::CacheStats;
@@ -22,6 +22,9 @@ pub struct DaemonClient {
     reader: BufReader<UnixStream>,
     writer: UnixStream,
     next_id: i64,
+    /// The outgoing request line, then the incoming reply line: one
+    /// buffer for the whole connection.
+    line: String,
 }
 
 impl DaemonClient {
@@ -38,27 +41,29 @@ impl DaemonClient {
             reader: BufReader::new(stream),
             writer,
             next_id: 1,
+            line: String::new(),
         })
     }
 
-    fn call(&mut self, body: RequestBody) -> Result<Reply, String> {
+    /// Sends the request `encode` builds for the next id and decodes the
+    /// reply to it.
+    fn call(&mut self, encode: impl FnOnce(i64) -> Value) -> Result<Reply, String> {
         let id = self.next_id;
         self.next_id += 1;
-        let request = encode_request(&Request { id, body });
-        writeln!(self.writer, "{request}")
-            .and_then(|()| self.writer.flush())
+        write_message(&mut self.writer, &mut self.line, &encode(id))
             .map_err(|e| format!("cannot send request: {e}"))?;
-        let mut line = String::new();
+        self.line.clear();
         let n = self
             .reader
-            .read_line(&mut line)
+            .read_line(&mut self.line)
             .map_err(|e| format!("cannot read response: {e}"))?;
         if n == 0 {
             return Err("daemon closed the connection".to_string());
         }
-        let reply = decode_response(line.trim_end()).map_err(|RpcError { code, message }| {
-            format!("malformed response ({code}): {message}")
-        })?;
+        let reply =
+            decode_response(self.line.trim_end()).map_err(|RpcError { code, message }| {
+                format!("malformed response ({code}): {message}")
+            })?;
         if reply.id != id {
             return Err(format!(
                 "response id {} does not match request id {id}",
@@ -77,7 +82,7 @@ impl DaemonClient {
     ///
     /// I/O or protocol failure, as a displayable message.
     pub fn ping(&mut self) -> Result<(), String> {
-        match self.call(RequestBody::Ping)?.body {
+        match self.call(|id| control_request(id, "ping"))?.body {
             ReplyBody::Pong => Ok(()),
             other => Err(format!("unexpected reply to ping: {other:?}")),
         }
@@ -89,7 +94,7 @@ impl DaemonClient {
     ///
     /// I/O or protocol failure, as a displayable message.
     pub fn stats(&mut self) -> Result<Value, String> {
-        match self.call(RequestBody::Stats)?.body {
+        match self.call(|id| control_request(id, "stats"))?.body {
             ReplyBody::Stats(v) => Ok(v),
             other => Err(format!("unexpected reply to stats: {other:?}")),
         }
@@ -102,7 +107,7 @@ impl DaemonClient {
     /// I/O or protocol failure, as a displayable message — including the
     /// daemon rejecting the op because it runs with `--no-telemetry`.
     pub fn metrics(&mut self) -> Result<String, String> {
-        match self.call(RequestBody::Metrics)?.body {
+        match self.call(|id| control_request(id, "metrics"))?.body {
             ReplyBody::Metrics(text) => Ok(text),
             other => Err(format!("unexpected reply to metrics: {other:?}")),
         }
@@ -116,7 +121,7 @@ impl DaemonClient {
     /// I/O or protocol failure, as a displayable message. A *command*
     /// failure is not an error here — it comes back inside [`CmdOut`].
     pub fn query(&mut self, q: &Query) -> Result<(CmdOut, CacheStats), String> {
-        match self.call(RequestBody::Query(q.clone()))?.body {
+        match self.call(|id| query_request(id, q))?.body {
             ReplyBody::Query(out, cache) => Ok((out, cache)),
             other => Err(format!("unexpected reply to query: {other:?}")),
         }
@@ -128,7 +133,7 @@ impl DaemonClient {
     ///
     /// I/O or protocol failure, as a displayable message.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        match self.call(RequestBody::Shutdown)?.body {
+        match self.call(|id| control_request(id, "shutdown"))?.body {
             ReplyBody::Shutdown => Ok(()),
             other => Err(format!("unexpected reply to shutdown: {other:?}")),
         }

@@ -286,12 +286,12 @@ pub fn render_err(src: &str, file: &str, e: &SyncoptError) -> String {
 }
 
 fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
     let s = c.analysis.stats();
-    let warnings = syncopt_core::sync_warnings(&c.source_cfg);
+    let warnings = syncopt_core::sync_warnings(c.source_cfg());
     if q.format == Format::Json {
         let pairs = c
             .analysis
@@ -355,10 +355,10 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     let _ = writeln!(out, "refined delay pairs:");
     for (u, v) in c.analysis.delay_sync.pairs() {
         let d = |a: syncopt_ir::ids::AccessId| {
-            let i = c.source_cfg.accesses.info(a);
+            let i = c.source_cfg().accesses.info(a);
             let var = i
                 .var
-                .map(|v| c.source_cfg.vars.info(v).name.clone())
+                .map(|v| c.source_cfg().vars.info(v).name.clone())
                 .unwrap_or_default();
             let (line, col) = i.span.line_col(src);
             format!("{a} {:?} {var} @{line}:{col}", i.kind)
@@ -375,12 +375,12 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile(src, &session_options(q, q.level)) {
+    let c = match session.compile_shared(src, &session_options(q, q.level)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
     if q.format == Format::Json {
-        let st = &c.optimized.stats;
+        let st = &c.optimized().stats;
         let mut fields = vec![
             (
                 "schema".to_string(),
@@ -401,13 +401,13 @@ fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         if q.dump {
             fields.push((
                 "cfg".to_string(),
-                json::Value::Str(syncopt_ir::print::cfg_to_string(&c.optimized.cfg)),
+                json::Value::Str(syncopt_ir::print::cfg_to_string(&c.optimized().cfg)),
             ));
         }
         if q.dot {
             fields.push((
                 "dot".to_string(),
-                json::Value::Str(syncopt_ir::print::cfg_to_dot(&c.optimized.cfg, &q.file)),
+                json::Value::Str(syncopt_ir::print::cfg_to_dot(&c.optimized().cfg, &q.file)),
             ));
         }
         return CmdOut::ok(format!("{}\n", json::Value::Obj(fields)));
@@ -415,15 +415,15 @@ fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     if q.dot {
         return CmdOut::ok(format!(
             "{}\n",
-            syncopt_ir::print::cfg_to_dot(&c.optimized.cfg, &q.file)
+            syncopt_ir::print::cfg_to_dot(&c.optimized().cfg, &q.file)
         ));
     }
-    let mut out = format!("{:#?}\n", c.optimized.stats);
+    let mut out = format!("{:#?}\n", c.optimized().stats);
     if q.dump {
         let _ = writeln!(
             out,
             "\n{}",
-            syncopt_ir::print::cfg_to_string(&c.optimized.cfg)
+            syncopt_ir::print::cfg_to_string(&c.optimized().cfg)
         );
     }
     CmdOut::ok(out)
@@ -438,7 +438,7 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     if q.trace {
         opts.trace = TraceLevel::Events;
     }
-    let r = match session.run(src, &opts, &config) {
+    let r = match session.run_shared(src, &opts, &config) {
         Ok(r) => r,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -493,7 +493,7 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     let _ = writeln!(out, "barriers aligned:   {}", r.sim.barriers_aligned);
     let _ = writeln!(out, "final shared memory:");
     for (var, vals) in &r.sim.memory {
-        let name = &r.compiled.source_cfg.vars.info(*var).name;
+        let name = &r.compiled.source_cfg().vars.info(*var).name;
         if vals.len() == 1 {
             let _ = writeln!(out, "  {name} = {}", vals[0]);
         } else {
@@ -534,7 +534,7 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     };
     let mut opts = session_options(q, q.level);
     opts.trace = TraceLevel::Events;
-    let r = match session.run(src, &opts, &config) {
+    let r = match session.run_shared(src, &opts, &config) {
         Ok(r) => r,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -546,7 +546,7 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             return CmdOut::fail(format!("trace/accounting invariant violated: {e}"));
         }
     }
-    let json = crate::chrome_trace(trace, &r.sim, &r.compiled.optimized.cfg);
+    let json = crate::chrome_trace(trace, &r.sim, &r.compiled.optimized().cfg);
     match &q.out {
         Some(path) => CmdOut {
             stdout: String::new(),
@@ -566,7 +566,7 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -590,7 +590,7 @@ fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         }
     }
     if q.format == Format::Json {
-        return CmdOut::ok(format!("{}\n", report.to_json(&c.source_cfg, src)));
+        return CmdOut::ok(format!("{}\n", report.to_json(c.source_cfg(), src)));
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -601,7 +601,7 @@ fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         report.kept.len() + report.dropped.len()
     );
     out.push('\n');
-    for d in report.to_diagnostics(&c.source_cfg) {
+    for d in report.to_diagnostics(c.source_cfg()) {
         let _ = write!(out, "{}", d.render(src, &q.file));
     }
     CmdOut::ok(out)
@@ -623,11 +623,11 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_litmus(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
-    let cfg = &c.source_cfg;
+    let cfg = c.source_cfg();
     let sc = match sc_outcomes(cfg, q.procs) {
         Ok(s) => s,
         Err(e) => return CmdOut::fail(e.to_string()),
@@ -728,8 +728,8 @@ fn run_check_direct(
     src: &str,
     q: &Query,
 ) -> Result<CheckOutcome, SyncoptError> {
-    let compiled = session.compile(src, &session_options(q, OptLevel::Blocking))?;
-    run_check(session, src, &compiled.source_cfg, q)
+    let compiled = session.compile_shared(src, &session_options(q, OptLevel::Blocking))?;
+    run_check(session, src, compiled.source_cfg(), q)
 }
 
 /// Applies `--deny`/`--allow` severity overrides, then the `--strict`
@@ -784,11 +784,11 @@ fn check_summary_json(outcome: &CheckOutcome) -> json::Value {
 }
 
 fn cmd_check(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
-    let outcome = match run_check(session, src, &c.source_cfg, q) {
+    let outcome = match run_check(session, src, c.source_cfg(), q) {
         Ok(o) => o,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };

@@ -22,18 +22,23 @@
 
 use crate::commands::execute;
 use crate::rpc::{
-    decode_request, error_response, metrics_response, ping_response, query_response,
-    shutdown_response, stats_response, Request, RequestBody, RpcError, ServiceStats,
+    decode_request, error_response, metrics_response, ping_response, query_response, request_id,
+    shutdown_response, stats_response, write_message, Request, RequestBody, RpcError, ServiceStats,
 };
 use crate::session::AnalysisSession;
 use crate::telemetry::{RequestOutcome, RequestSpan, ServiceTelemetry, TelemetryConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use syncopt_core::cache::CacheStats;
+
+/// The longest request line the daemon reads, framing newline excluded.
+/// A longer line is answered with a `bad-request` error (`id` 0) and its
+/// connection is closed; other connections are unaffected.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// The default socket path: `syncoptd.sock` in the system temp directory.
 pub fn default_socket_path() -> PathBuf {
@@ -187,8 +192,43 @@ struct ReqMeta {
     shutdown: bool,
 }
 
+/// Reads the next request line into `line`, without its framing `\n` or
+/// `\r\n`. Returns the bytes the line took on the wire and whether it was
+/// longer than [`MAX_REQUEST_BYTES`]; such a line is skipped through its
+/// newline, never held in memory, and `line` is left empty. `None` is the
+/// end of the input or an I/O error.
+fn read_request_line(
+    reader: &mut BufReader<UnixStream>,
+    line: &mut String,
+) -> Option<(usize, bool)> {
+    line.clear();
+    let mut limited = reader.by_ref().take(MAX_REQUEST_BYTES as u64 + 1);
+    let read = limited.read_line(line);
+    // The limit ran out before a newline came. (Check this first:
+    // `read_line` itself fails when the cut falls inside a character.)
+    if limited.limit() == 0 && !line.ends_with('\n') {
+        line.clear();
+        // Skipping to the newline before answering means the reply finds
+        // the client reading, not still writing.
+        let skipped = reader.skip_until(b'\n').ok()?;
+        return Some((MAX_REQUEST_BYTES + 1 + skipped, true));
+    }
+    if read.ok()? == 0 {
+        return None;
+    }
+    if line.ends_with('\n') {
+        line.pop();
+        if line.ends_with('\r') {
+            line.pop();
+        }
+    }
+    // +1: the framing newline.
+    Some((line.len() + 1, false))
+}
+
 /// Reads request lines from one client until EOF or shutdown, answering
-/// each in order.
+/// each in order. The request line and the reply line each live in one
+/// buffer reused for the whole connection, and a reply is one write.
 fn serve_connection(stream: UnixStream, state: &State) {
     let telemetry = state.telemetry.as_deref();
     let conn_id = telemetry.map(|t| t.open_connection()).unwrap_or(0);
@@ -197,22 +237,16 @@ fn serve_connection(stream: UnixStream, state: &State) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let mut reply = String::new();
+    while let Some((bytes_in, over_long)) = read_request_line(&mut reader, &mut line) {
+        if !over_long && line.trim().is_empty() {
             continue;
         }
-        // +1: the framing newline consumed by `lines()`.
-        let mut span = telemetry.map(|t| t.begin_request(conn_id, line.len() as u64 + 1));
-        let (response, meta) = handle_line(&line, state, span.as_mut());
-        let text = response.to_string();
-        let sent = writeln!(writer, "{text}")
-            .and_then(|()| writer.flush())
-            .is_ok();
+        let mut span = telemetry.map(|t| t.begin_request(conn_id, bytes_in as u64));
+        let (response, meta) = handle_line(&line, over_long, state, span.as_mut());
+        let sent = write_message(&mut writer, &mut reply, &response);
         if let (Some(t), Some(span)) = (telemetry, span.take()) {
             t.finish_request(
                 span,
@@ -220,12 +254,13 @@ fn serve_connection(stream: UnixStream, state: &State) {
                     op: &meta.op,
                     ok: meta.ok,
                     failed: meta.failed,
-                    bytes_out: text.len() as u64 + 1,
+                    bytes_out: reply.len() as u64,
                     cache: meta.cache,
                 },
             );
         }
-        if !sent {
+        // A client that sends an over-long line loses its connection.
+        if sent.is_err() || over_long {
             return;
         }
         if meta.shutdown {
@@ -237,22 +272,35 @@ fn serve_connection(stream: UnixStream, state: &State) {
     }
 }
 
-/// Answers one request line. Returns the response document and the
-/// request metadata for telemetry. The span (when telemetry is on) has
-/// its decode phase closed right after the envelope parse and its
+/// Answers one request line (`over_long`: the line passed
+/// [`MAX_REQUEST_BYTES`] and was not kept). Returns the response document
+/// and the request metadata for telemetry. The span (when telemetry is
+/// on) has its decode phase closed right after the envelope parse and its
 /// execute phase closed once the response document is built; the encode
 /// remainder is measured by `finish_request`.
 fn handle_line(
     line: &str,
+    over_long: bool,
     state: &State,
     mut span: Option<&mut RequestSpan>,
 ) -> (syncopt_core::diag::json::Value, ReqMeta) {
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let decoded = decode_request(line);
+    // An error response echoes the id when the envelope carried one; a
+    // request too broken (or too long) to carry an id gets id 0.
+    let decoded = if over_long {
+        Err((
+            0,
+            RpcError::bad_request(format!(
+                "request line longer than {MAX_REQUEST_BYTES} bytes"
+            )),
+        ))
+    } else {
+        decode_request(line).map_err(|e| (request_id(line), e))
+    };
     if let Some(s) = span.as_deref_mut() {
         s.decode_done();
     }
-    let answer = respond(line, decoded, state);
+    let answer = respond(decoded, state);
     if let Some(s) = span {
         s.execute_done();
     }
@@ -261,8 +309,7 @@ fn handle_line(
 
 /// Builds the response document for one decoded (or undecodable) request.
 fn respond(
-    line: &str,
-    decoded: Result<Request, RpcError>,
+    decoded: Result<Request, (i64, RpcError)>,
     state: &State,
 ) -> (syncopt_core::diag::json::Value, ReqMeta) {
     let meta = |op: &str, ok: bool, failed: bool, cache: CacheStats, shutdown: bool| ReqMeta {
@@ -274,11 +321,9 @@ fn respond(
     };
     let req = match decoded {
         Ok(req) => req,
-        // Echo the id when the envelope carried one; a request too broken
-        // to carry an id gets id 0.
-        Err(e) => {
+        Err((id, e)) => {
             return (
-                error_response(crate::rpc::request_id(line), &e),
+                error_response(id, &e),
                 meta("invalid", false, false, CacheStats::default(), false),
             );
         }
@@ -306,7 +351,7 @@ fn respond(
                     session.cache_stats(),
                     session.cached_artifacts(),
                     session.cache_capacity(),
-                    session.kind_counters(),
+                    &session.kind_counters(),
                     &service,
                     metrics,
                 ),
@@ -362,6 +407,7 @@ mod tests {
     use super::*;
     use crate::client::DaemonClient;
     use crate::commands::{CmdOut, Format, Query};
+    use std::io::Write;
 
     fn test_socket(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("syncoptd-test-{}-{name}.sock", std::process::id()))

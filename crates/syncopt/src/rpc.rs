@@ -180,10 +180,13 @@ pub fn encode_query(q: &Query) -> Value {
     Value::Obj(f)
 }
 
-fn expect_str(v: &Value, key: &str) -> Result<String, RpcError> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| RpcError::bad_request(format!("`{key}` must be a string")))
+/// Moves the string out of a parsed value: sources, stdout and file
+/// payloads are the bulk of a message and are never copied on decode.
+fn expect_str(v: Value, key: &str) -> Result<String, RpcError> {
+    match v {
+        Value::Str(s) => Ok(s),
+        _ => Err(RpcError::bad_request(format!("`{key}` must be a string"))),
+    }
 }
 
 fn expect_bool(v: &Value, key: &str) -> Result<bool, RpcError> {
@@ -198,29 +201,42 @@ fn expect_int(v: &Value, key: &str) -> Result<i64, RpcError> {
         .ok_or_else(|| RpcError::bad_request(format!("`{key}` must be an integer")))
 }
 
-fn expect_codes(v: &Value, key: &str) -> Result<Vec<String>, RpcError> {
-    let items = v
-        .as_arr()
-        .ok_or_else(|| RpcError::bad_request(format!("`{key}` must be an array")))?;
-    items.iter().map(|i| expect_str(i, key)).collect()
+fn expect_codes(v: Value, key: &str) -> Result<Vec<String>, RpcError> {
+    match v {
+        Value::Arr(items) => items.into_iter().map(|i| expect_str(i, key)).collect(),
+        _ => Err(RpcError::bad_request(format!("`{key}` must be an array"))),
+    }
 }
 
-/// Decodes a query object. Missing fields take the [`Query::default`]
-/// values; unknown fields are rejected so typos surface instead of being
-/// silently ignored.
-pub fn decode_query(v: &Value) -> Result<Query, RpcError> {
+/// Moves the value of `key` out of a parsed object, leaving `null` in
+/// its place (first match, like [`Value::get`]).
+fn take(v: &mut Value, key: &str) -> Option<Value> {
+    match v {
+        Value::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Value::Null)),
+        _ => None,
+    }
+}
+
+/// Decodes a query object, consuming it. Missing fields take the
+/// [`Query::default`] values; unknown fields are rejected so typos
+/// surface instead of being silently ignored.
+pub fn decode_query(v: Value) -> Result<Query, RpcError> {
     let fields = match v {
         Value::Obj(fields) => fields,
         _ => return Err(RpcError::bad_request("`query` must be an object")),
     };
     let mut q = Query::default();
     for (key, value) in fields {
-        match key.as_str() {
+        let key = key.as_str();
+        match key {
             "command" => q.command = expect_str(value, key)?,
             "file" => q.file = expect_str(value, key)?,
             "source" => q.source = Some(expect_str(value, key)?),
             "procs" => {
-                q.procs = u32::try_from(expect_int(value, key)?)
+                q.procs = u32::try_from(expect_int(&value, key)?)
                     .map_err(|_| RpcError::bad_request("`procs` out of range"))?;
             }
             "level" => {
@@ -235,11 +251,11 @@ pub fn decode_query(v: &Value) -> Result<Query, RpcError> {
                 })?;
             }
             "machine" => q.machine = expect_str(value, key)?,
-            "dump" => q.dump = expect_bool(value, key)?,
-            "dot" => q.dot = expect_bool(value, key)?,
-            "trace" => q.trace = expect_bool(value, key)?,
-            "strict" => q.strict = expect_bool(value, key)?,
-            "kernels" => q.kernels = expect_bool(value, key)?,
+            "dump" => q.dump = expect_bool(&value, key)?,
+            "dot" => q.dot = expect_bool(&value, key)?,
+            "trace" => q.trace = expect_bool(&value, key)?,
+            "strict" => q.strict = expect_bool(&value, key)?,
+            "kernels" => q.kernels = expect_bool(&value, key)?,
             "format" => {
                 let label = expect_str(value, key)?;
                 q.format = Format::parse(&label)
@@ -247,11 +263,11 @@ pub fn decode_query(v: &Value) -> Result<Query, RpcError> {
             }
             "emit_report" => q.emit_report = Some(expect_str(value, key)?),
             "threads" => {
-                q.threads = usize::try_from(expect_int(value, key)?)
+                q.threads = usize::try_from(expect_int(&value, key)?)
                     .map_err(|_| RpcError::bad_request("`threads` out of range"))?;
             }
             "sim_shards" => {
-                q.sim_shards = usize::try_from(expect_int(value, key)?)
+                q.sim_shards = usize::try_from(expect_int(&value, key)?)
                     .map_err(|_| RpcError::bad_request("`sim_shards` out of range"))?;
             }
             "sim_partition" => {
@@ -263,7 +279,7 @@ pub fn decode_query(v: &Value) -> Result<Query, RpcError> {
             "out" => q.out = Some(expect_str(value, key)?),
             "trace_limit" => {
                 q.trace_limit = Some(
-                    usize::try_from(expect_int(value, key)?)
+                    usize::try_from(expect_int(&value, key)?)
                         .map_err(|_| RpcError::bad_request("`trace_limit` out of range"))?,
                 );
             }
@@ -302,18 +318,42 @@ pub fn decode_query(v: &Value) -> Result<Query, RpcError> {
 
 /// Encodes a request envelope (one line, no trailing newline).
 pub fn encode_request(req: &Request) -> Value {
-    let mut f = envelope(req.id);
     match &req.body {
-        RequestBody::Ping => field(&mut f, "op", Value::Str("ping".to_string())),
-        RequestBody::Stats => field(&mut f, "op", Value::Str("stats".to_string())),
-        RequestBody::Metrics => field(&mut f, "op", Value::Str("metrics".to_string())),
-        RequestBody::Shutdown => field(&mut f, "op", Value::Str("shutdown".to_string())),
-        RequestBody::Query(q) => {
-            field(&mut f, "op", Value::Str("query".to_string()));
-            field(&mut f, "query", encode_query(q));
-        }
+        RequestBody::Ping => control_request(req.id, "ping"),
+        RequestBody::Stats => control_request(req.id, "stats"),
+        RequestBody::Metrics => control_request(req.id, "metrics"),
+        RequestBody::Shutdown => control_request(req.id, "shutdown"),
+        RequestBody::Query(q) => query_request(req.id, q),
     }
+}
+
+/// The envelope of a request that carries nothing but its `op`.
+pub(crate) fn control_request(id: i64, op: &str) -> Value {
+    let mut f = envelope(id);
+    field(&mut f, "op", Value::Str(op.to_string()));
     Value::Obj(f)
+}
+
+/// The envelope of a `query` request, encoded from the borrowed query.
+pub(crate) fn query_request(id: i64, q: &Query) -> Value {
+    let mut f = envelope(id);
+    field(&mut f, "op", Value::Str("query".to_string()));
+    field(&mut f, "query", encode_query(q));
+    Value::Obj(f)
+}
+
+/// Serializes `doc` and its framing newline into `buf` (cleared first,
+/// so one buffer serves a whole connection) and hands the line to `w` in
+/// a single `write_all`: a message is one write, whatever its size.
+pub(crate) fn write_message(
+    w: &mut impl std::io::Write,
+    buf: &mut String,
+    doc: &Value,
+) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    buf.clear();
+    writeln!(buf, "{doc}").expect("formatting into a String cannot fail");
+    w.write_all(buf.as_bytes())
 }
 
 /// Best-effort extraction of the correlation id from a request line, for
@@ -333,7 +373,8 @@ pub fn request_id(line: &str) -> i64 {
 /// [`RpcError`] with code `bad-request` for malformed JSON or envelopes,
 /// `unsupported` for a wrong schema or unknown op.
 pub fn decode_request(line: &str) -> Result<Request, RpcError> {
-    let v = Value::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
+    let mut v =
+        Value::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
     let schema = v
         .get("schema")
         .and_then(Value::as_str)
@@ -357,8 +398,7 @@ pub fn decode_request(line: &str) -> Result<Request, RpcError> {
         "metrics" => RequestBody::Metrics,
         "shutdown" => RequestBody::Shutdown,
         "query" => {
-            let q = v
-                .get("query")
+            let q = take(&mut v, "query")
                 .ok_or_else(|| RpcError::bad_request("`query` op needs a `query` object"))?;
             RequestBody::Query(decode_query(q)?)
         }
@@ -531,7 +571,8 @@ fn decode_cache_stats(v: &Value) -> Result<CacheStats, RpcError> {
 /// `syncopt.rpc.v1` response. A server-reported error decodes
 /// successfully as [`ReplyBody::Error`].
 pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
-    let v = Value::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
+    let mut v =
+        Value::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
     match v.get("schema").and_then(Value::as_str) {
         Some(RPC_SCHEMA) => {}
         Some(other) => {
@@ -571,33 +612,30 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
         ReplyBody::Pong
     } else if v.get("shutdown").is_some() {
         ReplyBody::Shutdown
-    } else if let Some(text) = v.get("metrics_text") {
+    } else if let Some(text) = take(&mut v, "metrics_text") {
         ReplyBody::Metrics(expect_str(text, "metrics_text")?)
-    } else if let Some(stdout) = v.get("stdout") {
+    } else if let Some(stdout) = take(&mut v, "stdout") {
         let stdout = expect_str(stdout, "stdout")?;
-        let failure = match v.get("failure") {
+        let failure = match take(&mut v, "failure") {
             None | Some(Value::Null) => None,
             Some(other) => Some(expect_str(other, "failure")?),
         };
-        let file = match v.get("file") {
+        let file = match take(&mut v, "file") {
             None => None,
-            Some(file) => Some(FileOutput {
-                path: file
-                    .get("path")
-                    .map(|p| expect_str(p, "file.path"))
-                    .transpose()?
-                    .ok_or_else(|| RpcError::bad_request("file artifact missing `path`"))?,
-                content: file
-                    .get("content")
-                    .map(|c| expect_str(c, "file.content"))
-                    .transpose()?
-                    .ok_or_else(|| RpcError::bad_request("file artifact missing `content`"))?,
-                note: file
-                    .get("note")
-                    .map(|n| expect_str(n, "file.note"))
-                    .transpose()?
-                    .ok_or_else(|| RpcError::bad_request("file artifact missing `note`"))?,
-            }),
+            Some(mut file) => {
+                let mut part = |key: &str, label: &str| {
+                    take(&mut file, key)
+                        .ok_or_else(|| {
+                            RpcError::bad_request(format!("file artifact missing `{key}`"))
+                        })
+                        .and_then(|v| expect_str(v, label))
+                };
+                Some(FileOutput {
+                    path: part("path", "file.path")?,
+                    content: part("content", "file.content")?,
+                    note: part("note", "file.note")?,
+                })
+            }
         };
         let cache = v
             .get("cache")
@@ -612,38 +650,20 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
             },
             cache,
         )
-    } else if let Some(stats) = v.get("cache") {
+    } else if let Some(stats) = take(&mut v, "cache") {
+        let mut part =
+            |key: &str, default: Value| (key.to_string(), take(&mut v, key).unwrap_or(default));
         let mut fields = vec![
-            ("cache".to_string(), stats.clone()),
-            (
-                "artifacts".to_string(),
-                v.get("artifacts").cloned().unwrap_or(Value::Int(0)),
-            ),
-            (
-                "capacity".to_string(),
-                v.get("capacity").cloned().unwrap_or(Value::Int(0)),
-            ),
-            (
-                "kinds".to_string(),
-                v.get("kinds").cloned().unwrap_or(Value::Obj(Vec::new())),
-            ),
-            (
-                "uptime_ms".to_string(),
-                v.get("uptime_ms").cloned().unwrap_or(Value::Int(0)),
-            ),
-            (
-                "requests_total".to_string(),
-                v.get("requests_total").cloned().unwrap_or(Value::Int(0)),
-            ),
-            (
-                "version".to_string(),
-                v.get("version")
-                    .cloned()
-                    .unwrap_or_else(|| Value::Str(String::new())),
-            ),
+            ("cache".to_string(), stats),
+            part("artifacts", Value::Int(0)),
+            part("capacity", Value::Int(0)),
+            part("kinds", Value::Obj(Vec::new())),
+            part("uptime_ms", Value::Int(0)),
+            part("requests_total", Value::Int(0)),
+            part("version", Value::Str(String::new())),
         ];
-        if let Some(doc) = v.get("metrics") {
-            fields.push(("metrics".to_string(), doc.clone()));
+        if let Some(doc) = take(&mut v, "metrics") {
+            fields.push(("metrics".to_string(), doc));
         }
         ReplyBody::Stats(Value::Obj(fields))
     } else {
@@ -683,6 +703,62 @@ mod tests {
         assert!(!line.contains('\n'), "framing requires one line");
         let back = decode_request(&line).unwrap();
         assert_eq!(back, req);
+    }
+
+    /// Accepts whatever one `write` hands it, and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_message_is_one_write_whatever_its_size() {
+        // 64 KiB of text that needs escaping in every line.
+        let payload = "A[MYPROC] = \"é\";\t// \\ \n".repeat((64 << 10) / 24 + 1);
+        assert!(payload.len() > 64 << 10);
+        let mut line = String::new();
+
+        // What `DaemonClient::query` sends.
+        let q = Query {
+            source: Some(payload.clone()),
+            ..sample_query()
+        };
+        let mut sent = CountingWriter::default();
+        write_message(&mut sent, &mut line, &query_request(7, &q)).unwrap();
+        assert_eq!(sent.calls, 1, "client send");
+        assert_eq!(sent.bytes, line.as_bytes());
+        let text = std::str::from_utf8(&sent.bytes).unwrap();
+        assert_eq!(text.matches('\n').count(), 1, "one line");
+        let request = decode_request(text.trim_end()).unwrap();
+        assert_eq!(request.body, RequestBody::Query(q));
+
+        // What the daemon answers, through the same reused buffer.
+        let out = CmdOut {
+            stdout: payload,
+            file: None,
+            failure: None,
+        };
+        let mut replied = CountingWriter::default();
+        let response = query_response(7, &out, CacheStats::default());
+        write_message(&mut replied, &mut line, &response).unwrap();
+        assert_eq!(replied.calls, 1, "daemon reply");
+        let text = std::str::from_utf8(&replied.bytes).unwrap();
+        assert_eq!(text, format!("{response}\n"), "nothing of the request left");
+        let reply = decode_response(text.trim_end()).unwrap();
+        assert_eq!(reply.body, ReplyBody::Query(out, CacheStats::default()));
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!
 //! | kind       | keyed by                                            | stores |
 //! |------------|-----------------------------------------------------|--------|
-//! | `ast`      | raw source text                                     | parsed [`Program`] |
+//! | `ast`      | raw source text                                     | parsed [`Program`] (+ its memoized `fncheck` keys) |
 //! | `fncheck`  | context fingerprint + canonical function text       | per-function type-check verdict |
 //! | `inlined`  | raw source text                                     | inlined [`Program`] |
-//! | `cfg`      | raw source text                                     | lowered source [`Cfg`] |
+//! | `cfg`      | raw source text                                     | lowered source [`Cfg`] (+ the memoized fingerprint of its canonical text) |
 //! | `analysis` | canonical (span-free) CFG text + procs              | [`Analysis`] |
-//! | `opt`      | raw source text + procs + level + delay             | [`Optimized`] |
+//! | `opt`      | raw source text + procs + level + delay             | [`Optimized`] (+ the memoized fingerprint of its canonical text) |
 //! | `sim`      | canonical optimized-CFG text + machine config       | [`SimResult`] |
 //! | `races`    | raw source text + procs                             | [`RaceAnalysis`] |
 //! | `lint`     | raw source text + procs                             | [`LintReport`] |
@@ -37,6 +37,13 @@
 //! sequential reference for every shard count and partition — so a `sim`
 //! artifact computed under one configuration legitimately serves every
 //! other.
+//!
+//! The canonical-text keys are expensive to derive — print the whole CFG,
+//! hash every byte — so the artifact that owns the CFG carries the
+//! fingerprint of its printed text, computed at most once: a warm request
+//! hashes its source text and does lookups, nothing else. The public
+//! entry points copy the cached artifacts into an owned [`Compiled`] /
+//! [`RunResult`]; the command engine reads them in place.
 //!
 //! Caching never changes results, only the work needed to produce them:
 //! a warm query is byte-identical to a cold one.
@@ -65,7 +72,7 @@ use crate::{
     Compiled, DelayChoice, OptLevel, PipelineReport, ProfileReport, RunResult, SimReport,
     SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use syncopt_codegen::Optimized;
 use syncopt_core::cache::{ArtifactCache, CacheStats};
 use syncopt_core::{
@@ -77,7 +84,7 @@ use syncopt_frontend::typeck::ProgramContext;
 use syncopt_frontend::Program;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::print::cfg_to_string;
-use syncopt_machine::{MachineConfig, ShardPartition, Trace};
+use syncopt_machine::{MachineConfig, ShardPartition, SimResult, Trace};
 
 /// Per-request pipeline knobs, mirroring the [`Syncopt`](crate::Syncopt)
 /// builder's configuration.
@@ -134,6 +141,119 @@ impl SessionOptions {
     }
 }
 
+/// A cached artifact that owns a CFG, with the fingerprint of
+/// `[tag, canonical text of that CFG]` memoized beside it — the stem of
+/// the `analysis` key on the source CFG and of the `sim` key on the
+/// optimized one, extended per request with the cheap parts (processor
+/// count, machine configuration).
+#[derive(Debug)]
+pub(crate) struct Keyed<T> {
+    pub(crate) artifact: T,
+    tag: &'static str,
+    cfg_of: fn(&T) -> &Cfg,
+    text_key: OnceLock<Fingerprint>,
+}
+
+impl<T> Keyed<T> {
+    fn new(artifact: T, tag: &'static str, cfg_of: fn(&T) -> &Cfg) -> Self {
+        Keyed {
+            artifact,
+            tag,
+            cfg_of,
+            text_key: OnceLock::new(),
+        }
+    }
+
+    fn print_and_hash(&self) -> Fingerprint {
+        Fingerprint::of_parts(&[self.tag, &cfg_to_string((self.cfg_of)(&self.artifact))])
+    }
+
+    /// The memoized fingerprint: printed and hashed on first use only.
+    fn text_key(&self) -> Fingerprint {
+        let key = *self.text_key.get_or_init(|| self.print_and_hash());
+        debug_assert_eq!(key, self.print_and_hash(), "stale memoized fingerprint");
+        key
+    }
+}
+
+/// The `ast` artifact: the parsed program with the `fncheck` key of each
+/// of its functions, derived (pretty-print, hash) on first use only.
+#[derive(Debug)]
+struct Parsed {
+    program: Program,
+    fncheck_keys: OnceLock<Vec<Fingerprint>>,
+}
+
+impl Parsed {
+    fn derive_fncheck_keys(&self) -> Vec<Fingerprint> {
+        let stem = context_fingerprint(&self.program).push("fncheck.v1");
+        self.program
+            .functions
+            .iter()
+            .map(|func| stem.push(&function_to_string(func)))
+            .collect()
+    }
+
+    /// One key per function, in program order: the context fingerprint
+    /// plus the function's canonical text.
+    fn fncheck_keys(&self) -> &[Fingerprint] {
+        let keys = self.fncheck_keys.get_or_init(|| self.derive_fncheck_keys());
+        debug_assert_eq!(*keys, self.derive_fncheck_keys(), "stale fncheck keys");
+        keys
+    }
+}
+
+/// What the cached pipeline produced for one request, every artifact
+/// still shared with the cache. [`AnalysisSession::compile`] copies out of
+/// it; [`crate::commands::execute`] only reads.
+pub(crate) struct SharedCompiled {
+    source: Arc<Keyed<Cfg>>,
+    pub(crate) analysis: Arc<Analysis>,
+    optimized: Arc<Keyed<Optimized>>,
+    pub(crate) report: PipelineReport,
+}
+
+impl SharedCompiled {
+    pub(crate) fn source_cfg(&self) -> &Cfg {
+        &self.source.artifact
+    }
+
+    pub(crate) fn optimized(&self) -> &Optimized {
+        &self.optimized.artifact
+    }
+
+    fn into_owned(self) -> Compiled {
+        Compiled {
+            source_cfg: self.source.artifact.clone(),
+            analysis: (*self.analysis).clone(),
+            optimized: self.optimized.artifact.clone(),
+            report: self.report,
+        }
+    }
+}
+
+/// [`SharedCompiled`] plus the simulation, shared with the `sim` cache
+/// entry unless the run was traced.
+pub(crate) struct SharedRun {
+    pub(crate) compiled: SharedCompiled,
+    pub(crate) sim: Arc<SimResult>,
+    pub(crate) trace: Option<Trace>,
+}
+
+impl SharedRun {
+    pub(crate) fn report(&self) -> &PipelineReport {
+        &self.compiled.report
+    }
+
+    fn into_owned(self) -> RunResult {
+        RunResult {
+            compiled: self.compiled.into_owned(),
+            sim: Arc::try_unwrap(self.sim).unwrap_or_else(|shared| (*shared).clone()),
+            trace: self.trace,
+        }
+    }
+}
+
 /// A long-lived analysis context: the same queries as the
 /// [`Syncopt`](crate::Syncopt) builder, backed by a content-addressed
 /// artifact cache shared across requests. See the [module
@@ -180,7 +300,7 @@ impl AnalysisSession {
 
     /// Per-artifact-kind cache counters
     /// (`cache.<kind>.hits|misses|evictions`).
-    pub fn kind_counters(&self) -> &Counters {
+    pub fn kind_counters(&self) -> Counters {
         self.cache.kind_counters()
     }
 
@@ -214,6 +334,16 @@ impl AnalysisSession {
     /// Returns frontend or lowering errors (never cached — errors are
     /// re-diagnosed with fresh spans on every request).
     pub fn compile(&mut self, src: &str, opts: &SessionOptions) -> Result<Compiled, SyncoptError> {
+        self.compile_shared(src, opts)
+            .map(SharedCompiled::into_owned)
+    }
+
+    /// [`compile`](AnalysisSession::compile) without the copies.
+    pub(crate) fn compile_shared(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+    ) -> Result<SharedCompiled, SyncoptError> {
         self.begin();
         self.compile_inner(src, opts, opts.procs)
     }
@@ -230,6 +360,17 @@ impl AnalysisSession {
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<RunResult, SyncoptError> {
+        self.run_shared(src, opts, config)
+            .map(SharedRun::into_owned)
+    }
+
+    /// [`run`](AnalysisSession::run) without the copies.
+    pub(crate) fn run_shared(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+        config: &MachineConfig,
+    ) -> Result<SharedRun, SyncoptError> {
         self.begin();
         self.run_inner(src, opts, config)
     }
@@ -255,8 +396,8 @@ impl AnalysisSession {
         let blocking = self.run_inner(src, &blocking_opts, config)?;
         let optimized = self.run_inner(src, opts, config)?;
         Ok(ProfileReport {
-            blocking: blocking.report().clone(),
-            optimized: optimized.report().clone(),
+            blocking: blocking.compiled.report,
+            optimized: optimized.compiled.report,
         })
     }
 
@@ -280,7 +421,7 @@ impl AnalysisSession {
         }
         let cfg = self.cfg_inner(src)?;
         let races = Arc::new(syncopt_core::detect_races(
-            &cfg,
+            &cfg.artifact,
             &opts.sync_options(opts.procs),
         ));
         self.cache.insert_arc("races", key, Arc::clone(&races));
@@ -309,7 +450,11 @@ impl AnalysisSession {
         let cfg = self.cfg_inner(src)?;
         let sync_opts = opts.sync_options(opts.procs);
         let analysis = self.analysis_inner(&cfg, opts, opts.procs);
-        let report = Arc::new(crate::lint::lint_with_analysis(&cfg, &analysis, &sync_opts));
+        let report = Arc::new(crate::lint::lint_with_analysis(
+            &cfg.artifact,
+            &analysis,
+            &sync_opts,
+        ));
         self.cache.insert_arc("lint", key, Arc::clone(&report));
         Ok(report)
     }
@@ -335,7 +480,7 @@ impl AnalysisSession {
         let cfg = self.cfg_inner(src)?;
         let sync_opts = opts.sync_options(opts.procs);
         let analysis = self.analysis_inner(&cfg, opts, opts.procs);
-        let report = Arc::new(syncopt_core::explain(&cfg, &analysis, &sync_opts));
+        let report = Arc::new(syncopt_core::explain(&cfg.artifact, &analysis, &sync_opts));
         self.cache.insert_arc("explain", key, Arc::clone(&report));
         Ok(report)
     }
@@ -347,12 +492,14 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
         config: &MachineConfig,
-    ) -> Result<RunResult, SyncoptError> {
+    ) -> Result<SharedRun, SyncoptError> {
         let procs = opts.procs.unwrap_or(config.procs);
         let mut compiled = self.compile_inner(src, opts, Some(procs))?;
         let mut trace = None;
         let cache = &mut self.cache;
+        let optimized = &compiled.optimized;
         let sim = compiled.report.timings.time("simulate", || {
+            let cfg = &optimized.artifact.cfg;
             if opts.trace >= TraceLevel::Events {
                 if opts.sim_shards > 1 {
                     return Err(syncopt_machine::SimError::new(
@@ -368,49 +515,33 @@ impl AnalysisSession {
                 }
                 // Traces are request-scoped observability, not artifacts:
                 // always simulate fresh so the trace matches this run.
-                syncopt_machine::simulate_traced(&compiled.optimized.cfg, config, opts.trace_limit)
-                    .map(|(sim, t)| {
-                        trace = Some(t);
-                        sim
-                    })
-            } else if opts.sim_shards > 1 {
-                // The parallel engine is bit-identical to the sequential
-                // one, so it shares the `sim` cache key: an artifact
-                // computed by either engine serves both.
-                let key = Fingerprint::of_parts(&[
-                    "sim.v1",
-                    &cfg_to_string(&compiled.optimized.cfg),
-                    &format!("{config:?}"),
-                ]);
-                cache
-                    .get_or_try("sim", key, || {
-                        syncopt_machine::simulate_sharded_with(
-                            &compiled.optimized.cfg,
-                            config,
-                            opts.sim_shards,
-                            opts.sim_partition,
-                            syncopt_machine::SimOutputs::full(),
-                        )
-                    })
-                    .map(|sim| (*sim).clone())
-            } else {
-                let key = Fingerprint::of_parts(&[
-                    "sim.v1",
-                    &cfg_to_string(&compiled.optimized.cfg),
-                    &format!("{config:?}"),
-                ]);
-                cache
-                    .get_or_try("sim", key, || {
-                        syncopt_machine::simulate(&compiled.optimized.cfg, config)
-                    })
-                    .map(|sim| (*sim).clone())
+                let (sim, t) = syncopt_machine::simulate_traced(cfg, config, opts.trace_limit)?;
+                trace = Some(t);
+                return Ok(Arc::new(sim));
             }
+            // The parallel engine is bit-identical to the sequential one,
+            // so it shares the `sim` cache key: an artifact computed by
+            // either engine serves both.
+            let key = optimized.text_key().push(&format!("{config:?}"));
+            cache.get_or_try("sim", key, || {
+                if opts.sim_shards > 1 {
+                    syncopt_machine::simulate_sharded_with(
+                        cfg,
+                        config,
+                        opts.sim_shards,
+                        opts.sim_partition,
+                        syncopt_machine::SimOutputs::full(),
+                    )
+                } else {
+                    syncopt_machine::simulate(cfg, config)
+                }
+            })
         })?;
         compiled.report.meta.machine = Some(config.name.clone());
         let mut sim_report = SimReport::from_sim(&sim);
         sim_report.trace_truncated = trace.as_ref().map(Trace::truncated);
         compiled.report.sim = Some(sim_report);
-        Ok(RunResult {
+        Ok(SharedRun {
             compiled,
             sim,
             trace,
@@ -422,33 +553,31 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
         procs: Option<u32>,
-    ) -> Result<Compiled, SyncoptError> {
+    ) -> Result<SharedCompiled, SyncoptError> {
         let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
         let src_fp = src_fingerprint(src);
         let cache = &mut self.cache;
-        let ast: Arc<Program> = timings.time("parse", || {
-            cache.get_or_try("ast", src_fp, || syncopt_frontend::parse_program(src))
-        })?;
+        let ast = timings.time("parse", || parse_cached(cache, src, src_fp))?;
         timings.time("typeck", || check_cached(cache, &ast))?;
         let inlined: Arc<Program> = timings.time("inline", || {
             cache.get_or_try("inlined", src_fp, || {
-                syncopt_frontend::inline::inline_program(&ast)
+                syncopt_frontend::inline::inline_program(&ast.program)
             })
         })?;
-        let source_cfg: Arc<Cfg> = timings.time("lower", || {
-            cache.get_or_try("cfg", src_fp, || syncopt_ir::lower::lower_main(&inlined))
-        })?;
-        let analysis = timings.time("analyze", || {
-            analysis_cached(cache, &source_cfg, opts, procs)
-        });
-        let optimized: Arc<Optimized> = timings.time("optimize", || {
+        let source = timings.time("lower", || lower_cached(cache, &inlined, src_fp))?;
+        let analysis = timings.time("analyze", || analysis_cached(cache, &source, opts, procs));
+        let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
             let key = src_fp
                 .push("opt.v1")
                 .push(&procs_part(procs))
                 .push(level_label(opts.level))
                 .push(delay_label(opts.delay));
             cache.get_or("opt", key, || {
-                syncopt_codegen::optimize(&source_cfg, &analysis, opts.level, opts.delay)
+                Keyed::new(
+                    syncopt_codegen::optimize(&source.artifact, &analysis, opts.level, opts.delay),
+                    "sim.v1",
+                    |optimized| &optimized.cfg,
+                )
             })
         });
         let report = PipelineReport {
@@ -456,35 +585,34 @@ impl AnalysisSession {
             timings,
             analysis: analysis.stats(),
             counters: analysis.metrics.clone(),
-            codegen: optimized.stats,
+            codegen: optimized.artifact.stats,
             cache: None,
             sim: None,
         };
-        Ok(Compiled {
-            source_cfg: (*source_cfg).clone(),
-            analysis: (*analysis).clone(),
-            optimized: (*optimized).clone(),
+        Ok(SharedCompiled {
+            source,
+            analysis,
+            optimized,
             report,
         })
     }
 
     /// The cached source CFG for `src` (the parse → typeck → inline →
     /// lower prefix of the pipeline, without timings).
-    fn cfg_inner(&mut self, src: &str) -> Result<Arc<Cfg>, SyncoptError> {
+    fn cfg_inner(&mut self, src: &str) -> Result<Arc<Keyed<Cfg>>, SyncoptError> {
         let src_fp = src_fingerprint(src);
         let cache = &mut self.cache;
-        let ast: Arc<Program> =
-            cache.get_or_try("ast", src_fp, || syncopt_frontend::parse_program(src))?;
+        let ast = parse_cached(cache, src, src_fp)?;
         check_cached(cache, &ast)?;
         let inlined: Arc<Program> = cache.get_or_try("inlined", src_fp, || {
-            syncopt_frontend::inline::inline_program(&ast)
+            syncopt_frontend::inline::inline_program(&ast.program)
         })?;
-        Ok(cache.get_or_try("cfg", src_fp, || syncopt_ir::lower::lower_main(&inlined))?)
+        Ok(lower_cached(cache, &inlined, src_fp)?)
     }
 
     fn analysis_inner(
         &mut self,
-        cfg: &Arc<Cfg>,
+        cfg: &Keyed<Cfg>,
         opts: &SessionOptions,
         procs: Option<u32>,
     ) -> Arc<Analysis> {
@@ -503,7 +631,36 @@ fn procs_part(procs: Option<u32>) -> String {
     procs.map_or_else(|| "any".to_string(), |p| p.to_string())
 }
 
-/// Type checks `program` with per-function caching: the program-level
+/// The cached `ast` artifact for `src`.
+fn parse_cached(
+    cache: &mut ArtifactCache,
+    src: &str,
+    src_fp: Fingerprint,
+) -> Result<Arc<Parsed>, syncopt_frontend::FrontendError> {
+    cache.get_or_try("ast", src_fp, || {
+        Ok(Parsed {
+            program: syncopt_frontend::parse_program(src)?,
+            fncheck_keys: OnceLock::new(),
+        })
+    })
+}
+
+/// The cached `cfg` artifact: the lowered source CFG of `inlined`.
+fn lower_cached(
+    cache: &mut ArtifactCache,
+    inlined: &Program,
+    src_fp: Fingerprint,
+) -> Result<Arc<Keyed<Cfg>>, syncopt_ir::lower::LowerError> {
+    cache.get_or_try("cfg", src_fp, || {
+        Ok(Keyed::new(
+            syncopt_ir::lower::lower_main(inlined)?,
+            "analysis.v1",
+            |cfg| cfg,
+        ))
+    })
+}
+
+/// Type checks the program with per-function caching: the program-level
 /// checks run every time (they are cheap and produce the first error in
 /// declaration order), while each function body's verdict is keyed by the
 /// context fingerprint plus the function's canonical text — so editing
@@ -511,12 +668,10 @@ fn procs_part(procs: Option<u32>) -> String {
 /// Only successes are cached; errors re-diagnose with fresh spans.
 fn check_cached(
     cache: &mut ArtifactCache,
-    program: &Program,
+    ast: &Parsed,
 ) -> Result<(), syncopt_frontend::FrontendError> {
-    let ctx = ProgramContext::build(program)?;
-    let ctx_fp = context_fingerprint(program);
-    for func in &program.functions {
-        let key = ctx_fp.push("fncheck.v1").push(&function_to_string(func));
+    let ctx = ProgramContext::build(&ast.program)?;
+    for (func, &key) in ast.program.functions.iter().zip(ast.fncheck_keys()) {
         if cache.get::<()>("fncheck", key).is_some() {
             continue;
         }
@@ -531,13 +686,13 @@ fn check_cached(
 /// processor count, so formatting-only edits reuse the analysis.
 fn analysis_cached(
     cache: &mut ArtifactCache,
-    cfg: &Arc<Cfg>,
+    cfg: &Keyed<Cfg>,
     opts: &SessionOptions,
     procs: Option<u32>,
 ) -> Arc<Analysis> {
-    let key = Fingerprint::of_parts(&["analysis.v1", &cfg_to_string(cfg), &procs_part(procs)]);
+    let key = cfg.text_key().push(&procs_part(procs));
     cache.get_or("analysis", key, || {
-        syncopt_core::analyze_with(cfg, &opts.sync_options(procs))
+        syncopt_core::analyze_with(&cfg.artifact, &opts.sync_options(procs))
     })
 }
 
@@ -620,6 +775,45 @@ mod tests {
         let kinds = s.kind_counters();
         assert!(kinds.get("cache.analysis.hits") >= 1, "{kinds:?}");
         assert!(kinds.get("cache.sim.hits") >= 1, "{kinds:?}");
+    }
+
+    #[test]
+    fn memoized_fingerprints_equal_the_hash_of_the_freshly_printed_text() {
+        let mut s = AnalysisSession::new();
+        let config = MachineConfig::cm5(4);
+        for level in [OptLevel::Blocking, OptLevel::Full] {
+            let o = SessionOptions { level, ..opts(4) };
+            // Twice: the second run reads the memo the first one filled.
+            for _ in 0..2 {
+                let r = s.run_inner(SRC, &o, &config).unwrap();
+                let c = &r.compiled;
+                assert_eq!(
+                    c.source.text_key(),
+                    Fingerprint::of_parts(&["analysis.v1", &cfg_to_string(c.source_cfg())])
+                );
+                assert_eq!(
+                    c.optimized.text_key(),
+                    Fingerprint::of_parts(&["sim.v1", &cfg_to_string(&c.optimized().cfg)])
+                );
+            }
+        }
+        // The keys the session looked up are the documented ones, part for
+        // part: extending a memoized stem is hashing the parts in order.
+        let source = s.cfg_inner(SRC).unwrap();
+        let analysis_key =
+            Fingerprint::of_parts(&["analysis.v1", &cfg_to_string(&source.artifact), "4"]);
+        assert!(s.cache.get::<Analysis>("analysis", analysis_key).is_some());
+        let ast = parse_cached(&mut s.cache, SRC, src_fingerprint(SRC)).unwrap();
+        let ctx_fp = context_fingerprint(&ast.program);
+        for (func, key) in ast.program.functions.iter().zip(ast.fncheck_keys()) {
+            let text = function_to_string(func);
+            assert_eq!(*key, ctx_fp.push("fncheck.v1").push(&text), "{}", func.name);
+            assert!(
+                s.cache.get::<()>("fncheck", *key).is_some(),
+                "{}",
+                func.name
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,11 @@
 # the `metrics` op emits well-shaped Prometheus text, that a repeated
 # daemon query is served from the artifact cache (stats hits grow,
 # misses do not), that query stdout is byte-identical with telemetry
-# enabled and disabled (`--no-telemetry`), and that `shutdown` stops the
-# daemon cleanly and removes the socket file.
+# enabled and disabled (`--no-telemetry`), that a request line nested
+# 200 000 deep and one longer than the 16 MiB line limit each come back
+# as `bad-request` with the daemon still answering `ping` afterwards
+# (sent raw with python3; skipped with a notice where there is none), and
+# that `shutdown` stops the daemon cleanly and removes the socket file.
 # See docs/API.md for the syncopt.rpc.v1 protocol and
 # docs/OBSERVABILITY.md for the service metrics.
 set -eu
@@ -127,6 +130,40 @@ if [ "$misses_before" != "$misses_after" ]; then
     exit 1
 fi
 
+echo "== hostile request lines =="
+# Raw lines no well-behaved client sends: the first used to overflow the
+# JSON parser's stack and abort the daemon, the second was read into
+# memory without bound. Each must be answered `bad-request`, and a fresh
+# client must find the daemon alive after each.
+if command -v python3 > /dev/null 2>&1; then
+    for kind in deep-nesting over-long-line; do
+        reply=$(python3 - "$SOCK" "$kind" <<'PY'
+import socket, sys
+path, kind = sys.argv[1], sys.argv[2]
+line = b"[" * 200_000 if kind == "deep-nesting" else b" " * ((16 << 20) + 1)
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(path)
+s.sendall(line + b"\n")
+sys.stdout.write(s.makefile("r", encoding="utf-8").readline())
+PY
+        )
+        case "$reply" in
+            *'"id":0'*'"code":"bad-request"'*) ;;
+            *)
+                echo "daemon_smoke: $kind request was not answered bad-request (got: $reply)" >&2
+                exit 1
+                ;;
+        esac
+        "$BIN" ping --socket "$SOCK" > /dev/null 2>&1 || {
+            echo "daemon_smoke: daemon stopped answering after the $kind request" >&2
+            cat "$TMPDIR_SMOKE/daemon.log" >&2
+            exit 1
+        }
+    done
+else
+    echo "daemon_smoke: python3 not found, hostile-line requests skipped" >&2
+fi
+
 echo "== telemetry on vs off byte-identity =="
 SOCK_OFF="$TMPDIR_SMOKE/syncoptd-off.sock"
 "$DBIN" --socket "$SOCK_OFF" --no-telemetry 2> "$TMPDIR_SMOKE/daemon-off.log" &
@@ -164,4 +201,4 @@ if [ -e "$SOCK" ]; then
     exit 1
 fi
 
-echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, clean shutdown"
+echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, hostile lines refused, clean shutdown"

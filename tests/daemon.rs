@@ -4,13 +4,15 @@
 
 #![cfg(unix)]
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use syncopt::client::DaemonClient;
 use syncopt::commands::{execute, CmdOut, Format, Query};
 use syncopt::core::corpus::corpus_program;
 use syncopt::core::CacheStats;
-use syncopt::daemon::Daemon;
+use syncopt::daemon::{Daemon, MAX_REQUEST_BYTES};
 use syncopt::kernels::all_kernels;
 use syncopt::session::AnalysisSession;
 
@@ -230,5 +232,77 @@ fn concurrent_cache_deltas_sum_to_global_counters() {
         total.evictions,
         "eviction deltas must tile the total"
     );
+    stop(&path, handle);
+}
+
+/// Two request lines that used to take the daemon down or its memory
+/// with it: nesting deep enough to overflow the recursive JSON parser's
+/// stack, and a line with no end in sight. Each must come back as a
+/// coded `bad-request` to the connection that sent it, and a second
+/// client must find the daemon serving afterwards.
+#[test]
+fn hostile_request_lines_get_bad_request_and_leave_the_daemon_serving() {
+    let (path, handle) = start("hostile");
+    let ping_from_a_second_client = || {
+        DaemonClient::connect(&path)
+            .expect("second client connects")
+            .ping()
+            .expect("second client's ping");
+    };
+    let connect = || {
+        let stream = UnixStream::connect(&path).expect("connect");
+        (stream.try_clone().unwrap(), BufReader::new(stream))
+    };
+    let mut reply = String::new();
+
+    let (mut writer, mut reader) = connect();
+    writer
+        .write_all(format!("{}\n", "[".repeat(200_000)).as_bytes())
+        .unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""code":"bad-request""#), "got: {reply}");
+    assert!(reply.contains(r#""id":0"#), "got: {reply}");
+    assert!(
+        reply.contains("nesting deeper than 128 at byte 128"),
+        "got: {reply}"
+    );
+    ping_from_a_second_client();
+    // A malformed line is that request's problem only: the connection
+    // that sent it is still served.
+    reply.clear();
+    writer
+        .write_all(b"{\"schema\":\"syncopt.rpc.v1\",\"id\":2,\"op\":\"ping\"}\n")
+        .unwrap();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""pong":true"#), "got: {reply}");
+
+    let (mut writer, mut reader) = connect();
+    let mut line = vec![b' '; MAX_REQUEST_BYTES + 1];
+    line.push(b'\n');
+    writer.write_all(&line).unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""code":"bad-request""#), "got: {reply}");
+    assert!(reply.contains(r#""id":0"#), "got: {reply}");
+    assert!(
+        reply.contains(&format!("longer than {MAX_REQUEST_BYTES} bytes")),
+        "got: {reply}"
+    );
+    // The daemon closes the connection that sent it, and only that one.
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "got: {reply}");
+    ping_from_a_second_client();
+
+    // A line of exactly the limit is read whole and answered on its
+    // merits (here: blank, so skipped), and the connection lives on.
+    let (mut writer, mut reader) = connect();
+    line.remove(0);
+    writer.write_all(&line).unwrap();
+    writer
+        .write_all(b"{\"schema\":\"syncopt.rpc.v1\",\"id\":3,\"op\":\"ping\"}\n")
+        .unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""id":3"#), "got: {reply}");
     stop(&path, handle);
 }

@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use syncopt::client::DaemonClient;
 use syncopt::commands::{execute, Format, Query};
 use syncopt::core::diag::json::Value;
@@ -16,8 +17,8 @@ use syncopt::daemon::Daemon;
 use syncopt::kernels::all_kernels;
 use syncopt::session::AnalysisSession;
 use syncopt::telemetry::{
-    daemon_chrome_trace, parse_reqlog, verify_reqlog_accounting, TelemetryConfig, METRICS_SCHEMA,
-    SERVICE_METRIC_NAMES, SERVICE_VERSION,
+    daemon_chrome_trace, parse_reqlog, verify_reqlog_accounting, ReqLogEntry, TelemetryConfig,
+    METRICS_SCHEMA, SERVICE_METRIC_NAMES, SERVICE_VERSION,
 };
 
 fn test_socket(name: &str) -> PathBuf {
@@ -216,6 +217,26 @@ fn prometheus_exposition_is_well_formed() {
     stop(&path, handle);
 }
 
+/// The request log once it holds `checks` lines of op `check`, or as it
+/// stands when the deadline passes. The daemon writes a request's line
+/// *after* sending the reply (the line records the encode span, which
+/// ends with the write), and connection threads outlive `run`: a client
+/// that has its answer — even a joined daemon — can be ahead of the log.
+fn wait_for_reqlog(log: &Path, checks: usize) -> Vec<ReqLogEntry> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let text = std::fs::read_to_string(log).expect("request log exists");
+        // Whole lines only: a connection thread may be mid-write.
+        let whole = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+        let entries = parse_reqlog(whole).expect("request log parses");
+        let logged = entries.iter().filter(|e| e.op == "check").count();
+        if logged >= checks || Instant::now() > deadline {
+            return entries;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// The serving-timeline acceptance check: 8 concurrent clients × 5
 /// rounds against a request-logging daemon; the log parses, every
 /// request's phase spans sum exactly to its recorded wall time, and the
@@ -256,8 +277,7 @@ fn request_log_accounts_spans_and_exports_a_timeline() {
     }
     stop(&path, handle);
 
-    let text = std::fs::read_to_string(&log).expect("request log exists");
-    let entries = parse_reqlog(&text).expect("request log parses");
+    let entries = wait_for_reqlog(&log, CLIENTS * ROUNDS);
     let queries = entries.iter().filter(|e| e.op == "check").count();
     assert_eq!(queries, CLIENTS * ROUNDS, "one log line per query");
     // Request spans sum exactly to recorded wall time, ids monotonic.
@@ -386,4 +406,38 @@ fn every_service_metric_is_declared_and_documented() {
             "`{name}` is declared in SERVICE_METRIC_NAMES but never used in the sources"
         );
     }
+}
+
+/// `BENCH_service.json` (the before/after rows of `docs/PERFORMANCE.md`
+/// §8) keeps the envelope of the other committed baselines: the
+/// all-integer `syncopt.bench_report.v1`, readable by the std-only parser.
+#[test]
+fn committed_service_bench_report_is_a_bench_report_v1_document() {
+    let doc = Value::parse(include_str!("../BENCH_service.json").trim_end())
+        .expect("BENCH_service.json parses (integers only)");
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some(syncopt::bench::BENCH_SCHEMA)
+    );
+    assert_eq!(doc.get("suite").and_then(Value::as_str), Some("service"));
+    assert!(doc.get("host_cpus").and_then(Value::as_int).is_some());
+    let configs = doc.get("configs").and_then(Value::as_arr).unwrap();
+    let mut ids = BTreeSet::new();
+    for config in configs {
+        let id = config.get("id").and_then(Value::as_str).expect("id");
+        assert!(ids.insert(id), "duplicate row {id}");
+        for side in ["parent", "change"] {
+            for key in ["q1_milli", "median_milli", "q3_milli"] {
+                assert!(
+                    config
+                        .get(side)
+                        .and_then(|s| s.get(key))
+                        .and_then(Value::as_int)
+                        .is_some(),
+                    "{id}: {side}.{key}"
+                );
+            }
+        }
+    }
+    assert!(ids.contains("serve_warm.ops_per_s"), "the claimed row");
 }

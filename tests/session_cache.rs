@@ -3,7 +3,8 @@
 //! full run — over the five evaluation kernels, the 220-program seeded
 //! corpus, and after single-function edits — while the cache counters
 //! prove that warm runs actually reused artifacts instead of rebuilding
-//! them.
+//! them. The per-kind counts of warm requests are pinned: they are what
+//! a change to how keys are derived or carried must leave alone.
 
 use syncopt::commands::{execute, CmdOut, Format, Query};
 use syncopt::core::corpus::{corpus_program, CORPUS_SEEDS};
@@ -212,4 +213,151 @@ fn annotated_report_proves_warm_rerun_does_less_work() {
         .to_json()
         .to_string()
         .contains("\"cache\""));
+}
+
+/// Every artifact kind the session caches.
+const KINDS: [&str; 10] = [
+    "ast", "fncheck", "inlined", "cfg", "analysis", "opt", "sim", "races", "lint", "explain",
+];
+
+/// The session's cumulative `(hits, misses)` per kind, in `KINDS` order.
+fn kind_counts(session: &AnalysisSession) -> Vec<(u64, u64)> {
+    let counters = session.kind_counters();
+    KINDS
+        .iter()
+        .map(|k| {
+            (
+                counters.get(&format!("cache.{k}.hits")),
+                counters.get(&format!("cache.{k}.misses")),
+            )
+        })
+        .collect()
+}
+
+/// What happened between two [`kind_counts`] as `kind hits/misses` words,
+/// kinds without activity left out.
+fn kind_delta(before: &[(u64, u64)], after: &[(u64, u64)]) -> String {
+    KINDS
+        .iter()
+        .zip(before.iter().zip(after))
+        .filter(|(_, (b, a))| a != b)
+        .map(|(k, (b, a))| format!("{k} {}/{}", a.0 - b.0, a.1 - b.1))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Sends `queries` twice through one fresh session and returns the
+/// per-kind activity of the first (cold) and second (warm) sweep.
+fn cold_and_warm_activity(queries: &[Query]) -> (String, String) {
+    let mut session = AnalysisSession::new();
+    let mut marks = vec![kind_counts(&session)];
+    for _ in 0..2 {
+        for q in queries {
+            execute(&mut session, q);
+        }
+        marks.push(kind_counts(&session));
+    }
+    (
+        kind_delta(&marks[0], &marks[1]),
+        kind_delta(&marks[1], &marks[2]),
+    )
+}
+
+/// Per-kind lookups as they were before fingerprints were carried on the
+/// artifacts (taken at commit 45ffd83): memoizing a key must not add,
+/// drop or re-route a single lookup.
+#[test]
+fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
+    let pinned = [
+        (
+            "check",
+            "ast 5/5, fncheck 5/5, inlined 5/5, cfg 5/5, analysis 0/5, opt 0/5, races 0/5",
+            "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0, races 5/0",
+        ),
+        (
+            "analyze",
+            "ast 0/5, fncheck 0/5, inlined 0/5, cfg 0/5, analysis 0/5, opt 0/5",
+            "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0",
+        ),
+        (
+            "run",
+            "ast 0/5, fncheck 0/5, inlined 0/5, cfg 0/5, analysis 0/5, opt 0/5, sim 0/5",
+            "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0, sim 5/0",
+        ),
+        (
+            "profile",
+            "ast 5/5, fncheck 5/5, inlined 5/5, cfg 5/5, analysis 5/5, opt 0/10, sim 0/10",
+            "ast 10/0, fncheck 10/0, inlined 10/0, cfg 10/0, analysis 10/0, opt 10/0, sim 10/0",
+        ),
+    ];
+    let kernels = all_kernels(4);
+    for (command, cold, warm) in pinned {
+        let queries: Vec<Query> = kernels
+            .iter()
+            .map(|k| query(command, k.name, &k.source, Format::Json))
+            .collect();
+        assert_eq!(
+            cold_and_warm_activity(&queries),
+            (cold.to_string(), warm.to_string()),
+            "{command} over the five kernels"
+        );
+    }
+
+    let corpus: Vec<Query> = (0..CORPUS_SEEDS)
+        .map(|seed| query("check", "corpus.ms", &corpus_program(seed), Format::Json))
+        .collect();
+    assert_eq!(
+        cold_and_warm_activity(&corpus),
+        (
+            "ast 220/220, fncheck 220/220, inlined 220/220, cfg 220/220, \
+             analysis 0/220, opt 0/220, races 0/220"
+                .to_string(),
+            "ast 220/0, fncheck 220/0, inlined 220/0, cfg 220/0, analysis 220/0, opt 220/0, \
+             races 220/0"
+                .to_string()
+        ),
+        "check over the 220-program corpus"
+    );
+}
+
+#[test]
+fn reformatted_source_still_hits_the_canonical_cfg_keys() {
+    let config = syncopt::MachineConfig::cm5(4);
+    let opts = SessionOptions::default();
+    for kernel in all_kernels(4) {
+        let mut session = AnalysisSession::new();
+        let first = session.run(&kernel.source, &opts, &config).unwrap();
+        let reformatted = format!("// moved\n{}\n\n// trailing\n", kernel.source);
+        let before = kind_counts(&session);
+        let second = session.run(&reformatted, &opts, &config).unwrap();
+        // Raw-text keys miss; the keys derived from the printed CFG —
+        // memoized on artifacts built from *different* text — and the
+        // per-function check key hit.
+        assert_eq!(
+            kind_delta(&before, &kind_counts(&session)),
+            "ast 0/1, fncheck 1/0, inlined 0/1, cfg 0/1, analysis 1/0, opt 0/1, sim 1/0",
+            "{}",
+            kernel.name
+        );
+        assert_eq!(first.sim.memory, second.sim.memory, "{}", kernel.name);
+        assert_eq!(first.report().sim, second.report().sim, "{}", kernel.name);
+    }
+}
+
+#[test]
+fn one_function_edit_rechecks_exactly_the_edited_function() {
+    let mut session = AnalysisSession::new();
+    let opts = SessionOptions::default();
+    session.compile(TWO_FN_V1, &opts).unwrap();
+    session.compile(TWO_FN_V2, &opts).unwrap();
+    let kinds = session.kind_counters();
+    // v1 checks `helper` and `main`; v2 finds `helper` checked and checks
+    // the edited `main`.
+    assert_eq!(kinds.get("cache.fncheck.hits"), 1, "{kinds:?}");
+    assert_eq!(kinds.get("cache.fncheck.misses"), 3, "{kinds:?}");
+    // A third compile of either version checks nothing.
+    session.compile(TWO_FN_V1, &opts).unwrap();
+    let kinds = session.kind_counters();
+    assert_eq!(kinds.get("cache.fncheck.hits"), 3, "{kinds:?}");
+    assert_eq!(kinds.get("cache.fncheck.misses"), 3, "{kinds:?}");
 }
