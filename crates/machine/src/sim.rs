@@ -22,12 +22,14 @@
 //!
 //! # Engine
 //!
-//! The hot path is allocation- and hash-free: processor counters, lock
-//! tables, flag-waiter lists, and shared memory are flat `Vec`s indexed by
-//! the dense integer ids the IR guarantees, sized once from the program
-//! header. Pending events live in a **calendar queue** — a bucketed time
-//! wheel with a binary-heap overflow rung and a free-list event arena
-//! ([`EngineKind::Calendar`]). The original `BinaryHeap`-of-tuples engine
+//! The hot path is allocation- and hash-free: processor locals and
+//! counters, lock tables, flag-waiter lists, and shared memory are flat
+//! `Vec`s indexed by the dense integer ids the IR guarantees, sized once
+//! from the program header, and the interpreter executes instructions,
+//! terminators and their expressions by reference out of the borrowed
+//! [`Cfg`] (`tests/sim_alloc.rs` measures it). Pending events live in a
+//! **calendar queue** — a bucketed time wheel with a binary-heap overflow
+//! rung and a free-list event arena ([`EngineKind::Calendar`]). The original `BinaryHeap`-of-tuples engine
 //! is retained as [`EngineKind::ReferenceHeap`] so differential tests can
 //! prove the two are observationally identical; both dispatch events in
 //! strictly increasing `(time, seq)` order, where `seq` is the global
@@ -629,6 +631,9 @@ pub(crate) struct Simulator<'a> {
     next_inject: Vec<u64>,
     // Barrier rendezvous state.
     barrier_arrivals: Vec<Option<(AccessId, u64)>>,
+    /// How many `barrier_arrivals` are `Some`: the rendezvous is complete
+    /// when this reaches the processor count.
+    barrier_arrived: usize,
     // Arrival times of stores still in flight.
     stores_in_flight: u64,
     barrier_release_pending: bool,
@@ -692,6 +697,7 @@ impl<'a> Simulator<'a> {
             handler_free: vec![0; p as usize],
             next_inject: vec![0; p as usize],
             barrier_arrivals: vec![None; p as usize],
+            barrier_arrived: 0,
             stores_in_flight: 0,
             barrier_release_pending: false,
             legacy_probes: 0,
@@ -874,6 +880,9 @@ impl<'a> Simulator<'a> {
         let steal = std::mem::take(&mut self.procs[pi].steal);
         self.charge_busy(pi, steal);
         self.procs[pi].status = Status::Ready;
+        // Borrow the program for `'a`, not through `self`: instructions and
+        // terminators can then be executed in place while `self` mutates.
+        let cfg = self.cfg;
         loop {
             self.procs[pi].steps += 1;
             if self.procs[pi].steps > self.config.max_steps {
@@ -882,14 +891,11 @@ impl<'a> Simulator<'a> {
                     self.config.max_steps
                 )));
             }
-            let block = self.procs[pi].block;
-            let idx = self.procs[pi].instr;
-            let instrs_len = self.cfg.block(block).instrs.len();
-            if idx >= instrs_len {
-                // Terminator.
-                match self.cfg.block(block).term.clone() {
+            let block = cfg.block(self.procs[pi].block);
+            let Some(instr) = block.instrs.get(self.procs[pi].instr) else {
+                match &block.term {
                     Terminator::Goto(t) => {
-                        self.procs[pi].block = t;
+                        self.procs[pi].block = *t;
                         self.procs[pi].instr = 0;
                     }
                     Terminator::Branch {
@@ -898,8 +904,8 @@ impl<'a> Simulator<'a> {
                         else_bb,
                     } => {
                         self.charge_busy(pi, self.config.local_op_cycles);
-                        let taken = eval(&cond, &self.procs[pi].env)?.as_bool()?;
-                        self.procs[pi].block = if taken { then_bb } else { else_bb };
+                        let taken = eval(cond, &self.procs[pi].env)?.as_bool()?;
+                        self.procs[pi].block = if taken { *then_bb } else { *else_bb };
                         self.procs[pi].instr = 0;
                     }
                     Terminator::Return => {
@@ -911,10 +917,9 @@ impl<'a> Simulator<'a> {
                     }
                 }
                 continue;
-            }
-            let instr = self.cfg.block(block).instrs[idx].clone();
+            };
             self.procs[pi].instr += 1;
-            if !self.exec_instr(p, &instr)? {
+            if !self.exec_instr(p, instr)? {
                 // Blocked: the instruction will be *re-tried or resumed* by
                 // a Deliver; blocking instructions are responsible for
                 // setting up their own continuation (we re-run the same
@@ -1223,7 +1228,8 @@ impl<'a> Simulator<'a> {
                     return Ok(false);
                 }
                 self.barrier_arrivals[pi] = Some((*access, arrive));
-                if self.barrier_arrivals.iter().all(|a| a.is_some()) {
+                self.barrier_arrived += 1;
+                if self.barrier_arrived == self.barrier_arrivals.len() {
                     // One-way stores must drain before the barrier
                     // completes (the completion rule for stores); if any
                     // are still in flight the last drain triggers release.
@@ -1239,18 +1245,12 @@ impl<'a> Simulator<'a> {
     }
 
     fn release_barrier(&mut self, base: u64) -> Result<(), SimError> {
-        let max_arrival = self
+        let (min_arrival, max_arrival) = self
             .barrier_arrivals
             .iter()
             .map(|a| a.expect("all arrived").1)
-            .max()
-            .unwrap_or(0);
-        let min_arrival = self
-            .barrier_arrivals
-            .iter()
-            .map(|a| a.expect("all arrived").1)
-            .min()
-            .unwrap_or(0);
+            .fold((u64::MAX, 0), |(lo, hi), t| (lo.min(t), hi.max(t)));
+        self.barrier_arrived = 0;
         let release = max_arrival.max(base) + self.config.barrier_cycles;
         self.trace(release, 0, TraceKind::BarrierRelease);
         if let Some(t) = &mut self.trace {

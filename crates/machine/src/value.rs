@@ -1,6 +1,5 @@
 //! Runtime values and local-pure expression evaluation.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use syncopt_frontend::ast::{BinOp, Type, UnOp};
@@ -100,38 +99,43 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// Per-processor local storage.
+/// One `VarId`'s storage on one processor.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Shared data, a flag or a lock: lives in shared memory, not here.
+    NotLocal,
+    Scalar(Value),
+    Array(Vec<Value>),
+}
+
+/// Per-processor local storage, dense by the `VarId` the IR guarantees:
+/// a local read is one bounds-checked index, never a hash probe.
 #[derive(Debug, Clone)]
 pub struct ProcEnv {
     /// This processor's id.
     pub myproc: i64,
     /// Total processor count.
     pub procs: i64,
-    scalars: HashMap<VarId, Value>,
-    arrays: HashMap<VarId, Vec<Value>>,
+    slots: Vec<Slot>,
 }
 
 impl ProcEnv {
     /// Creates an environment with all locals zero-initialized.
     pub fn new(myproc: u32, procs: u32, vars: &VarTable) -> Self {
-        let mut scalars = HashMap::new();
-        let mut arrays = HashMap::new();
-        for (id, info) in vars.iter() {
-            match info.kind {
-                VarKind::Local => {
-                    scalars.insert(id, Value::zero(info.ty));
-                }
+        let slots = vars
+            .iter()
+            .map(|(_, info)| match info.kind {
+                VarKind::Local => Slot::Scalar(Value::zero(info.ty)),
                 VarKind::LocalArray { len } => {
-                    arrays.insert(id, vec![Value::zero(info.ty); len as usize]);
+                    Slot::Array(vec![Value::zero(info.ty); len as usize])
                 }
-                _ => {}
-            }
-        }
+                _ => Slot::NotLocal,
+            })
+            .collect();
         ProcEnv {
             myproc: myproc as i64,
             procs: procs as i64,
-            scalars,
-            arrays,
+            slots,
         }
     }
 
@@ -141,10 +145,10 @@ impl ProcEnv {
     ///
     /// Fails if `var` is not a local scalar.
     pub fn load(&self, var: VarId) -> Result<Value, SimError> {
-        self.scalars
-            .get(&var)
-            .copied()
-            .ok_or_else(|| SimError::new(format!("{var} is not a local scalar")))
+        match self.slots.get(var.index()) {
+            Some(Slot::Scalar(v)) => Ok(*v),
+            _ => Err(not_a_local(var, "scalar")),
+        }
     }
 
     /// Writes a local scalar.
@@ -153,12 +157,12 @@ impl ProcEnv {
     ///
     /// Fails if `var` is not a local scalar.
     pub fn store(&mut self, var: VarId, value: Value) -> Result<(), SimError> {
-        match self.scalars.get_mut(&var) {
-            Some(slot) => {
+        match self.slots.get_mut(var.index()) {
+            Some(Slot::Scalar(slot)) => {
                 *slot = value;
                 Ok(())
             }
-            None => Err(SimError::new(format!("{var} is not a local scalar"))),
+            _ => Err(not_a_local(var, "scalar")),
         }
     }
 
@@ -168,15 +172,14 @@ impl ProcEnv {
     ///
     /// Fails on unknown arrays or out-of-bounds indices.
     pub fn load_elem(&self, var: VarId, idx: i64) -> Result<Value, SimError> {
-        let arr = self
-            .arrays
-            .get(&var)
-            .ok_or_else(|| SimError::new(format!("{var} is not a local array")))?;
+        let Some(Slot::Array(arr)) = self.slots.get(var.index()) else {
+            return Err(not_a_local(var, "array"));
+        };
         usize::try_from(idx)
             .ok()
             .and_then(|i| arr.get(i))
             .copied()
-            .ok_or_else(|| SimError::new(format!("local index {idx} out of bounds for {var}")))
+            .ok_or_else(|| local_index_out_of_bounds(var, idx))
     }
 
     /// Writes a local array element.
@@ -185,17 +188,26 @@ impl ProcEnv {
     ///
     /// Fails on unknown arrays or out-of-bounds indices.
     pub fn store_elem(&mut self, var: VarId, idx: i64, value: Value) -> Result<(), SimError> {
-        let arr = self
-            .arrays
-            .get_mut(&var)
-            .ok_or_else(|| SimError::new(format!("{var} is not a local array")))?;
+        let Some(Slot::Array(arr)) = self.slots.get_mut(var.index()) else {
+            return Err(not_a_local(var, "array"));
+        };
         let slot = usize::try_from(idx)
             .ok()
             .and_then(|i| arr.get_mut(i))
-            .ok_or_else(|| SimError::new(format!("local index {idx} out of bounds for {var}")))?;
+            .ok_or_else(|| local_index_out_of_bounds(var, idx))?;
         *slot = value;
         Ok(())
     }
+}
+
+#[cold]
+fn not_a_local(var: VarId, what: &str) -> SimError {
+    SimError::new(format!("{var} is not a local {what}"))
+}
+
+#[cold]
+fn local_index_out_of_bounds(var: VarId, idx: i64) -> SimError {
+    SimError::new(format!("local index {idx} out of bounds for {var}"))
 }
 
 /// Evaluates a local-pure expression.
@@ -405,6 +417,54 @@ mod tests {
         let (env, _, a) = env();
         assert!(env.load_elem(a, 4).is_err());
         assert!(env.load_elem(a, -1).is_err());
+    }
+
+    /// The dense table answers every wrong-kind id, id past the table and
+    /// bad index with the message the hashed locals gave, and never
+    /// panics or touches a neighbouring slot.
+    #[test]
+    fn misused_ids_and_indices_keep_their_error_text() {
+        let mut vars = VarTable::new();
+        let mut push = |name: &str, kind| {
+            vars.push(VarInfo {
+                name: name.into(),
+                kind,
+                ty: Type::Int,
+            })
+        };
+        let shared = push("X", VarKind::SharedScalar);
+        let shared_arr = push("A", VarKind::SharedArray { len: 4 });
+        let flag = push("F", VarKind::Flag);
+        let lock = push("l", VarKind::Lock);
+        let s = push("s", VarKind::Local);
+        let a = push("a", VarKind::LocalArray { len: 3 });
+        let past = VarId(a.0 + 1);
+        let far = VarId(u32::MAX);
+        let mut env = ProcEnv::new(0, 2, &vars);
+        let msg = |r: Result<Value, SimError>| r.unwrap_err().message().to_string();
+        let unit = |r: Result<(), SimError>| r.unwrap_err().message().to_string();
+
+        for var in [shared, shared_arr, flag, lock, a, past, far] {
+            let text = format!("{var} is not a local scalar");
+            assert_eq!(msg(env.load(var)), text);
+            assert_eq!(unit(env.store(var, Value::Int(1))), text);
+            assert_eq!(msg(eval(&Expr::Local(var), &env)), text);
+        }
+        for var in [shared, shared_arr, flag, lock, s, past, far] {
+            let text = format!("{var} is not a local array");
+            assert_eq!(msg(env.load_elem(var, 0)), text);
+            assert_eq!(unit(env.store_elem(var, 0, Value::Int(1))), text);
+        }
+        for idx in [-1, 3, i64::MIN, i64::MAX] {
+            let text = format!("local index {idx} out of bounds for {a}");
+            assert_eq!(msg(env.load_elem(a, idx)), text);
+            assert_eq!(unit(env.store_elem(a, idx, Value::Int(1))), text);
+        }
+        // None of the refused writes landed anywhere.
+        assert_eq!(env.load(s).unwrap(), Value::Int(0));
+        for idx in 0..3 {
+            assert_eq!(env.load_elem(a, idx).unwrap(), Value::Int(0));
+        }
     }
 }
 

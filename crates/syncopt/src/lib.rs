@@ -287,7 +287,12 @@ impl<'a> Syncopt<'a> {
     ///
     /// Returns frontend or lowering errors.
     pub fn compile(&self) -> Result<Compiled, SyncoptError> {
-        AnalysisSession::new().compile(self.src, &self.session_options())
+        let mut session = AnalysisSession::new();
+        let shared = session.compile_shared(self.src, &self.session_options())?;
+        // The session's cache is the only other holder of the artifacts:
+        // with it gone they are moved out instead of deep-cloned.
+        drop(session);
+        Ok(shared.into_owned())
     }
 
     /// The builder's knobs as per-request session options (a one-shot
@@ -314,7 +319,10 @@ impl<'a> Syncopt<'a> {
     ///
     /// Returns frontend, lowering, or simulation errors.
     pub fn run(&self, config: &MachineConfig) -> Result<RunResult, SyncoptError> {
-        AnalysisSession::new().run(self.src, &self.session_options(), config)
+        let mut session = AnalysisSession::new();
+        let shared = session.run_shared(self.src, &self.session_options(), config)?;
+        drop(session);
+        Ok(shared.into_owned())
     }
 
     /// The paper's §5.2 **two-version compilation**: barrier alignment is

@@ -146,7 +146,7 @@ impl SessionOptions {
 /// the `analysis` key on the source CFG and of the `sim` key on the
 /// optimized one, extended per request with the cheap parts (processor
 /// count, machine configuration).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Keyed<T> {
     pub(crate) artifact: T,
     tag: &'static str,
@@ -222,11 +222,14 @@ impl SharedCompiled {
         &self.optimized.artifact
     }
 
-    fn into_owned(self) -> Compiled {
+    /// Moves each artifact out where this is its last holder (a one-shot
+    /// builder call that already dropped its session) and copies it where
+    /// a live cache still shares it.
+    pub(crate) fn into_owned(self) -> Compiled {
         Compiled {
-            source_cfg: self.source.artifact.clone(),
-            analysis: (*self.analysis).clone(),
-            optimized: self.optimized.artifact.clone(),
+            source_cfg: Arc::unwrap_or_clone(self.source).artifact,
+            analysis: Arc::unwrap_or_clone(self.analysis),
+            optimized: Arc::unwrap_or_clone(self.optimized).artifact,
             report: self.report,
         }
     }
@@ -245,10 +248,10 @@ impl SharedRun {
         &self.compiled.report
     }
 
-    fn into_owned(self) -> RunResult {
+    pub(crate) fn into_owned(self) -> RunResult {
         RunResult {
             compiled: self.compiled.into_owned(),
-            sim: Arc::try_unwrap(self.sim).unwrap_or_else(|shared| (*shared).clone()),
+            sim: Arc::unwrap_or_clone(self.sim),
             trace: self.trace,
         }
     }
@@ -746,6 +749,42 @@ mod tests {
             via_session.analysis.delay_sync.pairs(),
             via_builder.analysis.delay_sync.pairs()
         );
+    }
+
+    /// The one-shot builder drops its session before taking the result,
+    /// so the artifacts are moved (their heap buffers keep their
+    /// addresses); a live session still shares them and hands out copies.
+    #[test]
+    fn a_dropped_session_gives_up_its_artifacts_without_copying() {
+        let config = MachineConfig::cm5(4);
+        let buffers = |run: &SharedRun| {
+            (
+                run.compiled.source_cfg().blocks.as_ptr(),
+                run.compiled.optimized().cfg.blocks.as_ptr(),
+                run.sim.proc_cycles.as_ptr(),
+            )
+        };
+
+        let mut s = AnalysisSession::new();
+        let shared = s.run_shared(SRC, &opts(4), &config).unwrap();
+        let before = buffers(&shared);
+        drop(s);
+        let owned = shared.into_owned();
+        let after = (
+            owned.compiled.source_cfg.blocks.as_ptr(),
+            owned.compiled.optimized.cfg.blocks.as_ptr(),
+            owned.sim.proc_cycles.as_ptr(),
+        );
+        assert_eq!(before, after, "a unique artifact was deep-cloned");
+
+        let mut s = AnalysisSession::new();
+        let shared = s.run_shared(SRC, &opts(4), &config).unwrap();
+        let cached = buffers(&shared);
+        let copy = shared.into_owned();
+        assert_ne!(copy.compiled.source_cfg.blocks.as_ptr(), cached.0);
+        assert_ne!(copy.sim.proc_cycles.as_ptr(), cached.2);
+        s.run(SRC, &opts(4), &config).unwrap();
+        assert_eq!(s.last_request_stats().misses, 0, "the cache lost an entry");
     }
 
     #[test]

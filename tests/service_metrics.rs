@@ -408,18 +408,16 @@ fn every_service_metric_is_declared_and_documented() {
     }
 }
 
-/// `BENCH_service.json` (the before/after rows of `docs/PERFORMANCE.md`
-/// §8) keeps the envelope of the other committed baselines: the
-/// all-integer `syncopt.bench_report.v1`, readable by the std-only parser.
-#[test]
-fn committed_service_bench_report_is_a_bench_report_v1_document() {
-    let doc = Value::parse(include_str!("../BENCH_service.json").trim_end())
-        .expect("BENCH_service.json parses (integers only)");
+/// A committed before/after report keeps the envelope of the other
+/// committed baselines: the all-integer `syncopt.bench_report.v1`,
+/// readable by the std-only parser.
+fn assert_bench_report_v1(text: &str, suite: &str, claimed_row: &str) {
+    let doc = Value::parse(text.trim_end()).expect("the report parses (integers only)");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
         Some(syncopt::bench::BENCH_SCHEMA)
     );
-    assert_eq!(doc.get("suite").and_then(Value::as_str), Some("service"));
+    assert_eq!(doc.get("suite").and_then(Value::as_str), Some(suite));
     assert!(doc.get("host_cpus").and_then(Value::as_int).is_some());
     let configs = doc.get("configs").and_then(Value::as_arr).unwrap();
     let mut ids = BTreeSet::new();
@@ -439,5 +437,25 @@ fn committed_service_bench_report_is_a_bench_report_v1_document() {
             }
         }
     }
-    assert!(ids.contains("serve_warm.ops_per_s"), "the claimed row");
+    assert!(ids.contains(claimed_row), "the claimed row");
+}
+
+/// `BENCH_service.json`: the before/after rows of `docs/PERFORMANCE.md` §8.
+#[test]
+fn committed_service_bench_report_is_a_bench_report_v1_document() {
+    assert_bench_report_v1(
+        include_str!("../BENCH_service.json"),
+        "service",
+        "serve_warm.ops_per_s",
+    );
+}
+
+/// `BENCH_sim_interp.json`: the before/after rows of `docs/PERFORMANCE.md` §6.
+#[test]
+fn committed_sim_interp_bench_report_is_a_bench_report_v1_document() {
+    assert_bench_report_v1(
+        include_str!("../BENCH_sim_interp.json"),
+        "sim_interp",
+        "sim_seq.ops_per_s",
+    );
 }

@@ -267,3 +267,84 @@ fn parallel_sweep_reports_are_thread_count_invariant() {
         assert_eq!(a.counters, b.counters, "{}", a.id);
     }
 }
+
+/// Local storage is indexed by `VarId`, not hashed: a program that lives
+/// in its local arrays — indices read from other local arrays, two deep,
+/// on both sides of an assignment and in the branch condition, with both
+/// arms taken — must come out of every engine bit for bit.
+const LOCAL_ARRAYS_SRC: &str = r#"
+    shared int A[64];
+    shared int Sum;
+    shared int Arms[32];
+    lock l;
+    fn main() {
+        int i; int t; int acc; int even; int odd;
+        int buf[8];
+        int idx[8];
+        double w[4];
+        for (i = 0; i < 8; i = i + 1) {
+            idx[i] = (i * 3 + MYPROC) % 8;
+            buf[i] = i + MYPROC;
+        }
+        for (t = 0; t < 5; t = t + 1) {
+            for (i = 0; i < 8; i = i + 1) {
+                if ((buf[idx[i]] + t) % 2 == 0) {
+                    buf[idx[(i + 1) % 8]] = buf[idx[i]] + buf[i] * 2;
+                    w[buf[idx[i]] % 4] = w[i % 4] + 0.5;
+                    even = even + 1;
+                } else {
+                    buf[idx[idx[i]]] = buf[i] - t;
+                    acc = acc + buf[idx[idx[(i + t) % 8]]];
+                    odd = odd + 1;
+                }
+            }
+            work(buf[idx[t]] % 7 + 1);
+            A[(MYPROC * 5 + t) % 64] = acc + buf[idx[idx[t]]];
+            barrier;
+            acc = acc + A[(((MYPROC + 1) % PROCS) * 5 + t) % 64];
+            barrier;
+        }
+        if (w[buf[idx[0]] % 4] > 1.0) { acc = acc + 1; } else { acc = acc - 1; }
+        lock l; Sum = Sum + acc; unlock l;
+        Arms[MYPROC * 2] = even;
+        Arms[MYPROC * 2 + 1] = odd;
+    }
+"#;
+
+#[test]
+fn local_arrays_with_nested_indices_agree_across_all_three_engines() {
+    for procs in [1u32, 4, 16] {
+        let config = MachineConfig::cm5(procs);
+        for (label, level, delay) in LEVELS {
+            let compiled = Syncopt::new(LOCAL_ARRAYS_SRC)
+                .procs(procs)
+                .level(level)
+                .delay(delay)
+                .compile()
+                .expect("program compiles");
+            let cfg = &compiled.optimized.cfg;
+            let engine = |kind| {
+                simulate_configured(cfg, &config, kind, SimOutputs::full()).expect("simulates")
+            };
+            let calendar = engine(EngineKind::Calendar);
+            let what = format!("local arrays {label} p{procs}");
+            assert_cycles_conserve(&calendar, &what);
+            let arms = cfg.vars.by_name("Arms").expect("declared");
+            let (_, arms) = calendar.memory.iter().find(|(v, _)| *v == arms).unwrap();
+            for taken in &arms[..2 * procs as usize] {
+                assert!(
+                    taken.as_int().unwrap() > 0,
+                    "{what}: an arm never ran: {arms:?}"
+                );
+            }
+            assert_identical(&calendar, &engine(EngineKind::ReferenceHeap), &what);
+            for shards in [2usize, 4] {
+                let what = format!("{what} s{shards}");
+                let sharded = simulate_sharded(cfg, &config, shards, SimOutputs::full())
+                    .expect("sharded engine runs");
+                assert_identical(&calendar, &sharded, &what);
+                assert_cycles_conserve(&sharded, &what);
+            }
+        }
+    }
+}
