@@ -22,7 +22,7 @@
 use crate::OptStats;
 use syncopt_core::affine::{may_equal_same_proc, provably_equal_same_proc};
 use syncopt_core::{Analysis, DelaySet};
-use syncopt_ir::cfg::{Cfg, Instr};
+use syncopt_ir::cfg::{Cfg, CtrId, Instr};
 use syncopt_ir::expr::{Expr, SharedRef};
 use syncopt_ir::ids::{BlockId, VarId};
 
@@ -36,56 +36,14 @@ pub fn eliminate_redundant_gets(
     for b in cfg.block_ids().collect::<Vec<_>>() {
         let mut j = 0;
         while j < cfg.block(b).instrs.len() {
-            let Instr::GetInit {
-                access: g2_access,
-                dst: dst2,
-                src: ref2,
-                ctr: ctr2,
-            } = cfg.block(b).instrs[j].clone()
-            else {
-                j += 1;
-                continue;
-            };
-            // Scan backward for a matching earlier get.
-            let mut found: Option<(usize, VarId)> = None;
-            for i in (0..j).rev() {
-                let Instr::GetInit {
-                    access: g1_access,
-                    dst: dst1,
-                    src: ref1,
-                    ..
-                } = cfg.block(b).instrs[i].clone()
-                else {
-                    continue;
-                };
-                if ref1.var != ref2.var
-                    || !provably_equal_same_proc(ref1.index.as_ref(), ref2.index.as_ref())
-                {
-                    continue;
-                }
-                // No delay edge between the two gets (§7's condition).
-                if delay.contains(g1_access, g2_access) {
-                    break;
-                }
-                if reuse_invalidated(cfg, b, i, j, &ref1, dst1) {
-                    break;
-                }
-                found = Some((i, dst1));
-                break;
-            }
-            if let Some((_, dst1)) = found {
+            if let Some((dst2, dst1, ctr2)) = reusable_get(cfg, delay, b, j) {
                 // Replace the get with a local copy and drop its adjacent
                 // sync (split-phase layout guarantees adjacency here).
                 cfg.block_mut(b).instrs[j] = Instr::AssignLocal {
                     dst: dst2,
                     value: Expr::Local(dst1),
                 };
-                if matches!(
-                    cfg.block(b).instrs.get(j + 1),
-                    Some(Instr::SyncCtr { ctr }) if *ctr == ctr2
-                ) {
-                    cfg.block_mut(b).instrs.remove(j + 1);
-                }
+                remove_adjacent_sync(cfg, b, j + 1, ctr2);
                 stats.gets_eliminated += 1;
             }
             j += 1;
@@ -94,42 +52,61 @@ pub fn eliminate_redundant_gets(
     cfg.recompute_access_positions();
 }
 
-/// Is the value produced by the get at `i` stale or unavailable by the
-/// point `j` (same block)?
-fn reuse_invalidated(
+/// If the instruction at `j` is a get whose value an earlier get of the
+/// same block still holds: `(its destination, the earlier destination,
+/// its counter)`. Decided by reference — nothing is cloned to look.
+fn reusable_get(
     cfg: &Cfg,
+    delay: &DelaySet,
     b: BlockId,
-    i: usize,
     j: usize,
-    loc: &SharedRef,
-    dst1: VarId,
-) -> bool {
-    let index_vars: Vec<VarId> = loc
-        .index
-        .as_ref()
-        .map(|e| e.vars_used())
-        .unwrap_or_default();
-    for instr in &cfg.block(b).instrs[i + 1..j] {
-        // Redefinition of the cached value or the index computation.
-        if let Some(d) = instr.def().or(instr.array_def()) {
-            if d == dst1 || index_vars.contains(&d) {
-                return true;
-            }
+) -> Option<(VarId, VarId, CtrId)> {
+    let instrs = &cfg.block(b).instrs;
+    let Instr::GetInit {
+        access: g2_access,
+        dst: dst2,
+        src: ref2,
+        ctr: ctr2,
+    } = &instrs[j]
+    else {
+        return None;
+    };
+    // Scan backward for a matching earlier get.
+    for i in (0..j).rev() {
+        let Instr::GetInit {
+            access: g1_access,
+            dst: dst1,
+            src: ref1,
+            ..
+        } = &instrs[i]
+        else {
+            continue;
+        };
+        if ref1.var != ref2.var
+            || !provably_equal_same_proc(ref1.index.as_ref(), ref2.index.as_ref())
+        {
+            continue;
         }
-        // A same-processor write to (possibly) the same location.
-        match instr {
-            Instr::PutShared { dst, .. }
-            | Instr::PutInit { dst, .. }
-            | Instr::StoreInit { dst, .. }
-                if dst.var == loc.var
-                    && may_equal_same_proc(dst.index.as_ref(), loc.index.as_ref()) =>
-            {
-                return true;
-            }
-            _ => {}
+        // No delay edge between the two gets (§7's condition), and the
+        // cached value must still be good.
+        if delay.contains(*g1_access, *g2_access)
+            || region_invalidates(&instrs[i + 1..j], ref1, *dst1)
+        {
+            return None;
         }
+        return Some((*dst2, *dst1, *ctr2));
     }
-    false
+    None
+}
+
+/// Removes the `sync_ctr` on `ctr` at `at`, if that is what sits there.
+fn remove_adjacent_sync(cfg: &mut Cfg, b: BlockId, at: usize, ctr: CtrId) {
+    if matches!(
+        cfg.block(b).instrs.get(at),
+        Some(Instr::SyncCtr { ctr: c }) if *c == ctr
+    ) {
+        cfg.block_mut(b).instrs.remove(at);
+    }
 }
 
 /// Cross-block redundant-get reuse: a get in a block *dominated* by an
@@ -139,9 +116,9 @@ fn reuse_invalidated(
 /// separates the pair.
 pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, stats: &mut OptStats) {
     use syncopt_ir::dom::Dominators;
-    use syncopt_ir::order::ProgramOrder;
+    use syncopt_ir::order::block_reachability;
     let dom = Dominators::compute(cfg);
-    let po = ProgramOrder::compute(cfg);
+    let reach = block_reachability(cfg);
 
     // Collect all gets up front (positions are fresh post-split).
     let gets: Vec<(BlockId, usize, Instr)> = cfg
@@ -175,7 +152,7 @@ pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, sta
         else {
             continue; // already replaced
         };
-        let mut replacement: Option<(VarId, VarId, syncopt_ir::cfg::CtrId)> = None;
+        let mut replacement: Option<(VarId, VarId, CtrId)> = None;
         'g1: for (b1, _, g1_snapshot) in &gets {
             let Instr::GetInit {
                 access: g1_access,
@@ -223,8 +200,8 @@ pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, sta
             // lies on a cycle (b1 → ... → b2 can pass through them again),
             // their full bodies are on a path and must be clean too.
             for x in cfg.block_ids() {
-                if po.block_reaches(*b1, x)
-                    && po.block_reaches(x, *b2)
+                if reach.get(b1.index(), x.index())
+                    && reach.get(x.index(), b2.index())
                     && region_invalidates(&cfg.block(x).instrs, ref1, *dst1)
                 {
                     continue 'g1;
@@ -241,12 +218,7 @@ pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, sta
                 dst: dst2,
                 value: Expr::Local(dst1),
             };
-            if matches!(
-                cfg.block(*b2).instrs.get(j + 1),
-                Some(Instr::SyncCtr { ctr: c }) if *c == ctr
-            ) {
-                cfg.block_mut(*b2).instrs.remove(j + 1);
-            }
+            remove_adjacent_sync(cfg, *b2, j + 1, ctr);
             stats.gets_eliminated += 1;
         }
     }
@@ -294,55 +266,9 @@ pub fn forward_put_values(cfg: &mut Cfg, delay: &DelaySet, stats: &mut OptStats)
     for b in cfg.block_ids().collect::<Vec<_>>() {
         let mut j = 0;
         while j < cfg.block(b).instrs.len() {
-            let Instr::GetInit {
-                access: g_access,
-                dst,
-                src: loc,
-                ctr,
-            } = cfg.block(b).instrs[j].clone()
-            else {
-                j += 1;
-                continue;
-            };
-            let mut found: Option<Expr> = None;
-            for i in (0..j).rev() {
-                let instr = cfg.block(b).instrs[i].clone();
-                let (p_access, p_dst, p_src) = match &instr {
-                    Instr::PutInit {
-                        access, dst, src, ..
-                    }
-                    | Instr::StoreInit { access, dst, src } => (*access, dst.clone(), src.clone()),
-                    _ => continue,
-                };
-                if p_dst.var != loc.var
-                    || !provably_equal_same_proc(p_dst.index.as_ref(), loc.index.as_ref())
-                {
-                    // A possibly-aliasing write we cannot prove equal kills
-                    // the window.
-                    if p_dst.var == loc.var
-                        && may_equal_same_proc(p_dst.index.as_ref(), loc.index.as_ref())
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                if delay.contains(p_access, g_access) {
-                    break;
-                }
-                if forwarding_invalidated(cfg, b, i, j, &loc, &p_src) {
-                    break;
-                }
-                found = Some(p_src);
-                break;
-            }
-            if let Some(value) = found {
+            if let Some((dst, value, ctr)) = forwardable_get(cfg, delay, b, j) {
                 cfg.block_mut(b).instrs[j] = Instr::AssignLocal { dst, value };
-                if matches!(
-                    cfg.block(b).instrs.get(j + 1),
-                    Some(Instr::SyncCtr { ctr: c }) if *c == ctr
-                ) {
-                    cfg.block_mut(b).instrs.remove(j + 1);
-                }
+                remove_adjacent_sync(cfg, b, j + 1, ctr);
                 stats.gets_eliminated += 1;
             }
             j += 1;
@@ -351,15 +277,58 @@ pub fn forward_put_values(cfg: &mut Cfg, delay: &DelaySet, stats: &mut OptStats)
     cfg.recompute_access_positions();
 }
 
-/// Is the forwarded value stale or unavailable by point `j`?
-fn forwarding_invalidated(
+/// If the instruction at `j` is a get of a location an earlier put of the
+/// same block wrote and nothing disturbed since: `(its destination, the
+/// written value, its counter)`. The scan reads the block by reference;
+/// only the one value that is kept gets cloned.
+fn forwardable_get(
     cfg: &Cfg,
+    delay: &DelaySet,
     b: BlockId,
-    i: usize,
     j: usize,
-    loc: &SharedRef,
-    value: &Expr,
-) -> bool {
+) -> Option<(VarId, Expr, CtrId)> {
+    let instrs = &cfg.block(b).instrs;
+    let Instr::GetInit {
+        access: g_access,
+        dst,
+        src: loc,
+        ctr,
+    } = &instrs[j]
+    else {
+        return None;
+    };
+    for i in (0..j).rev() {
+        let (p_access, p_dst, p_src) = match &instrs[i] {
+            Instr::PutInit {
+                access, dst, src, ..
+            }
+            | Instr::StoreInit { access, dst, src } => (*access, dst, src),
+            _ => continue,
+        };
+        if p_dst.var != loc.var
+            || !provably_equal_same_proc(p_dst.index.as_ref(), loc.index.as_ref())
+        {
+            // A possibly-aliasing write we cannot prove equal kills the
+            // window.
+            if p_dst.var == loc.var && may_equal_same_proc(p_dst.index.as_ref(), loc.index.as_ref())
+            {
+                return None;
+            }
+            continue;
+        }
+        if delay.contains(p_access, *g_access)
+            || forwarding_invalidated(&instrs[i + 1..j], loc, p_src)
+        {
+            return None;
+        }
+        return Some((*dst, p_src.clone(), *ctr));
+    }
+    None
+}
+
+/// Is the forwarded `value` stale or unavailable after the instructions
+/// `between` the put and the get?
+fn forwarding_invalidated(between: &[Instr], loc: &SharedRef, value: &Expr) -> bool {
     let mut watched: Vec<VarId> = value.vars_used();
     if let Some(idx) = &loc.index {
         for v in idx.vars_used() {
@@ -368,7 +337,7 @@ fn forwarding_invalidated(
             }
         }
     }
-    for instr in &cfg.block(b).instrs[i + 1..j] {
+    for instr in between {
         if let Some(d) = instr.def().or(instr.array_def()) {
             if watched.contains(&d) {
                 return true;
@@ -394,81 +363,84 @@ pub fn eliminate_overwritten_puts(cfg: &mut Cfg, analysis: &Analysis, stats: &mu
     let delay = &analysis.delay_sync;
     for b in cfg.block_ids().collect::<Vec<_>>() {
         let mut i = 0;
-        'outer: while i < cfg.block(b).instrs.len() {
-            let Instr::PutInit {
-                access: p1_access,
-                dst: ref1,
-                ctr: ctr1,
-                ..
-            } = cfg.block(b).instrs[i].clone()
-            else {
+        while i < cfg.block(b).instrs.len() {
+            if let Some(ctr1) = overwritten_put(cfg, delay, b, i) {
+                // Remove put1 and its adjacent sync.
+                remove_adjacent_sync(cfg, b, i + 1, ctr1);
+                cfg.block_mut(b).instrs.remove(i);
+                stats.puts_eliminated += 1;
+                // Do not advance: a new instruction sits at `i`.
+            } else {
                 i += 1;
-                continue;
-            };
-            let index_vars: Vec<VarId> = ref1
-                .index
-                .as_ref()
-                .map(|e| e.vars_used())
-                .unwrap_or_default();
-            // Scan forward for an overwriting put.
-            for j in i + 1..cfg.block(b).instrs.len() {
-                let instr = cfg.block(b).instrs[j].clone();
-                // Index-variable redefinition ends the comparison window.
-                if let Some(d) = instr.def().or(instr.array_def()) {
-                    if index_vars.contains(&d) {
-                        break;
-                    }
-                }
-                match &instr {
-                    Instr::PutInit {
-                        access: p2_access,
-                        dst: ref2,
-                        ..
-                    }
-                    | Instr::StoreInit {
-                        access: p2_access,
-                        dst: ref2,
-                        ..
-                    } => {
-                        if ref2.var == ref1.var
-                            && provably_equal_same_proc(ref2.index.as_ref(), ref1.index.as_ref())
-                            && !delay.contains(p1_access, *p2_access)
-                        {
-                            // Remove put1 and its adjacent sync.
-                            if matches!(
-                                cfg.block(b).instrs.get(i + 1),
-                                Some(Instr::SyncCtr { ctr }) if *ctr == ctr1
-                            ) {
-                                cfg.block_mut(b).instrs.remove(i + 1);
-                            }
-                            cfg.block_mut(b).instrs.remove(i);
-                            stats.puts_eliminated += 1;
-                            // Do not advance: a new instruction sits at `i`.
-                            continue 'outer;
-                        }
-                        // A conflicting same-location operation we cannot
-                        // prove equal: stop.
-                        if ref2.var == ref1.var
-                            && may_equal_same_proc(ref2.index.as_ref(), ref1.index.as_ref())
-                        {
-                            break;
-                        }
-                    }
-                    // A same-processor read of the location observes put1:
-                    // it must stay.
-                    Instr::GetShared { src, .. } | Instr::GetInit { src, .. }
-                        if src.var == ref1.var
-                            && may_equal_same_proc(src.index.as_ref(), ref1.index.as_ref()) =>
-                    {
-                        break;
-                    }
-                    _ => {}
-                }
             }
-            i += 1;
         }
     }
     cfg.recompute_access_positions();
+}
+
+/// If the instruction at `i` is a put that a later put of the same block
+/// overwrites before anything can observe it: its counter.
+fn overwritten_put(cfg: &Cfg, delay: &DelaySet, b: BlockId, i: usize) -> Option<CtrId> {
+    let instrs = &cfg.block(b).instrs;
+    let Instr::PutInit {
+        access: p1_access,
+        dst: ref1,
+        ctr: ctr1,
+        ..
+    } = &instrs[i]
+    else {
+        return None;
+    };
+    let index_vars: Vec<VarId> = ref1
+        .index
+        .as_ref()
+        .map(|e| e.vars_used())
+        .unwrap_or_default();
+    // Scan forward for an overwriting put.
+    for instr in &instrs[i + 1..] {
+        // Index-variable redefinition ends the comparison window.
+        if let Some(d) = instr.def().or(instr.array_def()) {
+            if index_vars.contains(&d) {
+                return None;
+            }
+        }
+        match instr {
+            Instr::PutInit {
+                access: p2_access,
+                dst: ref2,
+                ..
+            }
+            | Instr::StoreInit {
+                access: p2_access,
+                dst: ref2,
+                ..
+            } => {
+                if ref2.var == ref1.var
+                    && provably_equal_same_proc(ref2.index.as_ref(), ref1.index.as_ref())
+                    && !delay.contains(*p1_access, *p2_access)
+                {
+                    return Some(*ctr1);
+                }
+                // A conflicting same-location operation we cannot prove
+                // equal: stop.
+                if ref2.var == ref1.var
+                    && may_equal_same_proc(ref2.index.as_ref(), ref1.index.as_ref())
+                {
+                    return None;
+                }
+            }
+            // A same-processor read of the location observes put1: it must
+            // stay.
+            Instr::GetShared { src, .. } | Instr::GetInit { src, .. }
+                if src.var == ref1.var
+                    && may_equal_same_proc(src.index.as_ref(), ref1.index.as_ref()) =>
+            {
+                return None;
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -105,20 +105,30 @@ pub fn move_syncs(cfg: &mut Cfg, delay: &DelaySet, ctr_map: &CtrMap, stats: &mut
                     continue;
                 };
                 if i + 1 < len {
-                    let next = cfg.block(b).instrs[i + 1].clone();
-                    match next {
-                        Instr::SyncCtr { ctr: c2 } if c2 == ctr => {
+                    // Decide by reference, mutate after the borrow ends.
+                    enum Step {
+                        Merge,
+                        Cross,
+                        Stay,
+                    }
+                    let step = match &cfg.block(b).instrs[i + 1] {
+                        Instr::SyncCtr { ctr: c2 } if *c2 == ctr => Step::Merge,
+                        a if !sync_blocked(cfg, delay, ctr_map, &injective, ctr, a) => Step::Cross,
+                        _ => Step::Stay,
+                    };
+                    match step {
+                        Step::Merge => {
                             cfg.block_mut(b).instrs.remove(i + 1);
                             stats.syncs_merged += 1;
                             changed = true;
                         }
-                        ref a if !sync_blocked(cfg, delay, ctr_map, &injective, ctr, a) => {
+                        Step::Cross => {
                             cfg.block_mut(b).instrs.swap(i, i + 1);
                             stats.sync_moves += 1;
                             changed = true;
                             i += 1;
                         }
-                        _ => i += 1,
+                        Step::Stay => i += 1,
                     }
                 } else {
                     // Sync at the end of its block: try to propagate.
@@ -339,29 +349,25 @@ fn stable_index(e: &Expr) -> bool {
 pub fn move_initiations(cfg: &mut Cfg, delay: &DelaySet, ctr_map: &CtrMap, stats: &mut OptStats) {
     let injective = iteration_injective_accesses(cfg);
     for b in cfg.block_ids().collect::<Vec<_>>() {
-        let mut i = 1;
-        while i < cfg.block(b).instrs.len() {
-            let instr = cfg.block(b).instrs[i].clone();
-            let is_initiation = matches!(
+        for i in 1..cfg.block(b).instrs.len() {
+            let instrs = &cfg.block(b).instrs;
+            let instr = &instrs[i];
+            if !matches!(
                 instr,
                 Instr::GetInit { .. } | Instr::PutInit { .. } | Instr::StoreInit { .. }
-            );
-            if !is_initiation {
-                i += 1;
+            ) {
                 continue;
             }
             let u = instr.access_id().expect("initiations carry access ids");
+            // Find where it lands by reference, then move it there in one
+            // rotation (the instructions it passes keep their order).
             let mut j = i;
-            while j > 0 {
-                let prev = cfg.block(b).instrs[j - 1].clone();
-                if init_blocked(cfg, delay, ctr_map, &injective, u, &instr, &prev) {
-                    break;
-                }
-                cfg.block_mut(b).instrs.swap(j - 1, j);
-                stats.init_moves += 1;
+            while j > 0 && !init_blocked(cfg, delay, ctr_map, &injective, u, instr, &instrs[j - 1])
+            {
                 j -= 1;
             }
-            i += 1;
+            cfg.block_mut(b).instrs[j..=i].rotate_right(1);
+            stats.init_moves += i - j;
         }
     }
     cfg.recompute_access_positions();

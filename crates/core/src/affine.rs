@@ -37,39 +37,40 @@ impl Affine {
         self.coeffs.values().any(|&c| c != 0)
     }
 
-    fn add(mut self, other: &Affine) -> Self {
-        self.konst += other.konst;
-        self.myproc += other.myproc;
+    // The arithmetic below is checked: a coefficient that does not fit
+    // in `i64` makes the form unrepresentable (`None`), never a wrapped
+    // value — a wrapped `MYPROC` coefficient could prove two colliding
+    // subscripts disjoint.
+
+    fn add(mut self, other: &Affine) -> Option<Self> {
+        self.konst = self.konst.checked_add(other.konst)?;
+        self.myproc = self.myproc.checked_add(other.myproc)?;
         for (v, c) in &other.coeffs {
-            *self.coeffs.entry(*v).or_insert(0) += c;
+            let slot = self.coeffs.entry(*v).or_insert(0);
+            *slot = slot.checked_add(*c)?;
         }
         self.coeffs.retain(|_, c| *c != 0);
-        self
+        Some(self)
     }
 
-    fn negate(mut self) -> Self {
-        self.konst = -self.konst;
-        self.myproc = -self.myproc;
-        for c in self.coeffs.values_mut() {
-            *c = -*c;
-        }
-        self
+    fn negate(self) -> Option<Self> {
+        self.scale(-1)
     }
 
-    fn scale(mut self, k: i64) -> Self {
-        self.konst *= k;
-        self.myproc *= k;
+    fn scale(mut self, k: i64) -> Option<Self> {
+        self.konst = self.konst.checked_mul(k)?;
+        self.myproc = self.myproc.checked_mul(k)?;
         for c in self.coeffs.values_mut() {
-            *c *= k;
+            *c = c.checked_mul(k)?;
         }
         self.coeffs.retain(|_, c| *c != 0);
-        self
+        Some(self)
     }
 }
 
 /// Tries to put `expr` in affine form. Returns `None` for anything the
 /// analysis cannot handle exactly (division, modulo, comparisons, local
-/// array elements, `PROCS`, …).
+/// array elements, `PROCS`, coefficients past `i64`, …).
 pub fn to_affine(expr: &Expr) -> Option<Affine> {
     match expr {
         Expr::Int(v) => Some(Affine::constant(*v)),
@@ -89,17 +90,17 @@ pub fn to_affine(expr: &Expr) -> Option<Affine> {
         Expr::Unary {
             op: UnOp::Neg,
             expr,
-        } => Some(to_affine(expr)?.negate()),
+        } => to_affine(expr)?.negate(),
         Expr::Binary { op, lhs, rhs } => match op {
-            BinOp::Add => Some(to_affine(lhs)?.add(&to_affine(rhs)?)),
-            BinOp::Sub => Some(to_affine(lhs)?.add(&to_affine(rhs)?.negate())),
+            BinOp::Add => to_affine(lhs)?.add(&to_affine(rhs)?),
+            BinOp::Sub => to_affine(lhs)?.add(&to_affine(rhs)?.negate()?),
             BinOp::Mul => {
                 let l = to_affine(lhs)?;
                 let r = to_affine(rhs)?;
                 if l.myproc == 0 && l.coeffs.is_empty() {
-                    Some(r.scale(l.konst))
+                    r.scale(l.konst)
                 } else if r.myproc == 0 && r.coeffs.is_empty() {
-                    Some(l.scale(r.konst))
+                    l.scale(r.konst)
                 } else {
                     None
                 }
@@ -107,6 +108,162 @@ pub fn to_affine(expr: &Expr) -> Option<Affine> {
             _ => None,
         },
         _ => None,
+    }
+}
+
+/// A set of candidate processor ids: ascending, duplicate-free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Candidates<'a> {
+    /// Every id in `0..n`.
+    Range(i64),
+    /// Exactly these ids.
+    Ids(&'a [i64]),
+}
+
+impl Candidates<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Candidates::Range(n) => *n as usize,
+            Candidates::Ids(ids) => ids.len(),
+        }
+    }
+
+    fn first(&self) -> Option<i64> {
+        match self {
+            Candidates::Range(n) => (*n > 0).then_some(0),
+            Candidates::Ids(ids) => ids.first().copied(),
+        }
+    }
+
+    fn contains(&self, q: i128) -> bool {
+        let Ok(q) = i64::try_from(q) else {
+            return false;
+        };
+        match self {
+            Candidates::Range(n) => (0..*n).contains(&q),
+            Candidates::Ids(ids) => ids.binary_search(&q).is_ok(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = i64> + '_ {
+        let (range, ids) = match self {
+            Candidates::Range(n) => (0..*n, &[][..]),
+            Candidates::Ids(ids) => (0..0, *ids),
+        };
+        range.chain(ids.iter().copied())
+    }
+
+    /// Whether the set holds an id other than `p`.
+    fn has_other_than(&self, p: i128) -> bool {
+        self.len() >= 2 || self.first().is_some_and(|q| i128::from(q) != p)
+    }
+
+    /// Whether some `p ∈ self`, `q ∈ other` have `p ≠ q`: both non-empty
+    /// and not the same singleton.
+    pub(crate) fn exists_distinct_pair(&self, other: &Candidates<'_>) -> bool {
+        match (self.first(), other.first()) {
+            (Some(p), Some(q)) => self.len() > 1 || other.len() > 1 || p != q,
+            _ => false,
+        }
+    }
+}
+
+/// Decides subscript collisions between two guarded sites in time linear
+/// in the candidate sets, counting the processors it visits.
+#[derive(Debug, Default)]
+pub(crate) struct CollisionSolver {
+    /// Candidate processors visited so far.
+    pub(crate) proc_steps: u64,
+    /// `(residue, q)` of one side of a modular test, reused across tests.
+    residues: Vec<(i128, i64)>,
+}
+
+impl CollisionSolver {
+    /// `∃ p ∈ c1, q ∈ c2, p ≠ q : a1(p) = a2(q)` for loop-invariant forms:
+    /// for each `p` of the smaller side, solve for the one `q` that
+    /// collides and look it up.
+    pub(crate) fn exact(
+        &mut self,
+        a1: &Affine,
+        a2: &Affine,
+        c1: Candidates<'_>,
+        c2: Candidates<'_>,
+    ) -> bool {
+        let ((a, ca), (b, cb)) = if c1.len() <= c2.len() {
+            ((a1, c1), (a2, c2))
+        } else {
+            ((a2, c2), (a1, c1))
+        };
+        let (ka, ma) = (i128::from(a.konst), i128::from(a.myproc));
+        let (kb, mb) = (i128::from(b.konst), i128::from(b.myproc));
+        // ma·p − mb·q = kb − ka has integer solutions only when
+        // gcd(ma, mb) divides the right-hand side.
+        let g = gcd(ma, mb);
+        if g == 0 {
+            return ka == kb && ca.exists_distinct_pair(&cb);
+        }
+        if (kb - ka) % g != 0 {
+            return false;
+        }
+        if (ka, ma) == (kb, mb) {
+            // One and the same injective map: equal values need p = q.
+            return false;
+        }
+        for p in ca.iter() {
+            self.proc_steps += 1;
+            let p = i128::from(p);
+            let t = ka + ma * p - kb; // mb·q must equal t
+            let hit = if mb == 0 {
+                t == 0 && cb.has_other_than(p)
+            } else {
+                t % mb == 0 && t / mb != p && cb.contains(t / mb)
+            };
+            if hit {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// `∃ p ∈ c1, q ∈ c2, p ≠ q : a1(p) ≡ a2(q) (mod m)` on the
+    /// loop-invariant parts, `m > 1`: bucket `c2` by residue, then look up
+    /// each `p`'s residue.
+    pub(crate) fn modular(
+        &mut self,
+        a1: &Affine,
+        a2: &Affine,
+        m: i128,
+        c1: Candidates<'_>,
+        c2: Candidates<'_>,
+    ) -> bool {
+        let residue = |a: &Affine, p: i64| {
+            (i128::from(a.konst) + i128::from(a.myproc) * i128::from(p)).rem_euclid(m)
+        };
+        self.residues.clear();
+        self.residues.extend(c2.iter().map(|q| (residue(a2, q), q)));
+        self.residues.sort_unstable();
+        self.proc_steps += self.residues.len() as u64;
+        for p in c1.iter() {
+            self.proc_steps += 1;
+            let r = residue(a1, p);
+            // The bucket of `r` is a sorted run; it holds a `q ≠ p` iff its
+            // first entry is not `p` or it has a second entry.
+            let at = self.residues.partition_point(|&(rq, _)| rq < r);
+            let bucket = &self.residues[at..];
+            let same = |e: Option<&(i128, i64)>| e.is_some_and(|&(rq, _)| rq == r);
+            if same(bucket.first()) && (bucket[0].1 != p || same(bucket.get(1))) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+fn gcd(a: i128, b: i128) -> i128 {
+    if b == 0 {
+        a.abs()
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -140,27 +297,32 @@ pub fn may_conflict_cross_proc_bounded(
     let (Some(a1), Some(a2)) = (to_affine(e1), to_affine(e2)) else {
         return true;
     };
+    affine_may_conflict_cross_proc(&a1, &a2, procs, &mut CollisionSolver::default())
+}
+
+/// [`may_conflict_cross_proc_bounded`] over subscripts already in affine
+/// form.
+pub(crate) fn affine_may_conflict_cross_proc(
+    a1: &Affine,
+    a2: &Affine,
+    procs: Option<u32>,
+    solver: &mut CollisionSolver,
+) -> bool {
     if a1.has_locals() || a2.has_locals() {
         // Loop-variant subscripts: try the modular argument, otherwise
         // stay conservative.
         if let Some(procs) = procs {
-            let m = local_coeff_gcd(&a1, &a2);
+            let m = local_coeff_gcd(a1, a2);
             if m > 1 {
-                let collision = (0..procs as i64).any(|p| {
-                    (0..procs as i64).any(|q| {
-                        p != q
-                            && (a1.konst + a1.myproc * p - a2.konst - a2.myproc * q).rem_euclid(m)
-                                == 0
-                    })
-                });
-                return collision;
+                let all = Candidates::Range(i64::from(procs));
+                return solver.modular(a1, a2, m, all, all);
             }
         }
         return true;
     }
     // e1(p) = k1 + a·p, e2(q) = k2 + b·q; conflict iff ∃ p ≠ q: equal.
-    let (k1, a) = (a1.konst, a1.myproc);
-    let (k2, b) = (a2.konst, a2.myproc);
+    let (k1, a) = (i128::from(a1.konst), i128::from(a1.myproc));
+    let (k2, b) = (i128::from(a2.konst), i128::from(a2.myproc));
     let d = k2 - k1; // need a·p − b·q = d
     if a == b {
         if a == 0 {
@@ -174,35 +336,22 @@ pub fn may_conflict_cross_proc_bounded(
     // Different coefficients: some (p, q) pair generally exists (we know
     // nothing about PROCS). One more provable-disjoint case: one side
     // constant, other side strided — disjoint iff non-divisible offset.
-    if a == 0 && b != 0 {
-        return d.rem_euclid(b.abs()) == 0;
+    if a == 0 {
+        return d % b == 0;
     }
-    if b == 0 && a != 0 {
-        return (-d).rem_euclid(a.abs()) == 0;
+    if b == 0 {
+        return d % a == 0;
     }
     true
 }
 
-/// Public alias of [`local_coeff_gcd`] for sibling modules.
-pub(crate) fn local_coeff_gcd_pub(a1: &Affine, a2: &Affine) -> i64 {
-    local_coeff_gcd(a1, a2)
-}
-
 /// The gcd of all local-variable coefficients across both affine forms
 /// (0 when there are none).
-fn local_coeff_gcd(a1: &Affine, a2: &Affine) -> i64 {
-    fn gcd(a: i64, b: i64) -> i64 {
-        if b == 0 {
-            a.abs()
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    let mut m = 0;
-    for c in a1.coeffs.values().chain(a2.coeffs.values()) {
-        m = gcd(m, *c);
-    }
-    m
+pub(crate) fn local_coeff_gcd(a1: &Affine, a2: &Affine) -> i128 {
+    a1.coeffs
+        .values()
+        .chain(a2.coeffs.values())
+        .fold(0, |m, &c| gcd(m, i128::from(c)))
 }
 
 /// Could subscript `e1` evaluated on processor `p` equal subscript `e2`
@@ -219,8 +368,8 @@ pub fn may_match_any_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
     if a1.has_locals() || a2.has_locals() {
         return true;
     }
-    let (k1, a) = (a1.konst, a1.myproc);
-    let (k2, b) = (a2.konst, a2.myproc);
+    let (k1, a) = (i128::from(a1.konst), i128::from(a1.myproc));
+    let (k2, b) = (i128::from(a2.konst), i128::from(a2.myproc));
     let d = k2 - k1; // need a·p − b·q = d for some p, q ≥ 0
     if a == 0 && b == 0 {
         return d == 0;
@@ -229,10 +378,10 @@ pub fn may_match_any_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
         return d % a == 0;
     }
     if a == 0 {
-        return d.rem_euclid(b.abs()) == 0;
+        return d % b == 0;
     }
     if b == 0 {
-        return (-d).rem_euclid(a.abs()) == 0;
+        return d % a == 0;
     }
     true
 }
@@ -251,7 +400,9 @@ pub fn may_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
     // Difference must be identically zero to be *provably equal*; here we
     // ask the opposite — provably different: difference is a nonzero
     // constant once variable parts cancel.
-    let diff = a1.add(&a2.negate());
+    let Some(diff) = a2.negate().and_then(|neg| a1.add(&neg)) else {
+        return true;
+    };
     if diff.myproc == 0 && diff.coeffs.is_empty() {
         return diff.konst == 0;
     }
@@ -276,7 +427,6 @@ pub fn provably_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncopt_frontend::ast::BinOp;
 
     fn myproc_plus(k: i64) -> Expr {
         Expr::Binary {
@@ -326,6 +476,54 @@ mod tests {
         })
         .is_none());
         assert!(to_affine(&Expr::Procs).is_none());
+    }
+
+    /// `A[MYPROC * 2^62 * 4]`: the `MYPROC` coefficient is 2^64. Wrapped
+    /// to 0 it would make the subscript a constant and prove it disjoint
+    /// from `A[1]`; it has to be "not affine" instead.
+    #[test]
+    fn coefficients_past_i64_are_not_affine() {
+        let huge = Expr::Binary {
+            op: BinOp::Mul,
+            lhs: Box::new(myproc_times(1 << 62)),
+            rhs: Box::new(Expr::Int(4)),
+        };
+        assert!(to_affine(&huge).is_none());
+        assert!(may_conflict_cross_proc(Some(&huge), Some(&Expr::Int(1))));
+        assert!(may_conflict_cross_proc_bounded(
+            Some(&huge),
+            Some(&huge),
+            Some(8)
+        ));
+        assert!(may_equal_same_proc(Some(&huge), Some(&Expr::Int(1))));
+        assert!(may_match_any_proc(Some(&huge), Some(&Expr::Int(1))));
+        // Every operation refuses, not only `scale`.
+        let min = Expr::Int(i64::MIN);
+        let neg = Expr::Unary {
+            op: UnOp::Neg,
+            expr: Box::new(min.clone()),
+        };
+        assert!(to_affine(&neg).is_none());
+        for op in [BinOp::Add, BinOp::Sub] {
+            let sum = Expr::Binary {
+                op,
+                lhs: Box::new(Expr::Int(if op == BinOp::Add {
+                    i64::MAX
+                } else {
+                    i64::MIN
+                })),
+                rhs: Box::new(Expr::Int(1)),
+            };
+            assert!(to_affine(&sum).is_none(), "{op:?}");
+        }
+        // Extreme but representable forms decide without overflowing.
+        let (lo, hi) = (Expr::Int(i64::MIN), Expr::Int(i64::MAX));
+        assert!(!may_conflict_cross_proc(Some(&lo), Some(&hi)));
+        assert!(!may_match_any_proc(Some(&hi), Some(&lo)));
+        // ... and where a difference does not fit, the answer is "may".
+        assert!(may_equal_same_proc(Some(&lo), Some(&hi)));
+        let strided = myproc_times(-1);
+        assert!(may_conflict_cross_proc(Some(&lo), Some(&strided)));
     }
 
     #[test]

@@ -99,8 +99,7 @@ pub fn tainted_branches(cfg: &Cfg, tainted: &HashSet<VarId>) -> Vec<BlockId> {
 /// Block-level control dependence closure: the set of blocks whose
 /// *execution count* may differ across processors given the tainted
 /// branches.
-fn proc_dependent_blocks(cfg: &Cfg, tainted_branches: &[BlockId]) -> Vec<bool> {
-    let pdom = Dominators::compute_post(cfg);
+fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[BlockId]) -> Vec<bool> {
     let mut dep_branch: Vec<BlockId> = tainted_branches.to_vec();
     let mut dep = vec![false; cfg.num_blocks()];
     let mut changed = true;
@@ -111,7 +110,7 @@ fn proc_dependent_blocks(cfg: &Cfg, tainted_branches: &[BlockId]) -> Vec<bool> {
                 continue;
             }
             for &x in &dep_branch {
-                if control_dependent(cfg, &pdom, b, x) {
+                if control_dependent(cfg, pdom, b, x) {
                     dep[b.index()] = true;
                     changed = true;
                     // A dependent block with a branch spreads dependence.
@@ -146,6 +145,11 @@ fn control_dependent(cfg: &Cfg, pdom: &Dominators, b: BlockId, x: BlockId) -> bo
 
 /// The barrier access sites considered aligned under `policy`.
 pub fn aligned_barriers(cfg: &Cfg, policy: BarrierPolicy) -> Vec<AccessId> {
+    aligned_barriers_with(cfg, policy, &Dominators::compute_post(cfg))
+}
+
+/// [`aligned_barriers`] over already-computed postdominators.
+pub fn aligned_barriers_with(cfg: &Cfg, policy: BarrierPolicy, pdom: &Dominators) -> Vec<AccessId> {
     let barrier_ids: Vec<AccessId> = cfg
         .accesses
         .iter()
@@ -161,7 +165,7 @@ pub fn aligned_barriers(cfg: &Cfg, policy: BarrierPolicy) -> Vec<AccessId> {
             if branches.is_empty() {
                 return barrier_ids;
             }
-            let dep = proc_dependent_blocks(cfg, &branches);
+            let dep = proc_dependent_blocks(cfg, pdom, &branches);
             barrier_ids
                 .into_iter()
                 .filter(|&b| !dep[cfg.accesses.info(b).pos.block.index()])
@@ -175,7 +179,6 @@ pub fn aligned_barriers(cfg: &Cfg, policy: BarrierPolicy) -> Vec<AccessId> {
 /// `b2` (including the self pair `(b, b)` representing the barrier's own
 /// cross-processor rendezvous).
 pub fn barrier_precedence_edges(
-    cfg: &Cfg,
     po: &ProgramOrder,
     aligned: &[AccessId],
 ) -> Vec<(AccessId, AccessId)> {
@@ -183,7 +186,7 @@ pub fn barrier_precedence_edges(
     for &b1 in aligned {
         out.push((b1, b1));
         for &b2 in aligned {
-            if b1 != b2 && po.access_precedes(cfg, b1, b2) && !po.access_precedes(cfg, b2, b1) {
+            if b1 != b2 && po.access_precedes(b1, b2) && !po.access_precedes(b2, b1) {
                 out.push((b1, b2));
             }
         }
@@ -301,7 +304,7 @@ mod tests {
         let cfg = cfg_of("fn main() { barrier; work(1); barrier; }");
         let po = ProgramOrder::compute(&cfg);
         let aligned = aligned_barriers(&cfg, BarrierPolicy::Static);
-        let edges = barrier_precedence_edges(&cfg, &po, &aligned);
+        let edges = barrier_precedence_edges(&po, &aligned);
         let b: Vec<AccessId> = cfg.accesses.ids().collect();
         assert!(edges.contains(&(b[0], b[0])), "self edge");
         assert!(edges.contains(&(b[1], b[1])), "self edge");
@@ -317,7 +320,7 @@ mod tests {
         let po = ProgramOrder::compute(&cfg);
         let aligned = aligned_barriers(&cfg, BarrierPolicy::Static);
         assert_eq!(aligned.len(), 2);
-        let edges = barrier_precedence_edges(&cfg, &po, &aligned);
+        let edges = barrier_precedence_edges(&po, &aligned);
         // Both orders exist across iterations, so only self edges remain.
         assert_eq!(edges.len(), 2);
         assert!(edges.iter().all(|(a, b)| a == b));

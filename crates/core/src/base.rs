@@ -1,0 +1,114 @@
+//! The analysis base: everything about `P ∪ C` that the precedence seeds do
+//! not change.
+//!
+//! The §4 set `D_SS` and the §5.1 step-2 set `D1` are back-path detection
+//! over the *same* graph, and steps 3–6 only orient and prune that graph.
+//! So the conflict set, the program order, the dominator trees, the `D_SS`
+//! oracle, `D_SS` itself, `D1` (its pairs with a synchronization side) and
+//! the lock guards are built once per CFG, here, and every consumer —
+//! [`AnalysisBase::refine`] for the full analysis and for each redundancy
+//! probe of the lint engine, the race classifier's barrier-free re-run,
+//! `explain`'s witnesses — reads them from the one [`AnalysisBase`] the
+//! [`crate::Analysis`] carries.
+
+use crate::conflict::ConflictSet;
+use crate::cycle::{delay_set_over, BackPathOracle, DelayOptions, MirrorClosure};
+use crate::delay::DelaySet;
+use crate::locks::{compute_lock_guards, LockGuards};
+use crate::obs::Counters;
+use crate::sync::{D1Anchors, SyncOptions};
+use syncopt_ir::cfg::Cfg;
+use syncopt_ir::dom::Dominators;
+use syncopt_ir::order::{BitSet, ProgramOrder};
+
+/// The seed-independent half of an analysis (see the module docs).
+#[derive(Debug, Clone)]
+pub struct AnalysisBase {
+    /// The conflict set `C` (unoriented).
+    pub conflicts: ConflictSet,
+    /// Program order `P`, at block and at access level.
+    pub po: ProgramOrder,
+    /// Dominators of the CFG.
+    pub dom: Dominators,
+    /// Postdominators of the CFG.
+    pub pdom: Dominators,
+    /// The closure of the unoriented mirror copy — the `D_SS` oracle's
+    /// state; [`AnalysisBase::oracle`] puts it back to work.
+    pub closure: MirrorClosure,
+    /// Shasha–Snir delay set (baseline, §4).
+    pub delay_ss: DelaySet,
+    /// §5.1 step-2 delay set: the pairs of `D_SS` with a synchronization
+    /// access on either side.
+    pub d1: DelaySet,
+    /// The `D1` pairs step 4 chains through.
+    pub anchors: D1Anchors,
+    /// Lock guard information (§5.3).
+    pub guards: LockGuards,
+    /// Work counters of the build (`conflict.*`, `cycle.*` keys).
+    pub counters: Counters,
+}
+
+impl AnalysisBase {
+    /// Builds the base for `cfg`. Of `opts` only the processor count and
+    /// the thread count matter; the barrier policy enters at
+    /// [`AnalysisBase::refine`].
+    pub fn build(cfg: &Cfg, opts: &SyncOptions) -> Self {
+        let mut counters = Counters::new();
+        let dom = Dominators::compute(cfg);
+        let pdom = Dominators::compute_post(cfg);
+        let (conflicts, conflict_stats) = ConflictSet::build_counted(cfg, opts.procs, &dom);
+        counters.set("conflict.pairs", conflicts.num_unordered_pairs() as u64);
+        counters.set(
+            "conflict.directed_edges",
+            conflicts.num_directed_edges() as u64,
+        );
+        counters.set("conflict.pair_tests", conflict_stats.pair_tests);
+        counters.set("conflict.proc_steps", conflict_stats.proc_steps);
+
+        let po = ProgramOrder::compute(cfg);
+        let closure = MirrorClosure::build(&conflicts, &po);
+        let (delay_ss, mut ss_stats) = delay_set_over(
+            &BackPathOracle::with_closure(&conflicts, &po, &closure),
+            &DelayOptions {
+                threads: opts.threads,
+                ..DelayOptions::default()
+            },
+        );
+        ss_stats.add_oracle_build(closure.build_stats());
+        counters.set("cycle.candidate_pairs", ss_stats.candidates);
+        counters.set("cycle.pruned_candidates", ss_stats.pruned_candidates);
+        counters.set("cycle.backpath_queries", ss_stats.backpath_queries);
+        counters.set("cycle.bfs_fallbacks", ss_stats.bfs_fallbacks);
+        counters.set("cycle.oracle_builds", ss_stats.oracle_builds);
+        counters.set("cycle.sccs", ss_stats.sccs);
+        counters.set("cycle.closure_word_ors", ss_stats.closure_word_ors);
+
+        let mut sync_sites = BitSet::new(cfg.accesses.len());
+        for (id, info) in cfg.accesses.iter() {
+            if info.kind.is_sync() {
+                sync_sites.insert(id.index());
+            }
+        }
+        let d1 = delay_ss.touching(&sync_sites);
+        let anchors = D1Anchors::compute(cfg, &dom, &pdom, &d1);
+        let guards = compute_lock_guards(cfg, &dom, &d1);
+        AnalysisBase {
+            conflicts,
+            po,
+            dom,
+            pdom,
+            closure,
+            delay_ss,
+            d1,
+            anchors,
+            guards,
+            counters,
+        }
+    }
+
+    /// The back-path oracle over the unoriented mirror copy (the one
+    /// `D_SS` was computed with), for witness searches.
+    pub fn oracle(&self) -> BackPathOracle<'_> {
+        BackPathOracle::with_closure(&self.conflicts, &self.po, &self.closure)
+    }
+}

@@ -14,10 +14,11 @@
 //! directions removed as precedence information accrues (step 5 of the §5.1
 //! algorithm).
 
-use crate::affine::may_conflict_cross_proc_bounded;
-use crate::guards::{access_proc_sets, indices_may_collide, ProcSet};
-use syncopt_ir::access::AccessKind;
+use crate::affine::{to_affine, Affine, CollisionSolver};
+use crate::guards::{affine_indices_may_collide, block_proc_sets, ProcSet};
+use syncopt_ir::access::{AccessInfo, AccessKind};
 use syncopt_ir::cfg::Cfg;
+use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::AccessId;
 use syncopt_ir::order::BitMatrix;
 
@@ -26,6 +27,26 @@ use syncopt_ir::order::BitMatrix;
 pub struct ConflictSet {
     n: usize,
     directed: BitMatrix,
+}
+
+/// What one conflict-set construction cost — the part of the analysis
+/// that scales with the machine width rather than the program text.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConflictStats {
+    /// Same-object site pairs whose guards (and subscripts) were tested.
+    pub pair_tests: u64,
+    /// Processor ids visited: one per id a guard is evaluated for, one per
+    /// candidate a collision test steps through.
+    pub proc_steps: u64,
+}
+
+/// One access site as the pair test sees it: its guard and subscript are
+/// worked out once per site, not once per pair.
+struct Site<'a> {
+    info: &'a AccessInfo,
+    guard: &'a ProcSet,
+    /// The subscript in affine form, when it has one.
+    affine: Option<Affine>,
 }
 
 impl ConflictSet {
@@ -38,19 +59,48 @@ impl ConflictSet {
     /// modular subscript disambiguation of
     /// [`crate::affine::may_conflict_cross_proc_bounded`].
     pub fn build_bounded(cfg: &Cfg, procs: Option<u32>) -> Self {
+        Self::build_counted(cfg, procs, &Dominators::compute(cfg)).0
+    }
+
+    /// [`ConflictSet::build_bounded`] over already-computed dominators,
+    /// additionally reporting the work done.
+    pub fn build_counted(cfg: &Cfg, procs: Option<u32>, dom: &Dominators) -> (Self, ConflictStats) {
         let n = cfg.accesses.len();
         let mut directed = BitMatrix::new(n);
-        let infos: Vec<_> = cfg.accesses.iter().map(|(_, info)| info).collect();
-        let guards = access_proc_sets(cfg, procs);
-        for i in 0..n {
-            for j in i..n {
-                if sites_conflict(infos[i], infos[j], &guards[i], &guards[j], procs) {
-                    directed.set(i, j);
-                    directed.set(j, i);
+        let mut test = PairTest {
+            procs,
+            pair_tests: 0,
+            solver: CollisionSolver::default(),
+        };
+        let guards = block_proc_sets(cfg, dom, procs, &mut test.solver.proc_steps);
+        let sites: Vec<Site<'_>> = cfg
+            .accesses
+            .iter()
+            .map(|(_, info)| Site {
+                info,
+                guard: &guards[info.pos.block.index()],
+                affine: info.index.as_ref().and_then(to_affine),
+            })
+            .collect();
+        // Only sites naming the same object (or no object: barriers) can
+        // conflict, so pairs are formed within one object's sites.
+        let mut by_object: Vec<usize> = (0..n).collect();
+        by_object.sort_by_key(|&i| (sites[i].info.var, i));
+        for object in by_object.chunk_by(|&i, &j| sites[i].info.var == sites[j].info.var) {
+            for (k, &i) in object.iter().enumerate() {
+                for &j in &object[k..] {
+                    if test.sites_conflict(&sites[i], &sites[j]) {
+                        directed.set(i, j);
+                        directed.set(j, i);
+                    }
                 }
             }
         }
-        ConflictSet { n, directed }
+        let stats = ConflictStats {
+            pair_tests: test.pair_tests,
+            proc_steps: test.solver.proc_steps,
+        };
+        (ConflictSet { n, directed }, stats)
     }
 
     /// An empty conflict set over `n` accesses (used by tests).
@@ -86,10 +136,12 @@ impl ConflictSet {
 
     /// The directed successors of `a` (all `b` with edge `a → b`).
     pub fn succs(&self, a: AccessId) -> Vec<AccessId> {
-        (0..self.n)
-            .filter(|&j| self.directed.get(a.index(), j))
-            .map(AccessId::from_index)
-            .collect()
+        self.succ_ones(a).map(AccessId::from_index).collect()
+    }
+
+    /// The indices of `a`'s directed successors, ascending.
+    pub fn succ_ones(&self, a: AccessId) -> impl Iterator<Item = usize> + '_ {
+        self.directed.row_ones(a.index())
     }
 
     /// The directed predecessors of `a` (all `b` with edge `b → a`).
@@ -100,14 +152,30 @@ impl ConflictSet {
             .collect()
     }
 
+    /// Both directions folded onto the upper triangle: `(i, j)` with
+    /// `i ≤ j` set iff `i` and `j` conflict in at least one direction.
+    fn upper_triangle(&self) -> BitMatrix {
+        let mut upper = BitMatrix::new(self.n);
+        for i in 0..self.n {
+            for j in self.directed.row_ones(i) {
+                upper.set(i.min(j), i.max(j));
+            }
+        }
+        upper
+    }
+
+    /// Number of unordered conflicting pairs.
+    pub fn num_unordered_pairs(&self) -> usize {
+        self.upper_triangle().count_ones()
+    }
+
     /// All unordered conflicting pairs `(a, b)` with `a ≤ b`.
     pub fn unordered_pairs(&self) -> Vec<(AccessId, AccessId)> {
+        let upper = self.upper_triangle();
         let mut out = Vec::new();
         for i in 0..self.n {
-            for j in i..self.n {
-                if self.directed.get(i, j) || self.directed.get(j, i) {
-                    out.push((AccessId::from_index(i), AccessId::from_index(j)));
-                }
+            for j in upper.row_ones(i) {
+                out.push((AccessId::from_index(i), AccessId::from_index(j)));
             }
         }
         out
@@ -125,57 +193,134 @@ impl ConflictSet {
     }
 }
 
-/// Do two access *sites* conflict (executed by different processors)?
-fn sites_conflict(
-    a: &syncopt_ir::access::AccessInfo,
-    b: &syncopt_ir::access::AccessInfo,
-    ga: &ProcSet,
-    gb: &ProcSet,
+/// The per-pair conflict test of one build, with its counters.
+struct PairTest {
     procs: Option<u32>,
-) -> bool {
-    use AccessKind::*;
-    match (a.kind, b.kind) {
-        // Barriers are global events: every barrier site interferes with
-        // every other (and itself).
-        (Barrier, Barrier) => true,
-        // Plain data accesses: same variable, at least one write, indices
-        // may coincide on two *distinct* processors allowed by the guards.
-        (Read, Read) => false,
-        (Read | Write, Read | Write) => {
-            a.var == b.var && a.var.is_some() && guarded_collision(a, b, ga, gb, procs)
+    pair_tests: u64,
+    solver: CollisionSolver,
+}
+
+impl PairTest {
+    /// Do two access *sites* naming the same object conflict (executed by
+    /// different processors)?
+    fn sites_conflict(&mut self, a: &Site<'_>, b: &Site<'_>) -> bool {
+        use AccessKind::*;
+        debug_assert_eq!(a.info.var, b.info.var, "pairs are formed per object");
+        match (a.info.kind, b.info.kind) {
+            // Barriers are global events: every barrier site interferes
+            // with every other (and itself).
+            (Barrier, Barrier) => true,
+            // Plain data accesses: same variable, at least one write,
+            // indices may coincide on two *distinct* processors allowed by
+            // the guards.
+            (Read, Read) => false,
+            (Read | Write, Read | Write) => a.info.var.is_some() && self.guarded_collision(a, b),
+            // Event operations: a post modifies the event; two waits only
+            // observe it.
+            (Wait, Wait) => false,
+            (Post | Wait, Post | Wait) => self.guarded_collision(a, b),
+            // Lock operations on the same lock all modify it (guards still
+            // apply: a lock op under `MYPROC == 0` cannot race with itself).
+            (LockAcq | LockRel, LockAcq | LockRel) => self.distinct_pair(a, b),
+            // Mixed kinds touch different objects.
+            _ => false,
         }
-        // Event operations: a post modifies the event; two waits only
-        // observe it.
-        (Wait, Wait) => false,
-        (Post | Wait, Post | Wait) => a.var == b.var && guarded_collision(a, b, ga, gb, procs),
-        // Lock operations on the same lock all modify it (guards still
-        // apply: a lock op under `MYPROC == 0` cannot race with itself).
-        (LockAcq | LockRel, LockAcq | LockRel) => {
-            a.var == b.var && ga.exists_distinct_pair(gb, procs)
+    }
+
+    /// Whether two distinct processors can run `a` and `b` at all.
+    fn distinct_pair(&mut self, a: &Site<'_>, b: &Site<'_>) -> bool {
+        self.pair_tests += 1;
+        a.guard.exists_distinct_pair(b.guard, self.procs)
+    }
+
+    /// Guard-aware location collision test for two same-variable accesses.
+    fn guarded_collision(&mut self, a: &Site<'_>, b: &Site<'_>) -> bool {
+        if !self.distinct_pair(a, b) {
+            return false;
         }
-        // Mixed kinds touch different objects.
-        _ => false,
+        match (&a.info.index, &b.info.index) {
+            (Some(_), Some(_)) => affine_indices_may_collide(
+                a.affine.as_ref(),
+                b.affine.as_ref(),
+                a.guard,
+                b.guard,
+                self.procs,
+                &mut self.solver,
+            ),
+            // Scalars: the guard test above is the whole story. (A shape
+            // mismatch cannot happen for same-variable accesses; it would
+            // be a conflict too.)
+            _ => true,
+        }
     }
 }
 
-/// Guard-aware location collision test for two same-variable accesses.
-fn guarded_collision(
-    a: &syncopt_ir::access::AccessInfo,
-    b: &syncopt_ir::access::AccessInfo,
-    ga: &ProcSet,
-    gb: &ProcSet,
-    procs: Option<u32>,
-) -> bool {
-    if !ga.exists_distinct_pair(gb, procs) {
-        return false;
+/// The build as it was when every guarded test enumerated processor
+/// pairs, kept as the reference [`ConflictSet::build_bounded`] is tested
+/// against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::guards::{access_proc_sets, reference as pairs};
+
+    pub(crate) fn build_bounded(cfg: &Cfg, procs: Option<u32>) -> ConflictSet {
+        let n = cfg.accesses.len();
+        let mut directed = BitMatrix::new(n);
+        let infos: Vec<_> = cfg.accesses.iter().map(|(_, info)| info).collect();
+        let guards = access_proc_sets(cfg, procs);
+        for i in 0..n {
+            for j in i..n {
+                if sites_conflict(infos[i], infos[j], &guards[i], &guards[j], procs) {
+                    directed.set(i, j);
+                    directed.set(j, i);
+                }
+            }
+        }
+        ConflictSet { n, directed }
     }
-    match (&a.index, &b.index) {
-        (Some(e1), Some(e2)) => indices_may_collide(e1, e2, ga, gb, procs),
-        // Scalars: the guard test above is the whole story.
-        (None, None) => true,
-        // Shape mismatch cannot happen for same-variable accesses, but
-        // stay conservative.
-        _ => may_conflict_cross_proc_bounded(a.index.as_ref(), b.index.as_ref(), procs),
+
+    fn sites_conflict(
+        a: &AccessInfo,
+        b: &AccessInfo,
+        ga: &ProcSet,
+        gb: &ProcSet,
+        procs: Option<u32>,
+    ) -> bool {
+        use AccessKind::*;
+        match (a.kind, b.kind) {
+            (Barrier, Barrier) => true,
+            (Read, Read) => false,
+            (Read | Write, Read | Write) => {
+                a.var == b.var && a.var.is_some() && guarded_collision(a, b, ga, gb, procs)
+            }
+            (Wait, Wait) => false,
+            (Post | Wait, Post | Wait) => a.var == b.var && guarded_collision(a, b, ga, gb, procs),
+            (LockAcq | LockRel, LockAcq | LockRel) => {
+                a.var == b.var && pairs::exists_distinct_pair(ga, gb, procs)
+            }
+            _ => false,
+        }
+    }
+
+    fn guarded_collision(
+        a: &AccessInfo,
+        b: &AccessInfo,
+        ga: &ProcSet,
+        gb: &ProcSet,
+        procs: Option<u32>,
+    ) -> bool {
+        if !pairs::exists_distinct_pair(ga, gb, procs) {
+            return false;
+        }
+        match (&a.index, &b.index) {
+            (Some(e1), Some(e2)) => pairs::indices_may_collide(e1, e2, ga, gb, procs),
+            (None, None) => true,
+            _ => crate::affine::may_conflict_cross_proc_bounded(
+                a.index.as_ref(),
+                b.index.as_ref(),
+                procs,
+            ),
+        }
     }
 }
 

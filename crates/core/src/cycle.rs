@@ -42,17 +42,15 @@
 
 use crate::conflict::ConflictSet;
 use crate::delay::DelaySet;
+use std::borrow::Cow;
 use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::{reachability_counted, BitMatrix, BitSet, ProgramOrder};
+use syncopt_ir::order::{reachability_counted, BitMatrix, BitSet, ProgramOrder, ReachStats};
 
 /// Options controlling one delay-set computation.
 #[derive(Default)]
 pub struct DelayOptions<'a> {
-    /// Restrict candidates to pairs where at least one side is a
-    /// synchronization access (used to compute `D1` in §5.1 step 2).
-    pub only_sync_pairs: bool,
     /// Per-candidate node removal: given the candidate `(u, v)`, marks
     /// access sites that cannot appear on a back-path and must be excluded
     /// from the mirror copy (§5.1 step 6 refinement, §5.3 lock rule) in
@@ -65,26 +63,77 @@ pub struct DelayOptions<'a> {
     pub threads: usize,
 }
 
-/// The mirror-copy graph plus cached reachability and conflict fan-in/out
-/// bitsets.
-pub struct BackPathOracle<'a> {
-    conflicts: &'a ConflictSet,
-    n: usize,
-    /// Adjacency inside the mirror copy: program-order ∪ conflict edges
-    /// (used only by the blocked-node BFS fallback).
-    mirror_adj: Vec<Vec<usize>>,
-    /// Cached reachability over the full mirror copy (no removals):
-    /// `reach.get(x, y)` iff `y'` reachable from `x'` via ≥ 1 edge.
+/// Everything derived from one mirror copy `P ∪ C` that a back-path query
+/// reads: the cached reachability and the conflict fan-in/out bitsets. It
+/// owns no reference to the graph it was built from, so the analysis base
+/// can keep it beside the conflict set and the program order.
+#[derive(Debug, Clone)]
+pub struct MirrorClosure {
+    /// `reach.get(x, y)` iff `y'` reachable from `x'` via ≥ 1 mirror edge
+    /// (no removals).
     reach: BitMatrix,
     /// Row `a` = directed conflict predecessors of `a` (transpose of the
-    /// conflict relation; successors come straight from `conflicts`).
+    /// conflict relation; successors come straight from the conflict set).
     conf_pred: BitMatrix,
     /// Accesses with ≥ 1 directed conflict successor / predecessor — the
     /// candidate-pruning oracle.
     has_succ: BitSet,
     has_pred: BitSet,
     /// Work done while building (SCCs found, closure words ORed).
-    build_stats: syncopt_ir::order::ReachStats,
+    build_stats: ReachStats,
+}
+
+impl MirrorClosure {
+    /// Condenses and closes the mirror copy of `po ∪ conflicts`.
+    pub fn build(conflicts: &ConflictSet, po: &ProgramOrder) -> Self {
+        let n = conflicts.num_accesses();
+        // Mirror adjacency, one word-OR per row: program-order successors
+        // (an access is not its own P-successor here; a self-conflict
+        // still loops) ∪ conflict successors.
+        let mut row = BitSet::new(n);
+        let mirror_adj: Vec<Vec<usize>> = (0..n)
+            .map(|x| {
+                let xa = AccessId::from_index(x);
+                row.clear();
+                row.union_words(po.succ_row_words(xa));
+                row.remove(x);
+                row.union_words(conflicts.succ_row_words(xa));
+                row.iter_ones().collect()
+            })
+            .collect();
+        let (reach, build_stats) = reachability_counted(&mirror_adj);
+        let mut conf_pred = BitMatrix::new(n);
+        let mut has_succ = BitSet::new(n);
+        let mut has_pred = BitSet::new(n);
+        for a in 0..n {
+            for b in conflicts.succ_ones(AccessId::from_index(a)) {
+                has_succ.insert(a);
+                conf_pred.set(b, a);
+                has_pred.insert(b);
+            }
+        }
+        MirrorClosure {
+            reach,
+            conf_pred,
+            has_succ,
+            has_pred,
+            build_stats,
+        }
+    }
+
+    /// Work counters from building the closure.
+    pub fn build_stats(&self) -> ReachStats {
+        self.build_stats
+    }
+}
+
+/// The mirror-copy graph with its [`MirrorClosure`]: answers back-path
+/// queries and produces witnesses.
+pub struct BackPathOracle<'a> {
+    conflicts: &'a ConflictSet,
+    po: &'a ProgramOrder,
+    closure: Cow<'a, MirrorClosure>,
+    n: usize,
 }
 
 /// Reusable per-worker scratch for [`BackPathOracle::query`] — all
@@ -104,48 +153,29 @@ pub struct BackPathScratch {
 
 impl<'a> BackPathOracle<'a> {
     /// Builds the oracle for the current (possibly partially oriented)
-    /// conflict set.
-    pub fn new(cfg: &'a Cfg, conflicts: &'a ConflictSet, po: &'a ProgramOrder) -> Self {
-        let n = cfg.accesses.len();
-        let mut mirror_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (x, adj) in mirror_adj.iter_mut().enumerate() {
-            let xa = AccessId::from_index(x);
-            for y in 0..n {
-                let ya = AccessId::from_index(y);
-                let p_edge = x != y && po.access_precedes(cfg, xa, ya);
-                let c_edge = conflicts.edge(xa, ya);
-                if p_edge || c_edge {
-                    adj.push(y);
-                }
-            }
-        }
-        // The adjacency feeds reachability directly — no parallel edge
-        // list is materialized.
-        let (reach, build_stats) = reachability_counted(&mirror_adj);
-        let mut conf_pred = BitMatrix::new(n);
-        let mut has_succ = BitSet::new(n);
-        let mut has_pred = BitSet::new(n);
-        for a in 0..n {
-            let row = conflicts.succ_row_words(AccessId::from_index(a));
-            if row.iter().any(|&w| w != 0) {
-                has_succ.insert(a);
-            }
-            let mut tmp = BitSet::new(n);
-            tmp.union_words(row);
-            for b in tmp.iter_ones() {
-                conf_pred.set(b, a);
-                has_pred.insert(b);
-            }
-        }
+    /// conflict set, closure included.
+    pub fn new(conflicts: &'a ConflictSet, po: &'a ProgramOrder) -> Self {
+        let closure = Cow::Owned(MirrorClosure::build(conflicts, po));
         BackPathOracle {
             conflicts,
-            n,
-            mirror_adj,
-            reach,
-            conf_pred,
-            has_succ,
-            has_pred,
-            build_stats,
+            po,
+            closure,
+            n: conflicts.num_accesses(),
+        }
+    }
+
+    /// The oracle over a closure built earlier from the same `conflicts`
+    /// and `po`.
+    pub fn with_closure(
+        conflicts: &'a ConflictSet,
+        po: &'a ProgramOrder,
+        closure: &'a MirrorClosure,
+    ) -> Self {
+        BackPathOracle {
+            conflicts,
+            po,
+            closure: Cow::Borrowed(closure),
+            n: conflicts.num_accesses(),
         }
     }
 
@@ -164,18 +194,42 @@ impl<'a> BackPathOracle<'a> {
     /// Whether `v` has at least one directed conflict successor (a
     /// back-path's first hop).
     pub fn has_conflict_succ(&self, v: AccessId) -> bool {
-        self.has_succ.contains(v.index())
+        self.closure.has_succ.contains(v.index())
     }
 
     /// Whether `u` has at least one directed conflict predecessor (a
     /// back-path's last hop).
     pub fn has_conflict_pred(&self, u: AccessId) -> bool {
-        self.has_pred.contains(u.index())
+        self.closure.has_pred.contains(u.index())
     }
 
     /// Work counters from building the mirror-copy closure.
-    pub fn build_stats(&self) -> syncopt_ir::order::ReachStats {
-        self.build_stats
+    pub fn build_stats(&self) -> ReachStats {
+        self.closure.build_stats
+    }
+
+    /// Pushes the not-yet-seen, unblocked mirror successors of `node` —
+    /// program-order ∪ conflict edges, ascending — onto `queue`.
+    fn expand(
+        &self,
+        node: usize,
+        seen: &mut BitSet,
+        blocked: &BitSet,
+        queue: &mut Vec<usize>,
+        mut visit: impl FnMut(usize),
+    ) {
+        let a = AccessId::from_index(node);
+        let (p, c) = (self.po.succ_row_words(a), self.conflicts.succ_row_words(a));
+        for (wi, (p, c)) in p.iter().zip(c).enumerate() {
+            let mut fresh = (p | c) & !seen.words()[wi] & !blocked.words()[wi];
+            while fresh != 0 {
+                let next = wi * 64 + fresh.trailing_zeros() as usize;
+                fresh &= fresh - 1;
+                seen.insert(next);
+                queue.push(next);
+                visit(next);
+            }
+        }
     }
 
     /// Whether a back-path from `v` to `u` exists, excluding the accesses
@@ -189,9 +243,10 @@ impl<'a> BackPathOracle<'a> {
             return false;
         }
         // ends = conflict preds of u, minus removed.
-        scratch
-            .ends
-            .assign_and_not(self.conf_pred.row_words(u.index()), &scratch.removed);
+        scratch.ends.assign_and_not(
+            self.closure.conf_pred.row_words(u.index()),
+            &scratch.removed,
+        );
         if scratch.ends.is_empty() {
             return false;
         }
@@ -200,10 +255,11 @@ impl<'a> BackPathOracle<'a> {
             return true;
         }
         // Word-parallel reachability: ∃ x ∈ starts with reach(x) ∩ ends.
-        let reachable = scratch
-            .starts
-            .iter_ones()
-            .any(|x| scratch.ends.intersects_words(self.reach.row_words(x)));
+        let reachable = scratch.starts.iter_ones().any(|x| {
+            scratch
+                .ends
+                .intersects_words(self.closure.reach.row_words(x))
+        });
         if scratch.removed.is_empty() || !reachable {
             // No removals: the cached closure is exact. With removals, a
             // path absent from the *unrestricted* graph cannot appear in
@@ -226,12 +282,13 @@ impl<'a> BackPathOracle<'a> {
             if scratch.ends.contains(node) {
                 return true;
             }
-            for &next in &self.mirror_adj[node] {
-                if !scratch.seen.contains(next) && !scratch.removed.contains(next) {
-                    scratch.seen.insert(next);
-                    scratch.queue.push(next);
-                }
-            }
+            self.expand(
+                node,
+                &mut scratch.seen,
+                &scratch.removed,
+                &mut scratch.queue,
+                |_| {},
+            );
         }
         false
     }
@@ -254,27 +311,19 @@ impl<'a> BackPathOracle<'a> {
     /// in ascending id order — so it can serve as a pinned, replayable
     /// provenance witness (`syncoptc explain`).
     pub fn witness(&self, u: AccessId, v: AccessId, removed: &[AccessId]) -> Option<Vec<AccessId>> {
-        let mut blocked = vec![false; self.n];
+        let mut blocked = BitSet::new(self.n);
         for r in removed {
-            blocked[r.index()] = true;
+            blocked.insert(r.index());
         }
-        let is_end = |x: usize| self.conf_pred.get(u.index(), x);
         let mut parent: Vec<usize> = vec![usize::MAX; self.n];
-        let mut seen = vec![false; self.n];
-        let mut queue: Vec<usize> = Vec::new();
-        let mut succ_of_v = BitSet::new(self.n);
-        succ_of_v.union_words(self.conflicts.succ_row_words(v));
-        for x in succ_of_v.iter_ones() {
-            if !blocked[x] {
-                seen[x] = true;
-                queue.push(x);
-            }
-        }
+        let mut seen = BitSet::new(self.n);
+        seen.assign_and_not(self.conflicts.succ_row_words(v), &blocked);
+        let mut queue: Vec<usize> = seen.iter_ones().collect();
         let mut qi = 0;
         while qi < queue.len() {
             let node = queue[qi];
             qi += 1;
-            if is_end(node) {
+            if self.closure.conf_pred.get(u.index(), node) {
                 let mut chain = vec![AccessId::from_index(node)];
                 let mut cur = node;
                 while parent[cur] != usize::MAX {
@@ -284,13 +333,9 @@ impl<'a> BackPathOracle<'a> {
                 chain.reverse();
                 return Some(chain);
             }
-            for &next in &self.mirror_adj[node] {
-                if !seen[next] && !blocked[next] {
-                    seen[next] = true;
-                    parent[next] = node;
-                    queue.push(next);
-                }
-            }
+            self.expand(node, &mut seen, &blocked, &mut queue, |next| {
+                parent[next] = node;
+            });
         }
         None
     }
@@ -302,8 +347,6 @@ impl<'a> BackPathOracle<'a> {
 pub struct DelayQueryStats {
     /// Ordered program pairs considered as delay candidates.
     pub candidates: u64,
-    /// Candidates skipped by the `only_sync_pairs` restriction.
-    pub sync_skipped: u64,
     /// Candidates pruned because `v` has no conflict successor or `u` has
     /// no conflict predecessor (no possible back-path; the oracle is
     /// never consulted).
@@ -329,7 +372,6 @@ impl DelayQueryStats {
     /// Sums `other` into `self` (shard merge; all fields are additive).
     pub fn accumulate(&mut self, other: &DelayQueryStats) {
         self.candidates += other.candidates;
-        self.sync_skipped += other.sync_skipped;
         self.pruned_candidates += other.pruned_candidates;
         self.backpath_queries += other.backpath_queries;
         self.bfs_fallbacks += other.bfs_fallbacks;
@@ -339,43 +381,53 @@ impl DelayQueryStats {
         self.sccs += other.sccs;
         self.closure_word_ors += other.closure_word_ors;
     }
+
+    /// Books one mirror-closure build.
+    pub fn add_oracle_build(&mut self, build: ReachStats) {
+        self.oracle_builds += 1;
+        self.sccs += build.sccs;
+        self.closure_word_ors += build.closure_word_ors;
+    }
 }
 
 /// Computes a delay set by back-path detection over `P ∪ C`.
 ///
 /// With default options and a freshly built (symmetric) conflict set this is
-/// the Shasha–Snir set `D_SS`; §5 calls it with oriented conflicts, the
-/// sync-pair restriction, and removal callbacks.
+/// the Shasha–Snir set `D_SS`; §5 calls it with oriented conflicts and
+/// removal callbacks.
 pub fn compute_delay_set(
-    cfg: &Cfg,
     conflicts: &ConflictSet,
     po: &ProgramOrder,
     opts: &DelayOptions<'_>,
 ) -> DelaySet {
-    compute_delay_set_counted(cfg, conflicts, po, opts).0
+    compute_delay_set_counted(conflicts, po, opts).0
 }
 
 /// [`compute_delay_set`], additionally reporting how much work the
-/// back-path search performed.
+/// back-path search and the oracle build performed.
+pub fn compute_delay_set_counted(
+    conflicts: &ConflictSet,
+    po: &ProgramOrder,
+    opts: &DelayOptions<'_>,
+) -> (DelaySet, DelayQueryStats) {
+    let oracle = BackPathOracle::new(conflicts, po);
+    let (delay, mut stats) = delay_set_over(&oracle, opts);
+    stats.add_oracle_build(oracle.build_stats());
+    (delay, stats)
+}
+
+/// The candidate loop of [`compute_delay_set_counted`] over an oracle the
+/// caller built (and books with [`DelayQueryStats::add_oracle_build`]).
 ///
 /// With `opts.threads > 1` the candidate rows are split into contiguous
 /// shards processed by scoped worker threads; shard results merge in fixed
 /// shard order, so the delay set and every counter are bit-identical to a
 /// serial run.
-pub fn compute_delay_set_counted(
-    cfg: &Cfg,
-    conflicts: &ConflictSet,
-    po: &ProgramOrder,
+pub fn delay_set_over(
+    oracle: &BackPathOracle<'_>,
     opts: &DelayOptions<'_>,
 ) -> (DelaySet, DelayQueryStats) {
-    let n = cfg.accesses.len();
-    let oracle = BackPathOracle::new(cfg, conflicts, po);
-    let is_sync: Vec<bool> = cfg
-        .accesses
-        .iter()
-        .map(|(_, info)| info.kind.is_sync())
-        .collect();
-
+    let n = oracle.n;
     // One shard: candidate rows `u ∈ range`, its own scratch and outputs.
     let run_shard = |lo: usize, hi: usize| -> (DelaySet, DelayQueryStats) {
         let mut scratch = oracle.scratch();
@@ -384,16 +436,8 @@ pub fn compute_delay_set_counted(
         for ui in lo..hi {
             let u = AccessId::from_index(ui);
             let u_has_pred = oracle.has_conflict_pred(u);
-            for vi in 0..n {
-                let v = AccessId::from_index(vi);
-                if !po.access_precedes(cfg, u, v) {
-                    continue;
-                }
+            for v in oracle.po.successors(u) {
                 stats.candidates += 1;
-                if opts.only_sync_pairs && !is_sync[ui] && !is_sync[vi] {
-                    stats.sync_skipped += 1;
-                    continue;
-                }
                 // Pruning: every back-path leaves v and re-enters u over
                 // conflict edges; removals only shrink those sets, so a
                 // pair failing here can never be a delay.
@@ -418,7 +462,7 @@ pub fn compute_delay_set_counted(
     };
 
     let threads = opts.threads.clamp(1, n.max(1));
-    let (out, mut stats) = if threads <= 1 {
+    if threads <= 1 {
         run_shard(0, n)
     } else {
         let chunk = n.div_ceil(threads);
@@ -445,11 +489,7 @@ pub fn compute_delay_set_counted(
             stats.accumulate(shard_stats);
         }
         (out, stats)
-    };
-    stats.oracle_builds += 1;
-    stats.sccs += oracle.build_stats().sccs;
-    stats.closure_word_ors += oracle.build_stats().closure_word_ors;
-    (out, stats)
+    }
 }
 
 /// The Shasha–Snir delay set: all-pairs back-path detection on the
@@ -463,7 +503,7 @@ pub fn shasha_snir(cfg: &Cfg) -> DelaySet {
 pub fn shasha_snir_bounded(cfg: &Cfg, procs: Option<u32>) -> DelaySet {
     let conflicts = ConflictSet::build_bounded(cfg, procs);
     let po = ProgramOrder::compute(cfg);
-    compute_delay_set(cfg, &conflicts, &po, &DelayOptions::default())
+    compute_delay_set(&conflicts, &po, &DelayOptions::default())
 }
 
 /// Convenience predicate: is access `a` a data access (read/write)?
@@ -559,7 +599,7 @@ pub(crate) mod naive {
             let xa = AccessId::from_index(x);
             for y in 0..n {
                 let ya = AccessId::from_index(y);
-                let p_edge = x != y && po.access_precedes(cfg, xa, ya);
+                let p_edge = x != y && po.access_precedes(xa, ya);
                 let c_edge = conflicts.edge(xa, ya);
                 if p_edge || c_edge {
                     adj.push(y);
@@ -574,7 +614,7 @@ pub(crate) mod naive {
             .collect();
         for u in cfg.accesses.ids() {
             for v in cfg.accesses.ids() {
-                if !po.access_precedes(cfg, u, v) {
+                if !po.access_precedes(u, v) {
                     continue;
                 }
                 if opts.only_sync_pairs && !is_sync[u.index()] && !is_sync[v.index()] {
@@ -740,15 +780,24 @@ mod tests {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
-        let d1 = compute_delay_set(
+        let mut sync_sites = BitSet::new(cfg.accesses.len());
+        for (id, info) in cfg.accesses.iter() {
+            if info.kind.is_sync() {
+                sync_sites.insert(id.index());
+            }
+        }
+        let d_ss = compute_delay_set(&conflicts, &po, &DelayOptions::default());
+        let d1 = d_ss.touching(&sync_sites);
+        let reference = naive::compute_delay_set_naive(
             &cfg,
             &conflicts,
             &po,
-            &DelayOptions {
+            &naive::NaiveOptions {
                 only_sync_pairs: true,
-                ..DelayOptions::default()
+                removals: None,
             },
         );
+        assert_eq!(d1.pairs(), reference.pairs());
         let is_sync = |x: AccessId| cfg.accesses.info(x).kind.is_sync();
         assert!(!d1.is_empty());
         for (u, v) in d1.pairs() {
@@ -778,11 +827,9 @@ mod tests {
             .filter(|&x| cfg.accesses.info(x).kind == AccessKind::Read)
             .collect();
         let d = compute_delay_set(
-            &cfg,
             &conflicts,
             &po,
             &DelayOptions {
-                only_sync_pairs: false,
                 removals: Some(Box::new(move |_u, _v, out| {
                     for r in &reads {
                         out.insert(r.index());
@@ -817,11 +864,11 @@ mod tests {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
-        let (d, stats) = compute_delay_set_counted(&cfg, &conflicts, &po, &DelayOptions::default());
+        let (d, stats) = compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
         assert!(stats.pruned_candidates > 0, "{stats:?}");
         assert_eq!(
             stats.candidates,
-            stats.pruned_candidates + stats.backpath_queries + stats.sync_skipped
+            stats.pruned_candidates + stats.backpath_queries
         );
         let reference =
             naive::compute_delay_set_naive(&cfg, &conflicts, &po, &naive::NaiveOptions::default());
@@ -842,10 +889,9 @@ mod tests {
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
         let (serial, serial_stats) =
-            compute_delay_set_counted(&cfg, &conflicts, &po, &DelayOptions::default());
+            compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
         for threads in 2..=4 {
             let (threaded, threaded_stats) = compute_delay_set_counted(
-                &cfg,
                 &conflicts,
                 &po,
                 &DelayOptions {
@@ -864,7 +910,7 @@ mod tests {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
-        let (_, stats) = compute_delay_set_counted(&cfg, &conflicts, &po, &DelayOptions::default());
+        let (_, stats) = compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
         assert_eq!(stats.oracle_builds, 1);
         assert!(stats.sccs >= 1);
         assert!(stats.closure_word_ors > 0);

@@ -2,7 +2,7 @@
 //! `v` must not be issued until `u` has completed.
 
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::BitMatrix;
+use syncopt_ir::order::{BitMatrix, BitSet};
 
 /// A set of ordered delay pairs over `n` access sites.
 #[derive(Debug, Clone)]
@@ -54,10 +54,8 @@ impl DelaySet {
     pub fn pairs(&self) -> Vec<(AccessId, AccessId)> {
         let mut out = Vec::with_capacity(self.count);
         for u in 0..self.n {
-            for v in 0..self.n {
-                if self.m.get(u, v) {
-                    out.push((AccessId::from_index(u), AccessId::from_index(v)));
-                }
+            for v in self.m.row_ones(u) {
+                out.push((AccessId::from_index(u), AccessId::from_index(v)));
             }
         }
         out
@@ -66,21 +64,43 @@ impl DelaySet {
     /// Inserts every pair of `other`.
     pub fn union_with(&mut self, other: &DelaySet) {
         assert_eq!(self.n, other.n, "delay sets over different access tables");
-        for (u, v) in other.pairs() {
-            self.insert(u, v);
+        for u in 0..self.n {
+            self.m.or_row_words(u, other.m.row_words(u));
         }
+        self.count = self.m.count_ones();
     }
 
     /// Whether every pair of `self` is in `other`.
     pub fn is_subset_of(&self, other: &DelaySet) -> bool {
-        self.pairs().iter().all(|&(u, v)| other.contains(u, v))
+        assert_eq!(self.n, other.n, "delay sets over different access tables");
+        (0..self.n).all(|u| {
+            let (mine, theirs) = (self.m.row_words(u), other.m.row_words(u));
+            mine.iter().zip(theirs).all(|(a, b)| a & !b == 0)
+        })
+    }
+
+    /// The pairs with at least one side in `sites`: row `u` whole when
+    /// `u ∈ sites`, masked to `sites` otherwise. With `sites` the
+    /// synchronization accesses and `self` = `D_SS`, this is the §5.1
+    /// step-2 set `D1`.
+    pub fn touching(&self, sites: &BitSet) -> DelaySet {
+        let mut m = self.m.clone();
+        for u in (0..self.n).filter(|&u| !sites.contains(u)) {
+            m.and_row_words(u, sites.words());
+        }
+        let count = m.count_ones();
+        DelaySet {
+            n: self.n,
+            m,
+            count,
+        }
     }
 
     /// The delays whose *first* component is `u` (completions `v` must wait
     /// for are found with [`DelaySet::delays_into`]).
     pub fn delays_from(&self, u: AccessId) -> Vec<AccessId> {
-        (0..self.n)
-            .filter(|&v| self.m.get(u.index(), v))
+        self.m
+            .row_ones(u.index())
             .map(AccessId::from_index)
             .collect()
     }
@@ -127,6 +147,24 @@ mod tests {
         assert!(d1.is_subset_of(&u));
         assert!(d2.is_subset_of(&u));
         assert!(!u.is_subset_of(&d1));
+    }
+
+    #[test]
+    fn touching_keeps_pairs_with_a_side_in_the_set() {
+        let mut d = DelaySet::new(70);
+        for (u, v) in [(0, 1), (1, 2), (2, 69), (69, 3), (3, 4)] {
+            d.insert(a(u), a(v));
+        }
+        let mut sites = BitSet::new(70);
+        sites.insert(1);
+        sites.insert(69);
+        let t = d.touching(&sites);
+        assert_eq!(
+            t.pairs(),
+            vec![(a(0), a(1)), (a(1), a(2)), (a(2), a(69)), (a(69), a(3))]
+        );
+        assert_eq!(t.len(), 4);
+        assert!(t.is_subset_of(&d) && !d.is_subset_of(&t));
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! a breaking fact, and the reason is deterministic (shortest witness,
 //! ascending-id BFS, first break along the chain).
 
-use crate::barrier::{aligned_barriers, barrier_precedence_edges};
+use crate::barrier::{aligned_barriers_with, barrier_precedence_edges};
+use crate::conflict::ConflictSet;
 use crate::cycle::BackPathOracle;
 use crate::diag::json::Value;
 use crate::diag::{Diagnostic, Severity};
-use crate::sync::{post_wait_edges, SyncOptions};
+use crate::sync::{post_wait_edges, SyncAnalysis, SyncOptions};
 use crate::Analysis;
 use std::collections::HashSet;
 use syncopt_ir::cfg::Cfg;
@@ -178,29 +179,12 @@ pub struct ExplainReport {
 /// be the options `analysis` was computed with (the barrier policy decides
 /// which seeds exist).
 pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainReport {
-    let po = ProgramOrder::compute(cfg);
+    let po = &analysis.po;
     let n = cfg.accesses.len();
-    let oracle_ss = BackPathOracle::new(cfg, &analysis.conflicts, &po);
-    let oracle_refined = BackPathOracle::new(cfg, &analysis.sync.oriented, &po);
-
-    // Seed facts, for classifying precedence pairs.
-    let pw: HashSet<(AccessId, AccessId)> = post_wait_edges(cfg).into_iter().collect();
-    let aligned = aligned_barriers(cfg, opts.barrier_policy);
-    let be: HashSet<(AccessId, AccessId)> = barrier_precedence_edges(cfg, &po, &aligned)
-        .into_iter()
-        .collect();
-    let classify = |before: AccessId, after: AccessId| -> SyncFact {
-        if pw.contains(&(before, after)) {
-            SyncFact::PostWait {
-                post: before,
-                wait: after,
-            }
-        } else if be.contains(&(before, after)) {
-            SyncFact::AlignedBarrier { before, after }
-        } else {
-            SyncFact::Derived { before, after }
-        }
-    };
+    let oracle_ss = analysis.base.oracle();
+    let oracle_refined = BackPathOracle::new(&analysis.sync.oriented, po);
+    let aligned = aligned_barriers_with(cfg, opts.barrier_policy, &analysis.pdom);
+    let classify = seed_classifier(cfg, po, &aligned, &[]);
 
     // The step-6 removal set for a pair, as the slice form the witness
     // search takes (endpoints masked out, like the hot loop).
@@ -227,7 +211,7 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
             .map(|w| {
                 // Interior hops may ride program order; the first and last
                 // hop cross copies and are conflict edges by construction.
-                if w[0] != v && w[1] != u && po.access_precedes(cfg, w[0], w[1]) {
+                if w[0] != v && w[1] != u && po.access_precedes(w[0], w[1]) {
                     EdgeKind::Program
                 } else {
                     EdgeKind::Conflict
@@ -266,7 +250,15 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
             let chain = oracle_ss
                 .witness(u, v, &[])
                 .expect("D_SS pair must have a back-path");
-            let reason = first_break(cfg, &po, analysis, &classify, u, v, &chain);
+            let reason = first_break(
+                po,
+                &analysis.conflicts,
+                &analysis.sync,
+                &classify,
+                u,
+                v,
+                &chain,
+            );
             let mut witness = vec![v];
             witness.extend(chain);
             witness.push(u);
@@ -281,21 +273,52 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
     ExplainReport { kept, dropped }
 }
 
-/// Walks the canonical witness `v → chain → u` and returns the first
-/// synchronization fact that breaks it under refinement. Shared with the
-/// redundancy pass of [`crate::lint`], which replays the walk against an
-/// analysis computed with one synchronization site excluded.
-pub(crate) fn first_break(
+/// Classifies a precedence pair against the step-3 seeds of a refinement
+/// whose aligned barrier sites are `aligned` and whose post→wait edges
+/// into `excluded_waits` were withheld: a seed is named as such, anything
+/// else is derived.
+pub(crate) fn seed_classifier(
     cfg: &Cfg,
     po: &ProgramOrder,
-    analysis: &Analysis,
+    aligned: &[AccessId],
+    excluded_waits: &[AccessId],
+) -> impl Fn(AccessId, AccessId) -> SyncFact {
+    let pw: HashSet<(AccessId, AccessId)> = post_wait_edges(cfg)
+        .into_iter()
+        .filter(|(_, w)| !excluded_waits.contains(w))
+        .collect();
+    let be: HashSet<(AccessId, AccessId)> =
+        barrier_precedence_edges(po, aligned).into_iter().collect();
+    move |before: AccessId, after: AccessId| -> SyncFact {
+        if pw.contains(&(before, after)) {
+            SyncFact::PostWait {
+                post: before,
+                wait: after,
+            }
+        } else if be.contains(&(before, after)) {
+            SyncFact::AlignedBarrier { before, after }
+        } else {
+            SyncFact::Derived { before, after }
+        }
+    }
+}
+
+/// Walks the canonical witness `v → chain → u` over the unoriented
+/// `conflicts` and returns the first synchronization fact of `sync` that
+/// breaks it under refinement. Shared with the redundancy pass of
+/// [`crate::lint`], which replays the walk against a refinement computed
+/// with one synchronization site excluded.
+pub(crate) fn first_break(
+    po: &ProgramOrder,
+    conflicts: &ConflictSet,
+    sync: &SyncAnalysis,
     classify: &dyn Fn(AccessId, AccessId) -> SyncFact,
     u: AccessId,
     v: AccessId,
     chain: &[AccessId],
 ) -> DropReason {
-    let r = &analysis.sync.precedence;
-    let guards = &analysis.sync.guards;
+    let r = &sync.precedence;
+    let guards = &sync.guards;
     let lock_removed: Vec<AccessId> = guards.removable_for_pair(u, v);
     let common_lock = |node: AccessId| -> Option<VarId> {
         let mut locks: Vec<VarId> = guards
@@ -337,12 +360,8 @@ pub(crate) fn first_break(
         }
         // Edge disqualification: a hop with no program-order alternative
         // whose conflict direction step 5 removed.
-        let has_program_edge =
-            from != v && to != u && from != to && po.access_precedes(cfg, from, to);
-        if !has_program_edge
-            && analysis.conflicts.edge(from, to)
-            && !analysis.sync.oriented.edge(from, to)
-        {
+        let has_program_edge = from != v && to != u && from != to && po.access_precedes(from, to);
+        if !has_program_edge && conflicts.edge(from, to) && !sync.oriented.edge(from, to) {
             return DropReason::EdgeUnoriented {
                 from,
                 to,
@@ -356,11 +375,7 @@ pub(crate) fn first_break(
 /// Checks that a kept-pair witness chain replays on the given conflict
 /// set: first and last hops are directed conflict edges, and every
 /// interior hop is a program-order or directed conflict edge.
-pub fn validate_witness(
-    cfg: &Cfg,
-    conflicts: &crate::conflict::ConflictSet,
-    witness: &[AccessId],
-) -> bool {
+pub fn validate_witness(cfg: &Cfg, conflicts: &ConflictSet, witness: &[AccessId]) -> bool {
     if witness.len() < 3 {
         return false;
     }
@@ -371,7 +386,7 @@ pub fn validate_witness(
         if i == 0 || i == last - 1 {
             conflicts.edge(from, to)
         } else {
-            conflicts.edge(from, to) || (from != to && po.access_precedes(cfg, from, to))
+            conflicts.edge(from, to) || (from != to && po.access_precedes(from, to))
         }
     })
 }

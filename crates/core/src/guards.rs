@@ -20,30 +20,33 @@
 //! as its affine subscript handling and is exercised by the evaluation
 //! kernels' owner-computes guards.
 
-use crate::affine::to_affine;
-use std::collections::HashMap;
+use crate::affine::{
+    affine_may_conflict_cross_proc, local_coeff_gcd, to_affine, Affine, Candidates, CollisionSolver,
+};
 use syncopt_frontend::ast::{BinOp, UnOp};
 use syncopt_ir::cfg::{Cfg, Terminator};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::expr::Expr;
-use syncopt_ir::ids::BlockId;
 
 /// The processors that may execute an access site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProcSet {
     /// Unconstrained (or not analyzable).
     Any,
-    /// Exactly these processor ids.
+    /// Exactly these processor ids, ascending and duplicate-free.
     Ids(Vec<i64>),
 }
 
 impl ProcSet {
     /// Concrete candidate ids, when enumerable. With a known machine size
-    /// `Any` materializes to `0..procs`.
-    pub fn candidates(&self, procs: Option<u32>) -> Option<Vec<i64>> {
+    /// `Any` is `0..procs`.
+    pub(crate) fn candidates(&self, procs: Option<u32>) -> Option<Candidates<'_>> {
         match self {
-            ProcSet::Ids(ids) => Some(ids.clone()),
-            ProcSet::Any => procs.map(|p| (0..p as i64).collect()),
+            ProcSet::Ids(ids) => {
+                debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+                Some(Candidates::Ids(ids))
+            }
+            ProcSet::Any => procs.map(|p| Candidates::Range(i64::from(p))),
         }
     }
 
@@ -51,15 +54,15 @@ impl ProcSet {
     /// allowed in `other` (assuming at least two processors exist).
     pub fn exists_distinct_pair(&self, other: &ProcSet, procs: Option<u32>) -> bool {
         match (self.candidates(procs), other.candidates(procs)) {
-            (Some(a), Some(b)) => a.iter().any(|p| b.iter().any(|q| p != q)),
-            (Some(a), None) | (None, Some(a)) => !a.is_empty(),
+            (Some(a), Some(b)) => a.exists_distinct_pair(&b),
+            (Some(a), None) | (None, Some(a)) => a.len() > 0,
             (None, None) => true,
         }
     }
 
     /// Whether the site can execute at all.
     pub fn is_empty(&self, procs: Option<u32>) -> bool {
-        matches!(self.candidates(procs), Some(ids) if ids.is_empty())
+        matches!(self.candidates(procs), Some(ids) if ids.len() == 0)
     }
 }
 
@@ -135,9 +138,9 @@ enum PureVal {
 
 /// The processor-pure branch conditions gating each block: `(cond, side)`
 /// means the block only executes when `cond` evaluates to `side`.
-fn block_gates(cfg: &Cfg, dom: &Dominators) -> Vec<Vec<(Expr, bool)>> {
+fn block_gates<'a>(cfg: &'a Cfg, dom: &Dominators) -> Vec<Vec<(&'a Expr, bool)>> {
     let preds = cfg.predecessors();
-    let mut gates: Vec<Vec<(Expr, bool)>> = vec![Vec::new(); cfg.num_blocks()];
+    let mut gates: Vec<Vec<(&Expr, bool)>> = vec![Vec::new(); cfg.num_blocks()];
     for x in cfg.block_ids() {
         let Terminator::Branch {
             cond,
@@ -153,12 +156,12 @@ fn block_gates(cfg: &Cfg, dom: &Dominators) -> Vec<Vec<(Expr, bool)>> {
         for (target, side) in [(*then_bb, true), (*else_bb, false)] {
             // Entering `target` implies the branch decided `side` — sound
             // only when `x` is the sole way in.
-            if preds[target.index()] != vec![x] {
+            if preds[target.index()].as_slice() != [x] {
                 continue;
             }
             for b in cfg.block_ids() {
                 if dom.dominates(target, b) {
-                    gates[b.index()].push((cond.clone(), side));
+                    gates[b.index()].push((cond, side));
                 }
             }
         }
@@ -166,29 +169,43 @@ fn block_gates(cfg: &Cfg, dom: &Dominators) -> Vec<Vec<(Expr, bool)>> {
     gates
 }
 
+/// The [`ProcSet`] of every block that holds an access site (`Any` for
+/// the others). `proc_steps` grows by one per processor id a gate set is
+/// evaluated for.
+pub(crate) fn block_proc_sets(
+    cfg: &Cfg,
+    dom: &Dominators,
+    procs: Option<u32>,
+    proc_steps: &mut u64,
+) -> Vec<ProcSet> {
+    let gates = block_gates(cfg, dom);
+    let mut sets = vec![ProcSet::Any; cfg.num_blocks()];
+    let mut done = vec![false; cfg.num_blocks()];
+    for (_, info) in cfg.accesses.iter() {
+        let b = info.pos.block.index();
+        if !std::mem::replace(&mut done[b], true) {
+            sets[b] = proc_set_of_gates(&gates[b], procs, proc_steps);
+        }
+    }
+    sets
+}
+
 /// Computes the [`ProcSet`] of every access site.
 pub fn access_proc_sets(cfg: &Cfg, procs: Option<u32>) -> Vec<ProcSet> {
-    let dom = Dominators::compute(cfg);
-    let gates = block_gates(cfg, &dom);
-    let mut cache: HashMap<BlockId, ProcSet> = HashMap::new();
+    let blocks = block_proc_sets(cfg, &Dominators::compute(cfg), procs, &mut 0);
     cfg.accesses
         .iter()
-        .map(|(_, info)| {
-            let block = info.pos.block;
-            cache
-                .entry(block)
-                .or_insert_with(|| proc_set_of_gates(&gates[block.index()], procs))
-                .clone()
-        })
+        .map(|(_, info)| blocks[info.pos.block.index()].clone())
         .collect()
 }
 
-fn proc_set_of_gates(gates: &[(Expr, bool)], procs: Option<u32>) -> ProcSet {
+fn proc_set_of_gates(gates: &[(&Expr, bool)], procs: Option<u32>, proc_steps: &mut u64) -> ProcSet {
     if gates.is_empty() {
         return ProcSet::Any;
     }
     if let Some(n) = procs {
         // Evaluate every gate for every processor id.
+        *proc_steps += u64::from(n);
         let ids: Vec<i64> = (0..n as i64)
             .filter(|&p| {
                 gates.iter().all(|(cond, side)| {
@@ -236,34 +253,99 @@ pub fn indices_may_collide(
     g2: &ProcSet,
     procs: Option<u32>,
 ) -> bool {
+    affine_indices_may_collide(
+        to_affine(e1).as_ref(),
+        to_affine(e2).as_ref(),
+        g1,
+        g2,
+        procs,
+        &mut CollisionSolver::default(),
+    )
+}
+
+/// [`indices_may_collide`] over subscripts already put in affine form
+/// (`None` where [`to_affine`] gave up). Linear in the candidate sets: no
+/// processor *pair* is ever enumerated.
+pub(crate) fn affine_indices_may_collide(
+    a1: Option<&Affine>,
+    a2: Option<&Affine>,
+    g1: &ProcSet,
+    g2: &ProcSet,
+    procs: Option<u32>,
+    solver: &mut CollisionSolver,
+) -> bool {
     let (Some(c1), Some(c2)) = (g1.candidates(procs), g2.candidates(procs)) else {
-        return crate::affine::may_conflict_cross_proc_bounded(Some(e1), Some(e2), procs);
+        return match (a1, a2) {
+            (Some(a1), Some(a2)) => affine_may_conflict_cross_proc(a1, a2, procs, solver),
+            _ => true,
+        };
     };
-    let (a1, a2) = (to_affine(e1), to_affine(e2));
     match (a1, a2) {
         (Some(a1), Some(a2)) if !a1.has_locals() && !a2.has_locals() => {
-            // Exact per-pair evaluation.
-            c1.iter().any(|&p| {
-                c2.iter()
-                    .any(|&q| p != q && a1.konst + a1.myproc * p == a2.konst + a2.myproc * q)
-            })
+            solver.exact(a1, a2, c1, c2)
         }
         (Some(a1), Some(a2)) => {
-            // Loop-variant terms: modular congruence per pair.
-            let m = super::affine::local_coeff_gcd_pub(&a1, &a2);
+            // Loop-variant terms: modular congruence on the invariant part.
+            let m = local_coeff_gcd(a1, a2);
             if m > 1 {
-                c1.iter().any(|&p| {
-                    c2.iter().any(|&q| {
-                        p != q
-                            && (a1.konst + a1.myproc * p - a2.konst - a2.myproc * q).rem_euclid(m)
-                                == 0
-                    })
-                })
+                solver.modular(a1, a2, m, c1, c2)
             } else {
-                g1.exists_distinct_pair(g2, procs)
+                c1.exists_distinct_pair(&c2)
             }
         }
-        _ => g1.exists_distinct_pair(g2, procs),
+        _ => c1.exists_distinct_pair(&c2),
+    }
+}
+
+/// The processor-pair enumeration the linear solvers replaced, kept as the
+/// reference they are tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    fn ids_of(g: &ProcSet, procs: Option<u32>) -> Option<Vec<i64>> {
+        match g {
+            ProcSet::Ids(ids) => Some(ids.clone()),
+            ProcSet::Any => procs.map(|p| (0..p as i64).collect()),
+        }
+    }
+
+    pub(crate) fn exists_distinct_pair(g1: &ProcSet, g2: &ProcSet, procs: Option<u32>) -> bool {
+        match (ids_of(g1, procs), ids_of(g2, procs)) {
+            (Some(a), Some(b)) => a.iter().any(|p| b.iter().any(|q| p != q)),
+            (Some(a), None) | (None, Some(a)) => !a.is_empty(),
+            (None, None) => true,
+        }
+    }
+
+    pub(crate) fn indices_may_collide(
+        e1: &Expr,
+        e2: &Expr,
+        g1: &ProcSet,
+        g2: &ProcSet,
+        procs: Option<u32>,
+    ) -> bool {
+        let (Some(c1), Some(c2)) = (ids_of(g1, procs), ids_of(g2, procs)) else {
+            return crate::affine::may_conflict_cross_proc_bounded(Some(e1), Some(e2), procs);
+        };
+        let at = |a: &Affine, p: i64| i128::from(a.konst) + i128::from(a.myproc) * i128::from(p);
+        let any_pair = |hit: &dyn Fn(i64, i64) -> bool| {
+            c1.iter().any(|&p| c2.iter().any(|&q| p != q && hit(p, q)))
+        };
+        match (to_affine(e1), to_affine(e2)) {
+            (Some(a1), Some(a2)) if !a1.has_locals() && !a2.has_locals() => {
+                any_pair(&|p, q| at(&a1, p) == at(&a2, q))
+            }
+            (Some(a1), Some(a2)) => {
+                let m = local_coeff_gcd(&a1, &a2);
+                if m > 1 {
+                    any_pair(&|p, q| (at(&a1, p) - at(&a2, q)).rem_euclid(m) == 0)
+                } else {
+                    exists_distinct_pair(g1, g2, procs)
+                }
+            }
+            _ => exists_distinct_pair(g1, g2, procs),
+        }
     }
 }
 
@@ -371,6 +453,61 @@ mod tests {
         let empty = ProcSet::Ids(vec![]);
         assert!(!empty.exists_distinct_pair(&any, None));
         assert!(empty.is_empty(None));
+    }
+
+    /// A random subscript `k + m·MYPROC (+ c·i)` and a random guard set,
+    /// drawn small enough that hits and misses are both common.
+    fn random_site(rng: &mut crate::corpus::SplitMix64, procs: Option<u32>) -> (Expr, ProcSet) {
+        use syncopt_ir::ids::VarId;
+        let small = |rng: &mut crate::corpus::SplitMix64, span: u64| {
+            rng.below(span) as i64 - (span / 2) as i64
+        };
+        let bin = |op, l: Expr, r: Expr| Expr::Binary {
+            op,
+            lhs: Box::new(l),
+            rhs: Box::new(r),
+        };
+        let mut e = bin(
+            BinOp::Add,
+            Expr::Int(small(rng, 24)),
+            bin(BinOp::Mul, Expr::Int(small(rng, 9)), Expr::MyProc),
+        );
+        if rng.below(3) == 0 {
+            let coeff = [0, 1, 2, 4, 6, -4][rng.below(6) as usize];
+            e = bin(
+                BinOp::Add,
+                e,
+                bin(BinOp::Mul, Expr::Int(coeff), Expr::Local(VarId(1))),
+            );
+        }
+        let width = u64::from(procs.unwrap_or(9));
+        let g = match rng.below(5) {
+            0 => ProcSet::Any,
+            1 => ProcSet::Ids(vec![]),
+            2 => ProcSet::Ids(vec![rng.below(width.max(1)) as i64]),
+            _ => ProcSet::Ids((0..width as i64).filter(|_| rng.below(2) == 0).collect()),
+        };
+        (e, g)
+    }
+
+    #[test]
+    fn linear_solvers_agree_with_the_pair_enumeration() {
+        let mut rng = crate::corpus::SplitMix64::new(16);
+        for case in 0..40_000 {
+            let procs = [None, Some(1), Some(2), Some(3), Some(7), Some(16)][case % 6];
+            let (e1, g1) = random_site(&mut rng, procs);
+            let (e2, g2) = random_site(&mut rng, procs);
+            assert_eq!(
+                indices_may_collide(&e1, &e2, &g1, &g2, procs),
+                reference::indices_may_collide(&e1, &e2, &g1, &g2, procs),
+                "{e1:?} under {g1:?} vs {e2:?} under {g2:?} at {procs:?}"
+            );
+            assert_eq!(
+                g1.exists_distinct_pair(&g2, procs),
+                reference::exists_distinct_pair(&g1, &g2, procs),
+                "{g1:?} vs {g2:?} at {procs:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   set `D_SS`;
 //! * [`sync`] — the paper's contribution: refining the delay set with
 //!   post-wait precedence, barrier alignment ([`barrier`]), and lock
-//!   mutual exclusion ([`locks`]).
+//!   mutual exclusion ([`locks`]);
+//! * [`base`] — the part of all that which is built once per CFG and
+//!   shared by the refinement, the race classifier, the lint probes and
+//!   `explain`.
 //!
 //! The one-stop entry point is [`analyze`]:
 //!
@@ -39,6 +42,7 @@
 
 pub mod affine;
 pub mod barrier;
+pub mod base;
 pub mod cache;
 pub mod conflict;
 pub mod corpus;
@@ -58,6 +62,7 @@ pub mod sync;
 pub mod warnings;
 
 pub use barrier::BarrierPolicy;
+pub use base::AnalysisBase;
 pub use cache::{ArtifactCache, CacheStats};
 pub use conflict::ConflictSet;
 pub use cycle::shasha_snir;
@@ -69,19 +74,24 @@ pub use explain::{
 pub use lint::{run_lints, FenceCheck, LintInput, LintReport, LINT_SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use obs::{Counters, PhaseTimings};
-pub use races::{detect_races, race_diagnostics, Confidence, RaceAnalysis, RaceReport};
+pub use races::{
+    classify_races, detect_races, race_diagnostics, Confidence, RaceAnalysis, RaceReport,
+};
 pub use sync::{analyze_sync, Precedence, SyncAnalysis, SyncOptions};
 pub use warnings::{sync_warnings, warning_diagnostics, SyncWarning};
 
 use syncopt_ir::cfg::Cfg;
 
 /// Combined result of running both the baseline and the refined analysis.
+///
+/// Dereferences to its [`AnalysisBase`], so the seed-independent artifacts
+/// read as fields of the analysis (`analysis.conflicts`,
+/// `analysis.delay_ss`).
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// The conflict set `C` (unoriented).
-    pub conflicts: ConflictSet,
-    /// Shasha–Snir delay set (baseline, §4).
-    pub delay_ss: DelaySet,
+    /// The seed-independent artifacts: conflict set, program order,
+    /// dominators, the `D_SS` oracle, `D_SS`, `D1`, lock guards.
+    pub base: AnalysisBase,
     /// Synchronization-refined delay set (§5).
     pub delay_sync: DelaySet,
     /// The detailed synchronization-analysis artifacts.
@@ -91,12 +101,20 @@ pub struct Analysis {
     pub metrics: Counters,
 }
 
+impl std::ops::Deref for Analysis {
+    type Target = AnalysisBase;
+
+    fn deref(&self) -> &AnalysisBase {
+        &self.base
+    }
+}
+
 impl Analysis {
     /// Summary counters for reporting (delay-set sizes per kernel).
     pub fn stats(&self) -> AnalysisStats {
         AnalysisStats {
             accesses: self.delay_ss.num_accesses(),
-            conflict_pairs: self.conflicts.unordered_pairs().len(),
+            conflict_pairs: self.conflicts.num_unordered_pairs(),
             delay_ss: self.delay_ss.len(),
             delay_sync: self.delay_sync.len(),
             precedence_pairs: self.sync.precedence.len(),
@@ -140,43 +158,21 @@ pub fn analyze_for(cfg: &Cfg, procs: u32) -> Analysis {
     )
 }
 
-/// [`analyze`] with explicit options (e.g. the barrier policy).
+/// [`analyze`] with explicit options (e.g. the barrier policy): builds the
+/// [`AnalysisBase`] once and refines it.
 pub fn analyze_with(cfg: &Cfg, opts: &SyncOptions) -> Analysis {
-    let mut metrics = Counters::new();
-    let conflicts = ConflictSet::build_bounded(cfg, opts.procs);
-    metrics.set("conflict.pairs", conflicts.unordered_pairs().len() as u64);
-    metrics.set(
-        "conflict.directed_edges",
-        conflicts.num_directed_edges() as u64,
-    );
-    let po = syncopt_ir::order::ProgramOrder::compute(cfg);
-    let (delay_ss, ss_stats) = cycle::compute_delay_set_counted(
-        cfg,
-        &conflicts,
-        &po,
-        &cycle::DelayOptions {
-            threads: opts.threads,
-            ..cycle::DelayOptions::default()
-        },
-    );
-    metrics.set("cycle.candidate_pairs", ss_stats.candidates);
-    metrics.set("cycle.pruned_candidates", ss_stats.pruned_candidates);
-    metrics.set("cycle.backpath_queries", ss_stats.backpath_queries);
-    metrics.set("cycle.bfs_fallbacks", ss_stats.bfs_fallbacks);
-    metrics.set("cycle.oracle_builds", ss_stats.oracle_builds);
-    metrics.set("cycle.sccs", ss_stats.sccs);
-    metrics.set("cycle.closure_word_ors", ss_stats.closure_word_ors);
-    let sync = analyze_sync(cfg, opts);
+    let base = AnalysisBase::build(cfg, opts);
+    let sync = base.refine(cfg, opts, &sync::SyncExclusion::default());
+    let mut metrics = base.counters.clone();
     metrics.merge(&sync.counters);
-    metrics.set("delay.ss_pairs", delay_ss.len() as u64);
+    metrics.set("delay.ss_pairs", base.delay_ss.len() as u64);
     metrics.set("delay.refined_pairs", sync.delay.len() as u64);
     metrics.set(
         "delay.pairs_dropped",
-        (delay_ss.len().saturating_sub(sync.delay.len())) as u64,
+        (base.delay_ss.len().saturating_sub(sync.delay.len())) as u64,
     );
     Analysis {
-        conflicts,
-        delay_ss,
+        base,
         delay_sync: sync.delay.clone(),
         sync,
         metrics,

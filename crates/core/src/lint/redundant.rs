@@ -2,8 +2,9 @@
 //!
 //! A synchronization site is *redundant* when the rest of the program's
 //! synchronization already implies every cross-processor ordering it
-//! provides. The probe is direct: re-run the §5 pipeline with the site's
-//! precedence seeds withheld ([`analyze_sync_excluding`]) and compare.
+//! provides. The probe is direct: refine the analysis's own base again
+//! with the site's precedence seeds withheld
+//! ([`crate::AnalysisBase::refine`]) and compare.
 //! Seeds only shrink, so the excluded run can only *add* delay pairs and
 //! conflict directions — the site is redundant exactly when nothing
 //! changed for any pair not involving the site itself (pairs touching
@@ -16,18 +17,13 @@
 //! [`crate::explain`] against the excluded analysis).
 
 use super::LintInput;
-use crate::barrier::{aligned_barriers, barrier_precedence_edges};
-use crate::cycle::BackPathOracle;
 use crate::diag::{Diagnostic, Severity};
-use crate::explain::{fact_desc, first_break, DropReason, SyncFact};
-use crate::obs::Counters;
-use crate::sync::{analyze_sync_excluding, post_wait_edges, SyncAnalysis, SyncExclusion};
+use crate::explain::{fact_desc, first_break, seed_classifier, DropReason};
+use crate::sync::{post_wait_edges, SyncAnalysis, SyncExclusion};
 use crate::Analysis;
-use std::collections::HashSet;
 use syncopt_frontend::span::Span;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::ProgramOrder;
 
 pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
     let cfg = input.cfg;
@@ -43,7 +39,7 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
             barriers: vec![b],
             waits: vec![],
         };
-        let alt = analyze_sync_excluding(cfg, input.opts, &excl);
+        let alt = input.analysis.base.refine(cfg, input.opts, &excl);
         if !unchanged_excluding(input.analysis, &alt, b) {
             continue;
         }
@@ -64,7 +60,7 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
             barriers: vec![],
             waits: vec![w],
         };
-        let alt = analyze_sync_excluding(cfg, input.opts, &excl);
+        let alt = input.analysis.base.refine(cfg, input.opts, &excl);
         if !unchanged_excluding(input.analysis, &alt, w) {
             continue;
         }
@@ -96,23 +92,13 @@ fn unchanged_excluding(full: &Analysis, alt: &SyncAnalysis, site: AccessId) -> b
             return false;
         }
     }
-    let n = full.conflicts.num_accesses();
-    for i in 0..n {
-        let x = AccessId::from_index(i);
-        if x == site {
-            continue;
-        }
-        for j in 0..n {
-            let y = AccessId::from_index(j);
-            if y == site {
-                continue;
-            }
-            if alt.oriented.edge(x, y) && !full.sync.oriented.edge(x, y) {
-                return false;
-            }
-        }
-    }
-    true
+    let kept = &full.sync.oriented;
+    let sites = (0..kept.num_accesses()).map(AccessId::from_index);
+    sites.filter(|&x| x != site).all(|x| {
+        alt.oriented
+            .succ_ones(x)
+            .all(|y| y == site.index() || kept.edge(x, AccessId::from_index(y)))
+    })
 }
 
 /// One `D_SS` pair the full analysis drops, with its canonical witness
@@ -127,7 +113,6 @@ struct DroppedInfo {
 /// Lazily-built provenance context shared by all candidate probes.
 struct WitnessCtx<'a> {
     input: &'a LintInput<'a>,
-    po: ProgramOrder,
     dropped: Option<Vec<DroppedInfo>>,
 }
 
@@ -135,7 +120,6 @@ impl<'a> WitnessCtx<'a> {
     fn new(input: &'a LintInput<'a>) -> Self {
         WitnessCtx {
             input,
-            po: ProgramOrder::compute(input.cfg),
             dropped: None,
         }
     }
@@ -146,9 +130,8 @@ impl<'a> WitnessCtx<'a> {
         if self.dropped.is_none() {
             let cfg = self.input.cfg;
             let analysis = self.input.analysis;
-            let oracle = BackPathOracle::new(cfg, &analysis.conflicts, &self.po);
-            let classify =
-                seed_classifier(cfg, &self.po, self.input.opts, &SyncExclusion::default());
+            let oracle = analysis.base.oracle();
+            let classify = seed_classifier(cfg, &analysis.po, &analysis.sync.aligned_barriers, &[]);
             let mut infos = Vec::new();
             for (u, v) in analysis.delay_ss.pairs() {
                 if analysis.delay_sync.contains(u, v) {
@@ -157,7 +140,15 @@ impl<'a> WitnessCtx<'a> {
                 let chain = oracle
                     .witness(u, v, &[])
                     .expect("D_SS pair must have a back-path");
-                let reason = first_break(cfg, &self.po, analysis, &classify, u, v, &chain);
+                let reason = first_break(
+                    &analysis.po,
+                    &analysis.conflicts,
+                    &analysis.sync,
+                    &classify,
+                    u,
+                    v,
+                    &chain,
+                );
                 infos.push(DroppedInfo {
                     u,
                     v,
@@ -182,7 +173,7 @@ impl<'a> WitnessCtx<'a> {
         alt: &SyncAnalysis,
     ) -> (String, Option<Span>) {
         let cfg = self.input.cfg;
-        let opts = self.input.opts;
+        let analysis = self.input.analysis;
         let representative = self
             .dropped()
             .iter()
@@ -199,53 +190,21 @@ impl<'a> WitnessCtx<'a> {
             let di = &self.dropped()[idx];
             (di.u, di.v, di.chain.clone())
         };
-        let alt_analysis = Analysis {
-            conflicts: self.input.analysis.conflicts.clone(),
-            delay_ss: self.input.analysis.delay_ss.clone(),
-            delay_sync: alt.delay.clone(),
-            sync: alt.clone(),
-            metrics: Counters::new(),
-        };
-        let classify = seed_classifier(cfg, &self.po, opts, excl);
-        let reason = first_break(cfg, &self.po, &alt_analysis, &classify, u, v, &chain);
+        let classify = seed_classifier(cfg, &analysis.po, &alt.aligned_barriers, &excl.waits);
+        let reason = first_break(
+            &analysis.po,
+            &analysis.conflicts,
+            alt,
+            &classify,
+            u,
+            v,
+            &chain,
+        );
         let covered_by = reason_text(cfg, &reason);
         (
             format!("covering path: delay pair {u} → {v} stays removed without it — {covered_by}"),
             reason_span(cfg, &reason),
         )
-    }
-}
-
-/// The step-3 seed classifier for an analysis run with `excl` withheld
-/// (mirrors the closure in [`crate::explain::explain`]).
-fn seed_classifier(
-    cfg: &Cfg,
-    po: &ProgramOrder,
-    opts: &crate::sync::SyncOptions,
-    excl: &SyncExclusion,
-) -> impl Fn(AccessId, AccessId) -> SyncFact {
-    let pw: HashSet<(AccessId, AccessId)> = post_wait_edges(cfg)
-        .into_iter()
-        .filter(|(_, w)| !excl.waits.contains(w))
-        .collect();
-    let aligned: Vec<AccessId> = aligned_barriers(cfg, opts.barrier_policy)
-        .into_iter()
-        .filter(|b| !excl.barriers.contains(b))
-        .collect();
-    let be: HashSet<(AccessId, AccessId)> = barrier_precedence_edges(cfg, po, &aligned)
-        .into_iter()
-        .collect();
-    move |before: AccessId, after: AccessId| -> SyncFact {
-        if pw.contains(&(before, after)) {
-            SyncFact::PostWait {
-                post: before,
-                wait: after,
-            }
-        } else if be.contains(&(before, after)) {
-            SyncFact::AlignedBarrier { before, after }
-        } else {
-            SyncFact::Derived { before, after }
-        }
     }
 }
 

@@ -204,27 +204,14 @@ pub fn compute_lock_guards(cfg: &Cfg, dom: &Dominators, d1: &DelaySet) -> LockGu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conflict::ConflictSet;
-    use crate::cycle::{compute_delay_set, DelayOptions};
+    use crate::sync::SyncOptions;
+    use crate::AnalysisBase;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
-    use syncopt_ir::order::ProgramOrder;
 
     fn analyzed(src: &str) -> (Cfg, LockGuards) {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
-        let d1 = compute_delay_set(
-            &cfg,
-            &conflicts,
-            &po,
-            &DelayOptions {
-                only_sync_pairs: true,
-                ..DelayOptions::default()
-            },
-        );
-        let dom = Dominators::compute(&cfg);
-        let guards = compute_lock_guards(&cfg, &dom, &d1);
+        let guards = AnalysisBase::build(&cfg, &SyncOptions::default()).guards;
         (cfg, guards)
     }
 

@@ -27,10 +27,9 @@
 //! clocked X10 programs (Yuki et al.) — the delay-set refinement and the
 //! race check are two readings of one MHP relation.
 
-use crate::conflict::ConflictSet;
 use crate::diag::{Diagnostic, Severity};
-use crate::sync::{analyze_sync, SyncAnalysis, SyncOptions};
-use crate::BarrierPolicy;
+use crate::sync::{SyncExclusion, SyncOptions};
+use crate::{analyze_with, Analysis, BarrierPolicy};
 use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::{AccessId, VarId};
@@ -160,23 +159,17 @@ impl RaceAnalysis {
     }
 }
 
-/// Runs the synchronization analysis and classifies every conflicting
-/// data pair. Convenience wrapper over [`classify_races`].
+/// Runs the analysis and classifies every conflicting data pair.
+/// Convenience wrapper over [`classify_races`] for callers that hold no
+/// [`Analysis`] yet.
 pub fn detect_races(cfg: &Cfg, opts: &SyncOptions) -> RaceAnalysis {
-    let conflicts = ConflictSet::build_bounded(cfg, opts.procs);
-    let sync = analyze_sync(cfg, opts);
-    classify_races(cfg, &conflicts, &sync, opts)
+    classify_races(cfg, &analyze_with(cfg, opts), opts)
 }
 
-/// Classifies every conflicting data pair of `conflicts` as ordered or
-/// potentially racy, given the synchronization analysis `sync` computed
-/// with `opts`.
-pub fn classify_races(
-    cfg: &Cfg,
-    conflicts: &ConflictSet,
-    sync: &SyncAnalysis,
-    opts: &SyncOptions,
-) -> RaceAnalysis {
+/// Classifies every conflicting data pair of `analysis` (computed on
+/// `cfg` with `opts`) as ordered or potentially racy.
+pub fn classify_races(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> RaceAnalysis {
+    let (conflicts, sync) = (&analysis.conflicts, &analysis.sync);
     // Which mechanisms exist in this program at all (for `considered`).
     let has_post = cfg.accesses.iter().any(|(_, i)| i.kind == AccessKind::Post);
     let has_wait = cfg.accesses.iter().any(|(_, i)| i.kind == AccessKind::Wait);
@@ -198,15 +191,16 @@ pub fn classify_races(
 
     // Precedence without barrier edges, to attribute evidence: an order
     // that survives `BarrierPolicy::Disabled` rests on post-wait alone.
+    // Steps 3–4 over the analysis's own base; nothing is rebuilt.
     let no_barrier = (!sync.aligned_barriers.is_empty()).then(|| {
-        analyze_sync(
-            cfg,
-            &SyncOptions {
-                barrier_policy: BarrierPolicy::Disabled,
-                ..*opts
-            },
-        )
-        .precedence
+        let disabled = SyncOptions {
+            barrier_policy: BarrierPolicy::Disabled,
+            ..*opts
+        };
+        analysis
+            .base
+            .precedence(cfg, &disabled, &SyncExclusion::default())
+            .0
     });
 
     let mut out = RaceAnalysis::default();
@@ -517,7 +511,7 @@ mod tests {
             "#,
         ] {
             let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
-            let conflicts = ConflictSet::build(&cfg);
+            let conflicts = crate::ConflictSet::build(&cfg);
             let r = detect_races(&cfg, &SyncOptions::default());
             let data_pairs = conflicts
                 .unordered_pairs()

@@ -23,17 +23,18 @@
 //! `syncopt-machine`, mirroring the paper's two-version compilation).
 
 use crate::affine::may_match_any_proc;
-use crate::barrier::{aligned_barriers, barrier_precedence_edges, BarrierPolicy};
+use crate::barrier::{aligned_barriers_with, barrier_precedence_edges, BarrierPolicy};
+use crate::base::AnalysisBase;
 use crate::conflict::ConflictSet;
 use crate::cycle::{compute_delay_set_counted, DelayOptions};
 use crate::delay::DelaySet;
-use crate::locks::{compute_lock_guards, LockGuards};
+use crate::locks::LockGuards;
 use crate::obs::Counters;
 use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::{BitMatrix, BitSet, ProgramOrder};
+use syncopt_ir::order::{BitMatrix, BitSet};
 
 /// The precedence relation `R`: `(a1, a2) ∈ R` means synchronization
 /// guarantees `a1`'s instances complete before `a2`'s instances initiate
@@ -72,10 +73,8 @@ impl Precedence {
     pub fn pairs(&self) -> Vec<(AccessId, AccessId)> {
         let mut out = Vec::new();
         for i in 0..self.n {
-            for j in 0..self.n {
-                if self.m.get(i, j) {
-                    out.push((AccessId::from_index(i), AccessId::from_index(j)));
-                }
+            for j in self.m.row_ones(i) {
+                out.push((AccessId::from_index(i), AccessId::from_index(j)));
             }
         }
         out
@@ -103,10 +102,8 @@ impl Precedence {
     pub fn transpose(&self) -> Precedence {
         let mut t = Precedence::new(self.n);
         for i in 0..self.n {
-            for j in 0..self.n {
-                if self.m.get(i, j) {
-                    t.m.set(j, i);
-                }
+            for j in self.m.row_ones(i) {
+                t.m.set(j, i);
             }
         }
         t
@@ -178,123 +175,130 @@ pub fn analyze_sync(cfg: &Cfg, opts: &SyncOptions) -> SyncAnalysis {
 }
 
 /// Runs the full §5 analysis with the sites in `excl` withheld from the
-/// precedence seeds (see [`SyncExclusion`]).
+/// precedence seeds (see [`SyncExclusion`]). Builds its own
+/// [`AnalysisBase`]; callers that already hold one refine it directly.
 pub fn analyze_sync_excluding(cfg: &Cfg, opts: &SyncOptions, excl: &SyncExclusion) -> SyncAnalysis {
-    let po = ProgramOrder::compute(cfg);
-    let dom = Dominators::compute(cfg);
-    let conflicts = ConflictSet::build_bounded(cfg, opts.procs);
-    let mut counters = Counters::new();
+    AnalysisBase::build(cfg, opts).refine(cfg, opts, excl)
+}
 
-    // Step 2: D1.
-    let (d1, d1_stats) = compute_delay_set_counted(
-        cfg,
-        &conflicts,
-        &po,
-        &DelayOptions {
-            only_sync_pairs: true,
-            removals: None,
-            threads: opts.threads,
-        },
-    );
-    counters.set("sync.d1_pairs", d1.len() as u64);
-    counters.set("sync.d1_backpath_queries", d1_stats.backpath_queries);
-    counters.set("sync.d1_pruned_candidates", d1_stats.pruned_candidates);
+impl AnalysisBase {
+    /// §5.1 steps 3–6 over this base: seeds `R` (minus the sites in
+    /// `excl`), grows it, orients the conflict set and recomputes the
+    /// delay set. Nothing the base holds is built again.
+    ///
+    /// `opts.barrier_policy` may differ from the policy the base was built
+    /// with (the base does not depend on it); `opts.procs` must not.
+    pub fn refine(&self, cfg: &Cfg, opts: &SyncOptions, excl: &SyncExclusion) -> SyncAnalysis {
+        let (r, aligned, mut counters) = self.precedence(cfg, opts, excl);
+        // Step 2 happened in the base: D1 is D_SS restricted to pairs
+        // with a synchronization side, so no query is left to count.
+        counters.set("sync.d1_pairs", self.d1.len() as u64);
+        counters.set("sync.d1_backpath_queries", 0);
+        counters.set("sync.d1_pruned_candidates", 0);
 
-    // Step 3: seed R.
-    let mut r = Precedence::new(cfg.accesses.len());
-    let pw: Vec<(AccessId, AccessId)> = post_wait_edges(cfg)
-        .into_iter()
-        .filter(|(_, w)| !excl.waits.contains(w))
-        .collect();
-    counters.set("sync.post_wait_edges", pw.len() as u64);
-    for (p, w) in pw {
-        r.insert(p, w);
+        // Step 5: orient conflict edges.
+        let mut oriented = self.conflicts.clone();
+        let edges_before = oriented.num_directed_edges() as u64;
+        for (a1, a2) in r.pairs() {
+            oriented.remove_direction(a2, a1);
+        }
+        counters.set(
+            "sync.conflict_directions_removed",
+            edges_before - oriented.num_directed_edges() as u64,
+        );
+
+        // Step 6: final delay set with per-pair removals, assembled
+        // word-parallel: successors of u in R, predecessors of v in R
+        // (transposed row), and same-lock accesses — with u and v
+        // themselves masked back out.
+        let r_transposed = r.transpose();
+        let removals = |u: AccessId, v: AccessId, out: &mut BitSet| {
+            // w always after u, or always before v: cannot lie on a
+            // back-path (whose accesses run after v and before u).
+            out.union_words(r.row_words(u));
+            out.union_words(r_transposed.row_words(v));
+            self.guards.mark_removable_for_pair(u, v, out);
+            out.remove(u.index());
+            out.remove(v.index());
+        };
+        let (mut delay, step6_stats) = compute_delay_set_counted(
+            &oriented,
+            &self.po,
+            &DelayOptions {
+                removals: Some(Box::new(removals)),
+                threads: opts.threads,
+            },
+        );
+        delay.union_with(&self.d1);
+        counters.set("sync.candidate_pairs", step6_stats.candidates);
+        counters.set("sync.pruned_candidates", step6_stats.pruned_candidates);
+        counters.set("sync.backpath_queries", step6_stats.backpath_queries);
+        counters.set("sync.bfs_fallbacks", step6_stats.bfs_fallbacks);
+        counters.set("sync.removed_backpath_nodes", step6_stats.removed_nodes);
+        counters.set("sync.refined_pairs", delay.len() as u64);
+        counters.set("sync.oracle_builds", step6_stats.oracle_builds);
+        counters.set("sync.oracle_sccs", step6_stats.sccs);
+        counters.set("sync.closure_word_ors", step6_stats.closure_word_ors);
+
+        SyncAnalysis {
+            d1: self.d1.clone(),
+            precedence: r,
+            aligned_barriers: aligned,
+            guards: self.guards.clone(),
+            oriented,
+            delay,
+            counters,
+        }
     }
-    let aligned: Vec<AccessId> = aligned_barriers(cfg, opts.barrier_policy)
-        .into_iter()
-        .filter(|b| !excl.barriers.contains(b))
-        .collect();
-    counters.set("sync.aligned_barriers", aligned.len() as u64);
-    let be = barrier_precedence_edges(cfg, &po, &aligned);
-    counters.set("sync.barrier_edges", be.len() as u64);
-    for (b1, b2) in be {
-        r.insert(b1, b2);
+
+    /// §5.1 steps 3–4 alone: the precedence relation seeded from the
+    /// post→wait edges and the aligned barriers (minus `excl`) and grown
+    /// to its fixpoint, the aligned barrier sites, and the counters of
+    /// both steps.
+    pub(crate) fn precedence(
+        &self,
+        cfg: &Cfg,
+        opts: &SyncOptions,
+        excl: &SyncExclusion,
+    ) -> (Precedence, Vec<AccessId>, Counters) {
+        let mut counters = Counters::new();
+        let (mut r, aligned) = self.seed_precedence(cfg, opts, excl, &mut counters);
+        let seeded = r.len() as u64;
+        grow_precedence(&self.anchors, &mut r);
+        counters.set("sync.precedence_pairs", r.len() as u64);
+        counters.set("sync.precedence_derived", r.len() as u64 - seeded);
+        (r, aligned, counters)
     }
-    let seeded = r.len() as u64;
 
-    // Step 4: fixpoint.
-    grow_precedence(cfg, &dom, &d1, &mut r);
-    counters.set("sync.precedence_pairs", r.len() as u64);
-    counters.set("sync.precedence_derived", r.len() as u64 - seeded);
-
-    // Step 5: orient conflict edges.
-    let mut oriented = conflicts.clone();
-    let edges_before = oriented.num_directed_edges() as u64;
-    for (a1, a2) in r.pairs() {
-        oriented.remove_direction(a2, a1);
-    }
-    counters.set(
-        "sync.conflict_directions_removed",
-        edges_before - oriented.num_directed_edges() as u64,
-    );
-
-    // Lock guards (§5.3).
-    let guards = compute_lock_guards(cfg, &dom, &d1);
-
-    // Step 6: final delay set with per-pair removals, assembled
-    // word-parallel: successors of u in R, predecessors of v in R
-    // (transposed row), and same-lock accesses — with u and v themselves
-    // masked back out.
-    let r_for_removal = r.clone();
-    let r_transposed = r.transpose();
-    let guards_for_removal = guards.clone();
-    let removals = move |u: AccessId, v: AccessId, out: &mut BitSet| {
-        // w always after u, or always before v: cannot lie on a
-        // back-path (whose accesses run after v and before u).
-        out.union_words(r_for_removal.row_words(u));
-        out.union_words(r_transposed.row_words(v));
-        guards_for_removal.mark_removable_for_pair(u, v, out);
-        out.remove(u.index());
-        out.remove(v.index());
-    };
-    let (mut delay, step6_stats) = compute_delay_set_counted(
-        cfg,
-        &oriented,
-        &po,
-        &DelayOptions {
-            only_sync_pairs: false,
-            removals: Some(Box::new(removals)),
-            threads: opts.threads,
-        },
-    );
-    delay.union_with(&d1);
-    counters.set("sync.candidate_pairs", step6_stats.candidates);
-    counters.set("sync.pruned_candidates", step6_stats.pruned_candidates);
-    counters.set("sync.backpath_queries", step6_stats.backpath_queries);
-    counters.set(
-        "sync.bfs_fallbacks",
-        d1_stats.bfs_fallbacks + step6_stats.bfs_fallbacks,
-    );
-    counters.set("sync.removed_backpath_nodes", step6_stats.removed_nodes);
-    counters.set("sync.refined_pairs", delay.len() as u64);
-    counters.set(
-        "sync.oracle_builds",
-        d1_stats.oracle_builds + step6_stats.oracle_builds,
-    );
-    counters.set("sync.oracle_sccs", d1_stats.sccs + step6_stats.sccs);
-    counters.set(
-        "sync.closure_word_ors",
-        d1_stats.closure_word_ors + step6_stats.closure_word_ors,
-    );
-
-    SyncAnalysis {
-        d1,
-        precedence: r,
-        aligned_barriers: aligned,
-        guards,
-        oriented,
-        delay,
-        counters,
+    /// Step 3: `R` holding only the matching post→wait edges and the
+    /// aligned-barrier episode edges, and the aligned barrier sites.
+    pub(crate) fn seed_precedence(
+        &self,
+        cfg: &Cfg,
+        opts: &SyncOptions,
+        excl: &SyncExclusion,
+        counters: &mut Counters,
+    ) -> (Precedence, Vec<AccessId>) {
+        let mut r = Precedence::new(cfg.accesses.len());
+        let pw: Vec<(AccessId, AccessId)> = post_wait_edges(cfg)
+            .into_iter()
+            .filter(|(_, w)| !excl.waits.contains(w))
+            .collect();
+        counters.set("sync.post_wait_edges", pw.len() as u64);
+        for (p, w) in pw {
+            r.insert(p, w);
+        }
+        let aligned: Vec<AccessId> = aligned_barriers_with(cfg, opts.barrier_policy, &self.pdom)
+            .into_iter()
+            .filter(|b| !excl.barriers.contains(b))
+            .collect();
+        counters.set("sync.aligned_barriers", aligned.len() as u64);
+        let be = barrier_precedence_edges(&self.po, &aligned);
+        counters.set("sync.barrier_edges", be.len() as u64);
+        for (b1, b2) in be {
+            r.insert(b1, b2);
+        }
+        (r, aligned)
     }
 }
 
@@ -328,8 +332,9 @@ pub(crate) fn post_wait_edges(cfg: &Cfg) -> Vec<(AccessId, AccessId)> {
     out
 }
 
-/// Step-4 fixpoint: transitivity plus dominance-anchored chaining through
-/// `D1`.
+/// The `D1` pairs step 4 chains through, with their dominance anchors
+/// already decided — they depend on the program alone, not on the seeds,
+/// so one computation serves every refinement of a base.
 ///
 /// The producer-side anchor requires `b1` to **postdominate** `a1`: every
 /// execution of `a1` is followed by the synchronization point `b1`, whose
@@ -339,8 +344,87 @@ pub(crate) fn post_wait_edges(cfg: &Cfg) -> Vec<(AccessId, AccessId)> {
 /// when `a1` sits inside a branch — e.g. a guarded boundary read followed
 /// by a barrier.) The consumer side keeps dominance: `b2 dom a2` ensures
 /// every `a2` execution was preceded by the synchronization `b2`.
-fn grow_precedence(cfg: &Cfg, dom: &Dominators, d1: &DelaySet, r: &mut Precedence) {
-    let pdom = Dominators::compute_post(cfg);
+#[derive(Debug, Clone)]
+pub struct D1Anchors {
+    /// Row `a1` = `{b1 ≠ a1 : [a1, b1] ∈ D1, b1 postdom a1}`.
+    producer: BitMatrix,
+    /// Row `b2` = `{a2 ≠ b2 : [b2, a2] ∈ D1, b2 dom a2}`.
+    consumer: BitMatrix,
+}
+
+impl D1Anchors {
+    /// Classifies every `D1` pair once.
+    pub fn compute(cfg: &Cfg, dom: &Dominators, pdom: &Dominators, d1: &DelaySet) -> Self {
+        let n = cfg.accesses.len();
+        let mut anchors = D1Anchors {
+            producer: BitMatrix::new(n),
+            consumer: BitMatrix::new(n),
+        };
+        for (x, y) in d1.pairs() {
+            if x == y {
+                continue;
+            }
+            let (px, py) = (cfg.accesses.info(x).pos, cfg.accesses.info(y).pos);
+            let y_postdominates_x = if px.block == py.block {
+                py.instr >= px.instr
+            } else {
+                pdom.dominates(py.block, px.block)
+            };
+            if y_postdominates_x {
+                anchors.producer.set(x.index(), y.index());
+            }
+            if dom.pos_dominates(px, py) {
+                anchors.consumer.set(x.index(), y.index());
+            }
+        }
+        anchors
+    }
+}
+
+/// Step-4 fixpoint: transitivity plus dominance-anchored chaining through
+/// `D1`, as row ORs. For every `x`, until nothing changes:
+///
+/// * transitivity — `R(x, z)` adds `R`'s row of `z` to `x`'s;
+/// * producer half-rule — `x →D1 b1` (anchored) adds `R`'s row of `b1`;
+/// * consumer half-rule — `R(x, b2)` adds the anchored `D1` row of `b2`.
+///
+/// None of them derives the self pair `(x, x)`. The rules are monotone, so
+/// the fixpoint is the same whatever order they fire in.
+fn grow_precedence(anchors: &D1Anchors, r: &mut Precedence) {
+    let n = r.n;
+    let mut before = BitSet::new(n);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for x in 0..n {
+            before.clear();
+            before.union_words(r.m.row_words(x));
+            for z in before.iter_ones() {
+                r.m.or_row(x, z);
+                r.m.or_row_words(x, anchors.consumer.row_words(z));
+            }
+            for b1 in anchors.producer.row_ones(x) {
+                r.m.or_row(x, b1);
+            }
+            if !before.contains(x) {
+                r.m.clear(x, x);
+            }
+            changed |= r.m.row_words(x) != before.words();
+        }
+    }
+}
+
+/// The step-4 fixpoint as three nested loops over single pairs — what
+/// [`grow_precedence`] replaced, kept as the reference it is tested
+/// against.
+#[cfg(test)]
+pub(crate) fn grow_precedence_reference(
+    cfg: &Cfg,
+    dom: &Dominators,
+    pdom: &Dominators,
+    d1: &DelaySet,
+    r: &mut Precedence,
+) {
     let pos = |a: AccessId| cfg.accesses.info(a).pos;
     let pos_postdom = |later: syncopt_ir::ids::Position, earlier: syncopt_ir::ids::Position| {
         if later.block == earlier.block {

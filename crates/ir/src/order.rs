@@ -7,6 +7,23 @@
 use crate::cfg::Cfg;
 use crate::ids::{AccessId, BlockId, Position};
 
+/// The set bits of `words` as ascending indices — the one iteration both
+/// [`BitSet::iter_ones`] and [`BitMatrix::row_ones`] are built on.
+fn ones_of(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(wi * 64 + b)
+            }
+        })
+    })
+}
+
 /// A dense boolean matrix, used for reachability closures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BitMatrix {
@@ -89,6 +106,28 @@ impl BitMatrix {
     pub fn row_words(&self, row: usize) -> &[u64] {
         assert!(row < self.n);
         &self.bits[row * self.words_per_row..(row + 1) * self.words_per_row]
+    }
+
+    /// The columns set in `row`, in increasing order.
+    pub fn row_ones(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+        ones_of(self.row_words(row))
+    }
+
+    /// `row &= words` for a raw word slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `words` has the wrong length.
+    pub fn and_row_words(&mut self, row: usize, words: &[u64]) {
+        assert!(row < self.n);
+        assert_eq!(words.len(), self.words_per_row);
+        let off = row * self.words_per_row;
+        for (dst, &src) in self.bits[off..off + self.words_per_row]
+            .iter_mut()
+            .zip(words)
+        {
+            *dst &= src;
+        }
     }
 
     /// `row |= words` for a raw word slice; returns whether `row` changed.
@@ -215,18 +254,7 @@ impl BitSet {
 
     /// Iterates the elements in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        ones_of(&self.words)
     }
 }
 
@@ -390,19 +418,18 @@ pub struct ProgramOrder {
     /// `block_reach.get(a, b)` iff block `b` is reachable from block `a`
     /// via one or more CFG edges.
     block_reach: BitMatrix,
+    /// Row `x` is `{y : x <_P y}` over access sites.
+    access_succ: BitMatrix,
 }
 
 impl ProgramOrder {
-    /// Computes block reachability for `cfg`.
+    /// Computes block reachability and the access-level order for `cfg`.
     pub fn compute(cfg: &Cfg) -> Self {
-        let mut edges = Vec::new();
-        for b in cfg.block_ids() {
-            for s in cfg.successors(b) {
-                edges.push((b.index(), s.index()));
-            }
-        }
+        let block_reach = block_reachability(cfg);
+        let access_succ = access_order(cfg, &block_reach);
         ProgramOrder {
-            block_reach: reachability(cfg.num_blocks(), &edges),
+            block_reach,
+            access_succ,
         }
     }
 
@@ -418,9 +445,72 @@ impl ProgramOrder {
     }
 
     /// Whether access `x` may execute before access `y` on some path.
-    pub fn access_precedes(&self, cfg: &Cfg, x: AccessId, y: AccessId) -> bool {
-        self.pos_precedes(cfg.accesses.info(x).pos, cfg.accesses.info(y).pos)
+    pub fn access_precedes(&self, x: AccessId, y: AccessId) -> bool {
+        self.access_succ.get(x.index(), y.index())
     }
+
+    /// The accesses that may execute after `x` (`{y : x <_P y}`), in
+    /// increasing id order.
+    pub fn successors(&self, x: AccessId) -> impl Iterator<Item = AccessId> + '_ {
+        self.access_succ
+            .row_ones(x.index())
+            .map(AccessId::from_index)
+    }
+
+    /// The raw bitset row `{y : x <_P y}`, for word-parallel consumers.
+    pub fn succ_row_words(&self, x: AccessId) -> &[u64] {
+        self.access_succ.row_words(x.index())
+    }
+}
+
+/// Block reachability alone: `get(a, b)` iff block `b` is reachable from
+/// block `a` via one or more CFG edges.
+pub fn block_reachability(cfg: &Cfg) -> BitMatrix {
+    let mut edges = Vec::new();
+    for b in cfg.block_ids() {
+        for s in cfg.successors(b) {
+            edges.push((b.index(), s.index()));
+        }
+    }
+    reachability(cfg.num_blocks(), &edges)
+}
+
+/// The access-level order: row `x` is every access in a block reachable
+/// from `x`'s block, plus the accesses later in `x`'s own block. Built from
+/// one access mask per block, so the cost is a few row ORs per access
+/// rather than a position comparison per access pair.
+fn access_order(cfg: &Cfg, block_reach: &BitMatrix) -> BitMatrix {
+    let n = cfg.accesses.len();
+    let mut order = BitMatrix::new(n);
+    let mut in_block: Vec<Vec<(usize, usize)>> = vec![Vec::new(); cfg.num_blocks()];
+    let mut block_mask = vec![BitSet::new(n); cfg.num_blocks()];
+    for (id, info) in cfg.accesses.iter() {
+        let b = info.pos.block.index();
+        in_block[b].push((info.pos.instr, id.index()));
+        block_mask[b].insert(id.index());
+    }
+    let mut later = BitSet::new(n);
+    for (b, sites) in in_block.iter_mut().enumerate() {
+        if sites.is_empty() {
+            continue;
+        }
+        later.clear();
+        for c in block_reach.row_ones(b) {
+            later.union_words(block_mask[c].words());
+        }
+        // Last instruction first: `later` grows by each instruction's
+        // accesses once every access of that instruction has its row.
+        sites.sort_unstable_by(|a, b| b.cmp(a));
+        for same_instr in sites.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, x) in same_instr {
+                order.or_row_words(x, later.words());
+            }
+            for &(_, x) in same_instr {
+                later.insert(x);
+            }
+        }
+    }
+    order
 }
 
 #[cfg(test)]
@@ -607,9 +697,9 @@ mod tests {
     fn straight_line_accesses_are_ordered_one_way() {
         let (cfg, po) = order_of("shared int X; shared int Y; fn main() { X = 1; Y = 2; }");
         let ids: Vec<AccessId> = cfg.accesses.ids().collect();
-        assert!(po.access_precedes(&cfg, ids[0], ids[1]));
-        assert!(!po.access_precedes(&cfg, ids[1], ids[0]));
-        assert!(!po.access_precedes(&cfg, ids[0], ids[0]));
+        assert!(po.access_precedes(ids[0], ids[1]));
+        assert!(!po.access_precedes(ids[1], ids[0]));
+        assert!(!po.access_precedes(ids[0], ids[0]));
     }
 
     #[test]
@@ -630,13 +720,52 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert_eq!(writes.len(), 2);
-        assert!(po.access_precedes(&cfg, writes[0], writes[1]));
+        assert!(po.access_precedes(writes[0], writes[1]));
         assert!(
-            po.access_precedes(&cfg, writes[1], writes[0]),
+            po.access_precedes(writes[1], writes[0]),
             "across iterations Y-write precedes X-write"
         );
         // Loop body access precedes itself (next iteration).
-        assert!(po.access_precedes(&cfg, writes[0], writes[0]));
+        assert!(po.access_precedes(writes[0], writes[0]));
+    }
+
+    #[test]
+    fn access_rows_agree_with_position_order_on_every_pair() {
+        for src in [
+            "shared int X; shared int Y; fn main() { X = 1; Y = X + X; }",
+            "shared int X; shared int Y; fn main() { if (MYPROC == 0) { X = 1; } else { Y = 1; } X = Y; }",
+            r#"
+            shared int A[8]; flag F;
+            fn main() {
+                int i; int v;
+                for (i = 0; i < 4; i = i + 1) {
+                    A[i] = A[i + 1] + A[MYPROC];
+                    if (i == 2) { post F; } else { v = A[0]; }
+                    barrier;
+                }
+                wait F;
+                A[0] = v;
+            }
+            "#,
+        ] {
+            let (cfg, po) = order_of(src);
+            for (x, xi) in cfg.accesses.iter() {
+                for (y, yi) in cfg.accesses.iter() {
+                    assert_eq!(
+                        po.access_precedes(x, y),
+                        po.pos_precedes(xi.pos, yi.pos),
+                        "{x} vs {y} in {src}"
+                    );
+                }
+                assert_eq!(
+                    po.successors(x).collect::<Vec<_>>(),
+                    cfg.accesses
+                        .ids()
+                        .filter(|&y| po.access_precedes(x, y))
+                        .collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]
@@ -645,7 +774,7 @@ mod tests {
             "shared int X; shared int Y; fn main() { if (MYPROC == 0) { X = 1; } else { Y = 1; } }",
         );
         let ids: Vec<AccessId> = cfg.accesses.ids().collect();
-        assert!(!po.access_precedes(&cfg, ids[0], ids[1]));
-        assert!(!po.access_precedes(&cfg, ids[1], ids[0]));
+        assert!(!po.access_precedes(ids[0], ids[1]));
+        assert!(!po.access_precedes(ids[1], ids[0]));
     }
 }

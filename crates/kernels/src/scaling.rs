@@ -141,9 +141,13 @@ fn generate_flag(params: &ScalingParams, u: u64) -> Kernel {
 /// Two axes per the sharded-simulation milestone: the original *unroll*
 /// axis grows the access count at a fixed 16-processor machine, and the
 /// *machine-width* axis holds the unroll at 16 while the processor count
-/// grows to the sharded engine's design sizes (64/256/1024) — the
-/// analysis is per-program-text, so these points prove the delay-set
-/// work stays flat as the simulated machine widens.
+/// grows to the sharded engine's design sizes (64/256/1024). The
+/// back-path counters (`cycle.*`, `sync.*`) are per-program-text and stay
+/// flat along it; the part of the analysis that reads `PROCS` — guard
+/// evaluation and the guarded collision tests of the conflict set — is
+/// counted by `conflict.proc_steps`, which these points hold to at most
+/// linear growth in the width (it was quadratic, and uncounted, before the
+/// collision tests stopped enumerating processor pairs).
 pub fn trajectory() -> Vec<ScalingParams> {
     let mut out = Vec::new();
     for unroll in [4, 8, 16, 32, 64, 128] {
@@ -264,6 +268,42 @@ mod tests {
             candidates >= 10 * queries.max(1),
             "owner-computed accesses should prune ≥90% of candidates \
              ({candidates} candidates, {queries} queries)"
+        );
+    }
+
+    /// The machine-width axis: the conflict set's per-processor work may
+    /// grow with the width, never with its square. (One guarded block of the
+    /// stencil is evaluated per processor id, so linear is the floor; a
+    /// processor-*pair* enumeration reads 256× between these two points.)
+    #[test]
+    fn conflict_work_grows_at_most_linearly_with_the_machine_width() {
+        use syncopt_ir::lower::lower_main;
+        let at = |procs: u32| {
+            let k = generate(&ScalingParams {
+                idiom: ScalingIdiom::Stencil,
+                unroll: 16,
+                procs,
+            });
+            let cfg = lower_main(&prepare_program(&k.source).unwrap()).unwrap();
+            syncopt_core::analyze_for(&cfg, procs).metrics
+        };
+        let (narrow, wide) = (at(64), at(1024));
+        assert_eq!(
+            narrow.get("conflict.pair_tests"),
+            wide.get("conflict.pair_tests"),
+            "the program text is the same, so the same site pairs are tested"
+        );
+        let (narrow, wide) = (
+            narrow.get("conflict.proc_steps"),
+            wide.get("conflict.proc_steps"),
+        );
+        assert!(
+            narrow > 0,
+            "the guarded halo read is evaluated per processor"
+        );
+        assert!(
+            wide <= 16 * narrow,
+            "1024 processors cost {wide} steps, 64 cost {narrow}: more than the width ratio"
         );
     }
 

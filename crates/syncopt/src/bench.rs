@@ -28,8 +28,12 @@ pub const BENCH_SCHEMA: &str = "syncopt.bench_report.v1";
 
 /// Counter keys the regression gate watches. All are "work performed"
 /// measures: an increase beyond the tolerance means the analysis got
-/// slower in a machine-independent way.
-pub const GATED_COUNTERS: [&str; 5] = [
+/// slower in a machine-independent way. The `conflict.*` pair is the one
+/// that moves along the machine-width axis of the trajectory: the guarded
+/// collision tests are the only part of the analysis that reads `PROCS`.
+pub const GATED_COUNTERS: [&str; 7] = [
+    "conflict.pair_tests",
+    "conflict.proc_steps",
     "cycle.backpath_queries",
     "cycle.closure_word_ors",
     "sync.d1_backpath_queries",

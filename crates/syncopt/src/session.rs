@@ -423,8 +423,10 @@ impl AnalysisSession {
             return Ok(races);
         }
         let cfg = self.cfg_inner(src)?;
-        let races = Arc::new(syncopt_core::detect_races(
+        let analysis = self.analysis_inner(&cfg, opts, opts.procs);
+        let races = Arc::new(syncopt_core::classify_races(
             &cfg.artifact,
+            &analysis,
             &opts.sync_options(opts.procs),
         ));
         self.cache.insert_arc("races", key, Arc::clone(&races));

@@ -34,6 +34,25 @@ fn analyze_reports_delay_sets() {
     assert!(stdout.contains("Read Flag"), "{stdout}");
 }
 
+/// A `MYPROC` coefficient of 2^64 used to abort a debug build
+/// ("attempt to multiply with overflow") and, wrapped to 0 in a release
+/// build, proved `A[0·MYPROC]` disjoint from `A[1]`. It is "not affine"
+/// now: both writes conflict with each other and with themselves.
+#[test]
+fn analyze_survives_a_subscript_coefficient_past_i64() {
+    let path = std::env::temp_dir().join(format!("syncopt-overflow-{}.ms", std::process::id()));
+    std::fs::write(
+        &path,
+        "shared int A[8]; fn main() { A[MYPROC * 4611686018427387904 * 4] = 1; A[1] = 2; }",
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = syncoptc(&["analyze", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("conflicting pairs:     3"), "{stdout}");
+    assert!(stdout.contains("|D_SS| (Shasha-Snir):  1"), "{stdout}");
+}
+
 #[test]
 fn run_reports_execution_and_memory() {
     let (ok, stdout, stderr) = syncoptc(&[

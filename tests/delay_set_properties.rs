@@ -170,7 +170,7 @@ proptest! {
         let po = syncopt::ir::order::ProgramOrder::compute(&cfg);
         for (u, v) in analysis.delay_ss.pairs() {
             prop_assert!(
-                po.access_precedes(&cfg, u, v),
+                po.access_precedes(u, v),
                 "delay ({u}, {v}) not in program order on:\n{src}"
             );
         }

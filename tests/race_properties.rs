@@ -8,9 +8,9 @@
 //! conflicts. If this ever breaks, the race check and the optimizer
 //! disagree about which conflicts synchronization covers.
 
-use syncopt::core::conflict::ConflictSet;
+use syncopt::core::analyze_with;
 use syncopt::core::races::{classify_races, Confidence, SyncEvidence};
-use syncopt::core::sync::{analyze_sync, SyncOptions};
+use syncopt::core::sync::SyncOptions;
 use syncopt::frontend::prepare_program;
 use syncopt::ir::cfg::Cfg;
 use syncopt::ir::lower::lower_main;
@@ -51,9 +51,9 @@ fn ordered_pairs_are_absent_from_oriented_unordered_conflicts() {
                 procs,
                 ..SyncOptions::default()
             };
-            let conflicts = ConflictSet::build_bounded(&cfg, procs);
-            let sync = analyze_sync(&cfg, &opts);
-            let races = classify_races(&cfg, &conflicts, &sync, &opts);
+            let analysis = analyze_with(&cfg, &opts);
+            let sync = &analysis.sync;
+            let races = classify_races(&cfg, &analysis, &opts);
             for o in &races.ordered {
                 if let SyncEvidence::Precedence { first, second, .. } = o.evidence {
                     // Step 5 must have dropped the direction precedence
@@ -83,10 +83,10 @@ fn races_and_ordered_partition_the_data_conflicts() {
     for (name, src) in corpus() {
         let cfg = lower(&src);
         let opts = SyncOptions::default();
-        let conflicts = ConflictSet::build_bounded(&cfg, opts.procs);
-        let sync = analyze_sync(&cfg, &opts);
-        let races = classify_races(&cfg, &conflicts, &sync, &opts);
-        let data_pairs: Vec<_> = conflicts
+        let analysis = analyze_with(&cfg, &opts);
+        let races = classify_races(&cfg, &analysis, &opts);
+        let data_pairs: Vec<_> = analysis
+            .conflicts
             .unordered_pairs()
             .into_iter()
             .filter(|&(a, b)| {
@@ -115,9 +115,7 @@ fn kernels_are_race_free_at_every_machine_size() {
                 procs: Some(procs),
                 ..SyncOptions::default()
             };
-            let conflicts = ConflictSet::build_bounded(&cfg, opts.procs);
-            let sync = analyze_sync(&cfg, &opts);
-            let races = classify_races(&cfg, &conflicts, &sync, &opts);
+            let races = classify_races(&cfg, &analyze_with(&cfg, &opts), &opts);
             assert!(races.race_free(), "{}@{procs}: {:?}", k.name, races.races);
         }
     }

@@ -459,3 +459,13 @@ fn committed_sim_interp_bench_report_is_a_bench_report_v1_document() {
         "sim_seq.ops_per_s",
     );
 }
+
+/// `BENCH_analysis.json`: the before/after rows of `docs/PERFORMANCE.md` §9.
+#[test]
+fn committed_analysis_bench_report_is_a_bench_report_v1_document() {
+    assert_bench_report_v1(
+        include_str!("../BENCH_analysis.json"),
+        "analysis",
+        "compile_cold.ops_per_s",
+    );
+}

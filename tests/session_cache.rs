@@ -265,13 +265,16 @@ fn cold_and_warm_activity(queries: &[Query]) -> (String, String) {
 
 /// Per-kind lookups as they were before fingerprints were carried on the
 /// artifacts (taken at commit 45ffd83): memoizing a key must not add,
-/// drop or re-route a single lookup.
+/// drop or re-route a single lookup. One lookup was re-routed on purpose
+/// since: a cold `check` classifies races from the `analysis` artifact its
+/// compile just cached (one more `analysis` hit per program) instead of
+/// analyzing the program a second time.
 #[test]
 fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
     let pinned = [
         (
             "check",
-            "ast 5/5, fncheck 5/5, inlined 5/5, cfg 5/5, analysis 0/5, opt 0/5, races 0/5",
+            "ast 5/5, fncheck 5/5, inlined 5/5, cfg 5/5, analysis 5/5, opt 0/5, races 0/5",
             "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0, races 5/0",
         ),
         (
@@ -310,7 +313,7 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
         cold_and_warm_activity(&corpus),
         (
             "ast 220/220, fncheck 220/220, inlined 220/220, cfg 220/220, \
-             analysis 0/220, opt 0/220, races 0/220"
+             analysis 220/220, opt 0/220, races 0/220"
                 .to_string(),
             "ast 220/0, fncheck 220/0, inlined 220/0, cfg 220/0, analysis 220/0, opt 220/0, \
              races 220/0"
