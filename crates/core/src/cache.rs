@@ -9,11 +9,14 @@
 //! actually changed.
 //!
 //! The cache is a plain LRU over `(kind, fingerprint)` keys storing
-//! type-erased `Arc`s. It keeps deterministic hit/miss/eviction counters
-//! (total and per kind, exported as [`Counters`]) so reports and tests can prove
-//! that a warm re-analysis reused artifacts instead of rebuilding them.
-//! The cache itself never affects analysis *results* — only how much
-//! work it took to produce them.
+//! type-erased `Arc`s: a hash map from key to a slot of one `Vec`, the
+//! slots linked by index into a recency list, so a hit, an insert and an
+//! eviction each cost the same whatever the cache holds. It keeps
+//! deterministic hit/miss/eviction counters (total and per kind, exported
+//! as [`Counters`]) so reports and tests can prove that a warm
+//! re-analysis reused artifacts instead of rebuilding them. The cache
+//! itself never affects analysis *results* — only how much work it took
+//! to produce them.
 
 use crate::obs::Counters;
 use std::any::Any;
@@ -56,9 +59,34 @@ impl CacheStats {
     }
 }
 
-struct Entry {
+type Key = (&'static str, Fingerprint);
+
+/// "No slot": the end of the recency list in either direction.
+const NIL: u32 = u32::MAX;
+
+/// One resident artifact and its place in the recency list.
+struct Slot {
+    key: Key,
     value: Arc<dyn Any + Send + Sync>,
-    last_used: u64,
+    /// The slot used just after this one (`NIL` at the front).
+    newer: u32,
+    /// The slot used just before this one (`NIL` at the back).
+    older: u32,
+}
+
+/// The counters of `kind` in a per-kind list kept in order of first use.
+fn kind_stats<'a>(
+    by_kind: &'a mut Vec<(&'static str, CacheStats)>,
+    kind: &'static str,
+) -> &'a mut CacheStats {
+    let index = match by_kind.iter().position(|(k, _)| *k == kind) {
+        Some(index) => index,
+        None => {
+            by_kind.push((kind, CacheStats::default()));
+            by_kind.len() - 1
+        }
+    };
+    &mut by_kind[index].1
 }
 
 /// A content-addressed LRU artifact store.
@@ -85,8 +113,14 @@ struct Entry {
 /// ```
 pub struct ArtifactCache {
     capacity: usize,
-    entries: HashMap<(&'static str, Fingerprint), Entry>,
-    tick: u64,
+    /// Where each resident key lives in `slots`.
+    index: HashMap<Key, u32>,
+    /// Never longer than `capacity`: a full insert reuses the back slot.
+    slots: Vec<Slot>,
+    /// Most recently used slot (`NIL` when empty).
+    front: u32,
+    /// Least recently used slot, the next to be evicted (`NIL` when empty).
+    back: u32,
     stats: CacheStats,
     /// Activity per kind, in order of first use. A handful of kinds
     /// exist, so finding one is a short scan with no allocation — unlike
@@ -95,26 +129,54 @@ pub struct ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// An empty cache holding at most `capacity` artifacts (minimum 1).
+    /// An empty cache holding at most `capacity` artifacts (minimum 1;
+    /// slots are numbered in 32 bits, so at most `u32::MAX`).
     pub fn new(capacity: usize) -> Self {
         ArtifactCache {
-            capacity: capacity.max(1),
-            entries: HashMap::new(),
-            tick: 0,
+            capacity: capacity.clamp(1, NIL as usize),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            front: NIL,
+            back: NIL,
             stats: CacheStats::default(),
             by_kind: Vec::new(),
         }
     }
 
     fn kind_stats(&mut self, kind: &'static str) -> &mut CacheStats {
-        let index = match self.by_kind.iter().position(|(k, _)| *k == kind) {
-            Some(index) => index,
-            None => {
-                self.by_kind.push((kind, CacheStats::default()));
-                self.by_kind.len() - 1
-            }
-        };
-        &mut self.by_kind[index].1
+        kind_stats(&mut self.by_kind, kind)
+    }
+
+    /// Takes `slot` out of the recency list (its own links go stale).
+    fn unlink(&mut self, slot: u32) {
+        let Slot { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NIL => self.front = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.back = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Links `slot` in as the most recently used.
+    fn push_front(&mut self, slot: u32) {
+        let old_front = std::mem::replace(&mut self.front, slot);
+        let links = &mut self.slots[slot as usize];
+        links.newer = NIL;
+        links.older = old_front;
+        match old_front {
+            NIL => self.back = slot,
+            f => self.slots[f as usize].newer = slot,
+        }
+    }
+
+    fn touch(&mut self, slot: u32) {
+        if self.front != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
     }
 
     /// Looks up an artifact, counting a hit or a miss.
@@ -127,13 +189,13 @@ impl ArtifactCache {
         kind: &'static str,
         fp: Fingerprint,
     ) -> Option<Arc<T>> {
-        self.tick += 1;
         let found = self
-            .entries
-            .get_mut(&(kind, fp))
-            .map(|entry| {
-                entry.last_used = self.tick;
-                Arc::clone(&entry.value)
+            .index
+            .get(&(kind, fp))
+            .copied()
+            .map(|slot| {
+                self.touch(slot);
+                Arc::clone(&self.slots[slot as usize].value)
             })
             .and_then(|value| value.downcast::<T>().ok());
         match &found {
@@ -162,17 +224,33 @@ impl ArtifactCache {
         fp: Fingerprint,
         value: Arc<T>,
     ) {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&(kind, fp)) {
-            self.evict_lru();
+        let key = (kind, fp);
+        if let Some(&slot) = self.index.get(&key) {
+            self.slots[slot as usize].value = value;
+            self.touch(slot);
+            return;
         }
-        self.tick += 1;
-        self.entries.insert(
-            (kind, fp),
-            Entry {
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                key,
                 value,
-                last_used: self.tick,
-            },
-        );
+                newer: NIL,
+                older: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        } else {
+            // Full: the least recently used artifact gives up its slot.
+            let slot = self.back;
+            self.unlink(slot);
+            let evicted = std::mem::replace(&mut self.slots[slot as usize].key, key);
+            self.slots[slot as usize].value = value;
+            self.index.remove(&evicted);
+            self.stats.evictions += 1;
+            self.kind_stats(evicted.0).evictions += 1;
+            slot
+        };
+        self.push_front(slot);
+        self.index.insert(key, slot);
     }
 
     /// Returns the cached artifact for `(kind, fp)`, building and
@@ -209,21 +287,6 @@ impl ArtifactCache {
         Ok(value)
     }
 
-    fn evict_lru(&mut self) {
-        // `last_used` values are unique (every touch bumps the tick), so
-        // the minimum is well defined and eviction is deterministic.
-        if let Some(key) = self
-            .entries
-            .iter()
-            .min_by_key(|(_, entry)| entry.last_used)
-            .map(|(key, _)| *key)
-        {
-            self.entries.remove(&key);
-            self.stats.evictions += 1;
-            self.kind_stats(key.0).evictions += 1;
-        }
-    }
-
     /// Cumulative activity counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -250,12 +313,12 @@ impl ArtifactCache {
 
     /// Number of artifacts currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the cache holds no artifacts.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// The configured capacity.
@@ -265,7 +328,10 @@ impl ArtifactCache {
 
     /// Drops every artifact (counters are preserved).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.front = NIL;
+        self.back = NIL;
     }
 }
 
@@ -279,15 +345,279 @@ impl std::fmt::Debug for ArtifactCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArtifactCache")
             .field("capacity", &self.capacity)
-            .field("entries", &self.entries.len())
+            .field("entries", &self.index.len())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
+/// The cache as it was before the recency list: a use tick per entry and
+/// a scan over every entry for the smallest one on eviction. Kept as the
+/// model the list is compared against.
+#[cfg(test)]
+mod reference {
+    use super::{CacheStats, Key};
+    use std::any::Any;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use syncopt_frontend::Fingerprint;
+
+    struct Entry {
+        value: Arc<dyn Any + Send + Sync>,
+        last_used: u64,
+    }
+
+    pub(super) struct TickCache {
+        capacity: usize,
+        entries: HashMap<Key, Entry>,
+        tick: u64,
+        pub(super) stats: CacheStats,
+        pub(super) by_kind: Vec<(&'static str, CacheStats)>,
+    }
+
+    impl TickCache {
+        pub(super) fn new(capacity: usize) -> Self {
+            TickCache {
+                capacity: capacity.max(1),
+                entries: HashMap::new(),
+                tick: 0,
+                stats: CacheStats::default(),
+                by_kind: Vec::new(),
+            }
+        }
+
+        fn kind_stats(&mut self, kind: &'static str) -> &mut CacheStats {
+            super::kind_stats(&mut self.by_kind, kind)
+        }
+
+        pub(super) fn get<T: Any + Send + Sync>(
+            &mut self,
+            kind: &'static str,
+            fp: Fingerprint,
+        ) -> Option<Arc<T>> {
+            self.tick += 1;
+            let found = self
+                .entries
+                .get_mut(&(kind, fp))
+                .map(|entry| {
+                    entry.last_used = self.tick;
+                    Arc::clone(&entry.value)
+                })
+                .and_then(|value| value.downcast::<T>().ok());
+            match &found {
+                Some(_) => {
+                    self.stats.hits += 1;
+                    self.kind_stats(kind).hits += 1;
+                }
+                None => {
+                    self.stats.misses += 1;
+                    self.kind_stats(kind).misses += 1;
+                }
+            }
+            found
+        }
+
+        pub(super) fn insert_arc<T: Any + Send + Sync>(
+            &mut self,
+            kind: &'static str,
+            fp: Fingerprint,
+            value: Arc<T>,
+        ) {
+            if self.entries.len() >= self.capacity && !self.entries.contains_key(&(kind, fp)) {
+                self.evict_lru();
+            }
+            self.tick += 1;
+            self.entries.insert(
+                (kind, fp),
+                Entry {
+                    value,
+                    last_used: self.tick,
+                },
+            );
+        }
+
+        fn evict_lru(&mut self) {
+            // `last_used` values are unique (every touch bumps the tick), so
+            // the minimum is well defined and eviction is deterministic.
+            if let Some(key) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| *key)
+            {
+                self.entries.remove(&key);
+                self.stats.evictions += 1;
+                self.kind_stats(key.0).evictions += 1;
+            }
+        }
+
+        pub(super) fn clear(&mut self) {
+            self.entries.clear();
+        }
+
+        pub(super) fn resident(&self) -> Vec<Key> {
+            let mut keys: Vec<Key> = self.entries.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::TickCache;
     use super::*;
+    use crate::corpus::SplitMix64;
+
+    impl ArtifactCache {
+        fn resident(&self) -> Vec<Key> {
+            let mut keys: Vec<Key> = self.index.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        }
+
+        /// The resident keys from most to least recently used, walking the
+        /// list both ways and checking that the two walks agree.
+        fn recency_order(&self) -> Vec<Key> {
+            let mut forward = Vec::new();
+            let mut slot = self.front;
+            while slot != NIL {
+                forward.push(self.slots[slot as usize].key);
+                slot = self.slots[slot as usize].older;
+            }
+            let mut backward = Vec::new();
+            let mut slot = self.back;
+            while slot != NIL {
+                backward.push(self.slots[slot as usize].key);
+                slot = self.slots[slot as usize].newer;
+            }
+            backward.reverse();
+            assert_eq!(forward, backward, "the two directions of the list disagree");
+            forward
+        }
+    }
+
+    /// The key that was resident `before` and is not `after`, if any.
+    fn evicted(before: &[Key], after: &[Key]) -> Option<Key> {
+        let gone: Vec<Key> = before
+            .iter()
+            .filter(|k| !after.contains(k))
+            .copied()
+            .collect();
+        assert!(gone.len() <= 1, "one step evicted {gone:?}");
+        gone.first().copied()
+    }
+
+    #[test]
+    fn the_recency_list_evicts_exactly_what_the_tick_scan_evicted() {
+        const KINDS: [&str; 3] = ["a", "b", "c"];
+        const STEPS: usize = 10_000;
+        for capacity in [1usize, 2, 3, 8, 64] {
+            let mut list = ArtifactCache::new(capacity);
+            let mut model = TickCache::new(capacity);
+            let mut rng = SplitMix64::new(0xcace + capacity as u64);
+            // About twice as many keys as slots: hits, misses and
+            // evictions all happen throughout.
+            let universe = 2 * capacity as u64 + 2;
+            let pick = |rng: &mut SplitMix64| {
+                let n = rng.below(universe);
+                (KINDS[(n % 3) as usize], Fingerprint::of(&n.to_string()))
+            };
+            let mut clears = 0;
+            for step in 0..STEPS {
+                let before = (list.resident(), model.resident());
+                let (kind, fp) = pick(&mut rng);
+                let what = rng.below(100);
+                match what {
+                    0..=39 => {
+                        let a = list.get::<u64>(kind, fp).map(|v| *v);
+                        let b = model.get::<u64>(kind, fp).map(|v| *v);
+                        assert_eq!(a, b, "capacity {capacity} step {step}: get");
+                    }
+                    40..=69 => {
+                        let value = Arc::new(step as u64);
+                        list.insert_arc(kind, fp, Arc::clone(&value));
+                        model.insert_arc(kind, fp, value);
+                    }
+                    70..=84 => {
+                        // Re-insert of a resident key: no eviction, new
+                        // value, most recently used afterwards.
+                        if let Some(&(kind, fp)) = before
+                            .0
+                            .get(rng.below(before.0.len().max(1) as u64) as usize)
+                        {
+                            let value = Arc::new(step as u64);
+                            list.insert_arc(kind, fp, Arc::clone(&value));
+                            model.insert_arc(kind, fp, value);
+                            assert_eq!(list.recency_order()[0], (kind, fp));
+                        }
+                    }
+                    85..=98 => {
+                        // A lookup as the other type — a miss that still
+                        // counts as a use wherever a `u64` is resident —
+                        // then the replacing insert.
+                        assert_eq!(
+                            list.get::<String>(kind, fp),
+                            model.get::<String>(kind, fp),
+                            "capacity {capacity} step {step}: get as String"
+                        );
+                        let value = Arc::new(format!("s{step}"));
+                        list.insert_arc(kind, fp, Arc::clone(&value));
+                        model.insert_arc(kind, fp, value);
+                        assert_eq!(list.get::<String>(kind, fp), model.get::<String>(kind, fp));
+                    }
+                    _ => {
+                        list.clear();
+                        model.clear();
+                        clears += 1;
+                        assert!(list.slots.is_empty() && list.is_empty());
+                    }
+                }
+                let after = (list.resident(), model.resident());
+                let at = format!("capacity {capacity} step {step} (choice {what})");
+                assert_eq!(after.0, after.1, "{at}: resident keys");
+                if what < 99 {
+                    assert_eq!(
+                        evicted(&before.0, &after.0),
+                        evicted(&before.1, &after.1),
+                        "{at}: evicted key"
+                    );
+                }
+                assert!(list.len() <= capacity, "{at}: over capacity");
+                assert!(list.slots.len() <= capacity, "{at}: slot Vec grew");
+                assert_eq!(list.recency_order().len(), list.len(), "{at}: list length");
+                assert_eq!(list.stats(), model.stats, "{at}: total counters");
+                assert_eq!(list.by_kind, model.by_kind, "{at}: per-kind counters");
+            }
+            assert!(clears > 0 && list.stats().evictions > 0 && list.stats().hits > 0);
+        }
+    }
+
+    #[test]
+    fn slots_are_recycled_not_grown() {
+        for capacity in [1usize, 2, 3, 8, 64] {
+            let mut cache = ArtifactCache::new(capacity);
+            for round in 0..2 {
+                for n in 0..10 * capacity {
+                    cache.insert("n", Fingerprint::of(&format!("{round}/{n}")), n);
+                    assert!(cache.slots.len() <= capacity);
+                }
+                assert_eq!(cache.slots.len(), capacity);
+                assert_eq!(cache.len(), capacity);
+                // The survivors are the last `capacity` inserted, newest
+                // first.
+                let expected: Vec<Key> = (9 * capacity..10 * capacity)
+                    .rev()
+                    .map(|n| ("n", Fingerprint::of(&format!("{round}/{n}"))))
+                    .collect();
+                assert_eq!(cache.recency_order(), expected);
+                cache.clear();
+                assert!(cache.slots.is_empty());
+                assert_eq!((cache.front, cache.back), (NIL, NIL));
+            }
+            assert_eq!(cache.stats().evictions, 2 * 9 * capacity as u64);
+        }
+    }
 
     #[test]
     fn hit_returns_same_artifact() {

@@ -34,18 +34,22 @@ impl Type {
     pub fn is_numeric(self) -> bool {
         matches!(self, Type::Int | Type::Double)
     }
-}
 
-impl fmt::Display for Type {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The type's source-level keyword (what [`fmt::Display`] prints).
+    pub fn name(self) -> &'static str {
+        match self {
             Type::Int => "int",
             Type::Double => "double",
             Type::Bool => "bool",
             Type::Flag => "flag",
             Type::Lock => "lock",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Type {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

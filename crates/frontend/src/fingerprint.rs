@@ -53,8 +53,20 @@ impl Fingerprint {
     /// Extends this fingerprint with another part (order-sensitive).
     #[must_use]
     pub fn push(self, part: &str) -> Self {
+        self.push_bytes(part.as_bytes())
+    }
+
+    /// Extends this fingerprint with a number as one part — its eight
+    /// little-endian bytes — so a key with numeric components formats no
+    /// digits.
+    #[must_use]
+    pub fn push_u64(self, n: u64) -> Self {
+        self.push_bytes(&n.to_le_bytes())
+    }
+
+    fn push_bytes(self, part: &[u8]) -> Self {
         let mut h = self.0;
-        for b in part.as_bytes() {
+        for b in part {
             h ^= u128::from(*b);
             h = h.wrapping_mul(FNV_PRIME);
         }
@@ -153,6 +165,14 @@ mod tests {
             Fingerprint::of_parts(&["ab"]),
             Fingerprint::of_parts(&["ab", ""])
         );
+    }
+
+    #[test]
+    fn a_number_is_one_part_of_its_eight_bytes() {
+        let fp = Fingerprint::of("k");
+        assert_eq!(fp.push_u64(0x4241), fp.push("AB\0\0\0\0\0\0"));
+        assert_ne!(fp.push_u64(1), fp.push_u64(256));
+        assert_ne!(fp.push_u64(1).push_u64(2), fp.push_u64(2).push_u64(1));
     }
 
     #[test]

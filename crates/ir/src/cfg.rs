@@ -176,6 +176,43 @@ impl Instr {
         }
     }
 
+    /// Calls `f` on every expression this instruction evaluates, in
+    /// operand order (a shared reference contributes its index).
+    /// [`for_each_use`](Instr::for_each_use) lists the same operands on its
+    /// own: the optimizer's scans sit on it, and routing it through this
+    /// callback read 0.7 % slower on the benchmark's cold compiles.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
+        fn on_ref(r: &SharedRef, f: &mut impl FnMut(&Expr)) {
+            if let Some(idx) = &r.index {
+                f(idx);
+            }
+        }
+        match self {
+            Instr::GetShared { src, .. } | Instr::GetInit { src, .. } => on_ref(src, f),
+            Instr::PutShared { dst, src, .. }
+            | Instr::PutInit { dst, src, .. }
+            | Instr::StoreInit { dst, src, .. } => {
+                on_ref(dst, f);
+                f(src);
+            }
+            Instr::AssignLocal { value, .. } => f(value),
+            Instr::AssignLocalElem { index, value, .. } => {
+                f(index);
+                f(value);
+            }
+            Instr::Work { cost } => f(cost),
+            Instr::Post { index, .. } | Instr::Wait { index, .. } => {
+                if let Some(idx) = index {
+                    f(idx);
+                }
+            }
+            Instr::SyncCtr { .. }
+            | Instr::Barrier { .. }
+            | Instr::LockAcq { .. }
+            | Instr::LockRel { .. } => {}
+        }
+    }
+
     /// Calls `f` on every local variable read by this instruction.
     pub fn for_each_use(&self, f: &mut impl FnMut(VarId)) {
         fn on_ref(r: &SharedRef, f: &mut impl FnMut(VarId)) {

@@ -49,6 +49,26 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// Calls `f` on this expression and then on every sub-expression,
+    /// operands left to right.
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        match self {
+            Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Bool(_)
+            | Expr::Local(_)
+            | Expr::MyProc
+            | Expr::Procs => {}
+            Expr::LocalElem { index, .. } => index.walk(f),
+            Expr::Unary { expr, .. } => expr.walk(f),
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.walk(f);
+                rhs.walk(f);
+            }
+        }
+    }
+
     /// Calls `f` on every variable read by this expression.
     pub fn for_each_var(&self, f: &mut impl FnMut(VarId)) {
         match self {

@@ -121,6 +121,46 @@ impl MachineConfig {
             + self.recv_overhead
     }
 
+    /// Everything a simulation result can depend on, as the parts of a
+    /// content-addressed cache key: the name, then every other field in
+    /// declaration order (`check_barrier_alignment` as 0 or 1). The
+    /// destructuring names each field, so adding one without deciding how
+    /// it enters the key does not compile.
+    pub fn cache_key_parts(&self) -> (&str, [u64; 12]) {
+        let MachineConfig {
+            name,
+            procs,
+            local_access_cycles,
+            send_overhead,
+            recv_overhead,
+            network_latency,
+            handler_cycles,
+            ack_cycles,
+            barrier_cycles,
+            local_op_cycles,
+            injection_gap_cycles,
+            max_steps,
+            check_barrier_alignment,
+        } = self;
+        (
+            name,
+            [
+                u64::from(*procs),
+                *local_access_cycles,
+                *send_overhead,
+                *recv_overhead,
+                *network_latency,
+                *handler_cycles,
+                *ack_cycles,
+                *barrier_cycles,
+                *local_op_cycles,
+                *injection_gap_cycles,
+                *max_steps,
+                u64::from(*check_barrier_alignment),
+            ],
+        )
+    }
+
     /// All three Table 1 presets with the given processor count.
     pub fn table1(procs: u32) -> Vec<MachineConfig> {
         vec![Self::cm5(procs), Self::t3d(procs), Self::dash(procs)]

@@ -18,29 +18,49 @@
 //! | `fncheck`  | context fingerprint + canonical function text       | per-function type-check verdict |
 //! | `inlined`  | raw source text                                     | inlined [`Program`] |
 //! | `cfg`      | raw source text                                     | lowered source [`Cfg`] (+ the memoized fingerprint of its canonical text) |
-//! | `analysis` | canonical (span-free) CFG text + procs              | [`Analysis`] |
-//! | `opt`      | raw source text + procs + level + delay             | [`Optimized`] (+ the memoized fingerprint of its canonical text) |
-//! | `sim`      | canonical optimized-CFG text + machine config       | [`SimResult`] |
+//! | `analysis` | canonical source-CFG text + procs (`analysis.v2`)   | [`Analysis`] |
+//! | `opt`      | canonical source-CFG text + procs + level + delay (`opt.v2`) | [`Optimized`], access spans cleared (+ the memoized fingerprint of its canonical text) |
+//! | `sim`      | canonical optimized-CFG text + machine config (`sim.v2`) | [`SimResult`] |
 //! | `races`    | raw source text + procs                             | [`RaceAnalysis`] |
 //! | `lint`     | raw source text + procs                             | [`LintReport`] |
 //! | `explain`  | raw source text + procs                             | [`ExplainReport`] |
 //!
-//! Span-bearing artifacts (`ast`, `cfg`, `opt`, `lint` diagnostics) key
-//! on the *raw* source so two texts that differ only in whitespace never
-//! share an artifact with stale spans. Span-free artifacts (`analysis`,
-//! `sim` — both identify accesses by dense [`AccessId`]s) key on the
-//! canonical printed CFG, so formatting-only edits reuse the two most
-//! expensive phases outright. Worker-thread counts, simulation shard
-//! counts, and shard partition strategies are deliberately **not** part
-//! of any key: analysis results are bit-identical for every thread
-//! count, and the sharded simulation engine is bit-identical to the
-//! sequential reference for every shard count and partition — so a `sim`
-//! artifact computed under one configuration legitimately serves every
-//! other.
+//! Span-bearing artifacts (`ast`, `cfg`, `lint` diagnostics) key on the
+//! *raw* source so two texts that differ only in whitespace never share
+//! an artifact with stale spans. Span-free artifacts (`analysis`, `opt`,
+//! `sim`) key on the canonical text of a CFG, so an edit that does not
+//! change the program — a comment, a blank line, re-indentation — parses,
+//! checks, inlines and lowers again, prints and hashes the new source CFG
+//! once, and then hits all three: it is neither re-analyzed, re-optimized
+//! nor re-simulated. `analysis` and `sim` identify accesses by dense
+//! [`AccessId`]s. An optimized CFG does carry one span per access site,
+//! so the cached `opt` artifact holds them cleared and the owned
+//! [`Compiled`] a public entry point hands out gets each one copied from
+//! *its own request's* source CFG (the optimizer never adds an access
+//! site, so the ids line up); the command engine reads spans from the
+//! source CFG only.
+//!
+//! The **canonical text** of a CFG is what these keys hash: a declaration
+//! section — the number of variables, then per [`VarTable`] entry in id
+//! order its name, storage kind, element count and element type — a
+//! literal section — the position and bits of every float constant, then
+//! the number of expression nodes — and then the printed blocks
+//! ([`cfg_to_string`]). The printed blocks alone do not determine the
+//! program: they name variables but say nothing else about them, so two
+//! bodies that read the same over a `shared int A[8]` and a `shared int
+//! A[4]` would share artifacts, and they print `1.0` as `1`, so `(t +
+//! 1.0) / 2` and `(t + 1) / 2` would.
+//!
+//! Worker-thread counts, simulation shard counts, and shard partition
+//! strategies are deliberately **not** part of any key: analysis results
+//! are bit-identical for every thread count, and the sharded simulation
+//! engine is bit-identical to the sequential reference for every shard
+//! count and partition — so a `sim` artifact computed under one
+//! configuration legitimately serves every other.
 //!
 //! The canonical-text keys are expensive to derive — print the whole CFG,
 //! hash every byte — so the artifact that owns the CFG carries the
-//! fingerprint of its printed text, computed at most once: a warm request
+//! fingerprint of its canonical text, computed at most once: a warm request
 //! hashes its source text and does lookups, nothing else. The public
 //! entry points copy the cached artifacts into an owned [`Compiled`] /
 //! [`RunResult`]; the command engine reads them in place.
@@ -66,6 +86,7 @@
 //! [`AccessId`]: syncopt_ir::ids::AccessId
 //! [`Program`]: syncopt_frontend::Program
 //! [`SimResult`]: syncopt_machine::SimResult
+//! [`VarTable`]: syncopt_ir::vars::VarTable
 
 use crate::report::{delay_label, level_label, meta_for};
 use crate::{
@@ -80,10 +101,13 @@ use syncopt_core::{
 };
 use syncopt_frontend::fingerprint::{context_fingerprint, Fingerprint};
 use syncopt_frontend::pretty::function_to_string;
+use syncopt_frontend::span::Span;
 use syncopt_frontend::typeck::ProgramContext;
 use syncopt_frontend::Program;
-use syncopt_ir::cfg::Cfg;
+use syncopt_ir::cfg::{Cfg, Terminator};
+use syncopt_ir::expr::Expr;
 use syncopt_ir::print::cfg_to_string;
+use syncopt_ir::vars::{VarKind, VarTable};
 use syncopt_machine::{MachineConfig, ShardPartition, SimResult, Trace};
 
 /// Per-request pipeline knobs, mirroring the [`Syncopt`](crate::Syncopt)
@@ -143,9 +167,9 @@ impl SessionOptions {
 
 /// A cached artifact that owns a CFG, with the fingerprint of
 /// `[tag, canonical text of that CFG]` memoized beside it — the stem of
-/// the `analysis` key on the source CFG and of the `sim` key on the
-/// optimized one, extended per request with the cheap parts (processor
-/// count, machine configuration).
+/// the `analysis` and `opt` keys on the source CFG and of the `sim` key on
+/// the optimized one, extended per request with the cheap parts
+/// (processor count, level, delay choice, machine configuration).
 #[derive(Debug, Clone)]
 pub(crate) struct Keyed<T> {
     pub(crate) artifact: T,
@@ -165,7 +189,9 @@ impl<T> Keyed<T> {
     }
 
     fn print_and_hash(&self) -> Fingerprint {
-        Fingerprint::of_parts(&[self.tag, &cfg_to_string((self.cfg_of)(&self.artifact))])
+        let cfg = (self.cfg_of)(&self.artifact);
+        let key = push_declarations(Fingerprint::of(self.tag), &cfg.vars);
+        push_float_literals(key, cfg).push(&cfg_to_string(cfg))
     }
 
     /// The memoized fingerprint: printed and hashed on first use only.
@@ -224,12 +250,23 @@ impl SharedCompiled {
 
     /// Moves each artifact out where this is its last holder (a one-shot
     /// builder call that already dropped its session) and copies it where
-    /// a live cache still shares it.
+    /// a live cache still shares it. The optimized CFG, cached without
+    /// spans because other source texts share it, gets this request's.
     pub(crate) fn into_owned(self) -> Compiled {
+        let mut optimized = Arc::unwrap_or_clone(self.optimized).artifact;
+        let source = &self.source.artifact.accesses;
+        assert_eq!(
+            source.len(),
+            optimized.cfg.accesses.len(),
+            "the optimizer changed the number of access sites"
+        );
+        for (id, info) in source.iter() {
+            optimized.cfg.accesses.info_mut(id).span = info.span;
+        }
         Compiled {
             source_cfg: Arc::unwrap_or_clone(self.source).artifact,
             analysis: Arc::unwrap_or_clone(self.analysis),
-            optimized: Arc::unwrap_or_clone(self.optimized).artifact,
+            optimized,
             report: self.report,
         }
     }
@@ -527,7 +564,7 @@ impl AnalysisSession {
             // The parallel engine is bit-identical to the sequential one,
             // so it shares the `sim` cache key: an artifact computed by
             // either engine serves both.
-            let key = optimized.text_key().push(&format!("{config:?}"));
+            let key = push_machine(optimized.text_key(), config);
             cache.get_or_try("sim", key, || {
                 if opts.sim_shards > 1 {
                     syncopt_machine::simulate_sharded_with(
@@ -572,17 +609,21 @@ impl AnalysisSession {
         let source = timings.time("lower", || lower_cached(cache, &inlined, src_fp))?;
         let analysis = timings.time("analyze", || analysis_cached(cache, &source, opts, procs));
         let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
-            let key = src_fp
-                .push("opt.v1")
+            let key = source
+                .text_key()
+                .push("opt.v2")
                 .push(&procs_part(procs))
                 .push(level_label(opts.level))
                 .push(delay_label(opts.delay));
             cache.get_or("opt", key, || {
-                Keyed::new(
-                    syncopt_codegen::optimize(&source.artifact, &analysis, opts.level, opts.delay),
-                    "sim.v1",
-                    |optimized| &optimized.cfg,
-                )
+                let mut optimized =
+                    syncopt_codegen::optimize(&source.artifact, &analysis, opts.level, opts.delay);
+                // Every source text with this canonical CFG shares the
+                // artifact; `into_owned` puts each request's own spans back.
+                for id in source.artifact.accesses.ids() {
+                    optimized.cfg.accesses.info_mut(id).span = Span::dummy();
+                }
+                Keyed::new(optimized, "sim.v2", |optimized| &optimized.cfg)
             })
         });
         let report = PipelineReport {
@@ -636,6 +677,65 @@ fn procs_part(procs: Option<u32>) -> String {
     procs.map_or_else(|| "any".to_string(), |p| p.to_string())
 }
 
+/// Folds the declaration section of a CFG's canonical text into `key`:
+/// the number of variables, then each variable in id order as name,
+/// storage kind, element count (0 for a scalar) and element type.
+fn push_declarations(key: Fingerprint, vars: &VarTable) -> Fingerprint {
+    let mut key = key.push_u64(vars.len() as u64);
+    for (_, var) in vars.iter() {
+        let (kind, len) = match var.kind {
+            VarKind::SharedScalar => ("shared", 0),
+            VarKind::SharedArray { len } => ("shared[]", len),
+            VarKind::Flag => ("flag", 0),
+            VarKind::FlagArray { len } => ("flag[]", len),
+            VarKind::Lock => ("lock", 0),
+            VarKind::Local => ("local", 0),
+            VarKind::LocalArray { len } => ("local[]", len),
+        };
+        key = key
+            .push(&var.name)
+            .push(kind)
+            .push_u64(len)
+            .push(var.ty.name());
+    }
+    key
+}
+
+/// Folds the literal section of a CFG's canonical text into `key`. The
+/// printed blocks show a float constant the way they show an integer
+/// (`1.0` prints as `1`), so each float constant is named here: its place
+/// among all expression nodes, counted in block, instruction and operand
+/// order, and its bits. The total node count closes the section.
+fn push_float_literals(mut key: Fingerprint, cfg: &Cfg) -> Fingerprint {
+    let mut nodes = 0u64;
+    let mut visit = |expr: &Expr| {
+        expr.walk(&mut |node| {
+            if let Expr::Float(value) = node {
+                key = key.push_u64(nodes).push_u64(value.to_bits());
+            }
+            nodes += 1;
+        });
+    };
+    for block in &cfg.blocks {
+        for instr in &block.instrs {
+            instr.for_each_expr(&mut visit);
+        }
+        if let Terminator::Branch { cond, .. } = &block.term {
+            visit(cond);
+        }
+    }
+    key.push_u64(nodes)
+}
+
+/// Extends the optimized CFG's stem into the `sim` key with the machine:
+/// its name, then every parameter as a number.
+fn push_machine(stem: Fingerprint, config: &MachineConfig) -> Fingerprint {
+    let (name, numbers) = config.cache_key_parts();
+    numbers
+        .iter()
+        .fold(stem.push(name), |key, &n| key.push_u64(n))
+}
+
 /// The cached `ast` artifact for `src`.
 fn parse_cached(
     cache: &mut ArtifactCache,
@@ -659,7 +759,7 @@ fn lower_cached(
     cache.get_or_try("cfg", src_fp, || {
         Ok(Keyed::new(
             syncopt_ir::lower::lower_main(inlined)?,
-            "analysis.v1",
+            "analysis.v2",
             |cfg| cfg,
         ))
     })
@@ -820,6 +920,32 @@ mod tests {
 
     #[test]
     fn memoized_fingerprints_equal_the_hash_of_the_freshly_printed_text() {
+        // The declaration section of `SRC`'s canonical text, spelled out:
+        // inlining `helper` adds its parameter, and neither lowering nor
+        // the optimizer needs a temporary.
+        let declarations = |tag: &str| {
+            let local =
+                |key: Fingerprint, name: &str| key.push(name).push("local").push_u64(0).push("int");
+            let key = Fingerprint::of(tag).push_u64(4);
+            let key = key.push("A").push("shared[]").push_u64(16).push("int");
+            let key = key.push("F").push("flag").push_u64(0).push("flag");
+            local(local(key, "v"), "v__helper_1")
+        };
+        // `SRC` has no float constant, so its literal section is only the
+        // closing count of expression nodes.
+        let canonical = |tag: &str, cfg: &Cfg| {
+            let mut nodes = 0;
+            for block in &cfg.blocks {
+                for instr in &block.instrs {
+                    instr.for_each_expr(&mut |expr| nodes += expr.size() as u64);
+                }
+                if let Terminator::Branch { cond, .. } = &block.term {
+                    nodes += cond.size() as u64;
+                }
+            }
+            assert!(nodes > 0);
+            declarations(tag).push_u64(nodes).push(&cfg_to_string(cfg))
+        };
         let mut s = AnalysisSession::new();
         let config = MachineConfig::cm5(4);
         for level in [OptLevel::Blocking, OptLevel::Full] {
@@ -830,20 +956,38 @@ mod tests {
                 let c = &r.compiled;
                 assert_eq!(
                     c.source.text_key(),
-                    Fingerprint::of_parts(&["analysis.v1", &cfg_to_string(c.source_cfg())])
+                    canonical("analysis.v2", c.source_cfg())
                 );
                 assert_eq!(
                     c.optimized.text_key(),
-                    Fingerprint::of_parts(&["sim.v1", &cfg_to_string(&c.optimized().cfg)])
+                    canonical("sim.v2", &c.optimized().cfg)
                 );
             }
         }
         // The keys the session looked up are the documented ones, part for
         // part: extending a memoized stem is hashing the parts in order.
         let source = s.cfg_inner(SRC).unwrap();
-        let analysis_key =
-            Fingerprint::of_parts(&["analysis.v1", &cfg_to_string(&source.artifact), "4"]);
-        assert!(s.cache.get::<Analysis>("analysis", analysis_key).is_some());
+        let stem = canonical("analysis.v2", &source.artifact);
+        assert!(s
+            .cache
+            .get::<Analysis>("analysis", stem.push("4"))
+            .is_some());
+        for level in ["blocking", "full"] {
+            let opt_key = stem
+                .push("opt.v2")
+                .push("4")
+                .push(level)
+                .push("sync-refined");
+            let optimized = s.cache.get::<Keyed<Optimized>>("opt", opt_key).unwrap();
+            let cm5 = [4, 30, 25, 25, 160, 30, 15, 125, 2, 8, 200_000_000, 1];
+            let sim_key = cm5
+                .iter()
+                .fold(optimized.text_key().push("CM-5"), |key, &n| key.push_u64(n));
+            assert!(
+                s.cache.get::<SimResult>("sim", sim_key).is_some(),
+                "{level}"
+            );
+        }
         let ast = parse_cached(&mut s.cache, SRC, src_fingerprint(SRC)).unwrap();
         let ctx_fp = context_fingerprint(&ast.program);
         for (func, key) in ast.program.functions.iter().zip(ast.fncheck_keys()) {
@@ -854,6 +998,87 @@ mod tests {
                 "{}",
                 func.name
             );
+        }
+
+        // The remaining storage kinds, each with its element count and
+        // type, and a float constant: `1.5` is the second of the five
+        // expression nodes (`0`, `1.5`, `d[0]`, its `0`, `1`).
+        let kinds = "shared double X; flag G[2]; lock L;\n\
+                     fn main() { double d[3]; d[0] = 1.5; lock L; X = d[0]; unlock L; post G[1]; }";
+        let cfg = s.cfg_inner(kinds).unwrap();
+        let key = Fingerprint::of("analysis.v2").push_u64(4);
+        let key = key.push("X").push("shared").push_u64(0).push("double");
+        let key = key.push("G").push("flag[]").push_u64(2).push("flag");
+        let key = key.push("L").push("lock").push_u64(0).push("lock");
+        let key = key.push("d").push("local[]").push_u64(3).push("double");
+        let key = key.push_u64(1).push_u64(1.5f64.to_bits()).push_u64(5);
+        assert_eq!(cfg.text_key(), key.push(&cfg_to_string(&cfg.artifact)));
+    }
+
+    /// The `sim` key names every machine parameter: changing any single
+    /// one changes the key, and an equal configuration built again gets
+    /// the same key.
+    #[test]
+    fn sim_keys_tell_apart_every_machine_field() {
+        let stem = Fingerprint::of("stem");
+        let base = MachineConfig::cm5(8);
+        let edits: [fn(&mut MachineConfig); 13] = [
+            |c| c.name.push('x'),
+            |c| c.procs += 1,
+            |c| c.local_access_cycles += 1,
+            |c| c.send_overhead += 1,
+            |c| c.recv_overhead += 1,
+            |c| c.network_latency += 1,
+            |c| c.handler_cycles += 1,
+            |c| c.ack_cycles += 1,
+            |c| c.barrier_cycles += 1,
+            |c| c.local_op_cycles += 1,
+            |c| c.injection_gap_cycles += 1,
+            |c| c.max_steps += 1,
+            |c| c.check_barrier_alignment = !c.check_barrier_alignment,
+        ];
+        let mut keys = vec![push_machine(stem, &base)];
+        for edit in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(edited, base);
+            keys.push(push_machine(stem, &edited));
+        }
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b, "two configurations share a key");
+            }
+        }
+        // Neighbouring fields do not run together: swapping two values is
+        // a different machine.
+        let mut swapped = base.clone();
+        std::mem::swap(&mut swapped.send_overhead, &mut swapped.network_latency);
+        assert_ne!(push_machine(stem, &swapped), keys[0]);
+        assert_eq!(push_machine(stem, &base.clone()), keys[0]);
+        assert_eq!(push_machine(stem, &MachineConfig::cm5(8)), keys[0]);
+        assert_ne!(push_machine(stem.push("other"), &base), keys[0]);
+    }
+
+    /// An edit that leaves the program alone is not re-optimized, and the
+    /// owned result still carries the spans of the text it was asked about.
+    #[test]
+    fn a_reformatted_source_shares_the_optimized_program_and_keeps_its_own_spans() {
+        let mut s = AnalysisSession::new();
+        let first = s.compile(SRC, &opts(4)).unwrap();
+        let moved = format!("// a comment\n\n{SRC}");
+        let second = s.compile(&moved, &opts(4)).unwrap();
+        let kinds = s.kind_counters();
+        assert_eq!(kinds.get("cache.opt.hits"), 1, "{kinds:?}");
+        assert_eq!(kinds.get("cache.opt.misses"), 1, "{kinds:?}");
+        let cold = Syncopt::new(&moved).procs(4).compile().unwrap();
+        assert_eq!(second.optimized.cfg, cold.optimized.cfg);
+        assert_eq!(second.source_cfg, cold.source_cfg);
+        let shift = "// a comment\n\n".len() as u32;
+        for (id, info) in first.optimized.cfg.accesses.iter() {
+            let span = second.optimized.cfg.accesses.info(id).span;
+            assert!(!info.span.is_empty(), "{id} lost its span");
+            assert_eq!(span.start, info.span.start + shift, "{id}");
+            assert_eq!(span.end, info.span.end + shift, "{id}");
         }
     }
 

@@ -67,6 +67,43 @@ fn daemon_output_is_byte_identical_to_direct_mode_on_all_kernels() {
     stop(&path, handle);
 }
 
+/// A daemon that has served a program answers a reformatted copy of it —
+/// new raw text, same canonical CFG, so `analysis`, `opt` and `sim` hit —
+/// with the bytes a direct run of the reformatted text prints.
+#[test]
+fn reformatted_source_on_a_warm_daemon_is_byte_identical_to_direct_mode() {
+    use syncopt::core::corpus::CORPUS_SEEDS;
+    let (path, handle) = start("reformatted");
+    let mut client = DaemonClient::connect(&path).expect("connect");
+    let mut programs: Vec<(String, String)> = all_kernels(4)
+        .into_iter()
+        .map(|k| (k.name.to_string(), k.source))
+        .collect();
+    programs
+        .extend((0..CORPUS_SEEDS).map(|seed| (format!("corpus-{seed}.ms"), corpus_program(seed))));
+    for (name, source) in &programs {
+        for command in ["run", "opt", "profile"] {
+            let request = |text: &str| Query {
+                dump: command == "opt",
+                ..query(command, name, text, Format::Human)
+            };
+            client.query(&request(source)).expect(command);
+            // A text the daemon has not seen, for each command.
+            let reformatted = format!("// moved for {command}\n\n{source}\n\n// trailing\n");
+            let q = request(&reformatted);
+            let direct = execute(&mut AnalysisSession::new(), &q);
+            let (remote, served) = client.query(&q).expect(command);
+            assert_eq!(remote, direct, "{command} {name}");
+            // ast, inlined and cfg are keyed by the raw text; nothing else
+            // is rebuilt — except a simulation that fails, which is never
+            // cached.
+            let rebuilt = 3 + u64::from(remote.failure.is_some());
+            assert_eq!(served.misses, rebuilt, "{command} {name}: {served:?}");
+        }
+    }
+    stop(&path, handle);
+}
+
 #[test]
 fn daemon_cache_warms_across_clients() {
     let (path, handle) = start("warm");

@@ -10,6 +10,7 @@ use syncopt::commands::{execute, CmdOut, Format, Query};
 use syncopt::core::corpus::{corpus_program, CORPUS_SEEDS};
 use syncopt::kernels::all_kernels;
 use syncopt::session::{AnalysisSession, SessionOptions};
+use syncopt::Syncopt;
 
 const COMMANDS: [&str; 4] = ["check", "explain", "lint", "profile"];
 
@@ -333,12 +334,13 @@ fn reformatted_source_still_hits_the_canonical_cfg_keys() {
         let reformatted = format!("// moved\n{}\n\n// trailing\n", kernel.source);
         let before = kind_counts(&session);
         let second = session.run(&reformatted, &opts, &config).unwrap();
-        // Raw-text keys miss; the keys derived from the printed CFG —
-        // memoized on artifacts built from *different* text — and the
-        // per-function check key hit.
+        // Raw-text keys miss; the keys derived from the canonical text of
+        // a CFG — memoized on artifacts built from *different* text — and
+        // the per-function check key hit: the program is neither analyzed,
+        // optimized nor simulated again.
         assert_eq!(
             kind_delta(&before, &kind_counts(&session)),
-            "ast 0/1, fncheck 1/0, inlined 0/1, cfg 0/1, analysis 1/0, opt 0/1, sim 1/0",
+            "ast 0/1, fncheck 1/0, inlined 0/1, cfg 0/1, analysis 1/0, opt 1/0, sim 1/0",
             "{}",
             kernel.name
         );
@@ -363,4 +365,158 @@ fn one_function_edit_rechecks_exactly_the_edited_function() {
     let kinds = session.kind_counters();
     assert_eq!(kinds.get("cache.fncheck.hits"), 3, "{kinds:?}");
     assert_eq!(kinds.get("cache.fncheck.misses"), 3, "{kinds:?}");
+}
+
+/// The same program under a leading comment, blank lines and a trailing
+/// comment: every raw-text key misses, every span moves.
+fn reformatted(source: &str) -> String {
+    format!("// moved\n\n{source}\n\n// trailing\n")
+}
+
+/// A reformatted source is not optimized again, and what the session hands
+/// out for it is what a cold compile of *that* text produces — the spans
+/// of the optimized CFG's access sites included, although the optimized
+/// program it shares was built from a text with other offsets.
+#[test]
+fn reformatted_source_compiles_to_the_cold_result_without_reoptimizing() {
+    let mut programs: Vec<(String, String)> = all_kernels(4)
+        .into_iter()
+        .map(|k| (k.name.to_string(), k.source))
+        .collect();
+    programs.extend((0..CORPUS_SEEDS).map(|seed| (format!("corpus-{seed}"), corpus_program(seed))));
+    assert_eq!(programs.len(), 225);
+
+    let opts = SessionOptions {
+        procs: Some(4),
+        ..SessionOptions::default()
+    };
+    let mut session = AnalysisSession::new();
+    for (name, source) in &programs {
+        session.compile(source, &opts).unwrap();
+        let text = reformatted(source);
+        let before = kind_counts(&session);
+        let warm = session.compile(&text, &opts).unwrap();
+        assert_eq!(
+            kind_delta(&before, &kind_counts(&session)),
+            "ast 0/1, fncheck 1/0, inlined 0/1, cfg 0/1, analysis 1/0, opt 1/0",
+            "{name}"
+        );
+        let cold = Syncopt::new(&text).procs(4).compile().unwrap();
+        assert_eq!(warm.optimized.cfg, cold.optimized.cfg, "{name}");
+        assert_eq!(warm.optimized.stats, cold.optimized.stats, "{name}");
+        assert_eq!(warm.optimized.level, cold.optimized.level, "{name}");
+        assert_eq!(warm.source_cfg, cold.source_cfg, "{name}");
+        assert_eq!(warm.report, cold.report, "{name}");
+        // The comparison above is not vacuous: the sites have real spans,
+        // and they are not the first text's.
+        let first = session.compile(source, &opts).unwrap();
+        for (id, info) in warm.optimized.cfg.accesses.iter() {
+            assert!(!info.span.is_empty(), "{name}: {id} has no span");
+            assert_ne!(
+                info.span,
+                first.optimized.cfg.accesses.info(id).span,
+                "{name}: {id} kept the other text's span"
+            );
+        }
+    }
+}
+
+/// Pairs of programs that differ **only** in a declaration — or, the
+/// last two, in whether a constant is a float. The printed blocks of their
+/// CFGs are the same text; the programs are not the same.
+const SAME_PRINT_PAIRS: [(&str, &str, &str); 7] = [
+    (
+        "shared-array length",
+        "shared int A[8]; fn main() { A[MYPROC + 4] = 1; barrier; }",
+        "shared int A[4]; fn main() { A[MYPROC + 4] = 1; barrier; }",
+    ),
+    (
+        "flag-array length",
+        "flag F[8]; shared int X; fn main() { post F[MYPROC + 4]; wait F[MYPROC + 4]; X = 1; }",
+        "flag F[4]; shared int X; fn main() { post F[MYPROC + 4]; wait F[MYPROC + 4]; X = 1; }",
+    ),
+    (
+        "local-array length",
+        "shared int X[4]; fn main() { int a[8]; a[MYPROC + 4] = 7; X[MYPROC] = a[MYPROC + 4]; }",
+        "shared int X[4]; fn main() { int a[4]; a[MYPROC + 4] = 7; X[MYPROC] = a[MYPROC + 4]; }",
+    ),
+    (
+        "shared element type",
+        "shared int A[4]; shared double B[4]; fn main() { B[MYPROC] = (A[MYPROC] + 7) / 2; }",
+        "shared double A[4]; shared double B[4]; fn main() { B[MYPROC] = (A[MYPROC] + 7) / 2; }",
+    ),
+    (
+        "local element type",
+        "shared double B[4]; fn main() { int t[2]; B[MYPROC] = (t[1] + 7) / 2; }",
+        "shared double B[4]; fn main() { double t[2]; B[MYPROC] = (t[1] + 7) / 2; }",
+    ),
+    (
+        "float or integer constant",
+        "shared double B[4]; fn main() { int t; t = MYPROC; B[MYPROC] = (t + 1.0) / 2; }",
+        "shared double B[4]; fn main() { int t; t = MYPROC; B[MYPROC] = (t + 1) / 2; }",
+    ),
+    (
+        "which constant is the float",
+        "shared double B[4]; fn main() { int t; t = MYPROC; B[MYPROC] = (t + 1.0) / 2 * 10 + (t + 1) / 2; }",
+        "shared double B[4]; fn main() { int t; t = MYPROC; B[MYPROC] = (t + 1) / 2 * 10 + (t + 1.0) / 2; }",
+    ),
+];
+
+/// A warm session that has seen one program of a pair answers every
+/// command about the other exactly as a fresh session does — stdout and
+/// failure — in both orders. Before the canonical text carried
+/// declarations, `run` of `A[4]` after `A[8]` reported the eight-element
+/// memory of the first program instead of the out-of-bounds store.
+#[test]
+fn programs_whose_blocks_print_alike_do_not_share_artifacts() {
+    let commands = |source: &str| -> Vec<Query> {
+        ["run", "analyze", "opt", "check", "profile"]
+            .into_iter()
+            .flat_map(|command| {
+                [Format::Human, Format::Json].map(|format| Query {
+                    dump: command == "opt",
+                    ..query(command, "decl.ms", source, format)
+                })
+            })
+            .collect()
+    };
+    let mut differing_answers = 0;
+    for (what, a, b) in SAME_PRINT_PAIRS {
+        for (first, second) in [(a, b), (b, a)] {
+            let mut session = AnalysisSession::new();
+            for q in commands(first) {
+                execute(&mut session, &q);
+            }
+            for q in commands(second) {
+                let fresh = cold(&q);
+                assert_eq!(
+                    execute(&mut session, &q),
+                    fresh,
+                    "{what}: `{}` of `{second}` on a session that served `{first}`",
+                    q.command
+                );
+                if q.command == "run" && q.format == Format::Human {
+                    let other = Query {
+                        source: Some(first.to_string()),
+                        ..q.clone()
+                    };
+                    differing_answers += usize::from(cold(&other) != fresh);
+                }
+            }
+        }
+    }
+    // Each pair is a real one: the two programs run to different answers.
+    assert_eq!(differing_answers, 2 * SAME_PRINT_PAIRS.len());
+
+    // The reproducer, spelled out.
+    let (_, eight, four) = SAME_PRINT_PAIRS[0];
+    let mut session = AnalysisSession::new();
+    let ok = execute(&mut session, &query("run", "decl.ms", eight, Format::Human));
+    assert!(ok.failure.is_none(), "{ok:?}");
+    assert!(ok.stdout.contains("A = [0, 0, 0, 0, 1, 1, 1, 1]"), "{ok:?}");
+    let failed = execute(&mut session, &query("run", "decl.ms", four, Format::Human));
+    assert_eq!(
+        failed.failure.as_deref(),
+        Some("simulation error: shared store out of bounds: v0[7]")
+    );
 }
