@@ -9,74 +9,101 @@
 //! sync copy of its counter disappear (reads have no side effects, and a
 //! counter with no outstanding operations makes its `sync_ctr`s no-ops).
 
+use crate::context::steps;
 use crate::OptStats;
-use std::collections::HashSet;
-use syncopt_ir::cfg::{Cfg, CtrId, Instr};
-use syncopt_ir::liveness::{is_dead_assignment, Liveness};
+use syncopt_ir::cfg::{Cfg, Instr, Terminator};
+use syncopt_ir::ids::{BlockId, Position};
+use syncopt_ir::liveness::{is_dead_store, step_back, Liveness};
+use syncopt_ir::order::BitSet;
 
-/// Counter for removed dead instructions (reported via [`OptStats`]).
-pub fn remove_dead_code(cfg: &mut Cfg, stats: &mut OptStats) {
+fn branches(cfg: &Cfg) -> usize {
+    cfg.blocks
+        .iter()
+        .filter(|b| matches!(b.term, Terminator::Branch { .. }))
+        .count()
+}
+
+/// Folds constants, then removes dead assignments and dead gets (with the
+/// syncs of their counters) to a fixpoint. Returns whether folding turned a
+/// branch into a jump — the one way code generation changes a CFG edge.
+pub(crate) fn remove_dead_code(cfg: &mut Cfg, stats: &mut OptStats) -> bool {
     // Constant folding first: it exposes dead values (e.g. `v * 0`).
+    let branches_before = branches(cfg);
     stats.exprs_folded += syncopt_ir::fold::fold_cfg(cfg);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let live = Liveness::compute(cfg);
-
-        // Pass 1: dead local assignments.
-        for b in cfg.block_ids().collect::<Vec<_>>() {
-            let mut idx = 0;
-            while idx < cfg.block(b).instrs.len() {
-                if is_dead_assignment(cfg, &live, b, idx) {
-                    cfg.block_mut(b).instrs.remove(idx);
-                    stats.dead_locals_removed += 1;
-                    changed = true;
-                } else {
-                    idx += 1;
-                }
-            }
-        }
-
-        // Pass 2: dead gets (destination never read).
-        let live = Liveness::compute(cfg);
-        let mut dead_ctrs: HashSet<CtrId> = HashSet::new();
-        for b in cfg.block_ids().collect::<Vec<_>>() {
-            let mut idx = 0;
-            while idx < cfg.block(b).instrs.len() {
-                let kill = match &cfg.block(b).instrs[idx] {
-                    Instr::GetInit { dst, ctr, .. } if !live.live_after(cfg, b, idx, *dst) => {
-                        dead_ctrs.insert(*ctr);
-                        true
-                    }
-                    Instr::GetShared { dst, .. } => !live.live_after(cfg, b, idx, *dst),
-                    _ => false,
-                };
-                if kill {
-                    cfg.block_mut(b).instrs.remove(idx);
-                    stats.dead_gets_removed += 1;
-                    changed = true;
-                } else {
-                    idx += 1;
-                }
-            }
-        }
-        // Drop the syncs of fully-dead counters.
-        if !dead_ctrs.is_empty() {
-            for b in cfg.block_ids().collect::<Vec<_>>() {
-                cfg.block_mut(b)
-                    .instrs
-                    .retain(|i| !matches!(i, Instr::SyncCtr { ctr } if dead_ctrs.contains(ctr)));
+    let edges_changed = branches(cfg) != branches_before;
+    // A get deleted below keeps the position it has now.
+    for (bi, block) in cfg.blocks.iter().enumerate() {
+        for (i, instr) in block.instrs.iter().enumerate() {
+            if let Instr::GetInit { access, .. } = instr {
+                cfg.accesses.info_mut(*access).pos = Position::new(BlockId::from_index(bi), i);
             }
         }
     }
-    cfg.recompute_access_positions();
+
+    let mut live = BitSet::new(cfg.vars.len());
+    let mut dead_ctrs = vec![false; cfg.num_ctrs as usize];
+    loop {
+        steps::count(|s| s.cleanup_rounds += 1);
+        let solved = Liveness::compute(cfg);
+        steps::count(|s| {
+            s.liveness_solves += 1;
+            s.liveness_visits += solved.work().instr_visits + solved.work().block_visits;
+        });
+        let (mut changed, mut any_dead_ctr) = (false, false);
+        // One backward walk per block carries the live set. A deleted
+        // instruction's operands are not added to it, so what only fed dead
+        // code dies in the same walk.
+        for bi in 0..cfg.blocks.len() {
+            solved.at_block_end(cfg, BlockId::from_index(bi), &mut live);
+            let instrs = &mut cfg.blocks[bi].instrs;
+            steps::count(|s| s.liveness_visits += instrs.len() as u64);
+            let mut kept_from = instrs.len();
+            for i in (0..instrs.len()).rev() {
+                if is_dead_store(&instrs[i], &live) {
+                    match &instrs[i] {
+                        Instr::AssignLocal { .. } => stats.dead_locals_removed += 1,
+                        // Dead communication: the initiation goes, and with
+                        // it every sync of its counter (a counter with no
+                        // outstanding operation makes them no-ops).
+                        Instr::GetInit { ctr, .. } => {
+                            dead_ctrs[ctr.0 as usize] = true;
+                            any_dead_ctr = true;
+                            stats.dead_gets_removed += 1;
+                        }
+                        _ => stats.dead_gets_removed += 1,
+                    }
+                    continue;
+                }
+                step_back(&instrs[i], &mut live);
+                kept_from -= 1;
+                if kept_from != i {
+                    instrs.swap(kept_from, i);
+                }
+            }
+            if kept_from > 0 {
+                instrs.drain(..kept_from);
+                changed = true;
+            }
+        }
+        if any_dead_ctr {
+            for block in &mut cfg.blocks {
+                block
+                    .instrs
+                    .retain(|i| !matches!(i, Instr::SyncCtr { ctr } if dead_ctrs[ctr.0 as usize]));
+            }
+        }
+        if !changed {
+            return edges_changed;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elim::{eliminate_redundant_gets, forward_put_values};
+    use crate::elim::Sweeps;
     use crate::split::split_phase;
+    use crate::DelayChoice;
     use syncopt_core::analyze_for;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
@@ -84,11 +111,12 @@ mod tests {
     fn run(src: &str) -> (Cfg, OptStats) {
         let cfg0 = lower_main(&prepare_program(src).unwrap()).unwrap();
         let analysis = analyze_for(&cfg0, 4);
-        let mut cfg = cfg0.clone();
         let mut stats = OptStats::default();
-        let _map = split_phase(&mut cfg, &mut stats);
-        eliminate_redundant_gets(&mut cfg, &analysis.delay_sync, &analysis, &mut stats);
-        forward_put_values(&mut cfg, &analysis.delay_sync, &mut stats);
+        let (mut cfg, ctrs) = split_phase(&cfg0, &mut stats);
+        let ctx = crate::context_for(&cfg0, &analysis, DelayChoice::SyncRefined, ctrs);
+        let mut sweeps = Sweeps::new(&ctx, cfg.vars.len());
+        sweeps.reuse_gets(&mut cfg, &mut stats);
+        sweeps.forward_put_values(&mut cfg, &mut stats);
         remove_dead_code(&mut cfg, &mut stats);
         (cfg, stats)
     }

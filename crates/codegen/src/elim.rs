@@ -14,99 +14,367 @@
 //!   remote variable that has recently been written can be avoided if the
 //!   written value is still available", §7 / Figure 11).
 //!
-//! Both run on the freshly split CFG (initiation and `sync_ctr` still
-//! adjacent) and work within basic blocks; the value-correctness conditions
-//! additionally require that no same-processor operation touches the
-//! location in between and that the operands involved are not redefined.
+//! All run on the freshly split CFG (initiation and `sync_ctr` still
+//! adjacent); the value-correctness conditions additionally require that no
+//! same-processor operation touches the location in between and that the
+//! operands involved are not redefined.
+//!
+//! Within a block each transformation is one forward sweep. The sweep keeps,
+//! per subscript class, the latest `get` (or `put`) that could serve a later
+//! one; only when a later one of the class arrives does it ask "was it
+//! disturbed since?", of the ordinal of each local's latest definition and
+//! of the block's accesses since. No expression is put in affine form: the
+//! classes are the analysis's [`syncopt_core::affine::SubscriptTable`].
 
+use crate::context::{steps, Ctx};
 use crate::OptStats;
-use syncopt_core::affine::{may_equal_same_proc, provably_equal_same_proc};
-use syncopt_core::{Analysis, DelaySet};
+use syncopt_core::affine::SubscriptTable;
+use syncopt_ir::access::AccessTable;
 use syncopt_ir::cfg::{Cfg, CtrId, Instr};
 use syncopt_ir::expr::{Expr, SharedRef};
-use syncopt_ir::ids::{BlockId, VarId};
+use syncopt_ir::ids::{AccessId, BlockId, Position, VarId};
 
-/// Replaces redundant `get`s with local copies.
-pub fn eliminate_redundant_gets(
-    cfg: &mut Cfg,
-    delay: &DelaySet,
-    _analysis: &Analysis,
+/// Stands where a sweep deleted an instruction until the block is
+/// compacted, so the indices a sweep holds stay valid. No pass allocates
+/// this counter.
+const TOMBSTONE: Instr = Instr::SyncCtr {
+    ctr: CtrId(u32::MAX),
+};
+
+fn compact(instrs: &mut Vec<Instr>) {
+    instrs.retain(|i| !matches!(i, Instr::SyncCtr { ctr } if ctr.0 == u32::MAX));
+}
+
+/// Deletes the `sync_ctr` on `ctr` at `at`, if that is what sits there
+/// (the split-phase layout puts an initiation's sync right behind it).
+fn bury_adjacent_sync(instrs: &mut [Instr], at: usize, ctr: CtrId) {
+    if matches!(instrs.get(at), Some(Instr::SyncCtr { ctr: c }) if *c == ctr) {
+        instrs[at] = TOMBSTONE;
+    }
+}
+
+/// Turns the get at `at` into `its destination = value` and buries its
+/// sync. The access keeps the position it had.
+fn replace_get(
+    instrs: &mut [Instr],
+    at: Position,
+    value: Expr,
+    accesses: &mut AccessTable,
     stats: &mut OptStats,
 ) {
-    for b in cfg.block_ids().collect::<Vec<_>>() {
-        let mut j = 0;
-        while j < cfg.block(b).instrs.len() {
-            if let Some((dst2, dst1, ctr2)) = reusable_get(cfg, delay, b, j) {
-                // Replace the get with a local copy and drop its adjacent
-                // sync (split-phase layout guarantees adjacency here).
-                cfg.block_mut(b).instrs[j] = Instr::AssignLocal {
-                    dst: dst2,
-                    value: Expr::Local(dst1),
-                };
-                remove_adjacent_sync(cfg, b, j + 1, ctr2);
-                stats.gets_eliminated += 1;
-            }
-            j += 1;
-        }
-    }
-    cfg.recompute_access_positions();
-}
-
-/// If the instruction at `j` is a get whose value an earlier get of the
-/// same block still holds: `(its destination, the earlier destination,
-/// its counter)`. Decided by reference — nothing is cloned to look.
-fn reusable_get(
-    cfg: &Cfg,
-    delay: &DelaySet,
-    b: BlockId,
-    j: usize,
-) -> Option<(VarId, VarId, CtrId)> {
-    let instrs = &cfg.block(b).instrs;
     let Instr::GetInit {
-        access: g2_access,
-        dst: dst2,
-        src: ref2,
-        ctr: ctr2,
-    } = &instrs[j]
+        access, dst, ctr, ..
+    } = instrs[at.instr]
     else {
-        return None;
+        unreachable!("only a get is replaced");
     };
-    // Scan backward for a matching earlier get.
-    for i in (0..j).rev() {
-        let Instr::GetInit {
-            access: g1_access,
-            dst: dst1,
-            src: ref1,
-            ..
-        } = &instrs[i]
-        else {
-            continue;
-        };
-        if ref1.var != ref2.var
-            || !provably_equal_same_proc(ref1.index.as_ref(), ref2.index.as_ref())
-        {
-            continue;
-        }
-        // No delay edge between the two gets (§7's condition), and the
-        // cached value must still be good.
-        if delay.contains(*g1_access, *g2_access)
-            || region_invalidates(&instrs[i + 1..j], ref1, *dst1)
-        {
-            return None;
-        }
-        return Some((*dst2, *dst1, *ctr2));
-    }
-    None
+    instrs[at.instr] = Instr::AssignLocal { dst, value };
+    bury_adjacent_sync(instrs, at.instr + 1, ctr);
+    accesses.info_mut(access).pos = at;
+    stats.gets_eliminated += 1;
 }
 
-/// Removes the `sync_ctr` on `ctr` at `at`, if that is what sits there.
-fn remove_adjacent_sync(cfg: &mut Cfg, b: BlockId, at: usize, ctr: CtrId) {
-    if matches!(
-        cfg.block(b).instrs.get(at),
-        Some(Instr::SyncCtr { ctr: c }) if *c == ctr
-    ) {
-        cfg.block_mut(b).instrs.remove(at);
+/// The latest instruction of a subscript class that a later one could
+/// reuse, in the block being swept.
+#[derive(Debug, Clone, Copy, Default)]
+struct Avail {
+    /// Its stamp; at or below the block's first stamp when there is none.
+    stamp: u32,
+    /// Its index in the block.
+    at: u32,
+}
+
+/// The scratch tables of the elimination sweeps, allocated once per
+/// [`crate::optimize`]. Stamps only grow, across blocks and sweeps alike,
+/// so the tables are never cleared: whatever an earlier block or sweep
+/// left behind is older than the current block's first stamp.
+pub(crate) struct Sweeps<'a> {
+    ctx: &'a Ctx<'a>,
+    /// The stamp of the instruction being swept.
+    now: u32,
+    /// The stamp before the current block's first instruction.
+    block_start: u32,
+    /// Per local, the stamp of its latest definition.
+    last_def: Vec<u32>,
+    /// Per subscript class, the latest reusable instruction.
+    avail: Vec<Avail>,
+    /// The shared accesses of the current block that can disturb a reuse,
+    /// oldest first: `(stamp, access, variable)`.
+    accesses: Vec<(u32, AccessId, VarId)>,
+}
+
+impl<'a> Sweeps<'a> {
+    pub(crate) fn new(ctx: &'a Ctx<'a>, vars: usize) -> Self {
+        Sweeps {
+            ctx,
+            now: 0,
+            block_start: 0,
+            last_def: vec![0; vars],
+            avail: vec![Avail::default(); ctx.subs.num_classes()],
+            accesses: Vec::new(),
+        }
     }
+
+    fn start_block(&mut self) {
+        self.block_start = self.now;
+        self.accesses.clear();
+    }
+
+    fn tick(&mut self) -> u32 {
+        self.now += 1;
+        self.now
+    }
+
+    /// The reusable instruction of `a`'s class in the current block.
+    fn available(&self, a: AccessId) -> Option<Avail> {
+        let avail = self.avail[self.ctx.subs.class(a) as usize];
+        (avail.stamp > self.block_start).then_some(avail)
+    }
+
+    fn set_available(&mut self, a: AccessId, stamp: u32, at: usize) {
+        self.avail[self.ctx.subs.class(a) as usize] = Avail {
+            stamp,
+            at: at as u32,
+        };
+    }
+
+    fn note_def(&mut self, instr: &Instr, stamp: u32) {
+        if let Some(d) = instr.def().or(instr.array_def()) {
+            self.last_def[d.index()] = stamp;
+        }
+    }
+
+    /// Whether any variable of `e` was defined after stamp `t`.
+    fn defined_since(&self, e: Option<&Expr>, t: u32) -> bool {
+        let mut hit = false;
+        if let Some(e) = e {
+            e.for_each_var(&mut |v| hit |= self.last_def[v.index()] > t);
+        }
+        hit
+    }
+
+    /// Whether a recorded access to `var` after stamp `t` may touch the
+    /// location of `e` (an access to `var`). Asked only of a pair the
+    /// class table matched, and walks only what lies between the two.
+    fn touched_since(&self, e: AccessId, var: VarId, t: u32) -> bool {
+        let recent = self.accesses.iter().rev();
+        recent.take_while(|x| x.0 > t).any(|&(_, x, v)| {
+            steps::count(|s| s.subscript_tests += 1);
+            v == var && self.ctx.subs.may_equal(x, e)
+        })
+    }
+
+    /// Replaces redundant `get`s with local copies, within each block.
+    pub(crate) fn reuse_gets(&mut self, cfg: &mut Cfg, stats: &mut OptStats) {
+        for bi in 0..cfg.blocks.len() {
+            self.start_block();
+            let instrs = &mut cfg.blocks[bi].instrs;
+            for r in 0..instrs.len() {
+                let stamp = self.tick();
+                let (g2, var) = match &instrs[r] {
+                    Instr::GetInit { access, src, .. } => (*access, src.var),
+                    other => {
+                        if let Instr::PutInit { access, dst, .. }
+                        | Instr::StoreInit { access, dst, .. } = other
+                        {
+                            self.accesses.push((stamp, *access, dst.var));
+                        }
+                        self.note_def(other, stamp);
+                        continue;
+                    }
+                };
+                // The nearest earlier get of the location decides: no delay
+                // edge between the two (§7's condition), and its value must
+                // still be good — destination and subscript operands not
+                // redefined, no own write to the location.
+                let reused = self.available(g2).and_then(|seen| {
+                    let Instr::GetInit {
+                        access: g1,
+                        dst: dst1,
+                        src: ref1,
+                        ..
+                    } = &instrs[seen.at as usize]
+                    else {
+                        unreachable!("the available instruction of a get sweep is a get");
+                    };
+                    let good = !self.ctx.delay.contains(*g1, g2)
+                        && self.last_def[dst1.index()] <= seen.stamp
+                        && !self.defined_since(ref1.index.as_ref(), seen.stamp)
+                        && !self.touched_since(*g1, var, seen.stamp);
+                    good.then_some(Expr::Local(*dst1))
+                });
+                match reused {
+                    Some(copy) => {
+                        let at = Position::new(BlockId::from_index(bi), r);
+                        replace_get(instrs, at, copy, &mut cfg.accesses, stats);
+                    }
+                    None => self.set_available(g2, stamp, r),
+                }
+                // Its own definition comes after what it reads.
+                self.note_def(&instrs[r], stamp);
+            }
+            compact(instrs);
+        }
+    }
+
+    /// Forwards the value of a preceding `put` to a `get` of the same
+    /// location on the same processor (Figure 11 "value propagation").
+    ///
+    /// `put X = e; ...; get(d, X)` becomes `put X = e; ...; d = e`, provided
+    /// the location provably matches, no variable of `e` (or of the index) is
+    /// redefined in between, no other same-location write intervenes, and
+    /// no delay edge separates the pair.
+    pub(crate) fn forward_put_values(&mut self, cfg: &mut Cfg, stats: &mut OptStats) {
+        for bi in 0..cfg.blocks.len() {
+            self.start_block();
+            let instrs = &mut cfg.blocks[bi].instrs;
+            for r in 0..instrs.len() {
+                let stamp = self.tick();
+                let (g, loc) = match &instrs[r] {
+                    Instr::GetInit { access, src, .. } => (*access, src),
+                    other => {
+                        if let Instr::PutInit { access, dst, .. }
+                        | Instr::StoreInit { access, dst, .. } = other
+                        {
+                            self.accesses.push((stamp, *access, dst.var));
+                            self.set_available(*access, stamp, r);
+                        }
+                        self.note_def(other, stamp);
+                        continue;
+                    }
+                };
+                // The latest put of the location, unless a write that may
+                // alias it came after (it would decide instead, and it is
+                // not provably the same location).
+                let forwarded = self.available(g).and_then(|seen| {
+                    let (Instr::PutInit { access: p, src, .. }
+                    | Instr::StoreInit { access: p, src, .. }) = &instrs[seen.at as usize]
+                    else {
+                        unreachable!("the available instruction of a put sweep is a put");
+                    };
+                    let good = !self.ctx.delay.contains(*p, g)
+                        && !self.touched_since(g, loc.var, seen.stamp)
+                        && !self.defined_since(Some(src), seen.stamp)
+                        && !self.defined_since(loc.index.as_ref(), seen.stamp);
+                    good.then(|| src.clone())
+                });
+                if let Some(value) = forwarded {
+                    let at = Position::new(BlockId::from_index(bi), r);
+                    replace_get(instrs, at, value, &mut cfg.accesses, stats);
+                }
+                self.note_def(&instrs[r], stamp);
+            }
+            compact(instrs);
+        }
+    }
+
+    /// Drops `put`s whose value is overwritten before it can be observed.
+    pub(crate) fn drop_overwritten_puts(&mut self, cfg: &mut Cfg, stats: &mut OptStats) {
+        for bi in 0..cfg.blocks.len() {
+            self.start_block();
+            let instrs = &mut cfg.blocks[bi].instrs;
+            for r in 0..instrs.len() {
+                let stamp = self.tick();
+                let (p2, var, acked) = match &instrs[r] {
+                    Instr::PutInit { access, dst, .. } => (*access, dst.var, true),
+                    Instr::StoreInit { access, dst, .. } => (*access, dst.var, false),
+                    other => {
+                        // A same-processor read of the location observes
+                        // the pending put.
+                        if let Instr::GetInit { access, src, .. } = other {
+                            self.accesses.push((stamp, *access, src.var));
+                        }
+                        self.note_def(other, stamp);
+                        continue;
+                    }
+                };
+                // The latest put of the location is dead if this one
+                // overwrites it with nothing in between that may read or
+                // write the location, and its subscript still means the
+                // same element.
+                if let Some(seen) = self.available(p2) {
+                    let at = seen.at as usize;
+                    let Instr::PutInit {
+                        access: p1,
+                        dst: ref1,
+                        ctr: ctr1,
+                        ..
+                    } = &instrs[at]
+                    else {
+                        unreachable!("the available instruction of a write-back sweep is a put");
+                    };
+                    let (p1, ctr1) = (*p1, *ctr1);
+                    if !self.ctx.delay.contains(p1, p2)
+                        && !self.defined_since(ref1.index.as_ref(), seen.stamp)
+                        && !self.touched_since(p1, var, seen.stamp)
+                    {
+                        instrs[at] = TOMBSTONE;
+                        bury_adjacent_sync(instrs, at + 1, ctr1);
+                        cfg.accesses.info_mut(p1).pos = Position::new(BlockId::from_index(bi), at);
+                        stats.puts_eliminated += 1;
+                    }
+                }
+                // A store carries no acknowledgement to wait out: it is
+                // never dropped, but it does end the window of the put
+                // before it.
+                self.set_available(p2, if acked { stamp } else { 0 }, r);
+                self.accesses.push((stamp, p2, var));
+            }
+            compact(instrs);
+        }
+    }
+}
+
+/// Per block, the locals it defines and the shared variables it writes, as
+/// bit rows over the variables: a block whose row misses everything a
+/// cached read depends on cannot invalidate it.
+fn block_touches(cfg: &Cfg) -> (usize, Vec<u64>) {
+    let words = cfg.vars.len().div_ceil(64);
+    let mut rows = vec![0u64; cfg.num_blocks() * words];
+    for (bi, block) in cfg.blocks.iter().enumerate() {
+        for instr in &block.instrs {
+            let touched = match instr {
+                Instr::PutShared { dst, .. }
+                | Instr::PutInit { dst, .. }
+                | Instr::StoreInit { dst, .. } => Some(dst.var),
+                other => other.def().or(other.array_def()),
+            };
+            if let Some(v) = touched {
+                rows[bi * words + v.index() / 64] |= 1 << (v.index() % 64);
+            }
+        }
+    }
+    (words, rows)
+}
+
+/// Whether any instruction in `instrs` invalidates a cached read of `loc`
+/// (access `g1`) held in `dst1`: a same-processor aliasing write, a
+/// redefinition of the cached local, or a redefinition of an index variable.
+fn region_invalidates(
+    subs: &SubscriptTable,
+    instrs: &[Instr],
+    g1: AccessId,
+    loc: &SharedRef,
+    dst1: VarId,
+) -> bool {
+    instrs.iter().any(|instr| {
+        if let Some(d) = instr.def().or(instr.array_def()) {
+            if d == dst1 || loc.index.as_ref().is_some_and(|e| e.uses_var(d)) {
+                return true;
+            }
+        }
+        match instr {
+            Instr::PutShared { access, dst, .. }
+            | Instr::PutInit { access, dst, .. }
+            | Instr::StoreInit { access, dst, .. }
+                if dst.var == loc.var =>
+            {
+                steps::count(|s| s.subscript_tests += 1);
+                subs.may_equal(*access, g1)
+            }
+            _ => false,
+        }
+    })
 }
 
 /// Cross-block redundant-get reuse: a get in a block *dominated* by an
@@ -114,353 +382,132 @@ fn remove_adjacent_sync(cfg: &mut Cfg, b: BlockId, at: usize, ctr: CtrId) {
 /// any path between them (nor the end of the first block, nor the prefix
 /// of the second) can invalidate the cached value, and no delay edge
 /// separates the pair.
-pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, stats: &mut OptStats) {
-    use syncopt_ir::dom::Dominators;
-    use syncopt_ir::order::block_reachability;
-    let dom = Dominators::compute(cfg);
-    let reach = block_reachability(cfg);
+pub(crate) fn reuse_gets_across_blocks(cfg: &mut Cfg, ctx: &Ctx<'_>, stats: &mut OptStats) {
+    let subs = ctx.subs;
+    // Every get as `(access, position, next get of its subscript class)`,
+    // in block order; a get replaced by a copy loses its access.
+    let mut gets: Vec<(Option<AccessId>, Position, u32)> = Vec::new();
+    for (bi, block) in cfg.blocks.iter().enumerate() {
+        for (at, instr) in block.instrs.iter().enumerate() {
+            if let Instr::GetInit { access, .. } = instr {
+                let pos = Position::new(BlockId::from_index(bi), at);
+                gets.push((Some(*access), pos, u32::MAX));
+            }
+        }
+    }
+    let mut first_in_class = vec![u32::MAX; subs.num_classes()];
+    for k in (0..gets.len()).rev() {
+        let class = subs.class(gets[k].0.expect("no get is replaced yet"));
+        gets[k].2 = std::mem::replace(&mut first_in_class[class as usize], k as u32);
+    }
 
-    // Collect all gets up front (positions are fresh post-split).
-    let gets: Vec<(BlockId, usize, Instr)> = cfg
-        .block_ids()
-        .flat_map(|b| {
-            cfg.block(b)
-                .instrs
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| matches!(i, Instr::GetInit { .. }))
-                .map(move |(idx, i)| (b, idx, i.clone()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    for (b2, _, g2_snapshot) in &gets {
-        let Instr::GetInit {
-            access: g2_access,
-            src: ref2,
-            ..
-        } = g2_snapshot
-        else {
-            unreachable!()
+    // Built for the first pair that gets as far as the path test.
+    let mut touches: Option<(usize, Vec<u64>)> = None;
+    for k2 in 0..gets.len() {
+        let (Some(g2), p2, _) = gets[k2] else {
+            unreachable!("a get is replaced on its own turn");
         };
-        // Re-locate g2 (earlier replacements shift indices).
-        let Some(j) = cfg
-            .block(*b2)
-            .instrs
-            .iter()
-            .position(|i| i.access_id() == Some(*g2_access))
-        else {
-            continue; // already replaced
-        };
-        let mut replacement: Option<(VarId, VarId, CtrId)> = None;
-        'g1: for (b1, _, g1_snapshot) in &gets {
+        let mut k1 = first_in_class[subs.class(g2) as usize] as usize;
+        let mut replacement = None;
+        while let Some(&(g1, p1, next)) = gets.get(k1) {
+            k1 = next as usize;
+            // Same-block pairs are the intra-block sweep's. Availability:
+            // g1 dominates g2.
+            let Some(g1) = g1.filter(|&g1| g1 != g2 && p1.block != p2.block) else {
+                continue;
+            };
+            if !ctx.dom.dominates(p1.block, p2.block) || ctx.delay.contains(g1, g2) {
+                continue;
+            }
             let Instr::GetInit {
-                access: g1_access,
                 dst: dst1,
                 src: ref1,
                 ..
-            } = g1_snapshot
+            } = &cfg.block(p1.block).instrs[p1.instr]
             else {
-                unreachable!()
+                unreachable!("a live get site holds a get");
             };
-            if g1_access == g2_access || b1 == b2 {
-                continue; // same-block handled by the intra-block pass
-            }
-            let Some(i) = cfg
-                .block(*b1)
-                .instrs
-                .iter()
-                .position(|x| x.access_id() == Some(*g1_access))
-            else {
-                continue;
-            };
-            if ref1.var != ref2.var
-                || !provably_equal_same_proc(ref1.index.as_ref(), ref2.index.as_ref())
+            // Invalidation: suffix of b1, prefix of b2, and every block on
+            // some path b1 → X → b2 (includes loop bodies that could
+            // re-enter b2). b1 and b2 themselves are NOT skipped — if
+            // either lies on a cycle (b1 → ... → b2 can pass through them
+            // again), their full bodies are on a path and must be clean
+            // too. A block that neither defines a watched local nor writes
+            // the variable is clean without a look at its instructions.
+            let invalidates = |instrs: &[Instr]| region_invalidates(subs, instrs, g1, ref1, *dst1);
+            if invalidates(&cfg.block(p1.block).instrs[p1.instr + 1..])
+                || invalidates(&cfg.block(p2.block).instrs[..p2.instr])
             {
                 continue;
             }
-            // Availability: g1 dominates g2.
-            let p1 = syncopt_ir::ids::Position::new(*b1, i);
-            let p2 = syncopt_ir::ids::Position::new(*b2, j);
-            if !dom.pos_dominates(p1, p2) {
-                continue;
-            }
-            if delay.contains(*g1_access, *g2_access) {
-                continue;
-            }
-            // Invalidation scan: suffix of b1, prefix of b2, and every
-            // block on some path b1 → X → b2 (includes loop bodies that
-            // could re-enter b2).
-            if region_invalidates(&cfg.block(*b1).instrs[i + 1..], ref1, *dst1)
-                || region_invalidates(&cfg.block(*b2).instrs[..j], ref1, *dst1)
-            {
-                continue;
-            }
-            // Note: b1 and b2 themselves are NOT skipped here — if either
-            // lies on a cycle (b1 → ... → b2 can pass through them again),
-            // their full bodies are on a path and must be clean too.
-            for x in cfg.block_ids() {
-                if reach.get(b1.index(), x.index())
-                    && reach.get(x.index(), b2.index())
-                    && region_invalidates(&cfg.block(x).instrs, ref1, *dst1)
-                {
-                    continue 'g1;
+            let (words, rows) = touches.get_or_insert_with(|| block_touches(cfg));
+            let dirty_path = cfg.block_ids().any(|x| {
+                let touched = |v: VarId| {
+                    rows[x.index() * *words + v.index() / 64] & (1 << (v.index() % 64)) != 0
+                };
+                let mut watched = touched(*dst1) || touched(ref1.var);
+                if let Some(e) = &ref1.index {
+                    e.for_each_var(&mut |v| watched |= touched(v));
                 }
-            }
-            let Instr::GetInit { dst: dst2, ctr, .. } = &cfg.block(*b2).instrs[j] else {
-                unreachable!()
-            };
-            replacement = Some((*dst2, *dst1, *ctr));
-            break;
-        }
-        if let Some((dst2, dst1, ctr)) = replacement {
-            cfg.block_mut(*b2).instrs[j] = Instr::AssignLocal {
-                dst: dst2,
-                value: Expr::Local(dst1),
-            };
-            remove_adjacent_sync(cfg, *b2, j + 1, ctr);
-            stats.gets_eliminated += 1;
-        }
-    }
-    cfg.recompute_access_positions();
-}
-
-/// Whether any instruction in `instrs` invalidates a cached read of `loc`
-/// held in `dst1`: a same-processor aliasing write, a redefinition of the
-/// cached local, or a redefinition of an index variable.
-fn region_invalidates(instrs: &[Instr], loc: &SharedRef, dst1: VarId) -> bool {
-    let index_vars: Vec<VarId> = loc
-        .index
-        .as_ref()
-        .map(|e| e.vars_used())
-        .unwrap_or_default();
-    for instr in instrs {
-        if let Some(d) = instr.def().or(instr.array_def()) {
-            if d == dst1 || index_vars.contains(&d) {
-                return true;
+                watched
+                    && ctx.po.block_reaches(p1.block, x)
+                    && ctx.po.block_reaches(x, p2.block)
+                    && invalidates(&cfg.block(x).instrs)
+            });
+            if !dirty_path {
+                replacement = Some(Expr::Local(*dst1));
+                break;
             }
         }
-        match instr {
-            Instr::PutShared { dst, .. }
-            | Instr::PutInit { dst, .. }
-            | Instr::StoreInit { dst, .. }
-                if dst.var == loc.var
-                    && may_equal_same_proc(dst.index.as_ref(), loc.index.as_ref()) =>
-            {
-                return true;
-            }
-            _ => {}
+        if let Some(copy) = replacement {
+            let instrs = &mut cfg.blocks[p2.block.index()].instrs;
+            replace_get(instrs, p2, copy, &mut cfg.accesses, stats);
+            gets[k2].0 = None;
         }
     }
-    false
-}
-
-/// Forwards the value of a preceding `put` to a `get` of the same
-/// location on the same processor (Figure 11 "value propagation").
-///
-/// `put X = e; ...; get(d, X)` becomes `put X = e; ...; d = e`, provided
-/// the location provably matches, no variable of `e` (or of the index) is
-/// redefined in between, no other same-location operation intervenes, and
-/// no delay edge separates the pair.
-pub fn forward_put_values(cfg: &mut Cfg, delay: &DelaySet, stats: &mut OptStats) {
-    for b in cfg.block_ids().collect::<Vec<_>>() {
-        let mut j = 0;
-        while j < cfg.block(b).instrs.len() {
-            if let Some((dst, value, ctr)) = forwardable_get(cfg, delay, b, j) {
-                cfg.block_mut(b).instrs[j] = Instr::AssignLocal { dst, value };
-                remove_adjacent_sync(cfg, b, j + 1, ctr);
-                stats.gets_eliminated += 1;
-            }
-            j += 1;
-        }
-    }
-    cfg.recompute_access_positions();
-}
-
-/// If the instruction at `j` is a get of a location an earlier put of the
-/// same block wrote and nothing disturbed since: `(its destination, the
-/// written value, its counter)`. The scan reads the block by reference;
-/// only the one value that is kept gets cloned.
-fn forwardable_get(
-    cfg: &Cfg,
-    delay: &DelaySet,
-    b: BlockId,
-    j: usize,
-) -> Option<(VarId, Expr, CtrId)> {
-    let instrs = &cfg.block(b).instrs;
-    let Instr::GetInit {
-        access: g_access,
-        dst,
-        src: loc,
-        ctr,
-    } = &instrs[j]
-    else {
-        return None;
-    };
-    for i in (0..j).rev() {
-        let (p_access, p_dst, p_src) = match &instrs[i] {
-            Instr::PutInit {
-                access, dst, src, ..
-            }
-            | Instr::StoreInit { access, dst, src } => (*access, dst, src),
-            _ => continue,
-        };
-        if p_dst.var != loc.var
-            || !provably_equal_same_proc(p_dst.index.as_ref(), loc.index.as_ref())
-        {
-            // A possibly-aliasing write we cannot prove equal kills the
-            // window.
-            if p_dst.var == loc.var && may_equal_same_proc(p_dst.index.as_ref(), loc.index.as_ref())
-            {
-                return None;
-            }
-            continue;
-        }
-        if delay.contains(p_access, *g_access)
-            || forwarding_invalidated(&instrs[i + 1..j], loc, p_src)
-        {
-            return None;
-        }
-        return Some((*dst, p_src.clone(), *ctr));
-    }
-    None
-}
-
-/// Is the forwarded `value` stale or unavailable after the instructions
-/// `between` the put and the get?
-fn forwarding_invalidated(between: &[Instr], loc: &SharedRef, value: &Expr) -> bool {
-    let mut watched: Vec<VarId> = value.vars_used();
-    if let Some(idx) = &loc.index {
-        for v in idx.vars_used() {
-            if !watched.contains(&v) {
-                watched.push(v);
-            }
-        }
-    }
-    for instr in between {
-        if let Some(d) = instr.def().or(instr.array_def()) {
-            if watched.contains(&d) {
-                return true;
-            }
-        }
-        match instr {
-            Instr::PutShared { dst, .. }
-            | Instr::PutInit { dst, .. }
-            | Instr::StoreInit { dst, .. }
-                if dst.var == loc.var
-                    && may_equal_same_proc(dst.index.as_ref(), loc.index.as_ref()) =>
-            {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Drops `put`s whose value is overwritten before it can be observed.
-pub fn eliminate_overwritten_puts(cfg: &mut Cfg, analysis: &Analysis, stats: &mut OptStats) {
-    let delay = &analysis.delay_sync;
-    for b in cfg.block_ids().collect::<Vec<_>>() {
-        let mut i = 0;
-        while i < cfg.block(b).instrs.len() {
-            if let Some(ctr1) = overwritten_put(cfg, delay, b, i) {
-                // Remove put1 and its adjacent sync.
-                remove_adjacent_sync(cfg, b, i + 1, ctr1);
-                cfg.block_mut(b).instrs.remove(i);
-                stats.puts_eliminated += 1;
-                // Do not advance: a new instruction sits at `i`.
-            } else {
-                i += 1;
-            }
-        }
-    }
-    cfg.recompute_access_positions();
-}
-
-/// If the instruction at `i` is a put that a later put of the same block
-/// overwrites before anything can observe it: its counter.
-fn overwritten_put(cfg: &Cfg, delay: &DelaySet, b: BlockId, i: usize) -> Option<CtrId> {
-    let instrs = &cfg.block(b).instrs;
-    let Instr::PutInit {
-        access: p1_access,
-        dst: ref1,
-        ctr: ctr1,
-        ..
-    } = &instrs[i]
-    else {
-        return None;
-    };
-    let index_vars: Vec<VarId> = ref1
-        .index
-        .as_ref()
-        .map(|e| e.vars_used())
-        .unwrap_or_default();
-    // Scan forward for an overwriting put.
-    for instr in &instrs[i + 1..] {
-        // Index-variable redefinition ends the comparison window.
-        if let Some(d) = instr.def().or(instr.array_def()) {
-            if index_vars.contains(&d) {
-                return None;
-            }
-        }
-        match instr {
-            Instr::PutInit {
-                access: p2_access,
-                dst: ref2,
-                ..
-            }
-            | Instr::StoreInit {
-                access: p2_access,
-                dst: ref2,
-                ..
-            } => {
-                if ref2.var == ref1.var
-                    && provably_equal_same_proc(ref2.index.as_ref(), ref1.index.as_ref())
-                    && !delay.contains(*p1_access, *p2_access)
-                {
-                    return Some(*ctr1);
-                }
-                // A conflicting same-location operation we cannot prove
-                // equal: stop.
-                if ref2.var == ref1.var
-                    && may_equal_same_proc(ref2.index.as_ref(), ref1.index.as_ref())
-                {
-                    return None;
-                }
-            }
-            // A same-processor read of the location observes put1: it must
-            // stay.
-            Instr::GetShared { src, .. } | Instr::GetInit { src, .. }
-                if src.var == ref1.var
-                    && may_equal_same_proc(src.index.as_ref(), ref1.index.as_ref()) =>
-            {
-                return None;
-            }
-            _ => {}
-        }
-    }
-    None
+    cfg.blocks.iter_mut().for_each(|b| compact(&mut b.instrs));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::split::split_phase;
-    use syncopt_core::analyze;
+    use crate::DelayChoice;
+    use syncopt_core::{analyze, Analysis};
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
 
-    fn run(src: &str) -> (Cfg, OptStats) {
+    /// Splits `src` and runs `passes` over it under `choice`.
+    fn sweep(
+        src: &str,
+        analysis: impl Fn(&Cfg) -> Analysis,
+        choice: DelayChoice,
+        passes: impl Fn(&mut Sweeps<'_>, &mut Cfg, &Ctx<'_>, &mut OptStats),
+    ) -> (Cfg, OptStats) {
         let cfg0 = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let analysis = analyze(&cfg0);
-        let mut cfg = cfg0.clone();
+        let analysis = analysis(&cfg0);
         let mut stats = OptStats::default();
-        let _map = split_phase(&mut cfg, &mut stats);
-        eliminate_redundant_gets(&mut cfg, &analysis.delay_sync, &analysis, &mut stats);
-        forward_put_values(&mut cfg, &analysis.delay_sync, &mut stats);
-        eliminate_overwritten_puts(&mut cfg, &analysis, &mut stats);
+        let (mut cfg, ctrs) = split_phase(&cfg0, &mut stats);
+        let ctx = crate::context_for(&cfg0, &analysis, choice, ctrs);
+        passes(
+            &mut Sweeps::new(&ctx, cfg.vars.len()),
+            &mut cfg,
+            &ctx,
+            &mut stats,
+        );
         (cfg, stats)
+    }
+
+    fn run(src: &str) -> (Cfg, OptStats) {
+        run_under(src, DelayChoice::SyncRefined)
+    }
+
+    fn run_under(src: &str, choice: DelayChoice) -> (Cfg, OptStats) {
+        sweep(src, analyze, choice, |sweeps, cfg, _, stats| {
+            sweeps.reuse_gets(cfg, stats);
+            sweeps.forward_put_values(cfg, stats);
+            sweeps.drop_overwritten_puts(cfg, stats);
+        })
     }
 
     fn count(cfg: &Cfg, pred: impl Fn(&Instr) -> bool) -> usize {
@@ -577,6 +624,33 @@ mod tests {
         assert_eq!(stats.puts_eliminated, 0, "{stats:?}");
     }
 
+    /// The write-back sweep is constrained by the delay set the caller
+    /// chose, not by the refined one: `D_SS` keeps `(Write X, Write X)`,
+    /// which §5 drops once the `post` orders the reader behind both.
+    #[test]
+    fn write_back_consults_the_chosen_delay_set() {
+        let src = r#"
+            shared int X; flag F;
+            fn main() {
+                int v;
+                if (MYPROC == 0) { X = 1; X = 2; post F; }
+                else { wait F; v = X; work(v); }
+            }
+        "#;
+        let under = |choice| {
+            sweep(
+                src,
+                |cfg| syncopt_core::analyze_for(cfg, 4),
+                choice,
+                |sweeps, cfg, _, stats| sweeps.drop_overwritten_puts(cfg, stats),
+            )
+            .1
+            .puts_eliminated
+        };
+        assert_eq!(under(DelayChoice::ShashaSnir), 0);
+        assert_eq!(under(DelayChoice::SyncRefined), 1);
+    }
+
     #[test]
     fn own_read_between_puts_forwards_then_write_backs() {
         // put; get; put — without forwarding, the intervening read pins
@@ -598,14 +672,15 @@ mod tests {
     }
 
     fn run_cross(src: &str) -> (Cfg, OptStats) {
-        let cfg0 = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let analysis = syncopt_core::analyze_for(&cfg0, 4);
-        let mut cfg = cfg0.clone();
-        let mut stats = OptStats::default();
-        let _map = split_phase(&mut cfg, &mut stats);
-        eliminate_redundant_gets(&mut cfg, &analysis.delay_sync, &analysis, &mut stats);
-        eliminate_redundant_gets_cross_block(&mut cfg, &analysis.delay_sync, &mut stats);
-        (cfg, stats)
+        sweep(
+            src,
+            |cfg| syncopt_core::analyze_for(cfg, 4),
+            DelayChoice::SyncRefined,
+            |sweeps, cfg, ctx, stats| {
+                sweeps.reuse_gets(cfg, stats);
+                reuse_gets_across_blocks(cfg, ctx, stats);
+            },
+        )
     }
 
     #[test]

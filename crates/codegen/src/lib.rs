@@ -2,38 +2,57 @@
 
 //! Code generation and communication optimization (§6–§7 of the paper).
 //!
-//! Consumes a source CFG (blocking shared accesses) plus the analysis
-//! results from `syncopt-core`, and produces a target CFG using Split-C
-//! style split-phase operations:
+//! [`optimize`] consumes a source CFG (blocking shared accesses) plus the
+//! analysis results from `syncopt-core`, and produces a target CFG using
+//! Split-C style split-phase operations. What it does, in order:
 //!
-//! * [`split`] — turn every blocking access into `get_ctr`/`put_ctr`
-//!   followed immediately by `sync_ctr` (always legal);
-//! * [`motion`] — **message pipelining**: push `sync_ctr`s forward through
-//!   the CFG and pull initiations backward, bounded by delay edges and
-//!   local def-use constraints;
-//! * [`oneway`] — **two-way → one-way conversion**: a `put` whose syncs all
-//!   land at barriers becomes an unacknowledged `store`;
-//! * [`elim`] — **remote-access elimination**: redundant-`get` reuse,
-//!   put→get value forwarding, and write-back elimination of overwritten
-//!   `put`s;
-//! * [`cleanup`] — dead-code removal, including *dead communication*
-//!   (gets whose destination is never read);
-//! * [`fences`] — the weak-memory backend: fence insertion covering a
-//!   delay set for weakly-ordered shared-memory machines (§9).
+//! 1. **split** — every blocking access becomes `get_ctr`/`put_ctr`
+//!    followed immediately by `sync_ctr` (always legal);
+//! 2. **remote-access elimination** (level `Full`) — four sweeps over the
+//!    freshly split CFG: redundant-`get` reuse within a block, the same
+//!    across dominated blocks, put→get value forwarding, and write-back
+//!    elimination of overwritten `put`s; then **cleanup**: constant
+//!    folding, dead-code removal including *dead communication* (gets whose
+//!    destination is never read);
+//! 3. **message pipelining** — `sync_ctr`s are pushed forward through the
+//!    CFG and initiations pulled backward, bounded by delay edges and local
+//!    def-use constraints;
+//! 4. **two-way → one-way conversion** (level `OneWay` and up) — a `put`
+//!    whose syncs all land at barriers becomes an unacknowledged `store`.
+//!
+//! The passes ask a handful of questions per instruction pair — is there a
+//! delay edge, is it the same location on this processor, is the
+//! destination live — and each is an integer or bit test on a fact worked
+//! out once: the delay set is a bit matrix, subscripts are the interned
+//! classes of the analysis's `SubscriptTable`, dominators and block
+//! reachability come with the analysis (no pass adds or removes a block),
+//! the counter table, the loop structure and the iteration-injective
+//! accesses are dense tables built once per call and lent to every pass,
+//! and liveness is one bit-row fixpoint per cleanup round.
+//!
+//! [`fences`] is the weak-memory backend: fence insertion covering a delay
+//! set for weakly-ordered shared-memory machines (§9).
 //!
 //! The optimization levels mirror the paper's Figure 12 bars: the baseline
 //! runs the same pipeline constrained by the Shasha–Snir delay set, the
 //! optimized versions use the synchronization-refined set.
 
-pub mod cleanup;
-pub mod elim;
+mod cleanup;
+mod context;
+#[cfg(test)]
+mod difftest;
+mod elim;
 pub mod fences;
-pub mod motion;
-pub mod oneway;
-pub mod split;
+mod motion;
+mod oneway;
+#[cfg(test)]
+mod reference;
+mod split;
 
-use syncopt_core::{Analysis, DelaySet};
+use context::{steps, Ctx, LoopFacts};
+use syncopt_core::Analysis;
 use syncopt_ir::cfg::Cfg;
+use syncopt_ir::dom::Dominators;
 
 /// How far to optimize. Each level includes the previous ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -97,6 +116,26 @@ pub struct Optimized {
     pub level: OptLevel,
 }
 
+/// The per-call context of optimizing `source` under `choice`.
+fn context_for<'a>(
+    source: &'a Cfg,
+    analysis: &'a Analysis,
+    choice: DelayChoice,
+    ctrs: split::CtrMap,
+) -> Ctx<'a> {
+    Ctx {
+        delay: match choice {
+            DelayChoice::ShashaSnir => &analysis.delay_ss,
+            DelayChoice::SyncRefined => &analysis.delay_sync,
+        },
+        subs: &analysis.subscripts,
+        accesses: &source.accesses,
+        dom: &analysis.dom,
+        po: &analysis.po,
+        ctrs,
+    }
+}
+
 /// Runs the optimization pipeline at `level`, constrained by `delay`.
 ///
 /// `analysis` must have been computed on `cfg` (same access table).
@@ -111,36 +150,40 @@ pub fn optimize(cfg: &Cfg, analysis: &Analysis, level: OptLevel, choice: DelayCh
         cfg.accesses.len(),
         "analysis does not match this CFG"
     );
-    let delay: &DelaySet = match choice {
-        DelayChoice::ShashaSnir => &analysis.delay_ss,
-        DelayChoice::SyncRefined => &analysis.delay_sync,
-    };
-    let mut out = cfg.clone();
     let mut stats = OptStats::default();
     if level == OptLevel::Blocking {
         return Optimized {
-            cfg: out,
+            cfg: cfg.clone(),
             stats,
             level,
         };
     }
-    let ctr_map = split::split_phase(&mut out, &mut stats);
+    let (mut out, ctrs) = split::split_phase(cfg, &mut stats);
+    let ctx = context_for(cfg, analysis, choice, ctrs);
     // Elimination runs first, on the freshly split CFG where each
     // initiation still has its sync adjacent (the passes rely on that
     // layout to drop the right sync copies).
+    let mut folded_dom = None;
     if level >= OptLevel::Full {
-        elim::eliminate_redundant_gets(&mut out, delay, analysis, &mut stats);
-        elim::eliminate_redundant_gets_cross_block(&mut out, delay, &mut stats);
+        let mut sweeps = elim::Sweeps::new(&ctx, out.vars.len());
+        sweeps.reuse_gets(&mut out, &mut stats);
+        elim::reuse_gets_across_blocks(&mut out, &ctx, &mut stats);
         // Forwarding may turn a get into a local assignment, which in turn
         // can unblock write-back elimination of the forwarded put.
-        elim::forward_put_values(&mut out, delay, &mut stats);
-        elim::eliminate_overwritten_puts(&mut out, analysis, &mut stats);
-        cleanup::remove_dead_code(&mut out, &mut stats);
+        sweeps.forward_put_values(&mut out, &mut stats);
+        sweeps.drop_overwritten_puts(&mut out, &mut stats);
+        // A branch folded to a jump is the one edge code generation ever
+        // changes; only then are the analysis's dominators not `out`'s.
+        if cleanup::remove_dead_code(&mut out, &mut stats) {
+            steps::count(|s| s.dominator_builds += 1);
+            folded_dom = Some(Dominators::compute(&out));
+        }
     }
-    motion::move_syncs(&mut out, delay, &ctr_map, &mut stats);
-    motion::move_initiations(&mut out, delay, &ctr_map, &mut stats);
+    let loops = LoopFacts::build(&out, folded_dom.as_ref().unwrap_or(ctx.dom), &ctx);
+    motion::move_syncs(&mut out, &ctx, &loops, &mut stats);
+    motion::move_initiations(&mut out, &ctx, &loops, &mut stats);
     if level >= OptLevel::OneWay {
-        oneway::convert_one_way(&mut out, &ctr_map, &mut stats);
+        oneway::convert_one_way(&mut out, &mut stats);
     }
     out.recompute_access_positions();
     debug_assert_eq!(out.validate(), Ok(()));
@@ -171,6 +214,27 @@ mod tests {
             .flat_map(|b| b.instrs.iter())
             .filter(|i| pred(i))
             .count()
+    }
+
+    /// Split + sync motion + initiation motion (+ one-way conversion) with
+    /// no elimination, for the pass modules' own tests.
+    pub(crate) fn motion_pipeline(
+        source: &Cfg,
+        analysis: &Analysis,
+        choice: DelayChoice,
+        one_way: bool,
+    ) -> (Cfg, OptStats) {
+        let mut stats = OptStats::default();
+        let (mut cfg, ctrs) = split::split_phase(source, &mut stats);
+        let ctx = context_for(source, analysis, choice, ctrs);
+        let loops = LoopFacts::build(&cfg, ctx.dom, &ctx);
+        motion::move_syncs(&mut cfg, &ctx, &loops, &mut stats);
+        motion::move_initiations(&mut cfg, &ctx, &loops, &mut stats);
+        if one_way {
+            oneway::convert_one_way(&mut cfg, &mut stats);
+        }
+        cfg.recompute_access_positions();
+        (cfg, stats)
     }
 
     #[test]

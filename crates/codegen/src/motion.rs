@@ -10,229 +10,144 @@
 //! Heuristics from the paper: a sync is not pushed into a loop it did not
 //! start in (it would run every iteration), and the exit block keeps its
 //! syncs (program termination must drain the network).
+//!
+//! Both passes find where an instruction lands by reference and move it
+//! there in one rotation. Sync motion proceeds in rounds over the blocks in
+//! index order, as the §6 rules are stated, but a round only visits a block
+//! that changed on its last visit or received a sync since.
 
-use crate::split::CtrMap;
+use crate::context::{Ctx, LoopFacts};
 use crate::OptStats;
-use std::collections::HashSet;
-use syncopt_core::affine::{may_equal_same_proc, to_affine};
-use syncopt_core::DelaySet;
-use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::{Cfg, CtrId, Instr};
 use syncopt_ir::dataflow::local_dependence;
-use syncopt_ir::dom::Dominators;
-use syncopt_ir::expr::Expr;
-use syncopt_ir::ids::{AccessId, BlockId};
-use syncopt_ir::loops::{defined_in_loop, find_loops, induction_vars, NaturalLoop};
-
-/// Accesses whose subscript is *injective across loop iterations*: it is
-/// affine with a nonzero coefficient on a basic induction variable of the
-/// containing loop, and every other variable in it is loop-invariant. Two
-/// dynamic instances of such an access from different iterations touch
-/// different elements, so an access may be reordered with *itself* (e.g. a
-/// transpose `put` in a scatter loop).
-pub fn iteration_injective_accesses(cfg: &Cfg) -> HashSet<AccessId> {
-    let dom = Dominators::compute(cfg);
-    let loops = find_loops(cfg, &dom);
-    let ivs = induction_vars(cfg, &loops);
-    let mut out = HashSet::new();
-    for (id, info) in cfg.accesses.iter() {
-        let Some(index) = &info.index else {
-            continue;
-        };
-        let Some(aff) = to_affine(index) else {
-            continue;
-        };
-        let block = info.pos.block;
-        for (loop_idx, l) in loops.iter().enumerate() {
-            if !l.contains(block) {
-                continue;
-            }
-            let mut has_driver = false;
-            let mut all_ok = true;
-            for (&var, &coeff) in &aff.coeffs {
-                if coeff == 0 {
-                    continue;
-                }
-                let iv = ivs
-                    .iter()
-                    .find(|iv| iv.loop_idx == loop_idx && iv.var == var);
-                match iv {
-                    Some(iv) if coeff.checked_mul(iv.step).is_some_and(|s| s != 0) => {
-                        has_driver = true;
-                    }
-                    _ => {
-                        if defined_in_loop(cfg, l, var) {
-                            all_ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if has_driver && all_ok {
-                out.insert(id);
-                break;
-            }
-        }
-    }
-    out
-}
+use syncopt_ir::ids::{AccessId, BlockId, VarId};
+use syncopt_ir::order::BitSet;
 
 /// Pushes every `sync_ctr` as far forward as its constraints allow.
-pub fn move_syncs(cfg: &mut Cfg, delay: &DelaySet, ctr_map: &CtrMap, stats: &mut OptStats) {
-    let dom = Dominators::compute(cfg);
-    let loops = find_loops(cfg, &dom);
-    let injective = iteration_injective_accesses(cfg);
-    let mut propagated: HashSet<(BlockId, CtrId)> = HashSet::new();
-    let mut parked: HashSet<(BlockId, CtrId)> = HashSet::new();
-    let mut changed = true;
+pub(crate) fn move_syncs(cfg: &mut Cfg, ctx: &Ctx<'_>, loops: &LoopFacts, stats: &mut OptStats) {
+    let blocks = cfg.num_blocks();
+    // `(block, counter)` pairs a copy was propagated into: a second copy
+    // arriving merges with the first.
+    let mut received = BitSet::new(blocks * ctx.ctrs.len());
+    let mut dirty = vec![true; blocks];
+    let mut dirty_next = vec![false; blocks];
     let mut rounds = 0usize;
-    while changed {
-        changed = false;
+    loop {
         rounds += 1;
-        assert!(
-            rounds <= 4 * cfg.num_blocks() + 64,
-            "sync motion failed to terminate"
-        );
-        for b in cfg.block_ids().collect::<Vec<_>>() {
+        assert!(rounds <= 4 * blocks + 64, "sync motion failed to terminate");
+        let mut changed = false;
+        for bi in 0..blocks {
+            if !std::mem::take(&mut dirty[bi]) {
+                continue;
+            }
+            let b = BlockId::from_index(bi);
+            let mut block_changed = false;
             let mut i = 0;
-            loop {
-                let len = cfg.block(b).instrs.len();
-                if i >= len {
-                    break;
-                }
-                let Instr::SyncCtr { ctr } = cfg.block(b).instrs[i] else {
+            while i < cfg.blocks[bi].instrs.len() {
+                let instrs = &mut cfg.blocks[bi].instrs;
+                let Instr::SyncCtr { ctr } = instrs[i] else {
                     i += 1;
                     continue;
                 };
-                if i + 1 < len {
-                    // Decide by reference, mutate after the borrow ends.
-                    enum Step {
-                        Merge,
-                        Cross,
-                        Stay,
-                    }
-                    let step = match &cfg.block(b).instrs[i + 1] {
-                        Instr::SyncCtr { ctr: c2 } if *c2 == ctr => Step::Merge,
-                        a if !sync_blocked(cfg, delay, ctr_map, &injective, ctr, a) => Step::Cross,
-                        _ => Step::Stay,
-                    };
-                    match step {
-                        Step::Merge => {
-                            cfg.block_mut(b).instrs.remove(i + 1);
-                            stats.syncs_merged += 1;
-                            changed = true;
-                        }
-                        Step::Cross => {
-                            cfg.block_mut(b).instrs.swap(i, i + 1);
-                            stats.sync_moves += 1;
-                            changed = true;
-                            i += 1;
-                        }
-                        Step::Stay => i += 1,
-                    }
-                } else {
-                    // Sync at the end of its block: try to propagate.
-                    if b == cfg.exit || parked.contains(&(b, ctr)) {
-                        i += 1;
-                        continue;
-                    }
-                    let succs = cfg.successors(b);
-                    if succs.is_empty() {
-                        i += 1;
-                        continue;
-                    }
-                    if succs.iter().any(|&s| enters_foreign_loop(&loops, b, s)) {
-                        parked.insert((b, ctr));
-                        i += 1;
-                        continue;
-                    }
-                    // Loop escape (the paper's anti-"every iteration"
-                    // heuristic): if this block belongs to a loop none of
-                    // whose instructions constrain this sync, hoist the
-                    // sync to the loop's exit targets instead of cycling a
-                    // copy through the body.
-                    let escape_loop = innermost_loop(&loops, b).filter(|&li| {
-                        !loop_needs_sync(cfg, delay, ctr_map, &injective, &loops[li], ctr)
-                    });
-                    cfg.block_mut(b).instrs.remove(i);
-                    if let Some(li) = escape_loop {
-                        for t in loop_exit_targets(cfg, &loops[li]) {
-                            if propagated.insert((t, ctr)) {
-                                cfg.block_mut(t).instrs.insert(0, Instr::SyncCtr { ctr });
-                            } else {
+                if i + 1 < instrs.len() {
+                    // Follow the sync: it absorbs the copies of itself it
+                    // meets and crosses what does not constrain it.
+                    let mut j = i;
+                    while j + 1 < instrs.len() {
+                        match &instrs[j + 1] {
+                            Instr::SyncCtr { ctr: c2 } if *c2 == ctr => {
+                                instrs.remove(j + 1);
                                 stats.syncs_merged += 1;
                             }
-                        }
-                    } else {
-                        for s in succs {
-                            if propagated.insert((s, ctr)) {
-                                cfg.block_mut(s).instrs.insert(0, Instr::SyncCtr { ctr });
-                            } else {
-                                stats.syncs_merged += 1;
+                            a if !sync_blocked(ctx, loops, ctr, a) => {
+                                j += 1;
+                                stats.sync_moves += 1;
                             }
+                            _ => break,
                         }
+                        block_changed = true;
                     }
-                    stats.sync_moves += 1;
-                    changed = true;
-                    // Re-examine index i (a new instruction shifted in).
+                    instrs[i..=j].rotate_left(1);
+                    // Blocked mid-block: on to what follows. At the end of
+                    // the block: examine it there.
+                    i = if j + 1 < instrs.len() { j + 1 } else { j };
+                    continue;
                 }
+                // Sync at the end of its block: try to propagate. The exit
+                // block keeps its syncs, and a sync is not pushed into a
+                // loop it did not start in.
+                let term = &cfg.blocks[bi].term;
+                let mut stays = b == cfg.exit || term.successor(0).is_none();
+                term.for_each_successor(|s| stays |= loops.enters_foreign_loop(b, s));
+                if stays {
+                    i += 1;
+                    continue;
+                }
+                // Loop escape (the paper's anti-"every iteration"
+                // heuristic): if this block belongs to a loop none of
+                // whose instructions constrain this sync, hoist the
+                // sync to the loop's exit targets instead of cycling a
+                // copy through the body.
+                let escape_loop = loops
+                    .innermost(b)
+                    .filter(|&li| !loop_needs_sync(cfg, ctx, loops, li, ctr));
+                cfg.blocks[bi].instrs.remove(i);
+                let targets = match escape_loop {
+                    Some(li) => loops.exit_targets(cfg, li),
+                    None => cfg.blocks[bi].term.successors(),
+                };
+                for t in targets {
+                    if received.contains(t.index() * ctx.ctrs.len() + ctr.0 as usize) {
+                        stats.syncs_merged += 1;
+                        continue;
+                    }
+                    received.insert(t.index() * ctx.ctrs.len() + ctr.0 as usize);
+                    cfg.block_mut(t).instrs.insert(0, Instr::SyncCtr { ctr });
+                    // Later in this round if its turn is still to come.
+                    if t.index() > bi {
+                        dirty[t.index()] = true;
+                    } else {
+                        dirty_next[t.index()] = true;
+                    }
+                }
+                stats.sync_moves += 1;
+                block_changed = true;
+                // Re-examine index i (a new instruction shifted in).
+            }
+            if block_changed {
+                dirty_next[bi] = true;
+                changed = true;
             }
         }
+        if !changed {
+            break;
+        }
+        std::mem::swap(&mut dirty, &mut dirty_next);
     }
 }
 
-/// Whether jumping `from → to` enters a loop that `from` is not part of.
-fn enters_foreign_loop(loops: &[NaturalLoop], from: BlockId, to: BlockId) -> bool {
-    loops
-        .iter()
-        .any(|l| l.header == to && l.contains(to) && !l.contains(from))
-}
-
-/// Index of the innermost (fewest-blocks) loop containing `b`.
-fn innermost_loop(loops: &[NaturalLoop], b: BlockId) -> Option<usize> {
-    loops
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.contains(b))
-        .min_by_key(|(_, l)| l.blocks.len())
-        .map(|(i, _)| i)
-}
-
-/// Whether any instruction inside the loop constrains `sync_ctr(ctr)`.
+/// Whether any instruction inside loop `li` constrains `sync_ctr(ctr)`.
 /// The counter's own initiation does not count (re-initiating an
 /// iteration-injective access needs no completion of the previous
 /// instance; non-injective self-overlap is caught by `shared_overlap`),
 /// and other syncs don't either (they are barriers to *crossing*, not
 /// consumers of this counter).
-fn loop_needs_sync(
-    cfg: &Cfg,
-    delay: &DelaySet,
-    ctr_map: &CtrMap,
-    injective: &HashSet<AccessId>,
-    l: &NaturalLoop,
-    ctr: CtrId,
-) -> bool {
-    for &b in &l.blocks {
-        for instr in &cfg.block(b).instrs {
+fn loop_needs_sync(cfg: &Cfg, ctx: &Ctx<'_>, loops: &LoopFacts, li: usize, ctr: CtrId) -> bool {
+    loops.loops[li].blocks.iter().any(|&b| {
+        cfg.block(b).instrs.iter().any(|instr| {
             if matches!(instr, Instr::SyncCtr { .. }) {
-                continue;
+                return false;
             }
             if instr_initiates(instr, ctr) {
                 // Own initiation: only a hazard when non-injective, which
-                // `sync_blocked`'s shared_overlap path reports below via
-                // the self check — so test it explicitly here.
-                let u = ctr_map[&ctr].access;
-                if shared_overlap(cfg, injective, u, u) {
-                    return true;
-                }
-                continue;
+                // `sync_blocked`'s shared_overlap path does not see (it
+                // stops at the initiation first) — so test it explicitly.
+                let u = ctx.ctrs[ctr.0 as usize].access;
+                return ctx.shared_overlap(&loops.injective, u, u);
             }
-            if sync_blocked(cfg, delay, ctr_map, injective, ctr, instr) {
-                return true;
-            }
-        }
-    }
-    false
+            sync_blocked(ctx, loops, ctr, instr)
+        })
+    })
 }
 
 /// Whether `instr` is the initiation tracked by `ctr`.
@@ -243,28 +158,15 @@ fn instr_initiates(instr: &Instr, ctr: CtrId) -> bool {
     )
 }
 
-/// Blocks outside loop `l` that are targets of an edge leaving `l`.
-fn loop_exit_targets(cfg: &Cfg, l: &NaturalLoop) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    for &b in &l.blocks {
-        for s in cfg.successors(b) {
-            if !l.contains(s) && !out.contains(&s) {
-                out.push(s);
-            }
-        }
-    }
-    out
+/// Whether `instr` reads or writes the local `var`.
+fn touches_local(instr: &Instr, var: VarId) -> bool {
+    let mut touches = instr.def() == Some(var) || instr.array_def() == Some(var);
+    instr.for_each_use(&mut |v| touches |= v == var);
+    touches
 }
 
 /// Can `sync_ctr(ctr)` move past `a`?
-fn sync_blocked(
-    cfg: &Cfg,
-    delay: &DelaySet,
-    ctr_map: &CtrMap,
-    injective: &HashSet<AccessId>,
-    ctr: CtrId,
-    a: &Instr,
-) -> bool {
+fn sync_blocked(ctx: &Ctx<'_>, loops: &LoopFacts, ctr: CtrId, a: &Instr) -> bool {
     // Syncs never cross each other: it buys nothing and two adjacent syncs
     // would otherwise swap forever.
     if matches!(a, Instr::SyncCtr { .. }) {
@@ -275,16 +177,16 @@ fn sync_blocked(
     if instr_initiates(a, ctr) {
         return true;
     }
-    let info = ctr_map[&ctr];
+    let info = ctx.ctrs[ctr.0 as usize];
     let u = info.access;
     // Delay constraint: some access in `a` must wait for `u`'s completion.
     if let Some(w) = a.access_id() {
-        if delay.contains(u, w) {
+        if ctx.delay.contains(u, w) {
             return true;
         }
         // Same-processor dependence through shared memory: the pending
         // operation and `a` may touch the same location.
-        if shared_overlap(cfg, injective, u, w) {
+        if ctx.shared_overlap(&loops.injective, u, w) {
             return true;
         }
     }
@@ -295,62 +197,19 @@ fn sync_blocked(
     }
     // Local def-use: for a pending get, its destination must not be read or
     // overwritten before the sync.
-    if let Some(dst) = info.get_dst {
-        let mut uses_dst = false;
-        a.for_each_use(&mut |v| uses_dst |= v == dst);
-        if uses_dst || a.def() == Some(dst) || a.array_def() == Some(dst) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Conservative same-processor aliasing between two shared accesses: same
-/// variable, at least one write, and indices not provably distinct on one
-/// processor. Index comparison is only trusted for `MYPROC`/constant
-/// expressions (locals could be redefined between the two points).
-fn shared_overlap(cfg: &Cfg, injective: &HashSet<AccessId>, u: AccessId, w: AccessId) -> bool {
-    // An iteration-injective access never collides with its own other
-    // instances.
-    if u == w && injective.contains(&u) {
-        return false;
-    }
-    let (ui, wi) = (cfg.accesses.info(u), cfg.accesses.info(w));
-    if !ui.kind.is_data() || !wi.kind.is_data() {
-        return false;
-    }
-    if ui.var != wi.var {
-        return false;
-    }
-    if ui.kind == AccessKind::Read && wi.kind == AccessKind::Read {
-        return false;
-    }
-    match (&ui.index, &wi.index) {
-        (None, None) => true,
-        (Some(e1), Some(e2)) if stable_index(e1) && stable_index(e2) => {
-            may_equal_same_proc(Some(e1), Some(e2))
-        }
-        _ => true,
-    }
-}
-
-/// An index expression whose value cannot change between program points:
-/// built only from constants and `MYPROC`/`PROCS`.
-fn stable_index(e: &Expr) -> bool {
-    match e {
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::MyProc | Expr::Procs => true,
-        Expr::Local(_) | Expr::LocalElem { .. } => false,
-        Expr::Unary { expr, .. } => stable_index(expr),
-        Expr::Binary { lhs, rhs, .. } => stable_index(lhs) && stable_index(rhs),
-    }
+    info.get_dst.is_some_and(|dst| touches_local(a, dst))
 }
 
 /// Pulls initiations backward within their blocks.
-pub fn move_initiations(cfg: &mut Cfg, delay: &DelaySet, ctr_map: &CtrMap, stats: &mut OptStats) {
-    let injective = iteration_injective_accesses(cfg);
-    for b in cfg.block_ids().collect::<Vec<_>>() {
-        for i in 1..cfg.block(b).instrs.len() {
-            let instrs = &cfg.block(b).instrs;
+pub(crate) fn move_initiations(
+    cfg: &mut Cfg,
+    ctx: &Ctx<'_>,
+    loops: &LoopFacts,
+    stats: &mut OptStats,
+) {
+    for block in &mut cfg.blocks {
+        for i in 1..block.instrs.len() {
+            let instrs = &block.instrs;
             let instr = &instrs[i];
             if !matches!(
                 instr,
@@ -362,24 +221,20 @@ pub fn move_initiations(cfg: &mut Cfg, delay: &DelaySet, ctr_map: &CtrMap, stats
             // Find where it lands by reference, then move it there in one
             // rotation (the instructions it passes keep their order).
             let mut j = i;
-            while j > 0 && !init_blocked(cfg, delay, ctr_map, &injective, u, instr, &instrs[j - 1])
-            {
+            while j > 0 && !init_blocked(ctx, loops, u, instr, &instrs[j - 1]) {
                 j -= 1;
             }
-            cfg.block_mut(b).instrs[j..=i].rotate_right(1);
+            block.instrs[j..=i].rotate_right(1);
             stats.init_moves += i - j;
         }
     }
-    cfg.recompute_access_positions();
 }
 
 /// Can the initiation of access `u` (instruction `instr`) move before
 /// `prev`?
 fn init_blocked(
-    cfg: &Cfg,
-    delay: &DelaySet,
-    ctr_map: &CtrMap,
-    injective: &HashSet<AccessId>,
+    ctx: &Ctx<'_>,
+    loops: &LoopFacts,
     u: AccessId,
     instr: &Instr,
     prev: &Instr,
@@ -388,24 +243,15 @@ fn init_blocked(
     // the pending get feeds this initiation's operands (crossing would make
     // us read the destination before it is valid).
     if let Instr::SyncCtr { ctr } = prev {
-        let info = ctr_map[ctr];
-        if delay.contains(info.access, u) {
-            return true;
-        }
-        if let Some(dst) = info.get_dst {
-            let mut touches = false;
-            instr.for_each_use(&mut |v| touches |= v == dst);
-            if touches || instr.def() == Some(dst) || instr.array_def() == Some(dst) {
-                return true;
-            }
-        }
-        return false;
+        let info = ctx.ctrs[ctr.0 as usize];
+        return ctx.delay.contains(info.access, u)
+            || info.get_dst.is_some_and(|dst| touches_local(instr, dst));
     }
     if let Some(w) = prev.access_id() {
-        if delay.contains(w, u) {
+        if ctx.delay.contains(w, u) {
             return true;
         }
-        if shared_overlap(cfg, injective, w, u) {
+        if ctx.shared_overlap(&loops.injective, w, u) {
             return true;
         }
     }
@@ -416,22 +262,18 @@ fn init_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::split_phase;
+    use crate::DelayChoice;
     use syncopt_core::analyze;
     use syncopt_frontend::prepare_program;
+    use syncopt_ir::dom::Dominators;
+    use syncopt_ir::loops::find_loops;
     use syncopt_ir::lower::lower_main;
 
     /// Runs split + sync motion + init motion with the refined delay set.
     fn run(src: &str) -> (Cfg, OptStats) {
         let cfg0 = lower_main(&prepare_program(src).unwrap()).unwrap();
         let analysis = analyze(&cfg0);
-        let mut cfg = cfg0.clone();
-        let mut stats = OptStats::default();
-        let map = split_phase(&mut cfg, &mut stats);
-        move_syncs(&mut cfg, &analysis.delay_sync, &map, &mut stats);
-        move_initiations(&mut cfg, &analysis.delay_sync, &map, &mut stats);
-        cfg.recompute_access_positions();
-        (cfg, stats)
+        crate::tests::motion_pipeline(&cfg0, &analysis, DelayChoice::SyncRefined, false)
     }
 
     fn entry_kinds(cfg: &Cfg) -> Vec<String> {

@@ -6,78 +6,77 @@
 //! network quiescence already guarantees delivery. Such puts become
 //! `store`s — one-way writes with no ack traffic — and their syncs vanish.
 
-use crate::split::CtrMap;
 use crate::OptStats;
 use syncopt_ir::cfg::{Cfg, CtrId, Instr};
 
-/// Converts every eligible `put_ctr` into a `store` and removes its syncs.
-pub fn convert_one_way(cfg: &mut Cfg, ctr_map: &CtrMap, stats: &mut OptStats) {
-    // Gather sync positions per counter and check the barrier-adjacency
-    // condition.
-    let mut eligible: Vec<CtrId> = Vec::new();
-    for (&ctr, _) in ctr_map.iter() {
-        let mut sync_count = 0usize;
-        let mut all_at_barrier = true;
-        let mut is_put = false;
-        for b in cfg.block_ids() {
-            let instrs = &cfg.block(b).instrs;
-            for (i, instr) in instrs.iter().enumerate() {
-                match instr {
-                    Instr::SyncCtr { ctr: c } if *c == ctr => {
-                        sync_count += 1;
-                        let next_is_barrier =
-                            matches!(instrs.get(i + 1), Some(Instr::Barrier { .. }));
-                        all_at_barrier &= next_is_barrier;
-                    }
-                    Instr::PutInit { ctr: c, .. } if *c == ctr => {
-                        is_put = true;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if is_put && sync_count > 0 && all_at_barrier {
-            eligible.push(ctr);
-        }
-    }
+/// What one sweep of the CFG learns about a counter.
+#[derive(Clone, Copy)]
+struct CtrUse {
+    /// Its initiation is a `put` still in the CFG.
+    is_put: bool,
+    /// Some `sync_ctr` copy of it exists.
+    synced: bool,
+    /// Every copy sits right before a barrier.
+    all_at_barrier: bool,
+}
 
-    for ctr in eligible {
-        for bi in 0..cfg.blocks.len() {
-            let b = syncopt_ir::ids::BlockId::from_index(bi);
-            let instrs = &mut cfg.block_mut(b).instrs;
-            let mut i = 0;
-            while i < instrs.len() {
-                match &instrs[i] {
-                    Instr::SyncCtr { ctr: c } if *c == ctr => {
-                        instrs.remove(i);
-                    }
-                    Instr::PutInit {
-                        access,
-                        dst,
-                        src,
-                        ctr: c,
-                    } if *c == ctr => {
-                        instrs[i] = Instr::StoreInit {
-                            access: *access,
-                            dst: dst.clone(),
-                            src: src.clone(),
-                        };
-                        i += 1;
-                    }
-                    _ => i += 1,
+/// Converts every eligible `put_ctr` into a `store` and removes its syncs.
+pub(crate) fn convert_one_way(cfg: &mut Cfg, stats: &mut OptStats) {
+    let mut uses = vec![
+        CtrUse {
+            is_put: false,
+            synced: false,
+            all_at_barrier: true,
+        };
+        cfg.num_ctrs as usize
+    ];
+    for block in &cfg.blocks {
+        for (i, instr) in block.instrs.iter().enumerate() {
+            match instr {
+                Instr::SyncCtr { ctr } => {
+                    let u = &mut uses[ctr.0 as usize];
+                    u.synced = true;
+                    u.all_at_barrier &=
+                        matches!(block.instrs.get(i + 1), Some(Instr::Barrier { .. }));
                 }
+                Instr::PutInit { ctr, .. } => uses[ctr.0 as usize].is_put = true,
+                _ => {}
             }
         }
-        stats.puts_to_stores += 1;
     }
-    cfg.recompute_access_positions();
+    let convert: Vec<bool> = uses
+        .iter()
+        .map(|u| u.is_put && u.synced && u.all_at_barrier)
+        .collect();
+    let converted = convert.iter().filter(|&&c| c).count();
+    stats.puts_to_stores += converted;
+    if converted == 0 {
+        return;
+    }
+    let eligible = |ctr: CtrId| convert[ctr.0 as usize];
+    for block in &mut cfg.blocks {
+        block
+            .instrs
+            .retain(|i| !matches!(i, Instr::SyncCtr { ctr } if eligible(*ctr)));
+        for instr in &mut block.instrs {
+            if matches!(instr, Instr::PutInit { ctr, .. } if eligible(*ctr)) {
+                // Moved out and back in, so nothing is cloned.
+                let Instr::PutInit {
+                    access, dst, src, ..
+                } = std::mem::replace(instr, Instr::SyncCtr { ctr: CtrId(0) })
+                else {
+                    unreachable!("matched a put above");
+                };
+                *instr = Instr::StoreInit { access, dst, src };
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::motion::{move_initiations, move_syncs};
-    use crate::split::split_phase;
+    use crate::DelayChoice;
     use syncopt_core::analyze;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
@@ -85,13 +84,7 @@ mod tests {
     fn run(src: &str) -> (Cfg, OptStats) {
         let cfg0 = lower_main(&prepare_program(src).unwrap()).unwrap();
         let analysis = analyze(&cfg0);
-        let mut cfg = cfg0.clone();
-        let mut stats = OptStats::default();
-        let map = split_phase(&mut cfg, &mut stats);
-        move_syncs(&mut cfg, &analysis.delay_sync, &map, &mut stats);
-        move_initiations(&mut cfg, &analysis.delay_sync, &map, &mut stats);
-        convert_one_way(&mut cfg, &map, &mut stats);
-        (cfg, stats)
+        crate::tests::motion_pipeline(&cfg0, &analysis, DelayChoice::SyncRefined, true)
     }
 
     fn count(cfg: &Cfg, pred: impl Fn(&Instr) -> bool) -> usize {

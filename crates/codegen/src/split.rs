@@ -7,75 +7,93 @@
 //! tracked independently (counters are merged implicitly when syncs merge).
 
 use crate::OptStats;
-use std::collections::HashMap;
-use syncopt_ir::cfg::{Cfg, CtrId, Instr};
-use syncopt_ir::ids::AccessId;
+use syncopt_ir::cfg::{Block, Cfg, CtrId, Instr};
+use syncopt_ir::ids::{AccessId, BlockId, Position, VarId};
 
 /// What a synchronizing counter tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtrInfo {
+pub(crate) struct CtrInfo {
     /// The access whose completion the counter observes.
-    pub access: AccessId,
+    pub(crate) access: AccessId,
     /// For gets: the destination local that becomes valid at sync time.
-    pub get_dst: Option<syncopt_ir::ids::VarId>,
+    pub(crate) get_dst: Option<VarId>,
 }
 
-/// Maps each synchronizing counter to what it tracks.
-pub type CtrMap = HashMap<CtrId, CtrInfo>;
+/// What each synchronizing counter tracks, indexed by counter: a source
+/// CFG has no counters, so a split allocates them from 0.
+pub(crate) type CtrMap = Vec<CtrInfo>;
 
-/// Rewrites all blocking shared accesses into adjacent
-/// initiation/synchronization pairs. Returns the counter→access map.
-pub fn split_phase(cfg: &mut Cfg, stats: &mut OptStats) -> CtrMap {
+/// Copies `source` with every blocking shared access rewritten into an
+/// adjacent initiation/synchronization pair (access positions included).
+/// Returns the copy and the counter→access table.
+///
+/// # Panics
+///
+/// Panics if `source` already has synchronizing counters.
+pub(crate) fn split_phase(source: &Cfg, stats: &mut OptStats) -> (Cfg, CtrMap) {
+    assert_eq!(source.num_ctrs, 0, "only a source CFG can be split");
+    let mut accesses = source.accesses.clone();
     let mut ctr_map = CtrMap::new();
-    for bi in 0..cfg.blocks.len() {
-        let block = syncopt_ir::ids::BlockId::from_index(bi);
-        let old = std::mem::take(&mut cfg.block_mut(block).instrs);
-        let mut new = Vec::with_capacity(old.len() * 2);
-        for instr in old {
+    let mut blocks = Vec::with_capacity(source.blocks.len());
+    for (bi, block) in source.blocks.iter().enumerate() {
+        let shared = block
+            .instrs
+            .iter()
+            .filter(|i| matches!(i, Instr::GetShared { .. } | Instr::PutShared { .. }))
+            .count();
+        let mut instrs = Vec::with_capacity(block.instrs.len() + shared);
+        for instr in &block.instrs {
+            if let Some(access) = instr.access_id() {
+                accesses.info_mut(access).pos =
+                    Position::new(BlockId::from_index(bi), instrs.len());
+            }
+            let ctr = CtrId(ctr_map.len() as u32);
             match instr {
                 Instr::GetShared { access, dst, src } => {
-                    let ctr = cfg.fresh_ctr();
-                    ctr_map.insert(
-                        ctr,
-                        CtrInfo {
-                            access,
-                            get_dst: Some(dst),
-                        },
-                    );
+                    ctr_map.push(CtrInfo {
+                        access: *access,
+                        get_dst: Some(*dst),
+                    });
                     stats.gets_split += 1;
-                    new.push(Instr::GetInit {
-                        access,
-                        dst,
-                        src,
+                    instrs.push(Instr::GetInit {
+                        access: *access,
+                        dst: *dst,
+                        src: src.clone(),
                         ctr,
                     });
-                    new.push(Instr::SyncCtr { ctr });
+                    instrs.push(Instr::SyncCtr { ctr });
                 }
                 Instr::PutShared { access, dst, src } => {
-                    let ctr = cfg.fresh_ctr();
-                    ctr_map.insert(
-                        ctr,
-                        CtrInfo {
-                            access,
-                            get_dst: None,
-                        },
-                    );
+                    ctr_map.push(CtrInfo {
+                        access: *access,
+                        get_dst: None,
+                    });
                     stats.puts_split += 1;
-                    new.push(Instr::PutInit {
-                        access,
-                        dst,
-                        src,
+                    instrs.push(Instr::PutInit {
+                        access: *access,
+                        dst: dst.clone(),
+                        src: src.clone(),
                         ctr,
                     });
-                    new.push(Instr::SyncCtr { ctr });
+                    instrs.push(Instr::SyncCtr { ctr });
                 }
-                other => new.push(other),
+                other => instrs.push(other.clone()),
             }
         }
-        cfg.block_mut(block).instrs = new;
+        blocks.push(Block {
+            instrs,
+            term: block.term.clone(),
+        });
     }
-    cfg.recompute_access_positions();
-    ctr_map
+    let cfg = Cfg {
+        blocks,
+        entry: source.entry,
+        exit: source.exit,
+        vars: source.vars.clone(),
+        accesses,
+        num_ctrs: ctr_map.len() as u32,
+    };
+    (cfg, ctr_map)
 }
 
 #[cfg(test)]
@@ -85,9 +103,9 @@ mod tests {
     use syncopt_ir::lower::lower_main;
 
     fn split(src: &str) -> (Cfg, CtrMap, OptStats) {
-        let mut cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
+        let source = lower_main(&prepare_program(src).unwrap()).unwrap();
         let mut stats = OptStats::default();
-        let map = split_phase(&mut cfg, &mut stats);
+        let (cfg, map) = split_phase(&source, &mut stats);
         (cfg, map, stats)
     }
 
@@ -99,12 +117,12 @@ mod tests {
         assert_eq!(stats.puts_split, 2);
         assert_eq!(map.len(), 3);
         // Counters are distinct and mapped to distinct accesses.
-        let mut accesses: Vec<AccessId> = map.values().map(|i| i.access).collect();
+        let mut accesses: Vec<AccessId> = map.iter().map(|i| i.access).collect();
         accesses.sort();
         accesses.dedup();
         assert_eq!(accesses.len(), 3);
         // Gets record their destination; puts do not.
-        assert_eq!(map.values().filter(|i| i.get_dst.is_some()).count(), 1);
+        assert_eq!(map.iter().filter(|i| i.get_dst.is_some()).count(), 1);
         cfg.validate().unwrap();
     }
 
@@ -112,14 +130,14 @@ mod tests {
     fn sync_follows_initiation_immediately() {
         let (cfg, map, _) = split("shared int X; fn main() { int v; v = X; }");
         let entry = cfg.block(cfg.entry);
-        let Instr::GetInit { ctr, .. } = &entry.instrs[0] else {
+        let Instr::GetInit { ctr, access, .. } = &entry.instrs[0] else {
             panic!("expected get init first: {:?}", entry.instrs);
         };
         let Instr::SyncCtr { ctr: sctr } = &entry.instrs[1] else {
             panic!("expected sync second");
         };
         assert_eq!(ctr, sctr);
-        assert!(map.contains_key(ctr));
+        assert_eq!(map[ctr.0 as usize].access, *access);
     }
 
     #[test]

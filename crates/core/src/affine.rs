@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use syncopt_frontend::ast::{BinOp, UnOp};
 use syncopt_ir::expr::Expr;
-use syncopt_ir::ids::VarId;
+use syncopt_ir::ids::{AccessId, VarId};
 
 /// An affine subscript `konst + myproc·MYPROC + Σ coeffs[v]·v`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -108,6 +108,155 @@ pub fn to_affine(expr: &Expr) -> Option<Affine> {
             _ => None,
         },
         _ => None,
+    }
+}
+
+/// Shape id of a subscript with no affine form (a scalar, or one
+/// [`to_affine`] gave up on).
+const NO_SHAPE: u32 = (1 << 30) - 1;
+/// Flag on [`SubscriptEntry::shape`]: some coefficient is `i64::MIN`, whose
+/// negation does not exist, so no difference of two such forms is taken.
+const UNNEGATABLE: u32 = 1 << 30;
+/// Flag on [`SubscriptEntry::shape`]: the subscript is built only from
+/// constants, `MYPROC` and `PROCS`, so its value cannot change between
+/// two program points.
+const STABLE: u32 = 1 << 31;
+
+/// What the same-processor subscript tests need of one access site.
+#[derive(Debug, Clone, Copy)]
+struct SubscriptEntry {
+    /// Variable plus canonical affine form; a non-affine subscript has a
+    /// class of its own.
+    class: u32,
+    /// The form without its constant ([`NO_SHAPE`] when there is none),
+    /// under the [`UNNEGATABLE`] and [`STABLE`] flags.
+    shape: u32,
+    /// The constant term of the form.
+    konst: i64,
+}
+
+/// Every access site's subscript, interned once per analysis: 16 bytes per
+/// access, and the local-variable terms of each distinct shape in one pool.
+///
+/// Two sites share a *class* iff they name the same variable with
+/// provably equal subscripts (same processor, same local state), and
+/// [`SubscriptTable::may_equal`] answers whether two subscripts can
+/// coincide there — both as integer comparisons, on forms the conflict
+/// set put in affine shape anyway.
+#[derive(Debug, Clone)]
+pub struct SubscriptTable {
+    entries: Vec<SubscriptEntry>,
+    num_classes: u32,
+    /// Shape `s` has the local terms `terms[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    terms: Vec<(VarId, i64)>,
+}
+
+/// Whether `e` mentions only constants, `MYPROC` and `PROCS`.
+fn stable_index(e: &Expr) -> bool {
+    match e {
+        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::MyProc | Expr::Procs => true,
+        Expr::Local(_) | Expr::LocalElem { .. } => false,
+        Expr::Unary { expr, .. } => stable_index(expr),
+        Expr::Binary { lhs, rhs, .. } => stable_index(lhs) && stable_index(rhs),
+    }
+}
+
+impl SubscriptTable {
+    /// Interns the sites of one access table, given in access order as
+    /// `(variable, subscript, its affine form)`.
+    pub(crate) fn build<'a>(
+        sites: impl Iterator<Item = (Option<VarId>, Option<&'a Expr>, Option<&'a Affine>)>,
+    ) -> Self {
+        use std::collections::HashMap;
+        let mut table = SubscriptTable {
+            entries: Vec::with_capacity(sites.size_hint().0),
+            num_classes: 0,
+            starts: vec![0],
+            terms: Vec::new(),
+        };
+        let mut shapes: HashMap<(i64, &BTreeMap<VarId, i64>), u32> = HashMap::new();
+        let mut classes: HashMap<(Option<VarId>, u32, i64), u32> = HashMap::new();
+        for (var, index, affine) in sites {
+            let (mut shape, mut konst) = (NO_SHAPE, 0);
+            if let Some(a) = affine {
+                let next = table.starts.len() as u32 - 1;
+                assert!(next < NO_SHAPE, "subscript shape ids exhausted");
+                shape = *shapes.entry((a.myproc, &a.coeffs)).or_insert(next);
+                if shape == next {
+                    table.terms.extend(a.coeffs.iter().map(|(v, c)| (*v, *c)));
+                    table.starts.push(table.terms.len() as u32);
+                }
+                konst = a.konst;
+            }
+            // Equal forms are one class; a subscript with no form is equal
+            // to nothing, itself included; scalars have no subscript.
+            let fresh = table.num_classes;
+            let class = if index.is_some() && affine.is_none() {
+                fresh
+            } else {
+                *classes.entry((var, shape, konst)).or_insert(fresh)
+            };
+            if class == fresh {
+                table.num_classes += 1;
+            }
+            if affine
+                .is_some_and(|a| a.myproc == i64::MIN || a.coeffs.values().any(|&c| c == i64::MIN))
+            {
+                shape |= UNNEGATABLE;
+            }
+            if index.is_some_and(stable_index) {
+                shape |= STABLE;
+            }
+            table.entries.push(SubscriptEntry {
+                class,
+                shape,
+                konst,
+            });
+        }
+        table
+    }
+
+    /// The class of `a`: equal for two sites iff they name the same
+    /// variable and their subscripts are provably equal on one processor
+    /// with the same local state. Dense in `0..num_classes()`.
+    pub fn class(&self, a: AccessId) -> u32 {
+        self.entries[a.index()].class
+    }
+
+    /// Number of distinct classes.
+    pub fn num_classes(&self) -> usize {
+        self.num_classes as usize
+    }
+
+    /// Whether `a`'s subscript is built only from constants, `MYPROC` and
+    /// `PROCS` (false for a scalar).
+    pub fn stable(&self, a: AccessId) -> bool {
+        self.entries[a.index()].shape & STABLE != 0
+    }
+
+    /// Could the subscripts of `a` and `b` be equal on one processor with
+    /// the same local state? `true` unless provably different: the same
+    /// comparable shape with constants a nonzero distance apart. The
+    /// variables are not compared.
+    pub fn may_equal(&self, a: AccessId, b: AccessId) -> bool {
+        let (ea, eb) = (self.entries[a.index()], self.entries[b.index()]);
+        let shape = ea.shape & !STABLE;
+        if shape >= NO_SHAPE || shape != eb.shape & !STABLE {
+            return true;
+        }
+        eb.konst
+            .checked_neg()
+            .and_then(|neg| ea.konst.checked_add(neg))
+            .is_none_or(|diff| diff == 0)
+    }
+
+    /// The nonzero local-variable terms of `a`'s affine subscript, by
+    /// variable; `None` for a scalar or a non-affine subscript.
+    pub fn local_terms(&self, a: AccessId) -> Option<&[(VarId, i64)]> {
+        let s = (self.entries[a.index()].shape & NO_SHAPE) as usize;
+        let (lo, hi) = (*self.starts.get(s)?, *self.starts.get(s + 1)?);
+        Some(&self.terms[lo as usize..hi as usize])
     }
 }
 
@@ -387,10 +536,11 @@ pub fn may_match_any_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
 }
 
 /// Could subscript `e1` equal `e2` when evaluated on the **same** processor
-/// and at the same point (identical local state)? Used for matching
-/// post/wait sites and redundant-access detection. Conservative: `true`
-/// unless provably disjoint.
-pub fn may_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
+/// and at the same point (identical local state)? Conservative: `true`
+/// unless provably disjoint. The reference [`SubscriptTable::may_equal`]
+/// is tested against.
+#[cfg(test)]
+pub(crate) fn may_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
     let (Some(e1), Some(e2)) = (e1, e2) else {
         return true;
     };
@@ -410,8 +560,10 @@ pub fn may_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
 }
 
 /// Are the two subscripts *provably equal* on the same processor with the
-/// same local state? (Stronger than [`may_equal_same_proc`].)
-pub fn provably_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
+/// same local state? (Stronger than [`may_equal_same_proc`].) The
+/// reference [`SubscriptTable::class`] equality is tested against.
+#[cfg(test)]
+pub(crate) fn provably_equal_same_proc(e1: Option<&Expr>, e2: Option<&Expr>) -> bool {
     match (e1, e2) {
         (None, None) => true,
         (Some(e1), Some(e2)) => {
@@ -596,6 +748,97 @@ mod tests {
     #[test]
     fn scalars_always_conflict() {
         assert!(may_conflict_cross_proc(None, None));
+    }
+
+    /// The table against the expression-level functions it replaced, on
+    /// random subscript pairs and on the forms whose arithmetic overflows.
+    /// Run under `--release` too: a wrapped coefficient shows only there.
+    #[test]
+    fn subscript_table_agrees_with_the_expression_tests() {
+        let bin = |op, l: Expr, r: Expr| Expr::Binary {
+            op,
+            lhs: Box::new(l),
+            rhs: Box::new(r),
+        };
+        let local = |v: u32, c: i64| bin(BinOp::Mul, Expr::Int(c), Expr::Local(VarId(v)));
+        let mut cases: Vec<Expr> = vec![
+            // The PR 16 reproducer: a `MYPROC` coefficient of 2^64.
+            bin(BinOp::Mul, myproc_times(1 << 62), Expr::Int(4)),
+            Expr::Int(i64::MIN),
+            Expr::Int(i64::MAX),
+            Expr::Int(-1),
+            Expr::Int(0),
+            Expr::Int((1 << 62) + 1),
+            Expr::Int(-(1 << 62)),
+            myproc_times(i64::MIN),
+            bin(BinOp::Add, myproc_times(i64::MIN), Expr::Int(3)),
+            local(1, i64::MIN),
+            bin(BinOp::Add, local(1, i64::MIN), Expr::Int(1)),
+            bin(BinOp::Mul, Expr::MyProc, Expr::MyProc),
+            Expr::Procs,
+            bin(BinOp::Sub, Expr::Local(VarId(1)), Expr::Local(VarId(1))),
+            bin(BinOp::Add, local(1, 2), local(2, -3)),
+            bin(BinOp::Add, local(2, -3), local(1, 2)),
+        ];
+        let mut rng = crate::corpus::SplitMix64::new(23);
+        for _ in 0..400 {
+            cases.push(crate::guards::tests::random_site(&mut rng, None).0);
+        }
+        // Every ordered pair of the hand-picked forms and the first random
+        // draws, then 40 000 fresh random pairs.
+        let mut pairs: Vec<(Expr, Expr)> = Vec::new();
+        for e1 in &cases[..40] {
+            for e2 in &cases[..40] {
+                pairs.push((e1.clone(), e2.clone()));
+            }
+        }
+        for _ in 0..40_000 {
+            let e1 = crate::guards::tests::random_site(&mut rng, None).0;
+            let e2 = crate::guards::tests::random_site(&mut rng, None).0;
+            pairs.push((e1, e2));
+        }
+        for (n, (e1, e2)) in pairs.iter().enumerate() {
+            // Same variable, another variable, and a scalar beside them.
+            let other = VarId(if n % 3 == 0 { 8 } else { 7 });
+            let forms = [to_affine(e1), to_affine(e2)];
+            let sites = [
+                (Some(VarId(7)), Some(e1), forms[0].as_ref()),
+                (Some(other), Some(e2), forms[1].as_ref()),
+                (Some(VarId(7)), None, None),
+                (Some(VarId(7)), None, None),
+            ];
+            let table = SubscriptTable::build(sites.iter().copied());
+            let id = AccessId::from_index;
+            assert_eq!(
+                table.class(id(0)) == table.class(id(1)),
+                other == VarId(7) && provably_equal_same_proc(Some(e1), Some(e2)),
+                "class of {e1} vs {e2}"
+            );
+            assert_eq!(
+                table.may_equal(id(0), id(1)),
+                may_equal_same_proc(Some(e1), Some(e2)),
+                "may_equal of {e1} vs {e2}"
+            );
+            assert_eq!(
+                table.may_equal(id(1), id(0)),
+                may_equal_same_proc(Some(e2), Some(e1)),
+                "may_equal of {e2} vs {e1}"
+            );
+            // Scalars: one class per variable, never provably different.
+            assert_eq!(table.class(id(2)), table.class(id(3)));
+            assert_ne!(table.class(id(0)), table.class(id(2)));
+            assert!(table.may_equal(id(0), id(2)) && table.may_equal(id(2), id(3)));
+            assert!(!table.stable(id(2)));
+            // The local terms are the form's own.
+            for (k, form) in forms.iter().enumerate() {
+                let terms = table.local_terms(id(k));
+                let expect = form
+                    .as_ref()
+                    .map(|a| a.coeffs.iter().map(|(v, c)| (*v, *c)).collect::<Vec<_>>());
+                assert_eq!(terms.map(<[_]>::to_vec), expect, "terms of {e1} / {e2}");
+            }
+            assert!(table.local_terms(id(2)).is_none());
+        }
     }
 
     #[test]

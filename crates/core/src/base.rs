@@ -3,7 +3,8 @@
 //!
 //! The §4 set `D_SS` and the §5.1 step-2 set `D1` are back-path detection
 //! over the *same* graph, and steps 3–6 only orient and prune that graph.
-//! So the conflict set, the program order, the dominator trees, the `D_SS`
+//! So the conflict set (with the interned subscript table its construction
+//! leaves behind), the program order, the dominator trees, the `D_SS`
 //! oracle, `D_SS` itself, `D1` (its pairs with a synchronization side) and
 //! the lock guards are built once per CFG, here, and every consumer —
 //! [`AnalysisBase::refine`] for the full analysis and for each redundancy
@@ -11,6 +12,7 @@
 //! `explain`'s witnesses — reads them from the one [`AnalysisBase`] the
 //! [`crate::Analysis`] carries.
 
+use crate::affine::SubscriptTable;
 use crate::conflict::ConflictSet;
 use crate::cycle::{delay_set_over, BackPathOracle, DelayOptions, MirrorClosure};
 use crate::delay::DelaySet;
@@ -26,6 +28,9 @@ use syncopt_ir::order::{BitSet, ProgramOrder};
 pub struct AnalysisBase {
     /// The conflict set `C` (unoriented).
     pub conflicts: ConflictSet,
+    /// Every access's subscript in interned affine form: what code
+    /// generation's same-processor location tests read.
+    pub subscripts: SubscriptTable,
     /// Program order `P`, at block and at access level.
     pub po: ProgramOrder,
     /// Dominators of the CFG.
@@ -56,7 +61,8 @@ impl AnalysisBase {
         let mut counters = Counters::new();
         let dom = Dominators::compute(cfg);
         let pdom = Dominators::compute_post(cfg);
-        let (conflicts, conflict_stats) = ConflictSet::build_counted(cfg, opts.procs, &dom);
+        let (conflicts, subscripts, conflict_stats) =
+            ConflictSet::build_counted(cfg, opts.procs, &dom);
         counters.set("conflict.pairs", conflicts.num_unordered_pairs() as u64);
         counters.set(
             "conflict.directed_edges",
@@ -94,6 +100,7 @@ impl AnalysisBase {
         let guards = compute_lock_guards(cfg, &dom, &d1);
         AnalysisBase {
             conflicts,
+            subscripts,
             po,
             dom,
             pdom,

@@ -14,7 +14,7 @@
 //! directions removed as precedence information accrues (step 5 of the §5.1
 //! algorithm).
 
-use crate::affine::{to_affine, Affine, CollisionSolver};
+use crate::affine::{to_affine, Affine, CollisionSolver, SubscriptTable};
 use crate::guards::{affine_indices_may_collide, block_proc_sets, ProcSet};
 use syncopt_ir::access::{AccessInfo, AccessKind};
 use syncopt_ir::cfg::Cfg;
@@ -63,8 +63,14 @@ impl ConflictSet {
     }
 
     /// [`ConflictSet::build_bounded`] over already-computed dominators,
-    /// additionally reporting the work done.
-    pub fn build_counted(cfg: &Cfg, procs: Option<u32>, dom: &Dominators) -> (Self, ConflictStats) {
+    /// additionally handing on the per-site subscript forms it worked out
+    /// (interned, for the same-processor tests of code generation) and
+    /// reporting the work done.
+    pub fn build_counted(
+        cfg: &Cfg,
+        procs: Option<u32>,
+        dom: &Dominators,
+    ) -> (Self, SubscriptTable, ConflictStats) {
         let n = cfg.accesses.len();
         let mut directed = BitMatrix::new(n);
         let mut test = PairTest {
@@ -100,7 +106,12 @@ impl ConflictSet {
             pair_tests: test.pair_tests,
             proc_steps: test.solver.proc_steps,
         };
-        (ConflictSet { n, directed }, stats)
+        let subscripts = SubscriptTable::build(
+            sites
+                .iter()
+                .map(|s| (s.info.var, s.info.index.as_ref(), s.affine.as_ref())),
+        );
+        (ConflictSet { n, directed }, subscripts, stats)
     }
 
     /// An empty conflict set over `n` accesses (used by tests).

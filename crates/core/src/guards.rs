@@ -350,7 +350,7 @@ pub(crate) mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::access::AccessKind;
@@ -457,7 +457,10 @@ mod tests {
 
     /// A random subscript `k + m·MYPROC (+ c·i)` and a random guard set,
     /// drawn small enough that hits and misses are both common.
-    fn random_site(rng: &mut crate::corpus::SplitMix64, procs: Option<u32>) -> (Expr, ProcSet) {
+    pub(crate) fn random_site(
+        rng: &mut crate::corpus::SplitMix64,
+        procs: Option<u32>,
+    ) -> (Expr, ProcSet) {
         use syncopt_ir::ids::VarId;
         let small = |rng: &mut crate::corpus::SplitMix64, span: u64| {
             rng.below(span) as i64 - (span / 2) as i64

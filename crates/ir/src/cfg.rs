@@ -283,12 +283,33 @@ pub enum Terminator {
 impl Terminator {
     /// Successor block ids.
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut out = Vec::with_capacity(2);
+        self.for_each_successor(|b| out.push(b));
+        out
+    }
+
+    /// Calls `f` on each successor block id, in [`Terminator::successors`]
+    /// order, without building the list.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Terminator::Goto(b) => vec![*b],
+            Terminator::Goto(b) => f(*b),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return => vec![],
+            } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            Terminator::Return => {}
+        }
+    }
+
+    /// The `n`-th successor, if there is one.
+    pub fn successor(&self, n: usize) -> Option<BlockId> {
+        match (self, n) {
+            (Terminator::Goto(b), 0) => Some(*b),
+            (Terminator::Branch { then_bb, .. }, 0) => Some(*then_bb),
+            (Terminator::Branch { else_bb, .. }, 1) => Some(*else_bb),
+            _ => None,
         }
     }
 }
@@ -379,9 +400,7 @@ impl Cfg {
         let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
         visited[self.entry.index()] = true;
         while let Some(&mut (block, ref mut next)) = stack.last_mut() {
-            let succs = self.successors(block);
-            if *next < succs.len() {
-                let s = succs[*next];
+            if let Some(s) = self.block(block).term.successor(*next) {
                 *next += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
@@ -417,21 +436,17 @@ impl Cfg {
     /// Panics if some access id appears more than once in the CFG.
     pub fn recompute_access_positions(&mut self) {
         let mut seen = vec![false; self.accesses.len()];
-        let mut updates: Vec<(AccessId, Position)> = Vec::new();
-        for id in self.block_ids() {
-            for (i, instr) in self.block(id).instrs.iter().enumerate() {
+        for (bi, block) in self.blocks.iter().enumerate() {
+            let id = BlockId::from_index(bi);
+            for (i, instr) in block.instrs.iter().enumerate() {
                 if let Some(acc) = instr.access_id() {
                     assert!(
-                        !seen[acc.index()],
+                        !std::mem::replace(&mut seen[acc.index()], true),
                         "access {acc} appears more than once in the CFG"
                     );
-                    seen[acc.index()] = true;
-                    updates.push((acc, Position::new(id, i)));
+                    self.accesses.info_mut(acc).pos = Position::new(id, i);
                 }
             }
-        }
-        for (acc, pos) in updates {
-            self.accesses.info_mut(acc).pos = pos;
         }
     }
 

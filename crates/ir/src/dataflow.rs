@@ -202,23 +202,24 @@ fn get_bit(bits: &[u64], i: usize) -> bool {
 /// Checks write-read, read-write, and write-write conflicts on locals.
 /// Shared-memory constraints are handled separately by the delay set.
 pub fn local_dependence(first: &Instr, second: &Instr) -> bool {
-    let d1 = instr_defs(first);
-    let u1 = instr_uses(first);
-    let d2 = instr_defs(second);
-    let u2 = instr_uses(second);
-    // RAW: second reads what first writes.
-    if d1.iter().any(|v| u2.contains(v)) {
+    // An instruction defines at most one local: a scalar or (element
+    // writes, conservatively) a whole local array.
+    let d1 = first.def().or(first.array_def());
+    let d2 = second.def().or(second.array_def());
+    // WAW.
+    if d1.is_some() && d1 == d2 {
         return true;
+    }
+    let mut dependent = false;
+    // RAW: second reads what first writes.
+    if let Some(d1) = d1 {
+        second.for_each_use(&mut |v| dependent |= v == d1);
     }
     // WAR: second overwrites what first reads.
-    if d2.iter().any(|v| u1.contains(v)) {
-        return true;
+    if let Some(d2) = d2 {
+        first.for_each_use(&mut |v| dependent |= v == d2);
     }
-    // WAW.
-    if d1.iter().any(|v| d2.contains(v)) {
-        return true;
-    }
-    false
+    dependent
 }
 
 #[cfg(test)]

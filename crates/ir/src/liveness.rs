@@ -4,109 +4,204 @@
 //! assignments and — more interestingly — *dead communication*: a split
 //! `get` whose destination is never read is a remote message with no
 //! observer, so it (and its syncs) can be dropped entirely.
+//!
+//! The sets are bit rows over [`VarId`]. Each block is summarized once as
+//! an upward-exposed-use mask and a definition mask, so the fixpoint
+//! touches no instruction: a block visit is two word-parallel row
+//! operations, and only blocks whose successors' live-in grew are visited
+//! again. A consumer that wants liveness *inside* a block walks it
+//! backward from [`Liveness::at_block_end`] with [`step_back`].
 
-use crate::cfg::{Cfg, Instr};
-use crate::dataflow::{instr_defs, instr_uses, term_uses};
+use crate::cfg::{Cfg, Instr, Terminator};
+use crate::expr::Expr;
 use crate::ids::{BlockId, VarId};
-use std::collections::HashSet;
+use crate::order::BitSet;
+
+/// What one [`Liveness::compute`] cost, in visits (deterministic).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LivenessWork {
+    /// Instructions read to summarize the blocks (each exactly once).
+    pub instr_visits: u64,
+    /// Block visits of the fixpoint.
+    pub block_visits: u64,
+}
 
 /// Block-level liveness sets.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: Vec<HashSet<VarId>>,
-    live_out: Vec<HashSet<VarId>>,
+    /// Words per row (`ceil(vars / 64)`).
+    words: usize,
+    /// Row `b`: variables live at entry of block `b`.
+    live_in: Vec<u64>,
+    /// Row `b`: variables live at exit of block `b`.
+    live_out: Vec<u64>,
+    work: LivenessWork,
+}
+
+fn set(row: &mut [u64], v: VarId) {
+    row[v.index() / 64] |= 1 << (v.index() % 64);
+}
+
+fn unset(row: &mut [u64], v: VarId) {
+    row[v.index() / 64] &= !(1 << (v.index() % 64));
+}
+
+fn term_cond(term: &Terminator) -> Option<&Expr> {
+    match term {
+        Terminator::Branch { cond, .. } => Some(cond),
+        Terminator::Goto(_) | Terminator::Return => None,
+    }
 }
 
 impl Liveness {
-    /// Runs the classic backward fixpoint.
+    /// Solves the backward fixpoint.
     pub fn compute(cfg: &Cfg) -> Self {
         let nb = cfg.num_blocks();
-        let mut live_in: Vec<HashSet<VarId>> = vec![HashSet::new(); nb];
-        let mut live_out: Vec<HashSet<VarId>> = vec![HashSet::new(); nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in cfg.block_ids() {
+        let words = cfg.vars.len().div_ceil(64);
+        let mut work = LivenessWork::default();
+        // USE: read before any definition in the block; DEF: defined in it.
+        // Local arrays are conservative: an element write counts as a read
+        // of the array (`for_each_use` lists it) and defines no scalar, so
+        // it never kills it.
+        let mut uses = vec![0u64; nb * words];
+        let mut defs = vec![0u64; nb * words];
+        for (bi, block) in cfg.blocks.iter().enumerate() {
+            let (u, d) = (
+                &mut uses[bi * words..(bi + 1) * words],
+                &mut defs[bi * words..(bi + 1) * words],
+            );
+            if let Some(cond) = term_cond(&block.term) {
+                cond.for_each_var(&mut |v| set(u, v));
+            }
+            for instr in block.instrs.iter().rev() {
+                if let Some(dst) = instr.def() {
+                    set(d, dst);
+                    unset(u, dst);
+                }
+                instr.for_each_use(&mut |v| set(u, v));
+            }
+            work.instr_visits += block.instrs.len() as u64;
+        }
+
+        // Predecessor lists, flat.
+        let mut pred_start = vec![0u32; nb + 1];
+        for block in &cfg.blocks {
+            block
+                .term
+                .for_each_successor(|s| pred_start[s.index() + 1] += 1);
+        }
+        for i in 0..nb {
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut fill = pred_start.clone();
+        let mut preds = vec![0u32; pred_start[nb] as usize];
+        for (bi, block) in cfg.blocks.iter().enumerate() {
+            block.term.for_each_successor(|s| {
+                preds[fill[s.index()] as usize] = bi as u32;
+                fill[s.index()] += 1;
+            });
+        }
+
+        // Postorder puts a block after its successors (back edges apart), so
+        // the first sweep settles everything outside a loop.
+        let mut order = cfg.reverse_postorder();
+        order.reverse();
+        let mut live_in = vec![0u64; nb * words];
+        let mut live_out = vec![0u64; nb * words];
+        let mut dirty = vec![true; nb];
+        let mut pending = nb;
+        while pending > 0 {
+            for &b in &order {
                 let bi = b.index();
-                let mut out: HashSet<VarId> = HashSet::new();
-                for s in cfg.successors(b) {
-                    out.extend(live_in[s.index()].iter().copied());
+                if !std::mem::take(&mut dirty[bi]) {
+                    continue;
                 }
-                let mut inn = out.clone();
-                // Walk the block backward: terminator first.
-                for v in term_uses(&cfg.block(b).term) {
-                    inn.insert(v);
+                pending -= 1;
+                work.block_visits += 1;
+                let row = bi * words..(bi + 1) * words;
+                let out = &mut live_out[row.clone()];
+                cfg.blocks[bi].term.for_each_successor(|s| {
+                    let from = &live_in[s.index() * words..(s.index() + 1) * words];
+                    for (o, i) in out.iter_mut().zip(from) {
+                        *o |= i;
+                    }
+                });
+                let mut grew = false;
+                for w in 0..words {
+                    let new =
+                        uses[row.start + w] | (live_out[row.start + w] & !defs[row.start + w]);
+                    grew |= new != live_in[row.start + w];
+                    live_in[row.start + w] = new;
                 }
-                for instr in cfg.block(b).instrs.iter().rev() {
-                    // Local arrays are conservative: element writes both
-                    // use and define the array, so they never kill it.
-                    if let Some(d) = instr.def() {
-                        inn.remove(&d);
+                if grew {
+                    for &p in &preds[pred_start[bi] as usize..pred_start[bi + 1] as usize] {
+                        if !std::mem::replace(&mut dirty[p as usize], true) {
+                            pending += 1;
+                        }
                     }
-                    for u in instr_uses(instr) {
-                        inn.insert(u);
-                    }
-                    if let Some(a) = instr.array_def() {
-                        inn.insert(a);
-                    }
-                }
-                if inn != live_in[bi] || out != live_out[bi] {
-                    live_in[bi] = inn;
-                    live_out[bi] = out;
-                    changed = true;
                 }
             }
         }
-        Liveness { live_in, live_out }
-    }
-
-    /// Variables live at entry of `b`.
-    pub fn live_in(&self, b: BlockId) -> &HashSet<VarId> {
-        &self.live_in[b.index()]
-    }
-
-    /// Variables live at exit of `b`.
-    pub fn live_out(&self, b: BlockId) -> &HashSet<VarId> {
-        &self.live_out[b.index()]
-    }
-
-    /// Whether `var` is live immediately *after* the instruction at
-    /// (`b`, `idx`) — i.e. whether some later use may read the value the
-    /// instruction just wrote.
-    pub fn live_after(&self, cfg: &Cfg, b: BlockId, idx: usize, var: VarId) -> bool {
-        let instrs = &cfg.block(b).instrs;
-        // Scan the block suffix after idx.
-        for instr in &instrs[idx + 1..] {
-            if instr_uses(instr).contains(&var) || instr.array_def() == Some(var) {
-                return true;
-            }
-            if instr_defs(instr).contains(&var) && instr.array_def() != Some(var) {
-                // Redefinition kills it before any use.
-                return false;
-            }
+        Liveness {
+            words,
+            live_in,
+            live_out,
+            work,
         }
-        if term_uses(&cfg.block(b).term).contains(&var) {
-            return true;
+    }
+
+    /// Variables live at entry of `b`, as a bit row over [`VarId`].
+    pub fn live_in(&self, b: BlockId) -> &[u64] {
+        &self.live_in[b.index() * self.words..(b.index() + 1) * self.words]
+    }
+
+    /// Variables live at exit of `b`, as a bit row over [`VarId`].
+    pub fn live_out(&self, b: BlockId) -> &[u64] {
+        &self.live_out[b.index() * self.words..(b.index() + 1) * self.words]
+    }
+
+    /// What the solve cost.
+    pub fn work(&self) -> LivenessWork {
+        self.work
+    }
+
+    /// Sets `live` to the variables live just before `b`'s terminator: the
+    /// starting point of a backward walk over the block with [`step_back`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` is not a set over `cfg`'s variables.
+    pub fn at_block_end(&self, cfg: &Cfg, b: BlockId, live: &mut BitSet) {
+        live.clear();
+        live.union_words(self.live_out(b));
+        if let Some(cond) = term_cond(&cfg.block(b).term) {
+            cond.for_each_var(&mut |v| live.insert(v.index()));
         }
-        self.live_out[b.index()].contains(&var)
     }
 }
 
-/// A pure local assignment with a dead destination (safe to delete). The
-/// value expression must not be able to trap (no division/modulo), so
+/// Moves `live` from just after `instr` to just before it.
+pub fn step_back(instr: &Instr, live: &mut BitSet) {
+    if let Some(d) = instr.def() {
+        live.remove(d.index());
+    }
+    instr.for_each_use(&mut |v| live.insert(v.index()));
+}
+
+/// Whether `instr` only produces a value nobody reads, given the set live
+/// just after it: a pure local assignment, or a shared read (reads have no
+/// side effects), with a dead destination. An assignment whose value can
+/// trap (division, modulo, a bounds-checked element read) is kept, so
 /// deletion cannot suppress a runtime fault.
-pub fn is_dead_assignment(cfg: &Cfg, live: &Liveness, b: BlockId, idx: usize) -> bool {
-    let Instr::AssignLocal { dst, value } = &cfg.block(b).instrs[idx] else {
-        return false;
-    };
-    if expr_may_trap(value) {
-        return false;
+pub fn is_dead_store(instr: &Instr, live: &BitSet) -> bool {
+    match instr {
+        Instr::AssignLocal { dst, value } => !live.contains(dst.index()) && !expr_may_trap(value),
+        Instr::GetInit { dst, .. } | Instr::GetShared { dst, .. } => !live.contains(dst.index()),
+        _ => false,
     }
-    !live.live_after(cfg, b, idx, *dst)
 }
 
-fn expr_may_trap(e: &crate::expr::Expr) -> bool {
-    use crate::expr::Expr;
+fn expr_may_trap(e: &Expr) -> bool {
     use syncopt_frontend::ast::BinOp;
     match e {
         Expr::Int(_)
@@ -140,6 +235,20 @@ mod tests {
         cfg.vars.by_name(name).unwrap()
     }
 
+    /// The set live just after the instruction at (`b`, `idx`).
+    fn live_after(cfg: &Cfg, l: &Liveness, b: BlockId, idx: usize) -> BitSet {
+        let mut live = BitSet::new(cfg.vars.len());
+        l.at_block_end(cfg, b, &mut live);
+        for instr in cfg.block(b).instrs[idx + 1..].iter().rev() {
+            step_back(instr, &mut live);
+        }
+        live
+    }
+
+    fn is_dead_assignment(cfg: &Cfg, l: &Liveness, b: BlockId, idx: usize) -> bool {
+        is_dead_store(&cfg.block(b).instrs[idx], &live_after(cfg, l, b, idx))
+    }
+
     #[test]
     fn straight_line_liveness() {
         let (cfg, l) =
@@ -147,10 +256,10 @@ mod tests {
         let a = var(&cfg, "a");
         let b = var(&cfg, "b");
         // After `a = 1` (idx 0), a is live (used by the next assign).
-        assert!(l.live_after(&cfg, cfg.entry, 0, a));
+        assert!(live_after(&cfg, &l, cfg.entry, 0).contains(a.index()));
         // After `b = a + 1` (idx 1), a is dead, b live.
-        assert!(!l.live_after(&cfg, cfg.entry, 1, a));
-        assert!(l.live_after(&cfg, cfg.entry, 1, b));
+        assert!(!live_after(&cfg, &l, cfg.entry, 1).contains(a.index()));
+        assert!(live_after(&cfg, &l, cfg.entry, 1).contains(b.index()));
     }
 
     #[test]
@@ -170,22 +279,23 @@ mod tests {
         // acc is live out of the loop body (used next iteration + after).
         let body = cfg
             .block_ids()
-            .find(|&b| {
-                cfg.block(b)
-                    .instrs
-                    .iter()
-                    .any(|i| i.def() == Some(acc) && !cfg.block(b).instrs.is_empty())
-                    && b != cfg.entry
-            })
+            .find(|&b| cfg.block(b).instrs.iter().any(|i| i.def() == Some(acc)) && b != cfg.entry)
             .unwrap();
-        assert!(l.live_out(body).contains(&acc));
+        assert!(l.live_out(body)[acc.index() / 64] & (1 << (acc.index() % 64)) != 0);
+        // One summary read per instruction; the loop costs a second visit
+        // of its blocks, nothing more.
+        assert_eq!(l.work().instr_visits, cfg.num_instrs() as u64);
+        assert!(l.work().block_visits <= 2 * cfg.num_blocks() as u64);
     }
 
     #[test]
     fn branch_condition_uses_count() {
         let (cfg, l) = analyzed("fn main() { int a; a = 1; if (a > 0) { work(1); } }");
         let a = var(&cfg, "a");
-        assert!(l.live_after(&cfg, cfg.entry, 0, a), "terminator reads a");
+        assert!(
+            live_after(&cfg, &l, cfg.entry, 0).contains(a.index()),
+            "terminator reads a"
+        );
     }
 
     #[test]
@@ -213,9 +323,7 @@ mod tests {
         let (cfg, l) = analyzed("fn main() { int buf[4]; buf[0] = 1; work(1); }");
         let buf = var(&cfg, "buf");
         // The element write keeps the array alive conservatively.
-        let idx = 0;
-        let _ = idx;
         assert!(!is_dead_assignment(&cfg, &l, cfg.entry, 0));
-        let _ = buf;
+        assert!(l.live_in(cfg.entry)[buf.index() / 64] & (1 << (buf.index() % 64)) != 0);
     }
 }

@@ -27,6 +27,8 @@ impl NaturalLoop {
 /// Finds all natural loops of `cfg`. Loops sharing a header are merged.
 pub fn find_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
     let mut loops: Vec<NaturalLoop> = Vec::new();
+    // Built on the first back edge: most programs have none.
+    let mut walk: Option<(Vec<Vec<BlockId>>, Vec<bool>)> = None;
     for b in cfg.block_ids() {
         if !dom.is_reachable(b) {
             continue;
@@ -34,7 +36,9 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
         for succ in cfg.successors(b) {
             // Back edge: successor dominates source.
             if dom.dominates(succ, b) {
-                let body = loop_body(cfg, succ, b);
+                let (preds, in_body) =
+                    walk.get_or_insert_with(|| (cfg.predecessors(), vec![false; cfg.num_blocks()]));
+                let body = loop_body(preds, in_body, succ, b);
                 if let Some(existing) = loops.iter_mut().find(|l| l.header == succ) {
                     for blk in body {
                         if !existing.blocks.contains(&blk) {
@@ -54,22 +58,32 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
 }
 
 /// The natural loop of back edge `latch → header`: header plus all blocks
-/// that reach `latch` without passing through `header`.
-fn loop_body(cfg: &Cfg, header: BlockId, latch: BlockId) -> Vec<BlockId> {
-    let preds = cfg.predecessors();
+/// that reach `latch` without passing through `header`. `in_body` is
+/// all-false scratch, and left so.
+fn loop_body(
+    preds: &[Vec<BlockId>],
+    in_body: &mut [bool],
+    header: BlockId,
+    latch: BlockId,
+) -> Vec<BlockId> {
     let mut body = vec![header];
+    in_body[header.index()] = true;
     let mut stack = Vec::new();
     if latch != header {
         body.push(latch);
+        in_body[latch.index()] = true;
         stack.push(latch);
     }
     while let Some(b) = stack.pop() {
         for &p in &preds[b.index()] {
-            if !body.contains(&p) {
+            if !std::mem::replace(&mut in_body[p.index()], true) {
                 body.push(p);
                 stack.push(p);
             }
         }
+    }
+    for b in &body {
+        in_body[b.index()] = false;
     }
     body
 }
@@ -86,48 +100,90 @@ pub struct InductionVar {
     pub step: i64,
 }
 
-/// Detects basic induction variables of every loop.
+/// The local definitions inside each loop, by variable: which locals a loop
+/// body writes, and which of them are its basic induction variables.
+#[derive(Debug, Clone)]
+pub struct LoopDefs<'a> {
+    /// Per loop, every defining instruction in it, sorted by the variable
+    /// defined (a local array counts as defined by each element write).
+    sites: Vec<Vec<(crate::ids::VarId, &'a crate::cfg::Instr)>>,
+}
+
+impl<'a> LoopDefs<'a> {
+    /// Collects the definitions of every loop of `loops`.
+    pub fn compute(cfg: &'a Cfg, loops: &[NaturalLoop]) -> Self {
+        let sites = loops
+            .iter()
+            .map(|l| {
+                let mut sites = Vec::new();
+                for &b in &l.blocks {
+                    for instr in &cfg.block(b).instrs {
+                        if let Some(d) = instr.def().or(instr.array_def()) {
+                            sites.push((d, instr));
+                        }
+                    }
+                }
+                sites.sort_by_key(|&(d, _)| d);
+                sites
+            })
+            .collect();
+        LoopDefs { sites }
+    }
+
+    /// The definitions of `var` inside loop `loop_idx`.
+    fn of(
+        &self,
+        loop_idx: usize,
+        var: crate::ids::VarId,
+    ) -> &[(crate::ids::VarId, &'a crate::cfg::Instr)] {
+        let sites = &self.sites[loop_idx];
+        let lo = sites.partition_point(|&(d, _)| d < var);
+        let hi = lo + sites[lo..].partition_point(|&(d, _)| d == var);
+        &sites[lo..hi]
+    }
+
+    /// Whether `var` is defined anywhere inside loop `loop_idx`.
+    pub fn defines(&self, loop_idx: usize, var: crate::ids::VarId) -> bool {
+        !self.of(loop_idx, var).is_empty()
+    }
+
+    /// The nonzero step of `var` if it is a basic induction variable of
+    /// loop `loop_idx`: its one definition there is `var = var ± c`.
+    pub fn induction_step(&self, loop_idx: usize, var: crate::ids::VarId) -> Option<i64> {
+        use crate::cfg::Instr;
+        use crate::expr::Expr;
+        use syncopt_frontend::ast::BinOp;
+        let [(_, Instr::AssignLocal { value, .. })] = self.of(loop_idx, var) else {
+            return None;
+        };
+        let Expr::Binary { op, lhs, rhs } = value else {
+            return None;
+        };
+        let step = match (op, lhs.as_ref(), rhs.as_ref()) {
+            (BinOp::Add, Expr::Local(v), Expr::Int(c)) if *v == var => *c,
+            (BinOp::Add, Expr::Int(c), Expr::Local(v)) if *v == var => *c,
+            // Modulo 2^64, like the subtraction itself: `-i64::MIN` is a
+            // step too, and a nonzero one.
+            (BinOp::Sub, Expr::Local(v), Expr::Int(c)) if *v == var => c.wrapping_neg(),
+            _ => return None,
+        };
+        (step != 0).then_some(step)
+    }
+}
+
+/// Detects basic induction variables of every loop, by loop and variable.
 pub fn induction_vars(cfg: &Cfg, loops: &[NaturalLoop]) -> Vec<InductionVar> {
-    use crate::cfg::Instr;
-    use crate::expr::Expr;
-    use syncopt_frontend::ast::BinOp;
+    let defs = LoopDefs::compute(cfg, loops);
     let mut out = Vec::new();
-    for (loop_idx, l) in loops.iter().enumerate() {
-        // Collect all defs inside the loop per variable.
-        let mut defs: std::collections::HashMap<crate::ids::VarId, Vec<&Instr>> =
-            std::collections::HashMap::new();
-        for &b in &l.blocks {
-            for instr in &cfg.block(b).instrs {
-                if let Some(d) = instr.def() {
-                    defs.entry(d).or_default().push(instr);
-                }
-                if let Some(d) = instr.array_def() {
-                    defs.entry(d).or_default().push(instr);
-                }
-            }
-        }
-        for (var, sites) in defs {
-            let [Instr::AssignLocal { dst, value }] = sites.as_slice() else {
-                continue;
-            };
-            debug_assert_eq!(*dst, var);
-            let step = match value {
-                Expr::Binary { op, lhs, rhs } => match (op, lhs.as_ref(), rhs.as_ref()) {
-                    (BinOp::Add, Expr::Local(v), Expr::Int(c)) if *v == var => Some(*c),
-                    (BinOp::Add, Expr::Int(c), Expr::Local(v)) if *v == var => Some(*c),
-                    (BinOp::Sub, Expr::Local(v), Expr::Int(c)) if *v == var => Some(-*c),
-                    _ => None,
-                },
-                _ => None,
-            };
-            if let Some(step) = step {
-                if step != 0 {
-                    out.push(InductionVar {
-                        loop_idx,
-                        var,
-                        step,
-                    });
-                }
+    for (loop_idx, sites) in defs.sites.iter().enumerate() {
+        for same_var in sites.chunk_by(|a, b| a.0 == b.0) {
+            let var = same_var[0].0;
+            if let Some(step) = defs.induction_step(loop_idx, var) {
+                out.push(InductionVar {
+                    loop_idx,
+                    var,
+                    step,
+                });
             }
         }
     }

@@ -2,7 +2,7 @@
 # Alternating parent / change pairs of one repo-benchmark workload.
 #
 # Usage: scripts/bench_pairs.sh --parent REV --pairs N --workload W
-#                               [--seconds S] [--seed K]
+#                               [--seconds S] [--seed K] [--trace 0|1]
 #
 # Builds the benchmark package (benchmark/, see BENCHMARK.json) twice,
 # both --offline: once from a checkout of REV extracted under
@@ -17,6 +17,11 @@
 # both commits; then the same numbers as `configs` rows of a
 # syncopt.bench_report.v1 document (the shape of BENCH_service.json),
 # one row per line. Exits 1 if any run was not `correct`.
+#
+# With --trace 1 the same alternation runs traced, and the table and rows
+# are the per-layer metrics of BENCHMARK.json instead (those the workload
+# reports: a layer that reads 0 in every run is left out). A traced run
+# says where a gain sits; the gain itself is claimed from --trace 0 runs.
 #
 # S defaults to the benchmark's run_seconds, K to 1. A gain is claimed
 # from ten pairs or more (docs/PERFORMANCE.md); CI runs one 2-second pair
@@ -33,9 +38,10 @@ PAIRS=""
 WORKLOAD=""
 SECONDS_PER_RUN=""
 SEED=1
+TRACE=0
 while [ $# -gt 0 ]; do
     case "$1" in
-        --parent | --pairs | --workload | --seconds | --seed)
+        --parent | --pairs | --workload | --seconds | --seed | --trace)
             [ $# -ge 2 ] || { echo "bench_pairs: $1 needs a value" >&2; usage; }
             case "$1" in
                 --parent) PARENT="$2" ;;
@@ -43,6 +49,7 @@ while [ $# -gt 0 ]; do
                 --workload) WORKLOAD="$2" ;;
                 --seconds) SECONDS_PER_RUN="$2" ;;
                 --seed) SEED="$2" ;;
+                --trace) TRACE="$2" ;;
             esac
             shift 2
             ;;
@@ -55,6 +62,10 @@ done
 [ -n "$PARENT" ] && [ -n "$PAIRS" ] && [ -n "$WORKLOAD" ] || usage
 case "$PAIRS" in
     '' | *[!0-9]* | 0) echo "bench_pairs: --pairs takes a positive integer" >&2; exit 2 ;;
+esac
+case "$TRACE" in
+    0 | 1) ;;
+    *) echo "bench_pairs: --trace takes 0 or 1" >&2; exit 2 ;;
 esac
 
 ROOT="$(git rev-parse --show-toplevel)"
@@ -93,7 +104,7 @@ run_side() {
     side="$1"
     tree="$2"
     line="$(cd "$tree" && "./$BIN" --workload "$WORKLOAD" --seed "$SEED" \
-        --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1)"
+        --seconds "$SECONDS_PER_RUN" --trace "$TRACE" | tail -n 1)"
     printf '%s\t%s\n' "$side" "$line" >>"$RESULTS"
     echo "bench_pairs: pair $pair $side: $line" >&2
 }
@@ -113,11 +124,12 @@ done
 HOST_CPUS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
 RUSTC="$(rustc --version)"
 python3 - "$RESULTS" "$WORKLOAD" "$SEED" "$SECONDS_PER_RUN" "$PARENT_SHA" "$CHANGE_SHA" \
-    "$HOST_CPUS" "$RUSTC" <<'EOF'
+    "$HOST_CPUS" "$RUSTC" "$TRACE" <<'EOF'
 import json
 import sys
 
-results, workload, seed, seconds, parent_sha, change_sha, host_cpus, rustc = sys.argv[1:]
+results, workload, seed, seconds, parent_sha, change_sha, host_cpus, rustc, trace = sys.argv[1:]
+trace = int(trace)
 runs = {"parent": [], "change": []}
 for line in open(results):
     side, text = line.rstrip("\n").split("\t", 1)
@@ -143,16 +155,19 @@ def milli(x):
     return round(x * 1000)
 
 
-print(f"`{workload}`, seed {seed}, {pairs} alternating {seconds} s pairs, tracing off; "
+print(f"`{workload}`, seed {seed}, {pairs} alternating {seconds} s pairs, "
+      f"tracing {'on' if trace else 'off'}; "
       f"host_cpus {host_cpus}, {rustc}; parent `{parent_sha}`, change `{change_sha}`")
 print()
 print("| metric | unit | parent q1 / median / q3 | change q1 / median / q3 | change ÷ parent | pairs won |")
 print("|---|---|---|---|---|---|")
 rows = []
-for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
+for metric in json.load(open("BENCHMARK.json"))["per_layer" if trace else "end_to_end"]:
     name, unit, higher = metric["name"], metric["unit"], metric["better"] == "higher"
     parent = [run["metrics"][name]["value"] for run in runs["parent"]]
     change = [run["metrics"][name]["value"] for run in runs["change"]]
+    if trace and not any(parent) and not any(change):
+        continue  # a layer this workload does not exercise
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
@@ -164,7 +179,7 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     print(f"| `{name}` | {unit} | {cell(pq)} | {cell(cq)} | ×{ratio:.3f} | {wins} of {pairs} |")
     rows.append({
         "id": f"{workload}.{name}", "workload": workload, "metric": name, "unit": unit,
-        "trace": 0, "seed": int(seed), "pairs": pairs,
+        "trace": trace, "seed": int(seed), "pairs": pairs,
         "parent": dict(zip(("q1_milli", "median_milli", "q3_milli"), map(milli, pq))),
         "change": dict(zip(("q1_milli", "median_milli", "q3_milli"), map(milli, cq))),
         "change_wins": wins, "ties": ties, "ratio_milli": milli(ratio),

@@ -53,6 +53,44 @@ fn analyze_survives_a_subscript_coefficient_past_i64() {
     assert!(stdout.contains("|D_SS| (Shasha-Snir):  1"), "{stdout}");
 }
 
+/// `--delay ss --level full` used to drop a put `D_SS` forbids dropping:
+/// the write-back pass read the refined delay set whatever `--delay` said.
+/// `D_SS` keeps `(Write X, Write X)` here; §5 drops it once the `post`
+/// orders the reader behind both writes.
+#[test]
+fn opt_write_back_consults_the_chosen_delay_set() {
+    let path = std::env::temp_dir().join(format!("syncopt-delay-ss-{}.ms", std::process::id()));
+    std::fs::write(
+        &path,
+        "shared int X; flag F; fn main() { int v; \
+         if (MYPROC == 0) { X = 1; X = 2; post F; } else { wait F; v = X; work(v); } }",
+    )
+    .unwrap();
+    let eliminated = |delay: &str| {
+        let (ok, stdout, stderr) = syncoptc(&[
+            "opt",
+            path.to_str().unwrap(),
+            "--procs",
+            "4",
+            "--level",
+            "full",
+            "--delay",
+            delay,
+        ]);
+        assert!(ok, "{stderr}");
+        stdout
+            .lines()
+            .find(|l| l.contains("puts_eliminated"))
+            .unwrap_or_else(|| panic!("no puts_eliminated line in {stdout}"))
+            .trim()
+            .to_string()
+    };
+    let (ss, sync) = (eliminated("ss"), eliminated("sync"));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ss, "puts_eliminated: 0,");
+    assert_eq!(sync, "puts_eliminated: 1,");
+}
+
 #[test]
 fn run_reports_execution_and_memory() {
     let (ok, stdout, stderr) = syncoptc(&[
