@@ -145,11 +145,11 @@ impl LoopFacts {
     pub(crate) fn exit_targets(&self, cfg: &Cfg, li: usize) -> Vec<BlockId> {
         let mut out = Vec::new();
         for &b in &self.loops[li].blocks {
-            cfg.block(b).term.for_each_successor(|s| {
+            for s in cfg.block(b).term.successors() {
                 if !self.contains(li, s) && !out.contains(&s) {
                     out.push(s);
                 }
-            });
+            }
         }
         out
     }

@@ -76,9 +76,10 @@ pub(crate) fn move_syncs(cfg: &mut Cfg, ctx: &Ctx<'_>, loops: &LoopFacts, stats:
                 // Sync at the end of its block: try to propagate. The exit
                 // block keeps its syncs, and a sync is not pushed into a
                 // loop it did not start in.
-                let term = &cfg.blocks[bi].term;
-                let mut stays = b == cfg.exit || term.successor(0).is_none();
-                term.for_each_successor(|s| stays |= loops.enters_foreign_loop(b, s));
+                let succs = cfg.blocks[bi].term.successors();
+                let stays = b == cfg.exit
+                    || succs.is_empty()
+                    || succs.iter().any(|&s| loops.enters_foreign_loop(b, s));
                 if stays {
                     i += 1;
                     continue;
@@ -92,11 +93,8 @@ pub(crate) fn move_syncs(cfg: &mut Cfg, ctx: &Ctx<'_>, loops: &LoopFacts, stats:
                     .innermost(b)
                     .filter(|&li| !loop_needs_sync(cfg, ctx, loops, li, ctr));
                 cfg.blocks[bi].instrs.remove(i);
-                let targets = match escape_loop {
-                    Some(li) => loops.exit_targets(cfg, li),
-                    None => cfg.blocks[bi].term.successors(),
-                };
-                for t in targets {
+                let exits = escape_loop.map(|li| loops.exit_targets(cfg, li));
+                for &t in exits.as_deref().unwrap_or(&succs) {
                     if received.contains(t.index() * ctx.ctrs.len() + ctr.0 as usize) {
                         stats.syncs_merged += 1;
                         continue;

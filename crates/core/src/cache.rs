@@ -8,6 +8,13 @@
 //! function of a program only recomputes the artifacts whose inputs
 //! actually changed.
 //!
+//! A cache of capacity 0 is **disabled**: it stores nothing, counts
+//! nothing, and — through [`ArtifactCache::get_or_with`], which takes the
+//! key as a closure — never asks its caller to derive a key. That is the
+//! state a one-shot pipeline run uses: a key is a hash of a whole source
+//! text or printed CFG, and a cache that is dropped with the request has no
+//! reader for it.
+//!
 //! The cache is a plain LRU over `(kind, fingerprint)` keys storing
 //! type-erased `Arc`s: a hash map from key to a slot of one `Vec`, the
 //! slots linked by index into a recency list, so a hit, an insert and an
@@ -89,13 +96,36 @@ fn kind_stats<'a>(
     &mut by_kind[index].1
 }
 
+/// The counter names of one artifact kind: hits, misses, evictions.
+macro_rules! kind_counter_names {
+    ($($kind:literal),* $(,)?) => {
+        [$((
+            $kind,
+            [
+                concat!("cache.", $kind, ".hits"),
+                concat!("cache.", $kind, ".misses"),
+                concat!("cache.", $kind, ".evictions"),
+            ],
+        )),*]
+    };
+}
+
+/// Every kind the session API stores, with its dotted counter names spelled
+/// out so that exporting them formats nothing.
+const KIND_COUNTER_NAMES: [(&str, [&str; 3]); 10] = kind_counter_names![
+    "ast", "fncheck", "inlined", "cfg", "analysis", "opt", "sim", "races", "lint", "explain",
+];
+
+/// Where a kind not listed above (a test's, a probe's) is counted.
+const OTHER_KIND_COUNTER_NAMES: [&str; 3] = kind_counter_names!["other"][0].1;
+
 /// A content-addressed LRU artifact store.
 ///
 /// Keys are `(kind, fingerprint)` pairs: the `kind` tag (`"ast"`,
 /// `"analysis"`, `"lint"`, …) namespaces artifact types so two artifact
 /// kinds derived from the same input text cannot collide, and the
 /// [`Fingerprint`] is a stable hash of everything the artifact depends
-/// on. Values are type-erased `Arc`s; [`ArtifactCache::get_or_try`] is
+/// on. Values are type-erased `Arc`s; [`ArtifactCache::get_or_try_with`] is
 /// the typed entry point.
 ///
 /// ```
@@ -104,12 +134,17 @@ fn kind_stats<'a>(
 /// use syncopt_frontend::Fingerprint;
 ///
 /// let mut cache = ArtifactCache::new(16);
-/// let key = Fingerprint::of("shared int X;");
-/// let cold: Arc<usize> = cache.get_or("len", key, || 13);
-/// let warm: Arc<usize> = cache.get_or("len", key, || unreachable!());
+/// let key = || Fingerprint::of("shared int X;");
+/// let cold: Arc<usize> = cache.get_or_with("len", key, || 13);
+/// let warm: Arc<usize> = cache.get_or_with("len", key, || unreachable!());
 /// assert_eq!(*cold, *warm);
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().misses, 1);
+///
+/// // Capacity 0 disables the cache: every call builds, no key is derived.
+/// let mut off = ArtifactCache::new(0);
+/// let built: Arc<usize> = off.get_or_with("len", || unreachable!(), || 13);
+/// assert_eq!((*built, off.len(), off.stats().lookups()), (13, 0, 0));
 /// ```
 pub struct ArtifactCache {
     capacity: usize,
@@ -129,11 +164,13 @@ pub struct ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// An empty cache holding at most `capacity` artifacts (minimum 1;
-    /// slots are numbered in 32 bits, so at most `u32::MAX`).
+    /// An empty cache holding at most `capacity` artifacts (slots are
+    /// numbered in 32 bits, so at most `u32::MAX`). Capacity 0 is the
+    /// **disabled** cache: every lookup is absent without being counted and
+    /// every insert is dropped.
     pub fn new(capacity: usize) -> Self {
         ArtifactCache {
-            capacity: capacity.clamp(1, NIL as usize),
+            capacity: capacity.min(NIL as usize),
             index: HashMap::new(),
             slots: Vec::new(),
             front: NIL,
@@ -141,6 +178,13 @@ impl ArtifactCache {
             stats: CacheStats::default(),
             by_kind: Vec::new(),
         }
+    }
+
+    /// Whether the cache can hold anything (capacity above 0). A caller
+    /// that derives a key outside [`get_or_with`](ArtifactCache::get_or_with)
+    /// asks this first.
+    pub fn enabled(&self) -> bool {
+        self.capacity > 0
     }
 
     fn kind_stats(&mut self, kind: &'static str) -> &mut CacheStats {
@@ -179,7 +223,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up an artifact, counting a hit or a miss.
+    /// Looks up an artifact, counting a hit or a miss (neither when the
+    /// cache is disabled).
     ///
     /// A stored value whose type does not match `T` counts as a miss
     /// (the subsequent insert replaces it); with disciplined one-type-
@@ -189,6 +234,9 @@ impl ArtifactCache {
         kind: &'static str,
         fp: Fingerprint,
     ) -> Option<Arc<T>> {
+        if !self.enabled() {
+            return None;
+        }
         let found = self
             .index
             .get(&(kind, fp))
@@ -224,6 +272,9 @@ impl ArtifactCache {
         fp: Fingerprint,
         value: Arc<T>,
     ) {
+        if !self.enabled() {
+            return;
+        }
         let key = (kind, fp);
         if let Some(&slot) = self.index.get(&key) {
             self.slots[slot as usize].value = value;
@@ -253,32 +304,37 @@ impl ArtifactCache {
         self.index.insert(key, slot);
     }
 
-    /// Returns the cached artifact for `(kind, fp)`, building and
-    /// storing it with `build` on a miss.
-    pub fn get_or<T: Any + Send + Sync>(
+    /// Returns the cached artifact for `(kind, key())`, building and
+    /// storing it with `build` on a miss. A disabled cache builds without
+    /// calling `key`.
+    pub fn get_or_with<T: Any + Send + Sync>(
         &mut self,
         kind: &'static str,
-        fp: Fingerprint,
+        key: impl FnOnce() -> Fingerprint,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
-        match self.get_or_try::<T, std::convert::Infallible>(kind, fp, || Ok(build())) {
+        match self.get_or_try_with::<T, std::convert::Infallible>(kind, key, || Ok(build())) {
             Ok(value) => value,
         }
     }
 
-    /// Fallible [`get_or`](ArtifactCache::get_or): a build error is
-    /// returned to the caller and nothing is cached, so errors are
+    /// Fallible [`get_or_with`](ArtifactCache::get_or_with): a build error
+    /// is returned to the caller and nothing is cached, so errors are
     /// re-diagnosed (with fresh spans and messages) on every request.
     ///
     /// # Errors
     ///
     /// Propagates the builder's error on a cache miss.
-    pub fn get_or_try<T: Any + Send + Sync, E>(
+    pub fn get_or_try_with<T: Any + Send + Sync, E>(
         &mut self,
         kind: &'static str,
-        fp: Fingerprint,
+        key: impl FnOnce() -> Fingerprint,
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
+        if !self.enabled() {
+            return build().map(Arc::new);
+        }
+        let fp = key();
         if let Some(value) = self.get::<T>(kind, fp) {
             return Ok(value);
         }
@@ -298,13 +354,16 @@ impl ArtifactCache {
     pub fn kind_counters(&self) -> Counters {
         let mut counters = Counters::new();
         for (kind, stats) in &self.by_kind {
-            for (event, n) in [
-                ("hits", stats.hits),
-                ("misses", stats.misses),
-                ("evictions", stats.evictions),
-            ] {
+            let names = KIND_COUNTER_NAMES
+                .iter()
+                .find(|(known, _)| known == kind)
+                .map_or(OTHER_KIND_COUNTER_NAMES, |&(_, names)| names);
+            for (name, n) in names
+                .into_iter()
+                .zip([stats.hits, stats.misses, stats.evictions])
+            {
                 if n > 0 {
-                    counters.set(&format!("cache.{kind}.{event}"), n);
+                    counters.add(name, n);
                 }
             }
         }
@@ -623,8 +682,8 @@ mod tests {
     fn hit_returns_same_artifact() {
         let mut cache = ArtifactCache::new(8);
         let fp = Fingerprint::of("x");
-        let a = cache.get_or("s", fp, || String::from("artifact"));
-        let b = cache.get_or("s", fp, || String::from("rebuilt"));
+        let a = cache.get_or_with("s", || fp, || String::from("artifact"));
+        let b = cache.get_or_with("s", || fp, || String::from("rebuilt"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(
             cache.stats(),
@@ -640,8 +699,8 @@ mod tests {
     fn kinds_namespace_the_same_fingerprint() {
         let mut cache = ArtifactCache::new(8);
         let fp = Fingerprint::of("x");
-        let a = cache.get_or("a", fp, || 1usize);
-        let b = cache.get_or("b", fp, || 2usize);
+        let a = cache.get_or_with("a", || fp, || 1usize);
+        let b = cache.get_or_with("b", || fp, || 2usize);
         assert_eq!((*a, *b), (1, 2));
         assert_eq!(cache.stats().misses, 2);
     }
@@ -654,11 +713,11 @@ mod tests {
             Fingerprint::of("2"),
             Fingerprint::of("3"),
         );
-        cache.get_or("n", f1, || 1usize);
-        cache.get_or("n", f2, || 2usize);
+        cache.get_or_with("n", || f1, || 1usize);
+        cache.get_or_with("n", || f2, || 2usize);
         // Touch f1 so f2 is the LRU entry.
-        cache.get_or::<usize>("n", f1, || unreachable!());
-        cache.get_or("n", f3, || 3usize);
+        cache.get_or_with::<usize>("n", || f1, || unreachable!());
+        cache.get_or_with("n", || f3, || 3usize);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // f1 survived; f2 was evicted.
@@ -670,10 +729,12 @@ mod tests {
     fn errors_are_not_cached() {
         let mut cache = ArtifactCache::new(8);
         let fp = Fingerprint::of("bad");
-        let err: Result<Arc<usize>, &str> = cache.get_or_try("n", fp, || Err("boom"));
+        let err: Result<Arc<usize>, &str> = cache.get_or_try_with("n", || fp, || Err("boom"));
         assert!(err.is_err());
         // The retry rebuilds (a second miss), then succeeds.
-        let ok = cache.get_or_try::<usize, &str>("n", fp, || Ok(7)).unwrap();
+        let ok = cache
+            .get_or_try_with::<usize, &str>("n", || fp, || Ok(7))
+            .unwrap();
         assert_eq!(*ok, 7);
         assert_eq!(cache.stats().misses, 2);
     }
@@ -682,9 +743,9 @@ mod tests {
     fn stats_since_computes_request_delta() {
         let mut cache = ArtifactCache::new(8);
         let fp = Fingerprint::of("x");
-        cache.get_or("n", fp, || 1usize);
+        cache.get_or_with("n", || fp, || 1usize);
         let before = cache.stats();
-        cache.get_or::<usize>("n", fp, || unreachable!());
+        cache.get_or_with::<usize>("n", || fp, || unreachable!());
         let delta = cache.stats().since(before);
         assert_eq!(
             delta,
@@ -701,9 +762,37 @@ mod tests {
     fn per_kind_counters_track_activity() {
         let mut cache = ArtifactCache::new(8);
         let fp = Fingerprint::of("x");
-        cache.get_or("ast", fp, || 1usize);
-        cache.get_or::<usize>("ast", fp, || unreachable!());
+        cache.get_or_with("ast", || fp, || 1usize);
+        cache.get_or_with::<usize>("ast", || fp, || unreachable!());
         assert_eq!(cache.kind_counters().get("cache.ast.misses"), 1);
         assert_eq!(cache.kind_counters().get("cache.ast.hits"), 1);
+        // A kind the session does not store is counted, under `other`.
+        cache.get_or_with("probe", || fp, || 1usize);
+        cache.get_or_with("n", || fp, || 1usize);
+        assert_eq!(cache.kind_counters().get("cache.other.misses"), 2);
+        assert_eq!(cache.kind_counters().len(), 3);
+    }
+
+    #[test]
+    fn a_disabled_cache_asks_for_no_key_stores_nothing_and_counts_nothing() {
+        let mut cache = ArtifactCache::new(0);
+        assert!(!cache.enabled());
+        assert_eq!(cache.capacity(), 0);
+        let fp = Fingerprint::of("x");
+        for round in 0..3usize {
+            let built = cache.get_or_with("n", || unreachable!("key derived"), || round);
+            assert_eq!(*built, round, "a disabled cache answered from memory");
+            assert_eq!(Arc::strong_count(&built), 1, "the cache kept a handle");
+        }
+        let err: Result<Arc<usize>, &str> =
+            cache.get_or_try_with("n", || unreachable!("key derived"), || Err("boom"));
+        assert_eq!(err, Err("boom"));
+        cache.insert("n", fp, 7usize);
+        assert!(cache.get::<usize>("n", fp).is_none());
+        assert!(cache.is_empty() && cache.slots.is_empty());
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.stats().lookups(), 0);
+        assert!(cache.kind_counters().is_empty());
+        assert!(ArtifactCache::new(1).enabled());
     }
 }

@@ -87,20 +87,16 @@ impl MirrorClosure {
     /// Condenses and closes the mirror copy of `po ∪ conflicts`.
     pub fn build(conflicts: &ConflictSet, po: &ProgramOrder) -> Self {
         let n = conflicts.num_accesses();
-        // Mirror adjacency, one word-OR per row: program-order successors
+        // Mirror adjacency, two word-ORs per row: program-order successors
         // (an access is not its own P-successor here; a self-conflict
         // still loops) ∪ conflict successors.
-        let mut row = BitSet::new(n);
-        let mirror_adj: Vec<Vec<usize>> = (0..n)
-            .map(|x| {
-                let xa = AccessId::from_index(x);
-                row.clear();
-                row.union_words(po.succ_row_words(xa));
-                row.remove(x);
-                row.union_words(conflicts.succ_row_words(xa));
-                row.iter_ones().collect()
-            })
-            .collect();
+        let mut mirror_adj = BitMatrix::new(n);
+        for x in 0..n {
+            let xa = AccessId::from_index(x);
+            mirror_adj.or_row_words(x, po.succ_row_words(xa));
+            mirror_adj.clear(x, x);
+            mirror_adj.or_row_words(x, conflicts.succ_row_words(xa));
+        }
         let (reach, build_stats) = reachability_counted(&mirror_adj);
         let mut conf_pred = BitMatrix::new(n);
         let mut has_succ = BitSet::new(n);

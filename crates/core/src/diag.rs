@@ -151,25 +151,22 @@ impl Diagnostic {
             .notes
             .iter()
             .map(|n| {
-                let mut fields = vec![("message".to_string(), json::Value::Str(n.message.clone()))];
+                let mut fields = vec![("message".into(), json::Value::Str(n.message.clone()))];
                 if let Some(s) = n.span {
-                    fields.push(("span".to_string(), span_to_json(s, src)));
+                    fields.push(("span".into(), span_to_json(s, src)));
                 }
                 json::Value::Obj(fields)
             })
             .collect();
         json::Value::Obj(vec![
-            ("code".to_string(), json::Value::Str(self.code.to_string())),
+            ("code".into(), json::Value::Str(self.code.to_string())),
             (
-                "severity".to_string(),
+                "severity".into(),
                 json::Value::Str(self.severity.label().to_string()),
             ),
-            (
-                "message".to_string(),
-                json::Value::Str(self.message.clone()),
-            ),
-            ("span".to_string(), span_to_json(self.span, src)),
-            ("notes".to_string(), json::Value::Arr(notes)),
+            ("message".into(), json::Value::Str(self.message.clone())),
+            ("span".into(), span_to_json(self.span, src)),
+            ("notes".into(), json::Value::Arr(notes)),
         ])
     }
 }
@@ -178,10 +175,10 @@ impl Diagnostic {
 fn span_to_json(span: Span, src: &str) -> json::Value {
     let (line, col) = span.line_col(src);
     json::Value::Obj(vec![
-        ("start".to_string(), json::Value::Int(i64::from(span.start))),
-        ("end".to_string(), json::Value::Int(i64::from(span.end))),
-        ("line".to_string(), json::Value::Int(line as i64)),
-        ("col".to_string(), json::Value::Int(col as i64)),
+        ("start".into(), json::Value::Int(i64::from(span.start))),
+        ("end".into(), json::Value::Int(i64::from(span.end))),
+        ("line".into(), json::Value::Int(line as i64)),
+        ("col".into(), json::Value::Int(col as i64)),
     ])
 }
 
@@ -220,13 +217,15 @@ fn render_snippet(out: &mut String, src: &str, span: Span) {
 
 /// Routes a [`FrontendError`] through the shared diagnostic framework, so
 /// frontend failures render with the same rustc-style snippets as the
-/// static analyses (codes `E001`–`E004`, one per frontend stage).
+/// static analyses (codes `E001`–`E004`, one per frontend stage, and
+/// `E007` for the parser's nesting limit).
 pub fn frontend_diagnostic(e: &FrontendError) -> Diagnostic {
     let code = match e.kind() {
         FrontendErrorKind::Lex => "E001",
         FrontendErrorKind::Parse => "E002",
         FrontendErrorKind::Type => "E003",
         FrontendErrorKind::Inline => "E004",
+        FrontendErrorKind::Nesting => "E007",
     };
     Diagnostic::new(
         code,
@@ -264,7 +263,7 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
 /// `docs/DIAGNOSTICS.md`.
 pub const KNOWN_CODES: &[&str] = &[
     // Frontend / pipeline errors.
-    "E001", "E002", "E003", "E004", "E005", "E006", // Races.
+    "E001", "E002", "E003", "E004", "E005", "E006", "E007", // Races.
     "R001", "R002", // Synchronization shape warnings.
     "W001", "W002", "W003", // Provenance notes.
     "P001", "P002", // Lint engine: deadlock, redundancy, fence coverage.
@@ -294,7 +293,12 @@ pub mod json {
     //! ordinary whitespace — enough to round-trip `syncoptc check
     //! --format json` output without serde.
 
+    use std::borrow::Cow;
     use std::fmt;
+
+    /// An object key. Every key this workspace emits is a literal, which
+    /// costs nothing to hold; a parsed document owns its keys.
+    pub type Key = Cow<'static, str>;
 
     /// How deep arrays and objects may nest in a parsed document. Nothing
     /// this workspace emits comes near it; the bound exists so that a
@@ -317,7 +321,7 @@ pub mod json {
         /// An array.
         Arr(Vec<Value>),
         /// An object; insertion order is preserved.
-        Obj(Vec<(String, Value)>),
+        Obj(Vec<(Key, Value)>),
     }
 
     impl Value {
@@ -594,7 +598,7 @@ pub mod json {
                 self.expect(b':')?;
                 self.skip_ws();
                 let val = self.value()?;
-                fields.push((key, val));
+                fields.push((Key::Owned(key), val));
                 self.skip_ws();
                 match self.bytes.get(self.pos) {
                     Some(b',') => self.pos += 1,
@@ -802,7 +806,7 @@ pub mod json {
             while text.len() < 4 << 20 {
                 text.push_str("let v = A[(MYPROC + 1) % PROCS]; // μ-op, 漢字 \"quoted\" \\ \t\n");
             }
-            let doc = Value::Obj(vec![("source".to_string(), Value::Str(text))]);
+            let doc = Value::Obj(vec![("source".into(), Value::Str(text))]);
             let line = doc.to_string();
             assert!(line.len() > 4 << 20 && !line.contains('\n'));
             let back = Value::parse(&line).unwrap();
@@ -892,9 +896,9 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let v = Value::Obj(vec![
-            ("file".to_string(), Value::Str("a \"b\"\n\\ μ".to_string())),
+            ("file".into(), Value::Str("a \"b\"\n\\ μ".to_string())),
             (
-                "diagnostics".to_string(),
+                "diagnostics".into(),
                 Value::Arr(vec![
                     Value::Int(-42),
                     Value::Bool(true),

@@ -397,26 +397,26 @@ fn access_json(cfg: &Cfg, src: &str, a: AccessId) -> Value {
     let info = cfg.accesses.info(a);
     let (line, col) = info.span.line_col(src);
     Value::Obj(vec![
-        ("id".to_string(), Value::Int(a.index() as i64)),
-        ("kind".to_string(), Value::Str(format!("{:?}", info.kind))),
+        ("id".into(), Value::Int(a.index() as i64)),
+        ("kind".into(), Value::Str(format!("{:?}", info.kind))),
         (
-            "var".to_string(),
+            "var".into(),
             match info.var {
                 Some(v) => Value::Str(cfg.vars.info(v).name.clone()),
                 None => Value::Null,
             },
         ),
-        ("line".to_string(), Value::Int(line as i64)),
-        ("col".to_string(), Value::Int(col as i64)),
+        ("line".into(), Value::Int(line as i64)),
+        ("col".into(), Value::Int(col as i64)),
     ])
 }
 
 fn fact_json(fact: &SyncFact) -> Value {
     let (before, after) = fact.pair();
     Value::Obj(vec![
-        ("kind".to_string(), Value::Str(fact.label().to_string())),
-        ("before".to_string(), Value::Int(before.index() as i64)),
-        ("after".to_string(), Value::Int(after.index() as i64)),
+        ("kind".into(), Value::Str(fact.label().to_string())),
+        ("before".into(), Value::Int(before.index() as i64)),
+        ("after".into(), Value::Int(after.index() as i64)),
     ])
 }
 
@@ -424,44 +424,34 @@ fn reason_json(cfg: &Cfg, reason: &DropReason) -> Value {
     match reason {
         DropReason::NodeOrderedAfterFirst { node, fact } => Value::Obj(vec![
             (
-                "kind".to_string(),
+                "kind".into(),
                 Value::Str("node_ordered_after_first".to_string()),
             ),
-            ("node".to_string(), Value::Int(node.index() as i64)),
-            ("fact".to_string(), fact_json(fact)),
+            ("node".into(), Value::Int(node.index() as i64)),
+            ("fact".into(), fact_json(fact)),
         ]),
         DropReason::NodeOrderedBeforeSecond { node, fact } => Value::Obj(vec![
             (
-                "kind".to_string(),
+                "kind".into(),
                 Value::Str("node_ordered_before_second".to_string()),
             ),
-            ("node".to_string(), Value::Int(node.index() as i64)),
-            ("fact".to_string(), fact_json(fact)),
+            ("node".into(), Value::Int(node.index() as i64)),
+            ("fact".into(), fact_json(fact)),
         ]),
         DropReason::NodeLockGuarded { node, lock } => Value::Obj(vec![
-            (
-                "kind".to_string(),
-                Value::Str("node_lock_guarded".to_string()),
-            ),
-            ("node".to_string(), Value::Int(node.index() as i64)),
-            (
-                "lock".to_string(),
-                Value::Str(cfg.vars.info(*lock).name.clone()),
-            ),
+            ("kind".into(), Value::Str("node_lock_guarded".to_string())),
+            ("node".into(), Value::Int(node.index() as i64)),
+            ("lock".into(), Value::Str(cfg.vars.info(*lock).name.clone())),
         ]),
         DropReason::EdgeUnoriented { from, to, fact } => Value::Obj(vec![
-            (
-                "kind".to_string(),
-                Value::Str("edge_unoriented".to_string()),
-            ),
-            ("from".to_string(), Value::Int(from.index() as i64)),
-            ("to".to_string(), Value::Int(to.index() as i64)),
-            ("fact".to_string(), fact_json(fact)),
+            ("kind".into(), Value::Str("edge_unoriented".to_string())),
+            ("from".into(), Value::Int(from.index() as i64)),
+            ("to".into(), Value::Int(to.index() as i64)),
+            ("fact".into(), fact_json(fact)),
         ]),
-        DropReason::Unexplained => Value::Obj(vec![(
-            "kind".to_string(),
-            Value::Str("unexplained".to_string()),
-        )]),
+        DropReason::Unexplained => {
+            Value::Obj(vec![("kind".into(), Value::Str("unexplained".to_string()))])
+        }
     }
 }
 
@@ -474,10 +464,10 @@ impl ExplainReport {
             .iter()
             .map(|k| {
                 Value::Obj(vec![
-                    ("u".to_string(), access_json(cfg, src, k.u)),
-                    ("v".to_string(), access_json(cfg, src, k.v)),
+                    ("u".into(), access_json(cfg, src, k.u)),
+                    ("v".into(), access_json(cfg, src, k.v)),
                     (
-                        "witness".to_string(),
+                        "witness".into(),
                         Value::Arr(
                             k.witness
                                 .iter()
@@ -486,7 +476,7 @@ impl ExplainReport {
                         ),
                     ),
                     (
-                        "edges".to_string(),
+                        "edges".into(),
                         Value::Arr(
                             k.edges
                                 .iter()
@@ -502,7 +492,7 @@ impl ExplainReport {
                                 .collect(),
                         ),
                     ),
-                    ("via_d1".to_string(), Value::Bool(k.via_d1)),
+                    ("via_d1".into(), Value::Bool(k.via_d1)),
                 ])
             })
             .collect();
@@ -511,10 +501,10 @@ impl ExplainReport {
             .iter()
             .map(|d| {
                 Value::Obj(vec![
-                    ("u".to_string(), access_json(cfg, src, d.u)),
-                    ("v".to_string(), access_json(cfg, src, d.v)),
+                    ("u".into(), access_json(cfg, src, d.u)),
+                    ("v".into(), access_json(cfg, src, d.v)),
                     (
-                        "witness".to_string(),
+                        "witness".into(),
                         Value::Arr(
                             d.witness
                                 .iter()
@@ -522,18 +512,15 @@ impl ExplainReport {
                                 .collect(),
                         ),
                     ),
-                    ("reason".to_string(), reason_json(cfg, &d.reason)),
+                    ("reason".into(), reason_json(cfg, &d.reason)),
                 ])
             })
             .collect();
         Value::Obj(vec![
-            ("schema".to_string(), Value::Str(EXPLAIN_SCHEMA.to_string())),
-            (
-                "accesses".to_string(),
-                Value::Int(cfg.accesses.len() as i64),
-            ),
-            ("kept".to_string(), Value::Arr(kept)),
-            ("dropped".to_string(), Value::Arr(dropped)),
+            ("schema".into(), Value::Str(EXPLAIN_SCHEMA.to_string())),
+            ("accesses".into(), Value::Int(cfg.accesses.len() as i64)),
+            ("kept".into(), Value::Arr(kept)),
+            ("dropped".into(), Value::Arr(dropped)),
         ])
     }
 
@@ -612,7 +599,7 @@ impl ExplainReport {
                     ),
                     Some(span_of(fact.pair().0)),
                 ),
-                DropReason::Unexplained => ("removed by refinement".to_string(), None),
+                DropReason::Unexplained => ("removed by refinement".into(), None),
             };
             let d = Diagnostic::new(
                 "P002",

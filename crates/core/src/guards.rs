@@ -156,7 +156,7 @@ fn block_gates<'a>(cfg: &'a Cfg, dom: &Dominators) -> Vec<Vec<(&'a Expr, bool)>>
         for (target, side) in [(*then_bb, true), (*else_bb, false)] {
             // Entering `target` implies the branch decided `side` — sound
             // only when `x` is the sole way in.
-            if preds[target.index()].as_slice() != [x] {
+            if preds.of(target) != [x] {
                 continue;
             }
             for b in cfg.block_ids() {

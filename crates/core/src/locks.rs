@@ -115,7 +115,7 @@ fn must_hold_in(cfg: &Cfg, locks: &[VarId]) -> Vec<HashSet<VarId>> {
                 continue;
             }
             let mut inb: Option<HashSet<VarId>> = None;
-            for &p in &preds[b.index()] {
+            for &p in preds.of(b) {
                 let outp = transfer(cfg, p, in_sets[p.index()].clone());
                 inb = Some(match inb {
                     None => outp,

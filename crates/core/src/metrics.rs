@@ -185,12 +185,12 @@ impl Histogram {
     pub fn to_json(&self, scrub: bool) -> json::Value {
         let z = |v: u64| json::Value::Int(if scrub { 0 } else { v as i64 });
         json::Value::Obj(vec![
-            ("count".to_string(), json::Value::Int(self.count() as i64)),
-            ("sum_us".to_string(), z(self.sum())),
-            ("min_us".to_string(), z(self.min())),
-            ("max_us".to_string(), z(self.max())),
+            ("count".into(), json::Value::Int(self.count() as i64)),
+            ("sum_us".into(), z(self.sum())),
+            ("min_us".into(), z(self.min())),
+            ("max_us".into(), z(self.max())),
             (
-                "buckets".to_string(),
+                "buckets".into(),
                 json::Value::Arr(self.bucket_counts().into_iter().map(z).collect()),
             ),
         ])
@@ -300,16 +300,16 @@ impl MetricsRegistry {
         for (name, m) in metrics.iter() {
             match m {
                 Metric::Counter(c) => {
-                    counters.push((name.clone(), json::Value::Int(c.get() as i64)));
+                    counters.push((name.clone().into(), json::Value::Int(c.get() as i64)));
                 }
-                Metric::Gauge(g) => gauges.push((name.clone(), json::Value::Int(g.get()))),
-                Metric::Histogram(h) => histograms.push((name.clone(), h.to_json(scrub))),
+                Metric::Gauge(g) => gauges.push((name.clone().into(), json::Value::Int(g.get()))),
+                Metric::Histogram(h) => histograms.push((name.clone().into(), h.to_json(scrub))),
             }
         }
         json::Value::Obj(vec![
-            ("counters".to_string(), json::Value::Obj(counters)),
-            ("gauges".to_string(), json::Value::Obj(gauges)),
-            ("histograms".to_string(), json::Value::Obj(histograms)),
+            ("counters".into(), json::Value::Obj(counters)),
+            ("gauges".into(), json::Value::Obj(gauges)),
+            ("histograms".into(), json::Value::Obj(histograms)),
         ])
     }
 
@@ -349,7 +349,7 @@ impl MetricsRegistry {
                         cumulative += n;
                         let le = Histogram::BOUNDS
                             .get(i)
-                            .map_or("+Inf".to_string(), u64::to_string);
+                            .map_or("+Inf".into(), u64::to_string);
                         out.push_str(&format!(
                             "{family}_bucket{} {cumulative}\n",
                             with_label(&labels, "le", &le)

@@ -16,7 +16,6 @@
 //! with keys in a stable order.
 
 use crate::diag::json;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// A deterministic registry of named `u64` counters.
@@ -24,9 +23,14 @@ use std::time::Instant;
 /// Keys use dotted `stage.metric` names (`"cycle.backpath_queries"`,
 /// `"sync.post_wait_edges"`); iteration and JSON emission are sorted by
 /// key, so two runs over the same input produce identical output.
+///
+/// Every name is a literal of this workspace, so the registry holds
+/// `&'static str`s in one sorted `Vec`: counting never builds a `String`,
+/// and a clone is one copy of the entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
-    values: BTreeMap<String, u64>,
+    /// Sorted by name, names unique.
+    values: Vec<(&'static str, u64)>,
 }
 
 impl Counters {
@@ -35,29 +39,43 @@ impl Counters {
         Counters::default()
     }
 
+    /// The slot of `name`, created at zero if absent.
+    fn slot(&mut self, name: &'static str) -> &mut u64 {
+        let at = match self.values.binary_search_by_key(&name, |&(k, _)| k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.values.insert(at, (name, 0));
+                at
+            }
+        };
+        &mut self.values[at].1
+    }
+
     /// Adds `n` to `name` (creating it at zero first).
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.values.entry(name.to_string()).or_insert(0) += n;
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        *self.slot(name) += n;
     }
 
     /// Increments `name` by one.
-    pub fn inc(&mut self, name: &str) {
+    pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
     /// Sets `name` to `n`, overwriting any previous value.
-    pub fn set(&mut self, name: &str, n: u64) {
-        self.values.insert(name.to_string(), n);
+    pub fn set(&mut self, name: &'static str, n: u64) {
+        *self.slot(name) = n;
     }
 
     /// The value of `name` (zero if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
+        self.values
+            .binary_search_by_key(&name, |&(k, _)| k)
+            .map_or(0, |at| self.values[at].1)
     }
 
     /// All `(name, value)` pairs, sorted by name.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.values.iter().copied()
     }
 
     /// Number of distinct counters.
@@ -81,11 +99,22 @@ impl Counters {
     pub fn to_json(&self) -> json::Value {
         json::Value::Obj(
             self.iter()
-                .map(|(k, v)| (k.to_string(), json::Value::Int(v as i64)))
+                .map(|(k, v)| (k.into(), json::Value::Int(v as i64)))
                 .collect(),
         )
     }
 }
+
+/// The pipeline's phases with the key each one has in a JSON report.
+const PIPELINE_PHASE_KEYS: [(&str, &str); 7] = [
+    ("parse", "parse_us"),
+    ("typeck", "typeck_us"),
+    ("inline", "inline_us"),
+    ("lower", "lower_us"),
+    ("analyze", "analyze_us"),
+    ("optimize", "optimize_us"),
+    ("simulate", "simulate_us"),
+];
 
 /// Phase-scoped wall-clock timers, recorded in microseconds.
 ///
@@ -95,7 +124,7 @@ impl Counters {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     enabled: bool,
-    phases: Vec<(String, u64)>,
+    phases: Vec<(&'static str, u64)>,
 }
 
 impl PhaseTimings {
@@ -103,7 +132,7 @@ impl PhaseTimings {
     pub fn new(enabled: bool) -> Self {
         PhaseTimings {
             enabled,
-            phases: Vec::new(),
+            phases: Vec::with_capacity(PIPELINE_PHASE_KEYS.len()),
         }
     }
 
@@ -113,34 +142,34 @@ impl PhaseTimings {
     }
 
     /// Runs `f` as phase `name`, recording its duration.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
         if !self.enabled {
-            self.phases.push((name.to_string(), 0));
+            self.phases.push((name, 0));
             return f();
         }
         let start = Instant::now();
         let out = f();
         let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.phases.push((name.to_string(), micros));
+        self.phases.push((name, micros));
         out
     }
 
     /// Records an externally measured phase duration.
-    pub fn record(&mut self, name: &str, micros: u64) {
+    pub fn record(&mut self, name: &'static str, micros: u64) {
         self.phases
-            .push((name.to_string(), if self.enabled { micros } else { 0 }));
+            .push((name, if self.enabled { micros } else { 0 }));
     }
 
     /// All `(phase, micros)` pairs in pipeline order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.phases.iter().map(|(k, v)| (k.as_str(), *v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.phases.iter().copied()
     }
 
     /// The duration of `name` (zero if absent or disabled).
     pub fn get(&self, name: &str) -> u64 {
         self.phases
             .iter()
-            .find(|(k, _)| k == name)
+            .find(|(k, _)| *k == name)
             .map(|(_, v)| *v)
             .unwrap_or(0)
     }
@@ -153,9 +182,15 @@ impl PhaseTimings {
     /// The timings as a JSON object in pipeline order; every value is the
     /// phase duration in microseconds (all zeros when disabled).
     pub fn to_json(&self) -> json::Value {
+        let key = |phase: &str| -> json::Key {
+            match PIPELINE_PHASE_KEYS.iter().find(|(name, _)| *name == phase) {
+                Some(&(_, key)) => key.into(),
+                None => format!("{phase}_us").into(),
+            }
+        };
         json::Value::Obj(
             self.iter()
-                .map(|(k, v)| (format!("{k}_us"), json::Value::Int(v as i64)))
+                .map(|(k, v)| (key(k), json::Value::Int(v as i64)))
                 .collect(),
         )
     }

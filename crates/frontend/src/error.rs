@@ -33,6 +33,9 @@ pub enum FrontendErrorKind {
     Type,
     /// Problems during call inlining (recursion, missing `main`).
     Inline,
+    /// The program nests deeper than the parser's limit
+    /// ([`MAX_NESTING`](crate::parser::MAX_NESTING)).
+    Nesting,
 }
 
 impl FrontendError {
@@ -58,6 +61,15 @@ impl FrontendError {
     pub fn ty(span: Span, message: impl Into<String>) -> Self {
         FrontendError {
             kind: FrontendErrorKind::Type,
+            span,
+            message: message.into(),
+        }
+    }
+
+    /// Creates a nesting-limit error at `span`.
+    pub fn nesting(span: Span, message: impl Into<String>) -> Self {
+        FrontendError {
+            kind: FrontendErrorKind::Nesting,
             span,
             message: message.into(),
         }
@@ -101,6 +113,7 @@ impl fmt::Display for FrontendErrorKind {
             FrontendErrorKind::Parse => "syntax error",
             FrontendErrorKind::Type => "type error",
             FrontendErrorKind::Inline => "inline error",
+            FrontendErrorKind::Nesting => "nesting error",
         };
         f.write_str(s)
     }

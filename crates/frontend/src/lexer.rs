@@ -14,7 +14,7 @@ use crate::token::{Token, TokenKind};
 ///
 /// Returns a [`FrontendError`] on the first invalid character, malformed
 /// numeric literal, or unterminated block comment.
-pub fn lex(src: &str) -> Result<Vec<Token>, FrontendError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, FrontendError> {
     Lexer::new(src).run()
 }
 
@@ -33,7 +33,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, FrontendError> {
+    fn run(mut self) -> Result<Vec<Token<'a>>, FrontendError> {
         let mut out = Vec::new();
         loop {
             self.skip_trivia()?;
@@ -96,12 +96,17 @@ impl<'a> Lexer<'a> {
         Some(b)
     }
 
-    fn one(&mut self, kind: TokenKind) -> TokenKind {
+    fn one(&mut self, kind: TokenKind<'a>) -> TokenKind<'a> {
         self.pos += 1;
         kind
     }
 
-    fn one_or_two(&mut self, second: u8, single: TokenKind, double: TokenKind) -> TokenKind {
+    fn one_or_two(
+        &mut self,
+        second: u8,
+        single: TokenKind<'a>,
+        double: TokenKind<'a>,
+    ) -> TokenKind<'a> {
         self.pos += 1;
         if self.peek() == Some(second) {
             self.pos += 1;
@@ -111,7 +116,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn pair(&mut self, second: u8, kind: TokenKind) -> Result<TokenKind, FrontendError> {
+    fn pair(&mut self, second: u8, kind: TokenKind<'a>) -> Result<TokenKind<'a>, FrontendError> {
         let start = self.pos;
         self.pos += 1;
         if self.peek() == Some(second) {
@@ -166,7 +171,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident(&mut self) -> TokenKind {
+    fn ident(&mut self) -> TokenKind<'a> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' {
@@ -176,10 +181,10 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = &self.src[start..self.pos];
-        TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_string()))
+        TokenKind::keyword(text).unwrap_or(TokenKind::Ident(text))
     }
 
-    fn number(&mut self) -> Result<TokenKind, FrontendError> {
+    fn number(&mut self) -> Result<TokenKind<'a>, FrontendError> {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
@@ -226,7 +231,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src)
             .expect("lex should succeed")
             .into_iter()
@@ -239,7 +244,7 @@ mod tests {
         assert_eq!(
             kinds("x = 42;"),
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Assign,
                 TokenKind::IntLit(42),
                 TokenKind::Semi,
@@ -294,7 +299,7 @@ mod tests {
             kinds("3 elephants"),
             vec![
                 TokenKind::IntLit(3),
-                TokenKind::Ident("elephants".into()),
+                TokenKind::Ident("elephants"),
                 TokenKind::Eof,
             ]
         );
@@ -304,11 +309,7 @@ mod tests {
     fn skips_line_and_block_comments() {
         assert_eq!(
             kinds("a // comment\n /* block \n more */ b"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof,
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof,]
         );
     }
 

@@ -3,6 +3,13 @@
 //! Expression parsing uses precedence climbing. The grammar is LL(2) — the
 //! only lookahead beyond one token distinguishes `x = e;` from `f(...);` and
 //! array lvalues.
+//!
+//! The parser is recursive, and so is everything that later walks what it
+//! builds (the type checker, inlining, lowering, folding, `Drop`), so it
+//! bounds both: [`MAX_NESTING`] limits how deep the parser recurses and how
+//! tall an expression tree grows, and a program past it is refused with a
+//! [`FrontendErrorKind::Nesting`](crate::error::FrontendErrorKind::Nesting)
+//! error instead of overflowing the stack of the thread that parsed it.
 
 use crate::ast::{
     BinOp, Decl, Expr, ExprKind, Function, LValue, Param, Program, Stmt, StmtKind, Type, UnOp,
@@ -11,18 +18,32 @@ use crate::error::FrontendError;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// How deep a program may nest. Blocks (`{ }`, and each `else if` arm),
+/// parenthesized and subscript expressions, unary operands and the right
+/// operands of binary operators each open one level; independently, no
+/// expression tree may be taller than this (a chain `1 + 1 + 1 + …` grows
+/// one level per operator without nesting anything). Programs written by
+/// people nest a dozen levels; the bound keeps every recursive walk of the
+/// AST inside a 2 MiB thread stack, debug builds included.
+pub const MAX_NESTING: usize = 128;
+
 /// A `minisplit` parser over a pre-lexed token stream.
 pub struct Parser<'a> {
     #[allow(dead_code)]
     src: &'a str,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Levels (see [`MAX_NESTING`]) open around `pos`.
+    depth: usize,
 }
+
+/// An expression with the height of its tree (a leaf is 1).
+type Tall = (Expr, usize);
 
 impl<'a> Parser<'a> {
     /// Creates a parser for `tokens`, which must be terminated by `Eof`
     /// (as produced by [`crate::lexer::lex`]).
-    pub fn new(src: &'a str, tokens: Vec<Token>) -> Self {
+    pub fn new(src: &'a str, tokens: Vec<Token<'a>>) -> Self {
         debug_assert!(matches!(
             tokens.last().map(|t| &t.kind),
             Some(TokenKind::Eof)
@@ -31,6 +52,7 @@ impl<'a> Parser<'a> {
             src,
             tokens,
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -63,28 +85,28 @@ impl<'a> Parser<'a> {
 
     // ---- token helpers -------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
+    fn peek_at(&self, n: usize) -> TokenKind<'a> {
         let idx = (self.pos + n).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        self.tokens[idx].kind
     }
 
     fn peek_span(&self) -> Span {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let tok = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         tok
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -93,7 +115,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, FrontendError> {
+    /// Runs `parse` one level deeper; the token at `pos` opens the level,
+    /// and is the one named when that is a level too many.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        if self.depth == MAX_NESTING {
+            return Err(too_deep(self.peek_span()));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<Token<'a>, FrontendError> {
         if self.peek() == kind {
             Ok(self.bump())
         } else {
@@ -110,13 +147,7 @@ impl<'a> Parser<'a> {
 
     fn expect_ident(&mut self) -> Result<(String, Span), FrontendError> {
         match self.peek() {
-            TokenKind::Ident(_) => {
-                let tok = self.bump();
-                let TokenKind::Ident(name) = tok.kind else {
-                    unreachable!()
-                };
-                Ok((name, tok.span))
-            }
+            TokenKind::Ident(name) => Ok((name.to_string(), self.bump().span)),
             other => Err(FrontendError::parse(
                 self.peek_span(),
                 format!("expected identifier, found {}", other.describe()),
@@ -126,13 +157,7 @@ impl<'a> Parser<'a> {
 
     fn expect_int_lit(&mut self) -> Result<(i64, Span), FrontendError> {
         match self.peek() {
-            TokenKind::IntLit(_) => {
-                let tok = self.bump();
-                let TokenKind::IntLit(v) = tok.kind else {
-                    unreachable!()
-                };
-                Ok((v, tok.span))
-            }
+            TokenKind::IntLit(v) => Ok((v, self.bump().span)),
             other => Err(FrontendError::parse(
                 self.peek_span(),
                 format!("expected integer literal, found {}", other.describe()),
@@ -144,12 +169,12 @@ impl<'a> Parser<'a> {
 
     fn decl(&mut self) -> Result<Decl, FrontendError> {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Shared => {
                 self.bump();
                 let ty = self.data_type()?;
                 let (name, _) = self.expect_ident()?;
-                if self.eat(&TokenKind::LBracket) {
+                if self.eat(TokenKind::LBracket) {
                     let (len, len_span) = self.expect_int_lit()?;
                     if len <= 0 {
                         return Err(FrontendError::parse(
@@ -157,8 +182,8 @@ impl<'a> Parser<'a> {
                             "array length must be positive",
                         ));
                     }
-                    self.expect(&TokenKind::RBracket)?;
-                    let end = self.expect(&TokenKind::Semi)?.span;
+                    self.expect(TokenKind::RBracket)?;
+                    let end = self.expect(TokenKind::Semi)?.span;
                     Ok(Decl::SharedArray {
                         name,
                         ty,
@@ -166,7 +191,7 @@ impl<'a> Parser<'a> {
                         span: start.merge(end),
                     })
                 } else {
-                    let end = self.expect(&TokenKind::Semi)?.span;
+                    let end = self.expect(TokenKind::Semi)?.span;
                     Ok(Decl::SharedScalar {
                         name,
                         ty,
@@ -177,7 +202,7 @@ impl<'a> Parser<'a> {
             TokenKind::Flag => {
                 self.bump();
                 let (name, _) = self.expect_ident()?;
-                if self.eat(&TokenKind::LBracket) {
+                if self.eat(TokenKind::LBracket) {
                     let (len, len_span) = self.expect_int_lit()?;
                     if len <= 0 {
                         return Err(FrontendError::parse(
@@ -185,15 +210,15 @@ impl<'a> Parser<'a> {
                             "flag array length must be positive",
                         ));
                     }
-                    self.expect(&TokenKind::RBracket)?;
-                    let end = self.expect(&TokenKind::Semi)?.span;
+                    self.expect(TokenKind::RBracket)?;
+                    let end = self.expect(TokenKind::Semi)?.span;
                     Ok(Decl::FlagArray {
                         name,
                         len: len as u64,
                         span: start.merge(end),
                     })
                 } else {
-                    let end = self.expect(&TokenKind::Semi)?.span;
+                    let end = self.expect(TokenKind::Semi)?.span;
                     Ok(Decl::Flag {
                         name,
                         span: start.merge(end),
@@ -203,7 +228,7 @@ impl<'a> Parser<'a> {
             TokenKind::Lock => {
                 self.bump();
                 let (name, _) = self.expect_ident()?;
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?.span;
                 Ok(Decl::Lock {
                     name,
                     span: start.merge(end),
@@ -236,11 +261,11 @@ impl<'a> Parser<'a> {
     // ---- functions -----------------------------------------------------
 
     fn function(&mut self) -> Result<Function, FrontendError> {
-        let start = self.expect(&TokenKind::Fn)?.span;
+        let start = self.expect(TokenKind::Fn)?.span;
         let (name, _) = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut params = Vec::new();
-        if self.peek() != &TokenKind::RParen {
+        if self.peek() != TokenKind::RParen {
             loop {
                 let pstart = self.peek_span();
                 let ty = self.data_type()?;
@@ -250,12 +275,12 @@ impl<'a> Parser<'a> {
                     ty,
                     span: pstart.merge(pend),
                 });
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let (body, end) = self.block()?;
         Ok(Function {
             name,
@@ -266,30 +291,32 @@ impl<'a> Parser<'a> {
     }
 
     fn block(&mut self) -> Result<(Vec<Stmt>, Span), FrontendError> {
-        let start = self.expect(&TokenKind::LBrace)?.span;
-        let mut stmts = Vec::new();
-        while self.peek() != &TokenKind::RBrace {
-            if self.peek() == &TokenKind::Eof {
-                return Err(FrontendError::parse(start, "unterminated block"));
+        self.nested(|p| {
+            let start = p.expect(TokenKind::LBrace)?.span;
+            let mut stmts = Vec::new();
+            while p.peek() != TokenKind::RBrace {
+                if p.peek() == TokenKind::Eof {
+                    return Err(FrontendError::parse(start, "unterminated block"));
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        let end = self.expect(&TokenKind::RBrace)?.span;
-        Ok((stmts, start.merge(end)))
+            let end = p.expect(TokenKind::RBrace)?.span;
+            Ok((stmts, start.merge(end)))
+        })
     }
 
     // ---- statements ----------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, FrontendError> {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Int | TokenKind::Double => self.local_decl(),
             TokenKind::If => self.if_stmt(),
             TokenKind::While => self.while_stmt(),
             TokenKind::For => self.for_stmt(),
             TokenKind::Barrier => {
                 self.bump();
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?.span;
                 Ok(Stmt::new(StmtKind::Barrier, start.merge(end)))
             }
             TokenKind::Post => self.event_stmt(true),
@@ -297,26 +324,26 @@ impl<'a> Parser<'a> {
             TokenKind::Lock => {
                 self.bump();
                 let (lock, _) = self.expect_ident()?;
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?.span;
                 Ok(Stmt::new(StmtKind::Lock { lock }, start.merge(end)))
             }
             TokenKind::Unlock => {
                 self.bump();
                 let (lock, _) = self.expect_ident()?;
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?.span;
                 Ok(Stmt::new(StmtKind::Unlock { lock }, start.merge(end)))
             }
             TokenKind::Work => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let cost = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                let end = self.expect(&TokenKind::Semi)?.span;
+                self.expect(TokenKind::RParen)?;
+                let end = self.expect(TokenKind::Semi)?.span;
                 Ok(Stmt::new(StmtKind::Work { cost }, start.merge(end)))
             }
             TokenKind::Return => {
                 self.bump();
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?.span;
                 Ok(Stmt::new(StmtKind::Return, start.merge(end)))
             }
             TokenKind::LBrace => {
@@ -324,7 +351,7 @@ impl<'a> Parser<'a> {
                 Ok(Stmt::new(StmtKind::Block(stmts), span))
             }
             TokenKind::Ident(_) => {
-                if self.peek_at(1) == &TokenKind::LParen {
+                if self.peek_at(1) == TokenKind::LParen {
                     self.call_stmt()
                 } else {
                     self.assign_stmt()
@@ -341,7 +368,7 @@ impl<'a> Parser<'a> {
         let start = self.peek_span();
         let ty = self.data_type()?;
         let (name, _) = self.expect_ident()?;
-        if self.eat(&TokenKind::LBracket) {
+        if self.eat(TokenKind::LBracket) {
             let (len, len_span) = self.expect_int_lit()?;
             if len <= 0 {
                 return Err(FrontendError::parse(
@@ -349,8 +376,8 @@ impl<'a> Parser<'a> {
                     "array length must be positive",
                 ));
             }
-            self.expect(&TokenKind::RBracket)?;
-            let end = self.expect(&TokenKind::Semi)?.span;
+            self.expect(TokenKind::RBracket)?;
+            let end = self.expect(TokenKind::Semi)?.span;
             return Ok(Stmt::new(
                 StmtKind::LocalDecl {
                     name,
@@ -361,12 +388,12 @@ impl<'a> Parser<'a> {
                 start.merge(end),
             ));
         }
-        let init = if self.eat(&TokenKind::Assign) {
+        let init = if self.eat(TokenKind::Assign) {
             Some(self.expr()?)
         } else {
             None
         };
-        let end = self.expect(&TokenKind::Semi)?.span;
+        let end = self.expect(TokenKind::Semi)?.span;
         Ok(Stmt::new(
             StmtKind::LocalDecl {
                 name,
@@ -379,14 +406,14 @@ impl<'a> Parser<'a> {
     }
 
     fn if_stmt(&mut self) -> Result<Stmt, FrontendError> {
-        let start = self.expect(&TokenKind::If)?.span;
-        self.expect(&TokenKind::LParen)?;
+        let start = self.expect(TokenKind::If)?.span;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let (then_branch, mut end) = self.block()?;
-        let else_branch = if self.eat(&TokenKind::Else) {
-            if self.peek() == &TokenKind::If {
-                let nested = self.if_stmt()?;
+        let else_branch = if self.eat(TokenKind::Else) {
+            if self.peek() == TokenKind::If {
+                let nested = self.nested(Self::if_stmt)?;
                 end = nested.span;
                 vec![nested]
             } else {
@@ -408,23 +435,23 @@ impl<'a> Parser<'a> {
     }
 
     fn while_stmt(&mut self) -> Result<Stmt, FrontendError> {
-        let start = self.expect(&TokenKind::While)?.span;
-        self.expect(&TokenKind::LParen)?;
+        let start = self.expect(TokenKind::While)?.span;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let (body, end) = self.block()?;
         Ok(Stmt::new(StmtKind::While { cond, body }, start.merge(end)))
     }
 
     fn for_stmt(&mut self) -> Result<Stmt, FrontendError> {
-        let start = self.expect(&TokenKind::For)?.span;
-        self.expect(&TokenKind::LParen)?;
+        let start = self.expect(TokenKind::For)?.span;
+        self.expect(TokenKind::LParen)?;
         let init = self.simple_assign()?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
         let step = self.simple_assign()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let (body, end) = self.block()?;
         Ok(Stmt::new(
             StmtKind::For {
@@ -441,7 +468,7 @@ impl<'a> Parser<'a> {
     fn simple_assign(&mut self) -> Result<Stmt, FrontendError> {
         let start = self.peek_span();
         let lhs = self.lvalue()?;
-        self.expect(&TokenKind::Assign)?;
+        self.expect(TokenKind::Assign)?;
         let rhs = self.expr()?;
         let span = start.merge(rhs.span);
         Ok(Stmt::new(StmtKind::Assign { lhs, rhs }, span))
@@ -449,39 +476,39 @@ impl<'a> Parser<'a> {
 
     fn assign_stmt(&mut self) -> Result<Stmt, FrontendError> {
         let stmt = self.simple_assign()?;
-        let end = self.expect(&TokenKind::Semi)?.span;
+        let end = self.expect(TokenKind::Semi)?.span;
         Ok(Stmt::new(stmt.kind, stmt.span.merge(end)))
     }
 
     fn call_stmt(&mut self) -> Result<Stmt, FrontendError> {
         let start = self.peek_span();
         let (name, _) = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if self.peek() != &TokenKind::RParen {
+        if self.peek() != TokenKind::RParen {
             loop {
                 args.push(self.expr()?);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
-        let end = self.expect(&TokenKind::Semi)?.span;
+        self.expect(TokenKind::RParen)?;
+        let end = self.expect(TokenKind::Semi)?.span;
         Ok(Stmt::new(StmtKind::Call { name, args }, start.merge(end)))
     }
 
     fn event_stmt(&mut self, is_post: bool) -> Result<Stmt, FrontendError> {
         let start = self.bump().span; // `post` or `wait`
         let (flag, _) = self.expect_ident()?;
-        let index = if self.eat(&TokenKind::LBracket) {
+        let index = if self.eat(TokenKind::LBracket) {
             let e = self.expr()?;
-            self.expect(&TokenKind::RBracket)?;
+            self.expect(TokenKind::RBracket)?;
             Some(e)
         } else {
             None
         };
-        let end = self.expect(&TokenKind::Semi)?.span;
+        let end = self.expect(TokenKind::Semi)?.span;
         let kind = if is_post {
             StmtKind::Post { flag, index }
         } else {
@@ -492,9 +519,9 @@ impl<'a> Parser<'a> {
 
     fn lvalue(&mut self) -> Result<LValue, FrontendError> {
         let (name, span) = self.expect_ident()?;
-        if self.eat(&TokenKind::LBracket) {
+        if self.eat(TokenKind::LBracket) {
             let index = self.expr()?;
-            let end = self.expect(&TokenKind::RBracket)?.span;
+            let end = self.expect(TokenKind::RBracket)?.span;
             Ok(LValue::ArrayElem {
                 name,
                 index: Box::new(index),
@@ -514,11 +541,11 @@ impl<'a> Parser<'a> {
     /// Returns a syntax error if the token stream does not start with a
     /// valid expression.
     pub fn expr(&mut self) -> Result<Expr, FrontendError> {
-        self.binary_expr(0)
+        self.binary_expr(0).map(|(expr, _)| expr)
     }
 
-    fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, FrontendError> {
-        let mut lhs = self.unary_expr()?;
+    fn binary_expr(&mut self, min_prec: u8) -> Result<Tall, FrontendError> {
+        let (mut lhs, mut height) = self.unary_expr()?;
         // Not `while let`: the loop has a second exit condition (precedence).
         #[allow(clippy::while_let_loop)]
         loop {
@@ -528,9 +555,10 @@ impl<'a> Parser<'a> {
             if prec < min_prec {
                 break;
             }
-            self.bump();
-            let rhs = self.binary_expr(prec + 1)?;
+            let op_span = self.bump().span;
+            let (rhs, rhs_height) = self.nested(|p| p.binary_expr(prec + 1))?;
             let span = lhs.span.merge(rhs.span);
+            height = grown(height.max(rhs_height), op_span)?;
             lhs = Expr::new(
                 ExprKind::Binary {
                     op,
@@ -540,99 +568,87 @@ impl<'a> Parser<'a> {
                 span,
             );
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
+    fn unary_expr(&mut self) -> Result<Tall, FrontendError> {
         let start = self.peek_span();
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let inner = self.unary_expr()?;
-                let span = start.merge(inner.span);
-                Ok(Expr::new(
-                    ExprKind::Unary {
-                        op: UnOp::Neg,
-                        expr: Box::new(inner),
-                    },
-                    span,
-                ))
-            }
-            TokenKind::Not => {
-                self.bump();
-                let inner = self.unary_expr()?;
-                let span = start.merge(inner.span);
-                Ok(Expr::new(
-                    ExprKind::Unary {
-                        op: UnOp::Not,
-                        expr: Box::new(inner),
-                    },
-                    span,
-                ))
-            }
-            _ => self.primary_expr(),
-        }
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.primary_expr(),
+        };
+        self.bump();
+        let (inner, height) = self.nested(Self::unary_expr)?;
+        let span = start.merge(inner.span);
+        let expr = Box::new(inner);
+        Ok((
+            Expr::new(ExprKind::Unary { op, expr }, span),
+            grown(height, start)?,
+        ))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, FrontendError> {
+    fn primary_expr(&mut self) -> Result<Tall, FrontendError> {
         let start = self.peek_span();
-        match self.peek().clone() {
-            TokenKind::IntLit(v) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::IntLit(v), start))
-            }
-            TokenKind::FloatLit(v) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::FloatLit(v), start))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::new(ExprKind::BoolLit(true), start))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::new(ExprKind::BoolLit(false), start))
-            }
-            TokenKind::MyProc => {
-                self.bump();
-                Ok(Expr::new(ExprKind::MyProc, start))
-            }
-            TokenKind::Procs => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Procs, start))
-            }
+        let leaf = match self.peek() {
+            TokenKind::IntLit(v) => ExprKind::IntLit(v),
+            TokenKind::FloatLit(v) => ExprKind::FloatLit(v),
+            TokenKind::True => ExprKind::BoolLit(true),
+            TokenKind::False => ExprKind::BoolLit(false),
+            TokenKind::MyProc => ExprKind::MyProc,
+            TokenKind::Procs => ExprKind::Procs,
             TokenKind::LParen => {
-                self.bump();
-                let inner = self.expr()?;
-                let end = self.expect(&TokenKind::RParen)?.span;
-                Ok(Expr::new(inner.kind, start.merge(end)))
+                let (inner, height) = self.nested(|p| {
+                    p.bump();
+                    p.binary_expr(0)
+                })?;
+                let end = self.expect(TokenKind::RParen)?.span;
+                return Ok((Expr::new(inner.kind, start.merge(end)), height));
             }
             TokenKind::Ident(_) => {
                 let (name, span) = self.expect_ident()?;
-                if self.eat(&TokenKind::LBracket) {
-                    let index = self.expr()?;
-                    let end = self.expect(&TokenKind::RBracket)?.span;
-                    Ok(Expr::new(
-                        ExprKind::ArrayElem {
-                            name,
-                            index: Box::new(index),
-                        },
-                        span.merge(end),
-                    ))
-                } else {
-                    Ok(Expr::new(ExprKind::Var(name), span))
+                if self.peek() != TokenKind::LBracket {
+                    return Ok((Expr::new(ExprKind::Var(name), span), 1));
                 }
+                let (index, height) = self.nested(|p| {
+                    p.bump();
+                    p.binary_expr(0)
+                })?;
+                let end = self.expect(TokenKind::RBracket)?.span;
+                let index = Box::new(index);
+                return Ok((
+                    Expr::new(ExprKind::ArrayElem { name, index }, span.merge(end)),
+                    grown(height, span)?,
+                ));
             }
-            other => Err(FrontendError::parse(
-                start,
-                format!("expected expression, found {}", other.describe()),
-            )),
-        }
+            other => {
+                return Err(FrontendError::parse(
+                    start,
+                    format!("expected expression, found {}", other.describe()),
+                ))
+            }
+        };
+        self.bump();
+        Ok((Expr::new(leaf, start), 1))
+    }
+}
+
+fn too_deep(span: Span) -> FrontendError {
+    FrontendError::nesting(span, format!("nesting deeper than {MAX_NESTING} levels"))
+}
+
+/// The height of a node over children of height `below`; `span` is the
+/// operator (or array name) that makes the node.
+fn grown(below: usize, span: Span) -> Result<usize, FrontendError> {
+    if below == MAX_NESTING {
+        Err(too_deep(span))
+    } else {
+        Ok(below + 1)
     }
 }
 
 /// Operator token → (BinOp, precedence). Higher binds tighter.
-fn binop_of(kind: &TokenKind) -> Option<(BinOp, u8)> {
+fn binop_of(kind: TokenKind<'_>) -> Option<(BinOp, u8)> {
     Some(match kind {
         TokenKind::OrOr => (BinOp::Or, 1),
         TokenKind::AndAnd => (BinOp::And, 2),
@@ -808,5 +824,101 @@ mod tests {
         };
         assert!(matches!(lhs, LValue::ArrayElem { .. }));
         assert!(matches!(rhs.kind, ExprKind::Binary { .. }));
+    }
+
+    /// `main` with `X = 1;` inside `levels` repetitions of `open` … `close`.
+    fn nested_stmt(levels: usize, open: &str, close: &str) -> String {
+        format!(
+            "shared int X; fn main() {{ {}X = 1;{} }}",
+            open.repeat(levels),
+            close.repeat(levels)
+        )
+    }
+
+    /// `main` assigning `1` inside `levels` repetitions of `open` … `close`.
+    fn nested_expr(levels: usize, open: &str, close: &str) -> String {
+        format!(
+            "shared int X; shared int A[4]; fn main() {{ X = {}1{}; }}",
+            open.repeat(levels),
+            close.repeat(levels)
+        )
+    }
+
+    fn nesting_error(src: &str) -> FrontendError {
+        let err = parse_program(src).expect_err("the program nests too deep");
+        assert_eq!(
+            err.kind(),
+            crate::error::FrontendErrorKind::Nesting,
+            "{err}"
+        );
+        assert!(err.message().contains("nesting deeper than 128"), "{err}");
+        assert!(!err.span().is_empty(), "{err}");
+        err
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit_and_refused_one_past_it() {
+        // The function body is level 1; a block, a parenthesis, a subscript
+        // or a unary operand each open one more.
+        let shapes: [&dyn Fn(usize) -> String; 5] = [
+            &|n| nested_stmt(n, "{ ", " }"),
+            &|n| nested_stmt(n, "if (MYPROC == 0) { ", " }"),
+            &|n| nested_expr(n, "(", ")"),
+            &|n| nested_expr(n, "A[", "]"),
+            &|n| nested_expr(n, "-", ""),
+        ];
+        for (i, shape) in shapes.iter().enumerate() {
+            parse_program(&shape(MAX_NESTING - 1)).unwrap_or_else(|e| panic!("shape {i}: {e}"));
+            nesting_error(&shape(MAX_NESTING));
+        }
+        // The `if` sits at level 1; `else if` arm k is parsed at level
+        // 1 + k and its block one deeper.
+        let arms = |n: usize| {
+            format!(
+                "shared int X; fn main() {{ if (MYPROC == 0) {{ X = 0; }}{} }}",
+                " else if (MYPROC == 1) { X = 1; }".repeat(n)
+            )
+        };
+        parse_program(&arms(MAX_NESTING - 2)).unwrap();
+        nesting_error(&arms(MAX_NESTING - 1));
+    }
+
+    #[test]
+    fn an_operator_chain_grows_one_level_per_operator_without_recursing() {
+        let chain =
+            |ops: usize| format!("shared int X; fn main() {{ X = 1{}; }}", " + 1".repeat(ops));
+        // Height = operators + 1.
+        parse_program(&chain(MAX_NESTING - 1)).unwrap();
+        let err = nesting_error(&chain(MAX_NESTING));
+        // The operator that made the tree too tall: the last one.
+        let src = chain(MAX_NESTING);
+        assert_eq!(
+            &src[err.span().start as usize..err.span().end as usize],
+            "+"
+        );
+        assert_eq!(err.span().start as usize, src.rfind('+').unwrap());
+        // A right-leaning tree of the same height recurses instead and is
+        // held to the same limit.
+        let right = |ops: usize| {
+            format!(
+                "shared int X; fn main() {{ X = {}1{}; }}",
+                "1 + (".repeat(ops),
+                ")".repeat(ops)
+            )
+        };
+        parse_program(&right(40)).unwrap();
+        nesting_error(&right(MAX_NESTING));
+    }
+
+    #[test]
+    fn a_hundred_thousand_levels_fail_without_exhausting_the_stack() {
+        const N: usize = 100_000;
+        nesting_error(&nested_expr(N, "(", ")"));
+        nesting_error(&nested_stmt(N, "{ ", " }"));
+        nesting_error(&nested_expr(N, "!", ""));
+        nesting_error(&format!(
+            "shared int X; fn main() {{ X = 1{}; }}",
+            " * 2".repeat(N)
+        ));
     }
 }

@@ -3,25 +3,26 @@
 use crate::span::Span;
 use std::fmt;
 
-/// A lexed token: a kind plus the source span it covers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A lexed token: a kind plus the source span it covers. Identifier text
+/// is borrowed from the source, so a token is a small `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// What kind of token this is.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where in the source it appeared.
     pub span: Span,
 }
 
 /// The set of token kinds in `minisplit`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     // Literals and identifiers.
     /// Integer literal, e.g. `42`.
     IntLit(i64),
     /// Floating-point literal, e.g. `3.5`.
     FloatLit(f64),
-    /// Identifier, e.g. `foo`.
-    Ident(String),
+    /// Identifier, e.g. `foo`, as it stands in the source.
+    Ident(&'a str),
 
     // Keywords.
     /// `shared`
@@ -120,9 +121,9 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Returns the keyword token for `ident`, if it is a keyword.
-    pub fn keyword(ident: &str) -> Option<TokenKind> {
+    pub fn keyword(ident: &str) -> Option<TokenKind<'static>> {
         Some(match ident {
             "shared" => TokenKind::Shared,
             "int" => TokenKind::Int,
@@ -161,7 +162,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             TokenKind::IntLit(v) => return write!(f, "{v}"),
@@ -243,6 +244,6 @@ mod tests {
     #[test]
     fn describe_quotes_punctuation() {
         assert_eq!(TokenKind::Semi.describe(), "`;`");
-        assert_eq!(TokenKind::Ident("x".into()).describe(), "identifier `x`");
+        assert_eq!(TokenKind::Ident("x").describe(), "identifier `x`");
     }
 }

@@ -280,37 +280,58 @@ pub enum Terminator {
     Return,
 }
 
+/// The successors of one block, in terminator order: at most two, held
+/// inline. Reads as a slice (`len`, indexing, `iter`) and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    ids: [BlockId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Terminator {
     /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
-        let mut out = Vec::with_capacity(2);
-        self.for_each_successor(|b| out.push(b));
-        out
-    }
-
-    /// Calls `f` on each successor block id, in [`Terminator::successors`]
-    /// order, without building the list.
-    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
-        match self {
-            Terminator::Goto(b) => f(*b),
+    pub fn successors(&self) -> Successors {
+        let (ids, len) = match self {
+            Terminator::Goto(b) => ([*b, *b], 1),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => {
-                f(*then_bb);
-                f(*else_bb);
-            }
-            Terminator::Return => {}
-        }
+            } => ([*then_bb, *else_bb], 2),
+            Terminator::Return => ([BlockId(0); 2], 0),
+        };
+        Successors { ids, len }
     }
+}
 
-    /// The `n`-th successor, if there is one.
-    pub fn successor(&self, n: usize) -> Option<BlockId> {
-        match (self, n) {
-            (Terminator::Goto(b), 0) => Some(*b),
-            (Terminator::Branch { then_bb, .. }, 0) => Some(*then_bb),
-            (Terminator::Branch { else_bb, .. }, 1) => Some(*else_bb),
-            _ => None,
-        }
+/// The predecessors of every block in one flat list: block `b`'s are
+/// `blocks[start[b]..start[b + 1]]`, in order of source block id and, for
+/// one source, terminator order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Predecessors {
+    start: Vec<u32>,
+    blocks: Vec<BlockId>,
+}
+
+impl Predecessors {
+    /// The blocks with an edge into `b`.
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.blocks[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
     }
 }
 
@@ -376,19 +397,34 @@ impl Cfg {
     }
 
     /// Successors of `id`.
-    pub fn successors(&self, id: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, id: BlockId) -> Successors {
         self.block(id).term.successors()
     }
 
     /// Predecessor lists for every block.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for id in self.block_ids() {
-            for succ in self.successors(id) {
-                preds[succ.index()].push(id);
+    pub fn predecessors(&self) -> Predecessors {
+        let nb = self.blocks.len();
+        let mut start = vec![0u32; nb + 1];
+        for block in &self.blocks {
+            for succ in block.term.successors() {
+                start[succ.index() + 1] += 1;
             }
         }
-        preds
+        for b in 0..nb {
+            start[b + 1] += start[b];
+        }
+        // `start[b]` doubles as block `b`'s fill cursor, which leaves every
+        // entry one block ahead: shifted back below.
+        let mut blocks = vec![BlockId(0); start[nb] as usize];
+        for id in self.block_ids() {
+            for succ in self.successors(id) {
+                blocks[start[succ.index()] as usize] = id;
+                start[succ.index()] += 1;
+            }
+        }
+        start.copy_within(0..nb, 1);
+        start[0] = 0;
+        Predecessors { start, blocks }
     }
 
     /// Blocks in reverse postorder from the entry (unreachable blocks are
@@ -400,7 +436,7 @@ impl Cfg {
         let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
         visited[self.entry.index()] = true;
         while let Some(&mut (block, ref mut next)) = stack.last_mut() {
-            if let Some(s) = self.block(block).term.successor(*next) {
+            if let Some(&s) = self.block(block).term.successors().get(*next) {
                 *next += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
@@ -582,10 +618,15 @@ mod tests {
     #[test]
     fn successors_and_predecessors() {
         let cfg = diamond();
-        assert_eq!(cfg.successors(BlockId(0)), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*cfg.successors(BlockId(0)), [BlockId(1), BlockId(2)]);
+        assert_eq!(*cfg.successors(BlockId(1)), [BlockId(3)]);
+        assert!(cfg.successors(BlockId(3)).is_empty());
+        let collected: Vec<BlockId> = cfg.successors(BlockId(0)).into_iter().collect();
+        assert_eq!(collected, vec![BlockId(1), BlockId(2)]);
         let preds = cfg.predecessors();
-        assert_eq!(preds[3], vec![BlockId(1), BlockId(2)]);
-        assert!(preds[0].is_empty());
+        assert_eq!(preds.of(BlockId(3)), [BlockId(1), BlockId(2)]);
+        assert_eq!(preds.of(BlockId(1)), [BlockId(0)]);
+        assert!(preds.of(BlockId(0)).is_empty());
     }
 
     #[test]

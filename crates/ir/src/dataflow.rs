@@ -116,7 +116,7 @@ impl ReachingDefs {
             for &b in &rpo {
                 let bi = b.index();
                 let mut inb = vec![0u64; words];
-                for &p in &preds[bi] {
+                for &p in preds.of(b) {
                     for w in 0..words {
                         inb[w] |= out_sets[p.index()][w];
                     }

@@ -22,57 +22,60 @@ pub struct Dominators {
 impl Dominators {
     /// Computes dominators with `cfg.entry` as root.
     pub fn compute(cfg: &Cfg) -> Self {
-        let succs: Vec<Vec<BlockId>> = cfg.block_ids().map(|b| cfg.successors(b)).collect();
-        Self::compute_general(cfg.num_blocks(), cfg.entry, &succs)
+        let preds = cfg.predecessors();
+        Self::compute_general(
+            cfg.num_blocks(),
+            cfg.entry,
+            |b| cfg.successors(b),
+            |b| preds.of(b),
+        )
     }
 
     /// Computes **post**dominators with `cfg.exit` as root (edges reversed).
     pub fn compute_post(cfg: &Cfg) -> Self {
-        let mut rev: Vec<Vec<BlockId>> = vec![Vec::new(); cfg.num_blocks()];
-        for b in cfg.block_ids() {
-            for s in cfg.successors(b) {
-                rev[s.index()].push(b);
-            }
-        }
-        Self::compute_general(cfg.num_blocks(), cfg.exit, &rev)
+        let preds = cfg.predecessors();
+        Self::compute_general(
+            cfg.num_blocks(),
+            cfg.exit,
+            |b| preds.of(b),
+            |b| cfg.successors(b),
+        )
     }
 
-    /// Cooper–Harvey–Kennedy over an arbitrary successor relation.
-    fn compute_general(n: usize, root: BlockId, succs: &[Vec<BlockId>]) -> Self {
+    /// Cooper–Harvey–Kennedy over an arbitrary edge relation, given in
+    /// both directions: `succs(b)` are the nodes `b` has an edge to,
+    /// `preds(b)` those with an edge to `b`.
+    fn compute_general<S, P>(
+        n: usize,
+        root: BlockId,
+        succs: impl Fn(BlockId) -> S,
+        preds: impl Fn(BlockId) -> P,
+    ) -> Self
+    where
+        S: std::ops::Deref<Target = [BlockId]>,
+        P: std::ops::Deref<Target = [BlockId]>,
+    {
         // Reverse postorder from root over `succs`.
         let mut visited = vec![false; n];
-        let mut post: Vec<BlockId> = Vec::with_capacity(n);
+        let mut rpo: Vec<BlockId> = Vec::with_capacity(n);
         let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
         visited[root.index()] = true;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let ss = &succs[node.index()];
-            if *next < ss.len() {
-                let s = ss[*next];
+            if let Some(&s) = succs(node).get(*next) {
                 *next += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
                     stack.push((s, 0));
                 }
             } else {
-                post.push(node);
+                rpo.push(node);
                 stack.pop();
             }
         }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
+        rpo.reverse();
         let mut rpo_num = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_num[b.index()] = i;
-        }
-
-        // Predecessors restricted to reachable nodes.
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for b in 0..n {
-            if !visited[b] {
-                continue;
-            }
-            for &s in &succs[b] {
-                preds[s.index()].push(BlockId::from_index(b));
-            }
         }
 
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
@@ -82,7 +85,8 @@ impl Dominators {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
+                for &p in preds(b).iter() {
+                    // Not yet processed, or not reachable from the root.
                     if idom[p.index()].is_none() {
                         continue;
                     }

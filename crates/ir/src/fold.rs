@@ -16,106 +16,135 @@ use syncopt_frontend::ast::{BinOp, UnOp};
 
 /// Recursively folds an expression. Idempotent.
 pub fn fold_expr(e: &Expr) -> Expr {
+    let mut folded = e.clone();
+    fold_in_place(&mut folded);
+    folded
+}
+
+/// Folds `e` where it stands, children first, and says whether anything
+/// was rewritten. An expression with nothing to fold is only read: no node
+/// of it is rebuilt.
+pub fn fold_in_place(e: &mut Expr) -> bool {
+    /// Moves an operand out of a node that is about to be replaced.
+    fn take(e: &mut Expr) -> Expr {
+        std::mem::replace(e, Expr::Int(0))
+    }
     match e {
         Expr::Unary { op, expr } => {
-            let inner = fold_expr(expr);
-            match (op, &inner) {
+            let changed = fold_in_place(expr);
+            let folded = match (*op, &mut **expr) {
                 (UnOp::Neg, Expr::Int(v)) => Expr::Int(v.wrapping_neg()),
-                (UnOp::Neg, Expr::Float(v)) => Expr::Float(-v),
-                (UnOp::Not, Expr::Bool(b)) => Expr::Bool(!b),
-                // --x = x
+                (UnOp::Neg, Expr::Float(v)) => Expr::Float(-*v),
+                (UnOp::Not, Expr::Bool(b)) => Expr::Bool(!*b),
+                // --x = x, !!x = x
                 (
                     UnOp::Neg,
                     Expr::Unary {
                         op: UnOp::Neg,
-                        expr,
+                        expr: inner,
                     },
-                ) => (**expr).clone(),
-                (
+                )
+                | (
                     UnOp::Not,
                     Expr::Unary {
                         op: UnOp::Not,
-                        expr,
+                        expr: inner,
                     },
-                ) => (**expr).clone(),
-                _ => Expr::Unary {
-                    op: *op,
-                    expr: Box::new(inner),
-                },
-            }
+                ) => take(inner),
+                _ => return changed,
+            };
+            *e = folded;
+            true
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = fold_expr(lhs);
-            let r = fold_expr(rhs);
-            fold_binary(*op, l, r)
+            // Not `||`: both operands are folded.
+            let changed = fold_in_place(lhs) | fold_in_place(rhs);
+            let folded = match fold_binary(*op, lhs, rhs) {
+                Folded::Const(value) => value,
+                Folded::Lhs => take(lhs),
+                Folded::Rhs => take(rhs),
+                Folded::Neither => return changed,
+            };
+            *e = folded;
+            true
         }
-        Expr::LocalElem { array, index } => Expr::LocalElem {
-            array: *array,
-            index: Box::new(fold_expr(index)),
-        },
-        other => other.clone(),
+        Expr::LocalElem { index, .. } => fold_in_place(index),
+        Expr::Int(_)
+        | Expr::Float(_)
+        | Expr::Bool(_)
+        | Expr::MyProc
+        | Expr::Procs
+        | Expr::Local(_) => false,
     }
 }
 
-fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
+/// What a binary node over two folded operands becomes.
+enum Folded {
+    /// A constant.
+    Const(Expr),
+    /// Its left operand.
+    Lhs,
+    /// Its right operand.
+    Rhs,
+    /// Itself: nothing applies.
+    Neither,
+}
+
+fn fold_binary(op: BinOp, l: &Expr, r: &Expr) -> Folded {
     use BinOp::*;
+    use Folded::{Const, Lhs, Neither, Rhs};
     // Pure integer folding.
-    if let (Expr::Int(a), Expr::Int(b)) = (&l, &r) {
+    if let (Expr::Int(a), Expr::Int(b)) = (l, r) {
         let (a, b) = (*a, *b);
         match op {
-            Add => return Expr::Int(a.wrapping_add(b)),
-            Sub => return Expr::Int(a.wrapping_sub(b)),
-            Mul => return Expr::Int(a.wrapping_mul(b)),
-            Div if b != 0 => return Expr::Int(a.wrapping_div(b)),
-            Rem if b != 0 => return Expr::Int(a.rem_euclid(b)),
-            Eq => return Expr::Bool(a == b),
-            Ne => return Expr::Bool(a != b),
-            Lt => return Expr::Bool(a < b),
-            Le => return Expr::Bool(a <= b),
-            Gt => return Expr::Bool(a > b),
-            Ge => return Expr::Bool(a >= b),
+            Add => return Const(Expr::Int(a.wrapping_add(b))),
+            Sub => return Const(Expr::Int(a.wrapping_sub(b))),
+            Mul => return Const(Expr::Int(a.wrapping_mul(b))),
+            Div if b != 0 => return Const(Expr::Int(a.wrapping_div(b))),
+            Rem if b != 0 => return Const(Expr::Int(a.rem_euclid(b))),
+            Eq => return Const(Expr::Bool(a == b)),
+            Ne => return Const(Expr::Bool(a != b)),
+            Lt => return Const(Expr::Bool(a < b)),
+            Le => return Const(Expr::Bool(a <= b)),
+            Gt => return Const(Expr::Bool(a > b)),
+            Ge => return Const(Expr::Bool(a >= b)),
             _ => {}
         }
     }
-    if let (Expr::Bool(a), Expr::Bool(b)) = (&l, &r) {
+    if let (Expr::Bool(a), Expr::Bool(b)) = (l, r) {
         match op {
-            And => return Expr::Bool(*a && *b),
-            Or => return Expr::Bool(*a || *b),
-            Eq => return Expr::Bool(a == b),
-            Ne => return Expr::Bool(a != b),
+            And => return Const(Expr::Bool(*a && *b)),
+            Or => return Const(Expr::Bool(*a || *b)),
+            Eq => return Const(Expr::Bool(a == b)),
+            Ne => return Const(Expr::Bool(a != b)),
             _ => {}
         }
     }
     // Algebraic identities (trap-free operands only: folding away a
     // division would be wrong, but every identity below keeps or drops a
-    // *pure* side).
-    match (op, &l, &r) {
-        // x + 0, 0 + x, x - 0.
-        (Add, x, Expr::Int(0)) | (Add, Expr::Int(0), x) | (Sub, x, Expr::Int(0)) => {
-            return x.clone()
-        }
-        // x * 1, 1 * x.
-        (Mul, x, Expr::Int(1)) | (Mul, Expr::Int(1), x) => return x.clone(),
+    // *pure* side). Where both sides match a rule, the left one is kept,
+    // as the first alternative of each pattern below reads.
+    match (op, l, r) {
+        // x + 0, x - 0, x * 1, x / 1, b && true, b || false.
+        (Add | Sub, _, Expr::Int(0))
+        | (Mul | Div, _, Expr::Int(1))
+        | (And, _, Expr::Bool(true))
+        | (Or, _, Expr::Bool(false)) => Lhs,
+        // 0 + x, 1 * x, true && b, false || b.
+        (Add, Expr::Int(0), _)
+        | (Mul, Expr::Int(1), _)
+        | (And, Expr::Bool(true), _)
+        | (Or, Expr::Bool(false), _) => Rhs,
         // x * 0, 0 * x — only when x cannot trap.
-        (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x) if !may_trap(x) => return Expr::Int(0),
-        // x / 1.
-        (Div, x, Expr::Int(1)) => return x.clone(),
-        // b && true / b || false.
-        (And, x, Expr::Bool(true)) | (And, Expr::Bool(true), x) => return x.clone(),
-        (Or, x, Expr::Bool(false)) | (Or, Expr::Bool(false), x) => return x.clone(),
+        (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x) if !may_trap(x) => Const(Expr::Int(0)),
         // b && false / b || true — only when b cannot trap.
         (And, x, Expr::Bool(false)) | (And, Expr::Bool(false), x) if !may_trap(x) => {
-            return Expr::Bool(false)
+            Const(Expr::Bool(false))
         }
         (Or, x, Expr::Bool(true)) | (Or, Expr::Bool(true), x) if !may_trap(x) => {
-            return Expr::Bool(true)
+            Const(Expr::Bool(true))
         }
-        _ => {}
-    }
-    Expr::Binary {
-        op,
-        lhs: Box::new(l),
-        rhs: Box::new(r),
+        _ => Neither,
     }
 }
 
@@ -143,11 +172,7 @@ pub fn may_trap(e: &Expr) -> bool {
 /// condition folds to a constant become unconditional jumps.
 pub fn fold_cfg(cfg: &mut Cfg) -> usize {
     fn touch_with(e: &mut Expr, changes: &mut usize) {
-        let folded = fold_expr(e);
-        if folded != *e {
-            *e = folded;
-            *changes += 1;
-        }
+        *changes += usize::from(fold_in_place(e));
     }
     let mut changes = 0;
     for bi in 0..cfg.blocks.len() {
@@ -184,39 +209,146 @@ pub fn fold_cfg(cfg: &mut Cfg) -> usize {
                 | Instr::LockRel { .. } => {}
             }
         }
-        let term = cfg.block(b).term.clone();
+        let term = &mut cfg.block_mut(b).term;
         if let Terminator::Branch {
             cond,
             then_bb,
             else_bb,
         } = term
         {
-            let folded = fold_expr(&cond);
-            match folded {
+            let changed = fold_in_place(cond);
+            // A constant condition counts as a change even when it was
+            // written as one.
+            match cond {
                 Expr::Bool(true) => {
-                    cfg.block_mut(b).term = Terminator::Goto(then_bb);
+                    *term = Terminator::Goto(*then_bb);
                     changes += 1;
                 }
                 Expr::Bool(false) => {
-                    cfg.block_mut(b).term = Terminator::Goto(else_bb);
+                    *term = Terminator::Goto(*else_bb);
                     changes += 1;
                 }
-                folded => {
-                    if folded != cond {
-                        changes += 1;
-                    }
-                    cfg.block_mut(b).term = Terminator::Branch {
-                        cond: folded,
-                        then_bb,
-                        else_bb,
-                    };
-                }
+                _ => changes += usize::from(changed),
             }
         }
     }
     // Folding conditions can strand access positions if it changed reachable
     // structure; positions themselves are untouched (no instruction moved).
     changes
+}
+
+/// The folder as it was before it worked in place: it rebuilds every node
+/// of the tree, folded or not. Kept as what the in-place folder is compared
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::may_trap;
+    use crate::expr::Expr;
+    use syncopt_frontend::ast::{BinOp, UnOp};
+
+    pub(super) fn fold_expr(e: &Expr) -> Expr {
+        match e {
+            Expr::Unary { op, expr } => {
+                let inner = fold_expr(expr);
+                match (op, &inner) {
+                    (UnOp::Neg, Expr::Int(v)) => Expr::Int(v.wrapping_neg()),
+                    (UnOp::Neg, Expr::Float(v)) => Expr::Float(-v),
+                    (UnOp::Not, Expr::Bool(b)) => Expr::Bool(!b),
+                    // --x = x
+                    (
+                        UnOp::Neg,
+                        Expr::Unary {
+                            op: UnOp::Neg,
+                            expr,
+                        },
+                    ) => (**expr).clone(),
+                    (
+                        UnOp::Not,
+                        Expr::Unary {
+                            op: UnOp::Not,
+                            expr,
+                        },
+                    ) => (**expr).clone(),
+                    _ => Expr::Unary {
+                        op: *op,
+                        expr: Box::new(inner),
+                    },
+                }
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let l = fold_expr(lhs);
+                let r = fold_expr(rhs);
+                fold_binary(*op, l, r)
+            }
+            Expr::LocalElem { array, index } => Expr::LocalElem {
+                array: *array,
+                index: Box::new(fold_expr(index)),
+            },
+            other => other.clone(),
+        }
+    }
+
+    fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
+        use BinOp::*;
+        // Pure integer folding.
+        if let (Expr::Int(a), Expr::Int(b)) = (&l, &r) {
+            let (a, b) = (*a, *b);
+            match op {
+                Add => return Expr::Int(a.wrapping_add(b)),
+                Sub => return Expr::Int(a.wrapping_sub(b)),
+                Mul => return Expr::Int(a.wrapping_mul(b)),
+                Div if b != 0 => return Expr::Int(a.wrapping_div(b)),
+                Rem if b != 0 => return Expr::Int(a.rem_euclid(b)),
+                Eq => return Expr::Bool(a == b),
+                Ne => return Expr::Bool(a != b),
+                Lt => return Expr::Bool(a < b),
+                Le => return Expr::Bool(a <= b),
+                Gt => return Expr::Bool(a > b),
+                Ge => return Expr::Bool(a >= b),
+                _ => {}
+            }
+        }
+        if let (Expr::Bool(a), Expr::Bool(b)) = (&l, &r) {
+            match op {
+                And => return Expr::Bool(*a && *b),
+                Or => return Expr::Bool(*a || *b),
+                Eq => return Expr::Bool(a == b),
+                Ne => return Expr::Bool(a != b),
+                _ => {}
+            }
+        }
+        // Algebraic identities (trap-free operands only: folding away a
+        // division would be wrong, but every identity below keeps or drops a
+        // *pure* side).
+        match (op, &l, &r) {
+            // x + 0, 0 + x, x - 0.
+            (Add, x, Expr::Int(0)) | (Add, Expr::Int(0), x) | (Sub, x, Expr::Int(0)) => {
+                return x.clone()
+            }
+            // x * 1, 1 * x.
+            (Mul, x, Expr::Int(1)) | (Mul, Expr::Int(1), x) => return x.clone(),
+            // x * 0, 0 * x — only when x cannot trap.
+            (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x) if !may_trap(x) => return Expr::Int(0),
+            // x / 1.
+            (Div, x, Expr::Int(1)) => return x.clone(),
+            // b && true / b || false.
+            (And, x, Expr::Bool(true)) | (And, Expr::Bool(true), x) => return x.clone(),
+            (Or, x, Expr::Bool(false)) | (Or, Expr::Bool(false), x) => return x.clone(),
+            // b && false / b || true — only when b cannot trap.
+            (And, x, Expr::Bool(false)) | (And, Expr::Bool(false), x) if !may_trap(x) => {
+                return Expr::Bool(false)
+            }
+            (Or, x, Expr::Bool(true)) | (Or, Expr::Bool(true), x) if !may_trap(x) => {
+                return Expr::Bool(true)
+            }
+            _ => {}
+        }
+        Expr::Binary {
+            op,
+            lhs: Box::new(l),
+            rhs: Box::new(r),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -336,5 +468,91 @@ mod tests {
         // Idempotent.
         assert_eq!(fold_cfg(&mut cfg), 0);
         cfg.validate().unwrap();
+    }
+
+    /// A random expression over every node kind, constants weighted so that
+    /// each folding rule fires often, division by zero included.
+    fn random_expr(next: &mut impl FnMut() -> u64, depth: u32) -> Expr {
+        let leaf = |next: &mut dyn FnMut() -> u64| match next() % 9 {
+            0 => Expr::Int(0),
+            1 => Expr::Int(1),
+            2 => Expr::Int((next() % 7) as i64 - 3),
+            3 => Expr::Bool(next().is_multiple_of(2)),
+            4 => Expr::Float((next() % 3) as f64 - 1.0),
+            5 => Expr::MyProc,
+            6 => Expr::Procs,
+            _ => Expr::Local(VarId((next() % 3) as u32)),
+        };
+        if depth == 0 || next().is_multiple_of(4) {
+            return leaf(next);
+        }
+        match next() % 8 {
+            0 => Expr::Unary {
+                op: if next().is_multiple_of(2) {
+                    UnOp::Neg
+                } else {
+                    UnOp::Not
+                },
+                expr: Box::new(random_expr(next, depth - 1)),
+            },
+            1 => Expr::LocalElem {
+                array: VarId(7),
+                index: Box::new(random_expr(next, depth - 1)),
+            },
+            _ => {
+                const OPS: [BinOp; 13] = [
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Div,
+                    BinOp::Rem,
+                    BinOp::Eq,
+                    BinOp::Ne,
+                    BinOp::Lt,
+                    BinOp::Le,
+                    BinOp::Gt,
+                    BinOp::Ge,
+                    BinOp::And,
+                    BinOp::Or,
+                ];
+                bin(
+                    OPS[(next() % 13) as usize],
+                    random_expr(next, depth - 1),
+                    random_expr(next, depth - 1),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn folding_in_place_is_folding_by_rebuilding() {
+        let mut state = 0x5eed_f01du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut rewritten, mut untouched) = (0, 0);
+        for trial in 0..20_000 {
+            let e = random_expr(&mut next, 1 + trial % 6);
+            let expected = reference::fold_expr(&e);
+            let mut folded = e.clone();
+            let changed = fold_in_place(&mut folded);
+            assert_eq!(folded, expected, "trial {trial}: {e:?}");
+            assert_eq!(changed, expected != e, "trial {trial}: {e:?}");
+            assert_eq!(fold_expr(&e), expected, "trial {trial}: {e:?}");
+            assert!(!fold_in_place(&mut folded), "trial {trial}: not idempotent");
+            if changed {
+                rewritten += 1;
+            } else {
+                untouched += 1;
+            }
+        }
+        assert!(
+            rewritten > 2_000 && untouched > 2_000,
+            "{rewritten} / {untouched}"
+        );
     }
 }

@@ -83,24 +83,7 @@ impl Liveness {
             work.instr_visits += block.instrs.len() as u64;
         }
 
-        // Predecessor lists, flat.
-        let mut pred_start = vec![0u32; nb + 1];
-        for block in &cfg.blocks {
-            block
-                .term
-                .for_each_successor(|s| pred_start[s.index() + 1] += 1);
-        }
-        for i in 0..nb {
-            pred_start[i + 1] += pred_start[i];
-        }
-        let mut fill = pred_start.clone();
-        let mut preds = vec![0u32; pred_start[nb] as usize];
-        for (bi, block) in cfg.blocks.iter().enumerate() {
-            block.term.for_each_successor(|s| {
-                preds[fill[s.index()] as usize] = bi as u32;
-                fill[s.index()] += 1;
-            });
-        }
+        let preds = cfg.predecessors();
 
         // Postorder puts a block after its successors (back edges apart), so
         // the first sweep settles everything outside a loop.
@@ -120,12 +103,12 @@ impl Liveness {
                 work.block_visits += 1;
                 let row = bi * words..(bi + 1) * words;
                 let out = &mut live_out[row.clone()];
-                cfg.blocks[bi].term.for_each_successor(|s| {
+                for s in cfg.blocks[bi].term.successors() {
                     let from = &live_in[s.index() * words..(s.index() + 1) * words];
                     for (o, i) in out.iter_mut().zip(from) {
                         *o |= i;
                     }
-                });
+                }
                 let mut grew = false;
                 for w in 0..words {
                     let new =
@@ -134,8 +117,8 @@ impl Liveness {
                     live_in[row.start + w] = new;
                 }
                 if grew {
-                    for &p in &preds[pred_start[bi] as usize..pred_start[bi + 1] as usize] {
-                        if !std::mem::replace(&mut dirty[p as usize], true) {
+                    for &p in preds.of(b) {
+                        if !std::mem::replace(&mut dirty[p.index()], true) {
                             pending += 1;
                         }
                     }

@@ -4,7 +4,7 @@
 //! a `sync_ctr` into a loop body — it would execute every iteration, §6) and
 //! by the barrier-alignment analysis.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, Predecessors};
 use crate::dom::Dominators;
 use crate::ids::BlockId;
 
@@ -28,7 +28,7 @@ impl NaturalLoop {
 pub fn find_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
     let mut loops: Vec<NaturalLoop> = Vec::new();
     // Built on the first back edge: most programs have none.
-    let mut walk: Option<(Vec<Vec<BlockId>>, Vec<bool>)> = None;
+    let mut walk: Option<(Predecessors, Vec<bool>)> = None;
     for b in cfg.block_ids() {
         if !dom.is_reachable(b) {
             continue;
@@ -61,7 +61,7 @@ pub fn find_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
 /// that reach `latch` without passing through `header`. `in_body` is
 /// all-false scratch, and left so.
 fn loop_body(
-    preds: &[Vec<BlockId>],
+    preds: &Predecessors,
     in_body: &mut [bool],
     header: BlockId,
     latch: BlockId,
@@ -75,7 +75,7 @@ fn loop_body(
         stack.push(latch);
     }
     while let Some(b) = stack.pop() {
-        for &p in &preds[b.index()] {
+        for &p in preds.of(b) {
             if !std::mem::replace(&mut in_body[p.index()], true) {
                 body.push(p);
                 stack.push(p);

@@ -604,7 +604,7 @@ mod tests {
         assert_eq!(info.kind, AccessKind::Read);
         let preds = cfg.predecessors();
         assert!(
-            preds[info.pos.block.index()].len() >= 2,
+            preds.of(info.pos.block).len() >= 2,
             "header of while should have 2+ preds; access {read_id} at {}",
             info.pos
         );

@@ -272,15 +272,15 @@ pub struct ReachStats {
 /// `result.get(a, b)` iff `b` is reachable from `a` via **one or more**
 /// edges.
 pub fn reachability(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut adj = BitMatrix::new(n);
     for &(a, b) in edges {
-        adj[a].push(b);
+        adj.set(a, b);
     }
     reachability_counted(&adj).0
 }
 
-/// [`reachability`] over a prebuilt adjacency list, additionally reporting
-/// work counters.
+/// [`reachability`] over a prebuilt adjacency matrix (row `u` holds the
+/// nodes `u` has an edge to), additionally reporting work counters.
 ///
 /// The closure is computed by Tarjan SCC condensation: components are
 /// emitted in reverse topological order, so each component's closure row
@@ -289,39 +289,41 @@ pub fn reachability(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
 /// of one component share a single physical row computation; members of a
 /// cyclic component (size > 1, or a self-loop) reach each other and
 /// themselves.
-pub fn reachability_counted(adj: &[Vec<usize>]) -> (BitMatrix, ReachStats) {
+pub fn reachability_counted(adj: &BitMatrix) -> (BitMatrix, ReachStats) {
     let n = adj.len();
     let mut m = BitMatrix::new(n);
     let mut stats = ReachStats::default();
     if n == 0 {
         return (m, stats);
     }
-    let (comp, members) = tarjan_sccs(adj);
-    let num_sccs = members.len();
+    let sccs = tarjan_sccs(adj);
+    let num_sccs = sccs.len();
     stats.sccs = num_sccs as u64;
     let words_per_row = n.div_ceil(64);
 
-    // `full.row(rep_of[c])` = closure row of component `c` *including*
-    // `c`'s own members — exactly what a predecessor component ORs in.
+    // `full.row(rep_of(c))` = closure row of component `c` *including*
+    // `c`'s own members — exactly what a predecessor component ORs in. The
+    // representative of a component is its smallest member.
     let mut full = BitMatrix::new(n);
-    let rep_of: Vec<usize> = members.iter().map(|mems| mems[0]).collect();
+    let rep_of = |c: usize| sccs.members(c)[0];
     // Dedup marker so each successor component is ORed at most once per
     // component, regardless of how many edges lead to it.
     let mut last_seen = vec![usize::MAX; num_sccs];
 
     // Tarjan emits components in reverse topological order: every
     // successor component of `c` has an id < `c` and is already final.
-    for (c, mems) in members.iter().enumerate() {
-        let rep = rep_of[c];
+    for c in 0..num_sccs {
+        let mems = sccs.members(c);
+        let rep = mems[0];
         let mut cyclic = mems.len() > 1;
         for &u in mems {
-            for &v in &adj[u] {
-                let t = comp[v];
+            for v in adj.row_ones(u) {
+                let t = sccs.comp[v];
                 if t == c {
                     cyclic = true;
                 } else if last_seen[t] != c {
                     last_seen[t] = c;
-                    m.or_row_words(rep, full.row_words(rep_of[t]));
+                    m.or_row_words(rep, full.row_words(rep_of(t)));
                     stats.closure_word_ors += words_per_row as u64;
                 }
             }
@@ -346,70 +348,117 @@ pub fn reachability_counted(adj: &[Vec<usize>]) -> (BitMatrix, ReachStats) {
     (m, stats)
 }
 
-/// Iterative Tarjan: returns `(comp, members)` where `comp[v]` is the
-/// component id of `v` and `members[c]` lists component `c`'s nodes.
-/// Components are numbered in emission order, which is **reverse
-/// topological** over the condensation DAG.
-fn tarjan_sccs(adj: &[Vec<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
-    let n = adj.len();
+/// The strongly connected components of a graph, numbered in Tarjan's
+/// emission order, which is **reverse topological** over the condensation
+/// DAG.
+struct Sccs {
+    /// The component id of each node.
+    comp: Vec<usize>,
+    /// Every node, grouped by component: component `c`'s nodes are
+    /// `nodes[start[c]..start[c + 1]]`, smallest first.
+    nodes: Vec<usize>,
+    start: Vec<usize>,
+}
+
+impl Sccs {
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn members(&self, c: usize) -> &[usize] {
+        &self.nodes[self.start[c]..self.start[c + 1]]
+    }
+}
+
+/// Iterative Tarjan over the rows of `adj`, each row's edges taken in
+/// increasing column order.
+fn tarjan_sccs(adj: &BitMatrix) -> Sccs {
+    /// What the walk knows about one node.
+    #[derive(Clone, Copy)]
+    struct Visit {
+        index: usize,
+        low: usize,
+        on_stack: bool,
+    }
     const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
+    let n = adj.len();
+    let mut visit = vec![
+        Visit {
+            index: UNSEEN,
+            low: 0,
+            on_stack: false,
+        };
+        n
+    ];
+    // Each of these holds a node at most once: sized up front, they never
+    // grow.
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
     let mut comp = vec![UNSEEN; n];
-    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut nodes: Vec<usize> = Vec::with_capacity(n);
+    let mut start = Vec::with_capacity(n + 1);
+    start.push(0);
     let mut next_index = 0usize;
-    // Explicit call stack of (node, next-edge-offset) — the mirror graph
-    // of a heavily unrolled program is deep enough to overflow recursion.
-    let mut call: Vec<(usize, usize)> = Vec::new();
+    // Explicit call stack of (node, word of its row being read, bits of
+    // that word still to visit) — the mirror graph of a heavily unrolled
+    // program is deep enough to overflow recursion.
+    let mut call: Vec<(usize, usize, u64)> = Vec::with_capacity(n);
+    let enter = |v: usize| (v, 0, adj.row_words(v).first().copied().unwrap_or(0));
     for root in 0..n {
-        if index[root] != UNSEEN {
+        if visit[root].index != UNSEEN {
             continue;
         }
-        call.push((root, 0));
-        while let Some(&(v, ei)) = call.last() {
-            if ei == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
+        call.push(enter(root));
+        let mut entered = true;
+        while let Some(&mut (v, ref mut wi, ref mut bits)) = call.last_mut() {
+            if std::mem::take(&mut entered) {
+                visit[v] = Visit {
+                    index: next_index,
+                    low: next_index,
+                    on_stack: true,
+                };
                 next_index += 1;
                 stack.push(v);
-                on_stack[v] = true;
             }
-            if ei < adj[v].len() {
-                call.last_mut().unwrap().1 += 1;
-                let w = adj[v][ei];
-                if index[w] == UNSEEN {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
+            let row = adj.row_words(v);
+            while *bits == 0 && *wi + 1 < row.len() {
+                *wi += 1;
+                *bits = row[*wi];
+            }
+            if *bits != 0 {
+                let w = *wi * 64 + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                if visit[w].index == UNSEEN {
+                    call.push(enter(w));
+                    entered = true;
+                } else if visit[w].on_stack {
+                    visit[v].low = visit[v].low.min(visit[w].index);
                 }
             } else {
                 call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
+                if let Some(&(p, ..)) = call.last() {
+                    visit[p].low = visit[p].low.min(visit[v].low);
                 }
-                if low[v] == index[v] {
-                    let c = members.len();
-                    let mut mems = Vec::new();
+                if visit[v].low == visit[v].index {
+                    let c = start.len() - 1;
+                    let first = nodes.len();
                     loop {
                         let w = stack.pop().unwrap();
-                        on_stack[w] = false;
+                        visit[w].on_stack = false;
                         comp[w] = c;
-                        mems.push(w);
+                        nodes.push(w);
                         if w == v {
                             break;
                         }
                     }
                     // Deterministic member order (smallest node first) so
                     // the representative choice is stable.
-                    mems.sort_unstable();
-                    members.push(mems);
+                    nodes[first..].sort_unstable();
+                    start.push(nodes.len());
                 }
             }
         }
     }
-    (comp, members)
+    Sccs { comp, nodes, start }
 }
 
 /// Program-order information for a CFG.
@@ -481,31 +530,34 @@ pub fn block_reachability(cfg: &Cfg) -> BitMatrix {
 /// rather than a position comparison per access pair.
 fn access_order(cfg: &Cfg, block_reach: &BitMatrix) -> BitMatrix {
     let n = cfg.accesses.len();
+    let words = n.div_ceil(64);
     let mut order = BitMatrix::new(n);
-    let mut in_block: Vec<Vec<(usize, usize)>> = vec![Vec::new(); cfg.num_blocks()];
-    let mut block_mask = vec![BitSet::new(n); cfg.num_blocks()];
-    for (id, info) in cfg.accesses.iter() {
-        let b = info.pos.block.index();
-        in_block[b].push((info.pos.instr, id.index()));
-        block_mask[b].insert(id.index());
+    // Every site as (block, instruction, access): blocks ascending, the
+    // last instruction of a block first.
+    let mut sites: Vec<(usize, usize, usize)> = cfg
+        .accesses
+        .iter()
+        .map(|(id, info)| (info.pos.block.index(), info.pos.instr, id.index()))
+        .collect();
+    sites.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| b.cmp(a)));
+    // One access mask per block, `words` words each.
+    let mut block_mask = vec![0u64; cfg.num_blocks() * words];
+    for &(b, _, x) in &sites {
+        block_mask[b * words + x / 64] |= 1 << (x % 64);
     }
     let mut later = BitSet::new(n);
-    for (b, sites) in in_block.iter_mut().enumerate() {
-        if sites.is_empty() {
-            continue;
-        }
+    for in_block in sites.chunk_by(|a, b| a.0 == b.0) {
         later.clear();
-        for c in block_reach.row_ones(b) {
-            later.union_words(block_mask[c].words());
+        for c in block_reach.row_ones(in_block[0].0) {
+            later.union_words(&block_mask[c * words..(c + 1) * words]);
         }
-        // Last instruction first: `later` grows by each instruction's
-        // accesses once every access of that instruction has its row.
-        sites.sort_unstable_by(|a, b| b.cmp(a));
-        for same_instr in sites.chunk_by(|a, b| a.0 == b.0) {
-            for &(_, x) in same_instr {
+        // `later` grows by each instruction's accesses once every access
+        // of that instruction has its row.
+        for same_instr in in_block.chunk_by(|a, b| a.1 == b.1) {
+            for &(_, _, x) in same_instr {
                 order.or_row_words(x, later.words());
             }
-            for &(_, x) in same_instr {
+            for &(_, _, x) in same_instr {
                 later.insert(x);
             }
         }
@@ -591,7 +643,9 @@ mod tests {
 
     #[test]
     fn reachability_counted_reports_work() {
-        let adj = vec![vec![1], vec![2], vec![]];
+        let mut adj = BitMatrix::new(3);
+        adj.set(0, 1);
+        adj.set(1, 2);
         let (m, stats) = reachability_counted(&adj);
         assert!(m.get(0, 2));
         assert_eq!(stats.sccs, 3);

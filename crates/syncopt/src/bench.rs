@@ -143,29 +143,26 @@ impl BenchReport {
             .iter()
             .map(|c| {
                 Value::Obj(vec![
-                    ("id".to_string(), Value::Str(c.id.clone())),
-                    ("idiom".to_string(), Value::Str(c.idiom.to_string())),
-                    ("unroll".to_string(), Value::Int(i64::from(c.unroll))),
-                    ("procs".to_string(), Value::Int(i64::from(c.procs))),
-                    ("accesses".to_string(), Value::Int(c.accesses as i64)),
+                    ("id".into(), Value::Str(c.id.clone())),
+                    ("idiom".into(), Value::Str(c.idiom.to_string())),
+                    ("unroll".into(), Value::Int(i64::from(c.unroll))),
+                    ("procs".into(), Value::Int(i64::from(c.procs))),
+                    ("accesses".into(), Value::Int(c.accesses as i64)),
+                    ("wall_bucket_us".into(), Value::Int(c.wall_bucket_us as i64)),
                     (
-                        "wall_bucket_us".to_string(),
-                        Value::Int(c.wall_bucket_us as i64),
-                    ),
-                    (
-                        "work_reduction_x100".to_string(),
+                        "work_reduction_x100".into(),
                         Value::Int(c.work_reduction_x100() as i64),
                     ),
-                    ("counters".to_string(), c.counters.to_json()),
+                    ("counters".into(), c.counters.to_json()),
                 ])
             })
             .collect();
         Value::Obj(vec![
-            ("schema".to_string(), Value::Str(BENCH_SCHEMA.to_string())),
-            ("suite".to_string(), Value::Str("delay_scaling".to_string())),
-            ("threads".to_string(), Value::Int(self.threads as i64)),
-            ("smoke".to_string(), Value::Bool(self.smoke)),
-            ("configs".to_string(), Value::Arr(configs)),
+            ("schema".into(), Value::Str(BENCH_SCHEMA.to_string())),
+            ("suite".into(), Value::Str("delay_scaling".to_string())),
+            ("threads".into(), Value::Int(self.threads as i64)),
+            ("smoke".into(), Value::Bool(self.smoke)),
+            ("configs".into(), Value::Arr(configs)),
         ])
     }
 

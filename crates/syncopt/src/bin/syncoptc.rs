@@ -346,7 +346,7 @@ fn real_main() -> Result<(), String> {
     if args.command == "bench" {
         if args.daemon {
             return Err(
-                "`bench` measures this machine and does not route through the daemon".to_string(),
+                "`bench` measures this machine and does not route through the daemon".into(),
             );
         }
         return cmd_bench(&args);
@@ -479,7 +479,7 @@ fn cmd_daemon_control(args: &Args) -> Result<(), String> {
                     Some(doc) => println!("{doc}"),
                     None => {
                         let mut doc = vec![(
-                            "schema".to_string(),
+                            "schema".into(),
                             json::Value::Str(syncopt::rpc::RPC_SCHEMA.to_string()),
                         )];
                         if let json::Value::Obj(fields) = stats {

@@ -42,7 +42,9 @@ fn main() -> std::process::ExitCode {
                 None => return usage("--socket needs a path"),
             },
             "--cache-capacity" => match argv.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => capacity = Some(n),
+                // 0 would disable the cache (`AnalysisSession::with_capacity`),
+                // and a daemon exists to share one.
+                Some(Ok(n)) if n > 0 => capacity = Some(n),
                 _ => return usage("--cache-capacity needs a positive integer"),
             },
             "--log" => match argv.next() {

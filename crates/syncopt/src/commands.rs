@@ -300,8 +300,8 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             .into_iter()
             .map(|(u, v)| {
                 json::Value::Obj(vec![
-                    ("u".to_string(), json::Value::Int(u.index() as i64)),
-                    ("v".to_string(), json::Value::Int(v.index() as i64)),
+                    ("u".into(), json::Value::Int(u.index() as i64)),
+                    ("v".into(), json::Value::Int(v.index() as i64)),
                 ])
             })
             .collect();
@@ -311,36 +311,33 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             .collect();
         let doc = json::Value::Obj(vec![
             (
-                "schema".to_string(),
+                "schema".into(),
                 json::Value::Str(ANALYSIS_SCHEMA.to_string()),
             ),
-            ("file".to_string(), json::Value::Str(q.file.clone())),
-            ("procs".to_string(), json::Value::Int(i64::from(q.procs))),
+            ("file".into(), json::Value::Str(q.file.clone())),
+            ("procs".into(), json::Value::Int(i64::from(q.procs))),
             (
-                "summary".to_string(),
+                "summary".into(),
                 json::Value::Obj(vec![
-                    ("accesses".to_string(), json::Value::Int(s.accesses as i64)),
+                    ("accesses".into(), json::Value::Int(s.accesses as i64)),
                     (
-                        "conflict_pairs".to_string(),
+                        "conflict_pairs".into(),
                         json::Value::Int(s.conflict_pairs as i64),
                     ),
-                    ("delay_ss".to_string(), json::Value::Int(s.delay_ss as i64)),
+                    ("delay_ss".into(), json::Value::Int(s.delay_ss as i64)),
+                    ("delay_sync".into(), json::Value::Int(s.delay_sync as i64)),
                     (
-                        "delay_sync".to_string(),
-                        json::Value::Int(s.delay_sync as i64),
-                    ),
-                    (
-                        "precedence_pairs".to_string(),
+                        "precedence_pairs".into(),
                         json::Value::Int(s.precedence_pairs as i64),
                     ),
                     (
-                        "aligned_barriers".to_string(),
+                        "aligned_barriers".into(),
                         json::Value::Int(s.aligned_barriers as i64),
                     ),
                 ]),
             ),
-            ("delay_pairs".to_string(), json::Value::Arr(pairs)),
-            ("warnings".to_string(), json::Value::Arr(warning_values)),
+            ("delay_pairs".into(), json::Value::Arr(pairs)),
+            ("warnings".into(), json::Value::Arr(warning_values)),
         ]);
         return CmdOut::ok(format!("{doc}\n"));
     }
@@ -382,31 +379,28 @@ fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     if q.format == Format::Json {
         let st = &c.optimized().stats;
         let mut fields = vec![
+            ("schema".into(), json::Value::Str(OPT_SCHEMA.to_string())),
+            ("file".into(), json::Value::Str(q.file.clone())),
+            ("procs".into(), json::Value::Int(i64::from(q.procs))),
             (
-                "schema".to_string(),
-                json::Value::Str(OPT_SCHEMA.to_string()),
-            ),
-            ("file".to_string(), json::Value::Str(q.file.clone())),
-            ("procs".to_string(), json::Value::Int(i64::from(q.procs))),
-            (
-                "level".to_string(),
+                "level".into(),
                 json::Value::Str(level_label(q.level).to_string()),
             ),
             (
-                "delay".to_string(),
+                "delay".into(),
                 json::Value::Str(crate::report::delay_label(q.delay).to_string()),
             ),
-            ("stats".to_string(), crate::report::optstats_json(st)),
+            ("stats".into(), crate::report::optstats_json(st)),
         ];
         if q.dump {
             fields.push((
-                "cfg".to_string(),
+                "cfg".into(),
                 json::Value::Str(syncopt_ir::print::cfg_to_string(&c.optimized().cfg)),
             ));
         }
         if q.dot {
             fields.push((
-                "dot".to_string(),
+                "dot".into(),
                 json::Value::Str(syncopt_ir::print::cfg_to_dot(&c.optimized().cfg, &q.file)),
             ));
         }
@@ -653,17 +647,14 @@ fn cmd_litmus(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             )
         };
         let doc = json::Value::Obj(vec![
+            ("schema".into(), json::Value::Str(LITMUS_SCHEMA.to_string())),
+            ("file".into(), json::Value::Str(q.file.clone())),
+            ("procs".into(), json::Value::Int(i64::from(q.procs))),
+            ("sc".into(), arr(&sc)),
+            ("weak_no_delays".into(), arr(&none)),
+            ("weak_refined".into(), arr(&refined)),
             (
-                "schema".to_string(),
-                json::Value::Str(LITMUS_SCHEMA.to_string()),
-            ),
-            ("file".to_string(), json::Value::Str(q.file.clone())),
-            ("procs".to_string(), json::Value::Int(i64::from(q.procs))),
-            ("sc".to_string(), arr(&sc)),
-            ("weak_no_delays".to_string(), arr(&none)),
-            ("weak_refined".to_string(), arr(&refined)),
-            (
-                "refined_preserves_sc".to_string(),
+                "refined_preserves_sc".into(),
                 json::Value::Bool(refined.is_subset(&sc)),
             ),
         ]);
@@ -748,36 +739,33 @@ fn finalize_diagnostics(diags: &mut [Diagnostic], q: &Query) {
 
 fn check_summary_json(outcome: &CheckOutcome) -> json::Value {
     json::Value::Obj(vec![
+        ("errors".into(), json::Value::Int(outcome.errors() as i64)),
         (
-            "errors".to_string(),
-            json::Value::Int(outcome.errors() as i64),
-        ),
-        (
-            "warnings".to_string(),
+            "warnings".into(),
             json::Value::Int(outcome.count(Severity::Warning) as i64),
         ),
         (
-            "notes".to_string(),
+            "notes".into(),
             json::Value::Int(outcome.count(Severity::Note) as i64),
         ),
         (
-            "conflicting_pairs".to_string(),
+            "conflicting_pairs".into(),
             json::Value::Int((outcome.races.races.len() + outcome.races.ordered.len()) as i64),
         ),
         (
-            "ordered".to_string(),
+            "ordered".into(),
             json::Value::Int(outcome.races.ordered.len() as i64),
         ),
         (
-            "races".to_string(),
+            "races".into(),
             json::Value::Int(outcome.races.races.len() as i64),
         ),
         (
-            "proven_races".to_string(),
+            "proven_races".into(),
             json::Value::Int(outcome.races.proven() as i64),
         ),
         (
-            "race_free".to_string(),
+            "race_free".into(),
             json::Value::Bool(outcome.races.race_free()),
         ),
     ])
@@ -796,15 +784,12 @@ fn cmd_check(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     match q.format {
         Format::Json => {
             let report = json::Value::Obj(vec![
+                ("schema".into(), json::Value::Str(CHECK_SCHEMA.to_string())),
+                ("file".into(), json::Value::Str(q.file.clone())),
+                ("procs".into(), json::Value::Int(i64::from(q.procs))),
+                ("summary".into(), check_summary_json(&outcome)),
                 (
-                    "schema".to_string(),
-                    json::Value::Str(CHECK_SCHEMA.to_string()),
-                ),
-                ("file".to_string(), json::Value::Str(q.file.clone())),
-                ("procs".to_string(), json::Value::Int(i64::from(q.procs))),
-                ("summary".to_string(), check_summary_json(&outcome)),
-                (
-                    "diagnostics".to_string(),
+                    "diagnostics".into(),
                     json::Value::Arr(outcome.diags.iter().map(|d| d.to_json(src)).collect()),
                 ),
             ]);
@@ -862,18 +847,15 @@ fn cmd_check_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
                 .iter()
                 .map(|(name, outcome)| {
                     json::Value::Obj(vec![
-                        ("name".to_string(), json::Value::Str((*name).to_string())),
-                        ("summary".to_string(), check_summary_json(outcome)),
+                        ("name".into(), json::Value::Str((*name).to_string())),
+                        ("summary".into(), check_summary_json(outcome)),
                     ])
                 })
                 .collect();
             let report = json::Value::Obj(vec![
-                (
-                    "schema".to_string(),
-                    json::Value::Str(CHECK_SCHEMA.to_string()),
-                ),
-                ("procs".to_string(), json::Value::Int(i64::from(q.procs))),
-                ("kernels".to_string(), json::Value::Arr(kernels)),
+                ("schema".into(), json::Value::Str(CHECK_SCHEMA.to_string())),
+                ("procs".into(), json::Value::Int(i64::from(q.procs))),
+                ("kernels".into(), json::Value::Arr(kernels)),
             ]);
             let _ = writeln!(out, "{report}");
         }
@@ -1007,12 +989,9 @@ fn cmd_lint_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
                 .map(|(name, source, report)| report.to_json(source, name, q.procs))
                 .collect();
             let wrapper = json::Value::Obj(vec![
-                (
-                    "schema".to_string(),
-                    json::Value::Str(LINT_SCHEMA.to_string()),
-                ),
-                ("procs".to_string(), json::Value::Int(i64::from(q.procs))),
-                ("kernels".to_string(), json::Value::Arr(kernels)),
+                ("schema".into(), json::Value::Str(LINT_SCHEMA.to_string())),
+                ("procs".into(), json::Value::Int(i64::from(q.procs))),
+                ("kernels".into(), json::Value::Arr(kernels)),
             ]);
             let _ = writeln!(out, "{wrapper}");
         }

@@ -28,6 +28,7 @@ use crate::rpc::{
 use crate::session::AnalysisSession;
 use crate::telemetry::{RequestOutcome, RequestSpan, ServiceTelemetry, TelemetryConfig};
 use std::io::{BufRead, BufReader, Read};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,32 +139,76 @@ impl Daemon {
         &self.state.socket_path
     }
 
-    /// Serves connections until a client sends `shutdown`. Removes the
-    /// socket file on the way out.
+    /// Serves connections until a client sends `shutdown`, then ends every
+    /// connection — an idle one is woken by shutting its socket down, one
+    /// in the middle of a request finishes it — joins their threads and
+    /// removes the socket file. When this returns no thread of the daemon
+    /// is left, and the session and everything it cached have been freed.
     ///
     /// # Errors
     ///
-    /// Propagates `accept` failures; per-connection I/O errors only end
-    /// that connection.
+    /// Propagates `accept` failures (after the same teardown);
+    /// per-connection I/O errors only end that connection.
     pub fn run(self) -> std::io::Result<()> {
+        let mut connections: Vec<Connection> = Vec::new();
+        let mut result = Ok(());
         for conn in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            match conn {
-                Ok(stream) => {
-                    let state = Arc::clone(&self.state);
-                    std::thread::spawn(move || serve_connection(stream, &state));
-                }
+            let stream = match conn {
+                Ok(stream) => stream,
                 Err(e) => {
-                    let _ = std::fs::remove_file(&self.state.socket_path);
-                    return Err(e);
+                    result = Err(e);
+                    break;
                 }
-            }
+            };
+            // A long-lived daemon does not keep a handle per client it
+            // ever had.
+            connections.retain(|c| !c.thread.is_finished());
+            // Without a second handle the connection could not be woken
+            // at shutdown: refuse it (the client sees the socket close).
+            let Ok(waker) = stream.try_clone() else {
+                continue;
+            };
+            let state = Arc::clone(&self.state);
+            let thread = std::thread::spawn(move || {
+                let stream = HangUp(stream);
+                serve_connection(&stream.0, &state);
+            });
+            connections.push(Connection { waker, thread });
+        }
+        for c in &connections {
+            let _ = c.waker.shutdown(Shutdown::Both);
+        }
+        for c in connections {
+            // A connection thread that panicked took only its own client
+            // down; the teardown goes on.
+            let _ = c.thread.join();
         }
         let _ = std::fs::remove_file(&self.state.socket_path);
-        Ok(())
+        result
     }
+}
+
+/// Shuts the client's socket down when its connection thread is done with
+/// it, however it ends. Dropping the stream is not enough: the accept loop
+/// holds a second handle on the same socket, which would keep a client
+/// that waits for the end of the stream waiting.
+struct HangUp(UnixStream);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
+/// One accepted connection, as the accept loop keeps it.
+struct Connection {
+    /// A second handle on the client's socket: shutting it down ends the
+    /// blocked read of a connection that is waiting for a request.
+    waker: UnixStream,
+    thread: std::thread::JoinHandle<()>,
 }
 
 /// Lowers the open-connections gauge on every exit path.
@@ -198,7 +243,7 @@ struct ReqMeta {
 /// newline, never held in memory, and `line` is left empty. `None` is the
 /// end of the input or an I/O error.
 fn read_request_line(
-    reader: &mut BufReader<UnixStream>,
+    reader: &mut BufReader<&UnixStream>,
     line: &mut String,
 ) -> Option<(usize, bool)> {
     line.clear();
@@ -229,14 +274,11 @@ fn read_request_line(
 /// Reads request lines from one client until EOF or shutdown, answering
 /// each in order. The request line and the reply line each live in one
 /// buffer reused for the whole connection, and a reply is one write.
-fn serve_connection(stream: UnixStream, state: &State) {
+fn serve_connection(stream: &UnixStream, state: &State) {
     let telemetry = state.telemetry.as_deref();
     let conn_id = telemetry.map(|t| t.open_connection()).unwrap_or(0);
     let _guard = ConnGuard(telemetry);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let mut reply = String::new();
@@ -516,6 +558,37 @@ mod tests {
         let mut client = DaemonClient::connect(&path).expect("connect");
         client.shutdown().expect("shutdown");
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn run_returns_only_after_every_connection_thread_let_go_of_the_session() {
+        let path = test_socket("teardown");
+        let _ = std::fs::remove_file(&path);
+        let daemon = Daemon::bind(&path).expect("bind");
+        let state = Arc::downgrade(&daemon.state);
+        let handle = std::thread::spawn(move || daemon.run());
+
+        // Two clients that stay connected and idle — one has used the
+        // session, one never sent a byte — and a third that shuts down.
+        let mut used = DaemonClient::connect(&path).expect("connect");
+        used.query(&check_query()).expect("query");
+        let silent = UnixStream::connect(&path).expect("connect");
+        // The daemon has accepted `silent` once it answers a later client.
+        let mut last = DaemonClient::connect(&path).expect("connect");
+        last.ping().expect("ping");
+        assert!(state.upgrade().is_some());
+        last.shutdown().expect("shutdown");
+
+        handle.join().unwrap().expect("daemon exits cleanly");
+        assert!(
+            state.upgrade().is_none(),
+            "run() returned while a connection thread still held the session"
+        );
+        assert!(!path.exists(), "socket file removed on shutdown");
+        // The idle clients were hung up on, not left waiting.
+        assert!(used.ping().is_err());
+        let mut byte = [0u8; 1];
+        assert_eq!((&silent).read(&mut byte).expect("clean end of stream"), 0);
     }
 
     #[test]

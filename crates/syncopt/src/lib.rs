@@ -92,9 +92,9 @@ pub enum SyncoptError {
 
 impl SyncoptError {
     /// Converts the error to a [`core::Diagnostic`] carrying the source
-    /// span, for rustc-style rendering (`E001`–`E005` for frontend and
-    /// lowering errors; simulation errors have no source span and map to
-    /// a dummy-span diagnostic with code `E006`).
+    /// span, for rustc-style rendering (`E001`–`E005` and `E007` for
+    /// frontend and lowering errors; simulation errors have no source span
+    /// and map to a dummy-span diagnostic with code `E006`).
     pub fn to_diagnostic(&self) -> syncopt_core::Diagnostic {
         match self {
             SyncoptError::Frontend(e) => syncopt_core::diag::frontend_diagnostic(e),
@@ -287,12 +287,12 @@ impl<'a> Syncopt<'a> {
     ///
     /// Returns frontend or lowering errors.
     pub fn compile(&self) -> Result<Compiled, SyncoptError> {
-        let mut session = AnalysisSession::new();
-        let shared = session.compile_shared(self.src, &self.session_options())?;
-        // The session's cache is the only other holder of the artifacts:
-        // with it gone they are moved out instead of deep-cloned.
-        drop(session);
-        Ok(shared.into_owned())
+        // One request, each stage run once: a cache could never hit, so the
+        // session has none, derives no cache key, and leaves every artifact
+        // uniquely held — `into_owned` moves them out.
+        AnalysisSession::with_capacity(0)
+            .compile_shared(self.src, &self.session_options())
+            .map(session::SharedCompiled::into_owned)
     }
 
     /// The builder's knobs as per-request session options (a one-shot
@@ -319,10 +319,9 @@ impl<'a> Syncopt<'a> {
     ///
     /// Returns frontend, lowering, or simulation errors.
     pub fn run(&self, config: &MachineConfig) -> Result<RunResult, SyncoptError> {
-        let mut session = AnalysisSession::new();
-        let shared = session.run_shared(self.src, &self.session_options(), config)?;
-        drop(session);
-        Ok(shared.into_owned())
+        AnalysisSession::with_capacity(0)
+            .run_shared(self.src, &self.session_options(), config)
+            .map(session::SharedRun::into_owned)
     }
 
     /// The paper's §5.2 **two-version compilation**: barrier alignment is

@@ -329,39 +329,33 @@ impl ParBenchReport {
             .iter()
             .map(|c| {
                 Value::Obj(vec![
-                    ("id".to_string(), Value::Str(c.id.clone())),
-                    ("kernel".to_string(), Value::Str(c.kernel.to_string())),
-                    ("procs".to_string(), Value::Int(i64::from(c.procs))),
-                    ("shards".to_string(), Value::Int(c.shards as i64)),
+                    ("id".into(), Value::Str(c.id.clone())),
+                    ("kernel".into(), Value::Str(c.kernel.to_string())),
+                    ("procs".into(), Value::Int(i64::from(c.procs))),
+                    ("shards".into(), Value::Int(c.shards as i64)),
                     (
-                        "partition".to_string(),
+                        "partition".into(),
                         Value::Str(c.partition.label().to_string()),
                     ),
-                    ("exec_cycles".to_string(), Value::Int(c.exec_cycles as i64)),
+                    ("exec_cycles".into(), Value::Int(c.exec_cycles as i64)),
+                    ("wall_bucket_us".into(), Value::Int(c.wall_bucket_us as i64)),
+                    ("wall_us".into(), Value::Int(c.wall_us as i64)),
+                    ("speedup_milli".into(), Value::Int(c.speedup_milli as i64)),
                     (
-                        "wall_bucket_us".to_string(),
-                        Value::Int(c.wall_bucket_us as i64),
-                    ),
-                    ("wall_us".to_string(), Value::Int(c.wall_us as i64)),
-                    (
-                        "speedup_milli".to_string(),
-                        Value::Int(c.speedup_milli as i64),
-                    ),
-                    (
-                        "imbalance_permille".to_string(),
+                        "imbalance_permille".into(),
                         Value::Int(c.imbalance_permille as i64),
                     ),
-                    ("counters".to_string(), c.counters.to_json()),
+                    ("counters".into(), c.counters.to_json()),
                 ])
             })
             .collect();
         Value::Obj(vec![
-            ("schema".to_string(), Value::Str(BENCH_SCHEMA.to_string())),
-            ("suite".to_string(), Value::Str("sim_parallel".to_string())),
-            ("threads".to_string(), Value::Int(self.threads as i64)),
-            ("smoke".to_string(), Value::Bool(self.smoke)),
-            ("host_cpus".to_string(), Value::Int(self.host_cpus as i64)),
-            ("configs".to_string(), Value::Arr(configs)),
+            ("schema".into(), Value::Str(BENCH_SCHEMA.to_string())),
+            ("suite".into(), Value::Str("sim_parallel".to_string())),
+            ("threads".into(), Value::Int(self.threads as i64)),
+            ("smoke".into(), Value::Bool(self.smoke)),
+            ("host_cpus".into(), Value::Int(self.host_cpus as i64)),
+            ("configs".into(), Value::Arr(configs)),
         ])
     }
 

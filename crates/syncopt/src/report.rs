@@ -122,35 +122,35 @@ impl PipelineReport {
     /// are the only nondeterministic fields.
     pub fn to_json(&self) -> Value {
         let mut fields = vec![
-            ("schema".to_string(), Value::Str(REPORT_SCHEMA.to_string())),
-            ("meta".to_string(), self.meta_json()),
-            ("timings".to_string(), self.timings.to_json()),
-            ("analysis".to_string(), self.analysis_json()),
-            ("counters".to_string(), self.counters.to_json()),
-            ("codegen".to_string(), optstats_json(&self.codegen)),
+            ("schema".into(), Value::Str(REPORT_SCHEMA.to_string())),
+            ("meta".into(), self.meta_json()),
+            ("timings".into(), self.timings.to_json()),
+            ("analysis".into(), self.analysis_json()),
+            ("counters".into(), self.counters.to_json()),
+            ("codegen".into(), optstats_json(&self.codegen)),
         ];
         if let Some(cache) = &self.cache {
-            fields.push(("cache".to_string(), cache_json(cache)));
+            fields.push(("cache".into(), cache_json(cache)));
         }
         if let Some(sim) = &self.sim {
-            fields.push(("sim".to_string(), sim_json(sim)));
+            fields.push(("sim".into(), sim_json(sim)));
         }
         Value::Obj(fields)
     }
 
     fn meta_json(&self) -> Value {
         Value::Obj(vec![
-            ("procs".to_string(), Value::Int(i64::from(self.meta.procs))),
+            ("procs".into(), Value::Int(i64::from(self.meta.procs))),
             (
-                "level".to_string(),
+                "level".into(),
                 Value::Str(level_label(self.meta.level).to_string()),
             ),
             (
-                "delay".to_string(),
+                "delay".into(),
                 Value::Str(delay_label(self.meta.delay).to_string()),
             ),
             (
-                "machine".to_string(),
+                "machine".into(),
                 match &self.meta.machine {
                     Some(m) => Value::Str(m.clone()),
                     None => Value::Null,
@@ -162,19 +162,16 @@ impl PipelineReport {
     fn analysis_json(&self) -> Value {
         let a = &self.analysis;
         Value::Obj(vec![
-            ("accesses".to_string(), Value::Int(a.accesses as i64)),
+            ("accesses".into(), Value::Int(a.accesses as i64)),
+            ("conflict_pairs".into(), Value::Int(a.conflict_pairs as i64)),
+            ("delay_ss".into(), Value::Int(a.delay_ss as i64)),
+            ("delay_sync".into(), Value::Int(a.delay_sync as i64)),
             (
-                "conflict_pairs".to_string(),
-                Value::Int(a.conflict_pairs as i64),
-            ),
-            ("delay_ss".to_string(), Value::Int(a.delay_ss as i64)),
-            ("delay_sync".to_string(), Value::Int(a.delay_sync as i64)),
-            (
-                "precedence_pairs".to_string(),
+                "precedence_pairs".into(),
                 Value::Int(a.precedence_pairs as i64),
             ),
             (
-                "aligned_barriers".to_string(),
+                "aligned_barriers".into(),
                 Value::Int(a.aligned_barriers as i64),
             ),
         ])
@@ -257,80 +254,53 @@ impl PipelineReport {
 
 fn cache_json(c: &CacheStats) -> Value {
     Value::Obj(vec![
-        ("hits".to_string(), Value::Int(c.hits as i64)),
-        ("misses".to_string(), Value::Int(c.misses as i64)),
-        ("evictions".to_string(), Value::Int(c.evictions as i64)),
+        ("hits".into(), Value::Int(c.hits as i64)),
+        ("misses".into(), Value::Int(c.misses as i64)),
+        ("evictions".into(), Value::Int(c.evictions as i64)),
     ])
 }
 
 pub(crate) fn optstats_json(s: &OptStats) -> Value {
     Value::Obj(vec![
-        ("gets_split".to_string(), Value::Int(s.gets_split as i64)),
-        ("puts_split".to_string(), Value::Int(s.puts_split as i64)),
-        ("sync_moves".to_string(), Value::Int(s.sync_moves as i64)),
+        ("gets_split".into(), Value::Int(s.gets_split as i64)),
+        ("puts_split".into(), Value::Int(s.puts_split as i64)),
+        ("sync_moves".into(), Value::Int(s.sync_moves as i64)),
+        ("syncs_merged".into(), Value::Int(s.syncs_merged as i64)),
+        ("init_moves".into(), Value::Int(s.init_moves as i64)),
+        ("puts_to_stores".into(), Value::Int(s.puts_to_stores as i64)),
         (
-            "syncs_merged".to_string(),
-            Value::Int(s.syncs_merged as i64),
-        ),
-        ("init_moves".to_string(), Value::Int(s.init_moves as i64)),
-        (
-            "puts_to_stores".to_string(),
-            Value::Int(s.puts_to_stores as i64),
-        ),
-        (
-            "gets_eliminated".to_string(),
+            "gets_eliminated".into(),
             Value::Int(s.gets_eliminated as i64),
         ),
         (
-            "puts_eliminated".to_string(),
+            "puts_eliminated".into(),
             Value::Int(s.puts_eliminated as i64),
         ),
         (
-            "dead_locals_removed".to_string(),
+            "dead_locals_removed".into(),
             Value::Int(s.dead_locals_removed as i64),
         ),
         (
-            "dead_gets_removed".to_string(),
+            "dead_gets_removed".into(),
             Value::Int(s.dead_gets_removed as i64),
         ),
-        (
-            "exprs_folded".to_string(),
-            Value::Int(s.exprs_folded as i64),
-        ),
+        ("exprs_folded".into(), Value::Int(s.exprs_folded as i64)),
     ])
 }
 
 fn net_json(n: &NetStats) -> Value {
     Value::Obj(vec![
+        ("get_requests".into(), Value::Int(n.get_requests as i64)),
+        ("get_replies".into(), Value::Int(n.get_replies as i64)),
+        ("put_requests".into(), Value::Int(n.put_requests as i64)),
+        ("put_acks".into(), Value::Int(n.put_acks as i64)),
+        ("store_requests".into(), Value::Int(n.store_requests as i64)),
+        ("post_messages".into(), Value::Int(n.post_messages as i64)),
+        ("wait_messages".into(), Value::Int(n.wait_messages as i64)),
+        ("lock_messages".into(), Value::Int(n.lock_messages as i64)),
+        ("barriers".into(), Value::Int(n.barriers as i64)),
         (
-            "get_requests".to_string(),
-            Value::Int(n.get_requests as i64),
-        ),
-        ("get_replies".to_string(), Value::Int(n.get_replies as i64)),
-        (
-            "put_requests".to_string(),
-            Value::Int(n.put_requests as i64),
-        ),
-        ("put_acks".to_string(), Value::Int(n.put_acks as i64)),
-        (
-            "store_requests".to_string(),
-            Value::Int(n.store_requests as i64),
-        ),
-        (
-            "post_messages".to_string(),
-            Value::Int(n.post_messages as i64),
-        ),
-        (
-            "wait_messages".to_string(),
-            Value::Int(n.wait_messages as i64),
-        ),
-        (
-            "lock_messages".to_string(),
-            Value::Int(n.lock_messages as i64),
-        ),
-        ("barriers".to_string(), Value::Int(n.barriers as i64)),
-        (
-            "total_messages".to_string(),
+            "total_messages".into(),
             Value::Int(n.total_messages() as i64),
         ),
     ])
@@ -338,11 +308,11 @@ fn net_json(n: &NetStats) -> Value {
 
 fn stalls_json(s: &StallStats) -> Value {
     Value::Obj(vec![
-        ("sync".to_string(), Value::Int(s.sync as i64)),
-        ("barrier".to_string(), Value::Int(s.barrier as i64)),
-        ("wait".to_string(), Value::Int(s.wait as i64)),
-        ("lock".to_string(), Value::Int(s.lock as i64)),
-        ("blocking".to_string(), Value::Int(s.blocking as i64)),
+        ("sync".into(), Value::Int(s.sync as i64)),
+        ("barrier".into(), Value::Int(s.barrier as i64)),
+        ("wait".into(), Value::Int(s.wait as i64)),
+        ("lock".into(), Value::Int(s.lock as i64)),
+        ("blocking".into(), Value::Int(s.blocking as i64)),
     ])
 }
 
@@ -353,83 +323,71 @@ fn latency_json(h: &LatencyHistogram) -> Value {
         .enumerate()
         .map(|(i, &count)| {
             Value::Obj(vec![
-                (
-                    "le".to_string(),
-                    Value::Str(LatencyHistogram::bucket_label(i)),
-                ),
-                ("count".to_string(), Value::Int(count as i64)),
+                ("le".into(), Value::Str(LatencyHistogram::bucket_label(i))),
+                ("count".into(), Value::Int(count as i64)),
             ])
         })
         .collect();
     Value::Obj(vec![
-        ("count".to_string(), Value::Int(h.count as i64)),
-        ("min".to_string(), Value::Int(h.min as i64)),
-        ("mean".to_string(), Value::Int(h.mean() as i64)),
-        ("max".to_string(), Value::Int(h.max as i64)),
-        ("buckets".to_string(), Value::Arr(buckets)),
+        ("count".into(), Value::Int(h.count as i64)),
+        ("min".into(), Value::Int(h.min as i64)),
+        ("mean".into(), Value::Int(h.mean() as i64)),
+        ("max".into(), Value::Int(h.max as i64)),
+        ("buckets".into(), Value::Arr(buckets)),
     ])
 }
 
 fn work_json(w: &SimWork, exec_cycles: u64) -> Value {
     Value::Obj(vec![
         (
-            "events_scheduled".to_string(),
+            "events_scheduled".into(),
             Value::Int(w.events_scheduled as i64),
         ),
         (
-            "events_dequeued".to_string(),
+            "events_dequeued".into(),
             Value::Int(w.events_dequeued as i64),
         ),
         (
-            "bucket_rotations".to_string(),
+            "bucket_rotations".into(),
             Value::Int(w.bucket_rotations as i64),
         ),
         (
-            "overflow_promotions".to_string(),
+            "overflow_promotions".into(),
             Value::Int(w.overflow_promotions as i64),
         ),
+        ("arena_reuses".into(), Value::Int(w.arena_reuses as i64)),
+        ("waiter_scans".into(), Value::Int(w.waiter_scans as i64)),
+        ("hash_lookups".into(), Value::Int(w.hash_lookups as i64)),
         (
-            "arena_reuses".to_string(),
-            Value::Int(w.arena_reuses as i64),
-        ),
-        (
-            "waiter_scans".to_string(),
-            Value::Int(w.waiter_scans as i64),
-        ),
-        (
-            "hash_lookups".to_string(),
-            Value::Int(w.hash_lookups as i64),
-        ),
-        (
-            "shard_horizon_advances".to_string(),
+            "shard_horizon_advances".into(),
             Value::Int(w.shard_horizon_advances as i64),
         ),
         (
-            "shard_cross_messages".to_string(),
+            "shard_cross_messages".into(),
             Value::Int(w.shard_cross_messages as i64),
         ),
         (
-            "shard_mailbox_drains".to_string(),
+            "shard_mailbox_drains".into(),
             Value::Int(w.shard_mailbox_drains as i64),
         ),
         (
-            "shard_idle_windows".to_string(),
+            "shard_idle_windows".into(),
             Value::Int(w.shard_idle_windows as i64),
         ),
         (
-            "shard_leader_merge_steps".to_string(),
+            "shard_leader_merge_steps".into(),
             Value::Int(w.shard_leader_merge_steps as i64),
         ),
         (
-            "shard_parallel_drains".to_string(),
+            "shard_parallel_drains".into(),
             Value::Int(w.shard_parallel_drains as i64),
         ),
         (
-            "shard_parallel_flattens".to_string(),
+            "shard_parallel_flattens".into(),
             Value::Int(w.shard_parallel_flattens as i64),
         ),
         (
-            "events_per_1k_cycles".to_string(),
+            "events_per_1k_cycles".into(),
             Value::Int(w.events_per_1k_cycles(exec_cycles) as i64),
         ),
     ])
@@ -445,19 +403,13 @@ fn shards_json(sim: &SimReport) -> Value {
         .enumerate()
         .map(|(si, s)| {
             Value::Obj(vec![
-                ("shard".to_string(), Value::Int(si as i64)),
-                ("procs".to_string(), Value::Int(i64::from(s.procs))),
-                ("events".to_string(), Value::Int(s.events as i64)),
-                ("drained".to_string(), Value::Int(s.drained as i64)),
-                ("flattened".to_string(), Value::Int(s.flattened as i64)),
-                (
-                    "cross_messages".to_string(),
-                    Value::Int(s.cross_messages as i64),
-                ),
-                (
-                    "idle_windows".to_string(),
-                    Value::Int(s.idle_windows as i64),
-                ),
+                ("shard".into(), Value::Int(si as i64)),
+                ("procs".into(), Value::Int(i64::from(s.procs))),
+                ("events".into(), Value::Int(s.events as i64)),
+                ("drained".into(), Value::Int(s.drained as i64)),
+                ("flattened".into(), Value::Int(s.flattened as i64)),
+                ("cross_messages".into(), Value::Int(s.cross_messages as i64)),
+                ("idle_windows".into(), Value::Int(s.idle_windows as i64)),
             ])
         })
         .collect();
@@ -472,22 +424,16 @@ fn sim_json(sim: &SimReport) -> Value {
         .enumerate()
         .map(|(pi, p)| {
             Value::Obj(vec![
-                ("proc".to_string(), Value::Int(pi as i64)),
-                ("busy".to_string(), Value::Int(p.busy as i64)),
-                ("sync".to_string(), Value::Int(p.sync as i64)),
-                ("barrier".to_string(), Value::Int(p.barrier as i64)),
-                ("wait".to_string(), Value::Int(p.wait as i64)),
-                ("lock".to_string(), Value::Int(p.lock as i64)),
-                (
-                    "network_wait".to_string(),
-                    Value::Int(p.network_wait as i64),
-                ),
-                ("idle".to_string(), Value::Int(p.idle as i64)),
-                ("msgs_sent".to_string(), Value::Int(p.msgs_sent as i64)),
-                (
-                    "msgs_handled".to_string(),
-                    Value::Int(p.msgs_handled as i64),
-                ),
+                ("proc".into(), Value::Int(pi as i64)),
+                ("busy".into(), Value::Int(p.busy as i64)),
+                ("sync".into(), Value::Int(p.sync as i64)),
+                ("barrier".into(), Value::Int(p.barrier as i64)),
+                ("wait".into(), Value::Int(p.wait as i64)),
+                ("lock".into(), Value::Int(p.lock as i64)),
+                ("network_wait".into(), Value::Int(p.network_wait as i64)),
+                ("idle".into(), Value::Int(p.idle as i64)),
+                ("msgs_sent".into(), Value::Int(p.msgs_sent as i64)),
+                ("msgs_handled".into(), Value::Int(p.msgs_handled as i64)),
             ])
         })
         .collect();
@@ -497,48 +443,33 @@ fn sim_json(sim: &SimReport) -> Value {
         .iter()
         .map(|e| {
             Value::Obj(vec![
-                (
-                    "first_arrival".to_string(),
-                    Value::Int(e.first_arrival as i64),
-                ),
-                (
-                    "last_arrival".to_string(),
-                    Value::Int(e.last_arrival as i64),
-                ),
-                ("release".to_string(), Value::Int(e.release as i64)),
+                ("first_arrival".into(), Value::Int(e.first_arrival as i64)),
+                ("last_arrival".into(), Value::Int(e.last_arrival as i64)),
+                ("release".into(), Value::Int(e.release as i64)),
             ])
         })
         .collect();
     let mut fields = vec![
-        (
-            "exec_cycles".to_string(),
-            Value::Int(sim.exec_cycles as i64),
-        ),
-        (
-            "barriers_aligned".to_string(),
-            Value::Bool(sim.barriers_aligned),
-        ),
-        ("net".to_string(), net_json(&sim.net)),
-        ("stalls".to_string(), stalls_json(&sim.stalls)),
-        ("per_proc".to_string(), Value::Arr(per_proc)),
-        ("latency".to_string(), latency_json(&sim.metrics.latency)),
-        ("barrier_epochs".to_string(), Value::Arr(epochs)),
-        (
-            "work".to_string(),
-            work_json(&sim.metrics.work, sim.exec_cycles),
-        ),
+        ("exec_cycles".into(), Value::Int(sim.exec_cycles as i64)),
+        ("barriers_aligned".into(), Value::Bool(sim.barriers_aligned)),
+        ("net".into(), net_json(&sim.net)),
+        ("stalls".into(), stalls_json(&sim.stalls)),
+        ("per_proc".into(), Value::Arr(per_proc)),
+        ("latency".into(), latency_json(&sim.metrics.latency)),
+        ("barrier_epochs".into(), Value::Arr(epochs)),
+        ("work".into(), work_json(&sim.metrics.work, sim.exec_cycles)),
     ];
     if !sim.metrics.shards.is_empty() {
-        fields.push(("shards".to_string(), shards_json(sim)));
+        fields.push(("shards".into(), shards_json(sim)));
         if let Some(imbalance) = sim.metrics.shard_imbalance_permille() {
             fields.push((
-                "shard_imbalance_permille".to_string(),
+                "shard_imbalance_permille".into(),
                 Value::Int(imbalance as i64),
             ));
         }
     }
     if let Some(truncated) = sim.trace_truncated {
-        fields.push(("trace_truncated".to_string(), Value::Bool(truncated)));
+        fields.push(("trace_truncated".into(), Value::Bool(truncated)));
     }
     Value::Obj(fields)
 }
@@ -674,20 +605,20 @@ impl ProfileReport {
     pub fn to_json(&self) -> Value {
         Value::Obj(vec![
             (
-                "schema".to_string(),
+                "schema".into(),
                 Value::Str("syncopt.profile_report.v1".to_string()),
             ),
-            ("blocking".to_string(), self.blocking.to_json()),
-            ("optimized".to_string(), self.optimized.to_json()),
+            ("blocking".into(), self.blocking.to_json()),
+            ("optimized".into(), self.optimized.to_json()),
             (
-                "comparison".to_string(),
+                "comparison".into(),
                 Value::Obj(vec![
                     (
-                        "speedup_x100".to_string(),
+                        "speedup_x100".into(),
                         Value::Int(self.speedup_x100() as i64),
                     ),
                     (
-                        "cycles_saved".to_string(),
+                        "cycles_saved".into(),
                         Value::Int(
                             self.blocking
                                 .sim
@@ -701,7 +632,7 @@ impl ProfileReport {
                         ),
                     ),
                     (
-                        "messages_delta".to_string(),
+                        "messages_delta".into(),
                         Value::Int(
                             self.optimized
                                 .sim

@@ -37,7 +37,7 @@ use crate::commands::{
 };
 use crate::report::level_label;
 use syncopt_core::cache::CacheStats;
-use syncopt_core::diag::json::Value;
+use syncopt_core::diag::json::{Key, Value};
 use syncopt_core::obs::Counters;
 use syncopt_machine::ShardPartition;
 
@@ -100,14 +100,14 @@ pub struct Request {
     pub body: RequestBody,
 }
 
-fn field(fields: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    fields.push((key.to_string(), value));
+fn field(fields: &mut Vec<(Key, Value)>, key: &'static str, value: Value) {
+    fields.push((key.into(), value));
 }
 
-fn envelope(id: i64) -> Vec<(String, Value)> {
+fn envelope(id: i64) -> Vec<(Key, Value)> {
     vec![
-        ("schema".to_string(), Value::Str(RPC_SCHEMA.to_string())),
-        ("id".to_string(), Value::Int(id)),
+        ("schema".into(), Value::Str(RPC_SCHEMA.to_string())),
+        ("id".into(), Value::Int(id)),
     ]
 }
 
@@ -230,7 +230,7 @@ pub fn decode_query(v: Value) -> Result<Query, RpcError> {
     };
     let mut q = Query::default();
     for (key, value) in fields {
-        let key = key.as_str();
+        let key = &*key;
         match key {
             "command" => q.command = expect_str(value, key)?,
             "file" => q.file = expect_str(value, key)?,
@@ -409,9 +409,9 @@ pub fn decode_request(line: &str) -> Result<Request, RpcError> {
 
 fn cache_stats_json(stats: CacheStats) -> Value {
     Value::Obj(vec![
-        ("hits".to_string(), Value::Int(stats.hits as i64)),
-        ("misses".to_string(), Value::Int(stats.misses as i64)),
-        ("evictions".to_string(), Value::Int(stats.evictions as i64)),
+        ("hits".into(), Value::Int(stats.hits as i64)),
+        ("misses".into(), Value::Int(stats.misses as i64)),
+        ("evictions".into(), Value::Int(stats.evictions as i64)),
     ])
 }
 
@@ -498,9 +498,9 @@ pub fn query_response(id: i64, out: &CmdOut, cache: CacheStats) -> Value {
             &mut f,
             "file",
             Value::Obj(vec![
-                ("path".to_string(), Value::Str(file.path.clone())),
-                ("content".to_string(), Value::Str(file.content.clone())),
-                ("note".to_string(), Value::Str(file.note.clone())),
+                ("path".into(), Value::Str(file.path.clone())),
+                ("content".into(), Value::Str(file.content.clone())),
+                ("note".into(), Value::Str(file.note.clone())),
             ]),
         );
     }
@@ -516,8 +516,8 @@ pub fn error_response(id: i64, err: &RpcError) -> Value {
         &mut f,
         "error",
         Value::Obj(vec![
-            ("code".to_string(), Value::Str(err.code.to_string())),
-            ("message".to_string(), Value::Str(err.message.clone())),
+            ("code".into(), Value::Str(err.code.to_string())),
+            ("message".into(), Value::Str(err.message.clone())),
         ]),
     );
     Value::Obj(f)
@@ -652,9 +652,9 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
         )
     } else if let Some(stats) = take(&mut v, "cache") {
         let mut part =
-            |key: &str, default: Value| (key.to_string(), take(&mut v, key).unwrap_or(default));
+            |key: &'static str, default: Value| (key.into(), take(&mut v, key).unwrap_or(default));
         let mut fields = vec![
-            ("cache".to_string(), stats),
+            ("cache".into(), stats),
             part("artifacts", Value::Int(0)),
             part("capacity", Value::Int(0)),
             part("kinds", Value::Obj(Vec::new())),
@@ -663,7 +663,7 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
             part("version", Value::Str(String::new())),
         ];
         if let Some(doc) = take(&mut v, "metrics") {
-            fields.push(("metrics".to_string(), doc));
+            fields.push(("metrics".into(), doc));
         }
         ReplyBody::Stats(Value::Obj(fields))
     } else {
@@ -816,7 +816,7 @@ mod tests {
             version: "0.1.0".to_string(),
         };
         let doc = Value::Obj(vec![(
-            "schema".to_string(),
+            "schema".into(),
             Value::Str("syncopt.metrics.v1".to_string()),
         )]);
         let line = stats_response(

@@ -68,6 +68,13 @@
 //! Caching never changes results, only the work needed to produce them:
 //! a warm query is byte-identical to a cold one.
 //!
+//! A session of capacity 0 ([`AnalysisSession::with_capacity`]) has its
+//! cache **disabled**, and derives none of the keys above: every key is
+//! handed to the cache as a closure, which a disabled cache never calls.
+//! The [`Syncopt`](crate::Syncopt) builder's `compile` and `run` — one
+//! request, each stage run once, session dropped — run on such a session,
+//! through the same pipeline and to the same bytes.
+//!
 //! ```
 //! use syncopt::{AnalysisSession, SessionOptions};
 //!
@@ -93,6 +100,7 @@ use crate::{
     Compiled, DelayChoice, OptLevel, PipelineReport, ProfileReport, RunResult, SimReport,
     SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT,
 };
+use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 use syncopt_codegen::Optimized;
 use syncopt_core::cache::{ArtifactCache, CacheStats};
@@ -319,7 +327,10 @@ impl AnalysisSession {
         }
     }
 
-    /// A session whose cache holds at most `capacity` artifacts.
+    /// A session whose cache holds at most `capacity` artifacts. Capacity
+    /// 0 disables the cache: every request runs every stage, no artifact is
+    /// kept and no cache key is derived — right for a session that serves
+    /// one request, wasteful for any other.
     pub fn with_capacity(capacity: usize) -> Self {
         AnalysisSession {
             cache: ArtifactCache::new(capacity),
@@ -452,22 +463,7 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
     ) -> Result<Arc<RaceAnalysis>, SyncoptError> {
-        self.begin();
-        let key = src_fingerprint(src)
-            .push("races.v1")
-            .push(&procs_part(opts.procs));
-        if let Some(races) = self.cache.get::<RaceAnalysis>("races", key) {
-            return Ok(races);
-        }
-        let cfg = self.cfg_inner(src)?;
-        let analysis = self.analysis_inner(&cfg, opts, opts.procs);
-        let races = Arc::new(syncopt_core::classify_races(
-            &cfg.artifact,
-            &analysis,
-            &opts.sync_options(opts.procs),
-        ));
-        self.cache.insert_arc("races", key, Arc::clone(&races));
-        Ok(races)
+        self.derived("races", "races.v1", src, opts, syncopt_core::classify_races)
     }
 
     /// The full lint suite, including fence-coverage verification at
@@ -482,23 +478,13 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
     ) -> Result<Arc<LintReport>, SyncoptError> {
-        self.begin();
-        let key = src_fingerprint(src)
-            .push("lint.v1")
-            .push(&procs_part(opts.procs));
-        if let Some(report) = self.cache.get::<LintReport>("lint", key) {
-            return Ok(report);
-        }
-        let cfg = self.cfg_inner(src)?;
-        let sync_opts = opts.sync_options(opts.procs);
-        let analysis = self.analysis_inner(&cfg, opts, opts.procs);
-        let report = Arc::new(crate::lint::lint_with_analysis(
-            &cfg.artifact,
-            &analysis,
-            &sync_opts,
-        ));
-        self.cache.insert_arc("lint", key, Arc::clone(&report));
-        Ok(report)
+        self.derived(
+            "lint",
+            "lint.v1",
+            src,
+            opts,
+            crate::lint::lint_with_analysis,
+        )
     }
 
     /// Delay-set provenance: why each `D_SS` pair was kept or dropped
@@ -512,19 +498,39 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
     ) -> Result<Arc<ExplainReport>, SyncoptError> {
+        self.derived("explain", "explain.v1", src, opts, syncopt_core::explain)
+    }
+
+    /// One request for an artifact derived from the source CFG and its
+    /// analysis, keyed by the raw source text, `tag` and the processor
+    /// count.
+    fn derived<T: Send + Sync + 'static>(
+        &mut self,
+        kind: &'static str,
+        tag: &str,
+        src: &str,
+        opts: &SessionOptions,
+        build: impl FnOnce(&Cfg, &Analysis, &SyncOptions) -> T,
+    ) -> Result<Arc<T>, SyncoptError> {
         self.begin();
-        let key = src_fingerprint(src)
-            .push("explain.v1")
-            .push(&procs_part(opts.procs));
-        if let Some(report) = self.cache.get::<ExplainReport>("explain", key) {
-            return Ok(report);
+        let key = self
+            .cache
+            .enabled()
+            .then(|| src_fingerprint(src).push(tag).push(&procs_part(opts.procs)));
+        if let Some(hit) = key.and_then(|key| self.cache.get::<T>(kind, key)) {
+            return Ok(hit);
         }
         let cfg = self.cfg_inner(src)?;
-        let sync_opts = opts.sync_options(opts.procs);
-        let analysis = self.analysis_inner(&cfg, opts, opts.procs);
-        let report = Arc::new(syncopt_core::explain(&cfg.artifact, &analysis, &sync_opts));
-        self.cache.insert_arc("explain", key, Arc::clone(&report));
-        Ok(report)
+        let analysis = analysis_cached(&mut self.cache, &cfg, opts, opts.procs);
+        let artifact = Arc::new(build(
+            &cfg.artifact,
+            &analysis,
+            &opts.sync_options(opts.procs),
+        ));
+        if let Some(key) = key {
+            self.cache.insert_arc(kind, key, Arc::clone(&artifact));
+        }
+        Ok(artifact)
     }
 
     // ---- internal cached pipeline stages --------------------------------
@@ -564,8 +570,8 @@ impl AnalysisSession {
             // The parallel engine is bit-identical to the sequential one,
             // so it shares the `sim` cache key: an artifact computed by
             // either engine serves both.
-            let key = push_machine(optimized.text_key(), config);
-            cache.get_or_try("sim", key, || {
+            let key = || push_machine(optimized.text_key(), config);
+            cache.get_or_try_with("sim", key, || {
                 if opts.sim_shards > 1 {
                     syncopt_machine::simulate_sharded_with(
                         cfg,
@@ -597,25 +603,23 @@ impl AnalysisSession {
         procs: Option<u32>,
     ) -> Result<SharedCompiled, SyncoptError> {
         let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
-        let src_fp = src_fingerprint(src);
+        let src_fp = SrcKey::new(src);
         let cache = &mut self.cache;
-        let ast = timings.time("parse", || parse_cached(cache, src, src_fp))?;
+        let ast = timings.time("parse", || parse_cached(cache, &src_fp))?;
         timings.time("typeck", || check_cached(cache, &ast))?;
-        let inlined: Arc<Program> = timings.time("inline", || {
-            cache.get_or_try("inlined", src_fp, || {
-                syncopt_frontend::inline::inline_program(&ast.program)
-            })
-        })?;
-        let source = timings.time("lower", || lower_cached(cache, &inlined, src_fp))?;
+        let inlined = timings.time("inline", || inline_cached(cache, &ast, &src_fp))?;
+        let source = timings.time("lower", || lower_cached(cache, &inlined, &src_fp))?;
         let analysis = timings.time("analyze", || analysis_cached(cache, &source, opts, procs));
         let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
-            let key = source
-                .text_key()
-                .push("opt.v2")
-                .push(&procs_part(procs))
-                .push(level_label(opts.level))
-                .push(delay_label(opts.delay));
-            cache.get_or("opt", key, || {
+            let key = || {
+                source
+                    .text_key()
+                    .push("opt.v2")
+                    .push(&procs_part(procs))
+                    .push(level_label(opts.level))
+                    .push(delay_label(opts.delay))
+            };
+            cache.get_or_with("opt", key, || {
                 let mut optimized =
                     syncopt_codegen::optimize(&source.artifact, &analysis, opts.level, opts.delay);
                 // Every source text with this canonical CFG shares the
@@ -646,23 +650,33 @@ impl AnalysisSession {
     /// The cached source CFG for `src` (the parse → typeck → inline →
     /// lower prefix of the pipeline, without timings).
     fn cfg_inner(&mut self, src: &str) -> Result<Arc<Keyed<Cfg>>, SyncoptError> {
-        let src_fp = src_fingerprint(src);
+        let src_fp = SrcKey::new(src);
         let cache = &mut self.cache;
-        let ast = parse_cached(cache, src, src_fp)?;
+        let ast = parse_cached(cache, &src_fp)?;
         check_cached(cache, &ast)?;
-        let inlined: Arc<Program> = cache.get_or_try("inlined", src_fp, || {
-            syncopt_frontend::inline::inline_program(&ast.program)
-        })?;
-        Ok(lower_cached(cache, &inlined, src_fp)?)
+        let inlined = inline_cached(cache, &ast, &src_fp)?;
+        Ok(lower_cached(cache, &inlined, &src_fp)?)
+    }
+}
+
+/// A source text with its fingerprint — the key of every span-bearing
+/// artifact — hashed when the first enabled cache asks for it, and never
+/// for a disabled one.
+struct SrcKey<'a> {
+    src: &'a str,
+    fingerprint: OnceCell<Fingerprint>,
+}
+
+impl<'a> SrcKey<'a> {
+    fn new(src: &'a str) -> Self {
+        SrcKey {
+            src,
+            fingerprint: OnceCell::new(),
+        }
     }
 
-    fn analysis_inner(
-        &mut self,
-        cfg: &Keyed<Cfg>,
-        opts: &SessionOptions,
-        procs: Option<u32>,
-    ) -> Arc<Analysis> {
-        analysis_cached(&mut self.cache, cfg, opts, procs)
+    fn get(&self) -> Fingerprint {
+        *self.fingerprint.get_or_init(|| src_fingerprint(self.src))
     }
 }
 
@@ -739,30 +753,50 @@ fn push_machine(stem: Fingerprint, config: &MachineConfig) -> Fingerprint {
 /// The cached `ast` artifact for `src`.
 fn parse_cached(
     cache: &mut ArtifactCache,
-    src: &str,
-    src_fp: Fingerprint,
+    src: &SrcKey<'_>,
 ) -> Result<Arc<Parsed>, syncopt_frontend::FrontendError> {
-    cache.get_or_try("ast", src_fp, || {
-        Ok(Parsed {
-            program: syncopt_frontend::parse_program(src)?,
-            fncheck_keys: OnceLock::new(),
-        })
-    })
+    cache.get_or_try_with(
+        "ast",
+        || src.get(),
+        || {
+            Ok(Parsed {
+                program: syncopt_frontend::parse_program(src.src)?,
+                fncheck_keys: OnceLock::new(),
+            })
+        },
+    )
+}
+
+/// The cached `inlined` artifact: `ast` with every call expanded.
+fn inline_cached(
+    cache: &mut ArtifactCache,
+    ast: &Parsed,
+    src: &SrcKey<'_>,
+) -> Result<Arc<Program>, syncopt_frontend::FrontendError> {
+    cache.get_or_try_with(
+        "inlined",
+        || src.get(),
+        || syncopt_frontend::inline::inline_program(&ast.program),
+    )
 }
 
 /// The cached `cfg` artifact: the lowered source CFG of `inlined`.
 fn lower_cached(
     cache: &mut ArtifactCache,
     inlined: &Program,
-    src_fp: Fingerprint,
+    src: &SrcKey<'_>,
 ) -> Result<Arc<Keyed<Cfg>>, syncopt_ir::lower::LowerError> {
-    cache.get_or_try("cfg", src_fp, || {
-        Ok(Keyed::new(
-            syncopt_ir::lower::lower_main(inlined)?,
-            "analysis.v2",
-            |cfg| cfg,
-        ))
-    })
+    cache.get_or_try_with(
+        "cfg",
+        || src.get(),
+        || {
+            Ok(Keyed::new(
+                syncopt_ir::lower::lower_main(inlined)?,
+                "analysis.v2",
+                |cfg| cfg,
+            ))
+        },
+    )
 }
 
 /// Type checks the program with per-function caching: the program-level
@@ -770,18 +804,20 @@ fn lower_cached(
 /// declaration order), while each function body's verdict is keyed by the
 /// context fingerprint plus the function's canonical text — so editing
 /// one function of an N-function program re-checks only that function.
-/// Only successes are cached; errors re-diagnose with fresh spans.
+/// Only successes are cached; errors re-diagnose with fresh spans. A
+/// disabled cache has no verdicts and asks for no key, so no function is
+/// printed: each one is just checked.
 fn check_cached(
     cache: &mut ArtifactCache,
     ast: &Parsed,
 ) -> Result<(), syncopt_frontend::FrontendError> {
     let ctx = ProgramContext::build(&ast.program)?;
-    for (func, &key) in ast.program.functions.iter().zip(ast.fncheck_keys()) {
-        if cache.get::<()>("fncheck", key).is_some() {
-            continue;
-        }
-        ctx.check_function(func)?;
-        cache.insert("fncheck", key, ());
+    for (i, func) in ast.program.functions.iter().enumerate() {
+        cache.get_or_try_with(
+            "fncheck",
+            || ast.fncheck_keys()[i],
+            || ctx.check_function(func),
+        )?;
     }
     Ok(())
 }
@@ -795,10 +831,11 @@ fn analysis_cached(
     opts: &SessionOptions,
     procs: Option<u32>,
 ) -> Arc<Analysis> {
-    let key = cfg.text_key().push(&procs_part(procs));
-    cache.get_or("analysis", key, || {
-        syncopt_core::analyze_with(&cfg.artifact, &opts.sync_options(procs))
-    })
+    cache.get_or_with(
+        "analysis",
+        || cfg.text_key().push(&procs_part(procs)),
+        || syncopt_core::analyze_with(&cfg.artifact, &opts.sync_options(procs)),
+    )
 }
 
 #[cfg(test)]
@@ -887,6 +924,38 @@ mod tests {
         assert_ne!(copy.sim.proc_cycles.as_ptr(), cached.2);
         s.run(SRC, &opts(4), &config).unwrap();
         assert_eq!(s.last_request_stats().misses, 0, "the cache lost an entry");
+    }
+
+    /// A session without a cache runs the same stages to the same report
+    /// and derives none of the keys: no CFG was printed, no function
+    /// pretty-printed, nothing looked up, nothing kept.
+    #[test]
+    fn a_session_of_capacity_zero_derives_no_key_and_keeps_nothing() {
+        let config = MachineConfig::cm5(4);
+        let mut off = AnalysisSession::with_capacity(0);
+        for _ in 0..2 {
+            let run = off.run_shared(SRC, &opts(4), &config).unwrap();
+            assert!(run.compiled.source.text_key.get().is_none());
+            assert!(run.compiled.optimized.text_key.get().is_none());
+            assert_eq!(Arc::strong_count(&run.compiled.source), 1);
+            assert_eq!(Arc::strong_count(&run.compiled.analysis), 1);
+            assert_eq!(Arc::strong_count(&run.compiled.optimized), 1);
+            assert_eq!(Arc::strong_count(&run.sim), 1);
+            let cached = AnalysisSession::new()
+                .run_shared(SRC, &opts(4), &config)
+                .unwrap();
+            assert!(cached.compiled.source.text_key.get().is_some());
+            assert_eq!(run.report(), cached.report());
+        }
+        assert_eq!(off.cache_stats(), CacheStats::default());
+        assert_eq!((off.cached_artifacts(), off.cache_capacity()), (0, 0));
+        assert!(off.kind_counters().is_empty());
+        // The derived artifacts go the same way.
+        let lint = off.lint(SRC, &opts(4)).unwrap();
+        assert_eq!(Arc::strong_count(&lint), 1);
+        let cached = AnalysisSession::new().lint(SRC, &opts(4)).unwrap();
+        assert_eq!(format!("{lint:?}"), format!("{cached:?}"));
+        assert_eq!(off.cache_stats(), CacheStats::default());
     }
 
     #[test]
@@ -988,7 +1057,7 @@ mod tests {
                 "{level}"
             );
         }
-        let ast = parse_cached(&mut s.cache, SRC, src_fingerprint(SRC)).unwrap();
+        let ast = parse_cached(&mut s.cache, &SrcKey::new(SRC)).unwrap();
         let ctx_fp = context_fingerprint(&ast.program);
         for (func, key) in ast.program.functions.iter().zip(ast.fncheck_keys()) {
             let text = function_to_string(func);

@@ -325,32 +325,26 @@ impl SimBenchReport {
             .iter()
             .map(|c| {
                 Value::Obj(vec![
-                    ("id".to_string(), Value::Str(c.id.clone())),
-                    ("kernel".to_string(), Value::Str(c.kernel.to_string())),
-                    ("label".to_string(), Value::Str(c.label.to_string())),
-                    ("procs".to_string(), Value::Int(i64::from(c.procs))),
-                    ("exec_cycles".to_string(), Value::Int(c.exec_cycles as i64)),
+                    ("id".into(), Value::Str(c.id.clone())),
+                    ("kernel".into(), Value::Str(c.kernel.to_string())),
+                    ("label".into(), Value::Str(c.label.to_string())),
+                    ("procs".into(), Value::Int(i64::from(c.procs))),
+                    ("exec_cycles".into(), Value::Int(c.exec_cycles as i64)),
+                    ("wall_bucket_us".into(), Value::Int(c.wall_bucket_us as i64)),
                     (
-                        "wall_bucket_us".to_string(),
-                        Value::Int(c.wall_bucket_us as i64),
-                    ),
-                    (
-                        "hash_reduction_x100".to_string(),
+                        "hash_reduction_x100".into(),
                         Value::Int(c.hash_reduction_x100() as i64),
                     ),
-                    ("counters".to_string(), c.counters.to_json()),
+                    ("counters".into(), c.counters.to_json()),
                 ])
             })
             .collect();
         Value::Obj(vec![
-            ("schema".to_string(), Value::Str(BENCH_SCHEMA.to_string())),
-            (
-                "suite".to_string(),
-                Value::Str("sim_throughput".to_string()),
-            ),
-            ("threads".to_string(), Value::Int(self.threads as i64)),
-            ("smoke".to_string(), Value::Bool(self.smoke)),
-            ("configs".to_string(), Value::Arr(configs)),
+            ("schema".into(), Value::Str(BENCH_SCHEMA.to_string())),
+            ("suite".into(), Value::Str("sim_throughput".to_string())),
+            ("threads".into(), Value::Int(self.threads as i64)),
+            ("smoke".into(), Value::Bool(self.smoke)),
+            ("configs".into(), Value::Arr(configs)),
         ])
     }
 

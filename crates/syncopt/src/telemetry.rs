@@ -316,13 +316,10 @@ impl ServiceTelemetry {
     pub fn metrics_json(&self) -> Value {
         let scrub = self.scrub;
         Value::Obj(vec![
-            ("schema".to_string(), Value::Str(METRICS_SCHEMA.to_string())),
+            ("schema".into(), Value::Str(METRICS_SCHEMA.to_string())),
+            ("version".into(), Value::Str(SERVICE_VERSION.to_string())),
             (
-                "version".to_string(),
-                Value::Str(SERVICE_VERSION.to_string()),
-            ),
-            (
-                "uptime_ms".to_string(),
+                "uptime_ms".into(),
                 Value::Int(if scrub {
                     0
                 } else {
@@ -330,10 +327,10 @@ impl ServiceTelemetry {
                 }),
             ),
             (
-                "requests_total".to_string(),
+                "requests_total".into(),
                 Value::Int(self.requests_total() as i64),
             ),
-            ("metrics".to_string(), self.registry.to_json(scrub)),
+            ("metrics".into(), self.registry.to_json(scrub)),
         ])
     }
 
@@ -491,13 +488,8 @@ pub fn verify_reqlog_accounting(entries: &[ReqLogEntry]) -> Result<(), String> {
 /// exactly. Timestamps are microseconds since daemon start, so Perfetto
 /// renders real service time.
 pub fn daemon_chrome_trace(entries: &[ReqLogEntry]) -> Value {
-    let obj = |fields: Vec<(&str, Value)>| {
-        Value::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+    let obj = |fields: Vec<(&'static str, Value)>| {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     };
     let s = |text: &str| Value::Str(text.to_string());
     let mut events = Vec::new();
@@ -566,16 +558,13 @@ pub fn daemon_chrome_trace(entries: &[ReqLogEntry]) -> Value {
         .unwrap_or(0)
         .saturating_sub(entries.iter().map(|e| e.start_us).min().unwrap_or(0));
     Value::Obj(vec![
-        (
-            "schema".to_string(),
-            Value::Str(crate::TRACE_SCHEMA.to_string()),
-        ),
-        ("source".to_string(), Value::Str("daemon-trace".to_string())),
-        ("requests".to_string(), Value::Int(entries.len() as i64)),
-        ("connections".to_string(), Value::Int(conns.len() as i64)),
-        ("wall_us".to_string(), Value::Int(wall_us as i64)),
-        ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-        ("traceEvents".to_string(), Value::Arr(events)),
+        ("schema".into(), Value::Str(crate::TRACE_SCHEMA.to_string())),
+        ("source".into(), Value::Str("daemon-trace".to_string())),
+        ("requests".into(), Value::Int(entries.len() as i64)),
+        ("connections".into(), Value::Int(conns.len() as i64)),
+        ("wall_us".into(), Value::Int(wall_us as i64)),
+        ("displayTimeUnit".into(), Value::Str("ms".to_string())),
+        ("traceEvents".into(), Value::Arr(events)),
     ])
 }
 

@@ -37,13 +37,8 @@ use syncopt_machine::trace::Trace;
 /// The stable schema identifier embedded in every trace export.
 pub const TRACE_SCHEMA: &str = "syncopt.trace.v1";
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+fn obj(fields: Vec<(&'static str, Value)>) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 fn s(text: impl Into<String>) -> Value {

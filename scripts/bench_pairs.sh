@@ -3,6 +3,7 @@
 #
 # Usage: scripts/bench_pairs.sh --parent REV --pairs N --workload W
 #                               [--seconds S] [--seed K] [--trace 0|1]
+#                               [--env NAME=VALUE]...
 #
 # Builds the benchmark package (benchmark/, see BENCHMARK.json) twice,
 # both --offline: once from a checkout of REV extracted under
@@ -23,13 +24,17 @@
 # reports: a layer that reads 0 in every run is left out). A traced run
 # says where a gain sits; the gain itself is claimed from --trace 0 runs.
 #
+# Each --env NAME=VALUE (repeatable) is set in the environment of every
+# run, on both sides alike, and printed with the table: a comparison under
+# MALLOC_ARENA_MAX=1, say, is then a recorded command and not a hand-run.
+#
 # S defaults to the benchmark's run_seconds, K to 1. A gain is claimed
 # from ten pairs or more (docs/PERFORMANCE.md); CI runs one 2-second pair
 # so that this script cannot rot.
 set -eu
 
 usage() {
-    sed -n '2,6p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,7p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -39,9 +44,11 @@ WORKLOAD=""
 SECONDS_PER_RUN=""
 SEED=1
 TRACE=0
+# The --env settings, one NAME=VALUE per line.
+RUN_ENV=""
 while [ $# -gt 0 ]; do
     case "$1" in
-        --parent | --pairs | --workload | --seconds | --seed | --trace)
+        --parent | --pairs | --workload | --seconds | --seed | --trace | --env)
             [ $# -ge 2 ] || { echo "bench_pairs: $1 needs a value" >&2; usage; }
             case "$1" in
                 --parent) PARENT="$2" ;;
@@ -50,6 +57,13 @@ while [ $# -gt 0 ]; do
                 --seconds) SECONDS_PER_RUN="$2" ;;
                 --seed) SEED="$2" ;;
                 --trace) TRACE="$2" ;;
+                --env)
+                    case "$2" in
+                        [A-Za-z_]*=*) RUN_ENV="$RUN_ENV$2
+" ;;
+                        *) echo "bench_pairs: --env takes NAME=VALUE" >&2; exit 2 ;;
+                    esac
+                    ;;
             esac
             shift 2
             ;;
@@ -103,8 +117,17 @@ trap 'rm -f "$RESULTS"' EXIT
 run_side() {
     side="$1"
     tree="$2"
-    line="$(cd "$tree" && "./$BIN" --workload "$WORKLOAD" --seed "$SEED" \
-        --seconds "$SECONDS_PER_RUN" --trace "$TRACE" | tail -n 1)"
+    line="$(
+        cd "$tree"
+        # One setting per line; a value may hold spaces, not newlines.
+        while IFS= read -r setting; do
+            [ -z "$setting" ] || export "$setting"
+        done <<SETTINGS
+$RUN_ENV
+SETTINGS
+        "./$BIN" --workload "$WORKLOAD" --seed "$SEED" \
+            --seconds "$SECONDS_PER_RUN" --trace "$TRACE" | tail -n 1
+    )"
     printf '%s\t%s\n' "$side" "$line" >>"$RESULTS"
     echo "bench_pairs: pair $pair $side: $line" >&2
 }
@@ -124,11 +147,12 @@ done
 HOST_CPUS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
 RUSTC="$(rustc --version)"
 python3 - "$RESULTS" "$WORKLOAD" "$SEED" "$SECONDS_PER_RUN" "$PARENT_SHA" "$CHANGE_SHA" \
-    "$HOST_CPUS" "$RUSTC" "$TRACE" <<'EOF'
+    "$HOST_CPUS" "$RUSTC" "$TRACE" "$RUN_ENV" <<'EOF'
 import json
 import sys
 
-results, workload, seed, seconds, parent_sha, change_sha, host_cpus, rustc, trace = sys.argv[1:]
+results, workload, seed, seconds, parent_sha, change_sha, host_cpus, rustc, trace, env = sys.argv[1:]
+env = env.splitlines()
 trace = int(trace)
 runs = {"parent": [], "change": []}
 for line in open(results):
@@ -157,7 +181,8 @@ def milli(x):
 
 print(f"`{workload}`, seed {seed}, {pairs} alternating {seconds} s pairs, "
       f"tracing {'on' if trace else 'off'}; "
-      f"host_cpus {host_cpus}, {rustc}; parent `{parent_sha}`, change `{change_sha}`")
+      f"host_cpus {host_cpus}, {rustc}; parent `{parent_sha}`, change `{change_sha}`"
+      + (f"; both sides run with `{' '.join(env)}`" if env else ""))
 print()
 print("| metric | unit | parent q1 / median / q3 | change q1 / median / q3 | change ÷ parent | pairs won |")
 print("|---|---|---|---|---|---|")
@@ -179,7 +204,7 @@ for metric in json.load(open("BENCHMARK.json"))["per_layer" if trace else "end_t
     print(f"| `{name}` | {unit} | {cell(pq)} | {cell(cq)} | ×{ratio:.3f} | {wins} of {pairs} |")
     rows.append({
         "id": f"{workload}.{name}", "workload": workload, "metric": name, "unit": unit,
-        "trace": trace, "seed": int(seed), "pairs": pairs,
+        "trace": trace, "seed": int(seed), "pairs": pairs, **({"env": env} if env else {}),
         "parent": dict(zip(("q1_milli", "median_milli", "q3_milli"), map(milli, pq))),
         "change": dict(zip(("q1_milli", "median_milli", "q3_milli"), map(milli, cq))),
         "change_wins": wins, "ties": ties, "ratio_milli": milli(ratio),

@@ -441,6 +441,45 @@ fn frontend_errors_are_rendered_with_position() {
     let _ = std::fs::remove_file(path);
 }
 
+/// `X = ((((…1…))))` nested 100 000 deep used to abort `syncoptc` with a
+/// stack overflow (exit 134). It is a coded diagnostic now, naming the
+/// parenthesis that crossed the limit.
+#[test]
+fn a_source_nested_100_000_deep_is_a_coded_diagnostic_not_an_abort() {
+    let path = std::env::temp_dir().join(format!("syncopt-deep-{}.ms", std::process::id()));
+    let n = 100_000;
+    let src = format!(
+        "shared int X;\nfn main() {{\n    X = {}1{};\n}}\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    std::fs::write(&path, src).unwrap();
+    for command in ["check", "analyze", "run"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_syncoptc"))
+            .args([command, path.to_str().unwrap()])
+            .output()
+            .expect("binary should run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first_line = stderr.lines().next().unwrap_or_default();
+        assert_eq!(out.status.code(), Some(1), "{command}: {first_line}");
+        assert!(
+            first_line.contains("nesting deeper than 128 levels"),
+            "{command}: {first_line}"
+        );
+        if command == "check" {
+            assert!(first_line.contains("error[E007]"), "{first_line}");
+            // Level 1 is the function body; the 128th parenthesis is the
+            // 129th level.
+            let at = format!(":3:{}", "    X = ".len() + 128);
+            assert!(
+                stderr.lines().nth(1).is_some_and(|l| l.ends_with(&at)),
+                "expected the span at {at}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// Satellite guarantee of the session/daemon redesign: with
 /// `--format json`, every subcommand emits exactly one schema-versioned
 /// JSON document on stdout, and nothing else; diagnostics go to stderr.

@@ -343,3 +343,40 @@ fn hostile_request_lines_get_bad_request_and_leave_the_daemon_serving() {
     assert!(reply.contains(r#""id":3"#), "got: {reply}");
     stop(&path, handle);
 }
+
+/// A source nested 100 000 deep fits under the request-line limit; it used
+/// to overflow the stack of the connection thread and take the whole
+/// daemon — every client's session — down with it. It is answered with the
+/// parser's coded diagnostic, and the daemon goes on serving.
+#[test]
+fn a_deeply_nested_source_is_refused_and_the_daemon_stays_up() {
+    let (path, handle) = start("nesting");
+    let mut client = DaemonClient::connect(&path).expect("connect");
+    let n = 100_000;
+    let deep = format!(
+        "shared int X; fn main() {{ X = {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    assert!(deep.len() < MAX_REQUEST_BYTES);
+    for command in ["check", "run", "lint", "explain"] {
+        let q = query(command, "deep.ms", &deep, Format::Human);
+        let (out, _) = client.query(&q).expect("the daemon answers");
+        let failure = out.failure.clone().expect("the query fails");
+        assert!(
+            failure.contains("nesting deeper than 128 levels"),
+            "{command}: {}",
+            failure.lines().next().unwrap_or_default()
+        );
+        assert_eq!(out, execute(&mut AnalysisSession::new(), &q), "{command}");
+    }
+    client.ping().expect("the same connection still answers");
+    let kernel = &all_kernels(4)[0];
+    let q = query("check", kernel.name, &kernel.source, Format::Json);
+    let (out, _) = DaemonClient::connect(&path)
+        .expect("a new connection is accepted")
+        .query(&q)
+        .expect("check");
+    assert!(out.failure.is_none());
+    stop(&path, handle);
+}

@@ -216,3 +216,65 @@ fn processor_counts_scale_results() {
         assert_eq!(total, syncopt::machine::Value::Int(3 * procs as i64));
     }
 }
+
+/// The deepest program the parser accepts goes through every later stage —
+/// each of them a recursive walk of what the parser built — on a test
+/// thread's 2 MiB stack in a debug build: blocks nested to the limit around
+/// an expression tree as tall as the limit, inside a function that is
+/// inlined, simulated at both ends of the optimizer.
+#[test]
+fn a_program_nested_to_one_below_the_limit_compiles_and_runs() {
+    use syncopt::frontend::parser::MAX_NESTING;
+    // `helper`'s body is level 1 and each `if` block one more, which puts
+    // the assignments at level MAX_NESTING - 7. The parentheses around
+    // the subscript take the seven levels left, and so do the operands of
+    // `-(-(0 + v * 1))`; both right-hand sides are MAX_NESTING nodes tall.
+    let ifs = MAX_NESTING - 8;
+    let chain = " + 1".repeat(MAX_NESTING - 1);
+    let src = format!(
+        "shared int A[8]; shared int X;\n\
+         fn helper(int v) {{ {open} X = v{chain}; A[{lp}MYPROC{rp}] = -(-(0 + v * 1)){ones}; {close} }}\n\
+         fn main() {{ helper(MYPROC); barrier; }}\n",
+        open = "if (v >= 0) { ".repeat(ifs),
+        close = "}".repeat(ifs),
+        lp = "(".repeat(7),
+        rp = ")".repeat(7),
+        ones = " + 1".repeat(MAX_NESTING - 5),
+    );
+    for level in [OptLevel::Blocking, OptLevel::Full] {
+        let r = run(
+            &src,
+            &MachineConfig::cm5(4),
+            level,
+            DelayChoice::SyncRefined,
+        )
+        .unwrap_or_else(|e| panic!("{level:?}: {e}"));
+        let cell = |name: &str| {
+            r.sim
+                .memory
+                .iter()
+                .find(|(v, _)| r.compiled.source_cfg.vars.info(*v).name == name)
+                .map(|(_, vals)| vals.clone())
+                .unwrap()
+        };
+        let ones = (MAX_NESTING - 5) as i64;
+        let expected: Vec<_> = (0..8)
+            .map(|p| syncopt::machine::Value::Int(if p < 4 { p + ones } else { 0 }))
+            .collect();
+        assert_eq!(cell("A"), expected, "{level:?}");
+    }
+    // One more of anything is refused, so the program above is the edge.
+    for (from, to) in [
+        ("X = v", "X = 1 + v"),
+        ("A[(", "A[(("),
+        ("-(-(0", "-(-(-(0"),
+        ("fn helper(int v) {", "fn helper(int v) { {"),
+    ] {
+        let deeper = src.replacen(from, to, 1);
+        assert_ne!(deeper, src);
+        match Syncopt::new(&deeper).compile() {
+            Err(e) => assert_eq!(e.to_diagnostic().code, "E007", "{to}: {e}"),
+            Ok(_) => panic!("{to}: one level past the limit compiled"),
+        }
+    }
+}

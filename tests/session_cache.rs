@@ -8,9 +8,11 @@
 
 use syncopt::commands::{execute, CmdOut, Format, Query};
 use syncopt::core::corpus::{corpus_program, CORPUS_SEEDS};
+use syncopt::ir::print::cfg_to_string;
 use syncopt::kernels::all_kernels;
+use syncopt::machine::MachineConfig;
 use syncopt::session::{AnalysisSession, SessionOptions};
-use syncopt::Syncopt;
+use syncopt::{Compiled, OptLevel, Syncopt};
 
 const COMMANDS: [&str; 4] = ["check", "explain", "lint", "profile"];
 
@@ -519,4 +521,91 @@ fn programs_whose_blocks_print_alike_do_not_share_artifacts() {
         failed.failure.as_deref(),
         Some("simulation error: shared store out of bounds: v0[7]")
     );
+}
+
+/// Everything a caller can read off a compile, as one comparable value:
+/// the report text (timings are zero with tracing off), the optimized CFG
+/// text, the analysis summary and work counters, and the span of every
+/// access site of the optimized program.
+fn observable(c: &Compiled) -> (String, String, String, Vec<(u32, u32)>) {
+    assert!(!c.report.timings.enabled());
+    (
+        c.report.to_json().to_string(),
+        cfg_to_string(&c.optimized.cfg),
+        format!("{:?} {:?}", c.analysis.stats(), c.analysis.metrics),
+        c.optimized
+            .cfg
+            .accesses
+            .iter()
+            .map(|(_, info)| (info.span.start, info.span.end))
+            .collect(),
+    )
+}
+
+/// The builder's `compile` / `run` use a session whose cache is disabled
+/// and derive no cache key; a cold session derives and stores them all; a
+/// warm one is served from them. All three are the same pipeline and must
+/// not differ in anything a caller can observe.
+#[test]
+fn the_uncached_builder_a_cold_session_and_a_warm_one_agree_on_everything() {
+    let mut programs: Vec<(String, String, Option<u32>)> = Vec::new();
+    for draw in 1..=220 {
+        for procs in [None, Some(2), Some(4), Some(8)] {
+            programs.push((format!("corpus {draw}"), corpus_program(draw), procs));
+        }
+    }
+    for procs in [16, 64] {
+        for kernel in all_kernels(procs) {
+            programs.push((kernel.name.to_string(), kernel.source, Some(procs)));
+        }
+    }
+    let mut simulated = 0;
+    for (name, src, procs) in &programs {
+        for level in [OptLevel::Blocking, OptLevel::Full] {
+            let at = format!("{name} procs {procs:?} {level:?}");
+            let opts = SessionOptions {
+                procs: *procs,
+                level,
+                ..SessionOptions::default()
+            };
+            let mut builder = Syncopt::new(src).level(level);
+            if let Some(p) = procs {
+                builder = builder.procs(*p);
+            }
+            let mut session = AnalysisSession::new();
+            let uncached = observable(&builder.compile().expect("compiles"));
+            let cold = observable(&session.compile(src, &opts).expect("compiles"));
+            assert!(session.last_request_stats().misses > 0, "{at}");
+            let warm = observable(&session.compile(src, &opts).expect("compiles"));
+            assert_eq!(session.last_request_stats().misses, 0, "{at}");
+            assert_eq!(uncached, cold, "{at}: builder vs cold session");
+            assert_eq!(cold, warm, "{at}: cold vs warm session");
+
+            // Simulating a kernel at 64 processors three times over is
+            // slow in a debug build and adds no new path.
+            let Some(p) = procs.filter(|&p| p <= 16) else {
+                continue;
+            };
+            let config = MachineConfig::cm5(p);
+            // A random corpus program may deadlock: then the three must
+            // fail alike (errors are never cached).
+            let run = |r: Result<syncopt::RunResult, syncopt::SyncoptError>| {
+                r.map(|r| (observable(&r.compiled), format!("{:?}", r.sim)))
+                    .map_err(|e| e.to_string())
+            };
+            let uncached = run(builder.run(&config));
+            let cold = run(AnalysisSession::new().run(src, &opts, &config));
+            // `session` holds the compile artifacts: only `sim` misses.
+            let half_warm = run(session.run(src, &opts, &config));
+            let warm = run(session.run(src, &opts, &config));
+            assert_eq!(uncached, cold, "{at}: builder vs cold session, run");
+            assert_eq!(cold, half_warm, "{at}: cold vs half-warm session, run");
+            assert_eq!(cold, warm, "{at}: cold vs warm session, run");
+            if warm.is_ok() {
+                assert_eq!(session.last_request_stats().misses, 0, "{at}");
+                simulated += 1;
+            }
+        }
+    }
+    assert!(simulated > 500, "only {simulated} programs ran to the end");
 }

@@ -7,58 +7,14 @@
 //! step, allocates in proportion to the step count and fails by three
 //! orders of magnitude.
 //!
-//! The file is a test binary of its own because `#[global_allocator]`
-//! is per binary; the count is kept per thread, so the harness's other
-//! threads cannot disturb it.
+//! The file is a test binary of its own because the counting allocator
+//! of `tests/common` is a `#[global_allocator]`, which is per binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
+use common::allocations;
 use syncopt::machine::{simulate_configured, EngineKind, MachineConfig, SimOutputs};
 use syncopt::{OptLevel, Syncopt};
-
-struct Counting;
-
-thread_local! {
-    /// Allocator calls that obtained memory on this thread. Const
-    /// initialised and without a destructor, so reading it inside the
-    /// allocator neither allocates nor registers a thread-exit hook.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter bump that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed on as they came.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Every instruction kind the interpreter can loop over without its
 /// *data* growing with the trip count: local scalars and arrays, both
@@ -107,7 +63,7 @@ fn simulation_allocations(iterations: u32, level: OptLevel) -> (u64, u64) {
         .compile()
         .expect("program compiles");
     let config = MachineConfig::cm5(PROCS);
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = allocations();
     let result = simulate_configured(
         &compiled.optimized.cfg,
         &config,
@@ -115,7 +71,7 @@ fn simulation_allocations(iterations: u32, level: OptLevel) -> (u64, u64) {
         SimOutputs::lean(),
     )
     .expect("program simulates");
-    let after = ALLOCATIONS.with(Cell::get);
+    let after = allocations();
     (after - before, result.metrics.work.events_dequeued)
 }
 
