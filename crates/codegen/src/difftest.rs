@@ -261,6 +261,25 @@ fn subscript_corpus_matches_the_reference() {
     }
 }
 
+/// `i = A[i]` redefines its own subscript: in neither implementation may
+/// it serve the get of `A[i]` after it, in one block or across two.
+#[test]
+fn gets_into_their_own_subscript_match_the_reference() {
+    for src in [
+        "shared int A[8]; shared int B[8];
+         fn main() { int i; int j; i = A[MYPROC]; i = A[i]; j = A[i]; B[MYPROC] = j; }",
+        "shared int A[8]; shared int B[8];
+         fn main() { int i; int j; i = A[MYPROC]; i = A[i];
+             if (MYPROC == 0) { j = A[i]; B[MYPROC] = j; } }",
+    ] {
+        assert_same("a get into its own subscript", src, Some(4));
+        let cfg = lowered(src);
+        let analysis = analyzed(&cfg, Some(4));
+        let theirs = reference::optimize(&cfg, &analysis, OptLevel::Full, DelayChoice::SyncRefined);
+        assert_eq!(theirs.stats.gets_eliminated, 0, "{src}");
+    }
+}
+
 /// Element writes of a local array never kill it, in either liveness.
 #[test]
 fn local_arrays_match_the_reference() {

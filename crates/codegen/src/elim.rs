@@ -186,7 +186,8 @@ impl<'a> Sweeps<'a> {
                 // The nearest earlier get of the location decides: no delay
                 // edge between the two (§7's condition), and its value must
                 // still be good — destination and subscript operands not
-                // redefined, no own write to the location.
+                // redefined (by the get itself either), no own write to the
+                // location.
                 let reused = self.available(g2).and_then(|seen| {
                     let Instr::GetInit {
                         access: g1,
@@ -198,6 +199,7 @@ impl<'a> Sweeps<'a> {
                         unreachable!("the available instruction of a get sweep is a get");
                     };
                     let good = !self.ctx.delay.contains(*g1, g2)
+                        && !overwrites_own_subscript(*dst1, ref1)
                         && self.last_def[dst1.index()] <= seen.stamp
                         && !self.defined_since(ref1.index.as_ref(), seen.stamp)
                         && !self.touched_since(*g1, var, seen.stamp);
@@ -325,6 +327,13 @@ impl<'a> Sweeps<'a> {
     }
 }
 
+/// Whether a get into `dst` of `loc` names an operand of its own subscript
+/// as its destination (`i = A[i]`): once it has run, the subscript means
+/// another element, and the value it read serves no later get of it.
+fn overwrites_own_subscript(dst: VarId, loc: &SharedRef) -> bool {
+    loc.index.as_ref().is_some_and(|e| e.uses_var(dst))
+}
+
 /// Per block, the locals it defines and the shared variables it writes, as
 /// bit rows over the variables: a block whose row misses everything a
 /// cached read depends on cannot invalidate it.
@@ -435,7 +444,8 @@ pub(crate) fn reuse_gets_across_blocks(cfg: &mut Cfg, ctx: &Ctx<'_>, stats: &mut
             // too. A block that neither defines a watched local nor writes
             // the variable is clean without a look at its instructions.
             let invalidates = |instrs: &[Instr]| region_invalidates(subs, instrs, g1, ref1, *dst1);
-            if invalidates(&cfg.block(p1.block).instrs[p1.instr + 1..])
+            if overwrites_own_subscript(*dst1, ref1)
+                || invalidates(&cfg.block(p1.block).instrs[p1.instr + 1..])
                 || invalidates(&cfg.block(p2.block).instrs[..p2.instr])
             {
                 continue;
@@ -594,6 +604,18 @@ mod tests {
         assert_eq!(stats.gets_eliminated, 0, "{stats:?}");
     }
 
+    /// `i = A[i]; j = A[i];` reads two elements: the first get redefines
+    /// its own subscript, so its value cannot stand in for the second.
+    #[test]
+    fn a_get_into_its_own_subscript_is_not_reused() {
+        let (cfg, stats) = run(r#"
+            shared int A[8]; shared int B[8];
+            fn main() { int i; int j; i = A[MYPROC]; i = A[i]; j = A[i]; B[MYPROC] = j; }
+            "#);
+        assert_eq!(stats.gets_eliminated, 0, "{stats:?}");
+        assert_eq!(count(&cfg, |i| matches!(i, Instr::GetInit { .. })), 3);
+    }
+
     #[test]
     fn overwritten_put_is_dropped() {
         // Two successive writes to the same element with no reader in
@@ -705,6 +727,23 @@ mod tests {
         );
         assert_eq!(stats.gets_eliminated, 1, "{stats:?}");
         assert_eq!(count(&cfg, |i| matches!(i, Instr::GetInit { .. })), 1);
+    }
+
+    #[test]
+    fn cross_block_reuse_refuses_a_get_into_its_own_subscript() {
+        let (cfg, stats) = run_cross(
+            r#"
+            shared int A[8]; shared int B[8];
+            fn main() {
+                int i; int j;
+                i = A[MYPROC];
+                i = A[i];
+                if (MYPROC == 0) { j = A[i]; B[MYPROC] = j; }
+            }
+            "#,
+        );
+        assert_eq!(stats.gets_eliminated, 0, "{stats:?}");
+        assert_eq!(count(&cfg, |i| matches!(i, Instr::GetInit { .. })), 3);
     }
 
     #[test]

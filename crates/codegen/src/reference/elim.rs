@@ -90,6 +90,7 @@ fn reusable_get(
         // No delay edge between the two gets (§7's condition), and the
         // cached value must still be good.
         if delay.contains(*g1_access, *g2_access)
+            || overwrites_own_subscript(*dst1, ref1)
             || region_invalidates(&instrs[i + 1..j], ref1, *dst1)
         {
             return None;
@@ -191,7 +192,8 @@ pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, sta
             // Invalidation scan: suffix of b1, prefix of b2, and every
             // block on some path b1 → X → b2 (includes loop bodies that
             // could re-enter b2).
-            if region_invalidates(&cfg.block(*b1).instrs[i + 1..], ref1, *dst1)
+            if overwrites_own_subscript(*dst1, ref1)
+                || region_invalidates(&cfg.block(*b1).instrs[i + 1..], ref1, *dst1)
                 || region_invalidates(&cfg.block(*b2).instrs[..j], ref1, *dst1)
             {
                 continue;
@@ -223,6 +225,12 @@ pub fn eliminate_redundant_gets_cross_block(cfg: &mut Cfg, delay: &DelaySet, sta
         }
     }
     cfg.recompute_access_positions();
+}
+
+/// Whether the get into `dst` of `loc` redefines an operand of its own
+/// subscript (`i = A[i]`), so its value serves no later get of it.
+fn overwrites_own_subscript(dst: VarId, loc: &SharedRef) -> bool {
+    loc.index.as_ref().is_some_and(|e| e.uses_var(dst))
 }
 
 /// Whether any instruction in `instrs` invalidates a cached read of `loc`

@@ -4,9 +4,9 @@
 //! The §4 set `D_SS` and the §5.1 step-2 set `D1` are back-path detection
 //! over the *same* graph, and steps 3–6 only orient and prune that graph.
 //! So the conflict set (with the interned subscript table its construction
-//! leaves behind), the program order, the dominator trees, the `D_SS`
-//! oracle, `D_SS` itself, `D1` (its pairs with a synchronization side) and
-//! the lock guards are built once per CFG, here, and every consumer —
+//! leaves behind), the program order, the dominator trees, the condensed
+//! mirror copy, `D_SS` itself, `D1` (its pairs with a synchronization side)
+//! and the lock guards are built once per CFG, here, and every consumer —
 //! [`AnalysisBase::refine`] for the full analysis and for each redundancy
 //! probe of the lint engine, the race classifier's barrier-free re-run,
 //! `explain`'s witnesses — reads them from the one [`AnalysisBase`] the
@@ -14,7 +14,7 @@
 
 use crate::affine::SubscriptTable;
 use crate::conflict::ConflictSet;
-use crate::cycle::{delay_set_over, BackPathOracle, DelayOptions, MirrorClosure};
+use crate::cycle::MirrorClosure;
 use crate::delay::DelaySet;
 use crate::locks::{compute_lock_guards, LockGuards};
 use crate::obs::Counters;
@@ -37,8 +37,9 @@ pub struct AnalysisBase {
     pub dom: Dominators,
     /// Postdominators of the CFG.
     pub pdom: Dominators,
-    /// The closure of the unoriented mirror copy — the `D_SS` oracle's
-    /// state; [`AnalysisBase::oracle`] puts it back to work.
+    /// The condensation of the unoriented mirror copy with its ancestor
+    /// rows: what `D_SS` was read from, and what step 6 reads again when
+    /// orientation removes no direction.
     pub closure: MirrorClosure,
     /// Shasha–Snir delay set (baseline, §4).
     pub delay_ss: DelaySet,
@@ -54,8 +55,8 @@ pub struct AnalysisBase {
 }
 
 impl AnalysisBase {
-    /// Builds the base for `cfg`. Of `opts` only the processor count and
-    /// the thread count matter; the barrier policy enters at
+    /// Builds the base for `cfg`. Of `opts` only the processor count
+    /// matters; the barrier policy and the thread count enter at
     /// [`AnalysisBase::refine`].
     pub fn build(cfg: &Cfg, opts: &SyncOptions) -> Self {
         let mut counters = Counters::new();
@@ -72,14 +73,14 @@ impl AnalysisBase {
         counters.set("conflict.proc_steps", conflict_stats.proc_steps);
 
         let po = ProgramOrder::compute(cfg);
-        let closure = MirrorClosure::build(&conflicts, &po);
-        let (delay_ss, mut ss_stats) = delay_set_over(
-            &BackPathOracle::with_closure(&conflicts, &po, &closure),
-            &DelayOptions {
-                threads: opts.threads,
-                ..DelayOptions::default()
-            },
+        // The rows of `D_SS` rest on §4's lemma, which needs `C` symmetric
+        // (see `MirrorClosure::delay_ss`).
+        debug_assert!(
+            conflicts.is_symmetric(),
+            "a fresh conflict set is symmetric"
         );
+        let closure = MirrorClosure::build(&conflicts, &po);
+        let (delay_ss, mut ss_stats) = closure.delay_ss(&po);
         ss_stats.add_oracle_build(closure.build_stats());
         counters.set("cycle.candidate_pairs", ss_stats.candidates);
         counters.set("cycle.pruned_candidates", ss_stats.pruned_candidates);
@@ -111,11 +112,5 @@ impl AnalysisBase {
             guards,
             counters,
         }
-    }
-
-    /// The back-path oracle over the unoriented mirror copy (the one
-    /// `D_SS` was computed with), for witness searches.
-    pub fn oracle(&self) -> BackPathOracle<'_> {
-        BackPathOracle::with_closure(&self.conflicts, &self.po, &self.closure)
     }
 }

@@ -192,6 +192,12 @@ impl ConflictSet {
         out
     }
 
+    /// Whether every edge `a → b` has its reverse `b → a` — true of a
+    /// freshly built set, the precondition of the `D_SS` rows.
+    pub fn is_symmetric(&self) -> bool {
+        (0..self.n).all(|a| self.directed.row_ones(a).all(|b| self.directed.get(b, a)))
+    }
+
     /// Number of directed edges currently present.
     pub fn num_directed_edges(&self) -> usize {
         self.directed.count_ones()

@@ -20,35 +20,35 @@
 //! possibly slightly larger delay set — the standard practical compromise,
 //! and exact for the two-processor patterns the paper's figures exercise.
 //!
-//! # Throughput (see docs/PERFORMANCE.md)
+//! # Rows, not queries (see docs/PERFORMANCE.md §1)
 //!
-//! The oracle is built for scaled inputs (unrolled kernels, large machine
-//! sizes):
-//!
-//! * mirror-copy reachability is a Tarjan SCC condensation plus a
-//!   word-parallel row-OR closure in reverse topological order
-//!   ([`syncopt_ir::order::reachability_counted`]), not per-start BFS;
-//! * candidate pairs with no conflict fan-out at `v` or fan-in at `u` are
-//!   pruned before touching the oracle — a back-path must leave `v` and
-//!   re-enter `u` through conflict edges, so such pairs can never be
-//!   delays regardless of removals (removals only shrink the graph);
-//! * `has_back_path` works on bitsets held in a reusable
-//!   [`BackPathScratch`]: conflict successor/predecessor rows intersected
-//!   word-parallel against the removal set, with a blocked-node BFS kept
-//!   only as the fallback for queries whose removal set actually cuts the
-//!   cached reachability;
-//! * the candidate loop shards deterministically over row ranges and runs
+//! * The mirror copy is condensed over `S ∪ C`, where `S` is the sparse
+//!   skeleton of `P` ([`ProgramOrder::skeleton`], `S⁺ = P`): same
+//!   reachability, O(n + |C|) edges instead of O(n²). Its condensation
+//!   keeps one **ancestor row** per component
+//!   ([`syncopt_ir::order::Ancestors`]), `Anc(K) = {w : w ⇝ K}`.
+//! * **`D_SS` is three rows ANDed per `u`.** §4's `C` is symmetric, so a
+//!   conflict edge and its reverse put both ends in one cyclic component:
+//!   `v → x ⇝ y → u` exists iff `v ⇝ u`, and
+//!   `(u, v) ∈ D_SS ⟺ u <_P v ∧ u, v ∈ HasC ∧ v ∈ Anc(u)`
+//!   ([`MirrorClosure::delay_ss`]). No pair is asked anything.
+//! * **Step 6 asks only what `D_SS` kept** ([`delay_set_over`]): per `u`
+//!   one row `S_u` of everything that reaches a conflict predecessor of
+//!   `u`, per candidate `v` one word-intersection with `v`'s conflict
+//!   successors; the removal set is built, and the BFS of
+//!   [`BackPathOracle::query`] run, only for candidates that pass.
+//! * The candidate loop shards deterministically over row ranges and runs
 //!   on `std::thread::scope` threads when [`DelayOptions::threads`] > 1.
 
 use crate::conflict::ConflictSet;
 use crate::delay::DelaySet;
-use std::borrow::Cow;
+use crate::sync::Precedence;
 use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::{reachability_counted, BitMatrix, BitSet, ProgramOrder, ReachStats};
+use syncopt_ir::order::{Ancestors, BitMatrix, BitSet, Csr, ProgramOrder, ReachStats};
 
-/// Options controlling one delay-set computation.
+/// Options controlling one [`delay_set_over`] run.
 #[derive(Default)]
 pub struct DelayOptions<'a> {
     /// Per-candidate node removal: given the candidate `(u, v)`, marks
@@ -63,72 +63,122 @@ pub struct DelayOptions<'a> {
     pub threads: usize,
 }
 
-/// Everything derived from one mirror copy `P ∪ C` that a back-path query
-/// reads: the cached reachability and the conflict fan-in/out bitsets. It
-/// owns no reference to the graph it was built from, so the analysis base
-/// can keep it beside the conflict set and the program order.
+/// Everything derived from one mirror copy `S ∪ C` that a back-path
+/// question reads: the condensation with its ancestor rows and the
+/// conflict fan-in/out bitsets. It owns no reference to the graph it was
+/// built from, so the analysis base can keep it beside the conflict set
+/// and the program order.
 #[derive(Debug, Clone)]
 pub struct MirrorClosure {
-    /// `reach.get(x, y)` iff `y'` reachable from `x'` via ≥ 1 mirror edge
-    /// (no removals).
-    reach: BitMatrix,
-    /// Row `a` = directed conflict predecessors of `a` (transpose of the
-    /// conflict relation; successors come straight from the conflict set).
-    conf_pred: BitMatrix,
+    /// `Anc` per component of the mirror copy (no removals).
+    anc: Ancestors,
     /// Accesses with ≥ 1 directed conflict successor / predecessor — the
-    /// candidate-pruning oracle.
+    /// candidate-pruning oracle. For a symmetric `C` both are `HasC`.
     has_succ: BitSet,
     has_pred: BitSet,
-    /// Work done while building (SCCs found, closure words ORed).
-    build_stats: ReachStats,
 }
 
 impl MirrorClosure {
-    /// Condenses and closes the mirror copy of `po ∪ conflicts`.
+    /// Condenses the mirror copy of `po ∪ conflicts` over the skeleton of
+    /// `po`. A program-order self-pair is not an edge (the skeleton's
+    /// self-loops are dropped, as the diagonal of `P` always was); a
+    /// self-conflict is.
     pub fn build(conflicts: &ConflictSet, po: &ProgramOrder) -> Self {
         let n = conflicts.num_accesses();
-        // Mirror adjacency, two word-ORs per row: program-order successors
-        // (an access is not its own P-successor here; a self-conflict
-        // still loops) ∪ conflict successors.
-        let mut mirror_adj = BitMatrix::new(n);
-        for x in 0..n {
-            let xa = AccessId::from_index(x);
-            mirror_adj.or_row_words(x, po.succ_row_words(xa));
-            mirror_adj.clear(x, x);
-            mirror_adj.or_row_words(x, conflicts.succ_row_words(xa));
-        }
-        let (reach, build_stats) = reachability_counted(&mirror_adj);
-        let mut conf_pred = BitMatrix::new(n);
+        let skeleton = po.skeleton();
+        let mirror = Csr::from_edges(n, |edge| {
+            for x in 0..n {
+                for &y in skeleton.successors(x) {
+                    if y as usize != x {
+                        edge(x, y as usize);
+                    }
+                }
+                for y in conflicts.succ_ones(AccessId::from_index(x)) {
+                    edge(x, y);
+                }
+            }
+        });
         let mut has_succ = BitSet::new(n);
         let mut has_pred = BitSet::new(n);
         for a in 0..n {
             for b in conflicts.succ_ones(AccessId::from_index(a)) {
                 has_succ.insert(a);
-                conf_pred.set(b, a);
                 has_pred.insert(b);
             }
         }
         MirrorClosure {
-            reach,
-            conf_pred,
+            anc: Ancestors::compute(&mirror),
             has_succ,
             has_pred,
-            build_stats,
         }
     }
 
-    /// Work counters from building the closure.
+    /// The accesses that reach `y` in the mirror copy, ascending.
+    #[cfg(test)]
+    pub(crate) fn ancestors_of(&self, y: usize) -> Vec<usize> {
+        let words = self.anc.of(y);
+        (0..self.has_succ.universe())
+            .filter(|&x| words[x / 64] & (1 << (x % 64)) != 0)
+            .collect()
+    }
+
+    /// Work counters from building the closure (components found, words
+    /// ORed pushing the ancestor rows).
     pub fn build_stats(&self) -> ReachStats {
-        self.build_stats
+        self.anc.stats()
+    }
+
+    /// The Shasha–Snir set of the **symmetric** conflict set this closure
+    /// was built from, row by row: for `u ∈ HasC`,
+    /// `D_SS[u] = P[u] ∩ HasC ∩ Anc(u)`.
+    ///
+    /// Why: with `C` symmetric, `x ∈ C[v]` gives the cycle `v → x → v`, so
+    /// `v`'s conflict neighbours share its component. A back-path
+    /// `v → x ⇝ y → u` therefore exists iff `v ⇝ u` with `u`, `v` both
+    /// having a conflict: `v → x ⇝ y → u` is such a walk, and from
+    /// `v ⇝ u` any `x ∈ C[v]`, `y ∈ C[u]` give `x → v ⇝ u → y`.
+    ///
+    /// The counters keep their old meaning where one is left:
+    /// `candidates` is `|P|`, `pruned_candidates` the pairs outside
+    /// `HasC × HasC`; every other pair is decided by its row, so
+    /// `backpath_queries` is 0.
+    pub fn delay_ss(&self, po: &ProgramOrder) -> (DelaySet, DelayQueryStats) {
+        let has_c = &self.has_succ;
+        let n = has_c.universe();
+        let mut m = BitMatrix::new(n);
+        let mut stats = DelayQueryStats::default();
+        let mut decided = 0u64;
+        for u in 0..n {
+            let p = po.succ_row_words(AccessId::from_index(u));
+            stats.candidates += p.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+            if !has_c.contains(u) {
+                continue;
+            }
+            let row = p.iter().zip(has_c.words()).zip(self.anc.of(u));
+            for (d, ((p, h), a)) in m.row_words_mut(u).iter_mut().zip(row) {
+                decided += u64::from((p & h).count_ones());
+                *d = p & h & a;
+            }
+        }
+        let delay = DelaySet::from_matrix(m);
+        stats.pruned_candidates = stats.candidates - decided;
+        stats.delays_found = delay.len() as u64;
+        (delay, stats)
     }
 }
 
 /// The mirror-copy graph with its [`MirrorClosure`]: answers back-path
-/// queries and produces witnesses.
+/// queries.
 pub struct BackPathOracle<'a> {
+    /// The directed conflict edges the mirror copy follows.
     conflicts: &'a ConflictSet,
+    /// The symmetric set `conflicts` was oriented from, and the precedence
+    /// relation that oriented it (step 5 drops `a2 → a1` for
+    /// `(a1, a2) ∈ R`), so `Cpred(u) = C[u] ∖ R[u]` needs no transpose.
+    unoriented: &'a ConflictSet,
+    precedence: Option<&'a Precedence>,
     po: &'a ProgramOrder,
-    closure: Cow<'a, MirrorClosure>,
+    closure: &'a MirrorClosure,
     n: usize,
 }
 
@@ -138,6 +188,12 @@ pub struct BackPathScratch {
     /// The removal set for the next query; cleared and refilled by the
     /// driver before each call.
     pub removed: BitSet,
+    /// `Cpred(u)` of the candidate row being asked.
+    preds: BitSet,
+    /// `S_u`: every access that is, or reaches, a member of `preds`.
+    reaches_u: BitSet,
+    /// Components already ORed into a row (dedup marker).
+    comps: BitSet,
     starts: BitSet,
     ends: BitSet,
     seen: BitSet,
@@ -148,30 +204,41 @@ pub struct BackPathScratch {
 }
 
 impl<'a> BackPathOracle<'a> {
-    /// Builds the oracle for the current (possibly partially oriented)
-    /// conflict set, closure included.
-    pub fn new(conflicts: &'a ConflictSet, po: &'a ProgramOrder) -> Self {
-        let closure = Cow::Owned(MirrorClosure::build(conflicts, po));
-        BackPathOracle {
-            conflicts,
-            po,
-            closure,
-            n: conflicts.num_accesses(),
-        }
-    }
-
-    /// The oracle over a closure built earlier from the same `conflicts`
-    /// and `po`.
-    pub fn with_closure(
+    /// The oracle over a **symmetric** conflict set and the closure built
+    /// from it.
+    pub fn new(
         conflicts: &'a ConflictSet,
         po: &'a ProgramOrder,
         closure: &'a MirrorClosure,
     ) -> Self {
         BackPathOracle {
             conflicts,
+            unoriented: conflicts,
+            precedence: None,
             po,
-            closure: Cow::Borrowed(closure),
+            closure,
             n: conflicts.num_accesses(),
+        }
+    }
+
+    /// The oracle over `oriented`, the symmetric `unoriented` with the
+    /// direction `a2 → a1` removed for every `(a1, a2) ∈ precedence`
+    /// (§5.1 step 5), and a closure built from `oriented` — or from
+    /// `unoriented` when orientation removed nothing.
+    pub fn oriented(
+        unoriented: &'a ConflictSet,
+        oriented: &'a ConflictSet,
+        precedence: &'a Precedence,
+        po: &'a ProgramOrder,
+        closure: &'a MirrorClosure,
+    ) -> Self {
+        BackPathOracle {
+            conflicts: oriented,
+            unoriented,
+            precedence: Some(precedence),
+            po,
+            closure,
+            n: oriented.num_accesses(),
         }
     }
 
@@ -179,6 +246,9 @@ impl<'a> BackPathOracle<'a> {
     pub fn scratch(&self) -> BackPathScratch {
         BackPathScratch {
             removed: BitSet::new(self.n),
+            preds: BitSet::new(self.n),
+            reaches_u: BitSet::new(self.n),
+            comps: BitSet::new(self.closure.anc.num_components()),
             starts: BitSet::new(self.n),
             ends: BitSet::new(self.n),
             seen: BitSet::new(self.n),
@@ -199,31 +269,26 @@ impl<'a> BackPathOracle<'a> {
         self.closure.has_pred.contains(u.index())
     }
 
-    /// Work counters from building the mirror-copy closure.
-    pub fn build_stats(&self) -> ReachStats {
-        self.closure.build_stats
+    /// `out = Cpred(u)`, the directed conflict predecessors of `u`.
+    fn preds_into(&self, u: AccessId, out: &mut BitSet) {
+        out.clear();
+        out.union_words(self.unoriented.succ_row_words(u));
+        if let Some(r) = self.precedence {
+            out.subtract_words(r.row_words(u));
+        }
     }
 
-    /// Pushes the not-yet-seen, unblocked mirror successors of `node` —
-    /// program-order ∪ conflict edges, ascending — onto `queue`.
-    fn expand(
-        &self,
-        node: usize,
-        seen: &mut BitSet,
-        blocked: &BitSet,
-        queue: &mut Vec<usize>,
-        mut visit: impl FnMut(usize),
-    ) {
-        let a = AccessId::from_index(node);
-        let (p, c) = (self.po.succ_row_words(a), self.conflicts.succ_row_words(a));
-        for (wi, (p, c)) in p.iter().zip(c).enumerate() {
-            let mut fresh = (p | c) & !seen.words()[wi] & !blocked.words()[wi];
-            while fresh != 0 {
-                let next = wi * 64 + fresh.trailing_zeros() as usize;
-                fresh &= fresh - 1;
-                seen.insert(next);
-                queue.push(next);
-                visit(next);
+    /// `out = set ∪ ⋃_{y ∈ set} Anc(y)`: everything that is, or reaches,
+    /// a member of `set`.
+    fn reaching_into(&self, set: &BitSet, comps: &mut BitSet, out: &mut BitSet) {
+        out.clear();
+        out.union_words(set.words());
+        comps.clear();
+        for y in set.iter_ones() {
+            let c = self.closure.anc.component(y);
+            if !comps.contains(c) {
+                comps.insert(c);
+                out.union_words(self.closure.anc.of_component(c));
             }
         }
     }
@@ -231,6 +296,12 @@ impl<'a> BackPathOracle<'a> {
     /// Whether a back-path from `v` to `u` exists, excluding the accesses
     /// in `scratch.removed` from the mirror copy.
     pub fn query(&self, u: AccessId, v: AccessId, scratch: &mut BackPathScratch) -> bool {
+        self.preds_into(u, &mut scratch.preds);
+        self.query_from_preds(v, scratch)
+    }
+
+    /// [`BackPathOracle::query`] with `scratch.preds` already `Cpred(u)`.
+    fn query_from_preds(&self, v: AccessId, scratch: &mut BackPathScratch) -> bool {
         // starts = conflict succs of v, minus removed.
         scratch
             .starts
@@ -239,10 +310,9 @@ impl<'a> BackPathOracle<'a> {
             return false;
         }
         // ends = conflict preds of u, minus removed.
-        scratch.ends.assign_and_not(
-            self.closure.conf_pred.row_words(u.index()),
-            &scratch.removed,
-        );
+        scratch
+            .ends
+            .assign_and_not(scratch.preds.words(), &scratch.removed);
         if scratch.ends.is_empty() {
             return false;
         }
@@ -250,16 +320,26 @@ impl<'a> BackPathOracle<'a> {
         if scratch.starts.intersects(&scratch.ends) {
             return true;
         }
-        // Word-parallel reachability: ∃ x ∈ starts with reach(x) ∩ ends.
-        let reachable = scratch.starts.iter_ones().any(|x| {
-            scratch
-                .ends
-                .intersects_words(self.closure.reach.row_words(x))
-        });
+        // Ancestor rows: ∃ y ∈ ends with starts ∩ Anc(y) ≠ ∅.
+        scratch.comps.clear();
+        let mut reachable = false;
+        for y in scratch.ends.iter_ones() {
+            let c = self.closure.anc.component(y);
+            if !scratch.comps.contains(c) {
+                scratch.comps.insert(c);
+                if scratch
+                    .starts
+                    .intersects_words(self.closure.anc.of_component(c))
+                {
+                    reachable = true;
+                    break;
+                }
+            }
+        }
         if scratch.removed.is_empty() || !reachable {
-            // No removals: the cached closure is exact. With removals, a
-            // path absent from the *unrestricted* graph cannot appear in
-            // the restricted one.
+            // No removals: the rows are exact. With removals, a path
+            // absent from the *unrestricted* graph cannot appear in the
+            // restricted one.
             return reachable;
         }
         // Removals might cut every cached path: BFS avoiding removed
@@ -278,7 +358,9 @@ impl<'a> BackPathOracle<'a> {
             if scratch.ends.contains(node) {
                 return true;
             }
-            self.expand(
+            expand(
+                self.conflicts,
+                self.po,
                 node,
                 &mut scratch.seen,
                 &scratch.removed,
@@ -298,69 +380,113 @@ impl<'a> BackPathOracle<'a> {
         }
         self.query(u, v, &mut scratch)
     }
+}
 
-    /// One concrete back-path from `v` to `u` avoiding `removed`: the
-    /// interior (mirror-copy) access chain `[x, …, y]` with conflict edges
-    /// `v → x` and `y → u`, or `None` when no back-path exists.
-    ///
-    /// The chain is a shortest path and deterministic — BFS visits nodes
-    /// in ascending id order — so it can serve as a pinned, replayable
-    /// provenance witness (`syncoptc explain`).
-    pub fn witness(&self, u: AccessId, v: AccessId, removed: &[AccessId]) -> Option<Vec<AccessId>> {
-        let mut blocked = BitSet::new(self.n);
-        for r in removed {
-            blocked.insert(r.index());
+/// Pushes the not-yet-seen, unblocked mirror successors of `node` —
+/// program-order ∪ conflict edges, ascending — onto `queue`.
+fn expand(
+    conflicts: &ConflictSet,
+    po: &ProgramOrder,
+    node: usize,
+    seen: &mut BitSet,
+    blocked: &BitSet,
+    queue: &mut Vec<usize>,
+    mut visit: impl FnMut(usize),
+) {
+    let a = AccessId::from_index(node);
+    let (p, c) = (po.succ_row_words(a), conflicts.succ_row_words(a));
+    for (wi, (p, c)) in p.iter().zip(c).enumerate() {
+        let mut fresh = (p | c) & !seen.words()[wi] & !blocked.words()[wi];
+        while fresh != 0 {
+            let next = wi * 64 + fresh.trailing_zeros() as usize;
+            fresh &= fresh - 1;
+            seen.insert(next);
+            queue.push(next);
+            visit(next);
         }
-        let mut parent: Vec<usize> = vec![usize::MAX; self.n];
-        let mut seen = BitSet::new(self.n);
-        seen.assign_and_not(self.conflicts.succ_row_words(v), &blocked);
-        let mut queue: Vec<usize> = seen.iter_ones().collect();
-        let mut qi = 0;
-        while qi < queue.len() {
-            let node = queue[qi];
-            qi += 1;
-            if self.closure.conf_pred.get(u.index(), node) {
-                let mut chain = vec![AccessId::from_index(node)];
-                let mut cur = node;
-                while parent[cur] != usize::MAX {
-                    cur = parent[cur];
-                    chain.push(AccessId::from_index(cur));
-                }
-                chain.reverse();
-                return Some(chain);
-            }
-            self.expand(node, &mut seen, &blocked, &mut queue, |next| {
-                parent[next] = node;
-            });
-        }
-        None
     }
 }
 
-/// What one [`compute_delay_set_counted`] run did — the raw material of
-/// the pipeline observability report.
+/// One concrete back-path from `v` to `u` in the mirror copy of
+/// `po ∪ conflicts` avoiding `removed`: the interior access chain
+/// `[x, …, y]` with conflict edges `v → x` and `y → u`, or `None` when no
+/// back-path exists.
+///
+/// The chain is a shortest path and deterministic — BFS over the full `P`
+/// rows visits nodes in ascending id order — so it can serve as a pinned,
+/// replayable provenance witness (`syncoptc explain`). It needs no
+/// closure.
+pub fn witness(
+    conflicts: &ConflictSet,
+    po: &ProgramOrder,
+    u: AccessId,
+    v: AccessId,
+    removed: &[AccessId],
+) -> Option<Vec<AccessId>> {
+    let n = conflicts.num_accesses();
+    let mut blocked = BitSet::new(n);
+    for r in removed {
+        blocked.insert(r.index());
+    }
+    let mut parent: Vec<usize> = vec![usize::MAX; n];
+    let mut seen = BitSet::new(n);
+    seen.assign_and_not(conflicts.succ_row_words(v), &blocked);
+    let mut queue: Vec<usize> = seen.iter_ones().collect();
+    let mut qi = 0;
+    while qi < queue.len() {
+        let node = queue[qi];
+        qi += 1;
+        if conflicts.edge(AccessId::from_index(node), u) {
+            let mut chain = vec![AccessId::from_index(node)];
+            let mut cur = node;
+            while parent[cur] != usize::MAX {
+                cur = parent[cur];
+                chain.push(AccessId::from_index(cur));
+            }
+            chain.reverse();
+            return Some(chain);
+        }
+        expand(
+            conflicts,
+            po,
+            node,
+            &mut seen,
+            &blocked,
+            &mut queue,
+            |next| {
+                parent[next] = node;
+            },
+        );
+    }
+    None
+}
+
+/// What one delay-set computation did — the raw material of the pipeline
+/// observability report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DelayQueryStats {
-    /// Ordered program pairs considered as delay candidates.
+    /// Ordered pairs considered: every program pair for `D_SS`, the
+    /// candidate set for [`delay_set_over`].
     pub candidates: u64,
     /// Candidates pruned because `v` has no conflict successor or `u` has
-    /// no conflict predecessor (no possible back-path; the oracle is
-    /// never consulted).
+    /// no conflict predecessor (no possible back-path).
     pub pruned_candidates: u64,
-    /// Back-path oracle queries issued.
+    /// Candidates that reached the `S_u` filter of [`delay_set_over`]
+    /// (0 for `D_SS`, which is decided by rows).
     pub backpath_queries: u64,
     /// Queries that fell back to the blocked-node BFS.
     pub bfs_fallbacks: u64,
     /// Mirror-copy nodes excluded across all removal callbacks (§5.1
-    /// step 6 / §5.3 lock rule).
+    /// step 6 / §5.3 lock rule) — built only for candidates that passed
+    /// the filter.
     pub removed_nodes: u64,
-    /// Queries that found a back-path (delay edges kept).
+    /// Delay pairs found.
     pub delays_found: u64,
-    /// Oracles built (mirror-copy closures computed).
+    /// Mirror copies condensed.
     pub oracle_builds: u64,
     /// SCCs found while condensing the mirror copy.
     pub sccs: u64,
-    /// `u64` words ORed during the mirror-copy closure.
+    /// `u64` words ORed pushing the ancestor rows.
     pub closure_word_ors: u64,
 }
 
@@ -386,41 +512,42 @@ impl DelayQueryStats {
     }
 }
 
-/// Computes a delay set by back-path detection over `P ∪ C`.
-///
-/// With default options and a freshly built (symmetric) conflict set this is
-/// the Shasha–Snir set `D_SS`; §5 calls it with oriented conflicts and
-/// removal callbacks.
-pub fn compute_delay_set(
-    conflicts: &ConflictSet,
-    po: &ProgramOrder,
-    opts: &DelayOptions<'_>,
-) -> DelaySet {
-    compute_delay_set_counted(conflicts, po, opts).0
+/// The Shasha–Snir delay set `D_SS` of a **symmetric** conflict set (as
+/// [`ConflictSet::build`] makes it): the rows of
+/// [`MirrorClosure::delay_ss`].
+pub fn compute_delay_set(conflicts: &ConflictSet, po: &ProgramOrder) -> DelaySet {
+    compute_delay_set_counted(conflicts, po).0
 }
 
-/// [`compute_delay_set`], additionally reporting how much work the
-/// back-path search and the oracle build performed.
+/// [`compute_delay_set`], additionally reporting the work done.
 pub fn compute_delay_set_counted(
     conflicts: &ConflictSet,
     po: &ProgramOrder,
-    opts: &DelayOptions<'_>,
 ) -> (DelaySet, DelayQueryStats) {
-    let oracle = BackPathOracle::new(conflicts, po);
-    let (delay, mut stats) = delay_set_over(&oracle, opts);
-    stats.add_oracle_build(oracle.build_stats());
+    debug_assert!(conflicts.is_symmetric(), "D_SS rows need a symmetric C");
+    let closure = MirrorClosure::build(conflicts, po);
+    let (delay, mut stats) = closure.delay_ss(po);
+    stats.add_oracle_build(closure.build_stats());
     (delay, stats)
 }
 
-/// The candidate loop of [`compute_delay_set_counted`] over an oracle the
-/// caller built (and books with [`DelayQueryStats::add_oracle_build`]).
+/// Back-path detection over `oracle` for the pairs of `candidates` only —
+/// §5.1 step 6 asks the pairs of `D_SS ∖ D1`, because its answer is a
+/// subset of `D_SS` (removals and orientation only cut paths) that is
+/// unioned with `D1` anyway.
+///
+/// Per candidate row `u`: one row `S_u = Cpred(u) ∪ ⋃_{y ∈ Cpred(u)} Anc(y)`;
+/// per candidate `v`: one word-intersection `Csucc(v) ∩ S_u`, which is the
+/// unrestricted answer. Only a candidate that passes builds its removal
+/// set and, when that is non-empty, asks [`BackPathOracle::query`].
 ///
 /// With `opts.threads > 1` the candidate rows are split into contiguous
 /// shards processed by scoped worker threads; shard results merge in fixed
 /// shard order, so the delay set and every counter are bit-identical to a
-/// serial run.
+/// serial run. The caller books the oracle's build.
 pub fn delay_set_over(
     oracle: &BackPathOracle<'_>,
+    candidates: &DelaySet,
     opts: &DelayOptions<'_>,
 ) -> (DelaySet, DelayQueryStats) {
     let n = oracle.n;
@@ -430,15 +557,30 @@ pub fn delay_set_over(
         let mut out = DelaySet::new(n);
         let mut stats = DelayQueryStats::default();
         for ui in lo..hi {
+            let asked = candidates.row_len(ui) as u64;
+            if asked == 0 {
+                continue;
+            }
+            stats.candidates += asked;
             let u = AccessId::from_index(ui);
-            let u_has_pred = oracle.has_conflict_pred(u);
-            for v in oracle.po.successors(u) {
-                stats.candidates += 1;
-                // Pruning: every back-path leaves v and re-enters u over
-                // conflict edges; removals only shrink those sets, so a
-                // pair failing here can never be a delay.
-                if !u_has_pred || !oracle.has_conflict_succ(v) {
+            // Pruning: every back-path re-enters u over a conflict edge.
+            if !oracle.has_conflict_pred(u) {
+                stats.pruned_candidates += asked;
+                continue;
+            }
+            oracle.preds_into(u, &mut scratch.preds);
+            oracle.reaching_into(&scratch.preds, &mut scratch.comps, &mut scratch.reaches_u);
+            for vi in candidates.row_ones(ui) {
+                let v = AccessId::from_index(vi);
+                if !oracle.has_conflict_succ(v) {
                     stats.pruned_candidates += 1;
+                    continue;
+                }
+                stats.backpath_queries += 1;
+                if !scratch
+                    .reaches_u
+                    .intersects_words(oracle.conflicts.succ_row_words(v))
+                {
                     continue;
                 }
                 scratch.removed.clear();
@@ -446,8 +588,7 @@ pub fn delay_set_over(
                     f(u, v, &mut scratch.removed);
                 }
                 stats.removed_nodes += scratch.removed.count_ones() as u64;
-                stats.backpath_queries += 1;
-                if oracle.query(u, v, &mut scratch) {
+                if scratch.removed.is_empty() || oracle.query_from_preds(v, &mut scratch) {
                     stats.delays_found += 1;
                     out.insert(u, v);
                 }
@@ -499,7 +640,7 @@ pub fn shasha_snir(cfg: &Cfg) -> DelaySet {
 pub fn shasha_snir_bounded(cfg: &Cfg, procs: Option<u32>) -> DelaySet {
     let conflicts = ConflictSet::build_bounded(cfg, procs);
     let po = ProgramOrder::compute(cfg);
-    compute_delay_set(&conflicts, &po, &DelayOptions::default())
+    compute_delay_set(&conflicts, &po)
 }
 
 /// Convenience predicate: is access `a` a data access (read/write)?
@@ -582,14 +723,10 @@ pub(crate) mod naive {
         false
     }
 
-    /// The original all-pairs driver: no pruning, no caching, no threads.
-    pub fn compute_delay_set_naive(
-        cfg: &Cfg,
-        conflicts: &ConflictSet,
-        po: &ProgramOrder,
-        opts: &NaiveOptions<'_>,
-    ) -> DelaySet {
-        let n = cfg.accesses.len();
+    /// The mirror copy as adjacency lists, every pair of `P` an edge:
+    /// `x → y` for `x <_P y` with `x ≠ y`, and for every conflict edge.
+    pub fn mirror_lists(conflicts: &ConflictSet, po: &ProgramOrder) -> Vec<Vec<usize>> {
+        let n = conflicts.num_accesses();
         let mut mirror_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (x, adj) in mirror_adj.iter_mut().enumerate() {
             let xa = AccessId::from_index(x);
@@ -602,6 +739,18 @@ pub(crate) mod naive {
                 }
             }
         }
+        mirror_adj
+    }
+
+    /// The original all-pairs driver: no pruning, no caching, no threads.
+    pub fn compute_delay_set_naive(
+        cfg: &Cfg,
+        conflicts: &ConflictSet,
+        po: &ProgramOrder,
+        opts: &NaiveOptions<'_>,
+    ) -> DelaySet {
+        let n = cfg.accesses.len();
+        let mirror_adj = mirror_lists(conflicts, po);
         let mut out = DelaySet::new(n);
         let is_sync: Vec<bool> = cfg
             .accesses
@@ -626,6 +775,46 @@ pub(crate) mod naive {
             }
         }
         out
+    }
+
+    /// The witness search as the oracle used to run it: BFS over the
+    /// adjacency lists, ascending, parents recorded on first sight.
+    pub fn witness_naive(
+        conflicts: &ConflictSet,
+        mirror_adj: &[Vec<usize>],
+        u: AccessId,
+        v: AccessId,
+        removed: &[AccessId],
+    ) -> Option<Vec<AccessId>> {
+        let n = mirror_adj.len();
+        let blocked = |x: usize| removed.contains(&AccessId::from_index(x));
+        let mut parent = vec![usize::MAX; n];
+        let mut seen = vec![false; n];
+        let mut queue: Vec<usize> = Vec::new();
+        for x in conflicts.succ_ones(v).filter(|&x| !blocked(x)) {
+            seen[x] = true;
+            queue.push(x);
+        }
+        let mut qi = 0;
+        while qi < queue.len() {
+            let node = queue[qi];
+            qi += 1;
+            if conflicts.edge(AccessId::from_index(node), u) {
+                let mut chain = vec![node];
+                while parent[*chain.last().unwrap()] != usize::MAX {
+                    chain.push(parent[*chain.last().unwrap()]);
+                }
+                return Some(chain.into_iter().rev().map(AccessId::from_index).collect());
+            }
+            for &next in &mirror_adj[node] {
+                if !seen[next] && !blocked(next) {
+                    seen[next] = true;
+                    parent[next] = node;
+                    queue.push(next);
+                }
+            }
+        }
+        None
     }
 }
 
@@ -782,7 +971,7 @@ mod tests {
                 sync_sites.insert(id.index());
             }
         }
-        let d_ss = compute_delay_set(&conflicts, &po, &DelayOptions::default());
+        let d_ss = compute_delay_set(&conflicts, &po);
         let d1 = d_ss.touching(&sync_sites);
         let reference = naive::compute_delay_set_naive(
             &cfg,
@@ -822,9 +1011,11 @@ mod tests {
             .copied()
             .filter(|&x| cfg.accesses.info(x).kind == AccessKind::Read)
             .collect();
-        let d = compute_delay_set(
-            &conflicts,
-            &po,
+        let closure = MirrorClosure::build(&conflicts, &po);
+        let (d_ss, _) = closure.delay_ss(&po);
+        let (d, stats) = delay_set_over(
+            &BackPathOracle::new(&conflicts, &po, &closure),
+            &d_ss,
             &DelayOptions {
                 removals: Some(Box::new(move |_u, _v, out| {
                     for r in &reads {
@@ -839,7 +1030,10 @@ mod tests {
             .copied()
             .filter(|&x| cfg.accesses.info(x).kind == AccessKind::Write)
             .collect();
+        assert!(d_ss.contains(writes[0], writes[1]));
         assert!(!d.contains(writes[0], writes[1]));
+        assert!(d.is_subset_of(&d_ss));
+        assert_eq!(stats.candidates, d_ss.len() as u64);
     }
 
     #[test]
@@ -860,12 +1054,12 @@ mod tests {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
-        let (d, stats) = compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
+        let (d, stats) = compute_delay_set_counted(&conflicts, &po);
         assert!(stats.pruned_candidates > 0, "{stats:?}");
-        assert_eq!(
-            stats.candidates,
-            stats.pruned_candidates + stats.backpath_queries
-        );
+        assert!(stats.candidates > stats.pruned_candidates, "{stats:?}");
+        // D_SS is read off rows: nothing is asked pair by pair.
+        assert_eq!(stats.backpath_queries, 0);
+        assert_eq!(stats.delays_found, d.len() as u64);
         let reference =
             naive::compute_delay_set_naive(&cfg, &conflicts, &po, &naive::NaiveOptions::default());
         assert_eq!(d.pairs(), reference.pairs());
@@ -884,29 +1078,77 @@ mod tests {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
-        let (serial, serial_stats) =
-            compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
-        for threads in 2..=4 {
-            let (threaded, threaded_stats) = compute_delay_set_counted(
-                &conflicts,
-                &po,
+        let closure = MirrorClosure::build(&conflicts, &po);
+        let oracle = BackPathOracle::new(&conflicts, &po, &closure);
+        let (d_ss, _) = closure.delay_ss(&po);
+        // Remove the even accesses other than the pair, so candidates that
+        // pass the filter fall back to the BFS.
+        let run = |threads: usize| {
+            delay_set_over(
+                &oracle,
+                &d_ss,
                 &DelayOptions {
+                    removals: Some(Box::new(|u, v, out| {
+                        for x in 0..out.universe() {
+                            if x % 2 == 0 && x != u.index() && x != v.index() {
+                                out.insert(x);
+                            }
+                        }
+                    })),
                     threads,
-                    ..DelayOptions::default()
                 },
-            );
+            )
+        };
+        let (serial, serial_stats) = run(1);
+        assert!(serial_stats.bfs_fallbacks > 0, "{serial_stats:?}");
+        for threads in 2..=4 {
+            let (threaded, threaded_stats) = run(threads);
             assert_eq!(serial.pairs(), threaded.pairs(), "threads={threads}");
             assert_eq!(serial_stats, threaded_stats, "threads={threads}");
         }
     }
 
+    /// Without removals a query is the row bit: `v → x ⇝ y → u` exists
+    /// exactly for the pairs `D_SS` holds.
     #[test]
-    fn oracle_stats_report_sccs_and_closure_work() {
-        let src = "shared int X; fn main() { int v; X = 1; v = X; }";
+    fn unrestricted_queries_answer_what_the_rows_hold() {
+        let src = r#"
+            shared int X; shared int Y; shared int A[64]; flag F;
+            fn main() {
+                int v; int i;
+                A[MYPROC] = 1;
+                for (i = 0; i < 3; i = i + 1) { X = i; v = Y; }
+                if (MYPROC == 0) { Y = 1; post F; } else { wait F; v = X; }
+            }
+        "#;
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
         let po = ProgramOrder::compute(&cfg);
-        let (_, stats) = compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
+        let closure = MirrorClosure::build(&conflicts, &po);
+        let oracle = BackPathOracle::new(&conflicts, &po, &closure);
+        let (d_ss, _) = closure.delay_ss(&po);
+        assert!(!d_ss.is_empty());
+        for u in cfg.accesses.ids() {
+            for v in cfg.accesses.ids().filter(|&v| po.access_precedes(u, v)) {
+                assert_eq!(
+                    oracle.has_back_path(u, v, &[]),
+                    d_ss.contains(u, v),
+                    "({u}, {v})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_stats_report_sccs_and_closure_work() {
+        // The owner write is a component of its own, which pushes its row
+        // down to the scalar's.
+        let src =
+            "shared int X; shared int A[64]; fn main() { int v; A[MYPROC] = 1; X = 1; v = X; }";
+        let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
+        let conflicts = ConflictSet::build(&cfg);
+        let po = ProgramOrder::compute(&cfg);
+        let (_, stats) = compute_delay_set_counted(&conflicts, &po);
         assert_eq!(stats.oracle_builds, 1);
         assert!(stats.sccs >= 1);
         assert!(stats.closure_word_ors > 0);

@@ -22,6 +22,15 @@ impl DelaySet {
         }
     }
 
+    /// The delay set whose pairs are the set bits of the square `m`.
+    pub(crate) fn from_matrix(m: BitMatrix) -> Self {
+        DelaySet {
+            n: m.len(),
+            count: m.count_ones(),
+            m,
+        }
+    }
+
     /// Number of access sites covered.
     pub fn num_accesses(&self) -> usize {
         self.n
@@ -68,6 +77,33 @@ impl DelaySet {
             self.m.or_row_words(u, other.m.row_words(u));
         }
         self.count = self.m.count_ones();
+    }
+
+    /// The pairs of `self` that are not in `other`.
+    pub fn minus(&self, other: &DelaySet) -> DelaySet {
+        assert_eq!(self.n, other.n, "delay sets over different access tables");
+        let mut m = self.m.clone();
+        for u in 0..self.n {
+            let theirs = other.m.row_words(u);
+            for (d, o) in m.row_words_mut(u).iter_mut().zip(theirs) {
+                *d &= !o;
+            }
+        }
+        DelaySet::from_matrix(m)
+    }
+
+    /// The number of delays whose first component is access `u`.
+    pub(crate) fn row_len(&self, u: usize) -> usize {
+        self.m
+            .row_words(u)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// The second components of the delays from access `u`, ascending.
+    pub(crate) fn row_ones(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.m.row_ones(u)
     }
 
     /// Whether every pair of `self` is in `other`.

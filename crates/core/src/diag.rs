@@ -182,28 +182,50 @@ fn span_to_json(span: Span, src: &str) -> json::Value {
     ])
 }
 
+/// The longest source line a snippet echoes whole, in bytes.
+const SNIPPET_LINE: usize = 160;
+/// When a longer line is cut: the bytes kept on each side of the span, and
+/// the most carets drawn under it.
+const SNIPPET_CONTEXT: usize = 60;
+const SNIPPET_CARETS: usize = 80;
+/// What stands where a cut line lost text.
+const ELLIPSIS: &str = "...";
+
 /// Appends the `NN | <source line>` + caret-underline gutter for `span`.
+/// A line longer than [`SNIPPET_LINE`] is cut to a window around the span
+/// (a source can be one 200 KB line), marked with [`ELLIPSIS`] where text
+/// was dropped, so every rendered line stays a few hundred bytes.
 fn render_snippet(out: &mut String, src: &str, span: Span) {
-    let start = (span.start as usize).min(src.len());
+    let start = floor_char_boundary(src, (span.start as usize).min(src.len()));
     let line_start = src[..start].rfind('\n').map_or(0, |i| i + 1);
     let line_end = src[line_start..]
         .find('\n')
         .map_or(src.len(), |i| line_start + i);
-    let line_text = &src[line_start..line_end];
     let line_no = src[..start].bytes().filter(|&b| b == b'\n').count() + 1;
-    let col = start - line_start;
     // Caret width: clamp the span to the first line it touches; zero-width
     // (synthesized) spans still get one caret.
-    let width = (span.end as usize)
+    let mut width = (span.end as usize)
         .min(line_end)
         .saturating_sub(start)
         .max(1);
+    let (mut from, mut to) = (line_start, line_end);
+    if line_end - line_start > SNIPPET_LINE {
+        width = width.min(SNIPPET_CARETS);
+        from = floor_char_boundary(src, start.saturating_sub(SNIPPET_CONTEXT).max(line_start));
+        to = ceil_char_boundary(src, (start + width + SNIPPET_CONTEXT).min(line_end));
+        width = width.min(to - start).max(1);
+    }
+    let (head, tail) = (
+        if from > line_start { ELLIPSIS } else { "" },
+        if to < line_end { ELLIPSIS } else { "" },
+    );
+    let col = head.len() + (start - from);
     let gutter = line_no.to_string().len().max(2);
     out.push_str(&format!("{:gutter$} |\n", "", gutter = gutter));
     out.push_str(&format!(
-        "{:>gutter$} | {}\n",
+        "{:>gutter$} | {head}{}{tail}\n",
         line_no,
-        line_text,
+        &src[from..to],
         gutter = gutter
     ));
     out.push_str(&format!(
@@ -213,6 +235,22 @@ fn render_snippet(out: &mut String, src: &str, span: Span) {
         "^".repeat(width),
         gutter = gutter
     ));
+}
+
+/// The largest char boundary of `s` at or below `i`.
+fn floor_char_boundary(s: &str, mut i: usize) -> usize {
+    while !s.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
+}
+
+/// The smallest char boundary of `s` at or above `i`.
+fn ceil_char_boundary(s: &str, mut i: usize) -> usize {
+    while !s.is_char_boundary(i) {
+        i += 1;
+    }
+    i
 }
 
 /// Routes a [`FrontendError`] through the shared diagnostic framework, so
@@ -870,6 +908,50 @@ mod tests {
         assert!(r.contains("2 | fn main() { X = 1; }"), "{r}");
         assert!(r.contains("|             ^^^^^"), "{r}");
         assert!(r.contains("= note: the racing instance"), "{r}");
+    }
+
+    /// A 200 KB source line is echoed as a window around the span: every
+    /// rendered line stays under 1 KiB, an ellipsis marks each cut, and
+    /// the caret still sits under the span's first byte.
+    #[test]
+    fn render_cuts_a_long_line_to_a_window_around_the_span() {
+        let n = 100_000;
+        let src = format!("X = {}1{};\n", "(".repeat(n), ")".repeat(n));
+        let line_end = src.len() - 1;
+        for (start, end) in [
+            (4 + 128, 4 + 129),
+            (4, line_end - 1),
+            (0, 1),
+            (line_end - 1, line_end),
+            (4 + n, 4 + n + 1),
+        ] {
+            let span = Span::new(start as u32, end as u32);
+            let r = Diagnostic::new("E007", Severity::Error, "too deep", span).render(&src, "d.ms");
+            assert!(r.lines().all(|l| l.len() < 1024), "{start}..{end}: {r}");
+            let lines: Vec<&str> = r.lines().collect();
+            let (text, under) = (
+                &lines[3][lines[3].find("| ").unwrap() + 2..],
+                &lines[4][5..],
+            );
+            let col = under.find('^').unwrap();
+            assert_eq!(
+                text.as_bytes()[col],
+                src.as_bytes()[start],
+                "{start}..{end}: {r}"
+            );
+            assert_eq!(text.starts_with("..."), start > 60, "{r}");
+            let carets = (end - start).min(80);
+            assert_eq!(carets, r.matches('^').count(), "{r}");
+            assert_eq!(text.ends_with("..."), start + carets + 60 < line_end, "{r}");
+        }
+        // A window never splits a character.
+        let wide = format!("{}X{};", "é".repeat(300), "漢".repeat(300));
+        let span = Span::new(600, 601);
+        let r = Diagnostic::new("E002", Severity::Error, "here", span).render(&wide, "w.ms");
+        assert!(
+            r.contains("...éé") && r.contains("X漢") && r.lines().all(|l| l.len() < 1024),
+            "{r}"
+        );
     }
 
     #[test]

@@ -2,11 +2,16 @@
 //! reference it replaced, over random programs, the five evaluation
 //! kernels and the scaling generators.
 //!
-//! * the SCC/bitset back-path oracle against the naive per-query BFS
-//!   ([`crate::cycle::naive`]);
+//! * the row form of the back-path analysis — `D_SS` and `D1` read off
+//!   ancestor rows, step 6 asking only `D_SS ∖ D1` behind its `S_u`
+//!   filter — against the naive per-query BFS ([`crate::cycle::naive`]),
+//!   together with the `R` and the oriented `C` it runs on, under every
+//!   single-site exclusion the lint engine probes and every thread count;
+//! * the condensation of the sparse mirror copy `S ∪ C` against the
+//!   closure of the full one, `P ∪ C`, and the witness search against
+//!   the list-based BFS it used to be;
 //! * the linear guarded-collision solvers against the processor-pair
 //!   enumeration ([`crate::conflict::reference`]);
-//! * `D1` as a filter of `D_SS` against the sync-restricted candidate loop;
 //! * the row-OR precedence fixpoint against the triple loop;
 //! * every consumer of the shared [`AnalysisBase`] against a cold run.
 //!
@@ -16,10 +21,10 @@
 
 use crate::conflict::{self, ConflictSet};
 use crate::corpus::{corpus_program, CORPUS_SEEDS};
-use crate::cycle::{compute_delay_set_counted, naive, BackPathOracle, DelayOptions};
+use crate::cycle::{naive, witness, MirrorClosure};
 use crate::obs::Counters;
 use crate::sync::{
-    analyze_sync, analyze_sync_excluding, grow_precedence_reference, post_wait_edges, SyncAnalysis,
+    analyze_sync_excluding, grow_precedence_reference, post_wait_edges, Precedence, SyncAnalysis,
     SyncExclusion, SyncOptions,
 };
 use crate::{analyze_with, classify_races, detect_races, AnalysisBase};
@@ -27,7 +32,7 @@ use syncopt_frontend::prepare_program;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
 use syncopt_ir::lower::lower_main;
-use syncopt_ir::order::ProgramOrder;
+use syncopt_ir::order::{reachability_counted, Csr, ProgramOrder};
 use syncopt_kernels::scaling::{generate, ScalingIdiom, ScalingParams};
 
 fn lower(src: &str) -> Cfg {
@@ -35,101 +40,168 @@ fn lower(src: &str) -> Cfg {
         .unwrap_or_else(|e| panic!("generator bug: {e}\n{src}"))
 }
 
-/// Asserts the fast and naive drivers agree on `cfg` for plain,
-/// sync-restricted, and removal-bearing computations.
-fn assert_equivalent(cfg: &Cfg, label: &str) {
-    let po = ProgramOrder::compute(cfg);
-    let conflicts = ConflictSet::build(cfg);
+/// Every single-site exclusion the lint engine could probe, plus none.
+fn exclusions(cfg: &Cfg, sync: &SyncAnalysis) -> Vec<SyncExclusion> {
+    let mut out = vec![SyncExclusion::default()];
+    for &b in &sync.aligned_barriers {
+        out.push(SyncExclusion {
+            barriers: vec![b],
+            waits: vec![],
+        });
+    }
+    for (_, w) in post_wait_edges(cfg) {
+        out.push(SyncExclusion {
+            barriers: vec![],
+            waits: vec![w],
+        });
+    }
+    out
+}
 
-    // Plain Shasha–Snir (symmetric conflicts, no removals).
-    let (fast, _) = compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
-    let slow =
-        naive::compute_delay_set_naive(cfg, &conflicts, &po, &naive::NaiveOptions::default());
-    assert_eq!(fast.pairs(), slow.pairs(), "{label}: D_SS divergence");
+/// The condensation of `S ∪ conflicts` reaches exactly what the closure
+/// of the full mirror copy `P ∪ conflicts` reaches: `x ∈ Anc(y)` iff
+/// `x ⇝ y` through every pair of `P`.
+fn assert_condensation_matches(conflicts: &ConflictSet, po: &ProgramOrder, label: &str) {
+    let n = conflicts.num_accesses();
+    let full = naive::mirror_lists(conflicts, po);
+    let (reach, _) = reachability_counted(&Csr::from_edges(n, |edge| {
+        for (x, succs) in full.iter().enumerate() {
+            succs.iter().for_each(|&y| edge(x, y));
+        }
+    }));
+    let closure = MirrorClosure::build(conflicts, po);
+    for y in 0..n {
+        let column: Vec<usize> = (0..n).filter(|&x| reach.get(x, y)).collect();
+        assert_eq!(
+            closure.ancestors_of(y),
+            column,
+            "{label}: what reaches {y} in the mirror copy"
+        );
+    }
+}
 
-    // D1 — the base filters D_SS; the reference restricts the candidates.
-    let base = AnalysisBase::build(cfg, &SyncOptions::default());
-    let d1_slow = naive::compute_delay_set_naive(
-        cfg,
-        &conflicts,
-        &po,
-        &naive::NaiveOptions {
-            only_sync_pairs: true,
-            removals: None,
-        },
-    );
-    assert_eq!(base.delay_ss.pairs(), slow.pairs(), "{label}: base D_SS");
-    assert_eq!(
-        base.d1.pairs(),
-        d1_slow.pairs(),
-        "{label}: D1 != filter(D_SS)"
-    );
+/// The step-6 removal set of `(u, v)` as a list, the way the naive driver
+/// and `explain` take it.
+fn removal_list(sync: &SyncAnalysis, r: &Precedence, u: AccessId, v: AccessId) -> Vec<AccessId> {
+    let n = sync.oriented.num_accesses();
+    let mut out: Vec<AccessId> = (0..n)
+        .map(AccessId::from_index)
+        .filter(|&w| w != u && w != v && (r.contains(u, w) || r.contains(w, v)))
+        .collect();
+    for w in sync.guards.removable_for_pair(u, v) {
+        if !out.contains(&w) {
+            out.push(w);
+        }
+    }
+    out
+}
 
-    // Oriented conflicts + the §5.1-step-6 removal rule, both drivers
-    // deriving removals from the same precedence relation.
-    let sa = analyze_sync(cfg, &SyncOptions::default());
-    let oriented = sa.oriented.clone();
+/// One refinement against the references: `R` by the triple loop, `C`
+/// oriented pair by pair, and the refined delay set as the naive
+/// per-query BFS over **every** program pair, unioned with `D1`.
+fn assert_refinement_matches_naive(
+    cfg: &Cfg,
+    base: &AnalysisBase,
+    opts: &SyncOptions,
+    excl: &SyncExclusion,
+    label: &str,
+) {
     let n = cfg.accesses.len();
-    let r_fast = sa.precedence.clone();
-    let r_fast_t = r_fast.transpose();
-    let guards_fast = sa.guards.clone();
-    let (fast, _) = compute_delay_set_counted(
-        &oriented,
-        &po,
-        &DelayOptions {
-            removals: Some(Box::new(move |u, v, out| {
-                out.union_words(r_fast.row_words(u));
-                out.union_words(r_fast_t.row_words(v));
-                guards_fast.mark_removable_for_pair(u, v, out);
-                out.remove(u.index());
-                out.remove(v.index());
-            })),
-            threads: 0,
-        },
-    );
-    let r_slow = sa.precedence.clone();
-    let guards_slow = sa.guards.clone();
-    let slow = naive::compute_delay_set_naive(
+    let sync = base.refine(cfg, opts, excl);
+    let (mut r, _) = base.seed_precedence(cfg, opts, excl, &mut Counters::new());
+    grow_precedence_reference(cfg, &base.dom, &base.pdom, &base.d1, &mut r);
+    assert_eq!(sync.precedence.pairs(), r.pairs(), "{label}: R");
+    for a in (0..n).map(AccessId::from_index) {
+        for b in (0..n).map(AccessId::from_index) {
+            assert_eq!(
+                sync.oriented.edge(a, b),
+                base.conflicts.edge(a, b) && !r.contains(b, a),
+                "{label}: oriented {a} → {b}"
+            );
+        }
+    }
+    let mut slow = naive::compute_delay_set_naive(
         cfg,
-        &oriented,
-        &po,
+        &sync.oriented,
+        &base.po,
         &naive::NaiveOptions {
             only_sync_pairs: false,
-            removals: Some(Box::new(move |u, v| {
-                let mut out = Vec::new();
-                for idx in 0..n {
-                    let w = AccessId::from_index(idx);
-                    if w != u && w != v && (r_slow.contains(u, w) || r_slow.contains(w, v)) {
-                        out.push(w);
-                    }
-                }
-                for w in guards_slow.removable_for_pair(u, v) {
-                    if w != u && w != v && !out.contains(&w) {
-                        out.push(w);
-                    }
-                }
-                out
-            })),
+            removals: Some(Box::new(|u, v| removal_list(&sync, &r, u, v))),
         },
     );
-    assert_eq!(fast.pairs(), slow.pairs(), "{label}: removal divergence");
-
-    // Threaded runs must be byte-identical to serial.
-    for threads in 2..=4 {
-        let (threaded, _) = compute_delay_set_counted(
-            &conflicts,
-            &po,
-            &DelayOptions {
-                threads,
-                ..DelayOptions::default()
-            },
-        );
-        let (serial, _) = compute_delay_set_counted(&conflicts, &po, &DelayOptions::default());
+    slow.union_with(&base.d1);
+    assert_eq!(
+        sync.delay.pairs(),
+        slow.pairs(),
+        "{label}: refined delay set"
+    );
+    for threads in [2, 3] {
+        let threaded = base.refine(cfg, &SyncOptions { threads, ..*opts }, excl);
         assert_eq!(
-            serial.pairs(),
-            threaded.pairs(),
-            "{label}: threads={threads} divergence"
+            threaded.delay.pairs(),
+            sync.delay.pairs(),
+            "{label}: threads={threads}"
         );
+        assert_eq!(
+            threaded.counters, sync.counters,
+            "{label}: threads={threads}"
+        );
+    }
+}
+
+/// The rows of one program at one width against the naive references:
+/// `D_SS`, `D1`, both condensations, the witnesses `explain` prints, and
+/// every refinement the lint engine can ask for.
+fn assert_rows_match_naive(cfg: &Cfg, opts: &SyncOptions, label: &str) {
+    let base = AnalysisBase::build(cfg, opts);
+    let (conflicts, po) = (&base.conflicts, &base.po);
+    let plain = naive::NaiveOptions::default();
+    let d_ss = naive::compute_delay_set_naive(cfg, conflicts, po, &plain);
+    assert_eq!(base.delay_ss.pairs(), d_ss.pairs(), "{label}: D_SS");
+    let sync_only = naive::NaiveOptions {
+        only_sync_pairs: true,
+        removals: None,
+    };
+    let d1 = naive::compute_delay_set_naive(cfg, conflicts, po, &sync_only);
+    assert_eq!(base.d1.pairs(), d1.pairs(), "{label}: D1 != filter(D_SS)");
+    assert_condensation_matches(conflicts, po, label);
+
+    let full = base.refine(cfg, opts, &SyncExclusion::default());
+    assert_condensation_matches(&full.oriented, po, &format!("{label} (oriented)"));
+    let (lists, oriented_lists) = (
+        naive::mirror_lists(conflicts, po),
+        naive::mirror_lists(&full.oriented, po),
+    );
+    for (u, v) in base.delay_ss.pairs() {
+        assert_eq!(
+            witness(conflicts, po, u, v, &[]),
+            naive::witness_naive(conflicts, &lists, u, v, &[]),
+            "{label}: D_SS witness of ({u}, {v})"
+        );
+    }
+    for (u, v) in full.delay.pairs() {
+        let removed = removal_list(&full, &full.precedence, u, v);
+        assert_eq!(
+            witness(&full.oriented, po, u, v, &removed),
+            naive::witness_naive(&full.oriented, &oriented_lists, u, v, &removed),
+            "{label}: refined witness of ({u}, {v})"
+        );
+    }
+    for excl in exclusions(cfg, &full) {
+        assert_refinement_matches_naive(
+            cfg,
+            &base,
+            opts,
+            &excl,
+            &format!("{label} under {excl:?}"),
+        );
+    }
+}
+
+fn with_procs(procs: Option<u32>) -> SyncOptions {
+    SyncOptions {
+        procs,
+        ..SyncOptions::default()
     }
 }
 
@@ -138,28 +210,37 @@ fn random_programs_match_naive_reference() {
     for seed in 0..CORPUS_SEEDS {
         let src = corpus_program(seed);
         let cfg = lower(&src);
-        assert_equivalent(&cfg, &format!("seed {seed}\n{src}"));
+        for procs in [None, Some(2), Some(3), Some(4), Some(5), Some(8)] {
+            let label = format!("seed {seed} procs {procs:?}\n{src}");
+            assert_rows_match_naive(&cfg, &with_procs(procs), &label);
+        }
     }
 }
 
 #[test]
 fn evaluation_kernels_match_naive_reference() {
-    for kernel in syncopt_kernels::all_kernels(4) {
-        let cfg = lower(&kernel.source);
-        assert_equivalent(&cfg, kernel.name);
+    for procs in [4, 16, 64, 256] {
+        for kernel in syncopt_kernels::all_kernels(procs) {
+            let label = format!("{} p{procs}", kernel.name);
+            assert_rows_match_naive(&lower(&kernel.source), &with_procs(Some(procs)), &label);
+        }
     }
 }
 
+/// The scaling idioms along their unroll axis (the flag idiom's
+/// trajectory ends at 64; 128 is one step past it).
 #[test]
 fn scaling_idioms_match_naive_reference() {
-    for idiom in [ScalingIdiom::Stencil, ScalingIdiom::Flag] {
-        let p = ScalingParams {
-            idiom,
-            unroll: 8,
-            procs: 4,
-        };
-        let cfg = lower(&generate(&p).source);
-        assert_equivalent(&cfg, &p.id());
+    for (idiom, procs) in [(ScalingIdiom::Stencil, 16), (ScalingIdiom::Flag, 4)] {
+        for unroll in [4, 8, 16, 32, 64, 128] {
+            let p = ScalingParams {
+                idiom,
+                unroll,
+                procs,
+            };
+            let cfg = lower(&generate(&p).source);
+            assert_rows_match_naive(&cfg, &with_procs(Some(procs)), &p.id());
+        }
     }
 }
 
@@ -274,24 +355,6 @@ fn conflict_sets_of_guard_shapes_match_the_pair_enumeration() {
 
 // ---- the precedence fixpoint: row ORs vs the triple loop -------------------
 
-/// Every single-site exclusion the lint engine could probe, plus none.
-fn exclusions(cfg: &Cfg, sync: &SyncAnalysis) -> Vec<SyncExclusion> {
-    let mut out = vec![SyncExclusion::default()];
-    for &b in &sync.aligned_barriers {
-        out.push(SyncExclusion {
-            barriers: vec![b],
-            waits: vec![],
-        });
-    }
-    for (_, w) in post_wait_edges(cfg) {
-        out.push(SyncExclusion {
-            barriers: vec![],
-            waits: vec![w],
-        });
-    }
-    out
-}
-
 fn assert_fixpoints_agree(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     let base = AnalysisBase::build(cfg, opts);
     let full = base.refine(cfg, opts, &SyncExclusion::default());
@@ -356,20 +419,6 @@ fn assert_base_serves_cold_results(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     let cold = detect_races(cfg, opts);
     assert_eq!(warm.races, cold.races, "{label}: races");
     assert_eq!(warm.ordered, cold.ordered, "{label}: ordered pairs");
-    // The base's oracle finds the witnesses `explain` used to find with
-    // an oracle of its own.
-    let (conflicts, po) = (
-        ConflictSet::build_bounded(cfg, opts.procs),
-        ProgramOrder::compute(cfg),
-    );
-    let (warm, cold) = (analysis.base.oracle(), BackPathOracle::new(&conflicts, &po));
-    for (u, v) in analysis.delay_ss.pairs() {
-        assert_eq!(
-            warm.witness(u, v, &[]),
-            cold.witness(u, v, &[]),
-            "{label}: witness of ({u}, {v})"
-        );
-    }
 }
 
 #[test]
@@ -395,10 +444,21 @@ fn the_shared_base_serves_what_a_cold_run_computes() {
 fn one_analysis_builds_each_base_artifact_once() {
     let kernel = &syncopt_kernels::all_kernels(8)[0];
     let analysis = analyze_with(&lower(&kernel.source), &SyncOptions::default());
-    // One closure for D_SS (none for D1), one for step 6.
-    assert_eq!(analysis.metrics.get("cycle.oracle_builds"), 1);
-    assert_eq!(analysis.metrics.get("sync.oracle_builds"), 1);
+    // One condensation for D_SS (none for D1), and one for step 6 only
+    // when orientation removed a direction and step 6 has a pair to ask.
+    let get = |key| analysis.metrics.get(key);
+    assert_eq!(get("cycle.oracle_builds"), 1);
+    assert_eq!(get("cycle.backpath_queries"), 0);
+    assert_eq!(
+        get("sync.oracle_builds"),
+        u64::from(get("sync.conflict_directions_removed") > 0 && get("sync.candidate_pairs") > 0)
+    );
     assert_eq!(analysis.metrics.get("sync.d1_backpath_queries"), 0);
+    // Step 6 is asked D_SS ∖ D1 and nothing else.
+    assert_eq!(
+        analysis.metrics.get("sync.candidate_pairs"),
+        (analysis.delay_ss.len() - analysis.d1.len()) as u64
+    );
     assert_eq!(
         analysis.metrics.get("sync.d1_pairs"),
         analysis.d1.len() as u64

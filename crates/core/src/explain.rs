@@ -26,7 +26,7 @@
 
 use crate::barrier::{aligned_barriers_with, barrier_precedence_edges};
 use crate::conflict::ConflictSet;
-use crate::cycle::BackPathOracle;
+use crate::cycle::witness;
 use crate::diag::json::Value;
 use crate::diag::{Diagnostic, Severity};
 use crate::sync::{post_wait_edges, SyncAnalysis, SyncOptions};
@@ -181,8 +181,6 @@ pub struct ExplainReport {
 pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainReport {
     let po = &analysis.po;
     let n = cfg.accesses.len();
-    let oracle_ss = analysis.base.oracle();
-    let oracle_refined = BackPathOracle::new(&analysis.sync.oriented, po);
     let aligned = aligned_barriers_with(cfg, opts.barrier_policy, &analysis.pdom);
     let classify = seed_classifier(cfg, po, &aligned, &[]);
 
@@ -224,13 +222,13 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
     let mut dropped = Vec::new();
     for (u, v) in analysis.delay_ss.pairs() {
         if analysis.delay_sync.contains(u, v) {
-            let (chain, via_d1) = match oracle_refined.witness(u, v, &removal_for(u, v)) {
+            let refined = witness(&analysis.sync.oriented, po, u, v, &removal_for(u, v));
+            let (chain, via_d1) = match refined {
                 Some(c) => (c, false),
                 // Not reachable under step-6 rules: the pair is kept
                 // through D1, whose query ran unrefined.
                 None => (
-                    oracle_ss
-                        .witness(u, v, &[])
+                    witness(&analysis.conflicts, po, u, v, &[])
                         .expect("kept pair must have a D_SS back-path"),
                     true,
                 ),
@@ -247,8 +245,7 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
                 via_d1,
             });
         } else {
-            let chain = oracle_ss
-                .witness(u, v, &[])
+            let chain = witness(&analysis.conflicts, po, u, v, &[])
                 .expect("D_SS pair must have a back-path");
             let reason = first_break(
                 po,

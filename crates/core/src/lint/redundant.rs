@@ -17,6 +17,7 @@
 //! [`crate::explain`] against the excluded analysis).
 
 use super::LintInput;
+use crate::cycle::witness;
 use crate::diag::{Diagnostic, Severity};
 use crate::explain::{fact_desc, first_break, seed_classifier, DropReason};
 use crate::sync::{post_wait_edges, SyncAnalysis, SyncExclusion};
@@ -130,15 +131,13 @@ impl<'a> WitnessCtx<'a> {
         if self.dropped.is_none() {
             let cfg = self.input.cfg;
             let analysis = self.input.analysis;
-            let oracle = analysis.base.oracle();
             let classify = seed_classifier(cfg, &analysis.po, &analysis.sync.aligned_barriers, &[]);
             let mut infos = Vec::new();
             for (u, v) in analysis.delay_ss.pairs() {
                 if analysis.delay_sync.contains(u, v) {
                     continue;
                 }
-                let chain = oracle
-                    .witness(u, v, &[])
+                let chain = witness(&analysis.conflicts, &analysis.po, u, v, &[])
                     .expect("D_SS pair must have a back-path");
                 let reason = first_break(
                     &analysis.po,

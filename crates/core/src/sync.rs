@@ -15,7 +15,8 @@
 //!    `(a1, a2) ∈ R`;
 //! 6. recompute the delay set on `P ∪ C1`, additionally removing from each
 //!    back-path query the accesses that precedence or lock guarding
-//!    disqualifies. The final `D` is that union `D1`.
+//!    disqualifies. The final `D` is that union `D1`; only the pairs of
+//!    `D_SS ∖ D1` can change it, and only they are asked.
 //!
 //! **Assumptions inherited from the paper:** each event variable is posted
 //! at most once per matching wait (footnote 2 of §5.1), and barriers used
@@ -26,7 +27,7 @@ use crate::affine::may_match_any_proc;
 use crate::barrier::{aligned_barriers_with, barrier_precedence_edges, BarrierPolicy};
 use crate::base::AnalysisBase;
 use crate::conflict::ConflictSet;
-use crate::cycle::{compute_delay_set_counted, DelayOptions};
+use crate::cycle::{delay_set_over, BackPathOracle, DelayOptions, DelayQueryStats, MirrorClosure};
 use crate::delay::DelaySet;
 use crate::locks::LockGuards;
 use crate::obs::Counters;
@@ -118,8 +119,8 @@ pub struct SyncOptions {
     /// Known processor count, if the program is compiled for a fixed
     /// machine size (enables modular subscript disambiguation).
     pub procs: Option<u32>,
-    /// Worker threads for the delay-set candidate loops (0 and 1 both
-    /// mean serial; results are bit-identical for every value).
+    /// Worker threads for the step-6 candidate loop (0 and 1 both mean
+    /// serial; results are bit-identical for every value).
     pub threads: usize,
 }
 
@@ -202,33 +203,11 @@ impl AnalysisBase {
         for (a1, a2) in r.pairs() {
             oriented.remove_direction(a2, a1);
         }
-        counters.set(
-            "sync.conflict_directions_removed",
-            edges_before - oriented.num_directed_edges() as u64,
-        );
+        let directions_removed = edges_before - oriented.num_directed_edges() as u64;
+        counters.set("sync.conflict_directions_removed", directions_removed);
 
-        // Step 6: final delay set with per-pair removals, assembled
-        // word-parallel: successors of u in R, predecessors of v in R
-        // (transposed row), and same-lock accesses — with u and v
-        // themselves masked back out.
-        let r_transposed = r.transpose();
-        let removals = |u: AccessId, v: AccessId, out: &mut BitSet| {
-            // w always after u, or always before v: cannot lie on a
-            // back-path (whose accesses run after v and before u).
-            out.union_words(r.row_words(u));
-            out.union_words(r_transposed.row_words(v));
-            self.guards.mark_removable_for_pair(u, v, out);
-            out.remove(u.index());
-            out.remove(v.index());
-        };
-        let (mut delay, step6_stats) = compute_delay_set_counted(
-            &oriented,
-            &self.po,
-            &DelayOptions {
-                removals: Some(Box::new(removals)),
-                threads: opts.threads,
-            },
-        );
+        // Step 6: final delay set with per-pair removals.
+        let (mut delay, step6_stats) = self.recompute(&oriented, directions_removed > 0, &r, opts);
         delay.union_with(&self.d1);
         counters.set("sync.candidate_pairs", step6_stats.candidates);
         counters.set("sync.pruned_candidates", step6_stats.pruned_candidates);
@@ -249,6 +228,50 @@ impl AnalysisBase {
             delay,
             counters,
         }
+    }
+
+    /// Step 6 without `D1`: the pairs of `D_SS ∖ D1` that keep a back-path
+    /// on `P ∪ oriented` once the accesses `r` or a common lock
+    /// disqualifies are removed. The answer is a subset of `D_SS`
+    /// (orientation and removals only cut paths) and is unioned with `D1`,
+    /// so no other pair is asked. Unless step 5 removed a direction, the
+    /// mirror copy is the base's, condensed already.
+    fn recompute(
+        &self,
+        oriented: &ConflictSet,
+        reoriented: bool,
+        r: &Precedence,
+        opts: &SyncOptions,
+    ) -> (DelaySet, DelayQueryStats) {
+        let candidates = self.delay_ss.minus(&self.d1);
+        if candidates.is_empty() {
+            return (candidates, DelayQueryStats::default());
+        }
+        let rebuilt = reoriented.then(|| MirrorClosure::build(oriented, &self.po));
+        let closure = rebuilt.as_ref().unwrap_or(&self.closure);
+        let oracle = BackPathOracle::oriented(&self.conflicts, oriented, r, &self.po, closure);
+        // The removal set, word-parallel: successors of u in R,
+        // predecessors of v in R (transposed row), and same-lock accesses —
+        // with u and v themselves masked back out.
+        let r_transposed = r.transpose();
+        let removals = |u: AccessId, v: AccessId, out: &mut BitSet| {
+            // w always after u, or always before v: cannot lie on a
+            // back-path (whose accesses run after v and before u).
+            out.union_words(r.row_words(u));
+            out.union_words(r_transposed.row_words(v));
+            self.guards.mark_removable_for_pair(u, v, out);
+            out.remove(u.index());
+            out.remove(v.index());
+        };
+        let step6 = DelayOptions {
+            removals: Some(Box::new(removals)),
+            threads: opts.threads,
+        };
+        let (delay, mut stats) = delay_set_over(&oracle, &candidates, &step6);
+        if let Some(closure) = &rebuilt {
+            stats.add_oracle_build(closure.build_stats());
+        }
+        (delay, stats)
     }
 
     /// §5.1 steps 3–4 alone: the precedence relation seeded from the

@@ -3,7 +3,9 @@
 //! `minisplit` functions are statement-level procedures; the analyses in
 //! `syncopt-core` are whole-program, so before lowering we inline every call
 //! into `main`. Callee locals and parameters are renamed with a unique
-//! suffix, and parameters become initialized locals (call-by-value).
+//! suffix — `{name}__{callee}_{n}`, `n` counting calls, skipping any `n`
+//! whose names the program already uses — and parameters become
+//! initialized locals (call-by-value).
 //!
 //! Restrictions: recursion is rejected, and `return` is only permitted in
 //! `main` (an inlined `return` would need a structured jump the AST lacks).
@@ -11,7 +13,7 @@
 use crate::ast::{Expr, ExprKind, Function, LValue, Program, Stmt, StmtKind};
 use crate::error::FrontendError;
 use crate::span::Span;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Inlines all calls, returning a program whose only function is `main`.
 ///
@@ -37,6 +39,7 @@ pub fn inline_program(program: &Program) -> Result<Program, FrontendError> {
         program,
         stack: vec!["main".to_string()],
         counter: 0,
+        taken: None,
     };
     let body = ctx.inline_stmts(&main.body, &HashMap::new(), true)?;
     Ok(Program {
@@ -54,6 +57,9 @@ struct Inliner<'a> {
     program: &'a Program,
     stack: Vec<String>,
     counter: u64,
+    /// Every identifier of the program that a fresh name could equal —
+    /// those containing `__` — collected on the first call.
+    taken: Option<HashSet<&'a str>>,
 }
 
 impl<'a> Inliner<'a> {
@@ -93,19 +99,34 @@ impl<'a> Inliner<'a> {
                         FrontendError::inline(span, format!("call to unknown function `{name}`"))
                     })?
                     .clone();
-                self.counter += 1;
-                let suffix = format!("__{}_{}", name, self.counter);
-
-                // Fresh names for parameters and all locals of the callee.
+                // Fresh names for parameters and all locals of the callee:
+                // distinct calls differ in `n`, and no fresh name may equal
+                // an identifier the program already has.
+                let program = self.program;
+                let taken = self
+                    .taken
+                    .get_or_insert_with(|| identifiers_with_infix(program));
                 let mut callee_renames: HashMap<String, String> = HashMap::new();
-                for param in &callee.params {
-                    callee_renames.insert(param.name.clone(), format!("{}{}", param.name, suffix));
+                loop {
+                    self.counter += 1;
+                    let suffix = format!("__{}_{}", name, self.counter);
+                    callee_renames.clear();
+                    for param in &callee.params {
+                        callee_renames
+                            .insert(param.name.clone(), format!("{}{}", param.name, suffix));
+                    }
+                    collect_local_decls(&callee.body, &mut |n| {
+                        callee_renames
+                            .entry(n.to_string())
+                            .or_insert_with(|| format!("{n}{suffix}"));
+                    });
+                    if !callee_renames
+                        .values()
+                        .any(|fresh| taken.contains(fresh.as_str()))
+                    {
+                        break;
+                    }
                 }
-                collect_local_decls(&callee.body, &mut |n| {
-                    callee_renames
-                        .entry(n.to_string())
-                        .or_insert_with(|| format!("{n}{suffix}"));
-                });
 
                 // Bind arguments (evaluated in the caller's scope).
                 for (param, arg) in callee.params.iter().zip(args) {
@@ -249,6 +270,97 @@ impl<'a> Inliner<'a> {
     }
 }
 
+/// Every identifier of `program` containing `__`, the infix of every fresh
+/// name: global declarations, functions, parameters, locals and every name
+/// a statement or expression mentions.
+fn identifiers_with_infix(program: &Program) -> HashSet<&str> {
+    fn expr<'p>(e: &'p Expr, out: &mut HashSet<&'p str>) {
+        match &e.kind {
+            ExprKind::Var(name) => note(name, out),
+            ExprKind::ArrayElem { name, index } => {
+                note(name, out);
+                expr(index, out);
+            }
+            ExprKind::Unary { expr: inner, .. } => expr(inner, out),
+            ExprKind::Binary { lhs, rhs, .. } => {
+                expr(lhs, out);
+                expr(rhs, out);
+            }
+            _ => {}
+        }
+    }
+    fn stmts<'p>(body: &'p [Stmt], out: &mut HashSet<&'p str>) {
+        for stmt in body {
+            match &stmt.kind {
+                StmtKind::LocalDecl { name, init, .. } => {
+                    note(name, out);
+                    init.iter().for_each(|e| expr(e, out));
+                }
+                StmtKind::Assign { lhs, rhs } => {
+                    note(lhs.name(), out);
+                    if let LValue::ArrayElem { index, .. } = lhs {
+                        expr(index, out);
+                    }
+                    expr(rhs, out);
+                }
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    expr(cond, out);
+                    stmts(then_branch, out);
+                    stmts(else_branch, out);
+                }
+                StmtKind::While { cond, body } => {
+                    expr(cond, out);
+                    stmts(body, out);
+                }
+                StmtKind::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                } => {
+                    stmts(std::slice::from_ref(init), out);
+                    expr(cond, out);
+                    stmts(std::slice::from_ref(step), out);
+                    stmts(body, out);
+                }
+                StmtKind::Post { flag, index } | StmtKind::Wait { flag, index } => {
+                    note(flag, out);
+                    index.iter().for_each(|e| expr(e, out));
+                }
+                StmtKind::Lock { lock } | StmtKind::Unlock { lock } => note(lock, out),
+                StmtKind::Work { cost } => expr(cost, out),
+                StmtKind::Call { name, args } => {
+                    note(name, out);
+                    args.iter().for_each(|e| expr(e, out));
+                }
+                StmtKind::Block(body) => stmts(body, out),
+                StmtKind::Barrier | StmtKind::Return => {}
+            }
+        }
+    }
+    fn note<'p>(name: &'p str, out: &mut HashSet<&'p str>) {
+        if name.contains("__") {
+            out.insert(name);
+        }
+    }
+    let mut out = HashSet::new();
+    for decl in &program.decls {
+        note(decl.name(), &mut out);
+    }
+    for f in &program.functions {
+        note(&f.name, &mut out);
+        for p in &f.params {
+            note(&p.name, &mut out);
+        }
+        stmts(&f.body, &mut out);
+    }
+    out
+}
+
 /// Calls `f` with the name of every local declaration in `stmts`, recursively.
 fn collect_local_decls(stmts: &[Stmt], f: &mut impl FnMut(&str)) {
     for stmt in stmts {
@@ -356,6 +468,22 @@ mod tests {
         let prog = prepare_program(src).unwrap();
         let printed = program_to_string(&prog);
         assert!(printed.contains("t__f_1"), "{printed}");
+    }
+
+    /// A caller local spelled like the first fresh name used to be
+    /// captured: `helper`'s `x` became the caller's `x__helper_1`.
+    #[test]
+    fn fresh_names_avoid_the_programs_own_identifiers() {
+        let src = r#"
+            shared int Y[8];
+            fn helper(int x) { Y[MYPROC] = x; }
+            fn main() { int x__helper_1; x__helper_1 = 7; helper(1); Y[MYPROC] = x__helper_1; }
+        "#;
+        let prog = prepare_program(src).unwrap();
+        let printed = program_to_string(&prog);
+        assert!(printed.contains("int x__helper_2 = 1;"), "{printed}");
+        assert!(printed.contains("Y[MYPROC] = x__helper_2;"), "{printed}");
+        assert!(printed.contains("Y[MYPROC] = x__helper_1;"), "{printed}");
     }
 
     #[test]

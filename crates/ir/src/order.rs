@@ -24,9 +24,11 @@ fn ones_of(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// A dense boolean matrix, used for reachability closures.
+/// A dense boolean matrix, used for reachability closures. Square unless
+/// built with [`BitMatrix::rectangular`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BitMatrix {
+    rows: usize,
     n: usize,
     words_per_row: usize,
     bits: Vec<u64>,
@@ -35,20 +37,26 @@ pub struct BitMatrix {
 impl BitMatrix {
     /// Creates an `n × n` matrix of `false`.
     pub fn new(n: usize) -> Self {
-        let words_per_row = n.div_ceil(64);
+        Self::rectangular(n, n)
+    }
+
+    /// Creates a `rows × cols` matrix of `false`.
+    pub fn rectangular(rows: usize, cols: usize) -> Self {
+        let words_per_row = cols.div_ceil(64);
         BitMatrix {
-            n,
+            rows,
+            n: cols,
             words_per_row,
-            bits: vec![0; words_per_row * n],
+            bits: vec![0; words_per_row * rows],
         }
     }
 
-    /// The dimension.
+    /// The number of columns (the dimension of a square matrix).
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether the matrix is 0×0.
+    /// Whether the matrix has no columns.
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
@@ -59,7 +67,7 @@ impl BitMatrix {
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn set(&mut self, row: usize, col: usize) {
-        assert!(row < self.n && col < self.n);
+        assert!(row < self.rows && col < self.n);
         self.bits[row * self.words_per_row + col / 64] |= 1 << (col % 64);
     }
 
@@ -69,7 +77,7 @@ impl BitMatrix {
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn clear(&mut self, row: usize, col: usize) {
-        assert!(row < self.n && col < self.n);
+        assert!(row < self.rows && col < self.n);
         self.bits[row * self.words_per_row + col / 64] &= !(1 << (col % 64));
     }
 
@@ -79,7 +87,7 @@ impl BitMatrix {
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn get(&self, row: usize, col: usize) -> bool {
-        assert!(row < self.n && col < self.n);
+        assert!(row < self.rows && col < self.n);
         self.bits[row * self.words_per_row + col / 64] & (1 << (col % 64)) != 0
     }
 
@@ -104,8 +112,14 @@ impl BitMatrix {
 
     /// The raw words of `row`, for word-parallel set operations.
     pub fn row_words(&self, row: usize) -> &[u64] {
-        assert!(row < self.n);
+        assert!(row < self.rows);
         &self.bits[row * self.words_per_row..(row + 1) * self.words_per_row]
+    }
+
+    /// The raw words of `row`, writable.
+    pub fn row_words_mut(&mut self, row: usize) -> &mut [u64] {
+        assert!(row < self.rows);
+        &mut self.bits[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
     /// The columns set in `row`, in increasing order.
@@ -119,7 +133,7 @@ impl BitMatrix {
     ///
     /// Panics if `row` is out of range or `words` has the wrong length.
     pub fn and_row_words(&mut self, row: usize, words: &[u64]) {
-        assert!(row < self.n);
+        assert!(row < self.rows);
         assert_eq!(words.len(), self.words_per_row);
         let off = row * self.words_per_row;
         for (dst, &src) in self.bits[off..off + self.words_per_row]
@@ -136,7 +150,7 @@ impl BitMatrix {
     ///
     /// Panics if `row` is out of range or `words` has the wrong length.
     pub fn or_row_words(&mut self, row: usize, words: &[u64]) -> bool {
-        assert!(row < self.n);
+        assert!(row < self.rows);
         assert_eq!(words.len(), self.words_per_row);
         let off = row * self.words_per_row;
         let mut changed = false;
@@ -224,6 +238,18 @@ impl BitSet {
         }
     }
 
+    /// `self &= !words` (word-parallel difference with a raw row).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a word-length mismatch.
+    pub fn subtract_words(&mut self, words: &[u64]) {
+        assert_eq!(self.words.len(), words.len());
+        for (d, s) in self.words.iter_mut().zip(words) {
+            *d &= !s;
+        }
+    }
+
     /// `self = words & !mask`, word-parallel.
     ///
     /// # Panics
@@ -258,13 +284,74 @@ impl BitSet {
     }
 }
 
-/// Work performed by one [`reachability_counted`] closure computation —
-/// deterministic counters for the observability report.
+/// A directed graph over `0..n` in compressed sparse row form: node `x`'s
+/// successors are `targets[offsets[x]..offsets[x + 1]]`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    /// The graph whose edges `edges` reports to the callback it is handed.
+    /// `edges` runs twice — once to count each node's out-degree, once to
+    /// fill — so the graph is built in two allocations and no edge list.
+    /// A node's successors keep the order they were reported in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX` or an edge leaves `0..n`.
+    pub fn from_edges(n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) -> Self {
+        assert!(u32::try_from(n).is_ok(), "node ids are stored as u32");
+        let mut offsets = vec![0usize; n + 1];
+        edges(&mut |from, _| offsets[from + 1] += 1);
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut targets = vec![0u32; offsets[n]];
+        // `offsets[x]` serves as node x's fill cursor and ends at the
+        // start of node x + 1; one shift puts the starts back.
+        edges(&mut |from, to| {
+            assert!(to < n, "edge {from} → {to} leaves the graph");
+            targets[offsets[from]] = to as u32;
+            offsets[from] += 1;
+        });
+        for x in (1..n).rev() {
+            offsets[x] = offsets[x - 1];
+        }
+        offsets[0] = 0;
+        Csr { offsets, targets }
+    }
+
+    /// The number of nodes.
+    pub fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Whether the graph has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The number of edges.
+    pub fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The successors of `x`, in the order they were reported.
+    pub fn successors(&self, x: usize) -> &[u32] {
+        &self.targets[self.offsets[x]..self.offsets[x + 1]]
+    }
+}
+
+/// Work performed by one condensation ([`reachability_counted`],
+/// [`Ancestors::compute`]) — deterministic counters for the observability
+/// report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReachStats {
     /// Strongly connected components found by the Tarjan condensation.
     pub sccs: u64,
-    /// `u64` words ORed while propagating closure rows.
+    /// `u64` words ORed while propagating rows between components.
     pub closure_word_ors: u64,
 }
 
@@ -272,15 +359,16 @@ pub struct ReachStats {
 /// `result.get(a, b)` iff `b` is reachable from `a` via **one or more**
 /// edges.
 pub fn reachability(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
-    let mut adj = BitMatrix::new(n);
-    for &(a, b) in edges {
-        adj.set(a, b);
-    }
-    reachability_counted(&adj).0
+    reachability_counted(&Csr::from_edges(n, |edge| {
+        for &(a, b) in edges {
+            edge(a, b);
+        }
+    }))
+    .0
 }
 
-/// [`reachability`] over a prebuilt adjacency matrix (row `u` holds the
-/// nodes `u` has an edge to), additionally reporting work counters.
+/// [`reachability`] over a prebuilt graph, additionally reporting work
+/// counters.
 ///
 /// The closure is computed by Tarjan SCC condensation: components are
 /// emitted in reverse topological order, so each component's closure row
@@ -289,14 +377,14 @@ pub fn reachability(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
 /// of one component share a single physical row computation; members of a
 /// cyclic component (size > 1, or a self-loop) reach each other and
 /// themselves.
-pub fn reachability_counted(adj: &BitMatrix) -> (BitMatrix, ReachStats) {
-    let n = adj.len();
+pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
+    let n = g.len();
     let mut m = BitMatrix::new(n);
     let mut stats = ReachStats::default();
     if n == 0 {
         return (m, stats);
     }
-    let sccs = tarjan_sccs(adj);
+    let sccs = tarjan_sccs(g);
     let num_sccs = sccs.len();
     stats.sccs = num_sccs as u64;
     let words_per_row = n.div_ceil(64);
@@ -317,8 +405,8 @@ pub fn reachability_counted(adj: &BitMatrix) -> (BitMatrix, ReachStats) {
         let rep = mems[0];
         let mut cyclic = mems.len() > 1;
         for &u in mems {
-            for v in adj.row_ones(u) {
-                let t = sccs.comp[v];
+            for &v in g.successors(u) {
+                let t = sccs.comp[v as usize];
                 if t == c {
                     cyclic = true;
                 } else if last_seen[t] != c {
@@ -370,9 +458,108 @@ impl Sccs {
     }
 }
 
-/// Iterative Tarjan over the rows of `adj`, each row's edges taken in
-/// increasing column order.
-fn tarjan_sccs(adj: &BitMatrix) -> Sccs {
+/// The condensation of a graph with one **ancestor row** per component:
+/// `Anc(K) = {v : v reaches some member of K via one or more edges}`. All
+/// members of a component share it — a cyclic component's members are in
+/// their own row, an acyclic singleton is not.
+///
+/// Where [`reachability_counted`] keeps a row per node of what it reaches,
+/// this keeps a row per component of what reaches it: the question a
+/// back-path asks ("does `v` reach `u`?") is then one bit of `u`'s row,
+/// and "does any of a set reach `u`?" one word-intersection.
+#[derive(Debug, Clone)]
+pub struct Ancestors {
+    /// The component of each node.
+    comp: Vec<usize>,
+    /// Row `c` = `Anc(c)`.
+    rows: BitMatrix,
+    stats: ReachStats,
+}
+
+impl Ancestors {
+    /// Condenses `g` and pushes the ancestor rows down it.
+    ///
+    /// Tarjan emits components in reverse topological order, so walking
+    /// the emission backwards visits every component after all of its
+    /// predecessors: its row is final by then, and it ORs `row ∪ members`
+    /// into each successor component once.
+    pub fn compute(g: &Csr) -> Self {
+        let n = g.len();
+        let sccs = tarjan_sccs(g);
+        let num = sccs.len();
+        let mut rows = BitMatrix::rectangular(num, n);
+        let mut stats = ReachStats {
+            sccs: num as u64,
+            closure_word_ors: 0,
+        };
+        // `pushed` = Anc(c) ∪ members(c), what every successor inherits.
+        let mut pushed = BitSet::new(n);
+        // Dedup marker so each successor component is ORed once per
+        // component, however many edges lead to it.
+        let mut last_seen = vec![usize::MAX; num];
+        for c in (0..num).rev() {
+            let mems = sccs.members(c);
+            pushed.clear();
+            pushed.union_words(rows.row_words(c));
+            for &u in mems {
+                pushed.insert(u);
+            }
+            let mut cyclic = mems.len() > 1;
+            for &u in mems {
+                for &v in g.successors(u) {
+                    let t = sccs.comp[v as usize];
+                    if t == c {
+                        cyclic = true;
+                    } else if last_seen[t] != c {
+                        last_seen[t] = c;
+                        rows.or_row_words(t, pushed.words());
+                        stats.closure_word_ors += pushed.words().len() as u64;
+                    }
+                }
+            }
+            if cyclic {
+                for &u in mems {
+                    rows.set(c, u);
+                }
+            }
+        }
+        Ancestors {
+            comp: sccs.comp,
+            rows,
+            stats,
+        }
+    }
+
+    /// The number of components.
+    pub fn num_components(&self) -> usize {
+        self.stats.sccs as usize
+    }
+
+    /// The component of node `x` (components are numbered `0..`
+    /// [`Ancestors::num_components`]).
+    pub fn component(&self, x: usize) -> usize {
+        self.comp[x]
+    }
+
+    /// `Anc(c)` as raw words.
+    pub fn of_component(&self, c: usize) -> &[u64] {
+        self.rows.row_words(c)
+    }
+
+    /// `Anc(component(x))`: every node that reaches `x` via ≥ 1 edge.
+    pub fn of(&self, x: usize) -> &[u64] {
+        self.of_component(self.comp[x])
+    }
+
+    /// Work done condensing and pushing.
+    pub fn stats(&self) -> ReachStats {
+        self.stats
+    }
+}
+
+/// Iterative Tarjan over `g`, each node's edges taken in the order `g`
+/// lists them.
+fn tarjan_sccs(g: &Csr) -> Sccs {
     /// What the walk knows about one node.
     #[derive(Clone, Copy)]
     struct Visit {
@@ -381,7 +568,7 @@ fn tarjan_sccs(adj: &BitMatrix) -> Sccs {
         on_stack: bool,
     }
     const UNSEEN: usize = usize::MAX;
-    let n = adj.len();
+    let n = g.len();
     let mut visit = vec![
         Visit {
             index: UNSEEN,
@@ -398,18 +585,17 @@ fn tarjan_sccs(adj: &BitMatrix) -> Sccs {
     let mut start = Vec::with_capacity(n + 1);
     start.push(0);
     let mut next_index = 0usize;
-    // Explicit call stack of (node, word of its row being read, bits of
-    // that word still to visit) — the mirror graph of a heavily unrolled
-    // program is deep enough to overflow recursion.
-    let mut call: Vec<(usize, usize, u64)> = Vec::with_capacity(n);
-    let enter = |v: usize| (v, 0, adj.row_words(v).first().copied().unwrap_or(0));
+    // Explicit call stack of (node, how many of its edges were taken) —
+    // the mirror graph of a heavily unrolled program is deep enough to
+    // overflow recursion.
+    let mut call: Vec<(usize, usize)> = Vec::with_capacity(n);
     for root in 0..n {
         if visit[root].index != UNSEEN {
             continue;
         }
-        call.push(enter(root));
+        call.push((root, 0));
         let mut entered = true;
-        while let Some(&mut (v, ref mut wi, ref mut bits)) = call.last_mut() {
+        while let Some(&mut (v, ref mut taken)) = call.last_mut() {
             if std::mem::take(&mut entered) {
                 visit[v] = Visit {
                     index: next_index,
@@ -419,16 +605,11 @@ fn tarjan_sccs(adj: &BitMatrix) -> Sccs {
                 next_index += 1;
                 stack.push(v);
             }
-            let row = adj.row_words(v);
-            while *bits == 0 && *wi + 1 < row.len() {
-                *wi += 1;
-                *bits = row[*wi];
-            }
-            if *bits != 0 {
-                let w = *wi * 64 + bits.trailing_zeros() as usize;
-                *bits &= *bits - 1;
+            if let Some(&w) = g.successors(v).get(*taken) {
+                *taken += 1;
+                let w = w as usize;
                 if visit[w].index == UNSEEN {
-                    call.push(enter(w));
+                    call.push((w, 0));
                     entered = true;
                 } else if visit[w].on_stack {
                     visit[v].low = visit[v].low.min(visit[w].index);
@@ -469,16 +650,23 @@ pub struct ProgramOrder {
     block_reach: BitMatrix,
     /// Row `x` is `{y : x <_P y}` over access sites.
     access_succ: BitMatrix,
+    /// A sparse graph whose transitive closure is `access_succ` (see
+    /// [`ProgramOrder::skeleton`]).
+    skeleton: Csr,
 }
 
 impl ProgramOrder {
-    /// Computes block reachability and the access-level order for `cfg`.
+    /// Computes block reachability, the access-level order and its
+    /// skeleton for `cfg`.
     pub fn compute(cfg: &Cfg) -> Self {
         let block_reach = block_reachability(cfg);
-        let access_succ = access_order(cfg, &block_reach);
+        let sites = sites_by_position(cfg);
+        let access_succ = access_order(cfg, &sites, &block_reach);
+        let skeleton = skeleton(cfg, &sites, &block_reach);
         ProgramOrder {
             block_reach,
             access_succ,
+            skeleton,
         }
     }
 
@@ -498,51 +686,66 @@ impl ProgramOrder {
         self.access_succ.get(x.index(), y.index())
     }
 
-    /// The accesses that may execute after `x` (`{y : x <_P y}`), in
-    /// increasing id order.
-    pub fn successors(&self, x: AccessId) -> impl Iterator<Item = AccessId> + '_ {
-        self.access_succ
-            .row_ones(x.index())
-            .map(AccessId::from_index)
-    }
-
     /// The raw bitset row `{y : x <_P y}`, for word-parallel consumers.
     pub fn succ_row_words(&self, x: AccessId) -> &[u64] {
         self.access_succ.row_words(x.index())
+    }
+
+    /// The skeleton `S` of the access order, with `S⁺ = P`:
+    ///
+    /// * each access links to the accesses of the next instruction of its
+    ///   block that has any;
+    /// * the accesses of a block's last such instruction link to the
+    ///   accesses of the first such instruction of every non-empty block
+    ///   reachable from it (the block itself too, when it is in a loop);
+    /// * the accesses of one instruction are not linked to each other,
+    ///   which is what leaves them mutually unordered in `P`.
+    ///
+    /// `P` is the closure of a chain per block and one fan per block exit,
+    /// so `S` has O(accesses + blocks²) edges where `P` has O(accesses²).
+    /// A self-loop `x → x` appears exactly when `x` is the only
+    /// access-bearing instruction of a block in a loop.
+    pub fn skeleton(&self) -> &Csr {
+        &self.skeleton
     }
 }
 
 /// Block reachability alone: `get(a, b)` iff block `b` is reachable from
 /// block `a` via one or more CFG edges.
 pub fn block_reachability(cfg: &Cfg) -> BitMatrix {
-    let mut edges = Vec::new();
-    for b in cfg.block_ids() {
-        for s in cfg.successors(b) {
-            edges.push((b.index(), s.index()));
+    reachability_counted(&Csr::from_edges(cfg.num_blocks(), |edge| {
+        for b in cfg.block_ids() {
+            for s in cfg.successors(b) {
+                edge(b.index(), s.index());
+            }
         }
-    }
-    reachability(cfg.num_blocks(), &edges)
+    }))
+    .0
 }
 
-/// The access-level order: row `x` is every access in a block reachable
-/// from `x`'s block, plus the accesses later in `x`'s own block. Built from
-/// one access mask per block, so the cost is a few row ORs per access
-/// rather than a position comparison per access pair.
-fn access_order(cfg: &Cfg, block_reach: &BitMatrix) -> BitMatrix {
-    let n = cfg.accesses.len();
-    let words = n.div_ceil(64);
-    let mut order = BitMatrix::new(n);
-    // Every site as (block, instruction, access): blocks ascending, the
-    // last instruction of a block first.
+/// Every access site as `(block, instruction, access)`: blocks ascending,
+/// within a block the last instruction first.
+fn sites_by_position(cfg: &Cfg) -> Vec<(usize, usize, usize)> {
     let mut sites: Vec<(usize, usize, usize)> = cfg
         .accesses
         .iter()
         .map(|(id, info)| (info.pos.block.index(), info.pos.instr, id.index()))
         .collect();
     sites.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| b.cmp(a)));
+    sites
+}
+
+/// The access-level order: row `x` is every access in a block reachable
+/// from `x`'s block, plus the accesses later in `x`'s own block. Built from
+/// one access mask per block, so the cost is a few row ORs per access
+/// rather than a position comparison per access pair.
+fn access_order(cfg: &Cfg, sites: &[(usize, usize, usize)], block_reach: &BitMatrix) -> BitMatrix {
+    let n = cfg.accesses.len();
+    let words = n.div_ceil(64);
+    let mut order = BitMatrix::new(n);
     // One access mask per block, `words` words each.
     let mut block_mask = vec![0u64; cfg.num_blocks() * words];
-    for &(b, _, x) in &sites {
+    for &(b, _, x) in sites {
         block_mask[b * words + x / 64] |= 1 << (x % 64);
     }
     let mut later = BitSet::new(n);
@@ -563,6 +766,46 @@ fn access_order(cfg: &Cfg, block_reach: &BitMatrix) -> BitMatrix {
         }
     }
     order
+}
+
+/// The skeleton of [`ProgramOrder::skeleton`], over the sites of
+/// [`sites_by_position`].
+fn skeleton(cfg: &Cfg, sites: &[(usize, usize, usize)], block_reach: &BitMatrix) -> Csr {
+    // The first access-bearing instruction of each block, as a range of
+    // `sites` (it is the last run of the block: instructions descend).
+    let mut first = vec![0..0; cfg.num_blocks()];
+    let mut at = 0;
+    for in_block in sites.chunk_by(|a, b| a.0 == b.0) {
+        let last_run = in_block
+            .chunk_by(|a, b| a.1 == b.1)
+            .last()
+            .map_or(0, <[_]>::len);
+        first[in_block[0].0] = at + in_block.len() - last_run..at + in_block.len();
+        at += in_block.len();
+    }
+    Csr::from_edges(cfg.accesses.len(), |edge| {
+        for in_block in sites.chunk_by(|a, b| a.0 == b.0) {
+            // Runs come last instruction first: each run links to the
+            // one visited just before it, the last instruction to every
+            // reachable block's first.
+            let mut next: Option<&[(usize, usize, usize)]> = None;
+            for run in in_block.chunk_by(|a, b| a.1 == b.1) {
+                for &(_, _, x) in run {
+                    match next {
+                        Some(next) => next.iter().for_each(|&(_, _, y)| edge(x, y)),
+                        None => {
+                            for c in block_reach.row_ones(in_block[0].0) {
+                                sites[first[c].clone()]
+                                    .iter()
+                                    .for_each(|&(_, _, y)| edge(x, y));
+                            }
+                        }
+                    }
+                }
+                next = Some(run);
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -643,10 +886,11 @@ mod tests {
 
     #[test]
     fn reachability_counted_reports_work() {
-        let mut adj = BitMatrix::new(3);
-        adj.set(0, 1);
-        adj.set(1, 2);
-        let (m, stats) = reachability_counted(&adj);
+        let g = Csr::from_edges(3, |edge| {
+            edge(0, 1);
+            edge(1, 2);
+        });
+        let (m, stats) = reachability_counted(&g);
         assert!(m.get(0, 2));
         assert_eq!(stats.sccs, 3);
         assert!(stats.closure_word_ors > 0);
@@ -704,6 +948,69 @@ mod tests {
             let fast = reachability(n, &edges);
             let naive = reachability_naive(n, &edges);
             assert_eq!(fast, naive, "trial {trial}: n={n} edges={edges:?}");
+            // The ancestor rows are the same relation read by column.
+            let anc = Ancestors::compute(&Csr::from_edges(n, |edge| {
+                for &(a, b) in &edges {
+                    edge(a, b);
+                }
+            }));
+            for y in 0..n {
+                let column: Vec<usize> = (0..n).filter(|&x| naive.get(x, y)).collect();
+                assert_eq!(
+                    ones_of(anc.of(y)).collect::<Vec<_>>(),
+                    column,
+                    "trial {trial}: ancestors of {y}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn csr_keeps_each_nodes_edges_in_report_order() {
+        let g = Csr::from_edges(4, |edge| {
+            edge(2, 3);
+            edge(0, 1);
+            edge(2, 0);
+        });
+        assert_eq!(g.len(), 4);
+        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.successors(0), &[1]);
+        assert_eq!(g.successors(1), &[] as &[u32]);
+        assert_eq!(g.successors(2), &[3, 0]);
+        assert_eq!(g.successors(3), &[] as &[u32]);
+        assert!(Csr::from_edges(0, |_| {}).is_empty());
+    }
+
+    #[test]
+    fn the_skeleton_closes_to_the_access_order() {
+        for src in [
+            "shared int X; shared int Y; fn main() { X = 1; Y = X + X; }",
+            "shared int X; fn main() { int i; for (i = 0; i < 4; i = i + 1) { X = i; } }",
+            "shared int X; shared int Y; fn main() { if (MYPROC == 0) { X = 1; } else { Y = 1; } X = Y; }",
+            r#"
+            shared int A[8]; flag F;
+            fn main() {
+                int i; int v;
+                for (i = 0; i < 4; i = i + 1) {
+                    A[i] = A[i + 1] + A[MYPROC];
+                    if (i == 2) { post F; } else { v = A[0]; }
+                    barrier;
+                }
+                wait F;
+                A[0] = v;
+            }
+            "#,
+        ] {
+            let (cfg, po) = order_of(src);
+            let (closed, _) = reachability_counted(po.skeleton());
+            for x in cfg.accesses.ids() {
+                assert_eq!(
+                    closed.row_words(x.index()),
+                    po.succ_row_words(x),
+                    "{x} in {src}"
+                );
+            }
+            assert!(po.skeleton().num_edges() <= cfg.accesses.len() * cfg.accesses.len());
         }
     }
 
@@ -812,10 +1119,11 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    po.successors(x).collect::<Vec<_>>(),
+                    ones_of(po.succ_row_words(x)).collect::<Vec<_>>(),
                     cfg.accesses
                         .ids()
                         .filter(|&y| po.access_precedes(x, y))
+                        .map(AccessId::index)
                         .collect::<Vec<_>>()
                 );
             }

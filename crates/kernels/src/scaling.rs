@@ -263,11 +263,11 @@ mod tests {
         let cfg = lower_main(&prepare_program(&k.source).unwrap()).unwrap();
         let analysis = syncopt_core::analyze_for(&cfg, k.procs);
         let candidates = analysis.metrics.get("cycle.candidate_pairs");
-        let queries = analysis.metrics.get("cycle.backpath_queries");
+        let kept = candidates - analysis.metrics.get("cycle.pruned_candidates");
         assert!(
-            candidates >= 10 * queries.max(1),
+            candidates >= 10 * kept.max(1),
             "owner-computed accesses should prune ≥90% of candidates \
-             ({candidates} candidates, {queries} queries)"
+             ({candidates} candidates, {kept} not pruned)"
         );
     }
 

@@ -65,12 +65,13 @@ pub struct BenchConfigResult {
 }
 
 impl BenchConfigResult {
-    /// Candidate pairs per back-path query, times 100 (integer-only
-    /// pruning evidence; 100 = every candidate queried).
+    /// Candidate pairs per pair left after pruning — the pairs whose
+    /// `D_SS` bit is read off the ancestor rows — times 100 (integer-only
+    /// pruning evidence; 100 = nothing pruned).
     pub fn work_reduction_x100(&self) -> u64 {
         let candidates = self.counters.get("cycle.candidate_pairs");
-        let queries = self.counters.get("cycle.backpath_queries").max(1);
-        candidates * 100 / queries
+        let pruned = self.counters.get("cycle.pruned_candidates");
+        candidates * 100 / (candidates - pruned).max(1)
     }
 }
 
@@ -186,7 +187,7 @@ impl BenchReport {
                 c.id,
                 c.accesses,
                 c.counters.get("cycle.candidate_pairs"),
-                c.counters.get("cycle.backpath_queries"),
+                c.counters.get("cycle.backpath_queries") + c.counters.get("sync.backpath_queries"),
                 c.counters.get("cycle.pruned_candidates"),
                 red / 100,
                 red % 100,

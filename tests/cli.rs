@@ -91,6 +91,44 @@ fn opt_write_back_consults_the_chosen_delay_set() {
     assert_eq!(sync, "puts_eliminated: 1,");
 }
 
+/// `i = A[i]; j = A[i];` read two elements; `--level full` used to turn
+/// the second get into `j = i`, because the first get's destination is an
+/// operand of its own subscript.
+#[test]
+fn opt_keeps_a_get_whose_subscript_its_predecessor_redefined() {
+    let path = std::env::temp_dir().join(format!("syncopt-self-index-{}.ms", std::process::id()));
+    std::fs::write(
+        &path,
+        "shared int A[8]; shared int B[8];\n\
+         fn main() { int i; int j; i = A[MYPROC]; i = A[i]; j = A[i]; B[MYPROC] = j; }\n",
+    )
+    .unwrap();
+    let (ok, stdout, stderr) =
+        syncoptc(&["opt", path.to_str().unwrap(), "--level", "full", "--dump"]);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.matches("get_ctr(").count(), 3, "{stdout}");
+    assert!(stdout.contains("get_ctr(j, A[i]"), "{stdout}");
+    assert!(!stdout.contains("j = i"), "{stdout}");
+}
+
+/// The inliner's fresh name for `helper`'s `x` used to be `x__helper_1`,
+/// the caller's own local: the call then overwrote the caller's 7.
+#[test]
+fn run_inlines_without_capturing_a_callers_local() {
+    let path = std::env::temp_dir().join(format!("syncopt-capture-{}.ms", std::process::id()));
+    std::fs::write(
+        &path,
+        "shared int Y[8]; fn helper(int x) { Y[MYPROC] = x; }\n\
+         fn main() { int x__helper_1; x__helper_1 = 7; helper(1); Y[MYPROC] = x__helper_1; }\n",
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = syncoptc(&["run", path.to_str().unwrap(), "--procs", "2"]);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("Y = [7, 7, 0, 0, 0, 0, 0, 0]"), "{stdout}");
+}
+
 #[test]
 fn run_reports_execution_and_memory() {
     let (ok, stdout, stderr) = syncoptc(&[
@@ -466,6 +504,9 @@ fn a_source_nested_100_000_deep_is_a_coded_diagnostic_not_an_abort() {
             first_line.contains("nesting deeper than 128 levels"),
             "{command}: {first_line}"
         );
+        // The snippet quotes a window of the 200 KB line, not all of it.
+        let longest = stderr.lines().map(str::len).max().unwrap_or(0);
+        assert!(longest < 1024, "{command}: a {longest}-byte line");
         if command == "check" {
             assert!(first_line.contains("error[E007]"), "{first_line}");
             // Level 1 is the function body; the 128th parenthesis is the

@@ -344,6 +344,39 @@ fn hostile_request_lines_get_bad_request_and_leave_the_daemon_serving() {
     stop(&path, handle);
 }
 
+/// A rendered one-line-source diagnostic: every line under 1 KiB (the
+/// snippet quotes a window of the line, `...` where it was cut), and the
+/// window holds the source text at the column the `-->` line names, with
+/// the caret under that column.
+fn assert_snippet_quotes_the_span(rendered: &str, source: &str) {
+    let longest = rendered.lines().map(str::len).max().unwrap_or(0);
+    assert!(longest < 1024, "a {longest}-byte line");
+    let col: usize = rendered
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("-->"))
+        .and_then(|at| at.rsplit(':').next()?.parse().ok())
+        .expect("a --> line");
+    let lines: Vec<&str> = rendered.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.contains('^'))
+        .expect("a caret line");
+    let after_bar = |l: &str| l[l.find("| ").expect("a gutter") + 2..].to_string();
+    let (quoted, caret) = (
+        after_bar(lines[at - 1]),
+        after_bar(lines[at]).find('^').unwrap(),
+    );
+    let skip = if quoted.starts_with("...") { 3 } else { 0 };
+    let text = quoted[skip..]
+        .strip_suffix("...")
+        .unwrap_or(&quoted[skip..]);
+    let from = col - 1 - (caret - skip);
+    assert!(
+        source[from..].starts_with(text),
+        "the window is not the source at column {col}"
+    );
+}
+
 /// A source nested 100 000 deep fits under the request-line limit; it used
 /// to overflow the stack of the connection thread and take the whole
 /// daemon — every client's session — down with it. It is answered with the
@@ -368,6 +401,7 @@ fn a_deeply_nested_source_is_refused_and_the_daemon_stays_up() {
             "{command}: {}",
             failure.lines().next().unwrap_or_default()
         );
+        assert_snippet_quotes_the_span(&failure, &deep);
         assert_eq!(out, execute(&mut AnalysisSession::new(), &q), "{command}");
     }
     client.ping().expect("the same connection still answers");
