@@ -326,10 +326,10 @@ pub fn apply_severity_overrides(diags: &mut [Diagnostic], deny: &[String], allow
 pub mod json {
     //! A minimal JSON value: hand-rolled emitter **and** parser, std-only.
     //!
-    //! The emitter produces canonical output (no whitespace ambiguity),
-    //! and the parser accepts exactly the JSON this crate emits plus
-    //! ordinary whitespace — enough to round-trip `syncoptc check
-    //! --format json` output without serde.
+    //! The emitter appends canonical output (no whitespace ambiguity)
+    //! straight to a `String`. The parser reads documents whose numbers
+    //! are integers, with every string escape of RFC 8259 — what this
+    //! workspace emits and what a standard encoder writes — without serde.
 
     use std::borrow::Cow;
     use std::fmt;
@@ -402,88 +402,133 @@ pub mod json {
         /// Returns a description of the first syntax error.
         pub fn parse(text: &str) -> Result<Value, String> {
             let mut p = Parser {
-                bytes: text.as_bytes(),
+                text,
                 pos: 0,
                 depth: 0,
             };
             p.skip_ws();
             let v = p.value()?;
             p.skip_ws();
-            if p.pos != p.bytes.len() {
+            if p.pos != text.len() {
                 return Err(format!("trailing input at byte {}", p.pos));
             }
             Ok(v)
+        }
+
+        /// Appends this value's canonical JSON text to `out`: no
+        /// whitespace, fields in insertion order, and every control
+        /// character escaped, so a document is always one line. This is
+        /// the one emitter; `Display` renders through it.
+        pub fn write_to(&self, out: &mut String) {
+            match self {
+                Value::Null => out.push_str("null"),
+                Value::Bool(true) => out.push_str("true"),
+                Value::Bool(false) => out.push_str("false"),
+                Value::Int(n) => write_int(out, *n),
+                Value::Str(s) => write_escaped(out, s),
+                Value::Arr(items) => {
+                    out.push('[');
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        v.write_to(out);
+                    }
+                    out.push(']');
+                }
+                Value::Obj(fields) => {
+                    out.push('{');
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_escaped(out, k);
+                        out.push(':');
+                        v.write_to(out);
+                    }
+                    out.push('}');
+                }
+            }
         }
     }
 
     impl fmt::Display for Value {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                Value::Null => f.write_str("null"),
-                Value::Bool(b) => write!(f, "{b}"),
-                Value::Int(n) => write!(f, "{n}"),
-                Value::Str(s) => write_escaped(f, s),
-                Value::Arr(items) => {
-                    f.write_str("[")?;
-                    for (i, v) in items.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        write!(f, "{v}")?;
-                    }
-                    f.write_str("]")
-                }
-                Value::Obj(fields) => {
-                    f.write_str("{")?;
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        write_escaped(f, k)?;
-                        write!(f, ":{v}")?;
-                    }
-                    f.write_str("}")
-                }
-            }
+            // Room for a compile report, so most documents never regrow.
+            let mut out = String::with_capacity(2 << 10);
+            self.write_to(&mut out);
+            f.write_str(&out)
         }
     }
 
-    /// Writes `s` as a JSON string literal. Bytes that need no escape are
-    /// emitted as maximal runs, one `write_str` per run; every byte that
+    /// Appends `n` in decimal, formed in a stack buffer.
+    fn write_int(out: &mut String, n: i64) {
+        // The magnitude as `u64`: `i64::MIN` has none as `i64`.
+        let mut m = n.unsigned_abs();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        if n < 0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
+    /// Appends `s` as a JSON string literal. Bytes that need no escape are
+    /// appended as maximal runs, one `push_str` per run; every byte that
     /// needs one is ASCII, so a run always ends on a `char` boundary.
-    fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-        f.write_str("\"")?;
+    fn write_escaped(out: &mut String, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.reserve(s.len() + 2);
+        out.push('"');
         let mut run = 0;
         for (i, b) in s.bytes().enumerate() {
             if b >= 0x20 && b != b'"' && b != b'\\' {
                 continue;
             }
-            f.write_str(&s[run..i])?;
+            out.push_str(&s[run..i]);
             run = i + 1;
             match b {
-                b'"' => f.write_str("\\\"")?,
-                b'\\' => f.write_str("\\\\")?,
-                b'\n' => f.write_str("\\n")?,
-                b'\r' => f.write_str("\\r")?,
-                b'\t' => f.write_str("\\t")?,
-                _ => write!(f, "\\u{b:04x}")?,
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    out.push_str("\\u00");
+                    out.push(char::from(HEX[usize::from(b >> 4)]));
+                    out.push(char::from(HEX[usize::from(b & 0xf)]));
+                }
             }
         }
-        f.write_str(&s[run..])?;
-        f.write_str("\"")
+        out.push_str(&s[run..]);
+        out.push('"');
     }
 
     struct Parser<'a> {
-        bytes: &'a [u8],
+        /// The document. It is a `&str`, so a slice of it cut at ASCII
+        /// delimiters is valid UTF-8 with no further check.
+        text: &'a str,
         pos: usize,
         /// Arrays and objects currently open around `pos`.
         depth: usize,
     }
 
-    impl Parser<'_> {
+    impl<'a> Parser<'a> {
+        fn bytes(&self) -> &'a [u8] {
+            self.text.as_bytes()
+        }
+
         fn skip_ws(&mut self) {
             while self
-                .bytes
+                .bytes()
                 .get(self.pos)
                 .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
             {
@@ -492,7 +537,7 @@ pub mod json {
         }
 
         fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.bytes.get(self.pos) == Some(&b) {
+            if self.bytes().get(self.pos) == Some(&b) {
                 self.pos += 1;
                 Ok(())
             } else {
@@ -501,7 +546,7 @@ pub mod json {
         }
 
         fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
                 self.pos += word.len();
                 Ok(v)
             } else {
@@ -510,7 +555,7 @@ pub mod json {
         }
 
         fn value(&mut self) -> Result<Value, String> {
-            match self.bytes.get(self.pos) {
+            match self.bytes().get(self.pos) {
                 Some(b'n') => self.literal("null", Value::Null),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -543,66 +588,98 @@ pub mod json {
 
         fn number(&mut self) -> Result<Value, String> {
             let start = self.pos;
-            if self.bytes.get(self.pos) == Some(&b'-') {
+            if self.bytes().get(self.pos) == Some(&b'-') {
                 self.pos += 1;
             }
-            while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            while self.bytes().get(self.pos).is_some_and(u8::is_ascii_digit) {
                 self.pos += 1;
             }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
+            self.text[start..self.pos]
+                .parse()
                 .map(Value::Int)
-                .ok_or_else(|| format!("bad number at byte {start}"))
+                .map_err(|_| format!("bad number at byte {start}"))
         }
 
+        /// Parses a string literal. The runs between escapes are sliced
+        /// from the input, and a literal with no escape is one allocation
+        /// of its exact size.
         fn string(&mut self) -> Result<String, String> {
             self.expect(b'"')?;
             let mut out = String::new();
             loop {
-                // Copy the maximal run up to the next quote or backslash,
-                // validating it once. Both delimiters are ASCII, so a run
-                // never splits a multi-byte character.
-                let rest = &self.bytes[self.pos..];
-                let run = rest
+                // Both delimiters are ASCII, so a run never splits a
+                // multi-byte character.
+                let start = self.pos;
+                let run = self.bytes()[start..]
                     .iter()
                     .position(|&b| b == b'"' || b == b'\\')
                     .ok_or("unterminated string")?;
-                out.push_str(
-                    std::str::from_utf8(&rest[..run]).map_err(|_| "invalid utf-8".to_string())?,
-                );
-                self.pos += run + 1;
-                if rest[run] == b'"' {
+                let text = &self.text[start..start + run];
+                self.pos = start + run + 1;
+                if self.bytes()[start + run] == b'"' {
+                    // Every escape pushes a character, so `out` is empty
+                    // only when none came before this run.
+                    if out.is_empty() {
+                        return Ok(text.to_owned());
+                    }
+                    out.push_str(text);
                     return Ok(out);
                 }
-                match self.bytes.get(self.pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = self
-                            .bytes
-                            .get(self.pos + 1..self.pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        out.push(char::from_u32(hex).ok_or("bad \\u codepoint")?);
-                        self.pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", self.pos)),
-                }
-                self.pos += 1;
+                out.push_str(text);
+                out.push(self.escape()?);
             }
+        }
+
+        /// Decodes the escape whose letter is at `pos` and steps past it.
+        /// A high-surrogate `\u` escape directly followed by a low one is
+        /// the one character the UTF-16 pair encodes; a surrogate outside
+        /// such a pair is an error.
+        fn escape(&mut self) -> Result<char, String> {
+            let c = match self.bytes().get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let unit = self.hex4(self.pos + 1).ok_or("bad \\u escape")?;
+                    self.pos += 4;
+                    let low = match unit {
+                        0xD800..=0xDBFF if self.bytes()[self.pos + 1..].starts_with(b"\\u") => self
+                            .hex4(self.pos + 3)
+                            .filter(|low| (0xDC00..=0xDFFF).contains(low)),
+                        _ => None,
+                    };
+                    let code = match low {
+                        Some(low) => {
+                            self.pos += 6;
+                            0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                        }
+                        None => unit,
+                    };
+                    char::from_u32(code).ok_or("bad \\u codepoint")?
+                }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            };
+            self.pos += 1;
+            Ok(c)
+        }
+
+        /// The four hex digits at `at`, if they are there.
+        fn hex4(&self, at: usize) -> Option<u32> {
+            self.text
+                .get(at..at + 4)
+                .and_then(|h| u32::from_str_radix(h, 16).ok())
         }
 
         fn array(&mut self) -> Result<Value, String> {
             self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b']') {
+            if self.bytes().get(self.pos) == Some(&b']') {
                 self.pos += 1;
                 return Ok(Value::Arr(items));
             }
@@ -610,7 +687,7 @@ pub mod json {
                 self.skip_ws();
                 items.push(self.value()?);
                 self.skip_ws();
-                match self.bytes.get(self.pos) {
+                match self.bytes().get(self.pos) {
                     Some(b',') => self.pos += 1,
                     Some(b']') => {
                         self.pos += 1;
@@ -625,7 +702,7 @@ pub mod json {
             self.expect(b'{')?;
             let mut fields = Vec::new();
             self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b'}') {
+            if self.bytes().get(self.pos) == Some(&b'}') {
                 self.pos += 1;
                 return Ok(Value::Obj(fields));
             }
@@ -638,7 +715,7 @@ pub mod json {
                 let val = self.value()?;
                 fields.push((Key::Owned(key), val));
                 self.skip_ws();
-                match self.bytes.get(self.pos) {
+                match self.bytes().get(self.pos) {
                     Some(b',') => self.pos += 1,
                     Some(b'}') => {
                         self.pos += 1;
@@ -652,11 +729,53 @@ pub mod json {
 
     #[cfg(test)]
     mod reference {
-        //! The per-`char` emitter and string parser that the run-based
-        //! ones replaced, kept as what the differential tests compare
-        //! against.
+        //! The `fmt` emitter, per-`char` escaper and per-`char` string
+        //! parser that the production ones replaced, kept as what the
+        //! differential tests compare against.
 
-        use std::fmt::Write;
+        use super::Value;
+        use std::fmt::{self, Write};
+
+        /// Renders a value the way `Display` did before
+        /// [`Value::write_to`]: a `write!` per value, integers and
+        /// booleans through `fmt`, strings through [`write_escaped`].
+        pub struct Fmt<'a>(pub &'a Value);
+
+        impl fmt::Display for Fmt<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let escaped = |s: &str| {
+                    let mut out = String::new();
+                    write_escaped(&mut out, s);
+                    out
+                };
+                match self.0 {
+                    Value::Null => f.write_str("null"),
+                    Value::Bool(b) => write!(f, "{b}"),
+                    Value::Int(n) => write!(f, "{n}"),
+                    Value::Str(s) => f.write_str(&escaped(s)),
+                    Value::Arr(items) => {
+                        f.write_str("[")?;
+                        for (i, v) in items.iter().enumerate() {
+                            if i > 0 {
+                                f.write_str(",")?;
+                            }
+                            write!(f, "{}", Fmt(v))?;
+                        }
+                        f.write_str("]")
+                    }
+                    Value::Obj(fields) => {
+                        f.write_str("{")?;
+                        for (i, (k, v)) in fields.iter().enumerate() {
+                            if i > 0 {
+                                f.write_str(",")?;
+                            }
+                            write!(f, "{}:{}", escaped(k), Fmt(v))?;
+                        }
+                        f.write_str("}")
+                    }
+                }
+            }
+        }
 
         pub fn write_escaped(out: &mut String, s: &str) {
             out.push('"');
@@ -694,17 +813,35 @@ pub mod json {
                             Some(b'"') => out.push('"'),
                             Some(b'\\') => out.push('\\'),
                             Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
                             Some(b'n') => out.push('\n'),
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
                             Some(b'u') => {
-                                let hex = bytes
-                                    .get(*pos + 1..*pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or("bad \\u escape")?;
-                                out.push(char::from_u32(hex).ok_or("bad \\u codepoint")?);
+                                let unit = |at: usize| {
+                                    bytes
+                                        .get(at..at + 4)
+                                        .and_then(|h| std::str::from_utf8(h).ok())
+                                        .and_then(|h| u16::from_str_radix(h, 16).ok())
+                                };
+                                let first = unit(*pos + 1).ok_or("bad \\u escape")?;
                                 *pos += 4;
+                                let mut units = vec![first];
+                                if bytes.get(*pos + 1..*pos + 3) == Some(b"\\u".as_slice()) {
+                                    units.extend(unit(*pos + 3));
+                                }
+                                // `decode_utf16` joins a high and a low
+                                // surrogate, and rejects any other.
+                                match char::decode_utf16(units.iter().copied()).next() {
+                                    Some(Ok(c)) => {
+                                        out.push(c);
+                                        if c.len_utf16() == 2 {
+                                            *pos += 6;
+                                        }
+                                    }
+                                    _ => return Err("bad \\u codepoint".to_string()),
+                                }
                             }
                             _ => return Err(format!("bad escape at byte {pos}")),
                         }
@@ -771,7 +908,8 @@ pub mod json {
                     0 => s.push(WIDE[rng.below(8) as usize]),
                     1 => s.push(char::from(rng.below(0x20) as u8)),
                     2 => s.push_str(
-                        ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t"][rng.below(6) as usize],
+                        ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"]
+                            [rng.below(8) as usize],
                     ),
                     3 => s.push_str(&format!("\\u{:04x}", rng.below(0x1_0000))),
                     4 => s.push_str(&format!("\\u{:04X}", rng.below(0x20))),
@@ -779,6 +917,20 @@ pub mod json {
                         s.push_str(
                             ["\\x", "\\u12", "\\uzzzz", "\\ud800", "\\é"][rng.below(5) as usize],
                         );
+                    }
+                    6 => {
+                        // A surrogate pair; one time in four a reversed
+                        // pair or a lone half instead.
+                        let (high, low) = (0xd800 + rng.below(0x400), 0xdc00 + rng.below(0x400));
+                        let units = [vec![high, low], vec![low, high], vec![high], vec![low]];
+                        let pick = if rng.below(4) == 0 {
+                            1 + rng.below(3)
+                        } else {
+                            0
+                        };
+                        for unit in &units[pick as usize] {
+                            s.push_str(&format!("\\u{unit:04x}"));
+                        }
                     }
                     _ => plain_run(rng, &mut s),
                 }
@@ -815,7 +967,7 @@ pub mod json {
             for n in 0..4_000 {
                 let doc = random_literal(&mut rng);
                 let mut p = Parser {
-                    bytes: doc.as_bytes(),
+                    text: &doc,
                     pos: 0,
                     depth: 0,
                 };
@@ -874,6 +1026,124 @@ pub mod json {
             // Depth counts open containers, not containers seen.
             let siblings = format!("[{}]", vec!["[[]]"; 1_000].join(","));
             assert!(Value::parse(&siblings).is_ok());
+        }
+
+        /// A value at most `depth` containers deep: every kind, strings
+        /// from [`random_text`] as values and as keys, and the integers at
+        /// the edges of `i64` as often as any other.
+        fn random_value(rng: &mut SplitMix64, depth: u32, n: u64) -> Value {
+            match rng.below(if depth == 0 { 4 } else { 7 }) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.below(2) == 0),
+                2 => Value::Int(
+                    [i64::MIN, i64::MAX, 0, -1, rng.next() as i64][rng.below(5) as usize],
+                ),
+                3 => Value::Str(random_text(rng, n)),
+                4 => Value::Arr(
+                    (0..rng.below(4))
+                        .map(|_| random_value(rng, depth - 1, n))
+                        .collect(),
+                ),
+                _ => Value::Obj(
+                    (0..rng.below(4))
+                        .map(|_| (random_text(rng, n).into(), random_value(rng, depth - 1, n)))
+                        .collect(),
+                ),
+            }
+        }
+
+        fn nesting(v: &Value) -> u32 {
+            match v {
+                Value::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+                Value::Obj(fields) => 1 + fields.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+
+        #[test]
+        fn write_to_matches_the_fmt_reference_and_parses_back() {
+            let mut rng = SplitMix64::new(0x5eed_0003);
+            let mut deepest = 0;
+            for n in 0..2_000 {
+                let v = random_value(&mut rng, 8, n);
+                deepest = deepest.max(nesting(&v));
+                let mut text = String::new();
+                v.write_to(&mut text);
+                assert_eq!(text, reference::Fmt(&v).to_string(), "value {n}");
+                assert_eq!(v.to_string(), text, "value {n}: the `Display` shim");
+                assert_eq!(Value::parse(&text), Ok(v), "value {n}");
+            }
+            assert_eq!(deepest, 8, "the generator must reach the depth it allows");
+        }
+
+        /// The error of every kind of malformed document, byte for byte as
+        /// the parser has always worded it.
+        #[test]
+        fn malformed_documents_keep_their_error_messages() {
+            let u = |unit: u32| format!("\\u{unit:04x}");
+            let deep = "[".repeat(MAX_DEPTH + 1);
+            let cases = [
+                (String::new(), "unexpected input at byte 0"),
+                (" \n".to_string(), "unexpected input at byte 2"),
+                ("\"abc".to_string(), "unterminated string"),
+                ("{\"k\":\"v\\\"".to_string(), "unterminated string"),
+                ("[\"a\\".to_string(), "bad escape at byte 4"),
+                ("\"a\\x\"".to_string(), "bad escape at byte 3"),
+                ("\"\\u12\"".to_string(), "bad \\u escape"),
+                ("\"\\uzzzz\"".to_string(), "bad \\u escape"),
+                (format!("\"{}\"", u(0xd83d)), "bad \\u codepoint"),
+                (format!("\"{}x\"", u(0xd83d)), "bad \\u codepoint"),
+                (format!("\"{}\"", u(0xde00)), "bad \\u codepoint"),
+                (
+                    format!("\"{}{}\"", u(0xde00), u(0xd83d)),
+                    "bad \\u codepoint",
+                ),
+                (format!("\"{}{}\"", u(0xd83d), u(0x41)), "bad \\u codepoint"),
+                (format!("\"{}\\uzzzz\"", u(0xd83d)), "bad \\u codepoint"),
+                ("-".to_string(), "bad number at byte 0"),
+                ("[1,-x]".to_string(), "bad number at byte 3"),
+                ("99999999999999999999".to_string(), "bad number at byte 0"),
+                ("1 2".to_string(), "trailing input at byte 2"),
+                ("{} x".to_string(), "trailing input at byte 3"),
+                (deep, "nesting deeper than 128 at byte 128"),
+                ("nul".to_string(), "invalid literal at byte 0"),
+                ("{\"a\" 1}".to_string(), "expected `:` at byte 5"),
+                ("{1:2}".to_string(), "expected `\"` at byte 1"),
+                ("[1 2]".to_string(), "expected `,` or `]` at byte 3"),
+                (
+                    "{\"a\":1 \"b\"}".to_string(),
+                    "expected `,` or `}` at byte 7",
+                ),
+            ];
+            for (doc, error) in cases {
+                assert_eq!(Value::parse(&doc), Err(error.to_string()), "{doc:?}");
+            }
+        }
+
+        /// Every escape RFC 8259 defines decodes, as a standard encoder
+        /// writes it: Python's `json.dumps` escapes a backspace, a form
+        /// feed and any non-ASCII character, astral ones as a UTF-16 pair.
+        #[test]
+        fn every_rfc_8259_escape_decodes() {
+            let u = |unit: u32| format!("\\u{unit:04x}");
+            let doc = format!("\"\\b\\f{}{}\\/{}\"", u(0xd83d), u(0xde00), u(0xe9));
+            assert_eq!(
+                Value::parse(&doc),
+                Ok(Value::Str("\u{8}\u{c}😀/é".to_string()))
+            );
+            // The first and the last astral code point, in either case.
+            for (high, low, c) in [
+                (0xd800, 0xdc00, '\u{1_0000}'),
+                (0xdbff, 0xdfff, '\u{10_ffff}'),
+            ] {
+                let expected = Ok(Value::Str(format!("<{c}>")));
+                assert_eq!(
+                    Value::parse(&format!("\"<{}{}>\"", u(high), u(low))),
+                    expected
+                );
+                let upper = format!("\"<\\u{high:04X}\\u{low:04X}>\"");
+                assert_eq!(Value::parse(&upper), expected);
+            }
         }
     }
 }

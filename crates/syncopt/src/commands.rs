@@ -225,6 +225,14 @@ impl CmdOut {
     }
 }
 
+/// A borrowed result converts by copying, for callers of
+/// [`query_response`](crate::rpc::query_response) that keep theirs.
+impl From<&CmdOut> for CmdOut {
+    fn from(out: &CmdOut) -> CmdOut {
+        out.clone()
+    }
+}
+
 /// Runs one query against a session. Every artifact the query needs is
 /// served from — or inserted into — the session's content-addressed
 /// cache, so repeated queries over unchanged sources reuse prior work
@@ -242,8 +250,20 @@ pub fn execute(session: &mut AnalysisSession, q: &Query) -> CmdOut {
         "check" => with_source(q, |src| cmd_check(session, src, q)),
         "lint" if q.kernels => cmd_lint_kernels(session, q),
         "lint" => cmd_lint(session, q),
+        // What the daemon's panic containment is tested with.
+        #[cfg(test)]
+        "panic" => panic!("the test-only command `panic` ran"),
         other => CmdOut::fail(format!("unknown command `{other}`")),
     }
+}
+
+/// `doc` and its newline, written into one buffer: a JSON command's
+/// whole stdout.
+fn json_line(doc: &json::Value) -> String {
+    let mut out = String::with_capacity(2 << 10);
+    doc.write_to(&mut out);
+    out.push('\n');
+    out
 }
 
 fn with_source(q: &Query, f: impl FnOnce(&str) -> CmdOut) -> CmdOut {
@@ -339,7 +359,7 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             ("delay_pairs".into(), json::Value::Arr(pairs)),
             ("warnings".into(), json::Value::Arr(warning_values)),
         ]);
-        return CmdOut::ok(format!("{doc}\n"));
+        return CmdOut::ok(json_line(&doc));
     }
     let mut out = String::new();
     let _ = writeln!(out, "access sites:          {}", s.accesses);
@@ -404,7 +424,7 @@ fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
                 json::Value::Str(syncopt_ir::print::cfg_to_dot(&c.optimized().cfg, &q.file)),
             ));
         }
-        return CmdOut::ok(format!("{}\n", json::Value::Obj(fields)));
+        return CmdOut::ok(json_line(&json::Value::Obj(fields)));
     }
     if q.dot {
         return CmdOut::ok(format!(
@@ -438,12 +458,12 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     };
     let file = q.emit_report.as_ref().map(|path| FileOutput {
         path: path.clone(),
-        content: format!("{}\n", r.report().to_json()),
+        content: json_line(&r.report().to_json()),
         note: format!("pipeline report written to {path}"),
     });
     if q.format == Format::Json {
         return CmdOut {
-            stdout: format!("{}\n", r.report().to_json()),
+            stdout: json_line(&r.report().to_json()),
             file,
             failure: None,
         };
@@ -546,7 +566,7 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             stdout: String::new(),
             file: Some(FileOutput {
                 path: path.clone(),
-                content: format!("{json}\n"),
+                content: json_line(&json),
                 note: format!(
                     "trace written to {path} ({} events{}); open in https://ui.perfetto.dev or chrome://tracing",
                     json.get("traceEvents").and_then(json::Value::as_arr).map_or(0, |a| a.len()),
@@ -555,7 +575,7 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             }),
             failure: None,
         },
-        None => CmdOut::ok(format!("{json}\n")),
+        None => CmdOut::ok(json_line(&json)),
     }
 }
 
@@ -584,7 +604,7 @@ fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         }
     }
     if q.format == Format::Json {
-        return CmdOut::ok(format!("{}\n", report.to_json(c.source_cfg(), src)));
+        return CmdOut::ok(json_line(&report.to_json(c.source_cfg(), src)));
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -611,7 +631,7 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
     match q.format {
-        Format::Json => CmdOut::ok(format!("{}\n", p.to_json())),
+        Format::Json => CmdOut::ok(json_line(&p.to_json())),
         Format::Human => CmdOut::ok(p.render_table()),
     }
 }
@@ -658,7 +678,7 @@ fn cmd_litmus(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
                 json::Value::Bool(refined.is_subset(&sc)),
             ),
         ]);
-        return CmdOut::ok(format!("{doc}\n"));
+        return CmdOut::ok(json_line(&doc));
     }
     let mut out = String::new();
     let _ = writeln!(out, "SC outcomes:                 {sc:?}");
@@ -793,7 +813,7 @@ fn cmd_check(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
                     json::Value::Arr(outcome.diags.iter().map(|d| d.to_json(src)).collect()),
                 ),
             ]);
-            let _ = writeln!(out, "{report}");
+            out = json_line(&report);
         }
         Format::Human => {
             for d in &outcome.diags {
@@ -857,7 +877,7 @@ fn cmd_check_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
                 ("procs".into(), json::Value::Int(i64::from(q.procs))),
                 ("kernels".into(), json::Value::Arr(kernels)),
             ]);
-            let _ = writeln!(out, "{report}");
+            out = json_line(&report);
         }
         Format::Human => {
             let _ = writeln!(
@@ -928,7 +948,7 @@ fn cmd_lint(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     let mut out = String::new();
     match q.format {
         Format::Json => {
-            let _ = writeln!(out, "{}", report.to_json(&src, &display, q.procs));
+            out = json_line(&report.to_json(&src, &display, q.procs));
         }
         Format::Human => {
             for d in &report.diagnostics {
@@ -993,7 +1013,7 @@ fn cmd_lint_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
                 ("procs".into(), json::Value::Int(i64::from(q.procs))),
                 ("kernels".into(), json::Value::Arr(kernels)),
             ]);
-            let _ = writeln!(out, "{wrapper}");
+            out = json_line(&wrapper);
         }
         Format::Human => {
             let _ = writeln!(

@@ -22,7 +22,7 @@
 
 use crate::commands::execute;
 use crate::rpc::{
-    decode_request, error_response, metrics_response, ping_response, query_response, request_id,
+    decode_request, error_response, metrics_response, ping_response, query_response,
     shutdown_response, stats_response, write_message, Request, RequestBody, RpcError, ServiceStats,
 };
 use crate::session::AnalysisSession;
@@ -30,9 +30,10 @@ use crate::telemetry::{RequestOutcome, RequestSpan, ServiceTelemetry, TelemetryC
 use std::io::{BufRead, BufReader, Read};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use syncopt_core::cache::CacheStats;
 
@@ -56,6 +57,16 @@ struct State {
     /// telemetry off (one atomic increment per request, no allocation).
     started: Instant,
     requests: AtomicU64,
+}
+
+impl State {
+    /// The shared session. A query that panics is caught inside the lock
+    /// and its session replaced, so the lock is never poisoned.
+    fn session(&self) -> MutexGuard<'_, AnalysisSession> {
+        self.session
+            .lock()
+            .expect("a panic under the session lock is caught before the guard drops")
+    }
 }
 
 /// A bound, not-yet-running daemon.
@@ -337,7 +348,7 @@ fn handle_line(
             )),
         ))
     } else {
-        decode_request(line).map_err(|e| (request_id(line), e))
+        decode_request(line)
     };
     if let Some(s) = span.as_deref_mut() {
         s.decode_done();
@@ -377,7 +388,7 @@ fn respond(
             meta("ping", true, false, CacheStats::default(), false),
         ),
         RequestBody::Stats => {
-            let session = state.session.lock().unwrap_or_else(|e| e.into_inner());
+            let session = state.session();
             let service = ServiceStats {
                 uptime_ms: match &state.telemetry {
                     Some(t) => t.uptime_ms(),
@@ -431,15 +442,34 @@ fn respond(
             // One session serves all clients; the lock makes each query
             // atomic with respect to the cache, and per-request stats are
             // deltas over the executed query only.
-            let mut session = state.session.lock().unwrap_or_else(|e| e.into_inner());
+            let mut session = state.session();
             let before = session.cache_stats();
-            let out = execute(&mut session, &q);
-            let delta = session.cache_stats().since(before);
-            let failed = out.failure.is_some();
-            (
-                query_response(id, &out, delta),
-                meta(&q.command, true, failed, delta, false),
-            )
+            // If `execute` panics, the cache it may have left half-updated
+            // is replaced by an empty one before any other query sees it.
+            match catch_unwind(AssertUnwindSafe(|| execute(&mut session, &q))) {
+                Ok(out) => {
+                    let delta = session.cache_stats().since(before);
+                    let failed = out.failure.is_some();
+                    (
+                        query_response(id, out, delta),
+                        meta(&q.command, true, failed, delta, false),
+                    )
+                }
+                Err(_) => {
+                    *session = AnalysisSession::with_capacity(session.cache_capacity());
+                    if let Some(t) = &state.telemetry {
+                        t.record_panic();
+                    }
+                    let e = RpcError::internal(format!(
+                        "`{}` panicked; the daemon dropped its cache and serves on",
+                        q.command
+                    ));
+                    (
+                        error_response(id, &e),
+                        meta(&q.command, false, false, CacheStats::default(), false),
+                    )
+                }
+            }
         }
     }
 }
@@ -556,6 +586,49 @@ mod tests {
         drop(writer);
         drop(reader);
         let mut client = DaemonClient::connect(&path).expect("connect");
+        client.shutdown().expect("shutdown");
+        handle.join().unwrap().unwrap();
+    }
+
+    /// A query that panics costs its client an `internal` error and the
+    /// daemon its cache, nothing more: the same connection is served on,
+    /// from an empty cache, and `stats` counts the panic.
+    #[test]
+    fn a_panicking_query_is_answered_internal_and_the_daemon_serves_on() {
+        use syncopt_core::diag::json::Value;
+        let (path, handle) = spawn("panic");
+        let mut client = DaemonClient::connect(&path).expect("connect");
+        client
+            .query(&check_query())
+            .expect("a query that fills the cache");
+        let err = client
+            .query(&Query {
+                command: "panic".to_string(),
+                ..check_query()
+            })
+            .unwrap_err();
+        assert!(err.contains("(internal)"), "got: {err}");
+
+        let stats = client.stats().expect("stats on the same connection");
+        let int = |path: &[&str]| {
+            path.iter()
+                .try_fold(&stats, |v, key| v.get(key))
+                .and_then(Value::as_int)
+        };
+        assert_eq!(int(&["artifacts"]), Some(0), "{stats}");
+        assert_eq!(int(&["cache", "hits"]), Some(0), "{stats}");
+        assert_eq!(int(&["cache", "misses"]), Some(0), "{stats}");
+        assert_eq!(
+            int(&["metrics", "metrics", "counters", "rpc.panics_total"]),
+            Some(1),
+            "{stats}"
+        );
+
+        // The next query runs as it would on a new session.
+        let (out, cache) = client.query(&check_query()).expect("the next query");
+        let mut fresh = AnalysisSession::new();
+        assert_eq!(out, execute(&mut fresh, &check_query()));
+        assert_eq!(cache, fresh.cache_stats());
         client.shutdown().expect("shutdown");
         handle.join().unwrap().unwrap();
     }

@@ -27,7 +27,8 @@
 //! * `shutdown` — ask the server to stop accepting connections and exit.
 //!
 //! A malformed or unsupported request yields `"ok": false` with an
-//! `error` object (`code` ∈ `bad-request` | `unsupported`); a query that
+//! `error` object (`code` ∈ `bad-request` | `unsupported` | `internal`,
+//! the last for a query whose execution panicked); a query that
 //! *ran* but failed (lint errors, bad source, …) is still `"ok": true`
 //! with a non-null `failure`, mirroring the CLI's stdout/stderr/exit-code
 //! split. The full schema is documented in `docs/API.md`.
@@ -47,8 +48,8 @@ pub const RPC_SCHEMA: &str = "syncopt.rpc.v1";
 /// A protocol-level failure (never a *command* failure).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RpcError {
-    /// `bad-request` (malformed envelope) or `unsupported` (wrong
-    /// schema / unknown op).
+    /// `bad-request` (malformed envelope), `unsupported` (wrong schema /
+    /// unknown op) or `internal` (the server failed on a valid request).
     pub code: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -67,6 +68,14 @@ impl RpcError {
     pub fn unsupported(message: impl Into<String>) -> RpcError {
         RpcError {
             code: "unsupported",
+            message: message.into(),
+        }
+    }
+
+    /// A server-side failure on a well-formed request.
+    pub fn internal(message: impl Into<String>) -> RpcError {
+        RpcError {
+            code: "internal",
             message: message.into(),
         }
     }
@@ -350,20 +359,10 @@ pub(crate) fn write_message(
     buf: &mut String,
     doc: &Value,
 ) -> std::io::Result<()> {
-    use std::fmt::Write as _;
     buf.clear();
-    writeln!(buf, "{doc}").expect("formatting into a String cannot fail");
+    doc.write_to(buf);
+    buf.push('\n');
     w.write_all(buf.as_bytes())
-}
-
-/// Best-effort extraction of the correlation id from a request line, for
-/// error responses to requests that failed to decode. Returns 0 when the
-/// line is too broken to carry one.
-pub fn request_id(line: &str) -> i64 {
-    Value::parse(line)
-        .ok()
-        .and_then(|v| v.get("id").and_then(Value::as_int))
-        .unwrap_or(0)
 }
 
 /// Decodes one request line.
@@ -371,27 +370,28 @@ pub fn request_id(line: &str) -> i64 {
 /// # Errors
 ///
 /// [`RpcError`] with code `bad-request` for malformed JSON or envelopes,
-/// `unsupported` for a wrong schema or unknown op.
-pub fn decode_request(line: &str) -> Result<Request, RpcError> {
+/// `unsupported` for a wrong schema or unknown op — paired with the
+/// request's integer `id` when the line had one (0 otherwise), so the
+/// error response can echo it without parsing the line again.
+pub fn decode_request(line: &str) -> Result<Request, (i64, RpcError)> {
     let mut v =
-        Value::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
+        Value::parse(line).map_err(|e| (0, RpcError::bad_request(format!("invalid JSON: {e}"))))?;
+    let id = v.get("id").and_then(Value::as_int);
+    let fail = |e: RpcError| (id.unwrap_or(0), e);
     let schema = v
         .get("schema")
         .and_then(Value::as_str)
-        .ok_or_else(|| RpcError::bad_request("missing `schema`"))?;
+        .ok_or_else(|| fail(RpcError::bad_request("missing `schema`")))?;
     if schema != RPC_SCHEMA {
-        return Err(RpcError::unsupported(format!(
+        return Err(fail(RpcError::unsupported(format!(
             "unsupported schema `{schema}` (this server speaks {RPC_SCHEMA})"
-        )));
+        ))));
     }
-    let id = v
-        .get("id")
-        .and_then(Value::as_int)
-        .ok_or_else(|| RpcError::bad_request("missing integer `id`"))?;
+    let id = id.ok_or_else(|| fail(RpcError::bad_request("missing integer `id`")))?;
     let op = v
         .get("op")
         .and_then(Value::as_str)
-        .ok_or_else(|| RpcError::bad_request("missing `op`"))?;
+        .ok_or_else(|| fail(RpcError::bad_request("missing `op`")))?;
     let body = match op {
         "ping" => RequestBody::Ping,
         "stats" => RequestBody::Stats,
@@ -399,10 +399,10 @@ pub fn decode_request(line: &str) -> Result<Request, RpcError> {
         "shutdown" => RequestBody::Shutdown,
         "query" => {
             let q = take(&mut v, "query")
-                .ok_or_else(|| RpcError::bad_request("`query` op needs a `query` object"))?;
-            RequestBody::Query(decode_query(q)?)
+                .ok_or_else(|| fail(RpcError::bad_request("`query` op needs a `query` object")))?;
+            RequestBody::Query(decode_query(q).map_err(fail)?)
         }
-        other => return Err(RpcError::unsupported(format!("unknown op `{other}`"))),
+        other => return Err(fail(RpcError::unsupported(format!("unknown op `{other}`")))),
     };
     Ok(Request { id, body })
 }
@@ -485,22 +485,26 @@ pub fn shutdown_response(id: i64) -> Value {
 
 /// Encodes a completed query: the command ran, and this is its result
 /// (which may be a command *failure* — that is not a protocol error).
-pub fn query_response(id: i64, out: &CmdOut, cache: CacheStats) -> Value {
+/// The result is taken by value, so its stdout and file payload move
+/// into the response; a borrowed `&CmdOut` is copied.
+pub fn query_response(id: i64, out: impl Into<CmdOut>, cache: CacheStats) -> Value {
+    let CmdOut {
+        stdout,
+        file,
+        failure,
+    } = out.into();
     let mut f = envelope(id);
     field(&mut f, "ok", Value::Bool(true));
-    field(&mut f, "stdout", Value::Str(out.stdout.clone()));
-    match &out.failure {
-        Some(msg) => field(&mut f, "failure", Value::Str(msg.clone())),
-        None => field(&mut f, "failure", Value::Null),
-    }
-    if let Some(file) = &out.file {
+    field(&mut f, "stdout", Value::Str(stdout));
+    field(&mut f, "failure", failure.map_or(Value::Null, Value::Str));
+    if let Some(file) = file {
         field(
             &mut f,
             "file",
             Value::Obj(vec![
-                ("path".into(), Value::Str(file.path.clone())),
-                ("content".into(), Value::Str(file.content.clone())),
-                ("note".into(), Value::Str(file.note.clone())),
+                ("path".into(), Value::Str(file.path)),
+                ("content".into(), Value::Str(file.content)),
+                ("note".into(), Value::Str(file.note)),
             ]),
         );
     }
@@ -596,6 +600,7 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
             .ok_or_else(|| RpcError::bad_request("error response missing `error`"))?;
         let code = match err.get("code").and_then(Value::as_str) {
             Some("unsupported") => "unsupported",
+            Some("internal") => "internal",
             _ => "bad-request",
         };
         let message = err
@@ -847,22 +852,27 @@ mod tests {
     #[test]
     fn wrong_schema_is_unsupported() {
         let line = r#"{"schema":"syncopt.rpc.v999","id":1,"op":"ping"}"#;
-        let err = decode_request(line).unwrap_err();
-        assert_eq!(err.code, "unsupported");
+        let (id, err) = decode_request(line).unwrap_err();
+        assert_eq!((id, err.code), (1, "unsupported"));
     }
 
     #[test]
     fn unknown_query_field_is_rejected() {
-        let line = r#"{"schema":"syncopt.rpc.v1","id":1,"op":"query","query":{"command":"check","sourcefile":"x"}}"#;
-        let err = decode_request(line).unwrap_err();
-        assert_eq!(err.code, "bad-request");
+        let line = r#"{"schema":"syncopt.rpc.v1","id":6,"op":"query","query":{"command":"check","sourcefile":"x"}}"#;
+        let (id, err) = decode_request(line).unwrap_err();
+        assert_eq!((id, err.code), (6, "bad-request"));
         assert!(err.message.contains("sourcefile"));
     }
 
     #[test]
     fn error_response_round_trips() {
-        let err = RpcError::unsupported("unknown op `frobnicate`");
-        let reply = decode_response(&error_response(3, &err).to_string()).unwrap();
-        assert_eq!(reply.body, ReplyBody::Error(err));
+        for err in [
+            RpcError::bad_request("missing `op`"),
+            RpcError::unsupported("unknown op `frobnicate`"),
+            RpcError::internal("the query panicked"),
+        ] {
+            let reply = decode_response(&error_response(3, &err).to_string()).unwrap();
+            assert_eq!(reply.body, ReplyBody::Error(err));
+        }
     }
 }

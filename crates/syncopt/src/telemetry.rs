@@ -28,6 +28,8 @@
 //!   per-request cache deltas (the live hit ratio of the artifact
 //!   cache).
 //! * `rpc.slow_requests_total` — requests over the slow threshold.
+//! * `rpc.panics_total` — queries whose execution panicked; each one
+//!   was answered `internal` and reset the session's cache.
 //! * `rpc.in_flight` (gauge), `rpc.connections_open` (gauge),
 //!   `rpc.connections_opened` / `rpc.connections_closed` — request and
 //!   connection lifecycle.
@@ -73,6 +75,7 @@ pub const SERVICE_METRIC_NAMES: &[&str] = &[
     "rpc.cache_hits_total",
     "rpc.cache_misses_total",
     "rpc.slow_requests_total",
+    "rpc.panics_total",
     "rpc.in_flight",
     "rpc.connections_open",
     "rpc.connections_opened",
@@ -156,6 +159,7 @@ pub struct ServiceTelemetry {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     slow_total: Arc<Counter>,
+    panics_total: Arc<Counter>,
     in_flight: Arc<Gauge>,
     connections_open: Arc<Gauge>,
     connections_opened: Arc<Counter>,
@@ -195,6 +199,7 @@ impl ServiceTelemetry {
             cache_hits: registry.counter("rpc.cache_hits_total"),
             cache_misses: registry.counter("rpc.cache_misses_total"),
             slow_total: registry.counter("rpc.slow_requests_total"),
+            panics_total: registry.counter("rpc.panics_total"),
             in_flight: registry.gauge("rpc.in_flight"),
             connections_open: registry.gauge("rpc.connections_open"),
             connections_opened: registry.counter("rpc.connections_opened"),
@@ -227,6 +232,11 @@ impl ServiceTelemetry {
     /// Total requests observed so far.
     pub fn requests_total(&self) -> u64 {
         self.requests_total.get()
+    }
+
+    /// Counts a query whose execution panicked.
+    pub fn record_panic(&self) {
+        self.panics_total.inc();
     }
 
     /// Registers a new connection and returns its id.

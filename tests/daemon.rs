@@ -11,6 +11,7 @@ use std::sync::Arc;
 use syncopt::client::DaemonClient;
 use syncopt::commands::{execute, CmdOut, Format, Query};
 use syncopt::core::corpus::corpus_program;
+use syncopt::core::diag::json::Value;
 use syncopt::core::CacheStats;
 use syncopt::daemon::{Daemon, MAX_REQUEST_BYTES};
 use syncopt::kernels::all_kernels;
@@ -341,6 +342,124 @@ fn hostile_request_lines_get_bad_request_and_leave_the_daemon_serving() {
     reply.clear();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains(r#""id":3"#), "got: {reply}");
+    stop(&path, handle);
+}
+
+/// Sends one raw request line on a connection and returns the reply line.
+fn exchange(conn: &mut (UnixStream, BufReader<UnixStream>), line: &str) -> String {
+    conn.0.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    conn.1.read_line(&mut reply).unwrap();
+    reply
+}
+
+fn raw_connection(path: &Path) -> (UnixStream, BufReader<UnixStream>) {
+    let stream = UnixStream::connect(path).expect("connect");
+    (stream.try_clone().unwrap(), BufReader::new(stream))
+}
+
+/// A JSON string literal as Python's `json.dumps` writes it: ASCII only,
+/// `\b` and `\f` for a backspace and a form feed, and every other
+/// character past `~` as `\u` escapes of its UTF-16 code units.
+fn python_json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            ' '..='~' => out.push(c),
+            _ => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+            }
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A client that encodes its requests the way Python's `json` module does
+/// gets the bytes our own client gets: a backspace, a form feed and an
+/// emoji in a comment, and an escaped `/` in the file name, all decode.
+#[test]
+fn a_request_encoded_by_python_gets_the_same_reply_bytes() {
+    let (path, handle) = start("python");
+    let source = "shared int A[8];\n// caf\u{e9} \u{1f600} \u{8}\u{c} \"q\" \\ done\nfn main() { A[MYPROC] = 1; barrier; }\n";
+    let q = query("check", "dir/emoji.ms", source, Format::Json);
+    let ours = syncopt::rpc::encode_request(&syncopt::rpc::Request {
+        id: 7,
+        body: syncopt::rpc::RequestBody::Query(q.clone()),
+    })
+    .to_string();
+    let python = format!(
+        r#"{{"schema": "syncopt.rpc.v1", "id": 7, "op": "query", "query": {{"command": "check", "file": "dir\/emoji.ms", "source": {}, "format": "json"}}}}"#,
+        python_json_string(source)
+    );
+    assert!(python.is_ascii() && python.contains(r"\ud83d\ude00") && python.contains(r"\b\f"));
+    let mut conn = raw_connection(&path);
+    // The first request fills the cache, so the two compared both hit it.
+    let cold = exchange(&mut conn, &ours);
+    assert!(cold.contains(r#""ok":true"#), "{cold}");
+    let from_python = exchange(&mut conn, &python);
+    let warm = exchange(&mut conn, &ours);
+    assert_eq!(from_python, warm);
+    let direct = execute(&mut AnalysisSession::new(), &q);
+    assert!(direct.failure.is_none(), "{direct:?}");
+    let reply = syncopt::rpc::decode_response(warm.trim_end()).unwrap();
+    assert!(matches!(reply.body, syncopt::rpc::ReplyBody::Query(out, _) if out == direct));
+    stop(&path, handle);
+}
+
+/// A request that fails to decode is answered with the `id` it carried —
+/// whatever part of it was wrong — and with 0 when it carried none.
+#[test]
+fn a_request_that_fails_to_decode_gets_its_own_id_back() {
+    let (path, handle) = start("ids");
+    let mut conn = raw_connection(&path);
+    for (line, id, code) in [
+        (
+            r#"{"schema":"syncopt.rpc.v9","id":11,"op":"ping"}"#,
+            11,
+            "unsupported",
+        ),
+        (
+            r#"{"schema":"syncopt.rpc.v1","id":12,"op":"warp"}"#,
+            12,
+            "unsupported",
+        ),
+        (
+            r#"{"schema":"syncopt.rpc.v1","id":13,"op":"query","query":{"command":"check","procs":"many"}}"#,
+            13,
+            "bad-request",
+        ),
+        (
+            r#"{"schema":"syncopt.rpc.v1","op":"ping"}"#,
+            0,
+            "bad-request",
+        ),
+        ("this is not json", 0, "bad-request"),
+    ] {
+        let reply = exchange(&mut conn, line);
+        let v = Value::parse(reply.trim_end()).expect("a JSON reply");
+        assert_eq!(
+            v.get("id").and_then(Value::as_int),
+            Some(id),
+            "{line}: {reply}"
+        );
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Value::as_str),
+            Some(code),
+            "{line}: {reply}"
+        );
+    }
     stop(&path, handle);
 }
 
