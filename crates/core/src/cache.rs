@@ -112,8 +112,9 @@ macro_rules! kind_counter_names {
 
 /// Every kind the session API stores, with its dotted counter names spelled
 /// out so that exporting them formats nothing.
-const KIND_COUNTER_NAMES: [(&str, [&str; 3]); 10] = kind_counter_names![
+const KIND_COUNTER_NAMES: [(&str, [&str; 3]); 11] = kind_counter_names![
     "ast", "fncheck", "inlined", "cfg", "analysis", "opt", "sim", "races", "lint", "explain",
+    "reply",
 ];
 
 /// Where a kind not listed above (a test's, a probe's) is counted.

@@ -14,13 +14,14 @@
 //! JSON document on stdout; diagnostics and progress notes go to stderr.
 
 use crate::report::level_label;
-use crate::session::{AnalysisSession, SessionOptions};
+use crate::session::{src_fingerprint, AnalysisSession, SessionOptions};
 use crate::{DelayChoice, OptLevel, SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use syncopt_core::diag::{json, sort_diagnostics, Diagnostic, Severity};
 use syncopt_core::races::{race_diagnostics, RaceAnalysis};
 use syncopt_core::LINT_SCHEMA;
+use syncopt_frontend::fingerprint::Fingerprint;
 use syncopt_machine::litmus::{sc_outcomes, weak_outcomes, Outcome};
 use syncopt_machine::{MachineConfig, ShardPartition};
 
@@ -233,11 +234,100 @@ impl From<&CmdOut> for CmdOut {
     }
 }
 
-/// Runs one query against a session. Every artifact the query needs is
-/// served from — or inserted into — the session's content-addressed
-/// cache, so repeated queries over unchanged sources reuse prior work
-/// while producing byte-identical output.
+/// Runs one query against a session as one request. A query the session
+/// has answered before gets a copy of that answer (the `reply` artifact,
+/// keyed by the raw source and every field but `threads`); any other
+/// query finds every artifact it needs in — or inserts it into — the
+/// session's content-addressed cache, so repeated queries over unchanged
+/// sources reuse prior work while producing byte-identical output.
+/// Traces are never stored: `trace` and `run --trace` always run.
 pub fn execute(session: &mut AnalysisSession, q: &Query) -> CmdOut {
+    let stored = q.command != "trace" && !q.trace;
+    session.reply(
+        || stored.then(|| query_key(q)),
+        |session| dispatch(session, q),
+    )
+}
+
+/// The `reply` key of `q`: the raw source under the `"src.v1"` stem the
+/// span-bearing artifacts use, then every field that can change the
+/// answer. The destructuring names every field, so a field added to
+/// [`Query`] does not compile until it is either hashed here or left out
+/// for a reason, as `threads` is (results are bit-identical for any
+/// value). A list or an optional field is hashed after its length or its
+/// presence, so no two values run together.
+fn query_key(q: &Query) -> Fingerprint {
+    let Query {
+        command,
+        file,
+        source,
+        procs,
+        level,
+        delay,
+        machine,
+        dump,
+        dot,
+        trace,
+        strict,
+        kernels,
+        format,
+        emit_report,
+        threads: _,
+        sim_shards,
+        sim_partition,
+        out,
+        trace_limit,
+        pair,
+        deny,
+        allow,
+        seeded,
+    } = q;
+    let text = |key: Fingerprint, text: &Option<String>| match text {
+        Some(text) => key.push_u64(1).push(text),
+        None => key.push_u64(0),
+    };
+    let list = |key: Fingerprint, items: &[String]| {
+        items
+            .iter()
+            .fold(key.push_u64(items.len() as u64), |key, item| key.push(item))
+    };
+    let stem = match source {
+        Some(src) => src_fingerprint(src),
+        None => Fingerprint::of("src.none"),
+    };
+    let key = stem
+        .push("reply.v1")
+        .push(command)
+        .push(file)
+        .push_u64(u64::from(*procs))
+        .push(level_label(*level))
+        .push(delay_cli_label(*delay))
+        .push(machine)
+        .push_u64(u64::from(*dump))
+        .push_u64(u64::from(*dot))
+        .push_u64(u64::from(*trace))
+        .push_u64(u64::from(*strict))
+        .push_u64(u64::from(*kernels))
+        .push(format.label());
+    let key = text(key, emit_report)
+        .push_u64(*sim_shards as u64)
+        .push(sim_partition.label());
+    let key = text(key, out);
+    let key = match trace_limit {
+        Some(limit) => key.push_u64(1).push_u64(*limit as u64),
+        None => key.push_u64(0),
+    };
+    let key = match pair {
+        Some((a, b)) => key
+            .push_u64(1)
+            .push_u64(u64::from(*a))
+            .push_u64(u64::from(*b)),
+        None => key.push_u64(0),
+    };
+    text(list(list(key, deny), allow), seeded)
+}
+
+fn dispatch(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     match q.command.as_str() {
         "analyze" => with_source(q, |src| cmd_analyze(session, src, q)),
         "opt" => with_source(q, |src| cmd_opt(session, src, q)),
@@ -584,7 +674,7 @@ fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
-    let report = match session.explain(src, &session_options(q, OptLevel::Blocking)) {
+    let report = match session.explain_shared(src, &session_options(q, OptLevel::Blocking)) {
         Ok(r) => r,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -626,7 +716,7 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(e),
     };
-    let p = match session.profile(src, &session_options(q, q.level), &config) {
+    let p = match session.profile_shared(src, &session_options(q, q.level), &config) {
         Ok(p) => p,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -719,13 +809,13 @@ fn run_check(
     cfg: &syncopt_ir::cfg::Cfg,
     q: &Query,
 ) -> Result<CheckOutcome, SyncoptError> {
-    let races = session.races(src, &session_options(q, OptLevel::Blocking))?;
+    let races = session.races_shared(src, &session_options(q, OptLevel::Blocking))?;
     let mut diags = race_diagnostics(cfg, &races);
     for w in syncopt_core::sync_warnings(cfg) {
         diags.push(w.to_diagnostic(cfg));
     }
     if q.strict {
-        let lint = session.lint(src, &session_options(q, OptLevel::Blocking))?;
+        let lint = session.lint_shared(src, &session_options(q, OptLevel::Blocking))?;
         diags.extend(lint.diagnostics.iter().cloned());
     }
     finalize_diagnostics(&mut diags, q);
@@ -939,7 +1029,7 @@ fn cmd_lint(session: &mut AnalysisSession, q: &Query) -> CmdOut {
             None => return CmdOut::fail("command `lint` needs a source file".to_string()),
         },
     };
-    let report = match session.lint(&src, &session_options(q, OptLevel::Blocking)) {
+    let report = match session.lint_shared(&src, &session_options(q, OptLevel::Blocking)) {
         Ok(r) => r,
         Err(e) => return CmdOut::fail(render_err(&src, &display, &e)),
     };
@@ -992,10 +1082,11 @@ fn cmd_lint_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     let mut failed = 0usize;
     let mut rows = Vec::new();
     for kernel in syncopt_kernels::all_kernels(q.procs) {
-        let report = match session.lint(&kernel.source, &session_options(q, OptLevel::Blocking)) {
-            Ok(r) => r,
-            Err(e) => return CmdOut::fail(render_err(&kernel.source, kernel.name, &e)),
-        };
+        let report =
+            match session.lint_shared(&kernel.source, &session_options(q, OptLevel::Blocking)) {
+                Ok(r) => r,
+                Err(e) => return CmdOut::fail(render_err(&kernel.source, kernel.name, &e)),
+            };
         let mut report = (*report).clone();
         finalize_diagnostics(&mut report.diagnostics, q);
         failed += usize::from(report.errors() > 0);
@@ -1115,6 +1206,62 @@ mod tests {
             let doc = json::Value::parse(&out.stdout).unwrap();
             assert!(doc.get("kernels").is_some(), "{command}");
         }
+    }
+
+    /// Changing any one field but `threads` changes the `reply` key, and
+    /// no two of the changed queries share one.
+    #[test]
+    fn every_answer_bearing_field_is_part_of_the_reply_key() {
+        let base = query("run", Format::Json);
+        let edits: [fn(&mut Query); 25] = [
+            |q| q.command.push('x'),
+            |q| q.file.push('x'),
+            |q| q.source.as_mut().unwrap().push(' '),
+            |q| q.source = None,
+            |q| q.procs += 1,
+            |q| q.level = OptLevel::Full,
+            |q| q.delay = DelayChoice::ShashaSnir,
+            |q| q.machine = "t3d".to_string(),
+            |q| q.dump = true,
+            |q| q.dot = true,
+            |q| q.trace = true,
+            |q| q.strict = true,
+            |q| q.kernels = true,
+            |q| q.format = Format::Human,
+            |q| q.emit_report = Some("r.json".to_string()),
+            |q| q.sim_shards = 2,
+            |q| q.sim_partition = ShardPartition::Cyclic,
+            |q| q.out = Some("t.json".to_string()),
+            |q| q.trace_limit = Some(10),
+            |q| q.pair = Some((0, 1)),
+            |q| q.deny = vec!["W001".to_string()],
+            |q| q.allow = vec!["W001".to_string()],
+            |q| q.seeded = Some("lock-cycle".to_string()),
+            // Two lists with the same items split differently.
+            |q| q.deny = vec!["W001".to_string(), "W002".to_string()],
+            |q| {
+                q.deny = vec!["W001".to_string()];
+                q.allow = vec!["W002".to_string()];
+            },
+        ];
+        let mut keys = vec![query_key(&base)];
+        for edit in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(edited, base);
+            keys.push(query_key(&edited));
+        }
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b, "two queries share a reply key");
+            }
+        }
+        let threads = Query {
+            threads: 8,
+            ..base.clone()
+        };
+        assert_eq!(query_key(&threads), keys[0]);
+        assert_eq!(query_key(&base.clone()), keys[0]);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! | `races`    | raw source text + procs                             | [`RaceAnalysis`] |
 //! | `lint`     | raw source text + procs                             | [`LintReport`] |
 //! | `explain`  | raw source text + procs                             | [`ExplainReport`] |
+//! | `reply`    | raw source text + every `Query` field but `threads` | the [`CmdOut`] of one [`execute`] request, failures included |
 //!
 //! Span-bearing artifacts (`ast`, `cfg`, `lint` diagnostics) key on the
 //! *raw* source so two texts that differ only in whitespace never share
@@ -52,11 +53,13 @@
 //! 1.0) / 2` and `(t + 1) / 2` would.
 //!
 //! Worker-thread counts, simulation shard counts, and shard partition
-//! strategies are deliberately **not** part of any key: analysis results
-//! are bit-identical for every thread count, and the sharded simulation
-//! engine is bit-identical to the sequential reference for every shard
-//! count and partition — so a `sim` artifact computed under one
-//! configuration legitimately serves every other.
+//! strategies are deliberately **not** part of any artifact key: analysis
+//! results are bit-identical for every thread count, and the sharded
+//! simulation engine is bit-identical to the sequential reference for
+//! every shard count and partition — so a `sim` artifact computed under
+//! one configuration legitimately serves every other. The `reply` key
+//! leaves out only the thread count: a sharded `run` prints its shards
+//! (`sim.shards[]`), so its answer is not a sequential run's.
 //!
 //! The canonical-text keys are expensive to derive — print the whole CFG,
 //! hash every byte — so the artifact that owns the CFG carries the
@@ -66,7 +69,20 @@
 //! [`RunResult`]; the command engine reads them in place.
 //!
 //! Caching never changes results, only the work needed to produce them:
-//! a warm query is byte-identical to a cold one.
+//! a warm query is byte-identical to a cold one. That is what lets a
+//! repeated [`execute`] request skip even the artifacts: its whole answer
+//! is a deterministic function of the raw source and the query, so the
+//! `reply` entry stores it — a racy `check`'s exit-1 answer as much as a
+//! clean one — and a repeat gets a copy. Traces are request-scoped
+//! observability, not artifacts: `trace` and `run --trace` are never
+//! stored. A failed request's reply is stored like any other, but a
+//! failed stage caches no artifact: the failure is re-diagnosed whenever
+//! the reply misses.
+//!
+//! One request is one call of a public method or of [`execute`]: that is
+//! the boundary [`AnalysisSession::last_request_stats`] counts from, and
+//! the steps inside a request (a `check` compiles, then classifies races)
+//! do not move it.
 //!
 //! A session of capacity 0 ([`AnalysisSession::with_capacity`]) has its
 //! cache **disabled**, and derives none of the keys above: every key is
@@ -91,10 +107,13 @@
 //! ```
 //!
 //! [`AccessId`]: syncopt_ir::ids::AccessId
+//! [`CmdOut`]: crate::commands::CmdOut
+//! [`execute`]: crate::commands::execute
 //! [`Program`]: syncopt_frontend::Program
 //! [`SimResult`]: syncopt_machine::SimResult
 //! [`VarTable`]: syncopt_ir::vars::VarTable
 
+use crate::commands::CmdOut;
 use crate::report::{delay_label, level_label, meta_for};
 use crate::{
     Compiled, DelayChoice, OptLevel, PipelineReport, ProfileReport, RunResult, SimReport,
@@ -344,7 +363,8 @@ impl AnalysisSession {
     }
 
     /// Cache counters for the most recent request only (how much of it
-    /// was served from cache).
+    /// was served from cache): one public method call, or one
+    /// [`execute`](crate::commands::execute) with every step it took.
     pub fn last_request_stats(&self) -> CacheStats {
         self.cache.stats().since(self.request_base)
     }
@@ -373,8 +393,34 @@ impl AnalysisSession {
         report.cache = Some(self.last_request_stats());
     }
 
+    /// Starts a request: [`last_request_stats`](Self::last_request_stats)
+    /// counts from here. Only the public entry points and
+    /// [`reply`](Self::reply) call it; the `*_shared` steps run inside
+    /// their caller's request.
     fn begin(&mut self) {
         self.request_base = self.cache.stats();
+    }
+
+    /// One [`execute`](crate::commands::execute) request, answered with a
+    /// copy of the stored `reply` under `key()` when there is one, and
+    /// otherwise by `answer`, whose result — failure or not — is stored.
+    /// `key` returns `None` for a request that must not be stored (a
+    /// trace); a disabled cache never calls it.
+    pub(crate) fn reply(
+        &mut self,
+        key: impl FnOnce() -> Option<Fingerprint>,
+        answer: impl FnOnce(&mut Self) -> CmdOut,
+    ) -> CmdOut {
+        self.begin();
+        let Some(key) = self.cache.enabled().then(key).flatten() else {
+            return answer(self);
+        };
+        if let Some(stored) = self.cache.get::<CmdOut>("reply", key) {
+            return CmdOut::clone(&stored);
+        }
+        let out = answer(self);
+        self.cache.insert("reply", key, out.clone());
+        out
     }
 
     /// Parses, checks, lowers, analyzes, and optimizes `src`, reusing
@@ -385,17 +431,18 @@ impl AnalysisSession {
     /// Returns frontend or lowering errors (never cached — errors are
     /// re-diagnosed with fresh spans on every request).
     pub fn compile(&mut self, src: &str, opts: &SessionOptions) -> Result<Compiled, SyncoptError> {
+        self.begin();
         self.compile_shared(src, opts)
             .map(SharedCompiled::into_owned)
     }
 
-    /// [`compile`](AnalysisSession::compile) without the copies.
+    /// [`compile`](AnalysisSession::compile) without the copies, inside
+    /// the caller's request.
     pub(crate) fn compile_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
     ) -> Result<SharedCompiled, SyncoptError> {
-        self.begin();
         self.compile_inner(src, opts, opts.procs)
     }
 
@@ -411,19 +458,9 @@ impl AnalysisSession {
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<RunResult, SyncoptError> {
+        self.begin();
         self.run_shared(src, opts, config)
             .map(SharedRun::into_owned)
-    }
-
-    /// [`run`](AnalysisSession::run) without the copies.
-    pub(crate) fn run_shared(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-        config: &MachineConfig,
-    ) -> Result<SharedRun, SyncoptError> {
-        self.begin();
-        self.run_inner(src, opts, config)
     }
 
     /// Runs `src` twice — once at [`OptLevel::Blocking`] and once at
@@ -440,12 +477,22 @@ impl AnalysisSession {
         config: &MachineConfig,
     ) -> Result<ProfileReport, SyncoptError> {
         self.begin();
+        self.profile_shared(src, opts, config)
+    }
+
+    /// [`profile`](AnalysisSession::profile) inside the caller's request.
+    pub(crate) fn profile_shared(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+        config: &MachineConfig,
+    ) -> Result<ProfileReport, SyncoptError> {
         let blocking_opts = SessionOptions {
             level: OptLevel::Blocking,
             ..opts.clone()
         };
-        let blocking = self.run_inner(src, &blocking_opts, config)?;
-        let optimized = self.run_inner(src, opts, config)?;
+        let blocking = self.run_shared(src, &blocking_opts, config)?;
+        let optimized = self.run_shared(src, opts, config)?;
         Ok(ProfileReport {
             blocking: blocking.compiled.report,
             optimized: optimized.compiled.report,
@@ -463,6 +510,16 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
     ) -> Result<Arc<RaceAnalysis>, SyncoptError> {
+        self.begin();
+        self.races_shared(src, opts)
+    }
+
+    /// [`races`](AnalysisSession::races) inside the caller's request.
+    pub(crate) fn races_shared(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+    ) -> Result<Arc<RaceAnalysis>, SyncoptError> {
         self.derived("races", "races.v1", src, opts, syncopt_core::classify_races)
     }
 
@@ -474,6 +531,16 @@ impl AnalysisSession {
     ///
     /// Returns frontend or lowering errors.
     pub fn lint(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+    ) -> Result<Arc<LintReport>, SyncoptError> {
+        self.begin();
+        self.lint_shared(src, opts)
+    }
+
+    /// [`lint`](AnalysisSession::lint) inside the caller's request.
+    pub(crate) fn lint_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
@@ -498,12 +565,21 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
     ) -> Result<Arc<ExplainReport>, SyncoptError> {
+        self.begin();
+        self.explain_shared(src, opts)
+    }
+
+    /// [`explain`](AnalysisSession::explain) inside the caller's request.
+    pub(crate) fn explain_shared(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+    ) -> Result<Arc<ExplainReport>, SyncoptError> {
         self.derived("explain", "explain.v1", src, opts, syncopt_core::explain)
     }
 
-    /// One request for an artifact derived from the source CFG and its
-    /// analysis, keyed by the raw source text, `tag` and the processor
-    /// count.
+    /// An artifact derived from the source CFG and its analysis, keyed by
+    /// the raw source text, `tag` and the processor count.
     fn derived<T: Send + Sync + 'static>(
         &mut self,
         kind: &'static str,
@@ -512,7 +588,6 @@ impl AnalysisSession {
         opts: &SessionOptions,
         build: impl FnOnce(&Cfg, &Analysis, &SyncOptions) -> T,
     ) -> Result<Arc<T>, SyncoptError> {
-        self.begin();
         let key = self
             .cache
             .enabled()
@@ -535,7 +610,9 @@ impl AnalysisSession {
 
     // ---- internal cached pipeline stages --------------------------------
 
-    fn run_inner(
+    /// [`run`](AnalysisSession::run) without the copies, inside the
+    /// caller's request.
+    pub(crate) fn run_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
@@ -681,8 +758,8 @@ impl<'a> SrcKey<'a> {
 }
 
 /// Fingerprint of the raw source text (the key for every span-bearing
-/// artifact).
-fn src_fingerprint(src: &str) -> Fingerprint {
+/// artifact, and the stem of the `reply` key).
+pub(crate) fn src_fingerprint(src: &str) -> Fingerprint {
     Fingerprint::of_parts(&["src.v1", src])
 }
 
@@ -956,6 +1033,30 @@ mod tests {
         let cached = AnalysisSession::new().lint(SRC, &opts(4)).unwrap();
         assert_eq!(format!("{lint:?}"), format!("{cached:?}"));
         assert_eq!(off.cache_stats(), CacheStats::default());
+        // So do whole commands: no reply key is derived, every request
+        // answers afresh, and the answer is a cached session's.
+        for command in ["check", "run", "profile"] {
+            let q = crate::commands::Query {
+                command: command.to_string(),
+                source: Some(SRC.to_string()),
+                ..crate::commands::Query::default()
+            };
+            let cached = crate::commands::execute(&mut AnalysisSession::new(), &q);
+            for _ in 0..2 {
+                let mut answered = 0;
+                let out = off.reply(
+                    || unreachable!("a disabled cache derived a reply key"),
+                    |session| {
+                        answered += 1;
+                        crate::commands::execute(session, &q)
+                    },
+                );
+                assert_eq!((out, answered), (cached.clone(), 1), "{command}");
+                assert_eq!(crate::commands::execute(&mut off, &q), cached, "{command}");
+            }
+        }
+        assert_eq!(off.cache_stats(), CacheStats::default());
+        assert_eq!(off.cached_artifacts(), 0);
     }
 
     #[test]
@@ -1021,7 +1122,7 @@ mod tests {
             let o = SessionOptions { level, ..opts(4) };
             // Twice: the second run reads the memo the first one filled.
             for _ in 0..2 {
-                let r = s.run_inner(SRC, &o, &config).unwrap();
+                let r = s.run_shared(SRC, &o, &config).unwrap();
                 let c = &r.compiled;
                 assert_eq!(
                     c.source.text_key(),

@@ -10,7 +10,8 @@
 # `syncopt.metrics.v1` document with the required service metrics, that
 # the `metrics` op emits well-shaped Prometheus text, that a repeated
 # daemon query is served from the artifact cache (stats hits grow,
-# misses do not), that query stdout is byte-identical with telemetry
+# misses do not) and, sent twice raw, answered from its stored reply
+# alone (one hit, byte-equal stdout), that query stdout is byte-identical with telemetry
 # enabled and disabled (`--no-telemetry`), that a request line nested
 # 200 000 deep and one longer than the 16 MiB line limit each come back
 # as `bad-request` with the daemon still answering `ping` afterwards
@@ -130,6 +131,41 @@ if [ "$misses_before" != "$misses_after" ]; then
     exit 1
 fi
 
+echo "== a repeated query is answered from its stored reply =="
+# One query never sent before, twice on one connection (raw protocol, with
+# python3; skipped with a notice where there is none): the second reply
+# must be one `reply` hit and no other lookup, with the first reply's
+# stdout byte for byte, and `stats` must count the hit under
+# `cache.reply.hits`.
+if command -v python3 > /dev/null 2>&1; then
+    python3 - "$SOCK" programs/postwait.ms <<'PY' || exit 1
+import json, socket, sys
+path, prog = sys.argv[1], sys.argv[2]
+with open(prog, encoding="utf-8") as f:
+    query = {"command": "run", "file": "memo.ms", "source": f.read(), "format": "json"}
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(path)
+lines = s.makefile("r", encoding="utf-8")
+def ask(id, op, **body):
+    s.sendall((json.dumps({"schema": "syncopt.rpc.v1", "id": id, "op": op, **body}) + "\n").encode())
+    return json.loads(lines.readline())
+first, second = ask(1, "query", query=query), ask(2, "query", query=query)
+stats = ask(3, "stats")
+def fail(msg):
+    sys.exit(f"daemon_smoke: {msg}")
+if first["cache"]["misses"] == 0:
+    fail(f"the first of two new queries missed nothing: {first['cache']}")
+if second["cache"] != {"hits": 1, "misses": 0, "evictions": 0}:
+    fail(f"the repeated query was not one reply hit: {second['cache']}")
+if second["stdout"].encode() != first["stdout"].encode() or second["failure"] != first["failure"]:
+    fail("the stored reply differs from the first answer")
+if stats["kinds"].get("cache.reply.hits", 0) < 1:
+    fail(f"stats counts no cache.reply.hits: {stats['kinds']}")
+PY
+else
+    echo "daemon_smoke: python3 not found, stored-reply check skipped" >&2
+fi
+
 echo "== hostile request lines =="
 # Raw lines no well-behaved client sends: the first used to overflow the
 # JSON parser's stack and abort the daemon, the second was read into
@@ -201,4 +237,4 @@ if [ -e "$SOCK" ]; then
     exit 1
 fi
 
-echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, hostile lines refused, clean shutdown"
+echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, repeats answered from their stored reply, hostile lines refused, clean shutdown"

@@ -69,7 +69,8 @@ fn daemon_output_is_byte_identical_to_direct_mode_on_all_kernels() {
 }
 
 /// A daemon that has served a program answers a reformatted copy of it —
-/// new raw text, same canonical CFG, so `analysis`, `opt` and `sim` hit —
+/// new raw text, so no stored reply; same canonical CFG, so `analysis`,
+/// `opt` and `sim` hit —
 /// with the bytes a direct run of the reformatted text prints.
 #[test]
 fn reformatted_source_on_a_warm_daemon_is_byte_identical_to_direct_mode() {
@@ -95,10 +96,10 @@ fn reformatted_source_on_a_warm_daemon_is_byte_identical_to_direct_mode() {
             let direct = execute(&mut AnalysisSession::new(), &q);
             let (remote, served) = client.query(&q).expect(command);
             assert_eq!(remote, direct, "{command} {name}");
-            // ast, inlined and cfg are keyed by the raw text; nothing else
-            // is rebuilt — except a simulation that fails, which is never
-            // cached.
-            let rebuilt = 3 + u64::from(remote.failure.is_some());
+            // ast, inlined, cfg and the stored reply are keyed by the raw
+            // text; nothing else is rebuilt — except a simulation that
+            // fails, which is never cached.
+            let rebuilt = 4 + u64::from(remote.failure.is_some());
             assert_eq!(served.misses, rebuilt, "{command} {name}: {served:?}");
         }
     }

@@ -219,8 +219,9 @@ fn annotated_report_proves_warm_rerun_does_less_work() {
 }
 
 /// Every artifact kind the session caches.
-const KINDS: [&str; 10] = [
+const KINDS: [&str; 11] = [
     "ast", "fncheck", "inlined", "cfg", "analysis", "opt", "sim", "races", "lint", "explain",
+    "reply",
 ];
 
 /// The session's cumulative `(hits, misses)` per kind, in `KINDS` order.
@@ -249,29 +250,37 @@ fn kind_delta(before: &[(u64, u64)], after: &[(u64, u64)]) -> String {
         .join(", ")
 }
 
-/// Sends `queries` twice through one fresh session and returns the
-/// per-kind activity of the first (cold) and second (warm) sweep.
-fn cold_and_warm_activity(queries: &[Query]) -> (String, String) {
+/// Sends `queries` twice through one fresh session, then once more under
+/// another display name, and returns the per-kind activity of the first
+/// (cold) sweep, the second (warm) one and the renamed one.
+fn cold_warm_and_renamed_activity(queries: &[Query]) -> [String; 3] {
+    let renamed: Vec<Query> = queries
+        .iter()
+        .map(|q| Query {
+            file: format!("renamed/{}", q.file),
+            ..q.clone()
+        })
+        .collect();
     let mut session = AnalysisSession::new();
     let mut marks = vec![kind_counts(&session)];
-    for _ in 0..2 {
-        for q in queries {
+    for sweep in [queries, queries, &renamed] {
+        for q in sweep {
             execute(&mut session, q);
         }
         marks.push(kind_counts(&session));
     }
-    (
-        kind_delta(&marks[0], &marks[1]),
-        kind_delta(&marks[1], &marks[2]),
-    )
+    [0, 1, 2].map(|i| kind_delta(&marks[i], &marks[i + 1]))
 }
 
 /// Per-kind lookups as they were before fingerprints were carried on the
 /// artifacts (taken at commit 45ffd83): memoizing a key must not add,
-/// drop or re-route a single lookup. One lookup was re-routed on purpose
-/// since: a cold `check` classifies races from the `analysis` artifact its
-/// compile just cached (one more `analysis` hit per program) instead of
-/// analyzing the program a second time.
+/// drop or re-route a single lookup. Two changes since were made on
+/// purpose. A cold `check` classifies races from the `analysis` artifact
+/// its compile just cached (one more `analysis` hit per program) instead
+/// of analyzing the program a second time. And every request first looks
+/// up its stored `reply`: a repeat finds it and looks up nothing else,
+/// while the same query under another display name misses it and makes
+/// exactly the artifact lookups of a warm request.
 #[test]
 fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
     let pinned = [
@@ -303,8 +312,12 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
             .map(|k| query(command, k.name, &k.source, Format::Json))
             .collect();
         assert_eq!(
-            cold_and_warm_activity(&queries),
-            (cold.to_string(), warm.to_string()),
+            cold_warm_and_renamed_activity(&queries),
+            [
+                format!("{cold}, reply 0/5"),
+                "reply 5/0".to_string(),
+                format!("{warm}, reply 0/5"),
+            ],
             "{command} over the five kernels"
         );
     }
@@ -313,17 +326,158 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
         .map(|seed| query("check", "corpus.ms", &corpus_program(seed), Format::Json))
         .collect();
     assert_eq!(
-        cold_and_warm_activity(&corpus),
-        (
+        cold_warm_and_renamed_activity(&corpus),
+        [
             "ast 220/220, fncheck 220/220, inlined 220/220, cfg 220/220, \
-             analysis 220/220, opt 0/220, races 0/220"
+             analysis 220/220, opt 0/220, races 0/220, reply 0/220"
                 .to_string(),
+            "reply 220/0".to_string(),
             "ast 220/0, fncheck 220/0, inlined 220/0, cfg 220/0, analysis 220/0, opt 220/0, \
-             races 220/0"
-                .to_string()
-        ),
+             races 220/0, reply 0/220"
+                .to_string(),
+        ],
         "check over the 220-program corpus"
     );
+}
+
+/// Every command `execute` knows, as one query each over a racy source
+/// (so `check` fails), plus the source-free and the unknown ones.
+fn every_command(source: &str) -> Vec<Query> {
+    let mut queries: Vec<Query> = [
+        "analyze", "opt", "run", "trace", "explain", "profile", "litmus", "check", "lint",
+    ]
+    .into_iter()
+    .map(|command| query(command, "every.ms", source, Format::Json))
+    .collect();
+    for command in ["check", "lint"] {
+        queries.push(Query {
+            command: command.to_string(),
+            kernels: true,
+            ..Query::default()
+        });
+    }
+    queries.push(Query {
+        command: "lint".to_string(),
+        seeded: Some("lock-cycle".to_string()),
+        ..Query::default()
+    });
+    queries.push(query("run", "every.ms", source, Format::Human));
+    queries.push(Query {
+        trace: true,
+        ..query("run", "every.ms", source, Format::Human)
+    });
+    queries.push(query("frobnicate", "every.ms", source, Format::Human));
+    queries
+}
+
+/// Every processor writes `Data` and reads it back, nothing ordering any
+/// of it: `check` reports proven races and fails.
+const RACY: &str = "shared int Data; fn main() { int v; Data = MYPROC; v = Data; }";
+
+/// `execute` is one request, however many steps it takes: what
+/// `last_request_stats` reports after it is everything the cache did
+/// since it began, cold and warm.
+#[test]
+fn last_request_stats_after_execute_cover_the_whole_request() {
+    let mut session = AnalysisSession::new();
+    for pass in ["cold", "warm"] {
+        for q in every_command(RACY) {
+            let before = session.cache_stats();
+            execute(&mut session, &q);
+            let whole = session.cache_stats().since(before);
+            assert_eq!(
+                session.last_request_stats(),
+                whole,
+                "{pass} {} (kernels {}, trace {})",
+                q.command,
+                q.kernels,
+                q.trace
+            );
+            if pass == "warm" && q.command != "trace" && !q.trace {
+                assert_eq!((whole.hits, whole.misses), (1, 0), "{pass} {}", q.command);
+            }
+        }
+    }
+    // The bug this pins: a cold `check` misses its reply, compiles (six
+    // misses, `ast` through `opt`) and then classifies races (five hits,
+    // one `races` miss); only the last step used to be reported, as 5
+    // hits and 1 miss.
+    let mut session = AnalysisSession::new();
+    execute(&mut session, &query("check", "racy.ms", RACY, Format::Json));
+    let stats = session.last_request_stats();
+    assert_eq!((stats.hits, stats.misses), (5, 8), "{stats:?}");
+}
+
+/// Traces are request-scoped: `trace` and `run --trace` run every time
+/// and leave nothing behind — not even on a session that holds every
+/// artifact they read.
+#[test]
+fn traces_are_never_stored() {
+    let mut session = AnalysisSession::new();
+    let run = query("run", "t.ms", RACY, Format::Human);
+    execute(&mut session, &run);
+    let traces = [
+        query("trace", "t.ms", RACY, Format::Json),
+        Query {
+            trace: true,
+            ..run.clone()
+        },
+    ];
+    for q in &traces {
+        let artifacts = session.cached_artifacts();
+        let first = execute(&mut session, q);
+        assert_eq!(session.cached_artifacts(), artifacts, "{}", q.command);
+        let second = execute(&mut session, q);
+        assert_eq!(first, second, "{}", q.command);
+        assert_eq!(first, cold(q), "{}", q.command);
+        assert_eq!(session.last_request_stats().misses, 0, "{}", q.command);
+    }
+    let kinds = session.kind_counters();
+    assert_eq!(kinds.get("cache.reply.misses"), 1, "{kinds:?}");
+    assert_eq!(kinds.get("cache.reply.hits"), 0, "{kinds:?}");
+}
+
+/// A failing answer is stored like any other: a racy `check` repeated is
+/// served from the `reply` entry with the same failure and stdout.
+#[test]
+fn a_racy_check_is_answered_from_its_stored_reply() {
+    for format in [Format::Human, Format::Json] {
+        let q = query("check", "racy.ms", RACY, format);
+        let mut session = AnalysisSession::new();
+        let first = execute(&mut session, &q);
+        assert!(first
+            .failure
+            .as_deref()
+            .is_some_and(|f| f.starts_with("check failed")));
+        let stats = session.cache_stats();
+        let again = execute(&mut session, &q);
+        assert_eq!(session.cache_stats().since(stats).lookups(), 1);
+        assert_eq!(session.kind_counters().get("cache.reply.hits"), 1);
+        assert_eq!(again.failure, first.failure);
+        assert_eq!(again.stdout, first.stdout);
+        assert_eq!(again, cold(&q));
+    }
+}
+
+/// A sharded `run` prints its shards, so it is not answered from a
+/// sequential run's reply.
+#[test]
+fn a_sharded_run_and_a_sequential_run_have_their_own_replies() {
+    let kernel = &all_kernels(4)[0];
+    let sequential = query("run", kernel.name, &kernel.source, Format::Json);
+    let sharded = Query {
+        sim_shards: 2,
+        ..sequential.clone()
+    };
+    assert!(!cold(&sequential).stdout.contains("\"shards\""));
+    assert!(cold(&sharded).stdout.contains("\"shards\""));
+    let mut session = AnalysisSession::new();
+    assert_eq!(execute(&mut session, &sequential), cold(&sequential));
+    execute(&mut session, &sharded);
+    let kinds = session.kind_counters();
+    assert_eq!(kinds.get("cache.reply.misses"), 2, "{kinds:?}");
+    assert_eq!(kinds.get("cache.reply.hits"), 0, "{kinds:?}");
+    assert_eq!(kinds.get("cache.sim.hits"), 1, "{kinds:?}");
 }
 
 #[test]
