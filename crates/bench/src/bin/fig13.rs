@@ -8,16 +8,14 @@
 //! grows — the optimized versions scale visibly better, as in the paper.
 //!
 //! ```text
-//! fig13 [--procs CAP] [--preset full|smoke] [--threads T] [--sim-shards S]
+//! fig13 [--procs CAP] [--preset full|smoke] [--threads T]
 //! ```
 //!
 //! Processor counts fan out across `--threads` workers with a fixed-order
-//! merge, and `--sim-shards S` runs each simulation on the sharded
-//! conservative engine — both are bit-identity-preserving, so the report
-//! is the same at any thread or shard count.
+//! merge, so the report is the same at any thread count.
 
 use syncopt_bench::sweep::{self, run_ordered};
-use syncopt_bench::{row, run_kernel_lean_sharded, FIGURE12_LEVELS};
+use syncopt_bench::{row, run_kernel_lean, FIGURE12_LEVELS};
 use syncopt_kernels::{epithel, KernelParams};
 use syncopt_machine::MachineConfig;
 
@@ -60,7 +58,7 @@ fn main() {
         let config = MachineConfig::cm5(procs);
         let mut cycles = [0u64; 3];
         for (i, (name, level, choice)) in FIGURE12_LEVELS.iter().enumerate() {
-            let r = run_kernel_lean_sharded(&kernel, &config, *level, *choice, opts.sim_shards)
+            let r = run_kernel_lean(&kernel, &config, *level, *choice)
                 .unwrap_or_else(|e| panic!("{procs} procs at {name}: {e}"));
             cycles[i] = r.exec_cycles;
         }

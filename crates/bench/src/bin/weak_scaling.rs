@@ -5,26 +5,23 @@
 //! conversion absorb.
 //!
 //! ```text
-//! weak_scaling [--procs CAP] [--preset full|smoke] [--threads T] [--sim-shards S]
+//! weak_scaling [--procs CAP] [--preset full|smoke] [--threads T]
 //! ```
 //!
 //! Processor counts fan out across `--threads` workers with a fixed-order
-//! merge, and `--sim-shards S` runs each simulation on the sharded
-//! conservative engine — both are bit-identity-preserving, so the report
-//! is the same at any thread or shard count. The 256- and 1024-processor
-//! points are far past anything the sequential harness used to attempt;
-//! budget minutes for the full grid (`--procs 64` caps it for a quick
-//! look, and the smoke preset keeps only the first two points).
+//! merge, so the report is the same at any thread count. Budget minutes
+//! for the full grid, whose 256- and 1024-processor points dominate it
+//! (`--procs 64` caps it for a quick look, and the smoke preset keeps
+//! only the first two points).
 
 use syncopt_bench::sweep::{self, run_ordered};
-use syncopt_bench::{row, run_kernel_lean_sharded, FIGURE12_LEVELS};
+use syncopt_bench::{row, run_kernel_lean, FIGURE12_LEVELS};
 use syncopt_kernels::{epithel, KernelParams};
 use syncopt_machine::MachineConfig;
 
 fn main() {
     let opts = sweep::parse_args("weak_scaling");
-    // 64/256/1024 extend the axis to the sharded engine's design sizes;
-    // per-processor work is constant but the transpose volume is P², so
+    // Per-processor work is constant but the transpose volume is P², so
     // the large points dominate the sweep's wall clock.
     let proc_counts = opts.filter_counts(&[2u32, 4, 8, 16, 32, 64, 256, 1024], 2);
     println!("Weak scaling: Epithel, constant work per processor (CM-5)\n");
@@ -52,10 +49,9 @@ fn main() {
         let config = MachineConfig::cm5(procs);
         let mut cycles = [0u64; 3];
         for (i, (name, level, choice)) in FIGURE12_LEVELS.iter().enumerate() {
-            cycles[i] =
-                run_kernel_lean_sharded(&kernel, &config, *level, *choice, opts.sim_shards)
-                    .unwrap_or_else(|e| panic!("{procs} procs at {name}: {e}"))
-                    .exec_cycles;
+            cycles[i] = run_kernel_lean(&kernel, &config, *level, *choice)
+                .unwrap_or_else(|e| panic!("{procs} procs at {name}: {e}"))
+                .exec_cycles;
         }
         (procs, cycles)
     });

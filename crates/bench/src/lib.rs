@@ -82,48 +82,6 @@ pub fn run_kernel_lean(
     )?)
 }
 
-/// Like [`run_kernel_lean`], but runs the simulation on the sharded
-/// conservative engine when `sim_shards > 1` (the sequential calendar
-/// engine otherwise). Both paths produce bit-identical results for every
-/// output a figure harness reads, so a harness can accept `--sim-shards`
-/// without changing its report — the flag only changes how long the
-/// sweep takes on a multi-core host.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-///
-/// # Panics
-///
-/// Panics if the kernel was generated for a different processor count than
-/// `config.procs`.
-pub fn run_kernel_lean_sharded(
-    kernel: &Kernel,
-    config: &MachineConfig,
-    level: OptLevel,
-    choice: DelayChoice,
-    sim_shards: usize,
-) -> Result<SimResult, SyncoptError> {
-    if sim_shards <= 1 {
-        return run_kernel_lean(kernel, config, level, choice);
-    }
-    assert_eq!(
-        kernel.procs, config.procs,
-        "kernel generated for a different machine size"
-    );
-    let compiled = Syncopt::new(&kernel.source)
-        .procs(config.procs)
-        .level(level)
-        .delay(choice)
-        .compile()?;
-    Ok(syncopt_machine::simulate_sharded(
-        &compiled.optimized.cfg,
-        config,
-        sim_shards,
-        SimOutputs::lean(),
-    )?)
-}
-
 /// Renders a row of fixed-width right-aligned columns.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells
@@ -201,29 +159,6 @@ mod tests {
             assert_eq!(full.net, lean.net, "{}", kernel.name);
             assert!(!full.memory.is_empty(), "{}", kernel.name);
             assert!(lean.memory.is_empty(), "{}", kernel.name);
-        }
-    }
-
-    #[test]
-    fn sharded_runner_matches_sequential_runner() {
-        let config = MachineConfig::cm5(4);
-        for kernel in all_kernels(4) {
-            let seq =
-                run_kernel_lean(&kernel, &config, OptLevel::OneWay, DelayChoice::SyncRefined)
-                    .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-            for shards in [1, 2, 4] {
-                let sharded = run_kernel_lean_sharded(
-                    &kernel,
-                    &config,
-                    OptLevel::OneWay,
-                    DelayChoice::SyncRefined,
-                    shards,
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
-                assert_eq!(seq.exec_cycles, sharded.exec_cycles, "{}", kernel.name);
-                assert_eq!(seq.net, sharded.net, "{}", kernel.name);
-                assert_eq!(seq.stalls, sharded.stalls, "{}", kernel.name);
-            }
         }
     }
 

@@ -8,14 +8,14 @@
 //! * [`SweepOptions`] / [`parse_args`] — the common `--procs`, `--preset`
 //!   and `--threads` command line, so every harness can be shrunk for CI
 //!   (`--preset smoke`) or resized (`--procs N`) uniformly;
-//! * [`run_ordered`] — a deterministic parallel fan-out: independent
-//!   sweep configurations are claimed from an atomic work index by up to
-//!   `threads` workers, and the results are merged back **in spec
-//!   order**. A harness that formats from the returned vector therefore
-//!   emits a bit-identical report at any thread count.
+//! * [`run_ordered`] — the deterministic parallel fan-out of the counter
+//!   suites ([`syncopt::bench::run_ordered`]): independent sweep
+//!   configurations are claimed by up to `threads` workers, and the
+//!   results are merged back **in spec order**. A harness that formats
+//!   from the returned vector therefore emits a bit-identical report at
+//!   any thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+pub use syncopt::bench::run_ordered;
 
 /// Which configuration grid a harness should sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,9 +38,6 @@ pub struct SweepOptions {
     pub preset: Preset,
     /// Worker threads for the sweep (1 = in-place sequential).
     pub threads: usize,
-    /// Simulation shards per run (1 = the sequential calendar engine,
-    /// >1 = the conservative sharded engine; bit-identical either way).
-    pub sim_shards: usize,
 }
 
 impl SweepOptions {
@@ -69,18 +66,16 @@ impl SweepOptions {
     }
 }
 
-/// Parses `--procs N`, `--preset full|smoke`, `--threads T`, and
-/// `--sim-shards S` from the process arguments. Prints a usage line
-/// naming `bin` and exits with status 2 on anything it does not
-/// recognize, so each harness keeps a strict flag set.
+/// Parses `--procs N`, `--preset full|smoke` and `--threads T` from the
+/// process arguments. Prints a usage line naming `bin` and exits with
+/// status 2 on anything it does not recognize, so each harness keeps a
+/// strict flag set.
 pub fn parse_args(bin: &str) -> SweepOptions {
     match try_parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("{bin}: {msg}");
-            eprintln!(
-                "usage: {bin} [--procs N] [--preset full|smoke] [--threads T] [--sim-shards S]"
-            );
+            eprintln!("usage: {bin} [--procs N] [--preset full|smoke] [--threads T]");
             std::process::exit(2);
         }
     }
@@ -89,7 +84,6 @@ pub fn parse_args(bin: &str) -> SweepOptions {
 fn try_parse(mut argv: impl Iterator<Item = String>) -> Result<SweepOptions, String> {
     let mut opts = SweepOptions {
         threads: 1,
-        sim_shards: 1,
         ..SweepOptions::default()
     };
     while let Some(flag) = argv.next() {
@@ -116,54 +110,10 @@ fn try_parse(mut argv: impl Iterator<Item = String>) -> Result<SweepOptions, Str
                     .parse()
                     .map_err(|e| format!("bad --threads: {e}"))?;
             }
-            "--sim-shards" => {
-                opts.sim_shards = argv
-                    .next()
-                    .ok_or("--sim-shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --sim-shards: {e}"))?;
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(opts)
-}
-
-/// Runs `work` over every spec, fanning independent specs across up to
-/// `threads` workers, and returns the results **in spec order** — the
-/// fixed-order merge that keeps harness output independent of the thread
-/// count. With `threads <= 1` (or a single spec) the sweep runs in place
-/// with no thread machinery at all.
-pub fn run_ordered<S, R, F>(specs: &[S], threads: usize, work: F) -> Vec<R>
-where
-    S: Sync,
-    R: Send,
-    F: Fn(&S) -> R + Sync,
-{
-    let workers = threads.max(1).min(specs.len().max(1));
-    if workers <= 1 {
-        return specs.iter().map(work).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let result = work(spec);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every sweep slot is filled")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -171,33 +121,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_ordered_preserves_spec_order_at_any_thread_count() {
-        let specs: Vec<u32> = (0..37).collect();
-        let serial = run_ordered(&specs, 1, |&n| n * n);
-        for threads in [2, 4, 9] {
-            let threaded = run_ordered(&specs, threads, |&n| n * n);
-            assert_eq!(serial, threaded, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parse_accepts_the_shared_flags() {
         let opts = try_parse(
-            [
-                "--procs", "8", "--preset", "smoke", "--threads", "3", "--sim-shards", "4",
-            ]
-            .map(str::to_string)
-            .into_iter(),
+            ["--procs", "8", "--preset", "smoke", "--threads", "3"]
+                .map(str::to_string)
+                .into_iter(),
         )
         .unwrap();
         assert_eq!(opts.procs, Some(8));
         assert_eq!(opts.preset, Preset::Smoke);
         assert_eq!(opts.threads, 3);
-        assert_eq!(opts.sim_shards, 4);
         assert!(try_parse(["--bogus".to_string()].into_iter()).is_err());
         assert!(try_parse(["--preset".to_string(), "tiny".to_string()].into_iter()).is_err());
-        assert!(try_parse(["--sim-shards".to_string()].into_iter()).is_err());
-        assert_eq!(try_parse(std::iter::empty()).unwrap().sim_shards, 1);
+        assert!(try_parse(["--sim-shards".to_string(), "2".to_string()].into_iter()).is_err());
+        assert_eq!(try_parse(std::iter::empty()).unwrap().threads, 1);
     }
 
     #[test]

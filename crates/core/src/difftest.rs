@@ -24,8 +24,8 @@ use crate::corpus::{corpus_program, CORPUS_SEEDS};
 use crate::cycle::{naive, witness, MirrorClosure};
 use crate::obs::Counters;
 use crate::sync::{
-    analyze_sync_excluding, grow_precedence_reference, post_wait_edges, Precedence, SyncAnalysis,
-    SyncExclusion, SyncOptions,
+    grow_precedence_reference, post_wait_edges, Precedence, SyncAnalysis, SyncExclusion,
+    SyncOptions,
 };
 use crate::{analyze_with, classify_races, detect_races, AnalysisBase};
 use syncopt_frontend::prepare_program;
@@ -411,7 +411,7 @@ fn assert_base_serves_cold_results(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     // A lint probe over the analysis's base is the cold excluded analysis.
     for excl in exclusions(cfg, &analysis.sync) {
         let warm = analysis.base.refine(cfg, opts, &excl);
-        let cold = analyze_sync_excluding(cfg, opts, &excl);
+        let cold = AnalysisBase::build(cfg, opts).refine(cfg, opts, &excl);
         assert_same_sync(&warm, &cold, &format!("{label} under {excl:?}"));
     }
     // Classifying from the analysis is detecting from scratch.

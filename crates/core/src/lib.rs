@@ -77,7 +77,7 @@ pub use obs::{Counters, PhaseTimings};
 pub use races::{
     classify_races, detect_races, race_diagnostics, Confidence, RaceAnalysis, RaceReport,
 };
-pub use sync::{analyze_sync, Precedence, SyncAnalysis, SyncOptions};
+pub use sync::{Precedence, SyncAnalysis, SyncOptions};
 pub use warnings::{sync_warnings, warning_diagnostics, SyncWarning};
 
 use syncopt_ir::cfg::Cfg;

@@ -10,7 +10,8 @@
 //! - **redundant-sync** (`L001`/`L002`): barriers and post→wait pairs
 //!   whose cross-processor orderings the rest of the precedence closure
 //!   already implies — established by re-running the §5 pipeline with
-//!   the site excluded ([`crate::sync::analyze_sync_excluding`]) and
+//!   the site excluded ([`crate::AnalysisBase::refine`] under a
+//!   [`crate::sync::SyncExclusion`]) and
 //!   checking nothing else changes;
 //! - **fence-coverage** (`F001`/`F002`): a soundness cross-check on
 //!   codegen output — every live refined delay pair must be cut by an

@@ -68,9 +68,15 @@ impl Counters {
 
     /// The value of `name` (zero if never touched).
     pub fn get(&self, name: &str) -> u64 {
+        self.try_get(name).unwrap_or(0)
+    }
+
+    /// The value of `name`, or `None` if it was never touched.
+    pub fn try_get(&self, name: &str) -> Option<u64> {
         self.values
             .binary_search_by_key(&name, |&(k, _)| k)
-            .map_or(0, |at| self.values[at].1)
+            .ok()
+            .map(|at| self.values[at].1)
     }
 
     /// All `(name, value)` pairs, sorted by name.

@@ -111,7 +111,7 @@ impl Precedence {
     }
 }
 
-/// Options for [`analyze_sync`].
+/// Options for the §5 analysis ([`AnalysisBase::refine`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SyncOptions {
     /// How barrier alignment is established.
@@ -168,18 +168,6 @@ impl SyncExclusion {
     pub fn is_empty(&self) -> bool {
         self.barriers.is_empty() && self.waits.is_empty()
     }
-}
-
-/// Runs the full §5 analysis.
-pub fn analyze_sync(cfg: &Cfg, opts: &SyncOptions) -> SyncAnalysis {
-    analyze_sync_excluding(cfg, opts, &SyncExclusion::default())
-}
-
-/// Runs the full §5 analysis with the sites in `excl` withheld from the
-/// precedence seeds (see [`SyncExclusion`]). Builds its own
-/// [`AnalysisBase`]; callers that already hold one refine it directly.
-pub fn analyze_sync_excluding(cfg: &Cfg, opts: &SyncOptions, excl: &SyncExclusion) -> SyncAnalysis {
-    AnalysisBase::build(cfg, opts).refine(cfg, opts, excl)
 }
 
 impl AnalysisBase {
@@ -512,7 +500,8 @@ mod tests {
     fn run(src: &str) -> (Cfg, SyncAnalysis, DelaySet) {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let ss = shasha_snir(&cfg);
-        let sa = analyze_sync(&cfg, &SyncOptions::default());
+        let opts = SyncOptions::default();
+        let sa = AnalysisBase::build(&cfg, &opts).refine(&cfg, &opts, &SyncExclusion::default());
         (cfg, sa, ss)
     }
 

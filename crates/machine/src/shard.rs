@@ -74,7 +74,7 @@ use syncopt_ir::ids::AccessId;
 /// How simulated processors are assigned to shards. Results are
 /// bit-identical under every strategy (the assignment only moves engine
 /// work around); what changes is the per-shard load balance, visible in
-/// [`ShardStats`] and the `sim_parallel` bench's imbalance metric.
+/// [`ShardStats`] and the benchmark's `machine.shard_imbalance_permille`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ShardPartition {
     /// Contiguous blocks of processor ids (`ceil(P/S)` per shard). Keeps

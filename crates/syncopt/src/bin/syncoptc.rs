@@ -43,14 +43,13 @@
 //!     postwait-deadlock | redundant-barrier)
 //! syncoptc bench [--suite S] [--smoke] [--threads T] [--out PATH] [--check BASELINE]
 //!     run a benchmark suite and emit its work-counter report (schema
-//!     syncopt.bench_report.v1). S ∈ delay|sim|sim_parallel (default
-//!     delay): `delay` runs the delay-set analysis scaling trajectory,
-//!     `sim` the simulator-throughput sweep over the evaluation kernels,
-//!     `sim_parallel` the sharded-engine sweep at 64/256/1024 simulated
-//!     processors and 1/2/4/8 shards. `--check`
+//!     syncopt.bench_report.v1). S ∈ delay|sim (default delay): `delay`
+//!     runs the delay-set analysis scaling trajectory, `sim` the
+//!     simulator-throughput sweep over the evaluation kernels. `--check`
 //!     compares the fresh counters against a committed baseline and exits
-//!     1 on a >20% regression; `--threads` fans independent configs
-//!     across workers without changing any counter
+//!     1 on a >20% regression or a missing gated counter; `--threads` is
+//!     the analysis worker count for `delay` and fans independent configs
+//!     across workers for `sim`, without changing any counter
 //! syncoptc ping|stats|metrics|shutdown [--socket PATH]
 //!     control a running syncoptd: liveness probe, service statistics,
 //!     Prometheus metrics, clean shutdown. `stats` renders a table
@@ -229,9 +228,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--smoke" => args.smoke = true,
             "--suite" => {
-                args.suite = argv
-                    .next()
-                    .ok_or("--suite needs a value (delay|sim|sim_parallel)")?;
+                args.suite = argv.next().ok_or("--suite needs a value (delay|sim)")?;
             }
             "--out" => {
                 args.out = Some(argv.next().ok_or("--out needs a path")?);
@@ -545,41 +542,12 @@ fn cmd_daemon_control(_args: &Args) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &Args) -> Result<(), String> {
-    type Checker = Box<dyn Fn(&json::Value) -> Result<(), String>>;
-    let (report_json, table, check): (json::Value, String, Checker) = match args.suite.as_str() {
-        "delay" => {
-            let report = syncopt::bench::run_bench(args.smoke, args.threads)
-                .map_err(|e| format!("bench program failed to compile: {e}"))?;
-            (
-                report.to_json(),
-                report.render_table(),
-                Box::new(move |b| report.check_against(b)),
-            )
-        }
-        "sim" => {
-            let report = syncopt::simbench::run_sim_bench(args.smoke, args.threads)
-                .map_err(|e| format!("sim bench failed: {e}"))?;
-            (
-                report.to_json(),
-                report.render_table(),
-                Box::new(move |b| report.check_against(b)),
-            )
-        }
-        "sim_parallel" => {
-            let report = syncopt::parbench::run_par_bench(args.smoke, args.threads)
-                .map_err(|e| format!("parallel sim bench failed: {e}"))?;
-            (
-                report.to_json(),
-                report.render_table(),
-                Box::new(move |b| report.check_against(b)),
-            )
-        }
-        other => {
-            return Err(format!(
-                "unknown bench suite `{other}` (delay|sim|sim_parallel)"
-            ))
-        }
-    };
+    let suite = syncopt::bench::suite(&args.suite)
+        .ok_or_else(|| format!("unknown bench suite `{}` (delay|sim)", args.suite))?;
+    let report = suite
+        .run(args.smoke, args.threads)
+        .map_err(|e| format!("{} bench failed: {e}", suite.name))?;
+    let report_json = report.to_json();
     if let Some(path) = &args.out {
         std::fs::write(path, format!("{report_json}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -587,14 +555,16 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     }
     match args.format {
         Format::Json => println!("{report_json}"),
-        Format::Human => print!("{table}"),
+        Format::Human => print!("{}", report.render_table()),
     }
     if let Some(baseline_path) = &args.check_baseline {
         let text = std::fs::read_to_string(baseline_path)
             .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
         let baseline = json::Value::parse(&text)
             .map_err(|e| format!("baseline {baseline_path} is not valid JSON: {e}"))?;
-        check(&baseline).map_err(|e| format!("{baseline_path}: {e}"))?;
+        report
+            .check_against(&baseline)
+            .map_err(|e| format!("{baseline_path}: {e}"))?;
         eprintln!(
             "work counters within {}% of {baseline_path}",
             syncopt::bench::TOLERANCE_PCT

@@ -45,11 +45,9 @@ pub mod commands;
 #[cfg(unix)]
 pub mod daemon;
 pub mod lint;
-pub mod parbench;
 pub mod report;
 pub mod rpc;
 pub mod session;
-pub mod simbench;
 pub mod telemetry;
 pub mod trace_export;
 

@@ -258,12 +258,13 @@ fn partition_strategies_are_bit_identical_to_calendar() {
 
 #[test]
 fn parallel_sweep_reports_are_thread_count_invariant() {
-    let serial = syncopt::simbench::run_sim_bench(true, 1).expect("sim bench runs");
-    let threaded = syncopt::simbench::run_sim_bench(true, 4).expect("sim bench runs");
-    assert_eq!(serial.configs.len(), threaded.configs.len());
-    for (a, b) in serial.configs.iter().zip(threaded.configs.iter()) {
+    let sim = syncopt::bench::suite("sim").expect("the sim suite exists");
+    let serial = sim.run(true, 1).expect("sim bench runs");
+    let threaded = sim.run(true, 4).expect("sim bench runs");
+    assert_eq!(serial.rows.len(), threaded.rows.len());
+    for (a, b) in serial.rows.iter().zip(threaded.rows.iter()) {
         assert_eq!(a.id, b.id);
-        assert_eq!(a.exec_cycles, b.exec_cycles, "{}", a.id);
+        assert_eq!(a.int("exec_cycles"), b.int("exec_cycles"), "{}", a.id);
         assert_eq!(a.counters, b.counters, "{}", a.id);
     }
 }
