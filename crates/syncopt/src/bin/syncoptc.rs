@@ -6,13 +6,7 @@
 //! syncoptc opt <file> [--procs N] [--level L] [--delay D] [--dump]
 //!     optimize and (with --dump) print the target CFG
 //! syncoptc run <file> [--procs N] [--machine M] [--level L] [--delay D]
-//!          [--sim-shards S] [--sim-partition P]
-//!     simulate and report cycles, messages, stalls, final memory;
-//!     --sim-shards > 1 runs the conservative parallel engine, which is
-//!     bit-identical to the sequential reference at any shard count;
-//!     --sim-partition picks the processor-to-shard assignment
-//!     (P ∈ block|cyclic|profiled, default block) — results are
-//!     bit-identical under every strategy, only load balance changes
+//!     simulate and report cycles, messages, stalls, final memory
 //! syncoptc trace <file> [--procs N] [--machine M] [--level L] [--delay D]
 //!          [--trace-limit N] [--out PATH]
 //!     simulate with the structured timeline on and emit Chrome Trace
@@ -96,41 +90,35 @@ use std::process::ExitCode;
 use syncopt::commands::{execute, parse_delay, parse_level, CmdOut, Format, Query};
 use syncopt::core::diag::json;
 use syncopt::session::AnalysisSession;
-use syncopt::{DelayChoice, OptLevel, ShardPartition};
 
-struct Args {
-    command: String,
-    file: String,
-    procs: u32,
-    level: OptLevel,
-    delay: DelayChoice,
-    machine: String,
-    dump: bool,
-    dot: bool,
-    trace: bool,
-    strict: bool,
-    kernels: bool,
-    format: Format,
-    emit_report: Option<String>,
-    threads: usize,
-    sim_shards: usize,
-    sim_partition: ShardPartition,
-    smoke: bool,
-    suite: String,
-    out: Option<String>,
-    check_baseline: Option<String>,
-    trace_limit: Option<usize>,
-    pair: Option<(u32, u32)>,
-    deny: Vec<String>,
-    allow: Vec<String>,
-    seeded: Option<String>,
+/// The flags that never reach a [`Query`]: daemon routing, `stats
+/// --watch`, and `bench`'s suite options. Every other flag sets a query
+/// field directly.
+struct Cli {
     daemon: bool,
     socket: Option<String>,
     watch: bool,
     interval_ms: u64,
+    smoke: bool,
+    suite: String,
+    check_baseline: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The value after `flag`, parsed.
+fn value<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    argv.next()
+        .ok_or_else(|| format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))
+}
+
+fn parse_args() -> Result<(Query, Cli), String> {
     let mut argv = std::env::args().skip(1).peekable();
     let command = argv.next().ok_or("missing command")?;
     // The input file is optional for `check --kernels`.
@@ -138,124 +126,72 @@ fn parse_args() -> Result<Args, String> {
         Some(a) if !a.starts_with("--") => argv.next().unwrap(),
         _ => String::new(),
     };
-    let mut args = Args {
+    let mut q = Query {
         command,
         file,
-        procs: 4,
-        level: OptLevel::Pipelined,
-        delay: DelayChoice::SyncRefined,
-        machine: "cm5".to_string(),
-        dump: false,
-        dot: false,
-        trace: false,
-        strict: false,
-        kernels: false,
-        format: Format::Human,
-        emit_report: None,
-        threads: 1,
-        sim_shards: 1,
-        sim_partition: ShardPartition::Block,
-        smoke: false,
-        suite: "delay".to_string(),
-        out: None,
-        check_baseline: None,
-        trace_limit: None,
-        pair: None,
-        deny: Vec::new(),
-        allow: Vec::new(),
-        seeded: None,
+        ..Query::default()
+    };
+    let mut cli = Cli {
         daemon: false,
         socket: None,
         watch: false,
         interval_ms: 1000,
+        smoke: false,
+        suite: "delay".to_string(),
+        check_baseline: None,
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--procs" => {
-                args.procs = argv
-                    .next()
-                    .ok_or("--procs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --procs: {e}"))?;
-            }
+            "--procs" => q.procs = value(&mut argv, "--procs")?,
             "--level" => {
                 let label = argv.next().ok_or("--level needs a value")?;
-                args.level =
-                    parse_level(&label).ok_or_else(|| format!("unknown level `{label}`"))?;
+                q.level = parse_level(&label).ok_or_else(|| format!("unknown level `{label}`"))?;
             }
             "--delay" => {
                 let label = argv.next().ok_or("--delay needs a value")?;
-                args.delay =
+                q.delay =
                     parse_delay(&label).ok_or_else(|| format!("unknown delay choice `{label}`"))?;
             }
             "--machine" => {
-                args.machine = argv.next().ok_or("--machine needs a value")?;
+                q.machine = argv.next().ok_or("--machine needs a value")?;
             }
-            "--dump" => args.dump = true,
-            "--dot" => args.dot = true,
-            "--trace" => args.trace = true,
-            "--strict" => args.strict = true,
-            "--kernels" => args.kernels = true,
+            "--dump" => q.dump = true,
+            "--dot" => q.dot = true,
+            "--trace" => q.trace = true,
+            "--strict" => q.strict = true,
+            "--kernels" => q.kernels = true,
             "--format" => {
                 let label = argv.next().ok_or("--format needs a value")?;
-                args.format =
+                q.format =
                     Format::parse(&label).ok_or_else(|| format!("unknown format `{label}`"))?;
             }
             "--emit-report" => {
-                args.emit_report = Some(argv.next().ok_or("--emit-report needs a path")?);
+                q.emit_report = Some(argv.next().ok_or("--emit-report needs a path")?);
             }
-            "--threads" => {
-                args.threads = argv
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
-            "--sim-shards" => {
-                args.sim_shards = argv
-                    .next()
-                    .ok_or("--sim-shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --sim-shards: {e}"))?;
-            }
-            "--sim-partition" => {
-                let label = argv
-                    .next()
-                    .ok_or("--sim-partition needs a value (block|cyclic|profiled)")?;
-                args.sim_partition = ShardPartition::from_label(&label).ok_or_else(|| {
-                    format!("unknown partition strategy `{label}` (block|cyclic|profiled)")
-                })?;
-            }
-            "--smoke" => args.smoke = true,
+            "--threads" => q.threads = value(&mut argv, "--threads")?,
+            "--smoke" => cli.smoke = true,
             "--suite" => {
-                args.suite = argv.next().ok_or("--suite needs a value (delay|sim)")?;
+                cli.suite = argv.next().ok_or("--suite needs a value (delay|sim)")?;
             }
             "--out" => {
-                args.out = Some(argv.next().ok_or("--out needs a path")?);
+                q.out = Some(argv.next().ok_or("--out needs a path")?);
             }
             "--check" => {
-                args.check_baseline = Some(argv.next().ok_or("--check needs a baseline path")?);
+                cli.check_baseline = Some(argv.next().ok_or("--check needs a baseline path")?);
             }
-            "--trace-limit" => {
-                args.trace_limit = Some(
-                    argv.next()
-                        .ok_or("--trace-limit needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --trace-limit: {e}"))?,
-                );
-            }
+            "--trace-limit" => q.trace_limit = Some(value(&mut argv, "--trace-limit")?),
             "--deny" => {
-                args.deny.push(known_code(
+                q.deny.push(known_code(
                     argv.next().ok_or("--deny needs a diagnostic code")?,
                 )?);
             }
             "--allow" => {
-                args.allow.push(known_code(
+                q.allow.push(known_code(
                     argv.next().ok_or("--allow needs a diagnostic code")?,
                 )?);
             }
             "--seeded" => {
-                args.seeded = Some(argv.next().ok_or("--seeded needs an example name")?);
+                q.seeded = Some(argv.next().ok_or("--seeded needs an example name")?);
             }
             "--pair" => {
                 let a = argv
@@ -269,33 +205,27 @@ fn parse_args() -> Result<Args, String> {
                         .parse::<u32>()
                         .map_err(|e| format!("bad --pair access id `{s}`: {e}"))
                 };
-                args.pair = Some((parse(&a)?, parse(&b)?));
+                q.pair = Some((parse(&a)?, parse(&b)?));
             }
-            "--daemon" => args.daemon = true,
+            "--daemon" => cli.daemon = true,
             "--socket" => {
-                args.socket = Some(argv.next().ok_or("--socket needs a path")?);
+                cli.socket = Some(argv.next().ok_or("--socket needs a path")?);
             }
-            "--watch" => args.watch = true,
-            "--interval-ms" => {
-                args.interval_ms = argv
-                    .next()
-                    .ok_or("--interval-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --interval-ms: {e}"))?;
-            }
+            "--watch" => cli.watch = true,
+            "--interval-ms" => cli.interval_ms = value(&mut argv, "--interval-ms")?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let file_optional = (args.command == "check" && args.kernels)
-        || (args.command == "lint" && (args.kernels || args.seeded.is_some()))
+    let file_optional = (q.command == "check" && q.kernels)
+        || (q.command == "lint" && (q.kernels || q.seeded.is_some()))
         || matches!(
-            args.command.as_str(),
+            q.command.as_str(),
             "bench" | "ping" | "stats" | "metrics" | "shutdown"
         );
-    if args.file.is_empty() && !file_optional {
+    if q.file.is_empty() && !file_optional {
         return Err("missing input file".to_string());
     }
-    Ok(args)
+    Ok((q, cli))
 }
 
 /// Validates a `--deny`/`--allow` argument against the known code list.
@@ -335,66 +265,38 @@ fn main() -> ExitCode {
 }
 
 fn real_main() -> Result<(), String> {
-    let args = parse_args().map_err(|e| {
+    let (mut query, cli) = parse_args().map_err(|e| {
         format!(
             "{e}\nrun with: syncoptc <analyze|opt|run|trace|explain|profile|litmus|check|lint|bench> <file> [flags]"
         )
     })?;
-    if args.command == "bench" {
-        if args.daemon {
+    if query.command == "bench" {
+        if cli.daemon {
             return Err(
                 "`bench` measures this machine and does not route through the daemon".into(),
             );
         }
-        return cmd_bench(&args);
+        return cmd_bench(&query, &cli);
     }
     if matches!(
-        args.command.as_str(),
+        query.command.as_str(),
         "ping" | "stats" | "metrics" | "shutdown"
     ) {
-        return cmd_daemon_control(&args);
+        return cmd_daemon_control(&query, &cli);
     }
-    if args.command == "daemon-trace" {
-        return cmd_daemon_trace(&args);
+    if query.command == "daemon-trace" {
+        return cmd_daemon_trace(&query);
     }
     // Read the input locally even in daemon mode: the source travels in
     // the query, so the daemon never needs access to the client's files.
-    let needs_file = !(args.kernels || args.seeded.is_some());
-    let source = if needs_file {
-        Some(
-            std::fs::read_to_string(&args.file)
-                .map_err(|e| format!("cannot read {}: {e}", args.file))?,
-        )
-    } else {
-        None
-    };
-    let query = Query {
-        command: args.command.clone(),
-        file: args.file.clone(),
-        source,
-        procs: args.procs,
-        level: args.level,
-        delay: args.delay,
-        machine: args.machine.clone(),
-        dump: args.dump,
-        dot: args.dot,
-        trace: args.trace,
-        strict: args.strict,
-        kernels: args.kernels,
-        format: args.format,
-        emit_report: args.emit_report.clone(),
-        threads: args.threads,
-        sim_shards: args.sim_shards,
-        sim_partition: args.sim_partition,
-        out: args.out.clone(),
-        trace_limit: args.trace_limit,
-        pair: args.pair,
-        deny: args.deny.clone(),
-        allow: args.allow.clone(),
-        seeded: args.seeded.clone(),
-    };
-    let out = if args.daemon {
-        daemon_query(&args, &query)?
+    if !(query.kernels || query.seeded.is_some()) {
+        query.source = Some(
+            std::fs::read_to_string(&query.file)
+                .map_err(|e| format!("cannot read {}: {e}", query.file))?,
+        );
+    }
+    let out = if cli.daemon {
+        daemon_query(&cli, &query)?
     } else {
         execute(&mut AnalysisSession::new(), &query)
     };
@@ -418,16 +320,16 @@ fn emit(out: CmdOut) -> Result<(), String> {
 }
 
 #[cfg(unix)]
-fn socket_path(args: &Args) -> std::path::PathBuf {
-    args.socket
+fn socket_path(cli: &Cli) -> std::path::PathBuf {
+    cli.socket
         .as_ref()
         .map(std::path::PathBuf::from)
         .unwrap_or_else(syncopt::daemon::default_socket_path)
 }
 
 #[cfg(unix)]
-fn connect(args: &Args) -> Result<syncopt::client::DaemonClient, String> {
-    let path = socket_path(args);
+fn connect(cli: &Cli) -> Result<syncopt::client::DaemonClient, String> {
+    let path = socket_path(cli);
     syncopt::client::DaemonClient::connect(&path).map_err(|e| {
         format!(
             "cannot connect to syncoptd at {}: {e} (start it with `syncoptd --socket {}`)",
@@ -438,21 +340,21 @@ fn connect(args: &Args) -> Result<syncopt::client::DaemonClient, String> {
 }
 
 #[cfg(unix)]
-fn daemon_query(args: &Args, query: &Query) -> Result<CmdOut, String> {
-    let (out, _cache) = connect(args)?.query(query)?;
+fn daemon_query(cli: &Cli, query: &Query) -> Result<CmdOut, String> {
+    let (out, _cache) = connect(cli)?.query(query)?;
     Ok(out)
 }
 
 #[cfg(unix)]
-fn cmd_daemon_control(args: &Args) -> Result<(), String> {
-    let mut client = connect(args)?;
-    match args.command.as_str() {
+fn cmd_daemon_control(q: &Query, cli: &Cli) -> Result<(), String> {
+    let mut client = connect(cli)?;
+    match q.command.as_str() {
         "ping" => {
             client.ping()?;
             println!("pong");
         }
         "stats" => {
-            if args.watch {
+            if cli.watch {
                 // Refresh the table until interrupted (or the daemon
                 // goes away, which surfaces as the call error).
                 loop {
@@ -464,11 +366,11 @@ fn cmd_daemon_control(args: &Args) -> Result<(), String> {
                     );
                     use std::io::Write as _;
                     let _ = std::io::stdout().flush();
-                    std::thread::sleep(std::time::Duration::from_millis(args.interval_ms.max(50)));
+                    std::thread::sleep(std::time::Duration::from_millis(cli.interval_ms.max(50)));
                 }
             }
             let stats = client.stats()?;
-            match args.format {
+            match q.format {
                 // The machine format is the syncopt.metrics.v1 document
                 // when telemetry is on; a --no-telemetry daemon falls
                 // back to the raw rpc.v1 stats payload.
@@ -507,15 +409,15 @@ fn cmd_daemon_control(args: &Args) -> Result<(), String> {
 /// `daemon-trace`: convert a `syncopt.reqlog.v1` request log into the
 /// `syncopt.trace.v1` Chrome Trace file, verifying span accounting.
 /// Runs locally — no daemon connection needed.
-fn cmd_daemon_trace(args: &Args) -> Result<(), String> {
-    let text = std::fs::read_to_string(&args.file)
-        .map_err(|e| format!("cannot read {}: {e}", args.file))?;
+fn cmd_daemon_trace(q: &Query) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(&q.file).map_err(|e| format!("cannot read {}: {e}", q.file))?;
     let entries =
-        syncopt::telemetry::parse_reqlog(&text).map_err(|e| format!("{}: {e}", args.file))?;
+        syncopt::telemetry::parse_reqlog(&text).map_err(|e| format!("{}: {e}", q.file))?;
     syncopt::telemetry::verify_reqlog_accounting(&entries)
-        .map_err(|e| format!("{}: span accounting violated: {e}", args.file))?;
+        .map_err(|e| format!("{}: span accounting violated: {e}", q.file))?;
     let trace = syncopt::telemetry::daemon_chrome_trace(&entries);
-    match &args.out {
+    match &q.out {
         Some(path) => {
             std::fs::write(path, format!("{trace}\n"))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -532,32 +434,32 @@ fn cmd_daemon_trace(args: &Args) -> Result<(), String> {
 }
 
 #[cfg(not(unix))]
-fn daemon_query(_args: &Args, _query: &Query) -> Result<CmdOut, String> {
+fn daemon_query(_cli: &Cli, _query: &Query) -> Result<CmdOut, String> {
     Err("--daemon requires Unix domain sockets".to_string())
 }
 
 #[cfg(not(unix))]
-fn cmd_daemon_control(_args: &Args) -> Result<(), String> {
+fn cmd_daemon_control(_q: &Query, _cli: &Cli) -> Result<(), String> {
     Err("daemon control requires Unix domain sockets".to_string())
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let suite = syncopt::bench::suite(&args.suite)
-        .ok_or_else(|| format!("unknown bench suite `{}` (delay|sim)", args.suite))?;
+fn cmd_bench(q: &Query, cli: &Cli) -> Result<(), String> {
+    let suite = syncopt::bench::suite(&cli.suite)
+        .ok_or_else(|| format!("unknown bench suite `{}` (delay|sim)", cli.suite))?;
     let report = suite
-        .run(args.smoke, args.threads)
+        .run(cli.smoke, q.threads)
         .map_err(|e| format!("{} bench failed: {e}", suite.name))?;
     let report_json = report.to_json();
-    if let Some(path) = &args.out {
+    if let Some(path) = &q.out {
         std::fs::write(path, format!("{report_json}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("bench report written to {path}");
     }
-    match args.format {
+    match q.format {
         Format::Json => println!("{report_json}"),
         Format::Human => print!("{}", report.render_table()),
     }
-    if let Some(baseline_path) = &args.check_baseline {
+    if let Some(baseline_path) = &cli.check_baseline {
         let text = std::fs::read_to_string(baseline_path)
             .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
         let baseline = json::Value::parse(&text)

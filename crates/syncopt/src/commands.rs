@@ -14,7 +14,7 @@
 //! JSON document on stdout; diagnostics and progress notes go to stderr.
 
 use crate::report::level_label;
-use crate::session::{src_fingerprint, AnalysisSession, SessionOptions};
+use crate::session::{AnalysisSession, SessionOptions};
 use crate::{DelayChoice, OptLevel, SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use syncopt_core::races::{race_diagnostics, RaceAnalysis};
 use syncopt_core::LINT_SCHEMA;
 use syncopt_frontend::fingerprint::Fingerprint;
 use syncopt_machine::litmus::{sc_outcomes, weak_outcomes, Outcome};
-use syncopt_machine::{MachineConfig, ShardPartition};
+use syncopt_machine::MachineConfig;
 
 /// Schema identifier of the `check` JSON document.
 pub const CHECK_SCHEMA: &str = "syncopt.check.v1";
@@ -132,14 +132,6 @@ pub struct Query {
     /// Worker threads for analysis loops (results identical for any
     /// value).
     pub threads: usize,
-    /// `run --sim-shards N`: simulation shards for the conservative
-    /// parallel engine (observable results identical for any value;
-    /// rejected by `trace` above 1).
-    pub sim_shards: usize,
-    /// `run --sim-partition STRAT`: processor-to-shard assignment for
-    /// the sharded engine (observable results identical for any
-    /// strategy; rejected by `trace` when not the default `block`).
-    pub sim_partition: ShardPartition,
     /// `trace --out PATH`: produce the Chrome-trace JSON as a file
     /// artifact.
     pub out: Option<String>,
@@ -173,14 +165,91 @@ impl Default for Query {
             format: Format::Human,
             emit_report: None,
             threads: 1,
-            sim_shards: 1,
-            sim_partition: ShardPartition::Block,
             out: None,
             trace_limit: None,
             pair: None,
             deny: Vec::new(),
             allow: Vec::new(),
             seeded: None,
+        }
+    }
+}
+
+/// The value of one [`Query`] field, as [`Query::walk`] hands it out.
+pub(crate) enum Field<'a> {
+    Str(&'a str),
+    Int(u64),
+    Bool(bool),
+    Pair(u32, u32),
+    List(&'a [String]),
+}
+
+impl Query {
+    /// Hands every field that has a value to `visit`, under its wire name
+    /// and in wire order; a `None` or an empty list is left out, which is
+    /// what the default means. [`crate::rpc::encode_query`] writes this
+    /// walk and the `reply` key hashes it, so every field on the wire is
+    /// in the key. The destructuring names every field, so a field added
+    /// to `Query` does not compile until it is walked.
+    pub(crate) fn walk<'a>(&'a self, mut visit: impl FnMut(&'static str, Field<'a>)) {
+        let Query {
+            command,
+            file,
+            source,
+            procs,
+            level,
+            delay,
+            machine,
+            dump,
+            dot,
+            trace,
+            strict,
+            kernels,
+            format,
+            emit_report,
+            threads,
+            out,
+            trace_limit,
+            pair,
+            deny,
+            allow,
+            seeded,
+        } = self;
+        visit("command", Field::Str(command));
+        visit("file", Field::Str(file));
+        if let Some(source) = source {
+            visit("source", Field::Str(source));
+        }
+        visit("procs", Field::Int(u64::from(*procs)));
+        visit("level", Field::Str(level_label(*level)));
+        visit("delay", Field::Str(delay_cli_label(*delay)));
+        visit("machine", Field::Str(machine));
+        visit("dump", Field::Bool(*dump));
+        visit("dot", Field::Bool(*dot));
+        visit("trace", Field::Bool(*trace));
+        visit("strict", Field::Bool(*strict));
+        visit("kernels", Field::Bool(*kernels));
+        visit("format", Field::Str(format.label()));
+        if let Some(path) = emit_report {
+            visit("emit_report", Field::Str(path));
+        }
+        visit("threads", Field::Int(*threads as u64));
+        if let Some(path) = out {
+            visit("out", Field::Str(path));
+        }
+        if let Some(limit) = trace_limit {
+            visit("trace_limit", Field::Int(*limit as u64));
+        }
+        if let Some((a, b)) = pair {
+            visit("pair", Field::Pair(*a, *b));
+        }
+        for (name, codes) in [("deny", deny), ("allow", allow)] {
+            if !codes.is_empty() {
+                visit(name, Field::List(codes));
+            }
+        }
+        if let Some(name) = seeded {
+            visit("seeded", Field::Str(name));
         }
     }
 }
@@ -249,82 +318,28 @@ pub fn execute(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     )
 }
 
-/// The `reply` key of `q`: the raw source under the `"src.v1"` stem the
-/// span-bearing artifacts use, then every field that can change the
-/// answer. The destructuring names every field, so a field added to
-/// [`Query`] does not compile until it is either hashed here or left out
-/// for a reason, as `threads` is (results are bit-identical for any
-/// value). A list or an optional field is hashed after its length or its
-/// presence, so no two values run together.
+/// The `reply` key of `q`: every field of [`Query::walk`] but `threads`
+/// (results are bit-identical for any value), each as its name then its
+/// value. A field left out of the walk has no name in the key, and a list
+/// is hashed after its length, so no two queries run together.
 fn query_key(q: &Query) -> Fingerprint {
-    let Query {
-        command,
-        file,
-        source,
-        procs,
-        level,
-        delay,
-        machine,
-        dump,
-        dot,
-        trace,
-        strict,
-        kernels,
-        format,
-        emit_report,
-        threads: _,
-        sim_shards,
-        sim_partition,
-        out,
-        trace_limit,
-        pair,
-        deny,
-        allow,
-        seeded,
-    } = q;
-    let text = |key: Fingerprint, text: &Option<String>| match text {
-        Some(text) => key.push_u64(1).push(text),
-        None => key.push_u64(0),
-    };
-    let list = |key: Fingerprint, items: &[String]| {
-        items
-            .iter()
-            .fold(key.push_u64(items.len() as u64), |key, item| key.push(item))
-    };
-    let stem = match source {
-        Some(src) => src_fingerprint(src),
-        None => Fingerprint::of("src.none"),
-    };
-    let key = stem
-        .push("reply.v1")
-        .push(command)
-        .push(file)
-        .push_u64(u64::from(*procs))
-        .push(level_label(*level))
-        .push(delay_cli_label(*delay))
-        .push(machine)
-        .push_u64(u64::from(*dump))
-        .push_u64(u64::from(*dot))
-        .push_u64(u64::from(*trace))
-        .push_u64(u64::from(*strict))
-        .push_u64(u64::from(*kernels))
-        .push(format.label());
-    let key = text(key, emit_report)
-        .push_u64(*sim_shards as u64)
-        .push(sim_partition.label());
-    let key = text(key, out);
-    let key = match trace_limit {
-        Some(limit) => key.push_u64(1).push_u64(*limit as u64),
-        None => key.push_u64(0),
-    };
-    let key = match pair {
-        Some((a, b)) => key
-            .push_u64(1)
-            .push_u64(u64::from(*a))
-            .push_u64(u64::from(*b)),
-        None => key.push_u64(0),
-    };
-    text(list(list(key, deny), allow), seeded)
+    let mut key = Fingerprint::of("reply.v2");
+    q.walk(|name, value| {
+        if name == "threads" {
+            return;
+        }
+        key = key.push(name);
+        key = match value {
+            Field::Str(text) => key.push(text),
+            Field::Int(n) => key.push_u64(n),
+            Field::Bool(b) => key.push_u64(u64::from(b)),
+            Field::Pair(a, b) => key.push_u64(u64::from(a)).push_u64(u64::from(b)),
+            Field::List(items) => items
+                .iter()
+                .fold(key.push_u64(items.len() as u64), |key, item| key.push(item)),
+        };
+    });
+    key
 }
 
 fn dispatch(session: &mut AnalysisSession, q: &Query) -> CmdOut {
@@ -368,11 +383,9 @@ fn session_options(q: &Query, level: OptLevel) -> SessionOptions {
         procs: Some(q.procs),
         level,
         delay: q.delay,
-        trace: TraceLevel::Off,
         trace_limit: q.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT),
         threads: q.threads,
-        sim_shards: q.sim_shards,
-        sim_partition: q.sim_partition,
+        ..SessionOptions::default()
     }
 }
 
@@ -614,24 +627,6 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    if q.sim_shards > 1 {
-        return CmdOut::fail(format!(
-            "trace requires the sequential engine: event traces interleave \
-             all processors in one global timeline, which the sharded engine \
-             does not record (got --sim-shards {}; rerun with --sim-shards 1 \
-             or drop the flag)",
-            q.sim_shards
-        ));
-    }
-    if q.sim_partition != ShardPartition::Block {
-        return CmdOut::fail(format!(
-            "trace requires the sequential engine: partition strategies only \
-             affect the sharded engine, which records no event trace (got \
-             --sim-partition {}; rerun with --sim-partition block or drop \
-             the flag)",
-            q.sim_partition.label()
-        ));
-    }
     let config = match machine_config(&q.machine, q.procs) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(e),
@@ -1213,7 +1208,7 @@ mod tests {
     #[test]
     fn every_answer_bearing_field_is_part_of_the_reply_key() {
         let base = query("run", Format::Json);
-        let edits: [fn(&mut Query); 25] = [
+        let edits: [fn(&mut Query); 23] = [
             |q| q.command.push('x'),
             |q| q.file.push('x'),
             |q| q.source.as_mut().unwrap().push(' '),
@@ -1229,8 +1224,6 @@ mod tests {
             |q| q.kernels = true,
             |q| q.format = Format::Human,
             |q| q.emit_report = Some("r.json".to_string()),
-            |q| q.sim_shards = 2,
-            |q| q.sim_partition = ShardPartition::Cyclic,
             |q| q.out = Some("t.json".to_string()),
             |q| q.trace_limit = Some(10),
             |q| q.pair = Some((0, 1)),

@@ -55,7 +55,7 @@ pub use report::{PipelineReport, ProfileReport, ReportMeta, SimReport};
 pub use session::{AnalysisSession, SessionOptions};
 pub use syncopt_codegen::{DelayChoice, OptLevel, OptStats, Optimized};
 pub use syncopt_core::{Analysis, AnalysisStats, CacheStats, DelaySet};
-pub use syncopt_machine::{MachineConfig, ShardPartition, SimResult};
+pub use syncopt_machine::{MachineConfig, SimResult};
 pub use telemetry::{ServiceTelemetry, TelemetryConfig, METRICS_SCHEMA, REQLOG_SCHEMA};
 pub use trace_export::{chrome_trace, verify_span_accounting, TRACE_SCHEMA};
 
@@ -182,14 +182,7 @@ pub const DEFAULT_TRACE_LIMIT: usize = 100_000;
 #[derive(Debug, Clone)]
 pub struct Syncopt<'a> {
     src: &'a str,
-    procs: Option<u32>,
-    level: OptLevel,
-    delay: DelayChoice,
-    trace: TraceLevel,
-    trace_limit: usize,
-    threads: usize,
-    sim_shards: usize,
-    sim_partition: ShardPartition,
+    opts: SessionOptions,
 }
 
 impl<'a> Syncopt<'a> {
@@ -197,14 +190,7 @@ impl<'a> Syncopt<'a> {
     pub fn new(src: &'a str) -> Self {
         Syncopt {
             src,
-            procs: None,
-            level: OptLevel::Full,
-            delay: DelayChoice::SyncRefined,
-            trace: TraceLevel::Off,
-            trace_limit: DEFAULT_TRACE_LIMIT,
-            threads: 1,
-            sim_shards: 1,
-            sim_partition: ShardPartition::Block,
+            opts: SessionOptions::default(),
         }
     }
 
@@ -213,14 +199,14 @@ impl<'a> Syncopt<'a> {
     /// count when unset.
     #[must_use]
     pub fn procs(mut self, procs: u32) -> Self {
-        self.procs = Some(procs);
+        self.opts.procs = Some(procs);
         self
     }
 
     /// Sets the optimization level (default [`OptLevel::Full`]).
     #[must_use]
     pub fn level(mut self, level: OptLevel) -> Self {
-        self.level = level;
+        self.opts.level = level;
         self
     }
 
@@ -228,14 +214,14 @@ impl<'a> Syncopt<'a> {
     /// [`DelayChoice::SyncRefined`]).
     #[must_use]
     pub fn delay(mut self, delay: DelayChoice) -> Self {
-        self.delay = delay;
+        self.opts.delay = delay;
         self
     }
 
     /// Sets the observability level (default [`TraceLevel::Off`]).
     #[must_use]
     pub fn trace(mut self, trace: TraceLevel) -> Self {
-        self.trace = trace;
+        self.opts.trace = trace;
         self
     }
 
@@ -245,7 +231,7 @@ impl<'a> Syncopt<'a> {
     /// than silently looking like a short run.
     #[must_use]
     pub fn trace_limit(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
+        self.opts.trace_limit = limit;
         self
     }
 
@@ -253,7 +239,7 @@ impl<'a> Syncopt<'a> {
     /// (default 1 = serial; results are bit-identical for every value).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.opts.threads = threads;
         self
     }
 
@@ -262,20 +248,11 @@ impl<'a> Syncopt<'a> {
     /// simulation on the conservative parallel engine
     /// ([`machine::simulate_sharded`]), which is bit-identical to the
     /// sequential reference at every shard count. Incompatible with
-    /// [`TraceLevel::Events`].
+    /// [`TraceLevel::Events`]. Kept only for the wall-clock benchmark
+    /// (`benchmark/`), whose shard probe calls it.
     #[must_use]
     pub fn sim_shards(mut self, shards: usize) -> Self {
-        self.sim_shards = shards;
-        self
-    }
-
-    /// Sets the processor-to-shard assignment strategy for sharded runs
-    /// (default [`ShardPartition::Block`]; inert at one shard). Results
-    /// are bit-identical under every strategy — only the per-shard load
-    /// balance changes. Incompatible with [`TraceLevel::Events`].
-    #[must_use]
-    pub fn sim_partition(mut self, partition: ShardPartition) -> Self {
-        self.sim_partition = partition;
+        self.opts.sim_shards = shards;
         self
     }
 
@@ -289,24 +266,8 @@ impl<'a> Syncopt<'a> {
         // session has none, derives no cache key, and leaves every artifact
         // uniquely held — `into_owned` moves them out.
         AnalysisSession::with_capacity(0)
-            .compile_shared(self.src, &self.session_options())
+            .compile_shared(self.src, &self.opts)
             .map(session::SharedCompiled::into_owned)
-    }
-
-    /// The builder's knobs as per-request session options (a one-shot
-    /// builder run is exactly one request against a fresh
-    /// [`AnalysisSession`]).
-    fn session_options(&self) -> SessionOptions {
-        SessionOptions {
-            procs: self.procs,
-            level: self.level,
-            delay: self.delay,
-            trace: self.trace,
-            trace_limit: self.trace_limit,
-            threads: self.threads,
-            sim_shards: self.sim_shards,
-            sim_partition: self.sim_partition,
-        }
     }
 
     /// Compiles (analyzing for the machine's processor count unless
@@ -318,7 +279,7 @@ impl<'a> Syncopt<'a> {
     /// Returns frontend, lowering, or simulation errors.
     pub fn run(&self, config: &MachineConfig) -> Result<RunResult, SyncoptError> {
         AnalysisSession::with_capacity(0)
-            .run_shared(self.src, &self.session_options(), config)
+            .run_shared(self.src, &self.opts, config)
             .map(session::SharedRun::into_owned)
     }
 
@@ -342,7 +303,7 @@ impl<'a> Syncopt<'a> {
     ) -> Result<TwoVersionResult, SyncoptError> {
         let program = syncopt_frontend::prepare_program(self.src)?;
         let source_cfg = syncopt_ir::lower::lower_main(&program)?;
-        let procs = self.procs.unwrap_or(config.procs);
+        let procs = self.opts.procs.unwrap_or(config.procs);
 
         // Optimistic: assume barriers align; the simulator double-checks.
         let optimistic = syncopt_core::analyze_with(
@@ -350,10 +311,11 @@ impl<'a> Syncopt<'a> {
             &syncopt_core::SyncOptions {
                 barrier_policy: syncopt_core::BarrierPolicy::AssumeAligned,
                 procs: Some(procs),
-                threads: self.threads,
+                threads: self.opts.threads,
             },
         );
-        let opt_cfg = syncopt_codegen::optimize(&source_cfg, &optimistic, self.level, self.delay);
+        let opt_cfg =
+            syncopt_codegen::optimize(&source_cfg, &optimistic, self.opts.level, self.opts.delay);
         let fallback = match syncopt_machine::simulate(&opt_cfg.cfg, config) {
             Ok(sim) if sim.barriers_aligned => {
                 return Ok(TwoVersionResult {
@@ -374,11 +336,11 @@ impl<'a> Syncopt<'a> {
             &syncopt_core::SyncOptions {
                 barrier_policy: syncopt_core::BarrierPolicy::Disabled,
                 procs: Some(procs),
-                threads: self.threads,
+                threads: self.opts.threads,
             },
         );
         let cons_cfg =
-            syncopt_codegen::optimize(&source_cfg, &conservative, self.level, self.delay);
+            syncopt_codegen::optimize(&source_cfg, &conservative, self.opts.level, self.opts.delay);
         let sim = syncopt_machine::simulate(&cons_cfg.cfg, config)?;
         Ok(TwoVersionResult {
             sim,
@@ -395,7 +357,7 @@ impl<'a> Syncopt<'a> {
     ///
     /// Returns frontend, lowering, or simulation errors from either run.
     pub fn profile(&self, config: &MachineConfig) -> Result<ProfileReport, SyncoptError> {
-        AnalysisSession::new().profile(self.src, &self.session_options(), config)
+        AnalysisSession::new().profile(self.src, &self.opts, config)
     }
 }
 

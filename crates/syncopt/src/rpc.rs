@@ -33,14 +33,10 @@
 //! with a non-null `failure`, mirroring the CLI's stdout/stderr/exit-code
 //! split. The full schema is documented in `docs/API.md`.
 
-use crate::commands::{
-    delay_cli_label, parse_delay, parse_level, CmdOut, FileOutput, Format, Query,
-};
-use crate::report::level_label;
+use crate::commands::{parse_delay, parse_level, CmdOut, Field, FileOutput, Format, Query};
 use syncopt_core::cache::CacheStats;
 use syncopt_core::diag::json::{Key, Value};
 use syncopt_core::obs::Counters;
-use syncopt_machine::ShardPartition;
 
 /// Protocol identifier carried by every request and response.
 pub const RPC_SCHEMA: &str = "syncopt.rpc.v1";
@@ -120,72 +116,20 @@ fn envelope(id: i64) -> Vec<(Key, Value)> {
     ]
 }
 
-/// Encodes a query for the wire.
+/// Encodes a query for the wire: every field that has a value, in wire
+/// order — the walk the `reply` key hashes too.
 pub fn encode_query(q: &Query) -> Value {
     let mut f = Vec::new();
-    field(&mut f, "command", Value::Str(q.command.clone()));
-    field(&mut f, "file", Value::Str(q.file.clone()));
-    if let Some(source) = &q.source {
-        field(&mut f, "source", Value::Str(source.clone()));
-    }
-    field(&mut f, "procs", Value::Int(i64::from(q.procs)));
-    field(
-        &mut f,
-        "level",
-        Value::Str(level_label(q.level).to_string()),
-    );
-    field(
-        &mut f,
-        "delay",
-        Value::Str(delay_cli_label(q.delay).to_string()),
-    );
-    field(&mut f, "machine", Value::Str(q.machine.clone()));
-    field(&mut f, "dump", Value::Bool(q.dump));
-    field(&mut f, "dot", Value::Bool(q.dot));
-    field(&mut f, "trace", Value::Bool(q.trace));
-    field(&mut f, "strict", Value::Bool(q.strict));
-    field(&mut f, "kernels", Value::Bool(q.kernels));
-    field(&mut f, "format", Value::Str(q.format.label().to_string()));
-    if let Some(path) = &q.emit_report {
-        field(&mut f, "emit_report", Value::Str(path.clone()));
-    }
-    field(&mut f, "threads", Value::Int(q.threads as i64));
-    field(&mut f, "sim_shards", Value::Int(q.sim_shards as i64));
-    field(
-        &mut f,
-        "sim_partition",
-        Value::Str(q.sim_partition.label().to_string()),
-    );
-    if let Some(path) = &q.out {
-        field(&mut f, "out", Value::Str(path.clone()));
-    }
-    if let Some(limit) = q.trace_limit {
-        field(&mut f, "trace_limit", Value::Int(limit as i64));
-    }
-    if let Some((a, b)) = q.pair {
-        field(
-            &mut f,
-            "pair",
-            Value::Arr(vec![Value::Int(i64::from(a)), Value::Int(i64::from(b))]),
-        );
-    }
-    if !q.deny.is_empty() {
-        field(
-            &mut f,
-            "deny",
-            Value::Arr(q.deny.iter().map(|c| Value::Str(c.clone())).collect()),
-        );
-    }
-    if !q.allow.is_empty() {
-        field(
-            &mut f,
-            "allow",
-            Value::Arr(q.allow.iter().map(|c| Value::Str(c.clone())).collect()),
-        );
-    }
-    if let Some(name) = &q.seeded {
-        field(&mut f, "seeded", Value::Str(name.clone()));
-    }
+    q.walk(|key, value| {
+        let value = match value {
+            Field::Str(text) => Value::Str(text.to_string()),
+            Field::Int(n) => Value::Int(n as i64),
+            Field::Bool(b) => Value::Bool(b),
+            Field::Pair(a, b) => Value::Arr(vec![Value::Int(a.into()), Value::Int(b.into())]),
+            Field::List(items) => Value::Arr(items.iter().map(|i| Value::Str(i.clone())).collect()),
+        };
+        field(&mut f, key, value);
+    });
     Value::Obj(f)
 }
 
@@ -274,16 +218,6 @@ pub fn decode_query(v: Value) -> Result<Query, RpcError> {
             "threads" => {
                 q.threads = usize::try_from(expect_int(&value, key)?)
                     .map_err(|_| RpcError::bad_request("`threads` out of range"))?;
-            }
-            "sim_shards" => {
-                q.sim_shards = usize::try_from(expect_int(&value, key)?)
-                    .map_err(|_| RpcError::bad_request("`sim_shards` out of range"))?;
-            }
-            "sim_partition" => {
-                let label = expect_str(value, key)?;
-                q.sim_partition = ShardPartition::from_label(&label).ok_or_else(|| {
-                    RpcError::bad_request(format!("unknown partition strategy `{label}`"))
-                })?;
             }
             "out" => q.out = Some(expect_str(value, key)?),
             "trace_limit" => {
@@ -681,20 +615,31 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
 mod tests {
     use super::*;
 
+    /// Every field off its default, so a field the walk leaves out fails
+    /// the round trip.
     fn sample_query() -> Query {
         Query {
             command: "check".to_string(),
             file: "prog.ms".to_string(),
             source: Some("shared int X; fn main() { X = 1; }".to_string()),
             procs: 8,
+            level: crate::OptLevel::Full,
+            delay: crate::DelayChoice::ShashaSnir,
+            machine: "t3d".to_string(),
+            dump: true,
+            dot: true,
+            trace: true,
             strict: true,
+            kernels: true,
             format: Format::Json,
+            emit_report: Some("report.json".to_string()),
+            threads: 3,
+            out: Some("trace.json".to_string()),
+            trace_limit: Some(512),
             pair: Some((3, 7)),
             deny: vec!["W001".to_string()],
-            trace_limit: Some(512),
-            sim_shards: 4,
-            sim_partition: ShardPartition::Profiled,
-            ..Query::default()
+            allow: vec!["W002".to_string(), "L001".to_string()],
+            seeded: Some("lock-cycle".to_string()),
         }
     }
 

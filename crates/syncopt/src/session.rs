@@ -52,14 +52,11 @@
 //! A[4]` would share artifacts, and they print `1.0` as `1`, so `(t +
 //! 1.0) / 2` and `(t + 1) / 2` would.
 //!
-//! Worker-thread counts, simulation shard counts, and shard partition
-//! strategies are deliberately **not** part of any artifact key: analysis
-//! results are bit-identical for every thread count, and the sharded
-//! simulation engine is bit-identical to the sequential reference for
-//! every shard count and partition — so a `sim` artifact computed under
-//! one configuration legitimately serves every other. The `reply` key
-//! leaves out only the thread count: a sharded `run` prints its shards
-//! (`sim.shards[]`), so its answer is not a sequential run's.
+//! Worker-thread counts are deliberately **not** part of any artifact
+//! key: analysis results are bit-identical for every thread count. A
+//! sharded run ([`SessionOptions::sim_shards`] above 1) is never cached:
+//! its report prints the shards (`sim.shards[]`), so it neither reads nor
+//! writes the `sim` artifact a sequential run keys the same way.
 //!
 //! The canonical-text keys are expensive to derive — print the whole CFG,
 //! hash every byte — so the artifact that owns the CFG carries the
@@ -135,10 +132,10 @@ use syncopt_ir::cfg::{Cfg, Terminator};
 use syncopt_ir::expr::Expr;
 use syncopt_ir::print::cfg_to_string;
 use syncopt_ir::vars::{VarKind, VarTable};
-use syncopt_machine::{MachineConfig, ShardPartition, SimResult, Trace};
+use syncopt_machine::{MachineConfig, SimResult, Trace};
 
-/// Per-request pipeline knobs, mirroring the [`Syncopt`](crate::Syncopt)
-/// builder's configuration.
+/// Per-request pipeline knobs; the [`Syncopt`](crate::Syncopt) builder
+/// holds one and sets it field by field.
 #[derive(Debug, Clone)]
 pub struct SessionOptions {
     /// Analyze for a fixed machine size (`None` = unbounded; `run`
@@ -157,14 +154,12 @@ pub struct SessionOptions {
     pub threads: usize,
     /// Simulation shards for `run`: values above 1 execute the simulation
     /// on the conservative parallel engine
-    /// ([`syncopt_machine::simulate_sharded`]). Never part of a cache key:
-    /// the sharded engine is bit-identical to the sequential reference at
-    /// every shard count, exactly like `threads`.
+    /// ([`syncopt_machine::simulate_sharded`], block partition), and such
+    /// a run is never cached. Kept only because the wall-clock benchmark
+    /// (`benchmark/`) probes the sharded engine through
+    /// [`Syncopt::sim_shards`](crate::Syncopt::sim_shards); no query or
+    /// flag sets it.
     pub sim_shards: usize,
-    /// Processor-to-shard assignment strategy for sharded runs (inert at
-    /// `sim_shards = 1`). Never part of a cache key: results are
-    /// bit-identical under every strategy, exactly like `sim_shards`.
-    pub sim_partition: ShardPartition,
 }
 
 impl Default for SessionOptions {
@@ -177,7 +172,6 @@ impl Default for SessionOptions {
             trace_limit: DEFAULT_TRACE_LIMIT,
             threads: 1,
             sim_shards: 1,
-            sim_partition: ShardPartition::Block,
         }
     }
 }
@@ -300,7 +294,7 @@ impl SharedCompiled {
 }
 
 /// [`SharedCompiled`] plus the simulation, shared with the `sim` cache
-/// entry unless the run was traced.
+/// entry unless the run was traced or sharded.
 pub(crate) struct SharedRun {
     pub(crate) compiled: SharedCompiled,
     pub(crate) sim: Arc<SimResult>,
@@ -629,13 +623,7 @@ impl AnalysisSession {
                 if opts.sim_shards > 1 {
                     return Err(syncopt_machine::SimError::new(
                         "event tracing requires the sequential engine; \
-                         rerun with sim_shards = 1 (--sim-shards 1)",
-                    ));
-                }
-                if opts.sim_partition != ShardPartition::Block {
-                    return Err(syncopt_machine::SimError::new(
-                        "event tracing requires the sequential engine; \
-                         rerun with the default partition (--sim-partition block)",
+                         rerun with sim_shards = 1",
                     ));
                 }
                 // Traces are request-scoped observability, not artifacts:
@@ -644,23 +632,15 @@ impl AnalysisSession {
                 trace = Some(t);
                 return Ok(Arc::new(sim));
             }
-            // The parallel engine is bit-identical to the sequential one,
-            // so it shares the `sim` cache key: an artifact computed by
-            // either engine serves both.
+            if opts.sim_shards > 1 {
+                // A sharded report prints its shards, which the `sim`
+                // artifact of a sequential run does not hold: never cached.
+                let outputs = syncopt_machine::SimOutputs::full();
+                return syncopt_machine::simulate_sharded(cfg, config, opts.sim_shards, outputs)
+                    .map(Arc::new);
+            }
             let key = || push_machine(optimized.text_key(), config);
-            cache.get_or_try_with("sim", key, || {
-                if opts.sim_shards > 1 {
-                    syncopt_machine::simulate_sharded_with(
-                        cfg,
-                        config,
-                        opts.sim_shards,
-                        opts.sim_partition,
-                        syncopt_machine::SimOutputs::full(),
-                    )
-                } else {
-                    syncopt_machine::simulate(cfg, config)
-                }
-            })
+            cache.get_or_try_with("sim", key, || syncopt_machine::simulate(cfg, config))
         })?;
         compiled.report.meta.machine = Some(config.name.clone());
         let mut sim_report = SimReport::from_sim(&sim);
@@ -758,8 +738,8 @@ impl<'a> SrcKey<'a> {
 }
 
 /// Fingerprint of the raw source text (the key for every span-bearing
-/// artifact, and the stem of the `reply` key).
-pub(crate) fn src_fingerprint(src: &str) -> Fingerprint {
+/// artifact).
+fn src_fingerprint(src: &str) -> Fingerprint {
     Fingerprint::of_parts(&["src.v1", src])
 }
 

@@ -346,6 +346,37 @@ fn hostile_request_lines_get_bad_request_and_leave_the_daemon_serving() {
     stop(&path, handle);
 }
 
+/// The simulation shard fields left the wire: a query that names either
+/// one is a coded `bad-request` for that request alone, and the same
+/// connection is served the query without it.
+#[test]
+fn a_query_naming_a_removed_shard_field_gets_bad_request_and_the_daemon_keeps_serving() {
+    let (path, handle) = start("shard-fields");
+    let mut conn = raw_connection(&path);
+    let source = r#""shared int A[8]; fn main() { A[MYPROC] = 1; barrier; }""#;
+    let request = |id: i64, extra: &str| {
+        format!(
+            r#"{{"schema":"syncopt.rpc.v1","id":{id},"op":"query","query":{{"command":"run","source":{source}{extra}}}}}"#
+        )
+    };
+    for (id, field, extra) in [
+        (1, "sim_shards", r#","sim_shards":2"#),
+        (2, "sim_partition", r#","sim_partition":"block""#),
+    ] {
+        let reply = exchange(&mut conn, &request(id, extra));
+        assert!(reply.contains(r#""code":"bad-request""#), "got: {reply}");
+        assert!(reply.contains(&format!(r#""id":{id}"#)), "got: {reply}");
+        assert!(
+            reply.contains(&format!("unknown query field `{field}`")),
+            "got: {reply}"
+        );
+    }
+    let reply = exchange(&mut conn, &request(3, ""));
+    assert!(reply.contains(r#""ok":true"#), "got: {reply}");
+    assert!(reply.contains("execution:"), "got: {reply}");
+    stop(&path, handle);
+}
+
 /// Sends one raw request line on a connection and returns the reply line.
 fn exchange(conn: &mut (UnixStream, BufReader<UnixStream>), line: &str) -> String {
     conn.0.write_all(format!("{line}\n").as_bytes()).unwrap();

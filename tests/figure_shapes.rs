@@ -104,9 +104,8 @@ fn figure13_scaling_separation_holds() {
 }
 
 /// Figure 13 is engine-independent: re-deriving its largest point on the
-/// sharded conservative engine gives bit-identical cycle counts, so the
-/// figure harnesses are free to run `--sim-shards N` for wall-clock and
-/// every separation assertion above transfers unchanged.
+/// sharded conservative engine gives bit-identical cycle counts, so every
+/// separation assertion above holds on either engine.
 #[test]
 fn figure13_points_survive_the_sharded_engine() {
     let procs = 32u32;
