@@ -43,7 +43,6 @@
 use crate::conflict::ConflictSet;
 use crate::delay::DelaySet;
 use crate::sync::Precedence;
-use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
 use syncopt_ir::order::{Ancestors, BitMatrix, BitSet, Csr, ProgramOrder, ReachStats};
@@ -643,14 +642,6 @@ pub fn shasha_snir_bounded(cfg: &Cfg, procs: Option<u32>) -> DelaySet {
     compute_delay_set(&conflicts, &po)
 }
 
-/// Convenience predicate: is access `a` a data access (read/write)?
-pub fn is_data_access(cfg: &Cfg, a: AccessId) -> bool {
-    matches!(
-        cfg.accesses.info(a).kind,
-        AccessKind::Read | AccessKind::Write
-    )
-}
-
 /// The naive reference oracle — a direct transcription of the original
 /// per-query BFS implementation, retained for differential testing only.
 #[cfg(test)]
@@ -822,6 +813,7 @@ pub(crate) mod naive {
 mod tests {
     use super::*;
     use syncopt_frontend::prepare_program;
+    use syncopt_ir::access::AccessKind;
     use syncopt_ir::lower::lower_main;
 
     fn delays(src: &str) -> (Cfg, DelaySet) {

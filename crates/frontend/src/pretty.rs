@@ -45,13 +45,6 @@ pub fn function_to_string(func: &Function) -> String {
     out
 }
 
-/// Renders a single statement (multi-line, no trailing newline trimming).
-pub fn stmt_to_string(stmt: &Stmt) -> String {
-    let mut out = String::new();
-    write_stmt(&mut out, stmt, 0);
-    out
-}
-
 fn write_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
     let pad = "    ".repeat(depth);
     match &stmt.kind {

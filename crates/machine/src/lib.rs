@@ -44,7 +44,7 @@ pub mod value;
 
 pub use config::MachineConfig;
 pub use memory::{Location, SharedMemory};
-pub use metrics::{BarrierEpoch, LatencyHistogram, ProcCycles, ShardStats, SimMetrics, SimWork};
+pub use metrics::{BarrierEpoch, LatencyHistogram, ProcCycles, SimMetrics, SimWork};
 pub use shard::{simulate_sharded, simulate_sharded_with, ShardPartition};
 pub use sim::{
     simulate, simulate_configured, simulate_traced, EngineKind, NetStats, SimOutputs, SimResult,

@@ -159,10 +159,6 @@ impl BarrierEpoch {
 /// machinery the event queue and state tables moved to produce the
 /// result. These are the `sim_throughput` benchmark's regression-gate
 /// signal — exact, deterministic, and independent of host load.
-///
-/// The dense-state invariant the counters witness: `hash_lookups` is the
-/// number of hash-map probes performed inside the cycle loop, and with
-/// the flat `Vec`-indexed state tables it is **always zero**.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimWork {
     /// Events pushed into the queue (arena allocations + free-list reuses).
@@ -181,31 +177,15 @@ pub struct SimWork {
     pub arena_reuses: u64,
     /// Waiter-list entries scanned when a `post` wakes blocked `wait`ers.
     pub waiter_scans: u64,
-    /// Hash-table probes in the cycle loop. Zero by construction for the
-    /// calendar engine; the reference heap engine reports its historical
-    /// per-event map traffic here.
-    pub hash_lookups: u64,
     /// Synchronization-horizon windows advanced by the sharded engine
     /// (zero for the sequential engines).
     pub shard_horizon_advances: u64,
     /// Events routed through a shard-pair mailbox instead of a local
     /// wheel (cross-shard arrivals, deliveries, and barrier traffic).
     pub shard_cross_messages: u64,
-    /// Non-empty mailbox batches drained at horizon boundaries.
-    pub shard_mailbox_drains: u64,
     /// Windows in which a shard had no event to dispatch (conservative
     /// lookahead idling — the parallel engine's waiting-on-peers signal).
     pub shard_idle_windows: u64,
-    /// Positions rank-assigned by the round leader's key merge — the
-    /// dominant work left in the leader's serial section (zero for the
-    /// sequential engines).
-    pub shard_leader_merge_steps: u64,
-    /// Cross-shard events drained from mailboxes by their *owning* shard
-    /// in the parallel phase (work the leader no longer serializes).
-    pub shard_parallel_drains: u64,
-    /// Event keys rewritten to their flat positions by the owning shard
-    /// in the parallel phase (work the leader no longer serializes).
-    pub shard_parallel_flattens: u64,
 }
 
 impl SimWork {
@@ -214,26 +194,6 @@ impl SimWork {
     pub fn events_per_1k_cycles(&self, exec_cycles: u64) -> u64 {
         self.events_dequeued * 1000 / exec_cycles.max(1)
     }
-}
-
-/// One shard's share of a sharded run: how much of the event load, the
-/// cross-shard traffic, and the lookahead idling landed on it. The
-/// max/mean ratio of `events` across shards is the load-imbalance signal
-/// the partitioning strategies compete on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Simulated processors owned by this shard.
-    pub procs: u32,
-    /// Events dispatched by this shard (its share of `events_dequeued`).
-    pub events: u64,
-    /// Cross-shard events this shard drained from its inbound mailboxes.
-    pub drained: u64,
-    /// Event keys this shard rewrote to flat positions.
-    pub flattened: u64,
-    /// Cross-shard events this shard sent.
-    pub cross_messages: u64,
-    /// Windows in which this shard had nothing to dispatch.
-    pub idle_windows: u64,
 }
 
 /// Everything the simulator measured beyond the headline result.
@@ -247,29 +207,22 @@ pub struct SimMetrics {
     pub barrier_epochs: Vec<BarrierEpoch>,
     /// Engine work counters (event queue, state tables).
     pub work: SimWork,
-    /// Per-shard breakdown of a sharded run; empty for the sequential
-    /// engines. Like [`SimWork`], this is engine machinery — it varies
-    /// with shard count and partition strategy while every other
+    /// Events each shard of a sharded run dispatched, by shard index;
+    /// empty for the sequential engines. Like [`SimWork`], this is engine
+    /// machinery: it varies with the shard count while every other
     /// observable stays bit-identical.
-    pub shards: Vec<ShardStats>,
+    pub shard_events: Vec<u64>,
 }
 
 impl SimMetrics {
     /// Per-shard event-load imbalance as `max * 1000 / mean` over
-    /// [`ShardStats::events`] (1000 = perfectly balanced). `None` for
-    /// sequential runs or when no events were dispatched.
+    /// [`shard_events`](SimMetrics::shard_events) (1000 = perfectly
+    /// balanced). `None` for sequential runs or when no events were
+    /// dispatched.
     pub fn shard_imbalance_permille(&self) -> Option<u64> {
-        let total: u64 = self.shards.iter().map(|s| s.events).sum();
-        if self.shards.is_empty() || total == 0 {
-            return None;
-        }
-        let max = self
-            .shards
-            .iter()
-            .map(|s| s.events)
-            .max()
-            .expect("nonempty");
-        Some(max * 1000 * self.shards.len() as u64 / total)
+        let total: u64 = self.shard_events.iter().sum();
+        let max = self.shard_events.iter().copied().max()?;
+        (total > 0).then(|| max * 1000 * self.shard_events.len() as u64 / total)
     }
 }
 
@@ -319,22 +272,10 @@ mod tests {
     fn shard_imbalance_ratio() {
         let mut m = SimMetrics::default();
         assert_eq!(m.shard_imbalance_permille(), None, "sequential run");
-        m.shards = vec![
-            ShardStats {
-                events: 300,
-                ..Default::default()
-            },
-            ShardStats {
-                events: 100,
-                ..Default::default()
-            },
-        ];
+        m.shard_events = vec![300, 100];
         // max 300, mean 200 -> 1500 permille.
         assert_eq!(m.shard_imbalance_permille(), Some(1500));
-        m.shards = vec![ShardStats {
-            events: 42,
-            ..Default::default()
-        }];
+        m.shard_events = vec![42];
         assert_eq!(
             m.shard_imbalance_permille(),
             Some(1000),

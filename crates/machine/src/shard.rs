@@ -1,9 +1,9 @@
 //! Conservative parallel (sharded) simulation engine.
 //!
 //! One simulation run is partitioned across host threads: simulated
-//! processors are split across **shards** by a [`ShardPartition`]
-//! strategy, and each shard advances its own event heap independently up
-//! to a shared **synchronization horizon**. The horizon is the
+//! processors are split across **shards** in contiguous blocks, and each
+//! shard advances its own event heap independently up to a shared
+//! **synchronization horizon**. The horizon is the
 //! conservative Chandy–Misra lookahead the Table 1 machine parameters
 //! guarantee: every cross-shard interaction is carried by a message that
 //! takes at least `network_latency` cycles, and every barrier release
@@ -19,9 +19,7 @@
 //! the shards themselves at the start of the next round: each shard
 //! drains its own inbound mailboxes, rewrites its own event keys to the
 //! flat positions the leader published, and injects its own processors'
-//! barrier releases from the leader's release plan. The
-//! `sim.shard_leader_merge_steps` vs `sim.shard_parallel_*` counters
-//! witness the split.
+//! barrier releases from the leader's release plan.
 //!
 //! # Determinism: bit-identical to the sequential engines
 //!
@@ -38,9 +36,8 @@
 //! all shared state is partitioned by owner (processor state with the
 //! owning shard, memory/flag/lock/handler state with the home's shard),
 //! every observable except the [`SimWork`] engine counters is
-//! bit-identical at any shard count *and any partition strategy*. The
-//! three global couplings that do not fit the partition are handled
-//! explicitly:
+//! bit-identical at any shard count. The three global couplings that do
+//! not fit the partition are handled explicitly:
 //!
 //! * **split-phase receive steals** are scheduled by the *issuing* shard
 //!   as local `Event::Credit`s keyed adjacent to the request's arrival
@@ -56,8 +53,8 @@
 //!   reports.
 
 use crate::config::MachineConfig;
-use crate::memory::{Location, SharedMemory};
-use crate::metrics::{BarrierEpoch, LatencyHistogram, ProcCycles, ShardStats, SimMetrics, SimWork};
+use crate::memory::Location;
+use crate::metrics::{BarrierEpoch, LatencyHistogram, ProcCycles, SimMetrics, SimWork};
 use crate::sim::{
     EngineKind, Event, NetStats, SimOutputs, SimResult, Simulator, StallStats, Status,
 };
@@ -65,71 +62,18 @@ use crate::value::SimError;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
-use syncopt_frontend::ast::{BinOp, UnOp};
-use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
-use syncopt_ir::expr::Expr;
 use syncopt_ir::ids::AccessId;
 
-/// How simulated processors are assigned to shards. Results are
-/// bit-identical under every strategy (the assignment only moves engine
-/// work around); what changes is the per-shard load balance, visible in
-/// [`ShardStats`] and the benchmark's `machine.shard_imbalance_permille`.
+/// How simulated processors are assigned to shards: contiguous blocks of
+/// processor ids (`ceil(P/S)` per shard). `Block` is the only strategy;
+/// the type stays only because the wall-clock benchmark (`benchmark/`)
+/// names it in its [`simulate_sharded_with`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ShardPartition {
-    /// Contiguous blocks of processor ids (`ceil(P/S)` per shard). Keeps
-    /// Split-C block-layout array traffic shard-local, but concentrates
-    /// the round-robin scalar/flag/lock homes — which all land on
-    /// low-numbered processors — onto shard 0.
+    /// Contiguous blocks of processor ids.
     #[default]
     Block,
-    /// Round-robin by processor id (`p % S`). Spreads the round-robin
-    /// scalar homes evenly at the cost of cutting block-layout arrays
-    /// across shards.
-    Cyclic,
-    /// Traffic-aware: a static communication-matrix pre-pass evaluates
-    /// every shared access site's home under the program's memory layout
-    /// and greedily assigns the heaviest processors first, balancing
-    /// per-shard event load while preferring shards the processor
-    /// already communicates with. Falls back to [`Block`] when the
-    /// program has no resolvable shared traffic.
-    ///
-    /// [`Block`]: ShardPartition::Block
-    Profiled,
-}
-
-impl ShardPartition {
-    /// All strategies, for sweeps and tests.
-    pub const ALL: [ShardPartition; 3] = [
-        ShardPartition::Block,
-        ShardPartition::Cyclic,
-        ShardPartition::Profiled,
-    ];
-
-    /// The lowercase label used on the command line and in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardPartition::Block => "block",
-            ShardPartition::Cyclic => "cyclic",
-            ShardPartition::Profiled => "profiled",
-        }
-    }
-
-    /// Parses a command-line label.
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "block" => Some(ShardPartition::Block),
-            "cyclic" => Some(ShardPartition::Cyclic),
-            "profiled" => Some(ShardPartition::Profiled),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ShardPartition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// A dispatch position: the timestamp of an event plus its tie-breaking
@@ -317,13 +261,6 @@ pub(crate) struct ShardCtx {
     heap_min: Option<u64>,
     cross_messages: u64,
     idle_windows: u64,
-    /// Non-empty mailbox batches this shard published (sender side of
-    /// `sim.shard_mailbox_drains`).
-    published_batches: u64,
-    /// Cross-shard events drained from inbound mailboxes (parallel phase).
-    drained_events: u64,
-    /// Keys rewritten to flat positions (parallel phase).
-    flattened_parents: u64,
     error: Option<(Arc<Pos>, SimError)>,
 }
 
@@ -350,9 +287,6 @@ impl ShardCtx {
             heap_min: None,
             cross_messages: 0,
             idle_windows: 0,
-            published_batches: 0,
-            drained_events: 0,
-            flattened_parents: 0,
             error: None,
         }
     }
@@ -469,36 +403,11 @@ struct LeaderState {
     /// Next flat key rank (see [`merge_and_flatten`]); starts above the
     /// processor count so ranks never collide with seed ids at time 0.
     next_rank: u32,
-    /// Positions rank-assigned by the leader's merge — the serial work.
-    merge_steps: u64,
     error: Option<SimError>,
 }
 
-/// Runs `cfg` on the machine described by `config`, sharding the
-/// simulated processors across `shards` host threads (clamped to
-/// `[1, procs]`) using the default [`ShardPartition::Block`] assignment.
-/// The result is bit-identical to [`crate::simulate`] for every
-/// observable except the [`SimWork`] engine counters and the per-shard
-/// [`ShardStats`], at any shard count — the differential suites assert
-/// exactly that.
-///
-/// # Errors
-///
-/// Same failure modes as [`crate::simulate`], reporting the identical
-/// first error (runtime faults, deadlock, `max_steps`).
-pub fn simulate_sharded(
-    cfg: &Cfg,
-    config: &MachineConfig,
-    shards: usize,
-    outputs: SimOutputs,
-) -> Result<SimResult, SimError> {
-    simulate_sharded_with(cfg, config, shards, ShardPartition::Block, outputs)
-}
-
-/// [`simulate_sharded`] with an explicit processor-to-shard
-/// [`ShardPartition`] strategy. Bit-identical to the sequential engines
-/// under every strategy; only the engine counters and per-shard load
-/// distribution differ.
+/// [`simulate_sharded`] under an explicit [`ShardPartition`], of which
+/// `Block` is the only one.
 ///
 /// # Errors
 ///
@@ -510,13 +419,34 @@ pub fn simulate_sharded_with(
     partition: ShardPartition,
     outputs: SimOutputs,
 ) -> Result<SimResult, SimError> {
+    let ShardPartition::Block = partition;
+    simulate_sharded(cfg, config, shards, outputs)
+}
+
+/// Runs `cfg` on the machine described by `config`, sharding the
+/// simulated processors across `shards` host threads (clamped to
+/// `[1, procs]`) in contiguous blocks. The result is bit-identical to
+/// [`crate::simulate`] for every observable except the [`SimWork`] engine
+/// counters and the per-shard event counts, at any shard count — the
+/// differential suites assert exactly that.
+///
+/// # Errors
+///
+/// Same failure modes as [`crate::simulate`], reporting the identical
+/// first error (runtime faults, deadlock, `max_steps`).
+pub fn simulate_sharded(
+    cfg: &Cfg,
+    config: &MachineConfig,
+    shards: usize,
+    outputs: SimOutputs,
+) -> Result<SimResult, SimError> {
     let procs = config.procs;
     let s = shards.max(1).min(procs.max(1) as usize);
     // The conservative lookahead: every cross-shard event lands at least
     // `network_latency` ahead of its creation, every barrier release at
     // least `barrier_cycles` ahead of its trigger.
     let horizon = config.network_latency.min(config.barrier_cycles).max(1);
-    let shard_of: Arc<Vec<u32>> = Arc::new(partition_map(cfg, procs, s, partition));
+    let shard_of: Arc<Vec<u32>> = Arc::new(block_map(procs, s));
 
     let mut sims: Vec<Mutex<Simulator>> = (0..s)
         .map(|id| {
@@ -554,7 +484,6 @@ pub fn simulate_sharded_with(
         episodes: Vec::new(),
         horizon_advances: 1,
         next_rank: procs,
-        merge_steps: 0,
         error: None,
     });
     let gate = Barrier::new(s);
@@ -620,186 +549,13 @@ pub fn simulate_sharded_with(
     Ok(merge(&mut sims, &shard_of, config, outputs, st))
 }
 
-/// Builds the processor-to-shard assignment for a strategy. Every value
-/// is in `0..shards`; the map is deterministic (pure integer arithmetic
-/// over the program's static structure).
-fn partition_map(cfg: &Cfg, procs: u32, shards: usize, partition: ShardPartition) -> Vec<u32> {
-    match partition {
-        ShardPartition::Block => block_map(procs, shards),
-        ShardPartition::Cyclic => (0..procs).map(|p| p % shards as u32).collect(),
-        ShardPartition::Profiled => profiled_map(cfg, procs, shards),
-    }
-}
-
+/// The processor-to-shard assignment: contiguous blocks, every value in
+/// `0..shards`.
 fn block_map(procs: u32, shards: usize) -> Vec<u32> {
     let block = (procs as usize).div_ceil(shards);
     (0..procs as usize)
         .map(|i| ((i / block).min(shards - 1)) as u32)
         .collect()
-}
-
-/// Number of sample points used when an access index depends on one
-/// unresolved local (typically a loop variable): the variable is sampled
-/// across `0..PROCS` at this many evenly spaced points.
-const INDEX_SAMPLES: u64 = 8;
-
-/// The traffic-aware partition: a static communication-matrix pre-pass.
-///
-/// For every shared access site and every processor `p`, the access's
-/// index expression is const-evaluated with `MYPROC = p` (sampling one
-/// unresolved local across `0..PROCS`, which captures loop-driven
-/// patterns like Epithel's transpose scatter) and resolved to a home
-/// processor under the program's actual memory layout
-/// ([`SharedMemory::home`]). That yields a per-processor event-load
-/// estimate (messages sent plus messages handled at owned homes) and a
-/// processor-pair traffic matrix. Processors are then assigned greedily,
-/// heaviest first, to the least-loaded shard — preferring, among shards
-/// of similar load, the one the processor already talks to most.
-fn profiled_map(cfg: &Cfg, procs: u32, shards: usize) -> Vec<u32> {
-    let p = procs as usize;
-    if p == 0 || shards <= 1 {
-        return block_map(procs, shards);
-    }
-    let mem = SharedMemory::new(procs, &cfg.vars);
-    // traffic[issuer * p + home]: estimated messages from issuer to home.
-    let mut traffic = vec![0u64; p * p];
-    // Load that never crosses processors (local homes, unresolvable sites).
-    let mut local = vec![0u64; p];
-    for (_, a) in cfg.accesses.iter() {
-        if a.kind == AccessKind::Barrier {
-            continue; // global rendezvous, no home
-        }
-        let Some(var) = a.var else { continue };
-        for me in 0..p {
-            let samples = index_samples(a.index.as_ref(), me as i64, procs as i64);
-            if samples.is_empty() {
-                local[me] += INDEX_SAMPLES;
-                continue;
-            }
-            for (index, w) in samples {
-                let home = mem.home(Location { var, index }) as usize;
-                if home == me {
-                    local[me] += w;
-                } else {
-                    traffic[me * p + home] += w;
-                }
-            }
-        }
-    }
-    let mut load: Vec<u64> = vec![0; p];
-    for me in 0..p {
-        let sent: u64 = traffic[me * p..(me + 1) * p].iter().sum();
-        let handled: u64 = (0..p).map(|q| traffic[q * p + me]).sum();
-        load[me] = local[me] + sent + handled;
-    }
-    let total: u64 = load.iter().sum();
-    if total == 0 {
-        return block_map(procs, shards);
-    }
-    // Greedy weighted assignment, heaviest processor first. Loads are
-    // compared in coarse quanta so that among near-equally-loaded shards
-    // the one with the most existing traffic to `me` wins (fewer
-    // cross-shard edges); remaining ties go to the emptier, then
-    // lower-numbered shard — fully deterministic.
-    let quantum = (total / (shards as u64 * 64)).max(1);
-    let mut order: Vec<usize> = (0..p).collect();
-    order.sort_by_key(|&me| (Reverse(load[me]), me));
-    let mut assign = vec![0u32; p];
-    let mut shard_load = vec![0u64; shards];
-    let mut members: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
-    for me in order {
-        let best = (0..shards)
-            .min_by_key(|&sh| {
-                let affinity: u64 = members[sh]
-                    .iter()
-                    .map(|&q| traffic[me * p + q] + traffic[q * p + me])
-                    .sum();
-                (
-                    (shard_load[sh] + load[me]) / quantum,
-                    Reverse(affinity),
-                    members[sh].len(),
-                    sh,
-                )
-            })
-            .expect("at least one shard");
-        assign[me] = best as u32;
-        shard_load[best] += load[me];
-        members[best].push(me);
-    }
-    assign
-}
-
-/// Const-evaluates an access index for one processor, returning `(index,
-/// weight)` samples. A fully resolvable expression yields one sample of
-/// weight [`INDEX_SAMPLES`]; an expression with exactly one unresolved
-/// local is sampled across `0..PROCS` with weight 1 per distinct point;
-/// anything else yields no samples (the caller counts the site as local
-/// load).
-fn index_samples(index: Option<&Expr>, me: i64, procs: i64) -> Vec<(u64, u64)> {
-    let Some(expr) = index else {
-        return vec![(0, INDEX_SAMPLES)]; // scalar / lock / scalar flag
-    };
-    let unknown = expr.vars_used();
-    match unknown.len() {
-        0 => eval_index(expr, me, procs, None)
-            .map(|i| vec![(i, INDEX_SAMPLES)])
-            .unwrap_or_default(),
-        1 => {
-            let var = unknown[0];
-            let mut out: Vec<(u64, u64)> = Vec::new();
-            for k in 0..INDEX_SAMPLES {
-                let v = (k as i64) * procs / INDEX_SAMPLES as i64;
-                if let Some(i) = eval_index(expr, me, procs, Some((var, v))) {
-                    if !out.iter().any(|(j, _)| *j == i) {
-                        out.push((i, 1));
-                    }
-                }
-            }
-            out
-        }
-        _ => Vec::new(),
-    }
-}
-
-fn eval_index(
-    expr: &Expr,
-    me: i64,
-    procs: i64,
-    binding: Option<(syncopt_ir::ids::VarId, i64)>,
-) -> Option<u64> {
-    let v = eval_int(expr, me, procs, binding)?;
-    u64::try_from(v).ok()
-}
-
-fn eval_int(
-    expr: &Expr,
-    me: i64,
-    procs: i64,
-    binding: Option<(syncopt_ir::ids::VarId, i64)>,
-) -> Option<i64> {
-    match expr {
-        Expr::Int(v) => Some(*v),
-        Expr::Float(_) | Expr::Bool(_) | Expr::LocalElem { .. } => None,
-        Expr::MyProc => Some(me),
-        Expr::Procs => Some(procs),
-        Expr::Local(v) => binding.and_then(|(b, val)| (b == *v).then_some(val)),
-        Expr::Unary { op, expr } => match op {
-            UnOp::Neg => eval_int(expr, me, procs, binding)?.checked_neg(),
-            UnOp::Not => None,
-        },
-        Expr::Binary { op, lhs, rhs } => {
-            let a = eval_int(lhs, me, procs, binding)?;
-            let b = eval_int(rhs, me, procs, binding)?;
-            match op {
-                BinOp::Add => a.checked_add(b),
-                BinOp::Sub => a.checked_sub(b),
-                BinOp::Mul => a.checked_mul(b),
-                BinOp::Div => a.checked_div(b),
-                BinOp::Rem => a.checked_rem(b),
-                _ => None, // comparisons / logic never form index arithmetic
-            }
-        }
-    }
 }
 
 /// One shard's full round, everything outside the leader's critical
@@ -857,17 +613,13 @@ fn worker_round(
                 continue;
             }
             let mut slot = inbound_grid[from * s + sid].lock().expect("mail slot");
-            if !slot.is_empty() {
-                sh.drained_events += slot.len() as u64;
-                evs.append(&mut slot);
-            }
+            evs.append(&mut slot);
         }
         for ev in &mut evs {
             if let Some(parent) = &ev.key.parent {
                 if !parent.is_flat() {
                     let flat = parent.flat.get().expect("leader flattened last window");
                     ev.key.parent = Some(Arc::clone(flat));
-                    sh.flattened_parents += 1;
                 }
             }
         }
@@ -907,7 +659,6 @@ fn worker_round(
     }
     for (d, batch) in sh.outboxes.iter_mut().enumerate() {
         if !batch.is_empty() {
-            sh.published_batches += 1;
             outbound_grid[sid * s + d]
                 .lock()
                 .expect("mail slot")
@@ -1078,7 +829,6 @@ fn merge_and_flatten(minted: Vec<Vec<Arc<Pos>>>, st: &mut LeaderState) {
         let Some(sh) = best else { break };
         let pos = Arc::clone(&minted[sh][heads[sh]]);
         heads[sh] += 1;
-        st.merge_steps += 1;
         let fresh = match &prev {
             Some(q) => q.cmp(&pos) != Ordering::Equal,
             None => true,
@@ -1183,7 +933,7 @@ fn try_release(procs: usize, config: &MachineConfig, st: &mut LeaderState) -> Op
 
 /// Assembles the final [`SimResult`] from the per-shard simulators:
 /// per-processor state from owners, memory by home, counters by sum,
-/// plus the per-shard breakdown.
+/// plus the per-shard event counts.
 fn merge(
     sims: &mut [Simulator],
     shard_of: &[u32],
@@ -1213,8 +963,8 @@ fn merge(
     let mut stalls = StallStats::default();
     let mut work = SimWork::default();
     let mut latency = LatencyHistogram::new();
-    let mut shards: Vec<ShardStats> = Vec::with_capacity(sims.len());
-    for (sid, sim) in sims.iter().enumerate() {
+    let mut shard_events: Vec<u64> = Vec::with_capacity(sims.len());
+    for sim in sims.iter() {
         let n = &sim.net;
         net.get_requests += n.get_requests;
         net.get_replies += n.get_replies;
@@ -1255,22 +1005,10 @@ fn merge(
         let sh = sim.shard.as_ref().expect("shard ctx");
         work.shard_cross_messages += sh.cross_messages;
         work.shard_idle_windows += sh.idle_windows;
-        work.shard_mailbox_drains += sh.published_batches;
-        work.shard_parallel_drains += sh.drained_events;
-        work.shard_parallel_flattens += sh.flattened_parents;
-        shards.push(ShardStats {
-            procs: shard_of.iter().filter(|&&o| o as usize == sid).count() as u32,
-            events: w.events_dequeued,
-            drained: sh.drained_events,
-            flattened: sh.flattened_parents,
-            cross_messages: sh.cross_messages,
-            idle_windows: sh.idle_windows,
-        });
+        shard_events.push(w.events_dequeued);
     }
     net.barriers += st.episodes.len() as u64;
     work.shard_horizon_advances = st.horizon_advances;
-    work.shard_leader_merge_steps = st.merge_steps;
-    work.hash_lookups = 0;
 
     let memory = if outputs.memory {
         // Every shard has the identical layout; each location's value is
@@ -1308,7 +1046,7 @@ fn merge(
             latency,
             barrier_epochs: st.episodes,
             work,
-            shards,
+            shard_events,
         },
         barrier_seqs,
     }
@@ -1334,96 +1072,64 @@ mod tests {
         }
     "#;
 
-    fn assert_matches_sequential(src: &str, procs: u32, shards: usize, part: ShardPartition) {
+    fn assert_matches_sequential(src: &str, procs: u32, shards: usize) {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let config = MachineConfig::cm5(procs);
         let seq = simulate(&cfg, &config).unwrap();
-        let par = simulate_sharded_with(&cfg, &config, shards, part, SimOutputs::full()).unwrap();
-        assert_eq!(seq.exec_cycles, par.exec_cycles, "s={shards} {part}");
-        assert_eq!(seq.proc_cycles, par.proc_cycles, "s={shards} {part}");
-        assert_eq!(seq.net, par.net, "s={shards} {part}");
-        assert_eq!(seq.stalls, par.stalls, "s={shards} {part}");
-        assert_eq!(seq.memory, par.memory, "s={shards} {part}");
+        let par = simulate_sharded(&cfg, &config, shards, SimOutputs::full()).unwrap();
+        assert_eq!(seq.exec_cycles, par.exec_cycles, "s={shards}");
+        assert_eq!(seq.proc_cycles, par.proc_cycles, "s={shards}");
+        assert_eq!(seq.net, par.net, "s={shards}");
+        assert_eq!(seq.stalls, par.stalls, "s={shards}");
+        assert_eq!(seq.memory, par.memory, "s={shards}");
         assert_eq!(seq.barriers_aligned, par.barriers_aligned);
         assert_eq!(seq.barrier_seqs, par.barrier_seqs);
-        assert_eq!(
-            seq.metrics.per_proc, par.metrics.per_proc,
-            "s={shards} {part}"
-        );
-        assert_eq!(
-            seq.metrics.latency, par.metrics.latency,
-            "s={shards} {part}"
-        );
+        assert_eq!(seq.metrics.per_proc, par.metrics.per_proc, "s={shards}");
+        assert_eq!(seq.metrics.latency, par.metrics.latency, "s={shards}");
         assert_eq!(seq.metrics.barrier_epochs, par.metrics.barrier_epochs);
     }
 
     #[test]
     fn sharded_matches_sequential_on_mixed_workload() {
         for shards in [1, 2, 3, 4, 8] {
-            assert_matches_sequential(MIXED_SRC, 8, shards, ShardPartition::Block);
+            assert_matches_sequential(MIXED_SRC, 8, shards);
         }
     }
 
     #[test]
     fn sharded_matches_sequential_under_all_partitions() {
-        for part in ShardPartition::ALL {
-            for shards in [2, 3, 4] {
-                assert_matches_sequential(MIXED_SRC, 8, shards, part);
-            }
+        // `Block` is the only partition; the explicit entry point is the
+        // one the wall-clock benchmark calls.
+        let cfg = lower_main(&prepare_program(MIXED_SRC).unwrap()).unwrap();
+        let config = MachineConfig::cm5(8);
+        for shards in [2, 3, 4] {
+            let with = simulate_sharded_with(
+                &cfg,
+                &config,
+                shards,
+                ShardPartition::default(),
+                SimOutputs::full(),
+            )
+            .unwrap();
+            let plain = simulate_sharded(&cfg, &config, shards, SimOutputs::full()).unwrap();
+            assert_eq!(with.exec_cycles, plain.exec_cycles, "s={shards}");
+            assert_eq!(with.memory, plain.memory, "s={shards}");
+            assert_eq!(with.metrics, plain.metrics, "s={shards}");
+            assert_matches_sequential(MIXED_SRC, 8, shards);
         }
     }
 
     #[test]
     fn partition_maps_are_valid_and_deterministic() {
-        let cfg = lower_main(&prepare_program(MIXED_SRC).unwrap()).unwrap();
-        for part in ShardPartition::ALL {
-            for (procs, s) in [(8u32, 4usize), (13, 4), (16, 3), (4, 8)] {
-                let s = s.min(procs as usize);
-                let map = partition_map(&cfg, procs, s, part);
-                assert_eq!(map.len(), procs as usize, "{part} p{procs} s{s}");
-                assert!(
-                    map.iter().all(|&o| (o as usize) < s),
-                    "{part} p{procs} s{s}"
-                );
-                assert_eq!(
-                    map,
-                    partition_map(&cfg, procs, s, part),
-                    "{part} deterministic"
-                );
-            }
+        for (procs, s) in [(8u32, 4usize), (13, 4), (16, 3), (4, 8)] {
+            let s = s.min(procs as usize);
+            let map = block_map(procs, s);
+            assert_eq!(map.len(), procs as usize, "p{procs} s{s}");
+            assert!(map.iter().all(|&o| (o as usize) < s), "p{procs} s{s}");
+            assert!(map.windows(2).all(|w| w[0] <= w[1]), "contiguous: {map:?}");
+            assert_eq!(map, block_map(procs, s), "deterministic");
         }
-        // Cyclic is round-robin; Block is contiguous.
-        assert_eq!(
-            partition_map(&cfg, 4, 2, ShardPartition::Cyclic),
-            [0, 1, 0, 1]
-        );
-        assert_eq!(
-            partition_map(&cfg, 4, 2, ShardPartition::Block),
-            [0, 0, 1, 1]
-        );
-    }
-
-    #[test]
-    fn profiled_partition_spreads_hot_homes() {
-        // All scalar/flag/lock homes land on processors 0..3 (round-robin),
-        // and every processor hammers them: a block partition of 8 procs
-        // into 4 shards puts all four hot homes in shards 0-1, while the
-        // profiled partition must spread them across shards.
-        let src = r#"
-            shared int X; shared int Y; flag F; lock l;
-            fn main() {
-                lock l; X = X + 1; Y = Y + MYPROC; unlock l;
-                if (MYPROC == 0) { post F; } else { wait F; }
-                barrier;
-            }
-        "#;
-        let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let map = partition_map(&cfg, 8, 4, ShardPartition::Profiled);
-        let hot_shards: std::collections::HashSet<u32> = (0..4).map(|p| map[p as usize]).collect();
-        assert!(
-            hot_shards.len() > 2,
-            "hot homes 0..3 should spread across shards, got map {map:?}"
-        );
+        assert_eq!(block_map(4, 2), [0, 0, 1, 1]);
     }
 
     #[test]
@@ -1450,19 +1156,12 @@ mod tests {
         );
         let config = MachineConfig::cm5(8);
         let seq = simulate(&opt.cfg, &config).unwrap();
-        for part in ShardPartition::ALL {
-            for shards in [2, 4, 8] {
-                let par =
-                    simulate_sharded_with(&opt.cfg, &config, shards, part, SimOutputs::full())
-                        .unwrap();
-                assert_eq!(seq.exec_cycles, par.exec_cycles, "s={shards} {part}");
-                assert_eq!(seq.memory, par.memory, "s={shards} {part}");
-                assert_eq!(
-                    seq.metrics.per_proc, par.metrics.per_proc,
-                    "s={shards} {part}"
-                );
-                assert_eq!(seq.metrics.barrier_epochs, par.metrics.barrier_epochs);
-            }
+        for shards in [2, 4, 8] {
+            let par = simulate_sharded(&opt.cfg, &config, shards, SimOutputs::full()).unwrap();
+            assert_eq!(seq.exec_cycles, par.exec_cycles, "s={shards}");
+            assert_eq!(seq.memory, par.memory, "s={shards}");
+            assert_eq!(seq.metrics.per_proc, par.metrics.per_proc, "s={shards}");
+            assert_eq!(seq.metrics.barrier_epochs, par.metrics.barrier_epochs);
         }
     }
 
@@ -1489,26 +1188,18 @@ mod tests {
             w.shard_cross_messages > 0,
             "remote traffic must cross shards"
         );
-        assert!(w.shard_mailbox_drains > 0, "mailboxes must drain");
-        assert!(w.shard_leader_merge_steps > 0, "leader must rank positions");
+        // The per-shard event counts cover the whole run.
+        assert_eq!(par.metrics.shard_events.len(), 4);
         assert_eq!(
-            w.shard_parallel_drains, w.shard_cross_messages,
-            "every cross message is drained by its owner exactly once"
-        );
-        assert_eq!(w.hash_lookups, 0);
-        // The per-shard breakdown covers the whole run.
-        assert_eq!(par.metrics.shards.len(), 4);
-        assert_eq!(
-            par.metrics.shards.iter().map(|s| s.events).sum::<u64>(),
+            par.metrics.shard_events.iter().sum::<u64>(),
             w.events_dequeued
         );
-        assert_eq!(par.metrics.shards.iter().map(|s| s.procs).sum::<u32>(), 8);
         assert!(par.metrics.shard_imbalance_permille().unwrap() >= 1000);
         // Sequential runs report no shard machinery at all.
         let seq = simulate(&cfg, &config).unwrap();
         assert_eq!(seq.metrics.work.shard_horizon_advances, 0);
         assert_eq!(seq.metrics.work.shard_cross_messages, 0);
-        assert!(seq.metrics.shards.is_empty());
+        assert!(seq.metrics.shard_events.is_empty());
     }
 
     #[test]
@@ -1541,43 +1232,5 @@ mod tests {
             assert_eq!(r.exec_cycles, 0);
             assert_eq!(r.proc_cycles, vec![0; 2]);
         }
-    }
-
-    #[test]
-    fn index_eval_resolves_spmd_patterns() {
-        use syncopt_ir::ids::VarId;
-        // MYPROC * 4 + 1 with MYPROC = 3 -> 13.
-        let e = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(Expr::Binary {
-                op: BinOp::Mul,
-                lhs: Box::new(Expr::MyProc),
-                rhs: Box::new(Expr::Int(4)),
-            }),
-            rhs: Box::new(Expr::Int(1)),
-        };
-        assert_eq!(eval_index(&e, 3, 8, None), Some(13));
-        // An unknown local without a binding is unresolvable...
-        let q = VarId::from_index(0);
-        let loopy = Expr::Binary {
-            op: BinOp::Mul,
-            lhs: Box::new(Expr::Local(q)),
-            rhs: Box::new(Expr::Procs),
-        };
-        assert_eq!(eval_index(&loopy, 0, 8, None), None);
-        // ...but sampling spreads it across the processor range.
-        let samples = index_samples(Some(&loopy), 0, 8);
-        assert!(
-            samples.len() > 1,
-            "loop variable must be sampled: {samples:?}"
-        );
-        // Negative and dividing-by-zero indexes produce no samples.
-        assert_eq!(eval_index(&Expr::Int(-1), 0, 8, None), None);
-        let div0 = Expr::Binary {
-            op: BinOp::Div,
-            lhs: Box::new(Expr::Int(1)),
-            rhs: Box::new(Expr::Int(0)),
-        };
-        assert_eq!(eval_index(&div0, 0, 8, None), None);
     }
 }

@@ -136,9 +136,7 @@ pub enum EngineKind {
     #[default]
     Calendar,
     /// The historical `BinaryHeap<(time, seq, idx)>` plus grow-only side
-    /// event storage, kept as the differential-testing reference. Its
-    /// [`SimWork::hash_lookups`] reports the hash-map traffic the
-    /// pre-dense simulator paid per run.
+    /// event storage, kept as the differential-testing reference.
     ReferenceHeap,
 }
 
@@ -618,7 +616,6 @@ pub fn simulate_traced(
 pub(crate) struct Simulator<'a> {
     cfg: &'a Cfg,
     pub(crate) config: &'a MachineConfig,
-    engine: EngineKind,
     pub(crate) outputs: SimOutputs,
     pub(crate) procs: Vec<ProcState>,
     pub(crate) memory: SharedMemory,
@@ -637,11 +634,6 @@ pub(crate) struct Simulator<'a> {
     // Arrival times of stores still in flight.
     stores_in_flight: u64,
     barrier_release_pending: bool,
-    /// Accesses that the pre-dense simulator served from hash maps
-    /// (memory images, home cache, counters, locks, waiters). Reported as
-    /// `SimWork::hash_lookups` by the reference engine; the dense tables
-    /// make the calendar engine's count zero by construction.
-    legacy_probes: u64,
     pub(crate) net: NetStats,
     pub(crate) stalls: StallStats,
     pub(crate) metrics: SimMetrics,
@@ -687,7 +679,6 @@ impl<'a> Simulator<'a> {
         Simulator {
             cfg,
             config,
-            engine,
             outputs,
             procs,
             memory,
@@ -700,7 +691,6 @@ impl<'a> Simulator<'a> {
             barrier_arrived: 0,
             stores_in_flight: 0,
             barrier_release_pending: false,
-            legacy_probes: 0,
             net: NetStats::default(),
             stalls: StallStats::default(),
             metrics: SimMetrics {
@@ -765,13 +755,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Home lookup; the pre-dense memory resolved this through a
-    /// per-variable hash cache.
-    fn home_of(&mut self, loc: Location) -> u32 {
-        self.legacy_probes += 1;
-        self.memory.home(loc)
-    }
-
     fn run(mut self) -> Result<(SimResult, Option<Trace>), SimError> {
         for p in 0..self.config.procs {
             self.push(0, Event::Run(p));
@@ -813,10 +796,6 @@ impl<'a> Simulator<'a> {
                 t.record_state(pi as u32, StateKind::Idle, *finish, exec_cycles);
             }
         }
-        self.metrics.work.hash_lookups = match self.engine {
-            EngineKind::Calendar => 0,
-            EngineKind::ReferenceHeap => self.legacy_probes,
-        };
         let memory = if self.outputs.memory {
             self.memory.snapshot()
         } else {
@@ -961,7 +940,7 @@ impl<'a> Simulator<'a> {
             }
             Instr::GetShared { dst, src, .. } => {
                 let loc = self.resolve(p, src)?;
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -988,7 +967,7 @@ impl<'a> Simulator<'a> {
             Instr::PutShared { dst, src, .. } => {
                 let loc = self.resolve(p, dst)?;
                 let val = eval(src, &self.procs[pi].env)?;
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -1014,8 +993,7 @@ impl<'a> Simulator<'a> {
             }
             Instr::GetInit { dst, src, ctr, .. } => {
                 let loc = self.resolve(p, src)?;
-                let home = self.home_of(loc);
-                self.legacy_probes += 1;
+                let home = self.memory.home(loc);
                 self.procs[pi].ctrs[ctr.0 as usize] += 1;
                 let t = if home == p {
                     self.local_touch(pi)
@@ -1055,8 +1033,7 @@ impl<'a> Simulator<'a> {
             Instr::PutInit { dst, src, ctr, .. } => {
                 let loc = self.resolve(p, dst)?;
                 let val = eval(src, &self.procs[pi].env)?;
-                let home = self.home_of(loc);
-                self.legacy_probes += 1;
+                let home = self.memory.home(loc);
                 self.procs[pi].ctrs[ctr.0 as usize] += 1;
                 let t = if home == p {
                     self.local_touch(pi)
@@ -1093,7 +1070,7 @@ impl<'a> Simulator<'a> {
             Instr::StoreInit { dst, src, .. } => {
                 let loc = self.resolve(p, dst)?;
                 let val = eval(src, &self.procs[pi].env)?;
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -1122,7 +1099,6 @@ impl<'a> Simulator<'a> {
             }
             Instr::SyncCtr { ctr } => {
                 self.charge_busy(pi, self.config.local_op_cycles);
-                self.legacy_probes += 1;
                 if self.procs[pi].ctrs[ctr.0 as usize] == 0 {
                     Ok(true)
                 } else {
@@ -1132,7 +1108,7 @@ impl<'a> Simulator<'a> {
             }
             Instr::Post { flag, index, .. } => {
                 let loc = self.resolve_flag(p, *flag, index.as_ref())?;
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -1150,7 +1126,7 @@ impl<'a> Simulator<'a> {
             }
             Instr::Wait { flag, index, .. } => {
                 let loc = self.resolve_flag(p, *flag, index.as_ref())?;
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -1172,7 +1148,7 @@ impl<'a> Simulator<'a> {
                     var: *lock,
                     index: 0,
                 };
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -1197,7 +1173,7 @@ impl<'a> Simulator<'a> {
                     var: *lock,
                     index: 0,
                 };
-                let home = self.home_of(loc);
+                let home = self.memory.home(loc);
                 let t = if home == p {
                     self.local_touch(pi)
                 } else {
@@ -1306,7 +1282,6 @@ impl<'a> Simulator<'a> {
                 issued,
             } => {
                 self.trace(done, home, TraceKind::Service { what: "get" });
-                self.legacy_probes += 1;
                 let val = self.memory.load(loc)?;
                 let (deliver, recv) = if local {
                     (done, 0)
@@ -1348,7 +1323,6 @@ impl<'a> Simulator<'a> {
                 issued,
             } => {
                 self.trace(done, home, TraceKind::Service { what: "put" });
-                self.legacy_probes += 1;
                 self.memory.store(loc, val)?;
                 let (deliver, recv) = if local {
                     (done, 0)
@@ -1380,7 +1354,6 @@ impl<'a> Simulator<'a> {
                 issued,
             } => {
                 self.trace(done, home, TraceKind::Service { what: "store" });
-                self.legacy_probes += 1;
                 self.memory.store(loc, val)?;
                 // A store has no reply: its latency ends when the home
                 // applies it.
@@ -1402,7 +1375,6 @@ impl<'a> Simulator<'a> {
             }
             Msg::Post { loc, .. } => {
                 self.trace(done, home, TraceKind::Service { what: "post" });
-                self.legacy_probes += 2;
                 self.memory.set_flag(loc)?;
                 let slot = self.memory.flag_slot(loc)?;
                 let waiters = std::mem::take(&mut self.waiters[slot]);
@@ -1429,7 +1401,6 @@ impl<'a> Simulator<'a> {
             }
             Msg::WaitCheck { from, loc } => {
                 self.trace(done, home, TraceKind::Service { what: "wait" });
-                self.legacy_probes += 1;
                 if self.memory.flag(loc)? {
                     let (deliver, recv) = if from == home {
                         (done, 0)
@@ -1449,7 +1420,6 @@ impl<'a> Simulator<'a> {
                         },
                     );
                 } else {
-                    self.legacy_probes += 1;
                     let slot = self.memory.flag_slot(loc)?;
                     self.waiters[slot].push(from);
                     self.metrics.work.waiter_scans += 1;
@@ -1457,7 +1427,6 @@ impl<'a> Simulator<'a> {
             }
             Msg::LockReq { from, lock } => {
                 self.trace(done, home, TraceKind::Service { what: "lock" });
-                self.legacy_probes += 1;
                 let state = &mut self.locks[lock.index()];
                 if state.held {
                     state.queue.push_back(from);
@@ -1484,7 +1453,6 @@ impl<'a> Simulator<'a> {
             }
             Msg::Unlock { from, lock } => {
                 self.trace(done, home, TraceKind::Service { what: "unlock" });
-                self.legacy_probes += 1;
                 if let Some(t) = &mut self.trace {
                     let acquired = self.locks[lock.index()].acquired_at;
                     t.record_lock(from, lock.index() as u32, acquired, done);
@@ -1590,7 +1558,6 @@ impl<'a> Simulator<'a> {
     /// A split-phase operation on counter `c` completed at `time`.
     fn ctr_completed(&mut self, p: u32, c: CtrId, time: u64) {
         let pi = p as usize;
-        self.legacy_probes += 1;
         let n = &mut self.procs[pi].ctrs[c.0 as usize];
         *n -= 1;
         if *n == 0 {
@@ -2346,25 +2313,6 @@ mod tests {
                 heap.metrics.work.events_dequeued
             );
         }
-    }
-
-    #[test]
-    fn calendar_cycle_loop_does_no_hashing() {
-        let r = sim(MIXED_SRC, 8);
-        assert_eq!(r.metrics.work.hash_lookups, 0);
-        assert!(r.metrics.work.events_dequeued > 0);
-        // The reference engine reports the historical hash traffic the
-        // dense tables eliminated.
-        let cfg = lower_main(&prepare_program(MIXED_SRC).unwrap()).unwrap();
-        let heap = simulate_configured(
-            &cfg,
-            &MachineConfig::cm5(8),
-            EngineKind::ReferenceHeap,
-            SimOutputs::full(),
-        )
-        .unwrap();
-        assert!(heap.metrics.work.hash_lookups > 0);
-        assert!(heap.metrics.work.hash_lookups >= heap.metrics.work.events_dequeued / 2);
     }
 
     #[test]

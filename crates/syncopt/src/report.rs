@@ -357,63 +357,11 @@ fn work_json(w: &SimWork, exec_cycles: u64) -> Value {
         ),
         ("arena_reuses".into(), Value::Int(w.arena_reuses as i64)),
         ("waiter_scans".into(), Value::Int(w.waiter_scans as i64)),
-        ("hash_lookups".into(), Value::Int(w.hash_lookups as i64)),
-        (
-            "shard_horizon_advances".into(),
-            Value::Int(w.shard_horizon_advances as i64),
-        ),
-        (
-            "shard_cross_messages".into(),
-            Value::Int(w.shard_cross_messages as i64),
-        ),
-        (
-            "shard_mailbox_drains".into(),
-            Value::Int(w.shard_mailbox_drains as i64),
-        ),
-        (
-            "shard_idle_windows".into(),
-            Value::Int(w.shard_idle_windows as i64),
-        ),
-        (
-            "shard_leader_merge_steps".into(),
-            Value::Int(w.shard_leader_merge_steps as i64),
-        ),
-        (
-            "shard_parallel_drains".into(),
-            Value::Int(w.shard_parallel_drains as i64),
-        ),
-        (
-            "shard_parallel_flattens".into(),
-            Value::Int(w.shard_parallel_flattens as i64),
-        ),
         (
             "events_per_1k_cycles".into(),
             Value::Int(w.events_per_1k_cycles(exec_cycles) as i64),
         ),
     ])
-}
-
-/// One flat object per shard — deliberately nesting-free so text tooling
-/// can strip the whole `"shards":[...]` array with a bracket-free regex.
-fn shards_json(sim: &SimReport) -> Value {
-    let shards = sim
-        .metrics
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(si, s)| {
-            Value::Obj(vec![
-                ("shard".into(), Value::Int(si as i64)),
-                ("procs".into(), Value::Int(i64::from(s.procs))),
-                ("events".into(), Value::Int(s.events as i64)),
-                ("drained".into(), Value::Int(s.drained as i64)),
-                ("flattened".into(), Value::Int(s.flattened as i64)),
-                ("cross_messages".into(), Value::Int(s.cross_messages as i64)),
-                ("idle_windows".into(), Value::Int(s.idle_windows as i64)),
-            ])
-        })
-        .collect();
-    Value::Arr(shards)
 }
 
 fn sim_json(sim: &SimReport) -> Value {
@@ -459,15 +407,6 @@ fn sim_json(sim: &SimReport) -> Value {
         ("barrier_epochs".into(), Value::Arr(epochs)),
         ("work".into(), work_json(&sim.metrics.work, sim.exec_cycles)),
     ];
-    if !sim.metrics.shards.is_empty() {
-        fields.push(("shards".into(), shards_json(sim)));
-        if let Some(imbalance) = sim.metrics.shard_imbalance_permille() {
-            fields.push((
-                "shard_imbalance_permille".into(),
-                Value::Int(imbalance as i64),
-            ));
-        }
-    }
     if let Some(truncated) = sim.trace_truncated {
         fields.push(("trace_truncated".into(), Value::Bool(truncated)));
     }
@@ -506,7 +445,7 @@ fn render_sim_table(out: &mut String, sim: &SimReport) {
         out.push_str(&format!(
             "    engine: {} events scheduled / {} dequeued ({} per 1k cycles), \
              {} bucket rotations, {} overflow promotions, {} arena reuses, \
-             {} waiter scans, {} hash lookups\n",
+             {} waiter scans\n",
             w.events_scheduled,
             w.events_dequeued,
             w.events_per_1k_cycles(sim.exec_cycles),
@@ -514,41 +453,7 @@ fn render_sim_table(out: &mut String, sim: &SimReport) {
             w.overflow_promotions,
             w.arena_reuses,
             w.waiter_scans,
-            w.hash_lookups,
         ));
-        if w.shard_horizon_advances > 0 {
-            out.push_str(&format!(
-                "    sharding: {} horizon advances, {} cross-shard messages, \
-                 {} mailbox drains, {} idle windows\n",
-                w.shard_horizon_advances,
-                w.shard_cross_messages,
-                w.shard_mailbox_drains,
-                w.shard_idle_windows,
-            ));
-            out.push_str(&format!(
-                "    leader: {} merge steps; workers: {} parallel drains, \
-                 {} parallel flattens\n",
-                w.shard_leader_merge_steps, w.shard_parallel_drains, w.shard_parallel_flattens,
-            ));
-        }
-    }
-    if !sim.metrics.shards.is_empty() {
-        out.push_str(
-            "    shard     procs     events    drained  flattened      cross       idle\n",
-        );
-        for (si, s) in sim.metrics.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "    {si:>5} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                s.procs, s.events, s.drained, s.flattened, s.cross_messages, s.idle_windows
-            ));
-        }
-        if let Some(imbalance) = sim.metrics.shard_imbalance_permille() {
-            out.push_str(&format!(
-                "    load imbalance (max/mean events): {}.{:03}x\n",
-                imbalance / 1000,
-                imbalance % 1000
-            ));
-        }
     }
     let h = &sim.metrics.latency;
     if h.count > 0 {
@@ -869,7 +774,7 @@ mod tests {
         assert!(j.get("sim").is_some());
         // The engine work counters ride along in every sim section.
         let work = j.get("sim").unwrap().get("work").unwrap();
-        assert_eq!(work.get("hash_lookups").unwrap().as_int(), Some(0));
+        assert_eq!(work.get("waiter_scans").unwrap().as_int(), Some(0));
         assert!(work.get("events_per_1k_cycles").is_some());
         // Compile-only reports omit the sim section.
         let c = empty_report(OptLevel::Full, None);

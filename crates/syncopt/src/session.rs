@@ -55,8 +55,9 @@
 //! Worker-thread counts are deliberately **not** part of any artifact
 //! key: analysis results are bit-identical for every thread count. A
 //! sharded run ([`SessionOptions::sim_shards`] above 1) is never cached:
-//! its report prints the shards (`sim.shards[]`), so it neither reads nor
-//! writes the `sim` artifact a sequential run keys the same way.
+//! its engine counters (`sim.work`) differ from a sequential run's, so it
+//! neither reads nor writes the `sim` artifact a sequential run keys the
+//! same way.
 //!
 //! The canonical-text keys are expensive to derive — print the whole CFG,
 //! hash every byte — so the artifact that owns the CFG carries the
@@ -633,8 +634,8 @@ impl AnalysisSession {
                 return Ok(Arc::new(sim));
             }
             if opts.sim_shards > 1 {
-                // A sharded report prints its shards, which the `sim`
-                // artifact of a sequential run does not hold: never cached.
+                // A sharded run's engine counters differ from those of the
+                // sequential run the `sim` artifact holds: never cached.
                 let outputs = syncopt_machine::SimOutputs::full();
                 return syncopt_machine::simulate_sharded(cfg, config, opts.sim_shards, outputs)
                     .map(Arc::new);
