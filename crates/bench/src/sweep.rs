@@ -1,165 +1,160 @@
-//! The shared sweep driver for the evaluation bench binaries.
+//! The `figures` command line: figure names and the one `--procs` flag.
 //!
-//! Every figure harness (`fig12`, `fig13`, `machines`, `weak_scaling`)
-//! used to carry its own copy of the same boilerplate: pick a processor
-//! count, generate kernels, run each configuration sequentially, print a
-//! table. This module centralizes the two shared pieces:
-//!
-//! * [`SweepOptions`] / [`parse_args`] — the common `--procs`, `--preset`
-//!   and `--threads` command line, so every harness can be shrunk for CI
-//!   (`--preset smoke`) or resized (`--procs N`) uniformly;
-//! * [`run_ordered`] — the deterministic parallel fan-out of the counter
-//!   suites ([`syncopt::bench::run_ordered`]): independent sweep
-//!   configurations are claimed by up to `threads` workers, and the
-//!   results are merged back **in spec order**. A harness that formats
-//!   from the returned vector therefore emits a bit-identical report at
-//!   any thread count.
+//! `figures <name>...|all [--procs N]` prints the named rows of
+//! [`FIGURES`] in table order, separated by blank lines; with no name it
+//! lists the table. `--procs N` is the machine size of a single-size
+//! figure and a cap on an axis figure. It does not apply to the fixed
+//! two-processor setups of `table1` and `litmus`.
 
-pub use syncopt::bench::run_ordered;
+use std::fmt::Write as _;
 
-/// Which configuration grid a harness should sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Preset {
-    /// The full figure-quality grid (the default).
-    #[default]
-    Full,
-    /// A small subset sized for CI smoke runs.
-    Smoke,
-}
+use crate::{Draw, Figure, FIGURES};
 
-/// The command line shared by the figure harnesses.
-#[derive(Debug, Clone, Default)]
-pub struct SweepOptions {
-    /// Override for the harness's default processor count (single-size
-    /// harnesses) or an upper bound on the swept counts (scaling
-    /// harnesses).
-    pub procs: Option<u32>,
-    /// Grid selection.
-    pub preset: Preset,
-    /// Worker threads for the sweep (1 = in-place sequential).
-    pub threads: usize,
-}
+/// The usage line printed with every command-line error.
+pub const USAGE: &str = "usage: figures <name>...|all [--procs N]   (no name lists the figures)";
 
-impl SweepOptions {
-    /// The harness's processor count: the `--procs` override, the smoke
-    /// size under `--preset smoke`, or the full default.
-    pub fn procs_or(&self, full: u32, smoke: u32) -> u32 {
-        self.procs.unwrap_or(match self.preset {
-            Preset::Full => full,
-            Preset::Smoke => smoke,
-        })
+/// A figure with `--procs` applied: the function returning its text.
+type Job = Box<dyn Fn() -> String>;
+
+/// Runs a `figures` command line (without the program name) and returns
+/// what it prints: the named figures, or the table's listing when no
+/// figure is named.
+///
+/// # Errors
+///
+/// An unknown flag or name, `--procs 0`, a cap that leaves an axis empty,
+/// or `--procs` on a fixed setup. Nothing is run then.
+pub fn run(args: impl IntoIterator<Item = String>) -> Result<String, String> {
+    let jobs = parse(args)?;
+    if jobs.is_empty() {
+        return Ok(listing());
     }
-
-    /// Filters a scaling harness's processor-count axis: the smoke preset
-    /// keeps `smoke_len` points, and `--procs N` drops counts above `N`.
-    pub fn filter_counts(&self, counts: &[u32], smoke_len: usize) -> Vec<u32> {
-        let take = match self.preset {
-            Preset::Full => counts.len(),
-            Preset::Smoke => smoke_len.min(counts.len()),
-        };
-        counts
-            .iter()
-            .take(take)
-            .copied()
-            .filter(|&p| self.procs.is_none_or(|cap| p <= cap))
-            .collect()
-    }
+    Ok(jobs.iter().map(|job| job()).collect::<Vec<_>>().join("\n"))
 }
 
-/// Parses `--procs N`, `--preset full|smoke` and `--threads T` from the
-/// process arguments. Prints a usage line naming `bin` and exits with
-/// status 2 on anything it does not recognize, so each harness keeps a
-/// strict flag set.
-pub fn parse_args(bin: &str) -> SweepOptions {
-    match try_parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{bin}: {msg}");
-            eprintln!("usage: {bin} [--procs N] [--preset full|smoke] [--threads T]");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn try_parse(mut argv: impl Iterator<Item = String>) -> Result<SweepOptions, String> {
-    let mut opts = SweepOptions {
-        threads: 1,
-        ..SweepOptions::default()
-    };
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Vec<Job>, String> {
+    let mut args = args.into_iter();
+    let mut named = Vec::new();
+    let mut procs = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--procs" => {
-                opts.procs = Some(
-                    argv.next()
-                        .ok_or("--procs needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --procs: {e}"))?,
-                );
-            }
-            "--preset" => {
-                opts.preset = match argv.next().ok_or("--preset needs a value")?.as_str() {
-                    "full" => Preset::Full,
-                    "smoke" => Preset::Smoke,
-                    other => return Err(format!("unknown preset `{other}` (full|smoke)")),
-                };
-            }
-            "--threads" => {
-                opts.threads = argv
+                let n: u32 = args
                     .next()
-                    .ok_or("--threads needs a value")?
+                    .ok_or("--procs needs a value")?
                     .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
+                    .map_err(|e| format!("bad --procs: {e}"))?;
+                if n == 0 {
+                    return Err("--procs must be at least 1".into());
+                }
+                procs = Some(n);
             }
-            other => return Err(format!("unknown flag `{other}`")),
+            "all" => named.extend(FIGURES.iter().map(|f| f.name)),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            name => {
+                let figure = FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
+                    format!("unknown figure `{name}` (run `figures` for the list)")
+                })?;
+                named.push(figure.name);
+            }
         }
     }
-    Ok(opts)
+    FIGURES
+        .iter()
+        .filter(|f| named.contains(&f.name))
+        .map(|f| job(f, procs))
+        .collect()
+}
+
+/// Applies `--procs` to `figure`.
+fn job(figure: &'static Figure, procs: Option<u32>) -> Result<Job, String> {
+    let name = figure.name;
+    match (figure.draw, procs) {
+        (Draw::Fixed(draw), None) => Ok(Box::new(draw)),
+        (Draw::Fixed(_), Some(_)) => Err(format!(
+            "`{name}` is a fixed 2-processor setup; --procs does not apply"
+        )),
+        (Draw::Procs(default, draw), _) => Ok(Box::new(move || draw(procs.unwrap_or(default)))),
+        (Draw::Axis(axis, _), Some(cap)) if cap < axis[0] => Err(format!(
+            "--procs {cap} leaves `{name}` no processor count (its axis starts at {})",
+            axis[0]
+        )),
+        (Draw::Axis(axis, draw), _) => {
+            let kept: Vec<u32> = axis
+                .iter()
+                .copied()
+                .filter(|&n| n <= procs.unwrap_or(n))
+                .collect();
+            Ok(Box::new(move || draw(&kept)))
+        }
+    }
+}
+
+fn listing() -> String {
+    let mut out = format!("{USAGE}\n\n");
+    for figure in &FIGURES {
+        let procs = match figure.draw {
+            Draw::Fixed(_) => "2 (fixed)".to_string(),
+            Draw::Procs(n, _) => n.to_string(),
+            Draw::Axis(axis, _) => format!("axis {}..{}", axis[0], axis[axis.len() - 1]),
+        };
+        let _ = writeln!(out, "  {:<14}{:<14}{}", figure.name, procs, figure.about);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_accepts_the_shared_flags() {
-        let opts = try_parse(
-            ["--procs", "8", "--preset", "smoke", "--threads", "3"]
-                .map(str::to_string)
-                .into_iter(),
-        )
-        .unwrap();
-        assert_eq!(opts.procs, Some(8));
-        assert_eq!(opts.preset, Preset::Smoke);
-        assert_eq!(opts.threads, 3);
-        assert!(try_parse(["--bogus".to_string()].into_iter()).is_err());
-        assert!(try_parse(["--preset".to_string(), "tiny".to_string()].into_iter()).is_err());
-        assert!(try_parse(["--sim-shards".to_string(), "2".to_string()].into_iter()).is_err());
-        assert_eq!(try_parse(std::iter::empty()).unwrap().threads, 1);
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn rejects(line: &str) -> String {
+        let rejected = parse(args(line)).err();
+        rejected.unwrap_or_else(|| panic!("`figures {line}` must be rejected"))
     }
 
     #[test]
-    fn procs_or_and_filter_counts_respect_preset_and_override() {
-        let full = SweepOptions {
-            threads: 1,
-            ..SweepOptions::default()
-        };
-        assert_eq!(full.procs_or(64, 8), 64);
-        assert_eq!(full.filter_counts(&[1, 2, 4, 8], 2), vec![1, 2, 4, 8]);
+    fn parse_accepts_the_shared_flags() {
+        assert_eq!(parse(args("all")).unwrap().len(), FIGURES.len());
+        assert_eq!(parse(args("fig12 fig13 fig12 --procs 8")).unwrap().len(), 2);
+        assert_eq!(parse(args("--procs 2 weak_scaling")).unwrap().len(), 1);
+        assert!(run(args(""))
+            .unwrap()
+            .contains("\n  weak_scaling  axis 2..1024  "));
+        // Printed in table order, whatever the order named.
+        let out = run(args("litmus table1")).unwrap();
+        assert!(out.starts_with("Table 1:"), "{out}");
+        assert!(out.contains("26\n\nLitmus exploration:"), "{out}");
+    }
 
-        let smoke = SweepOptions {
-            preset: Preset::Smoke,
-            threads: 1,
-            ..SweepOptions::default()
-        };
-        assert_eq!(smoke.procs_or(64, 8), 8);
-        assert_eq!(smoke.filter_counts(&[1, 2, 4, 8], 2), vec![1, 2]);
+    #[test]
+    fn parse_rejects_what_no_figure_takes() {
+        assert!(rejects("fig12 --procs 0").contains("at least 1"));
+        assert!(rejects("weak_scaling --procs 1").contains("no processor count"));
+        assert!(rejects("fig13 --bogus").contains("unknown flag"));
+        assert!(rejects("fig12 --preset smoke").contains("unknown flag `--preset`"));
+        assert!(rejects("fig12 --threads 2").contains("unknown flag `--threads`"));
+        assert!(rejects("fig14").contains("unknown figure"));
+        assert!(rejects("table1 --procs 8").contains("fixed 2-processor"));
+        assert!(rejects("litmus --procs 2").contains("fixed 2-processor"));
+        assert!(rejects("all --procs 8").contains("`table1`"));
+        assert!(rejects("fig12 --procs").contains("needs a value"));
+        assert!(rejects("fig12 --procs many").contains("bad --procs"));
+    }
 
-        let capped = SweepOptions {
-            procs: Some(4),
-            threads: 1,
-            ..SweepOptions::default()
-        };
-        assert_eq!(capped.procs_or(64, 8), 4);
-        assert_eq!(capped.filter_counts(&[1, 2, 4, 8], 2), vec![1, 2, 4]);
+    #[test]
+    fn procs_sizes_single_figures_and_caps_axes() {
+        let sized = run(args("delay_sizes --procs 8")).unwrap();
+        assert!(sized.starts_with("Delay-set sizes per kernel (8 processors)\n"));
+        let capped = run(args("fig13 --procs 3")).unwrap();
+        let points: Vec<&str> = capped
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|p| p.parse::<u32>().is_ok())
+            .collect();
+        assert_eq!(points, ["1", "2"]);
     }
 }
