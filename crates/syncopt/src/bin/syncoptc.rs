@@ -43,7 +43,8 @@
 //!     compares the fresh counters against a committed baseline and exits
 //!     1 on a >20% regression or a missing gated counter; `--threads` is
 //!     the analysis worker count for `delay` and fans independent configs
-//!     across workers for `sim`, without changing any counter
+//!     across workers for `sim`, without changing any counter; no other
+//!     command takes `--threads`
 //! syncoptc ping|stats|metrics|shutdown [--socket PATH]
 //!     control a running syncoptd: liveness probe, service statistics,
 //!     Prometheus metrics, clean shutdown. `stats` renders a table
@@ -101,6 +102,7 @@ struct Cli {
     interval_ms: u64,
     smoke: bool,
     suite: String,
+    threads: usize,
     check_baseline: Option<String>,
 }
 
@@ -138,6 +140,7 @@ fn parse_args() -> Result<(Query, Cli), String> {
         interval_ms: 1000,
         smoke: false,
         suite: "delay".to_string(),
+        threads: 1,
         check_baseline: None,
     };
     while let Some(flag) = argv.next() {
@@ -168,7 +171,7 @@ fn parse_args() -> Result<(Query, Cli), String> {
             "--emit-report" => {
                 q.emit_report = Some(argv.next().ok_or("--emit-report needs a path")?);
             }
-            "--threads" => q.threads = value(&mut argv, "--threads")?,
+            "--threads" if q.command == "bench" => cli.threads = value(&mut argv, "--threads")?,
             "--smoke" => cli.smoke = true,
             "--suite" => {
                 cli.suite = argv.next().ok_or("--suite needs a value (delay|sim)")?;
@@ -447,7 +450,7 @@ fn cmd_bench(q: &Query, cli: &Cli) -> Result<(), String> {
     let suite = syncopt::bench::suite(&cli.suite)
         .ok_or_else(|| format!("unknown bench suite `{}` (delay|sim)", cli.suite))?;
     let report = suite
-        .run(cli.smoke, q.threads)
+        .run(cli.smoke, cli.threads)
         .map_err(|e| format!("{} bench failed: {e}", suite.name))?;
     let report_json = report.to_json();
     if let Some(path) = &q.out {

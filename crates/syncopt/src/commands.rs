@@ -129,9 +129,6 @@ pub struct Query {
     /// `run --emit-report PATH`: also produce the pipeline-report JSON
     /// as a file artifact.
     pub emit_report: Option<String>,
-    /// Worker threads for analysis loops (results identical for any
-    /// value).
-    pub threads: usize,
     /// `trace --out PATH`: produce the Chrome-trace JSON as a file
     /// artifact.
     pub out: Option<String>,
@@ -164,7 +161,6 @@ impl Default for Query {
             kernels: false,
             format: Format::Human,
             emit_report: None,
-            threads: 1,
             out: None,
             trace_limit: None,
             pair: None,
@@ -207,7 +203,6 @@ impl Query {
             kernels,
             format,
             emit_report,
-            threads,
             out,
             trace_limit,
             pair,
@@ -233,7 +228,6 @@ impl Query {
         if let Some(path) = emit_report {
             visit("emit_report", Field::Str(path));
         }
-        visit("threads", Field::Int(*threads as u64));
         if let Some(path) = out {
             visit("out", Field::Str(path));
         }
@@ -305,7 +299,7 @@ impl From<&CmdOut> for CmdOut {
 
 /// Runs one query against a session as one request. A query the session
 /// has answered before gets a copy of that answer (the `reply` artifact,
-/// keyed by the raw source and every field but `threads`); any other
+/// keyed by the raw source and every other field); any other
 /// query finds every artifact it needs in — or inserts it into — the
 /// session's content-addressed cache, so repeated queries over unchanged
 /// sources reuse prior work while producing byte-identical output.
@@ -318,16 +312,13 @@ pub fn execute(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     )
 }
 
-/// The `reply` key of `q`: every field of [`Query::walk`] but `threads`
-/// (results are bit-identical for any value), each as its name then its
-/// value. A field left out of the walk has no name in the key, and a list
-/// is hashed after its length, so no two queries run together.
+/// The `reply` key of `q`: every field of [`Query::walk`], each as its
+/// name then its value. A field left out of the walk has no name in the
+/// key, and a list is hashed after its length, so no two queries run
+/// together.
 fn query_key(q: &Query) -> Fingerprint {
     let mut key = Fingerprint::of("reply.v2");
     q.walk(|name, value| {
-        if name == "threads" {
-            return;
-        }
         key = key.push(name);
         key = match value {
             Field::Str(text) => key.push(text),
@@ -343,6 +334,11 @@ fn query_key(q: &Query) -> Fingerprint {
 }
 
 fn dispatch(session: &mut AnalysisSession, q: &Query) -> CmdOut {
+    // Every stage from the kernel generators to the simulator assumes at
+    // least one processor.
+    if q.procs == 0 {
+        return CmdOut::fail("`procs` must be at least 1".to_string());
+    }
     match q.command.as_str() {
         "analyze" => with_source(q, |src| cmd_analyze(session, src, q)),
         "opt" => with_source(q, |src| cmd_opt(session, src, q)),
@@ -384,7 +380,6 @@ fn session_options(q: &Query, level: OptLevel) -> SessionOptions {
         level,
         delay: q.delay,
         trace_limit: q.trace_limit.unwrap_or(DEFAULT_TRACE_LIMIT),
-        threads: q.threads,
         ..SessionOptions::default()
     }
 }
@@ -439,26 +434,7 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
             ),
             ("file".into(), json::Value::Str(q.file.clone())),
             ("procs".into(), json::Value::Int(i64::from(q.procs))),
-            (
-                "summary".into(),
-                json::Value::Obj(vec![
-                    ("accesses".into(), json::Value::Int(s.accesses as i64)),
-                    (
-                        "conflict_pairs".into(),
-                        json::Value::Int(s.conflict_pairs as i64),
-                    ),
-                    ("delay_ss".into(), json::Value::Int(s.delay_ss as i64)),
-                    ("delay_sync".into(), json::Value::Int(s.delay_sync as i64)),
-                    (
-                        "precedence_pairs".into(),
-                        json::Value::Int(s.precedence_pairs as i64),
-                    ),
-                    (
-                        "aligned_barriers".into(),
-                        json::Value::Int(s.aligned_barriers as i64),
-                    ),
-                ]),
-            ),
+            ("summary".into(), crate::report::analysis_json(&s)),
             ("delay_pairs".into(), json::Value::Arr(pairs)),
             ("warnings".into(), json::Value::Arr(warning_values)),
         ]);
@@ -669,7 +645,7 @@ fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
-    let report = match session.explain_shared(src, &session_options(q, OptLevel::Blocking)) {
+    let report = match session.explain(src, &session_options(q, OptLevel::Blocking)) {
         Ok(r) => r,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -711,7 +687,7 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(e),
     };
-    let p = match session.profile_shared(src, &session_options(q, q.level), &config) {
+    let p = match session.profile(src, &session_options(q, q.level), &config) {
         Ok(p) => p,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -804,13 +780,13 @@ fn run_check(
     cfg: &syncopt_ir::cfg::Cfg,
     q: &Query,
 ) -> Result<CheckOutcome, SyncoptError> {
-    let races = session.races_shared(src, &session_options(q, OptLevel::Blocking))?;
+    let races = session.races(src, &session_options(q, OptLevel::Blocking))?;
     let mut diags = race_diagnostics(cfg, &races);
     for w in syncopt_core::sync_warnings(cfg) {
         diags.push(w.to_diagnostic(cfg));
     }
     if q.strict {
-        let lint = session.lint_shared(src, &session_options(q, OptLevel::Blocking))?;
+        let lint = session.lint(src, &session_options(q, OptLevel::Blocking))?;
         diags.extend(lint.diagnostics.iter().cloned());
     }
     finalize_diagnostics(&mut diags, q);
@@ -1024,7 +1000,7 @@ fn cmd_lint(session: &mut AnalysisSession, q: &Query) -> CmdOut {
             None => return CmdOut::fail("command `lint` needs a source file".to_string()),
         },
     };
-    let report = match session.lint_shared(&src, &session_options(q, OptLevel::Blocking)) {
+    let report = match session.lint(&src, &session_options(q, OptLevel::Blocking)) {
         Ok(r) => r,
         Err(e) => return CmdOut::fail(render_err(&src, &display, &e)),
     };
@@ -1077,11 +1053,10 @@ fn cmd_lint_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     let mut failed = 0usize;
     let mut rows = Vec::new();
     for kernel in syncopt_kernels::all_kernels(q.procs) {
-        let report =
-            match session.lint_shared(&kernel.source, &session_options(q, OptLevel::Blocking)) {
-                Ok(r) => r,
-                Err(e) => return CmdOut::fail(render_err(&kernel.source, kernel.name, &e)),
-            };
+        let report = match session.lint(&kernel.source, &session_options(q, OptLevel::Blocking)) {
+            Ok(r) => r,
+            Err(e) => return CmdOut::fail(render_err(&kernel.source, kernel.name, &e)),
+        };
         let mut report = (*report).clone();
         finalize_diagnostics(&mut report.diagnostics, q);
         failed += usize::from(report.errors() > 0);
@@ -1203,8 +1178,8 @@ mod tests {
         }
     }
 
-    /// Changing any one field but `threads` changes the `reply` key, and
-    /// no two of the changed queries share one.
+    /// Changing any one field changes the `reply` key, and no two of the
+    /// changed queries share one.
     #[test]
     fn every_answer_bearing_field_is_part_of_the_reply_key() {
         let base = query("run", Format::Json);
@@ -1249,11 +1224,6 @@ mod tests {
                 assert_ne!(a, b, "two queries share a reply key");
             }
         }
-        let threads = Query {
-            threads: 8,
-            ..base.clone()
-        };
-        assert_eq!(query_key(&threads), keys[0]);
         assert_eq!(query_key(&base.clone()), keys[0]);
     }
 

@@ -235,14 +235,6 @@ impl<'a> Syncopt<'a> {
         self
     }
 
-    /// Sets the worker-thread count for the delay-set candidate loops
-    /// (default 1 = serial; results are bit-identical for every value).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.opts.threads = threads;
-        self
-    }
-
     /// Sets the simulation shard count for [`run`](Syncopt::run) (default
     /// 1 = sequential calendar engine). Values above 1 execute the
     /// simulation on the conservative parallel engine
@@ -311,7 +303,7 @@ impl<'a> Syncopt<'a> {
             &syncopt_core::SyncOptions {
                 barrier_policy: syncopt_core::BarrierPolicy::AssumeAligned,
                 procs: Some(procs),
-                threads: self.opts.threads,
+                ..syncopt_core::SyncOptions::default()
             },
         );
         let opt_cfg =
@@ -336,7 +328,7 @@ impl<'a> Syncopt<'a> {
             &syncopt_core::SyncOptions {
                 barrier_policy: syncopt_core::BarrierPolicy::Disabled,
                 procs: Some(procs),
-                threads: self.opts.threads,
+                ..syncopt_core::SyncOptions::default()
             },
         );
         let cons_cfg =

@@ -18,7 +18,7 @@
 
 use syncopt_codegen::{DelayChoice, OptLevel, OptStats};
 use syncopt_core::diag::json::Value;
-use syncopt_core::{AnalysisStats, CacheStats, Counters, PhaseTimings};
+use syncopt_core::{AnalysisStats, Counters, PhaseTimings};
 use syncopt_machine::sim::{NetStats, SimResult, StallStats};
 use syncopt_machine::{LatencyHistogram, MachineConfig, SimMetrics, SimWork};
 
@@ -84,12 +84,6 @@ pub struct PipelineReport {
     pub counters: Counters,
     /// What the optimizer did.
     pub codegen: OptStats,
-    /// Artifact-cache counters for the request that produced this report
-    /// (hits prove incremental reuse). `None` — and absent from the JSON
-    /// — unless explicitly attached via
-    /// [`AnalysisSession::annotate_report`](crate::AnalysisSession::annotate_report),
-    /// so cold and warm runs of the same query stay byte-identical.
-    pub cache: Option<CacheStats>,
     /// The simulation section; `None` for compile-only reports.
     pub sim: Option<SimReport>,
 }
@@ -125,13 +119,10 @@ impl PipelineReport {
             ("schema".into(), Value::Str(REPORT_SCHEMA.to_string())),
             ("meta".into(), self.meta_json()),
             ("timings".into(), self.timings.to_json()),
-            ("analysis".into(), self.analysis_json()),
+            ("analysis".into(), analysis_json(&self.analysis)),
             ("counters".into(), self.counters.to_json()),
             ("codegen".into(), optstats_json(&self.codegen)),
         ];
-        if let Some(cache) = &self.cache {
-            fields.push(("cache".into(), cache_json(cache)));
-        }
         if let Some(sim) = &self.sim {
             fields.push(("sim".into(), sim_json(sim)));
         }
@@ -155,24 +146,6 @@ impl PipelineReport {
                     Some(m) => Value::Str(m.clone()),
                     None => Value::Null,
                 },
-            ),
-        ])
-    }
-
-    fn analysis_json(&self) -> Value {
-        let a = &self.analysis;
-        Value::Obj(vec![
-            ("accesses".into(), Value::Int(a.accesses as i64)),
-            ("conflict_pairs".into(), Value::Int(a.conflict_pairs as i64)),
-            ("delay_ss".into(), Value::Int(a.delay_ss as i64)),
-            ("delay_sync".into(), Value::Int(a.delay_sync as i64)),
-            (
-                "precedence_pairs".into(),
-                Value::Int(a.precedence_pairs as i64),
-            ),
-            (
-                "aligned_barriers".into(),
-                Value::Int(a.aligned_barriers as i64),
             ),
         ])
     }
@@ -239,12 +212,6 @@ impl PipelineReport {
             c.gets_eliminated,
             c.puts_eliminated,
         ));
-        if let Some(cache) = &self.cache {
-            out.push_str(&format!(
-                "  cache: {} hit(s), {} miss(es), {} eviction(s)\n",
-                cache.hits, cache.misses, cache.evictions
-            ));
-        }
         if let Some(sim) = &self.sim {
             render_sim_table(&mut out, sim);
         }
@@ -252,11 +219,22 @@ impl PipelineReport {
     }
 }
 
-fn cache_json(c: &CacheStats) -> Value {
+/// The analysis summary as a JSON object: the `analysis` section of a
+/// pipeline report and the `summary` of an `analyze` document.
+pub(crate) fn analysis_json(a: &AnalysisStats) -> Value {
     Value::Obj(vec![
-        ("hits".into(), Value::Int(c.hits as i64)),
-        ("misses".into(), Value::Int(c.misses as i64)),
-        ("evictions".into(), Value::Int(c.evictions as i64)),
+        ("accesses".into(), Value::Int(a.accesses as i64)),
+        ("conflict_pairs".into(), Value::Int(a.conflict_pairs as i64)),
+        ("delay_ss".into(), Value::Int(a.delay_ss as i64)),
+        ("delay_sync".into(), Value::Int(a.delay_sync as i64)),
+        (
+            "precedence_pairs".into(),
+            Value::Int(a.precedence_pairs as i64),
+        ),
+        (
+            "aligned_barriers".into(),
+            Value::Int(a.aligned_barriers as i64),
+        ),
     ])
 }
 
@@ -750,7 +728,6 @@ mod tests {
             },
             counters: Counters::new(),
             codegen: OptStats::default(),
-            cache: None,
             sim: exec.map(|e| SimReport {
                 exec_cycles: e,
                 barriers_aligned: true,

@@ -215,10 +215,6 @@ pub fn decode_query(v: Value) -> Result<Query, RpcError> {
                     .ok_or_else(|| RpcError::bad_request(format!("unknown format `{label}`")))?;
             }
             "emit_report" => q.emit_report = Some(expect_str(value, key)?),
-            "threads" => {
-                q.threads = usize::try_from(expect_int(&value, key)?)
-                    .map_err(|_| RpcError::bad_request("`threads` out of range"))?;
-            }
             "out" => q.out = Some(expect_str(value, key)?),
             "trace_limit" => {
                 q.trace_limit = Some(
@@ -633,7 +629,6 @@ mod tests {
             kernels: true,
             format: Format::Json,
             emit_report: Some("report.json".to_string()),
-            threads: 3,
             out: Some("trace.json".to_string()),
             trace_limit: Some(512),
             pair: Some((3, 7)),

@@ -24,7 +24,7 @@
 //! | `races`    | raw source text + procs                             | [`RaceAnalysis`] |
 //! | `lint`     | raw source text + procs                             | [`LintReport`] |
 //! | `explain`  | raw source text + procs                             | [`ExplainReport`] |
-//! | `reply`    | raw source text + every `Query` field but `threads` | the [`CmdOut`] of one [`execute`] request, failures included |
+//! | `reply`    | raw source text + every `Query` field               | the [`CmdOut`] of one [`execute`] request, failures included |
 //!
 //! Span-bearing artifacts (`ast`, `cfg`, `lint` diagnostics) key on the
 //! *raw* source so two texts that differ only in whitespace never share
@@ -52,9 +52,7 @@
 //! A[4]` would share artifacts, and they print `1.0` as `1`, so `(t +
 //! 1.0) / 2` and `(t + 1) / 2` would.
 //!
-//! Worker-thread counts are deliberately **not** part of any artifact
-//! key: analysis results are bit-identical for every thread count. A
-//! sharded run ([`SessionOptions::sim_shards`] above 1) is never cached:
+//! A sharded run ([`SessionOptions::sim_shards`] above 1) is never cached:
 //! its engine counters (`sim.work`) differ from a sequential run's, so it
 //! neither reads nor writes the `sim` artifact a sequential run keys the
 //! same way.
@@ -77,10 +75,10 @@
 //! failed stage caches no artifact: the failure is re-diagnosed whenever
 //! the reply misses.
 //!
-//! One request is one call of a public method or of [`execute`]: that is
-//! the boundary [`AnalysisSession::last_request_stats`] counts from, and
-//! the steps inside a request (a `check` compiles, then classifies races)
-//! do not move it.
+//! The session is a cache, not a request tracker: a caller that wants
+//! one request's share of the work diffs two
+//! [`cache_stats`](AnalysisSession::cache_stats) snapshots with
+//! [`CacheStats::since`], as `syncoptd` does around each query.
 //!
 //! A session of capacity 0 ([`AnalysisSession::with_capacity`]) has its
 //! cache **disabled**, and derives none of the keys above: every key is
@@ -96,11 +94,13 @@
 //! let mut session = AnalysisSession::new();
 //! let opts = SessionOptions { procs: Some(8), ..SessionOptions::default() };
 //! let cold = session.compile(src, &opts)?;
+//! let before = session.cache_stats();
 //! let warm = session.compile(src, &opts)?;
 //! assert_eq!(cold.report, warm.report);
 //! // The second compile did no parsing/analysis work at all.
-//! assert_eq!(session.last_request_stats().misses, 0);
-//! assert!(session.last_request_stats().hits > 0);
+//! let delta = session.cache_stats().since(before);
+//! assert_eq!(delta.misses, 0);
+//! assert!(delta.hits > 0);
 //! # Ok::<(), syncopt::SyncoptError>(())
 //! ```
 //!
@@ -137,7 +137,7 @@ use syncopt_machine::{MachineConfig, SimResult, Trace};
 
 /// Per-request pipeline knobs; the [`Syncopt`](crate::Syncopt) builder
 /// holds one and sets it field by field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SessionOptions {
     /// Analyze for a fixed machine size (`None` = unbounded; `run`
     /// resolves it to the machine's processor count).
@@ -150,9 +150,6 @@ pub struct SessionOptions {
     pub trace: TraceLevel,
     /// Event-trace cap at [`TraceLevel::Events`].
     pub trace_limit: usize,
-    /// Worker threads for the delay-set candidate loops (never part of a
-    /// cache key: results are bit-identical for every value).
-    pub threads: usize,
     /// Simulation shards for `run`: values above 1 execute the simulation
     /// on the conservative parallel engine
     /// ([`syncopt_machine::simulate_sharded`], block partition), and such
@@ -171,17 +168,15 @@ impl Default for SessionOptions {
             delay: DelayChoice::SyncRefined,
             trace: TraceLevel::Off,
             trace_limit: DEFAULT_TRACE_LIMIT,
-            threads: 1,
             sim_shards: 1,
         }
     }
 }
 
 impl SessionOptions {
-    fn sync_options(&self, procs: Option<u32>) -> SyncOptions {
+    fn sync_options(&self) -> SyncOptions {
         SyncOptions {
-            procs,
-            threads: self.threads,
+            procs: self.procs,
             ..SyncOptions::default()
         }
     }
@@ -323,7 +318,6 @@ impl SharedRun {
 #[derive(Debug)]
 pub struct AnalysisSession {
     cache: ArtifactCache,
-    request_base: CacheStats,
 }
 
 impl Default for AnalysisSession {
@@ -337,7 +331,6 @@ impl AnalysisSession {
     pub fn new() -> Self {
         AnalysisSession {
             cache: ArtifactCache::default(),
-            request_base: CacheStats::default(),
         }
     }
 
@@ -348,20 +341,13 @@ impl AnalysisSession {
     pub fn with_capacity(capacity: usize) -> Self {
         AnalysisSession {
             cache: ArtifactCache::new(capacity),
-            request_base: CacheStats::default(),
         }
     }
 
-    /// Cumulative cache counters over the session's lifetime.
+    /// Cumulative cache counters over the session's lifetime; diff two
+    /// snapshots with [`CacheStats::since`] for one request's share.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Cache counters for the most recent request only (how much of it
-    /// was served from cache): one public method call, or one
-    /// [`execute`](crate::commands::execute) with every step it took.
-    pub fn last_request_stats(&self) -> CacheStats {
-        self.cache.stats().since(self.request_base)
     }
 
     /// Per-artifact-kind cache counters
@@ -380,22 +366,6 @@ impl AnalysisSession {
         self.cache.capacity()
     }
 
-    /// Copies the last request's cache counters into `report` so the
-    /// pipeline report proves how much work the request reused. Reports
-    /// omit the section by default: a warm run's *answer* stays
-    /// byte-identical to a cold run's.
-    pub fn annotate_report(&self, report: &mut PipelineReport) {
-        report.cache = Some(self.last_request_stats());
-    }
-
-    /// Starts a request: [`last_request_stats`](Self::last_request_stats)
-    /// counts from here. Only the public entry points and
-    /// [`reply`](Self::reply) call it; the `*_shared` steps run inside
-    /// their caller's request.
-    fn begin(&mut self) {
-        self.request_base = self.cache.stats();
-    }
-
     /// One [`execute`](crate::commands::execute) request, answered with a
     /// copy of the stored `reply` under `key()` when there is one, and
     /// otherwise by `answer`, whose result — failure or not — is stored.
@@ -406,7 +376,6 @@ impl AnalysisSession {
         key: impl FnOnce() -> Option<Fingerprint>,
         answer: impl FnOnce(&mut Self) -> CmdOut,
     ) -> CmdOut {
-        self.begin();
         let Some(key) = self.cache.enabled().then(key).flatten() else {
             return answer(self);
         };
@@ -426,19 +395,8 @@ impl AnalysisSession {
     /// Returns frontend or lowering errors (never cached — errors are
     /// re-diagnosed with fresh spans on every request).
     pub fn compile(&mut self, src: &str, opts: &SessionOptions) -> Result<Compiled, SyncoptError> {
-        self.begin();
         self.compile_shared(src, opts)
             .map(SharedCompiled::into_owned)
-    }
-
-    /// [`compile`](AnalysisSession::compile) without the copies, inside
-    /// the caller's request.
-    pub(crate) fn compile_shared(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<SharedCompiled, SyncoptError> {
-        self.compile_inner(src, opts, opts.procs)
     }
 
     /// Compiles (analyzing for the machine's processor count unless
@@ -453,7 +411,6 @@ impl AnalysisSession {
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<RunResult, SyncoptError> {
-        self.begin();
         self.run_shared(src, opts, config)
             .map(SharedRun::into_owned)
     }
@@ -471,20 +428,9 @@ impl AnalysisSession {
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<ProfileReport, SyncoptError> {
-        self.begin();
-        self.profile_shared(src, opts, config)
-    }
-
-    /// [`profile`](AnalysisSession::profile) inside the caller's request.
-    pub(crate) fn profile_shared(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-        config: &MachineConfig,
-    ) -> Result<ProfileReport, SyncoptError> {
         let blocking_opts = SessionOptions {
             level: OptLevel::Blocking,
-            ..opts.clone()
+            ..*opts
         };
         let blocking = self.run_shared(src, &blocking_opts, config)?;
         let optimized = self.run_shared(src, opts, config)?;
@@ -505,16 +451,6 @@ impl AnalysisSession {
         src: &str,
         opts: &SessionOptions,
     ) -> Result<Arc<RaceAnalysis>, SyncoptError> {
-        self.begin();
-        self.races_shared(src, opts)
-    }
-
-    /// [`races`](AnalysisSession::races) inside the caller's request.
-    pub(crate) fn races_shared(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Arc<RaceAnalysis>, SyncoptError> {
         self.derived("races", "races.v1", src, opts, syncopt_core::classify_races)
     }
 
@@ -526,16 +462,6 @@ impl AnalysisSession {
     ///
     /// Returns frontend or lowering errors.
     pub fn lint(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Arc<LintReport>, SyncoptError> {
-        self.begin();
-        self.lint_shared(src, opts)
-    }
-
-    /// [`lint`](AnalysisSession::lint) inside the caller's request.
-    pub(crate) fn lint_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
@@ -556,16 +482,6 @@ impl AnalysisSession {
     ///
     /// Returns frontend or lowering errors.
     pub fn explain(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Arc<ExplainReport>, SyncoptError> {
-        self.begin();
-        self.explain_shared(src, opts)
-    }
-
-    /// [`explain`](AnalysisSession::explain) inside the caller's request.
-    pub(crate) fn explain_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
@@ -591,12 +507,8 @@ impl AnalysisSession {
             return Ok(hit);
         }
         let cfg = self.cfg_inner(src)?;
-        let analysis = analysis_cached(&mut self.cache, &cfg, opts, opts.procs);
-        let artifact = Arc::new(build(
-            &cfg.artifact,
-            &analysis,
-            &opts.sync_options(opts.procs),
-        ));
+        let analysis = analysis_cached(&mut self.cache, &cfg, opts);
+        let artifact = Arc::new(build(&cfg.artifact, &analysis, &opts.sync_options()));
         if let Some(key) = key {
             self.cache.insert_arc(kind, key, Arc::clone(&artifact));
         }
@@ -605,16 +517,18 @@ impl AnalysisSession {
 
     // ---- internal cached pipeline stages --------------------------------
 
-    /// [`run`](AnalysisSession::run) without the copies, inside the
-    /// caller's request.
+    /// [`run`](AnalysisSession::run) without the copies.
     pub(crate) fn run_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<SharedRun, SyncoptError> {
-        let procs = opts.procs.unwrap_or(config.procs);
-        let mut compiled = self.compile_inner(src, opts, Some(procs))?;
+        let opts = &SessionOptions {
+            procs: Some(opts.procs.unwrap_or(config.procs)),
+            ..*opts
+        };
+        let mut compiled = self.compile_shared(src, opts)?;
         let mut trace = None;
         let cache = &mut self.cache;
         let optimized = &compiled.optimized;
@@ -654,11 +568,11 @@ impl AnalysisSession {
         })
     }
 
-    fn compile_inner(
+    /// [`compile`](AnalysisSession::compile) without the copies.
+    pub(crate) fn compile_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
-        procs: Option<u32>,
     ) -> Result<SharedCompiled, SyncoptError> {
         let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
         let src_fp = SrcKey::new(src);
@@ -667,13 +581,13 @@ impl AnalysisSession {
         timings.time("typeck", || check_cached(cache, &ast))?;
         let inlined = timings.time("inline", || inline_cached(cache, &ast, &src_fp))?;
         let source = timings.time("lower", || lower_cached(cache, &inlined, &src_fp))?;
-        let analysis = timings.time("analyze", || analysis_cached(cache, &source, opts, procs));
+        let analysis = timings.time("analyze", || analysis_cached(cache, &source, opts));
         let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
             let key = || {
                 source
                     .text_key()
                     .push("opt.v2")
-                    .push(&procs_part(procs))
+                    .push(&procs_part(opts.procs))
                     .push(level_label(opts.level))
                     .push(delay_label(opts.delay))
             };
@@ -689,12 +603,11 @@ impl AnalysisSession {
             })
         });
         let report = PipelineReport {
-            meta: meta_for(procs.unwrap_or(0), opts.level, opts.delay, None),
+            meta: meta_for(opts.procs.unwrap_or(0), opts.level, opts.delay, None),
             timings,
             analysis: analysis.stats(),
             counters: analysis.metrics.clone(),
             codegen: optimized.artifact.stats,
-            cache: None,
             sim: None,
         };
         Ok(SharedCompiled {
@@ -887,12 +800,11 @@ fn analysis_cached(
     cache: &mut ArtifactCache,
     cfg: &Keyed<Cfg>,
     opts: &SessionOptions,
-    procs: Option<u32>,
 ) -> Arc<Analysis> {
     cache.get_or_with(
         "analysis",
-        || cfg.text_key().push(&procs_part(procs)),
-        || syncopt_core::analyze_with(&cfg.artifact, &opts.sync_options(procs)),
+        || cfg.text_key().push(&procs_part(opts.procs)),
+        || syncopt_core::analyze_with(&cfg.artifact, &opts.sync_options()),
     )
 }
 
@@ -924,14 +836,15 @@ mod tests {
     fn warm_compile_is_identical_and_all_hits() {
         let mut s = AnalysisSession::new();
         let cold = s.compile(SRC, &opts(4)).unwrap();
-        assert!(s.last_request_stats().misses > 0);
+        assert!(s.cache_stats().misses > 0);
+        let before = s.cache_stats();
         let warm = s.compile(SRC, &opts(4)).unwrap();
         assert_eq!(cold.report, warm.report);
         assert_eq!(
             syncopt_ir::print::cfg_to_string(&cold.optimized.cfg),
             syncopt_ir::print::cfg_to_string(&warm.optimized.cfg)
         );
-        let stats = s.last_request_stats();
+        let stats = s.cache_stats().since(before);
         assert_eq!(stats.misses, 0, "warm compile rebuilt something");
         assert!(stats.hits > 0);
     }
@@ -980,8 +893,10 @@ mod tests {
         let copy = shared.into_owned();
         assert_ne!(copy.compiled.source_cfg.blocks.as_ptr(), cached.0);
         assert_ne!(copy.sim.proc_cycles.as_ptr(), cached.2);
+        let before = s.cache_stats();
         s.run(SRC, &opts(4), &config).unwrap();
-        assert_eq!(s.last_request_stats().misses, 0, "the cache lost an entry");
+        let delta = s.cache_stats().since(before);
+        assert_eq!(delta.misses, 0, "the cache lost an entry");
     }
 
     /// A session without a cache runs the same stages to the same report
@@ -1242,18 +1157,6 @@ mod tests {
         // One analysis miss, one hit: blocking and optimized share it.
         assert_eq!(s.kind_counters().get("cache.analysis.misses"), 1);
         assert!(s.kind_counters().get("cache.analysis.hits") >= 1);
-    }
-
-    #[test]
-    fn annotate_report_adds_cache_section() {
-        let mut s = AnalysisSession::new();
-        let mut c = s.compile(SRC, &opts(4)).unwrap();
-        assert!(c.report.cache.is_none());
-        s.annotate_report(&mut c.report);
-        let cache = c.report.cache.unwrap();
-        assert!(cache.misses > 0);
-        let json = c.report.to_json();
-        assert!(json.get("cache").is_some());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 # the `metrics` op emits well-shaped Prometheus text, that a repeated
 # daemon query is served from the artifact cache (stats hits grow,
 # misses do not) and, sent twice raw, answered from its stored reply
-# alone (one hit, byte-equal stdout), that query stdout is byte-identical with telemetry
+# alone (one hit, byte-equal stdout), that `run --procs 0` fails with a
+# message and counts no panic, that query stdout is byte-identical with telemetry
 # enabled and disabled (`--no-telemetry`), that a request line nested
 # 200 000 deep and one longer than the 16 MiB line limit each come back
 # as `bad-request` with the daemon still answering `ping` afterwards
@@ -90,7 +91,7 @@ grep -q '"schema":"syncopt.metrics.v1"' "$stats1" || {
 }
 for key in version uptime_ms requests_total; do
     grep -q "\"$key\":" "$stats1" || {
-        echo "daemon_smoke: metrics.v1 document missing required key \`$key\`" >&2
+        echo "daemon_smoke: metrics.v1 document missing required key `$key`" >&2
         exit 1
     }
 done
@@ -98,7 +99,7 @@ for metric in rpc.requests_total rpc.request_latency_us rpc.bytes_in \
     rpc.bytes_out rpc.cache_hits_total rpc.cache_misses_total \
     rpc.connections_opened; do
     grep -q "\"$metric" "$stats1" || {
-        echo "daemon_smoke: metrics.v1 document missing metric \`$metric\`" >&2
+        echo "daemon_smoke: metrics.v1 document missing metric `$metric`" >&2
         exit 1
     }
 done
@@ -130,6 +131,22 @@ if [ "$misses_before" != "$misses_after" ]; then
     echo "daemon_smoke: repeated check rebuilt artifacts (misses $misses_before -> $misses_after)" >&2
     exit 1
 fi
+
+echo "== --procs 0 is a query failure, not a panic =="
+# It used to panic the simulator: the reply was `internal` and the
+# daemon dropped its whole cache.
+set +e
+zero_err=$("$BIN" run programs/figure1.ms --procs 0 --daemon --socket "$SOCK" 2>&1 > /dev/null)
+zero_rc=$?
+set -e
+if [ "$zero_rc" -ne 1 ] || [ "$zero_err" != 'syncoptc: `procs` must be at least 1' ]; then
+    echo "daemon_smoke: run --procs 0 exited $zero_rc with: $zero_err" >&2
+    exit 1
+fi
+"$BIN" stats --socket "$SOCK" --format json | grep -q '"rpc.panics_total":0' || {
+    echo "daemon_smoke: run --procs 0 counted a panic" >&2
+    exit 1
+}
 
 echo "== a repeated query is answered from its stored reply =="
 # One query never sent before, twice on one connection (raw protocol, with

@@ -78,7 +78,6 @@ fn op_allocations(p: &Program) -> u64 {
     let compiled = Syncopt::new(&p.source)
         .procs(p.procs)
         .level(OptLevel::Full)
-        .threads(1)
         .compile()
         .expect("program compiles");
     let text = compiled.report.to_json().to_string();

@@ -194,8 +194,9 @@ fn run_trace_prints_events() {
     assert!(stdout.contains("finished"), "{stdout}");
 }
 
-/// The simulation shard knobs are gone from the command line: `command`
-/// given `flag value` fails as an unknown flag and prints nothing.
+/// The simulation shard knobs and the analysis `--threads` are gone from
+/// the command line: `command` given `flag value` fails as an unknown flag
+/// and prints nothing.
 fn assert_unknown_flag(command: &str, flag: &str, value: &str) {
     let (ok, stdout, stderr) =
         syncoptc(&[command, "programs/postwait.ms", "--procs", "2", flag, value]);
@@ -211,6 +212,12 @@ fn assert_unknown_flag(command: &str, flag: &str, value: &str) {
 fn the_shard_flags_are_unknown_flags() {
     assert_unknown_flag("run", "--sim-shards", "2");
     assert_unknown_flag("run", "--sim-partition", "block");
+}
+
+#[test]
+fn threads_is_a_bench_only_flag() {
+    assert_unknown_flag("analyze", "--threads", "2");
+    assert_unknown_flag("lint", "--threads", "4");
 }
 
 #[test]
@@ -416,6 +423,31 @@ fn bad_usage_fails_with_message() {
     let (ok, _, stderr) = syncoptc(&["run", "does_not_exist.ms"]);
     assert!(!ok);
     assert!(stderr.contains("cannot read"), "{stderr}");
+}
+
+/// `--procs 0` used to panic `run`, `profile` and `trace` in the
+/// simulator, fail `check --kernels` with an E002 on generated kernel
+/// text and pass `analyze`. Every command refuses it before any stage.
+#[test]
+fn procs_zero_is_refused_before_any_stage_runs() {
+    for args in [
+        &["run", "programs/allreduce.ms"][..],
+        &["profile", "programs/allreduce.ms"],
+        &["trace", "programs/allreduce.ms"],
+        &["analyze", "programs/allreduce.ms"],
+        &["check", "--kernels"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_syncoptc"))
+            .args(args)
+            .args(["--procs", "0"])
+            .current_dir(repo_root())
+            .output()
+            .expect("binary should run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(stderr, "syncoptc: `procs` must be at least 1\n", "{args:?}");
+    }
 }
 
 #[test]

@@ -346,8 +346,8 @@ fn hostile_request_lines_get_bad_request_and_leave_the_daemon_serving() {
     stop(&path, handle);
 }
 
-/// The simulation shard fields left the wire: a query that names either
-/// one is a coded `bad-request` for that request alone, and the same
+/// The simulation shard fields and `threads` left the wire: a query that
+/// names one is a coded `bad-request` for that request alone, and the same
 /// connection is served the query without it.
 #[test]
 fn a_query_naming_a_removed_shard_field_gets_bad_request_and_the_daemon_keeps_serving() {
@@ -362,6 +362,7 @@ fn a_query_naming_a_removed_shard_field_gets_bad_request_and_the_daemon_keeps_se
     for (id, field, extra) in [
         (1, "sim_shards", r#","sim_shards":2"#),
         (2, "sim_partition", r#","sim_partition":"block""#),
+        (3, "threads", r#","threads":2"#),
     ] {
         let reply = exchange(&mut conn, &request(id, extra));
         assert!(reply.contains(r#""code":"bad-request""#), "got: {reply}");
@@ -371,9 +372,39 @@ fn a_query_naming_a_removed_shard_field_gets_bad_request_and_the_daemon_keeps_se
             "got: {reply}"
         );
     }
-    let reply = exchange(&mut conn, &request(3, ""));
+    let reply = exchange(&mut conn, &request(4, ""));
     assert!(reply.contains(r#""ok":true"#), "got: {reply}");
     assert!(reply.contains("execution:"), "got: {reply}");
+    stop(&path, handle);
+}
+
+/// `procs 0` is a query failure, not a panic: the daemon counts none and
+/// keeps its cache, so a repeated query still hits.
+#[test]
+fn a_zero_processor_query_fails_without_a_panic_and_the_cache_survives() {
+    let (path, handle) = start("procs-zero");
+    let mut client = DaemonClient::connect(&path).expect("connect");
+    let src = "shared int A[8]; fn main() { A[MYPROC] = 1; barrier; }";
+    let warm = query("check", "p.ms", src, Format::Json);
+    client.query(&warm).expect("a query that fills the cache");
+    for command in ["run", "profile", "trace", "analyze", "check"] {
+        let zero = Query {
+            procs: 0,
+            ..query(command, "p.ms", src, Format::Human)
+        };
+        let (out, _) = client.query(&zero).expect(command);
+        let failure = out.failure.as_deref();
+        assert_eq!(failure, Some("`procs` must be at least 1"), "{command}");
+        assert!(out.stdout.is_empty(), "{command}");
+    }
+    let stats = client.stats().expect("stats");
+    let panics = ["metrics", "metrics", "counters", "rpc.panics_total"]
+        .iter()
+        .try_fold(&stats, |v, key| v.get(key))
+        .and_then(Value::as_int);
+    assert_eq!(panics, Some(0), "{stats}");
+    let (_, cache) = client.query(&warm).expect("the warm query");
+    assert_eq!((cache.hits, cache.misses), (1, 0));
     stop(&path, handle);
 }
 

@@ -151,31 +151,22 @@ fn annotated_report_proves_warm_rerun_does_less_work() {
     let kernel = &all_kernels(4)[0];
     let mut session = AnalysisSession::new();
 
-    let mut cold_run = session.run(&kernel.source, &opts, &config).unwrap();
-    session.annotate_report(&mut cold_run.compiled.report);
-    let cold_stats = cold_run.compiled.report.cache.unwrap();
+    let cold_run = session.run(&kernel.source, &opts, &config).unwrap();
+    let cold_stats = session.cache_stats();
     assert!(cold_stats.misses > 0, "cold run builds artifacts");
 
-    let mut warm_run = session.run(&kernel.source, &opts, &config).unwrap();
-    session.annotate_report(&mut warm_run.compiled.report);
-    let warm_stats = warm_run.compiled.report.cache.unwrap();
+    let warm_run = session.run(&kernel.source, &opts, &config).unwrap();
+    let warm_stats = session.cache_stats().since(cold_stats);
     assert_eq!(warm_stats.misses, 0, "warm rerun rebuilds nothing");
     assert!(warm_stats.hits > 0, "warm rerun is served from cache");
     assert!(
         warm_stats.lookups() <= cold_stats.lookups(),
         "warm rerun must not do more lookups than the cold run"
     );
-
-    // The annotation is opt-in: JSON reports stay identical to the
-    // pre-session format unless the caller asks for the cache section.
-    let plain = session.run(&kernel.source, &opts, &config).unwrap();
-    assert!(plain.compiled.report.cache.is_none());
-    assert!(!plain
-        .compiled
-        .report
-        .to_json()
-        .to_string()
-        .contains("\"cache\""));
+    // The report carries no cache section: warm and cold are one answer.
+    let json = warm_run.report().to_json().to_string();
+    assert_eq!(json, cold_run.report().to_json().to_string());
+    assert!(!json.contains("\"cache\""));
 }
 
 /// Every artifact kind the session caches.
@@ -334,37 +325,30 @@ fn every_command(source: &str) -> Vec<Query> {
 /// of it: `check` reports proven races and fails.
 const RACY: &str = "shared int Data; fn main() { int v; Data = MYPROC; v = Data; }";
 
-/// `execute` is one request, however many steps it takes: what
-/// `last_request_stats` reports after it is everything the cache did
-/// since it began, cold and warm.
+/// `execute` is one request, however many steps it takes: the cache
+/// delta around it is everything the cache did for it, cold and warm.
 #[test]
-fn last_request_stats_after_execute_cover_the_whole_request() {
+fn a_cache_delta_around_execute_covers_the_whole_request() {
     let mut session = AnalysisSession::new();
-    for pass in ["cold", "warm"] {
-        for q in every_command(RACY) {
-            let before = session.cache_stats();
-            execute(&mut session, &q);
-            let whole = session.cache_stats().since(before);
-            assert_eq!(
-                session.last_request_stats(),
-                whole,
-                "{pass} {} (kernels {}, trace {})",
-                q.command,
-                q.kernels,
-                q.trace
-            );
-            if pass == "warm" && q.command != "trace" && !q.trace {
-                assert_eq!((whole.hits, whole.misses), (1, 0), "{pass} {}", q.command);
-            }
-        }
+    for q in every_command(RACY) {
+        execute(&mut session, &q);
     }
-    // The bug this pins: a cold `check` misses its reply, compiles (six
-    // misses, `ast` through `opt`) and then classifies races (five hits,
-    // one `races` miss); only the last step used to be reported, as 5
-    // hits and 1 miss.
+    for q in every_command(RACY)
+        .iter()
+        .filter(|q| q.command != "trace" && !q.trace)
+    {
+        let before = session.cache_stats();
+        execute(&mut session, q);
+        let whole = session.cache_stats().since(before);
+        assert_eq!((whole.hits, whole.misses), (1, 0), "warm {}", q.command);
+    }
+    // A cold `check` misses its reply, compiles (six misses, `ast`
+    // through `opt`) and then classifies races (five hits, one `races`
+    // miss). A delta taken around the last step alone reads 5 hits and
+    // 1 miss.
     let mut session = AnalysisSession::new();
     execute(&mut session, &query("check", "racy.ms", RACY, Format::Json));
-    let stats = session.last_request_stats();
+    let stats = session.cache_stats();
     assert_eq!((stats.hits, stats.misses), (5, 8), "{stats:?}");
 }
 
@@ -387,10 +371,12 @@ fn traces_are_never_stored() {
         let artifacts = session.cached_artifacts();
         let first = execute(&mut session, q);
         assert_eq!(session.cached_artifacts(), artifacts, "{}", q.command);
+        let before = session.cache_stats();
         let second = execute(&mut session, q);
         assert_eq!(first, second, "{}", q.command);
         assert_eq!(first, cold(q), "{}", q.command);
-        assert_eq!(session.last_request_stats().misses, 0, "{}", q.command);
+        let delta = session.cache_stats().since(before);
+        assert_eq!(delta.misses, 0, "{}", q.command);
     }
     let kinds = session.kind_counters();
     assert_eq!(kinds.get("cache.reply.misses"), 1, "{kinds:?}");
@@ -433,7 +419,7 @@ fn a_sharded_run_and_a_sequential_run_have_their_own_replies() {
     };
     let sharded = SessionOptions {
         sim_shards: 2,
-        ..sequential.clone()
+        ..sequential
     };
     let report = |session: &mut AnalysisSession, opts: &SessionOptions| {
         let run = session.run(&kernel.source, opts, &config).unwrap();
@@ -700,9 +686,10 @@ fn the_uncached_builder_a_cold_session_and_a_warm_one_agree_on_everything() {
             let mut session = AnalysisSession::new();
             let uncached = observable(&builder.compile().expect("compiles"));
             let cold = observable(&session.compile(src, &opts).expect("compiles"));
-            assert!(session.last_request_stats().misses > 0, "{at}");
+            let before = session.cache_stats();
+            assert!(before.misses > 0, "{at}");
             let warm = observable(&session.compile(src, &opts).expect("compiles"));
-            assert_eq!(session.last_request_stats().misses, 0, "{at}");
+            assert_eq!(session.cache_stats().since(before).misses, 0, "{at}");
             assert_eq!(uncached, cold, "{at}: builder vs cold session");
             assert_eq!(cold, warm, "{at}: cold vs warm session");
 
@@ -722,12 +709,13 @@ fn the_uncached_builder_a_cold_session_and_a_warm_one_agree_on_everything() {
             let cold = run(AnalysisSession::new().run(src, &opts, &config));
             // `session` holds the compile artifacts: only `sim` misses.
             let half_warm = run(session.run(src, &opts, &config));
+            let before = session.cache_stats();
             let warm = run(session.run(src, &opts, &config));
             assert_eq!(uncached, cold, "{at}: builder vs cold session, run");
             assert_eq!(cold, half_warm, "{at}: cold vs half-warm session, run");
             assert_eq!(cold, warm, "{at}: cold vs warm session, run");
             if warm.is_ok() {
-                assert_eq!(session.last_request_stats().misses, 0, "{at}");
+                assert_eq!(session.cache_stats().since(before).misses, 0, "{at}");
                 simulated += 1;
             }
         }
