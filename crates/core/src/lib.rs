@@ -55,7 +55,6 @@ pub mod explain;
 pub mod guards;
 pub mod lint;
 pub mod locks;
-pub mod metrics;
 pub mod obs;
 pub mod races;
 pub mod sync;
@@ -72,7 +71,6 @@ pub use explain::{
     explain, DropReason, DroppedPair, ExplainReport, KeptPair, SyncFact, EXPLAIN_SCHEMA,
 };
 pub use lint::{run_lints, FenceCheck, LintInput, LintReport, LINT_SCHEMA};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use obs::{Counters, PhaseTimings};
 pub use races::{
     classify_races, detect_races, race_diagnostics, Confidence, RaceAnalysis, RaceReport,

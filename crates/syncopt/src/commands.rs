@@ -333,28 +333,55 @@ fn query_key(q: &Query) -> Fingerprint {
     key
 }
 
+/// What runs one query command.
+type Handler = fn(&mut AnalysisSession, &Query) -> CmdOut;
+
+/// Every query command, sorted by name, with its handler: the one list
+/// [`dispatch`] looks a command up in and the daemon's `op` labels are
+/// drawn from.
+const COMMANDS: [(&str, Handler); 9] = [
+    ("analyze", |s, q| with_source(s, q, cmd_analyze)),
+    ("check", |s, q| {
+        if q.kernels {
+            cmd_check_kernels(s, q)
+        } else {
+            with_source(s, q, cmd_check)
+        }
+    }),
+    ("explain", |s, q| with_source(s, q, cmd_explain)),
+    ("lint", |s, q| {
+        if q.kernels {
+            cmd_lint_kernels(s, q)
+        } else {
+            cmd_lint(s, q)
+        }
+    }),
+    ("litmus", |s, q| with_source(s, q, cmd_litmus)),
+    ("opt", |s, q| with_source(s, q, cmd_opt)),
+    ("profile", |s, q| with_source(s, q, cmd_profile)),
+    ("run", |s, q| with_source(s, q, cmd_run)),
+    ("trace", |s, q| with_source(s, q, cmd_trace)),
+];
+
+/// The name of every query command, sorted.
+pub fn command_names() -> impl Iterator<Item = &'static str> {
+    COMMANDS.iter().map(|&(name, _)| name)
+}
+
 fn dispatch(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     // Every stage from the kernel generators to the simulator assumes at
     // least one processor.
     if q.procs == 0 {
         return CmdOut::fail("`procs` must be at least 1".to_string());
     }
-    match q.command.as_str() {
-        "analyze" => with_source(q, |src| cmd_analyze(session, src, q)),
-        "opt" => with_source(q, |src| cmd_opt(session, src, q)),
-        "run" => with_source(q, |src| cmd_run(session, src, q)),
-        "trace" => with_source(q, |src| cmd_trace(session, src, q)),
-        "explain" => with_source(q, |src| cmd_explain(session, src, q)),
-        "profile" => with_source(q, |src| cmd_profile(session, src, q)),
-        "litmus" => with_source(q, |src| cmd_litmus(session, src, q)),
-        "check" if q.kernels => cmd_check_kernels(session, q),
-        "check" => with_source(q, |src| cmd_check(session, src, q)),
-        "lint" if q.kernels => cmd_lint_kernels(session, q),
-        "lint" => cmd_lint(session, q),
-        // What the daemon's panic containment is tested with.
-        #[cfg(test)]
-        "panic" => panic!("the test-only command `panic` ran"),
-        other => CmdOut::fail(format!("unknown command `{other}`")),
+    // What the daemon's panic containment is tested with.
+    #[cfg(test)]
+    if q.command == "panic" {
+        panic!("the test-only command `panic` ran");
+    }
+    match COMMANDS.iter().find(|&&(name, _)| name == q.command) {
+        Some((_, run)) => run(session, q),
+        None => CmdOut::fail(format!("unknown command `{}`", q.command)),
     }
 }
 
@@ -367,9 +394,14 @@ fn json_line(doc: &json::Value) -> String {
     out
 }
 
-fn with_source(q: &Query, f: impl FnOnce(&str) -> CmdOut) -> CmdOut {
+/// Runs a command over the query's source file, which it needs.
+fn with_source(
+    session: &mut AnalysisSession,
+    q: &Query,
+    run: fn(&mut AnalysisSession, &str, &Query) -> CmdOut,
+) -> CmdOut {
     match &q.source {
-        Some(src) => f(src),
+        Some(src) => run(session, src, q),
         None => CmdOut::fail(format!("command `{}` needs a source file", q.command)),
     }
 }
@@ -1133,9 +1165,7 @@ mod tests {
     #[test]
     fn every_json_command_emits_one_schema_versioned_document() {
         let mut session = AnalysisSession::new();
-        for command in [
-            "analyze", "opt", "run", "explain", "profile", "litmus", "check", "lint",
-        ] {
+        for command in command_names() {
             let out = execute(&mut session, &query(command, Format::Json));
             assert!(out.failure.is_none(), "{command}: {:?}", out.failure);
             let doc = json::Value::parse(&out.stdout)
@@ -1233,5 +1263,20 @@ mod tests {
         let out = execute(&mut session, &query("frobnicate", Format::Human));
         assert!(out.failure.unwrap().contains("unknown command"));
         assert!(out.stdout.is_empty());
+    }
+
+    #[test]
+    fn every_listed_command_dispatches_under_its_own_label() {
+        assert!(command_names().is_sorted());
+        let mut session = AnalysisSession::new();
+        for name in command_names() {
+            let out = execute(&mut session, &query(name, Format::Json));
+            let failure = format!("{:?}", out.failure);
+            assert!(!failure.contains("unknown command"), "{name}: {failure}");
+            assert_eq!(crate::telemetry::query_op(name), name);
+        }
+        let out = execute(&mut session, &query("frobnicate", Format::Json));
+        assert!(out.failure.unwrap().contains("unknown command"));
+        assert_eq!(crate::telemetry::query_op("frobnicate"), "other");
     }
 }

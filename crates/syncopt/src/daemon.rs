@@ -15,7 +15,7 @@
 //!
 //! Telemetry (see [`crate::telemetry`]) is on by default: every request
 //! gets a monotonic id and a decode → execute → encode span recorded
-//! into the metrics registry, served back via the extended `stats` op
+//! into the service metrics, served back via the extended `stats` op
 //! (`syncopt.metrics.v1`) and the `metrics` op (Prometheus text). It is
 //! strictly observational — responses are byte-identical whether
 //! telemetry is on or off, because it never touches response fields.
@@ -26,7 +26,7 @@ use crate::rpc::{
     shutdown_response, stats_response, write_message, Request, RequestBody, RpcError, ServiceStats,
 };
 use crate::session::AnalysisSession;
-use crate::telemetry::{RequestOutcome, RequestSpan, ServiceTelemetry, TelemetryConfig};
+use crate::telemetry::{query_op, RequestOutcome, RequestSpan, ServiceTelemetry, TelemetryConfig};
 use std::io::{BufRead, BufReader, Read};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -235,9 +235,9 @@ impl Drop for ConnGuard<'_> {
 
 /// What [`handle_line`] observed about one request, for telemetry.
 struct ReqMeta {
-    /// Operation label: the RPC op for control requests, the query
-    /// command for queries, `invalid` for undecodable lines.
-    op: String,
+    /// Operation label: the RPC op for control requests, [`query_op`]
+    /// of the command for queries, `invalid` for undecodable lines.
+    op: &'static str,
     /// Protocol-level success (`ok: true` response).
     ok: bool,
     /// A query ran but reported a command failure.
@@ -304,7 +304,7 @@ fn serve_connection(stream: &UnixStream, state: &State) {
             t.finish_request(
                 span,
                 &RequestOutcome {
-                    op: &meta.op,
+                    op: meta.op,
                     ok: meta.ok,
                     failed: meta.failed,
                     bytes_out: reply.len() as u64,
@@ -365,8 +365,8 @@ fn respond(
     decoded: Result<Request, (i64, RpcError)>,
     state: &State,
 ) -> (syncopt_core::diag::json::Value, ReqMeta) {
-    let meta = |op: &str, ok: bool, failed: bool, cache: CacheStats, shutdown: bool| ReqMeta {
-        op: op.to_string(),
+    let meta = |op, ok, failed, cache, shutdown| ReqMeta {
+        op,
         ok,
         failed,
         cache,
@@ -430,13 +430,14 @@ fn respond(
             meta("shutdown", true, false, CacheStats::default(), true),
         ),
         RequestBody::Query(q) => {
+            let op = query_op(&q.command);
             if q.command == "bench" {
                 let e = RpcError::unsupported(
                     "`bench` measures this machine and does not route through the daemon",
                 );
                 return (
                     error_response(id, &e),
-                    meta(&q.command, false, false, CacheStats::default(), false),
+                    meta(op, false, false, CacheStats::default(), false),
                 );
             }
             // One session serves all clients; the lock makes each query
@@ -452,7 +453,7 @@ fn respond(
                     let failed = out.failure.is_some();
                     (
                         query_response(id, out, delta),
-                        meta(&q.command, true, failed, delta, false),
+                        meta(op, true, failed, delta, false),
                     )
                 }
                 Err(_) => {
@@ -466,7 +467,7 @@ fn respond(
                     ));
                     (
                         error_response(id, &e),
-                        meta(&q.command, false, false, CacheStats::default(), false),
+                        meta(op, false, false, CacheStats::default(), false),
                     )
                 }
             }

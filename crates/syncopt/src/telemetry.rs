@@ -1,6 +1,6 @@
 //! Service-level telemetry for `syncoptd`: request ids, per-request
-//! spans, the concurrent metrics registry, the structured request log,
-//! and the `daemon-trace` exporter.
+//! spans, the service metrics, the structured request log, and the
+//! `daemon-trace` exporter.
 //!
 //! Every request the daemon serves gets a **monotonic request id** and a
 //! three-phase span measured with one clock:
@@ -13,13 +13,16 @@
 //! The phases tile the request exactly — `total_us` is *defined* as
 //! their sum, so span accounting holds by construction and is verified
 //! end to end by [`verify_reqlog_accounting`]. Each finished request is
-//! recorded into the [`MetricsRegistry`]:
+//! recorded into the metrics of [`ServiceTelemetry`], declared once in
+//! one table that both renderings and [`SERVICE_METRIC_NAMES`] read:
 //!
 //! * `rpc.requests_total{op="..."}` / `rpc.request_latency_us{op="..."}`
 //!   — per-operation counts and fixed-bucket latency histograms. The
-//!   `op` label is the RPC op for control requests (`ping`, `stats`,
-//!   `metrics`, `shutdown`) and the query *command* for queries
-//!   (`check`, `profile`, ...).
+//!   `op` label is drawn from a closed set: `invalid` for an undecodable
+//!   line, the control op (`ping`, `stats`, `metrics`, `shutdown`), the
+//!   query command (`check`, `profile`, ...), and `other` for a query
+//!   whose command is none of them (see `query_op`). An op's series
+//!   appear once it has been seen.
 //! * `rpc.errors_total` — protocol errors (`ok: false` responses);
 //!   `rpc.failures_total` — queries that ran but failed (exit-1 results).
 //! * `rpc.bytes_in` / `rpc.bytes_out` — wire traffic including framing
@@ -41,16 +44,18 @@
 //! nested phase slices — a serving timeline that opens in Perfetto.
 //!
 //! Telemetry is optional: a daemon started with `--no-telemetry` carries
-//! no registry, takes no timestamps, and allocates nothing on the
-//! request path — responses are byte-identical either way.
+//! no metrics, takes no timestamps, and allocates nothing on the request
+//! path — responses are byte-identical either way.
 
+use crate::commands::command_names;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use syncopt_core::cache::CacheStats;
 use syncopt_core::diag::json::Value;
-use syncopt_core::metrics::{labeled, Counter, Gauge, MetricsRegistry};
+use Family::{Counter, Gauge, Latency, Requests};
 
 /// Schema identifier of the `stats` metrics document.
 pub const METRICS_SCHEMA: &str = "syncopt.metrics.v1";
@@ -62,25 +67,100 @@ pub const SERVICE_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// given: 500 ms.
 pub const DEFAULT_SLOW_US: u64 = 500_000;
 
+/// The `op` label of a query whose command is not a known one.
+const OTHER_OP: &str = "other";
+
+/// The `op` labels that are not query commands: an undecodable line, the
+/// four control ops, and a query whose command is unknown.
+const NON_QUERY_OPS: [&str; 6] = ["invalid", "ping", "stats", "metrics", "shutdown", OTHER_OP];
+
+/// The `op` label of a query: its command when that is one of
+/// [`command_names`], `other` when it is not. A client's command string
+/// never becomes a label, so the label set stays closed.
+pub(crate) fn query_op(command: &str) -> &'static str {
+    command_names()
+        .find(|&name| name == command)
+        .unwrap_or(OTHER_OP)
+}
+
+fn load(value: &AtomicU64) -> u64 {
+    value.load(Ordering::Relaxed)
+}
+
+fn add(value: &AtomicU64, n: u64) {
+    value.fetch_add(n, Ordering::Relaxed);
+}
+
+/// The scalar metrics. Updates are relaxed atomics: totals are exact,
+/// cross-metric ordering is not promised. A gauge only falls after it
+/// rose, so it never goes below zero.
+#[derive(Default)]
+struct Scalars {
+    requests_total: AtomicU64,
+    errors_total: AtomicU64,
+    failures_total: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    slow_total: AtomicU64,
+    panics_total: AtomicU64,
+    in_flight: AtomicU64,
+    connections_open: AtomicU64,
+    connections_opened: AtomicU64,
+    connections_closed: AtomicU64,
+}
+
+/// How one metric family reads its series.
+#[derive(Clone, Copy)]
+enum Family {
+    /// One monotonic total.
+    Counter(fn(&Scalars) -> &AtomicU64),
+    /// One value that rises and falls.
+    Gauge(fn(&Scalars) -> &AtomicU64),
+    /// The total over every op, then one `{op="..."}` counter per op seen.
+    Requests,
+    /// One `{op="..."}` latency histogram per op seen.
+    Latency,
+}
+
+/// Every metric the daemon emits, sorted by name: the order of the
+/// `syncopt.metrics.v1` document and of the Prometheus text.
+const METRICS: [(&str, Family); 14] = [
+    ("rpc.bytes_in", Counter(|m| &m.bytes_in)),
+    ("rpc.bytes_out", Counter(|m| &m.bytes_out)),
+    ("rpc.cache_hits_total", Counter(|m| &m.cache_hits)),
+    ("rpc.cache_misses_total", Counter(|m| &m.cache_misses)),
+    ("rpc.connections_closed", Counter(|m| &m.connections_closed)),
+    ("rpc.connections_open", Gauge(|m| &m.connections_open)),
+    ("rpc.connections_opened", Counter(|m| &m.connections_opened)),
+    ("rpc.errors_total", Counter(|m| &m.errors_total)),
+    ("rpc.failures_total", Counter(|m| &m.failures_total)),
+    ("rpc.in_flight", Gauge(|m| &m.in_flight)),
+    ("rpc.panics_total", Counter(|m| &m.panics_total)),
+    ("rpc.request_latency_us", Latency),
+    ("rpc.requests_total", Requests),
+    ("rpc.slow_requests_total", Counter(|m| &m.slow_total)),
+];
+
 /// Base names of every metric the daemon emits. The glossary drift test
 /// pins this list against `docs/OBSERVABILITY.md`, so adding a metric
-/// here (or emitting an undeclared one) without documenting it fails CI.
-pub const SERVICE_METRIC_NAMES: &[&str] = &[
-    "rpc.requests_total",
-    "rpc.request_latency_us",
-    "rpc.errors_total",
-    "rpc.failures_total",
-    "rpc.bytes_in",
-    "rpc.bytes_out",
-    "rpc.cache_hits_total",
-    "rpc.cache_misses_total",
-    "rpc.slow_requests_total",
-    "rpc.panics_total",
-    "rpc.in_flight",
-    "rpc.connections_open",
-    "rpc.connections_opened",
-    "rpc.connections_closed",
-];
+/// (or emitting an undeclared one) without documenting it fails CI.
+pub const SERVICE_METRIC_NAMES: &[&str] = &{
+    let mut names = [""; METRICS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = METRICS[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// The key of the `op` series of the family `name`:
+/// `rpc.requests_total{op="check"}`.
+fn op_key(name: &str, op: &str) -> String {
+    format!("{name}{{op=\"{op}\"}}")
+}
 
 /// Telemetry configuration, as parsed from the `syncoptd` command line.
 #[derive(Debug, Clone, Default)]
@@ -94,6 +174,79 @@ pub struct TelemetryConfig {
     /// zeroed, counts exact) — for golden tests and byte-stable smoke
     /// checks.
     pub scrub: bool,
+}
+
+/// A fixed-bucket histogram of microsecond latencies.
+///
+/// `buckets[i]` counts samples in `[BOUNDS[i-1], BOUNDS[i])`; the last
+/// bucket is unbounded. The power-of-four rungs span 64 µs to ~1 s —
+/// request latencies below the first rung and above the last one are
+/// still counted (in the first and overflow buckets), so `count` is
+/// always the exact number of observations.
+struct Histogram {
+    buckets: [AtomicU64; Histogram::BOUNDS.len() + 1],
+    count: AtomicU64,
+    sum: AtomicU64,
+    /// The smallest sample; `u64::MAX` while there is none.
+    min: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Histogram {
+    /// Upper bucket boundaries, in microseconds.
+    const BOUNDS: [u64; 8] = [64, 256, 1024, 4096, 16384, 65536, 262144, 1048576];
+
+    fn new() -> Histogram {
+        Histogram {
+            buckets: Default::default(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
+    }
+
+    /// Records one sample (microseconds).
+    fn observe(&self, us: u64) {
+        let i = Histogram::BOUNDS
+            .iter()
+            .position(|&b| us < b)
+            .unwrap_or(Histogram::BOUNDS.len());
+        add(&self.buckets[i], 1);
+        add(&self.count, 1);
+        add(&self.sum, us);
+        self.min.fetch_min(us, Ordering::Relaxed);
+        self.max.fetch_max(us, Ordering::Relaxed);
+    }
+
+    /// The histogram as JSON. In scrub mode every timing-derived field —
+    /// the per-bucket distribution, sum, min, max — is zeroed while
+    /// `count` (a pure request count) stays exact, so goldens can pin
+    /// structure and totals without pinning wall-clock behavior.
+    fn to_json(&self, scrub: bool) -> Value {
+        let z = |v: u64| Value::Int(if scrub { 0 } else { v as i64 });
+        let min = match load(&self.min) {
+            u64::MAX => 0,
+            v => v,
+        };
+        Value::Obj(vec![
+            ("count".into(), Value::Int(load(&self.count) as i64)),
+            ("sum_us".into(), z(load(&self.sum))),
+            ("min_us".into(), z(min)),
+            ("max_us".into(), z(load(&self.max))),
+            (
+                "buckets".into(),
+                Value::Arr(self.buckets.iter().map(|b| z(load(b))).collect()),
+            ),
+        ])
+    }
+}
+
+/// The series of one `op` label.
+struct OpSeries {
+    op: &'static str,
+    requests: AtomicU64,
+    latency: Histogram,
 }
 
 /// The state of one in-flight request: its id and phase clocks.
@@ -131,10 +284,10 @@ impl RequestSpan {
 }
 
 /// What one finished request looked like, for metrics and the log.
-pub struct RequestOutcome<'a> {
-    /// Operation label (`ping` / `stats` / `metrics` / `shutdown`, or
-    /// the query command).
-    pub op: &'a str,
+pub struct RequestOutcome {
+    /// Operation label: `invalid`, a control op, or `query_op` of the
+    /// query's command. A label outside that set is counted as `other`.
+    pub op: &'static str,
     /// Whether the response was `ok: true` (protocol level).
     pub ok: bool,
     /// Whether a query ran but reported a command failure.
@@ -145,25 +298,18 @@ pub struct RequestOutcome<'a> {
     pub cache: CacheStats,
 }
 
-/// Shared telemetry state of one daemon process.
+/// Shared telemetry state of one daemon process: the metrics of
+/// `METRICS` as plain atomics, so recording a request takes no lock and
+/// allocates nothing.
 pub struct ServiceTelemetry {
-    registry: MetricsRegistry,
     started: Instant,
     next_request: AtomicU64,
     next_conn: AtomicU64,
-    requests_total: Arc<Counter>,
-    errors_total: Arc<Counter>,
-    failures_total: Arc<Counter>,
-    bytes_in: Arc<Counter>,
-    bytes_out: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    slow_total: Arc<Counter>,
-    panics_total: Arc<Counter>,
-    in_flight: Arc<Gauge>,
-    connections_open: Arc<Gauge>,
-    connections_opened: Arc<Counter>,
-    connections_closed: Arc<Counter>,
+    scalars: Scalars,
+    /// One entry per `op` label, sorted by label. Labels hold only
+    /// characters above `"`, so this is also the order of the
+    /// `name{op="..."}` keys.
+    ops: Box<[OpSeries]>,
     log: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
     slow_us: u64,
     scrub: bool,
@@ -177,7 +323,6 @@ impl ServiceTelemetry {
     ///
     /// Propagates request-log creation failures.
     pub fn new(config: &TelemetryConfig) -> std::io::Result<ServiceTelemetry> {
-        let registry = MetricsRegistry::new();
         let log = match &config.log {
             Some(path) => {
                 let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
@@ -190,24 +335,19 @@ impl ServiceTelemetry {
             }
             None => None,
         };
+        let mut ops: Vec<_> = NON_QUERY_OPS.into_iter().chain(command_names()).collect();
+        ops.sort_unstable();
+        let ops = ops.into_iter().map(|op| OpSeries {
+            op,
+            requests: AtomicU64::new(0),
+            latency: Histogram::new(),
+        });
         Ok(ServiceTelemetry {
-            requests_total: registry.counter("rpc.requests_total"),
-            errors_total: registry.counter("rpc.errors_total"),
-            failures_total: registry.counter("rpc.failures_total"),
-            bytes_in: registry.counter("rpc.bytes_in"),
-            bytes_out: registry.counter("rpc.bytes_out"),
-            cache_hits: registry.counter("rpc.cache_hits_total"),
-            cache_misses: registry.counter("rpc.cache_misses_total"),
-            slow_total: registry.counter("rpc.slow_requests_total"),
-            panics_total: registry.counter("rpc.panics_total"),
-            in_flight: registry.gauge("rpc.in_flight"),
-            connections_open: registry.gauge("rpc.connections_open"),
-            connections_opened: registry.counter("rpc.connections_opened"),
-            connections_closed: registry.counter("rpc.connections_closed"),
-            registry,
             started: Instant::now(),
             next_request: AtomicU64::new(1),
             next_conn: AtomicU64::new(1),
+            scalars: Scalars::default(),
+            ops: ops.collect(),
             log,
             slow_us: config.slow_us.unwrap_or(DEFAULT_SLOW_US),
             scrub: config.scrub,
@@ -231,31 +371,33 @@ impl ServiceTelemetry {
 
     /// Total requests observed so far.
     pub fn requests_total(&self) -> u64 {
-        self.requests_total.get()
+        load(&self.scalars.requests_total)
     }
 
     /// Counts a query whose execution panicked.
     pub fn record_panic(&self) {
-        self.panics_total.inc();
+        add(&self.scalars.panics_total, 1);
     }
 
     /// Registers a new connection and returns its id.
     pub fn open_connection(&self) -> u64 {
-        self.connections_opened.inc();
-        self.connections_open.inc();
+        add(&self.scalars.connections_opened, 1);
+        add(&self.scalars.connections_open, 1);
         self.next_conn.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Records a connection teardown.
     pub fn close_connection(&self) {
-        self.connections_closed.inc();
-        self.connections_open.dec();
+        add(&self.scalars.connections_closed, 1);
+        self.scalars
+            .connections_open
+            .fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Starts a request span: allocates the monotonic id, stamps the
     /// arrival time, and raises the in-flight gauge.
     pub fn begin_request(&self, conn: u64, bytes_in: u64) -> RequestSpan {
-        self.in_flight.inc();
+        add(&self.scalars.in_flight, 1);
         RequestSpan {
             id: self.next_request.fetch_add(1, Ordering::Relaxed),
             conn,
@@ -267,33 +409,40 @@ impl ServiceTelemetry {
         }
     }
 
+    /// The series of the `op` label, or of `other` for a label outside
+    /// the set.
+    fn op_series(&self, op: &str) -> &OpSeries {
+        let find = |op: &str| self.ops.binary_search_by(|s| s.op.cmp(op));
+        let i = find(op)
+            .or_else(|_| find(OTHER_OP))
+            .expect("the op set holds `other`");
+        &self.ops[i]
+    }
+
+    /// The series of every op seen so far, sorted by label.
+    fn seen_ops(&self) -> impl Iterator<Item = &OpSeries> {
+        self.ops.iter().filter(|s| load(&s.requests) > 0)
+    }
+
     /// Finishes a request span: closes the encode phase, lowers the
     /// in-flight gauge, records every metric, and appends the log line.
-    pub fn finish_request(&self, span: RequestSpan, outcome: &RequestOutcome<'_>) {
+    pub fn finish_request(&self, span: RequestSpan, outcome: &RequestOutcome) {
         let encode_us = span.elapsed_since_phase_start();
         let total_us = span.decode_us + span.execute_us + encode_us;
-        self.in_flight.dec();
-        self.requests_total.inc();
-        self.registry
-            .counter(&labeled("rpc.requests_total", "op", outcome.op))
-            .inc();
-        self.registry
-            .histogram(&labeled("rpc.request_latency_us", "op", outcome.op))
-            .observe(total_us);
-        if !outcome.ok {
-            self.errors_total.inc();
-        }
-        if outcome.failed {
-            self.failures_total.inc();
-        }
-        self.bytes_in.add(span.bytes_in);
-        self.bytes_out.add(outcome.bytes_out);
-        self.cache_hits.add(outcome.cache.hits);
-        self.cache_misses.add(outcome.cache.misses);
+        let m = &self.scalars;
+        m.in_flight.fetch_sub(1, Ordering::Relaxed);
+        add(&m.requests_total, 1);
+        let series = self.op_series(outcome.op);
+        add(&series.requests, 1);
+        series.latency.observe(total_us);
+        add(&m.errors_total, u64::from(!outcome.ok));
+        add(&m.failures_total, u64::from(outcome.failed));
+        add(&m.bytes_in, span.bytes_in);
+        add(&m.bytes_out, outcome.bytes_out);
+        add(&m.cache_hits, outcome.cache.hits);
+        add(&m.cache_misses, outcome.cache.misses);
         let slow = total_us >= self.slow_us;
-        if slow {
-            self.slow_total.inc();
-        }
+        add(&m.slow_total, u64::from(slow));
         if let Some(log) = &self.log {
             let mut w = log.lock().unwrap_or_else(|e| e.into_inner());
             let _ = writeln!(
@@ -301,7 +450,7 @@ impl ServiceTelemetry {
                 r#"{{"id":{},"conn":{},"op":"{}","start_us":{},"decode_us":{},"execute_us":{},"encode_us":{},"total_us":{},"bytes_in":{},"bytes_out":{},"cache_hits":{},"cache_misses":{},"ok":{},"failed":{},"slow":{}}}"#,
                 span.id,
                 span.conn,
-                outcome.op,
+                series.op,
                 span.start_us,
                 span.decode_us,
                 span.execute_us,
@@ -320,42 +469,98 @@ impl ServiceTelemetry {
     }
 
     /// The `syncopt.metrics.v1` document: uptime, totals, the daemon
-    /// version, and the full registry snapshot (per-op counters and
-    /// latency histograms). In scrub mode every timing-derived value is
+    /// version, and every metric of `METRICS` — `counters` and `gauges`
+    /// as flat key → value maps, `histograms` as key → histogram objects,
+    /// each sorted by key. In scrub mode every timing-derived value is
     /// zeroed while counts stay exact.
     pub fn metrics_json(&self) -> Value {
-        let scrub = self.scrub;
+        let int = |v: u64| Value::Int(v as i64);
+        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+        for (name, family) in METRICS {
+            match family {
+                Counter(get) => counters.push((name.into(), int(load(get(&self.scalars))))),
+                Gauge(get) => gauges.push((name.into(), int(load(get(&self.scalars))))),
+                Requests => {
+                    counters.push((name.into(), int(self.requests_total())));
+                    counters.extend(
+                        self.seen_ops()
+                            .map(|s| (op_key(name, s.op).into(), int(load(&s.requests)))),
+                    );
+                }
+                Latency => histograms.extend(
+                    self.seen_ops()
+                        .map(|s| (op_key(name, s.op).into(), s.latency.to_json(self.scrub))),
+                ),
+            }
+        }
+        let metrics = vec![
+            ("counters".into(), Value::Obj(counters)),
+            ("gauges".into(), Value::Obj(gauges)),
+            ("histograms".into(), Value::Obj(histograms)),
+        ];
         Value::Obj(vec![
             ("schema".into(), Value::Str(METRICS_SCHEMA.to_string())),
             ("version".into(), Value::Str(SERVICE_VERSION.to_string())),
-            (
-                "uptime_ms".into(),
-                Value::Int(if scrub {
-                    0
-                } else {
-                    (self.uptime_us() / 1000) as i64
-                }),
-            ),
-            (
-                "requests_total".into(),
-                Value::Int(self.requests_total() as i64),
-            ),
-            ("metrics".into(), self.registry.to_json(scrub)),
+            ("uptime_ms".into(), int(self.uptime_ms())),
+            ("requests_total".into(), int(self.requests_total())),
+            ("metrics".into(), Value::Obj(metrics)),
         ])
     }
 
-    /// The registry in Prometheus text exposition format, prefixed
-    /// `syncopt_`, plus the uptime as `syncopt_uptime_seconds`.
+    /// Every metric of `METRICS` in Prometheus text exposition format,
+    /// after the uptime as `syncopt_uptime_seconds`. Names gain the
+    /// `syncopt_` prefix with dots as underscores; a `# TYPE` line opens
+    /// each family that has a series; histograms expand to cumulative
+    /// `_bucket{op=...,le=...}` series (bounds in microseconds), `_sum`
+    /// and `_count`.
     pub fn prometheus_text(&self) -> String {
         let uptime = if self.scrub {
             0
         } else {
             self.uptime_us() / 1_000_000
         };
-        format!(
-            "# TYPE syncopt_uptime_seconds gauge\nsyncopt_uptime_seconds {uptime}\n{}",
-            self.registry.prometheus_text("syncopt")
-        )
+        let mut out =
+            format!("# TYPE syncopt_uptime_seconds gauge\nsyncopt_uptime_seconds {uptime}\n");
+        for (name, family) in METRICS {
+            let name = format!("syncopt_{}", name.replace('.', "_"));
+            let kind = match family {
+                Counter(_) | Requests => "counter",
+                Gauge(_) => "gauge",
+                Latency if self.seen_ops().next().is_none() => continue,
+                Latency => "histogram",
+            };
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            match family {
+                Counter(get) | Gauge(get) => {
+                    let _ = writeln!(out, "{name} {}", load(get(&self.scalars)));
+                }
+                Requests => {
+                    let _ = writeln!(out, "{name} {}", self.requests_total());
+                    for s in self.seen_ops() {
+                        let _ = writeln!(out, "{name}{{op=\"{}\"}} {}", s.op, load(&s.requests));
+                    }
+                }
+                Latency => {
+                    for s in self.seen_ops() {
+                        let (op, h) = (s.op, &s.latency);
+                        let mut cumulative = 0;
+                        for (i, n) in h.buckets.iter().map(load).enumerate() {
+                            cumulative += n;
+                            let le = Histogram::BOUNDS
+                                .get(i)
+                                .map_or("+Inf".to_string(), u64::to_string);
+                            let _ = writeln!(
+                                out,
+                                "{name}_bucket{{op=\"{op}\",le=\"{le}\"}} {cumulative}"
+                            );
+                        }
+                        let _ = writeln!(out, "{name}_sum{{op=\"{op}\"}} {}", load(&h.sum));
+                        let _ = writeln!(out, "{name}_count{{op=\"{op}\"}} {}", load(&h.count));
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -667,6 +872,80 @@ mod tests {
             .map(|e| e.get("dur").and_then(Value::as_int).unwrap())
             .sum();
         assert_eq!(dur_sum, 905);
+    }
+
+    fn outcome(op: &'static str) -> RequestOutcome {
+        RequestOutcome {
+            op,
+            ok: true,
+            failed: false,
+            bytes_out: 1,
+            cache: CacheStats::default(),
+        }
+    }
+
+    #[test]
+    fn histogram_buckets_and_extrema() {
+        let h = Histogram::new();
+        h.observe(10);
+        h.observe(100);
+        h.observe(2_000_000);
+        assert_eq!(load(&h.count), 3);
+        assert_eq!(load(&h.sum), 2_000_110);
+        assert_eq!(load(&h.min), 10);
+        assert_eq!(load(&h.max), 2_000_000);
+        let buckets: Vec<u64> = h.buckets.iter().map(load).collect();
+        assert_eq!(buckets[0], 1, "10us lands below the first rung");
+        assert_eq!(buckets[1], 1, "100us lands in [64, 256)");
+        assert_eq!(*buckets.last().unwrap(), 1, "2s overflows the ladder");
+        assert_eq!(buckets.iter().sum::<u64>(), load(&h.count));
+    }
+
+    #[test]
+    fn concurrent_updates_are_exact() {
+        let t = std::sync::Arc::new(ServiceTelemetry::new(&TelemetryConfig::default()).unwrap());
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let t = std::sync::Arc::clone(&t);
+                std::thread::spawn(move || {
+                    let conn = t.open_connection();
+                    for _ in 0..1000 {
+                        let span = t.begin_request(conn, 1);
+                        t.finish_request(span, &outcome("check"));
+                    }
+                    t.close_connection();
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(t.requests_total(), 8000);
+        let check = t.op_series("check");
+        assert_eq!(load(&check.requests), 8000);
+        assert_eq!(load(&check.latency.count), 8000);
+        assert_eq!(check.latency.buckets.iter().map(load).sum::<u64>(), 8000);
+        let m = &t.scalars;
+        assert_eq!(load(&m.bytes_in), 8000);
+        assert_eq!(load(&m.connections_opened), 8);
+        assert_eq!(load(&m.connections_open), 0);
+        assert_eq!(load(&m.in_flight), 0);
+    }
+
+    #[test]
+    fn the_metric_table_is_sorted_and_ops_are_closed() {
+        assert!(SERVICE_METRIC_NAMES.windows(2).all(|w| w[0] < w[1]));
+        let t = ServiceTelemetry::new(&TelemetryConfig::default()).unwrap();
+        let ops: Vec<_> = t.ops.iter().map(|s| s.op).collect();
+        assert!(ops.windows(2).all(|w| w[0] < w[1]), "{ops:?}");
+        for op in NON_QUERY_OPS.into_iter().chain(command_names()) {
+            assert_eq!(t.op_series(op).op, op);
+        }
+        // A label outside the set is counted as `other`.
+        assert_eq!(t.op_series("frobnicate").op, "other");
+        t.finish_request(t.begin_request(1, 1), &outcome("ping"));
+        let seen: Vec<_> = t.seen_ops().map(|s| s.op).collect();
+        assert_eq!(seen, ["ping"], "only an op that was seen has series");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 # enabled and disabled (`--no-telemetry`), that a request line nested
 # 200 000 deep and one longer than the 16 MiB line limit each come back
 # as `bad-request` with the daemon still answering `ping` afterwards
-# (sent raw with python3; skipped with a notice where there is none), and
+# (sent raw with python3; skipped with a notice where there is none),
+# that a query whose command holds a quote, a brace and newlines leaves
+# the Prometheus text well-formed and is counted under op="other", and
 # that `shutdown` stops the daemon cleanly and removes the socket file.
 # See docs/API.md for the syncopt.rpc.v1 protocol and
 # docs/OBSERVABILITY.md for the service metrics.
@@ -217,6 +219,40 @@ else
     echo "daemon_smoke: python3 not found, hostile-line requests skipped" >&2
 fi
 
+echo "== a hostile command is labeled other =="
+# A query whose command holds a quote, a brace and newlines (sent raw
+# with python3; skipped with a notice where there is none) must be
+# refused as an unknown command, and the Prometheus text must stay
+# well-formed, with the query counted under op="other".
+if command -v python3 > /dev/null 2>&1; then
+    python3 - "$SOCK" <<'PY' || exit 1
+import json, socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+query = {"command": '"} 1\nsyncopt_fake_metric 999\n#', "file": "hostile.ms"}
+s.sendall((json.dumps({"schema": "syncopt.rpc.v1", "id": 1, "op": "query", "query": query}) + "\n").encode())
+reply = json.loads(s.makefile("r", encoding="utf-8").readline())
+if "unknown command" not in (reply.get("failure") or ""):
+    sys.exit(f"daemon_smoke: the hostile command was not refused: {reply}")
+PY
+    prom_hostile="$TMPDIR_SMOKE/metrics-hostile.prom"
+    "$BIN" metrics --socket "$SOCK" > "$prom_hostile"
+    name='[a-zA-Z_:][a-zA-Z0-9_:]*'
+    label='[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"'
+    malformed=$(grep -Ev "^# TYPE $name (counter|gauge|histogram)\$|^$name(\{$label(,$label)*\})? -?[0-9]+\$" "$prom_hostile" || true)
+    if [ -n "$malformed" ]; then
+        echo "daemon_smoke: Prometheus output is malformed after a hostile command:" >&2
+        echo "$malformed" >&2
+        exit 1
+    fi
+    grep -q '^syncopt_rpc_requests_total{op="other"} [1-9]' "$prom_hostile" || {
+        echo "daemon_smoke: the hostile command was not counted under op=\"other\"" >&2
+        exit 1
+    }
+else
+    echo "daemon_smoke: python3 not found, hostile-command check skipped" >&2
+fi
+
 echo "== telemetry on vs off byte-identity =="
 SOCK_OFF="$TMPDIR_SMOKE/syncoptd-off.sock"
 "$DBIN" --socket "$SOCK_OFF" --no-telemetry 2> "$TMPDIR_SMOKE/daemon-off.log" &
@@ -254,4 +290,4 @@ if [ -e "$SOCK" ]; then
     exit 1
 fi
 
-echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, repeats answered from their stored reply, hostile lines refused, clean shutdown"
+echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, repeats answered from their stored reply, hostile lines refused, hostile commands labeled other, clean shutdown"

@@ -6,7 +6,7 @@
 //! them. The per-kind counts of warm requests are pinned: they are what
 //! a change to how keys are derived or carried must leave alone.
 
-use syncopt::commands::{execute, CmdOut, Format, Query};
+use syncopt::commands::{command_names, execute, CmdOut, Format, Query};
 use syncopt::core::corpus::{corpus_program, CORPUS_SEEDS};
 use syncopt::core::diag::json::Value;
 use syncopt::ir::print::cfg_to_string;
@@ -294,12 +294,9 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
 /// Every command `execute` knows, as one query each over a racy source
 /// (so `check` fails), plus the source-free and the unknown ones.
 fn every_command(source: &str) -> Vec<Query> {
-    let mut queries: Vec<Query> = [
-        "analyze", "opt", "run", "trace", "explain", "profile", "litmus", "check", "lint",
-    ]
-    .into_iter()
-    .map(|command| query(command, "every.ms", source, Format::Json))
-    .collect();
+    let mut queries: Vec<Query> = command_names()
+        .map(|command| query(command, "every.ms", source, Format::Json))
+        .collect();
     for command in ["check", "lint"] {
         queries.push(Query {
             command: command.to_string(),
