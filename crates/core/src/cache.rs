@@ -1,12 +1,12 @@
 //! Content-addressed artifact cache for incremental analysis.
 //!
 //! The session API (`syncopt::AnalysisSession`) keys every expensive
-//! pipeline artifact — parsed AST, per-function check verdicts, lowered
-//! CFG, delay-set analysis, optimized programs, lint reports, simulation
-//! results — by a [`Fingerprint`] of its inputs plus a short `kind` tag.
-//! Identical inputs therefore share one artifact, and editing one
-//! function of a program only recomputes the artifacts whose inputs
-//! actually changed.
+//! pipeline artifact — lowered source CFG, delay-set analysis, optimized
+//! programs, simulation results, race, lint and provenance reports, whole
+//! replies — by a [`Fingerprint`] of its inputs plus a short `kind` tag.
+//! Identical inputs therefore share one artifact, and an edit that leaves
+//! a program's canonical CFG alone only recomputes the artifacts keyed by
+//! its raw text.
 //!
 //! A cache of capacity 0 is **disabled**: it stores nothing, counts
 //! nothing, and — through [`ArtifactCache::get_or_with`], which takes the
@@ -112,17 +112,15 @@ macro_rules! kind_counter_names {
 
 /// Every kind the session API stores, with its dotted counter names spelled
 /// out so that exporting them formats nothing.
-const KIND_COUNTER_NAMES: [(&str, [&str; 3]); 11] = kind_counter_names![
-    "ast", "fncheck", "inlined", "cfg", "analysis", "opt", "sim", "races", "lint", "explain",
-    "reply",
-];
+const KIND_COUNTER_NAMES: [(&str, [&str; 3]); 8] =
+    kind_counter_names!["cfg", "analysis", "opt", "sim", "races", "lint", "explain", "reply"];
 
 /// Where a kind not listed above (a test's, a probe's) is counted.
 const OTHER_KIND_COUNTER_NAMES: [&str; 3] = kind_counter_names!["other"][0].1;
 
 /// A content-addressed LRU artifact store.
 ///
-/// Keys are `(kind, fingerprint)` pairs: the `kind` tag (`"ast"`,
+/// Keys are `(kind, fingerprint)` pairs: the `kind` tag (`"cfg"`,
 /// `"analysis"`, `"lint"`, …) namespaces artifact types so two artifact
 /// kinds derived from the same input text cannot collide, and the
 /// [`Fingerprint`] is a stable hash of everything the artifact depends
@@ -763,10 +761,10 @@ mod tests {
     fn per_kind_counters_track_activity() {
         let mut cache = ArtifactCache::new(8);
         let fp = Fingerprint::of("x");
-        cache.get_or_with("ast", || fp, || 1usize);
-        cache.get_or_with::<usize>("ast", || fp, || unreachable!());
-        assert_eq!(cache.kind_counters().get("cache.ast.misses"), 1);
-        assert_eq!(cache.kind_counters().get("cache.ast.hits"), 1);
+        cache.get_or_with("cfg", || fp, || 1usize);
+        cache.get_or_with::<usize>("cfg", || fp, || unreachable!());
+        assert_eq!(cache.kind_counters().get("cache.cfg.misses"), 1);
+        assert_eq!(cache.kind_counters().get("cache.cfg.hits"), 1);
         // A kind the session does not store is counted, under `other`.
         cache.get_or_with("probe", || fp, || 1usize);
         cache.get_or_with("n", || fp, || 1usize);
@@ -795,5 +793,25 @@ mod tests {
         assert_eq!(cache.stats().lookups(), 0);
         assert!(cache.kind_counters().is_empty());
         assert!(ArtifactCache::new(1).enabled());
+    }
+
+    /// The cache-key table of `docs/API.md` lists exactly the kinds the
+    /// session stores, in the order their counters are declared.
+    #[test]
+    fn the_api_doc_lists_every_kind_in_order() {
+        let doc = include_str!("../../../docs/API.md");
+        let table = doc
+            .split("\n### Cache keys\n")
+            .nth(1)
+            .expect("docs/API.md has a `Cache keys` section");
+        let kinds: Vec<&str> = table
+            .lines()
+            .skip_while(|line| !line.starts_with('|'))
+            .take_while(|line| line.starts_with('|'))
+            .skip(2)
+            .map(|row| row.split('|').nth(1).unwrap_or("").trim().trim_matches('`'))
+            .collect();
+        let declared: Vec<&str> = KIND_COUNTER_NAMES.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(kinds, declared);
     }
 }

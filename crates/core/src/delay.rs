@@ -131,23 +131,6 @@ impl DelaySet {
             count,
         }
     }
-
-    /// The delays whose *first* component is `u` (completions `v` must wait
-    /// for are found with [`DelaySet::delays_into`]).
-    pub fn delays_from(&self, u: AccessId) -> Vec<AccessId> {
-        self.m
-            .row_ones(u.index())
-            .map(AccessId::from_index)
-            .collect()
-    }
-
-    /// The accesses `u` that must complete before `v` issues.
-    pub fn delays_into(&self, v: AccessId) -> Vec<AccessId> {
-        (0..self.n)
-            .filter(|&u| self.m.get(u, v.index()))
-            .map(AccessId::from_index)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -201,16 +184,5 @@ mod tests {
         );
         assert_eq!(t.len(), 4);
         assert!(t.is_subset_of(&d) && !d.is_subset_of(&t));
-    }
-
-    #[test]
-    fn directional_queries() {
-        let mut d = DelaySet::new(4);
-        d.insert(a(0), a(2));
-        d.insert(a(0), a(3));
-        d.insert(a(1), a(3));
-        assert_eq!(d.delays_from(a(0)), vec![a(2), a(3)]);
-        assert_eq!(d.delays_into(a(3)), vec![a(0), a(1)]);
-        assert!(d.delays_into(a(0)).is_empty());
     }
 }

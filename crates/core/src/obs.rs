@@ -180,11 +180,6 @@ impl PhaseTimings {
             .unwrap_or(0)
     }
 
-    /// Sum of all recorded phase durations, in microseconds.
-    pub fn total_micros(&self) -> u64 {
-        self.phases.iter().map(|(_, v)| v).sum()
-    }
-
     /// The timings as a JSON object in pipeline order; every value is the
     /// phase duration in microseconds (all zeros when disabled).
     pub fn to_json(&self) -> json::Value {
@@ -254,6 +249,5 @@ mod tests {
         assert_eq!(t.get("second"), 99);
         let keys: Vec<&str> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["first", "second"]);
-        assert_eq!(t.total_micros(), t.get("first") + 99);
     }
 }

@@ -3,17 +3,11 @@
 //! The session/cache layer (`syncopt-core::cache`, `syncopt::session`)
 //! keys every expensive pipeline artifact by a hash of its inputs so an
 //! edited program only recomputes what actually changed. This module
-//! provides the hash itself — a 128-bit FNV-1a over canonical text — and
-//! the *context* fingerprint, which captures everything outside a function
-//! body that its type checking depends on (global declarations and every
-//! function signature); the session pairs it with a function's canonical
-//! text to key that function's check.
+//! provides the hash itself: a 128-bit FNV-1a over canonical text.
 //!
 //! Fingerprints are stable across processes and platforms: they depend
 //! only on canonical text, never on addresses, hash-map order, or time.
 
-use crate::ast::{Function, Program};
-use crate::pretty::decl_to_string;
 use std::fmt;
 
 /// 128-bit FNV-1a offset basis.
@@ -82,30 +76,9 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// Fingerprint of everything a function body's type checking can see
-/// besides its own text: every global declaration and every function
-/// signature (name and parameter types), in program order.
-pub fn context_fingerprint(program: &Program) -> Fingerprint {
-    let mut fp = Fingerprint::of("ctx.v1");
-    for decl in &program.decls {
-        fp = fp.push(&decl_to_string(decl));
-    }
-    for func in &program.functions {
-        fp = fp.push(&signature_string(func));
-    }
-    fp
-}
-
-/// A function's call signature as canonical text (`name(int, double)`).
-fn signature_string(func: &Function) -> String {
-    let params: Vec<String> = func.params.iter().map(|p| p.ty.to_string()).collect();
-    format!("{}({})", func.name, params.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_program;
 
     #[test]
     fn part_boundaries_do_not_collide() {
@@ -125,22 +98,5 @@ mod tests {
         assert_eq!(fp.push_u64(0x4241), fp.push("AB\0\0\0\0\0\0"));
         assert_ne!(fp.push_u64(1), fp.push_u64(256));
         assert_ne!(fp.push_u64(1).push_u64(2), fp.push_u64(2).push_u64(1));
-    }
-
-    #[test]
-    fn context_fingerprint_tracks_decls_and_signatures_only() {
-        let base =
-            parse_program("shared int X; fn f(int a) { work(a); } fn main() { f(1); }").unwrap();
-        // Editing a body leaves the context untouched.
-        let body = parse_program("shared int X; fn f(int a) { work(a + 1); } fn main() { f(1); }")
-            .unwrap();
-        assert_eq!(context_fingerprint(&base), context_fingerprint(&body));
-        // Changing a declaration or a signature changes it.
-        let decl =
-            parse_program("shared int Y; fn f(int a) { work(a); } fn main() { f(1); }").unwrap();
-        let sig = parse_program("shared int X; fn f(double a) { work(1); } fn main() { f(1.0); }")
-            .unwrap();
-        assert_ne!(context_fingerprint(&base), context_fingerprint(&decl));
-        assert_ne!(context_fingerprint(&base), context_fingerprint(&sig));
     }
 }

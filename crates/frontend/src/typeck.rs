@@ -40,16 +40,12 @@ pub fn check(program: &Program) -> Result<(), FrontendError> {
     Ok(())
 }
 
-/// The program-level facts a single function's type checking depends on:
+/// The program-level facts a function body's type checking depends on:
 /// the global declaration table plus every function signature. Building
 /// the context performs the program-level checks (duplicate declarations,
-/// duplicate or shadowing functions); individual functions can then be
-/// checked — and cached — independently via
-/// [`check_function`](ProgramContext::check_function). This is the
-/// per-function hook the incremental session API keys its `fncheck`
-/// artifacts on: a context fingerprint plus a function fingerprint
-/// identify a check result exactly.
-pub struct ProgramContext<'a> {
+/// duplicate or shadowing functions); [`check`] then checks each function
+/// against it.
+struct ProgramContext<'a> {
     program: &'a Program,
     globals: HashMap<&'a str, Binding>,
 }
@@ -61,7 +57,7 @@ impl<'a> ProgramContext<'a> {
     ///
     /// Returns duplicate-declaration, duplicate-function, or
     /// global-shadowing errors.
-    pub fn build(program: &'a Program) -> Result<Self, FrontendError> {
+    fn build(program: &'a Program) -> Result<Self, FrontendError> {
         let mut globals: HashMap<&str, Binding> = HashMap::new();
         for decl in &program.decls {
             let binding = match decl {
@@ -102,7 +98,7 @@ impl<'a> ProgramContext<'a> {
     /// # Errors
     ///
     /// Returns the first type error in the function body.
-    pub fn check_function(&self, func: &Function) -> Result<(), FrontendError> {
+    fn check_function(&self, func: &Function) -> Result<(), FrontendError> {
         Checker {
             program: self.program,
             globals: &self.globals,

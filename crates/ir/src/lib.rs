@@ -16,7 +16,7 @@
 //! Provided analyses (consumed by `syncopt-core` and `syncopt-codegen`):
 //!
 //! * dominators and postdominators ([`dom`]),
-//! * local def-use chains via reaching definitions ([`dataflow`]) and
+//! * local defs, uses and reordering dependences ([`dataflow`]) and
 //!   live variables ([`liveness`]),
 //! * program-order reachability between accesses ([`order`]),
 //! * natural-loop detection ([`loops`]).

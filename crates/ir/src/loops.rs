@@ -200,19 +200,6 @@ pub fn defined_in_loop(cfg: &Cfg, l: &NaturalLoop, var: crate::ids::VarId) -> bo
     })
 }
 
-/// Convenience: the set of blocks belonging to *any* loop.
-pub fn blocks_in_loops(loops: &[NaturalLoop]) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    for l in loops {
-        for &b in &l.blocks {
-            if !out.contains(&b) {
-                out.push(b);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,24 +294,5 @@ mod tests {
         let outside = cfg.vars.by_name("outside").unwrap();
         assert!(defined_in_loop(&cfg, &loops[0], i));
         assert!(!defined_in_loop(&cfg, &loops[0], outside));
-    }
-
-    #[test]
-    fn blocks_in_loops_deduplicates() {
-        let (_, loops) = loops_of(
-            r#"
-            fn main() {
-                int i; int j;
-                for (i = 0; i < 4; i = i + 1) {
-                    for (j = 0; j < 4; j = j + 1) { work(1); }
-                }
-            }
-            "#,
-        );
-        let all = blocks_in_loops(&loops);
-        let mut dedup = all.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(all.len(), dedup.len());
     }
 }

@@ -436,7 +436,7 @@ pub fn render_err(src: &str, file: &str, e: &SyncoptError) -> String {
 }
 
 fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.analyzed(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -673,7 +673,7 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.analyzed(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -730,7 +730,7 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_litmus(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
+    let c = match session.analyzed(src, &session_options(q, OptLevel::Blocking)) {
         Ok(c) => c,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -809,31 +809,22 @@ impl CheckOutcome {
 fn run_check(
     session: &mut AnalysisSession,
     src: &str,
-    cfg: &syncopt_ir::cfg::Cfg,
     q: &Query,
 ) -> Result<CheckOutcome, SyncoptError> {
-    let races = session.races(src, &session_options(q, OptLevel::Blocking))?;
+    let opts = session_options(q, OptLevel::Blocking);
+    let analyzed = session.analyzed(src, &opts)?;
+    let cfg = analyzed.source_cfg();
+    let races = session.races(src, &opts)?;
     let mut diags = race_diagnostics(cfg, &races);
     for w in syncopt_core::sync_warnings(cfg) {
         diags.push(w.to_diagnostic(cfg));
     }
     if q.strict {
-        let lint = session.lint(src, &session_options(q, OptLevel::Blocking))?;
+        let lint = session.lint(src, &opts)?;
         diags.extend(lint.diagnostics.iter().cloned());
     }
     finalize_diagnostics(&mut diags, q);
     Ok(CheckOutcome { races, diags })
-}
-
-/// `run_check` without a session, for kernel sources that live outside
-/// the query (the per-kernel artifacts still cache via `session`).
-fn run_check_direct(
-    session: &mut AnalysisSession,
-    src: &str,
-    q: &Query,
-) -> Result<CheckOutcome, SyncoptError> {
-    let compiled = session.compile_shared(src, &session_options(q, OptLevel::Blocking))?;
-    run_check(session, src, compiled.source_cfg(), q)
 }
 
 /// Applies `--deny`/`--allow` severity overrides, then the `--strict`
@@ -885,11 +876,7 @@ fn check_summary_json(outcome: &CheckOutcome) -> json::Value {
 }
 
 fn cmd_check(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile_shared(src, &session_options(q, OptLevel::Blocking)) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
-    };
-    let outcome = match run_check(session, src, c.source_cfg(), q) {
+    let outcome = match run_check(session, src, q) {
         Ok(o) => o,
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
@@ -944,7 +931,7 @@ fn cmd_check_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     let mut failed = 0usize;
     let mut rows = Vec::new();
     for kernel in syncopt_kernels::all_kernels(q.procs) {
-        let outcome = match run_check_direct(session, &kernel.source, q) {
+        let outcome = match run_check(session, &kernel.source, q) {
             Ok(o) => o,
             Err(e) => {
                 return CmdOut::fail(render_err(&kernel.source, kernel.name, &e));

@@ -14,9 +14,6 @@
 //!
 //! | kind       | keyed by                                            | stores |
 //! |------------|-----------------------------------------------------|--------|
-//! | `ast`      | raw source text                                     | parsed [`Program`] (+ its memoized `fncheck` keys) |
-//! | `fncheck`  | context fingerprint + canonical function text       | per-function type-check verdict |
-//! | `inlined`  | raw source text                                     | inlined [`Program`] |
 //! | `cfg`      | raw source text                                     | lowered source [`Cfg`] (+ the memoized fingerprint of its canonical text) |
 //! | `analysis` | canonical source-CFG text + procs (`analysis.v2`)   | [`Analysis`] |
 //! | `opt`      | canonical source-CFG text + procs + level + delay (`opt.v2`) | [`Optimized`], access spans cleared (+ the memoized fingerprint of its canonical text) |
@@ -26,7 +23,15 @@
 //! | `explain`  | raw source text + procs                             | [`ExplainReport`] |
 //! | `reply`    | raw source text + every `Query` field               | the [`CmdOut`] of one [`execute`] request, failures included |
 //!
-//! Span-bearing artifacts (`ast`, `cfg`, `lint` diagnostics) key on the
+//! The front end is one stage. A request looks up `cfg` under its raw
+//! source text, and only on a miss parses, type-checks, inlines and lowers
+//! it: the parsed and inlined programs are steps on the way to the CFG
+//! that every later stage reads, and are not kept. The same stage then
+//! looks up the `analysis`. Commands that read nothing else — `analyze`,
+//! `check`, `explain`, `litmus` — stop there; `compile` goes on to
+//! optimize.
+//!
+//! Span-bearing artifacts (`cfg`, `lint` diagnostics) key on the
 //! *raw* source so two texts that differ only in whitespace never share
 //! an artifact with stale spans. Span-free artifacts (`analysis`, `opt`,
 //! `sim`) key on the canonical text of a CFG, so an edit that does not
@@ -107,7 +112,6 @@
 //! [`AccessId`]: syncopt_ir::ids::AccessId
 //! [`CmdOut`]: crate::commands::CmdOut
 //! [`execute`]: crate::commands::execute
-//! [`Program`]: syncopt_frontend::Program
 //! [`SimResult`]: syncopt_machine::SimResult
 //! [`VarTable`]: syncopt_ir::vars::VarTable
 
@@ -117,17 +121,14 @@ use crate::{
     Compiled, DelayChoice, OptLevel, PipelineReport, ProfileReport, RunResult, SimReport,
     SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT,
 };
-use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 use syncopt_codegen::Optimized;
 use syncopt_core::cache::{ArtifactCache, CacheStats};
 use syncopt_core::{
     Analysis, Counters, ExplainReport, LintReport, PhaseTimings, RaceAnalysis, SyncOptions,
 };
-use syncopt_frontend::fingerprint::{context_fingerprint, Fingerprint};
-use syncopt_frontend::pretty::function_to_string;
+use syncopt_frontend::fingerprint::Fingerprint;
 use syncopt_frontend::span::Span;
-use syncopt_frontend::typeck::ProgramContext;
 use syncopt_frontend::Program;
 use syncopt_ir::cfg::{Cfg, Terminator};
 use syncopt_ir::expr::Expr;
@@ -219,31 +220,25 @@ impl<T> Keyed<T> {
     }
 }
 
-/// The `ast` artifact: the parsed program with the `fncheck` key of each
-/// of its functions, derived (pretty-print, hash) on first use only.
-#[derive(Debug)]
-struct Parsed {
-    program: Program,
-    fncheck_keys: OnceLock<Vec<Fingerprint>>,
+/// The source CFG of one request and its delay-set analysis, both shared
+/// with the cache, and the timings of the phases that produced them.
+pub(crate) struct Analyzed {
+    source: Arc<Keyed<Cfg>>,
+    pub(crate) analysis: Arc<Analysis>,
+    timings: PhaseTimings,
 }
 
-impl Parsed {
-    fn derive_fncheck_keys(&self) -> Vec<Fingerprint> {
-        let stem = context_fingerprint(&self.program).push("fncheck.v1");
-        self.program
-            .functions
-            .iter()
-            .map(|func| stem.push(&function_to_string(func)))
-            .collect()
+impl Analyzed {
+    pub(crate) fn source_cfg(&self) -> &Cfg {
+        &self.source.artifact
     }
+}
 
-    /// One key per function, in program order: the context fingerprint
-    /// plus the function's canonical text.
-    fn fncheck_keys(&self) -> &[Fingerprint] {
-        let keys = self.fncheck_keys.get_or_init(|| self.derive_fncheck_keys());
-        debug_assert_eq!(*keys, self.derive_fncheck_keys(), "stale fncheck keys");
-        keys
-    }
+/// What the `parse` phase found: the cached source CFG, or a freshly
+/// parsed program still to check, inline and lower.
+enum Lookup {
+    Hit(Arc<Keyed<Cfg>>),
+    Miss(Program),
 }
 
 /// What the cached pipeline produced for one request, every artifact
@@ -506,9 +501,12 @@ impl AnalysisSession {
         if let Some(hit) = key.and_then(|key| self.cache.get::<T>(kind, key)) {
             return Ok(hit);
         }
-        let cfg = self.cfg_inner(src)?;
-        let analysis = analysis_cached(&mut self.cache, &cfg, opts);
-        let artifact = Arc::new(build(&cfg.artifact, &analysis, &opts.sync_options()));
+        let analyzed = self.analyzed(src, opts)?;
+        let artifact = Arc::new(build(
+            analyzed.source_cfg(),
+            &analyzed.analysis,
+            &opts.sync_options(),
+        ));
         if let Some(key) = key {
             self.cache.insert_arc(kind, key, Arc::clone(&artifact));
         }
@@ -568,20 +566,71 @@ impl AnalysisSession {
         })
     }
 
+    /// The source CFG of `src` and its analysis for `opts`. The CFG is the
+    /// `cfg` entry under the raw source text; on a miss `src` is parsed,
+    /// type-checked, inlined and lowered, each step timed as its own phase
+    /// (on a hit the lookup is timed as `parse` and the other three record
+    /// 0). Failures are returned, never cached.
+    pub(crate) fn analyzed(
+        &mut self,
+        src: &str,
+        opts: &SessionOptions,
+    ) -> Result<Analyzed, SyncoptError> {
+        let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
+        let key = self.cache.enabled().then(|| src_fingerprint(src));
+        let cache = &mut self.cache;
+        let lookup = timings.time("parse", || {
+            match key.and_then(|key| cache.get::<Keyed<Cfg>>("cfg", key)) {
+                Some(hit) => Ok(Lookup::Hit(hit)),
+                None => syncopt_frontend::parse_program(src).map(Lookup::Miss),
+            }
+        })?;
+        let source = match lookup {
+            Lookup::Hit(source) => {
+                for phase in ["typeck", "inline", "lower"] {
+                    timings.record(phase, 0);
+                }
+                source
+            }
+            Lookup::Miss(program) => {
+                timings.time("typeck", || syncopt_frontend::typeck::check(&program))?;
+                let inlined = timings.time("inline", || {
+                    syncopt_frontend::inline::inline_program(&program)
+                })?;
+                let cfg = timings.time("lower", || syncopt_ir::lower::lower_main(&inlined))?;
+                let source = Arc::new(Keyed::new(cfg, "analysis.v2", |cfg| cfg));
+                if let Some(key) = key {
+                    cache.insert_arc("cfg", key, Arc::clone(&source));
+                }
+                source
+            }
+        };
+        let analysis = timings.time("analyze", || {
+            cache.get_or_with(
+                "analysis",
+                || source.text_key().push(&procs_part(opts.procs)),
+                || syncopt_core::analyze_with(&source.artifact, &opts.sync_options()),
+            )
+        });
+        Ok(Analyzed {
+            source,
+            analysis,
+            timings,
+        })
+    }
+
     /// [`compile`](AnalysisSession::compile) without the copies.
     pub(crate) fn compile_shared(
         &mut self,
         src: &str,
         opts: &SessionOptions,
     ) -> Result<SharedCompiled, SyncoptError> {
-        let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
-        let src_fp = SrcKey::new(src);
+        let Analyzed {
+            source,
+            analysis,
+            mut timings,
+        } = self.analyzed(src, opts)?;
         let cache = &mut self.cache;
-        let ast = timings.time("parse", || parse_cached(cache, &src_fp))?;
-        timings.time("typeck", || check_cached(cache, &ast))?;
-        let inlined = timings.time("inline", || inline_cached(cache, &ast, &src_fp))?;
-        let source = timings.time("lower", || lower_cached(cache, &inlined, &src_fp))?;
-        let analysis = timings.time("analyze", || analysis_cached(cache, &source, opts));
         let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
             let key = || {
                 source
@@ -616,38 +665,6 @@ impl AnalysisSession {
             optimized,
             report,
         })
-    }
-
-    /// The cached source CFG for `src` (the parse → typeck → inline →
-    /// lower prefix of the pipeline, without timings).
-    fn cfg_inner(&mut self, src: &str) -> Result<Arc<Keyed<Cfg>>, SyncoptError> {
-        let src_fp = SrcKey::new(src);
-        let cache = &mut self.cache;
-        let ast = parse_cached(cache, &src_fp)?;
-        check_cached(cache, &ast)?;
-        let inlined = inline_cached(cache, &ast, &src_fp)?;
-        Ok(lower_cached(cache, &inlined, &src_fp)?)
-    }
-}
-
-/// A source text with its fingerprint — the key of every span-bearing
-/// artifact — hashed when the first enabled cache asks for it, and never
-/// for a disabled one.
-struct SrcKey<'a> {
-    src: &'a str,
-    fingerprint: OnceCell<Fingerprint>,
-}
-
-impl<'a> SrcKey<'a> {
-    fn new(src: &'a str) -> Self {
-        SrcKey {
-            src,
-            fingerprint: OnceCell::new(),
-        }
-    }
-
-    fn get(&self) -> Fingerprint {
-        *self.fingerprint.get_or_init(|| src_fingerprint(self.src))
     }
 }
 
@@ -719,93 +736,6 @@ fn push_machine(stem: Fingerprint, config: &MachineConfig) -> Fingerprint {
     numbers
         .iter()
         .fold(stem.push(name), |key, &n| key.push_u64(n))
-}
-
-/// The cached `ast` artifact for `src`.
-fn parse_cached(
-    cache: &mut ArtifactCache,
-    src: &SrcKey<'_>,
-) -> Result<Arc<Parsed>, syncopt_frontend::FrontendError> {
-    cache.get_or_try_with(
-        "ast",
-        || src.get(),
-        || {
-            Ok(Parsed {
-                program: syncopt_frontend::parse_program(src.src)?,
-                fncheck_keys: OnceLock::new(),
-            })
-        },
-    )
-}
-
-/// The cached `inlined` artifact: `ast` with every call expanded.
-fn inline_cached(
-    cache: &mut ArtifactCache,
-    ast: &Parsed,
-    src: &SrcKey<'_>,
-) -> Result<Arc<Program>, syncopt_frontend::FrontendError> {
-    cache.get_or_try_with(
-        "inlined",
-        || src.get(),
-        || syncopt_frontend::inline::inline_program(&ast.program),
-    )
-}
-
-/// The cached `cfg` artifact: the lowered source CFG of `inlined`.
-fn lower_cached(
-    cache: &mut ArtifactCache,
-    inlined: &Program,
-    src: &SrcKey<'_>,
-) -> Result<Arc<Keyed<Cfg>>, syncopt_ir::lower::LowerError> {
-    cache.get_or_try_with(
-        "cfg",
-        || src.get(),
-        || {
-            Ok(Keyed::new(
-                syncopt_ir::lower::lower_main(inlined)?,
-                "analysis.v2",
-                |cfg| cfg,
-            ))
-        },
-    )
-}
-
-/// Type checks the program with per-function caching: the program-level
-/// checks run every time (they are cheap and produce the first error in
-/// declaration order), while each function body's verdict is keyed by the
-/// context fingerprint plus the function's canonical text — so editing
-/// one function of an N-function program re-checks only that function.
-/// Only successes are cached; errors re-diagnose with fresh spans. A
-/// disabled cache has no verdicts and asks for no key, so no function is
-/// printed: each one is just checked.
-fn check_cached(
-    cache: &mut ArtifactCache,
-    ast: &Parsed,
-) -> Result<(), syncopt_frontend::FrontendError> {
-    let ctx = ProgramContext::build(&ast.program)?;
-    for (i, func) in ast.program.functions.iter().enumerate() {
-        cache.get_or_try_with(
-            "fncheck",
-            || ast.fncheck_keys()[i],
-            || ctx.check_function(func),
-        )?;
-    }
-    Ok(())
-}
-
-/// The cached delay-set analysis for a source CFG. Keyed by the
-/// *canonical printed* CFG (span-free, like [`Analysis`] itself) plus the
-/// processor count, so formatting-only edits reuse the analysis.
-fn analysis_cached(
-    cache: &mut ArtifactCache,
-    cfg: &Keyed<Cfg>,
-    opts: &SessionOptions,
-) -> Arc<Analysis> {
-    cache.get_or_with(
-        "analysis",
-        || cfg.text_key().push(&procs_part(opts.procs)),
-        || syncopt_core::analyze_with(&cfg.artifact, &opts.sync_options()),
-    )
 }
 
 #[cfg(test)]
@@ -900,8 +830,8 @@ mod tests {
     }
 
     /// A session without a cache runs the same stages to the same report
-    /// and derives none of the keys: no CFG was printed, no function
-    /// pretty-printed, nothing looked up, nothing kept.
+    /// and derives none of the keys: no source text hashed, no CFG
+    /// printed, nothing looked up, nothing kept.
     #[test]
     fn a_session_of_capacity_zero_derives_no_key_and_keeps_nothing() {
         let config = MachineConfig::cm5(4);
@@ -953,19 +883,6 @@ mod tests {
         }
         assert_eq!(off.cache_stats(), CacheStats::default());
         assert_eq!(off.cached_artifacts(), 0);
-    }
-
-    #[test]
-    fn single_function_edit_reuses_unedited_function_checks() {
-        let mut s = AnalysisSession::new();
-        s.compile(SRC, &opts(4)).unwrap();
-        // Edit only `main`: `helper` keeps its fingerprint and its cached
-        // verdict, so typeck re-checks exactly one function.
-        let edited = SRC.replace("MYPROC * 2", "MYPROC * 3");
-        s.compile(&edited, &opts(4)).unwrap();
-        let kinds = s.kind_counters();
-        assert_eq!(kinds.get("cache.fncheck.hits"), 1, "{kinds:?}");
-        assert_eq!(kinds.get("cache.fncheck.misses"), 3, "{kinds:?}");
     }
 
     #[test]
@@ -1032,8 +949,8 @@ mod tests {
         }
         // The keys the session looked up are the documented ones, part for
         // part: extending a memoized stem is hashing the parts in order.
-        let source = s.cfg_inner(SRC).unwrap();
-        let stem = canonical("analysis.v2", &source.artifact);
+        let source = s.analyzed(SRC, &opts(4)).unwrap();
+        let stem = canonical("analysis.v2", source.source_cfg());
         assert!(s
             .cache
             .get::<Analysis>("analysis", stem.push("4"))
@@ -1054,24 +971,13 @@ mod tests {
                 "{level}"
             );
         }
-        let ast = parse_cached(&mut s.cache, &SrcKey::new(SRC)).unwrap();
-        let ctx_fp = context_fingerprint(&ast.program);
-        for (func, key) in ast.program.functions.iter().zip(ast.fncheck_keys()) {
-            let text = function_to_string(func);
-            assert_eq!(*key, ctx_fp.push("fncheck.v1").push(&text), "{}", func.name);
-            assert!(
-                s.cache.get::<()>("fncheck", *key).is_some(),
-                "{}",
-                func.name
-            );
-        }
 
         // The remaining storage kinds, each with its element count and
         // type, and a float constant: `1.5` is the second of the five
         // expression nodes (`0`, `1.5`, `d[0]`, its `0`, `1`).
         let kinds = "shared double X; flag G[2]; lock L;\n\
                      fn main() { double d[3]; d[0] = 1.5; lock L; X = d[0]; unlock L; post G[1]; }";
-        let cfg = s.cfg_inner(kinds).unwrap();
+        let cfg = s.analyzed(kinds, &opts(4)).unwrap().source;
         let key = Fingerprint::of("analysis.v2").push_u64(4);
         let key = key.push("X").push("shared").push_u64(0).push("double");
         let key = key.push("G").push("flag[]").push_u64(2).push("flag");
@@ -1202,5 +1108,7 @@ mod tests {
         let e2 = s.compile(bad, &opts(2)).unwrap_err();
         assert_eq!(e1.to_string(), e2.to_string());
         assert!(e1.to_string().contains("unknown variable"));
+        // The source parses but fails type checking: nothing is kept.
+        assert_eq!(s.cached_artifacts(), 0);
     }
 }

@@ -96,10 +96,10 @@ fn reformatted_source_on_a_warm_daemon_is_byte_identical_to_direct_mode() {
             let direct = execute(&mut AnalysisSession::new(), &q);
             let (remote, served) = client.query(&q).expect(command);
             assert_eq!(remote, direct, "{command} {name}");
-            // ast, inlined, cfg and the stored reply are keyed by the raw
-            // text; nothing else is rebuilt — except a simulation that
-            // fails, which is never cached.
-            let rebuilt = 4 + u64::from(remote.failure.is_some());
+            // cfg and the stored reply are keyed by the raw text; nothing
+            // else is rebuilt — except a simulation that fails, which is
+            // never cached.
+            let rebuilt = 2 + u64::from(remote.failure.is_some());
             assert_eq!(served.misses, rebuilt, "{command} {name}: {served:?}");
         }
     }

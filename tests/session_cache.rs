@@ -127,7 +127,6 @@ fn single_function_edit_matches_cold_and_reuses_unedited_checks() {
         let v1 = query(command, "edit.ms", TWO_FN_V1, Format::Json);
         assert_eq!(execute(&mut session, &v1), cold(&v1), "{command} v1");
     }
-    let fncheck_hits_before = session.kind_counters().get("cache.fncheck.hits");
     for command in COMMANDS {
         let v2 = query(command, "edit.ms", TWO_FN_V2, Format::Json);
         assert_eq!(
@@ -136,12 +135,6 @@ fn single_function_edit_matches_cold_and_reuses_unedited_checks() {
             "{command} after single-function edit"
         );
     }
-    // The edited program's first compile re-checked only `main`; the
-    // verdict for the unedited `helper` was served from cache.
-    assert!(
-        session.kind_counters().get("cache.fncheck.hits") > fncheck_hits_before,
-        "unedited function's check verdict must be reused across the edit"
-    );
 }
 
 #[test]
@@ -170,9 +163,8 @@ fn annotated_report_proves_warm_rerun_does_less_work() {
 }
 
 /// Every artifact kind the session caches.
-const KINDS: [&str; 11] = [
-    "ast", "fncheck", "inlined", "cfg", "analysis", "opt", "sim", "races", "lint", "explain",
-    "reply",
+const KINDS: [&str; 8] = [
+    "cfg", "analysis", "opt", "sim", "races", "lint", "explain", "reply",
 ];
 
 /// The session's cumulative `(hits, misses)` per kind, in `KINDS` order.
@@ -225,35 +217,34 @@ fn cold_warm_and_renamed_activity(queries: &[Query]) -> [String; 3] {
 
 /// Per-kind lookups as they were before fingerprints were carried on the
 /// artifacts (taken at commit 45ffd83): memoizing a key must not add,
-/// drop or re-route a single lookup. Two changes since were made on
+/// drop or re-route a single lookup. Three changes since were made on
 /// purpose. A cold `check` classifies races from the `analysis` artifact
 /// its compile just cached (one more `analysis` hit per program) instead
-/// of analyzing the program a second time. And every request first looks
-/// up its stored `reply`: a repeat finds it and looks up nothing else,
-/// while the same query under another display name misses it and makes
-/// exactly the artifact lookups of a warm request.
+/// of analyzing the program a second time. Every request first looks up
+/// its stored `reply`: a repeat finds it and looks up nothing else, while
+/// the same query under another display name misses it and makes exactly
+/// the artifact lookups of a warm request. And the front end is the one
+/// `cfg` entry (no parsed, inlined or per-function checked program is
+/// kept), while `check` and `analyze` read no optimized program, so they
+/// look up no `opt`.
 #[test]
 fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
     let pinned = [
         (
             "check",
-            "ast 5/5, fncheck 5/5, inlined 5/5, cfg 5/5, analysis 5/5, opt 0/5, races 0/5",
-            "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0, races 5/0",
+            "cfg 5/5, analysis 5/5, races 0/5",
+            "cfg 5/0, analysis 5/0, races 5/0",
         ),
-        (
-            "analyze",
-            "ast 0/5, fncheck 0/5, inlined 0/5, cfg 0/5, analysis 0/5, opt 0/5",
-            "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0",
-        ),
+        ("analyze", "cfg 0/5, analysis 0/5", "cfg 5/0, analysis 5/0"),
         (
             "run",
-            "ast 0/5, fncheck 0/5, inlined 0/5, cfg 0/5, analysis 0/5, opt 0/5, sim 0/5",
-            "ast 5/0, fncheck 5/0, inlined 5/0, cfg 5/0, analysis 5/0, opt 5/0, sim 5/0",
+            "cfg 0/5, analysis 0/5, opt 0/5, sim 0/5",
+            "cfg 5/0, analysis 5/0, opt 5/0, sim 5/0",
         ),
         (
             "profile",
-            "ast 5/5, fncheck 5/5, inlined 5/5, cfg 5/5, analysis 5/5, opt 0/10, sim 0/10",
-            "ast 10/0, fncheck 10/0, inlined 10/0, cfg 10/0, analysis 10/0, opt 10/0, sim 10/0",
+            "cfg 5/5, analysis 5/5, opt 0/10, sim 0/10",
+            "cfg 10/0, analysis 10/0, opt 10/0, sim 10/0",
         ),
     ];
     let kernels = all_kernels(4);
@@ -279,13 +270,9 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
     assert_eq!(
         cold_warm_and_renamed_activity(&corpus),
         [
-            "ast 220/220, fncheck 220/220, inlined 220/220, cfg 220/220, \
-             analysis 220/220, opt 0/220, races 0/220, reply 0/220"
-                .to_string(),
+            "cfg 220/220, analysis 220/220, races 0/220, reply 0/220".to_string(),
             "reply 220/0".to_string(),
-            "ast 220/0, fncheck 220/0, inlined 220/0, cfg 220/0, analysis 220/0, opt 220/0, \
-             races 220/0, reply 0/220"
-                .to_string(),
+            "cfg 220/0, analysis 220/0, races 220/0, reply 0/220".to_string(),
         ],
         "check over the 220-program corpus"
     );
@@ -339,14 +326,14 @@ fn a_cache_delta_around_execute_covers_the_whole_request() {
         let whole = session.cache_stats().since(before);
         assert_eq!((whole.hits, whole.misses), (1, 0), "warm {}", q.command);
     }
-    // A cold `check` misses its reply, compiles (six misses, `ast`
-    // through `opt`) and then classifies races (five hits, one `races`
-    // miss). A delta taken around the last step alone reads 5 hits and
-    // 1 miss.
+    // A cold `check` misses its reply, analyzes (misses `cfg` and
+    // `analysis`) and then classifies races (one `races` miss, then hits
+    // on `cfg` and `analysis`). A delta taken around the last step alone
+    // reads 2 hits and 1 miss.
     let mut session = AnalysisSession::new();
     execute(&mut session, &query("check", "racy.ms", RACY, Format::Json));
     let stats = session.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (5, 8), "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (2, 4), "{stats:?}");
 }
 
 /// Traces are request-scoped: `trace` and `run --trace` run every time
@@ -450,31 +437,13 @@ fn reformatted_source_still_hits_the_canonical_cfg_keys() {
         // optimized nor simulated again.
         assert_eq!(
             kind_delta(&before, &kind_counts(&session)),
-            "ast 0/1, fncheck 1/0, inlined 0/1, cfg 0/1, analysis 1/0, opt 1/0, sim 1/0",
+            "cfg 0/1, analysis 1/0, opt 1/0, sim 1/0",
             "{}",
             kernel.name
         );
         assert_eq!(first.sim.memory, second.sim.memory, "{}", kernel.name);
         assert_eq!(first.report().sim, second.report().sim, "{}", kernel.name);
     }
-}
-
-#[test]
-fn one_function_edit_rechecks_exactly_the_edited_function() {
-    let mut session = AnalysisSession::new();
-    let opts = SessionOptions::default();
-    session.compile(TWO_FN_V1, &opts).unwrap();
-    session.compile(TWO_FN_V2, &opts).unwrap();
-    let kinds = session.kind_counters();
-    // v1 checks `helper` and `main`; v2 finds `helper` checked and checks
-    // the edited `main`.
-    assert_eq!(kinds.get("cache.fncheck.hits"), 1, "{kinds:?}");
-    assert_eq!(kinds.get("cache.fncheck.misses"), 3, "{kinds:?}");
-    // A third compile of either version checks nothing.
-    session.compile(TWO_FN_V1, &opts).unwrap();
-    let kinds = session.kind_counters();
-    assert_eq!(kinds.get("cache.fncheck.hits"), 3, "{kinds:?}");
-    assert_eq!(kinds.get("cache.fncheck.misses"), 3, "{kinds:?}");
 }
 
 /// The same program under a leading comment, blank lines and a trailing
@@ -508,7 +477,7 @@ fn reformatted_source_compiles_to_the_cold_result_without_reoptimizing() {
         let warm = session.compile(&text, &opts).unwrap();
         assert_eq!(
             kind_delta(&before, &kind_counts(&session)),
-            "ast 0/1, fncheck 1/0, inlined 0/1, cfg 0/1, analysis 1/0, opt 1/0",
+            "cfg 0/1, analysis 1/0, opt 1/0",
             "{name}"
         );
         let cold = Syncopt::new(&text).procs(4).compile().unwrap();
