@@ -462,7 +462,7 @@ pub mod json {
     }
 
     /// Appends `n` in decimal, formed in a stack buffer.
-    fn write_int(out: &mut String, n: i64) {
+    pub fn write_int(out: &mut String, n: i64) {
         // The magnitude as `u64`: `i64::MIN` has none as `i64`.
         let mut m = n.unsigned_abs();
         let mut digits = [0u8; 20];
@@ -481,10 +481,12 @@ pub mod json {
         out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
-    /// Appends `s` as a JSON string literal. Bytes that need no escape are
-    /// appended as maximal runs, one `push_str` per run; every byte that
-    /// needs one is ASCII, so a run always ends on a `char` boundary.
-    fn write_escaped(out: &mut String, s: &str) {
+    /// Appends `s` as a JSON string literal: the one escaper, which
+    /// [`Value::write_to`] and every hand-spliced document call. Bytes that
+    /// need no escape are appended as maximal runs, one `push_str` per run;
+    /// every byte that needs one is ASCII, so a run always ends on a `char`
+    /// boundary.
+    pub fn write_escaped(out: &mut String, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         out.reserve(s.len() + 2);
         out.push('"');

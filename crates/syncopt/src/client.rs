@@ -50,8 +50,10 @@ impl DaemonClient {
     fn call(&mut self, encode: impl FnOnce(i64) -> Value) -> Result<Reply, String> {
         let id = self.next_id;
         self.next_id += 1;
-        write_message(&mut self.writer, &mut self.line, &encode(id))
-            .map_err(|e| format!("cannot send request: {e}"))?;
+        write_message(&mut self.writer, &mut self.line, |buf| {
+            encode(id).write_to(buf)
+        })
+        .map_err(|e| format!("cannot send request: {e}"))?;
         self.line.clear();
         let n = self
             .reader

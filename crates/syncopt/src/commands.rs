@@ -14,7 +14,8 @@
 //! JSON document on stdout; diagnostics and progress notes go to stderr.
 
 use crate::report::level_label;
-use crate::session::{AnalysisSession, SessionOptions};
+use crate::rpc::Answer;
+use crate::session::{AnalysisSession, Replied, SessionOptions};
 use crate::{DelayChoice, OptLevel, SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -289,22 +290,32 @@ impl CmdOut {
     }
 }
 
-/// A borrowed result converts by copying, for callers of
-/// [`query_response`](crate::rpc::query_response) that keep theirs.
-impl From<&CmdOut> for CmdOut {
-    fn from(out: &CmdOut) -> CmdOut {
-        out.clone()
+/// Runs one query against a session as one request. A query the session
+/// has answered before is answered from its stored answer (the `reply`
+/// artifact, keyed by the raw source and every other field), decoded;
+/// any other query finds every artifact it needs in — or inserts it
+/// into — the session's content-addressed cache, so repeated queries over
+/// unchanged sources reuse prior work while producing byte-identical
+/// output. Traces are never stored: `trace` and `run --trace` always run.
+pub fn execute(session: &mut AnalysisSession, q: &Query) -> CmdOut {
+    match reply(session, q) {
+        Replied::Stored(answer) => answer.decode(),
+        Replied::Built(out, _) => out,
     }
 }
 
-/// Runs one query against a session as one request. A query the session
-/// has answered before gets a copy of that answer (the `reply` artifact,
-/// keyed by the raw source and every other field); any other
-/// query finds every artifact it needs in — or inserts it into — the
-/// session's content-addressed cache, so repeated queries over unchanged
-/// sources reuse prior work while producing byte-identical output.
-/// Traces are never stored: `trace` and `run --trace` always run.
-pub fn execute(session: &mut AnalysisSession, q: &Query) -> CmdOut {
+/// [`execute`] for a server: the answer in its wire form. A hit hands back
+/// the stored answer itself, so nothing is copied or encoded again; a
+/// miss encodes the answer it stores, and a request that is not stored is
+/// encoded for this reply alone.
+pub fn answer(session: &mut AnalysisSession, q: &Query) -> Arc<Answer> {
+    match reply(session, q) {
+        Replied::Stored(answer) | Replied::Built(_, Some(answer)) => answer,
+        Replied::Built(out, None) => Arc::new(Answer::encode(&out)),
+    }
+}
+
+fn reply(session: &mut AnalysisSession, q: &Query) -> Replied {
     let stored = q.command != "trace" && !q.trace;
     session.reply(
         || stored.then(|| query_key(q)),

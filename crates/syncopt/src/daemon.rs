@@ -20,10 +20,11 @@
 //! strictly observational — responses are byte-identical whether
 //! telemetry is on or off, because it never touches response fields.
 
-use crate::commands::execute;
+use crate::commands::answer;
 use crate::rpc::{
-    decode_request, error_response, metrics_response, ping_response, query_response,
-    shutdown_response, stats_response, write_message, Request, RequestBody, RpcError, ServiceStats,
+    decode_request, error_response, metrics_response, ping_response, shutdown_response,
+    stats_response, write_message, write_query_response, Answer, Request, RequestBody, RpcError,
+    ServiceStats,
 };
 use crate::session::AnalysisSession;
 use crate::telemetry::{query_op, RequestOutcome, RequestSpan, ServiceTelemetry, TelemetryConfig};
@@ -36,6 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use syncopt_core::cache::CacheStats;
+use syncopt_core::diag::json::Value;
 
 /// The longest request line the daemon reads, framing newline excluded.
 /// A longer line is answered with a `bad-request` error (`id` 0) and its
@@ -299,7 +301,7 @@ fn serve_connection(stream: &UnixStream, state: &State) {
         }
         let mut span = telemetry.map(|t| t.begin_request(conn_id, bytes_in as u64));
         let (response, meta) = handle_line(&line, over_long, state, span.as_mut());
-        let sent = write_message(&mut writer, &mut reply, &response);
+        let sent = write_message(&mut writer, &mut reply, |buf| response.write_to(buf));
         if let (Some(t), Some(span)) = (telemetry, span.take()) {
             t.finish_request(
                 span,
@@ -325,18 +327,37 @@ fn serve_connection(stream: &UnixStream, state: &State) {
     }
 }
 
+/// A response, ready to be written.
+enum Response {
+    /// A control reply or a protocol error.
+    Doc(Value),
+    /// A completed query: its answer, spliced into the envelope with its
+    /// id and cache delta as it is written.
+    Query(i64, Arc<Answer>, CacheStats),
+}
+
+impl Response {
+    fn write_to(&self, buf: &mut String) {
+        match self {
+            Response::Doc(doc) => doc.write_to(buf),
+            Response::Query(id, answer, cache) => write_query_response(buf, *id, answer, *cache),
+        }
+    }
+}
+
 /// Answers one request line (`over_long`: the line passed
-/// [`MAX_REQUEST_BYTES`] and was not kept). Returns the response document
-/// and the request metadata for telemetry. The span (when telemetry is
-/// on) has its decode phase closed right after the envelope parse and its
-/// execute phase closed once the response document is built; the encode
-/// remainder is measured by `finish_request`.
+/// [`MAX_REQUEST_BYTES`] and was not kept). Returns the response and the
+/// request metadata for telemetry. The span (when telemetry is on) has its
+/// decode phase closed right after the envelope parse and its execute
+/// phase closed once the response is ready and the session lock released;
+/// the encode remainder — writing the response — is measured by
+/// `finish_request`.
 fn handle_line(
     line: &str,
     over_long: bool,
     state: &State,
     mut span: Option<&mut RequestSpan>,
-) -> (syncopt_core::diag::json::Value, ReqMeta) {
+) -> (Response, ReqMeta) {
     state.requests.fetch_add(1, Ordering::Relaxed);
     // An error response echoes the id when the envelope carried one; a
     // request too broken (or too long) to carry an id gets id 0.
@@ -360,11 +381,8 @@ fn handle_line(
     answer
 }
 
-/// Builds the response document for one decoded (or undecodable) request.
-fn respond(
-    decoded: Result<Request, (i64, RpcError)>,
-    state: &State,
-) -> (syncopt_core::diag::json::Value, ReqMeta) {
+/// Builds the response to one decoded (or undecodable) request.
+fn respond(decoded: Result<Request, (i64, RpcError)>, state: &State) -> (Response, ReqMeta) {
     let meta = |op, ok, failed, cache, shutdown| ReqMeta {
         op,
         ok,
@@ -372,21 +390,18 @@ fn respond(
         cache,
         shutdown,
     };
-    let req = match decoded {
-        Ok(req) => req,
-        Err((id, e)) => {
-            return (
-                error_response(id, &e),
-                meta("invalid", false, false, CacheStats::default(), false),
-            );
-        }
+    let control = |op, doc, ok| {
+        (
+            Response::Doc(doc),
+            meta(op, ok, false, CacheStats::default(), false),
+        )
     };
-    let Request { id, body } = req;
+    let Request { id, body } = match decoded {
+        Ok(req) => req,
+        Err((id, e)) => return control("invalid", error_response(id, &e), false),
+    };
     match body {
-        RequestBody::Ping => (
-            ping_response(id),
-            meta("ping", true, false, CacheStats::default(), false),
-        ),
+        RequestBody::Ping => control("ping", ping_response(id), true),
         RequestBody::Stats => {
             let session = state.session();
             let service = ServiceStats {
@@ -398,35 +413,27 @@ fn respond(
                 version: crate::telemetry::SERVICE_VERSION.to_string(),
             };
             let metrics = state.telemetry.as_ref().map(|t| t.metrics_json());
-            (
-                stats_response(
-                    id,
-                    session.cache_stats(),
-                    session.cached_artifacts(),
-                    session.cache_capacity(),
-                    &session.kind_counters(),
-                    &service,
-                    metrics,
-                ),
-                meta("stats", true, false, CacheStats::default(), false),
-            )
+            let doc = stats_response(
+                id,
+                session.cache_stats(),
+                session.cached_artifacts(),
+                session.cache_capacity(),
+                &session.kind_counters(),
+                &service,
+                metrics,
+            );
+            control("stats", doc, true)
         }
         RequestBody::Metrics => match &state.telemetry {
-            Some(t) => (
-                metrics_response(id, &t.prometheus_text()),
-                meta("metrics", true, false, CacheStats::default(), false),
-            ),
+            Some(t) => control("metrics", metrics_response(id, &t.prometheus_text()), true),
             None => {
                 let e =
                     RpcError::unsupported("telemetry is disabled on this daemon (--no-telemetry)");
-                (
-                    error_response(id, &e),
-                    meta("metrics", false, false, CacheStats::default(), false),
-                )
+                control("metrics", error_response(id, &e), false)
             }
         },
         RequestBody::Shutdown => (
-            shutdown_response(id),
+            Response::Doc(shutdown_response(id)),
             meta("shutdown", true, false, CacheStats::default(), true),
         ),
         RequestBody::Query(q) => {
@@ -435,24 +442,24 @@ fn respond(
                 let e = RpcError::unsupported(
                     "`bench` measures this machine and does not route through the daemon",
                 );
-                return (
-                    error_response(id, &e),
-                    meta(op, false, false, CacheStats::default(), false),
-                );
+                return control(op, error_response(id, &e), false);
             }
             // One session serves all clients; the lock makes each query
             // atomic with respect to the cache, and per-request stats are
             // deltas over the executed query only.
             let mut session = state.session();
             let before = session.cache_stats();
-            // If `execute` panics, the cache it may have left half-updated
+            // If the query panics, the cache it may have left half-updated
             // is replaced by an empty one before any other query sees it.
-            match catch_unwind(AssertUnwindSafe(|| execute(&mut session, &q))) {
-                Ok(out) => {
+            match catch_unwind(AssertUnwindSafe(|| answer(&mut session, &q))) {
+                Ok(answer) => {
                     let delta = session.cache_stats().since(before);
-                    let failed = out.failure.is_some();
+                    // A hit's answer is the stored one, shared: the lock
+                    // is released before a byte of the reply is written.
+                    drop(session);
+                    let failed = answer.failed;
                     (
-                        query_response(id, out, delta),
+                        Response::Query(id, answer, delta),
                         meta(op, true, failed, delta, false),
                     )
                 }
@@ -465,10 +472,7 @@ fn respond(
                         "`{}` panicked; the daemon dropped its cache and serves on",
                         q.command
                     ));
-                    (
-                        error_response(id, &e),
-                        meta(op, false, false, CacheStats::default(), false),
-                    )
+                    control(op, error_response(id, &e), false)
                 }
             }
         }
@@ -479,7 +483,7 @@ fn respond(
 mod tests {
     use super::*;
     use crate::client::DaemonClient;
-    use crate::commands::{CmdOut, Format, Query};
+    use crate::commands::{execute, CmdOut, Format, Query};
     use std::io::Write;
 
     fn test_socket(name: &str) -> PathBuf {

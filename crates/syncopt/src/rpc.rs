@@ -35,7 +35,7 @@
 
 use crate::commands::{parse_delay, parse_level, CmdOut, Field, FileOutput, Format, Query};
 use syncopt_core::cache::CacheStats;
-use syncopt_core::diag::json::{Key, Value};
+use syncopt_core::diag::json::{write_escaped, write_int, Key, Value};
 use syncopt_core::obs::Counters;
 
 /// Protocol identifier carried by every request and response.
@@ -281,16 +281,17 @@ pub(crate) fn query_request(id: i64, q: &Query) -> Value {
     Value::Obj(f)
 }
 
-/// Serializes `doc` and its framing newline into `buf` (cleared first,
-/// so one buffer serves a whole connection) and hands the line to `w` in
-/// a single `write_all`: a message is one write, whatever its size.
+/// Has `write` append one message to `buf` (cleared first, so one
+/// buffer serves a whole connection), adds the framing newline and hands
+/// the line to `w` in a single `write_all`: a message is one write,
+/// whatever its size.
 pub(crate) fn write_message(
     w: &mut impl std::io::Write,
     buf: &mut String,
-    doc: &Value,
+    write: impl FnOnce(&mut String),
 ) -> std::io::Result<()> {
     buf.clear();
-    doc.write_to(buf);
+    write(buf);
     buf.push('\n');
     w.write_all(buf.as_bytes())
 }
@@ -413,33 +414,96 @@ pub fn shutdown_response(id: i64) -> Value {
     Value::Obj(f)
 }
 
+/// One query's answer in its wire form: the members of a query response
+/// between the envelope and the cache delta, escaped once —
+/// `"stdout":…,"failure":…` and, when the query produced a file artifact,
+/// `,"file":{"path":…,"content":…,"note":…}`. The session stores a
+/// repeated query's answer this way, so the daemon answers a hit by
+/// splicing bytes instead of encoding them again. Only
+/// [`Answer::encode`] makes one, so the members always decode.
+#[derive(Debug)]
+pub struct Answer {
+    /// The escaped members; a `Box<str>` keeps no spare capacity resident.
+    members: Box<str>,
+    /// Whether the answer carries a `failure` (exit code 1).
+    pub(crate) failed: bool,
+}
+
+impl Answer {
+    /// Escapes `out`'s members, reading it in place.
+    pub fn encode(out: &CmdOut) -> Answer {
+        let CmdOut {
+            stdout,
+            file,
+            failure,
+        } = out;
+        let mut members = String::new();
+        members.push_str("\"stdout\":");
+        write_escaped(&mut members, stdout);
+        members.push_str(",\"failure\":");
+        match failure {
+            Some(failure) => write_escaped(&mut members, failure),
+            None => members.push_str("null"),
+        }
+        if let Some(file) = file {
+            members.push_str(",\"file\":{\"path\":");
+            write_escaped(&mut members, &file.path);
+            members.push_str(",\"content\":");
+            write_escaped(&mut members, &file.content);
+            members.push_str(",\"note\":");
+            write_escaped(&mut members, &file.note);
+            members.push('}');
+        }
+        Answer {
+            // A copy of exactly the written length, not `into_boxed_str`:
+            // shrinking in place would leave a freed tail beside every
+            // stored answer, and those holes cost a full cache about a
+            // tenth of its resident memory.
+            members: Box::from(members.as_str()),
+            failed: failure.is_some(),
+        }
+    }
+
+    /// The [`CmdOut`] these members encode, read back the way a client
+    /// reads a query response.
+    pub fn decode(&self) -> CmdOut {
+        let mut doc = String::with_capacity(self.members.len() + 2);
+        doc.push('{');
+        doc.push_str(&self.members);
+        doc.push('}');
+        Value::parse(&doc)
+            .map_err(RpcError::bad_request)
+            .and_then(|mut v| decode_out(&mut v))
+            .expect("an answer holds the members `Answer::encode` wrote")
+    }
+}
+
+/// Appends the response line of a completed query to `buf`: the envelope
+/// with `id`, the answer's members as they are, and the request's cache
+/// delta. No JSON value is built, and nothing but the delta is escaped.
+pub(crate) fn write_query_response(buf: &mut String, id: i64, answer: &Answer, cache: CacheStats) {
+    buf.push_str("{\"schema\":");
+    write_escaped(buf, RPC_SCHEMA);
+    buf.push_str(",\"id\":");
+    write_int(buf, id);
+    buf.push_str(",\"ok\":true,");
+    buf.push_str(&answer.members);
+    buf.push_str(",\"cache\":{\"hits\":");
+    write_int(buf, cache.hits as i64);
+    buf.push_str(",\"misses\":");
+    write_int(buf, cache.misses as i64);
+    buf.push_str(",\"evictions\":");
+    write_int(buf, cache.evictions as i64);
+    buf.push_str("}}");
+}
+
 /// Encodes a completed query: the command ran, and this is its result
 /// (which may be a command *failure* — that is not a protocol error).
-/// The result is taken by value, so its stdout and file payload move
-/// into the response; a borrowed `&CmdOut` is copied.
-pub fn query_response(id: i64, out: impl Into<CmdOut>, cache: CacheStats) -> Value {
-    let CmdOut {
-        stdout,
-        file,
-        failure,
-    } = out.into();
-    let mut f = envelope(id);
-    field(&mut f, "ok", Value::Bool(true));
-    field(&mut f, "stdout", Value::Str(stdout));
-    field(&mut f, "failure", failure.map_or(Value::Null, Value::Str));
-    if let Some(file) = file {
-        field(
-            &mut f,
-            "file",
-            Value::Obj(vec![
-                ("path".into(), Value::Str(file.path)),
-                ("content".into(), Value::Str(file.content)),
-                ("note".into(), Value::Str(file.note)),
-            ]),
-        );
-    }
-    field(&mut f, "cache", cache_stats_json(cache));
-    Value::Obj(f)
+pub fn query_response(id: i64, out: &CmdOut, cache: CacheStats) -> String {
+    let answer = Answer::encode(out);
+    let mut line = String::with_capacity(answer.members.len() + 128);
+    write_query_response(&mut line, id, &answer, cache);
+    line
 }
 
 /// Encodes a protocol error.
@@ -497,6 +561,38 @@ fn decode_cache_stats(v: &Value) -> Result<CacheStats, RpcError> {
     })
 }
 
+/// Moves a query's result out of the members of a response object (or
+/// of an [`Answer`]): `stdout`, the optional `failure` and `file`.
+fn decode_out(v: &mut Value) -> Result<CmdOut, RpcError> {
+    let stdout = take(v, "stdout")
+        .ok_or_else(|| RpcError::bad_request("query response missing `stdout`"))
+        .and_then(|stdout| expect_str(stdout, "stdout"))?;
+    let failure = match take(v, "failure") {
+        None | Some(Value::Null) => None,
+        Some(other) => Some(expect_str(other, "failure")?),
+    };
+    let file = match take(v, "file") {
+        None => None,
+        Some(mut file) => {
+            let mut part = |key: &str, label: &str| {
+                take(&mut file, key)
+                    .ok_or_else(|| RpcError::bad_request(format!("file artifact missing `{key}`")))
+                    .and_then(|v| expect_str(v, label))
+            };
+            Some(FileOutput {
+                path: part("path", "file.path")?,
+                content: part("content", "file.content")?,
+                note: part("note", "file.note")?,
+            })
+        }
+    };
+    Ok(CmdOut {
+        stdout,
+        file,
+        failure,
+    })
+}
+
 /// Decodes one response line.
 ///
 /// # Errors
@@ -549,42 +645,14 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
         ReplyBody::Shutdown
     } else if let Some(text) = take(&mut v, "metrics_text") {
         ReplyBody::Metrics(expect_str(text, "metrics_text")?)
-    } else if let Some(stdout) = take(&mut v, "stdout") {
-        let stdout = expect_str(stdout, "stdout")?;
-        let failure = match take(&mut v, "failure") {
-            None | Some(Value::Null) => None,
-            Some(other) => Some(expect_str(other, "failure")?),
-        };
-        let file = match take(&mut v, "file") {
-            None => None,
-            Some(mut file) => {
-                let mut part = |key: &str, label: &str| {
-                    take(&mut file, key)
-                        .ok_or_else(|| {
-                            RpcError::bad_request(format!("file artifact missing `{key}`"))
-                        })
-                        .and_then(|v| expect_str(v, label))
-                };
-                Some(FileOutput {
-                    path: part("path", "file.path")?,
-                    content: part("content", "file.content")?,
-                    note: part("note", "file.note")?,
-                })
-            }
-        };
+    } else if v.get("stdout").is_some() {
+        let out = decode_out(&mut v)?;
         let cache = v
             .get("cache")
             .map(decode_cache_stats)
             .transpose()?
             .unwrap_or_default();
-        ReplyBody::Query(
-            CmdOut {
-                stdout,
-                file,
-                failure,
-            },
-            cache,
-        )
+        ReplyBody::Query(out, cache)
     } else if let Some(stats) = take(&mut v, "cache") {
         let mut part =
             |key: &'static str, default: Value| (key.into(), take(&mut v, key).unwrap_or(default));
@@ -682,7 +750,10 @@ mod tests {
             ..sample_query()
         };
         let mut sent = CountingWriter::default();
-        write_message(&mut sent, &mut line, &query_request(7, &q)).unwrap();
+        write_message(&mut sent, &mut line, |buf| {
+            query_request(7, &q).write_to(buf)
+        })
+        .unwrap();
         assert_eq!(sent.calls, 1, "client send");
         assert_eq!(sent.bytes, line.as_bytes());
         let text = std::str::from_utf8(&sent.bytes).unwrap();
@@ -697,9 +768,13 @@ mod tests {
             failure: None,
         };
         let mut replied = CountingWriter::default();
-        let response = query_response(7, &out, CacheStats::default());
-        write_message(&mut replied, &mut line, &response).unwrap();
+        let answer = Answer::encode(&out);
+        write_message(&mut replied, &mut line, |buf| {
+            write_query_response(buf, 7, &answer, CacheStats::default())
+        })
+        .unwrap();
         assert_eq!(replied.calls, 1, "daemon reply");
+        let response = query_response(7, &out, CacheStats::default());
         let text = std::str::from_utf8(&replied.bytes).unwrap();
         assert_eq!(text, format!("{response}\n"), "nothing of the request left");
         let reply = decode_response(text.trim_end()).unwrap();
@@ -736,11 +811,98 @@ mod tests {
             misses: 1,
             evictions: 0,
         };
-        let line = query_response(9, &out, cache).to_string();
+        let line = query_response(9, &out, cache);
         assert!(!line.contains('\n'));
         let reply = decode_response(&line).unwrap();
         assert_eq!(reply.id, 9);
         assert_eq!(reply.body, ReplyBody::Query(out, cache));
+    }
+
+    mod reference {
+        //! The `json::Value`-tree query encoder that the splice replaced,
+        //! kept as what the splice is compared against.
+
+        use super::super::{cache_stats_json, envelope, field};
+        use crate::commands::CmdOut;
+        use syncopt_core::cache::CacheStats;
+        use syncopt_core::diag::json::Value;
+
+        pub fn query_response(id: i64, out: &CmdOut, cache: CacheStats) -> Value {
+            let CmdOut {
+                stdout,
+                file,
+                failure,
+            } = out.clone();
+            let mut f = envelope(id);
+            field(&mut f, "ok", Value::Bool(true));
+            field(&mut f, "stdout", Value::Str(stdout));
+            field(&mut f, "failure", failure.map_or(Value::Null, Value::Str));
+            if let Some(file) = file {
+                field(
+                    &mut f,
+                    "file",
+                    Value::Obj(vec![
+                        ("path".into(), Value::Str(file.path)),
+                        ("content".into(), Value::Str(file.content)),
+                        ("note".into(), Value::Str(file.note)),
+                    ]),
+                );
+            }
+            field(&mut f, "cache", cache_stats_json(cache));
+            Value::Obj(f)
+        }
+    }
+
+    /// The splice writes the bytes the `Value`-tree encoder wrote, and
+    /// both a client and [`Answer::decode`] read the result back as it
+    /// was: empty, failed and file-bearing results, and strings holding
+    /// every character that needs an escape and some that do not.
+    #[test]
+    fn the_splice_writes_the_bytes_the_value_tree_wrote() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let awkward = format!("q\"uote \\ back {controls} \u{2028} \u{1f600} caf\u{e9}");
+        let file = |content: &str| FileOutput {
+            path: format!("dir/{awkward}.json"),
+            content: content.to_string(),
+            note: "wrote report".to_string(),
+        };
+        let outs = [
+            CmdOut::default(),
+            CmdOut {
+                failure: Some("check failed: 2 error(s)".to_string()),
+                ..CmdOut::default()
+            },
+            CmdOut {
+                stdout: "execution: 12 cycles\n".to_string(),
+                file: Some(file("{\"schema\":\"syncopt.report.v1\"}\n")),
+                failure: None,
+            },
+            CmdOut {
+                stdout: awkward.clone(),
+                file: Some(file(&awkward)),
+                failure: Some(awkward.clone()),
+            },
+        ];
+        let caches = [
+            CacheStats::default(),
+            CacheStats {
+                hits: 1,
+                misses: u64::from(u32::MAX) + 7,
+                evictions: 12,
+            },
+        ];
+        for out in &outs {
+            let answer = Answer::encode(out);
+            assert_eq!(answer.failed, out.failure.is_some());
+            assert_eq!(answer.decode(), *out);
+            for (id, cache) in [(0, caches[0]), (-3, caches[1]), (i64::MAX, caches[1])] {
+                let line = query_response(id, out, cache);
+                assert_eq!(line, reference::query_response(id, out, cache).to_string());
+                let reply = decode_response(&line).unwrap();
+                assert_eq!(reply.id, id);
+                assert_eq!(reply.body, ReplyBody::Query(out.clone(), cache));
+            }
+        }
     }
 
     #[test]

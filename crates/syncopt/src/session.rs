@@ -21,7 +21,7 @@
 //! | `races`    | raw source text + procs                             | [`RaceAnalysis`] |
 //! | `lint`     | raw source text + procs                             | [`LintReport`] |
 //! | `explain`  | raw source text + procs                             | [`ExplainReport`] |
-//! | `reply`    | raw source text + every `Query` field               | the [`CmdOut`] of one [`execute`] request, failures included |
+//! | `reply`    | raw source text + every `Query` field               | the escaped wire [`Answer`] of one [`execute`] request, failures included |
 //!
 //! The front end is one stage. A request looks up `cfg` under its raw
 //! source text, and only on a miss parses, type-checks, inlines and lowers
@@ -74,7 +74,11 @@
 //! repeated [`execute`] request skip even the artifacts: its whole answer
 //! is a deterministic function of the raw source and the query, so the
 //! `reply` entry stores it — a racy `check`'s exit-1 answer as much as a
-//! clean one — and a repeat gets a copy. Traces are request-scoped
+//! clean one. It stores the answer in its wire form, escaped once when it
+//! was built, and not beside a [`CmdOut`]: a server's repeat
+//! ([`commands::answer`](crate::commands::answer)) is handed the stored
+//! bytes themselves, which `syncoptd` splices into its reply, while an
+//! in-process repeat ([`execute`]) decodes them. Traces are request-scoped
 //! observability, not artifacts: `trace` and `run --trace` are never
 //! stored. A failed request's reply is stored like any other, but a
 //! failed stage caches no artifact: the failure is re-diagnosed whenever
@@ -110,6 +114,7 @@
 //! ```
 //!
 //! [`AccessId`]: syncopt_ir::ids::AccessId
+//! [`Answer`]: crate::rpc::Answer
 //! [`CmdOut`]: crate::commands::CmdOut
 //! [`execute`]: crate::commands::execute
 //! [`SimResult`]: syncopt_machine::SimResult
@@ -117,6 +122,7 @@
 
 use crate::commands::CmdOut;
 use crate::report::{delay_label, level_label, meta_for};
+use crate::rpc::Answer;
 use crate::{
     Compiled, DelayChoice, OptLevel, PipelineReport, ProfileReport, RunResult, SimReport,
     SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT,
@@ -306,6 +312,15 @@ impl SharedRun {
     }
 }
 
+/// What [`AnalysisSession::reply`] hands back.
+pub(crate) enum Replied {
+    /// A hit: the stored answer, shared with the cache.
+    Stored(Arc<Answer>),
+    /// A miss, or a request that is not stored: the output just built,
+    /// with the answer a miss stored.
+    Built(CmdOut, Option<Arc<Answer>>),
+}
+
 /// A long-lived analysis context: the same queries as the
 /// [`Syncopt`](crate::Syncopt) builder, backed by a content-addressed
 /// artifact cache shared across requests. See the [module
@@ -361,25 +376,26 @@ impl AnalysisSession {
         self.cache.capacity()
     }
 
-    /// One [`execute`](crate::commands::execute) request, answered with a
-    /// copy of the stored `reply` under `key()` when there is one, and
-    /// otherwise by `answer`, whose result — failure or not — is stored.
+    /// One [`execute`](crate::commands::execute) request: the stored
+    /// `reply` under `key()` when there is one, and otherwise what `answer`
+    /// builds, whose encoded [`Answer`] — failure or not — is stored.
     /// `key` returns `None` for a request that must not be stored (a
     /// trace); a disabled cache never calls it.
     pub(crate) fn reply(
         &mut self,
         key: impl FnOnce() -> Option<Fingerprint>,
         answer: impl FnOnce(&mut Self) -> CmdOut,
-    ) -> CmdOut {
+    ) -> Replied {
         let Some(key) = self.cache.enabled().then(key).flatten() else {
-            return answer(self);
+            return Replied::Built(answer(self), None);
         };
-        if let Some(stored) = self.cache.get::<CmdOut>("reply", key) {
-            return CmdOut::clone(&stored);
+        if let Some(stored) = self.cache.get::<Answer>("reply", key) {
+            return Replied::Stored(stored);
         }
         let out = answer(self);
-        self.cache.insert("reply", key, out.clone());
-        out
+        let stored = Arc::new(Answer::encode(&out));
+        self.cache.insert_arc("reply", key, Arc::clone(&stored));
+        Replied::Built(out, Some(stored))
     }
 
     /// Parses, checks, lowers, analyzes, and optimizes `src`, reusing
@@ -870,13 +886,16 @@ mod tests {
             let cached = crate::commands::execute(&mut AnalysisSession::new(), &q);
             for _ in 0..2 {
                 let mut answered = 0;
-                let out = off.reply(
+                let replied = off.reply(
                     || unreachable!("a disabled cache derived a reply key"),
                     |session| {
                         answered += 1;
                         crate::commands::execute(session, &q)
                     },
                 );
+                let Replied::Built(out, None) = replied else {
+                    panic!("a disabled cache stored or served a reply");
+                };
                 assert_eq!((out, answered), (cached.clone(), 1), "{command}");
                 assert_eq!(crate::commands::execute(&mut off, &q), cached, "{command}");
             }

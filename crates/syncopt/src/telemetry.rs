@@ -7,7 +7,8 @@
 //!
 //! ```text
 //! decode (parse the envelope) → execute (cache lookup + session work,
-//! under the session lock) → encode (serialize the response)
+//! under the session lock) → encode (write the response: a query's
+//! stored answer spliced into its envelope)
 //! ```
 //!
 //! The phases tile the request exactly — `total_us` is *defined* as

@@ -185,6 +185,50 @@ else
     echo "daemon_smoke: python3 not found, stored-reply check skipped" >&2
 fi
 
+echo "== a stored reply is the first reply's bytes =="
+# A file artifact (`run --emit-report`) and a failure (the racy `check`),
+# each sent twice raw: the second reply line is served from the stored
+# answer and must equal the first byte for byte, but for `id` and `cache`.
+if command -v python3 > /dev/null 2>&1; then
+    python3 - "$SOCK" programs/postwait.ms programs/figure1_racy.ms <<'PY' || exit 1
+import json, re, socket, sys
+path, clean, racy = sys.argv[1:4]
+def source(prog):
+    with open(prog, encoding="utf-8") as f:
+        return f.read()
+queries = [
+    {"command": "run", "file": "lines.ms", "source": source(clean), "emit_report": "lines.json"},
+    {"command": "check", "file": "racy-lines.ms", "source": source(racy)},
+]
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(path)
+lines = s.makefile("rb")
+shape = re.compile(rb'^(\{"schema":"syncopt\.rpc\.v1","id":)[0-9]+(,"ok":true,.*,"cache":)'
+                   rb'\{"hits":[0-9]+,"misses":[0-9]+,"evictions":[0-9]+\}\}\n$', re.S)
+def fail(msg):
+    sys.exit(f"daemon_smoke: {msg}")
+for n, query in enumerate(queries):
+    replies = []
+    for id in (2 * n + 1, 2 * n + 2):
+        s.sendall((json.dumps({"schema": "syncopt.rpc.v1", "id": id, "op": "query", "query": query}) + "\n").encode())
+        replies.append(lines.readline())
+    first, second = (shape.match(r) for r in replies)
+    if not first or not second:
+        fail(f"{query['command']}: a reply line is not a query response: {replies[0][:80]!r}")
+    if first.groups() != second.groups():
+        fail(f"{query['command']}: the stored reply's line differs from the first")
+    body = json.loads(replies[1])
+    if json.loads(replies[0])["cache"]["misses"] == 0 or body["cache"] != {"hits": 1, "misses": 0, "evictions": 0}:
+        fail(f"{query['command']}: the second reply was not one stored-reply hit: {body['cache']}")
+    if query["command"] == "run" and "file" not in body:
+        fail("run --emit-report: the reply carries no file artifact")
+    if query["command"] == "check" and body["failure"] is None:
+        fail("the racy check: the reply carries no failure")
+PY
+else
+    echo "daemon_smoke: python3 not found, stored-reply line check skipped" >&2
+fi
+
 echo "== hostile request lines =="
 # Raw lines no well-behaved client sends: the first used to overflow the
 # JSON parser's stack and abort the daemon, the second was read into
@@ -290,4 +334,4 @@ if [ -e "$SOCK" ]; then
     exit 1
 fi
 
-echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, repeats answered from their stored reply, hostile lines refused, hostile commands labeled other, clean shutdown"
+echo "daemon_smoke: daemon output byte-identical (direct / telemetry on / telemetry off), metrics well-formed, cache reused, repeats answered from their stored reply (same reply line but id and cache), hostile lines refused, hostile commands labeled other, clean shutdown"

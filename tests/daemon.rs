@@ -9,12 +9,13 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use syncopt::client::DaemonClient;
-use syncopt::commands::{execute, CmdOut, Format, Query};
+use syncopt::commands::{command_names, execute, CmdOut, Format, Query};
 use syncopt::core::corpus::corpus_program;
 use syncopt::core::diag::json::Value;
 use syncopt::core::CacheStats;
 use syncopt::daemon::{Daemon, MAX_REQUEST_BYTES};
 use syncopt::kernels::all_kernels;
+use syncopt::rpc::{self, Request, RequestBody};
 use syncopt::session::AnalysisSession;
 
 fn test_socket(name: &str) -> PathBuf {
@@ -476,6 +477,62 @@ fn a_request_encoded_by_python_gets_the_same_reply_bytes() {
     assert!(direct.failure.is_none(), "{direct:?}");
     let reply = syncopt::rpc::decode_response(warm.trim_end()).unwrap();
     assert!(matches!(reply.body, syncopt::rpc::ReplyBody::Query(out, _) if out == direct));
+    stop(&path, handle);
+}
+
+/// The reply line a client reads is, byte for byte, the line
+/// `rpc::query_response` writes for the direct answer and the request's
+/// cache delta — cold and warm, for every command, a file artifact and a
+/// failure. The suites above compare decoded answers, which a reply that
+/// reordered or re-escaped a member would pass.
+#[test]
+fn raw_reply_lines_are_the_direct_answer_spliced_cold_and_warm() {
+    let figure1 = include_str!("../programs/figure1.ms");
+    let racy = include_str!("../programs/figure1_racy.ms");
+    let mut queries: Vec<Query> = [Format::Human, Format::Json]
+        .into_iter()
+        .flat_map(|format| command_names().map(move |c| query(c, "figure1.ms", figure1, format)))
+        .collect();
+    let emit_report = Query {
+        emit_report: Some("reports/figure1.json".to_string()),
+        ..query("run", "figure1.ms", figure1, Format::Human)
+    };
+    let racy_check = query("check", "figure1_racy.ms", racy, Format::Human);
+    assert!(execute(&mut AnalysisSession::new(), &emit_report)
+        .file
+        .is_some());
+    assert!(execute(&mut AnalysisSession::new(), &racy_check)
+        .failure
+        .is_some());
+    queries.extend([emit_report, racy_check]);
+
+    let (path, handle) = start("raw-lines");
+    let mut conn = raw_connection(&path);
+    // Sees the queries the daemon's session sees, in the same order, so
+    // its delta around each is the one the daemon reports.
+    let mut mirror = AnalysisSession::new();
+    let mut id = 0;
+    for pass in ["cold", "warm"] {
+        for q in &queries {
+            id += 1;
+            let before = mirror.cache_stats();
+            execute(&mut mirror, q);
+            let delta = mirror.cache_stats().since(before);
+            let direct = execute(&mut AnalysisSession::new(), q);
+            let request = rpc::encode_request(&Request {
+                id,
+                body: RequestBody::Query(q.clone()),
+            });
+            let line = exchange(&mut conn, &request.to_string());
+            assert_eq!(
+                line,
+                format!("{}\n", rpc::query_response(id, &direct, delta)),
+                "{pass} {} ({:?})",
+                q.command,
+                q.format
+            );
+        }
+    }
     stop(&path, handle);
 }
 

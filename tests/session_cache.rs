@@ -6,7 +6,8 @@
 //! them. The per-kind counts of warm requests are pinned: they are what
 //! a change to how keys are derived or carried must leave alone.
 
-use syncopt::commands::{command_names, execute, CmdOut, Format, Query};
+use std::sync::Arc;
+use syncopt::commands::{answer, command_names, execute, CmdOut, Format, Query};
 use syncopt::core::corpus::{corpus_program, CORPUS_SEEDS};
 use syncopt::core::diag::json::Value;
 use syncopt::ir::print::cfg_to_string;
@@ -365,6 +366,52 @@ fn traces_are_never_stored() {
     let kinds = session.kind_counters();
     assert_eq!(kinds.get("cache.reply.misses"), 1, "{kinds:?}");
     assert_eq!(kinds.get("cache.reply.hits"), 0, "{kinds:?}");
+}
+
+/// A server's hit copies nothing: the answer `commands::answer` hands out
+/// on a hit is the stored one itself, the same for every hit, and decodes
+/// to the direct answer. A trace and a capacity-0 session still store
+/// nothing, and answer every time with the direct bytes.
+#[test]
+fn a_warm_answer_is_the_stored_one_not_a_copy() {
+    let mut session = AnalysisSession::new();
+    for q in every_command(RACY)
+        .iter()
+        .filter(|q| q.command != "trace" && !q.trace)
+    {
+        let cold_answer = answer(&mut session, q);
+        let (first, second) = (answer(&mut session, q), answer(&mut session, q));
+        assert!(Arc::ptr_eq(&first, &second), "{}", q.command);
+        assert!(Arc::ptr_eq(&cold_answer, &first), "{}", q.command);
+        assert_eq!(first.decode(), cold(q), "{}", q.command);
+    }
+    let traces = [
+        query("trace", "t.ms", RACY, Format::Json),
+        Query {
+            trace: true,
+            ..query("run", "t.ms", RACY, Format::Human)
+        },
+    ];
+    let mut off = AnalysisSession::with_capacity(0);
+    for q in &traces {
+        let artifacts = session.cached_artifacts();
+        let replies = session.kind_counters().get("cache.reply.misses");
+        assert_eq!(answer(&mut session, q).decode(), cold(q), "{}", q.command);
+        assert_eq!(session.cached_artifacts(), artifacts, "{}", q.command);
+        assert_eq!(
+            session.kind_counters().get("cache.reply.misses"),
+            replies,
+            "{}",
+            q.command
+        );
+    }
+    for q in every_command(RACY).iter().chain(&traces) {
+        let (first, second) = (answer(&mut off, q), answer(&mut off, q));
+        assert!(!Arc::ptr_eq(&first, &second), "{}", q.command);
+        assert_eq!(first.decode(), cold(q), "{}", q.command);
+        assert_eq!(off.cached_artifacts(), 0, "{}", q.command);
+    }
+    assert_eq!(off.cache_stats().lookups(), 0);
 }
 
 /// A failing answer is stored like any other: a racy `check` repeated is
