@@ -12,7 +12,7 @@ use std::fmt::Write;
 /// Number of seeds in the standing corpus (`0..CORPUS_SEEDS`).
 pub const CORPUS_SEEDS: u64 = 220;
 
-/// Seeded PRNG (SplitMix64), the same generator the litmus explorer uses.
+/// Seeded PRNG (SplitMix64).
 pub(crate) struct SplitMix64 {
     state: u64,
 }

@@ -39,16 +39,6 @@ impl Severity {
             Severity::Error => "error",
         }
     }
-
-    /// Parses a [`Severity::label`] back (for JSON round-trips).
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "note" => Some(Severity::Note),
-            "warning" => Some(Severity::Warning),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Severity {
@@ -1159,10 +1149,8 @@ mod tests {
     fn severity_ordering_and_labels() {
         assert!(Severity::Error > Severity::Warning);
         assert!(Severity::Warning > Severity::Note);
-        for s in [Severity::Error, Severity::Warning, Severity::Note] {
-            assert_eq!(Severity::from_label(s.label()), Some(s));
-        }
-        assert_eq!(Severity::from_label("fatal"), None);
+        let labels = [Severity::Error, Severity::Warning, Severity::Note].map(Severity::label);
+        assert_eq!(labels, ["error", "warning", "note"]);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Counters {
         *self.slot(name) += n;
     }
 
-    /// Increments `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// Sets `name` to `n`, overwriting any previous value.
     pub fn set(&mut self, name: &'static str, n: u64) {
         *self.slot(name) = n;
@@ -204,9 +199,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_sort() {
         let mut c = Counters::new();
-        c.inc("b.second");
+        c.add("b.second", 1);
         c.add("a.first", 41);
-        c.inc("a.first");
+        c.add("a.first", 1);
         assert_eq!(c.get("a.first"), 42);
         assert_eq!(c.get("missing"), 0);
         let keys: Vec<&str> = c.iter().map(|(k, _)| k).collect();

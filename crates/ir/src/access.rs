@@ -38,12 +38,6 @@ impl AccessKind {
     pub fn is_sync(self) -> bool {
         !self.is_data()
     }
-
-    /// Whether the access modifies its target (for conflict detection,
-    /// sync operations behave like writes to their sync object).
-    pub fn is_write_like(self) -> bool {
-        !matches!(self, AccessKind::Read)
-    }
 }
 
 /// Everything known about one access site.
@@ -128,8 +122,6 @@ mod tests {
     fn kind_predicates() {
         assert!(AccessKind::Read.is_data());
         assert!(AccessKind::Write.is_data());
-        assert!(!AccessKind::Read.is_write_like());
-        assert!(AccessKind::Write.is_write_like());
         for k in [
             AccessKind::Post,
             AccessKind::Wait,
@@ -138,7 +130,6 @@ mod tests {
             AccessKind::LockRel,
         ] {
             assert!(k.is_sync());
-            assert!(k.is_write_like());
             assert!(!k.is_data());
         }
     }

@@ -32,22 +32,12 @@ pub enum VarKind {
 }
 
 impl VarKind {
-    /// Whether accesses to this variable go through the global address space.
-    pub fn is_shared_data(self) -> bool {
-        matches!(self, VarKind::SharedScalar | VarKind::SharedArray { .. })
-    }
-
     /// Whether this is a synchronization object.
     pub fn is_sync(self) -> bool {
         matches!(
             self,
             VarKind::Flag | VarKind::FlagArray { .. } | VarKind::Lock
         )
-    }
-
-    /// Whether this is processor-private storage.
-    pub fn is_local(self) -> bool {
-        matches!(self, VarKind::Local | VarKind::LocalArray { .. })
     }
 }
 
@@ -152,12 +142,9 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(VarKind::SharedScalar.is_shared_data());
-        assert!(VarKind::SharedArray { len: 4 }.is_shared_data());
         assert!(VarKind::Flag.is_sync());
         assert!(VarKind::Lock.is_sync());
-        assert!(VarKind::Local.is_local());
-        assert!(!VarKind::Local.is_shared_data());
+        assert!(!VarKind::Local.is_sync());
         assert!(!VarKind::SharedScalar.is_sync());
     }
 

@@ -376,121 +376,6 @@ pub fn is_sc_preserving(cfg: &Cfg, delay: &DelaySet, procs: u32) -> Result<bool,
     Ok(weak.is_subset(&sc))
 }
 
-/// Monte-Carlo variant of [`weak_outcomes`] for programs too large to
-/// enumerate exhaustively: performs `runs` random walks through the
-/// commit nondeterminism (seeded, so reproducible) and returns the
-/// outcomes observed. Always a **subset** of the exhaustive set.
-///
-/// # Errors
-///
-/// Same failure modes as [`weak_outcomes`] except the state-space cap
-/// (sampling never explodes).
-pub fn sample_weak_outcomes(
-    cfg: &Cfg,
-    delay: &DelaySet,
-    procs: u32,
-    runs: u32,
-    seed: u64,
-) -> Result<BTreeSet<Outcome>, SimError> {
-    let traces = extract_traces(cfg, procs)?;
-    for t in &traces {
-        if t.len() > 64 {
-            return Err(SimError::new("litmus: trace longer than 64 operations"));
-        }
-    }
-    let ex = Explorer {
-        traces: &traces,
-        delay: Some(delay),
-        outcomes: BTreeSet::new(),
-        visited: HashSet::new(),
-        state_cap: usize::MAX,
-    };
-    let mut rng = SplitMix64::new(seed);
-    let mut outcomes = BTreeSet::new();
-    for _ in 0..runs {
-        let mut state = ExploreState {
-            committed: vec![0; traces.len()],
-            memory: BTreeMap::new(),
-            flags: BTreeSet::new(),
-            reads: BTreeMap::new(),
-        };
-        loop {
-            // Enumerate the enabled commits.
-            let mut moves: Vec<(usize, usize)> = Vec::new();
-            for (p, trace) in traces.iter().enumerate() {
-                for (i, op) in trace.iter().enumerate() {
-                    if !ex.committable(&state, p, i) {
-                        continue;
-                    }
-                    match op {
-                        TraceOp::Barrier { .. } => continue,
-                        TraceOp::Wait { loc, .. } if !state.flags.contains(loc) => continue,
-                        _ => moves.push((p, i)),
-                    }
-                }
-            }
-            let episode = ex.barrier_episode(&state);
-            let total = moves.len() + usize::from(episode.is_some());
-            if total == 0 {
-                break;
-            }
-            let pick = rng.below(total);
-            if pick == moves.len() {
-                for (p, i) in episode.expect("episode exists when picked") {
-                    state.committed[p] |= 1 << i;
-                }
-                continue;
-            }
-            let (p, i) = moves[pick];
-            state.committed[p] |= 1 << i;
-            match &traces[p][i] {
-                TraceOp::Read { loc, .. } => {
-                    let v = *state.memory.get(loc).unwrap_or(&0);
-                    state.reads.insert((p as u32, i as u32), v);
-                }
-                TraceOp::Write { loc, val, .. } => {
-                    state.memory.insert(*loc, *val);
-                }
-                TraceOp::Post { loc, .. } => {
-                    state.flags.insert(*loc);
-                }
-                TraceOp::Wait { .. } => {}
-                TraceOp::Barrier { .. } => unreachable!(),
-            }
-        }
-        if ex.all_committed(&state) {
-            outcomes.insert(state.reads.values().copied().collect());
-        }
-    }
-    Ok(outcomes)
-}
-
-/// Seeded PRNG (SplitMix64) so the Monte-Carlo walk needs no external
-/// crates and stays reproducible across platforms.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..bound` via Lemire's multiply-shift reduction
-    /// (the tiny modulo bias is irrelevant for sampling walks).
-    fn below(&mut self, bound: usize) -> usize {
-        ((self.next_u64() as u128 * bound as u128) >> 64) as usize
-    }
-}
-
 fn explore(
     traces: &[Vec<TraceOp>],
     delay: Option<&DelaySet>,
@@ -790,26 +675,6 @@ mod tests {
         // Shasha–Snir fixes it.
         let analysis = analyze(&cfg);
         assert!(is_sc_preserving(&cfg, &analysis.delay_ss, 2).unwrap());
-    }
-
-    #[test]
-    fn sampling_is_a_subset_of_exhaustive_and_finds_violations() {
-        let cfg = cfg_of(FIGURE1);
-        let empty = DelaySet::new(cfg.accesses.len());
-        let exhaustive = weak_outcomes(&cfg, &empty, 2).unwrap();
-        let sampled = sample_weak_outcomes(&cfg, &empty, 2, 400, 0xfeed).unwrap();
-        assert!(sampled.is_subset(&exhaustive));
-        // With 400 seeded walks over a 4-op program the violating outcome
-        // shows up.
-        assert!(sampled.contains(&vec![1, 0]), "{sampled:?}");
-        // Reproducible.
-        let again = sample_weak_outcomes(&cfg, &empty, 2, 400, 0xfeed).unwrap();
-        assert_eq!(sampled, again);
-        // Under the computed delays the sample respects SC too.
-        let analysis = analyze(&cfg);
-        let safe = sample_weak_outcomes(&cfg, &analysis.delay_ss, 2, 400, 7).unwrap();
-        let sc = sc_outcomes(&cfg, 2).unwrap();
-        assert!(safe.is_subset(&sc), "{safe:?}");
     }
 
     #[test]

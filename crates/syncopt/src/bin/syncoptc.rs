@@ -301,7 +301,9 @@ fn real_main() -> Result<(), String> {
     let out = if cli.daemon {
         daemon_query(&cli, &query)?
     } else {
-        execute(&mut AnalysisSession::new(), &query)
+        // One request: each stage runs once and hands its artifact down, so
+        // a cache could only derive keys and store what is dropped on exit.
+        execute(&mut AnalysisSession::with_capacity(0), &query)
     };
     emit(out)
 }

@@ -15,7 +15,7 @@
 
 use crate::report::level_label;
 use crate::rpc::Answer;
-use crate::session::{AnalysisSession, Replied, SessionOptions};
+use crate::session::{AnalysisSession, Analyzed, Replied, SessionOptions, SharedRun};
 use crate::{DelayChoice, OptLevel, SyncoptError, TraceLevel, DEFAULT_TRACE_LIMIT};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -351,15 +351,15 @@ type Handler = fn(&mut AnalysisSession, &Query) -> CmdOut;
 /// [`dispatch`] looks a command up in and the daemon's `op` labels are
 /// drawn from.
 const COMMANDS: [(&str, Handler); 9] = [
-    ("analyze", |s, q| with_source(s, q, cmd_analyze)),
+    ("analyze", |s, q| with_analysis(s, q, cmd_analyze)),
     ("check", |s, q| {
         if q.kernels {
             cmd_check_kernels(s, q)
         } else {
-            with_source(s, q, cmd_check)
+            with_analysis(s, q, cmd_check)
         }
     }),
-    ("explain", |s, q| with_source(s, q, cmd_explain)),
+    ("explain", |s, q| with_analysis(s, q, cmd_explain)),
     ("lint", |s, q| {
         if q.kernels {
             cmd_lint_kernels(s, q)
@@ -367,7 +367,7 @@ const COMMANDS: [(&str, Handler); 9] = [
             cmd_lint(s, q)
         }
     }),
-    ("litmus", |s, q| with_source(s, q, cmd_litmus)),
+    ("litmus", |s, q| with_analysis(s, q, cmd_litmus)),
     ("opt", |s, q| with_source(s, q, cmd_opt)),
     ("profile", |s, q| with_source(s, q, cmd_profile)),
     ("run", |s, q| with_source(s, q, cmd_run)),
@@ -413,8 +413,42 @@ fn with_source(
 ) -> CmdOut {
     match &q.source {
         Some(src) => run(session, src, q),
-        None => CmdOut::fail(format!("command `{}` needs a source file", q.command)),
+        None => needs_source(q),
     }
+}
+
+fn needs_source(q: &Query) -> CmdOut {
+    CmdOut::fail(format!("command `{}` needs a source file", q.command))
+}
+
+/// Runs a command that reads the analysis of the query's source: the
+/// source is analyzed once and the analysis handed down.
+fn with_analysis(
+    session: &mut AnalysisSession,
+    q: &Query,
+    run: fn(&mut AnalysisSession, &str, &Analyzed, &Query) -> CmdOut,
+) -> CmdOut {
+    let Some(src) = &q.source else {
+        return needs_source(q);
+    };
+    match analyzed(session, src, &q.file, q) {
+        Ok(analyzed) => run(session, src, &analyzed, q),
+        Err(failed) => failed,
+    }
+}
+
+/// `src` analyzed for the query's processor count, or the command's
+/// failure: the frontend or lowering error rendered against `src` as
+/// `file`.
+fn analyzed(
+    session: &mut AnalysisSession,
+    src: &str,
+    file: &str,
+    q: &Query,
+) -> Result<Analyzed, CmdOut> {
+    session
+        .analyzed(src, &session_options(q, OptLevel::Blocking))
+        .map_err(|e| CmdOut::fail(render_err(src, file, &e)))
 }
 
 fn session_options(q: &Query, level: OptLevel) -> SessionOptions {
@@ -446,11 +480,7 @@ pub fn render_err(src: &str, file: &str, e: &SyncoptError) -> String {
     }
 }
 
-fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.analyzed(src, &session_options(q, OptLevel::Blocking)) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
-    };
+fn cmd_analyze(_: &mut AnalysisSession, src: &str, c: &Analyzed, q: &Query) -> CmdOut {
     let s = c.analysis.stats();
     let warnings = syncopt_core::sync_warnings(c.source_cfg());
     if q.format == Format::Json {
@@ -514,9 +544,9 @@ fn cmd_analyze(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.compile_shared(src, &session_options(q, q.level)) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
+    let c = match analyzed(session, src, &q.file, q) {
+        Ok(analyzed) => session.compile_shared(analyzed, q.level),
+        Err(failed) => return failed,
     };
     if q.format == Format::Json {
         let st = &c.optimized().stats;
@@ -565,18 +595,37 @@ fn cmd_opt(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     CmdOut::ok(out)
 }
 
-fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let config = match machine_config(&q.machine, q.procs) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(e),
+/// Analyzes, optimizes and simulates `src` on the query's machine, or
+/// fails the command.
+fn simulate(
+    session: &mut AnalysisSession,
+    src: &str,
+    q: &Query,
+    trace: TraceLevel,
+) -> Result<(SharedRun, MachineConfig), CmdOut> {
+    let config = machine_config(&q.machine, q.procs).map_err(CmdOut::fail)?;
+    let opts = SessionOptions {
+        trace,
+        ..session_options(q, q.level)
     };
-    let mut opts = session_options(q, q.level);
-    if q.trace {
-        opts.trace = TraceLevel::Events;
-    }
-    let r = match session.run_shared(src, &opts, &config) {
-        Ok(r) => r,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
+    let analyzed = session.analyzed(src, &opts);
+    let run = analyzed.and_then(|analyzed| {
+        let compiled = session.compile_shared(analyzed, q.level);
+        session.run_shared(compiled, &config)
+    });
+    run.map(|run| (run, config))
+        .map_err(|e| CmdOut::fail(render_err(src, &q.file, &e)))
+}
+
+fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
+    let trace = if q.trace {
+        TraceLevel::Events
+    } else {
+        TraceLevel::Off
+    };
+    let (r, config) = match simulate(session, src, q, trace) {
+        Ok(run) => run,
+        Err(failed) => return failed,
     };
     let file = q.emit_report.as_ref().map(|path| FileOutput {
         path: path.clone(),
@@ -629,7 +678,7 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     let _ = writeln!(out, "barriers aligned:   {}", r.sim.barriers_aligned);
     let _ = writeln!(out, "final shared memory:");
     for (var, vals) in &r.sim.memory {
-        let name = &r.compiled.source_cfg().vars.info(*var).name;
+        let name = &r.compiled.analyzed.source_cfg().vars.info(*var).name;
         if vals.len() == 1 {
             let _ = writeln!(out, "  {name} = {}", vals[0]);
         } else {
@@ -646,15 +695,9 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
 }
 
 fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let config = match machine_config(&q.machine, q.procs) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(e),
-    };
-    let mut opts = session_options(q, q.level);
-    opts.trace = TraceLevel::Events;
-    let r = match session.run_shared(src, &opts, &config) {
-        Ok(r) => r,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
+    let r = match simulate(session, src, q, TraceLevel::Events) {
+        Ok((r, _)) => r,
+        Err(failed) => return failed,
     };
     let trace = r.trace.as_ref().expect("Events tracing always captures");
     // The exported timeline must reproduce the cycle accounting exactly;
@@ -683,16 +726,8 @@ fn cmd_trace(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     }
 }
 
-fn cmd_explain(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.analyzed(src, &session_options(q, OptLevel::Blocking)) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
-    };
-    let report = match session.explain(src, &session_options(q, OptLevel::Blocking)) {
-        Ok(r) => r,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
-    };
-    let mut report = (*report).clone();
+fn cmd_explain(session: &mut AnalysisSession, src: &str, c: &Analyzed, q: &Query) -> CmdOut {
+    let mut report = (*session.explain(c)).clone();
     if let Some((a, b)) = q.pair {
         report
             .kept
@@ -740,11 +775,7 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     }
 }
 
-fn cmd_litmus(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let c = match session.analyzed(src, &session_options(q, OptLevel::Blocking)) {
-        Ok(c) => c,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
-    };
+fn cmd_litmus(_: &mut AnalysisSession, _: &str, c: &Analyzed, q: &Query) -> CmdOut {
     let cfg = c.source_cfg();
     let sc = match sc_outcomes(cfg, q.procs) {
         Ok(s) => s,
@@ -812,30 +843,23 @@ impl CheckOutcome {
     }
 }
 
-/// Runs the race detector and the synchronization warnings over `src`,
-/// merging both into one sorted diagnostic list. `--strict` additionally
-/// runs the full lint suite and promotes warnings to errors; `--deny` /
-/// `--allow` override per-code severities first (so `--allow` wins over
-/// the strict promotion).
-fn run_check(
-    session: &mut AnalysisSession,
-    src: &str,
-    q: &Query,
-) -> Result<CheckOutcome, SyncoptError> {
-    let opts = session_options(q, OptLevel::Blocking);
-    let analyzed = session.analyzed(src, &opts)?;
+/// Runs the race detector and the synchronization warnings over an
+/// analyzed program, merging both into one sorted diagnostic list.
+/// `--strict` additionally runs the full lint suite and promotes warnings
+/// to errors; `--deny` / `--allow` override per-code severities first (so
+/// `--allow` wins over the strict promotion).
+fn run_check(session: &mut AnalysisSession, analyzed: &Analyzed, q: &Query) -> CheckOutcome {
     let cfg = analyzed.source_cfg();
-    let races = session.races(src, &opts)?;
+    let races = session.races(analyzed);
     let mut diags = race_diagnostics(cfg, &races);
     for w in syncopt_core::sync_warnings(cfg) {
         diags.push(w.to_diagnostic(cfg));
     }
     if q.strict {
-        let lint = session.lint(src, &opts)?;
-        diags.extend(lint.diagnostics.iter().cloned());
+        diags.extend(session.lint(analyzed).diagnostics.iter().cloned());
     }
     finalize_diagnostics(&mut diags, q);
-    Ok(CheckOutcome { races, diags })
+    CheckOutcome { races, diags }
 }
 
 /// Applies `--deny`/`--allow` severity overrides, then the `--strict`
@@ -886,11 +910,8 @@ fn check_summary_json(outcome: &CheckOutcome) -> json::Value {
     ])
 }
 
-fn cmd_check(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
-    let outcome = match run_check(session, src, q) {
-        Ok(o) => o,
-        Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
-    };
+fn cmd_check(session: &mut AnalysisSession, src: &str, c: &Analyzed, q: &Query) -> CmdOut {
+    let outcome = run_check(session, c, q);
     let mut out = String::new();
     match q.format {
         Format::Json => {
@@ -942,11 +963,9 @@ fn cmd_check_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     let mut failed = 0usize;
     let mut rows = Vec::new();
     for kernel in syncopt_kernels::all_kernels(q.procs) {
-        let outcome = match run_check(session, &kernel.source, q) {
-            Ok(o) => o,
-            Err(e) => {
-                return CmdOut::fail(render_err(&kernel.source, kernel.name, &e));
-            }
+        let outcome = match analyzed(session, &kernel.source, kernel.name, q) {
+            Ok(analyzed) => run_check(session, &analyzed, q),
+            Err(failed) => return failed,
         };
         failed += usize::from(outcome.errors() > 0);
         rows.push((kernel.name, outcome));
@@ -1027,14 +1046,13 @@ fn cmd_lint(session: &mut AnalysisSession, q: &Query) -> CmdOut {
         },
         None => match &q.source {
             Some(src) => (src.clone(), q.file.clone()),
-            None => return CmdOut::fail("command `lint` needs a source file".to_string()),
+            None => return needs_source(q),
         },
     };
-    let report = match session.lint(&src, &session_options(q, OptLevel::Blocking)) {
-        Ok(r) => r,
-        Err(e) => return CmdOut::fail(render_err(&src, &display, &e)),
+    let mut report = match analyzed(session, &src, &display, q) {
+        Ok(analyzed) => (*session.lint(&analyzed)).clone(),
+        Err(failed) => return failed,
     };
-    let mut report = (*report).clone();
     finalize_diagnostics(&mut report.diagnostics, q);
     let mut out = String::new();
     match q.format {
@@ -1083,11 +1101,10 @@ fn cmd_lint_kernels(session: &mut AnalysisSession, q: &Query) -> CmdOut {
     let mut failed = 0usize;
     let mut rows = Vec::new();
     for kernel in syncopt_kernels::all_kernels(q.procs) {
-        let report = match session.lint(&kernel.source, &session_options(q, OptLevel::Blocking)) {
-            Ok(r) => r,
-            Err(e) => return CmdOut::fail(render_err(&kernel.source, kernel.name, &e)),
+        let mut report = match analyzed(session, &kernel.source, kernel.name, q) {
+            Ok(analyzed) => (*session.lint(&analyzed)).clone(),
+            Err(failed) => return failed,
         };
-        let mut report = (*report).clone();
         finalize_diagnostics(&mut report.diagnostics, q);
         failed += usize::from(report.errors() > 0);
         rows.push((kernel.name, kernel.source.clone(), report));

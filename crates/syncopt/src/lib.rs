@@ -256,10 +256,8 @@ impl<'a> Syncopt<'a> {
     pub fn compile(&self) -> Result<Compiled, SyncoptError> {
         // One request, each stage run once: a cache could never hit, so the
         // session has none, derives no cache key, and leaves every artifact
-        // uniquely held — `into_owned` moves them out.
-        AnalysisSession::with_capacity(0)
-            .compile_shared(self.src, &self.opts)
-            .map(session::SharedCompiled::into_owned)
+        // uniquely held — they are moved out, not copied.
+        AnalysisSession::with_capacity(0).compile(self.src, &self.opts)
     }
 
     /// Compiles (analyzing for the machine's processor count unless
@@ -270,9 +268,7 @@ impl<'a> Syncopt<'a> {
     ///
     /// Returns frontend, lowering, or simulation errors.
     pub fn run(&self, config: &MachineConfig) -> Result<RunResult, SyncoptError> {
-        AnalysisSession::with_capacity(0)
-            .run_shared(self.src, &self.opts, config)
-            .map(session::SharedRun::into_owned)
+        AnalysisSession::with_capacity(0).run(self.src, &self.opts, config)
     }
 
     /// The paper's §5.2 **two-version compilation**: barrier alignment is
@@ -341,15 +337,16 @@ impl<'a> Syncopt<'a> {
         })
     }
 
-    /// Runs the program twice on `config` — once at [`OptLevel::Blocking`]
-    /// and once at the builder's configured level — and pairs the two
-    /// [`PipelineReport`]s, the shape of the paper's Figure 12 bars.
+    /// Analyzes the program once and runs it twice on `config` — once at
+    /// [`OptLevel::Blocking`] and once at the builder's configured level —
+    /// and pairs the two [`PipelineReport`]s, the shape of the paper's
+    /// Figure 12 bars.
     ///
     /// # Errors
     ///
     /// Returns frontend, lowering, or simulation errors from either run.
     pub fn profile(&self, config: &MachineConfig) -> Result<ProfileReport, SyncoptError> {
-        AnalysisSession::new().profile(self.src, &self.opts, config)
+        AnalysisSession::with_capacity(0).profile(self.src, &self.opts, config)
     }
 }
 

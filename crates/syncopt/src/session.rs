@@ -23,13 +23,23 @@
 //! | `explain`  | raw source text + procs                             | [`ExplainReport`] |
 //! | `reply`    | raw source text + every `Query` field               | the escaped wire [`Answer`] of one [`execute`] request, failures included |
 //!
-//! The front end is one stage. A request looks up `cfg` under its raw
-//! source text, and only on a miss parses, type-checks, inlines and lowers
-//! it: the parsed and inlined programs are steps on the way to the CFG
-//! that every later stage reads, and are not kept. The same stage then
-//! looks up the `analysis`. Commands that read nothing else — `analyze`,
-//! `check`, `explain`, `litmus` — stop there; `compile` goes on to
-//! optimize.
+//! # One pass per request
+//!
+//! Within a request each stage runs once and passes its artifact down;
+//! the cache serves only later requests. The first stage is the front end
+//! and the analysis. A request derives the key of its raw source text (at
+//! most once), looks up `cfg` under it, and only on a miss parses,
+//! type-checks, inlines and lowers the text: the parsed and inlined
+//! programs are steps on the way to the CFG that every later stage reads,
+//! and are not kept. It then looks up the `analysis`. Both, with the
+//! source key, make one `Analyzed` value that every later stage reads
+//! or extends. Optimizing extends it into a compiled program, and
+//! simulating extends that. `races`, `lint` and `explain` read it and
+//! cannot fail. `profile` optimizes and simulates both of its levels from
+//! the one analysis. Commands that read only the analysis — `analyze`,
+//! `check`, `explain`, `litmus`, `lint` — are handed it and never look
+//! up `opt`. No stage goes back to the source text, so no request looks
+//! up an artifact kind twice.
 //!
 //! Span-bearing artifacts (`cfg`, `lint` diagnostics) key on the
 //! *raw* source so two texts that differ only in whitespace never share
@@ -92,9 +102,11 @@
 //! A session of capacity 0 ([`AnalysisSession::with_capacity`]) has its
 //! cache **disabled**, and derives none of the keys above: every key is
 //! handed to the cache as a closure, which a disabled cache never calls.
-//! The [`Syncopt`](crate::Syncopt) builder's `compile` and `run` — one
-//! request, each stage run once, session dropped — run on such a session,
-//! through the same pipeline and to the same bytes.
+//! Since no request needs the cache to share work within itself, every
+//! one-shot entry point runs on such a session — the
+//! [`Syncopt`](crate::Syncopt) builder's `compile`, `run` and `profile`,
+//! and `syncoptc` without `--daemon` — through the same pipeline and to
+//! the same bytes, without a stored reply nobody would read.
 //!
 //! ```
 //! use syncopt::{AnalysisSession, SessionOptions};
@@ -181,6 +193,15 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
+    /// These options for a run on `config`: analyzed for its processor
+    /// count unless `procs` overrides it.
+    fn on(&self, config: &MachineConfig) -> SessionOptions {
+        SessionOptions {
+            procs: Some(self.procs.unwrap_or(config.procs)),
+            ..*self
+        }
+    }
+
     fn sync_options(&self) -> SyncOptions {
         SyncOptions {
             procs: self.procs,
@@ -226,9 +247,16 @@ impl<T> Keyed<T> {
     }
 }
 
-/// The source CFG of one request and its delay-set analysis, both shared
-/// with the cache, and the timings of the phases that produced them.
+/// The first stage of a request: the source CFG and its delay-set
+/// analysis, both shared with the cache, the options they were built for,
+/// the key of the raw source text and the timings of the phases so far.
+/// Every later stage of the request reads or extends this one value.
+#[derive(Clone)]
 pub(crate) struct Analyzed {
+    /// The fingerprint of the raw source text, derived at most once per
+    /// request; `None` when the cache is disabled.
+    src_key: Option<Fingerprint>,
+    opts: SessionOptions,
     source: Arc<Keyed<Cfg>>,
     pub(crate) analysis: Arc<Analysis>,
     timings: PhaseTimings,
@@ -247,32 +275,27 @@ enum Lookup {
     Miss(Program),
 }
 
-/// What the cached pipeline produced for one request, every artifact
-/// still shared with the cache. [`AnalysisSession::compile`] copies out of
-/// it; [`crate::commands::execute`] only reads.
+/// An [`Analyzed`] request optimized at one level, the optimized program
+/// shared with the cache. [`AnalysisSession::compile`] copies out of it;
+/// [`crate::commands::execute`] only reads.
 pub(crate) struct SharedCompiled {
-    source: Arc<Keyed<Cfg>>,
-    pub(crate) analysis: Arc<Analysis>,
+    pub(crate) analyzed: Analyzed,
     optimized: Arc<Keyed<Optimized>>,
     pub(crate) report: PipelineReport,
 }
 
 impl SharedCompiled {
-    pub(crate) fn source_cfg(&self) -> &Cfg {
-        &self.source.artifact
-    }
-
     pub(crate) fn optimized(&self) -> &Optimized {
         &self.optimized.artifact
     }
 
-    /// Moves each artifact out where this is its last holder (a one-shot
-    /// builder call that already dropped its session) and copies it where
-    /// a live cache still shares it. The optimized CFG, cached without
-    /// spans because other source texts share it, gets this request's.
+    /// Moves each artifact out where this is its last holder (a session
+    /// with its cache disabled) and copies it where a live cache still
+    /// shares it. The optimized CFG, cached without spans because other
+    /// source texts share it, gets this request's.
     pub(crate) fn into_owned(self) -> Compiled {
         let mut optimized = Arc::unwrap_or_clone(self.optimized).artifact;
-        let source = &self.source.artifact.accesses;
+        let source = &self.analyzed.source.artifact.accesses;
         assert_eq!(
             source.len(),
             optimized.cfg.accesses.len(),
@@ -282,8 +305,8 @@ impl SharedCompiled {
             optimized.cfg.accesses.info_mut(id).span = info.span;
         }
         Compiled {
-            source_cfg: Arc::unwrap_or_clone(self.source).artifact,
-            analysis: Arc::unwrap_or_clone(self.analysis),
+            source_cfg: Arc::unwrap_or_clone(self.analyzed.source).artifact,
+            analysis: Arc::unwrap_or_clone(self.analyzed.analysis),
             optimized,
             report: self.report,
         }
@@ -406,8 +429,8 @@ impl AnalysisSession {
     /// Returns frontend or lowering errors (never cached — errors are
     /// re-diagnosed with fresh spans on every request).
     pub fn compile(&mut self, src: &str, opts: &SessionOptions) -> Result<Compiled, SyncoptError> {
-        self.compile_shared(src, opts)
-            .map(SharedCompiled::into_owned)
+        let analyzed = self.analyzed(src, opts)?;
+        Ok(self.compile_shared(analyzed, opts.level).into_owned())
     }
 
     /// Compiles (analyzing for the machine's processor count unless
@@ -422,127 +445,188 @@ impl AnalysisSession {
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<RunResult, SyncoptError> {
-        self.run_shared(src, opts, config)
-            .map(SharedRun::into_owned)
+        let analyzed = self.analyzed(src, &opts.on(config))?;
+        let compiled = self.compile_shared(analyzed, opts.level);
+        self.run_shared(compiled, config).map(SharedRun::into_owned)
     }
 
-    /// Runs `src` twice — once at [`OptLevel::Blocking`] and once at
-    /// `opts.level` — sharing the analysis between the two runs via the
-    /// cache.
+    /// Analyzes `src` once and runs it twice from that analysis — at
+    /// [`OptLevel::Blocking`] and at `opts.level` — on `config`.
     ///
     /// # Errors
     ///
     /// Returns frontend, lowering, or simulation errors from either run.
-    pub fn profile(
+    pub(crate) fn profile(
         &mut self,
         src: &str,
         opts: &SessionOptions,
         config: &MachineConfig,
     ) -> Result<ProfileReport, SyncoptError> {
-        let blocking_opts = SessionOptions {
-            level: OptLevel::Blocking,
-            ..*opts
+        let analyzed = self.analyzed(src, &opts.on(config))?;
+        let mut report = |level| {
+            let compiled = self.compile_shared(analyzed.clone(), level);
+            self.run_shared(compiled, config)
+                .map(|run| run.compiled.report)
         };
-        let blocking = self.run_shared(src, &blocking_opts, config)?;
-        let optimized = self.run_shared(src, opts, config)?;
         Ok(ProfileReport {
-            blocking: blocking.compiled.report,
-            optimized: optimized.compiled.report,
+            blocking: report(OptLevel::Blocking)?,
+            optimized: report(opts.level)?,
         })
     }
 
     /// The race detector's classification of every conflicting data pair
     /// (cached per source text and processor count).
-    ///
-    /// # Errors
-    ///
-    /// Returns frontend or lowering errors.
-    pub fn races(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Arc<RaceAnalysis>, SyncoptError> {
-        self.derived("races", "races.v1", src, opts, syncopt_core::classify_races)
+    pub(crate) fn races(&mut self, analyzed: &Analyzed) -> Arc<RaceAnalysis> {
+        self.derived("races", "races.v1", analyzed, syncopt_core::classify_races)
     }
 
     /// The full lint suite, including fence-coverage verification at
     /// every optimization level (cached per source text and processor
     /// count).
-    ///
-    /// # Errors
-    ///
-    /// Returns frontend or lowering errors.
-    pub fn lint(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Arc<LintReport>, SyncoptError> {
-        self.derived(
-            "lint",
-            "lint.v1",
-            src,
-            opts,
-            crate::lint::lint_with_analysis,
-        )
+    pub(crate) fn lint(&mut self, analyzed: &Analyzed) -> Arc<LintReport> {
+        self.derived("lint", "lint.v1", analyzed, crate::lint::lint_with_analysis)
     }
 
     /// Delay-set provenance: why each `D_SS` pair was kept or dropped
     /// (cached per source text and processor count).
-    ///
-    /// # Errors
-    ///
-    /// Returns frontend or lowering errors.
-    pub fn explain(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Arc<ExplainReport>, SyncoptError> {
-        self.derived("explain", "explain.v1", src, opts, syncopt_core::explain)
+    pub(crate) fn explain(&mut self, analyzed: &Analyzed) -> Arc<ExplainReport> {
+        self.derived("explain", "explain.v1", analyzed, syncopt_core::explain)
     }
 
     /// An artifact derived from the source CFG and its analysis, keyed by
-    /// the raw source text, `tag` and the processor count.
+    /// the request's raw-source key, `tag` and the processor count.
     fn derived<T: Send + Sync + 'static>(
         &mut self,
         kind: &'static str,
         tag: &str,
-        src: &str,
-        opts: &SessionOptions,
+        analyzed: &Analyzed,
         build: impl FnOnce(&Cfg, &Analysis, &SyncOptions) -> T,
-    ) -> Result<Arc<T>, SyncoptError> {
-        let key = self
-            .cache
-            .enabled()
-            .then(|| src_fingerprint(src).push(tag).push(&procs_part(opts.procs)));
-        if let Some(hit) = key.and_then(|key| self.cache.get::<T>(kind, key)) {
-            return Ok(hit);
+    ) -> Arc<T> {
+        let build = || {
+            build(
+                analyzed.source_cfg(),
+                &analyzed.analysis,
+                &analyzed.opts.sync_options(),
+            )
+        };
+        match analyzed.src_key {
+            Some(src) => {
+                let key = || src.push(tag).push(&procs_part(analyzed.opts.procs));
+                self.cache.get_or_with(kind, key, build)
+            }
+            None => Arc::new(build()),
         }
-        let analyzed = self.analyzed(src, opts)?;
-        let artifact = Arc::new(build(
-            analyzed.source_cfg(),
-            &analyzed.analysis,
-            &opts.sync_options(),
-        ));
-        if let Some(key) = key {
-            self.cache.insert_arc(kind, key, Arc::clone(&artifact));
-        }
-        Ok(artifact)
     }
 
     // ---- internal cached pipeline stages --------------------------------
 
-    /// [`run`](AnalysisSession::run) without the copies.
-    pub(crate) fn run_shared(
+    /// The first stage: the source CFG of `src` and its analysis for
+    /// `opts`. The CFG is the `cfg` entry under the raw source text; on a
+    /// miss `src` is parsed, type-checked, inlined and lowered, each step
+    /// timed as its own phase (on a hit the lookup is timed as `parse` and
+    /// the other three record 0). Failures are returned, never cached.
+    pub(crate) fn analyzed(
         &mut self,
         src: &str,
         opts: &SessionOptions,
+    ) -> Result<Analyzed, SyncoptError> {
+        let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
+        let src_key = self.cache.enabled().then(|| src_fingerprint(src));
+        let cache = &mut self.cache;
+        let lookup = timings.time("parse", || {
+            match src_key.and_then(|key| cache.get::<Keyed<Cfg>>("cfg", key)) {
+                Some(hit) => Ok(Lookup::Hit(hit)),
+                None => syncopt_frontend::parse_program(src).map(Lookup::Miss),
+            }
+        })?;
+        let source = match lookup {
+            Lookup::Hit(source) => {
+                for phase in ["typeck", "inline", "lower"] {
+                    timings.record(phase, 0);
+                }
+                source
+            }
+            Lookup::Miss(program) => {
+                timings.time("typeck", || syncopt_frontend::typeck::check(&program))?;
+                let inlined = timings.time("inline", || {
+                    syncopt_frontend::inline::inline_program(&program)
+                })?;
+                let cfg = timings.time("lower", || syncopt_ir::lower::lower_main(&inlined))?;
+                let source = Arc::new(Keyed::new(cfg, "analysis.v2", |cfg| cfg));
+                if let Some(key) = src_key {
+                    cache.insert_arc("cfg", key, Arc::clone(&source));
+                }
+                source
+            }
+        };
+        let analysis = timings.time("analyze", || {
+            cache.get_or_with(
+                "analysis",
+                || source.text_key().push(&procs_part(opts.procs)),
+                || syncopt_core::analyze_with(&source.artifact, &opts.sync_options()),
+            )
+        });
+        Ok(Analyzed {
+            src_key,
+            opts: *opts,
+            source,
+            analysis,
+            timings,
+        })
+    }
+
+    /// The second stage: `analyzed` optimized at `level`.
+    pub(crate) fn compile_shared(
+        &mut self,
+        mut analyzed: Analyzed,
+        level: OptLevel,
+    ) -> SharedCompiled {
+        let (source, analysis) = (&analyzed.source, &analyzed.analysis);
+        let SessionOptions { procs, delay, .. } = analyzed.opts;
+        let mut timings = std::mem::take(&mut analyzed.timings);
+        let cache = &mut self.cache;
+        let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
+            let key = || {
+                source
+                    .text_key()
+                    .push("opt.v2")
+                    .push(&procs_part(procs))
+                    .push(level_label(level))
+                    .push(delay_label(delay))
+            };
+            cache.get_or_with("opt", key, || {
+                let mut optimized =
+                    syncopt_codegen::optimize(&source.artifact, analysis, level, delay);
+                // Every source text with this canonical CFG shares the
+                // artifact; `into_owned` puts each request's own spans back.
+                for id in source.artifact.accesses.ids() {
+                    optimized.cfg.accesses.info_mut(id).span = Span::dummy();
+                }
+                Keyed::new(optimized, "sim.v2", |optimized| &optimized.cfg)
+            })
+        });
+        let report = PipelineReport {
+            meta: meta_for(procs.unwrap_or(0), level, delay, None),
+            timings,
+            analysis: analysis.stats(),
+            counters: analysis.metrics.clone(),
+            codegen: optimized.artifact.stats,
+            sim: None,
+        };
+        SharedCompiled {
+            analyzed,
+            optimized,
+            report,
+        }
+    }
+
+    /// The third stage: `compiled` simulated on `config`.
+    pub(crate) fn run_shared(
+        &mut self,
+        mut compiled: SharedCompiled,
         config: &MachineConfig,
     ) -> Result<SharedRun, SyncoptError> {
-        let opts = &SessionOptions {
-            procs: Some(opts.procs.unwrap_or(config.procs)),
-            ..*opts
-        };
-        let mut compiled = self.compile_shared(src, opts)?;
+        let opts = compiled.analyzed.opts;
         let mut trace = None;
         let cache = &mut self.cache;
         let optimized = &compiled.optimized;
@@ -579,107 +663,6 @@ impl AnalysisSession {
             compiled,
             sim,
             trace,
-        })
-    }
-
-    /// The source CFG of `src` and its analysis for `opts`. The CFG is the
-    /// `cfg` entry under the raw source text; on a miss `src` is parsed,
-    /// type-checked, inlined and lowered, each step timed as its own phase
-    /// (on a hit the lookup is timed as `parse` and the other three record
-    /// 0). Failures are returned, never cached.
-    pub(crate) fn analyzed(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<Analyzed, SyncoptError> {
-        let mut timings = PhaseTimings::new(opts.trace >= TraceLevel::Phases);
-        let key = self.cache.enabled().then(|| src_fingerprint(src));
-        let cache = &mut self.cache;
-        let lookup = timings.time("parse", || {
-            match key.and_then(|key| cache.get::<Keyed<Cfg>>("cfg", key)) {
-                Some(hit) => Ok(Lookup::Hit(hit)),
-                None => syncopt_frontend::parse_program(src).map(Lookup::Miss),
-            }
-        })?;
-        let source = match lookup {
-            Lookup::Hit(source) => {
-                for phase in ["typeck", "inline", "lower"] {
-                    timings.record(phase, 0);
-                }
-                source
-            }
-            Lookup::Miss(program) => {
-                timings.time("typeck", || syncopt_frontend::typeck::check(&program))?;
-                let inlined = timings.time("inline", || {
-                    syncopt_frontend::inline::inline_program(&program)
-                })?;
-                let cfg = timings.time("lower", || syncopt_ir::lower::lower_main(&inlined))?;
-                let source = Arc::new(Keyed::new(cfg, "analysis.v2", |cfg| cfg));
-                if let Some(key) = key {
-                    cache.insert_arc("cfg", key, Arc::clone(&source));
-                }
-                source
-            }
-        };
-        let analysis = timings.time("analyze", || {
-            cache.get_or_with(
-                "analysis",
-                || source.text_key().push(&procs_part(opts.procs)),
-                || syncopt_core::analyze_with(&source.artifact, &opts.sync_options()),
-            )
-        });
-        Ok(Analyzed {
-            source,
-            analysis,
-            timings,
-        })
-    }
-
-    /// [`compile`](AnalysisSession::compile) without the copies.
-    pub(crate) fn compile_shared(
-        &mut self,
-        src: &str,
-        opts: &SessionOptions,
-    ) -> Result<SharedCompiled, SyncoptError> {
-        let Analyzed {
-            source,
-            analysis,
-            mut timings,
-        } = self.analyzed(src, opts)?;
-        let cache = &mut self.cache;
-        let optimized: Arc<Keyed<Optimized>> = timings.time("optimize", || {
-            let key = || {
-                source
-                    .text_key()
-                    .push("opt.v2")
-                    .push(&procs_part(opts.procs))
-                    .push(level_label(opts.level))
-                    .push(delay_label(opts.delay))
-            };
-            cache.get_or_with("opt", key, || {
-                let mut optimized =
-                    syncopt_codegen::optimize(&source.artifact, &analysis, opts.level, opts.delay);
-                // Every source text with this canonical CFG shares the
-                // artifact; `into_owned` puts each request's own spans back.
-                for id in source.artifact.accesses.ids() {
-                    optimized.cfg.accesses.info_mut(id).span = Span::dummy();
-                }
-                Keyed::new(optimized, "sim.v2", |optimized| &optimized.cfg)
-            })
-        });
-        let report = PipelineReport {
-            meta: meta_for(opts.procs.unwrap_or(0), opts.level, opts.delay, None),
-            timings,
-            analysis: analysis.stats(),
-            counters: analysis.metrics.clone(),
-            codegen: optimized.artifact.stats,
-            sim: None,
-        };
-        Ok(SharedCompiled {
-            source,
-            analysis,
-            optimized,
-            report,
         })
     }
 }
@@ -757,6 +740,7 @@ fn push_machine(stem: Fingerprint, config: &MachineConfig) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::Query;
     use crate::Syncopt;
 
     const SRC: &str = r#"
@@ -776,6 +760,18 @@ mod tests {
             procs: Some(procs),
             ..SessionOptions::default()
         }
+    }
+
+    /// `src` through the three stages of a run.
+    fn shared_run(
+        s: &mut AnalysisSession,
+        src: &str,
+        opts: &SessionOptions,
+        config: &MachineConfig,
+    ) -> SharedRun {
+        let analyzed = s.analyzed(src, opts).unwrap();
+        let compiled = s.compile_shared(analyzed, opts.level);
+        s.run_shared(compiled, config).unwrap()
     }
 
     #[test]
@@ -815,14 +811,14 @@ mod tests {
         let config = MachineConfig::cm5(4);
         let buffers = |run: &SharedRun| {
             (
-                run.compiled.source_cfg().blocks.as_ptr(),
+                run.compiled.analyzed.source_cfg().blocks.as_ptr(),
                 run.compiled.optimized().cfg.blocks.as_ptr(),
                 run.sim.proc_cycles.as_ptr(),
             )
         };
 
         let mut s = AnalysisSession::new();
-        let shared = s.run_shared(SRC, &opts(4), &config).unwrap();
+        let shared = shared_run(&mut s, SRC, &opts(4), &config);
         let before = buffers(&shared);
         drop(s);
         let owned = shared.into_owned();
@@ -834,7 +830,7 @@ mod tests {
         assert_eq!(before, after, "a unique artifact was deep-cloned");
 
         let mut s = AnalysisSession::new();
-        let shared = s.run_shared(SRC, &opts(4), &config).unwrap();
+        let shared = shared_run(&mut s, SRC, &opts(4), &config);
         let cached = buffers(&shared);
         let copy = shared.into_owned();
         assert_ne!(copy.compiled.source_cfg.blocks.as_ptr(), cached.0);
@@ -845,45 +841,100 @@ mod tests {
         assert_eq!(delta.misses, 0, "the cache lost an entry");
     }
 
-    /// A session without a cache runs the same stages to the same report
+    /// A session without a cache runs the same stages to the same answers
     /// and derives none of the keys: no source text hashed, no CFG
-    /// printed, nothing looked up, nothing kept.
+    /// printed, nothing looked up, nothing kept. That holds for every
+    /// stage and for every shape of query, which is what lets a one-shot
+    /// entry point run uncached.
     #[test]
     fn a_session_of_capacity_zero_derives_no_key_and_keeps_nothing() {
         let config = MachineConfig::cm5(4);
         let mut off = AnalysisSession::with_capacity(0);
         for _ in 0..2 {
-            let run = off.run_shared(SRC, &opts(4), &config).unwrap();
-            assert!(run.compiled.source.text_key.get().is_none());
+            let run = shared_run(&mut off, SRC, &opts(4), &config);
+            let analyzed = &run.compiled.analyzed;
+            assert!(analyzed.src_key.is_none());
+            assert!(analyzed.source.text_key.get().is_none());
             assert!(run.compiled.optimized.text_key.get().is_none());
-            assert_eq!(Arc::strong_count(&run.compiled.source), 1);
-            assert_eq!(Arc::strong_count(&run.compiled.analysis), 1);
+            assert_eq!(Arc::strong_count(&analyzed.source), 1);
+            assert_eq!(Arc::strong_count(&analyzed.analysis), 1);
             assert_eq!(Arc::strong_count(&run.compiled.optimized), 1);
             assert_eq!(Arc::strong_count(&run.sim), 1);
-            let cached = AnalysisSession::new()
-                .run_shared(SRC, &opts(4), &config)
-                .unwrap();
-            assert!(cached.compiled.source.text_key.get().is_some());
+            let mut on = AnalysisSession::new();
+            let cached = shared_run(&mut on, SRC, &opts(4), &config);
+            assert!(cached.compiled.analyzed.src_key.is_some());
+            assert!(cached.compiled.analyzed.source.text_key.get().is_some());
             assert_eq!(run.report(), cached.report());
+            // The stages over the analysis go the same way.
+            let on_analyzed = &cached.compiled.analyzed;
+            let lint = off.lint(analyzed);
+            assert_eq!(Arc::strong_count(&lint), 1);
+            assert_eq!(format!("{lint:?}"), format!("{:?}", on.lint(on_analyzed)));
+            let races = off.races(analyzed);
+            assert_eq!(format!("{races:?}"), format!("{:?}", on.races(on_analyzed)));
+            let explain = off.explain(analyzed);
+            let cached_explain = on.explain(on_analyzed);
+            assert_eq!(format!("{explain:?}"), format!("{cached_explain:?}"));
         }
         assert_eq!(off.cache_stats(), CacheStats::default());
         assert_eq!((off.cached_artifacts(), off.cache_capacity()), (0, 0));
         assert!(off.kind_counters().is_empty());
-        // The derived artifacts go the same way.
-        let lint = off.lint(SRC, &opts(4)).unwrap();
-        assert_eq!(Arc::strong_count(&lint), 1);
-        let cached = AnalysisSession::new().lint(SRC, &opts(4)).unwrap();
-        assert_eq!(format!("{lint:?}"), format!("{cached:?}"));
-        assert_eq!(off.cache_stats(), CacheStats::default());
-        // So do whole commands: no reply key is derived, every request
-        // answers afresh, and the answer is a cached session's.
-        for command in ["check", "run", "profile"] {
-            let q = crate::commands::Query {
-                command: command.to_string(),
-                source: Some(SRC.to_string()),
-                ..crate::commands::Query::default()
-            };
+        // So do whole commands, in every shape a query takes: no reply key
+        // is derived, every request answers afresh, and the answer is a
+        // cached session's.
+        let query = |command: &str| Query {
+            command: command.to_string(),
+            source: Some(SRC.to_string()),
+            ..Query::default()
+        };
+        let sourceless = |command: &str| Query {
+            source: None,
+            ..query(command)
+        };
+        let shapes = [
+            query("analyze"),
+            query("check"),
+            Query {
+                strict: true,
+                ..query("check")
+            },
+            Query {
+                kernels: true,
+                ..sourceless("check")
+            },
+            query("explain"),
+            Query {
+                pair: Some((0, 2)),
+                ..query("explain")
+            },
+            query("lint"),
+            Query {
+                kernels: true,
+                ..sourceless("lint")
+            },
+            Query {
+                seeded: Some("lock-cycle".to_string()),
+                ..sourceless("lint")
+            },
+            query("litmus"),
+            Query {
+                dump: true,
+                ..query("opt")
+            },
+            query("profile"),
+            query("run"),
+            Query {
+                emit_report: Some("report.json".to_string()),
+                ..query("run")
+            },
+            query("trace"),
+        ];
+        for q in shapes {
             let cached = crate::commands::execute(&mut AnalysisSession::new(), &q);
+            assert!(
+                cached.failure.is_none() || q.command == "check",
+                "{q:?}: {cached:?}"
+            );
             for _ in 0..2 {
                 let mut answered = 0;
                 let replied = off.reply(
@@ -896,8 +947,8 @@ mod tests {
                 let Replied::Built(out, None) = replied else {
                     panic!("a disabled cache stored or served a reply");
                 };
-                assert_eq!((out, answered), (cached.clone(), 1), "{command}");
-                assert_eq!(crate::commands::execute(&mut off, &q), cached, "{command}");
+                assert_eq!((out, answered), (cached.clone(), 1), "{q:?}");
+                assert_eq!(crate::commands::execute(&mut off, &q), cached, "{q:?}");
             }
         }
         assert_eq!(off.cache_stats(), CacheStats::default());
@@ -954,11 +1005,11 @@ mod tests {
             let o = SessionOptions { level, ..opts(4) };
             // Twice: the second run reads the memo the first one filled.
             for _ in 0..2 {
-                let r = s.run_shared(SRC, &o, &config).unwrap();
+                let r = shared_run(&mut s, SRC, &o, &config);
                 let c = &r.compiled;
                 assert_eq!(
-                    c.source.text_key(),
-                    canonical("analysis.v2", c.source_cfg())
+                    c.analyzed.source.text_key(),
+                    canonical("analysis.v2", c.analyzed.source_cfg())
                 );
                 assert_eq!(
                     c.optimized.text_key(),
@@ -1079,9 +1130,14 @@ mod tests {
         let config = MachineConfig::cm5(4);
         let p = s.profile(SRC, &opts(4), &config).unwrap();
         assert_eq!(p.blocking.meta.level, OptLevel::Blocking);
-        // One analysis miss, one hit: blocking and optimized share it.
-        assert_eq!(s.kind_counters().get("cache.analysis.misses"), 1);
-        assert!(s.kind_counters().get("cache.analysis.hits") >= 1);
+        // One `cfg` and one `analysis` lookup: both levels read the one
+        // analysis the request made, and each optimizes and simulates.
+        let kinds = s.kind_counters();
+        let count = |kind: &str, what: &str| kinds.get(&format!("cache.{kind}.{what}"));
+        for (kind, misses) in [("cfg", 1), ("analysis", 1), ("opt", 2), ("sim", 2)] {
+            let counts = (count(kind, "hits"), count(kind, "misses"));
+            assert_eq!(counts, (0, misses), "{kind}");
+        }
     }
 
     #[test]

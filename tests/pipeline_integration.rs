@@ -1,6 +1,8 @@
 //! End-to-end pipeline integration: source text → frontend → IR → analysis
 //! → codegen → simulation, across optimization levels and machine models.
 
+use std::collections::BTreeSet;
+use syncopt::core::diag::json::Value;
 use syncopt::machine::MachineConfig;
 use syncopt::{Compiled, DelayChoice, OptLevel, RunResult, Syncopt, SyncoptError};
 
@@ -276,5 +278,39 @@ fn a_program_nested_to_one_below_the_limit_compiles_and_runs() {
             Err(e) => assert_eq!(e.to_diagnostic().code, "E007", "{to}: {e}"),
             Ok(_) => panic!("{to}: one level past the limit compiled"),
         }
+    }
+}
+
+/// Drift test (the service-metric one in `tests/service_metrics.rs`, for
+/// the analysis): the `counters` section of every kernel's report names
+/// exactly the counters of the "Counter glossary" in
+/// `docs/OBSERVABILITY.md`, a row that names several (`a` / `b`) counting
+/// each.
+#[test]
+fn every_report_counter_is_in_the_counter_glossary_and_back() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let docs = std::fs::read_to_string(root.join("docs/OBSERVABILITY.md")).unwrap();
+    let glossary = docs
+        .split("## Counter glossary")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("docs/OBSERVABILITY.md has a counter glossary");
+    let documented: BTreeSet<&str> = glossary
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .flat_map(|row| row.split(" |").next().unwrap().split(" / "))
+        .map(|name| name.trim_matches('`'))
+        .collect();
+    assert!(documented.contains("conflict.pairs"), "{documented:?}");
+    for kernel in syncopt::kernels::all_kernels(4) {
+        let report = compile(&kernel.source, 4, OptLevel::Full, DelayChoice::SyncRefined)
+            .unwrap()
+            .report
+            .to_json();
+        let Some(Value::Obj(counters)) = report.get("counters") else {
+            panic!("{}: the report has no counters: {report}", kernel.name);
+        };
+        let reported: BTreeSet<&str> = counters.iter().map(|(name, _)| name.as_ref()).collect();
+        assert_eq!(reported, documented, "{}", kernel.name);
     }
 }

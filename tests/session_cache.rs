@@ -216,25 +216,35 @@ fn cold_warm_and_renamed_activity(queries: &[Query]) -> [String; 3] {
     [0, 1, 2].map(|i| kind_delta(&marks[i], &marks[i + 1]))
 }
 
-/// Per-kind lookups as they were before fingerprints were carried on the
-/// artifacts (taken at commit 45ffd83): memoizing a key must not add,
-/// drop or re-route a single lookup. Three changes since were made on
-/// purpose. A cold `check` classifies races from the `analysis` artifact
-/// its compile just cached (one more `analysis` hit per program) instead
-/// of analyzing the program a second time. Every request first looks up
-/// its stored `reply`: a repeat finds it and looks up nothing else, while
-/// the same query under another display name misses it and makes exactly
-/// the artifact lookups of a warm request. And the front end is the one
-/// `cfg` entry (no parsed, inlined or per-function checked program is
-/// kept), while `check` and `analyze` read no optimized program, so they
-/// look up no `opt`.
+/// The per-kind lookups of cold, warm and renamed requests, pinned: a
+/// change to how keys are derived, carried or memoized must not add, drop
+/// or re-route a single lookup. Every request first looks up its stored
+/// `reply`: a repeat finds it and looks up nothing else, while the same
+/// query under another display name misses it and makes exactly the
+/// artifact lookups of a warm request. The front end is the one `cfg`
+/// entry (no parsed, inlined or per-function checked program is kept),
+/// and `check`, `explain` and `analyze` read no optimized program, so they
+/// look up no `opt`. A request walks its stages once: `races`, `lint`,
+/// `explain` and both levels of `profile` read the analysis the request
+/// made, so one request looks up each kind once — each of `profile`'s two
+/// levels its own `opt` and `sim`.
 #[test]
 fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
     let pinned = [
         (
             "check",
-            "cfg 5/5, analysis 5/5, races 0/5",
+            "cfg 0/5, analysis 0/5, races 0/5",
             "cfg 5/0, analysis 5/0, races 5/0",
+        ),
+        (
+            "check --strict",
+            "cfg 0/5, analysis 0/5, races 0/5, lint 0/5",
+            "cfg 5/0, analysis 5/0, races 5/0, lint 5/0",
+        ),
+        (
+            "explain",
+            "cfg 0/5, analysis 0/5, explain 0/5",
+            "cfg 5/0, analysis 5/0, explain 5/0",
         ),
         ("analyze", "cfg 0/5, analysis 0/5", "cfg 5/0, analysis 5/0"),
         (
@@ -244,15 +254,19 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
         ),
         (
             "profile",
-            "cfg 5/5, analysis 5/5, opt 0/10, sim 0/10",
-            "cfg 10/0, analysis 10/0, opt 10/0, sim 10/0",
+            "cfg 0/5, analysis 0/5, opt 0/10, sim 0/10",
+            "cfg 5/0, analysis 5/0, opt 10/0, sim 10/0",
         ),
     ];
     let kernels = all_kernels(4);
-    for (command, cold, warm) in pinned {
+    for (request, cold, warm) in pinned {
+        let command = request.split(' ').next().unwrap();
         let queries: Vec<Query> = kernels
             .iter()
-            .map(|k| query(command, k.name, &k.source, Format::Json))
+            .map(|k| Query {
+                strict: request.ends_with("--strict"),
+                ..query(command, k.name, &k.source, Format::Json)
+            })
             .collect();
         assert_eq!(
             cold_warm_and_renamed_activity(&queries),
@@ -261,7 +275,7 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
                 "reply 5/0".to_string(),
                 format!("{warm}, reply 0/5"),
             ],
-            "{command} over the five kernels"
+            "{request} over the five kernels"
         );
     }
 
@@ -271,7 +285,7 @@ fn warm_requests_make_exactly_the_pinned_lookups_per_kind() {
     assert_eq!(
         cold_warm_and_renamed_activity(&corpus),
         [
-            "cfg 220/220, analysis 220/220, races 0/220, reply 0/220".to_string(),
+            "cfg 0/220, analysis 0/220, races 0/220, reply 0/220".to_string(),
             "reply 220/0".to_string(),
             "cfg 220/0, analysis 220/0, races 220/0, reply 0/220".to_string(),
         ],
@@ -328,13 +342,12 @@ fn a_cache_delta_around_execute_covers_the_whole_request() {
         assert_eq!((whole.hits, whole.misses), (1, 0), "warm {}", q.command);
     }
     // A cold `check` misses its reply, analyzes (misses `cfg` and
-    // `analysis`) and then classifies races (one `races` miss, then hits
-    // on `cfg` and `analysis`). A delta taken around the last step alone
-    // reads 2 hits and 1 miss.
+    // `analysis`) and then classifies races from that analysis (one
+    // `races` miss). A delta taken around the last step alone reads 1 miss.
     let mut session = AnalysisSession::new();
     execute(&mut session, &query("check", "racy.ms", RACY, Format::Json));
     let stats = session.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (2, 4), "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (0, 4), "{stats:?}");
 }
 
 /// Traces are request-scoped: `trace` and `run --trace` run every time
