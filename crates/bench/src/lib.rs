@@ -350,7 +350,7 @@ fn delay_sizes(procs: u32) -> String {
     for kernel in all_kernels(procs) {
         let analysis = analyze_for(&lower(&kernel.source), procs);
         let s = analysis.stats();
-        let guards = &analysis.sync.guards;
+        let guards = &analysis.guards;
         let guarded: usize = guards.locks().map(|l| guards.guarded_by(l).len()).sum();
         let reduction = 100.0 * (s.delay_ss - s.delay_sync) as f64 / s.delay_ss.max(1) as f64;
         let cells = [

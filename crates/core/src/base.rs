@@ -17,7 +17,7 @@ use crate::conflict::ConflictSet;
 use crate::cycle::MirrorClosure;
 use crate::delay::DelaySet;
 use crate::locks::{compute_lock_guards, LockGuards};
-use crate::obs::Counters;
+use crate::obs::{AnalysisCounter as C, AnalysisCounters};
 use crate::sync::{D1Anchors, SyncOptions};
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::dom::Dominators;
@@ -50,8 +50,8 @@ pub struct AnalysisBase {
     pub anchors: D1Anchors,
     /// Lock guard information (§5.3).
     pub guards: LockGuards,
-    /// Work counters of the build (`conflict.*`, `cycle.*` keys).
-    pub counters: Counters,
+    /// Work counters of the build (the `conflict.*` and `cycle.*` ones).
+    pub counters: AnalysisCounters,
 }
 
 impl AnalysisBase {
@@ -59,18 +59,18 @@ impl AnalysisBase {
     /// matters; the barrier policy and the thread count enter at
     /// [`AnalysisBase::refine`].
     pub fn build(cfg: &Cfg, opts: &SyncOptions) -> Self {
-        let mut counters = Counters::new();
+        let mut counters = AnalysisCounters::default();
         let dom = Dominators::compute(cfg);
         let pdom = Dominators::compute_post(cfg);
         let (conflicts, subscripts, conflict_stats) =
             ConflictSet::build_counted(cfg, opts.procs, &dom);
-        counters.set("conflict.pairs", conflicts.num_unordered_pairs() as u64);
+        counters.set(C::ConflictPairs, conflicts.num_unordered_pairs() as u64);
         counters.set(
-            "conflict.directed_edges",
+            C::ConflictDirectedEdges,
             conflicts.num_directed_edges() as u64,
         );
-        counters.set("conflict.pair_tests", conflict_stats.pair_tests);
-        counters.set("conflict.proc_steps", conflict_stats.proc_steps);
+        counters.set(C::ConflictPairTests, conflict_stats.pair_tests);
+        counters.set(C::ConflictProcSteps, conflict_stats.proc_steps);
 
         let po = ProgramOrder::compute(cfg);
         // The rows of `D_SS` rest on §4's lemma, which needs `C` symmetric
@@ -82,13 +82,13 @@ impl AnalysisBase {
         let closure = MirrorClosure::build(&conflicts, &po);
         let (delay_ss, mut ss_stats) = closure.delay_ss(&po);
         ss_stats.add_oracle_build(closure.build_stats());
-        counters.set("cycle.candidate_pairs", ss_stats.candidates);
-        counters.set("cycle.pruned_candidates", ss_stats.pruned_candidates);
-        counters.set("cycle.backpath_queries", ss_stats.backpath_queries);
-        counters.set("cycle.bfs_fallbacks", ss_stats.bfs_fallbacks);
-        counters.set("cycle.oracle_builds", ss_stats.oracle_builds);
-        counters.set("cycle.sccs", ss_stats.sccs);
-        counters.set("cycle.closure_word_ors", ss_stats.closure_word_ors);
+        counters.set(C::CycleCandidatePairs, ss_stats.candidates);
+        counters.set(C::CyclePrunedCandidates, ss_stats.pruned_candidates);
+        counters.set(C::CycleBackpathQueries, ss_stats.backpath_queries);
+        counters.set(C::CycleBfsFallbacks, ss_stats.bfs_fallbacks);
+        counters.set(C::CycleOracleBuilds, ss_stats.oracle_builds);
+        counters.set(C::CycleSccs, ss_stats.sccs);
+        counters.set(C::CycleClosureWordOrs, ss_stats.closure_word_ors);
 
         let mut sync_sites = BitSet::new(cfg.accesses.len());
         for (id, info) in cfg.accesses.iter() {

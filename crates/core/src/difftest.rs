@@ -22,12 +22,12 @@
 use crate::conflict::{self, ConflictSet};
 use crate::corpus::{corpus_program, CORPUS_SEEDS};
 use crate::cycle::{naive, witness, MirrorClosure};
-use crate::obs::Counters;
+use crate::obs::AnalysisCounters;
 use crate::sync::{
     grow_precedence_reference, post_wait_edges, Precedence, SyncAnalysis, SyncExclusion,
     SyncOptions,
 };
-use crate::{analyze_with, classify_races, detect_races, AnalysisBase};
+use crate::{analyze_with, classify_races, detect_races, AnalysisBase, DelaySet};
 use syncopt_frontend::prepare_program;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
@@ -82,13 +82,13 @@ fn assert_condensation_matches(conflicts: &ConflictSet, po: &ProgramOrder, label
 
 /// The step-6 removal set of `(u, v)` as a list, the way the naive driver
 /// and `explain` take it.
-fn removal_list(sync: &SyncAnalysis, r: &Precedence, u: AccessId, v: AccessId) -> Vec<AccessId> {
-    let n = sync.oriented.num_accesses();
+fn removal_list(base: &AnalysisBase, r: &Precedence, u: AccessId, v: AccessId) -> Vec<AccessId> {
+    let n = base.conflicts.num_accesses();
     let mut out: Vec<AccessId> = (0..n)
         .map(AccessId::from_index)
         .filter(|&w| w != u && w != v && (r.contains(u, w) || r.contains(w, v)))
         .collect();
-    for w in sync.guards.removable_for_pair(u, v) {
+    for w in base.guards.removable_for_pair(u, v) {
         if !out.contains(&w) {
             out.push(w);
         }
@@ -107,8 +107,8 @@ fn assert_refinement_matches_naive(
     label: &str,
 ) {
     let n = cfg.accesses.len();
-    let sync = base.refine(cfg, opts, excl);
-    let (mut r, _) = base.seed_precedence(cfg, opts, excl, &mut Counters::new());
+    let (sync, delay) = base.refine(cfg, opts, excl);
+    let (mut r, _) = base.seed_precedence(cfg, opts, excl, &mut AnalysisCounters::default());
     grow_precedence_reference(cfg, &base.dom, &base.pdom, &base.d1, &mut r);
     assert_eq!(sync.precedence.pairs(), r.pairs(), "{label}: R");
     for a in (0..n).map(AccessId::from_index) {
@@ -126,20 +126,16 @@ fn assert_refinement_matches_naive(
         &base.po,
         &naive::NaiveOptions {
             only_sync_pairs: false,
-            removals: Some(Box::new(|u, v| removal_list(&sync, &r, u, v))),
+            removals: Some(Box::new(|u, v| removal_list(base, &r, u, v))),
         },
     );
     slow.union_with(&base.d1);
-    assert_eq!(
-        sync.delay.pairs(),
-        slow.pairs(),
-        "{label}: refined delay set"
-    );
+    assert_eq!(delay.pairs(), slow.pairs(), "{label}: refined delay set");
     for threads in [2, 3] {
-        let threaded = base.refine(cfg, &SyncOptions { threads, ..*opts }, excl);
+        let (threaded, threaded_delay) = base.refine(cfg, &SyncOptions { threads, ..*opts }, excl);
         assert_eq!(
-            threaded.delay.pairs(),
-            sync.delay.pairs(),
+            threaded_delay.pairs(),
+            delay.pairs(),
             "{label}: threads={threads}"
         );
         assert_eq!(
@@ -166,7 +162,7 @@ fn assert_rows_match_naive(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     assert_eq!(base.d1.pairs(), d1.pairs(), "{label}: D1 != filter(D_SS)");
     assert_condensation_matches(conflicts, po, label);
 
-    let full = base.refine(cfg, opts, &SyncExclusion::default());
+    let (full, full_delay) = base.refine(cfg, opts, &SyncExclusion::default());
     assert_condensation_matches(&full.oriented, po, &format!("{label} (oriented)"));
     let (lists, oriented_lists) = (
         naive::mirror_lists(conflicts, po),
@@ -179,8 +175,8 @@ fn assert_rows_match_naive(cfg: &Cfg, opts: &SyncOptions, label: &str) {
             "{label}: D_SS witness of ({u}, {v})"
         );
     }
-    for (u, v) in full.delay.pairs() {
-        let removed = removal_list(&full, &full.precedence, u, v);
+    for (u, v) in full_delay.pairs() {
+        let removed = removal_list(&base, &full.precedence, u, v);
         assert_eq!(
             witness(&full.oriented, po, u, v, &removed),
             naive::witness_naive(&full.oriented, &oriented_lists, u, v, &removed),
@@ -357,10 +353,11 @@ fn conflict_sets_of_guard_shapes_match_the_pair_enumeration() {
 
 fn assert_fixpoints_agree(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     let base = AnalysisBase::build(cfg, opts);
-    let full = base.refine(cfg, opts, &SyncExclusion::default());
+    let (full, _) = base.refine(cfg, opts, &SyncExclusion::default());
     for excl in exclusions(cfg, &full) {
         let (fast, _, _) = base.precedence(cfg, opts, &excl);
-        let (mut slow, _) = base.seed_precedence(cfg, opts, &excl, &mut Counters::new());
+        let (mut slow, _) =
+            base.seed_precedence(cfg, opts, &excl, &mut AnalysisCounters::default());
         grow_precedence_reference(cfg, &base.dom, &base.pdom, &base.d1, &mut slow);
         assert_eq!(fast.pairs(), slow.pairs(), "{label}: R under {excl:?}");
     }
@@ -387,15 +384,18 @@ fn row_or_precedence_fixpoint_matches_the_triple_loop() {
 
 // ---- consumers of the shared base vs a cold run ----------------------------
 
-fn assert_same_sync(a: &SyncAnalysis, b: &SyncAnalysis, label: &str) {
-    assert_eq!(a.d1.pairs(), b.d1.pairs(), "{label}: d1");
+fn assert_same_sync(
+    (a, a_delay): &(SyncAnalysis, DelaySet),
+    (b, b_delay): &(SyncAnalysis, DelaySet),
+    label: &str,
+) {
     assert_eq!(
         a.precedence.pairs(),
         b.precedence.pairs(),
         "{label}: precedence"
     );
     assert_eq!(a.aligned_barriers, b.aligned_barriers, "{label}: aligned");
-    assert_eq!(a.delay.pairs(), b.delay.pairs(), "{label}: delay");
+    assert_eq!(a_delay.pairs(), b_delay.pairs(), "{label}: delay");
     assert_eq!(a.counters, b.counters, "{label}: counters");
     for x in (0..a.oriented.num_accesses()).map(AccessId::from_index) {
         assert_eq!(
@@ -408,10 +408,12 @@ fn assert_same_sync(a: &SyncAnalysis, b: &SyncAnalysis, label: &str) {
 
 fn assert_base_serves_cold_results(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     let analysis = analyze_with(cfg, opts);
+    let cold_base = AnalysisBase::build(cfg, opts);
+    assert_eq!(analysis.d1.pairs(), cold_base.d1.pairs(), "{label}: d1");
     // A lint probe over the analysis's base is the cold excluded analysis.
     for excl in exclusions(cfg, &analysis.sync) {
         let warm = analysis.base.refine(cfg, opts, &excl);
-        let cold = AnalysisBase::build(cfg, opts).refine(cfg, opts, &excl);
+        let cold = cold_base.refine(cfg, opts, &excl);
         assert_same_sync(&warm, &cold, &format!("{label} under {excl:?}"));
     }
     // Classifying from the analysis is detecting from scratch.

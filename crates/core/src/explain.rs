@@ -30,7 +30,7 @@ use crate::cycle::witness;
 use crate::diag::json::Value;
 use crate::diag::{Diagnostic, Severity};
 use crate::sync::{post_wait_edges, SyncAnalysis, SyncOptions};
-use crate::Analysis;
+use crate::{Analysis, AnalysisBase};
 use std::collections::HashSet;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::{AccessId, VarId};
@@ -192,7 +192,7 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
             .map(AccessId::from_index)
             .filter(|&w| w != u && w != v && (r.contains(u, w) || r.contains(w, v)))
             .collect();
-        for w in analysis.sync.guards.removable_for_pair(u, v) {
+        for w in analysis.guards.removable_for_pair(u, v) {
             if !out.contains(&w) {
                 out.push(w);
             }
@@ -247,15 +247,7 @@ pub fn explain(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> ExplainRep
         } else {
             let chain = witness(&analysis.conflicts, po, u, v, &[])
                 .expect("D_SS pair must have a back-path");
-            let reason = first_break(
-                po,
-                &analysis.conflicts,
-                &analysis.sync,
-                &classify,
-                u,
-                v,
-                &chain,
-            );
+            let reason = first_break(&analysis.base, &analysis.sync, &classify, u, v, &chain);
             let mut witness = vec![v];
             witness.extend(chain);
             witness.push(u);
@@ -301,21 +293,21 @@ pub(crate) fn seed_classifier(
 }
 
 /// Walks the canonical witness `v → chain → u` over the unoriented
-/// `conflicts` and returns the first synchronization fact of `sync` that
-/// breaks it under refinement. Shared with the redundancy pass of
-/// [`crate::lint`], which replays the walk against a refinement computed
-/// with one synchronization site excluded.
+/// conflicts of `base` and returns the first synchronization fact of
+/// `sync`, a refinement of `base`, that breaks it. Shared with the
+/// redundancy pass of [`crate::lint`], which replays the walk against a
+/// refinement computed with one synchronization site excluded.
 pub(crate) fn first_break(
-    po: &ProgramOrder,
-    conflicts: &ConflictSet,
+    base: &AnalysisBase,
     sync: &SyncAnalysis,
     classify: &dyn Fn(AccessId, AccessId) -> SyncFact,
     u: AccessId,
     v: AccessId,
     chain: &[AccessId],
 ) -> DropReason {
+    let (po, conflicts) = (&base.po, &base.conflicts);
     let r = &sync.precedence;
-    let guards = &sync.guards;
+    let guards = &base.guards;
     let lock_removed: Vec<AccessId> = guards.removable_for_pair(u, v);
     let common_lock = |node: AccessId| -> Option<VarId> {
         let mut locks: Vec<VarId> = guards

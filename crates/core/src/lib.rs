@@ -71,7 +71,7 @@ pub use explain::{
     explain, DropReason, DroppedPair, ExplainReport, KeptPair, SyncFact, EXPLAIN_SCHEMA,
 };
 pub use lint::{run_lints, FenceCheck, LintInput, LintReport, LINT_SCHEMA};
-pub use obs::{Counters, PhaseTimings};
+pub use obs::{AnalysisCounters, Counters, PhaseTimings, ANALYSIS_COUNTER_NAMES};
 pub use races::{
     classify_races, detect_races, race_diagnostics, Confidence, RaceAnalysis, RaceReport,
 };
@@ -92,11 +92,13 @@ pub struct Analysis {
     pub base: AnalysisBase,
     /// Synchronization-refined delay set (§5).
     pub delay_sync: DelaySet,
-    /// The detailed synchronization-analysis artifacts.
+    /// The detailed synchronization-analysis artifacts (the refined delay
+    /// set is [`Analysis::delay_sync`]).
     pub sync: SyncAnalysis,
     /// Work counters from every analysis stage (`conflict.*`, `cycle.*`,
-    /// `sync.*`, `delay.*` keys), for the pipeline observability report.
-    pub metrics: Counters,
+    /// `sync.*`, `delay.*`), for the pipeline observability report: every
+    /// counter of [`ANALYSIS_COUNTER_NAMES`], each written once.
+    pub metrics: AnalysisCounters,
 }
 
 impl std::ops::Deref for Analysis {
@@ -159,19 +161,20 @@ pub fn analyze_for(cfg: &Cfg, procs: u32) -> Analysis {
 /// [`analyze`] with explicit options (e.g. the barrier policy): builds the
 /// [`AnalysisBase`] once and refines it.
 pub fn analyze_with(cfg: &Cfg, opts: &SyncOptions) -> Analysis {
+    use obs::AnalysisCounter as C;
     let base = AnalysisBase::build(cfg, opts);
-    let sync = base.refine(cfg, opts, &sync::SyncExclusion::default());
-    let mut metrics = base.counters.clone();
+    let (sync, delay_sync) = base.refine(cfg, opts, &sync::SyncExclusion::default());
+    let mut metrics = base.counters;
     metrics.merge(&sync.counters);
-    metrics.set("delay.ss_pairs", base.delay_ss.len() as u64);
-    metrics.set("delay.refined_pairs", sync.delay.len() as u64);
+    metrics.set(C::DelaySsPairs, base.delay_ss.len() as u64);
+    metrics.set(C::DelayRefinedPairs, delay_sync.len() as u64);
     metrics.set(
-        "delay.pairs_dropped",
-        (base.delay_ss.len().saturating_sub(sync.delay.len())) as u64,
+        C::DelayPairsDropped,
+        base.delay_ss.len().saturating_sub(delay_sync.len()) as u64,
     );
     Analysis {
         base,
-        delay_sync: sync.delay.clone(),
+        delay_sync,
         sync,
         metrics,
     }
@@ -200,6 +203,35 @@ mod tests {
         assert!(s.delay_sync <= s.delay_ss);
         assert!(s.precedence_pairs > 0);
         assert!(a.delay_sync.is_subset_of(&a.delay_ss));
+    }
+
+    /// Every analysis writes each declared counter exactly once (a second
+    /// write trips a debug assertion), over the corpus, the kernels and
+    /// both barrier policies.
+    #[test]
+    fn every_analysis_writes_each_declared_counter() {
+        let sources = (1..=220).map(corpus::corpus_program).chain(
+            syncopt_kernels::all_kernels(4)
+                .into_iter()
+                .map(|k| k.source),
+        );
+        for src in sources {
+            let cfg = lower_main(&prepare_program(&src).unwrap()).unwrap();
+            for barrier_policy in [BarrierPolicy::Static, BarrierPolicy::AssumeAligned] {
+                let opts = SyncOptions {
+                    barrier_policy,
+                    procs: Some(4),
+                    ..SyncOptions::default()
+                };
+                let a = analyze_with(&cfg, &opts);
+                let missing: Vec<&str> = a.metrics.missing().collect();
+                assert!(missing.is_empty(), "{missing:?} never written for\n{src}");
+                assert_eq!(
+                    a.metrics.get("delay.refined_pairs"),
+                    a.delay_sync.len() as u64
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::cycle::witness;
 use crate::diag::{Diagnostic, Severity};
 use crate::explain::{fact_desc, first_break, seed_classifier, DropReason};
 use crate::sync::{post_wait_edges, SyncAnalysis, SyncExclusion};
-use crate::Analysis;
+use crate::{Analysis, DelaySet};
 use syncopt_frontend::span::Span;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
@@ -40,8 +40,8 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
             barriers: vec![b],
             waits: vec![],
         };
-        let alt = input.analysis.base.refine(cfg, input.opts, &excl);
-        if !unchanged_excluding(input.analysis, &alt, b) {
+        let (alt, alt_delay) = input.analysis.base.refine(cfg, input.opts, &excl);
+        if !unchanged_excluding(input.analysis, &alt, &alt_delay, b) {
             continue;
         }
         let mut d = Diagnostic::new(
@@ -61,8 +61,8 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
             barriers: vec![],
             waits: vec![w],
         };
-        let alt = input.analysis.base.refine(cfg, input.opts, &excl);
-        if !unchanged_excluding(input.analysis, &alt, w) {
+        let (alt, alt_delay) = input.analysis.base.refine(cfg, input.opts, &excl);
+        if !unchanged_excluding(input.analysis, &alt, &alt_delay, w) {
             continue;
         }
         let mut d = Diagnostic::new(
@@ -83,13 +83,18 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Whether the excluded analysis agrees with the full one on every delay
-/// pair and every conflict direction not involving `site`. Monotonicity
-/// (seeds only shrink) means only the `excluded \ full` direction needs
-/// checking.
-fn unchanged_excluding(full: &Analysis, alt: &SyncAnalysis, site: AccessId) -> bool {
-    for (x, y) in alt.delay.pairs() {
-        if x != site && y != site && !full.sync.delay.contains(x, y) {
+/// Whether the excluded analysis (`alt`, refining to `alt_delay`) agrees
+/// with the full one on every delay pair and every conflict direction not
+/// involving `site`. Monotonicity (seeds only shrink) means only the
+/// `excluded \ full` direction needs checking.
+fn unchanged_excluding(
+    full: &Analysis,
+    alt: &SyncAnalysis,
+    alt_delay: &DelaySet,
+    site: AccessId,
+) -> bool {
+    for (x, y) in alt_delay.pairs() {
+        if x != site && y != site && !full.delay_sync.contains(x, y) {
             return false;
         }
     }
@@ -139,15 +144,7 @@ impl<'a> WitnessCtx<'a> {
                 }
                 let chain = witness(&analysis.conflicts, &analysis.po, u, v, &[])
                     .expect("D_SS pair must have a back-path");
-                let reason = first_break(
-                    &analysis.po,
-                    &analysis.conflicts,
-                    &analysis.sync,
-                    &classify,
-                    u,
-                    v,
-                    &chain,
-                );
+                let reason = first_break(&analysis.base, &analysis.sync, &classify, u, v, &chain);
                 infos.push(DroppedInfo {
                     u,
                     v,
@@ -190,15 +187,7 @@ impl<'a> WitnessCtx<'a> {
             (di.u, di.v, di.chain.clone())
         };
         let classify = seed_classifier(cfg, &analysis.po, &alt.aligned_barriers, &excl.waits);
-        let reason = first_break(
-            &analysis.po,
-            &analysis.conflicts,
-            alt,
-            &classify,
-            u,
-            v,
-            &chain,
-        );
+        let reason = first_break(&analysis.base, alt, &classify, u, v, &chain);
         let covered_by = reason_text(cfg, &reason);
         (
             format!("covering path: delay pair {u} → {v} stays removed without it — {covered_by}"),

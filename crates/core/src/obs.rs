@@ -1,28 +1,181 @@
 //! Observability primitives shared by every pipeline stage.
 //!
-//! Two std-only building blocks:
+//! Three std-only building blocks:
 //!
-//! * [`Counters`] — a deterministic named-counter registry. Analysis and
-//!   optimization passes report *what they did* (pairs considered,
-//!   back-path searches, edges kept/dropped per refinement rule) into one
-//!   of these; the facade merges them into the `PipelineReport`.
+//! * [`AnalysisCounters`] — the fixed work-counter set of one analysis
+//!   (pairs considered, back-path searches, edges kept or dropped per
+//!   refinement rule), one `u64` slot per [`AnalysisCounter`] declared in
+//!   [`ANALYSIS_COUNTER_NAMES`]. Counting is an array store: no name is
+//!   compared, inserted or allocated while the analysis runs.
+//! * [`Counters`] — a deterministic registry of named counters for the
+//!   open-ended vocabularies (benchmark rows, per-kind cache counters).
 //! * [`PhaseTimings`] — phase-scoped wall-clock timers. Timings are
 //!   inherently nondeterministic, so they are kept separate from the
 //!   counters: consumers that need reproducible output (golden tests,
 //!   report diffing) compare counters exactly and scrub or ratio the
 //!   timings.
 //!
-//! Both types convert to the std-only JSON [`crate::diag::json::Value`],
-//! with keys in a stable order.
+//! Each writes its JSON object straight into a caller's buffer with keys in
+//! a stable order ([`Counters`] also converts to a
+//! [`crate::diag::json::Value`]).
 
 use crate::diag::json;
 use std::time::Instant;
 
+/// Declares the analysis counters once: the variants of
+/// [`AnalysisCounter`], their names and their pre-quoted JSON keys, in one
+/// order.
+macro_rules! analysis_counters {
+    ($($variant:ident = $name:literal,)+) => {
+        /// One work counter of an analysis. Variants are declared in the
+        /// byte order of their names, so a variant's discriminant is its
+        /// slot in [`AnalysisCounters`] and its index in
+        /// [`ANALYSIS_COUNTER_NAMES`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum AnalysisCounter {
+            $(#[doc = concat!("`", $name, "`")] $variant,)+
+        }
+
+        /// Every analysis counter name, byte-sorted: the keys of a pipeline
+        /// report's `counters` section, in order, each exactly once.
+        pub const ANALYSIS_COUNTER_NAMES: [&str; COUNT] = [$($name,)+];
+
+        /// Each name as a JSON object key: quoted, then its colon.
+        const QUOTED_KEYS: [&str; COUNT] = [$(concat!("\"", $name, "\":"),)+];
+
+        const COUNT: usize = [$($name,)+].len();
+    };
+}
+
+analysis_counters! {
+    ConflictDirectedEdges = "conflict.directed_edges",
+    ConflictPairTests = "conflict.pair_tests",
+    ConflictPairs = "conflict.pairs",
+    ConflictProcSteps = "conflict.proc_steps",
+    CycleBackpathQueries = "cycle.backpath_queries",
+    CycleBfsFallbacks = "cycle.bfs_fallbacks",
+    CycleCandidatePairs = "cycle.candidate_pairs",
+    CycleClosureWordOrs = "cycle.closure_word_ors",
+    CycleOracleBuilds = "cycle.oracle_builds",
+    CyclePrunedCandidates = "cycle.pruned_candidates",
+    CycleSccs = "cycle.sccs",
+    DelayPairsDropped = "delay.pairs_dropped",
+    DelayRefinedPairs = "delay.refined_pairs",
+    DelaySsPairs = "delay.ss_pairs",
+    SyncAlignedBarriers = "sync.aligned_barriers",
+    SyncBackpathQueries = "sync.backpath_queries",
+    SyncBarrierEdges = "sync.barrier_edges",
+    SyncBfsFallbacks = "sync.bfs_fallbacks",
+    SyncCandidatePairs = "sync.candidate_pairs",
+    SyncClosureWordOrs = "sync.closure_word_ors",
+    SyncConflictDirectionsRemoved = "sync.conflict_directions_removed",
+    SyncD1BackpathQueries = "sync.d1_backpath_queries",
+    SyncD1Pairs = "sync.d1_pairs",
+    SyncD1PrunedCandidates = "sync.d1_pruned_candidates",
+    SyncOracleBuilds = "sync.oracle_builds",
+    SyncOracleSccs = "sync.oracle_sccs",
+    SyncPostWaitEdges = "sync.post_wait_edges",
+    SyncPrecedenceDerived = "sync.precedence_derived",
+    SyncPrecedencePairs = "sync.precedence_pairs",
+    SyncPrunedCandidates = "sync.pruned_candidates",
+    SyncRefinedPairs = "sync.refined_pairs",
+    SyncRemovedBackpathNodes = "sync.removed_backpath_nodes",
+}
+
+/// The work counters of one analysis: one slot per [`AnalysisCounter`].
+///
+/// Each stage writes the counters it owns once — the analysis base the
+/// `conflict.*` and `cycle.*` ones, the refinement the `sync.*` ones,
+/// [`crate::analyze_with`] the `delay.*` ones — and a complete analysis has
+/// written every slot exactly once, which [`AnalysisCounters::missing`]
+/// lets a test check. Reading by name and iterating are sorted by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnalysisCounters {
+    values: [u64; COUNT],
+    /// Bit `c` is set once counter `c` was written.
+    written: u64,
+}
+
+const _: () = assert!(COUNT <= u64::BITS as usize, "one `written` bit per counter");
+
+impl Default for AnalysisCounters {
+    fn default() -> Self {
+        AnalysisCounters {
+            values: [0; COUNT],
+            written: 0,
+        }
+    }
+}
+
+impl AnalysisCounters {
+    /// Writes `counter`; a stage writes each of its counters once.
+    pub fn set(&mut self, counter: AnalysisCounter, n: u64) {
+        let at = counter as usize;
+        debug_assert!(
+            self.written & (1 << at) == 0,
+            "`{}` written twice",
+            ANALYSIS_COUNTER_NAMES[at]
+        );
+        self.values[at] = n;
+        self.written |= 1 << at;
+    }
+
+    /// Takes over the counters another stage wrote; no counter may have
+    /// been written by both.
+    pub fn merge(&mut self, other: &AnalysisCounters) {
+        debug_assert!(
+            self.written & other.written == 0,
+            "a counter written by two stages"
+        );
+        for (mine, theirs) in self.values.iter_mut().zip(&other.values) {
+            *mine += theirs;
+        }
+        self.written |= other.written;
+    }
+
+    /// The value of the counter named `name` (zero if no counter has that
+    /// name or it was not written).
+    pub fn get(&self, name: &str) -> u64 {
+        ANALYSIS_COUNTER_NAMES
+            .binary_search(&name)
+            .map_or(0, |at| self.values[at])
+    }
+
+    /// Every `(name, value)` pair, sorted by name.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        ANALYSIS_COUNTER_NAMES
+            .iter()
+            .copied()
+            .zip(self.values.iter().copied())
+    }
+
+    /// The names of the counters no stage wrote, sorted.
+    pub fn missing(&self) -> impl Iterator<Item = &'static str> + '_ {
+        ANALYSIS_COUNTER_NAMES
+            .iter()
+            .enumerate()
+            .filter(|&(at, _)| self.written & (1 << at) == 0)
+            .map(|(_, &name)| name)
+    }
+
+    /// Appends the counters as one JSON object, every name in order.
+    pub fn write_json(&self, out: &mut String) {
+        let mut sep = '{';
+        for (key, &n) in QUOTED_KEYS.iter().zip(&self.values) {
+            out.push(sep);
+            out.push_str(key);
+            json::write_int(out, n as i64);
+            sep = ',';
+        }
+        out.push('}');
+    }
+}
+
 /// A deterministic registry of named `u64` counters.
 ///
-/// Keys use dotted `stage.metric` names (`"cycle.backpath_queries"`,
-/// `"sync.post_wait_edges"`); iteration and JSON emission are sorted by
-/// key, so two runs over the same input produce identical output.
+/// Keys use dotted `stage.metric` names (`"sim.events_dequeued"`,
+/// `"cache.cfg.hits"`); iteration and JSON emission are sorted by key, so
+/// two runs over the same input produce identical output.
 ///
 /// Every name is a literal of this workspace, so the registry holds
 /// `&'static str`s in one sorted `Vec`: counting never builds a `String`,
@@ -89,13 +242,6 @@ impl Counters {
         self.values.is_empty()
     }
 
-    /// Merges another registry into this one (summing shared keys).
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
     /// The registry as a JSON object, keys sorted.
     pub fn to_json(&self) -> json::Value {
         json::Value::Obj(
@@ -106,15 +252,16 @@ impl Counters {
     }
 }
 
-/// The pipeline's phases with the key each one has in a JSON report.
+/// The pipeline's phases with the key each one has in a JSON report,
+/// quoted and followed by its colon.
 const PIPELINE_PHASE_KEYS: [(&str, &str); 7] = [
-    ("parse", "parse_us"),
-    ("typeck", "typeck_us"),
-    ("inline", "inline_us"),
-    ("lower", "lower_us"),
-    ("analyze", "analyze_us"),
-    ("optimize", "optimize_us"),
-    ("simulate", "simulate_us"),
+    ("parse", "\"parse_us\":"),
+    ("typeck", "\"typeck_us\":"),
+    ("inline", "\"inline_us\":"),
+    ("lower", "\"lower_us\":"),
+    ("analyze", "\"analyze_us\":"),
+    ("optimize", "\"optimize_us\":"),
+    ("simulate", "\"simulate_us\":"),
 ];
 
 /// Phase-scoped wall-clock timers, recorded in microseconds.
@@ -175,20 +322,25 @@ impl PhaseTimings {
             .unwrap_or(0)
     }
 
-    /// The timings as a JSON object in pipeline order; every value is the
-    /// phase duration in microseconds (all zeros when disabled).
-    pub fn to_json(&self) -> json::Value {
-        let key = |phase: &str| -> json::Key {
-            match PIPELINE_PHASE_KEYS.iter().find(|(name, _)| *name == phase) {
-                Some(&(_, key)) => key.into(),
-                None => format!("{phase}_us").into(),
+    /// Appends the timings as one JSON object in pipeline order; every
+    /// value is the phase duration in microseconds (all zeros when
+    /// disabled), under the key `<phase>_us`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (phase, micros)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-        };
-        json::Value::Obj(
-            self.iter()
-                .map(|(k, v)| (key(k), json::Value::Int(v as i64)))
-                .collect(),
-        )
+            match PIPELINE_PHASE_KEYS.iter().find(|(name, _)| *name == phase) {
+                Some(&(_, key)) => out.push_str(key),
+                None => {
+                    json::write_escaped(out, &format!("{phase}_us"));
+                    out.push(':');
+                }
+            }
+            json::write_int(out, micros as i64);
+        }
+        out.push('}');
     }
 }
 
@@ -209,16 +361,59 @@ mod tests {
         assert_eq!(c.to_json().to_string(), r#"{"a.first":42,"b.second":1}"#);
     }
 
+    /// The declared table is the report's key order: byte-sorted, each
+    /// name once, and the enum's discriminants index it.
     #[test]
-    fn counters_merge_sums_shared_keys() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        let mut b = Counters::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
+    fn analysis_counter_names_are_byte_sorted_and_unique() {
+        assert_eq!(ANALYSIS_COUNTER_NAMES.len(), 32);
+        for pair in ANALYSIS_COUNTER_NAMES.windows(2) {
+            assert!(pair[0].as_bytes() < pair[1].as_bytes(), "{pair:?}");
+        }
+        for (name, key) in ANALYSIS_COUNTER_NAMES.iter().zip(QUOTED_KEYS) {
+            assert_eq!(key, format!("\"{name}\":"));
+        }
+        assert_eq!(
+            ANALYSIS_COUNTER_NAMES[AnalysisCounter::SyncRemovedBackpathNodes as usize],
+            "sync.removed_backpath_nodes"
+        );
+    }
+
+    #[test]
+    fn analysis_counters_merge_takes_the_other_stages_counters() {
+        let mut base = AnalysisCounters::default();
+        base.set(AnalysisCounter::ConflictPairs, 3);
+        let mut sync = AnalysisCounters::default();
+        sync.set(AnalysisCounter::SyncD1Pairs, 2);
+        sync.set(AnalysisCounter::SyncBackpathQueries, 0);
+        base.merge(&sync);
+        assert_eq!(base.get("conflict.pairs"), 3);
+        assert_eq!(base.get("sync.d1_pairs"), 2);
+        assert_eq!(base.get("no.such_counter"), 0);
+        assert_eq!(base.missing().count(), 32 - 3);
+        assert!(!base.missing().any(|name| name == "sync.backpath_queries"));
+        let mut text = String::new();
+        base.write_json(&mut text);
+        let keys: Vec<&str> = base.iter().map(|(name, _)| name).collect();
+        assert_eq!(keys, ANALYSIS_COUNTER_NAMES);
+        assert!(
+            text.starts_with(
+                "{\"conflict.directed_edges\":0,\"conflict.pair_tests\":0,\"conflict.pairs\":3,"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.ends_with(",\"sync.removed_backpath_nodes\":0}"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "written twice")]
+    #[cfg(debug_assertions)]
+    fn an_analysis_counter_is_written_once() {
+        let mut c = AnalysisCounters::default();
+        c.set(AnalysisCounter::CycleSccs, 1);
+        c.set(AnalysisCounter::CycleSccs, 2);
     }
 
     #[test]
@@ -230,7 +425,9 @@ mod tests {
         assert!(!t.enabled());
         assert_eq!(t.get("parse"), 0);
         assert_eq!(t.get("simulate"), 0);
-        assert_eq!(t.to_json().to_string(), r#"{"parse_us":0,"simulate_us":0}"#);
+        let mut text = String::new();
+        t.write_json(&mut text);
+        assert_eq!(text, r#"{"parse_us":0,"simulate_us":0}"#);
     }
 
     #[test]

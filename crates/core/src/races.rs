@@ -240,10 +240,10 @@ pub fn classify_races(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> Rac
         }
 
         // Lock mutual-exclusion evidence (also covers self-pairs).
-        let locks_a = sync.guards.locks_guarding(a);
+        let locks_a = analysis.guards.locks_guarding(a);
         let common = locks_a
             .into_iter()
-            .find(|l| sync.guards.guarded_by(*l).contains(&b));
+            .find(|l| analysis.guards.guarded_by(*l).contains(&b));
         if let Some(lock) = common {
             out.ordered.push(OrderedPair {
                 pair: (a, b),

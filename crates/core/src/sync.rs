@@ -29,8 +29,7 @@ use crate::base::AnalysisBase;
 use crate::conflict::ConflictSet;
 use crate::cycle::{delay_set_over, BackPathOracle, DelayOptions, DelayQueryStats, MirrorClosure};
 use crate::delay::DelaySet;
-use crate::locks::LockGuards;
-use crate::obs::Counters;
+use crate::obs::{AnalysisCounter as C, AnalysisCounters};
 use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::dom::Dominators;
@@ -124,26 +123,23 @@ pub struct SyncOptions {
     pub threads: usize,
 }
 
-/// Everything the synchronization analysis produces.
+/// What the synchronization analysis produces besides the refined delay
+/// set, which [`AnalysisBase::refine`] returns beside it. `D1` and the lock
+/// guards it reads are the base's ([`AnalysisBase::d1`],
+/// [`AnalysisBase::guards`]).
 #[derive(Debug, Clone)]
 pub struct SyncAnalysis {
-    /// Step-2 delay set (pairs involving a synchronization access).
-    pub d1: DelaySet,
     /// The precedence relation after the fixpoint.
     pub precedence: Precedence,
     /// Barrier sites considered aligned.
     pub aligned_barriers: Vec<AccessId>,
-    /// Lock guard information.
-    pub guards: LockGuards,
     /// The conflict set after step-5 orientation: a direction `a2 → a1`
     /// is removed whenever `(a1, a2) ∈ R`. Pairs that keep both
     /// directions are the conflicts synchronization could not order —
     /// the raw material of [`crate::races`].
     pub oriented: ConflictSet,
-    /// The final, refined delay set (`D1` ∪ step-6 recomputation).
-    pub delay: DelaySet,
-    /// Work counters for the observability report (`sync.*` keys).
-    pub counters: Counters,
+    /// Work counters for the observability report (the `sync.*` ones).
+    pub counters: AnalysisCounters,
 }
 
 /// Synchronization sites the analysis must pretend are absent.
@@ -173,17 +169,23 @@ impl SyncExclusion {
 impl AnalysisBase {
     /// §5.1 steps 3–6 over this base: seeds `R` (minus the sites in
     /// `excl`), grows it, orients the conflict set and recomputes the
-    /// delay set. Nothing the base holds is built again.
+    /// delay set. Nothing the base holds is built again. Returns the
+    /// refinement's artifacts and the refined delay set (`D1` ∪ step 6).
     ///
     /// `opts.barrier_policy` may differ from the policy the base was built
     /// with (the base does not depend on it); `opts.procs` must not.
-    pub fn refine(&self, cfg: &Cfg, opts: &SyncOptions, excl: &SyncExclusion) -> SyncAnalysis {
+    pub fn refine(
+        &self,
+        cfg: &Cfg,
+        opts: &SyncOptions,
+        excl: &SyncExclusion,
+    ) -> (SyncAnalysis, DelaySet) {
         let (r, aligned, mut counters) = self.precedence(cfg, opts, excl);
         // Step 2 happened in the base: D1 is D_SS restricted to pairs
         // with a synchronization side, so no query is left to count.
-        counters.set("sync.d1_pairs", self.d1.len() as u64);
-        counters.set("sync.d1_backpath_queries", 0);
-        counters.set("sync.d1_pruned_candidates", 0);
+        counters.set(C::SyncD1Pairs, self.d1.len() as u64);
+        counters.set(C::SyncD1BackpathQueries, 0);
+        counters.set(C::SyncD1PrunedCandidates, 0);
 
         // Step 5: orient conflict edges.
         let mut oriented = self.conflicts.clone();
@@ -192,30 +194,28 @@ impl AnalysisBase {
             oriented.remove_direction(a2, a1);
         }
         let directions_removed = edges_before - oriented.num_directed_edges() as u64;
-        counters.set("sync.conflict_directions_removed", directions_removed);
+        counters.set(C::SyncConflictDirectionsRemoved, directions_removed);
 
         // Step 6: final delay set with per-pair removals.
         let (mut delay, step6_stats) = self.recompute(&oriented, directions_removed > 0, &r, opts);
         delay.union_with(&self.d1);
-        counters.set("sync.candidate_pairs", step6_stats.candidates);
-        counters.set("sync.pruned_candidates", step6_stats.pruned_candidates);
-        counters.set("sync.backpath_queries", step6_stats.backpath_queries);
-        counters.set("sync.bfs_fallbacks", step6_stats.bfs_fallbacks);
-        counters.set("sync.removed_backpath_nodes", step6_stats.removed_nodes);
-        counters.set("sync.refined_pairs", delay.len() as u64);
-        counters.set("sync.oracle_builds", step6_stats.oracle_builds);
-        counters.set("sync.oracle_sccs", step6_stats.sccs);
-        counters.set("sync.closure_word_ors", step6_stats.closure_word_ors);
+        counters.set(C::SyncCandidatePairs, step6_stats.candidates);
+        counters.set(C::SyncPrunedCandidates, step6_stats.pruned_candidates);
+        counters.set(C::SyncBackpathQueries, step6_stats.backpath_queries);
+        counters.set(C::SyncBfsFallbacks, step6_stats.bfs_fallbacks);
+        counters.set(C::SyncRemovedBackpathNodes, step6_stats.removed_nodes);
+        counters.set(C::SyncRefinedPairs, delay.len() as u64);
+        counters.set(C::SyncOracleBuilds, step6_stats.oracle_builds);
+        counters.set(C::SyncOracleSccs, step6_stats.sccs);
+        counters.set(C::SyncClosureWordOrs, step6_stats.closure_word_ors);
 
-        SyncAnalysis {
-            d1: self.d1.clone(),
+        let sync = SyncAnalysis {
             precedence: r,
             aligned_barriers: aligned,
-            guards: self.guards.clone(),
             oriented,
-            delay,
             counters,
-        }
+        };
+        (sync, delay)
     }
 
     /// Step 6 without `D1`: the pairs of `D_SS ∖ D1` that keep a back-path
@@ -271,13 +271,13 @@ impl AnalysisBase {
         cfg: &Cfg,
         opts: &SyncOptions,
         excl: &SyncExclusion,
-    ) -> (Precedence, Vec<AccessId>, Counters) {
-        let mut counters = Counters::new();
+    ) -> (Precedence, Vec<AccessId>, AnalysisCounters) {
+        let mut counters = AnalysisCounters::default();
         let (mut r, aligned) = self.seed_precedence(cfg, opts, excl, &mut counters);
         let seeded = r.len() as u64;
         grow_precedence(&self.anchors, &mut r);
-        counters.set("sync.precedence_pairs", r.len() as u64);
-        counters.set("sync.precedence_derived", r.len() as u64 - seeded);
+        counters.set(C::SyncPrecedencePairs, r.len() as u64);
+        counters.set(C::SyncPrecedenceDerived, r.len() as u64 - seeded);
         (r, aligned, counters)
     }
 
@@ -288,14 +288,14 @@ impl AnalysisBase {
         cfg: &Cfg,
         opts: &SyncOptions,
         excl: &SyncExclusion,
-        counters: &mut Counters,
+        counters: &mut AnalysisCounters,
     ) -> (Precedence, Vec<AccessId>) {
         let mut r = Precedence::new(cfg.accesses.len());
         let pw: Vec<(AccessId, AccessId)> = post_wait_edges(cfg)
             .into_iter()
             .filter(|(_, w)| !excl.waits.contains(w))
             .collect();
-        counters.set("sync.post_wait_edges", pw.len() as u64);
+        counters.set(C::SyncPostWaitEdges, pw.len() as u64);
         for (p, w) in pw {
             r.insert(p, w);
         }
@@ -303,9 +303,9 @@ impl AnalysisBase {
             .into_iter()
             .filter(|b| !excl.barriers.contains(b))
             .collect();
-        counters.set("sync.aligned_barriers", aligned.len() as u64);
+        counters.set(C::SyncAlignedBarriers, aligned.len() as u64);
         let be = barrier_precedence_edges(&self.po, &aligned);
-        counters.set("sync.barrier_edges", be.len() as u64);
+        counters.set(C::SyncBarrierEdges, be.len() as u64);
         for (b1, b2) in be {
             r.insert(b1, b2);
         }
@@ -494,14 +494,14 @@ pub(crate) fn grow_precedence_reference(
 mod tests {
     use super::*;
     use crate::cycle::shasha_snir;
+    use crate::{analyze_with, Analysis};
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
 
-    fn run(src: &str) -> (Cfg, SyncAnalysis, DelaySet) {
+    fn run(src: &str) -> (Cfg, Analysis, DelaySet) {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let ss = shasha_snir(&cfg);
-        let opts = SyncOptions::default();
-        let sa = AnalysisBase::build(&cfg, &opts).refine(&cfg, &opts, &SyncExclusion::default());
+        let sa = analyze_with(&cfg, &SyncOptions::default());
         (cfg, sa, ss)
     }
 
@@ -552,21 +552,24 @@ mod tests {
         assert!(sa.d1.contains(a4, a6));
 
         // R derives the cross-processor orderings.
-        assert!(sa.precedence.contains(a3, a4), "direct post→wait edge");
-        assert!(sa.precedence.contains(a1, a5), "inferred write→read");
-        assert!(sa.precedence.contains(a1, a6));
-        assert!(sa.precedence.contains(a2, a5));
+        assert!(sa.sync.precedence.contains(a3, a4), "direct post→wait edge");
+        assert!(sa.sync.precedence.contains(a1, a5), "inferred write→read");
+        assert!(sa.sync.precedence.contains(a1, a6));
+        assert!(sa.sync.precedence.contains(a2, a5));
 
         // The refined delay set drops the data-data delays.
         assert!(
-            !sa.delay.contains(a1, a2),
+            !sa.delay_sync.contains(a1, a2),
             "pipelining of X,Y writes allowed"
         );
-        assert!(!sa.delay.contains(a5, a6), "overlap of Y,X reads allowed");
+        assert!(
+            !sa.delay_sync.contains(a5, a6),
+            "overlap of Y,X reads allowed"
+        );
 
         // Refinement only removes delays, never invents new ones.
-        assert!(sa.delay.is_subset_of(&ss));
-        assert!(sa.delay.len() < ss.len());
+        assert!(sa.delay_sync.is_subset_of(&ss));
+        assert!(sa.delay_sync.len() < ss.len());
     }
 
     /// Barrier phases: accesses in different phases need no delays.
@@ -598,13 +601,13 @@ mod tests {
         // barrier, so no read→read or write→read data delays remain.
         for &rd in &reads {
             assert!(
-                sa.precedence.contains(w, rd),
+                sa.sync.precedence.contains(w, rd),
                 "barrier should order {w} before {rd}"
             );
         }
-        assert!(sa.delay.is_subset_of(&ss));
+        assert!(sa.delay_sync.is_subset_of(&ss));
         assert!(
-            !sa.delay.contains(reads[0], reads[1]),
+            !sa.delay_sync.contains(reads[0], reads[1]),
             "phase-2 reads may overlap"
         );
     }
@@ -641,11 +644,11 @@ mod tests {
         assert!(ss.contains(ry, wy));
         // ...but the lock rule removes same-lock accesses from back-paths.
         assert!(
-            !sa.delay.contains(ry, wy),
+            !sa.delay_sync.contains(ry, wy),
             "guarded accesses should overlap: {:?}",
-            sa.delay.pairs()
+            sa.delay_sync.pairs()
         );
-        assert!(sa.delay.is_subset_of(&ss));
+        assert!(sa.delay_sync.is_subset_of(&ss));
     }
 
     #[test]
@@ -662,8 +665,8 @@ mod tests {
         // No synchronization constructs: D1 is empty, R is empty, and the
         // refined set equals D_SS.
         assert!(sa.d1.is_empty());
-        assert!(sa.precedence.is_empty());
-        assert_eq!(sa.delay.pairs(), ss.pairs());
+        assert!(sa.sync.precedence.is_empty());
+        assert_eq!(sa.delay_sync.pairs(), ss.pairs());
         assert_eq!(cfg.accesses.len(), 4);
     }
 
@@ -689,7 +692,7 @@ mod tests {
             .collect();
         assert_eq!(posts.len(), 2);
         for p in posts {
-            assert!(!sa.precedence.contains(p, w));
+            assert!(!sa.sync.precedence.contains(p, w));
         }
     }
 
@@ -708,16 +711,16 @@ mod tests {
         let (cfg, sa, ss) = run(src);
         let p = find(&cfg, AccessKind::Post, "F");
         let w = find(&cfg, AccessKind::Wait, "F");
-        assert!(sa.precedence.contains(p, w));
+        assert!(sa.sync.precedence.contains(p, w));
         let wr = find(&cfg, AccessKind::Write, "A");
         let rd = find(&cfg, AccessKind::Read, "A");
-        assert!(sa.precedence.contains(wr, rd));
-        assert!(sa.delay.is_subset_of(&ss));
+        assert!(sa.sync.precedence.contains(wr, rd));
+        assert!(sa.delay_sync.is_subset_of(&ss));
         // Producer may pipeline its write with the post's... no: the write
         // must complete before the post (that is exactly D1).
-        assert!(sa.delay.contains(wr, p));
+        assert!(sa.delay_sync.contains(wr, p));
         // But the consumer's read needs no delay against its own write.
-        assert!(!sa.delay.contains(wr, rd) || ss.contains(wr, rd));
+        assert!(!sa.delay_sync.contains(wr, rd) || ss.contains(wr, rd));
     }
 
     /// Figure 6: synchronization analysis disqualifies accesses from
@@ -758,17 +761,17 @@ mod tests {
             .nth(1)
             .unwrap();
         // R orders the producer accesses before the consumer's.
-        assert!(sa.precedence.contains(a1, a6));
-        assert!(sa.precedence.contains(a2, a5) || sa.precedence.contains(a1, a5));
+        assert!(sa.sync.precedence.contains(a1, a6));
+        assert!(sa.sync.precedence.contains(a2, a5) || sa.sync.precedence.contains(a1, a5));
         // The producer's data pair (a1, a2) needed a delay under D_SS
         // (back-path through the consumer's writes)...
         assert!(ss.contains(a1, a2), "D_SS: {:?}", ss.pairs());
         // ...which the refined analysis removes: the consumer accesses are
         // ordered after the post and cannot appear in a back-path to a1.
         assert!(
-            !sa.delay.contains(a1, a2),
+            !sa.delay_sync.contains(a1, a2),
             "refined: {:?}",
-            sa.delay.pairs()
+            sa.delay_sync.pairs()
         );
     }
 
@@ -799,7 +802,10 @@ mod tests {
             "#,
         ] {
             let (_cfg, sa, ss) = run(src);
-            assert!(sa.delay.is_subset_of(&ss), "refinement must shrink: {src}");
+            assert!(
+                sa.delay_sync.is_subset_of(&ss),
+                "refinement must shrink: {src}"
+            );
         }
     }
 }

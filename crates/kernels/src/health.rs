@@ -88,7 +88,7 @@ mod tests {
         let cfg = lower_main(&prepare_program(&k.source).unwrap()).unwrap();
         let analysis = analyze(&cfg);
         let region0 = cfg.vars.by_name("region0").unwrap();
-        let guarded = analysis.sync.guards.guarded_by(region0);
+        let guarded = analysis.guards.guarded_by(region0);
         assert!(
             guarded.len() >= 3,
             "read + two writes should be guarded: {guarded:?}"

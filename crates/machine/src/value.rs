@@ -72,16 +72,22 @@ impl fmt::Display for Value {
 }
 
 /// A runtime error in the simulator.
+///
+/// The message is boxed so the error is one pointer: a
+/// `Result<Value, SimError>`, what every expression evaluation returns,
+/// stays two words and comes back in registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError {
-    message: String,
+    // `Box<str>` would be two words; the double indirection is the point.
+    #[allow(clippy::box_collection)]
+    message: Box<String>,
 }
 
 impl SimError {
     /// Creates an error with `message`.
     pub fn new(message: impl Into<String>) -> Self {
         SimError {
-            message: message.into(),
+            message: Box::new(message.into()),
         }
     }
 
@@ -303,6 +309,15 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, SimError> {
 mod tests {
     use super::*;
     use syncopt_ir::vars::VarInfo;
+
+    #[test]
+    fn an_evaluation_result_is_two_words() {
+        assert_eq!(std::mem::size_of::<SimError>(), 8);
+        assert_eq!(std::mem::size_of::<Result<Value, SimError>>(), 16);
+        let e = SimError::new("division by zero");
+        assert_eq!(e.message(), "division by zero");
+        assert_eq!(e.to_string(), "simulation error: division by zero");
+    }
 
     fn env() -> (ProcEnv, VarId, VarId) {
         let mut vars = VarTable::new();

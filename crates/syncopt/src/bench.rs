@@ -419,7 +419,10 @@ fn run_delay(p: &ScalingParams, threads: usize) -> Result<Measured, SyncoptError
         },
     );
     let wall = wall_bucket_us(start);
-    let counters = analysis.metrics;
+    let mut counters = Counters::new();
+    for (name, n) in analysis.metrics.iter() {
+        counters.set(name, n);
+    }
     // Candidate pairs per pair left after pruning — the pairs whose `D_SS`
     // bit is read off the ancestor rows — times 100 (100 = nothing pruned).
     let candidates = counters.get("cycle.candidate_pairs");

@@ -401,8 +401,13 @@ fn dispatch(session: &mut AnalysisSession, q: &Query) -> CmdOut {
 fn json_line(doc: &json::Value) -> String {
     let mut out = String::with_capacity(2 << 10);
     doc.write_to(&mut out);
-    out.push('\n');
-    out
+    with_newline(out)
+}
+
+/// A document's one-line JSON text, ended as a line of output.
+fn with_newline(mut text: String) -> String {
+    text.push('\n');
+    text
 }
 
 /// Runs a command over the query's source file, which it needs.
@@ -629,12 +634,12 @@ fn cmd_run(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
     };
     let file = q.emit_report.as_ref().map(|path| FileOutput {
         path: path.clone(),
-        content: json_line(&r.report().to_json()),
+        content: with_newline(r.report().to_json()),
         note: format!("pipeline report written to {path}"),
     });
     if q.format == Format::Json {
         return CmdOut {
-            stdout: json_line(&r.report().to_json()),
+            stdout: with_newline(r.report().to_json()),
             file,
             failure: None,
         };
@@ -770,7 +775,7 @@ fn cmd_profile(session: &mut AnalysisSession, src: &str, q: &Query) -> CmdOut {
         Err(e) => return CmdOut::fail(render_err(src, &q.file, &e)),
     };
     match q.format {
-        Format::Json => CmdOut::ok(json_line(&p.to_json())),
+        Format::Json => CmdOut::ok(with_newline(p.to_json())),
         Format::Human => CmdOut::ok(p.render_table()),
     }
 }

@@ -544,7 +544,7 @@ mod tests {
         assert_eq!(p.blocking.meta.level, OptLevel::Blocking);
         assert_eq!(p.optimized.meta.level, OptLevel::OneWay);
         assert!(p.speedup_x100() >= 100, "optimization never slows: {p:?}");
-        let json = p.to_json();
+        let json = core::diag::json::Value::parse(&p.to_json()).unwrap();
         assert!(json.get("comparison").is_some());
     }
 

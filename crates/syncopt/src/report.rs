@@ -5,11 +5,13 @@
 //! accounting — and the facade assembles the pieces into one
 //! [`PipelineReport`]. The report has two renderings:
 //!
-//! * [`PipelineReport::to_json`] — a stable machine format built on the
-//!   std-only JSON emitter in `syncopt-core` (schema
-//!   `syncopt.pipeline_report.v1`). All values are integers; the only
-//!   nondeterministic ones are the `_us` phase timings, which consumers
-//!   that diff reports zero out.
+//! * [`PipelineReport::to_json`] — a stable machine format (schema
+//!   `syncopt.pipeline_report.v1`) written straight into one buffer: keys
+//!   are literals quoted at compile time, values go through the std-only
+//!   JSON emitter's `write_int` / `write_escaped`, and no `json::Value`
+//!   tree is built. All values are integers; the only nondeterministic
+//!   ones are the `_us` phase timings, which consumers that diff reports
+//!   zero out.
 //! * [`PipelineReport::render_table`] — a human-readable table.
 //!
 //! [`ProfileReport`] pairs two reports — the blocking baseline and an
@@ -17,10 +19,10 @@
 //! comparison, emitted by `syncoptc profile`.
 
 use syncopt_codegen::{DelayChoice, OptLevel, OptStats};
-use syncopt_core::diag::json::Value;
-use syncopt_core::{AnalysisStats, Counters, PhaseTimings};
+use syncopt_core::diag::json::{self, Value};
+use syncopt_core::{AnalysisCounters, AnalysisStats, PhaseTimings};
 use syncopt_machine::sim::{NetStats, SimResult, StallStats};
-use syncopt_machine::{LatencyHistogram, MachineConfig, SimMetrics, SimWork};
+use syncopt_machine::{LatencyHistogram, MachineConfig, SimMetrics};
 
 /// Identification of what was compiled and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +83,7 @@ pub struct PipelineReport {
     pub analysis: AnalysisStats,
     /// Work counters from every analysis stage (`conflict.*`, `cycle.*`,
     /// `sync.*`, `delay.*`).
-    pub counters: Counters,
+    pub counters: AnalysisCounters,
     /// What the optimizer did.
     pub codegen: OptStats,
     /// The simulation section; `None` for compile-only reports.
@@ -110,44 +112,138 @@ pub fn delay_label(delay: DelayChoice) -> &'static str {
     }
 }
 
-impl PipelineReport {
-    /// The report as a JSON object with a stable key order. All values
-    /// are integers/strings; `timings` entries carry a `_us` suffix and
-    /// are the only nondeterministic fields.
-    pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("schema".into(), Value::Str(REPORT_SCHEMA.to_string())),
-            ("meta".into(), self.meta_json()),
-            ("timings".into(), self.timings.to_json()),
-            ("analysis".into(), analysis_json(&self.analysis)),
-            ("counters".into(), self.counters.to_json()),
-            ("codegen".into(), optstats_json(&self.codegen)),
-        ];
-        if let Some(sim) = &self.sim {
-            fields.push(("sim".into(), sim_json(sim)));
+/// A JSON object key known when the program is built: its name, and the
+/// name quoted and followed by its colon, which is what a writer appends.
+#[derive(Clone, Copy)]
+struct Key {
+    name: &'static str,
+    quoted: &'static str,
+}
+
+/// The [`Key`] of a literal name, quoted at compile time.
+macro_rules! key {
+    ($name:literal) => {
+        Key {
+            name: $name,
+            quoted: concat!("\"", $name, "\":"),
         }
-        Value::Obj(fields)
+    };
+}
+
+/// One JSON object being appended to a report's buffer: members go in the
+/// order they are written, values through the one emitter's `write_int`
+/// and `write_escaped`. No key needs an escape.
+struct Obj<'a> {
+    out: &'a mut String,
+    /// What precedes the next member: `{` before the first, `,` after.
+    sep: char,
+}
+
+impl<'a> Obj<'a> {
+    fn open(out: &'a mut String) -> Self {
+        Obj { out, sep: '{' }
     }
 
-    fn meta_json(&self) -> Value {
-        Value::Obj(vec![
-            ("procs".into(), Value::Int(i64::from(self.meta.procs))),
-            (
-                "level".into(),
-                Value::Str(level_label(self.meta.level).to_string()),
-            ),
-            (
-                "delay".into(),
-                Value::Str(delay_label(self.meta.delay).to_string()),
-            ),
-            (
-                "machine".into(),
-                match &self.meta.machine {
-                    Some(m) => Value::Str(m.clone()),
-                    None => Value::Null,
-                },
-            ),
-        ])
+    /// Starts the member `key` and returns the buffer its value goes to.
+    fn key(&mut self, key: Key) -> &mut String {
+        self.out.push(self.sep);
+        self.sep = ',';
+        self.out.push_str(key.quoted);
+        self.out
+    }
+
+    fn int(&mut self, key: Key, n: u64) {
+        json::write_int(self.key(key), n as i64);
+    }
+
+    fn signed(&mut self, key: Key, n: i64) {
+        json::write_int(self.key(key), n);
+    }
+
+    fn str(&mut self, key: Key, s: &str) {
+        json::write_escaped(self.key(key), s);
+    }
+
+    fn bool(&mut self, key: Key, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    /// One integer member per field.
+    fn ints(&mut self, fields: &[(Key, u64)]) {
+        for &(key, n) in fields {
+            self.int(key, n);
+        }
+    }
+
+    fn close(self) {
+        if self.sep == '{' {
+            self.out.push('{');
+        }
+        self.out.push('}');
+    }
+}
+
+/// Appends `items` as a JSON array, each written by `item` with its index.
+fn write_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, usize, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, i, x);
+    }
+    out.push(']');
+}
+
+/// Bytes reserved for a report before it is written: room for a compile
+/// report, plus about one simulated processor's row and one barrier epoch
+/// per entry, so most reports are written without regrowing.
+fn report_capacity(sim: Option<&SimReport>) -> usize {
+    let sim = sim.map_or(0, |s| {
+        176 * s.metrics.per_proc.len() + 72 * s.metrics.barrier_epochs.len()
+    });
+    (2 << 10) + sim
+}
+
+impl PipelineReport {
+    /// The report as JSON text with a stable key order, written straight
+    /// into one buffer. All values are integers/strings; `timings` entries
+    /// carry a `_us` suffix and are the only nondeterministic fields.
+    /// Callers that inspect a report parse it
+    /// ([`json::Value::parse`]).
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(report_capacity(self.sim.as_ref()));
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the report's JSON text (what [`PipelineReport::to_json`]
+    /// returns) to `out`.
+    fn write_json(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        o.str(key!("schema"), REPORT_SCHEMA);
+        let meta = &self.meta;
+        let mut m = Obj::open(o.key(key!("meta")));
+        m.int(key!("procs"), u64::from(meta.procs));
+        m.str(key!("level"), level_label(meta.level));
+        m.str(key!("delay"), delay_label(meta.delay));
+        match &meta.machine {
+            Some(name) => m.str(key!("machine"), name),
+            None => m.key(key!("machine")).push_str("null"),
+        }
+        m.close();
+        self.timings.write_json(o.key(key!("timings")));
+        let mut a = Obj::open(o.key(key!("analysis")));
+        a.ints(&analysis_fields(&self.analysis));
+        a.close();
+        self.counters.write_json(o.key(key!("counters")));
+        let mut c = Obj::open(o.key(key!("codegen")));
+        c.ints(&optstats_fields(&self.codegen));
+        c.close();
+        if let Some(sim) = &self.sim {
+            sim.write_json(o.key(key!("sim")));
+        }
+        o.close();
     }
 
     /// Renders the report as a human-readable table.
@@ -219,176 +315,161 @@ impl PipelineReport {
     }
 }
 
-/// The analysis summary as a JSON object: the `analysis` section of a
-/// pipeline report and the `summary` of an `analyze` document.
+/// The analysis summary's members: the `analysis` section of a pipeline
+/// report and the `summary` of an `analyze` document.
+fn analysis_fields(a: &AnalysisStats) -> [(Key, u64); 6] {
+    [
+        (key!("accesses"), a.accesses as u64),
+        (key!("conflict_pairs"), a.conflict_pairs as u64),
+        (key!("delay_ss"), a.delay_ss as u64),
+        (key!("delay_sync"), a.delay_sync as u64),
+        (key!("precedence_pairs"), a.precedence_pairs as u64),
+        (key!("aligned_barriers"), a.aligned_barriers as u64),
+    ]
+}
+
+/// The optimizer's action counts: the `codegen` section of a pipeline
+/// report and the `stats` of an `opt` document.
+fn optstats_fields(s: &OptStats) -> [(Key, u64); 11] {
+    [
+        (key!("gets_split"), s.gets_split as u64),
+        (key!("puts_split"), s.puts_split as u64),
+        (key!("sync_moves"), s.sync_moves as u64),
+        (key!("syncs_merged"), s.syncs_merged as u64),
+        (key!("init_moves"), s.init_moves as u64),
+        (key!("puts_to_stores"), s.puts_to_stores as u64),
+        (key!("gets_eliminated"), s.gets_eliminated as u64),
+        (key!("puts_eliminated"), s.puts_eliminated as u64),
+        (key!("dead_locals_removed"), s.dead_locals_removed as u64),
+        (key!("dead_gets_removed"), s.dead_gets_removed as u64),
+        (key!("exprs_folded"), s.exprs_folded as u64),
+    ]
+}
+
+/// Integer members as a JSON value, for the documents still built as a
+/// tree.
+fn int_obj(fields: &[(Key, u64)]) -> Value {
+    Value::Obj(
+        fields
+            .iter()
+            .map(|&(key, n)| (key.name.into(), Value::Int(n as i64)))
+            .collect(),
+    )
+}
+
+/// The analysis summary as a JSON value: the `summary` of an `analyze`
+/// document.
 pub(crate) fn analysis_json(a: &AnalysisStats) -> Value {
-    Value::Obj(vec![
-        ("accesses".into(), Value::Int(a.accesses as i64)),
-        ("conflict_pairs".into(), Value::Int(a.conflict_pairs as i64)),
-        ("delay_ss".into(), Value::Int(a.delay_ss as i64)),
-        ("delay_sync".into(), Value::Int(a.delay_sync as i64)),
-        (
-            "precedence_pairs".into(),
-            Value::Int(a.precedence_pairs as i64),
-        ),
-        (
-            "aligned_barriers".into(),
-            Value::Int(a.aligned_barriers as i64),
-        ),
-    ])
+    int_obj(&analysis_fields(a))
 }
 
+/// The optimizer's action counts as a JSON value: the `stats` of an `opt`
+/// document.
 pub(crate) fn optstats_json(s: &OptStats) -> Value {
-    Value::Obj(vec![
-        ("gets_split".into(), Value::Int(s.gets_split as i64)),
-        ("puts_split".into(), Value::Int(s.puts_split as i64)),
-        ("sync_moves".into(), Value::Int(s.sync_moves as i64)),
-        ("syncs_merged".into(), Value::Int(s.syncs_merged as i64)),
-        ("init_moves".into(), Value::Int(s.init_moves as i64)),
-        ("puts_to_stores".into(), Value::Int(s.puts_to_stores as i64)),
-        (
-            "gets_eliminated".into(),
-            Value::Int(s.gets_eliminated as i64),
-        ),
-        (
-            "puts_eliminated".into(),
-            Value::Int(s.puts_eliminated as i64),
-        ),
-        (
-            "dead_locals_removed".into(),
-            Value::Int(s.dead_locals_removed as i64),
-        ),
-        (
-            "dead_gets_removed".into(),
-            Value::Int(s.dead_gets_removed as i64),
-        ),
-        ("exprs_folded".into(), Value::Int(s.exprs_folded as i64)),
-    ])
+    int_obj(&optstats_fields(s))
 }
 
-fn net_json(n: &NetStats) -> Value {
-    Value::Obj(vec![
-        ("get_requests".into(), Value::Int(n.get_requests as i64)),
-        ("get_replies".into(), Value::Int(n.get_replies as i64)),
-        ("put_requests".into(), Value::Int(n.put_requests as i64)),
-        ("put_acks".into(), Value::Int(n.put_acks as i64)),
-        ("store_requests".into(), Value::Int(n.store_requests as i64)),
-        ("post_messages".into(), Value::Int(n.post_messages as i64)),
-        ("wait_messages".into(), Value::Int(n.wait_messages as i64)),
-        ("lock_messages".into(), Value::Int(n.lock_messages as i64)),
-        ("barriers".into(), Value::Int(n.barriers as i64)),
-        (
-            "total_messages".into(),
-            Value::Int(n.total_messages() as i64),
-        ),
-    ])
-}
-
-fn stalls_json(s: &StallStats) -> Value {
-    Value::Obj(vec![
-        ("sync".into(), Value::Int(s.sync as i64)),
-        ("barrier".into(), Value::Int(s.barrier as i64)),
-        ("wait".into(), Value::Int(s.wait as i64)),
-        ("lock".into(), Value::Int(s.lock as i64)),
-        ("blocking".into(), Value::Int(s.blocking as i64)),
-    ])
-}
-
-fn latency_json(h: &LatencyHistogram) -> Value {
-    let buckets = h
-        .buckets
-        .iter()
-        .enumerate()
-        .map(|(i, &count)| {
-            Value::Obj(vec![
-                ("le".into(), Value::Str(LatencyHistogram::bucket_label(i))),
-                ("count".into(), Value::Int(count as i64)),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![
-        ("count".into(), Value::Int(h.count as i64)),
-        ("min".into(), Value::Int(h.min as i64)),
-        ("mean".into(), Value::Int(h.mean() as i64)),
-        ("max".into(), Value::Int(h.max as i64)),
-        ("buckets".into(), Value::Arr(buckets)),
-    ])
-}
-
-fn work_json(w: &SimWork, exec_cycles: u64) -> Value {
-    Value::Obj(vec![
-        (
-            "events_scheduled".into(),
-            Value::Int(w.events_scheduled as i64),
-        ),
-        (
-            "events_dequeued".into(),
-            Value::Int(w.events_dequeued as i64),
-        ),
-        (
-            "bucket_rotations".into(),
-            Value::Int(w.bucket_rotations as i64),
-        ),
-        (
-            "overflow_promotions".into(),
-            Value::Int(w.overflow_promotions as i64),
-        ),
-        ("arena_reuses".into(), Value::Int(w.arena_reuses as i64)),
-        ("waiter_scans".into(), Value::Int(w.waiter_scans as i64)),
-        (
-            "events_per_1k_cycles".into(),
-            Value::Int(w.events_per_1k_cycles(exec_cycles) as i64),
-        ),
-    ])
-}
-
-fn sim_json(sim: &SimReport) -> Value {
-    let per_proc = sim
-        .metrics
-        .per_proc
-        .iter()
-        .enumerate()
-        .map(|(pi, p)| {
-            Value::Obj(vec![
-                ("proc".into(), Value::Int(pi as i64)),
-                ("busy".into(), Value::Int(p.busy as i64)),
-                ("sync".into(), Value::Int(p.sync as i64)),
-                ("barrier".into(), Value::Int(p.barrier as i64)),
-                ("wait".into(), Value::Int(p.wait as i64)),
-                ("lock".into(), Value::Int(p.lock as i64)),
-                ("network_wait".into(), Value::Int(p.network_wait as i64)),
-                ("idle".into(), Value::Int(p.idle as i64)),
-                ("msgs_sent".into(), Value::Int(p.msgs_sent as i64)),
-                ("msgs_handled".into(), Value::Int(p.msgs_handled as i64)),
-            ])
-        })
-        .collect();
-    let epochs = sim
-        .metrics
-        .barrier_epochs
-        .iter()
-        .map(|e| {
-            Value::Obj(vec![
-                ("first_arrival".into(), Value::Int(e.first_arrival as i64)),
-                ("last_arrival".into(), Value::Int(e.last_arrival as i64)),
-                ("release".into(), Value::Int(e.release as i64)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("exec_cycles".into(), Value::Int(sim.exec_cycles as i64)),
-        ("barriers_aligned".into(), Value::Bool(sim.barriers_aligned)),
-        ("net".into(), net_json(&sim.net)),
-        ("stalls".into(), stalls_json(&sim.stalls)),
-        ("per_proc".into(), Value::Arr(per_proc)),
-        ("latency".into(), latency_json(&sim.metrics.latency)),
-        ("barrier_epochs".into(), Value::Arr(epochs)),
-        ("work".into(), work_json(&sim.metrics.work, sim.exec_cycles)),
-    ];
-    if let Some(truncated) = sim.trace_truncated {
-        fields.push(("trace_truncated".into(), Value::Bool(truncated)));
+impl SimReport {
+    fn write_json(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        o.int(key!("exec_cycles"), self.exec_cycles);
+        o.bool(key!("barriers_aligned"), self.barriers_aligned);
+        let n = &self.net;
+        let mut net = Obj::open(o.key(key!("net")));
+        net.ints(&[
+            (key!("get_requests"), n.get_requests),
+            (key!("get_replies"), n.get_replies),
+            (key!("put_requests"), n.put_requests),
+            (key!("put_acks"), n.put_acks),
+            (key!("store_requests"), n.store_requests),
+            (key!("post_messages"), n.post_messages),
+            (key!("wait_messages"), n.wait_messages),
+            (key!("lock_messages"), n.lock_messages),
+            (key!("barriers"), n.barriers),
+            (key!("total_messages"), n.total_messages()),
+        ]);
+        net.close();
+        let s = &self.stalls;
+        let mut stalls = Obj::open(o.key(key!("stalls")));
+        stalls.ints(&[
+            (key!("sync"), s.sync),
+            (key!("barrier"), s.barrier),
+            (key!("wait"), s.wait),
+            (key!("lock"), s.lock),
+            (key!("blocking"), s.blocking),
+        ]);
+        stalls.close();
+        write_array(
+            o.key(key!("per_proc")),
+            &self.metrics.per_proc,
+            |out, pi, p| {
+                let mut row = Obj::open(out);
+                row.ints(&[
+                    (key!("proc"), pi as u64),
+                    (key!("busy"), p.busy),
+                    (key!("sync"), p.sync),
+                    (key!("barrier"), p.barrier),
+                    (key!("wait"), p.wait),
+                    (key!("lock"), p.lock),
+                    (key!("network_wait"), p.network_wait),
+                    (key!("idle"), p.idle),
+                    (key!("msgs_sent"), p.msgs_sent),
+                    (key!("msgs_handled"), p.msgs_handled),
+                ]);
+                row.close();
+            },
+        );
+        write_latency(o.key(key!("latency")), &self.metrics.latency);
+        write_array(
+            o.key(key!("barrier_epochs")),
+            &self.metrics.barrier_epochs,
+            |out, _, e| {
+                let mut epoch = Obj::open(out);
+                epoch.ints(&[
+                    (key!("first_arrival"), e.first_arrival),
+                    (key!("last_arrival"), e.last_arrival),
+                    (key!("release"), e.release),
+                ]);
+                epoch.close();
+            },
+        );
+        let w = &self.metrics.work;
+        let mut work = Obj::open(o.key(key!("work")));
+        work.ints(&[
+            (key!("events_scheduled"), w.events_scheduled),
+            (key!("events_dequeued"), w.events_dequeued),
+            (key!("bucket_rotations"), w.bucket_rotations),
+            (key!("overflow_promotions"), w.overflow_promotions),
+            (key!("arena_reuses"), w.arena_reuses),
+            (key!("waiter_scans"), w.waiter_scans),
+            (
+                key!("events_per_1k_cycles"),
+                w.events_per_1k_cycles(self.exec_cycles),
+            ),
+        ]);
+        work.close();
+        if let Some(truncated) = self.trace_truncated {
+            o.bool(key!("trace_truncated"), truncated);
+        }
+        o.close();
     }
-    Value::Obj(fields)
+}
+
+fn write_latency(out: &mut String, h: &LatencyHistogram) {
+    let mut o = Obj::open(out);
+    o.ints(&[
+        (key!("count"), h.count),
+        (key!("min"), h.min),
+        (key!("mean"), h.mean()),
+        (key!("max"), h.max),
+    ]);
+    write_array(o.key(key!("buckets")), &h.buckets, |out, i, &count| {
+        let mut bucket = Obj::open(out);
+        bucket.str(key!("le"), &LatencyHistogram::bucket_label(i));
+        bucket.int(key!("count"), count);
+        bucket.close();
+    });
+    o.close();
 }
 
 fn render_sim_table(out: &mut String, sim: &SimReport) {
@@ -484,53 +565,32 @@ impl ProfileReport {
         (base * 100).checked_div(opt).unwrap_or(100)
     }
 
-    /// The profile as a JSON object (`syncopt.profile_report.v1`).
-    pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema".into(),
-                Value::Str("syncopt.profile_report.v1".to_string()),
-            ),
-            ("blocking".into(), self.blocking.to_json()),
-            ("optimized".into(), self.optimized.to_json()),
-            (
-                "comparison".into(),
-                Value::Obj(vec![
-                    (
-                        "speedup_x100".into(),
-                        Value::Int(self.speedup_x100() as i64),
-                    ),
-                    (
-                        "cycles_saved".into(),
-                        Value::Int(
-                            self.blocking
-                                .sim
-                                .as_ref()
-                                .map_or(0, |s| s.exec_cycles as i64)
-                                - self
-                                    .optimized
-                                    .sim
-                                    .as_ref()
-                                    .map_or(0, |s| s.exec_cycles as i64),
-                        ),
-                    ),
-                    (
-                        "messages_delta".into(),
-                        Value::Int(
-                            self.optimized
-                                .sim
-                                .as_ref()
-                                .map_or(0, |s| s.net.total_messages() as i64)
-                                - self
-                                    .blocking
-                                    .sim
-                                    .as_ref()
-                                    .map_or(0, |s| s.net.total_messages() as i64),
-                        ),
-                    ),
-                ]),
-            ),
-        ])
+    /// The profile as JSON text (`syncopt.profile_report.v1`), written
+    /// straight into one buffer.
+    pub fn to_json(&self) -> String {
+        let sims = [&self.blocking.sim, &self.optimized.sim];
+        let capacity = sims.iter().map(|sim| report_capacity(sim.as_ref())).sum();
+        let mut out = String::with_capacity(capacity);
+        let cycles = |r: &PipelineReport| r.sim.as_ref().map_or(0, |s| s.exec_cycles as i64);
+        let messages =
+            |r: &PipelineReport| r.sim.as_ref().map_or(0, |s| s.net.total_messages() as i64);
+        let mut o = Obj::open(&mut out);
+        o.str(key!("schema"), "syncopt.profile_report.v1");
+        self.blocking.write_json(o.key(key!("blocking")));
+        self.optimized.write_json(o.key(key!("optimized")));
+        let mut cmp = Obj::open(o.key(key!("comparison")));
+        cmp.int(key!("speedup_x100"), self.speedup_x100());
+        cmp.signed(
+            key!("cycles_saved"),
+            cycles(&self.blocking) - cycles(&self.optimized),
+        );
+        cmp.signed(
+            key!("messages_delta"),
+            messages(&self.optimized) - messages(&self.blocking),
+        );
+        cmp.close();
+        o.close();
+        out
     }
 
     /// Renders both runs side by side with a comparison footer.
@@ -706,8 +766,13 @@ pub fn render_stats_table(stats: &Value) -> String {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{AnalysisSession, SessionOptions};
+    use crate::{TraceLevel, DEFAULT_TRACE_LIMIT};
 
     fn empty_report(level: OptLevel, exec: Option<u64>) -> PipelineReport {
         PipelineReport {
@@ -726,7 +791,7 @@ mod tests {
                 precedence_pairs: 0,
                 aligned_barriers: 0,
             },
-            counters: Counters::new(),
+            counters: AnalysisCounters::default(),
             codegen: OptStats::default(),
             sim: exec.map(|e| SimReport {
                 exec_cycles: e,
@@ -742,7 +807,7 @@ mod tests {
     #[test]
     fn json_has_stable_top_level_schema() {
         let r = empty_report(OptLevel::Full, Some(100));
-        let j = r.to_json();
+        let j = Value::parse(&r.to_json()).unwrap();
         assert_eq!(j.get("schema").unwrap().as_str(), Some(REPORT_SCHEMA));
         assert_eq!(
             j.get("meta").unwrap().get("level").unwrap().as_str(),
@@ -755,7 +820,114 @@ mod tests {
         assert!(work.get("events_per_1k_cycles").is_some());
         // Compile-only reports omit the sim section.
         let c = empty_report(OptLevel::Full, None);
-        assert!(c.to_json().get("sim").is_none());
+        assert!(Value::parse(&c.to_json()).unwrap().get("sim").is_none());
+    }
+
+    /// The direct writers' bytes against the reference tree's, for one
+    /// report.
+    fn assert_writes_the_tree(r: &PipelineReport, label: &str) {
+        assert_eq!(r.to_json(), reference::pipeline(r).to_string(), "{label}");
+    }
+
+    fn all_levels() -> [OptLevel; 4] {
+        [
+            OptLevel::Blocking,
+            OptLevel::Pipelined,
+            OptLevel::OneWay,
+            OptLevel::Full,
+        ]
+    }
+
+    /// The hand-made reports: no machine, no simulation, measured timings
+    /// under a phase the pipeline does not name.
+    #[test]
+    fn the_writers_write_the_bytes_the_value_tree_wrote_on_edge_reports() {
+        let mut r = empty_report(OptLevel::Pipelined, Some(7));
+        assert_writes_the_tree(&r, "simulated");
+        r.meta.machine = None;
+        r.sim = None;
+        assert_writes_the_tree(&r, "compile only");
+        r.timings = PhaseTimings::new(true);
+        r.timings.record("parse", 12);
+        r.timings.record("replay", u64::MAX);
+        assert_writes_the_tree(&r, "timed");
+        let p = ProfileReport {
+            blocking: empty_report(OptLevel::Blocking, None),
+            optimized: empty_report(OptLevel::Full, Some(3)),
+        };
+        assert_eq!(p.to_json(), reference::profile(&p).to_string());
+    }
+
+    /// The five kernels at four widths and every level: compile reports,
+    /// run reports on the three machines, profiles, and traced runs with
+    /// and without a truncated trace.
+    #[test]
+    fn the_writers_write_the_bytes_the_value_tree_wrote_on_the_kernels() {
+        let machines: [fn(u32) -> MachineConfig; 3] =
+            [MachineConfig::cm5, MachineConfig::t3d, MachineConfig::dash];
+        for procs in [4, 16, 64, 256] {
+            for kernel in syncopt_kernels::all_kernels(procs) {
+                let mut session = AnalysisSession::new();
+                for level in all_levels() {
+                    let label = format!("{} p{procs} {level:?}", kernel.name);
+                    let opts = SessionOptions {
+                        procs: Some(kernel.procs),
+                        level,
+                        trace: TraceLevel::Phases,
+                        ..SessionOptions::default()
+                    };
+                    let compiled = session.compile(&kernel.source, &opts).unwrap();
+                    assert_writes_the_tree(&compiled.report, &label);
+                    for machine in machines {
+                        let config = machine(kernel.procs);
+                        let run = session.run(&kernel.source, &opts, &config).unwrap();
+                        assert_writes_the_tree(run.report(), &format!("{label} {}", config.name));
+                    }
+                }
+                if procs > 16 {
+                    continue;
+                }
+                for machine in machines {
+                    let config = machine(kernel.procs);
+                    let opts = SessionOptions::default();
+                    let p = session.profile(&kernel.source, &opts, &config).unwrap();
+                    assert_eq!(p.to_json(), reference::profile(&p).to_string());
+                }
+                for trace_limit in [8, DEFAULT_TRACE_LIMIT] {
+                    let opts = SessionOptions {
+                        trace: TraceLevel::Events,
+                        trace_limit,
+                        ..SessionOptions::default()
+                    };
+                    let config = MachineConfig::cm5(kernel.procs);
+                    let run = session.run(&kernel.source, &opts, &config).unwrap();
+                    let truncated = run.report().sim.as_ref().unwrap().trace_truncated;
+                    assert_eq!(truncated, Some(trace_limit == 8), "{}", kernel.name);
+                    assert_writes_the_tree(run.report(), kernel.name);
+                }
+            }
+        }
+    }
+
+    /// The 220-program corpus: compile reports, and run reports of those
+    /// that simulate.
+    #[test]
+    fn the_writers_write_the_bytes_the_value_tree_wrote_on_the_corpus() {
+        let config = MachineConfig::cm5(4);
+        let opts = SessionOptions {
+            procs: Some(4),
+            ..SessionOptions::default()
+        };
+        let mut session = AnalysisSession::new();
+        for draw in 1..=220 {
+            let src = syncopt_core::corpus::corpus_program(draw);
+            let label = format!("corpus draw {draw}");
+            let compiled = session.compile(&src, &opts).unwrap();
+            assert_writes_the_tree(&compiled.report, &label);
+            if let Ok(run) = session.run(&src, &opts, &config) {
+                assert_writes_the_tree(run.report(), &label);
+            }
+        }
     }
 
     #[test]
@@ -765,7 +937,7 @@ mod tests {
             optimized: empty_report(OptLevel::Full, Some(200)),
         };
         assert_eq!(p.speedup_x100(), 150);
-        let j = p.to_json();
+        let j = Value::parse(&p.to_json()).unwrap();
         let cmp = j.get("comparison").unwrap();
         assert_eq!(cmp.get("speedup_x100").unwrap().as_int(), Some(150));
         assert_eq!(cmp.get("cycles_saved").unwrap().as_int(), Some(100));

@@ -609,7 +609,7 @@ impl AnalysisSession {
             meta: meta_for(procs.unwrap_or(0), level, delay, None),
             timings,
             analysis: analysis.stats(),
-            counters: analysis.metrics.clone(),
+            counters: analysis.metrics,
             codegen: optimized.artifact.stats,
             sim: None,
         };

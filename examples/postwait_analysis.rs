@@ -55,11 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = analyze(&cfg);
 
     print_delays(&cfg, "Shasha–Snir delay set D_SS", &analysis.delay_ss);
-    print_delays(
-        &cfg,
-        "initial sync delay set D1 (step 2)",
-        &analysis.sync.d1,
-    );
+    print_delays(&cfg, "initial sync delay set D1 (step 2)", &analysis.d1);
 
     println!(
         "precedence relation R (step 3+4, {} pairs):",

@@ -282,10 +282,11 @@ fn a_program_nested_to_one_below_the_limit_compiles_and_runs() {
 }
 
 /// Drift test (the service-metric one in `tests/service_metrics.rs`, for
-/// the analysis): the `counters` section of every kernel's report names
-/// exactly the counters of the "Counter glossary" in
-/// `docs/OBSERVABILITY.md`, a row that names several (`a` / `b`) counting
-/// each.
+/// the analysis): the declared counter table
+/// (`syncopt::core::ANALYSIS_COUNTER_NAMES`) names exactly the counters of
+/// the "Counter glossary" in `docs/OBSERVABILITY.md`, a row that names
+/// several (`a` / `b`) counting each, and the `counters` section of every
+/// kernel's report is that table: its 32 keys in order, each once.
 #[test]
 fn every_report_counter_is_in_the_counter_glossary_and_back() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -302,15 +303,19 @@ fn every_report_counter_is_in_the_counter_glossary_and_back() {
         .map(|name| name.trim_matches('`'))
         .collect();
     assert!(documented.contains("conflict.pairs"), "{documented:?}");
+    let declared = syncopt::core::ANALYSIS_COUNTER_NAMES;
+    assert_eq!(declared.len(), 32);
+    assert_eq!(BTreeSet::from(declared), documented);
     for kernel in syncopt::kernels::all_kernels(4) {
-        let report = compile(&kernel.source, 4, OptLevel::Full, DelayChoice::SyncRefined)
+        let text = compile(&kernel.source, 4, OptLevel::Full, DelayChoice::SyncRefined)
             .unwrap()
             .report
             .to_json();
+        let report = Value::parse(&text).unwrap();
         let Some(Value::Obj(counters)) = report.get("counters") else {
             panic!("{}: the report has no counters: {report}", kernel.name);
         };
-        let reported: BTreeSet<&str> = counters.iter().map(|(name, _)| name.as_ref()).collect();
-        assert_eq!(reported, documented, "{}", kernel.name);
+        let reported: Vec<&str> = counters.iter().map(|(name, _)| name.as_ref()).collect();
+        assert_eq!(reported, declared, "{}", kernel.name);
     }
 }

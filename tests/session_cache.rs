@@ -467,7 +467,7 @@ fn a_sharded_run_and_a_sequential_run_have_their_own_replies() {
     };
     let report = |session: &mut AnalysisSession, opts: &SessionOptions| {
         let run = session.run(&kernel.source, opts, &config).unwrap();
-        run.report().to_json()
+        Value::parse(&run.report().to_json()).unwrap()
     };
     let work = |report: &Value| report.get("sim").and_then(|s| s.get("work")).cloned();
     let fresh = report(&mut AnalysisSession::new(), &sharded);
