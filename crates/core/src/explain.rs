@@ -27,7 +27,7 @@
 use crate::barrier::{aligned_barriers_with, barrier_precedence_edges};
 use crate::conflict::ConflictSet;
 use crate::cycle::witness;
-use crate::diag::json::Value;
+use crate::diag::json::{self, key};
 use crate::diag::{Diagnostic, Severity};
 use crate::sync::{post_wait_edges, SyncAnalysis, SyncOptions};
 use crate::{Analysis, AnalysisBase};
@@ -382,135 +382,98 @@ pub fn validate_witness(cfg: &Cfg, conflicts: &ConflictSet, witness: &[AccessId]
 
 // ---- rendering ---------------------------------------------------------
 
-fn access_json(cfg: &Cfg, src: &str, a: AccessId) -> Value {
+fn write_access(out: &mut String, cfg: &Cfg, src: &str, a: AccessId) {
     let info = cfg.accesses.info(a);
     let (line, col) = info.span.line_col(src);
-    Value::Obj(vec![
-        ("id".into(), Value::Int(a.index() as i64)),
-        ("kind".into(), Value::Str(format!("{:?}", info.kind))),
-        (
-            "var".into(),
-            match info.var {
-                Some(v) => Value::Str(cfg.vars.info(v).name.clone()),
-                None => Value::Null,
-            },
-        ),
-        ("line".into(), Value::Int(line as i64)),
-        ("col".into(), Value::Int(col as i64)),
-    ])
+    let mut o = json::Obj::open(out);
+    o.int(key!("id"), a.index() as u64);
+    o.str(key!("kind"), &format!("{:?}", info.kind));
+    o.str_or_null(
+        key!("var"),
+        info.var.map(|v| cfg.vars.info(v).name.as_str()),
+    );
+    o.int(key!("line"), line as u64);
+    o.int(key!("col"), col as u64);
+    o.close();
 }
 
-fn fact_json(fact: &SyncFact) -> Value {
+fn write_fact(out: &mut String, fact: &SyncFact) {
     let (before, after) = fact.pair();
-    Value::Obj(vec![
-        ("kind".into(), Value::Str(fact.label().to_string())),
-        ("before".into(), Value::Int(before.index() as i64)),
-        ("after".into(), Value::Int(after.index() as i64)),
-    ])
+    let mut o = json::Obj::open(out);
+    o.str(key!("kind"), fact.label());
+    o.int(key!("before"), before.index() as u64);
+    o.int(key!("after"), after.index() as u64);
+    o.close();
 }
 
-fn reason_json(cfg: &Cfg, reason: &DropReason) -> Value {
+fn write_reason(out: &mut String, cfg: &Cfg, reason: &DropReason) {
+    let mut o = json::Obj::open(out);
     match reason {
-        DropReason::NodeOrderedAfterFirst { node, fact } => Value::Obj(vec![
-            (
-                "kind".into(),
-                Value::Str("node_ordered_after_first".to_string()),
-            ),
-            ("node".into(), Value::Int(node.index() as i64)),
-            ("fact".into(), fact_json(fact)),
-        ]),
-        DropReason::NodeOrderedBeforeSecond { node, fact } => Value::Obj(vec![
-            (
-                "kind".into(),
-                Value::Str("node_ordered_before_second".to_string()),
-            ),
-            ("node".into(), Value::Int(node.index() as i64)),
-            ("fact".into(), fact_json(fact)),
-        ]),
-        DropReason::NodeLockGuarded { node, lock } => Value::Obj(vec![
-            ("kind".into(), Value::Str("node_lock_guarded".to_string())),
-            ("node".into(), Value::Int(node.index() as i64)),
-            ("lock".into(), Value::Str(cfg.vars.info(*lock).name.clone())),
-        ]),
-        DropReason::EdgeUnoriented { from, to, fact } => Value::Obj(vec![
-            ("kind".into(), Value::Str("edge_unoriented".to_string())),
-            ("from".into(), Value::Int(from.index() as i64)),
-            ("to".into(), Value::Int(to.index() as i64)),
-            ("fact".into(), fact_json(fact)),
-        ]),
-        DropReason::Unexplained => {
-            Value::Obj(vec![("kind".into(), Value::Str("unexplained".to_string()))])
+        DropReason::NodeOrderedAfterFirst { node, fact } => {
+            o.str(key!("kind"), "node_ordered_after_first");
+            o.int(key!("node"), node.index() as u64);
+            write_fact(o.key(key!("fact")), fact);
         }
+        DropReason::NodeOrderedBeforeSecond { node, fact } => {
+            o.str(key!("kind"), "node_ordered_before_second");
+            o.int(key!("node"), node.index() as u64);
+            write_fact(o.key(key!("fact")), fact);
+        }
+        DropReason::NodeLockGuarded { node, lock } => {
+            o.str(key!("kind"), "node_lock_guarded");
+            o.int(key!("node"), node.index() as u64);
+            o.str(key!("lock"), &cfg.vars.info(*lock).name);
+        }
+        DropReason::EdgeUnoriented { from, to, fact } => {
+            o.str(key!("kind"), "edge_unoriented");
+            o.int(key!("from"), from.index() as u64);
+            o.int(key!("to"), to.index() as u64);
+            write_fact(o.key(key!("fact")), fact);
+        }
+        DropReason::Unexplained => o.str(key!("kind"), "unexplained"),
     }
+    o.close();
+}
+
+fn write_witness(out: &mut String, witness: &[AccessId]) {
+    json::write_array(out, witness, |out, a| {
+        json::write_int(out, a.index() as i64)
+    });
 }
 
 impl ExplainReport {
     /// Deterministic, diffable JSON (`syncopt.explain.v1`): pairs in
     /// `(u, v)` index order, ids as integers, no wall-clock anywhere.
-    pub fn to_json(&self, cfg: &Cfg, src: &str) -> Value {
-        let kept = self
-            .kept
-            .iter()
-            .map(|k| {
-                Value::Obj(vec![
-                    ("u".into(), access_json(cfg, src, k.u)),
-                    ("v".into(), access_json(cfg, src, k.v)),
-                    (
-                        "witness".into(),
-                        Value::Arr(
-                            k.witness
-                                .iter()
-                                .map(|a| Value::Int(a.index() as i64))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "edges".into(),
-                        Value::Arr(
-                            k.edges
-                                .iter()
-                                .map(|e| {
-                                    Value::Str(
-                                        match e {
-                                            EdgeKind::Conflict => "C",
-                                            EdgeKind::Program => "P",
-                                        }
-                                        .to_string(),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    ("via_d1".into(), Value::Bool(k.via_d1)),
-                ])
-            })
-            .collect();
-        let dropped = self
-            .dropped
-            .iter()
-            .map(|d| {
-                Value::Obj(vec![
-                    ("u".into(), access_json(cfg, src, d.u)),
-                    ("v".into(), access_json(cfg, src, d.v)),
-                    (
-                        "witness".into(),
-                        Value::Arr(
-                            d.witness
-                                .iter()
-                                .map(|a| Value::Int(a.index() as i64))
-                                .collect(),
-                        ),
-                    ),
-                    ("reason".into(), reason_json(cfg, &d.reason)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("schema".into(), Value::Str(EXPLAIN_SCHEMA.to_string())),
-            ("accesses".into(), Value::Int(cfg.accesses.len() as i64)),
-            ("kept".into(), Value::Arr(kept)),
-            ("dropped".into(), Value::Arr(dropped)),
-        ])
+    pub fn to_json(&self, cfg: &Cfg, src: &str) -> String {
+        let mut out = String::new();
+        let mut o = json::Obj::open(&mut out);
+        o.str(key!("schema"), EXPLAIN_SCHEMA);
+        o.int(key!("accesses"), cfg.accesses.len() as u64);
+        json::write_array(o.key(key!("kept")), &self.kept, |out, k| {
+            let mut pair = json::Obj::open(out);
+            write_access(pair.key(key!("u")), cfg, src, k.u);
+            write_access(pair.key(key!("v")), cfg, src, k.v);
+            write_witness(pair.key(key!("witness")), &k.witness);
+            json::write_array(pair.key(key!("edges")), &k.edges, |out, e| {
+                let label = match e {
+                    EdgeKind::Conflict => "C",
+                    EdgeKind::Program => "P",
+                };
+                json::write_escaped(out, label);
+            });
+            pair.bool(key!("via_d1"), k.via_d1);
+            pair.close();
+        });
+        json::write_array(o.key(key!("dropped")), &self.dropped, |out, d| {
+            let mut pair = json::Obj::open(out);
+            write_access(pair.key(key!("u")), cfg, src, d.u);
+            write_access(pair.key(key!("v")), cfg, src, d.v);
+            write_witness(pair.key(key!("witness")), &d.witness);
+            write_reason(pair.key(key!("reason")), cfg, &d.reason);
+            pair.close();
+        });
+        o.close();
+        out
     }
 
     /// One diagnostic per pair for the rustc-style renderer: kept pairs as
@@ -623,6 +586,7 @@ pub(crate) fn fact_desc(fact: &SyncFact) -> String {
 mod tests {
     use super::*;
     use crate::analyze_with;
+    use crate::diag::json::Value;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
 

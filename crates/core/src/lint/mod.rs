@@ -28,7 +28,8 @@ mod fence_cover;
 mod redundant;
 
 use crate::delay::DelaySet;
-use crate::diag::{json, sort_diagnostics, Diagnostic, Severity};
+use crate::diag::json::{self, key};
+use crate::diag::{sort_diagnostics, Diagnostic, Severity};
 use crate::sync::SyncOptions;
 use crate::Analysis;
 use syncopt_ir::cfg::Cfg;
@@ -146,73 +147,49 @@ impl LintReport {
         self.count(Severity::Error)
     }
 
-    /// The versioned `syncopt.lint.v1` JSON form. `src` is the program
-    /// source (for line/column resolution), `file` the display name.
-    pub fn to_json(&self, src: &str, file: &str, procs: u32) -> json::Value {
-        json::Value::Obj(vec![
-            ("schema".into(), json::Value::Str(LINT_SCHEMA.into())),
-            ("file".into(), json::Value::Str(file.into())),
-            ("procs".into(), json::Value::Int(i64::from(procs))),
-            (
-                "passes".into(),
-                json::Value::Arr(
-                    self.passes
-                        .iter()
-                        .map(|p| {
-                            json::Value::Obj(vec![
-                                ("name".into(), json::Value::Str(p.name.into())),
-                                (
-                                    "codes".into(),
-                                    json::Value::Arr(
-                                        p.codes
-                                            .iter()
-                                            .map(|c| json::Value::Str((*c).into()))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("findings".into(), json::Value::Int(p.findings as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "fence_levels".into(),
-                json::Value::Arr(
-                    self.fence_levels
-                        .iter()
-                        .map(|f| {
-                            json::Value::Obj(vec![
-                                ("level".into(), json::Value::Str(f.label.clone())),
-                                ("delay_pairs".into(), json::Value::Int(f.delay_pairs as i64)),
-                                ("fences".into(), json::Value::Int(f.fences as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "summary".into(),
-                json::Value::Obj(vec![
-                    (
-                        "errors".into(),
-                        json::Value::Int(self.count(Severity::Error) as i64),
-                    ),
-                    (
-                        "warnings".into(),
-                        json::Value::Int(self.count(Severity::Warning) as i64),
-                    ),
-                    (
-                        "notes".into(),
-                        json::Value::Int(self.count(Severity::Note) as i64),
-                    ),
-                ]),
-            ),
-            (
-                "diagnostics".into(),
-                json::Value::Arr(self.diagnostics.iter().map(|d| d.to_json(src)).collect()),
-            ),
-        ])
+    /// The versioned `syncopt.lint.v1` JSON document. `src` is the
+    /// program source (for line/column resolution), `file` the display
+    /// name.
+    pub fn to_json(&self, src: &str, file: &str, procs: u32) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out, src, file, procs);
+        out
+    }
+
+    /// Appends the document [`LintReport::to_json`] returns to `out`.
+    pub fn write_json(&self, out: &mut String, src: &str, file: &str, procs: u32) {
+        let mut o = json::Obj::open(out);
+        o.str(key!("schema"), LINT_SCHEMA);
+        o.str(key!("file"), file);
+        o.int(key!("procs"), u64::from(procs));
+        json::write_array(o.key(key!("passes")), &self.passes, |out, p| {
+            let mut pass = json::Obj::open(out);
+            pass.str(key!("name"), p.name);
+            json::write_array(pass.key(key!("codes")), p.codes, |out, c| {
+                json::write_escaped(out, c);
+            });
+            pass.int(key!("findings"), p.findings as u64);
+            pass.close();
+        });
+        json::write_array(o.key(key!("fence_levels")), &self.fence_levels, |out, f| {
+            let mut level = json::Obj::open(out);
+            level.str(key!("level"), &f.label);
+            level.int(key!("delay_pairs"), f.delay_pairs as u64);
+            level.int(key!("fences"), f.fences as u64);
+            level.close();
+        });
+        json::write_ints(
+            o.key(key!("summary")),
+            &[
+                (key!("errors"), self.count(Severity::Error) as u64),
+                (key!("warnings"), self.count(Severity::Warning) as u64),
+                (key!("notes"), self.count(Severity::Note) as u64),
+            ],
+        );
+        json::write_array(o.key(key!("diagnostics")), &self.diagnostics, |out, d| {
+            d.write_json(out, src);
+        });
+        o.close();
     }
 }
 
@@ -287,13 +264,12 @@ mod tests {
     fn report_json_has_schema_and_round_trips() {
         let src = "shared int X; fn main() { X = 1; barrier; }";
         let report = lint_source(src);
-        let v = report.to_json(src, "test.ms", 4);
+        let text = report.to_json(src, "test.ms", 4);
+        let parsed = json::Value::parse(&text).expect("canonical JSON parses");
         assert_eq!(
-            v.get("schema").and_then(json::Value::as_str),
+            parsed.get("schema").and_then(json::Value::as_str),
             Some(LINT_SCHEMA)
         );
-        let text = v.to_string();
-        let parsed = json::Value::parse(&text).expect("canonical JSON parses");
         assert_eq!(parsed.to_string(), text);
     }
 

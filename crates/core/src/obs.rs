@@ -15,16 +15,14 @@
 //!   report diffing) compare counters exactly and scrub or ratio the
 //!   timings.
 //!
-//! Each writes its JSON object straight into a caller's buffer with keys in
-//! a stable order ([`Counters`] also converts to a
-//! [`crate::diag::json::Value`]).
+//! Each writes its JSON object straight into a caller's buffer, through
+//! the writer of [`crate::diag::json`], with keys in a stable order.
 
-use crate::diag::json;
+use crate::diag::json::{self, key, Key};
 use std::time::Instant;
 
 /// Declares the analysis counters once: the variants of
-/// [`AnalysisCounter`], their names and their pre-quoted JSON keys, in one
-/// order.
+/// [`AnalysisCounter`], their names and their JSON keys, in one order.
 macro_rules! analysis_counters {
     ($($variant:ident = $name:literal,)+) => {
         /// One work counter of an analysis. Variants are declared in the
@@ -40,8 +38,8 @@ macro_rules! analysis_counters {
         /// report's `counters` section, in order, each exactly once.
         pub const ANALYSIS_COUNTER_NAMES: [&str; COUNT] = [$($name,)+];
 
-        /// Each name as a JSON object key: quoted, then its colon.
-        const QUOTED_KEYS: [&str; COUNT] = [$(concat!("\"", $name, "\":"),)+];
+        /// Each name as a JSON object key.
+        const KEYS: [Key; COUNT] = [$(key!($name),)+];
 
         const COUNT: usize = [$($name,)+].len();
     };
@@ -160,14 +158,11 @@ impl AnalysisCounters {
 
     /// Appends the counters as one JSON object, every name in order.
     pub fn write_json(&self, out: &mut String) {
-        let mut sep = '{';
-        for (key, &n) in QUOTED_KEYS.iter().zip(&self.values) {
-            out.push(sep);
-            out.push_str(key);
-            json::write_int(out, n as i64);
-            sep = ',';
+        let mut o = json::Obj::open(out);
+        for (&key, &n) in KEYS.iter().zip(&self.values) {
+            o.int(key, n);
         }
-        out.push('}');
+        o.close();
     }
 }
 
@@ -242,27 +237,15 @@ impl Counters {
         self.values.is_empty()
     }
 
-    /// The registry as a JSON object, keys sorted.
-    pub fn to_json(&self) -> json::Value {
-        json::Value::Obj(
-            self.iter()
-                .map(|(k, v)| (k.into(), json::Value::Int(v as i64)))
-                .collect(),
-        )
+    /// Appends the registry as one JSON object, keys sorted.
+    pub fn write_json(&self, out: &mut String) {
+        let mut o = json::Obj::open(out);
+        for (name, n) in self.iter() {
+            json::write_int(o.key_escaped(&[name]), n as i64);
+        }
+        o.close();
     }
 }
-
-/// The pipeline's phases with the key each one has in a JSON report,
-/// quoted and followed by its colon.
-const PIPELINE_PHASE_KEYS: [(&str, &str); 7] = [
-    ("parse", "\"parse_us\":"),
-    ("typeck", "\"typeck_us\":"),
-    ("inline", "\"inline_us\":"),
-    ("lower", "\"lower_us\":"),
-    ("analyze", "\"analyze_us\":"),
-    ("optimize", "\"optimize_us\":"),
-    ("simulate", "\"simulate_us\":"),
-];
 
 /// Phase-scoped wall-clock timers, recorded in microseconds.
 ///
@@ -280,7 +263,8 @@ impl PhaseTimings {
     pub fn new(enabled: bool) -> Self {
         PhaseTimings {
             enabled,
-            phases: Vec::with_capacity(PIPELINE_PHASE_KEYS.len()),
+            // Room for the pipeline's seven phases, parse to simulate.
+            phases: Vec::with_capacity(7),
         }
     }
 
@@ -326,21 +310,11 @@ impl PhaseTimings {
     /// value is the phase duration in microseconds (all zeros when
     /// disabled), under the key `<phase>_us`.
     pub fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (phase, micros)) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match PIPELINE_PHASE_KEYS.iter().find(|(name, _)| *name == phase) {
-                Some(&(_, key)) => out.push_str(key),
-                None => {
-                    json::write_escaped(out, &format!("{phase}_us"));
-                    out.push(':');
-                }
-            }
-            json::write_int(out, micros as i64);
+        let mut o = json::Obj::open(out);
+        for (phase, micros) in self.iter() {
+            json::write_int(o.key_escaped(&[phase, "_us"]), micros as i64);
         }
-        out.push('}');
+        o.close();
     }
 }
 
@@ -358,7 +332,9 @@ mod tests {
         assert_eq!(c.get("missing"), 0);
         let keys: Vec<&str> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a.first", "b.second"]);
-        assert_eq!(c.to_json().to_string(), r#"{"a.first":42,"b.second":1}"#);
+        let mut text = String::new();
+        c.write_json(&mut text);
+        assert_eq!(text, r#"{"a.first":42,"b.second":1}"#);
     }
 
     /// The declared table is the report's key order: byte-sorted, each
@@ -369,8 +345,8 @@ mod tests {
         for pair in ANALYSIS_COUNTER_NAMES.windows(2) {
             assert!(pair[0].as_bytes() < pair[1].as_bytes(), "{pair:?}");
         }
-        for (name, key) in ANALYSIS_COUNTER_NAMES.iter().zip(QUOTED_KEYS) {
-            assert_eq!(key, format!("\"{name}\":"));
+        for (&name, key) in ANALYSIS_COUNTER_NAMES.iter().zip(KEYS) {
+            assert_eq!(key.name(), name);
         }
         assert_eq!(
             ANALYSIS_COUNTER_NAMES[AnalysisCounter::SyncRemovedBackpathNodes as usize],

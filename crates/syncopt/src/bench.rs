@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use syncopt_codegen::{DelayChoice, OptLevel};
-use syncopt_core::diag::json::Value;
+use syncopt_core::diag::json::{key, write_array, Key, Obj, Value};
 use syncopt_core::{Counters, SyncOptions};
 use syncopt_kernels::scaling::{self, ScalingParams};
 use syncopt_kernels::{kernels_with, KernelParams};
@@ -284,19 +284,27 @@ pub struct BenchRow {
     /// Stable config id — the baseline join key.
     pub id: String,
     /// The fields between `id` and `counters`, in report order.
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Vec<(Key, Cell)>,
     /// The deterministic work counters.
     pub counters: Counters,
+}
+
+/// The value of one row field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell {
+    /// A label (`stencil`, `Ocean`).
+    Label(&'static str),
+    /// A count or a measurement.
+    Int(u64),
 }
 
 impl BenchRow {
     /// The integer field `key` (zero when absent).
     pub fn int(&self, key: &str) -> u64 {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .and_then(|(_, v)| v.as_int())
-            .map_or(0, |n| n as u64)
+        match self.fields.iter().find(|(k, _)| k.name() == key) {
+            Some(&(_, Cell::Int(n))) => n,
+            _ => 0,
+        }
     }
 }
 
@@ -393,17 +401,13 @@ fn wall_bucket_us(start: Instant) -> u64 {
         .unwrap_or(u64::MAX)
 }
 
-fn int(n: u64) -> Value {
-    Value::Int(n as i64)
-}
-
 /// A ×100 fixed-point ratio as `12.34x`.
 fn ratio_x100(n: u64) -> String {
     format!("{}.{:02}x", n / 100, n % 100)
 }
 
 /// A row's fields between `id` and `counters`, and its counters.
-type Measured = (Vec<(&'static str, Value)>, Counters);
+type Measured = (Vec<(Key, Cell)>, Counters);
 
 fn run_delay(p: &ScalingParams, threads: usize) -> Result<Measured, SyncoptError> {
     let kernel = scaling::generate(p);
@@ -428,12 +432,15 @@ fn run_delay(p: &ScalingParams, threads: usize) -> Result<Measured, SyncoptError
     let candidates = counters.get("cycle.candidate_pairs");
     let kept = candidates - counters.get("cycle.pruned_candidates");
     let fields = vec![
-        ("idiom", Value::Str(p.idiom.label().to_string())),
-        ("unroll", int(p.unroll.into())),
-        ("procs", int(p.procs.into())),
-        ("accesses", int(cfg.accesses.len() as u64)),
-        ("wall_bucket_us", int(wall)),
-        ("work_reduction_x100", int(candidates * 100 / kept.max(1))),
+        (key!("idiom"), Cell::Label(p.idiom.label())),
+        (key!("unroll"), Cell::Int(p.unroll.into())),
+        (key!("procs"), Cell::Int(p.procs.into())),
+        (key!("accesses"), Cell::Int(cfg.accesses.len() as u64)),
+        (key!("wall_bucket_us"), Cell::Int(wall)),
+        (
+            key!("work_reduction_x100"),
+            Cell::Int(candidates * 100 / kept.max(1)),
+        ),
     ];
     Ok((fields, counters))
 }
@@ -469,37 +476,39 @@ fn run_sim(spec: &SimSpec) -> Result<Measured, SyncoptError> {
         w.events_per_1k_cycles(calendar.exec_cycles),
     );
     let fields = vec![
-        ("kernel", Value::Str(spec.kernel.to_string())),
-        ("label", Value::Str(spec.label.to_string())),
-        ("procs", int(spec.procs.into())),
-        ("exec_cycles", int(calendar.exec_cycles)),
-        ("wall_bucket_us", int(wall)),
+        (key!("kernel"), Cell::Label(spec.kernel)),
+        (key!("label"), Cell::Label(spec.label)),
+        (key!("procs"), Cell::Int(spec.procs.into())),
+        (key!("exec_cycles"), Cell::Int(calendar.exec_cycles)),
+        (key!("wall_bucket_us"), Cell::Int(wall)),
     ];
     Ok((fields, counters))
 }
 
 impl BenchReport {
-    /// The report as a JSON object (schema [`BENCH_SCHEMA`]); all values
-    /// are integers, booleans or strings.
-    pub fn to_json(&self) -> Value {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut obj = Vec::with_capacity(r.fields.len() + 2);
-                obj.push(("id".into(), Value::Str(r.id.clone())));
-                obj.extend(r.fields.iter().map(|(k, v)| ((*k).into(), v.clone())));
-                obj.push(("counters".into(), r.counters.to_json()));
-                Value::Obj(obj)
-            })
-            .collect();
-        Value::Obj(vec![
-            ("schema".into(), Value::Str(BENCH_SCHEMA.to_string())),
-            ("suite".into(), Value::Str(self.suite.tag.to_string())),
-            ("threads".into(), int(self.threads as u64)),
-            ("smoke".into(), Value::Bool(self.smoke)),
-            ("configs".into(), Value::Arr(rows)),
-        ])
+    /// The report as JSON text (schema [`BENCH_SCHEMA`]); all values are
+    /// integers, booleans or strings.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut o = Obj::open(&mut out);
+        o.str(key!("schema"), BENCH_SCHEMA);
+        o.str(key!("suite"), self.suite.tag);
+        o.int(key!("threads"), self.threads as u64);
+        o.bool(key!("smoke"), self.smoke);
+        write_array(o.key(key!("configs")), &self.rows, |out, r| {
+            let mut row = Obj::open(out);
+            row.str(key!("id"), &r.id);
+            for &(key, cell) in &r.fields {
+                match cell {
+                    Cell::Label(label) => row.str(key, label),
+                    Cell::Int(n) => row.int(key, n),
+                }
+            }
+            r.counters.write_json(row.key(key!("counters")));
+            row.close();
+        });
+        o.close();
+        out
     }
 
     /// A human-readable table: one line per row.
@@ -596,13 +605,17 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncopt_core::diag::json::Key;
 
     fn smoke(name: &str) -> BenchReport {
         let suite = suite(name).expect("known suite");
         suite
             .run(true, 1)
             .unwrap_or_else(|e| panic!("{name} smoke bench must run: {e}"))
+    }
+
+    /// The report's JSON, parsed.
+    fn parsed(r: &BenchReport) -> Value {
+        Value::parse(&r.to_json()).unwrap()
     }
 
     /// `counters` without `key`.
@@ -617,12 +630,8 @@ mod tests {
     #[test]
     fn smoke_run_produces_both_idioms() {
         let r = smoke("delay");
-        let idioms: Vec<&str> = r
-            .rows
-            .iter()
-            .map(|c| c.fields[0].1.as_str().unwrap())
-            .collect();
-        assert_eq!(idioms, ["stencil", "flag"]);
+        let idioms: Vec<Cell> = r.rows.iter().map(|c| c.fields[0].1).collect();
+        assert_eq!(idioms, [Cell::Label("stencil"), Cell::Label("flag")]);
         for c in &r.rows {
             assert!(c.int("accesses") > 0);
             assert!(c.counters.get("cycle.candidate_pairs") > 0);
@@ -670,14 +679,14 @@ mod tests {
     }
 
     fn assert_json_is_schema_tagged_and_reparses(name: &str) {
-        let j = smoke(name).to_json();
+        let text = smoke(name).to_json();
+        let j = Value::parse(&text).expect("bench JSON must reparse");
         assert_eq!(j.get("schema").unwrap().as_str(), Some(BENCH_SCHEMA));
         assert_eq!(
             j.get("suite").unwrap().as_str(),
             Some(suite(name).unwrap().tag)
         );
-        let back = Value::parse(&j.to_string()).expect("bench JSON must reparse");
-        assert_eq!(back, j);
+        crate::assert_canonical(&text);
     }
 
     #[test]
@@ -702,7 +711,7 @@ mod tests {
         for (name, text) in committed {
             let baseline = Value::parse(text).unwrap();
             let base_rows = baseline.get("configs").and_then(Value::as_arr).unwrap();
-            let report = smoke(name).to_json();
+            let report = parsed(&smoke(name));
             let mut joined = 0;
             for row in report.get("configs").and_then(Value::as_arr).unwrap() {
                 let id = row.get("id").and_then(Value::as_str).unwrap();
@@ -717,7 +726,7 @@ mod tests {
                     panic!("{name}/{id}: rows are objects");
                 };
                 let keys =
-                    |f: &[(Key, Value)]| f.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+                    |f: &[(String, Value)]| f.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
                 assert_eq!(keys(fields), keys(base_fields), "{name}/{id}: key order");
                 for (key, value) in fields {
                     match &**key {
@@ -747,7 +756,7 @@ mod tests {
         let not_wall = |r: &BenchRow| {
             r.fields
                 .iter()
-                .filter(|(k, _)| *k != "wall_bucket_us")
+                .filter(|(k, _)| k.name() != "wall_bucket_us")
                 .cloned()
                 .collect::<Vec<_>>()
         };
@@ -789,7 +798,7 @@ mod tests {
     fn assert_gate_accepts_self_and_rejects_regression(name: &str) -> BenchReport {
         let gated = suite(name).unwrap().gated;
         let r = smoke(name);
-        let baseline = r.to_json();
+        let baseline = parsed(&r);
         r.check_against(&baseline).expect("self-compare passes");
 
         for row in 0..r.rows.len() {
@@ -822,14 +831,14 @@ mod tests {
         assert_eq!(r.rows[0].counters.get("sim.overflow_promotions"), 0);
         let mut worse = r.clone();
         worse.rows[0].counters.set("sim.overflow_promotions", 1);
-        let err = worse.check_against(&r.to_json()).unwrap_err();
+        let err = worse.check_against(&parsed(&r)).unwrap_err();
         assert!(err.contains("sim.overflow_promotions"), "{err}");
     }
 
     #[test]
     fn a_gated_counter_missing_on_either_side_fails_the_gate() {
         let r = smoke("delay");
-        let baseline = r.to_json();
+        let baseline = parsed(&r);
 
         let mut dropped = r.clone();
         dropped.rows[0].counters = without(&r.rows[0].counters, "cycle.backpath_queries");
@@ -840,7 +849,7 @@ mod tests {
         );
 
         // The same row checked against a baseline that lacks the counter.
-        let err = r.check_against(&dropped.to_json()).unwrap_err();
+        let err = r.check_against(&parsed(&dropped)).unwrap_err();
         assert!(
             err.contains("stencil_u8_p16: cycle.backpath_queries missing from the baseline"),
             "{err}"

@@ -88,8 +88,9 @@
 //! ```
 
 use std::process::ExitCode;
-use syncopt::commands::{execute, parse_delay, parse_level, CmdOut, Format, Query};
+use syncopt::commands::{execute, CmdOut, Format, Query};
 use syncopt::core::diag::json;
+use syncopt::report::{parse_delay, parse_level};
 use syncopt::session::AnalysisSession;
 
 /// The flags that never reach a [`Query`]: daemon routing, `stats
@@ -382,14 +383,16 @@ fn cmd_daemon_control(q: &Query, cli: &Cli) -> Result<(), String> {
                 Format::Json => match stats.get("metrics") {
                     Some(doc) => println!("{doc}"),
                     None => {
-                        let mut doc = vec![(
-                            "schema".into(),
-                            json::Value::Str(syncopt::rpc::RPC_SCHEMA.to_string()),
-                        )];
-                        if let json::Value::Obj(fields) = stats {
-                            doc.extend(fields);
+                        let mut doc = String::new();
+                        let mut o = json::Obj::open(&mut doc);
+                        o.str(json::key!("schema"), syncopt::rpc::RPC_SCHEMA);
+                        if let json::Value::Obj(fields) = &stats {
+                            for (name, value) in fields {
+                                value.write_to(o.key_escaped(&[name]));
+                            }
                         }
-                        println!("{}", json::Value::Obj(doc));
+                        o.close();
+                        println!("{doc}");
                     }
                 },
                 Format::Human => print!("{}", syncopt::report::render_stats_table(&stats)),
@@ -426,11 +429,11 @@ fn cmd_daemon_trace(q: &Query) -> Result<(), String> {
         Some(path) => {
             std::fs::write(path, format!("{trace}\n"))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
+            let (conns, wall_us) = syncopt::telemetry::reqlog_extent(&entries);
             eprintln!(
-                "daemon trace written to {path}: {} request(s) on {} connection(s), {} us wall time",
-                trace.get("requests").and_then(json::Value::as_int).unwrap_or(0),
-                trace.get("connections").and_then(json::Value::as_int).unwrap_or(0),
-                trace.get("wall_us").and_then(json::Value::as_int).unwrap_or(0),
+                "daemon trace written to {path}: {} request(s) on {} connection(s), {wall_us} us wall time",
+                entries.len(),
+                conns.len(),
             );
         }
         None => println!("{trace}"),

@@ -9,7 +9,8 @@
 
 use crate::commands::{CmdOut, Query};
 use crate::rpc::{
-    control_request, decode_response, query_request, write_message, Reply, ReplyBody, RpcError,
+    decode_response, write_control_request, write_message, write_query_request, Reply, ReplyBody,
+    RpcError,
 };
 use std::io::{BufRead, BufReader};
 use std::os::unix::net::UnixStream;
@@ -45,15 +46,13 @@ impl DaemonClient {
         })
     }
 
-    /// Sends the request `encode` builds for the next id and decodes the
+    /// Sends the request `write` appends for the next id and decodes the
     /// reply to it.
-    fn call(&mut self, encode: impl FnOnce(i64) -> Value) -> Result<Reply, String> {
+    fn call(&mut self, write: impl FnOnce(&mut String, i64)) -> Result<Reply, String> {
         let id = self.next_id;
         self.next_id += 1;
-        write_message(&mut self.writer, &mut self.line, |buf| {
-            encode(id).write_to(buf)
-        })
-        .map_err(|e| format!("cannot send request: {e}"))?;
+        write_message(&mut self.writer, &mut self.line, |buf| write(buf, id))
+            .map_err(|e| format!("cannot send request: {e}"))?;
         self.line.clear();
         let n = self
             .reader
@@ -78,13 +77,20 @@ impl DaemonClient {
         Ok(reply)
     }
 
+    /// Sends the control request `op` and decodes the reply to it.
+    fn control(&mut self, op: &str) -> Result<ReplyBody, String> {
+        Ok(self
+            .call(|buf, id| write_control_request(buf, id, op))?
+            .body)
+    }
+
     /// Liveness probe.
     ///
     /// # Errors
     ///
     /// I/O or protocol failure, as a displayable message.
     pub fn ping(&mut self) -> Result<(), String> {
-        match self.call(|id| control_request(id, "ping"))?.body {
+        match self.control("ping")? {
             ReplyBody::Pong => Ok(()),
             other => Err(format!("unexpected reply to ping: {other:?}")),
         }
@@ -96,7 +102,7 @@ impl DaemonClient {
     ///
     /// I/O or protocol failure, as a displayable message.
     pub fn stats(&mut self) -> Result<Value, String> {
-        match self.call(|id| control_request(id, "stats"))?.body {
+        match self.control("stats")? {
             ReplyBody::Stats(v) => Ok(v),
             other => Err(format!("unexpected reply to stats: {other:?}")),
         }
@@ -109,7 +115,7 @@ impl DaemonClient {
     /// I/O or protocol failure, as a displayable message — including the
     /// daemon rejecting the op because it runs with `--no-telemetry`.
     pub fn metrics(&mut self) -> Result<String, String> {
-        match self.call(|id| control_request(id, "metrics"))?.body {
+        match self.control("metrics")? {
             ReplyBody::Metrics(text) => Ok(text),
             other => Err(format!("unexpected reply to metrics: {other:?}")),
         }
@@ -123,7 +129,7 @@ impl DaemonClient {
     /// I/O or protocol failure, as a displayable message. A *command*
     /// failure is not an error here — it comes back inside [`CmdOut`].
     pub fn query(&mut self, q: &Query) -> Result<(CmdOut, CacheStats), String> {
-        match self.call(|id| query_request(id, q))?.body {
+        match self.call(|buf, id| write_query_request(buf, id, q))?.body {
             ReplyBody::Query(out, cache) => Ok((out, cache)),
             other => Err(format!("unexpected reply to query: {other:?}")),
         }
@@ -135,7 +141,7 @@ impl DaemonClient {
     ///
     /// I/O or protocol failure, as a displayable message.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        match self.call(|id| control_request(id, "shutdown"))?.body {
+        match self.control("shutdown")? {
             ReplyBody::Shutdown => Ok(()),
             other => Err(format!("unexpected reply to shutdown: {other:?}")),
         }

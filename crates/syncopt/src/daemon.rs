@@ -37,7 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use syncopt_core::cache::CacheStats;
-use syncopt_core::diag::json::Value;
 
 /// The longest request line the daemon reads, framing newline excluded.
 /// A longer line is answered with a `bad-request` error (`id` 0) and its
@@ -329,8 +328,8 @@ fn serve_connection(stream: &UnixStream, state: &State) {
 
 /// A response, ready to be written.
 enum Response {
-    /// A control reply or a protocol error.
-    Doc(Value),
+    /// A control reply or a protocol error, written out.
+    Doc(String),
     /// A completed query: its answer, spliced into the envelope with its
     /// id and cache delta as it is written.
     Query(i64, Arc<Answer>, CacheStats),
@@ -339,7 +338,7 @@ enum Response {
 impl Response {
     fn write_to(&self, buf: &mut String) {
         match self {
-            Response::Doc(doc) => doc.write_to(buf),
+            Response::Doc(doc) => buf.push_str(doc),
             Response::Query(id, answer, cache) => write_query_response(buf, *id, answer, *cache),
         }
     }
@@ -412,7 +411,6 @@ fn respond(decoded: Result<Request, (i64, RpcError)>, state: &State) -> (Respons
                 requests_total: state.requests.load(Ordering::Relaxed),
                 version: crate::telemetry::SERVICE_VERSION.to_string(),
             };
-            let metrics = state.telemetry.as_ref().map(|t| t.metrics_json());
             let doc = stats_response(
                 id,
                 session.cache_stats(),
@@ -420,7 +418,7 @@ fn respond(decoded: Result<Request, (i64, RpcError)>, state: &State) -> (Respons
                 session.cache_capacity(),
                 &session.kind_counters(),
                 &service,
-                metrics,
+                state.telemetry.as_deref(),
             );
             control("stats", doc, true)
         }

@@ -444,6 +444,17 @@ pub struct TwoVersionResult {
     pub fallback: Option<FallbackReason>,
 }
 
+/// Asserts that `text` is one line of canonical JSON: its parse writes
+/// back the same bytes.
+#[cfg(test)]
+pub(crate) fn assert_canonical(text: &str) {
+    assert!(!text.contains('\n'), "one line: {text}");
+    assert_eq!(
+        core::diag::json::Value::parse(text).unwrap().to_string(),
+        text
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,14 +23,7 @@ pub const FENCE_LEVELS: [OptLevel; 4] = [
 
 /// A stable lowercase label for an optimization level (used in lint
 /// messages and the JSON report).
-pub fn level_label(level: OptLevel) -> &'static str {
-    match level {
-        OptLevel::Blocking => "blocking",
-        OptLevel::Pipelined => "pipelined",
-        OptLevel::OneWay => "oneway",
-        OptLevel::Full => "full",
-    }
-}
+pub use crate::report::level_label;
 
 /// One optimization level's fence-verification artifacts: the optimized
 /// CFG and the exported fence sites for it.

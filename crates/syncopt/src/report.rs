@@ -6,12 +6,10 @@
 //! [`PipelineReport`]. The report has two renderings:
 //!
 //! * [`PipelineReport::to_json`] — a stable machine format (schema
-//!   `syncopt.pipeline_report.v1`) written straight into one buffer: keys
-//!   are literals quoted at compile time, values go through the std-only
-//!   JSON emitter's `write_int` / `write_escaped`, and no `json::Value`
-//!   tree is built. All values are integers; the only nondeterministic
-//!   ones are the `_us` phase timings, which consumers that diff reports
-//!   zero out.
+//!   `syncopt.pipeline_report.v1`) written straight into one buffer by the
+//!   workspace's one JSON writer (`syncopt_core::diag::json`). All values
+//!   are integers; the only nondeterministic ones are the `_us` phase
+//!   timings, which consumers that diff reports zero out.
 //! * [`PipelineReport::render_table`] — a human-readable table.
 //!
 //! [`ProfileReport`] pairs two reports — the blocking baseline and an
@@ -19,7 +17,7 @@
 //! comparison, emitted by `syncoptc profile`.
 
 use syncopt_codegen::{DelayChoice, OptLevel, OptStats};
-use syncopt_core::diag::json::{self, Value};
+use syncopt_core::diag::json::{key, write_array, write_ints, Key, Obj, Value};
 use syncopt_core::{AnalysisCounters, AnalysisStats, PhaseTimings};
 use syncopt_machine::sim::{NetStats, SimResult, StallStats};
 use syncopt_machine::{LatencyHistogram, MachineConfig, SimMetrics};
@@ -93,106 +91,67 @@ pub struct PipelineReport {
 /// The stable schema identifier embedded in every JSON report.
 pub const REPORT_SCHEMA: &str = "syncopt.pipeline_report.v1";
 
-/// The lowercase label of an optimization level, as used in JSON reports
-/// and on the `syncoptc` command line.
+/// Every optimization level with its label, as used in JSON reports and on
+/// the `syncoptc` command line: the one table [`level_label`] and
+/// [`parse_level`] read.
+const LEVELS: [(OptLevel, &str); 4] = [
+    (OptLevel::Blocking, "blocking"),
+    (OptLevel::Pipelined, "pipelined"),
+    (OptLevel::OneWay, "oneway"),
+    (OptLevel::Full, "full"),
+];
+
+/// Every delay-set choice with its two labels: the one JSON reports carry,
+/// and the short one the command line and the wire write. The one table
+/// [`delay_label`], [`delay_cli_label`] and [`parse_delay`] read.
+const DELAYS: [(DelayChoice, &str, &str); 2] = [
+    (DelayChoice::ShashaSnir, "shasha-snir", "ss"),
+    (DelayChoice::SyncRefined, "sync-refined", "sync"),
+];
+
+/// The lowercase label of an optimization level.
 pub fn level_label(level: OptLevel) -> &'static str {
-    match level {
-        OptLevel::Blocking => "blocking",
-        OptLevel::Pipelined => "pipelined",
-        OptLevel::OneWay => "oneway",
-        OptLevel::Full => "full",
-    }
+    let (_, label) = LEVELS
+        .iter()
+        .find(|&&(l, _)| l == level)
+        .expect("every level has a label");
+    label
 }
 
-/// The lowercase label of a delay-set choice.
+/// The optimization level a label names — the inverse of [`level_label`].
+pub fn parse_level(label: &str) -> Option<OptLevel> {
+    LEVELS
+        .iter()
+        .find(|&&(_, l)| l == label)
+        .map(|&(level, _)| level)
+}
+
+fn delay_row(delay: DelayChoice) -> &'static (DelayChoice, &'static str, &'static str) {
+    DELAYS
+        .iter()
+        .find(|&&(d, ..)| d == delay)
+        .expect("every delay choice has labels")
+}
+
+/// The label of a delay-set choice in a JSON report (`shasha-snir`,
+/// `sync-refined`).
 pub fn delay_label(delay: DelayChoice) -> &'static str {
-    match delay {
-        DelayChoice::ShashaSnir => "shasha-snir",
-        DelayChoice::SyncRefined => "sync-refined",
-    }
+    delay_row(delay).1
 }
 
-/// A JSON object key known when the program is built: its name, and the
-/// name quoted and followed by its colon, which is what a writer appends.
-#[derive(Clone, Copy)]
-struct Key {
-    name: &'static str,
-    quoted: &'static str,
+/// The short label of a delay-set choice on the command line and the wire
+/// (`ss`, `sync`) — the inverse of [`parse_delay`].
+pub fn delay_cli_label(delay: DelayChoice) -> &'static str {
+    delay_row(delay).2
 }
 
-/// The [`Key`] of a literal name, quoted at compile time.
-macro_rules! key {
-    ($name:literal) => {
-        Key {
-            name: $name,
-            quoted: concat!("\"", $name, "\":"),
-        }
-    };
-}
-
-/// One JSON object being appended to a report's buffer: members go in the
-/// order they are written, values through the one emitter's `write_int`
-/// and `write_escaped`. No key needs an escape.
-struct Obj<'a> {
-    out: &'a mut String,
-    /// What precedes the next member: `{` before the first, `,` after.
-    sep: char,
-}
-
-impl<'a> Obj<'a> {
-    fn open(out: &'a mut String) -> Self {
-        Obj { out, sep: '{' }
-    }
-
-    /// Starts the member `key` and returns the buffer its value goes to.
-    fn key(&mut self, key: Key) -> &mut String {
-        self.out.push(self.sep);
-        self.sep = ',';
-        self.out.push_str(key.quoted);
-        self.out
-    }
-
-    fn int(&mut self, key: Key, n: u64) {
-        json::write_int(self.key(key), n as i64);
-    }
-
-    fn signed(&mut self, key: Key, n: i64) {
-        json::write_int(self.key(key), n);
-    }
-
-    fn str(&mut self, key: Key, s: &str) {
-        json::write_escaped(self.key(key), s);
-    }
-
-    fn bool(&mut self, key: Key, b: bool) {
-        self.key(key).push_str(if b { "true" } else { "false" });
-    }
-
-    /// One integer member per field.
-    fn ints(&mut self, fields: &[(Key, u64)]) {
-        for &(key, n) in fields {
-            self.int(key, n);
-        }
-    }
-
-    fn close(self) {
-        if self.sep == '{' {
-            self.out.push('{');
-        }
-        self.out.push('}');
-    }
-}
-
-/// Appends `items` as a JSON array, each written by `item` with its index.
-fn write_array<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, usize, &T)) {
-    out.push('[');
-    for (i, x) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item(out, i, x);
-    }
-    out.push(']');
+/// The delay-set choice a label names, in either spelling — the inverse
+/// of [`delay_cli_label`] and of [`delay_label`].
+pub fn parse_delay(label: &str) -> Option<DelayChoice> {
+    DELAYS
+        .iter()
+        .find(|&&(_, report, cli)| label == cli || label == report)
+        .map(|&(delay, ..)| delay)
 }
 
 /// Bytes reserved for a report before it is written: room for a compile
@@ -210,7 +169,7 @@ impl PipelineReport {
     /// into one buffer. All values are integers/strings; `timings` entries
     /// carry a `_us` suffix and are the only nondeterministic fields.
     /// Callers that inspect a report parse it
-    /// ([`json::Value::parse`]).
+    /// ([`Value::parse`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(report_capacity(self.sim.as_ref()));
         self.write_json(&mut out);
@@ -227,19 +186,12 @@ impl PipelineReport {
         m.int(key!("procs"), u64::from(meta.procs));
         m.str(key!("level"), level_label(meta.level));
         m.str(key!("delay"), delay_label(meta.delay));
-        match &meta.machine {
-            Some(name) => m.str(key!("machine"), name),
-            None => m.key(key!("machine")).push_str("null"),
-        }
+        m.str_or_null(key!("machine"), meta.machine.as_deref());
         m.close();
         self.timings.write_json(o.key(key!("timings")));
-        let mut a = Obj::open(o.key(key!("analysis")));
-        a.ints(&analysis_fields(&self.analysis));
-        a.close();
+        write_ints(o.key(key!("analysis")), &analysis_fields(&self.analysis));
         self.counters.write_json(o.key(key!("counters")));
-        let mut c = Obj::open(o.key(key!("codegen")));
-        c.ints(&optstats_fields(&self.codegen));
-        c.close();
+        write_ints(o.key(key!("codegen")), &optstats_fields(&self.codegen));
         if let Some(sim) = &self.sim {
             sim.write_json(o.key(key!("sim")));
         }
@@ -317,7 +269,7 @@ impl PipelineReport {
 
 /// The analysis summary's members: the `analysis` section of a pipeline
 /// report and the `summary` of an `analyze` document.
-fn analysis_fields(a: &AnalysisStats) -> [(Key, u64); 6] {
+pub(crate) fn analysis_fields(a: &AnalysisStats) -> [(Key, u64); 6] {
     [
         (key!("accesses"), a.accesses as u64),
         (key!("conflict_pairs"), a.conflict_pairs as u64),
@@ -330,7 +282,7 @@ fn analysis_fields(a: &AnalysisStats) -> [(Key, u64); 6] {
 
 /// The optimizer's action counts: the `codegen` section of a pipeline
 /// report and the `stats` of an `opt` document.
-fn optstats_fields(s: &OptStats) -> [(Key, u64); 11] {
+pub(crate) fn optstats_fields(s: &OptStats) -> [(Key, u64); 11] {
     [
         (key!("gets_split"), s.gets_split as u64),
         (key!("puts_split"), s.puts_split as u64),
@@ -346,65 +298,43 @@ fn optstats_fields(s: &OptStats) -> [(Key, u64); 11] {
     ]
 }
 
-/// Integer members as a JSON value, for the documents still built as a
-/// tree.
-fn int_obj(fields: &[(Key, u64)]) -> Value {
-    Value::Obj(
-        fields
-            .iter()
-            .map(|&(key, n)| (key.name.into(), Value::Int(n as i64)))
-            .collect(),
-    )
-}
-
-/// The analysis summary as a JSON value: the `summary` of an `analyze`
-/// document.
-pub(crate) fn analysis_json(a: &AnalysisStats) -> Value {
-    int_obj(&analysis_fields(a))
-}
-
-/// The optimizer's action counts as a JSON value: the `stats` of an `opt`
-/// document.
-pub(crate) fn optstats_json(s: &OptStats) -> Value {
-    int_obj(&optstats_fields(s))
-}
-
 impl SimReport {
     fn write_json(&self, out: &mut String) {
         let mut o = Obj::open(out);
         o.int(key!("exec_cycles"), self.exec_cycles);
         o.bool(key!("barriers_aligned"), self.barriers_aligned);
         let n = &self.net;
-        let mut net = Obj::open(o.key(key!("net")));
-        net.ints(&[
-            (key!("get_requests"), n.get_requests),
-            (key!("get_replies"), n.get_replies),
-            (key!("put_requests"), n.put_requests),
-            (key!("put_acks"), n.put_acks),
-            (key!("store_requests"), n.store_requests),
-            (key!("post_messages"), n.post_messages),
-            (key!("wait_messages"), n.wait_messages),
-            (key!("lock_messages"), n.lock_messages),
-            (key!("barriers"), n.barriers),
-            (key!("total_messages"), n.total_messages()),
-        ]);
-        net.close();
+        write_ints(
+            o.key(key!("net")),
+            &[
+                (key!("get_requests"), n.get_requests),
+                (key!("get_replies"), n.get_replies),
+                (key!("put_requests"), n.put_requests),
+                (key!("put_acks"), n.put_acks),
+                (key!("store_requests"), n.store_requests),
+                (key!("post_messages"), n.post_messages),
+                (key!("wait_messages"), n.wait_messages),
+                (key!("lock_messages"), n.lock_messages),
+                (key!("barriers"), n.barriers),
+                (key!("total_messages"), n.total_messages()),
+            ],
+        );
         let s = &self.stalls;
-        let mut stalls = Obj::open(o.key(key!("stalls")));
-        stalls.ints(&[
-            (key!("sync"), s.sync),
-            (key!("barrier"), s.barrier),
-            (key!("wait"), s.wait),
-            (key!("lock"), s.lock),
-            (key!("blocking"), s.blocking),
-        ]);
-        stalls.close();
-        write_array(
-            o.key(key!("per_proc")),
-            &self.metrics.per_proc,
-            |out, pi, p| {
-                let mut row = Obj::open(out);
-                row.ints(&[
+        write_ints(
+            o.key(key!("stalls")),
+            &[
+                (key!("sync"), s.sync),
+                (key!("barrier"), s.barrier),
+                (key!("wait"), s.wait),
+                (key!("lock"), s.lock),
+                (key!("blocking"), s.blocking),
+            ],
+        );
+        let per_proc = self.metrics.per_proc.iter().enumerate();
+        write_array(o.key(key!("per_proc")), per_proc, |out, (pi, p)| {
+            write_ints(
+                out,
+                &[
                     (key!("proc"), pi as u64),
                     (key!("busy"), p.busy),
                     (key!("sync"), p.sync),
@@ -415,39 +345,37 @@ impl SimReport {
                     (key!("idle"), p.idle),
                     (key!("msgs_sent"), p.msgs_sent),
                     (key!("msgs_handled"), p.msgs_handled),
-                ]);
-                row.close();
-            },
-        );
+                ],
+            );
+        });
         write_latency(o.key(key!("latency")), &self.metrics.latency);
-        write_array(
-            o.key(key!("barrier_epochs")),
-            &self.metrics.barrier_epochs,
-            |out, _, e| {
-                let mut epoch = Obj::open(out);
-                epoch.ints(&[
+        let epochs = &self.metrics.barrier_epochs;
+        write_array(o.key(key!("barrier_epochs")), epochs, |out, e| {
+            write_ints(
+                out,
+                &[
                     (key!("first_arrival"), e.first_arrival),
                     (key!("last_arrival"), e.last_arrival),
                     (key!("release"), e.release),
-                ]);
-                epoch.close();
-            },
-        );
+                ],
+            );
+        });
         let w = &self.metrics.work;
-        let mut work = Obj::open(o.key(key!("work")));
-        work.ints(&[
-            (key!("events_scheduled"), w.events_scheduled),
-            (key!("events_dequeued"), w.events_dequeued),
-            (key!("bucket_rotations"), w.bucket_rotations),
-            (key!("overflow_promotions"), w.overflow_promotions),
-            (key!("arena_reuses"), w.arena_reuses),
-            (key!("waiter_scans"), w.waiter_scans),
-            (
-                key!("events_per_1k_cycles"),
-                w.events_per_1k_cycles(self.exec_cycles),
-            ),
-        ]);
-        work.close();
+        write_ints(
+            o.key(key!("work")),
+            &[
+                (key!("events_scheduled"), w.events_scheduled),
+                (key!("events_dequeued"), w.events_dequeued),
+                (key!("bucket_rotations"), w.bucket_rotations),
+                (key!("overflow_promotions"), w.overflow_promotions),
+                (key!("arena_reuses"), w.arena_reuses),
+                (key!("waiter_scans"), w.waiter_scans),
+                (
+                    key!("events_per_1k_cycles"),
+                    w.events_per_1k_cycles(self.exec_cycles),
+                ),
+            ],
+        );
         if let Some(truncated) = self.trace_truncated {
             o.bool(key!("trace_truncated"), truncated);
         }
@@ -463,7 +391,8 @@ fn write_latency(out: &mut String, h: &LatencyHistogram) {
         (key!("mean"), h.mean()),
         (key!("max"), h.max),
     ]);
-    write_array(o.key(key!("buckets")), &h.buckets, |out, i, &count| {
+    let buckets = h.buckets.iter().enumerate();
+    write_array(o.key(key!("buckets")), buckets, |out, (i, &count)| {
         let mut bucket = Obj::open(out);
         bucket.str(key!("le"), &LatencyHistogram::bucket_label(i));
         bucket.int(key!("count"), count);
@@ -1000,6 +929,8 @@ mod tests {
         assert!(t.contains("telemetry: off"), "{t}");
     }
 
+    /// Every variant has its labels, and a label parses back to the
+    /// variant it names, in both spellings of a delay choice.
     #[test]
     fn labels_cover_all_variants() {
         assert_eq!(level_label(OptLevel::Blocking), "blocking");
@@ -1008,5 +939,20 @@ mod tests {
         assert_eq!(level_label(OptLevel::Full), "full");
         assert_eq!(delay_label(DelayChoice::ShashaSnir), "shasha-snir");
         assert_eq!(delay_label(DelayChoice::SyncRefined), "sync-refined");
+        assert_eq!(delay_cli_label(DelayChoice::ShashaSnir), "ss");
+        assert_eq!(delay_cli_label(DelayChoice::SyncRefined), "sync");
+        for level in all_levels() {
+            assert_eq!(parse_level(level_label(level)), Some(level), "{level:?}");
+        }
+        for delay in [DelayChoice::ShashaSnir, DelayChoice::SyncRefined] {
+            assert_eq!(
+                parse_delay(delay_cli_label(delay)),
+                Some(delay),
+                "{delay:?}"
+            );
+            assert_eq!(parse_delay(delay_label(delay)), Some(delay), "{delay:?}");
+        }
+        assert_eq!(parse_level("fast"), None);
+        assert_eq!(parse_delay("refined"), None);
     }
 }

@@ -13,7 +13,7 @@ pub fn pipeline(r: &PipelineReport) -> Value {
     let timings = r
         .timings
         .iter()
-        .map(|(phase, us)| (format!("{phase}_us").into(), Value::Int(us as i64)))
+        .map(|(phase, us)| (format!("{phase}_us"), Value::Int(us as i64)))
         .collect();
     let counters = r
         .counters

@@ -3,8 +3,9 @@
 //! `syncoptd` and `syncoptc --daemon` speak newline-delimited JSON over a
 //! Unix domain socket: each request is one JSON object on one line, and
 //! each response is one JSON object on one line, in request order per
-//! connection. The `syncopt_core::diag::json` emitter escapes every control character, so a
-//! document never spans lines and the framing is unambiguous.
+//! connection. The `syncopt_core::diag::json` writer escapes every control
+//! character, so a document never spans lines and the framing is
+//! unambiguous.
 //!
 //! Every envelope carries `"schema": "syncopt.rpc.v1"` and the client's
 //! `id`, which the server echoes back. Five operations exist:
@@ -33,9 +34,13 @@
 //! with a non-null `failure`, mirroring the CLI's stdout/stderr/exit-code
 //! split. The full schema is documented in `docs/API.md`.
 
-use crate::commands::{parse_delay, parse_level, CmdOut, Field, FileOutput, Format, Query};
+use crate::commands::{CmdOut, Field, FileOutput, Format, Query};
+use crate::report::{parse_delay, parse_level};
+use crate::telemetry::ServiceTelemetry;
 use syncopt_core::cache::CacheStats;
-use syncopt_core::diag::json::{write_escaped, write_int, Key, Value};
+use syncopt_core::diag::json::{
+    key, write_array, write_bool, write_escaped, write_int, write_ints, Obj, Value,
+};
 use syncopt_core::obs::Counters;
 
 /// Protocol identifier carried by every request and response.
@@ -105,32 +110,30 @@ pub struct Request {
     pub body: RequestBody,
 }
 
-fn field(fields: &mut Vec<(Key, Value)>, key: &'static str, value: Value) {
-    fields.push((key.into(), value));
+/// Opens a message with the members every envelope starts with: the
+/// schema and the correlation id.
+fn open_envelope(out: &mut String, id: i64) -> Obj<'_> {
+    let mut o = Obj::open(out);
+    o.str(key!("schema"), RPC_SCHEMA);
+    o.signed(key!("id"), id);
+    o
 }
 
-fn envelope(id: i64) -> Vec<(Key, Value)> {
-    vec![
-        ("schema".into(), Value::Str(RPC_SCHEMA.to_string())),
-        ("id".into(), Value::Int(id)),
-    ]
-}
-
-/// Encodes a query for the wire: every field that has a value, in wire
+/// Appends a query's wire object: every field that has a value, in wire
 /// order — the walk the `reply` key hashes too.
-pub fn encode_query(q: &Query) -> Value {
-    let mut f = Vec::new();
+fn write_query(out: &mut String, q: &Query) {
+    let mut o = Obj::open(out);
     q.walk(|key, value| {
-        let value = match value {
-            Field::Str(text) => Value::Str(text.to_string()),
-            Field::Int(n) => Value::Int(n as i64),
-            Field::Bool(b) => Value::Bool(b),
-            Field::Pair(a, b) => Value::Arr(vec![Value::Int(a.into()), Value::Int(b.into())]),
-            Field::List(items) => Value::Arr(items.iter().map(|i| Value::Str(i.clone())).collect()),
-        };
-        field(&mut f, key, value);
+        let out = o.key(key);
+        match value {
+            Field::Str(text) => write_escaped(out, text),
+            Field::Int(n) => write_int(out, n as i64),
+            Field::Bool(b) => write_bool(out, b),
+            Field::Pair(a, b) => write_array(out, [a, b], |out, id| write_int(out, id.into())),
+            Field::List(items) => write_array(out, items, |out, item| write_escaped(out, item)),
+        }
     });
-    Value::Obj(f)
+    o.close();
 }
 
 /// Moves the string out of a parsed value: sources, stdout and file
@@ -256,29 +259,38 @@ pub fn decode_query(v: Value) -> Result<Query, RpcError> {
 }
 
 /// Encodes a request envelope (one line, no trailing newline).
-pub fn encode_request(req: &Request) -> Value {
-    match &req.body {
-        RequestBody::Ping => control_request(req.id, "ping"),
-        RequestBody::Stats => control_request(req.id, "stats"),
-        RequestBody::Metrics => control_request(req.id, "metrics"),
-        RequestBody::Shutdown => control_request(req.id, "shutdown"),
-        RequestBody::Query(q) => query_request(req.id, q),
-    }
+pub fn encode_request(req: &Request) -> String {
+    let mut out = String::new();
+    let op = match &req.body {
+        RequestBody::Ping => "ping",
+        RequestBody::Stats => "stats",
+        RequestBody::Metrics => "metrics",
+        RequestBody::Shutdown => "shutdown",
+        RequestBody::Query(q) => {
+            // The source is the bulk of a request: one allocation holds it.
+            out.reserve(q.source.as_ref().map_or(0, String::len) + 256);
+            write_query_request(&mut out, req.id, q);
+            return out;
+        }
+    };
+    write_control_request(&mut out, req.id, op);
+    out
 }
 
-/// The envelope of a request that carries nothing but its `op`.
-pub(crate) fn control_request(id: i64, op: &str) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "op", Value::Str(op.to_string()));
-    Value::Obj(f)
+/// Appends the envelope of a request that carries nothing but its `op`.
+pub(crate) fn write_control_request(out: &mut String, id: i64, op: &str) {
+    let mut o = open_envelope(out, id);
+    o.str(key!("op"), op);
+    o.close();
 }
 
-/// The envelope of a `query` request, encoded from the borrowed query.
-pub(crate) fn query_request(id: i64, q: &Query) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "op", Value::Str("query".to_string()));
-    field(&mut f, "query", encode_query(q));
-    Value::Obj(f)
+/// Appends the envelope of a `query` request, written from the borrowed
+/// query.
+pub(crate) fn write_query_request(out: &mut String, id: i64, q: &Query) {
+    let mut o = open_envelope(out, id);
+    o.str(key!("op"), "query");
+    write_query(o.key(key!("query")), q);
+    o.close();
 }
 
 /// Has `write` append one message to `buf` (cleared first, so one
@@ -338,20 +350,32 @@ pub fn decode_request(line: &str) -> Result<Request, (i64, RpcError)> {
     Ok(Request { id, body })
 }
 
-fn cache_stats_json(stats: CacheStats) -> Value {
-    Value::Obj(vec![
-        ("hits".into(), Value::Int(stats.hits as i64)),
-        ("misses".into(), Value::Int(stats.misses as i64)),
-        ("evictions".into(), Value::Int(stats.evictions as i64)),
-    ])
+/// Appends a cache delta or total as its wire object.
+fn write_cache_stats(out: &mut String, stats: CacheStats) {
+    write_ints(
+        out,
+        &[
+            (key!("hits"), stats.hits),
+            (key!("misses"), stats.misses),
+            (key!("evictions"), stats.evictions),
+        ],
+    );
+}
+
+/// A control reply or a protocol error: the envelope, `ok`, and the
+/// members `write` adds.
+fn response(id: i64, ok: bool, write: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::new();
+    let mut o = open_envelope(&mut out, id);
+    o.bool(key!("ok"), ok);
+    write(&mut o);
+    o.close();
+    out
 }
 
 /// Encodes a successful `ping` response.
-pub fn ping_response(id: i64) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "ok", Value::Bool(true));
-    field(&mut f, "pong", Value::Bool(true));
-    Value::Obj(f)
+pub fn ping_response(id: i64) -> String {
+    response(id, true, |o| o.bool(key!("pong"), true))
 }
 
 /// Service-level fields of a `stats` response, always present since
@@ -366,8 +390,9 @@ pub struct ServiceStats {
     pub version: String,
 }
 
-/// Encodes a successful `stats` response. `metrics` is the full
-/// `syncopt.metrics.v1` document, present only when telemetry is on.
+/// Encodes a successful `stats` response. `metrics` is the telemetry
+/// whose full `syncopt.metrics.v1` document the response carries, present
+/// only when telemetry is on.
 pub fn stats_response(
     id: i64,
     stats: CacheStats,
@@ -375,56 +400,45 @@ pub fn stats_response(
     capacity: usize,
     kinds: &Counters,
     service: &ServiceStats,
-    metrics: Option<Value>,
-) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "ok", Value::Bool(true));
-    field(&mut f, "cache", cache_stats_json(stats));
-    field(&mut f, "artifacts", Value::Int(artifacts as i64));
-    field(&mut f, "capacity", Value::Int(capacity as i64));
-    field(&mut f, "kinds", kinds.to_json());
-    field(&mut f, "uptime_ms", Value::Int(service.uptime_ms as i64));
-    field(
-        &mut f,
-        "requests_total",
-        Value::Int(service.requests_total as i64),
-    );
-    field(&mut f, "version", Value::Str(service.version.clone()));
-    if let Some(doc) = metrics {
-        field(&mut f, "metrics", doc);
-    }
-    Value::Obj(f)
+    metrics: Option<&ServiceTelemetry>,
+) -> String {
+    response(id, true, |o| {
+        write_cache_stats(o.key(key!("cache")), stats);
+        o.int(key!("artifacts"), artifacts as u64);
+        o.int(key!("capacity"), capacity as u64);
+        kinds.write_json(o.key(key!("kinds")));
+        o.int(key!("uptime_ms"), service.uptime_ms);
+        o.int(key!("requests_total"), service.requests_total);
+        o.str(key!("version"), &service.version);
+        if let Some(t) = metrics {
+            t.write_metrics_json(o.key(key!("metrics")));
+        }
+    })
 }
 
 /// Encodes a successful `metrics` response: the Prometheus text
 /// exposition is carried as one JSON string so the one-line framing
-/// holds (the emitter escapes every `\n`).
-pub fn metrics_response(id: i64, text: &str) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "ok", Value::Bool(true));
-    field(&mut f, "metrics_text", Value::Str(text.to_string()));
-    Value::Obj(f)
+/// holds (the writer escapes every `\n`).
+pub fn metrics_response(id: i64, text: &str) -> String {
+    response(id, true, |o| o.str(key!("metrics_text"), text))
 }
 
 /// Encodes a successful `shutdown` acknowledgement.
-pub fn shutdown_response(id: i64) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "ok", Value::Bool(true));
-    field(&mut f, "shutdown", Value::Bool(true));
-    Value::Obj(f)
+pub fn shutdown_response(id: i64) -> String {
+    response(id, true, |o| o.bool(key!("shutdown"), true))
 }
 
-/// One query's answer in its wire form: the members of a query response
-/// between the envelope and the cache delta, escaped once —
-/// `"stdout":…,"failure":…` and, when the query produced a file artifact,
-/// `,"file":{"path":…,"content":…,"note":…}`. The session stores a
-/// repeated query's answer this way, so the daemon answers a hit by
-/// splicing bytes instead of encoding them again. Only
-/// [`Answer::encode`] makes one, so the members always decode.
+/// One query's answer in its wire form: the object of the members of a
+/// query response between the envelope and the cache delta, escaped once —
+/// `{"stdout":…,"failure":…}` and, when the query produced a file artifact,
+/// `"file":{"path":…,"content":…,"note":…}` before the closing brace. The
+/// session stores a repeated query's answer this way, so the daemon
+/// answers a hit by splicing bytes instead of encoding them again. Only
+/// [`Answer::encode`] makes one, so the object always decodes.
 #[derive(Debug)]
 pub struct Answer {
-    /// The escaped members; a `Box<str>` keeps no spare capacity resident.
-    members: Box<str>,
+    /// The escaped object; a `Box<str>` keeps no spare capacity resident.
+    object: Box<str>,
     /// Whether the answer carries a `failure` (exit code 1).
     pub(crate) failed: bool,
 }
@@ -437,29 +451,24 @@ impl Answer {
             file,
             failure,
         } = out;
-        let mut members = String::new();
-        members.push_str("\"stdout\":");
-        write_escaped(&mut members, stdout);
-        members.push_str(",\"failure\":");
-        match failure {
-            Some(failure) => write_escaped(&mut members, failure),
-            None => members.push_str("null"),
-        }
+        let mut object = String::new();
+        let mut o = Obj::open(&mut object);
+        o.str(key!("stdout"), stdout);
+        o.str_or_null(key!("failure"), failure.as_deref());
         if let Some(file) = file {
-            members.push_str(",\"file\":{\"path\":");
-            write_escaped(&mut members, &file.path);
-            members.push_str(",\"content\":");
-            write_escaped(&mut members, &file.content);
-            members.push_str(",\"note\":");
-            write_escaped(&mut members, &file.note);
-            members.push('}');
+            let mut f = Obj::open(o.key(key!("file")));
+            f.str(key!("path"), &file.path);
+            f.str(key!("content"), &file.content);
+            f.str(key!("note"), &file.note);
+            f.close();
         }
+        o.close();
         Answer {
             // A copy of exactly the written length, not `into_boxed_str`:
             // shrinking in place would leave a freed tail beside every
             // stored answer, and those holes cost a full cache about a
             // tenth of its resident memory.
-            members: Box::from(members.as_str()),
+            object: Box::from(object.as_str()),
             failed: failure.is_some(),
         }
     }
@@ -467,58 +476,41 @@ impl Answer {
     /// The [`CmdOut`] these members encode, read back the way a client
     /// reads a query response.
     pub fn decode(&self) -> CmdOut {
-        let mut doc = String::with_capacity(self.members.len() + 2);
-        doc.push('{');
-        doc.push_str(&self.members);
-        doc.push('}');
-        Value::parse(&doc)
+        Value::parse(&self.object)
             .map_err(RpcError::bad_request)
             .and_then(|mut v| decode_out(&mut v))
-            .expect("an answer holds the members `Answer::encode` wrote")
+            .expect("an answer holds the object `Answer::encode` wrote")
     }
 }
 
 /// Appends the response line of a completed query to `buf`: the envelope
 /// with `id`, the answer's members as they are, and the request's cache
-/// delta. No JSON value is built, and nothing but the delta is escaped.
+/// delta. Nothing but the delta is written anew.
 pub(crate) fn write_query_response(buf: &mut String, id: i64, answer: &Answer, cache: CacheStats) {
-    buf.push_str("{\"schema\":");
-    write_escaped(buf, RPC_SCHEMA);
-    buf.push_str(",\"id\":");
-    write_int(buf, id);
-    buf.push_str(",\"ok\":true,");
-    buf.push_str(&answer.members);
-    buf.push_str(",\"cache\":{\"hits\":");
-    write_int(buf, cache.hits as i64);
-    buf.push_str(",\"misses\":");
-    write_int(buf, cache.misses as i64);
-    buf.push_str(",\"evictions\":");
-    write_int(buf, cache.evictions as i64);
-    buf.push_str("}}");
+    let mut o = open_envelope(buf, id);
+    o.bool(key!("ok"), true);
+    o.splice(&answer.object);
+    write_cache_stats(o.key(key!("cache")), cache);
+    o.close();
 }
 
 /// Encodes a completed query: the command ran, and this is its result
 /// (which may be a command *failure* — that is not a protocol error).
 pub fn query_response(id: i64, out: &CmdOut, cache: CacheStats) -> String {
     let answer = Answer::encode(out);
-    let mut line = String::with_capacity(answer.members.len() + 128);
+    let mut line = String::with_capacity(answer.object.len() + 128);
     write_query_response(&mut line, id, &answer, cache);
     line
 }
 
 /// Encodes a protocol error.
-pub fn error_response(id: i64, err: &RpcError) -> Value {
-    let mut f = envelope(id);
-    field(&mut f, "ok", Value::Bool(false));
-    field(
-        &mut f,
-        "error",
-        Value::Obj(vec![
-            ("code".into(), Value::Str(err.code.to_string())),
-            ("message".into(), Value::Str(err.message.clone())),
-        ]),
-    );
-    Value::Obj(f)
+pub fn error_response(id: i64, err: &RpcError) -> String {
+    response(id, false, |o| {
+        let mut e = Obj::open(o.key(key!("error")));
+        e.str(key!("code"), err.code);
+        e.str(key!("message"), &err.message);
+        e.close();
+    })
 }
 
 /// A decoded response envelope, as seen by the client.
@@ -678,6 +670,7 @@ pub fn decode_response(line: &str) -> Result<Reply, RpcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_canonical;
 
     /// Every field off its default, so a field the walk leaves out fails
     /// the round trip.
@@ -750,10 +743,7 @@ mod tests {
             ..sample_query()
         };
         let mut sent = CountingWriter::default();
-        write_message(&mut sent, &mut line, |buf| {
-            query_request(7, &q).write_to(buf)
-        })
-        .unwrap();
+        write_message(&mut sent, &mut line, |buf| write_query_request(buf, 7, &q)).unwrap();
         assert_eq!(sent.calls, 1, "client send");
         assert_eq!(sent.bytes, line.as_bytes());
         let text = std::str::from_utf8(&sent.bytes).unwrap();
@@ -790,8 +780,14 @@ mod tests {
             RequestBody::Shutdown,
         ] {
             let req = Request { id: 7, body };
-            let back = decode_request(&encode_request(&req).to_string()).unwrap();
+            let line = encode_request(&req);
+            assert_canonical(&line);
+            let back = decode_request(&line).unwrap();
             assert_eq!(back, req);
+        }
+        for line in [ping_response(7), shutdown_response(7)] {
+            assert_canonical(&line);
+            assert_eq!(decode_response(&line).unwrap().id, 7);
         }
     }
 
@@ -822,10 +818,19 @@ mod tests {
         //! The `json::Value`-tree query encoder that the splice replaced,
         //! kept as what the splice is compared against.
 
-        use super::super::{cache_stats_json, envelope, field};
+        use super::super::RPC_SCHEMA;
         use crate::commands::CmdOut;
         use syncopt_core::cache::CacheStats;
         use syncopt_core::diag::json::Value;
+
+        fn obj(fields: Vec<(&str, Value)>) -> Value {
+            Value::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
 
         pub fn query_response(id: i64, out: &CmdOut, cache: CacheStats) -> Value {
             let CmdOut {
@@ -833,23 +838,33 @@ mod tests {
                 file,
                 failure,
             } = out.clone();
-            let mut f = envelope(id);
-            field(&mut f, "ok", Value::Bool(true));
-            field(&mut f, "stdout", Value::Str(stdout));
-            field(&mut f, "failure", failure.map_or(Value::Null, Value::Str));
+            let mut f = vec![
+                ("schema", Value::Str(RPC_SCHEMA.to_string())),
+                ("id", Value::Int(id)),
+                ("ok", Value::Bool(true)),
+                ("stdout", Value::Str(stdout)),
+                ("failure", failure.map_or(Value::Null, Value::Str)),
+            ];
             if let Some(file) = file {
-                field(
-                    &mut f,
+                f.push((
                     "file",
-                    Value::Obj(vec![
-                        ("path".into(), Value::Str(file.path)),
-                        ("content".into(), Value::Str(file.content)),
-                        ("note".into(), Value::Str(file.note)),
+                    obj(vec![
+                        ("path", Value::Str(file.path)),
+                        ("content", Value::Str(file.content)),
+                        ("note", Value::Str(file.note)),
                     ]),
-                );
+                ));
             }
-            field(&mut f, "cache", cache_stats_json(cache));
-            Value::Obj(f)
+            let count = |n: u64| Value::Int(n as i64);
+            f.push((
+                "cache",
+                obj(vec![
+                    ("hits", count(cache.hits)),
+                    ("misses", count(cache.misses)),
+                    ("evictions", count(cache.evictions)),
+                ]),
+            ));
+            obj(f)
         }
     }
 
@@ -922,20 +937,14 @@ mod tests {
             requests_total: 17,
             version: "0.1.0".to_string(),
         };
-        let doc = Value::Obj(vec![(
-            "schema".into(),
-            Value::Str("syncopt.metrics.v1".to_string()),
-        )]);
-        let line = stats_response(
-            2,
-            CacheStats::default(),
-            3,
-            64,
-            &Counters::new(),
-            &service,
-            Some(doc),
-        )
-        .to_string();
+        let telemetry = ServiceTelemetry::new(&Default::default()).unwrap();
+        let mut kinds = Counters::new();
+        kinds.set("cache.cfg.hits", 2);
+        let stats =
+            |metrics| stats_response(2, CacheStats::default(), 3, 64, &kinds, &service, metrics);
+        assert_canonical(&stats(None));
+        let line = stats(Some(&telemetry));
+        assert_canonical(&line);
         let reply = decode_response(&line).unwrap();
         let ReplyBody::Stats(obj) = reply.body else {
             panic!("expected stats body");
@@ -973,7 +982,9 @@ mod tests {
             RpcError::unsupported("unknown op `frobnicate`"),
             RpcError::internal("the query panicked"),
         ] {
-            let reply = decode_response(&error_response(3, &err).to_string()).unwrap();
+            let line = error_response(3, &err);
+            assert_canonical(&line);
+            let reply = decode_response(&line).unwrap();
             assert_eq!(reply.body, ReplyBody::Error(err));
         }
     }

@@ -49,13 +49,14 @@
 //! path — responses are byte-identical either way.
 
 use crate::commands::command_names;
+use crate::trace_export::{event, meta};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use syncopt_core::cache::CacheStats;
-use syncopt_core::diag::json::Value;
+use syncopt_core::diag::json::{key, write_array, write_int, Arr, Obj, Value};
 use Family::{Counter, Gauge, Latency, Requests};
 
 /// Schema identifier of the `stats` metrics document.
@@ -157,10 +158,10 @@ pub const SERVICE_METRIC_NAMES: &[&str] = &{
     names
 };
 
-/// The key of the `op` series of the family `name`:
-/// `rpc.requests_total{op="check"}`.
-fn op_key(name: &str, op: &str) -> String {
-    format!("{name}{{op=\"{op}\"}}")
+/// The key of the `op` series of the family `name`, in the parts
+/// `rpc.requests_total{op="check"}` is written from.
+fn op_key<'a>(name: &'a str, op: &'a str) -> [&'a str; 4] {
+    [name, "{op=\"", op, "\"}"]
 }
 
 /// Telemetry configuration, as parsed from the `syncoptd` command line.
@@ -220,26 +221,25 @@ impl Histogram {
         self.max.fetch_max(us, Ordering::Relaxed);
     }
 
-    /// The histogram as JSON. In scrub mode every timing-derived field —
-    /// the per-bucket distribution, sum, min, max — is zeroed while
-    /// `count` (a pure request count) stays exact, so goldens can pin
+    /// Appends the histogram as JSON. In scrub mode every timing-derived
+    /// field — the per-bucket distribution, sum, min, max — is zeroed
+    /// while `count` (a pure request count) stays exact, so goldens can pin
     /// structure and totals without pinning wall-clock behavior.
-    fn to_json(&self, scrub: bool) -> Value {
-        let z = |v: u64| Value::Int(if scrub { 0 } else { v as i64 });
+    fn write_json(&self, out: &mut String, scrub: bool) {
+        let z = |v: u64| if scrub { 0 } else { v };
         let min = match load(&self.min) {
             u64::MAX => 0,
             v => v,
         };
-        Value::Obj(vec![
-            ("count".into(), Value::Int(load(&self.count) as i64)),
-            ("sum_us".into(), z(load(&self.sum))),
-            ("min_us".into(), z(min)),
-            ("max_us".into(), z(load(&self.max))),
-            (
-                "buckets".into(),
-                Value::Arr(self.buckets.iter().map(|b| z(load(b))).collect()),
-            ),
-        ])
+        let mut o = Obj::open(out);
+        o.int(key!("count"), load(&self.count));
+        o.int(key!("sum_us"), z(load(&self.sum)));
+        o.int(key!("min_us"), z(min));
+        o.int(key!("max_us"), z(load(&self.max)));
+        write_array(o.key(key!("buckets")), &self.buckets, |out, b| {
+            write_int(out, z(load(b)) as i64);
+        });
+        o.close();
     }
 }
 
@@ -311,7 +311,8 @@ pub struct ServiceTelemetry {
     /// characters above `"`, so this is also the order of the
     /// `name{op="..."}` keys.
     ops: Box<[OpSeries]>,
-    log: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
+    /// The request log, and the buffer each line is written into.
+    log: Option<Mutex<(std::io::BufWriter<std::fs::File>, String)>>,
     slow_us: u64,
     scrub: bool,
 }
@@ -327,12 +328,15 @@ impl ServiceTelemetry {
         let log = match &config.log {
             Some(path) => {
                 let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-                writeln!(
-                    w,
-                    r#"{{"schema":"{REQLOG_SCHEMA}","version":"{SERVICE_VERSION}"}}"#
-                )?;
+                let mut line = String::new();
+                let mut o = Obj::open(&mut line);
+                o.str(key!("schema"), REQLOG_SCHEMA);
+                o.str(key!("version"), SERVICE_VERSION);
+                o.close();
+                line.push('\n');
+                w.write_all(line.as_bytes())?;
                 w.flush()?;
-                Some(Mutex::new(w))
+                Some(Mutex::new((w, line)))
             }
             None => None,
         };
@@ -445,67 +449,73 @@ impl ServiceTelemetry {
         let slow = total_us >= self.slow_us;
         add(&m.slow_total, u64::from(slow));
         if let Some(log) = &self.log {
-            let mut w = log.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = writeln!(
-                w,
-                r#"{{"id":{},"conn":{},"op":"{}","start_us":{},"decode_us":{},"execute_us":{},"encode_us":{},"total_us":{},"bytes_in":{},"bytes_out":{},"cache_hits":{},"cache_misses":{},"ok":{},"failed":{},"slow":{}}}"#,
-                span.id,
-                span.conn,
-                series.op,
-                span.start_us,
-                span.decode_us,
-                span.execute_us,
-                encode_us,
-                total_us,
-                span.bytes_in,
-                outcome.bytes_out,
-                outcome.cache.hits,
-                outcome.cache.misses,
-                outcome.ok,
-                outcome.failed,
-                slow
-            );
+            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
+            let (w, line) = &mut *log;
+            line.clear();
+            let mut o = Obj::open(line);
+            o.ints(&[(key!("id"), span.id), (key!("conn"), span.conn)]);
+            o.str(key!("op"), series.op);
+            o.ints(&[
+                (key!("start_us"), span.start_us),
+                (key!("decode_us"), span.decode_us),
+                (key!("execute_us"), span.execute_us),
+                (key!("encode_us"), encode_us),
+                (key!("total_us"), total_us),
+                (key!("bytes_in"), span.bytes_in),
+                (key!("bytes_out"), outcome.bytes_out),
+                (key!("cache_hits"), outcome.cache.hits),
+                (key!("cache_misses"), outcome.cache.misses),
+            ]);
+            o.bool(key!("ok"), outcome.ok);
+            o.bool(key!("failed"), outcome.failed);
+            o.bool(key!("slow"), slow);
+            o.close();
+            line.push('\n');
+            let _ = w.write_all(line.as_bytes());
             let _ = w.flush();
         }
     }
 
-    /// The `syncopt.metrics.v1` document: uptime, totals, the daemon
-    /// version, and every metric of `METRICS` — `counters` and `gauges`
-    /// as flat key → value maps, `histograms` as key → histogram objects,
-    /// each sorted by key. In scrub mode every timing-derived value is
-    /// zeroed while counts stay exact.
-    pub fn metrics_json(&self) -> Value {
-        let int = |v: u64| Value::Int(v as i64);
-        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
-        for (name, family) in METRICS {
-            match family {
-                Counter(get) => counters.push((name.into(), int(load(get(&self.scalars))))),
-                Gauge(get) => gauges.push((name.into(), int(load(get(&self.scalars))))),
-                Requests => {
-                    counters.push((name.into(), int(self.requests_total())));
-                    counters.extend(
-                        self.seen_ops()
-                            .map(|s| (op_key(name, s.op).into(), int(load(&s.requests)))),
-                    );
+    /// Appends the `syncopt.metrics.v1` document: uptime, totals, the
+    /// daemon version, and every metric of `METRICS` — `counters` and
+    /// `gauges` as flat key → value maps, `histograms` as key → histogram
+    /// objects, each sorted by key. In scrub mode every timing-derived
+    /// value is zeroed while counts stay exact.
+    pub fn write_metrics_json(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        o.str(key!("schema"), METRICS_SCHEMA);
+        o.str(key!("version"), SERVICE_VERSION);
+        o.int(key!("uptime_ms"), self.uptime_ms());
+        o.int(key!("requests_total"), self.requests_total());
+        let mut sections = Obj::open(o.key(key!("metrics")));
+        // Each section holds the families of its kind, in `METRICS` order.
+        for section in [key!("counters"), key!("gauges"), key!("histograms")] {
+            let mut m = Obj::open(sections.key(section));
+            for (name, family) in METRICS {
+                match (section.name(), family) {
+                    ("counters", Counter(get)) | ("gauges", Gauge(get)) => {
+                        write_int(m.key_escaped(&[name]), load(get(&self.scalars)) as i64);
+                    }
+                    ("counters", Requests) => {
+                        write_int(m.key_escaped(&[name]), self.requests_total() as i64);
+                        for s in self.seen_ops() {
+                            let n = load(&s.requests) as i64;
+                            write_int(m.key_escaped(&op_key(name, s.op)), n);
+                        }
+                    }
+                    ("histograms", Latency) => {
+                        for s in self.seen_ops() {
+                            let key = m.key_escaped(&op_key(name, s.op));
+                            s.latency.write_json(key, self.scrub);
+                        }
+                    }
+                    _ => {}
                 }
-                Latency => histograms.extend(
-                    self.seen_ops()
-                        .map(|s| (op_key(name, s.op).into(), s.latency.to_json(self.scrub))),
-                ),
             }
+            m.close();
         }
-        let metrics = vec![
-            ("counters".into(), Value::Obj(counters)),
-            ("gauges".into(), Value::Obj(gauges)),
-            ("histograms".into(), Value::Obj(histograms)),
-        ];
-        Value::Obj(vec![
-            ("schema".into(), Value::Str(METRICS_SCHEMA.to_string())),
-            ("version".into(), Value::Str(SERVICE_VERSION.to_string())),
-            ("uptime_ms".into(), int(self.uptime_ms())),
-            ("requests_total".into(), int(self.requests_total())),
-            ("metrics".into(), Value::Obj(metrics)),
-        ])
+        sections.close();
+        o.close();
     }
 
     /// Every metric of `METRICS` in Prometheus text exposition format,
@@ -697,96 +707,86 @@ pub fn verify_reqlog_accounting(entries: &[ReqLogEntry]) -> Result<(), String> {
     Ok(())
 }
 
-/// Converts a parsed request log into Chrome Trace Event Format
-/// (`syncopt.trace.v1`, the same schema as `syncoptc trace`): one thread
-/// track per connection, one `ph:"X"` slice per request, and nested
-/// `decode` / `execute` / `encode` phase slices that tile the request
-/// exactly. Timestamps are microseconds since daemon start, so Perfetto
-/// renders real service time.
-pub fn daemon_chrome_trace(entries: &[ReqLogEntry]) -> Value {
-    let obj = |fields: Vec<(&'static str, Value)>| {
-        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    };
-    let s = |text: &str| Value::Str(text.to_string());
-    let mut events = Vec::new();
+/// The connections a request log's entries arrived on, sorted, and the
+/// wall time they span in microseconds: first arrival to last completion.
+pub fn reqlog_extent(entries: &[ReqLogEntry]) -> (Vec<u64>, u64) {
     let mut conns: Vec<u64> = entries.iter().map(|e| e.conn).collect();
     conns.sort_unstable();
     conns.dedup();
-    for &conn in &conns {
-        events.push(obj(vec![
-            ("ph", s("M")),
-            ("pid", Value::Int(0)),
-            ("tid", Value::Int(conn as i64)),
-            ("name", s("thread_name")),
-            (
-                "args",
-                obj(vec![("name", Value::Str(format!("conn {conn}")))]),
-            ),
-        ]));
-    }
-    for e in entries {
-        events.push(obj(vec![
-            ("ph", s("X")),
-            ("pid", Value::Int(0)),
-            ("tid", Value::Int(e.conn as i64)),
-            ("ts", Value::Int(e.start_us as i64)),
-            ("dur", Value::Int(e.total_us as i64)),
-            ("name", Value::Str(format!("#{} {}", e.id, e.op))),
-            ("cat", s("request")),
-            (
-                "args",
-                obj(vec![
-                    ("bytes_in", Value::Int(e.bytes_in as i64)),
-                    ("bytes_out", Value::Int(e.bytes_out as i64)),
-                    ("cache_hits", Value::Int(e.cache_hits as i64)),
-                    ("cache_misses", Value::Int(e.cache_misses as i64)),
-                    ("ok", Value::Bool(e.ok)),
-                    ("failed", Value::Bool(e.failed)),
-                    ("slow", Value::Bool(e.slow)),
-                ]),
-            ),
-        ]));
-        let phases = [
-            ("decode", e.start_us, e.decode_us),
-            ("execute", e.start_us + e.decode_us, e.execute_us),
-            (
-                "encode",
-                e.start_us + e.decode_us + e.execute_us,
-                e.encode_us,
-            ),
-        ];
-        for (name, ts, dur) in phases {
-            events.push(obj(vec![
-                ("ph", s("X")),
-                ("pid", Value::Int(0)),
-                ("tid", Value::Int(e.conn as i64)),
-                ("ts", Value::Int(ts as i64)),
-                ("dur", Value::Int(dur as i64)),
-                ("name", s(name)),
-                ("cat", s("phase")),
-            ]));
-        }
-    }
     let wall_us = entries
         .iter()
         .map(|e| e.start_us + e.total_us)
         .max()
         .unwrap_or(0)
         .saturating_sub(entries.iter().map(|e| e.start_us).min().unwrap_or(0));
-    Value::Obj(vec![
-        ("schema".into(), Value::Str(crate::TRACE_SCHEMA.to_string())),
-        ("source".into(), Value::Str("daemon-trace".to_string())),
-        ("requests".into(), Value::Int(entries.len() as i64)),
-        ("connections".into(), Value::Int(conns.len() as i64)),
-        ("wall_us".into(), Value::Int(wall_us as i64)),
-        ("displayTimeUnit".into(), Value::Str("ms".to_string())),
-        ("traceEvents".into(), Value::Arr(events)),
-    ])
+    (conns, wall_us)
+}
+
+/// Converts a parsed request log into Chrome Trace Event Format
+/// (`syncopt.trace.v1`, the same schema as `syncoptc trace`): one thread
+/// track per connection, one `ph:"X"` slice per request, and nested
+/// `decode` / `execute` / `encode` phase slices that tile the request
+/// exactly. Timestamps are microseconds since daemon start, so Perfetto
+/// renders real service time.
+pub fn daemon_chrome_trace(entries: &[ReqLogEntry]) -> String {
+    let (conns, wall_us) = reqlog_extent(entries);
+    let mut out = String::new();
+    let mut o = Obj::open(&mut out);
+    o.str(key!("schema"), crate::TRACE_SCHEMA);
+    o.str(key!("source"), "daemon-trace");
+    o.int(key!("requests"), entries.len() as u64);
+    o.int(key!("connections"), conns.len() as u64);
+    o.int(key!("wall_us"), wall_us);
+    o.str(key!("displayTimeUnit"), "ms");
+    let mut events = Arr::open(o.key(key!("traceEvents")));
+    for &conn in &conns {
+        meta(&mut events, conn, &format!("conn {conn}"));
+    }
+    for r in entries {
+        let mut e = event(&mut events, "X", r.conn);
+        e.int(key!("ts"), r.start_us);
+        e.int(key!("dur"), r.total_us);
+        e.str(key!("name"), &format!("#{} {}", r.id, r.op));
+        e.str(key!("cat"), "request");
+        let mut args = Obj::open(e.key(key!("args")));
+        args.ints(&[
+            (key!("bytes_in"), r.bytes_in),
+            (key!("bytes_out"), r.bytes_out),
+            (key!("cache_hits"), r.cache_hits),
+            (key!("cache_misses"), r.cache_misses),
+        ]);
+        args.bool(key!("ok"), r.ok);
+        args.bool(key!("failed"), r.failed);
+        args.bool(key!("slow"), r.slow);
+        args.close();
+        e.close();
+        let phases = [
+            ("decode", r.start_us, r.decode_us),
+            ("execute", r.start_us + r.decode_us, r.execute_us),
+            (
+                "encode",
+                r.start_us + r.decode_us + r.execute_us,
+                r.encode_us,
+            ),
+        ];
+        for (name, ts, dur) in phases {
+            let mut e = event(&mut events, "X", r.conn);
+            e.int(key!("ts"), ts);
+            e.int(key!("dur"), dur);
+            e.str(key!("name"), name);
+            e.str(key!("cat"), "phase");
+            e.close();
+        }
+    }
+    events.close();
+    o.close();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_canonical;
 
     fn sample_log() -> String {
         let mut log = format!(r#"{{"schema":"{REQLOG_SCHEMA}","version":"0.1.0"}}"#);
@@ -812,6 +812,26 @@ mod tests {
         assert_eq!(entries[0].op, "check");
         assert_eq!(entries[2].total_us, 905);
         verify_reqlog_accounting(&entries).unwrap();
+
+        // A log the daemon writes: a header and one canonical line per
+        // request, which parse back to what was recorded.
+        let path = std::env::temp_dir().join(format!("syncopt-reqlog-{}.log", std::process::id()));
+        let t = ServiceTelemetry::new(&TelemetryConfig {
+            log: Some(path.clone()),
+            ..TelemetryConfig::default()
+        })
+        .unwrap();
+        for op in ["check", "frobnicate"] {
+            t.finish_request(t.begin_request(1, 10), &outcome(op));
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(text.lines().count(), 3, "{text}");
+        text.lines().for_each(assert_canonical);
+        let written = parse_reqlog(&text).unwrap();
+        let ops: Vec<_> = written.iter().map(|e| e.op.as_str()).collect();
+        assert_eq!(ops, ["check", "other"]);
+        verify_reqlog_accounting(&written).unwrap();
     }
 
     #[test]
@@ -850,7 +870,9 @@ mod tests {
     #[test]
     fn daemon_trace_tiles_requests_with_phases() {
         let entries = parse_reqlog(&sample_log()).unwrap();
-        let trace = daemon_chrome_trace(&entries);
+        let text = daemon_chrome_trace(&entries);
+        assert_canonical(&text);
+        let trace = Value::parse(&text).unwrap();
         assert_eq!(
             trace.get("schema").and_then(Value::as_str),
             Some(crate::TRACE_SCHEMA)
@@ -972,7 +994,9 @@ mod tests {
         );
         t.close_connection();
         assert_eq!(t.requests_total(), 1);
-        let doc = t.metrics_json();
+        let mut text = String::new();
+        t.write_metrics_json(&mut text);
+        let doc = Value::parse(&text).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
             Some(METRICS_SCHEMA)

@@ -28,7 +28,7 @@
 //! `dropped_events`, and `dropped_spans`; trace viewers ignore unknown
 //! keys.
 
-use syncopt_core::diag::json::Value;
+use syncopt_core::diag::json::{key, Arr, Obj};
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::VarId;
 use syncopt_machine::sim::SimResult;
@@ -37,52 +37,59 @@ use syncopt_machine::trace::Trace;
 /// The stable schema identifier embedded in every trace export.
 pub const TRACE_SCHEMA: &str = "syncopt.trace.v1";
 
-fn obj(fields: Vec<(&'static str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+/// Opens one trace event with the members every event starts with, and
+/// returns it for the rest: the timelines of `syncoptc trace` and of
+/// `daemon-trace` are written with it.
+pub(crate) fn event<'a>(events: &'a mut Arr<'_>, ph: &str, tid: u64) -> Obj<'a> {
+    let mut e = Obj::open(events.item());
+    e.str(key!("ph"), ph);
+    e.int(key!("pid"), 0);
+    e.int(key!("tid"), tid);
+    e
 }
 
-fn s(text: impl Into<String>) -> Value {
-    Value::Str(text.into())
+/// A thread-name metadata event: the track `tid` is called `name`.
+pub(crate) fn meta(events: &mut Arr<'_>, tid: u64, name: &str) {
+    let mut e = event(events, "M", tid);
+    e.str(key!("name"), "thread_name");
+    let mut args = Obj::open(e.key(key!("args")));
+    args.str(key!("name"), name);
+    args.close();
+    e.close();
 }
 
-fn meta(tid: i64, name: &str) -> Value {
-    obj(vec![
-        ("ph", s("M")),
-        ("pid", Value::Int(0)),
-        ("tid", Value::Int(tid)),
-        ("name", s("thread_name")),
-        ("args", obj(vec![("name", s(name))])),
-    ])
-}
-
-/// Builds the Chrome Trace Event Format JSON for one traced run.
+/// Builds the Chrome Trace Event Format JSON for one traced run, and
+/// counts its trace events.
 ///
 /// `cfg` supplies variable names for lock tracks; `sim` supplies the
 /// execution length and processor count.
-pub fn chrome_trace(trace: &Trace, sim: &SimResult, cfg: &Cfg) -> Value {
-    let procs = sim.metrics.per_proc.len();
-    let mut events: Vec<Value> = Vec::new();
-
+pub fn chrome_trace(trace: &Trace, sim: &SimResult, cfg: &Cfg) -> (String, usize) {
+    let procs = sim.metrics.per_proc.len() as u64;
+    let mut out = String::new();
+    let mut o = Obj::open(&mut out);
+    o.str(key!("schema"), TRACE_SCHEMA);
+    o.int(key!("exec_cycles"), sim.exec_cycles);
+    o.bool(key!("truncated"), trace.truncated());
+    o.int(key!("dropped_events"), trace.dropped());
+    o.int(key!("dropped_spans"), trace.spans_dropped());
+    let mut events = Arr::open(o.key(key!("traceEvents")));
     // Thread-name metadata: one track per processor, one for barriers.
     for pi in 0..procs {
-        events.push(meta(pi as i64, &format!("proc {pi}")));
+        meta(&mut events, pi, &format!("proc {pi}"));
     }
-    events.push(meta(procs as i64, "barriers"));
+    meta(&mut events, procs, "barriers");
 
     // Per-processor state slices, ordered by (proc, start) so the file
     // is deterministic and diffable.
     let mut spans = trace.state_spans().to_vec();
     spans.sort_by_key(|sp| (sp.proc, sp.start));
     for sp in &spans {
-        events.push(obj(vec![
-            ("ph", s("X")),
-            ("pid", Value::Int(0)),
-            ("tid", Value::Int(i64::from(sp.proc))),
-            ("ts", Value::Int(sp.start as i64)),
-            ("dur", Value::Int(sp.cycles() as i64)),
-            ("name", s(sp.state.label())),
-            ("cat", s("state")),
-        ]));
+        let mut e = event(&mut events, "X", u64::from(sp.proc));
+        e.int(key!("ts"), sp.start);
+        e.int(key!("dur"), sp.cycles());
+        e.str(key!("name"), sp.state.label());
+        e.str(key!("cat"), "state");
+        e.close();
     }
 
     // Lock holds: async spans so they may straddle state boundaries.
@@ -91,38 +98,31 @@ pub fn chrome_trace(trace: &Trace, sim: &SimResult, cfg: &Cfg) -> Value {
         let name = format!("hold {lock_name}");
         let id = format!("lock{i}");
         for (ph, ts) in [("b", l.acquired), ("e", l.released)] {
-            events.push(obj(vec![
-                ("ph", s(ph)),
-                ("pid", Value::Int(0)),
-                ("tid", Value::Int(i64::from(l.proc))),
-                ("ts", Value::Int(ts as i64)),
-                ("id", s(id.clone())),
-                ("name", s(name.clone())),
-                ("cat", s("lock")),
-            ]));
+            let mut e = event(&mut events, ph, u64::from(l.proc));
+            e.int(key!("ts"), ts);
+            e.str(key!("id"), &id);
+            e.str(key!("name"), &name);
+            e.str(key!("cat"), "lock");
+            e.close();
         }
     }
 
     // Barrier episodes on the dedicated track, spanning first arrival to
     // release; arrivals ride along in args.
     for (i, b) in trace.barrier_spans().iter().enumerate() {
-        events.push(obj(vec![
-            ("ph", s("X")),
-            ("pid", Value::Int(0)),
-            ("tid", Value::Int(procs as i64)),
-            ("ts", Value::Int(b.first_arrival as i64)),
-            ("dur", Value::Int((b.release - b.first_arrival) as i64)),
-            ("name", s(format!("barrier #{i}"))),
-            ("cat", s("barrier")),
-            (
-                "args",
-                obj(vec![
-                    ("first_arrival", Value::Int(b.first_arrival as i64)),
-                    ("last_arrival", Value::Int(b.last_arrival as i64)),
-                    ("release", Value::Int(b.release as i64)),
-                ]),
-            ),
-        ]));
+        let mut e = event(&mut events, "X", procs);
+        e.int(key!("ts"), b.first_arrival);
+        e.int(key!("dur"), b.release - b.first_arrival);
+        e.str(key!("name"), &format!("barrier #{i}"));
+        e.str(key!("cat"), "barrier");
+        let mut args = Obj::open(e.key(key!("args")));
+        args.ints(&[
+            (key!("first_arrival"), b.first_arrival),
+            (key!("last_arrival"), b.last_arrival),
+            (key!("release"), b.release),
+        ]);
+        args.close();
+        e.close();
     }
 
     // Message flows: async begin at injection (issuer track), async
@@ -130,33 +130,25 @@ pub fn chrome_trace(trace: &Trace, sim: &SimResult, cfg: &Cfg) -> Value {
     // (issuer track; stores end at service — they have no reply).
     for f in trace.flow_spans() {
         let id = format!("msg{}", f.id);
-        let name = f.kind.label();
         let steps = [
             ("b", f.issued, f.from),
             ("n", f.service, f.home),
             ("e", f.delivered.unwrap_or(f.service), f.from),
         ];
         for (ph, ts, tid) in steps {
-            events.push(obj(vec![
-                ("ph", s(ph)),
-                ("pid", Value::Int(0)),
-                ("tid", Value::Int(i64::from(tid))),
-                ("ts", Value::Int(ts as i64)),
-                ("id", s(id.clone())),
-                ("name", s(name)),
-                ("cat", s("flow")),
-            ]));
+            let mut e = event(&mut events, ph, u64::from(tid));
+            e.int(key!("ts"), ts);
+            e.str(key!("id"), &id);
+            e.str(key!("name"), f.kind.label());
+            e.str(key!("cat"), "flow");
+            e.close();
         }
     }
 
-    obj(vec![
-        ("schema", s(TRACE_SCHEMA)),
-        ("exec_cycles", Value::Int(sim.exec_cycles as i64)),
-        ("truncated", Value::Bool(trace.truncated())),
-        ("dropped_events", Value::Int(trace.dropped() as i64)),
-        ("dropped_spans", Value::Int(trace.spans_dropped() as i64)),
-        ("traceEvents", Value::Arr(events)),
-    ])
+    let count = events.count();
+    events.close();
+    o.close();
+    (out, count)
 }
 
 /// Checks that the traced state spans reproduce the per-processor cycle
@@ -191,6 +183,7 @@ pub fn verify_span_accounting(trace: &Trace, sim: &SimResult) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syncopt_core::diag::json::Value;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
     use syncopt_machine::sim::simulate_traced;
@@ -217,8 +210,8 @@ mod tests {
     #[test]
     fn export_is_valid_parseable_json_with_schema() {
         let (sim, trace, cfg) = traced(SRC, 4);
-        let json = chrome_trace(&trace, &sim, &cfg);
-        let text = json.to_string();
+        let (text, events) = chrome_trace(&trace, &sim, &cfg);
+        crate::assert_canonical(&text);
         let parsed = Value::parse(&text).expect("export must be valid JSON");
         assert_eq!(parsed.get("schema").unwrap().as_str(), Some(TRACE_SCHEMA));
         assert_eq!(
@@ -226,18 +219,15 @@ mod tests {
             Some(sim.exec_cycles as i64)
         );
         assert_eq!(parsed.get("truncated"), Some(&Value::Bool(false)));
-        assert!(!parsed
-            .get("traceEvents")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .is_empty());
+        let parsed_events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
+        assert!(!parsed_events.is_empty());
+        assert_eq!(parsed_events.len(), events);
     }
 
     #[test]
     fn export_has_all_event_families() {
         let (sim, trace, cfg) = traced(SRC, 4);
-        let json = chrome_trace(&trace, &sim, &cfg);
+        let json = Value::parse(&chrome_trace(&trace, &sim, &cfg).0).unwrap();
         let events = json.get("traceEvents").unwrap().as_arr().unwrap();
         let phase_count = |ph: &str, cat: Option<&str>| {
             events
@@ -267,8 +257,8 @@ mod tests {
         let (sim_a, trace_a, cfg_a) = traced(SRC, 4);
         let (sim_b, trace_b, cfg_b) = traced(SRC, 4);
         assert_eq!(
-            chrome_trace(&trace_a, &sim_a, &cfg_a).to_string(),
-            chrome_trace(&trace_b, &sim_b, &cfg_b).to_string()
+            chrome_trace(&trace_a, &sim_a, &cfg_a),
+            chrome_trace(&trace_b, &sim_b, &cfg_b)
         );
     }
 

@@ -273,7 +273,7 @@ fn request_log_accounts_spans_and_exports_a_timeline() {
     // Request spans sum exactly to recorded wall time, ids monotonic.
     verify_reqlog_accounting(&entries).expect("span accounting");
 
-    let trace = daemon_chrome_trace(&entries);
+    let trace = Value::parse(&daemon_chrome_trace(&entries)).unwrap();
     assert_eq!(
         trace.get("schema").and_then(Value::as_str),
         Some(syncopt::TRACE_SCHEMA)
