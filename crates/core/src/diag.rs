@@ -467,24 +467,23 @@ pub mod json {
     }
 
     /// Appends `s` escaped, without quotes. Bytes that need no escape are
-    /// appended as maximal runs, one `push_str` per run; every byte that
-    /// needs one is ASCII, so a run always ends on a `char` boundary.
+    /// appended as maximal runs, one `push_str` per run, found by [`find`]
+    /// eight bytes at a time; every byte that needs an escape is ASCII, so
+    /// a run always ends on a `char` boundary.
     fn escape_into(out: &mut String, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
+        let bytes = s.as_bytes();
         let mut run = 0;
-        for (i, b) in s.bytes().enumerate() {
-            if b >= 0x20 && b != b'"' && b != b'\\' {
-                continue;
-            }
+        while let Some(i) = find(bytes, run, Class::NeedsEscape) {
             out.push_str(&s[run..i]);
             run = i + 1;
-            match b {
+            match bytes[i] {
                 b'"' => out.push_str("\\\""),
                 b'\\' => out.push_str("\\\\"),
                 b'\n' => out.push_str("\\n"),
                 b'\r' => out.push_str("\\r"),
                 b'\t' => out.push_str("\\t"),
-                _ => {
+                b => {
                     out.push_str("\\u00");
                     out.push(char::from(HEX[usize::from(b >> 4)]));
                     out.push(char::from(HEX[usize::from(b & 0xf)]));
@@ -492,6 +491,59 @@ pub mod json {
             }
         }
         out.push_str(&s[run..]);
+    }
+
+    /// The bytes [`find`] stops at.
+    #[derive(Clone, Copy)]
+    enum Class {
+        /// `"` and `\`: what ends a run inside a string literal.
+        Delimiter,
+        /// `"`, `\` and the control characters: what [`escape_into`]
+        /// escapes.
+        NeedsEscape,
+    }
+
+    /// `0x01` in every byte of a word.
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+
+    /// The high bit of every byte of `w` that is below `n`, for `n` at
+    /// most 0x80, plus possibly bits above the lowest one: a borrow only
+    /// runs upwards, so the lowest set bit always marks a real byte.
+    #[inline]
+    fn below(w: u64, n: u8) -> u64 {
+        w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7)
+    }
+
+    /// The same as [`below`] for the bytes of `w` equal to `b`.
+    #[inline]
+    fn equal(w: u64, b: u8) -> u64 {
+        below(w ^ (ONES * u64::from(b)), 1)
+    }
+
+    /// The index of the first byte of `bytes[at..]` in `class`, testing
+    /// eight bytes per step. A last word shorter than eight is padded with
+    /// spaces, which no class holds.
+    #[inline]
+    fn find(bytes: &[u8], mut at: usize, class: Class) -> Option<usize> {
+        let hits = |w: u64| {
+            let delimiters = equal(w, b'"') | equal(w, b'\\');
+            match class {
+                Class::Delimiter => delimiters,
+                Class::NeedsEscape => delimiters | below(w, 0x20),
+            }
+        };
+        while let Some(word) = bytes.get(at..at + 8) {
+            let found = hits(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+            if found != 0 {
+                return Some(at + (found.trailing_zeros() / 8) as usize);
+            }
+            at += 8;
+        }
+        let tail = bytes.get(at..)?;
+        let mut word = [b' '; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        let found = hits(u64::from_le_bytes(word));
+        (found != 0).then(|| at + (found.trailing_zeros() / 8) as usize)
     }
 
     /// Appends `true` or `false`.
@@ -786,23 +838,23 @@ pub mod json {
                 .map_err(|_| format!("bad number at byte {start}"))
         }
 
-        /// Parses a string literal. The runs between escapes are sliced
-        /// from the input, and a literal with no escape is one allocation
-        /// of its exact size.
+        /// Parses a string literal. The runs between escapes are found by
+        /// [`find`] eight bytes at a time and sliced from the input; the
+        /// common escapes (`\"`, `\\`, `\/`, `\n`, `\r`, `\t`) are
+        /// decoded here and the rest by [`Parser::escape`]. A literal with
+        /// no escape is one allocation of its exact size.
         fn string(&mut self) -> Result<String, String> {
             self.expect(b'"')?;
+            let bytes = self.bytes();
             let mut out = String::new();
             loop {
                 // Both delimiters are ASCII, so a run never splits a
                 // multi-byte character.
                 let start = self.pos;
-                let run = self.bytes()[start..]
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .ok_or("unterminated string")?;
-                let text = &self.text[start..start + run];
-                self.pos = start + run + 1;
-                if self.bytes()[start + run] == b'"' {
+                let end = find(bytes, start, Class::Delimiter).ok_or("unterminated string")?;
+                let text = &self.text[start..end];
+                self.pos = end + 1;
+                if bytes[end] == b'"' {
                     // Every escape pushes a character, so `out` is empty
                     // only when none came before this run.
                     if out.is_empty() {
@@ -812,24 +864,31 @@ pub mod json {
                     return Ok(out);
                 }
                 out.push_str(text);
-                out.push(self.escape()?);
+                let c = match bytes.get(self.pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    _ => {
+                        out.push(self.escape()?);
+                        continue;
+                    }
+                };
+                self.pos += 1;
+                out.push(c);
             }
         }
 
-        /// Decodes the escape whose letter is at `pos` and steps past it.
-        /// A high-surrogate `\u` escape directly followed by a low one is
-        /// the one character the UTF-16 pair encodes; a surrogate outside
-        /// such a pair is an error.
+        /// Decodes the `\b`, `\f` or `\u` escape whose letter is at
+        /// `pos` and steps past it. A high-surrogate `\u` escape directly
+        /// followed by a low one is the one character the UTF-16 pair
+        /// encodes; a surrogate outside such a pair is an error.
         fn escape(&mut self) -> Result<char, String> {
             let c = match self.bytes().get(self.pos) {
-                Some(b'"') => '"',
-                Some(b'\\') => '\\',
-                Some(b'/') => '/',
                 Some(b'b') => '\u{8}',
                 Some(b'f') => '\u{c}',
-                Some(b'n') => '\n',
-                Some(b'r') => '\r',
-                Some(b't') => '\t',
                 Some(b'u') => {
                     let unit = self.hex4(self.pos + 1).ok_or("bad \\u escape")?;
                     self.pos += 4;
@@ -854,11 +913,13 @@ pub mod json {
             Ok(c)
         }
 
-        /// The four hex digits at `at`, if they are there.
+        /// The four hex digits at `at`, if they are there: exactly four
+        /// ASCII hex digits, no sign.
         fn hex4(&self, at: usize) -> Option<u32> {
-            self.text
-                .get(at..at + 4)
-                .and_then(|h| u32::from_str_radix(h, 16).ok())
+            self.bytes()
+                .get(at..at + 4)?
+                .iter()
+                .try_fold(0, |unit, &b| Some(unit << 4 | char::from(b).to_digit(16)?))
         }
 
         fn array(&mut self) -> Result<Value, String> {
@@ -1005,9 +1066,12 @@ pub mod json {
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
                             Some(b'u') => {
+                                // Four hex digits: `from_str_radix` alone
+                                // would also take a leading `+`.
                                 let unit = |at: usize| {
                                     bytes
                                         .get(at..at + 4)
+                                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                         .and_then(|h| std::str::from_utf8(h).ok())
                                         .and_then(|h| u16::from_str_radix(h, 16).ok())
                                 };
@@ -1280,6 +1344,9 @@ pub mod json {
                 ("\"a\\x\"".to_string(), "bad escape at byte 3"),
                 ("\"\\u12\"".to_string(), "bad \\u escape"),
                 ("\"\\uzzzz\"".to_string(), "bad \\u escape"),
+                // Exactly four hex digits: a sign is not one.
+                ("\"\\u+041\"".to_string(), "bad \\u escape"),
+                ("\"\\u-041\"".to_string(), "bad \\u escape"),
                 (format!("\"{}\"", u(0xd83d)), "bad \\u codepoint"),
                 (format!("\"{}x\"", u(0xd83d)), "bad \\u codepoint"),
                 (format!("\"{}\"", u(0xde00)), "bad \\u codepoint"),
@@ -1343,6 +1410,81 @@ pub mod json {
             let back = Value::parse(&out).unwrap();
             assert_eq!(back.get("requests{op=\"check\"}\n"), Some(&Value::Int(7)));
             assert_eq!(back.to_string(), out);
+        }
+
+        /// One of the characters the scanner oracle draws from: ASCII
+        /// letters, 2- and 4-byte UTF-8, both delimiters, `/` and the
+        /// control characters `\n`, 0x01 and 0x1f.
+        fn oracle_char(rng: &mut SplitMix64) -> char {
+            const CHARS: [char; 9] = ['é', '😀', '"', '\\', '/', '\n', '\u{1}', '\u{1f}', ' '];
+            match rng.below(2 * CHARS.len() as u64) as usize {
+                i if i < CHARS.len() => CHARS[i],
+                _ => char::from(b'a' + rng.below(26) as u8),
+            }
+        }
+
+        /// The word scanners against the per-`char` references, at every
+        /// start offset 0–16 (so each run ends at every position in a
+        /// word) and every length 0–40: the writer's bytes are the
+        /// reference's, and the parser reads them back, also from the
+        /// middle of a document.
+        #[test]
+        fn scanner_oracle_writes_and_reads_every_offset_and_length() {
+            let mut rng = SplitMix64::new(0x5eed_0004);
+            for start in 0..=16 {
+                for len in 0..=40 {
+                    for _ in 0..4 {
+                        let mut doc: String = (0..start).map(|_| oracle_char(&mut rng)).collect();
+                        let at = doc.len();
+                        doc.extend((0..len).map(|_| oracle_char(&mut rng)));
+                        let text = &doc[at..];
+                        let mut expected = doc[..at].to_string();
+                        reference::write_escaped(&mut expected, text);
+                        let mut written = doc[..at].to_string();
+                        write_escaped(&mut written, text);
+                        assert_eq!(written, expected, "{text:?} at {at}");
+                        let mut p = Parser {
+                            text: &written,
+                            pos: at,
+                            depth: 0,
+                        };
+                        assert_eq!(p.string().as_deref(), Ok(text), "{written:?} at {at}");
+                        assert_eq!(p.pos, written.len());
+                    }
+                }
+            }
+        }
+
+        /// The word-scanning parser against the per-`char` reference on
+        /// hand-written escapes — `\/`, `\b`, `\f`, `\u` in both cases,
+        /// surrogate pairs, a trailing backslash — cut at every offset.
+        #[test]
+        fn scanner_oracle_parses_hand_written_escapes_as_the_reference() {
+            let literals = [
+                r#""a\/b\b\f\/""#,
+                r#""\u00e9\u00E9\u001f\u001F\u0041x""#,
+                r#""<\ud83d\ude00>\uD83D\uDE00\udbff\udfff""#,
+                r#""pad to a word\ud800\udc00""#,
+                r#""\ud83dx\ude00""#,
+                r#""\u+041\u-041""#,
+                r#""abc\"#,
+                r#""ends in a backslash \"#,
+                r#""\\\"\n\r\t""#,
+            ];
+            for literal in literals {
+                for cut in (0..=literal.len()).filter(|&i| literal.is_char_boundary(i)) {
+                    let doc = &literal[..cut];
+                    let mut p = Parser {
+                        text: doc,
+                        pos: 0,
+                        depth: 0,
+                    };
+                    let got = p.string().map(|s| (s, p.pos));
+                    let mut pos = 0;
+                    let expected = reference::string(doc.as_bytes(), &mut pos).map(|s| (s, pos));
+                    assert_eq!(got, expected, "{doc:?}");
+                }
+            }
         }
 
         /// Every escape RFC 8259 defines decodes, as a standard encoder

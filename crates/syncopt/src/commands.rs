@@ -1201,6 +1201,31 @@ mod tests {
         assert_eq!(query_key(&base.clone()), keys[0]);
     }
 
+    /// A field's value cannot stand in for the fields after it: a `file`
+    /// that spells out a `source` part is a different query, so a query
+    /// with no source is not answered from the reply of one with it.
+    #[test]
+    fn a_file_name_holding_later_fields_does_not_share_their_reply() {
+        let mut session = AnalysisSession::new();
+        let with_source = Query {
+            command: "check".to_string(),
+            file: "x".to_string(),
+            source: Some("fn main() { }".to_string()),
+            ..Query::default()
+        };
+        assert!(execute(&mut session, &with_source).failure.is_none());
+        let spelled_out = Query {
+            file: "x\u{1f}source\u{1f}fn main() { }".to_string(),
+            source: None,
+            ..with_source
+        };
+        let out = execute(&mut session, &spelled_out);
+        assert_eq!(
+            out.failure.as_deref(),
+            Some("command `check` needs a source file")
+        );
+    }
+
     #[test]
     fn unknown_command_fails_cleanly() {
         let mut session = AnalysisSession::new();

@@ -975,6 +975,16 @@ mod tests {
         assert!(err.message.contains("sourcefile"));
     }
 
+    /// A `\u` escape whose four digits carry a sign is malformed JSON,
+    /// not the character of the three digits after it.
+    #[test]
+    fn a_signed_unicode_escape_is_a_bad_request() {
+        let line = r#"{"schema":"syncopt.rpc.v1","id":7,"op":"query","query":{"command":"check","file":"\u+041"}}"#;
+        let (id, err) = decode_request(line).unwrap_err();
+        assert_eq!((id, err.code), (0, "bad-request"));
+        assert_eq!(err.message, "invalid JSON: bad \\u escape");
+    }
+
     #[test]
     fn error_response_round_trips() {
         for err in [
