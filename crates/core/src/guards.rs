@@ -107,7 +107,7 @@ fn eval_pure(e: &Expr, p: i64, procs: Option<u32>) -> Option<PureVal> {
                         if b == 0 {
                             return None;
                         }
-                        PureVal::Int(a.rem_euclid(b))
+                        PureVal::Int(a.wrapping_rem_euclid(b))
                     }
                     BinOp::Eq => PureVal::Bool(a == b),
                     BinOp::Ne => PureVal::Bool(a != b),

@@ -393,12 +393,19 @@ pub enum UnOp {
     Not,
 }
 
-impl fmt::Display for UnOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl UnOp {
+    /// The operator's source-level symbol (what [`fmt::Display`] prints).
+    pub fn symbol(self) -> &'static str {
+        match self {
             UnOp::Neg => "-",
             UnOp::Not => "!",
-        })
+        }
+    }
+}
+
+impl fmt::Display for UnOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.symbol())
     }
 }
 
@@ -446,11 +453,10 @@ impl BinOp {
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
-}
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+    /// The operator's source-level symbol (what [`fmt::Display`] prints).
+    pub fn symbol(self) -> &'static str {
+        match self {
             BinOp::Add => "+",
             BinOp::Sub => "-",
             BinOp::Mul => "*",
@@ -464,7 +470,13 @@ impl fmt::Display for BinOp {
             BinOp::Ge => ">=",
             BinOp::And => "&&",
             BinOp::Or => "||",
-        })
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.symbol())
     }
 }
 

@@ -9,203 +9,233 @@
 //!
 //! Restrictions: recursion is rejected, and `return` is only permitted in
 //! `main` (an inlined `return` would need a structured jump the AST lacks).
+//!
+//! The program is inlined by move: `main` and the declarations pass through
+//! untouched, and only `Call` statements are replaced, in place, by renamed
+//! copies of their callees. A call-free program allocates nothing.
 
-use crate::ast::{Expr, ExprKind, Function, LValue, Program, Stmt, StmtKind};
+use crate::ast::{Decl, Expr, ExprKind, Function, LValue, Program, Stmt, StmtKind};
 use crate::error::FrontendError;
 use crate::span::Span;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
+/// Fresh names by the callee-local names they replace.
+type Renames = HashMap<String, String>;
+
 /// Inlines all calls, returning a program whose only function is `main`.
+///
+/// An owned program is moved through; a borrowed one is copied first.
 ///
 /// # Errors
 ///
 /// Returns an error if the program has no `main`, if `main` takes
 /// parameters, if any call chain is recursive, or if an inlined function
 /// contains `return`.
-pub fn inline_program(program: &Program) -> Result<Program, FrontendError> {
-    let Some(main) = program.function("main") else {
+pub fn inline_program<'p>(program: impl Into<Cow<'p, Program>>) -> Result<Program, FrontendError> {
+    let Program {
+        decls,
+        mut functions,
+    } = program.into().into_owned();
+    let Some(at) = functions.iter().position(|f| f.name == "main") else {
         return Err(FrontendError::inline(
             Span::dummy(),
             "program has no `main` function",
         ));
     };
-    if !main.params.is_empty() {
+    if !functions[at].params.is_empty() {
         return Err(FrontendError::inline(
-            main.span,
+            functions[at].span,
             "`main` must not take parameters",
         ));
     }
-    let mut ctx = Inliner {
-        program,
-        stack: vec!["main".to_string()],
-        counter: 0,
-        taken: None,
-    };
-    let body = ctx.inline_stmts(&main.body, &HashMap::new(), true)?;
-    Ok(Program {
-        decls: program.decls.clone(),
-        functions: vec![Function {
-            name: "main".to_string(),
-            params: Vec::new(),
-            body,
-            span: main.span,
-        }],
-    })
+    if has_call(&functions[at].body) {
+        let mut body = std::mem::take(&mut functions[at].body);
+        let mut ctx = Inliner {
+            taken: identifiers_with_infix(&decls, &functions, &body),
+            functions: &functions,
+            stack: vec!["main"],
+            counter: 0,
+        };
+        ctx.inline_stmts(&mut body, &Renames::new(), true)?;
+        functions[at].body = body;
+    }
+    functions.swap(0, at);
+    functions.truncate(1);
+    Ok(Program { decls, functions })
+}
+
+impl From<Program> for Cow<'_, Program> {
+    fn from(program: Program) -> Self {
+        Cow::Owned(program)
+    }
+}
+
+impl<'p> From<&'p Program> for Cow<'p, Program> {
+    fn from(program: &'p Program) -> Self {
+        Cow::Borrowed(program)
+    }
 }
 
 struct Inliner<'a> {
-    program: &'a Program,
-    stack: Vec<String>,
+    /// The program's functions, `main`'s body taken out.
+    functions: &'a [Function],
+    stack: Vec<&'a str>,
     counter: u64,
     /// Every identifier of the program that a fresh name could equal —
-    /// those containing `__` — collected on the first call.
-    taken: Option<HashSet<&'a str>>,
+    /// those containing `__`.
+    taken: HashSet<String>,
 }
 
 impl<'a> Inliner<'a> {
+    /// Renames `stmts` in place and replaces each call among them by the
+    /// bound arguments and a block holding the callee's renamed body.
     fn inline_stmts(
         &mut self,
-        stmts: &[Stmt],
-        renames: &HashMap<String, String>,
+        stmts: &mut Vec<Stmt>,
+        renames: &Renames,
         in_main: bool,
-    ) -> Result<Vec<Stmt>, FrontendError> {
-        let mut out = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
-            self.inline_stmt(stmt, renames, in_main, &mut out)?;
+    ) -> Result<(), FrontendError> {
+        if !stmts
+            .iter()
+            .any(|stmt| matches!(stmt.kind, StmtKind::Call { .. }))
+        {
+            return stmts
+                .iter_mut()
+                .try_for_each(|stmt| self.inline_stmt(stmt, renames, in_main));
         }
-        Ok(out)
+        let old = std::mem::take(stmts);
+        stmts.reserve(old.len());
+        for stmt in old {
+            match stmt.kind {
+                StmtKind::Call { name, args } => {
+                    self.inline_call(&name, args, stmt.span, renames, stmts)?;
+                }
+                kind => {
+                    let mut stmt = Stmt::new(kind, stmt.span);
+                    self.inline_stmt(&mut stmt, renames, in_main)?;
+                    stmts.push(stmt);
+                }
+            }
+        }
+        Ok(())
     }
 
-    fn inline_stmt(
+    fn inline_call(
         &mut self,
-        stmt: &Stmt,
-        renames: &HashMap<String, String>,
-        in_main: bool,
+        name: &str,
+        args: Vec<Expr>,
+        span: Span,
+        renames: &Renames,
         out: &mut Vec<Stmt>,
     ) -> Result<(), FrontendError> {
-        let span = stmt.span;
-        match &stmt.kind {
-            StmtKind::Call { name, args } => {
-                if self.stack.iter().any(|f| f == name) {
-                    return Err(FrontendError::inline(
-                        span,
-                        format!("recursive call to `{name}` cannot be inlined"),
-                    ));
-                }
-                let callee = self
-                    .program
-                    .function(name)
-                    .ok_or_else(|| {
-                        FrontendError::inline(span, format!("call to unknown function `{name}`"))
-                    })?
-                    .clone();
-                // Fresh names for parameters and all locals of the callee:
-                // distinct calls differ in `n`, and no fresh name may equal
-                // an identifier the program already has.
-                let program = self.program;
-                let taken = self
-                    .taken
-                    .get_or_insert_with(|| identifiers_with_infix(program));
-                let mut callee_renames: HashMap<String, String> = HashMap::new();
-                loop {
-                    self.counter += 1;
-                    let suffix = format!("__{}_{}", name, self.counter);
-                    callee_renames.clear();
-                    for param in &callee.params {
-                        callee_renames
-                            .insert(param.name.clone(), format!("{}{}", param.name, suffix));
-                    }
-                    collect_local_decls(&callee.body, &mut |n| {
-                        callee_renames
-                            .entry(n.to_string())
-                            .or_insert_with(|| format!("{n}{suffix}"));
-                    });
-                    if !callee_renames
-                        .values()
-                        .any(|fresh| taken.contains(fresh.as_str()))
-                    {
-                        break;
-                    }
-                }
-
-                // Bind arguments (evaluated in the caller's scope).
-                for (param, arg) in callee.params.iter().zip(args) {
-                    out.push(Stmt::new(
-                        StmtKind::LocalDecl {
-                            name: callee_renames[&param.name].clone(),
-                            ty: param.ty,
-                            len: None,
-                            init: Some(rename_expr(arg, renames)),
-                        },
-                        span,
-                    ));
-                }
-
-                self.stack.push(name.clone());
-                let body = self.inline_stmts(&callee.body, &callee_renames, false)?;
-                self.stack.pop();
-                out.push(Stmt::new(StmtKind::Block(body), span));
-                Ok(())
+        if self.stack.contains(&name) {
+            return Err(FrontendError::inline(
+                span,
+                format!("recursive call to `{name}` cannot be inlined"),
+            ));
+        }
+        let functions = self.functions;
+        let callee = functions.iter().find(|f| f.name == name).ok_or_else(|| {
+            FrontendError::inline(span, format!("call to unknown function `{name}`"))
+        })?;
+        // Fresh names for parameters and all locals of the callee:
+        // distinct calls differ in `n`, and no fresh name may equal
+        // an identifier the program already has.
+        let mut callee_renames = Renames::new();
+        loop {
+            self.counter += 1;
+            let suffix = format!("__{}_{}", name, self.counter);
+            callee_renames.clear();
+            for param in &callee.params {
+                callee_renames.insert(param.name.clone(), format!("{}{}", param.name, suffix));
             }
-            StmtKind::Return => {
-                if in_main {
-                    out.push(Stmt::new(StmtKind::Return, span));
-                    Ok(())
-                } else {
-                    Err(FrontendError::inline(
-                        span,
-                        "`return` inside an inlined function is not supported",
-                    ))
-                }
+            collect_local_decls(&callee.body, &mut |n| {
+                callee_renames
+                    .entry(n.to_string())
+                    .or_insert_with(|| format!("{n}{suffix}"));
+            });
+            if !callee_renames
+                .values()
+                .any(|fresh| self.taken.contains(fresh))
+            {
+                break;
             }
-            StmtKind::LocalDecl {
-                name,
-                ty,
-                len,
-                init,
-            } => {
-                let name = renames.get(name).cloned().unwrap_or_else(|| name.clone());
-                out.push(Stmt::new(
-                    StmtKind::LocalDecl {
-                        name,
-                        ty: *ty,
-                        len: *len,
-                        init: init.as_ref().map(|e| rename_expr(e, renames)),
-                    },
-                    span,
+        }
+
+        // Bind arguments (evaluated in the caller's scope).
+        for (param, mut arg) in callee.params.iter().zip(args) {
+            rename_expr(&mut arg, renames);
+            out.push(Stmt::new(
+                StmtKind::LocalDecl {
+                    name: callee_renames[&param.name].clone(),
+                    ty: param.ty,
+                    len: None,
+                    init: Some(arg),
+                },
+                span,
+            ));
+        }
+
+        self.stack.push(&callee.name);
+        let mut body = callee.body.clone();
+        self.inline_stmts(&mut body, &callee_renames, false)?;
+        self.stack.pop();
+        out.push(Stmt::new(StmtKind::Block(body), span));
+        Ok(())
+    }
+
+    /// Renames `stmt` in place and inlines the calls nested in it.
+    fn inline_stmt(
+        &mut self,
+        stmt: &mut Stmt,
+        renames: &Renames,
+        in_main: bool,
+    ) -> Result<(), FrontendError> {
+        match &mut stmt.kind {
+            StmtKind::Call { .. } => {
+                // Only a `for` header holds a statement outside a list, and
+                // the parser puts an assignment there; a call would become
+                // a block.
+                let call = std::mem::replace(&mut stmt.kind, StmtKind::Block(Vec::new()));
+                let mut block = vec![Stmt::new(call, stmt.span)];
+                self.inline_stmts(&mut block, renames, in_main)?;
+                stmt.kind = StmtKind::Block(block);
+            }
+            StmtKind::Return if !in_main => {
+                return Err(FrontendError::inline(
+                    stmt.span,
+                    "`return` inside an inlined function is not supported",
                 ));
-                Ok(())
+            }
+            StmtKind::LocalDecl { name, init, .. } => {
+                rename(name, renames);
+                if let Some(init) = init {
+                    rename_expr(init, renames);
+                }
             }
             StmtKind::Assign { lhs, rhs } => {
-                out.push(Stmt::new(
-                    StmtKind::Assign {
-                        lhs: rename_lvalue(lhs, renames),
-                        rhs: rename_expr(rhs, renames),
-                    },
-                    span,
-                ));
-                Ok(())
+                match lhs {
+                    LValue::Var { name, .. } => rename(name, renames),
+                    LValue::ArrayElem { name, index, .. } => {
+                        rename(name, renames);
+                        rename_expr(index, renames);
+                    }
+                }
+                rename_expr(rhs, renames);
             }
             StmtKind::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let kind = StmtKind::If {
-                    cond: rename_expr(cond, renames),
-                    then_branch: self.inline_stmts(then_branch, renames, in_main)?,
-                    else_branch: self.inline_stmts(else_branch, renames, in_main)?,
-                };
-                out.push(Stmt::new(kind, span));
-                Ok(())
+                rename_expr(cond, renames);
+                self.inline_stmts(then_branch, renames, in_main)?;
+                self.inline_stmts(else_branch, renames, in_main)?;
             }
             StmtKind::While { cond, body } => {
-                let kind = StmtKind::While {
-                    cond: rename_expr(cond, renames),
-                    body: self.inline_stmts(body, renames, in_main)?,
-                };
-                out.push(Stmt::new(kind, span));
-                Ok(())
+                rename_expr(cond, renames);
+                self.inline_stmts(body, renames, in_main)?;
             }
             StmtKind::For {
                 init,
@@ -213,68 +243,58 @@ impl<'a> Inliner<'a> {
                 step,
                 body,
             } => {
-                let mut init_v = Vec::new();
-                self.inline_stmt(init, renames, in_main, &mut init_v)?;
-                let mut step_v = Vec::new();
-                self.inline_stmt(step, renames, in_main, &mut step_v)?;
-                debug_assert_eq!(init_v.len(), 1);
-                debug_assert_eq!(step_v.len(), 1);
-                let kind = StmtKind::For {
-                    init: Box::new(init_v.pop().expect("one init statement")),
-                    cond: rename_expr(cond, renames),
-                    step: Box::new(step_v.pop().expect("one step statement")),
-                    body: self.inline_stmts(body, renames, in_main)?,
-                };
-                out.push(Stmt::new(kind, span));
-                Ok(())
+                self.inline_stmt(init, renames, in_main)?;
+                self.inline_stmt(step, renames, in_main)?;
+                rename_expr(cond, renames);
+                self.inline_stmts(body, renames, in_main)?;
             }
-            StmtKind::Post { flag, index } => {
-                out.push(Stmt::new(
-                    StmtKind::Post {
-                        flag: flag.clone(),
-                        index: index.as_ref().map(|e| rename_expr(e, renames)),
-                    },
-                    span,
-                ));
-                Ok(())
+            StmtKind::Post { index, .. } | StmtKind::Wait { index, .. } => {
+                if let Some(index) = index {
+                    rename_expr(index, renames);
+                }
             }
-            StmtKind::Wait { flag, index } => {
-                out.push(Stmt::new(
-                    StmtKind::Wait {
-                        flag: flag.clone(),
-                        index: index.as_ref().map(|e| rename_expr(e, renames)),
-                    },
-                    span,
-                ));
-                Ok(())
-            }
-            StmtKind::Work { cost } => {
-                out.push(Stmt::new(
-                    StmtKind::Work {
-                        cost: rename_expr(cost, renames),
-                    },
-                    span,
-                ));
-                Ok(())
-            }
-            StmtKind::Block(stmts) => {
-                let inner = self.inline_stmts(stmts, renames, in_main)?;
-                out.push(Stmt::new(StmtKind::Block(inner), span));
-                Ok(())
-            }
-            StmtKind::Barrier | StmtKind::Lock { .. } | StmtKind::Unlock { .. } => {
-                out.push(stmt.clone());
-                Ok(())
-            }
+            StmtKind::Work { cost } => rename_expr(cost, renames),
+            StmtKind::Block(stmts) => self.inline_stmts(stmts, renames, in_main)?,
+            StmtKind::Return
+            | StmtKind::Barrier
+            | StmtKind::Lock { .. }
+            | StmtKind::Unlock { .. } => {}
         }
+        Ok(())
     }
 }
 
-/// Every identifier of `program` containing `__`, the infix of every fresh
+/// Whether any statement of `stmts`, at any depth, is a call.
+fn has_call(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|stmt| match &stmt.kind {
+        StmtKind::Call { .. } => true,
+        StmtKind::If {
+            then_branch,
+            else_branch,
+            ..
+        } => has_call(then_branch) || has_call(else_branch),
+        StmtKind::While { body, .. } | StmtKind::Block(body) => has_call(body),
+        StmtKind::For {
+            init, step, body, ..
+        } => {
+            has_call(std::slice::from_ref(init))
+                || has_call(std::slice::from_ref(step))
+                || has_call(body)
+        }
+        _ => false,
+    })
+}
+
+/// Every identifier of the program containing `__`, the infix of every fresh
 /// name: global declarations, functions, parameters, locals and every name
-/// a statement or expression mentions.
-fn identifiers_with_infix(program: &Program) -> HashSet<&str> {
-    fn expr<'p>(e: &'p Expr, out: &mut HashSet<&'p str>) {
+/// a statement or expression mentions. `main_body` stands in for the body
+/// of `main`, taken out of `functions`.
+fn identifiers_with_infix(
+    decls: &[Decl],
+    functions: &[Function],
+    main_body: &[Stmt],
+) -> HashSet<String> {
+    fn expr(e: &Expr, out: &mut HashSet<String>) {
         match &e.kind {
             ExprKind::Var(name) => note(name, out),
             ExprKind::ArrayElem { name, index } => {
@@ -289,7 +309,7 @@ fn identifiers_with_infix(program: &Program) -> HashSet<&str> {
             _ => {}
         }
     }
-    fn stmts<'p>(body: &'p [Stmt], out: &mut HashSet<&'p str>) {
+    fn stmts(body: &[Stmt], out: &mut HashSet<String>) {
         for stmt in body {
             match &stmt.kind {
                 StmtKind::LocalDecl { name, init, .. } => {
@@ -342,22 +362,23 @@ fn identifiers_with_infix(program: &Program) -> HashSet<&str> {
             }
         }
     }
-    fn note<'p>(name: &'p str, out: &mut HashSet<&'p str>) {
+    fn note(name: &str, out: &mut HashSet<String>) {
         if name.contains("__") {
-            out.insert(name);
+            out.insert(name.to_owned());
         }
     }
     let mut out = HashSet::new();
-    for decl in &program.decls {
+    for decl in decls {
         note(decl.name(), &mut out);
     }
-    for f in &program.functions {
+    for f in functions {
         note(&f.name, &mut out);
         for p in &f.params {
             note(&p.name, &mut out);
         }
         stmts(&f.body, &mut out);
     }
+    stmts(main_body, &mut out);
     out
 }
 
@@ -388,40 +409,32 @@ fn collect_local_decls(stmts: &[Stmt], f: &mut impl FnMut(&str)) {
     }
 }
 
-fn rename_expr(expr: &Expr, renames: &HashMap<String, String>) -> Expr {
-    let kind = match &expr.kind {
-        ExprKind::Var(name) => {
-            ExprKind::Var(renames.get(name).cloned().unwrap_or_else(|| name.clone()))
-        }
-        ExprKind::ArrayElem { name, index } => ExprKind::ArrayElem {
-            name: renames.get(name).cloned().unwrap_or_else(|| name.clone()),
-            index: Box::new(rename_expr(index, renames)),
-        },
-        ExprKind::Unary { op, expr: inner } => ExprKind::Unary {
-            op: *op,
-            expr: Box::new(rename_expr(inner, renames)),
-        },
-        ExprKind::Binary { op, lhs, rhs } => ExprKind::Binary {
-            op: *op,
-            lhs: Box::new(rename_expr(lhs, renames)),
-            rhs: Box::new(rename_expr(rhs, renames)),
-        },
-        other => other.clone(),
-    };
-    Expr::new(kind, expr.span)
+fn rename(name: &mut String, renames: &Renames) {
+    if let Some(fresh) = renames.get(name.as_str()) {
+        name.clone_from(fresh);
+    }
 }
 
-fn rename_lvalue(lvalue: &LValue, renames: &HashMap<String, String>) -> LValue {
-    match lvalue {
-        LValue::Var { name, span } => LValue::Var {
-            name: renames.get(name).cloned().unwrap_or_else(|| name.clone()),
-            span: *span,
-        },
-        LValue::ArrayElem { name, index, span } => LValue::ArrayElem {
-            name: renames.get(name).cloned().unwrap_or_else(|| name.clone()),
-            index: Box::new(rename_expr(index, renames)),
-            span: *span,
-        },
+fn rename_expr(expr: &mut Expr, renames: &Renames) {
+    if renames.is_empty() {
+        return;
+    }
+    match &mut expr.kind {
+        ExprKind::Var(name) => rename(name, renames),
+        ExprKind::ArrayElem { name, index } => {
+            rename(name, renames);
+            rename_expr(index, renames);
+        }
+        ExprKind::Unary { expr: inner, .. } => rename_expr(inner, renames),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            rename_expr(lhs, renames);
+            rename_expr(rhs, renames);
+        }
+        ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::BoolLit(_)
+        | ExprKind::MyProc
+        | ExprKind::Procs => {}
     }
 }
 

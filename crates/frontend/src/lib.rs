@@ -91,5 +91,5 @@ pub fn check_program(src: &str) -> Result<Program, FrontendError> {
 /// program has no `main` function.
 pub fn prepare_program(src: &str) -> Result<Program, FrontendError> {
     let program = check_program(src)?;
-    inline::inline_program(&program)
+    inline::inline_program(program)
 }

@@ -101,7 +101,7 @@ fn fold_binary(op: BinOp, l: &Expr, r: &Expr) -> Folded {
             Sub => return Const(Expr::Int(a.wrapping_sub(b))),
             Mul => return Const(Expr::Int(a.wrapping_mul(b))),
             Div if b != 0 => return Const(Expr::Int(a.wrapping_div(b))),
-            Rem if b != 0 => return Const(Expr::Int(a.rem_euclid(b))),
+            Rem if b != 0 => return Const(Expr::Int(a.wrapping_rem_euclid(b))),
             Eq => return Const(Expr::Bool(a == b)),
             Ne => return Const(Expr::Bool(a != b)),
             Lt => return Const(Expr::Bool(a < b)),
@@ -298,7 +298,7 @@ mod reference {
                 Sub => return Expr::Int(a.wrapping_sub(b)),
                 Mul => return Expr::Int(a.wrapping_mul(b)),
                 Div if b != 0 => return Expr::Int(a.wrapping_div(b)),
-                Rem if b != 0 => return Expr::Int(a.rem_euclid(b)),
+                Rem if b != 0 => return Expr::Int(a.wrapping_rem_euclid(b)),
                 Eq => return Expr::Bool(a == b),
                 Ne => return Expr::Bool(a != b),
                 Lt => return Expr::Bool(a < b),

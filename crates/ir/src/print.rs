@@ -1,195 +1,314 @@
-//! Human-readable CFG dumps (used by examples, tests, and debugging).
+//! Human-readable CFG dumps: examples, tests, debugging, and the
+//! canonical text behind the session's cache keys.
+//!
+//! One writer appends to a caller's buffer — names are copied in and
+//! numbers formatted in place — so printing into a buffer that already has
+//! room allocates nothing. [`cfg_to_string`], [`instr_to_string`],
+//! [`expr_names`] and [`cfg_to_dot`] are thin callers of it.
 
 use crate::cfg::{Cfg, Instr, Terminator};
+use crate::expr::{Expr, SharedRef};
+use crate::ids::VarId;
 use std::fmt::Write;
 
-/// Renders an instruction using source-level variable names.
-pub fn instr_to_string(cfg: &Cfg, instr: &Instr) -> String {
-    let name = |v: crate::ids::VarId| cfg.vars.info(v).name.clone();
-    let sref = |r: &crate::expr::SharedRef| match &r.index {
-        Some(idx) => format!("{}[{}]", name(r.var), expr_names(cfg, idx)),
-        None => name(r.var),
-    };
-    match instr {
+/// Appends the whole CFG to `out`, one block per paragraph.
+pub fn write_cfg(out: &mut String, cfg: &Cfg) {
+    for b in cfg.block_ids() {
+        write_number(out, "bb", b.0.into());
+        out.push_str(match (b == cfg.entry, b == cfg.exit) {
+            (true, true) => ": (entry, exit)\n",
+            (true, false) => ": (entry)\n",
+            (false, true) => ": (exit)\n",
+            (false, false) => ":\n",
+        });
+        let block = cfg.block(b);
+        for instr in &block.instrs {
+            out.push_str("    ");
+            write_instr(out, cfg, instr);
+            out.push('\n');
+        }
+        match &block.term {
+            Terminator::Goto(t) => write_number(out, "    goto bb", t.0.into()),
+            Terminator::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            } => {
+                out.push_str("    branch ");
+                write_expr(out, cfg, cond);
+                write_number(out, " ? bb", then_bb.0.into());
+                write_number(out, " : bb", else_bb.0.into());
+            }
+            Terminator::Return => out.push_str("    return"),
+        }
+        out.push_str("\n\n");
+    }
+}
+
+/// Appends an instruction to `out` using source-level variable names.
+pub fn write_instr(out: &mut String, cfg: &Cfg, instr: &Instr) {
+    let access = match instr {
         Instr::GetShared { access, dst, src } => {
-            format!("{} = read {}    ; {access}", name(*dst), sref(src))
+            write_name(out, cfg, *dst);
+            out.push_str(" = read ");
+            write_ref(out, cfg, src);
+            access
         }
         Instr::PutShared { access, dst, src } => {
-            format!(
-                "write {} = {}    ; {access}",
-                sref(dst),
-                expr_names(cfg, src)
-            )
+            out.push_str("write ");
+            write_ref(out, cfg, dst);
+            out.push_str(" = ");
+            write_expr(out, cfg, src);
+            access
         }
         Instr::GetInit {
             access,
             dst,
             src,
             ctr,
-        } => format!(
-            "get_ctr({}, {}, {ctr})    ; {access}",
-            name(*dst),
-            sref(src)
-        ),
+        } => {
+            out.push_str("get_ctr(");
+            write_name(out, cfg, *dst);
+            out.push_str(", ");
+            write_ref(out, cfg, src);
+            write_number(out, ", ctr", ctr.0.into());
+            out.push(')');
+            access
+        }
         Instr::PutInit {
             access,
             dst,
             src,
             ctr,
-        } => format!(
-            "put_ctr({}, {}, {ctr})    ; {access}",
-            sref(dst),
-            expr_names(cfg, src)
-        ),
-        Instr::StoreInit { access, dst, src } => {
-            format!(
-                "store({}, {})    ; {access}",
-                sref(dst),
-                expr_names(cfg, src)
-            )
+        } => {
+            out.push_str("put_ctr(");
+            write_ref(out, cfg, dst);
+            out.push_str(", ");
+            write_expr(out, cfg, src);
+            write_number(out, ", ctr", ctr.0.into());
+            out.push(')');
+            access
         }
-        Instr::SyncCtr { ctr } => format!("sync_ctr({ctr})"),
+        Instr::StoreInit { access, dst, src } => {
+            out.push_str("store(");
+            write_ref(out, cfg, dst);
+            out.push_str(", ");
+            write_expr(out, cfg, src);
+            out.push(')');
+            access
+        }
+        Instr::SyncCtr { ctr } => {
+            write_number(out, "sync_ctr(ctr", ctr.0.into());
+            out.push(')');
+            return;
+        }
         Instr::AssignLocal { dst, value } => {
-            format!("{} = {}", name(*dst), expr_names(cfg, value))
+            write_name(out, cfg, *dst);
+            out.push_str(" = ");
+            write_expr(out, cfg, value);
+            return;
         }
         Instr::AssignLocalElem {
             array,
             index,
             value,
-        } => format!(
-            "{}[{}] = {}",
-            name(*array),
-            expr_names(cfg, index),
-            expr_names(cfg, value)
-        ),
-        Instr::Work { cost } => format!("work({})", expr_names(cfg, cost)),
+        } => {
+            write_ref_parts(out, cfg, *array, Some(index));
+            out.push_str(" = ");
+            write_expr(out, cfg, value);
+            return;
+        }
+        Instr::Work { cost } => {
+            out.push_str("work(");
+            write_expr(out, cfg, cost);
+            out.push(')');
+            return;
+        }
         Instr::Post {
             access,
             flag,
             index,
-        } => match index {
-            Some(idx) => format!(
-                "post {}[{}]    ; {access}",
-                name(*flag),
-                expr_names(cfg, idx)
-            ),
-            None => format!("post {}    ; {access}", name(*flag)),
-        },
+        } => {
+            out.push_str("post ");
+            write_ref_parts(out, cfg, *flag, index.as_ref());
+            access
+        }
         Instr::Wait {
             access,
             flag,
             index,
-        } => match index {
-            Some(idx) => format!(
-                "wait {}[{}]    ; {access}",
-                name(*flag),
-                expr_names(cfg, idx)
-            ),
-            None => format!("wait {}    ; {access}", name(*flag)),
-        },
-        Instr::Barrier { access } => format!("barrier    ; {access}"),
-        Instr::LockAcq { access, lock } => format!("lock {}    ; {access}", name(*lock)),
-        Instr::LockRel { access, lock } => format!("unlock {}    ; {access}", name(*lock)),
+        } => {
+            out.push_str("wait ");
+            write_ref_parts(out, cfg, *flag, index.as_ref());
+            access
+        }
+        Instr::Barrier { access } => {
+            out.push_str("barrier");
+            access
+        }
+        Instr::LockAcq { access, lock } => {
+            out.push_str("lock ");
+            write_name(out, cfg, *lock);
+            access
+        }
+        Instr::LockRel { access, lock } => {
+            out.push_str("unlock ");
+            write_name(out, cfg, *lock);
+            access
+        }
+    };
+    write_number(out, "    ; a", access.0.into());
+}
+
+/// Appends an expression to `out` using source-level variable names.
+pub fn write_expr(out: &mut String, cfg: &Cfg, expr: &Expr) {
+    match expr {
+        Expr::Int(v) => {
+            if *v < 0 {
+                out.push('-');
+            }
+            write_number(out, "", v.unsigned_abs());
+        }
+        Expr::Float(v) => write!(out, "{v}").expect("writing to a String cannot fail"),
+        Expr::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+        Expr::Local(v) => write_name(out, cfg, *v),
+        Expr::LocalElem { array, index } => write_ref_parts(out, cfg, *array, Some(index)),
+        Expr::MyProc => out.push_str("MYPROC"),
+        Expr::Procs => out.push_str("PROCS"),
+        Expr::Unary { op, expr } => {
+            out.push_str(op.symbol());
+            out.push('(');
+            write_expr(out, cfg, expr);
+            out.push(')');
+        }
+        Expr::Binary { op, lhs, rhs } => {
+            out.push('(');
+            write_expr(out, cfg, lhs);
+            out.push(' ');
+            out.push_str(op.symbol());
+            out.push(' ');
+            write_expr(out, cfg, rhs);
+            out.push(')');
+        }
     }
 }
 
-/// Renders an expression using source-level variable names.
-pub fn expr_names(cfg: &Cfg, expr: &crate::expr::Expr) -> String {
-    use crate::expr::Expr;
-    match expr {
-        Expr::Int(v) => v.to_string(),
-        Expr::Float(v) => v.to_string(),
-        Expr::Bool(v) => v.to_string(),
-        Expr::Local(v) => cfg.vars.info(*v).name.clone(),
-        Expr::LocalElem { array, index } => {
-            format!("{}[{}]", cfg.vars.info(*array).name, expr_names(cfg, index))
-        }
-        Expr::MyProc => "MYPROC".to_string(),
-        Expr::Procs => "PROCS".to_string(),
-        Expr::Unary { op, expr } => format!("{op}({})", expr_names(cfg, expr)),
-        Expr::Binary { op, lhs, rhs } => {
-            format!("({} {op} {})", expr_names(cfg, lhs), expr_names(cfg, rhs))
+fn write_name(out: &mut String, cfg: &Cfg, var: VarId) {
+    out.push_str(&cfg.vars.info(var).name);
+}
+
+fn write_ref(out: &mut String, cfg: &Cfg, r: &SharedRef) {
+    write_ref_parts(out, cfg, r.var, r.index.as_ref());
+}
+
+/// `name`, or `name[index]` when there is an index.
+fn write_ref_parts(out: &mut String, cfg: &Cfg, var: VarId, index: Option<&Expr>) {
+    write_name(out, cfg, var);
+    if let Some(index) = index {
+        out.push('[');
+        write_expr(out, cfg, index);
+        out.push(']');
+    }
+}
+
+/// Appends `prefix`, then `n` in decimal.
+fn write_number(out: &mut String, prefix: &str, mut n: u64) {
+    out.push_str(prefix);
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Renders an instruction using source-level variable names.
+pub fn instr_to_string(cfg: &Cfg, instr: &Instr) -> String {
+    let mut out = String::new();
+    write_instr(&mut out, cfg, instr);
+    out
+}
+
+/// Renders an expression using source-level variable names.
+pub fn expr_names(cfg: &Cfg, expr: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, cfg, expr);
+    out
 }
 
 /// Renders the whole CFG, one block per paragraph.
 pub fn cfg_to_string(cfg: &Cfg) -> String {
     let mut out = String::new();
-    for b in cfg.block_ids() {
-        let tags = [
-            (b == cfg.entry).then_some("entry"),
-            (b == cfg.exit).then_some("exit"),
-        ]
-        .into_iter()
-        .flatten()
-        .collect::<Vec<_>>()
-        .join(", ");
-        if tags.is_empty() {
-            writeln!(out, "{b}:").unwrap();
-        } else {
-            writeln!(out, "{b}: ({tags})").unwrap();
-        }
-        for instr in &cfg.block(b).instrs {
-            writeln!(out, "    {}", instr_to_string(cfg, instr)).unwrap();
-        }
-        match &cfg.block(b).term {
-            Terminator::Goto(t) => writeln!(out, "    goto {t}").unwrap(),
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => writeln!(
-                out,
-                "    branch {} ? {then_bb} : {else_bb}",
-                expr_names(cfg, cond)
-            )
-            .unwrap(),
-            Terminator::Return => writeln!(out, "    return").unwrap(),
-        }
-        out.push('\n');
-    }
+    write_cfg(&mut out, cfg);
     out
 }
 
 /// Renders the CFG as a Graphviz `dot` digraph (one record node per block).
 pub fn cfg_to_dot(cfg: &Cfg, title: &str) -> String {
-    let mut out = String::new();
-    writeln!(out, "digraph \"{title}\" {{").unwrap();
-    writeln!(out, "    node [shape=box, fontname=\"monospace\"];").unwrap();
+    let mut out = format!("digraph \"{title}\" {{\n");
+    out.push_str("    node [shape=box, fontname=\"monospace\"];\n");
+    let mut text = String::new();
     for b in cfg.block_ids() {
-        let mut label = format!("{b}");
+        write_number(&mut out, "    bb", b.0.into());
+        write_number(&mut out, " [label=\"bb", b.0.into());
         if b == cfg.entry {
-            label.push_str(" (entry)");
+            out.push_str(" (entry)");
         }
         if b == cfg.exit {
-            label.push_str(" (exit)");
+            out.push_str(" (exit)");
         }
-        label.push_str("\\l");
+        out.push_str("\\l");
         for instr in &cfg.block(b).instrs {
-            let line = instr_to_string(cfg, instr)
-                .replace('\\', "\\\\")
-                .replace('"', "\\\"");
-            label.push_str(&line);
-            label.push_str("\\l");
+            text.clear();
+            write_instr(&mut text, cfg, instr);
+            push_dot_escaped(&mut out, &text, true);
+            out.push_str("\\l");
         }
-        writeln!(out, "    {b} [label=\"{label}\"];").unwrap();
+        out.push_str("\"];\n");
         match &cfg.block(b).term {
-            Terminator::Goto(t) => writeln!(out, "    {b} -> {t};").unwrap(),
+            Terminator::Goto(t) => {
+                write_number(&mut out, "    bb", b.0.into());
+                write_number(&mut out, " -> bb", t.0.into());
+                out.push_str(";\n");
+            }
             Terminator::Branch {
                 cond,
                 then_bb,
                 else_bb,
             } => {
-                let c = expr_names(cfg, cond).replace('"', "\\\"");
-                writeln!(out, "    {b} -> {then_bb} [label=\"{c}\"];").unwrap();
-                writeln!(out, "    {b} -> {else_bb} [label=\"!\"];").unwrap();
+                text.clear();
+                write_expr(&mut text, cfg, cond);
+                write_number(&mut out, "    bb", b.0.into());
+                write_number(&mut out, " -> bb", then_bb.0.into());
+                out.push_str(" [label=\"");
+                push_dot_escaped(&mut out, &text, false);
+                out.push_str("\"];\n");
+                write_number(&mut out, "    bb", b.0.into());
+                write_number(&mut out, " -> bb", else_bb.0.into());
+                out.push_str(" [label=\"!\"];\n");
             }
             Terminator::Return => {}
         }
     }
-    writeln!(out, "}}").unwrap();
+    out.push_str("}\n");
     out
+}
+
+/// Appends `text` with each `"` escaped, and each `\` too when
+/// `backslashes` is set (branch labels escape quotes only).
+fn push_dot_escaped(out: &mut String, text: &str, backslashes: bool) {
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' if backslashes => out.push_str("\\\\"),
+            c => out.push(c),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -256,7 +256,7 @@ fn sym_binop(op: BinOp, l: Value, r: Value) -> Option<Value> {
                 if b == 0 {
                     return None;
                 }
-                Value::Int(a.rem_euclid(b))
+                Value::Int(a.wrapping_rem_euclid(b))
             }
             Eq => Value::Bool(a == b),
             Ne => Value::Bool(a != b),

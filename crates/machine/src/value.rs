@@ -263,7 +263,7 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, SimError> {
             if b == 0 {
                 return Err(SimError::new("modulo by zero"));
             }
-            Ok(Value::Int(a.rem_euclid(b)))
+            Ok(Value::Int(a.wrapping_rem_euclid(b)))
         }
         _ => match (l, r) {
             (Value::Int(a), Value::Int(b)) => match op {

@@ -549,7 +549,7 @@ impl AnalysisSession {
             Lookup::Miss(program) => {
                 timings.time("typeck", || syncopt_frontend::typeck::check(&program))?;
                 let inlined = timings.time("inline", || {
-                    syncopt_frontend::inline::inline_program(&program)
+                    syncopt_frontend::inline::inline_program(program)
                 })?;
                 let cfg = timings.time("lower", || syncopt_ir::lower::lower_main(&inlined))?;
                 let source = Arc::new(Keyed::new(cfg, "analysis.v2", |cfg| cfg));
@@ -1055,6 +1055,85 @@ mod tests {
         let key = key.push("d").push("local[]").push_u64(3).push("double");
         let key = key.push_u64(1).push_u64(1.5f64.to_bits()).push_u64(5);
         assert_eq!(cfg.text_key(), key.push(&cfg_to_string(&cfg.artifact)));
+    }
+
+    /// The canonical-text keys of the kernels at 16 processors, as the
+    /// `format!` printer that came before the one-buffer writer made them:
+    /// the source CFG's `analysis.v2` stem, then the optimized CFG's
+    /// `sim.v2` stem at `Blocking`, `Pipelined`, `OneWay` and `Full`.
+    #[test]
+    fn kernel_canonical_keys_keep_their_fingerprints() {
+        const PINNED: [(&str, &str, [&str; 4]); 5] = [
+            (
+                "Ocean",
+                "0d921f6a0268f420e9c030509f3d3298",
+                [
+                    "ef950333df46120362a5b8526cf21b71",
+                    "547944e93170236bc975decc43cf992a",
+                    "b8117674cef60cf5cc94e0e68b62d559",
+                    "b8117674cef60cf5cc94e0e68b62d559",
+                ],
+            ),
+            (
+                "EM3D",
+                "e325bd404126d4fe13721e33a85da8d7",
+                [
+                    "dc120fb6c9906d351841739c2a2c2497",
+                    "47e46b10086caaded440c0734f592133",
+                    "5f699b5676116948174ed64c21151811",
+                    "5f699b5676116948174ed64c21151811",
+                ],
+            ),
+            (
+                "Epithel",
+                "1d958bdf0e2b82abf080a73a3058dee2",
+                [
+                    "13615606277fa066f7bdb43f1759c1ed",
+                    "0aaba964f3b00dcbcea2bed39f61bc53",
+                    "8bbeb5693e23b1a12ae9536848ba8df2",
+                    "8bbeb5693e23b1a12ae9536848ba8df2",
+                ],
+            ),
+            (
+                "Cholesky",
+                "c0560dcc6755e389717d0f2bded51fa1",
+                [
+                    "6163d462e6e9c49b6c6d908c92b99625",
+                    "29f03778712a8cf23010ef8939201810",
+                    "29f03778712a8cf23010ef8939201810",
+                    "3e613fc8710debf6d040683f84a146ea",
+                ],
+            ),
+            (
+                "Health",
+                "fb51b446ba3cd3cb3ec4fe98b539f81f",
+                [
+                    "05be4c5a1983a95dd8606671df32148b",
+                    "045b5ebfedbf40b40dc25e68cafc8431",
+                    "045b5ebfedbf40b40dc25e68cafc8431",
+                    "045b5ebfedbf40b40dc25e68cafc8431",
+                ],
+            ),
+        ];
+        let levels = [
+            OptLevel::Blocking,
+            OptLevel::Pipelined,
+            OptLevel::OneWay,
+            OptLevel::Full,
+        ];
+        let mut s = AnalysisSession::new();
+        let kernels = syncopt_kernels::all_kernels(16);
+        assert_eq!(kernels.len(), PINNED.len());
+        for (k, (name, source, optimized)) in kernels.iter().zip(PINNED) {
+            assert_eq!(k.name, name);
+            let analyzed = s.analyzed(&k.source, &opts(16)).unwrap();
+            assert_eq!(analyzed.source.text_key().to_string(), source, "{name}");
+            for (level, pinned) in levels.into_iter().zip(optimized) {
+                let compiled = s.compile_shared(analyzed.clone(), level);
+                let key = compiled.optimized.text_key().to_string();
+                assert_eq!(key, pinned, "{name} at {level:?}");
+            }
+        }
     }
 
     /// The `sim` key names every machine parameter: changing any single

@@ -10,25 +10,31 @@
 //!
 //! The counts are asserted without `debug_assertions` only (a debug build
 //! re-derives every memoized cache key to check it):
-//! `cargo test --release --test alloc_budget`.
+//! `cargo test --release --test alloc_budget`. Two layers of the front end
+//! are held to no allocation at all, in every build: inlining a call-free
+//! program, and printing a CFG into a buffer that has the room.
 
 mod common;
 
 use common::allocations;
 use syncopt::core::corpus::corpus_program;
+use syncopt::frontend::{check_program, inline::inline_program};
+use syncopt::ir::print::{cfg_to_string, write_cfg};
 use syncopt::kernels::all_kernels;
 use syncopt::kernels::scaling::{self, ScalingIdiom, ScalingParams};
 use syncopt::{OptLevel, Syncopt};
 
-/// Mean allocator calls per op allowed over the small class: 353 when the
-/// budget was last lowered (once the analysis counters became a fixed
-/// array and the report was written without a `json::Value` tree), 376
-/// before that, and 970 before the cold path stopped deriving cache keys
-/// and the graph helpers stopped allocating per node.
-const SMALL_BUDGET: u64 = 380;
-/// The same over all 236 programs: 431 when lowered, 454 before, 1 181
-/// before the first budget.
-const SET_BUDGET: u64 = 460;
+/// Mean allocator calls per op allowed over the small class: 306 when the
+/// budget was last lowered (once the inliner moved a call-free program
+/// through instead of rebuilding it), 353 before that (once the analysis
+/// counters became a fixed array and the report was written without a
+/// `json::Value` tree), 376 before that, and 970 before the cold path
+/// stopped deriving cache keys and the graph helpers stopped allocating
+/// per node.
+const SMALL_BUDGET: u64 = 333;
+/// The same over all 236 programs: 367 when lowered, 431 and 454 before,
+/// 1 181 before the first budget.
+const SET_BUDGET: u64 = 396;
 
 struct Program {
     class: &'static str,
@@ -129,4 +135,41 @@ fn a_cold_compile_stays_inside_its_allocation_budget() {
         "all 236 programs: {} allocations per cold compile, budget {SET_BUDGET}",
         mean(None)
     );
+}
+
+/// Inlining moves the program through, and a call-free one needs nothing
+/// more: no statement is rebuilt and no name copied.
+#[test]
+fn inlining_a_call_free_program_allocates_nothing() {
+    for p in compile_set() {
+        let program = check_program(&p.source).expect("program checks");
+        let before = allocations();
+        let inlined = inline_program(program).expect("program inlines");
+        assert_eq!(allocations(), before, "a {} program", p.class);
+        assert_eq!(inlined.functions.len(), 1);
+    }
+}
+
+/// The printer appends names and numbers in place: a kernel's source and
+/// optimized CFG printed into a buffer that already has the room cost no
+/// allocator call.
+#[test]
+fn printing_a_kernel_cfg_into_a_buffer_with_room_allocates_nothing() {
+    for procs in [16, 256] {
+        for k in all_kernels(procs) {
+            let compiled = Syncopt::new(&k.source)
+                .procs(procs)
+                .level(OptLevel::Full)
+                .compile()
+                .expect("kernel compiles");
+            for cfg in [&compiled.source_cfg, &compiled.optimized.cfg] {
+                let text = cfg_to_string(cfg);
+                let mut out = String::with_capacity(text.len());
+                let before = allocations();
+                write_cfg(&mut out, cfg);
+                assert_eq!(allocations(), before, "{} at {procs}", k.name);
+                assert_eq!(out, text);
+            }
+        }
+    }
 }

@@ -129,6 +129,86 @@ fn run_inlines_without_capturing_a_callers_local() {
     assert!(stdout.contains("Y = [7, 7, 0, 0, 0, 0, 0, 0]"), "{stdout}");
 }
 
+/// `i64::MIN % -1` overflows `rem_euclid`, and every entry point used to
+/// panic on it and exit 101: the folder (`opt --level full`, `lint`), the
+/// guard evaluator (`analyze`, `check`), the simulator (`run`) and the
+/// litmus evaluator. The remainder wraps to 0 now, as `i64::MIN / -1`
+/// already wrapped, so folded and simulated programs agree. Here the
+/// operands are constants: folded at `--level full`, computed at run time
+/// below it.
+const I64_MIN_REMAINDER: &str = "shared int X;\n\
+    fn main() { int x; x = ((0 - 9223372036854775807) - 1) % (0 - 1); if (MYPROC == 0) { X = x + 5; } }\n";
+
+/// The same remainder in a branch guard, which the analysis evaluates
+/// per processor: only processor 0 writes.
+const I64_MIN_REMAINDER_GUARD: &str = "shared int X;\n\
+    fn main() { if (((0 - 9223372036854775807) - 1) % (0 - 1) == MYPROC) { X = 1; } }\n";
+
+/// The same remainder over a divisor read from shared memory, which only
+/// the simulator computes.
+const I64_MIN_REMAINDER_SHARED: &str = "shared int X; shared int Y;\n\
+    fn main() { int x; x = ((0 - 9223372036854775807) - 1) % (Y - 1); if (MYPROC == 0) { X = x + 5; } }\n";
+
+/// `syncoptc <command> <a file holding src> <flags>`.
+fn syncoptc_on(command: &str, src: &str, flags: &[&str]) -> (bool, String, String) {
+    static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("syncopt-{command}-{}-{n}.ms", std::process::id()));
+    std::fs::write(&path, src).unwrap();
+    let mut args = vec![command, path.to_str().unwrap()];
+    args.extend_from_slice(flags);
+    let out = syncoptc(&args);
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+#[test]
+fn opt_folds_an_i64_min_remainder_to_zero() {
+    let (ok, stdout, stderr) =
+        syncoptc_on("opt", I64_MIN_REMAINDER, &["--level", "full", "--dump"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("x = 0\n"), "{stdout}");
+}
+
+#[test]
+fn lint_survives_an_i64_min_remainder() {
+    let (ok, _, stderr) = syncoptc_on("lint", I64_MIN_REMAINDER, &[]);
+    assert!(ok, "{stderr}");
+}
+
+#[test]
+fn analyze_evaluates_an_i64_min_remainder_guard() {
+    let (ok, stdout, stderr) = syncoptc_on("analyze", I64_MIN_REMAINDER_GUARD, &[]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("conflicting pairs:     0"), "{stdout}");
+}
+
+#[test]
+fn check_evaluates_an_i64_min_remainder_guard() {
+    let (ok, _, stderr) = syncoptc_on("check", I64_MIN_REMAINDER_GUARD, &[]);
+    assert!(ok, "{stderr}");
+}
+
+#[test]
+fn run_computes_an_i64_min_remainder_as_zero() {
+    for src in [I64_MIN_REMAINDER, I64_MIN_REMAINDER_SHARED] {
+        let (ok, stdout, stderr) = syncoptc_on("run", src, &[]);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("  X = 5\n"), "{stdout}");
+    }
+}
+
+#[test]
+fn litmus_evaluates_an_i64_min_remainder() {
+    let (ok, stdout, stderr) = syncoptc_on("litmus", I64_MIN_REMAINDER, &[]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("refined D preserves SC:      true"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn run_reports_execution_and_memory() {
     let (ok, stdout, stderr) = syncoptc(&[

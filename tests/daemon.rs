@@ -409,6 +409,51 @@ fn a_zero_processor_query_fails_without_a_panic_and_the_cache_survives() {
     stop(&path, handle);
 }
 
+/// `i64::MIN % -1` — folded, evaluated in a guard and simulated — used to
+/// panic in every command that reached it, each answered `internal` with
+/// the session's cache thrown away. It is an ordinary answer now.
+#[test]
+fn an_i64_min_remainder_is_answered_without_a_panic_and_the_cache_survives() {
+    let (path, handle) = start("min-remainder");
+    let mut client = DaemonClient::connect(&path).expect("connect");
+    let warm = query(
+        "check",
+        "p.ms",
+        "shared int A[8]; fn main() { A[MYPROC] = 1; }",
+        Format::Json,
+    );
+    client.query(&warm).expect("a query that fills the cache");
+    let constant = "shared int X;\n\
+        fn main() { int x; x = ((0 - 9223372036854775807) - 1) % (0 - 1); if (MYPROC == 0) { X = x; } }";
+    let guard = "shared int X;\n\
+        fn main() { if (((0 - 9223372036854775807) - 1) % (0 - 1) == MYPROC) { X = 1; } }";
+    let cases = [
+        ("opt", constant),
+        ("lint", constant),
+        ("analyze", guard),
+        ("check", guard),
+        ("run", constant),
+        ("litmus", constant),
+    ];
+    for (command, src) in cases {
+        let q = Query {
+            level: syncopt::OptLevel::Full,
+            ..query(command, "rem.ms", src, Format::Human)
+        };
+        let (out, _) = client.query(&q).expect(command);
+        assert_eq!(out.failure, None, "{command}");
+    }
+    let stats = client.stats().expect("stats");
+    let panics = ["metrics", "metrics", "counters", "rpc.panics_total"]
+        .iter()
+        .try_fold(&stats, |v, key| v.get(key))
+        .and_then(Value::as_int);
+    assert_eq!(panics, Some(0), "{stats}");
+    let (_, cache) = client.query(&warm).expect("the warm query");
+    assert_eq!((cache.hits, cache.misses), (1, 0));
+    stop(&path, handle);
+}
+
 /// Sends one raw request line on a connection and returns the reply line.
 fn exchange(conn: &mut (UnixStream, BufReader<UnixStream>), line: &str) -> String {
     conn.0.write_all(format!("{line}\n").as_bytes()).unwrap();
