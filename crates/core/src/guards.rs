@@ -23,7 +23,8 @@
 use crate::affine::{
     affine_may_conflict_cross_proc, local_coeff_gcd, to_affine, Affine, Candidates, CollisionSolver,
 };
-use syncopt_frontend::ast::{BinOp, UnOp};
+use syncopt_frontend::ast::BinOp;
+use syncopt_ir::arith::{eval, ArithError, Leaf, Value};
 use syncopt_ir::cfg::{Cfg, Terminator};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::expr::Expr;
@@ -76,64 +77,14 @@ fn processor_pure(e: &Expr) -> bool {
     }
 }
 
-/// Evaluates a processor-pure expression for processor `p` (`procs` needed
-/// only if the expression mentions `PROCS`). Integer/bool subset only.
-fn eval_pure(e: &Expr, p: i64, procs: Option<u32>) -> Option<PureVal> {
-    match e {
-        Expr::Int(v) => Some(PureVal::Int(*v)),
-        Expr::Bool(v) => Some(PureVal::Bool(*v)),
-        Expr::Float(_) => None,
-        Expr::MyProc => Some(PureVal::Int(p)),
-        Expr::Procs => procs.map(|n| PureVal::Int(n as i64)),
-        Expr::Local(_) | Expr::LocalElem { .. } => None,
-        Expr::Unary { op, expr } => {
-            let v = eval_pure(expr, p, procs)?;
-            match (op, v) {
-                (UnOp::Neg, PureVal::Int(i)) => Some(PureVal::Int(-i)),
-                (UnOp::Not, PureVal::Bool(b)) => Some(PureVal::Bool(!b)),
-                _ => None,
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval_pure(lhs, p, procs)?;
-            let r = eval_pure(rhs, p, procs)?;
-            match (l, r) {
-                (PureVal::Int(a), PureVal::Int(b)) => Some(match op {
-                    BinOp::Add => PureVal::Int(a.wrapping_add(b)),
-                    BinOp::Sub => PureVal::Int(a.wrapping_sub(b)),
-                    BinOp::Mul => PureVal::Int(a.wrapping_mul(b)),
-                    BinOp::Div => PureVal::Int(a.checked_div(b)?),
-                    BinOp::Rem => {
-                        if b == 0 {
-                            return None;
-                        }
-                        PureVal::Int(a.wrapping_rem_euclid(b))
-                    }
-                    BinOp::Eq => PureVal::Bool(a == b),
-                    BinOp::Ne => PureVal::Bool(a != b),
-                    BinOp::Lt => PureVal::Bool(a < b),
-                    BinOp::Le => PureVal::Bool(a <= b),
-                    BinOp::Gt => PureVal::Bool(a > b),
-                    BinOp::Ge => PureVal::Bool(a >= b),
-                    BinOp::And | BinOp::Or => return None,
-                }),
-                (PureVal::Bool(a), PureVal::Bool(b)) => Some(match op {
-                    BinOp::And => PureVal::Bool(a && b),
-                    BinOp::Or => PureVal::Bool(a || b),
-                    BinOp::Eq => PureVal::Bool(a == b),
-                    BinOp::Ne => PureVal::Bool(a != b),
-                    _ => return None,
-                }),
-                _ => None,
-            }
-        }
-    }
-}
+/// A guard that reads `PROCS` without a machine size or a local, or that
+/// faults. Zero-sized, so an evaluation result stays two words.
+struct Unknown;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PureVal {
-    Int(i64),
-    Bool(bool),
+impl From<ArithError> for Unknown {
+    fn from(_: ArithError) -> Self {
+        Unknown
+    }
 }
 
 /// The processor-pure branch conditions gating each block: `(cond, side)`
@@ -209,8 +160,13 @@ fn proc_set_of_gates(gates: &[(&Expr, bool)], procs: Option<u32>, proc_steps: &m
         let ids: Vec<i64> = (0..n as i64)
             .filter(|&p| {
                 gates.iter().all(|(cond, side)| {
-                    match eval_pure(cond, p, procs) {
-                        Some(PureVal::Bool(b)) => b == *side,
+                    let value = eval(cond, &|leaf| match leaf {
+                        Leaf::MyProc => Ok(Value::Int(p)),
+                        Leaf::Procs => procs.map(|n| Value::Int(n.into())).ok_or(Unknown),
+                        Leaf::Local(_) | Leaf::LocalElem(..) => Err(Unknown),
+                    });
+                    match value {
+                        Ok(Value::Bool(b)) => b == *side,
                         // Unevaluable gate: keep the processor (sound).
                         _ => true,
                     }

@@ -35,6 +35,7 @@
 //! ```
 
 pub mod access;
+pub mod arith;
 pub mod cfg;
 pub mod dataflow;
 pub mod dom;

@@ -24,10 +24,10 @@
 //! reads, ordered by (processor, trace position).
 
 use crate::memory::Location;
-use crate::value::{SimError, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use crate::value::{ProcEnv, SimError, Value};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use syncopt_core::DelaySet;
-use syncopt_frontend::ast::{BinOp, UnOp};
+use syncopt_ir::arith::{self, ArithError, Leaf};
 use syncopt_ir::cfg::{Cfg, Instr, Terminator};
 use syncopt_ir::expr::Expr;
 use syncopt_ir::ids::{AccessId, VarId};
@@ -107,7 +107,10 @@ pub fn extract_traces(cfg: &Cfg, procs: u32) -> Result<Vec<Vec<TraceOp>>, SimErr
 }
 
 fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimError> {
-    let mut locals: HashMap<VarId, Option<Value>> = HashMap::new();
+    let mut locals = SymEnv {
+        env: ProcEnv::new(myproc, procs, &cfg.vars),
+        from_shared: vec![false; cfg.vars.len()],
+    };
     let mut trace = Vec::new();
     let mut block = cfg.entry;
     let mut idx = 0usize;
@@ -129,9 +132,7 @@ fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimEr
                     then_bb,
                     else_bb,
                 } => {
-                    let v = sym_eval(cond, &locals, myproc, procs).ok_or_else(|| {
-                        SimError::new("litmus: branch condition depends on a shared read")
-                    })?;
+                    let v = locals.eval(cond, "branch condition")?;
                     block = if v.as_bool()? { *then_bb } else { *else_bb };
                     idx = 0;
                 }
@@ -143,18 +144,18 @@ fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimEr
         idx += 1;
         match instr {
             Instr::GetShared { access, dst, src } => {
-                let loc = resolve_sym(src, &locals, myproc, procs)?;
+                let loc = locals.locate(src.var, src.index.as_ref(), "shared")?;
                 trace.push(TraceOp::Read {
                     loc,
                     access: *access,
                 });
-                locals.insert(*dst, None);
+                locals.from_shared[dst.index()] = true;
             }
             Instr::PutShared { access, dst, src } => {
-                let loc = resolve_sym(dst, &locals, myproc, procs)?;
-                let val = sym_eval(src, &locals, myproc, procs)
-                    .ok_or_else(|| SimError::new("litmus: written value depends on a shared read"))?
-                    .as_int()?;
+                let loc = locals.locate(dst.var, dst.index.as_ref(), "shared")?;
+                let Value::Int(val) = locals.eval(src, "written value")? else {
+                    return Err(SimError::new("litmus: written value is not an int"));
+                };
                 trace.push(TraceOp::Write {
                     loc,
                     val,
@@ -162,8 +163,15 @@ fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimEr
                 });
             }
             Instr::AssignLocal { dst, value } => {
-                let v = sym_eval(value, &locals, myproc, procs);
-                locals.insert(*dst, v);
+                let from_shared = match locals.try_eval(value) {
+                    Ok(v) => {
+                        locals.env.store(*dst, v)?;
+                        false
+                    }
+                    Err(Symbolic::Shared) => true,
+                    Err(Symbolic::Fault(e)) => return Err(e),
+                };
+                locals.from_shared[dst.index()] = from_shared;
             }
             Instr::AssignLocalElem { .. } => {
                 return Err(SimError::new("litmus: local arrays are not supported"));
@@ -174,7 +182,7 @@ fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimEr
                 flag,
                 index,
             } => {
-                let loc = resolve_flag_sym(*flag, index.as_ref(), &locals, myproc, procs)?;
+                let loc = locals.locate(*flag, index.as_ref(), "flag")?;
                 trace.push(TraceOp::Post {
                     loc,
                     access: *access,
@@ -185,7 +193,7 @@ fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimEr
                 flag,
                 index,
             } => {
-                let loc = resolve_flag_sym(*flag, index.as_ref(), &locals, myproc, procs)?;
+                let loc = locals.locate(*flag, index.as_ref(), "flag")?;
                 trace.push(TraceOp::Wait {
                     loc,
                     access: *access,
@@ -209,112 +217,59 @@ fn extract_one(cfg: &Cfg, myproc: u32, procs: u32) -> Result<Vec<TraceOp>, SimEr
     }
 }
 
-fn sym_eval(
-    expr: &Expr,
-    locals: &HashMap<VarId, Option<Value>>,
-    myproc: u32,
-    procs: u32,
-) -> Option<Value> {
-    match expr {
-        Expr::Int(v) => Some(Value::Int(*v)),
-        Expr::Float(v) => Some(Value::Double(*v)),
-        Expr::Bool(v) => Some(Value::Bool(*v)),
-        Expr::MyProc => Some(Value::Int(myproc as i64)),
-        Expr::Procs => Some(Value::Int(procs as i64)),
-        Expr::Local(v) => locals
-            .get(v)
-            .copied()
-            .unwrap_or(Some(Value::Int(0)))?
-            .into(),
-        Expr::LocalElem { .. } => None,
-        Expr::Unary { op, expr } => {
-            let v = sym_eval(expr, locals, myproc, procs)?;
-            match (op, v) {
-                (UnOp::Neg, Value::Int(i)) => Some(Value::Int(-i)),
-                (UnOp::Neg, Value::Double(d)) => Some(Value::Double(-d)),
-                (UnOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
-                _ => None,
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = sym_eval(lhs, locals, myproc, procs)?;
-            let r = sym_eval(rhs, locals, myproc, procs)?;
-            sym_binop(*op, l, r)
-        }
+/// A processor's locals during trace extraction: the simulator's own
+/// environment, and which locals hold a value read from shared memory.
+struct SymEnv {
+    env: ProcEnv,
+    from_shared: Vec<bool>,
+}
+
+/// Why a local expression has no value in litmus.
+enum Symbolic {
+    /// It reads a local that holds a shared read's result.
+    Shared,
+    /// The simulator faults here too.
+    Fault(SimError),
+}
+
+impl From<ArithError> for Symbolic {
+    fn from(e: ArithError) -> Self {
+        Symbolic::Fault(e.into())
     }
 }
 
-fn sym_binop(op: BinOp, l: Value, r: Value) -> Option<Value> {
-    use BinOp::*;
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Some(match op {
-            Add => Value::Int(a.wrapping_add(b)),
-            Sub => Value::Int(a.wrapping_sub(b)),
-            Mul => Value::Int(a.wrapping_mul(b)),
-            Div => Value::Int(a.checked_div(b)?),
-            Rem => {
-                if b == 0 {
-                    return None;
-                }
-                Value::Int(a.wrapping_rem_euclid(b))
+impl SymEnv {
+    /// Evaluates `expr` as the simulator would, unless it reads a local
+    /// that holds a shared read's result.
+    fn try_eval(&self, expr: &Expr) -> Result<Value, Symbolic> {
+        arith::eval(expr, &|leaf| match leaf {
+            Leaf::Local(var) if self.from_shared.get(var.index()) == Some(&true) => {
+                Err(Symbolic::Shared)
             }
-            Eq => Value::Bool(a == b),
-            Ne => Value::Bool(a != b),
-            Lt => Value::Bool(a < b),
-            Le => Value::Bool(a <= b),
-            Gt => Value::Bool(a > b),
-            Ge => Value::Bool(a >= b),
-            And | Or => return None,
-        }),
-        (Value::Bool(a), Value::Bool(b)) => Some(match op {
-            And => Value::Bool(a && b),
-            Or => Value::Bool(a || b),
-            Eq => Value::Bool(a == b),
-            Ne => Value::Bool(a != b),
-            _ => return None,
-        }),
-        _ => None,
+            _ => self.env.read(leaf).map_err(Symbolic::Fault),
+        })
     }
-}
 
-fn resolve_sym(
-    sref: &syncopt_ir::expr::SharedRef,
-    locals: &HashMap<VarId, Option<Value>>,
-    myproc: u32,
-    procs: u32,
-) -> Result<Location, SimError> {
-    let index = match &sref.index {
-        Some(e) => {
-            let v = sym_eval(e, locals, myproc, procs)
-                .ok_or_else(|| SimError::new("litmus: shared index depends on a shared read"))?
-                .as_int()?;
-            u64::try_from(v).map_err(|_| SimError::new("litmus: negative shared index"))?
-        }
-        None => 0,
-    };
-    Ok(Location {
-        var: sref.var,
-        index,
-    })
-}
+    /// Evaluates `expr`, which `what` names if it depends on a shared read.
+    fn eval(&self, expr: &Expr, what: &str) -> Result<Value, SimError> {
+        self.try_eval(expr).map_err(|e| match e {
+            Symbolic::Shared => SimError::new(format!("litmus: {what} depends on a shared read")),
+            Symbolic::Fault(e) => e,
+        })
+    }
 
-fn resolve_flag_sym(
-    flag: VarId,
-    index: Option<&Expr>,
-    locals: &HashMap<VarId, Option<Value>>,
-    myproc: u32,
-    procs: u32,
-) -> Result<Location, SimError> {
-    let index = match index {
-        Some(e) => {
-            let v = sym_eval(e, locals, myproc, procs)
-                .ok_or_else(|| SimError::new("litmus: flag index depends on a shared read"))?
-                .as_int()?;
-            u64::try_from(v).map_err(|_| SimError::new("litmus: negative flag index"))?
-        }
-        None => 0,
-    };
-    Ok(Location { var: flag, index })
+    /// The location `var[index]`, a `what` (`shared` or `flag`) location.
+    fn locate(&self, var: VarId, index: Option<&Expr>, what: &str) -> Result<Location, SimError> {
+        let index = match index {
+            Some(e) => {
+                let v = self.eval(e, &format!("{what} index"))?.as_int()?;
+                u64::try_from(v)
+                    .map_err(|_| SimError::new(format!("litmus: negative {what} index")))?
+            }
+            None => 0,
+        };
+        Ok(Location { var, index })
+    }
 }
 
 /// An outcome: the values returned by every shared read, in
@@ -688,6 +643,12 @@ mod tests {
         // Branch on a read.
         let cfg = cfg_of("shared int X; fn main() { int v; v = X; if (v > 0) { work(1); } }");
         assert!(extract_traces(&cfg, 2).is_err());
+        // A double written to shared memory: the model holds ints only.
+        let cfg = cfg_of("shared double D; fn main() { D = 0.5; }");
+        assert_eq!(
+            extract_traces(&cfg, 1).unwrap_err().message(),
+            "litmus: written value is not an int"
+        );
     }
 
     #[test]

@@ -2,74 +2,12 @@
 
 use std::error::Error;
 use std::fmt;
-use syncopt_frontend::ast::{BinOp, Type, UnOp};
+use syncopt_ir::arith::{self, ArithError, Leaf};
 use syncopt_ir::expr::Expr;
 use syncopt_ir::ids::VarId;
 use syncopt_ir::vars::{VarKind, VarTable};
 
-/// A runtime value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Value {
-    /// 64-bit integer.
-    Int(i64),
-    /// 64-bit float.
-    Double(f64),
-    /// Boolean (expression results only).
-    Bool(bool),
-}
-
-impl Value {
-    /// The zero value of a type.
-    pub fn zero(ty: Type) -> Value {
-        match ty {
-            Type::Double => Value::Double(0.0),
-            _ => Value::Int(0),
-        }
-    }
-
-    /// Interprets the value as an integer.
-    ///
-    /// # Errors
-    ///
-    /// Fails for non-integer values.
-    pub fn as_int(self) -> Result<i64, SimError> {
-        match self {
-            Value::Int(v) => Ok(v),
-            other => Err(SimError::new(format!("expected int, got {other:?}"))),
-        }
-    }
-
-    /// Interprets the value as a boolean.
-    ///
-    /// # Errors
-    ///
-    /// Fails for non-boolean values.
-    pub fn as_bool(self) -> Result<bool, SimError> {
-        match self {
-            Value::Bool(v) => Ok(v),
-            other => Err(SimError::new(format!("expected bool, got {other:?}"))),
-        }
-    }
-
-    /// Numeric view for mixed arithmetic.
-    fn as_f64(self) -> Result<f64, SimError> {
-        match self {
-            Value::Int(v) => Ok(v as f64),
-            Value::Double(v) => Ok(v),
-            Value::Bool(_) => Err(SimError::new("boolean used in arithmetic")),
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Double(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
-        }
-    }
-}
+pub use syncopt_ir::arith::Value;
 
 /// A runtime error in the simulator.
 ///
@@ -104,6 +42,13 @@ impl fmt::Display for SimError {
 }
 
 impl Error for SimError {}
+
+impl From<ArithError> for SimError {
+    #[cold]
+    fn from(e: ArithError) -> Self {
+        SimError::new(e.to_string())
+    }
+}
 
 /// One `VarId`'s storage on one processor.
 #[derive(Debug, Clone)]
@@ -142,6 +87,18 @@ impl ProcEnv {
             myproc: myproc as i64,
             procs: procs as i64,
             slots,
+        }
+    }
+
+    /// Reads a leaf of an expression on this processor; fails as
+    /// [`ProcEnv::load`] and [`ProcEnv::load_elem`] do.
+    #[inline]
+    pub fn read(&self, leaf: Leaf) -> Result<Value, SimError> {
+        match leaf {
+            Leaf::MyProc => Ok(Value::Int(self.myproc)),
+            Leaf::Procs => Ok(Value::Int(self.procs)),
+            Leaf::Local(var) => self.load(var),
+            Leaf::LocalElem(var, idx) => self.load_elem(var, idx),
         }
     }
 
@@ -216,98 +173,20 @@ fn local_index_out_of_bounds(var: VarId, idx: i64) -> SimError {
     SimError::new(format!("local index {idx} out of bounds for {var}"))
 }
 
-/// Evaluates a local-pure expression.
+/// Evaluates a local-pure expression on `env`'s processor.
 ///
 /// # Errors
 ///
 /// Fails on type confusion, unknown variables, out-of-bounds local array
 /// indices, or division by zero.
 pub fn eval(expr: &Expr, env: &ProcEnv) -> Result<Value, SimError> {
-    match expr {
-        Expr::Int(v) => Ok(Value::Int(*v)),
-        Expr::Float(v) => Ok(Value::Double(*v)),
-        Expr::Bool(v) => Ok(Value::Bool(*v)),
-        Expr::MyProc => Ok(Value::Int(env.myproc)),
-        Expr::Procs => Ok(Value::Int(env.procs)),
-        Expr::Local(v) => env.load(*v),
-        Expr::LocalElem { array, index } => {
-            let idx = eval(index, env)?.as_int()?;
-            env.load_elem(*array, idx)
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, env)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                    Value::Double(d) => Ok(Value::Double(-d)),
-                    Value::Bool(_) => Err(SimError::new("cannot negate bool")),
-                },
-                UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, env)?;
-            let r = eval(rhs, env)?;
-            eval_binop(*op, l, r)
-        }
-    }
-}
-
-fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, SimError> {
-    use BinOp::*;
-    match op {
-        And => Ok(Value::Bool(l.as_bool()? && r.as_bool()?)),
-        Or => Ok(Value::Bool(l.as_bool()? || r.as_bool()?)),
-        Rem => {
-            let (a, b) = (l.as_int()?, r.as_int()?);
-            if b == 0 {
-                return Err(SimError::new("modulo by zero"));
-            }
-            Ok(Value::Int(a.wrapping_rem_euclid(b)))
-        }
-        _ => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => match op {
-                Add => Ok(Value::Int(a.wrapping_add(b))),
-                Sub => Ok(Value::Int(a.wrapping_sub(b))),
-                Mul => Ok(Value::Int(a.wrapping_mul(b))),
-                Div => {
-                    if b == 0 {
-                        Err(SimError::new("division by zero"))
-                    } else {
-                        Ok(Value::Int(a.wrapping_div(b)))
-                    }
-                }
-                Eq => Ok(Value::Bool(a == b)),
-                Ne => Ok(Value::Bool(a != b)),
-                Lt => Ok(Value::Bool(a < b)),
-                Le => Ok(Value::Bool(a <= b)),
-                Gt => Ok(Value::Bool(a > b)),
-                Ge => Ok(Value::Bool(a >= b)),
-                And | Or | Rem => unreachable!("handled above"),
-            },
-            _ => {
-                let (a, b) = (l.as_f64()?, r.as_f64()?);
-                match op {
-                    Add => Ok(Value::Double(a + b)),
-                    Sub => Ok(Value::Double(a - b)),
-                    Mul => Ok(Value::Double(a * b)),
-                    Div => Ok(Value::Double(a / b)),
-                    Eq => Ok(Value::Bool(a == b)),
-                    Ne => Ok(Value::Bool(a != b)),
-                    Lt => Ok(Value::Bool(a < b)),
-                    Le => Ok(Value::Bool(a <= b)),
-                    Gt => Ok(Value::Bool(a > b)),
-                    Ge => Ok(Value::Bool(a >= b)),
-                    And | Or | Rem => unreachable!("handled above"),
-                }
-            }
-        },
-    }
+    arith::eval(expr, &|leaf| env.read(leaf))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syncopt_frontend::ast::{BinOp, Type, UnOp};
     use syncopt_ir::vars::VarInfo;
 
     #[test]

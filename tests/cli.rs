@@ -151,16 +151,30 @@ const I64_MIN_REMAINDER_SHARED: &str = "shared int X; shared int Y;\n\
 
 /// `syncoptc <command> <a file holding src> <flags>`.
 fn syncoptc_on(command: &str, src: &str, flags: &[&str]) -> (bool, String, String) {
+    let (code, stdout, stderr) = syncoptc_code_on(command, src, flags);
+    (code == Some(0), stdout, stderr)
+}
+
+/// [`syncoptc_on`] with the exit code.
+fn syncoptc_code_on(command: &str, src: &str, flags: &[&str]) -> (Option<i32>, String, String) {
     static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path =
         std::env::temp_dir().join(format!("syncopt-{command}-{}-{n}.ms", std::process::id()));
     std::fs::write(&path, src).unwrap();
-    let mut args = vec![command, path.to_str().unwrap()];
-    args.extend_from_slice(flags);
-    let out = syncoptc(&args);
+    let out = Command::new(env!("CARGO_BIN_EXE_syncoptc"))
+        .arg(command)
+        .arg(&path)
+        .args(flags)
+        .current_dir(repo_root())
+        .output()
+        .expect("binary should run");
     std::fs::remove_file(&path).ok();
-    out
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -207,6 +221,86 @@ fn litmus_evaluates_an_i64_min_remainder() {
         stdout.contains("refined D preserves SC:      true"),
         "{stdout}"
     );
+}
+
+/// `i64::MIN / -1` wraps to `i64::MIN` in the simulator, so no processor
+/// takes this branch. The guard evaluator used `checked_div`, called the
+/// guard unknown and let every processor write: `check` reported a proven
+/// write-write race, and litmus refused the branch as depending on a
+/// shared read.
+const I64_MIN_QUOTIENT_GUARD: &str = "shared int X;\n\
+    fn main() { if (((0 - 9223372036854775807) - 1) / (0 - 1) == MYPROC) { X = 1; } }\n";
+
+/// `-i64::MIN` wraps to `i64::MIN`; the guard evaluator and litmus negated
+/// with `-`, which a debug build aborts on.
+const I64_MIN_NEGATION_GUARD: &str = "shared int X;\n\
+    fn main() { if (-((0 - 9223372036854775807) - 1) == MYPROC) { X = 1; } }\n";
+
+#[test]
+fn check_evaluates_an_i64_min_quotient_guard_as_run_does() {
+    let (ok, stdout, stderr) = syncoptc_on("check", I64_MIN_QUOTIENT_GUARD, &[]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(!stdout.contains("R001"), "{stdout}");
+    assert!(stdout.contains("0 conflicting data pair(s)"), "{stdout}");
+    let (ok, stdout, stderr) = syncoptc_on("run", I64_MIN_QUOTIENT_GUARD, &[]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.ends_with("  X = 0\n"), "{stdout}");
+}
+
+#[test]
+fn litmus_evaluates_an_i64_min_quotient_guard() {
+    let (ok, stdout, stderr) = syncoptc_on("litmus", I64_MIN_QUOTIENT_GUARD, &[]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("refined D preserves SC:      true"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn check_and_litmus_negate_i64_min_without_a_panic() {
+    let written = "shared int X;\nfn main() { X = -((0 - 9223372036854775807) - 1); }\n";
+    for (command, src) in [
+        ("check", I64_MIN_NEGATION_GUARD),
+        ("litmus", I64_MIN_NEGATION_GUARD),
+        ("litmus", written),
+    ] {
+        let (code, stdout, stderr) = syncoptc_code_on(command, src, &[]);
+        assert_eq!(code, Some(0), "{command} {src}: {stdout}{stderr}");
+        assert!(!stderr.contains("panicked"), "{command} {src}: {stderr}");
+    }
+}
+
+/// Litmus used to report any fault in a written value as "depends on a
+/// shared read", and a fault in a local assignment not at all.
+#[test]
+fn litmus_reports_the_simulators_division_by_zero() {
+    for src in [
+        "shared int X; fn main() { X = 1 / (MYPROC - MYPROC); }\n",
+        "shared int X; fn main() { int x; x = 1 / (MYPROC - MYPROC); X = 2; }\n",
+    ] {
+        let (code, _, stderr) = syncoptc_code_on("litmus", src, &[]);
+        assert_eq!(code, Some(1), "{src}: {stderr}");
+        assert_eq!(
+            stderr, "syncoptc: simulation error: division by zero\n",
+            "{src}"
+        );
+    }
+}
+
+/// The simulator's fault text, for divisors only known at run time.
+#[test]
+fn run_reports_division_and_modulo_by_a_runtime_zero() {
+    for (op, text) in [("/", "division by zero"), ("%", "modulo by zero")] {
+        let src = format!("shared int X; shared int Y; fn main() {{ X = 1 {op} Y; }}\n");
+        let (code, stdout, stderr) = syncoptc_code_on("run", &src, &[]);
+        assert_eq!(code, Some(1), "{src}: {stdout}{stderr}");
+        assert_eq!(
+            stderr,
+            format!("syncoptc: simulation error: {text}\n"),
+            "{src}"
+        );
+    }
 }
 
 #[test]
