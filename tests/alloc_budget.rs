@@ -15,13 +15,16 @@
 //! program, and printing a CFG into a buffer that has the room.
 
 mod common;
+#[path = "common/compile_set.rs"]
+mod compile_set;
 
 use common::allocations;
-use syncopt::core::corpus::corpus_program;
-use syncopt::frontend::{check_program, inline::inline_program};
+use compile_set::{compile_set, Program};
+use syncopt::core::{analyze_with, SyncOptions};
+use syncopt::frontend::{check_program, inline::inline_program, prepare_program};
+use syncopt::ir::lower::lower_main;
 use syncopt::ir::print::{cfg_to_string, write_cfg};
 use syncopt::kernels::all_kernels;
-use syncopt::kernels::scaling::{self, ScalingIdiom, ScalingParams};
 use syncopt::{OptLevel, Syncopt};
 
 /// Mean allocator calls per op allowed over the small class: 306 when the
@@ -36,50 +39,9 @@ const SMALL_BUDGET: u64 = 333;
 /// 1 181 before the first budget.
 const SET_BUDGET: u64 = 396;
 
-struct Program {
-    class: &'static str,
-    source: String,
-    procs: u32,
-}
-
-fn scaling_program(idiom: ScalingIdiom, unroll: u32, procs: u32, class: &'static str) -> Program {
-    let params = ScalingParams {
-        idiom,
-        unroll,
-        procs,
-    };
-    Program {
-        class,
-        source: scaling::generate(&params).source,
-        procs,
-    }
-}
-
-/// `compile_set(1)` of the repo benchmark: the wide, long and small classes.
-fn compile_set() -> Vec<Program> {
-    let kernels = |procs, class| {
-        all_kernels(procs).into_iter().map(move |k| Program {
-            class,
-            source: k.source,
-            procs: k.procs,
-        })
-    };
-    let mut out: Vec<Program> = kernels(256, "wide").collect();
-    out.push(scaling_program(ScalingIdiom::Stencil, 16, 256, "wide"));
-    for unroll in [32, 64, 128] {
-        out.push(scaling_program(ScalingIdiom::Stencil, unroll, 16, "long"));
-    }
-    for unroll in [32, 64] {
-        out.push(scaling_program(ScalingIdiom::Flag, unroll, 4, "long"));
-    }
-    out.extend((1..=220).map(|draw| Program {
-        class: "small",
-        source: corpus_program(draw),
-        procs: 4,
-    }));
-    out.extend(kernels(16, "small"));
-    out
-}
+/// Mean allocator calls per analysis (`analyze_with` alone) allowed over
+/// the small class: 124 before the analysis kept its tables dense.
+const ANALYSIS_BUDGET: u64 = 124;
 
 /// Allocator calls of one cold compile of `p` plus its rendered report.
 fn op_allocations(p: &Program) -> u64 {
@@ -137,6 +99,46 @@ fn a_cold_compile_stays_inside_its_allocation_budget() {
     );
 }
 
+/// Allocator calls of one analysis of the lowered `p`, as a cold compile
+/// makes it.
+fn analysis_allocations(p: &Program) -> u64 {
+    let cfg =
+        lower_main(&prepare_program(&p.source).expect("program checks")).expect("program lowers");
+    let opts = SyncOptions {
+        procs: Some(p.procs),
+        ..SyncOptions::default()
+    };
+    let before = allocations();
+    let analysis = analyze_with(&cfg, &opts);
+    let after = allocations();
+    assert_eq!(analysis.delay_ss.num_accesses(), cfg.accesses.len());
+    after - before
+}
+
+/// The analysis of a small program allocates a handful of tables, not a
+/// collection per stage, lock or site.
+#[test]
+fn analyzing_a_small_program_stays_inside_its_budget() {
+    let small: Vec<Program> = compile_set()
+        .into_iter()
+        .filter(|p| p.class == "small")
+        .collect();
+    let counts: Vec<u64> = small.iter().map(analysis_allocations).collect();
+    let mean = counts.iter().sum::<u64>() / counts.len() as u64;
+    println!(
+        "allocations per analysis, small: mean {mean}, max {}",
+        counts.iter().max().unwrap()
+    );
+    if cfg!(debug_assertions) {
+        println!("debug build: counts printed, not asserted");
+        return;
+    }
+    assert!(
+        mean <= ANALYSIS_BUDGET,
+        "small class: {mean} allocations per analysis, budget {ANALYSIS_BUDGET}"
+    );
+}
+
 /// Inlining moves the program through, and a call-free one needs nothing
 /// more: no statement is rebuilt and no name copied.
 #[test]
@@ -145,7 +147,7 @@ fn inlining_a_call_free_program_allocates_nothing() {
         let program = check_program(&p.source).expect("program checks");
         let before = allocations();
         let inlined = inline_program(program).expect("program inlines");
-        assert_eq!(allocations(), before, "a {} program", p.class);
+        assert_eq!(allocations(), before, "{} ({})", p.id, p.class);
         assert_eq!(inlined.functions.len(), 1);
     }
 }
