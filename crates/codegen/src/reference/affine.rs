@@ -14,11 +14,14 @@ fn difference(a1: &Affine, a2: &Affine) -> Option<Affine> {
         myproc: a1.myproc.checked_add(a2.myproc.checked_neg()?)?,
         coeffs: a1.coeffs.clone(),
     };
-    for (v, c) in &a2.coeffs {
-        let slot = diff.coeffs.entry(*v).or_insert(0);
-        *slot = slot.checked_add(c.checked_neg()?)?;
+    for &(v, c) in &a2.coeffs {
+        let neg = c.checked_neg()?;
+        match diff.coeffs.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(at) => diff.coeffs[at].1 = diff.coeffs[at].1.checked_add(neg)?,
+            Err(at) => diff.coeffs.insert(at, (v, neg)),
+        }
     }
-    diff.coeffs.retain(|_, c| *c != 0);
+    diff.coeffs.retain(|&(_, c)| c != 0);
     Some(diff)
 }
 

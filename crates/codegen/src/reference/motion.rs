@@ -50,7 +50,7 @@ pub fn iteration_injective_accesses(cfg: &Cfg) -> HashSet<AccessId> {
             }
             let mut has_driver = false;
             let mut all_ok = true;
-            for (&var, &coeff) in &aff.coeffs {
+            for &(var, coeff) in &aff.coeffs {
                 if coeff == 0 {
                     continue;
                 }

@@ -7,7 +7,6 @@
 //! of the form `c0 + c1·MYPROC` (plus terms in locals, which defeat the
 //! analysis conservatively).
 
-use std::collections::BTreeMap;
 use syncopt_frontend::ast::{BinOp, UnOp};
 use syncopt_ir::expr::Expr;
 use syncopt_ir::ids::{AccessId, VarId};
@@ -19,8 +18,9 @@ pub struct Affine {
     pub konst: i64,
     /// Coefficient of `MYPROC`.
     pub myproc: i64,
-    /// Coefficients of local variables (loop indices etc.).
-    pub coeffs: BTreeMap<VarId, i64>,
+    /// Coefficients of local variables (loop indices etc.): ascending by
+    /// variable, none zero.
+    pub coeffs: Vec<(VarId, i64)>,
 }
 
 impl Affine {
@@ -34,7 +34,7 @@ impl Affine {
 
     /// Whether the form has any local-variable terms.
     pub fn has_locals(&self) -> bool {
-        self.coeffs.values().any(|&c| c != 0)
+        self.coeffs.iter().any(|&(_, c)| c != 0)
     }
 
     // The arithmetic below is checked: a coefficient that does not fit
@@ -45,11 +45,38 @@ impl Affine {
     fn add(mut self, other: &Affine) -> Option<Self> {
         self.konst = self.konst.checked_add(other.konst)?;
         self.myproc = self.myproc.checked_add(other.myproc)?;
-        for (v, c) in &other.coeffs {
-            let slot = self.coeffs.entry(*v).or_insert(0);
-            *slot = slot.checked_add(*c)?;
+        if other.coeffs.is_empty() {
+            return Some(self);
         }
-        self.coeffs.retain(|_, c| *c != 0);
+        // Merge the two ascending term lists, summing shared variables.
+        let (a, b) = (&self.coeffs, &other.coeffs);
+        let mut sum = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let term = match (a.get(i), b.get(j)) {
+                (Some(&(va, ca)), Some(&(vb, cb))) if va == vb => {
+                    (i, j) = (i + 1, j + 1);
+                    (va, ca.checked_add(cb)?)
+                }
+                (Some(&x), Some(&(vb, _))) if x.0 < vb => {
+                    i += 1;
+                    x
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => unreachable!(),
+            };
+            if term.1 != 0 {
+                sum.push(term);
+            }
+        }
+        self.coeffs = sum;
         Some(self)
     }
 
@@ -60,10 +87,10 @@ impl Affine {
     fn scale(mut self, k: i64) -> Option<Self> {
         self.konst = self.konst.checked_mul(k)?;
         self.myproc = self.myproc.checked_mul(k)?;
-        for c in self.coeffs.values_mut() {
+        for (_, c) in &mut self.coeffs {
             *c = c.checked_mul(k)?;
         }
-        self.coeffs.retain(|_, c| *c != 0);
+        self.coeffs.retain(|&(_, c)| c != 0);
         Some(self)
     }
 }
@@ -78,15 +105,11 @@ pub fn to_affine(expr: &Expr) -> Option<Affine> {
             myproc: 1,
             ..Default::default()
         }),
-        Expr::Local(v) => {
-            let mut coeffs = BTreeMap::new();
-            coeffs.insert(*v, 1);
-            Some(Affine {
-                konst: 0,
-                myproc: 0,
-                coeffs,
-            })
-        }
+        Expr::Local(v) => Some(Affine {
+            konst: 0,
+            myproc: 0,
+            coeffs: vec![(*v, 1)],
+        }),
         Expr::Unary {
             op: UnOp::Neg,
             expr,
@@ -163,46 +186,80 @@ fn stable_index(e: &Expr) -> bool {
 }
 
 impl SubscriptTable {
-    /// Interns the sites of one access table, given in access order as
-    /// `(variable, subscript, its affine form)`.
+    /// Interns the `n` sites of one access table: `site(i)` is access
+    /// `i`'s `(variable, subscript, its affine form)`.
+    ///
+    /// Interning is by sorting: the sites are ordered by key, each run of
+    /// equal keys is one shape (or class), and ids are handed out in the
+    /// order of each run's first site, so they are dense and follow access
+    /// order.
     pub(crate) fn build<'a>(
-        sites: impl Iterator<Item = (Option<VarId>, Option<&'a Expr>, Option<&'a Affine>)>,
+        n: usize,
+        site: impl Fn(usize) -> (Option<VarId>, Option<&'a Expr>, Option<&'a Affine>),
     ) -> Self {
-        use std::collections::HashMap;
         let mut table = SubscriptTable {
-            entries: Vec::with_capacity(sites.size_hint().0),
+            entries: Vec::with_capacity(n),
             num_classes: 0,
             starts: vec![0],
             terms: Vec::new(),
         };
-        let mut shapes: HashMap<(i64, &BTreeMap<VarId, i64>), u32> = HashMap::new();
-        let mut classes: HashMap<(Option<VarId>, u32, i64), u32> = HashMap::new();
-        for (var, index, affine) in sites {
-            let (mut shape, mut konst) = (NO_SHAPE, 0);
-            if let Some(a) = affine {
+        // `ids[i]`: the first site with `i`'s key, then (from `n` on) the
+        // shape id of each site.
+        let mut ids = vec![NO_SHAPE; 2 * n];
+        let (first, shapes) = ids.split_at_mut(n);
+        // Shapes: the affine sites by `(coeffs, myproc)`.
+        let mut forms: Vec<(&[(VarId, i64)], i64, u32)> = (0..n)
+            .filter_map(|i| site(i).2.map(|a| (a.coeffs.as_slice(), a.myproc, i as u32)))
+            .collect();
+        forms.sort_unstable();
+        for run in forms.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            for &(_, _, i) in run {
+                first[i as usize] = run[0].2;
+            }
+        }
+        for &(coeffs, _, i) in &forms {
+            let (i, f) = (i as usize, first[i as usize] as usize);
+            shapes[i] = if f == i {
                 let next = table.starts.len() as u32 - 1;
                 assert!(next < NO_SHAPE, "subscript shape ids exhausted");
-                shape = *shapes.entry((a.myproc, &a.coeffs)).or_insert(next);
-                if shape == next {
-                    table.terms.extend(a.coeffs.iter().map(|(v, c)| (*v, *c)));
-                    table.starts.push(table.terms.len() as u32);
-                }
-                konst = a.konst;
-            }
-            // Equal forms are one class; a subscript with no form is equal
-            // to nothing, itself included; scalars have no subscript.
-            let fresh = table.num_classes;
-            let class = if index.is_some() && affine.is_none() {
-                fresh
+                table.terms.extend_from_slice(coeffs);
+                table.starts.push(table.terms.len() as u32);
+                next
             } else {
-                *classes.entry((var, shape, konst)).or_insert(fresh)
+                shapes[f]
             };
-            if class == fresh {
-                table.num_classes += 1;
+        }
+        // Classes: equal forms are one class; a subscript with no form is
+        // equal to nothing, itself included; scalars have no subscript.
+        let mut keys: Vec<(Option<VarId>, u32, i64, u32)> = (0..n)
+            .filter_map(|i| {
+                let (var, index, affine) = site(i);
+                let unique = index.is_some() && affine.is_none();
+                (!unique).then(|| (var, shapes[i], affine.map_or(0, |a| a.konst), i as u32))
+            })
+            .collect();
+        keys.sort_unstable();
+        for (i, f) in first.iter_mut().enumerate() {
+            *f = i as u32;
+        }
+        for run in keys.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
+            for &(.., i) in run {
+                first[i as usize] = run[0].3;
             }
-            if affine
-                .is_some_and(|a| a.myproc == i64::MIN || a.coeffs.values().any(|&c| c == i64::MIN))
-            {
+        }
+        for i in 0..n {
+            let (_, index, affine) = site(i);
+            let f = first[i] as usize;
+            let class = if f == i {
+                table.num_classes += 1;
+                table.num_classes - 1
+            } else {
+                table.entries[f].class
+            };
+            let mut shape = shapes[i];
+            if affine.is_some_and(|a| {
+                a.myproc == i64::MIN || a.coeffs.iter().any(|&(_, c)| c == i64::MIN)
+            }) {
                 shape |= UNNEGATABLE;
             }
             if index.is_some_and(stable_index) {
@@ -211,7 +268,7 @@ impl SubscriptTable {
             table.entries.push(SubscriptEntry {
                 class,
                 shape,
-                konst,
+                konst: affine.map_or(0, |a| a.konst),
             });
         }
         table
@@ -498,9 +555,9 @@ pub(crate) fn affine_may_conflict_cross_proc(
 /// (0 when there are none).
 pub(crate) fn local_coeff_gcd(a1: &Affine, a2: &Affine) -> i128 {
     a1.coeffs
-        .values()
-        .chain(a2.coeffs.values())
-        .fold(0, |m, &c| gcd(m, i128::from(c)))
+        .iter()
+        .chain(&a2.coeffs)
+        .fold(0, |m, &(_, c)| gcd(m, i128::from(c)))
 }
 
 /// Could subscript `e1` evaluated on processor `p` equal subscript `e2`
@@ -807,7 +864,7 @@ mod tests {
                 (Some(VarId(7)), None, None),
                 (Some(VarId(7)), None, None),
             ];
-            let table = SubscriptTable::build(sites.iter().copied());
+            let table = SubscriptTable::build(sites.len(), |i| sites[i]);
             let id = AccessId::from_index;
             assert_eq!(
                 table.class(id(0)) == table.class(id(1)),

@@ -14,13 +14,12 @@
 //!   optimized version (the simulator in `syncopt-machine` performs the
 //!   dynamic barrier-sequence check and reports divergence).
 
-use std::collections::HashSet;
 use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::{Cfg, Instr, Terminator};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::expr::Expr;
-use syncopt_ir::ids::{AccessId, BlockId, VarId};
-use syncopt_ir::order::ProgramOrder;
+use syncopt_ir::ids::{AccessId, BlockId};
+use syncopt_ir::order::{BitMatrix, BitSet, ProgramOrder};
 
 /// How barrier alignment is established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,14 +33,15 @@ pub enum BarrierPolicy {
     Disabled,
 }
 
-/// Computes the set of locals whose value may differ across processors:
-/// anything data-dependent on `MYPROC` or on a shared-memory read
-/// (different processors may read at different times).
-pub fn proc_dependent_locals(cfg: &Cfg) -> HashSet<VarId> {
-    let mut tainted: HashSet<VarId> = HashSet::new();
-    let expr_tainted = |e: &Expr, tainted: &HashSet<VarId>| -> bool {
+/// Computes the set of locals whose value may differ across processors,
+/// as a set of `VarId` indices: anything data-dependent on `MYPROC` or
+/// on a shared-memory read (different processors may read at different
+/// times).
+pub fn proc_dependent_locals(cfg: &Cfg) -> BitSet {
+    let mut tainted = BitSet::new(cfg.vars.len());
+    let expr_tainted = |e: &Expr, tainted: &BitSet| -> bool {
         let mut hit = false;
-        e.for_each_var(&mut |v| hit |= tainted.contains(&v));
+        e.for_each_var(&mut |v| hit |= tainted.contains(v.index()));
         hit || expr_mentions_myproc(e)
     };
     let mut changed = true;
@@ -63,7 +63,10 @@ pub fn proc_dependent_locals(cfg: &Cfg) -> HashSet<VarId> {
                     _ => None,
                 };
                 if let Some(v) = newly {
-                    changed |= tainted.insert(v);
+                    if !tainted.contains(v.index()) {
+                        tainted.insert(v.index());
+                        changed = true;
+                    }
                 }
             }
         }
@@ -81,13 +84,14 @@ fn expr_mentions_myproc(e: &Expr) -> bool {
     }
 }
 
-/// The blocks whose branch decision may differ across processors.
-pub fn tainted_branches(cfg: &Cfg, tainted: &HashSet<VarId>) -> Vec<BlockId> {
+/// The blocks whose branch decision may differ across processors, given
+/// the [`proc_dependent_locals`].
+pub fn tainted_branches(cfg: &Cfg, tainted: &BitSet) -> Vec<BlockId> {
     let mut out = Vec::new();
     for b in cfg.block_ids() {
         if let Terminator::Branch { cond, .. } = &cfg.block(b).term {
             let mut hit = expr_mentions_myproc(cond);
-            cond.for_each_var(&mut |v| hit |= tainted.contains(&v));
+            cond.for_each_var(&mut |v| hit |= tainted.contains(v.index()));
             if hit {
                 out.push(b);
             }
@@ -99,48 +103,66 @@ pub fn tainted_branches(cfg: &Cfg, tainted: &HashSet<VarId>) -> Vec<BlockId> {
 /// Block-level control dependence closure: the set of blocks whose
 /// *execution count* may differ across processors given the tainted
 /// branches.
-fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[BlockId]) -> Vec<bool> {
-    let mut dep_branch: Vec<BlockId> = tainted_branches.to_vec();
-    let mut dep = vec![false; cfg.num_blocks()];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in cfg.block_ids() {
-            if dep[b.index()] {
+///
+/// Block `b` is control-dependent on branch block `x` iff `b`
+/// postdominates some successor of `x` but does not postdominate `x`
+/// itself: on the postdominator tree, the path from a successor up to,
+/// not including, `x`'s immediate postdominator, `x` left out. So each
+/// branch is one walk per successor. A dependent block with a branch
+/// spreads dependence, and a block (or branch) that reaches no exit counts
+/// as dependent (conservative). Row 0 of the result holds the dependent
+/// blocks.
+fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[BlockId]) -> BitMatrix {
+    let nb = cfg.num_blocks();
+    // Row 0: the dependent blocks; row 1: the branches queued so far.
+    let mut sets = BitMatrix::rectangular(2, nb);
+    let mut work: Vec<BlockId> = tainted_branches.to_vec();
+    for &x in tainted_branches {
+        sets.set(1, x.index());
+    }
+    let mark = |b: BlockId, sets: &mut BitMatrix, work: &mut Vec<BlockId>| {
+        if !sets.get(0, b.index()) {
+            sets.set(0, b.index());
+            if matches!(cfg.block(b).term, Terminator::Branch { .. }) && !sets.get(1, b.index()) {
+                sets.set(1, b.index());
+                work.push(b);
+            }
+        }
+    };
+    for b in cfg.block_ids() {
+        if !pdom.is_reachable(b) {
+            mark(b, &mut sets, &mut work);
+        }
+    }
+    while let Some(x) = work.pop() {
+        if !pdom.is_reachable(x) {
+            for b in cfg.block_ids() {
+                mark(b, &mut sets, &mut work);
+            }
+            continue;
+        }
+        let succs = cfg.successors(x);
+        if succs.len() < 2 {
+            continue;
+        }
+        let stop = pdom.idom(x);
+        for &s in succs.iter() {
+            if !pdom.is_reachable(s) {
                 continue;
             }
-            for &x in &dep_branch {
-                if control_dependent(cfg, pdom, b, x) {
-                    dep[b.index()] = true;
-                    changed = true;
-                    // A dependent block with a branch spreads dependence.
-                    if matches!(cfg.block(b).term, Terminator::Branch { .. })
-                        && !dep_branch.contains(&b)
-                    {
-                        dep_branch.push(b);
-                    }
-                    break;
+            let mut cur = s;
+            while Some(cur) != stop {
+                if cur != x {
+                    mark(cur, &mut sets, &mut work);
+                }
+                match pdom.idom(cur) {
+                    Some(up) => cur = up,
+                    None => break,
                 }
             }
         }
     }
-    dep
-}
-
-/// Classic control dependence: `b` is control-dependent on branch block `x`
-/// iff `b` postdominates some successor of `x` but does not postdominate
-/// `x` itself. Unreachable-postdominator cases count as dependent
-/// (conservative).
-fn control_dependent(cfg: &Cfg, pdom: &Dominators, b: BlockId, x: BlockId) -> bool {
-    if !pdom.is_reachable(x) || !pdom.is_reachable(b) {
-        return true;
-    }
-    let succs = cfg.successors(x);
-    if succs.len() < 2 {
-        return false;
-    }
-    let dominates_some_succ = succs.iter().any(|&s| pdom.dominates(b, s));
-    dominates_some_succ && !pdom.dominates(b, x)
+    sets
 }
 
 /// The barrier access sites considered aligned under `policy`.
@@ -150,25 +172,27 @@ pub fn aligned_barriers(cfg: &Cfg, policy: BarrierPolicy) -> Vec<AccessId> {
 
 /// [`aligned_barriers`] over already-computed postdominators.
 pub fn aligned_barriers_with(cfg: &Cfg, policy: BarrierPolicy, pdom: &Dominators) -> Vec<AccessId> {
-    let barrier_ids: Vec<AccessId> = cfg
-        .accesses
-        .iter()
-        .filter(|(_, info)| info.kind == AccessKind::Barrier)
-        .map(|(id, _)| id)
-        .collect();
+    let barriers = || {
+        cfg.accesses
+            .iter()
+            .filter(|(_, info)| info.kind == AccessKind::Barrier)
+    };
     match policy {
         BarrierPolicy::Disabled => Vec::new(),
-        BarrierPolicy::AssumeAligned => barrier_ids,
+        BarrierPolicy::AssumeAligned => barriers().map(|(id, _)| id).collect(),
         BarrierPolicy::Static => {
+            if barriers().next().is_none() {
+                return Vec::new();
+            }
             let tainted = proc_dependent_locals(cfg);
             let branches = tainted_branches(cfg, &tainted);
             if branches.is_empty() {
-                return barrier_ids;
+                return barriers().map(|(id, _)| id).collect();
             }
             let dep = proc_dependent_blocks(cfg, pdom, &branches);
-            barrier_ids
-                .into_iter()
-                .filter(|&b| !dep[cfg.accesses.info(b).pos.block.index()])
+            barriers()
+                .filter(|(_, info)| !dep.get(0, info.pos.block.index()))
+                .map(|(id, _)| id)
                 .collect()
         }
     }
@@ -183,20 +207,30 @@ pub fn barrier_precedence_edges(
     aligned: &[AccessId],
 ) -> Vec<(AccessId, AccessId)> {
     let mut out = Vec::new();
+    for_each_barrier_edge(po, aligned, |b1, b2| out.push((b1, b2)));
+    out
+}
+
+/// The pairs of [`barrier_precedence_edges`], in its order, handed to `f`.
+pub(crate) fn for_each_barrier_edge(
+    po: &ProgramOrder,
+    aligned: &[AccessId],
+    mut f: impl FnMut(AccessId, AccessId),
+) {
     for &b1 in aligned {
-        out.push((b1, b1));
+        f(b1, b1);
         for &b2 in aligned {
             if b1 != b2 && po.access_precedes(b1, b2) && !po.access_precedes(b2, b1) {
-                out.push((b1, b2));
+                f(b1, b2);
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syncopt_ir::ids::VarId;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
 
@@ -290,8 +324,8 @@ mod tests {
         );
         let tainted = proc_dependent_locals(&cfg);
         let names: Vec<String> = tainted
-            .iter()
-            .map(|v| cfg.vars.info(*v).name.clone())
+            .iter_ones()
+            .map(|v| cfg.vars.info(VarId::from_index(v)).name.clone())
             .collect();
         for expect in ["a", "b", "c", "d"] {
             assert!(names.iter().any(|n| n == expect), "{expect} not tainted");

@@ -21,7 +21,7 @@ use crate::obs::{AnalysisCounter as C, AnalysisCounters};
 use crate::sync::{D1Anchors, SyncOptions};
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::dom::Dominators;
-use syncopt_ir::order::{BitSet, ProgramOrder};
+use syncopt_ir::order::{BitSet, GraphScratch, ProgramOrder};
 
 /// The seed-independent half of an analysis (see the module docs).
 #[derive(Debug, Clone)]
@@ -59,11 +59,17 @@ impl AnalysisBase {
     /// matters; the barrier policy and the thread count enter at
     /// [`AnalysisBase::refine`].
     pub fn build(cfg: &Cfg, opts: &SyncOptions) -> Self {
+        Self::build_with(cfg, opts, &mut GraphScratch::default())
+    }
+
+    /// [`AnalysisBase::build`] condensing the block graph and the mirror
+    /// copy in `scratch`.
+    pub fn build_with(cfg: &Cfg, opts: &SyncOptions, scratch: &mut GraphScratch) -> Self {
         let mut counters = AnalysisCounters::default();
-        let dom = Dominators::compute(cfg);
-        let pdom = Dominators::compute_post(cfg);
+        let preds = cfg.predecessors();
+        let (dom, pdom) = Dominators::both(cfg, &preds);
         let (conflicts, subscripts, conflict_stats) =
-            ConflictSet::build_counted(cfg, opts.procs, &dom);
+            ConflictSet::build_counted(cfg, opts.procs, &preds, &dom);
         counters.set(C::ConflictPairs, conflicts.num_unordered_pairs() as u64);
         counters.set(
             C::ConflictDirectedEdges,
@@ -72,14 +78,14 @@ impl AnalysisBase {
         counters.set(C::ConflictPairTests, conflict_stats.pair_tests);
         counters.set(C::ConflictProcSteps, conflict_stats.proc_steps);
 
-        let po = ProgramOrder::compute(cfg);
+        let po = ProgramOrder::compute_with(cfg, scratch);
         // The rows of `D_SS` rest on §4's lemma, which needs `C` symmetric
         // (see `MirrorClosure::delay_ss`).
         debug_assert!(
             conflicts.is_symmetric(),
             "a fresh conflict set is symmetric"
         );
-        let closure = MirrorClosure::build(&conflicts, &po);
+        let closure = MirrorClosure::build_with(&conflicts, &po, scratch);
         let (delay_ss, mut ss_stats) = closure.delay_ss(&po);
         ss_stats.add_oracle_build(closure.build_stats());
         counters.set(C::CycleCandidatePairs, ss_stats.candidates);
@@ -98,7 +104,7 @@ impl AnalysisBase {
         }
         let d1 = delay_ss.touching(&sync_sites);
         let anchors = D1Anchors::compute(cfg, &dom, &pdom, &d1);
-        let guards = compute_lock_guards(cfg, &dom, &d1);
+        let guards = compute_lock_guards(cfg, &preds, &dom, &d1);
         AnalysisBase {
             conflicts,
             subscripts,

@@ -17,7 +17,7 @@
 use crate::affine::{to_affine, Affine, CollisionSolver, SubscriptTable};
 use crate::guards::{affine_indices_may_collide, block_proc_sets, ProcSet};
 use syncopt_ir::access::{AccessInfo, AccessKind};
-use syncopt_ir::cfg::Cfg;
+use syncopt_ir::cfg::{Cfg, Predecessors};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::AccessId;
 use syncopt_ir::order::BitMatrix;
@@ -59,16 +59,19 @@ impl ConflictSet {
     /// modular subscript disambiguation of
     /// [`crate::affine::may_conflict_cross_proc_bounded`].
     pub fn build_bounded(cfg: &Cfg, procs: Option<u32>) -> Self {
-        Self::build_counted(cfg, procs, &Dominators::compute(cfg)).0
+        let preds = cfg.predecessors();
+        Self::build_counted(cfg, procs, &preds, &Dominators::compute(cfg)).0
     }
 
-    /// [`ConflictSet::build_bounded`] over already-computed dominators,
+    /// [`ConflictSet::build_bounded`] over already-computed predecessor
+    /// lists and dominators,
     /// additionally handing on the per-site subscript forms it worked out
     /// (interned, for the same-processor tests of code generation) and
     /// reporting the work done.
     pub fn build_counted(
         cfg: &Cfg,
         procs: Option<u32>,
+        preds: &Predecessors,
         dom: &Dominators,
     ) -> (Self, SubscriptTable, ConflictStats) {
         let n = cfg.accesses.len();
@@ -78,7 +81,7 @@ impl ConflictSet {
             pair_tests: 0,
             solver: CollisionSolver::default(),
         };
-        let guards = block_proc_sets(cfg, dom, procs, &mut test.solver.proc_steps);
+        let guards = block_proc_sets(cfg, preds, dom, procs, &mut test.solver.proc_steps);
         let sites: Vec<Site<'_>> = cfg
             .accesses
             .iter()
@@ -106,11 +109,10 @@ impl ConflictSet {
             pair_tests: test.pair_tests,
             proc_steps: test.solver.proc_steps,
         };
-        let subscripts = SubscriptTable::build(
-            sites
-                .iter()
-                .map(|s| (s.info.var, s.info.index.as_ref(), s.affine.as_ref())),
-        );
+        let subscripts = SubscriptTable::build(n, |i| {
+            let s = &sites[i];
+            (s.info.var, s.info.index.as_ref(), s.affine.as_ref())
+        });
         (ConflictSet { n, directed }, subscripts, stats)
     }
 
@@ -175,9 +177,18 @@ impl ConflictSet {
         upper
     }
 
-    /// Number of unordered conflicting pairs.
+    /// Number of unordered conflicting pairs: each `(i, j)` with `i ≤ j`
+    /// from row `i`, and each `(j, i)` with `j < i` whose reverse is
+    /// absent from row `i`.
     pub fn num_unordered_pairs(&self) -> usize {
-        self.upper_triangle().count_ones()
+        (0..self.n)
+            .map(|i| {
+                self.directed
+                    .row_ones(i)
+                    .filter(|&j| j >= i || !self.directed.get(j, i))
+                    .count()
+            })
+            .sum()
     }
 
     /// All unordered conflicting pairs `(a, b)` with `a ≤ b`.

@@ -45,7 +45,7 @@ use crate::delay::DelaySet;
 use crate::sync::Precedence;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::{Ancestors, BitMatrix, BitSet, Csr, ProgramOrder, ReachStats};
+use syncopt_ir::order::{Ancestors, BitMatrix, BitSet, GraphScratch, ProgramOrder, ReachStats};
 
 /// Options controlling one [`delay_set_over`] run.
 #[derive(Default)]
@@ -55,7 +55,7 @@ pub struct DelayOptions<'a> {
     /// from the mirror copy (§5.1 step 6 refinement, §5.3 lock rule) in
     /// the provided scratch bitset (cleared before each call).
     #[allow(clippy::type_complexity)]
-    pub removals: Option<Box<dyn Fn(AccessId, AccessId, &mut BitSet) + Sync + 'a>>,
+    pub removals: Option<&'a (dyn Fn(AccessId, AccessId, &mut BitSet) + Sync)>,
     /// Worker threads for the candidate loop (0 and 1 both mean serial).
     /// Results are bit-identical for every thread count: shards cover
     /// disjoint `u`-ranges and merge in fixed order.
@@ -71,10 +71,10 @@ pub struct DelayOptions<'a> {
 pub struct MirrorClosure {
     /// `Anc` per component of the mirror copy (no removals).
     anc: Ancestors,
-    /// Accesses with ≥ 1 directed conflict successor / predecessor — the
-    /// candidate-pruning oracle. For a symmetric `C` both are `HasC`.
-    has_succ: BitSet,
-    has_pred: BitSet,
+    /// Row 0: the accesses with ≥ 1 directed conflict successor; row 1:
+    /// those with ≥ 1 predecessor — the candidate-pruning oracle. For a
+    /// symmetric `C` both are `HasC`.
+    has: BitMatrix,
 }
 
 impl MirrorClosure {
@@ -83,9 +83,18 @@ impl MirrorClosure {
     /// self-loops are dropped, as the diagonal of `P` always was); a
     /// self-conflict is.
     pub fn build(conflicts: &ConflictSet, po: &ProgramOrder) -> Self {
+        Self::build_with(conflicts, po, &mut GraphScratch::default())
+    }
+
+    /// [`MirrorClosure::build`] condensing in `scratch`.
+    pub fn build_with(
+        conflicts: &ConflictSet,
+        po: &ProgramOrder,
+        scratch: &mut GraphScratch,
+    ) -> Self {
         let n = conflicts.num_accesses();
         let skeleton = po.skeleton();
-        let mirror = Csr::from_edges(n, |edge| {
+        let anc = scratch.ancestors(n, |edge| {
             for x in 0..n {
                 for &y in skeleton.successors(x) {
                     if y as usize != x {
@@ -97,26 +106,21 @@ impl MirrorClosure {
                 }
             }
         });
-        let mut has_succ = BitSet::new(n);
-        let mut has_pred = BitSet::new(n);
+        let mut has = BitMatrix::rectangular(2, n);
         for a in 0..n {
             for b in conflicts.succ_ones(AccessId::from_index(a)) {
-                has_succ.insert(a);
-                has_pred.insert(b);
+                has.set(0, a);
+                has.set(1, b);
             }
         }
-        MirrorClosure {
-            anc: Ancestors::compute(&mirror),
-            has_succ,
-            has_pred,
-        }
+        MirrorClosure { anc, has }
     }
 
     /// The accesses that reach `y` in the mirror copy, ascending.
     #[cfg(test)]
     pub(crate) fn ancestors_of(&self, y: usize) -> Vec<usize> {
         let words = self.anc.of(y);
-        (0..self.has_succ.universe())
+        (0..self.has.len())
             .filter(|&x| words[x / 64] & (1 << (x % 64)) != 0)
             .collect()
     }
@@ -142,18 +146,18 @@ impl MirrorClosure {
     /// `HasC × HasC`; every other pair is decided by its row, so
     /// `backpath_queries` is 0.
     pub fn delay_ss(&self, po: &ProgramOrder) -> (DelaySet, DelayQueryStats) {
-        let has_c = &self.has_succ;
-        let n = has_c.universe();
+        let has_c = self.has.row_words(0);
+        let n = self.has.len();
         let mut m = BitMatrix::new(n);
         let mut stats = DelayQueryStats::default();
         let mut decided = 0u64;
         for u in 0..n {
             let p = po.succ_row_words(AccessId::from_index(u));
             stats.candidates += p.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-            if !has_c.contains(u) {
+            if has_c[u / 64] & (1 << (u % 64)) == 0 {
                 continue;
             }
-            let row = p.iter().zip(has_c.words()).zip(self.anc.of(u));
+            let row = p.iter().zip(has_c).zip(self.anc.of(u));
             for (d, ((p, h), a)) in m.row_words_mut(u).iter_mut().zip(row) {
                 decided += u64::from((p & h).count_ones());
                 *d = p & h & a;
@@ -193,13 +197,19 @@ pub struct BackPathScratch {
     reaches_u: BitSet,
     /// Components already ORed into a row (dedup marker).
     comps: BitSet,
+    /// The sets of a query that has removals to check, made at the first.
+    bfs: Option<Bfs>,
+    /// Queries that fell back to the blocked-node BFS (removals cut the
+    /// cached reachability).
+    pub bfs_fallbacks: u64,
+}
+
+/// The sets of one back-path query with removals.
+struct Bfs {
     starts: BitSet,
     ends: BitSet,
     seen: BitSet,
     queue: Vec<usize>,
-    /// Queries that fell back to the blocked-node BFS (removals cut the
-    /// cached reachability).
-    pub bfs_fallbacks: u64,
 }
 
 impl<'a> BackPathOracle<'a> {
@@ -248,10 +258,7 @@ impl<'a> BackPathOracle<'a> {
             preds: BitSet::new(self.n),
             reaches_u: BitSet::new(self.n),
             comps: BitSet::new(self.closure.anc.num_components()),
-            starts: BitSet::new(self.n),
-            ends: BitSet::new(self.n),
-            seen: BitSet::new(self.n),
-            queue: Vec::new(),
+            bfs: None,
             bfs_fallbacks: 0,
         }
     }
@@ -259,13 +266,13 @@ impl<'a> BackPathOracle<'a> {
     /// Whether `v` has at least one directed conflict successor (a
     /// back-path's first hop).
     pub fn has_conflict_succ(&self, v: AccessId) -> bool {
-        self.closure.has_succ.contains(v.index())
+        self.closure.has.get(0, v.index())
     }
 
     /// Whether `u` has at least one directed conflict predecessor (a
     /// back-path's last hop).
     pub fn has_conflict_pred(&self, u: AccessId) -> bool {
-        self.closure.has_pred.contains(u.index())
+        self.closure.has.get(1, u.index())
     }
 
     /// `out = Cpred(u)`, the directed conflict predecessors of `u`.
@@ -301,35 +308,40 @@ impl<'a> BackPathOracle<'a> {
 
     /// [`BackPathOracle::query`] with `scratch.preds` already `Cpred(u)`.
     fn query_from_preds(&self, v: AccessId, scratch: &mut BackPathScratch) -> bool {
+        let n = self.n;
+        let Bfs {
+            starts,
+            ends,
+            seen,
+            queue,
+        } = scratch.bfs.get_or_insert_with(|| Bfs {
+            starts: BitSet::new(n),
+            ends: BitSet::new(n),
+            seen: BitSet::new(n),
+            queue: Vec::new(),
+        });
         // starts = conflict succs of v, minus removed.
-        scratch
-            .starts
-            .assign_and_not(self.conflicts.succ_row_words(v), &scratch.removed);
-        if scratch.starts.is_empty() {
+        starts.assign_and_not(self.conflicts.succ_row_words(v), &scratch.removed);
+        if starts.is_empty() {
             return false;
         }
         // ends = conflict preds of u, minus removed.
-        scratch
-            .ends
-            .assign_and_not(scratch.preds.words(), &scratch.removed);
-        if scratch.ends.is_empty() {
+        ends.assign_and_not(scratch.preds.words(), &scratch.removed);
+        if ends.is_empty() {
             return false;
         }
         // Direct two-conflict-edge path through a single remote access.
-        if scratch.starts.intersects(&scratch.ends) {
+        if starts.intersects(ends) {
             return true;
         }
         // Ancestor rows: ∃ y ∈ ends with starts ∩ Anc(y) ≠ ∅.
         scratch.comps.clear();
         let mut reachable = false;
-        for y in scratch.ends.iter_ones() {
+        for y in ends.iter_ones() {
             let c = self.closure.anc.component(y);
             if !scratch.comps.contains(c) {
                 scratch.comps.insert(c);
-                if scratch
-                    .starts
-                    .intersects_words(self.closure.anc.of_component(c))
-                {
+                if starts.intersects_words(self.closure.anc.of_component(c)) {
                     reachable = true;
                     break;
                 }
@@ -344,26 +356,26 @@ impl<'a> BackPathOracle<'a> {
         // Removals might cut every cached path: BFS avoiding removed
         // nodes.
         scratch.bfs_fallbacks += 1;
-        scratch.seen.clear();
-        scratch.queue.clear();
-        for x in scratch.starts.iter_ones() {
-            scratch.seen.insert(x);
-            scratch.queue.push(x);
+        seen.clear();
+        queue.clear();
+        for x in starts.iter_ones() {
+            seen.insert(x);
+            queue.push(x);
         }
         let mut qi = 0;
-        while qi < scratch.queue.len() {
-            let node = scratch.queue[qi];
+        while qi < queue.len() {
+            let node = queue[qi];
             qi += 1;
-            if scratch.ends.contains(node) {
+            if ends.contains(node) {
                 return true;
             }
             expand(
                 self.conflicts,
                 self.po,
                 node,
-                &mut scratch.seen,
+                seen,
                 &scratch.removed,
-                &mut scratch.queue,
+                queue,
                 |_| {},
             );
         }
@@ -379,6 +391,17 @@ impl<'a> BackPathOracle<'a> {
         }
         self.query(u, v, &mut scratch)
     }
+}
+
+/// The set bits of `bits`, word `wi` of a row, as column indices.
+fn ones(wi: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            wi * 64 + b
+        })
+    })
 }
 
 /// Pushes the not-yet-seen, unblocked mirror successors of `node` —
@@ -530,8 +553,8 @@ pub fn compute_delay_set_counted(
     (delay, stats)
 }
 
-/// Back-path detection over `oracle` for the pairs of `candidates` only —
-/// §5.1 step 6 asks the pairs of `D_SS ∖ D1`, because its answer is a
+/// Back-path detection over `oracle` for the pairs of `candidates` outside
+/// `except` only — §5.1 step 6 asks the pairs of `D_SS ∖ D1`, because its answer is a
 /// subset of `D_SS` (removals and orientation only cut paths) that is
 /// unioned with `D1` anyway.
 ///
@@ -547,6 +570,7 @@ pub fn compute_delay_set_counted(
 pub fn delay_set_over(
     oracle: &BackPathOracle<'_>,
     candidates: &DelaySet,
+    except: Option<&DelaySet>,
     opts: &DelayOptions<'_>,
 ) -> (DelaySet, DelayQueryStats) {
     let n = oracle.n;
@@ -556,7 +580,9 @@ pub fn delay_set_over(
         let mut out = DelaySet::new(n);
         let mut stats = DelayQueryStats::default();
         for ui in lo..hi {
-            let asked = candidates.row_len(ui) as u64;
+            let (row, skip) = (candidates.row_words(ui), except.map(|e| e.row_words(ui)));
+            let word = |wi: usize| row[wi] & !skip.map_or(0, |skip| skip[wi]);
+            let asked: u64 = (0..row.len()).map(|wi| u64::from(word(wi).count_ones())).sum();
             if asked == 0 {
                 continue;
             }
@@ -569,7 +595,7 @@ pub fn delay_set_over(
             }
             oracle.preds_into(u, &mut scratch.preds);
             oracle.reaching_into(&scratch.preds, &mut scratch.comps, &mut scratch.reaches_u);
-            for vi in candidates.row_ones(ui) {
+            for vi in (0..row.len()).flat_map(|wi| ones(wi, word(wi))) {
                 let v = AccessId::from_index(vi);
                 if !oracle.has_conflict_succ(v) {
                     stats.pruned_candidates += 1;
@@ -1005,15 +1031,17 @@ mod tests {
             .collect();
         let closure = MirrorClosure::build(&conflicts, &po);
         let (d_ss, _) = closure.delay_ss(&po);
+        let remove_reads = |_: AccessId, _: AccessId, out: &mut BitSet| {
+            for r in &reads {
+                out.insert(r.index());
+            }
+        };
         let (d, stats) = delay_set_over(
             &BackPathOracle::new(&conflicts, &po, &closure),
             &d_ss,
+            None,
             &DelayOptions {
-                removals: Some(Box::new(move |_u, _v, out| {
-                    for r in &reads {
-                        out.insert(r.index());
-                    }
-                })),
+                removals: Some(&remove_reads),
                 threads: 0,
             },
         );
@@ -1075,18 +1103,20 @@ mod tests {
         let (d_ss, _) = closure.delay_ss(&po);
         // Remove the even accesses other than the pair, so candidates that
         // pass the filter fall back to the BFS.
+        let remove_evens = |u: AccessId, v: AccessId, out: &mut BitSet| {
+            for x in 0..out.universe() {
+                if x % 2 == 0 && x != u.index() && x != v.index() {
+                    out.insert(x);
+                }
+            }
+        };
         let run = |threads: usize| {
             delay_set_over(
                 &oracle,
                 &d_ss,
+                None,
                 &DelayOptions {
-                    removals: Some(Box::new(|u, v, out| {
-                        for x in 0..out.universe() {
-                            if x % 2 == 0 && x != u.index() && x != v.index() {
-                                out.insert(x);
-                            }
-                        }
-                    })),
+                    removals: Some(&remove_evens),
                     threads,
                 },
             )

@@ -92,13 +92,10 @@ impl DelaySet {
         DelaySet::from_matrix(m)
     }
 
-    /// The number of delays whose first component is access `u`.
-    pub(crate) fn row_len(&self, u: usize) -> usize {
-        self.m
-            .row_words(u)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+    /// The second components of the delays from access `u`, as raw
+    /// words.
+    pub(crate) fn row_words(&self, u: usize) -> &[u64] {
+        self.m.row_words(u)
     }
 
     /// The second components of the delays from access `u`, ascending.

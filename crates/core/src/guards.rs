@@ -25,9 +25,11 @@ use crate::affine::{
 };
 use syncopt_frontend::ast::BinOp;
 use syncopt_ir::arith::{eval, ArithError, Leaf, Value};
-use syncopt_ir::cfg::{Cfg, Terminator};
+use syncopt_ir::cfg::{Cfg, Predecessors, Terminator};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::expr::Expr;
+use syncopt_ir::ids::BlockId;
+use syncopt_ir::order::BitSet;
 
 /// The processors that may execute an access site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,11 +89,21 @@ impl From<ArithError> for Unknown {
     }
 }
 
-/// The processor-pure branch conditions gating each block: `(cond, side)`
-/// means the block only executes when `cond` evaluates to `side`.
-fn block_gates<'a>(cfg: &'a Cfg, dom: &Dominators) -> Vec<Vec<(&'a Expr, bool)>> {
-    let preds = cfg.predecessors();
-    let mut gates: Vec<Vec<(&Expr, bool)>> = vec![Vec::new(); cfg.num_blocks()];
+/// The [`ProcSet`] of every block that holds an access site (`Any` for
+/// the others). `proc_steps` grows by one per processor id a gate set is
+/// evaluated for.
+///
+/// A block's gates are the processor-pure branch conditions `(cond,
+/// side)` it only executes under: those of each branch edge `x → target`
+/// that is the sole way into a `target` dominating the block.
+pub(crate) fn block_proc_sets(
+    cfg: &Cfg,
+    preds: &Predecessors,
+    dom: &Dominators,
+    procs: Option<u32>,
+    proc_steps: &mut u64,
+) -> Vec<ProcSet> {
+    let mut edges: Vec<(BlockId, &Expr, bool)> = Vec::new();
     for x in cfg.block_ids() {
         let Terminator::Branch {
             cond,
@@ -107,43 +119,44 @@ fn block_gates<'a>(cfg: &'a Cfg, dom: &Dominators) -> Vec<Vec<(&'a Expr, bool)>>
         for (target, side) in [(*then_bb, true), (*else_bb, false)] {
             // Entering `target` implies the branch decided `side` — sound
             // only when `x` is the sole way in.
-            if preds.of(target) != [x] {
-                continue;
-            }
-            for b in cfg.block_ids() {
-                if dom.dominates(target, b) {
-                    gates[b.index()].push((cond, side));
-                }
+            if preds.of(target) == [x] {
+                edges.push((target, cond, side));
             }
         }
     }
-    gates
-}
-
-/// The [`ProcSet`] of every block that holds an access site (`Any` for
-/// the others). `proc_steps` grows by one per processor id a gate set is
-/// evaluated for.
-pub(crate) fn block_proc_sets(
-    cfg: &Cfg,
-    dom: &Dominators,
-    procs: Option<u32>,
-    proc_steps: &mut u64,
-) -> Vec<ProcSet> {
-    let gates = block_gates(cfg, dom);
     let mut sets = vec![ProcSet::Any; cfg.num_blocks()];
-    let mut done = vec![false; cfg.num_blocks()];
+    if edges.is_empty() {
+        return sets;
+    }
+    let mut done = BitSet::new(cfg.num_blocks());
+    let mut gates: Vec<(&Expr, bool)> = Vec::with_capacity(edges.len());
     for (_, info) in cfg.accesses.iter() {
-        let b = info.pos.block.index();
-        if !std::mem::replace(&mut done[b], true) {
-            sets[b] = proc_set_of_gates(&gates[b], procs, proc_steps);
+        let b = info.pos.block;
+        if done.contains(b.index()) {
+            continue;
         }
+        done.insert(b.index());
+        gates.clear();
+        gates.extend(
+            edges
+                .iter()
+                .filter(|(target, ..)| dom.dominates(*target, b))
+                .map(|&(_, cond, side)| (cond, side)),
+        );
+        sets[b.index()] = proc_set_of_gates(&gates, procs, proc_steps);
     }
     sets
 }
 
 /// Computes the [`ProcSet`] of every access site.
 pub fn access_proc_sets(cfg: &Cfg, procs: Option<u32>) -> Vec<ProcSet> {
-    let blocks = block_proc_sets(cfg, &Dominators::compute(cfg), procs, &mut 0);
+    let blocks = block_proc_sets(
+        cfg,
+        &cfg.predecessors(),
+        &Dominators::compute(cfg),
+        procs,
+        &mut 0,
+    );
     cfg.accesses
         .iter()
         .map(|(_, info)| blocks[info.pos.block.index()].clone())

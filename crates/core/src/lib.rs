@@ -162,8 +162,10 @@ pub fn analyze_for(cfg: &Cfg, procs: u32) -> Analysis {
 /// [`AnalysisBase`] once and refines it.
 pub fn analyze_with(cfg: &Cfg, opts: &SyncOptions) -> Analysis {
     use obs::AnalysisCounter as C;
-    let base = AnalysisBase::build(cfg, opts);
-    let (sync, delay_sync) = base.refine(cfg, opts, &sync::SyncExclusion::default());
+    let mut scratch = syncopt_ir::order::GraphScratch::default();
+    let base = AnalysisBase::build_with(cfg, opts, &mut scratch);
+    let (sync, delay_sync) =
+        base.refine_with(cfg, opts, &sync::SyncExclusion::default(), &mut scratch);
     let mut metrics = base.counters;
     metrics.merge(&sync.counters);
     metrics.set(C::DelaySsPairs, base.delay_ss.len() as u64);

@@ -14,37 +14,50 @@
 //! by two processors at once.
 
 use crate::delay::DelaySet;
-use std::collections::{HashMap, HashSet};
 use syncopt_ir::access::AccessKind;
-use syncopt_ir::cfg::{Cfg, Instr};
+use syncopt_ir::cfg::{Cfg, Instr, Predecessors};
 use syncopt_ir::dom::Dominators;
-use syncopt_ir::ids::{AccessId, VarId};
+use syncopt_ir::ids::{AccessId, BlockId, VarId};
+use syncopt_ir::order::BitMatrix;
 use syncopt_ir::vars::VarKind;
 
 /// Guard information: which accesses each lock protects.
 #[derive(Debug, Clone, Default)]
 pub struct LockGuards {
-    /// lock variable → accesses guarded by it.
-    guarded: HashMap<VarId, Vec<AccessId>>,
+    /// The locks that guard at least one access, ascending.
+    locks: Vec<VarId>,
+    /// `locks[k]` guards `accesses[starts[k]..starts[k + 1]]`, ascending.
+    starts: Vec<u32>,
+    accesses: Vec<AccessId>,
 }
 
 impl LockGuards {
-    /// The accesses guarded by `lock`.
+    fn guarded_at(&self, k: usize) -> &[AccessId] {
+        &self.accesses[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// Each lock with the accesses it guards, locks ascending.
+    fn each(&self) -> impl Iterator<Item = (VarId, &[AccessId])> + '_ {
+        (0..self.locks.len()).map(|k| (self.locks[k], self.guarded_at(k)))
+    }
+
+    /// The accesses guarded by `lock`, ascending.
     pub fn guarded_by(&self, lock: VarId) -> &[AccessId] {
-        self.guarded.get(&lock).map_or(&[], |v| v.as_slice())
+        self.locks
+            .binary_search(&lock)
+            .map_or(&[], |k| self.guarded_at(k))
     }
 
-    /// All locks that guard at least one access.
+    /// All locks that guard at least one access, ascending.
     pub fn locks(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.guarded.keys().copied()
+        self.locks.iter().copied()
     }
 
-    /// The locks guarding `access`.
+    /// The locks guarding `access`, ascending.
     pub fn locks_guarding(&self, access: AccessId) -> Vec<VarId> {
-        self.guarded
-            .iter()
-            .filter(|(_, accs)| accs.contains(&access))
-            .map(|(l, _)| *l)
+        self.each()
+            .filter(|(_, accs)| accs.binary_search(&access).is_ok())
+            .map(|(l, _)| l)
             .collect()
     }
 
@@ -53,8 +66,8 @@ impl LockGuards {
     /// check). Empty otherwise.
     pub fn removable_for_pair(&self, a: AccessId, b: AccessId) -> Vec<AccessId> {
         let mut out = Vec::new();
-        for (_, accs) in self.guarded.iter() {
-            if accs.contains(&a) && accs.contains(&b) {
+        for (_, accs) in self.each() {
+            if accs.binary_search(&a).is_ok() && accs.binary_search(&b).is_ok() {
                 for &x in accs {
                     if x != a && x != b && !out.contains(&x) {
                         out.push(x);
@@ -75,8 +88,8 @@ impl LockGuards {
         b: AccessId,
         out: &mut syncopt_ir::order::BitSet,
     ) {
-        for (_, accs) in self.guarded.iter() {
-            if accs.contains(&a) && accs.contains(&b) {
+        for (_, accs) in self.each() {
+            if accs.binary_search(&a).is_ok() && accs.binary_search(&b).is_ok() {
                 for &x in accs {
                     out.insert(x.index());
                 }
@@ -85,120 +98,160 @@ impl LockGuards {
     }
 }
 
-/// Computes the must-hold lock set at entry of every block.
-fn must_hold_in(cfg: &Cfg, locks: &[VarId]) -> Vec<HashSet<VarId>> {
+/// `held` after the lock operations of `instrs`, in order; `lock_index`
+/// maps a lock variable to its bit.
+fn apply_lock_ops(instrs: &[Instr], lock_index: impl Fn(VarId) -> usize, held: &mut [u64]) {
+    for instr in instrs {
+        match instr {
+            Instr::LockAcq { lock, .. } => {
+                let k = lock_index(*lock);
+                held[k / 64] |= 1 << (k % 64);
+            }
+            Instr::LockRel { lock, .. } => {
+                let k = lock_index(*lock);
+                held[k / 64] &= !(1 << (k % 64));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The must-hold lock set at entry of every block, one row per block over
+/// the lock index, in a slab whose rows `nb..3·nb` hold each block's
+/// `gen` (locks it leaves held) and `kill` (locks it leaves released)
+/// and whose last row is scratch.
+fn must_hold_in(cfg: &Cfg, preds: &Predecessors, locks: &[VarId]) -> BitMatrix {
     let nb = cfg.num_blocks();
-    let full: HashSet<VarId> = locks.iter().copied().collect();
-    let mut in_sets: Vec<HashSet<VarId>> = vec![full.clone(); nb];
-    in_sets[cfg.entry.index()] = HashSet::new();
-    let preds = cfg.predecessors();
-    let rpo = cfg.reverse_postorder();
-    let transfer = |cfg: &Cfg, b: syncopt_ir::ids::BlockId, mut held: HashSet<VarId>| {
-        for instr in &cfg.block(b).instrs {
-            match instr {
-                Instr::LockAcq { lock, .. } => {
-                    held.insert(*lock);
-                }
-                Instr::LockRel { lock, .. } => {
-                    held.remove(lock);
-                }
-                _ => {}
+    let nl = locks.len();
+    let lock_index = |l: VarId| locks.binary_search(&l).expect("a lock variable");
+    let mut slab = BitMatrix::rectangular(3 * nb + 1, nl);
+    // A block's effect on one lock is its last operation on it.
+    for b in 0..nb {
+        for instr in &cfg.block(BlockId::from_index(b)).instrs {
+            let (lock, (set, clear)) = match instr {
+                Instr::LockAcq { lock, .. } => (lock, (nb + b, 2 * nb + b)),
+                Instr::LockRel { lock, .. } => (lock, (2 * nb + b, nb + b)),
+                _ => continue,
+            };
+            let k = lock_index(*lock);
+            slab.set(set, k);
+            slab.clear(clear, k);
+        }
+    }
+    for b in 0..nb {
+        if b != cfg.entry.index() {
+            for k in 0..nl {
+                slab.set(b, k);
             }
         }
-        held
-    };
+    }
+    let words = nl.div_ceil(64);
+    let scratch = 3 * nb;
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in &rpo {
-            if b == cfg.entry {
+        for b in 0..nb {
+            if b == cfg.entry.index() {
                 continue;
             }
-            let mut inb: Option<HashSet<VarId>> = None;
-            for &p in preds.of(b) {
-                let outp = transfer(cfg, p, in_sets[p.index()].clone());
-                inb = Some(match inb {
-                    None => outp,
-                    Some(cur) => cur.intersection(&outp).copied().collect(),
-                });
+            // in(b) = ⋂ over predecessors p of (in(p) ∖ kill(p)) ∪ gen(p);
+            // no predecessor: nothing is held.
+            let ps = preds.of(BlockId::from_index(b));
+            for w in 0..words {
+                let mut meet = if ps.is_empty() { 0 } else { !0 };
+                for p in ps {
+                    let p = p.index();
+                    let out = (slab.row_words(p)[w] & !slab.row_words(2 * nb + p)[w])
+                        | slab.row_words(nb + p)[w];
+                    meet &= out;
+                }
+                slab.row_words_mut(scratch)[w] = meet;
             }
-            let inb = inb.unwrap_or_default();
-            if inb != in_sets[b.index()] {
-                in_sets[b.index()] = inb;
+            if slab.row_words(b) != slab.row_words(scratch) {
+                slab.copy_row(b, scratch);
                 changed = true;
             }
         }
     }
-    in_sets
+    slab
 }
 
 /// Computes which accesses are guarded by which locks.
-pub fn compute_lock_guards(cfg: &Cfg, dom: &Dominators, d1: &DelaySet) -> LockGuards {
+pub fn compute_lock_guards(
+    cfg: &Cfg,
+    preds: &Predecessors,
+    dom: &Dominators,
+    d1: &DelaySet,
+) -> LockGuards {
+    if !cfg.vars.iter().any(|(_, info)| info.kind == VarKind::Lock) {
+        return LockGuards::default();
+    }
     let locks: Vec<VarId> = cfg
         .vars
         .iter()
         .filter(|(_, info)| info.kind == VarKind::Lock)
         .map(|(id, _)| id)
         .collect();
-    if locks.is_empty() {
-        return LockGuards::default();
-    }
-    let in_sets = must_hold_in(cfg, &locks);
+    let lock_index = |l: VarId| locks.binary_search(&l).expect("a lock variable");
+    let mut slab = must_hold_in(cfg, preds, &locks);
+    let scratch = slab.num_rows() - 1;
 
-    // Lock operations by lock variable.
-    let mut acqs: HashMap<VarId, Vec<AccessId>> = HashMap::new();
-    let mut rels: HashMap<VarId, Vec<AccessId>> = HashMap::new();
-    for (id, info) in cfg.accesses.iter() {
-        match info.kind {
-            AccessKind::LockAcq => acqs.entry(info.var.unwrap()).or_default().push(id),
-            AccessKind::LockRel => rels.entry(info.var.unwrap()).or_default().push(id),
-            _ => {}
-        }
-    }
-
-    // Must-hold at an access position: simulate the block prefix.
-    let held_at = |pos: syncopt_ir::ids::Position| -> HashSet<VarId> {
-        let mut held = in_sets[pos.block.index()].clone();
-        for (i, instr) in cfg.block(pos.block).instrs.iter().enumerate() {
-            if i >= pos.instr {
-                break;
-            }
-            match instr {
-                Instr::LockAcq { lock, .. } => {
-                    held.insert(*lock);
-                }
-                Instr::LockRel { lock, .. } => {
-                    held.remove(lock);
-                }
-                _ => {}
-            }
-        }
-        held
+    // Lock operations by lock index: releases after acquires, each run in
+    // access order.
+    let mut ops: Vec<(usize, bool, AccessId)> = cfg
+        .accesses
+        .iter()
+        .filter_map(|(id, info)| match info.kind {
+            AccessKind::LockAcq => Some((lock_index(info.var?), false, id)),
+            AccessKind::LockRel => Some((lock_index(info.var?), true, id)),
+            _ => None,
+        })
+        .collect();
+    ops.sort_unstable();
+    let sites = |k: usize, release: bool| {
+        let lo = ops.partition_point(|&(l, r, _)| (l, r) < (k, release));
+        let hi = ops.partition_point(|&(l, r, _)| (l, r) <= (k, release));
+        ops[lo..hi].iter().map(|&(_, _, id)| id)
     };
 
-    let mut guards = LockGuards::default();
+    // (lock index, access) for every guarded access, accesses ascending.
+    let mut guarded: Vec<(usize, AccessId)> = Vec::new();
     for (a, info) in cfg.accesses.iter() {
         if !info.kind.is_data() {
             continue;
         }
-        let held = held_at(info.pos);
-        for &l in &held {
-            let has_b1 = acqs.get(&l).is_some_and(|sites| {
-                sites.iter().any(|&b1| {
-                    dom.pos_dominates(cfg.accesses.info(b1).pos, info.pos) && d1.contains(b1, a)
-                })
+        // Must-hold at the access: the block's entry set, then its prefix.
+        let block = info.pos.block;
+        slab.copy_row(scratch, block.index());
+        apply_lock_ops(
+            &cfg.block(block).instrs[..info.pos.instr],
+            lock_index,
+            slab.row_words_mut(scratch),
+        );
+        for k in slab.row_ones(scratch) {
+            let has_b1 = sites(k, false).any(|b1| {
+                dom.pos_dominates(cfg.accesses.info(b1).pos, info.pos) && d1.contains(b1, a)
             });
-            let has_b2 = rels.get(&l).is_some_and(|sites| {
-                sites.iter().any(|&b2| {
+            let has_b2 = has_b1
+                && sites(k, true).any(|b2| {
                     dom.pos_dominates(info.pos, cfg.accesses.info(b2).pos) && d1.contains(a, b2)
-                })
-            });
-            if has_b1 && has_b2 {
-                guards.guarded.entry(l).or_default().push(a);
+                });
+            if has_b2 {
+                guarded.push((k, a));
             }
         }
     }
-    guards
+    guarded.sort_by_key(|&(k, _)| k);
+    let mut out = LockGuards::default();
+    for run in guarded.chunk_by(|x, y| x.0 == y.0) {
+        if out.starts.is_empty() {
+            out.starts.push(0);
+        }
+        out.locks.push(locks[run[0].0]);
+        out.accesses.extend(run.iter().map(|&(_, a)| a));
+        out.starts.push(out.accesses.len() as u32);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! `syncopt-machine`, mirroring the paper's two-version compilation).
 
 use crate::affine::may_match_any_proc;
-use crate::barrier::{aligned_barriers_with, barrier_precedence_edges, BarrierPolicy};
+use crate::barrier::{aligned_barriers_with, for_each_barrier_edge, BarrierPolicy};
 use crate::base::AnalysisBase;
 use crate::conflict::ConflictSet;
 use crate::cycle::{delay_set_over, BackPathOracle, DelayOptions, DelayQueryStats, MirrorClosure};
@@ -34,7 +34,7 @@ use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::{BitMatrix, BitSet};
+use syncopt_ir::order::{BitMatrix, BitSet, GraphScratch};
 
 /// The precedence relation `R`: `(a1, a2) ∈ R` means synchronization
 /// guarantees `a1`'s instances complete before `a2`'s instances initiate
@@ -180,6 +180,18 @@ impl AnalysisBase {
         opts: &SyncOptions,
         excl: &SyncExclusion,
     ) -> (SyncAnalysis, DelaySet) {
+        self.refine_with(cfg, opts, excl, &mut GraphScratch::default())
+    }
+
+    /// [`AnalysisBase::refine`] condensing a re-oriented mirror copy in
+    /// `scratch`.
+    pub fn refine_with(
+        &self,
+        cfg: &Cfg,
+        opts: &SyncOptions,
+        excl: &SyncExclusion,
+        scratch: &mut GraphScratch,
+    ) -> (SyncAnalysis, DelaySet) {
         let (r, aligned, mut counters) = self.precedence(cfg, opts, excl);
         // Step 2 happened in the base: D1 is D_SS restricted to pairs
         // with a synchronization side, so no query is left to count.
@@ -190,14 +202,17 @@ impl AnalysisBase {
         // Step 5: orient conflict edges.
         let mut oriented = self.conflicts.clone();
         let edges_before = oriented.num_directed_edges() as u64;
-        for (a1, a2) in r.pairs() {
-            oriented.remove_direction(a2, a1);
+        for a1 in 0..r.n {
+            for a2 in r.m.row_ones(a1) {
+                oriented.remove_direction(AccessId::from_index(a2), AccessId::from_index(a1));
+            }
         }
         let directions_removed = edges_before - oriented.num_directed_edges() as u64;
         counters.set(C::SyncConflictDirectionsRemoved, directions_removed);
 
         // Step 6: final delay set with per-pair removals.
-        let (mut delay, step6_stats) = self.recompute(&oriented, directions_removed > 0, &r, opts);
+        let (mut delay, step6_stats) =
+            self.recompute(&oriented, directions_removed > 0, &r, opts, scratch);
         delay.union_with(&self.d1);
         counters.set(C::SyncCandidatePairs, step6_stats.candidates);
         counters.set(C::SyncPrunedCandidates, step6_stats.pruned_candidates);
@@ -230,12 +245,16 @@ impl AnalysisBase {
         reoriented: bool,
         r: &Precedence,
         opts: &SyncOptions,
+        scratch: &mut GraphScratch,
     ) -> (DelaySet, DelayQueryStats) {
-        let candidates = self.delay_ss.minus(&self.d1);
-        if candidates.is_empty() {
-            return (candidates, DelayQueryStats::default());
+        // `D1 ⊆ D_SS`, so the sizes tell whether `D_SS ∖ D1` is empty.
+        if self.delay_ss.len() == self.d1.len() {
+            return (
+                DelaySet::new(self.delay_ss.num_accesses()),
+                DelayQueryStats::default(),
+            );
         }
-        let rebuilt = reoriented.then(|| MirrorClosure::build(oriented, &self.po));
+        let rebuilt = reoriented.then(|| MirrorClosure::build_with(oriented, &self.po, scratch));
         let closure = rebuilt.as_ref().unwrap_or(&self.closure);
         let oracle = BackPathOracle::oriented(&self.conflicts, oriented, r, &self.po, closure);
         // The removal set, word-parallel: successors of u in R,
@@ -252,10 +271,10 @@ impl AnalysisBase {
             out.remove(v.index());
         };
         let step6 = DelayOptions {
-            removals: Some(Box::new(removals)),
+            removals: Some(&removals),
             threads: opts.threads,
         };
-        let (delay, mut stats) = delay_set_over(&oracle, &candidates, &step6);
+        let (delay, mut stats) = delay_set_over(&oracle, &self.delay_ss, Some(&self.d1), &step6);
         if let Some(closure) = &rebuilt {
             stats.add_oracle_build(closure.build_stats());
         }
@@ -291,24 +310,23 @@ impl AnalysisBase {
         counters: &mut AnalysisCounters,
     ) -> (Precedence, Vec<AccessId>) {
         let mut r = Precedence::new(cfg.accesses.len());
-        let pw: Vec<(AccessId, AccessId)> = post_wait_edges(cfg)
-            .into_iter()
-            .filter(|(_, w)| !excl.waits.contains(w))
-            .collect();
-        counters.set(C::SyncPostWaitEdges, pw.len() as u64);
-        for (p, w) in pw {
-            r.insert(p, w);
-        }
-        let aligned: Vec<AccessId> = aligned_barriers_with(cfg, opts.barrier_policy, &self.pdom)
-            .into_iter()
-            .filter(|b| !excl.barriers.contains(b))
-            .collect();
+        let mut post_wait = 0;
+        for_each_post_wait_edge(cfg, |p, w| {
+            if !excl.waits.contains(&w) {
+                post_wait += 1;
+                r.insert(p, w);
+            }
+        });
+        counters.set(C::SyncPostWaitEdges, post_wait);
+        let mut aligned = aligned_barriers_with(cfg, opts.barrier_policy, &self.pdom);
+        aligned.retain(|b| !excl.barriers.contains(b));
         counters.set(C::SyncAlignedBarriers, aligned.len() as u64);
-        let be = barrier_precedence_edges(&self.po, &aligned);
-        counters.set(C::SyncBarrierEdges, be.len() as u64);
-        for (b1, b2) in be {
+        let mut barrier_edges = 0;
+        for_each_barrier_edge(&self.po, &aligned, |b1, b2| {
+            barrier_edges += 1;
             r.insert(b1, b2);
-        }
+        });
+        counters.set(C::SyncBarrierEdges, barrier_edges);
         (r, aligned)
     }
 }
@@ -317,30 +335,25 @@ impl AnalysisBase {
 /// when exactly one post site can release it — with several candidate
 /// producers we cannot tell at compile time which instance will run first.
 pub(crate) fn post_wait_edges(cfg: &Cfg) -> Vec<(AccessId, AccessId)> {
-    let posts: Vec<(AccessId, &syncopt_ir::access::AccessInfo)> = cfg
-        .accesses
-        .iter()
-        .filter(|(_, i)| i.kind == AccessKind::Post)
-        .collect();
-    let waits: Vec<(AccessId, &syncopt_ir::access::AccessInfo)> = cfg
-        .accesses
-        .iter()
-        .filter(|(_, i)| i.kind == AccessKind::Wait)
-        .collect();
     let mut out = Vec::new();
-    for (w, wi) in &waits {
-        let matching: Vec<AccessId> = posts
-            .iter()
+    for_each_post_wait_edge(cfg, |p, w| out.push((p, w)));
+    out
+}
+
+/// The edges of [`post_wait_edges`], in its order (by wait), handed to
+/// `f`.
+fn for_each_post_wait_edge(cfg: &Cfg, mut f: impl FnMut(AccessId, AccessId)) {
+    let of_kind = |kind| cfg.accesses.iter().filter(move |(_, i)| i.kind == kind);
+    for (w, wi) in of_kind(AccessKind::Wait) {
+        let mut matching = of_kind(AccessKind::Post)
             .filter(|(_, pi)| {
                 pi.var == wi.var && may_match_any_proc(pi.index.as_ref(), wi.index.as_ref())
             })
-            .map(|(p, _)| *p)
-            .collect();
-        if let [only] = matching.as_slice() {
-            out.push((*only, *w));
+            .map(|(p, _)| p);
+        if let (Some(only), None) = (matching.next(), matching.next()) {
+            f(only, w);
         }
     }
-    out
 }
 
 /// The `D1` pairs step 4 chains through, with their dominance anchors
@@ -357,38 +370,48 @@ pub(crate) fn post_wait_edges(cfg: &Cfg) -> Vec<(AccessId, AccessId)> {
 /// every `a2` execution was preceded by the synchronization `b2`.
 #[derive(Debug, Clone)]
 pub struct D1Anchors {
-    /// Row `a1` = `{b1 ≠ a1 : [a1, b1] ∈ D1, b1 postdom a1}`.
-    producer: BitMatrix,
-    /// Row `b2` = `{a2 ≠ b2 : [b2, a2] ∈ D1, b2 dom a2}`.
-    consumer: BitMatrix,
+    /// Row `a1 < n` = `{b1 ≠ a1 : [a1, b1] ∈ D1, b1 postdom a1}` (the
+    /// producer anchors); row `n + b2` = `{a2 ≠ b2 : [b2, a2] ∈ D1,
+    /// b2 dom a2}` (the consumer anchors).
+    rows: BitMatrix,
 }
 
 impl D1Anchors {
     /// Classifies every `D1` pair once.
     pub fn compute(cfg: &Cfg, dom: &Dominators, pdom: &Dominators, d1: &DelaySet) -> Self {
         let n = cfg.accesses.len();
-        let mut anchors = D1Anchors {
-            producer: BitMatrix::new(n),
-            consumer: BitMatrix::new(n),
-        };
-        for (x, y) in d1.pairs() {
-            if x == y {
-                continue;
-            }
-            let (px, py) = (cfg.accesses.info(x).pos, cfg.accesses.info(y).pos);
-            let y_postdominates_x = if px.block == py.block {
-                py.instr >= px.instr
-            } else {
-                pdom.dominates(py.block, px.block)
-            };
-            if y_postdominates_x {
-                anchors.producer.set(x.index(), y.index());
-            }
-            if dom.pos_dominates(px, py) {
-                anchors.consumer.set(x.index(), y.index());
+        let mut rows = BitMatrix::rectangular(2 * n, n);
+        for x in 0..n {
+            let px = cfg.accesses.info(AccessId::from_index(x)).pos;
+            for y in d1.row_ones(x) {
+                if x == y {
+                    continue;
+                }
+                let py = cfg.accesses.info(AccessId::from_index(y)).pos;
+                let y_postdominates_x = if px.block == py.block {
+                    py.instr >= px.instr
+                } else {
+                    pdom.dominates(py.block, px.block)
+                };
+                if y_postdominates_x {
+                    rows.set(x, y);
+                }
+                if dom.pos_dominates(px, py) {
+                    rows.set(n + x, y);
+                }
             }
         }
-        anchors
+        D1Anchors { rows }
+    }
+
+    /// The producer anchors of `a1`.
+    fn producer(&self, a1: usize) -> impl Iterator<Item = usize> + '_ {
+        self.rows.row_ones(a1)
+    }
+
+    /// The consumer anchors of `b2`, as raw words.
+    fn consumer(&self, b2: usize) -> &[u64] {
+        self.rows.row_words(self.rows.len() + b2)
     }
 }
 
@@ -412,9 +435,9 @@ fn grow_precedence(anchors: &D1Anchors, r: &mut Precedence) {
             before.union_words(r.m.row_words(x));
             for z in before.iter_ones() {
                 r.m.or_row(x, z);
-                r.m.or_row_words(x, anchors.consumer.row_words(z));
+                r.m.or_row_words(x, anchors.consumer(z));
             }
-            for b1 in anchors.producer.row_ones(x) {
+            for b1 in anchors.producer(x) {
                 r.m.or_row(x, b1);
             }
             if !before.contains(x) {

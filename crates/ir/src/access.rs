@@ -80,6 +80,7 @@ impl AccessTable {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn info(&self, id: AccessId) -> &AccessInfo {
         &self.accesses[id.index()]
     }
@@ -90,6 +91,7 @@ impl AccessTable {
     }
 
     /// Number of accesses.
+    #[inline]
     pub fn len(&self) -> usize {
         self.accesses.len()
     }
@@ -100,6 +102,7 @@ impl AccessTable {
     }
 
     /// Iterates over `(id, info)` pairs.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (AccessId, &AccessInfo)> {
         self.accesses
             .iter()
@@ -108,6 +111,7 @@ impl AccessTable {
     }
 
     /// All access ids.
+    #[inline]
     pub fn ids(&self) -> impl Iterator<Item = AccessId> {
         (0..self.accesses.len()).map(AccessId::from_index)
     }

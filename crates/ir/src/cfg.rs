@@ -307,6 +307,7 @@ impl IntoIterator for Successors {
 
 impl Terminator {
     /// Successor block ids.
+    #[inline]
     pub fn successors(&self) -> Successors {
         let (ids, len) = match self {
             Terminator::Goto(b) => ([*b, *b], 1),
@@ -330,6 +331,7 @@ pub struct Predecessors {
 
 impl Predecessors {
     /// The blocks with an edge into `b`.
+    #[inline]
     pub fn of(&self, b: BlockId) -> &[BlockId] {
         &self.blocks[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
     }
@@ -377,6 +379,7 @@ impl Cfg {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn block(&self, id: BlockId) -> &Block {
         &self.blocks[id.index()]
     }
@@ -387,16 +390,19 @@ impl Cfg {
     }
 
     /// Number of blocks.
+    #[inline]
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
 
     /// All block ids in index order.
+    #[inline]
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
         (0..self.blocks.len()).map(BlockId::from_index)
     }
 
     /// Successors of `id`.
+    #[inline]
     pub fn successors(&self, id: BlockId) -> Successors {
         self.block(id).term.successors()
     }

@@ -5,8 +5,21 @@
 //! `b`'s instruction passes through `a`'s instruction. At block granularity
 //! that is block-dominance; within one block it is instruction order.
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, Predecessors};
 use crate::ids::{BlockId, Position};
+
+/// The walk state of one dominator computation, reused by the next.
+#[derive(Default)]
+struct Scratch {
+    visited: Vec<bool>,
+    rpo: Vec<BlockId>,
+    stack: Vec<(BlockId, usize)>,
+    rpo_num: Vec<usize>,
+    /// The dominator tree's child lists: block `b`'s children are
+    /// `children[child_start[b]..child_start[b + 1]]`.
+    child_start: Vec<u32>,
+    children: Vec<BlockId>,
+}
 
 /// Block-level dominator information.
 #[derive(Debug, Clone)]
@@ -14,31 +27,51 @@ pub struct Dominators {
     /// Immediate dominator of each block (`None` for the root and for
     /// unreachable blocks).
     idom: Vec<Option<BlockId>>,
-    /// Whether each block is reachable from the root.
-    reachable: Vec<bool>,
-    root: BlockId,
+    /// Each block's `[entry, exit]` times in a depth-first walk of the
+    /// tree: `a` dominates `b` iff `a`'s span encloses `b`'s. Unreachable
+    /// blocks have [`UNREACHED`].
+    span: Vec<[u32; 2]>,
 }
+
+/// The span of a block the root does not reach.
+const UNREACHED: [u32; 2] = [u32::MAX, 0];
 
 impl Dominators {
     /// Computes dominators with `cfg.entry` as root.
     pub fn compute(cfg: &Cfg) -> Self {
-        let preds = cfg.predecessors();
+        Self::forward(cfg, &cfg.predecessors(), &mut Scratch::default())
+    }
+
+    /// Computes **post**dominators with `cfg.exit` as root (edges reversed).
+    pub fn compute_post(cfg: &Cfg) -> Self {
+        Self::backward(cfg, &cfg.predecessors(), &mut Scratch::default())
+    }
+
+    /// Dominators and postdominators of `cfg` over its predecessor lists
+    /// `preds`, one walk's scratch serving both.
+    pub fn both(cfg: &Cfg, preds: &Predecessors) -> (Self, Self) {
+        let mut scratch = Scratch::default();
+        let dom = Self::forward(cfg, preds, &mut scratch);
+        (dom, Self::backward(cfg, preds, &mut scratch))
+    }
+
+    fn forward(cfg: &Cfg, preds: &Predecessors, scratch: &mut Scratch) -> Self {
         Self::compute_general(
             cfg.num_blocks(),
             cfg.entry,
             |b| cfg.successors(b),
             |b| preds.of(b),
+            scratch,
         )
     }
 
-    /// Computes **post**dominators with `cfg.exit` as root (edges reversed).
-    pub fn compute_post(cfg: &Cfg) -> Self {
-        let preds = cfg.predecessors();
+    fn backward(cfg: &Cfg, preds: &Predecessors, scratch: &mut Scratch) -> Self {
         Self::compute_general(
             cfg.num_blocks(),
             cfg.exit,
             |b| preds.of(b),
             |b| cfg.successors(b),
+            scratch,
         )
     }
 
@@ -50,15 +83,26 @@ impl Dominators {
         root: BlockId,
         succs: impl Fn(BlockId) -> S,
         preds: impl Fn(BlockId) -> P,
+        scratch: &mut Scratch,
     ) -> Self
     where
         S: std::ops::Deref<Target = [BlockId]>,
         P: std::ops::Deref<Target = [BlockId]>,
     {
+        let Scratch {
+            visited,
+            rpo,
+            stack,
+            rpo_num,
+            child_start,
+            children,
+        } = scratch;
         // Reverse postorder from root over `succs`.
-        let mut visited = vec![false; n];
-        let mut rpo: Vec<BlockId> = Vec::with_capacity(n);
-        let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
+        visited.clear();
+        visited.resize(n, false);
+        rpo.clear();
+        stack.clear();
+        stack.push((root, 0));
         visited[root.index()] = true;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             if let Some(&s) = succs(node).get(*next) {
@@ -73,7 +117,8 @@ impl Dominators {
             }
         }
         rpo.reverse();
-        let mut rpo_num = vec![usize::MAX; n];
+        rpo_num.clear();
+        rpo_num.resize(n, usize::MAX);
         for (i, &b) in rpo.iter().enumerate() {
             rpo_num[b.index()] = i;
         }
@@ -92,7 +137,7 @@ impl Dominators {
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, &rpo_num, p, cur),
+                        Some(cur) => intersect(&idom, rpo_num, p, cur),
                     });
                 }
                 if let Some(ni) = new_idom {
@@ -104,51 +149,75 @@ impl Dominators {
             }
         }
         // Root's idom is conventionally itself internally; expose None.
-        let mut out = idom;
-        out[root.index()] = None;
-        Dominators {
-            idom: out,
-            reachable: visited,
-            root,
+        idom[root.index()] = None;
+
+        // The tree's child lists, then one depth-first walk for the spans.
+        child_start.clear();
+        child_start.resize(n + 1, 0);
+        for p in idom.iter().flatten() {
+            child_start[p.index() + 1] += 1;
         }
+        for b in 0..n {
+            child_start[b + 1] += child_start[b];
+        }
+        children.clear();
+        children.resize(child_start[n] as usize, root);
+        for &b in rpo.iter() {
+            if let Some(p) = idom[b.index()] {
+                children[child_start[p.index()] as usize] = b;
+                child_start[p.index()] += 1;
+            }
+        }
+        child_start.copy_within(0..n, 1);
+        child_start[0] = 0;
+        let mut span = vec![UNREACHED; n];
+        let mut time = 0u32;
+        stack.clear();
+        stack.push((root, child_start[root.index()] as usize));
+        span[root.index()][0] = time;
+        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
+            if *next < child_start[node.index() + 1] as usize {
+                let child = children[*next];
+                *next += 1;
+                time += 1;
+                span[child.index()][0] = time;
+                stack.push((child, child_start[child.index()] as usize));
+            } else {
+                time += 1;
+                span[node.index()][1] = time;
+                stack.pop();
+            }
+        }
+        Dominators { idom, span }
     }
 
     /// The immediate dominator of `b` (`None` for the root / unreachable).
+    #[inline]
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
         self.idom[b.index()]
     }
 
     /// Whether `b` is reachable from the root.
+    #[inline]
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.reachable[b.index()]
+        self.span[b.index()] != UNREACHED
     }
 
     /// Whether block `a` dominates block `b` (reflexive).
     ///
     /// Returns `false` if either block is unreachable.
+    #[inline]
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.reachable[a.index()] || !self.reachable[b.index()] {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.root {
-                return false;
-            }
-            match self.idom[cur.index()] {
-                Some(next) => cur = next,
-                None => return false,
-            }
-        }
+        let ([a_in, a_out], [b_in, b_out]) = (self.span[a.index()], self.span[b.index()]);
+        // An unreachable span encloses nothing and is enclosed by nothing.
+        a_in <= b_in && b_out <= a_out && b_in <= b_out
     }
 
     /// Whether the instruction at `a` dominates the instruction at `b`
     /// (strictly earlier within the same block, or block-dominance).
     ///
     /// Reflexive at the position level: a position dominates itself.
+    #[inline]
     pub fn pos_dominates(&self, a: Position, b: Position) -> bool {
         if a.block == b.block {
             a.instr <= b.instr

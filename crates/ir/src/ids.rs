@@ -10,6 +10,7 @@ macro_rules! define_id {
 
         impl $name {
             /// Returns the raw index for table lookups.
+            #[inline]
             pub fn index(self) -> usize {
                 self.0 as usize
             }
@@ -19,6 +20,7 @@ macro_rules! define_id {
             /// # Panics
             ///
             /// Panics if `index` does not fit in `u32`.
+            #[inline]
             pub fn from_index(index: usize) -> Self {
                 $name(u32::try_from(index).expect("id index overflow"))
             }

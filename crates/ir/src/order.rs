@@ -9,6 +9,7 @@ use crate::ids::{AccessId, BlockId, Position};
 
 /// The set bits of `words` as ascending indices — the one iteration both
 /// [`BitSet::iter_ones`] and [`BitMatrix::row_ones`] are built on.
+#[inline]
 fn ones_of(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
         let mut bits = w;
@@ -26,7 +27,7 @@ fn ones_of(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// A dense boolean matrix, used for reachability closures. Square unless
 /// built with [`BitMatrix::rectangular`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BitMatrix {
     rows: usize,
     n: usize,
@@ -36,11 +37,13 @@ pub struct BitMatrix {
 
 impl BitMatrix {
     /// Creates an `n × n` matrix of `false`.
+    #[inline]
     pub fn new(n: usize) -> Self {
         Self::rectangular(n, n)
     }
 
     /// Creates a `rows × cols` matrix of `false`.
+    #[inline]
     pub fn rectangular(rows: usize, cols: usize) -> Self {
         let words_per_row = cols.div_ceil(64);
         BitMatrix {
@@ -51,12 +54,51 @@ impl BitMatrix {
         }
     }
 
+    /// The number of rows.
+    #[inline]
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Reshapes to a `rows × cols` matrix of `false`, keeping the
+    /// allocation.
+    #[inline]
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.n = cols;
+        self.words_per_row = cols.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(self.words_per_row * rows, 0);
+    }
+
+    /// Overwrites row `dst` with row `src` of `other`, which has as many
+    /// columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range or the column counts differ.
+    #[inline]
+    pub fn copy_row_from(&mut self, dst: usize, other: &BitMatrix, src: usize) {
+        assert_eq!(self.n, other.n);
+        self.row_words_mut(dst).copy_from_slice(other.row_words(src));
+    }
+
+    /// Overwrites row `dst` with row `src`.
+    #[inline]
+    pub fn copy_row(&mut self, dst: usize, src: usize) {
+        assert!(dst < self.rows && src < self.rows);
+        let w = self.words_per_row;
+        self.bits.copy_within(src * w..(src + 1) * w, dst * w);
+    }
+
     /// The number of columns (the dimension of a square matrix).
+    #[inline]
     pub fn len(&self) -> usize {
         self.n
     }
 
     /// Whether the matrix has no columns.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
@@ -66,6 +108,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of range.
+    #[inline]
     pub fn set(&mut self, row: usize, col: usize) {
         assert!(row < self.rows && col < self.n);
         self.bits[row * self.words_per_row + col / 64] |= 1 << (col % 64);
@@ -76,6 +119,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of range.
+    #[inline]
     pub fn clear(&mut self, row: usize, col: usize) {
         assert!(row < self.rows && col < self.n);
         self.bits[row * self.words_per_row + col / 64] &= !(1 << (col % 64));
@@ -86,12 +130,14 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of range.
+    #[inline]
     pub fn get(&self, row: usize, col: usize) -> bool {
         assert!(row < self.rows && col < self.n);
         self.bits[row * self.words_per_row + col / 64] & (1 << (col % 64)) != 0
     }
 
     /// `row_dst |= row_src`; returns whether `row_dst` changed.
+    #[inline]
     pub fn or_row(&mut self, row_dst: usize, row_src: usize) -> bool {
         let (dst_off, src_off) = (row_dst * self.words_per_row, row_src * self.words_per_row);
         let mut changed = false;
@@ -106,23 +152,27 @@ impl BitMatrix {
     }
 
     /// Number of `true` entries.
+    #[inline]
     pub fn count_ones(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The raw words of `row`, for word-parallel set operations.
+    #[inline]
     pub fn row_words(&self, row: usize) -> &[u64] {
         assert!(row < self.rows);
         &self.bits[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
     /// The raw words of `row`, writable.
+    #[inline]
     pub fn row_words_mut(&mut self, row: usize) -> &mut [u64] {
         assert!(row < self.rows);
         &mut self.bits[row * self.words_per_row..(row + 1) * self.words_per_row]
     }
 
     /// The columns set in `row`, in increasing order.
+    #[inline]
     pub fn row_ones(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         ones_of(self.row_words(row))
     }
@@ -132,6 +182,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `row` is out of range or `words` has the wrong length.
+    #[inline]
     pub fn and_row_words(&mut self, row: usize, words: &[u64]) {
         assert!(row < self.rows);
         assert_eq!(words.len(), self.words_per_row);
@@ -149,6 +200,7 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics if `row` is out of range or `words` has the wrong length.
+    #[inline]
     pub fn or_row_words(&mut self, row: usize, words: &[u64]) -> bool {
         assert!(row < self.rows);
         assert_eq!(words.len(), self.words_per_row);
@@ -174,6 +226,7 @@ pub struct BitSet {
 
 impl BitSet {
     /// An empty set over the universe `0..n`.
+    #[inline]
     pub fn new(n: usize) -> Self {
         BitSet {
             n,
@@ -182,6 +235,7 @@ impl BitSet {
     }
 
     /// The universe size.
+    #[inline]
     pub fn universe(&self) -> usize {
         self.n
     }
@@ -191,6 +245,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn insert(&mut self, i: usize) {
         assert!(i < self.n);
         self.words[i / 64] |= 1 << (i % 64);
@@ -201,27 +256,32 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn remove(&mut self, i: usize) {
         assert!(i < self.n);
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
     /// Whether `i` is present.
+    #[inline]
     pub fn contains(&self, i: usize) -> bool {
         i < self.n && self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Removes every element.
+    #[inline]
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
     /// Whether the set has no elements.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
     /// Number of elements.
+    #[inline]
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -231,6 +291,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics on a word-length mismatch.
+    #[inline]
     pub fn union_words(&mut self, words: &[u64]) {
         assert_eq!(self.words.len(), words.len());
         for (d, s) in self.words.iter_mut().zip(words) {
@@ -243,6 +304,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics on a word-length mismatch.
+    #[inline]
     pub fn subtract_words(&mut self, words: &[u64]) {
         assert_eq!(self.words.len(), words.len());
         for (d, s) in self.words.iter_mut().zip(words) {
@@ -255,6 +317,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics on a word-length mismatch.
+    #[inline]
     pub fn assign_and_not(&mut self, words: &[u64], mask: &BitSet) {
         assert_eq!(self.words.len(), words.len());
         assert_eq!(self.words.len(), mask.words.len());
@@ -264,21 +327,25 @@ impl BitSet {
     }
 
     /// Whether `self ∩ other` is non-empty.
+    #[inline]
     pub fn intersects(&self, other: &BitSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Whether `self` and the raw row `words` share an element.
+    #[inline]
     pub fn intersects_words(&self, words: &[u64]) -> bool {
         self.words.iter().zip(words).any(|(a, b)| a & b != 0)
     }
 
     /// The raw words, for word-parallel consumers.
+    #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Iterates the elements in increasing order.
+    #[inline]
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         ones_of(&self.words)
     }
@@ -302,13 +369,28 @@ impl Csr {
     ///
     /// Panics if `n` exceeds `u32::MAX` or an edge leaves `0..n`.
     pub fn from_edges(n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) -> Self {
+        let mut g = Csr::default();
+        g.rebuild(n, edges);
+        g
+    }
+
+    /// [`Csr::from_edges`] into this graph's buffers, which keep their
+    /// capacity.
+    ///
+    /// # Panics
+    ///
+    /// As [`Csr::from_edges`].
+    pub fn rebuild(&mut self, n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) {
         assert!(u32::try_from(n).is_ok(), "node ids are stored as u32");
-        let mut offsets = vec![0usize; n + 1];
+        let Csr { offsets, targets } = self;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
         edges(&mut |from, _| offsets[from + 1] += 1);
         for x in 0..n {
             offsets[x + 1] += offsets[x];
         }
-        let mut targets = vec![0u32; offsets[n]];
+        targets.clear();
+        targets.resize(offsets[n], 0);
         // `offsets[x]` serves as node x's fill cursor and ends at the
         // start of node x + 1; one shift puts the starts back.
         edges(&mut |from, to| {
@@ -316,11 +398,8 @@ impl Csr {
             targets[offsets[from]] = to as u32;
             offsets[from] += 1;
         });
-        for x in (1..n).rev() {
-            offsets[x] = offsets[x - 1];
-        }
+        offsets.copy_within(0..n, 1);
         offsets[0] = 0;
-        Csr { offsets, targets }
     }
 
     /// The number of nodes.
@@ -339,6 +418,7 @@ impl Csr {
     }
 
     /// The successors of `x`, in the order they were reported.
+    #[inline]
     pub fn successors(&self, x: usize) -> &[u32] {
         &self.targets[self.offsets[x]..self.offsets[x + 1]]
     }
@@ -353,6 +433,36 @@ pub struct ReachStats {
     pub sccs: u64,
     /// `u64` words ORed while propagating rows between components.
     pub closure_word_ors: u64,
+}
+
+/// The working buffers of condensing graphs — the graph itself, Tarjan's
+/// walk and the rows pushed through the condensation — for a caller that
+/// condenses several (one analysis condenses three): each buffer is
+/// allocated once and keeps its capacity from one graph to the next.
+#[derive(Debug, Default)]
+pub struct GraphScratch {
+    graph: Csr,
+    walk: Walk,
+}
+
+impl GraphScratch {
+    /// [`Ancestors::compute`] of the graph over `0..n` whose edges
+    /// `edges` reports (as [`Csr::from_edges`] takes them).
+    pub fn ancestors(&mut self, n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) -> Ancestors {
+        self.graph.rebuild(n, edges);
+        Ancestors::compute_with(&self.graph, &mut self.walk)
+    }
+
+    /// [`reachability_counted`] of the graph over `0..n` whose edges
+    /// `edges` reports.
+    pub fn reachability(
+        &mut self,
+        n: usize,
+        edges: impl Fn(&mut dyn FnMut(usize, usize)),
+    ) -> (BitMatrix, ReachStats) {
+        self.graph.rebuild(n, edges);
+        reachability_with(&self.graph, &mut self.walk)
+    }
 }
 
 /// Computes the transitive closure of `edges` over `n` nodes:
@@ -378,13 +488,26 @@ pub fn reachability(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
 /// cyclic component (size > 1, or a self-loop) reach each other and
 /// themselves.
 pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
+    reachability_with(g, &mut Walk::default())
+}
+
+fn reachability_with(g: &Csr, walk: &mut Walk) -> (BitMatrix, ReachStats) {
     let n = g.len();
     let mut m = BitMatrix::new(n);
     let mut stats = ReachStats::default();
     if n == 0 {
         return (m, stats);
     }
-    let sccs = tarjan_sccs(g);
+    let mut comp = std::mem::take(&mut walk.comp);
+    walk.tarjan(g, &mut comp);
+    let Walk {
+        nodes,
+        start,
+        last_seen,
+        rows,
+        ..
+    } = walk;
+    let sccs = Sccs { nodes, start };
     let num_sccs = sccs.len();
     stats.sccs = num_sccs as u64;
     let words_per_row = n.div_ceil(64);
@@ -392,11 +515,13 @@ pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
     // `full.row(rep_of(c))` = closure row of component `c` *including*
     // `c`'s own members — exactly what a predecessor component ORs in. The
     // representative of a component is its smallest member.
-    let mut full = BitMatrix::new(n);
+    let full = rows;
+    full.reset(n, n);
     let rep_of = |c: usize| sccs.members(c)[0];
     // Dedup marker so each successor component is ORed at most once per
     // component, regardless of how many edges lead to it.
-    let mut last_seen = vec![usize::MAX; num_sccs];
+    last_seen.clear();
+    last_seen.resize(num_sccs, usize::MAX);
 
     // Tarjan emits components in reverse topological order: every
     // successor component of `c` has an id < `c` and is already final.
@@ -406,7 +531,7 @@ pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
         let mut cyclic = mems.len() > 1;
         for &u in mems {
             for &v in g.successors(u) {
-                let t = sccs.comp[v as usize];
+                let t = comp[v as usize];
                 if t == c {
                     cyclic = true;
                 } else if last_seen[t] != c {
@@ -433,22 +558,46 @@ pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
         }
         stats.closure_word_ors += words_per_row as u64;
     }
+    walk.comp = comp;
     (m, stats)
+}
+
+/// What Tarjan's walk knows about one node.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    index: usize,
+    low: usize,
+    on_stack: bool,
+}
+
+/// The buffers of one condensation: Tarjan's walk, the components it
+/// found, and the rows pushed through them.
+#[derive(Debug, Default)]
+struct Walk {
+    visit: Vec<Visit>,
+    stack: Vec<usize>,
+    call: Vec<(usize, usize)>,
+    /// Every node, grouped by component (see [`Sccs`]).
+    nodes: Vec<usize>,
+    start: Vec<usize>,
+    /// A component id per node, when the caller keeps none.
+    comp: Vec<usize>,
+    /// A per-component dedup marker.
+    last_seen: Vec<usize>,
+    /// Rows pushed through the condensation.
+    rows: BitMatrix,
 }
 
 /// The strongly connected components of a graph, numbered in Tarjan's
 /// emission order, which is **reverse topological** over the condensation
-/// DAG.
-struct Sccs {
-    /// The component id of each node.
-    comp: Vec<usize>,
-    /// Every node, grouped by component: component `c`'s nodes are
-    /// `nodes[start[c]..start[c + 1]]`, smallest first.
-    nodes: Vec<usize>,
-    start: Vec<usize>,
+/// DAG: component `c`'s nodes are `nodes[start[c]..start[c + 1]]`,
+/// smallest first.
+struct Sccs<'a> {
+    nodes: &'a [usize],
+    start: &'a [usize],
 }
 
-impl Sccs {
+impl Sccs<'_> {
     fn len(&self) -> usize {
         self.start.len() - 1
     }
@@ -484,36 +633,51 @@ impl Ancestors {
     /// predecessors: its row is final by then, and it ORs `row ∪ members`
     /// into each successor component once.
     pub fn compute(g: &Csr) -> Self {
+        Self::compute_with(g, &mut Walk::default())
+    }
+
+    fn compute_with(g: &Csr, walk: &mut Walk) -> Self {
         let n = g.len();
-        let sccs = tarjan_sccs(g);
+        let mut comp = Vec::new();
+        walk.tarjan(g, &mut comp);
+        let Walk {
+            nodes,
+            start,
+            last_seen,
+            rows: pushed,
+            ..
+        } = walk;
+        let sccs = Sccs { nodes, start };
         let num = sccs.len();
         let mut rows = BitMatrix::rectangular(num, n);
         let mut stats = ReachStats {
             sccs: num as u64,
             closure_word_ors: 0,
         };
-        // `pushed` = Anc(c) ∪ members(c), what every successor inherits.
-        let mut pushed = BitSet::new(n);
+        // `pushed` = Anc(c) ∪ members(c), what every successor inherits:
+        // the one row of a reused matrix.
+        pushed.reset(1, n);
         // Dedup marker so each successor component is ORed once per
         // component, however many edges lead to it.
-        let mut last_seen = vec![usize::MAX; num];
+        last_seen.clear();
+        last_seen.resize(num, usize::MAX);
         for c in (0..num).rev() {
             let mems = sccs.members(c);
-            pushed.clear();
-            pushed.union_words(rows.row_words(c));
+            pushed.copy_row_from(0, &rows, c);
             for &u in mems {
-                pushed.insert(u);
+                pushed.set(0, u);
             }
             let mut cyclic = mems.len() > 1;
             for &u in mems {
                 for &v in g.successors(u) {
-                    let t = sccs.comp[v as usize];
+                    let t = comp[v as usize];
                     if t == c {
                         cyclic = true;
                     } else if last_seen[t] != c {
                         last_seen[t] = c;
-                        rows.or_row_words(t, pushed.words());
-                        stats.closure_word_ors += pushed.words().len() as u64;
+                        let words = pushed.row_words(0);
+                        rows.or_row_words(t, words);
+                        stats.closure_word_ors += words.len() as u64;
                     }
                 }
             }
@@ -523,11 +687,7 @@ impl Ancestors {
                 }
             }
         }
-        Ancestors {
-            comp: sccs.comp,
-            rows,
-            stats,
-        }
+        Ancestors { comp, rows, stats }
     }
 
     /// The number of components.
@@ -537,16 +697,19 @@ impl Ancestors {
 
     /// The component of node `x` (components are numbered `0..`
     /// [`Ancestors::num_components`]).
+    #[inline]
     pub fn component(&self, x: usize) -> usize {
         self.comp[x]
     }
 
     /// `Anc(c)` as raw words.
+    #[inline]
     pub fn of_component(&self, c: usize) -> &[u64] {
         self.rows.row_words(c)
     }
 
     /// `Anc(component(x))`: every node that reaches `x` via ≥ 1 edge.
+    #[inline]
     pub fn of(&self, x: usize) -> &[u64] {
         self.of_component(self.comp[x])
     }
@@ -557,89 +720,98 @@ impl Ancestors {
     }
 }
 
-/// Iterative Tarjan over `g`, each node's edges taken in the order `g`
-/// lists them.
-fn tarjan_sccs(g: &Csr) -> Sccs {
-    /// What the walk knows about one node.
-    #[derive(Clone, Copy)]
-    struct Visit {
-        index: usize,
-        low: usize,
-        on_stack: bool,
-    }
-    const UNSEEN: usize = usize::MAX;
-    let n = g.len();
-    let mut visit = vec![
-        Visit {
-            index: UNSEEN,
-            low: 0,
-            on_stack: false,
-        };
-        n
-    ];
-    // Each of these holds a node at most once: sized up front, they never
-    // grow.
-    let mut stack: Vec<usize> = Vec::with_capacity(n);
-    let mut comp = vec![UNSEEN; n];
-    let mut nodes: Vec<usize> = Vec::with_capacity(n);
-    let mut start = Vec::with_capacity(n + 1);
-    start.push(0);
-    let mut next_index = 0usize;
-    // Explicit call stack of (node, how many of its edges were taken) —
-    // the mirror graph of a heavily unrolled program is deep enough to
-    // overflow recursion.
-    let mut call: Vec<(usize, usize)> = Vec::with_capacity(n);
-    for root in 0..n {
-        if visit[root].index != UNSEEN {
-            continue;
-        }
-        call.push((root, 0));
-        let mut entered = true;
-        while let Some(&mut (v, ref mut taken)) = call.last_mut() {
-            if std::mem::take(&mut entered) {
-                visit[v] = Visit {
-                    index: next_index,
-                    low: next_index,
-                    on_stack: true,
-                };
-                next_index += 1;
-                stack.push(v);
+impl Walk {
+    /// Iterative Tarjan over `g`, each node's edges taken in the order `g`
+    /// lists them: fills `comp` with each node's component and
+    /// `nodes`/`start` with the components (see [`Sccs`]).
+    fn tarjan(&mut self, g: &Csr, comp: &mut Vec<usize>) {
+        const UNSEEN: usize = usize::MAX;
+        let n = g.len();
+        let Walk {
+            visit,
+            stack,
+            call,
+            nodes,
+            start,
+            ..
+        } = self;
+        visit.clear();
+        visit.resize(
+            n,
+            Visit {
+                index: UNSEEN,
+                low: 0,
+                on_stack: false,
+            },
+        );
+        // Each of these holds a node at most once: reserved up front, they
+        // never grow.
+        stack.clear();
+        stack.reserve(n);
+        comp.clear();
+        comp.resize(n, UNSEEN);
+        nodes.clear();
+        nodes.reserve(n);
+        start.clear();
+        start.reserve(n + 1);
+        start.push(0);
+        let mut next_index = 0usize;
+        // Explicit call stack of (node, how many of its edges were taken)
+        // — the mirror graph of a heavily unrolled program is deep enough
+        // to overflow recursion.
+        call.clear();
+        call.reserve(n);
+        for root in 0..n {
+            if visit[root].index != UNSEEN {
+                continue;
             }
-            if let Some(&w) = g.successors(v).get(*taken) {
-                *taken += 1;
-                let w = w as usize;
-                if visit[w].index == UNSEEN {
-                    call.push((w, 0));
-                    entered = true;
-                } else if visit[w].on_stack {
-                    visit[v].low = visit[v].low.min(visit[w].index);
+            call.push((root, 0));
+            let mut entered = true;
+            while let Some(&mut (v, ref mut taken)) = call.last_mut() {
+                if std::mem::take(&mut entered) {
+                    visit[v] = Visit {
+                        index: next_index,
+                        low: next_index,
+                        on_stack: true,
+                    };
+                    next_index += 1;
+                    stack.push(v);
                 }
-            } else {
-                call.pop();
-                if let Some(&(p, ..)) = call.last() {
-                    visit[p].low = visit[p].low.min(visit[v].low);
-                }
-                if visit[v].low == visit[v].index {
-                    let c = start.len() - 1;
-                    let first = nodes.len();
-                    loop {
-                        let w = stack.pop().unwrap();
-                        visit[w].on_stack = false;
-                        comp[w] = c;
-                        nodes.push(w);
-                        if w == v {
-                            break;
-                        }
+                if let Some(&w) = g.successors(v).get(*taken) {
+                    *taken += 1;
+                    let w = w as usize;
+                    if visit[w].index == UNSEEN {
+                        call.push((w, 0));
+                        entered = true;
+                    } else if visit[w].on_stack {
+                        visit[v].low = visit[v].low.min(visit[w].index);
                     }
-                    // Deterministic member order (smallest node first) so
-                    // the representative choice is stable.
-                    nodes[first..].sort_unstable();
-                    start.push(nodes.len());
+                } else {
+                    call.pop();
+                    if let Some(&(p, ..)) = call.last() {
+                        visit[p].low = visit[p].low.min(visit[v].low);
+                    }
+                    if visit[v].low == visit[v].index {
+                        let c = start.len() - 1;
+                        let first = nodes.len();
+                        loop {
+                            let w = stack.pop().unwrap();
+                            visit[w].on_stack = false;
+                            comp[w] = c;
+                            nodes.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        // Deterministic member order (smallest node first)
+                        // so the representative choice is stable.
+                        nodes[first..].sort_unstable();
+                        start.push(nodes.len());
+                    }
                 }
             }
         }
     }
-    Sccs { comp, nodes, start }
 }
 
 /// Program-order information for a CFG.
@@ -659,7 +831,12 @@ impl ProgramOrder {
     /// Computes block reachability, the access-level order and its
     /// skeleton for `cfg`.
     pub fn compute(cfg: &Cfg) -> Self {
-        let block_reach = block_reachability(cfg);
+        Self::compute_with(cfg, &mut GraphScratch::default())
+    }
+
+    /// [`ProgramOrder::compute`] condensing the block graph in `scratch`.
+    pub fn compute_with(cfg: &Cfg, scratch: &mut GraphScratch) -> Self {
+        let block_reach = scratch.reachability(cfg.num_blocks(), block_edges(cfg)).0;
         let sites = sites_by_position(cfg);
         let access_succ = access_order(cfg, &sites, &block_reach);
         let skeleton = skeleton(cfg, &sites, &block_reach);
@@ -713,14 +890,18 @@ impl ProgramOrder {
 /// Block reachability alone: `get(a, b)` iff block `b` is reachable from
 /// block `a` via one or more CFG edges.
 pub fn block_reachability(cfg: &Cfg) -> BitMatrix {
-    reachability_counted(&Csr::from_edges(cfg.num_blocks(), |edge| {
+    reachability_counted(&Csr::from_edges(cfg.num_blocks(), block_edges(cfg))).0
+}
+
+/// The CFG's edges, as [`Csr::from_edges`] takes them.
+fn block_edges(cfg: &Cfg) -> impl Fn(&mut dyn FnMut(usize, usize)) + '_ {
+    |edge| {
         for b in cfg.block_ids() {
             for s in cfg.successors(b) {
                 edge(b.index(), s.index());
             }
         }
-    }))
-    .0
+    }
 }
 
 /// Every access site as `(block, instruction, access)`: blocks ascending,

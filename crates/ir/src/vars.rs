@@ -76,6 +76,7 @@ impl VarTable {
     /// # Panics
     ///
     /// Panics if `id` is out of range (ids are only minted by `push`).
+    #[inline]
     pub fn info(&self, id: VarId) -> &VarInfo {
         &self.vars[id.index()]
     }
@@ -89,6 +90,7 @@ impl VarTable {
     }
 
     /// Number of variables.
+    #[inline]
     pub fn len(&self) -> usize {
         self.vars.len()
     }
