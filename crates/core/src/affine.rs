@@ -203,49 +203,55 @@ impl SubscriptTable {
             starts: vec![0],
             terms: Vec::new(),
         };
-        // `ids[i]`: the first site with `i`'s key, then (from `n` on) the
-        // shape id of each site.
+        // Every site but those with a subscript and no form, sorted by form
+        // `(coeffs, myproc)` (sites without one first), then variable and
+        // constant: a run of equal forms is one shape, a run of equal
+        // keys one class.
+        let mut keys: Vec<(Option<(&[(VarId, i64)], i64)>, Option<VarId>, i64, u32)> =
+            Vec::with_capacity(n);
+        keys.extend((0..n).filter_map(|i| {
+            let (var, index, affine) = site(i);
+            let form = affine.map(|a| (a.coeffs.as_slice(), a.myproc));
+            let konst = affine.map_or(0, |a| a.konst);
+            (index.is_none() || affine.is_some()).then_some((form, var, konst, i as u32))
+        }));
+        keys.sort_unstable();
+        // `first[i]`: the first site of `i`'s class; `shapes[i]`: the first
+        // site of `i`'s shape, then its shape id.
         let mut ids = vec![NO_SHAPE; 2 * n];
         let (first, shapes) = ids.split_at_mut(n);
-        // Shapes: the affine sites by `(coeffs, myproc)`.
-        let mut forms: Vec<(&[(VarId, i64)], i64, u32)> = (0..n)
-            .filter_map(|i| site(i).2.map(|a| (a.coeffs.as_slice(), a.myproc, i as u32)))
-            .collect();
-        forms.sort_unstable();
-        for run in forms.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
-            for &(_, _, i) in run {
-                first[i as usize] = run[0].2;
-            }
-        }
-        for &(coeffs, _, i) in &forms {
-            let (i, f) = (i as usize, first[i as usize] as usize);
-            shapes[i] = if f == i {
-                let next = table.starts.len() as u32 - 1;
-                assert!(next < NO_SHAPE, "subscript shape ids exhausted");
-                table.terms.extend_from_slice(coeffs);
-                table.starts.push(table.terms.len() as u32);
-                next
-            } else {
-                shapes[f]
-            };
-        }
-        // Classes: equal forms are one class; a subscript with no form is
-        // equal to nothing, itself included; scalars have no subscript.
-        let mut keys: Vec<(Option<VarId>, u32, i64, u32)> = (0..n)
-            .filter_map(|i| {
-                let (var, index, affine) = site(i);
-                let unique = index.is_some() && affine.is_none();
-                (!unique).then(|| (var, shapes[i], affine.map_or(0, |a| a.konst), i as u32))
-            })
-            .collect();
-        keys.sort_unstable();
         for (i, f) in first.iter_mut().enumerate() {
             *f = i as u32;
         }
-        for run in keys.chunk_by(|x, y| (x.0, x.1, x.2) == (y.0, y.1, y.2)) {
-            for &(.., i) in run {
-                first[i as usize] = run[0].3;
+        for shape in keys.chunk_by(|x, y| x.0 == y.0) {
+            let rep = shape.iter().map(|k| k.3).min().unwrap_or(0);
+            for class in shape.chunk_by(|x, y| (x.1, x.2) == (y.1, y.2)) {
+                for &(form, .., i) in class {
+                    first[i as usize] = class[0].3;
+                    if form.is_some() {
+                        shapes[i as usize] = rep;
+                    }
+                }
             }
+        }
+        // Shape ids in the order of each shape's first site.
+        for i in 0..n {
+            let rep = shapes[i] as usize;
+            if rep == NO_SHAPE as usize {
+                continue;
+            }
+            shapes[i] = if rep == i {
+                let next = table.starts.len() as u32 - 1;
+                assert!(next < NO_SHAPE, "subscript shape ids exhausted");
+                let (_, _, affine) = site(i);
+                table
+                    .terms
+                    .extend_from_slice(&affine.expect("a shape has a form").coeffs);
+                table.starts.push(table.terms.len() as u32);
+                next
+            } else {
+                shapes[rep]
+            };
         }
         for i in 0..n {
             let (_, index, affine) = site(i);

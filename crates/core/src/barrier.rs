@@ -114,30 +114,37 @@ pub fn tainted_branches(cfg: &Cfg, tainted: &BitSet) -> Vec<BlockId> {
 /// blocks.
 fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[BlockId]) -> BitMatrix {
     let nb = cfg.num_blocks();
-    // Row 0: the dependent blocks; row 1: the branches queued so far.
-    let mut sets = BitMatrix::rectangular(2, nb);
-    let mut work: Vec<BlockId> = tainted_branches.to_vec();
+    // Row 0: the dependent blocks; row 1: the branches to walk from;
+    // row 2: those walked.
+    let mut sets = BitMatrix::rectangular(3, nb);
     for &x in tainted_branches {
         sets.set(1, x.index());
     }
-    let mark = |b: BlockId, sets: &mut BitMatrix, work: &mut Vec<BlockId>| {
+    let mark = |b: BlockId, sets: &mut BitMatrix| {
         if !sets.get(0, b.index()) {
             sets.set(0, b.index());
-            if matches!(cfg.block(b).term, Terminator::Branch { .. }) && !sets.get(1, b.index()) {
+            if matches!(cfg.block(b).term, Terminator::Branch { .. }) {
                 sets.set(1, b.index());
-                work.push(b);
             }
         }
     };
     for b in cfg.block_ids() {
         if !pdom.is_reachable(b) {
-            mark(b, &mut sets, &mut work);
+            mark(b, &mut sets);
         }
     }
-    while let Some(x) = work.pop() {
+    let next = |sets: &BitMatrix| {
+        let (queued, walked) = (sets.row_words(1), sets.row_words(2));
+        (0..queued.len()).find_map(|w| {
+            let fresh = queued[w] & !walked[w];
+            (fresh != 0).then(|| BlockId::from_index(w * 64 + fresh.trailing_zeros() as usize))
+        })
+    };
+    while let Some(x) = next(&sets) {
+        sets.set(2, x.index());
         if !pdom.is_reachable(x) {
             for b in cfg.block_ids() {
-                mark(b, &mut sets, &mut work);
+                mark(b, &mut sets);
             }
             continue;
         }
@@ -153,7 +160,7 @@ fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[Block
             let mut cur = s;
             while Some(cur) != stop {
                 if cur != x {
-                    mark(cur, &mut sets, &mut work);
+                    mark(cur, &mut sets);
                 }
                 match pdom.idom(cur) {
                     Some(up) => cur = up,

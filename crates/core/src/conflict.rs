@@ -94,7 +94,7 @@ impl ConflictSet {
         // Only sites naming the same object (or no object: barriers) can
         // conflict, so pairs are formed within one object's sites.
         let mut by_object: Vec<usize> = (0..n).collect();
-        by_object.sort_by_key(|&i| (sites[i].info.var, i));
+        by_object.sort_unstable_by_key(|&i| (sites[i].info.var, i));
         for object in by_object.chunk_by(|&i, &j| sites[i].info.var == sites[j].info.var) {
             for (k, &i) in object.iter().enumerate() {
                 for &j in &object[k..] {

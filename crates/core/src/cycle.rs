@@ -108,9 +108,10 @@ impl MirrorClosure {
         });
         let mut has = BitMatrix::rectangular(2, n);
         for a in 0..n {
-            for b in conflicts.succ_ones(AccessId::from_index(a)) {
+            let row = conflicts.succ_row_words(AccessId::from_index(a));
+            if row.iter().any(|&w| w != 0) {
                 has.set(0, a);
-                has.set(1, b);
+                has.or_row_words(1, row);
             }
         }
         MirrorClosure { anc, has }
@@ -318,7 +319,7 @@ impl<'a> BackPathOracle<'a> {
             starts: BitSet::new(n),
             ends: BitSet::new(n),
             seen: BitSet::new(n),
-            queue: Vec::new(),
+            queue: Vec::with_capacity(n),
         });
         // starts = conflict succs of v, minus removed.
         starts.assign_and_not(self.conflicts.succ_row_words(v), &scratch.removed);

@@ -129,21 +129,17 @@ pub(crate) fn block_proc_sets(
         return sets;
     }
     let mut done = BitSet::new(cfg.num_blocks());
-    let mut gates: Vec<(&Expr, bool)> = Vec::with_capacity(edges.len());
     for (_, info) in cfg.accesses.iter() {
         let b = info.pos.block;
         if done.contains(b.index()) {
             continue;
         }
         done.insert(b.index());
-        gates.clear();
-        gates.extend(
-            edges
-                .iter()
-                .filter(|(target, ..)| dom.dominates(*target, b))
-                .map(|&(_, cond, side)| (cond, side)),
-        );
-        sets[b.index()] = proc_set_of_gates(&gates, procs, proc_steps);
+        let gates = edges
+            .iter()
+            .filter(move |(target, ..)| dom.dominates(*target, b))
+            .map(|&(_, cond, side)| (cond, side));
+        sets[b.index()] = proc_set_of_gates(gates, procs, proc_steps);
     }
     sets
 }
@@ -163,8 +159,12 @@ pub fn access_proc_sets(cfg: &Cfg, procs: Option<u32>) -> Vec<ProcSet> {
         .collect()
 }
 
-fn proc_set_of_gates(gates: &[(&Expr, bool)], procs: Option<u32>, proc_steps: &mut u64) -> ProcSet {
-    if gates.is_empty() {
+fn proc_set_of_gates<'e>(
+    gates: impl Iterator<Item = (&'e Expr, bool)> + Clone,
+    procs: Option<u32>,
+    proc_steps: &mut u64,
+) -> ProcSet {
+    if gates.clone().next().is_none() {
         return ProcSet::Any;
     }
     if let Some(n) = procs {
@@ -172,14 +172,14 @@ fn proc_set_of_gates(gates: &[(&Expr, bool)], procs: Option<u32>, proc_steps: &m
         *proc_steps += u64::from(n);
         let ids: Vec<i64> = (0..n as i64)
             .filter(|&p| {
-                gates.iter().all(|(cond, side)| {
+                gates.clone().all(|(cond, side)| {
                     let value = eval(cond, &|leaf| match leaf {
                         Leaf::MyProc => Ok(Value::Int(p)),
                         Leaf::Procs => procs.map(|n| Value::Int(n.into())).ok_or(Unknown),
                         Leaf::Local(_) | Leaf::LocalElem(..) => Err(Unknown),
                     });
                     match value {
-                        Ok(Value::Bool(b)) => b == *side,
+                        Ok(Value::Bool(b)) => b == side,
                         // Unevaluable gate: keep the processor (sound).
                         _ => true,
                     }

@@ -162,7 +162,8 @@ pub fn analyze_for(cfg: &Cfg, procs: u32) -> Analysis {
 /// [`AnalysisBase`] once and refines it.
 pub fn analyze_with(cfg: &Cfg, opts: &SyncOptions) -> Analysis {
     use obs::AnalysisCounter as C;
-    let mut scratch = syncopt_ir::order::GraphScratch::default();
+    let mut scratch =
+        syncopt_ir::order::GraphScratch::with_capacity(cfg.accesses.len().max(cfg.num_blocks()));
     let base = AnalysisBase::build_with(cfg, opts, &mut scratch);
     let (sync, delay_sync) =
         base.refine_with(cfg, opts, &sync::SyncExclusion::default(), &mut scratch);

@@ -15,7 +15,7 @@
 
 use crate::delay::DelaySet;
 use syncopt_ir::access::AccessKind;
-use syncopt_ir::cfg::{Cfg, Instr, Predecessors};
+use syncopt_ir::cfg::{Cfg, Predecessors};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::{AccessId, BlockId, VarId};
 use syncopt_ir::order::BitMatrix;
@@ -98,20 +98,17 @@ impl LockGuards {
     }
 }
 
-/// `held` after the lock operations of `instrs`, in order; `lock_index`
-/// maps a lock variable to its bit.
-fn apply_lock_ops(instrs: &[Instr], lock_index: impl Fn(VarId) -> usize, held: &mut [u64]) {
-    for instr in instrs {
-        match instr {
-            Instr::LockAcq { lock, .. } => {
-                let k = lock_index(*lock);
-                held[k / 64] |= 1 << (k % 64);
-            }
-            Instr::LockRel { lock, .. } => {
-                let k = lock_index(*lock);
-                held[k / 64] &= !(1 << (k % 64));
-            }
-            _ => {}
+/// A lock operation at its position: `(block, instruction, lock index,
+/// whether it releases)`.
+type LockOp = (u32, u32, usize, bool);
+
+/// `held` after the lock operations `ops`, in order.
+fn apply_lock_ops(ops: &[LockOp], held: &mut [u64]) {
+    for &(_, _, k, release) in ops {
+        if release {
+            held[k / 64] &= !(1 << (k % 64));
+        } else {
+            held[k / 64] |= 1 << (k % 64);
         }
     }
 }
@@ -119,24 +116,17 @@ fn apply_lock_ops(instrs: &[Instr], lock_index: impl Fn(VarId) -> usize, held: &
 /// The must-hold lock set at entry of every block, one row per block over
 /// the lock index, in a slab whose rows `nb..3·nb` hold each block's
 /// `gen` (locks it leaves held) and `kill` (locks it leaves released)
-/// and whose last row is scratch.
-fn must_hold_in(cfg: &Cfg, preds: &Predecessors, locks: &[VarId]) -> BitMatrix {
+/// and whose last row is scratch. `by_pos` is every lock operation in
+/// position order.
+fn must_hold_in(cfg: &Cfg, preds: &Predecessors, nl: usize, by_pos: &[LockOp]) -> BitMatrix {
     let nb = cfg.num_blocks();
-    let nl = locks.len();
-    let lock_index = |l: VarId| locks.binary_search(&l).expect("a lock variable");
     let mut slab = BitMatrix::rectangular(3 * nb + 1, nl);
     // A block's effect on one lock is its last operation on it.
-    for b in 0..nb {
-        for instr in &cfg.block(BlockId::from_index(b)).instrs {
-            let (lock, (set, clear)) = match instr {
-                Instr::LockAcq { lock, .. } => (lock, (nb + b, 2 * nb + b)),
-                Instr::LockRel { lock, .. } => (lock, (2 * nb + b, nb + b)),
-                _ => continue,
-            };
-            let k = lock_index(*lock);
-            slab.set(set, k);
-            slab.clear(clear, k);
-        }
+    for &(b, _, k, release) in by_pos {
+        let (held, released) = (nb + b as usize, 2 * nb + b as usize);
+        let (set, clear) = if release { (released, held) } else { (held, released) };
+        slab.set(set, k);
+        slab.clear(clear, k);
     }
     for b in 0..nb {
         if b != cfg.entry.index() {
@@ -193,21 +183,24 @@ pub fn compute_lock_guards(
         .map(|(id, _)| id)
         .collect();
     let lock_index = |l: VarId| locks.binary_search(&l).expect("a lock variable");
-    let mut slab = must_hold_in(cfg, preds, &locks);
-    let scratch = slab.num_rows() - 1;
-
-    // Lock operations by lock index: releases after acquires, each run in
-    // access order.
-    let mut ops: Vec<(usize, bool, AccessId)> = cfg
-        .accesses
-        .iter()
-        .filter_map(|(id, info)| match info.kind {
-            AccessKind::LockAcq => Some((lock_index(info.var?), false, id)),
-            AccessKind::LockRel => Some((lock_index(info.var?), true, id)),
-            _ => None,
-        })
-        .collect();
+    // Lock operations by lock index, releases after acquires, each run in
+    // access order; and the same operations in position order.
+    let mut ops: Vec<(usize, bool, AccessId)> = Vec::new();
+    let mut by_pos: Vec<LockOp> = Vec::new();
+    for (id, info) in cfg.accesses.iter() {
+        let release = match info.kind {
+            AccessKind::LockAcq => false,
+            AccessKind::LockRel => true,
+            _ => continue,
+        };
+        let k = lock_index(info.var.expect("a lock operation names its lock"));
+        ops.push((k, release, id));
+        by_pos.push((info.pos.block.0, info.pos.instr as u32, k, release));
+    }
     ops.sort_unstable();
+    by_pos.sort_unstable_by_key(|&(b, i, ..)| (b, i));
+    let mut slab = must_hold_in(cfg, preds, locks.len(), &by_pos);
+    let scratch = slab.num_rows() - 1;
     let sites = |k: usize, release: bool| {
         let lo = ops.partition_point(|&(l, r, _)| (l, r) < (k, release));
         let hi = ops.partition_point(|&(l, r, _)| (l, r) <= (k, release));
@@ -220,14 +213,13 @@ pub fn compute_lock_guards(
         if !info.kind.is_data() {
             continue;
         }
-        // Must-hold at the access: the block's entry set, then its prefix.
-        let block = info.pos.block;
-        slab.copy_row(scratch, block.index());
-        apply_lock_ops(
-            &cfg.block(block).instrs[..info.pos.instr],
-            lock_index,
-            slab.row_words_mut(scratch),
-        );
+        // Must-hold at the access: the block's entry set, then the lock
+        // operations before it in the block.
+        let (block, instr) = (info.pos.block.0, info.pos.instr as u32);
+        slab.copy_row(scratch, block as usize);
+        let lo = by_pos.partition_point(|&(b, ..)| b < block);
+        let hi = by_pos.partition_point(|&(b, i, ..)| (b, i) < (block, instr));
+        apply_lock_ops(&by_pos[lo..hi], slab.row_words_mut(scratch));
         for k in slab.row_ones(scratch) {
             let has_b1 = sites(k, false).any(|b1| {
                 dom.pos_dominates(cfg.accesses.info(b1).pos, info.pos) && d1.contains(b1, a)
@@ -241,7 +233,7 @@ pub fn compute_lock_guards(
             }
         }
     }
-    guarded.sort_by_key(|&(k, _)| k);
+    guarded.sort_unstable();
     let mut out = LockGuards::default();
     for run in guarded.chunk_by(|x, y| x.0 == y.0) {
         if out.starts.is_empty() {

@@ -8,29 +8,19 @@
 use crate::cfg::{Cfg, Predecessors};
 use crate::ids::{BlockId, Position};
 
-/// The walk state of one dominator computation, reused by the next.
+/// The walk state of one dominator computation, reused by the next: one
+/// buffer of `u32`s, cut into the arrays of [`Dominators::compute_general`].
 #[derive(Default)]
-struct Scratch {
-    visited: Vec<bool>,
-    rpo: Vec<BlockId>,
-    stack: Vec<(BlockId, usize)>,
-    rpo_num: Vec<usize>,
-    /// The dominator tree's child lists: block `b`'s children are
-    /// `children[child_start[b]..child_start[b + 1]]`.
-    child_start: Vec<u32>,
-    children: Vec<BlockId>,
-}
+struct Scratch(Vec<u32>);
 
 /// Block-level dominator information.
 #[derive(Debug, Clone)]
 pub struct Dominators {
-    /// Immediate dominator of each block (`None` for the root and for
-    /// unreachable blocks).
-    idom: Vec<Option<BlockId>>,
-    /// Each block's `[entry, exit]` times in a depth-first walk of the
-    /// tree: `a` dominates `b` iff `a`'s span encloses `b`'s. Unreachable
-    /// blocks have [`UNREACHED`].
-    span: Vec<[u32; 2]>,
+    /// Per block: its immediate dominator (`None` for the root and for
+    /// unreachable blocks) and its `[entry, exit]` times in a depth-first
+    /// walk of the tree — `a` dominates `b` iff `a`'s span encloses `b`'s.
+    /// Unreachable blocks have the span [`UNREACHED`].
+    nodes: Vec<(Option<BlockId>, [u32; 2])>,
 }
 
 /// The span of a block the root does not reach.
@@ -89,118 +79,127 @@ impl Dominators {
         S: std::ops::Deref<Target = [BlockId]>,
         P: std::ops::Deref<Target = [BlockId]>,
     {
-        let Scratch {
-            visited,
-            rpo,
-            stack,
-            rpo_num,
-            child_start,
-            children,
-        } = scratch;
-        // Reverse postorder from root over `succs`.
-        visited.clear();
-        visited.resize(n, false);
-        rpo.clear();
-        stack.clear();
-        stack.push((root, 0));
-        visited[root.index()] = true;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if let Some(&s) = succs(node).get(*next) {
-                *next += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
+        const UNSEEN: u32 = u32::MAX;
+        const SEEN: u32 = u32::MAX - 1;
+        let buf = &mut scratch.0;
+        buf.clear();
+        buf.resize(6 * n + 1, 0);
+        let (rpo, rest) = buf.split_at_mut(n);
+        let (rpo_num, rest) = rest.split_at_mut(n);
+        let (stack, rest) = rest.split_at_mut(2 * n);
+        let (child_start, children) = rest.split_at_mut(n + 1);
+        let id = |x: u32| BlockId(x);
+
+        // Postorder from root over `succs`; `rpo_num` marks the blocks
+        // seen, the stack holds `(block, next successor)` pairs.
+        rpo_num.fill(UNSEEN);
+        let (mut depth, mut count) = (1, 0);
+        stack[0] = root.0;
+        stack[1] = 0;
+        rpo_num[root.index()] = SEEN;
+        while depth > 0 {
+            let top = 2 * (depth - 1);
+            let node = id(stack[top]);
+            if let Some(&s) = succs(node).get(stack[top + 1] as usize) {
+                stack[top + 1] += 1;
+                if rpo_num[s.index()] == UNSEEN {
+                    rpo_num[s.index()] = SEEN;
+                    stack[2 * depth] = s.0;
+                    stack[2 * depth + 1] = 0;
+                    depth += 1;
                 }
             } else {
-                rpo.push(node);
-                stack.pop();
+                rpo[count] = node.0;
+                count += 1;
+                depth -= 1;
             }
         }
+        let rpo = &mut rpo[..count];
         rpo.reverse();
-        rpo_num.clear();
-        rpo_num.resize(n, usize::MAX);
         for (i, &b) in rpo.iter().enumerate() {
-            rpo_num[b.index()] = i;
+            rpo_num[b as usize] = i as u32;
         }
 
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[root.index()] = Some(root);
+        let mut nodes = vec![(None, UNREACHED); n];
+        nodes[root.index()].0 = Some(root);
         let mut changed = true;
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in preds(b).iter() {
+                for &p in preds(id(b)).iter() {
                     // Not yet processed, or not reachable from the root.
-                    if idom[p.index()].is_none() {
+                    if nodes[p.index()].0.is_none() {
                         continue;
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, rpo_num, p, cur),
+                        Some(cur) => intersect(&nodes, rpo_num, p, cur),
                     });
                 }
                 if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
+                    if nodes[b as usize].0 != Some(ni) {
+                        nodes[b as usize].0 = Some(ni);
                         changed = true;
                     }
                 }
             }
         }
         // Root's idom is conventionally itself internally; expose None.
-        idom[root.index()] = None;
+        nodes[root.index()].0 = None;
 
         // The tree's child lists, then one depth-first walk for the spans.
-        child_start.clear();
-        child_start.resize(n + 1, 0);
-        for p in idom.iter().flatten() {
-            child_start[p.index() + 1] += 1;
+        for (p, _) in &nodes {
+            if let Some(p) = p {
+                child_start[p.index() + 1] += 1;
+            }
         }
         for b in 0..n {
             child_start[b + 1] += child_start[b];
         }
-        children.clear();
-        children.resize(child_start[n] as usize, root);
         for &b in rpo.iter() {
-            if let Some(p) = idom[b.index()] {
+            if let Some(p) = nodes[b as usize].0 {
                 children[child_start[p.index()] as usize] = b;
                 child_start[p.index()] += 1;
             }
         }
         child_start.copy_within(0..n, 1);
         child_start[0] = 0;
-        let mut span = vec![UNREACHED; n];
-        let mut time = 0u32;
-        stack.clear();
-        stack.push((root, child_start[root.index()] as usize));
-        span[root.index()][0] = time;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < child_start[node.index() + 1] as usize {
-                let child = children[*next];
-                *next += 1;
-                time += 1;
-                span[child.index()][0] = time;
-                stack.push((child, child_start[child.index()] as usize));
+        let mut time = 0;
+        depth = 1;
+        stack[0] = root.0;
+        stack[1] = child_start[root.index()];
+        nodes[root.index()].1[0] = time;
+        while depth > 0 {
+            let top = 2 * (depth - 1);
+            let node = stack[top] as usize;
+            let next = stack[top + 1];
+            time += 1;
+            if next < child_start[node + 1] {
+                let child = children[next as usize];
+                stack[top + 1] += 1;
+                nodes[child as usize].1[0] = time;
+                stack[2 * depth] = child;
+                stack[2 * depth + 1] = child_start[child as usize];
+                depth += 1;
             } else {
-                time += 1;
-                span[node.index()][1] = time;
-                stack.pop();
+                nodes[node].1[1] = time;
+                depth -= 1;
             }
         }
-        Dominators { idom, span }
+        Dominators { nodes }
     }
 
     /// The immediate dominator of `b` (`None` for the root / unreachable).
     #[inline]
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()]
+        self.nodes[b.index()].0
     }
 
     /// Whether `b` is reachable from the root.
     #[inline]
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.span[b.index()] != UNREACHED
+        self.nodes[b.index()].1 != UNREACHED
     }
 
     /// Whether block `a` dominates block `b` (reflexive).
@@ -208,7 +207,7 @@ impl Dominators {
     /// Returns `false` if either block is unreachable.
     #[inline]
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let ([a_in, a_out], [b_in, b_out]) = (self.span[a.index()], self.span[b.index()]);
+        let ([a_in, a_out], [b_in, b_out]) = (self.nodes[a.index()].1, self.nodes[b.index()].1);
         // An unreachable span encloses nothing and is enclosed by nothing.
         a_in <= b_in && b_out <= a_out && b_in <= b_out
     }
@@ -228,17 +227,18 @@ impl Dominators {
 }
 
 fn intersect(
-    idom: &[Option<BlockId>],
-    rpo_num: &[usize],
+    nodes: &[(Option<BlockId>, [u32; 2])],
+    rpo_num: &[u32],
     mut a: BlockId,
     mut b: BlockId,
 ) -> BlockId {
+    let idom = |x: BlockId| nodes[x.index()].0.expect("processed block must have idom");
     while a != b {
         while rpo_num[a.index()] > rpo_num[b.index()] {
-            a = idom[a.index()].expect("processed block must have idom");
+            a = idom(a);
         }
         while rpo_num[b.index()] > rpo_num[a.index()] {
-            b = idom[b.index()].expect("processed block must have idom");
+            b = idom(b);
         }
     }
     a

@@ -218,20 +218,50 @@ impl BitMatrix {
 
 /// A dense bitset over `0..n`, the word-parallel replacement for the
 /// `Vec<AccessId>` + `contains` scans the back-path oracle used to carry.
+/// A universe of up to [`INLINE_BITS`] keeps its words in the set itself,
+/// so the sets of a small program cost no allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     n: usize,
-    words: Vec<u64>,
+    words: Words,
+}
+
+/// The largest universe a [`BitSet`] holds without allocating.
+pub const INLINE_BITS: usize = 128;
+
+/// A [`BitSet`]'s words: in place up to [`INLINE_BITS`], else on the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Words {
+    Inline([u64; INLINE_BITS / 64]),
+    Heap(Vec<u64>),
 }
 
 impl BitSet {
+    #[inline]
+    fn slots(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(words) => &words[..self.n.div_ceil(64)],
+            Words::Heap(words) => words,
+        }
+    }
+
+    #[inline]
+    fn slots_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(words) => &mut words[..self.n.div_ceil(64)],
+            Words::Heap(words) => words,
+        }
+    }
+
     /// An empty set over the universe `0..n`.
     #[inline]
     pub fn new(n: usize) -> Self {
-        BitSet {
-            n,
-            words: vec![0; n.div_ceil(64)],
-        }
+        let words = if n <= INLINE_BITS {
+            Words::Inline([0; INLINE_BITS / 64])
+        } else {
+            Words::Heap(vec![0; n.div_ceil(64)])
+        };
+        BitSet { n, words }
     }
 
     /// The universe size.
@@ -248,7 +278,7 @@ impl BitSet {
     #[inline]
     pub fn insert(&mut self, i: usize) {
         assert!(i < self.n);
-        self.words[i / 64] |= 1 << (i % 64);
+        self.slots_mut()[i / 64] |= 1 << (i % 64);
     }
 
     /// Removes `i`.
@@ -259,31 +289,31 @@ impl BitSet {
     #[inline]
     pub fn remove(&mut self, i: usize) {
         assert!(i < self.n);
-        self.words[i / 64] &= !(1 << (i % 64));
+        self.slots_mut()[i / 64] &= !(1 << (i % 64));
     }
 
     /// Whether `i` is present.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        i < self.n && self.words[i / 64] & (1 << (i % 64)) != 0
+        i < self.n && self.slots()[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Removes every element.
     #[inline]
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.slots_mut().iter_mut().for_each(|w| *w = 0);
     }
 
     /// Whether the set has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.slots().iter().all(|&w| w == 0)
     }
 
     /// Number of elements.
     #[inline]
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.slots().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `self |= words` (word-parallel union with a raw row).
@@ -293,8 +323,8 @@ impl BitSet {
     /// Panics on a word-length mismatch.
     #[inline]
     pub fn union_words(&mut self, words: &[u64]) {
-        assert_eq!(self.words.len(), words.len());
-        for (d, s) in self.words.iter_mut().zip(words) {
+        assert_eq!(self.slots().len(), words.len());
+        for (d, s) in self.slots_mut().iter_mut().zip(words) {
             *d |= s;
         }
     }
@@ -306,8 +336,8 @@ impl BitSet {
     /// Panics on a word-length mismatch.
     #[inline]
     pub fn subtract_words(&mut self, words: &[u64]) {
-        assert_eq!(self.words.len(), words.len());
-        for (d, s) in self.words.iter_mut().zip(words) {
+        assert_eq!(self.slots().len(), words.len());
+        for (d, s) in self.slots_mut().iter_mut().zip(words) {
             *d &= !s;
         }
     }
@@ -319,9 +349,9 @@ impl BitSet {
     /// Panics on a word-length mismatch.
     #[inline]
     pub fn assign_and_not(&mut self, words: &[u64], mask: &BitSet) {
-        assert_eq!(self.words.len(), words.len());
-        assert_eq!(self.words.len(), mask.words.len());
-        for (d, (s, m)) in self.words.iter_mut().zip(words.iter().zip(&mask.words)) {
+        assert_eq!(self.slots().len(), words.len());
+        assert_eq!(self.slots().len(), mask.slots().len());
+        for (d, (s, m)) in self.slots_mut().iter_mut().zip(words.iter().zip(mask.slots())) {
             *d = s & !m;
         }
     }
@@ -329,25 +359,25 @@ impl BitSet {
     /// Whether `self ∩ other` is non-empty.
     #[inline]
     pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+        self.slots().iter().zip(other.slots()).any(|(a, b)| a & b != 0)
     }
 
     /// Whether `self` and the raw row `words` share an element.
     #[inline]
     pub fn intersects_words(&self, words: &[u64]) -> bool {
-        self.words.iter().zip(words).any(|(a, b)| a & b != 0)
+        self.slots().iter().zip(words).any(|(a, b)| a & b != 0)
     }
 
     /// The raw words, for word-parallel consumers.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        self.slots()
     }
 
     /// Iterates the elements in increasing order.
     #[inline]
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        ones_of(&self.words)
+        ones_of(self.slots())
     }
 }
 
@@ -446,6 +476,15 @@ pub struct GraphScratch {
 }
 
 impl GraphScratch {
+    /// A scratch whose buffers have room for graphs of up to `nodes`
+    /// nodes, so that condensing them allocates none of its own.
+    pub fn with_capacity(nodes: usize) -> Self {
+        let mut scratch = GraphScratch::default();
+        scratch.graph.offsets.reserve(nodes + 1);
+        scratch.walk.buf.reserve(10 * nodes + 1);
+        scratch
+    }
+
     /// [`Ancestors::compute`] of the graph over `0..n` whose edges
     /// `edges` reports (as [`Csr::from_edges`] takes them).
     pub fn ancestors(&mut self, n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) -> Ancestors {
@@ -498,44 +537,41 @@ fn reachability_with(g: &Csr, walk: &mut Walk) -> (BitMatrix, ReachStats) {
     if n == 0 {
         return (m, stats);
     }
-    let mut comp = std::mem::take(&mut walk.comp);
-    walk.tarjan(g, &mut comp);
-    let Walk {
+    let (mut t, full) = walk.cut(n);
+    let num_sccs = t.condense(g, None);
+    let Tarjan {
+        comp,
         nodes,
         start,
         last_seen,
-        rows,
         ..
-    } = walk;
+    } = t;
     let sccs = Sccs { nodes, start };
-    let num_sccs = sccs.len();
     stats.sccs = num_sccs as u64;
     let words_per_row = n.div_ceil(64);
 
     // `full.row(rep_of(c))` = closure row of component `c` *including*
     // `c`'s own members — exactly what a predecessor component ORs in. The
     // representative of a component is its smallest member.
-    let full = rows;
     full.reset(n, n);
-    let rep_of = |c: usize| sccs.members(c)[0];
+    let rep_of = |c: usize| sccs.members(c)[0] as usize;
     // Dedup marker so each successor component is ORed at most once per
     // component, regardless of how many edges lead to it.
-    last_seen.clear();
-    last_seen.resize(num_sccs, usize::MAX);
+    last_seen[..num_sccs].fill(u32::MAX);
 
     // Tarjan emits components in reverse topological order: every
     // successor component of `c` has an id < `c` and is already final.
     for c in 0..num_sccs {
         let mems = sccs.members(c);
-        let rep = mems[0];
+        let rep = mems[0] as usize;
         let mut cyclic = mems.len() > 1;
         for &u in mems {
-            for &v in g.successors(u) {
-                let t = comp[v as usize];
+            for &v in g.successors(u as usize) {
+                let t = comp[v as usize] as usize;
                 if t == c {
                     cyclic = true;
-                } else if last_seen[t] != c {
-                    last_seen[t] = c;
+                } else if last_seen[t] != c as u32 {
+                    last_seen[t] = c as u32;
                     m.or_row_words(rep, full.row_words(rep_of(t)));
                     stats.closure_word_ors += words_per_row as u64;
                 }
@@ -543,49 +579,81 @@ fn reachability_with(g: &Csr, walk: &mut Walk) -> (BitMatrix, ReachStats) {
         }
         if cyclic {
             for &u in mems {
-                m.set(rep, u);
+                m.set(rep, u as usize);
             }
         }
         // All members share the component row: propagate it.
         for &u in mems.iter().skip(1) {
-            m.or_row(u, rep);
+            m.or_row(u as usize, rep);
             stats.closure_word_ors += words_per_row as u64;
         }
         // full(c) = closure(c) | members(c).
         full.or_row_words(rep, m.row_words(rep));
         for &u in mems {
-            full.set(rep, u);
+            full.set(rep, u as usize);
         }
         stats.closure_word_ors += words_per_row as u64;
     }
-    walk.comp = comp;
     (m, stats)
 }
 
-/// What Tarjan's walk knows about one node.
-#[derive(Debug, Clone, Copy)]
-struct Visit {
-    index: usize,
-    low: usize,
-    on_stack: bool,
-}
-
-/// The buffers of one condensation: Tarjan's walk, the components it
-/// found, and the rows pushed through them.
+/// The buffers of condensing one graph after another: Tarjan's arrays in
+/// one `u32` buffer, cut anew for each graph, and rows pushed through the
+/// condensation.
 #[derive(Debug, Default)]
 struct Walk {
-    visit: Vec<Visit>,
-    stack: Vec<usize>,
-    call: Vec<(usize, usize)>,
-    /// Every node, grouped by component (see [`Sccs`]).
-    nodes: Vec<usize>,
-    start: Vec<usize>,
-    /// A component id per node, when the caller keeps none.
-    comp: Vec<usize>,
-    /// A per-component dedup marker.
-    last_seen: Vec<usize>,
-    /// Rows pushed through the condensation.
+    buf: Vec<u32>,
     rows: BitMatrix,
+}
+
+/// Tarjan's arrays over a graph of `n` nodes, cut from a [`Walk`].
+struct Tarjan<'a> {
+    /// Each node's visit index (`UNSEEN` until visited) and low link.
+    index: &'a mut [u32],
+    low: &'a mut [u32],
+    /// 1 while a node is on the component stack.
+    on_stack: &'a mut [u32],
+    stack: &'a mut [u32],
+    /// `(node, edges taken)` pairs of the explicit call stack.
+    call: &'a mut [u32],
+    /// Each node's component, when the caller keeps none.
+    comp: &'a mut [u32],
+    /// Every node, grouped by component (see [`Sccs`]).
+    nodes: &'a mut [u32],
+    start: &'a mut [u32],
+    /// A per-component mark, free for the caller.
+    last_seen: &'a mut [u32],
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+impl Walk {
+    /// Tarjan's arrays for a graph of `n` nodes, and the row matrix.
+    fn cut(&mut self, n: usize) -> (Tarjan<'_>, &mut BitMatrix) {
+        self.buf.clear();
+        self.buf.resize(10 * n + 1, 0);
+        let rest = &mut self.buf[..];
+        let (index, rest) = rest.split_at_mut(n);
+        let (low, rest) = rest.split_at_mut(n);
+        let (on_stack, rest) = rest.split_at_mut(n);
+        let (stack, rest) = rest.split_at_mut(n);
+        let (call, rest) = rest.split_at_mut(2 * n);
+        let (comp, rest) = rest.split_at_mut(n);
+        let (nodes, rest) = rest.split_at_mut(n);
+        let (start, last_seen) = rest.split_at_mut(n + 1);
+        let t = Tarjan {
+            index,
+            low,
+            on_stack,
+            stack,
+            call,
+            comp,
+            nodes,
+            start,
+            last_seen,
+        };
+        (t, &mut self.rows)
+    }
 }
 
 /// The strongly connected components of a graph, numbered in Tarjan's
@@ -593,17 +661,13 @@ struct Walk {
 /// DAG: component `c`'s nodes are `nodes[start[c]..start[c + 1]]`,
 /// smallest first.
 struct Sccs<'a> {
-    nodes: &'a [usize],
-    start: &'a [usize],
+    nodes: &'a [u32],
+    start: &'a [u32],
 }
 
 impl Sccs<'_> {
-    fn len(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    fn members(&self, c: usize) -> &[usize] {
-        &self.nodes[self.start[c]..self.start[c + 1]]
+    fn members(&self, c: usize) -> &[u32] {
+        &self.nodes[self.start[c] as usize..self.start[c + 1] as usize]
     }
 }
 
@@ -619,7 +683,7 @@ impl Sccs<'_> {
 #[derive(Debug, Clone)]
 pub struct Ancestors {
     /// The component of each node.
-    comp: Vec<usize>,
+    comp: Vec<u32>,
     /// Row `c` = `Anc(c)`.
     rows: BitMatrix,
     stats: ReachStats,
@@ -638,17 +702,16 @@ impl Ancestors {
 
     fn compute_with(g: &Csr, walk: &mut Walk) -> Self {
         let n = g.len();
-        let mut comp = Vec::new();
-        walk.tarjan(g, &mut comp);
-        let Walk {
+        let mut comp = vec![0; n];
+        let (mut t, pushed) = walk.cut(n);
+        let num = t.condense(g, Some(&mut comp));
+        let Tarjan {
             nodes,
             start,
             last_seen,
-            rows: pushed,
             ..
-        } = walk;
+        } = t;
         let sccs = Sccs { nodes, start };
-        let num = sccs.len();
         let mut rows = BitMatrix::rectangular(num, n);
         let mut stats = ReachStats {
             sccs: num as u64,
@@ -659,22 +722,21 @@ impl Ancestors {
         pushed.reset(1, n);
         // Dedup marker so each successor component is ORed once per
         // component, however many edges lead to it.
-        last_seen.clear();
-        last_seen.resize(num, usize::MAX);
+        last_seen[..num].fill(u32::MAX);
         for c in (0..num).rev() {
             let mems = sccs.members(c);
             pushed.copy_row_from(0, &rows, c);
             for &u in mems {
-                pushed.set(0, u);
+                pushed.set(0, u as usize);
             }
             let mut cyclic = mems.len() > 1;
             for &u in mems {
-                for &v in g.successors(u) {
-                    let t = comp[v as usize];
+                for &v in g.successors(u as usize) {
+                    let t = comp[v as usize] as usize;
                     if t == c {
                         cyclic = true;
-                    } else if last_seen[t] != c {
-                        last_seen[t] = c;
+                    } else if last_seen[t] != c as u32 {
+                        last_seen[t] = c as u32;
                         let words = pushed.row_words(0);
                         rows.or_row_words(t, words);
                         stats.closure_word_ors += words.len() as u64;
@@ -683,7 +745,7 @@ impl Ancestors {
             }
             if cyclic {
                 for &u in mems {
-                    rows.set(c, u);
+                    rows.set(c, u as usize);
                 }
             }
         }
@@ -699,7 +761,7 @@ impl Ancestors {
     /// [`Ancestors::num_components`]).
     #[inline]
     pub fn component(&self, x: usize) -> usize {
-        self.comp[x]
+        self.comp[x] as usize
     }
 
     /// `Anc(c)` as raw words.
@@ -711,7 +773,7 @@ impl Ancestors {
     /// `Anc(component(x))`: every node that reaches `x` via ≥ 1 edge.
     #[inline]
     pub fn of(&self, x: usize) -> &[u64] {
-        self.of_component(self.comp[x])
+        self.of_component(self.component(x))
     }
 
     /// Work done condensing and pushing.
@@ -720,97 +782,89 @@ impl Ancestors {
     }
 }
 
-impl Walk {
+impl Tarjan<'_> {
     /// Iterative Tarjan over `g`, each node's edges taken in the order `g`
-    /// lists them: fills `comp` with each node's component and
-    /// `nodes`/`start` with the components (see [`Sccs`]).
-    fn tarjan(&mut self, g: &Csr, comp: &mut Vec<usize>) {
-        const UNSEEN: usize = usize::MAX;
-        let n = g.len();
-        let Walk {
-            visit,
+    /// lists them: fills `comp` (or this walk's own array) with each
+    /// node's component and `nodes`/`start` with the components (see
+    /// [`Sccs`]). Returns the number of components.
+    fn condense(&mut self, g: &Csr, comp: Option<&mut [u32]>) -> usize {
+        let Tarjan {
+            index,
+            low,
+            on_stack,
             stack,
             call,
             nodes,
             start,
             ..
         } = self;
-        visit.clear();
-        visit.resize(
-            n,
-            Visit {
-                index: UNSEEN,
-                low: 0,
-                on_stack: false,
-            },
-        );
-        // Each of these holds a node at most once: reserved up front, they
-        // never grow.
-        stack.clear();
-        stack.reserve(n);
-        comp.clear();
-        comp.resize(n, UNSEEN);
-        nodes.clear();
-        nodes.reserve(n);
-        start.clear();
-        start.reserve(n + 1);
-        start.push(0);
-        let mut next_index = 0usize;
+        let comp = comp.unwrap_or(&mut self.comp[..]);
+        let n = g.len();
+        index.fill(UNSEEN);
+        let (mut top, mut emitted, mut components) = (0, 0, 0);
+        let mut next_index = 0u32;
         // Explicit call stack of (node, how many of its edges were taken)
         // — the mirror graph of a heavily unrolled program is deep enough
         // to overflow recursion.
-        call.clear();
-        call.reserve(n);
         for root in 0..n {
-            if visit[root].index != UNSEEN {
+            if index[root] != UNSEEN {
                 continue;
             }
-            call.push((root, 0));
+            call[0] = root as u32;
+            call[1] = 0;
+            let mut depth = 1;
             let mut entered = true;
-            while let Some(&mut (v, ref mut taken)) = call.last_mut() {
+            while depth > 0 {
+                let v = call[2 * depth - 2] as usize;
                 if std::mem::take(&mut entered) {
-                    visit[v] = Visit {
-                        index: next_index,
-                        low: next_index,
-                        on_stack: true,
-                    };
+                    index[v] = next_index;
+                    low[v] = next_index;
+                    on_stack[v] = 1;
                     next_index += 1;
-                    stack.push(v);
+                    stack[top] = v as u32;
+                    top += 1;
                 }
-                if let Some(&w) = g.successors(v).get(*taken) {
+                let taken = &mut call[2 * depth - 1];
+                if let Some(&w) = g.successors(v).get(*taken as usize) {
                     *taken += 1;
                     let w = w as usize;
-                    if visit[w].index == UNSEEN {
-                        call.push((w, 0));
+                    if index[w] == UNSEEN {
+                        call[2 * depth] = w as u32;
+                        call[2 * depth + 1] = 0;
+                        depth += 1;
                         entered = true;
-                    } else if visit[w].on_stack {
-                        visit[v].low = visit[v].low.min(visit[w].index);
+                    } else if on_stack[w] == 1 {
+                        low[v] = low[v].min(index[w]);
                     }
                 } else {
-                    call.pop();
-                    if let Some(&(p, ..)) = call.last() {
-                        visit[p].low = visit[p].low.min(visit[v].low);
+                    depth -= 1;
+                    if depth > 0 {
+                        let p = call[2 * depth - 2] as usize;
+                        low[p] = low[p].min(low[v]);
                     }
-                    if visit[v].low == visit[v].index {
-                        let c = start.len() - 1;
-                        let first = nodes.len();
+                    if low[v] == index[v] {
+                        let first = emitted;
                         loop {
-                            let w = stack.pop().unwrap();
-                            visit[w].on_stack = false;
-                            comp[w] = c;
-                            nodes.push(w);
-                            if w == v {
+                            top -= 1;
+                            let w = stack[top];
+                            on_stack[w as usize] = 0;
+                            comp[w as usize] = components as u32;
+                            nodes[emitted] = w;
+                            emitted += 1;
+                            if w as usize == v {
                                 break;
                             }
                         }
                         // Deterministic member order (smallest node first)
                         // so the representative choice is stable.
-                        nodes[first..].sort_unstable();
-                        start.push(nodes.len());
+                        nodes[first..emitted].sort_unstable();
+                        components += 1;
+                        start[components] = emitted as u32;
                     }
                 }
             }
         }
+        components
     }
 }
 
@@ -922,27 +976,26 @@ fn sites_by_position(cfg: &Cfg) -> Vec<(usize, usize, usize)> {
 /// rather than a position comparison per access pair.
 fn access_order(cfg: &Cfg, sites: &[(usize, usize, usize)], block_reach: &BitMatrix) -> BitMatrix {
     let n = cfg.accesses.len();
-    let words = n.div_ceil(64);
+    let nb = cfg.num_blocks();
     let mut order = BitMatrix::new(n);
-    // One access mask per block, `words` words each.
-    let mut block_mask = vec![0u64; cfg.num_blocks() * words];
+    // One access mask per block, and below them the row `later`.
+    let mut masks = BitMatrix::rectangular(nb + 1, n);
     for &(b, _, x) in sites {
-        block_mask[b * words + x / 64] |= 1 << (x % 64);
+        masks.set(b, x);
     }
-    let mut later = BitSet::new(n);
     for in_block in sites.chunk_by(|a, b| a.0 == b.0) {
-        later.clear();
+        masks.row_words_mut(nb).fill(0);
         for c in block_reach.row_ones(in_block[0].0) {
-            later.union_words(&block_mask[c * words..(c + 1) * words]);
+            masks.or_row(nb, c);
         }
         // `later` grows by each instruction's accesses once every access
         // of that instruction has its row.
         for same_instr in in_block.chunk_by(|a, b| a.1 == b.1) {
             for &(_, _, x) in same_instr {
-                order.or_row_words(x, later.words());
+                order.or_row_words(x, masks.row_words(nb));
             }
             for &(_, _, x) in same_instr {
-                later.insert(x);
+                masks.set(nb, x);
             }
         }
     }
