@@ -237,8 +237,8 @@ pub(crate) fn for_each_barrier_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncopt_ir::ids::VarId;
     use syncopt_frontend::prepare_program;
+    use syncopt_ir::ids::VarId;
     use syncopt_ir::lower::lower_main;
 
     fn cfg_of(src: &str) -> Cfg {

@@ -20,13 +20,16 @@ use syncopt_ir::access::{AccessInfo, AccessKind};
 use syncopt_ir::cfg::{Cfg, Predecessors};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::BitMatrix;
+use syncopt_ir::order::{BitMatrix, BitSet};
 
 /// The (directed) conflict relation over access sites.
 #[derive(Debug, Clone)]
 pub struct ConflictSet {
     n: usize,
     directed: BitMatrix,
+    /// The sites whose processor set is assumed rather than evaluated
+    /// (see [`ConflictSet::guard_assumed`]).
+    assumed: BitSet,
 }
 
 /// What one conflict-set construction cost — the part of the analysis
@@ -81,7 +84,23 @@ impl ConflictSet {
             pair_tests: 0,
             solver: CollisionSolver::default(),
         };
-        let guards = block_proc_sets(cfg, preds, dom, procs, &mut test.solver.proc_steps);
+        let mut assumed_blocks = BitSet::new(cfg.num_blocks());
+        let guards = block_proc_sets(
+            cfg,
+            preds,
+            dom,
+            procs,
+            &mut test.solver.proc_steps,
+            &mut assumed_blocks,
+        );
+        let mut assumed = BitSet::new(n);
+        if !assumed_blocks.is_empty() {
+            for (a, info) in cfg.accesses.iter() {
+                if assumed_blocks.contains(info.pos.block.index()) {
+                    assumed.insert(a.index());
+                }
+            }
+        }
         let sites: Vec<Site<'_>> = cfg
             .accesses
             .iter()
@@ -113,7 +132,12 @@ impl ConflictSet {
             let s = &sites[i];
             (s.info.var, s.info.index.as_ref(), s.affine.as_ref())
         });
-        (ConflictSet { n, directed }, subscripts, stats)
+        let set = ConflictSet {
+            n,
+            directed,
+            assumed,
+        };
+        (set, subscripts, stats)
     }
 
     /// An empty conflict set over `n` accesses (used by tests).
@@ -121,7 +145,15 @@ impl ConflictSet {
         ConflictSet {
             n,
             directed: BitMatrix::new(n),
+            assumed: BitSet::new(n),
         }
+    }
+
+    /// Whether `a`'s guard did not evaluate for some processor (it
+    /// faults, say), so the processors taken to run `a` — and with them
+    /// `a`'s conflicts — are assumed, not computed.
+    pub fn guard_assumed(&self, a: AccessId) -> bool {
+        self.assumed.contains(a.index())
     }
 
     /// Number of access sites covered.
@@ -304,7 +336,11 @@ pub(crate) mod reference {
                 }
             }
         }
-        ConflictSet { n, directed }
+        ConflictSet {
+            n,
+            directed,
+            assumed: BitSet::new(n),
+        }
     }
 
     fn sites_conflict(

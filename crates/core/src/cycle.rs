@@ -583,7 +583,9 @@ pub fn delay_set_over(
         for ui in lo..hi {
             let (row, skip) = (candidates.row_words(ui), except.map(|e| e.row_words(ui)));
             let word = |wi: usize| row[wi] & !skip.map_or(0, |skip| skip[wi]);
-            let asked: u64 = (0..row.len()).map(|wi| u64::from(word(wi).count_ones())).sum();
+            let asked: u64 = (0..row.len())
+                .map(|wi| u64::from(word(wi).count_ones()))
+                .sum();
             if asked == 0 {
                 continue;
             }

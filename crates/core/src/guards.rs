@@ -91,7 +91,10 @@ impl From<ArithError> for Unknown {
 
 /// The [`ProcSet`] of every block that holds an access site (`Any` for
 /// the others). `proc_steps` grows by one per processor id a gate set is
-/// evaluated for.
+/// evaluated for. A block whose gates did not all evaluate to a `bool`
+/// for some processor that reached them (a gate that faults, say) is
+/// added to `assumed`: its set keeps that processor, so it is a
+/// conservative superset rather than what the program computes.
 ///
 /// A block's gates are the processor-pure branch conditions `(cond,
 /// side)` it only executes under: those of each branch edge `x → target`
@@ -102,6 +105,7 @@ pub(crate) fn block_proc_sets(
     dom: &Dominators,
     procs: Option<u32>,
     proc_steps: &mut u64,
+    assumed: &mut BitSet,
 ) -> Vec<ProcSet> {
     let mut edges: Vec<(BlockId, &Expr, bool)> = Vec::new();
     for x in cfg.block_ids() {
@@ -139,7 +143,11 @@ pub(crate) fn block_proc_sets(
             .iter()
             .filter(move |(target, ..)| dom.dominates(*target, b))
             .map(|&(_, cond, side)| (cond, side));
-        sets[b.index()] = proc_set_of_gates(gates, procs, proc_steps);
+        let (set, evaluated) = proc_set_of_gates(gates, procs, proc_steps);
+        sets[b.index()] = set;
+        if !evaluated {
+            assumed.insert(b.index());
+        }
     }
     sets
 }
@@ -152,6 +160,7 @@ pub fn access_proc_sets(cfg: &Cfg, procs: Option<u32>) -> Vec<ProcSet> {
         &Dominators::compute(cfg),
         procs,
         &mut 0,
+        &mut BitSet::new(cfg.num_blocks()),
     );
     cfg.accesses
         .iter()
@@ -159,17 +168,20 @@ pub fn access_proc_sets(cfg: &Cfg, procs: Option<u32>) -> Vec<ProcSet> {
         .collect()
 }
 
+/// The processors that pass every gate, and whether every gate reached
+/// evaluated to a `bool`.
 fn proc_set_of_gates<'e>(
     gates: impl Iterator<Item = (&'e Expr, bool)> + Clone,
     procs: Option<u32>,
     proc_steps: &mut u64,
-) -> ProcSet {
+) -> (ProcSet, bool) {
     if gates.clone().next().is_none() {
-        return ProcSet::Any;
+        return (ProcSet::Any, true);
     }
     if let Some(n) = procs {
         // Evaluate every gate for every processor id.
         *proc_steps += u64::from(n);
+        let mut evaluated = true;
         let ids: Vec<i64> = (0..n as i64)
             .filter(|&p| {
                 gates.clone().all(|(cond, side)| {
@@ -181,12 +193,15 @@ fn proc_set_of_gates<'e>(
                     match value {
                         Ok(Value::Bool(b)) => b == side,
                         // Unevaluable gate: keep the processor (sound).
-                        _ => true,
+                        _ => {
+                            evaluated = false;
+                            true
+                        }
                     }
                 })
             })
             .collect();
-        return ProcSet::Ids(ids);
+        return (ProcSet::Ids(ids), evaluated);
     }
     // Machine size unknown: only the `MYPROC == k` singleton pattern is
     // representable.
@@ -205,11 +220,11 @@ fn proc_set_of_gates<'e>(
                 _ => None,
             };
             if let Some(k) = k {
-                return ProcSet::Ids(vec![k]);
+                return (ProcSet::Ids(vec![k]), true);
             }
         }
     }
-    ProcSet::Any
+    (ProcSet::Any, true)
 }
 
 /// Could two array subscripts collide for some *distinct* pair of

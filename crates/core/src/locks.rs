@@ -124,7 +124,11 @@ fn must_hold_in(cfg: &Cfg, preds: &Predecessors, nl: usize, by_pos: &[LockOp]) -
     // A block's effect on one lock is its last operation on it.
     for &(b, _, k, release) in by_pos {
         let (held, released) = (nb + b as usize, 2 * nb + b as usize);
-        let (set, clear) = if release { (released, held) } else { (held, released) };
+        let (set, clear) = if release {
+            (released, held)
+        } else {
+            (held, released)
+        };
         slab.set(set, k);
         slab.clear(clear, k);
     }

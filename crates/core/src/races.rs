@@ -257,7 +257,9 @@ pub fn classify_races(cfg: &Cfg, analysis: &Analysis, opts: &SyncOptions) -> Rac
             pair: (a, b),
             kind,
             considered: present.clone(),
-            confidence: if has_sync {
+            // A race is proven only where nothing could order it and both
+            // sites' guards were evaluated, not assumed.
+            confidence: if has_sync || conflicts.guard_assumed(a) || conflicts.guard_assumed(b) {
                 Confidence::UnprovenOrdered
             } else {
                 Confidence::ProvenRacy

@@ -13,7 +13,8 @@
 use crate::arith::{self, Value};
 use crate::cfg::{Cfg, Instr, Terminator};
 use crate::expr::Expr;
-use syncopt_frontend::ast::{BinOp, UnOp};
+use crate::ids::VarId;
+use syncopt_frontend::ast::{BinOp, Type, UnOp};
 
 /// Recursively folds an expression. Idempotent.
 pub fn fold_expr(e: &Expr) -> Expr {
@@ -24,15 +25,42 @@ pub fn fold_expr(e: &Expr) -> Expr {
 
 /// Folds `e` where it stands, children first, and says whether anything
 /// was rewritten. An expression with nothing to fold is only read: no node
-/// of it is rebuilt.
+/// of it is rebuilt. Without a variable table no local is known to be an
+/// `int`, so `x * 0` folds only for `x` built from constants, `MYPROC`
+/// and `PROCS` (see [`fold_cfg`]).
 pub fn fold_in_place(e: &mut Expr) -> bool {
+    fold_typed(e, &|_| false)
+}
+
+/// Whether `e`, if it evaluates, evaluates to an `int`: an int literal,
+/// `MYPROC`, `PROCS`, a local (or local-array element) that `int_local`
+/// says is an `int`, or negation and arithmetic over such.
+pub fn is_int(e: &Expr, int_local: &dyn Fn(VarId) -> bool) -> bool {
+    match e {
+        Expr::Int(_) | Expr::MyProc | Expr::Procs => true,
+        Expr::Local(v) | Expr::LocalElem { array: v, .. } => int_local(*v),
+        Expr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => is_int(expr, int_local),
+        Expr::Binary {
+            op: BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem,
+            lhs,
+            rhs,
+        } => is_int(lhs, int_local) && is_int(rhs, int_local),
+        _ => false,
+    }
+}
+
+/// [`fold_in_place`] knowing which locals are `int`s.
+fn fold_typed(e: &mut Expr, int_local: &dyn Fn(VarId) -> bool) -> bool {
     /// Moves an operand out of a node that is about to be replaced.
     fn take(e: &mut Expr) -> Expr {
         std::mem::replace(e, Expr::Int(0))
     }
     match e {
         Expr::Unary { op, expr } => {
-            let changed = fold_in_place(expr);
+            let changed = fold_typed(expr, int_local);
             if let Some(v) = Value::of_literal(expr).and_then(|v| arith::unop(*op, v).ok()) {
                 *e = v.into();
                 return true;
@@ -60,8 +88,8 @@ pub fn fold_in_place(e: &mut Expr) -> bool {
         }
         Expr::Binary { op, lhs, rhs } => {
             // Not `||`: both operands are folded.
-            let changed = fold_in_place(lhs) | fold_in_place(rhs);
-            let folded = match fold_binary(*op, lhs, rhs) {
+            let changed = fold_typed(lhs, int_local) | fold_typed(rhs, int_local);
+            let folded = match fold_binary(*op, lhs, rhs, int_local) {
                 Folded::Const(value) => value,
                 Folded::Lhs => take(lhs),
                 Folded::Rhs => take(rhs),
@@ -70,7 +98,7 @@ pub fn fold_in_place(e: &mut Expr) -> bool {
             *e = folded;
             true
         }
-        Expr::LocalElem { index, .. } => fold_in_place(index),
+        Expr::LocalElem { index, .. } => fold_typed(index, int_local),
         Expr::Int(_)
         | Expr::Float(_)
         | Expr::Bool(_)
@@ -92,7 +120,7 @@ enum Folded {
     Neither,
 }
 
-fn fold_binary(op: BinOp, l: &Expr, r: &Expr) -> Folded {
+fn fold_binary(op: BinOp, l: &Expr, r: &Expr, int_local: &dyn Fn(VarId) -> bool) -> Folded {
     use BinOp::*;
     use Folded::{Const, Lhs, Neither, Rhs};
     // Constant operands: whatever the machine computes, unless it faults.
@@ -116,8 +144,11 @@ fn fold_binary(op: BinOp, l: &Expr, r: &Expr) -> Folded {
         | (Mul, Expr::Int(1), _)
         | (And, Expr::Bool(true), _)
         | (Or, Expr::Bool(false), _) => Rhs,
-        // x * 0, 0 * x — only when x cannot trap.
-        (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x) if !may_trap(x) => Const(Expr::Int(0)),
+        // x * 0, 0 * x — only when x cannot trap and is an int: a double
+        // times 0 is the double 0.0 (and NaN or ±0.0 for NaN or ±inf).
+        (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x) if !may_trap(x) && is_int(x, int_local) => {
+            Const(Expr::Int(0))
+        }
         // b && false / b || true — only when b cannot trap.
         (And, x, Expr::Bool(false)) | (And, Expr::Bool(false), x) if !may_trap(x) => {
             Const(Expr::Bool(false))
@@ -152,13 +183,14 @@ pub fn may_trap(e: &Expr) -> bool {
 /// indices, put sources, work costs, and branch conditions. Branches whose
 /// condition folds to a constant become unconditional jumps.
 pub fn fold_cfg(cfg: &mut Cfg) -> usize {
-    fn touch_with(e: &mut Expr, changes: &mut usize) {
-        *changes += usize::from(fold_in_place(e));
-    }
+    let Cfg { blocks, vars, .. } = cfg;
+    let int_local = |v: VarId| vars.info(v).ty == Type::Int;
+    let touch_with = |e: &mut Expr, changes: &mut usize| {
+        *changes += usize::from(fold_typed(e, &int_local));
+    };
     let mut changes = 0;
-    for bi in 0..cfg.blocks.len() {
-        let b = crate::ids::BlockId::from_index(bi);
-        for instr in &mut cfg.block_mut(b).instrs {
+    for block in blocks.iter_mut() {
+        for instr in &mut block.instrs {
             match instr {
                 Instr::AssignLocal { value, .. } => touch_with(value, &mut changes),
                 Instr::AssignLocalElem { index, value, .. } => {
@@ -190,14 +222,14 @@ pub fn fold_cfg(cfg: &mut Cfg) -> usize {
                 | Instr::LockRel { .. } => {}
             }
         }
-        let term = &mut cfg.block_mut(b).term;
+        let term = &mut block.term;
         if let Terminator::Branch {
             cond,
             then_bb,
             else_bb,
         } = term
         {
-            let changed = fold_in_place(cond);
+            let changed = fold_typed(cond, &int_local);
             // A constant condition counts as a change even when it was
             // written as one.
             match cond {
@@ -223,7 +255,7 @@ pub fn fold_cfg(cfg: &mut Cfg) -> usize {
 /// against.
 #[cfg(test)]
 mod reference {
-    use super::may_trap;
+    use super::{is_int, may_trap};
     use crate::arith::{self, Value};
     use crate::expr::Expr;
     use syncopt_frontend::ast::{BinOp, UnOp};
@@ -287,8 +319,12 @@ mod reference {
             }
             // x * 1, 1 * x.
             (Mul, x, Expr::Int(1)) | (Mul, Expr::Int(1), x) => return x.clone(),
-            // x * 0, 0 * x — only when x cannot trap.
-            (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x) if !may_trap(x) => return Expr::Int(0),
+            // x * 0, 0 * x — only when x cannot trap and is an int.
+            (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x)
+                if !may_trap(x) && is_int(x, &|_| false) =>
+            {
+                return Expr::Int(0)
+            }
             // x / 1.
             (Div, x, Expr::Int(1)) => return x.clone(),
             // b && true / b || false.
@@ -359,10 +395,28 @@ mod tests {
         assert_eq!(fold_expr(&bin(BinOp::Mul, Expr::Int(1), x.clone())), x);
         assert_eq!(fold_expr(&bin(BinOp::Sub, x.clone(), Expr::Int(0))), x);
         assert_eq!(fold_expr(&bin(BinOp::Div, x.clone(), Expr::Int(1))), x);
+        // `x * 0` is `0` only for an int `x`: without a variable table a
+        // local's type is unknown, and a double times 0 is not the int 0.
+        let x_times_0 = bin(BinOp::Mul, x.clone(), Expr::Int(0));
+        assert_eq!(fold_expr(&x_times_0), x_times_0);
         assert_eq!(
-            fold_expr(&bin(BinOp::Mul, x.clone(), Expr::Int(0))),
+            fold_expr(&bin(BinOp::Mul, Expr::Int(0), Expr::MyProc)),
             Expr::Int(0)
         );
+    }
+
+    #[test]
+    fn times_zero_folds_for_int_locals_only() {
+        let cfg = |src: &str| {
+            let mut cfg =
+                crate::lower::lower_main(&syncopt_frontend::prepare_program(src).unwrap()).unwrap();
+            fold_cfg(&mut cfg);
+            crate::print::cfg_to_string(&cfg)
+        };
+        let int = cfg("shared int X; fn main() { int i; i = MYPROC; X = i * 0; }");
+        assert!(int.contains("X = 0"), "{int}");
+        let double = cfg("shared double D; fn main() { double d; d = 1.5; D = d * 0; }");
+        assert!(double.contains("d * 0"), "{double}");
     }
 
     #[test]

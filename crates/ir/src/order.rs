@@ -80,7 +80,8 @@ impl BitMatrix {
     #[inline]
     pub fn copy_row_from(&mut self, dst: usize, other: &BitMatrix, src: usize) {
         assert_eq!(self.n, other.n);
-        self.row_words_mut(dst).copy_from_slice(other.row_words(src));
+        self.row_words_mut(dst)
+            .copy_from_slice(other.row_words(src));
     }
 
     /// Overwrites row `dst` with row `src`.
@@ -351,7 +352,11 @@ impl BitSet {
     pub fn assign_and_not(&mut self, words: &[u64], mask: &BitSet) {
         assert_eq!(self.slots().len(), words.len());
         assert_eq!(self.slots().len(), mask.slots().len());
-        for (d, (s, m)) in self.slots_mut().iter_mut().zip(words.iter().zip(mask.slots())) {
+        for (d, (s, m)) in self
+            .slots_mut()
+            .iter_mut()
+            .zip(words.iter().zip(mask.slots()))
+        {
             *d = s & !m;
         }
     }
@@ -359,7 +364,10 @@ impl BitSet {
     /// Whether `self ∩ other` is non-empty.
     #[inline]
     pub fn intersects(&self, other: &BitSet) -> bool {
-        self.slots().iter().zip(other.slots()).any(|(a, b)| a & b != 0)
+        self.slots()
+            .iter()
+            .zip(other.slots())
+            .any(|(a, b)| a & b != 0)
     }
 
     /// Whether `self` and the raw row `words` share an element.
@@ -487,7 +495,11 @@ impl GraphScratch {
 
     /// [`Ancestors::compute`] of the graph over `0..n` whose edges
     /// `edges` reports (as [`Csr::from_edges`] takes them).
-    pub fn ancestors(&mut self, n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) -> Ancestors {
+    pub fn ancestors(
+        &mut self,
+        n: usize,
+        edges: impl Fn(&mut dyn FnMut(usize, usize)),
+    ) -> Ancestors {
         self.graph.rebuild(n, edges);
         Ancestors::compute_with(&self.graph, &mut self.walk)
     }

@@ -290,6 +290,9 @@ struct Explorer<'a> {
     outcomes: BTreeSet<Outcome>,
     visited: HashSet<ExploreState>,
     state_cap: usize,
+    /// Transitions taken so far, and how many are allowed.
+    transitions: u64,
+    transition_cap: u64,
 }
 
 /// Enumerates the outcomes a weak machine may produce when exactly `delay`
@@ -331,9 +334,27 @@ pub fn is_sc_preserving(cfg: &Cfg, delay: &DelaySet, procs: u32) -> Result<bool,
     Ok(weak.is_subset(&sc))
 }
 
+/// Most states one exploration visits.
+const STATE_CAP: usize = 2_000_000;
+
+/// Most transitions — steps into a state, new or visited — one
+/// exploration takes. Each costs a state clone and a hash, so this bounds
+/// the work of a search whose states are few but richly connected, where
+/// the state cap alone let a 15-line program run for most of a minute.
+pub const TRANSITION_CAP: u64 = 300_000;
+
 fn explore(
     traces: &[Vec<TraceOp>],
     delay: Option<&DelaySet>,
+) -> Result<BTreeSet<Outcome>, SimError> {
+    explore_within(traces, delay, TRANSITION_CAP)
+}
+
+/// [`explore`] with at most `transition_cap` transitions.
+fn explore_within(
+    traces: &[Vec<TraceOp>],
+    delay: Option<&DelaySet>,
+    transition_cap: u64,
 ) -> Result<BTreeSet<Outcome>, SimError> {
     for t in traces {
         if t.len() > 64 {
@@ -358,7 +379,9 @@ fn explore(
         delay,
         outcomes: BTreeSet::new(),
         visited: HashSet::new(),
-        state_cap: 2_000_000,
+        state_cap: STATE_CAP,
+        transitions: 0,
+        transition_cap,
     };
     let init = ExploreState {
         committed: vec![0; traces.len()],
@@ -372,6 +395,10 @@ fn explore(
 
 impl<'a> Explorer<'a> {
     fn dfs(&mut self, state: ExploreState) -> Result<(), SimError> {
+        self.transitions += 1;
+        if self.transitions > self.transition_cap {
+            return Err(SimError::new("litmus: state space exceeded cap"));
+        }
         if self.visited.contains(&state) {
             return Ok(());
         }
@@ -649,6 +676,22 @@ mod tests {
             extract_traces(&cfg, 1).unwrap_err().message(),
             "litmus: written value is not an int"
         );
+    }
+
+    /// An exploration stops after a fixed number of transitions however
+    /// few states it has seen, with the state cap's error: the weak
+    /// outcomes of corpus program 52 at four processors need millions of
+    /// them, Figure 1's a few thousand.
+    #[test]
+    fn a_transition_budget_ends_an_exploding_search() {
+        let cfg = cfg_of(&syncopt_core::corpus::corpus_program(52));
+        let no_delays = DelaySet::new(cfg.accesses.len());
+        let exploding = extract_traces(&cfg, 4).unwrap();
+        let err = explore_within(&exploding, Some(&no_delays), 20_000).unwrap_err();
+        assert_eq!(err.message(), "litmus: state space exceeded cap");
+        let figure1 = extract_traces(&cfg_of(FIGURE1), 4).unwrap();
+        assert!(explore_within(&figure1, None, 20_000).is_ok());
+        assert!(explore_within(&figure1, None, 20).is_err());
     }
 
     #[test]

@@ -303,6 +303,39 @@ fn run_reports_division_and_modulo_by_a_runtime_zero() {
     }
 }
 
+/// `x * 0` folds to the int `0` only for an int `x`: a double times 0 is
+/// a double, so `1 / z` is `inf` at every level rather than a division by
+/// the int zero.
+#[test]
+fn run_full_keeps_a_double_times_zero_a_double() {
+    let src = "shared double D; fn main() { double d; double z; d = 1.5; z = d * 0; \
+               if (MYPROC == 0) { D = 1 / z; } }\n";
+    for level in ["blocking", "full"] {
+        let (ok, stdout, stderr) = syncoptc_on("run", src, &["--level", level]);
+        assert!(ok, "{level}: {stderr}");
+        assert!(stdout.contains("  D = inf\n"), "{level}: {stdout}");
+    }
+}
+
+/// A guard that faults on every processor is not evaluated, so the
+/// processors said to run its statement are assumed: the race there is
+/// possible, not proven (and `run` faults before the write).
+#[test]
+fn check_calls_a_race_behind_a_faulting_guard_possible() {
+    let src = "shared int X; fn main() { if ((MYPROC / (PROCS - PROCS)) == 0) { X = 1; } }\n";
+    let (code, stdout, stderr) = syncoptc_code_on("check", src, &["--procs", "4"]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    let out = format!("{stdout}{stderr}");
+    assert!(
+        out.contains("warning[R001]: possible write-write race on `X`"),
+        "{out}"
+    );
+    assert!(out.contains("(0 proven)"), "{out}");
+    let (code, _, stderr) = syncoptc_code_on("run", src, &["--procs", "4"]);
+    assert_eq!(code, Some(1));
+    assert_eq!(stderr, "syncoptc: simulation error: division by zero\n");
+}
+
 #[test]
 fn run_reports_execution_and_memory() {
     let (ok, stdout, stderr) = syncoptc(&[
