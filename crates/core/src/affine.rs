@@ -203,32 +203,48 @@ impl SubscriptTable {
             starts: vec![0],
             terms: Vec::new(),
         };
+        // `first[i]`: the first site of `i`'s class; `shapes[i]`: the first
+        // site of `i`'s shape, then its shape id; `ranks[i]`: see below.
+        let mut ids = vec![NO_SHAPE; 3 * n];
+        let (first, rest) = ids.split_at_mut(n);
+        let (shapes, ranks) = rest.split_at_mut(n);
+        // The sites with local terms (few), ranked by their terms: sites
+        // with equal terms share a rank, and a site without any has rank 0.
+        ranks.fill(0);
+        let mut with_terms: Vec<u32> = (0..n as u32)
+            .filter(|&i| site(i as usize).2.is_some_and(|a| !a.coeffs.is_empty()))
+            .collect();
+        let terms = |i: u32| site(i as usize).2.map_or(&[][..], |a| a.coeffs.as_slice());
+        with_terms.sort_unstable_by(|&x, &y| terms(x).cmp(terms(y)));
+        let mut rank = 0;
+        for run in with_terms.chunk_by(|&x, &y| terms(x) == terms(y)) {
+            rank += 1;
+            for &i in run {
+                ranks[i as usize] = rank;
+            }
+        }
         // Every site but those with a subscript and no form, sorted by form
-        // `(coeffs, myproc)` (sites without one first), then variable and
-        // constant: a run of equal forms is one shape, a run of equal
-        // keys one class.
-        let mut keys: Vec<(Option<(&[(VarId, i64)], i64)>, Option<VarId>, i64, u32)> =
-            Vec::with_capacity(n);
+        // `(1 + terms rank, myproc)` (0 for sites without one), then
+        // variable and constant: a run of equal forms is one shape, a run
+        // of equal keys one class.
+        let mut keys: Vec<(u32, i64, u32, i64, u32)> = Vec::with_capacity(n);
         keys.extend((0..n).filter_map(|i| {
             let (var, index, affine) = site(i);
-            let form = affine.map(|a| (a.coeffs.as_slice(), a.myproc));
-            let konst = affine.map_or(0, |a| a.konst);
-            (index.is_none() || affine.is_some()).then_some((form, var, konst, i as u32))
+            let (form, myproc, konst) =
+                affine.map_or((0, 0, 0), |a| (1 + ranks[i], a.myproc, a.konst));
+            let var = var.map_or(0, |v| v.0 + 1);
+            (index.is_none() || affine.is_some()).then_some((form, myproc, var, konst, i as u32))
         }));
         keys.sort_unstable();
-        // `first[i]`: the first site of `i`'s class; `shapes[i]`: the first
-        // site of `i`'s shape, then its shape id.
-        let mut ids = vec![NO_SHAPE; 2 * n];
-        let (first, shapes) = ids.split_at_mut(n);
         for (i, f) in first.iter_mut().enumerate() {
             *f = i as u32;
         }
-        for shape in keys.chunk_by(|x, y| x.0 == y.0) {
-            let rep = shape.iter().map(|k| k.3).min().unwrap_or(0);
-            for class in shape.chunk_by(|x, y| (x.1, x.2) == (y.1, y.2)) {
+        for shape in keys.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let rep = shape.iter().map(|k| k.4).min().unwrap_or(0);
+            for class in shape.chunk_by(|x, y| (x.2, x.3) == (y.2, y.3)) {
                 for &(form, .., i) in class {
-                    first[i as usize] = class[0].3;
-                    if form.is_some() {
+                    first[i as usize] = class[0].4;
+                    if form != 0 {
                         shapes[i as usize] = rep;
                     }
                 }
@@ -406,31 +422,52 @@ impl CollisionSolver {
         } else {
             ((a2, c2), (a1, c1))
         };
-        let (ka, ma) = (i128::from(a.konst), i128::from(a.myproc));
-        let (kb, mb) = (i128::from(b.konst), i128::from(b.myproc));
         // ma·p − mb·q = kb − ka has integer solutions only when
         // gcd(ma, mb) divides the right-hand side.
-        let g = gcd(ma, mb);
+        let g = gcd_u64(a.myproc.unsigned_abs(), b.myproc.unsigned_abs());
         if g == 0 {
-            return ka == kb && ca.exists_distinct_pair(&cb);
+            return a.konst == b.konst && ca.exists_distinct_pair(&cb);
         }
-        if (kb - ka) % g != 0 {
+        let divides = match b.konst.checked_sub(a.konst) {
+            Some(d) => d.unsigned_abs() % g == 0,
+            None => (i128::from(b.konst) - i128::from(a.konst)) % i128::from(g) == 0,
+        };
+        if !divides {
             return false;
         }
-        if (ka, ma) == (kb, mb) {
+        if (a.konst, a.myproc) == (b.konst, b.myproc) {
             // One and the same injective map: equal values need p = q.
             return false;
         }
-        for p in ca.iter() {
-            self.proc_steps += 1;
+        // The `q` that collides with `p` solves `mb·q = ka + ma·p − kb`:
+        // worked out in `i64`, and in `i128` only where that overflows.
+        let narrow = |p: i64| -> Option<bool> {
+            let t = a
+                .myproc
+                .checked_mul(p)?
+                .checked_add(a.konst)?
+                .checked_sub(b.konst)?;
+            Some(if b.myproc == 0 {
+                t == 0 && cb.has_other_than(i128::from(p))
+            } else {
+                let q = t.checked_div(b.myproc)?;
+                t.checked_rem(b.myproc)? == 0 && q != p && cb.contains(i128::from(q))
+            })
+        };
+        let wide = |p: i64| {
+            let (ka, ma) = (i128::from(a.konst), i128::from(a.myproc));
+            let (kb, mb) = (i128::from(b.konst), i128::from(b.myproc));
             let p = i128::from(p);
             let t = ka + ma * p - kb; // mb·q must equal t
-            let hit = if mb == 0 {
+            if mb == 0 {
                 t == 0 && cb.has_other_than(p)
             } else {
                 t % mb == 0 && t / mb != p && cb.contains(t / mb)
-            };
-            if hit {
+            }
+        };
+        for p in ca.iter() {
+            self.proc_steps += 1;
+            if narrow(p).unwrap_or_else(|| wide(p)) {
                 return true;
             }
         }
@@ -448,8 +485,19 @@ impl CollisionSolver {
         c1: Candidates<'_>,
         c2: Candidates<'_>,
     ) -> bool {
+        // `a(p) mod m`, in `i64` unless that overflows.
         let residue = |a: &Affine, p: i64| {
-            (i128::from(a.konst) + i128::from(a.myproc) * i128::from(p)).rem_euclid(m)
+            let narrow = || {
+                let m = i64::try_from(m).ok()?;
+                a.myproc
+                    .checked_mul(p)?
+                    .checked_add(a.konst)?
+                    .checked_rem_euclid(m)
+            };
+            narrow().map_or_else(
+                || (i128::from(a.konst) + i128::from(a.myproc) * i128::from(p)).rem_euclid(m),
+                i128::from,
+            )
         };
         self.residues.clear();
         self.residues.extend(c2.iter().map(|q| (residue(a2, q), q)));
@@ -468,6 +516,14 @@ impl CollisionSolver {
             }
         }
         false
+    }
+}
+
+fn gcd_u64(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd_u64(b, a % b)
     }
 }
 

@@ -112,11 +112,16 @@ impl ConflictSet {
             .collect();
         // Only sites naming the same object (or no object: barriers) can
         // conflict, so pairs are formed within one object's sites.
-        let mut by_object: Vec<usize> = (0..n).collect();
-        by_object.sort_unstable_by_key(|&i| (sites[i].info.var, i));
-        for object in by_object.chunk_by(|&i, &j| sites[i].info.var == sites[j].info.var) {
+        // Each site as `(1 + variable) << 32 | site`, barriers first.
+        let mut by_object: Vec<u64> = (0..n)
+            .map(|i| (sites[i].info.var.map_or(0, |v| u64::from(v.0) + 1) << 32) | i as u64)
+            .collect();
+        by_object.sort_unstable();
+        for object in by_object.chunk_by(|i, j| i >> 32 == j >> 32) {
             for (k, &i) in object.iter().enumerate() {
+                let i = i as u32 as usize;
                 for &j in &object[k..] {
+                    let j = j as u32 as usize;
                     if test.sites_conflict(&sites[i], &sites[j]) {
                         directed.set(i, j);
                         directed.set(j, i);

@@ -45,7 +45,9 @@ use crate::delay::DelaySet;
 use crate::sync::Precedence;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
-use syncopt_ir::order::{Ancestors, BitMatrix, BitSet, GraphScratch, ProgramOrder, ReachStats};
+use syncopt_ir::order::{
+    Ancestors, BitMatrix, BitSet, Csr, Graph, GraphScratch, ProgramOrder, ReachStats,
+};
 
 /// Options controlling one [`delay_set_over`] run.
 #[derive(Default)]
@@ -93,18 +95,9 @@ impl MirrorClosure {
         scratch: &mut GraphScratch,
     ) -> Self {
         let n = conflicts.num_accesses();
-        let skeleton = po.skeleton();
-        let anc = scratch.ancestors(n, |edge| {
-            for x in 0..n {
-                for &y in skeleton.successors(x) {
-                    if y as usize != x {
-                        edge(x, y as usize);
-                    }
-                }
-                for y in conflicts.succ_ones(AccessId::from_index(x)) {
-                    edge(x, y);
-                }
-            }
+        let anc = scratch.ancestors_of(&Mirror {
+            skeleton: po.skeleton(),
+            conflicts,
         });
         let mut has = BitMatrix::rectangular(2, n);
         for a in 0..n {
@@ -168,6 +161,61 @@ impl MirrorClosure {
         stats.pruned_candidates = stats.candidates - decided;
         stats.delays_found = delay.len() as u64;
         (delay, stats)
+    }
+}
+
+/// The mirror copy `S ∪ C` as the condensation walks it, with no edge
+/// list built: each node's skeleton successors (its program-order
+/// self-loop dropped), then its conflict successors ascending.
+struct Mirror<'a> {
+    skeleton: &'a Csr,
+    conflicts: &'a ConflictSet,
+}
+
+impl Graph for Mirror<'_> {
+    fn len(&self) -> usize {
+        self.conflicts.num_accesses()
+    }
+
+    /// A cursor below the skeleton's length indexes it; past it, it is
+    /// that length plus the first conflict column left to scan.
+    #[inline]
+    fn next_successor(&self, x: usize, cursor: u32) -> Option<(usize, u32)> {
+        let skeleton = self.skeleton.successors(x);
+        let mut at = cursor as usize;
+        while let Some(&y) = skeleton.get(at) {
+            at += 1;
+            if y as usize != x {
+                return Some((y as usize, at as u32));
+            }
+        }
+        let row = self.conflicts.succ_row_words(AccessId::from_index(x));
+        let column = at - skeleton.len();
+        let mut wi = column / 64;
+        let mut word = row.get(wi)? & (!0 << (column % 64));
+        while word == 0 {
+            wi += 1;
+            word = *row.get(wi)?;
+        }
+        let y = wi * 64 + word.trailing_zeros() as usize;
+        Some((y, (skeleton.len() + y + 1) as u32))
+    }
+
+    #[inline]
+    fn for_each_successor(&self, x: usize, mut f: impl FnMut(usize)) {
+        for &y in self.skeleton.successors(x) {
+            if y as usize != x {
+                f(y as usize);
+            }
+        }
+        let row = self.conflicts.succ_row_words(AccessId::from_index(x));
+        for (wi, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(wi * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 

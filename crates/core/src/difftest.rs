@@ -64,9 +64,9 @@ fn exclusions(cfg: &Cfg, sync: &SyncAnalysis) -> Vec<SyncExclusion> {
 fn assert_condensation_matches(conflicts: &ConflictSet, po: &ProgramOrder, label: &str) {
     let n = conflicts.num_accesses();
     let full = naive::mirror_lists(conflicts, po);
-    let (reach, _) = reachability_counted(&Csr::from_edges(n, |edge| {
+    let (reach, _) = reachability_counted(&Csr::from_edges(n, |edges| {
         for (x, succs) in full.iter().enumerate() {
-            succs.iter().for_each(|&y| edge(x, y));
+            succs.iter().for_each(|&y| edges.add(x, y));
         }
     }));
     let closure = MirrorClosure::build(conflicts, po);

@@ -430,7 +430,9 @@ fn grow_precedence(anchors: &D1Anchors, r: &mut Precedence) {
     let mut changed = true;
     while changed {
         changed = false;
-        for x in 0..n {
+        // Last access first: precedence mostly runs from earlier accesses
+        // to later ones, so the rows a row ORs in are usually final.
+        for x in (0..n).rev() {
             before.clear();
             before.union_words(r.m.row_words(x));
             for z in before.iter_ones() {

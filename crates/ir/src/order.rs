@@ -397,16 +397,46 @@ pub struct Csr {
     targets: Vec<u32>,
 }
 
+/// What a graph's edge enumeration reports to ([`Csr::from_edges`]): each
+/// edge is counted on the first run and placed on the second.
+pub struct Edges<'a> {
+    offsets: &'a mut [usize],
+    /// `None` while counting.
+    targets: Option<&'a mut [u32]>,
+}
+
+impl Edges<'_> {
+    /// Reports the edge `from → to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an end leaves the graph.
+    #[inline]
+    pub fn add(&mut self, from: usize, to: usize) {
+        match &mut self.targets {
+            None => self.offsets[from + 1] += 1,
+            Some(targets) => {
+                assert!(
+                    to + 1 < self.offsets.len(),
+                    "edge {from} → {to} leaves the graph"
+                );
+                targets[self.offsets[from]] = to as u32;
+                self.offsets[from] += 1;
+            }
+        }
+    }
+}
+
 impl Csr {
-    /// The graph whose edges `edges` reports to the callback it is handed.
-    /// `edges` runs twice — once to count each node's out-degree, once to
-    /// fill — so the graph is built in two allocations and no edge list.
-    /// A node's successors keep the order they were reported in.
+    /// The graph whose edges `edges` reports to the [`Edges`] it is
+    /// handed. `edges` runs twice — once to count each node's out-degree,
+    /// once to fill — so the graph is built in two allocations and no edge
+    /// list. A node's successors keep the order they were reported in.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds `u32::MAX` or an edge leaves `0..n`.
-    pub fn from_edges(n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) -> Self {
+    pub fn from_edges(n: usize, edges: impl Fn(&mut Edges<'_>)) -> Self {
         let mut g = Csr::default();
         g.rebuild(n, edges);
         g
@@ -418,12 +448,15 @@ impl Csr {
     /// # Panics
     ///
     /// As [`Csr::from_edges`].
-    pub fn rebuild(&mut self, n: usize, edges: impl Fn(&mut dyn FnMut(usize, usize))) {
+    pub fn rebuild(&mut self, n: usize, edges: impl Fn(&mut Edges<'_>)) {
         assert!(u32::try_from(n).is_ok(), "node ids are stored as u32");
         let Csr { offsets, targets } = self;
         offsets.clear();
         offsets.resize(n + 1, 0);
-        edges(&mut |from, _| offsets[from + 1] += 1);
+        edges(&mut Edges {
+            offsets,
+            targets: None,
+        });
         for x in 0..n {
             offsets[x + 1] += offsets[x];
         }
@@ -431,10 +464,9 @@ impl Csr {
         targets.resize(offsets[n], 0);
         // `offsets[x]` serves as node x's fill cursor and ends at the
         // start of node x + 1; one shift puts the starts back.
-        edges(&mut |from, to| {
-            assert!(to < n, "edge {from} → {to} leaves the graph");
-            targets[offsets[from]] = to as u32;
-            offsets[from] += 1;
+        edges(&mut Edges {
+            offsets,
+            targets: Some(targets),
         });
         offsets.copy_within(0..n, 1);
         offsets[0] = 0;
@@ -459,6 +491,40 @@ impl Csr {
     #[inline]
     pub fn successors(&self, x: usize) -> &[u32] {
         &self.targets[self.offsets[x]..self.offsets[x + 1]]
+    }
+}
+
+/// A directed graph over `0..len()` as the condensations walk it: a
+/// node's successors one at a time from a cursor, or all at once.
+pub trait Graph {
+    /// The number of nodes.
+    fn len(&self) -> usize;
+
+    /// The successor of `x` at `cursor` (0 for the first) and the cursor
+    /// after it, or `None` past the last.
+    fn next_successor(&self, x: usize, cursor: u32) -> Option<(usize, u32)>;
+
+    /// Calls `f` on each successor of `x`, in [`Graph::next_successor`]'s
+    /// order.
+    fn for_each_successor(&self, x: usize, f: impl FnMut(usize));
+}
+
+impl Graph for Csr {
+    fn len(&self) -> usize {
+        Csr::len(self)
+    }
+
+    #[inline]
+    fn next_successor(&self, x: usize, cursor: u32) -> Option<(usize, u32)> {
+        let &w = self.successors(x).get(cursor as usize)?;
+        Some((w as usize, cursor + 1))
+    }
+
+    #[inline]
+    fn for_each_successor(&self, x: usize, mut f: impl FnMut(usize)) {
+        for &w in self.successors(x) {
+            f(w as usize);
+        }
     }
 }
 
@@ -493,15 +559,9 @@ impl GraphScratch {
         scratch
     }
 
-    /// [`Ancestors::compute`] of the graph over `0..n` whose edges
-    /// `edges` reports (as [`Csr::from_edges`] takes them).
-    pub fn ancestors(
-        &mut self,
-        n: usize,
-        edges: impl Fn(&mut dyn FnMut(usize, usize)),
-    ) -> Ancestors {
-        self.graph.rebuild(n, edges);
-        Ancestors::compute_with(&self.graph, &mut self.walk)
+    /// [`Ancestors::compute`] of `g`.
+    pub fn ancestors_of(&mut self, g: &impl Graph) -> Ancestors {
+        Ancestors::compute_with(g, &mut self.walk)
     }
 
     /// [`reachability_counted`] of the graph over `0..n` whose edges
@@ -509,7 +569,7 @@ impl GraphScratch {
     pub fn reachability(
         &mut self,
         n: usize,
-        edges: impl Fn(&mut dyn FnMut(usize, usize)),
+        edges: impl Fn(&mut Edges<'_>),
     ) -> (BitMatrix, ReachStats) {
         self.graph.rebuild(n, edges);
         reachability_with(&self.graph, &mut self.walk)
@@ -520,9 +580,9 @@ impl GraphScratch {
 /// `result.get(a, b)` iff `b` is reachable from `a` via **one or more**
 /// edges.
 pub fn reachability(n: usize, edges: &[(usize, usize)]) -> BitMatrix {
-    reachability_counted(&Csr::from_edges(n, |edge| {
+    reachability_counted(&Csr::from_edges(n, |sink| {
         for &(a, b) in edges {
-            edge(a, b);
+            sink.add(a, b);
         }
     }))
     .0
@@ -542,7 +602,7 @@ pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
     reachability_with(g, &mut Walk::default())
 }
 
-fn reachability_with(g: &Csr, walk: &mut Walk) -> (BitMatrix, ReachStats) {
+fn reachability_with(g: &impl Graph, walk: &mut Walk) -> (BitMatrix, ReachStats) {
     let n = g.len();
     let mut m = BitMatrix::new(n);
     let mut stats = ReachStats::default();
@@ -578,8 +638,8 @@ fn reachability_with(g: &Csr, walk: &mut Walk) -> (BitMatrix, ReachStats) {
         let rep = mems[0] as usize;
         let mut cyclic = mems.len() > 1;
         for &u in mems {
-            for &v in g.successors(u as usize) {
-                let t = comp[v as usize] as usize;
+            g.for_each_successor(u as usize, |v| {
+                let t = comp[v] as usize;
                 if t == c {
                     cyclic = true;
                 } else if last_seen[t] != c as u32 {
@@ -587,7 +647,7 @@ fn reachability_with(g: &Csr, walk: &mut Walk) -> (BitMatrix, ReachStats) {
                     m.or_row_words(rep, full.row_words(rep_of(t)));
                     stats.closure_word_ors += words_per_row as u64;
                 }
-            }
+            });
         }
         if cyclic {
             for &u in mems {
@@ -712,7 +772,7 @@ impl Ancestors {
         Self::compute_with(g, &mut Walk::default())
     }
 
-    fn compute_with(g: &Csr, walk: &mut Walk) -> Self {
+    fn compute_with(g: &impl Graph, walk: &mut Walk) -> Self {
         let n = g.len();
         let mut comp = vec![0; n];
         let (mut t, pushed) = walk.cut(n);
@@ -743,8 +803,8 @@ impl Ancestors {
             }
             let mut cyclic = mems.len() > 1;
             for &u in mems {
-                for &v in g.successors(u as usize) {
-                    let t = comp[v as usize] as usize;
+                g.for_each_successor(u as usize, |v| {
+                    let t = comp[v] as usize;
                     if t == c {
                         cyclic = true;
                     } else if last_seen[t] != c as u32 {
@@ -753,7 +813,7 @@ impl Ancestors {
                         rows.or_row_words(t, words);
                         stats.closure_word_ors += words.len() as u64;
                     }
-                }
+                });
             }
             if cyclic {
                 for &u in mems {
@@ -799,7 +859,7 @@ impl Tarjan<'_> {
     /// lists them: fills `comp` (or this walk's own array) with each
     /// node's component and `nodes`/`start` with the components (see
     /// [`Sccs`]). Returns the number of components.
-    fn condense(&mut self, g: &Csr, comp: Option<&mut [u32]>) -> usize {
+    fn condense(&mut self, g: &impl Graph, comp: Option<&mut [u32]>) -> usize {
         let Tarjan {
             index,
             low,
@@ -815,9 +875,9 @@ impl Tarjan<'_> {
         index.fill(UNSEEN);
         let (mut top, mut emitted, mut components) = (0, 0, 0);
         let mut next_index = 0u32;
-        // Explicit call stack of (node, how many of its edges were taken)
-        // — the mirror graph of a heavily unrolled program is deep enough
-        // to overflow recursion.
+        // Explicit call stack of (node, cursor into its successors) — the
+        // mirror graph of a heavily unrolled program is deep enough to
+        // overflow recursion.
         for root in 0..n {
             if index[root] != UNSEEN {
                 continue;
@@ -836,10 +896,9 @@ impl Tarjan<'_> {
                     stack[top] = v as u32;
                     top += 1;
                 }
-                let taken = &mut call[2 * depth - 1];
-                if let Some(&w) = g.successors(v).get(*taken as usize) {
-                    *taken += 1;
-                    let w = w as usize;
+                let cursor = &mut call[2 * depth - 1];
+                if let Some((w, next)) = g.next_successor(v, *cursor) {
+                    *cursor = next;
                     if index[w] == UNSEEN {
                         call[2 * depth] = w as u32;
                         call[2 * depth + 1] = 0;
@@ -960,11 +1019,11 @@ pub fn block_reachability(cfg: &Cfg) -> BitMatrix {
 }
 
 /// The CFG's edges, as [`Csr::from_edges`] takes them.
-fn block_edges(cfg: &Cfg) -> impl Fn(&mut dyn FnMut(usize, usize)) + '_ {
-    |edge| {
+fn block_edges(cfg: &Cfg) -> impl Fn(&mut Edges<'_>) + '_ {
+    |edges| {
         for b in cfg.block_ids() {
             for s in cfg.successors(b) {
-                edge(b.index(), s.index());
+                edges.add(b.index(), s.index());
             }
         }
     }
@@ -1029,7 +1088,7 @@ fn skeleton(cfg: &Cfg, sites: &[(usize, usize, usize)], block_reach: &BitMatrix)
         first[in_block[0].0] = at + in_block.len() - last_run..at + in_block.len();
         at += in_block.len();
     }
-    Csr::from_edges(cfg.accesses.len(), |edge| {
+    Csr::from_edges(cfg.accesses.len(), |edges| {
         for in_block in sites.chunk_by(|a, b| a.0 == b.0) {
             // Runs come last instruction first: each run links to the
             // one visited just before it, the last instruction to every
@@ -1038,12 +1097,12 @@ fn skeleton(cfg: &Cfg, sites: &[(usize, usize, usize)], block_reach: &BitMatrix)
             for run in in_block.chunk_by(|a, b| a.1 == b.1) {
                 for &(_, _, x) in run {
                     match next {
-                        Some(next) => next.iter().for_each(|&(_, _, y)| edge(x, y)),
+                        Some(next) => next.iter().for_each(|&(_, _, y)| edges.add(x, y)),
                         None => {
                             for c in block_reach.row_ones(in_block[0].0) {
                                 sites[first[c].clone()]
                                     .iter()
-                                    .for_each(|&(_, _, y)| edge(x, y));
+                                    .for_each(|&(_, _, y)| edges.add(x, y));
                             }
                         }
                     }
@@ -1132,9 +1191,9 @@ mod tests {
 
     #[test]
     fn reachability_counted_reports_work() {
-        let g = Csr::from_edges(3, |edge| {
-            edge(0, 1);
-            edge(1, 2);
+        let g = Csr::from_edges(3, |edges| {
+            edges.add(0, 1);
+            edges.add(1, 2);
         });
         let (m, stats) = reachability_counted(&g);
         assert!(m.get(0, 2));
@@ -1195,9 +1254,9 @@ mod tests {
             let naive = reachability_naive(n, &edges);
             assert_eq!(fast, naive, "trial {trial}: n={n} edges={edges:?}");
             // The ancestor rows are the same relation read by column.
-            let anc = Ancestors::compute(&Csr::from_edges(n, |edge| {
+            let anc = Ancestors::compute(&Csr::from_edges(n, |sink| {
                 for &(a, b) in &edges {
-                    edge(a, b);
+                    sink.add(a, b);
                 }
             }));
             for y in 0..n {
@@ -1213,10 +1272,10 @@ mod tests {
 
     #[test]
     fn csr_keeps_each_nodes_edges_in_report_order() {
-        let g = Csr::from_edges(4, |edge| {
-            edge(2, 3);
-            edge(0, 1);
-            edge(2, 0);
+        let g = Csr::from_edges(4, |edges| {
+            edges.add(2, 3);
+            edges.add(0, 1);
+            edges.add(2, 0);
         });
         assert_eq!(g.len(), 4);
         assert_eq!(g.num_edges(), 3);
