@@ -433,6 +433,11 @@ fn grow_precedence(anchors: &D1Anchors, r: &mut Precedence) {
         // Last access first: precedence mostly runs from earlier accesses
         // to later ones, so the rows a row ORs in are usually final.
         for x in (0..n).rev() {
+            // A row with no pair and no producer anchor derives nothing.
+            let empty = |words: &[u64]| words.iter().all(|&w| w == 0);
+            if empty(r.m.row_words(x)) && empty(anchors.rows.row_words(x)) {
+                continue;
+            }
             before.clear();
             before.union_words(r.m.row_words(x));
             for z in before.iter_ones() {

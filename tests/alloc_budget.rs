@@ -27,21 +27,23 @@ use syncopt::ir::print::{cfg_to_string, write_cfg};
 use syncopt::kernels::all_kernels;
 use syncopt::{OptLevel, Syncopt};
 
-/// Mean allocator calls per op allowed over the small class: 306 when the
-/// budget was last lowered (once the inliner moved a call-free program
-/// through instead of rebuilding it), 353 before that (once the analysis
-/// counters became a fixed array and the report was written without a
-/// `json::Value` tree), 376 before that, and 970 before the cold path
-/// stopped deriving cache keys and the graph helpers stopped allocating
-/// per node.
-const SMALL_BUDGET: u64 = 333;
-/// The same over all 236 programs: 367 when lowered, 431 and 454 before,
-/// 1 181 before the first budget.
-const SET_BUDGET: u64 = 396;
+/// Mean allocator calls per op allowed over the small class: 223 when the
+/// budget was last lowered (once the analysis stopped hashing and
+/// allocating per stage), 306 before that (once the inliner moved a
+/// call-free program through instead of rebuilding it), 353 before that
+/// (once the analysis counters became a fixed array and the report was
+/// written without a `json::Value` tree), 376 before that, and 970 before
+/// the cold path stopped deriving cache keys and the graph helpers stopped
+/// allocating per node.
+const SMALL_BUDGET: u64 = 250;
+/// The same over all 236 programs: 283 when lowered, 367, 431 and 454
+/// before, 1 181 before the first budget.
+const SET_BUDGET: u64 = 312;
 
 /// Mean allocator calls per analysis (`analyze_with` alone) allowed over
-/// the small class: 124 before the analysis kept its tables dense.
-const ANALYSIS_BUDGET: u64 = 124;
+/// the small class: 44 when set, once the analysis kept dense tables and
+/// one scratch per walk; 123 before that.
+const ANALYSIS_BUDGET: u64 = 50;
 
 /// Allocator calls of one cold compile of `p` plus its rendered report.
 fn op_allocations(p: &Program) -> u64 {
