@@ -79,19 +79,6 @@ impl DelaySet {
         self.count = self.m.count_ones();
     }
 
-    /// The pairs of `self` that are not in `other`.
-    pub fn minus(&self, other: &DelaySet) -> DelaySet {
-        assert_eq!(self.n, other.n, "delay sets over different access tables");
-        let mut m = self.m.clone();
-        for u in 0..self.n {
-            let theirs = other.m.row_words(u);
-            for (d, o) in m.row_words_mut(u).iter_mut().zip(theirs) {
-                *d &= !o;
-            }
-        }
-        DelaySet::from_matrix(m)
-    }
-
     /// The second components of the delays from access `u`, as raw
     /// words.
     pub(crate) fn row_words(&self, u: usize) -> &[u64] {

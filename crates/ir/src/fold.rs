@@ -35,7 +35,7 @@ pub fn fold_in_place(e: &mut Expr) -> bool {
 /// Whether `e`, if it evaluates, evaluates to an `int`: an int literal,
 /// `MYPROC`, `PROCS`, a local (or local-array element) that `int_local`
 /// says is an `int`, or negation and arithmetic over such.
-pub fn is_int(e: &Expr, int_local: &dyn Fn(VarId) -> bool) -> bool {
+fn is_int(e: &Expr, int_local: &dyn Fn(VarId) -> bool) -> bool {
     match e {
         Expr::Int(_) | Expr::MyProc | Expr::Procs => true,
         Expr::Local(v) | Expr::LocalElem { array: v, .. } => int_local(*v),

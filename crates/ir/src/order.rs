@@ -219,8 +219,8 @@ impl BitMatrix {
 
 /// A dense bitset over `0..n`, the word-parallel replacement for the
 /// `Vec<AccessId>` + `contains` scans the back-path oracle used to carry.
-/// A universe of up to [`INLINE_BITS`] keeps its words in the set itself,
-/// so the sets of a small program cost no allocation.
+/// A universe of up to 128 elements keeps its words in the set itself, so
+/// the sets of a small program cost no allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     n: usize,
@@ -228,9 +228,9 @@ pub struct BitSet {
 }
 
 /// The largest universe a [`BitSet`] holds without allocating.
-pub const INLINE_BITS: usize = 128;
+const INLINE_BITS: usize = 128;
 
-/// A [`BitSet`]'s words: in place up to [`INLINE_BITS`], else on the heap.
+/// A [`BitSet`]'s words: in place up to `INLINE_BITS`, else on the heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Words {
     Inline([u64; INLINE_BITS / 64]),

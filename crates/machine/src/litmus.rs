@@ -341,7 +341,7 @@ const STATE_CAP: usize = 2_000_000;
 /// exploration takes. Each costs a state clone and a hash, so this bounds
 /// the work of a search whose states are few but richly connected, where
 /// the state cap alone let a 15-line program run for most of a minute.
-pub const TRANSITION_CAP: u64 = 300_000;
+const TRANSITION_CAP: u64 = 300_000;
 
 fn explore(
     traces: &[Vec<TraceOp>],
