@@ -173,7 +173,7 @@ struct Mirror<'a> {
 }
 
 impl Graph for Mirror<'_> {
-    fn len(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         self.conflicts.num_accesses()
     }
 
@@ -210,11 +210,7 @@ impl Graph for Mirror<'_> {
         }
         let row = self.conflicts.succ_row_words(AccessId::from_index(x));
         for (wi, &word) in row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f(wi * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+            ones(wi, word).for_each(&mut f);
         }
     }
 }

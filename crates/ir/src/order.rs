@@ -494,11 +494,11 @@ impl Csr {
     }
 }
 
-/// A directed graph over `0..len()` as the condensations walk it: a
+/// A directed graph over `0..num_nodes()` as the condensations walk it: a
 /// node's successors one at a time from a cursor, or all at once.
 pub trait Graph {
     /// The number of nodes.
-    fn len(&self) -> usize;
+    fn num_nodes(&self) -> usize;
 
     /// The successor of `x` at `cursor` (0 for the first) and the cursor
     /// after it, or `None` past the last.
@@ -510,7 +510,7 @@ pub trait Graph {
 }
 
 impl Graph for Csr {
-    fn len(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         Csr::len(self)
     }
 
@@ -529,7 +529,7 @@ impl Graph for Csr {
 }
 
 /// Work performed by one condensation ([`reachability_counted`],
-/// [`Ancestors::compute`]) — deterministic counters for the observability
+/// [`GraphScratch::ancestors_of`]) — deterministic counters for the observability
 /// report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReachStats {
@@ -559,7 +559,12 @@ impl GraphScratch {
         scratch
     }
 
-    /// [`Ancestors::compute`] of `g`.
+    /// Condenses `g` and pushes the ancestor rows down it.
+    ///
+    /// Tarjan emits components in reverse topological order, so walking
+    /// the emission backwards visits every component after all of its
+    /// predecessors: its row is final by then, and it ORs `row ∪ members`
+    /// into each successor component once.
     pub fn ancestors_of(&mut self, g: &impl Graph) -> Ancestors {
         Ancestors::compute_with(g, &mut self.walk)
     }
@@ -603,7 +608,7 @@ pub fn reachability_counted(g: &Csr) -> (BitMatrix, ReachStats) {
 }
 
 fn reachability_with(g: &impl Graph, walk: &mut Walk) -> (BitMatrix, ReachStats) {
-    let n = g.len();
+    let n = g.num_nodes();
     let mut m = BitMatrix::new(n);
     let mut stats = ReachStats::default();
     if n == 0 {
@@ -762,18 +767,8 @@ pub struct Ancestors {
 }
 
 impl Ancestors {
-    /// Condenses `g` and pushes the ancestor rows down it.
-    ///
-    /// Tarjan emits components in reverse topological order, so walking
-    /// the emission backwards visits every component after all of its
-    /// predecessors: its row is final by then, and it ORs `row ∪ members`
-    /// into each successor component once.
-    pub fn compute(g: &Csr) -> Self {
-        Self::compute_with(g, &mut Walk::default())
-    }
-
     fn compute_with(g: &impl Graph, walk: &mut Walk) -> Self {
-        let n = g.len();
+        let n = g.num_nodes();
         let mut comp = vec![0; n];
         let (mut t, pushed) = walk.cut(n);
         let num = t.condense(g, Some(&mut comp));
@@ -871,7 +866,7 @@ impl Tarjan<'_> {
             ..
         } = self;
         let comp = comp.unwrap_or(&mut self.comp[..]);
-        let n = g.len();
+        let n = g.num_nodes();
         index.fill(UNSEEN);
         let (mut top, mut emitted, mut components) = (0, 0, 0);
         let mut next_index = 0u32;
@@ -1254,7 +1249,7 @@ mod tests {
             let naive = reachability_naive(n, &edges);
             assert_eq!(fast, naive, "trial {trial}: n={n} edges={edges:?}");
             // The ancestor rows are the same relation read by column.
-            let anc = Ancestors::compute(&Csr::from_edges(n, |sink| {
+            let anc = GraphScratch::default().ancestors_of(&Csr::from_edges(n, |sink| {
                 for &(a, b) in &edges {
                     sink.add(a, b);
                 }
