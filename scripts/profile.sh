@@ -1,17 +1,17 @@
 #!/usr/bin/env sh
 # Where the CPU time of one benchmark or example run goes, by sampling.
 #
-# Usage: scripts/profile.sh [--top N] [--us PERIOD] --workload W [--seconds S]
-#        scripts/profile.sh [--top N] [--us PERIOD] --example NAME [-- ARGS...]
+# Usage: scripts/profile.sh [--top N] --workload W [--seconds S]
+#        scripts/profile.sh [--top N] --example NAME [-- ARGS...]
 #
 # Builds a frame-pointer copy of the repo benchmark (benchmark/, the
 # workload W run untraced for S seconds, default 5) or of the example NAME
 # of the syncopt package into target/profile (release, --offline, with
 # line tables), compiles scripts/profile_sampler.c with gcc into
 # target/profile/sampler.so and preloads it into that one run. The
-# sampler takes a stack every PERIOD microseconds of process CPU time
-# (default 1000) by SIGPROF; a CPU-time timer fires on the kernel's tick,
-# so on a 250 Hz kernel a sample comes every 4 ms whatever PERIOD asks.
+# sampler asks for a stack every millisecond of process CPU time by
+# SIGPROF; a CPU-time timer fires on the kernel's tick, so on a 250 Hz
+# kernel a sample comes every 4 ms.
 #
 # Prints two tables of the top N functions (default 25): self (the
 # function a sample was taken in) and inclusive (every function on its
@@ -37,17 +37,15 @@ usage() {
 }
 
 TOP=25
-PERIOD=1000
 WORKLOAD=""
 SECONDS_PER_RUN=5
 EXAMPLE=""
 while [ $# -gt 0 ]; do
     case "$1" in
-        --top | --us | --workload | --seconds | --example)
+        --top | --workload | --seconds | --example)
             [ $# -ge 2 ] || { echo "profile: $1 needs a value" >&2; usage; }
             case "$1" in
                 --top) TOP="$2" ;;
-                --us) PERIOD="$2" ;;
                 --workload) WORKLOAD="$2" ;;
                 --seconds) SECONDS_PER_RUN="$2" ;;
                 --example) EXAMPLE="$2" ;;
@@ -81,8 +79,7 @@ fi
 gcc -O2 -shared -fPIC -o "$OUT/sampler.so" scripts/profile_sampler.c
 
 rm -f "$OUT"/samples.*
-SYNCOPT_PROFILE_OUT="$OUT/samples" SYNCOPT_PROFILE_US="$PERIOD" \
-    LD_PRELOAD="$OUT/sampler.so" "$BIN" "$@" > "$OUT/run.out"
+SYNCOPT_PROFILE_OUT="$OUT/samples" LD_PRELOAD="$OUT/sampler.so" "$BIN" "$@" > "$OUT/run.out"
 echo "profile: $BIN $*"
 
 python3 - "$BIN" "$TOP" "$OUT"/samples.* <<'EOF'

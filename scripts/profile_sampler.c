@@ -1,12 +1,11 @@
 /* A SIGPROF stack sampler, preloaded into a frame-pointer build by
  * scripts/profile.sh (LD_PRELOAD).
  *
- * A process CPU-time timer raises SIGPROF every SYNCOPT_PROFILE_US
- * microseconds of CPU (default 1000). The handler walks the interrupted
- * thread's frame-pointer chain, reading each frame through
- * process_vm_readv so that a frame without a frame pointer (glibc) ends
- * the walk instead of faulting, and keeps the return addresses in a static
- * buffer. At exit the samples go to SYNCOPT_PROFILE_OUT.<pid>, one sample
+ * A process CPU-time timer raises SIGPROF every millisecond of CPU. The
+ * handler walks the interrupted thread's frame-pointer chain, reading each
+ * frame through process_vm_readv so that a frame without a frame pointer
+ * (glibc) ends the walk instead of faulting, and keeps the return
+ * addresses in a static buffer. At exit the samples go to SYNCOPT_PROFILE_OUT.<pid>, one sample
  * a line of hex addresses (innermost first), followed by this process's
  * /proc/self/maps, which the report needs to tell modules apart. */
 #define _GNU_SOURCE
@@ -54,11 +53,9 @@ __attribute__((constructor)) static void start(void) {
     self = getpid();
     struct sigaction sa = {.sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART};
     sigaction(SIGPROF, &sa, NULL);
-    const char *us = getenv("SYNCOPT_PROFILE_US");
-    long period = us ? atol(us) : 1000;
     struct sigevent ev = {.sigev_notify = SIGEV_SIGNAL, .sigev_signo = SIGPROF};
     timer_t timer;
-    struct itimerspec spec = {{0, period * 1000}, {0, period * 1000}};
+    struct itimerspec spec = {{0, 1000000}, {0, 1000000}};
     if (timer_create(CLOCK_PROCESS_CPUTIME_ID, &ev, &timer) == 0) timer_settime(timer, 0, &spec, NULL);
 }
 
