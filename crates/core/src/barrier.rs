@@ -19,7 +19,7 @@ use syncopt_ir::cfg::{Cfg, Instr, Terminator};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::expr::Expr;
 use syncopt_ir::ids::{AccessId, BlockId};
-use syncopt_ir::order::{BitMatrix, BitSet, ProgramOrder};
+use syncopt_ir::order::{BitSet, ProgramOrder};
 
 /// How barrier alignment is established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,41 +110,41 @@ pub fn tainted_branches(cfg: &Cfg, tainted: &BitSet) -> Vec<BlockId> {
 /// not including, `x`'s immediate postdominator, `x` left out. So each
 /// branch is one walk per successor. A dependent block with a branch
 /// spreads dependence, and a block (or branch) that reaches no exit counts
-/// as dependent (conservative). Row 0 of the result holds the dependent
-/// blocks.
-fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[BlockId]) -> BitMatrix {
+/// as dependent (conservative).
+fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[BlockId]) -> BitSet {
     let nb = cfg.num_blocks();
-    // Row 0: the dependent blocks; row 1: the branches to walk from;
-    // row 2: those walked.
-    let mut sets = BitMatrix::rectangular(3, nb);
+    let mut dependent = BitSet::new(nb);
+    // The branches to walk from, and those walked.
+    let mut queued = BitSet::new(nb);
+    let mut walked = BitSet::new(nb);
     for &x in tainted_branches {
-        sets.set(1, x.index());
+        queued.insert(x.index());
     }
-    let mark = |b: BlockId, sets: &mut BitMatrix| {
-        if !sets.get(0, b.index()) {
-            sets.set(0, b.index());
+    let mark = |b: BlockId, dependent: &mut BitSet, queued: &mut BitSet| {
+        if !dependent.contains(b.index()) {
+            dependent.insert(b.index());
             if matches!(cfg.block(b).term, Terminator::Branch { .. }) {
-                sets.set(1, b.index());
+                queued.insert(b.index());
             }
         }
     };
     for b in cfg.block_ids() {
         if !pdom.is_reachable(b) {
-            mark(b, &mut sets);
+            mark(b, &mut dependent, &mut queued);
         }
     }
-    let next = |sets: &BitMatrix| {
-        let (queued, walked) = (sets.row_words(1), sets.row_words(2));
+    let next = |queued: &BitSet, walked: &BitSet| {
+        let (queued, walked) = (queued.words(), walked.words());
         (0..queued.len()).find_map(|w| {
             let fresh = queued[w] & !walked[w];
             (fresh != 0).then(|| BlockId::from_index(w * 64 + fresh.trailing_zeros() as usize))
         })
     };
-    while let Some(x) = next(&sets) {
-        sets.set(2, x.index());
+    while let Some(x) = next(&queued, &walked) {
+        walked.insert(x.index());
         if !pdom.is_reachable(x) {
             for b in cfg.block_ids() {
-                mark(b, &mut sets);
+                mark(b, &mut dependent, &mut queued);
             }
             continue;
         }
@@ -160,7 +160,7 @@ fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[Block
             let mut cur = s;
             while Some(cur) != stop {
                 if cur != x {
-                    mark(cur, &mut sets);
+                    mark(cur, &mut dependent, &mut queued);
                 }
                 match pdom.idom(cur) {
                     Some(up) => cur = up,
@@ -169,7 +169,7 @@ fn proc_dependent_blocks(cfg: &Cfg, pdom: &Dominators, tainted_branches: &[Block
             }
         }
     }
-    sets
+    dependent
 }
 
 /// The barrier access sites considered aligned under `policy`.
@@ -198,7 +198,7 @@ pub fn aligned_barriers_with(cfg: &Cfg, policy: BarrierPolicy, pdom: &Dominators
             }
             let dep = proc_dependent_blocks(cfg, pdom, &branches);
             barriers()
-                .filter(|(_, info)| !dep.get(0, info.pos.block.index()))
+                .filter(|(_, info)| !dep.contains(info.pos.block.index()))
                 .map(|(id, _)| id)
                 .collect()
         }
@@ -240,6 +240,7 @@ mod tests {
     use syncopt_frontend::prepare_program;
     use syncopt_ir::ids::VarId;
     use syncopt_ir::lower::lower_main;
+    use syncopt_ir::order::GraphScratch;
 
     fn cfg_of(src: &str) -> Cfg {
         lower_main(&prepare_program(src).unwrap()).unwrap()
@@ -343,7 +344,7 @@ mod tests {
     #[test]
     fn precedence_edges_between_sequential_barriers() {
         let cfg = cfg_of("fn main() { barrier; work(1); barrier; }");
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         let aligned = aligned_barriers(&cfg, BarrierPolicy::Static);
         let edges = barrier_precedence_edges(&po, &aligned);
         let b: Vec<AccessId> = cfg.accesses.ids().collect();
@@ -358,7 +359,7 @@ mod tests {
         let cfg = cfg_of(
             "fn main() { int i; for (i = 0; i < 4; i = i + 1) { barrier; work(1); barrier; } }",
         );
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         let aligned = aligned_barriers(&cfg, BarrierPolicy::Static);
         assert_eq!(aligned.len(), 2);
         let edges = barrier_precedence_edges(&po, &aligned);

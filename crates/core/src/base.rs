@@ -55,16 +55,11 @@ pub struct AnalysisBase {
 }
 
 impl AnalysisBase {
-    /// Builds the base for `cfg`. Of `opts` only the processor count
+    /// Builds the base for `cfg`, condensing the block graph and the
+    /// mirror copy in `scratch`. Of `opts` only the processor count
     /// matters; the barrier policy and the thread count enter at
     /// [`AnalysisBase::refine`].
-    pub fn build(cfg: &Cfg, opts: &SyncOptions) -> Self {
-        Self::build_with(cfg, opts, &mut GraphScratch::default())
-    }
-
-    /// [`AnalysisBase::build`] condensing the block graph and the mirror
-    /// copy in `scratch`.
-    pub fn build_with(cfg: &Cfg, opts: &SyncOptions, scratch: &mut GraphScratch) -> Self {
+    pub fn build(cfg: &Cfg, opts: &SyncOptions, scratch: &mut GraphScratch) -> Self {
         let mut counters = AnalysisCounters::default();
         let preds = cfg.predecessors();
         let (dom, pdom) = Dominators::both(cfg, &preds);
@@ -78,14 +73,14 @@ impl AnalysisBase {
         counters.set(C::ConflictPairTests, conflict_stats.pair_tests);
         counters.set(C::ConflictProcSteps, conflict_stats.proc_steps);
 
-        let po = ProgramOrder::compute_with(cfg, scratch);
+        let po = ProgramOrder::compute(cfg, scratch);
         // The rows of `D_SS` rest on §4's lemma, which needs `C` symmetric
         // (see `MirrorClosure::delay_ss`).
         debug_assert!(
             conflicts.is_symmetric(),
             "a fresh conflict set is symmetric"
         );
-        let closure = MirrorClosure::build_with(&conflicts, &po, scratch);
+        let closure = MirrorClosure::build(&conflicts, &po, scratch);
         let (delay_ss, mut ss_stats) = closure.delay_ss(&po);
         ss_stats.add_oracle_build(closure.build_stats());
         counters.set(C::CycleCandidatePairs, ss_stats.candidates);

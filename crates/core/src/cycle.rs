@@ -73,48 +73,45 @@ pub struct DelayOptions<'a> {
 pub struct MirrorClosure {
     /// `Anc` per component of the mirror copy (no removals).
     anc: Ancestors,
-    /// Row 0: the accesses with ≥ 1 directed conflict successor; row 1:
-    /// those with ≥ 1 predecessor — the candidate-pruning oracle. For a
-    /// symmetric `C` both are `HasC`.
-    has: BitMatrix,
+    /// The accesses with ≥ 1 directed conflict successor, and those with
+    /// ≥ 1 predecessor — the candidate-pruning oracle. For a symmetric `C`
+    /// both are `HasC`.
+    has_succ: BitSet,
+    has_pred: BitSet,
 }
 
 impl MirrorClosure {
     /// Condenses the mirror copy of `po ∪ conflicts` over the skeleton of
     /// `po`. A program-order self-pair is not an edge (the skeleton's
     /// self-loops are dropped, as the diagonal of `P` always was); a
-    /// self-conflict is.
-    pub fn build(conflicts: &ConflictSet, po: &ProgramOrder) -> Self {
-        Self::build_with(conflicts, po, &mut GraphScratch::default())
-    }
-
-    /// [`MirrorClosure::build`] condensing in `scratch`.
-    pub fn build_with(
-        conflicts: &ConflictSet,
-        po: &ProgramOrder,
-        scratch: &mut GraphScratch,
-    ) -> Self {
+    /// self-conflict is. The condensation runs in `scratch`.
+    pub fn build(conflicts: &ConflictSet, po: &ProgramOrder, scratch: &mut GraphScratch) -> Self {
         let n = conflicts.num_accesses();
         let anc = scratch.ancestors_of(&Mirror {
             skeleton: po.skeleton(),
             conflicts,
         });
-        let mut has = BitMatrix::rectangular(2, n);
+        let mut has_succ = BitSet::new(n);
+        let mut has_pred = BitSet::new(n);
         for a in 0..n {
             let row = conflicts.succ_row_words(AccessId::from_index(a));
             if row.iter().any(|&w| w != 0) {
-                has.set(0, a);
-                has.or_row_words(1, row);
+                has_succ.insert(a);
+                has_pred.union_words(row);
             }
         }
-        MirrorClosure { anc, has }
+        MirrorClosure {
+            anc,
+            has_succ,
+            has_pred,
+        }
     }
 
     /// The accesses that reach `y` in the mirror copy, ascending.
     #[cfg(test)]
     pub(crate) fn ancestors_of(&self, y: usize) -> Vec<usize> {
         let words = self.anc.of(y);
-        (0..self.has.len())
+        (0..self.has_succ.universe())
             .filter(|&x| words[x / 64] & (1 << (x % 64)) != 0)
             .collect()
     }
@@ -140,8 +137,8 @@ impl MirrorClosure {
     /// `HasC × HasC`; every other pair is decided by its row, so
     /// `backpath_queries` is 0.
     pub fn delay_ss(&self, po: &ProgramOrder) -> (DelaySet, DelayQueryStats) {
-        let has_c = self.has.row_words(0);
-        let n = self.has.len();
+        let has_c = self.has_succ.words();
+        let n = self.has_succ.universe();
         let mut m = BitMatrix::new(n);
         let mut stats = DelayQueryStats::default();
         let mut decided = 0u64;
@@ -311,13 +308,13 @@ impl<'a> BackPathOracle<'a> {
     /// Whether `v` has at least one directed conflict successor (a
     /// back-path's first hop).
     pub fn has_conflict_succ(&self, v: AccessId) -> bool {
-        self.closure.has.get(0, v.index())
+        self.closure.has_succ.contains(v.index())
     }
 
     /// Whether `u` has at least one directed conflict predecessor (a
     /// back-path's last hop).
     pub fn has_conflict_pred(&self, u: AccessId) -> bool {
-        self.closure.has.get(1, u.index())
+        self.closure.has_pred.contains(u.index())
     }
 
     /// `out = Cpred(u)`, the directed conflict predecessors of `u`.
@@ -592,7 +589,7 @@ pub fn compute_delay_set_counted(
     po: &ProgramOrder,
 ) -> (DelaySet, DelayQueryStats) {
     debug_assert!(conflicts.is_symmetric(), "D_SS rows need a symmetric C");
-    let closure = MirrorClosure::build(conflicts, po);
+    let closure = MirrorClosure::build(conflicts, po, &mut GraphScratch::default());
     let (delay, mut stats) = closure.delay_ss(po);
     stats.add_oracle_build(closure.build_stats());
     (delay, stats)
@@ -711,7 +708,7 @@ pub fn shasha_snir(cfg: &Cfg) -> DelaySet {
 /// disambiguation).
 pub fn shasha_snir_bounded(cfg: &Cfg, procs: Option<u32>) -> DelaySet {
     let conflicts = ConflictSet::build_bounded(cfg, procs);
-    let po = ProgramOrder::compute(cfg);
+    let po = ProgramOrder::compute(cfg, &mut GraphScratch::default());
     compute_delay_set(&conflicts, &po)
 }
 
@@ -1029,7 +1026,7 @@ mod tests {
         "#;
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         let mut sync_sites = BitSet::new(cfg.accesses.len());
         for (id, info) in cfg.accesses.iter() {
             if info.kind.is_sync() {
@@ -1067,7 +1064,7 @@ mod tests {
         "#;
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         // Removing the consumer-side reads destroys every back-path for the
         // producer edge (Write Data, Write Flag).
         let all: Vec<AccessId> = cfg.accesses.ids().collect();
@@ -1076,7 +1073,7 @@ mod tests {
             .copied()
             .filter(|&x| cfg.accesses.info(x).kind == AccessKind::Read)
             .collect();
-        let closure = MirrorClosure::build(&conflicts, &po);
+        let closure = MirrorClosure::build(&conflicts, &po, &mut GraphScratch::default());
         let (d_ss, _) = closure.delay_ss(&po);
         let remove_reads = |_: AccessId, _: AccessId, out: &mut BitSet| {
             for r in &reads {
@@ -1120,7 +1117,7 @@ mod tests {
         "#;
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         let (d, stats) = compute_delay_set_counted(&conflicts, &po);
         assert!(stats.pruned_candidates > 0, "{stats:?}");
         assert!(stats.candidates > stats.pruned_candidates, "{stats:?}");
@@ -1144,8 +1141,8 @@ mod tests {
         "#;
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
-        let closure = MirrorClosure::build(&conflicts, &po);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
+        let closure = MirrorClosure::build(&conflicts, &po, &mut GraphScratch::default());
         let oracle = BackPathOracle::new(&conflicts, &po, &closure);
         let (d_ss, _) = closure.delay_ss(&po);
         // Remove the even accesses other than the pair, so candidates that
@@ -1192,8 +1189,8 @@ mod tests {
         "#;
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
-        let closure = MirrorClosure::build(&conflicts, &po);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
+        let closure = MirrorClosure::build(&conflicts, &po, &mut GraphScratch::default());
         let oracle = BackPathOracle::new(&conflicts, &po, &closure);
         let (d_ss, _) = closure.delay_ss(&po);
         assert!(!d_ss.is_empty());
@@ -1216,7 +1213,7 @@ mod tests {
             "shared int X; shared int A[64]; fn main() { int v; A[MYPROC] = 1; X = 1; v = X; }";
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let conflicts = ConflictSet::build(&cfg);
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         let (_, stats) = compute_delay_set_counted(&conflicts, &po);
         assert_eq!(stats.oracle_builds, 1);
         assert!(stats.sccs >= 1);

@@ -32,7 +32,7 @@ use syncopt_frontend::prepare_program;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
 use syncopt_ir::lower::lower_main;
-use syncopt_ir::order::{reachability_counted, Csr, ProgramOrder};
+use syncopt_ir::order::{reachability_counted, Csr, GraphScratch, ProgramOrder};
 use syncopt_kernels::scaling::{generate, ScalingIdiom, ScalingParams};
 
 fn lower(src: &str) -> Cfg {
@@ -69,7 +69,7 @@ fn assert_condensation_matches(conflicts: &ConflictSet, po: &ProgramOrder, label
             succs.iter().for_each(|&y| edges.add(x, y));
         }
     }));
-    let closure = MirrorClosure::build(conflicts, po);
+    let closure = MirrorClosure::build(conflicts, po, &mut GraphScratch::default());
     for y in 0..n {
         let column: Vec<usize> = (0..n).filter(|&x| reach.get(x, y)).collect();
         assert_eq!(
@@ -107,7 +107,7 @@ fn assert_refinement_matches_naive(
     label: &str,
 ) {
     let n = cfg.accesses.len();
-    let (sync, delay) = base.refine(cfg, opts, excl);
+    let (sync, delay) = base.refine(cfg, opts, excl, &mut GraphScratch::default());
     let (mut r, _) = base.seed_precedence(cfg, opts, excl, &mut AnalysisCounters::default());
     grow_precedence_reference(cfg, &base.dom, &base.pdom, &base.d1, &mut r);
     assert_eq!(sync.precedence.pairs(), r.pairs(), "{label}: R");
@@ -132,7 +132,12 @@ fn assert_refinement_matches_naive(
     slow.union_with(&base.d1);
     assert_eq!(delay.pairs(), slow.pairs(), "{label}: refined delay set");
     for threads in [2, 3] {
-        let (threaded, threaded_delay) = base.refine(cfg, &SyncOptions { threads, ..*opts }, excl);
+        let (threaded, threaded_delay) = base.refine(
+            cfg,
+            &SyncOptions { threads, ..*opts },
+            excl,
+            &mut GraphScratch::default(),
+        );
         assert_eq!(
             threaded_delay.pairs(),
             delay.pairs(),
@@ -149,7 +154,7 @@ fn assert_refinement_matches_naive(
 /// `D_SS`, `D1`, both condensations, the witnesses `explain` prints, and
 /// every refinement the lint engine can ask for.
 fn assert_rows_match_naive(cfg: &Cfg, opts: &SyncOptions, label: &str) {
-    let base = AnalysisBase::build(cfg, opts);
+    let base = AnalysisBase::build(cfg, opts, &mut GraphScratch::default());
     let (conflicts, po) = (&base.conflicts, &base.po);
     let plain = naive::NaiveOptions::default();
     let d_ss = naive::compute_delay_set_naive(cfg, conflicts, po, &plain);
@@ -162,7 +167,12 @@ fn assert_rows_match_naive(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     assert_eq!(base.d1.pairs(), d1.pairs(), "{label}: D1 != filter(D_SS)");
     assert_condensation_matches(conflicts, po, label);
 
-    let (full, full_delay) = base.refine(cfg, opts, &SyncExclusion::default());
+    let (full, full_delay) = base.refine(
+        cfg,
+        opts,
+        &SyncExclusion::default(),
+        &mut GraphScratch::default(),
+    );
     assert_condensation_matches(&full.oriented, po, &format!("{label} (oriented)"));
     let (lists, oriented_lists) = (
         naive::mirror_lists(conflicts, po),
@@ -352,8 +362,13 @@ fn conflict_sets_of_guard_shapes_match_the_pair_enumeration() {
 // ---- the precedence fixpoint: row ORs vs the triple loop -------------------
 
 fn assert_fixpoints_agree(cfg: &Cfg, opts: &SyncOptions, label: &str) {
-    let base = AnalysisBase::build(cfg, opts);
-    let (full, _) = base.refine(cfg, opts, &SyncExclusion::default());
+    let base = AnalysisBase::build(cfg, opts, &mut GraphScratch::default());
+    let (full, _) = base.refine(
+        cfg,
+        opts,
+        &SyncExclusion::default(),
+        &mut GraphScratch::default(),
+    );
     for excl in exclusions(cfg, &full) {
         let (fast, _, _) = base.precedence(cfg, opts, &excl);
         let (mut slow, _) =
@@ -408,12 +423,14 @@ fn assert_same_sync(
 
 fn assert_base_serves_cold_results(cfg: &Cfg, opts: &SyncOptions, label: &str) {
     let analysis = analyze_with(cfg, opts);
-    let cold_base = AnalysisBase::build(cfg, opts);
+    let cold_base = AnalysisBase::build(cfg, opts, &mut GraphScratch::default());
     assert_eq!(analysis.d1.pairs(), cold_base.d1.pairs(), "{label}: d1");
     // A lint probe over the analysis's base is the cold excluded analysis.
     for excl in exclusions(cfg, &analysis.sync) {
-        let warm = analysis.base.refine(cfg, opts, &excl);
-        let cold = cold_base.refine(cfg, opts, &excl);
+        let warm = analysis
+            .base
+            .refine(cfg, opts, &excl, &mut GraphScratch::default());
+        let cold = cold_base.refine(cfg, opts, &excl, &mut GraphScratch::default());
         assert_same_sync(&warm, &cold, &format!("{label} under {excl:?}"));
     }
     // Classifying from the analysis is detecting from scratch.

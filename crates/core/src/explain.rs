@@ -34,7 +34,7 @@ use crate::{Analysis, AnalysisBase};
 use std::collections::HashSet;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::{AccessId, VarId};
-use syncopt_ir::order::ProgramOrder;
+use syncopt_ir::order::{GraphScratch, ProgramOrder};
 
 /// The stable schema identifier of [`ExplainReport::to_json`].
 pub const EXPLAIN_SCHEMA: &str = "syncopt.explain.v1";
@@ -368,7 +368,7 @@ pub fn validate_witness(cfg: &Cfg, conflicts: &ConflictSet, witness: &[AccessId]
     if witness.len() < 3 {
         return false;
     }
-    let po = ProgramOrder::compute(cfg);
+    let po = ProgramOrder::compute(cfg, &mut GraphScratch::default());
     let last = witness.len() - 1;
     witness.windows(2).enumerate().all(|(i, w)| {
         let (from, to) = (w[0], w[1]);

@@ -164,9 +164,8 @@ pub fn analyze_with(cfg: &Cfg, opts: &SyncOptions) -> Analysis {
     use obs::AnalysisCounter as C;
     let mut scratch =
         syncopt_ir::order::GraphScratch::with_capacity(cfg.accesses.len().max(cfg.num_blocks()));
-    let base = AnalysisBase::build_with(cfg, opts, &mut scratch);
-    let (sync, delay_sync) =
-        base.refine_with(cfg, opts, &sync::SyncExclusion::default(), &mut scratch);
+    let base = AnalysisBase::build(cfg, opts, &mut scratch);
+    let (sync, delay_sync) = base.refine(cfg, opts, &sync::SyncExclusion::default(), &mut scratch);
     let mut metrics = base.counters;
     metrics.merge(&sync.counters);
     metrics.set(C::DelaySsPairs, base.delay_ss.len() as u64);

@@ -25,6 +25,7 @@ use crate::{Analysis, DelaySet};
 use syncopt_frontend::span::Span;
 use syncopt_ir::cfg::Cfg;
 use syncopt_ir::ids::AccessId;
+use syncopt_ir::order::GraphScratch;
 
 pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
     let cfg = input.cfg;
@@ -40,7 +41,11 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
             barriers: vec![b],
             waits: vec![],
         };
-        let (alt, alt_delay) = input.analysis.base.refine(cfg, input.opts, &excl);
+        let (alt, alt_delay) =
+            input
+                .analysis
+                .base
+                .refine(cfg, input.opts, &excl, &mut GraphScratch::default());
         if !unchanged_excluding(input.analysis, &alt, &alt_delay, b) {
             continue;
         }
@@ -61,7 +66,11 @@ pub(super) fn run(input: &LintInput<'_>, out: &mut Vec<Diagnostic>) {
             barriers: vec![],
             waits: vec![w],
         };
-        let (alt, alt_delay) = input.analysis.base.refine(cfg, input.opts, &excl);
+        let (alt, alt_delay) =
+            input
+                .analysis
+                .base
+                .refine(cfg, input.opts, &excl, &mut GraphScratch::default());
         if !unchanged_excluding(input.analysis, &alt, &alt_delay, w) {
             continue;
         }

@@ -18,7 +18,7 @@ use syncopt_ir::access::AccessKind;
 use syncopt_ir::cfg::{Cfg, Predecessors};
 use syncopt_ir::dom::Dominators;
 use syncopt_ir::ids::{AccessId, BlockId, VarId};
-use syncopt_ir::order::BitMatrix;
+use syncopt_ir::order::{BitMatrix, BitSet};
 use syncopt_ir::vars::VarKind;
 
 /// Guard information: which accesses each lock protects.
@@ -82,12 +82,7 @@ impl LockGuards {
     /// allocation-free form the hot delay-set loop uses. Inserts `a` and
     /// `b` too when they share a lock; callers mask the pair out once at
     /// the end of their removal set.
-    pub fn mark_removable_for_pair(
-        &self,
-        a: AccessId,
-        b: AccessId,
-        out: &mut syncopt_ir::order::BitSet,
-    ) {
+    pub fn mark_removable_for_pair(&self, a: AccessId, b: AccessId, out: &mut BitSet) {
         for (_, accs) in self.each() {
             if accs.binary_search(&a).is_ok() && accs.binary_search(&b).is_ok() {
                 for &x in accs {
@@ -103,44 +98,42 @@ impl LockGuards {
 type LockOp = (u32, u32, usize, bool);
 
 /// `held` after the lock operations `ops`, in order.
-fn apply_lock_ops(ops: &[LockOp], held: &mut [u64]) {
+fn apply_lock_ops(ops: &[LockOp], held: &mut BitSet) {
     for &(_, _, k, release) in ops {
         if release {
-            held[k / 64] &= !(1 << (k % 64));
+            held.remove(k);
         } else {
-            held[k / 64] |= 1 << (k % 64);
+            held.insert(k);
         }
     }
 }
 
 /// The must-hold lock set at entry of every block, one row per block over
-/// the lock index, in a slab whose rows `nb..3·nb` hold each block's
-/// `gen` (locks it leaves held) and `kill` (locks it leaves released)
-/// and whose last row is scratch. `by_pos` is every lock operation in
-/// position order.
+/// the lock index. `by_pos` is every lock operation in position order.
 fn must_hold_in(cfg: &Cfg, preds: &Predecessors, nl: usize, by_pos: &[LockOp]) -> BitMatrix {
     let nb = cfg.num_blocks();
-    let mut slab = BitMatrix::rectangular(3 * nb + 1, nl);
-    // A block's effect on one lock is its last operation on it.
+    // Per block, the locks it leaves held (`gen`) and those it leaves
+    // released (`kill`): its last operation on each lock decides.
+    let mut gen = BitMatrix::rectangular(nb, nl);
+    let mut kill = BitMatrix::rectangular(nb, nl);
     for &(b, _, k, release) in by_pos {
-        let (held, released) = (nb + b as usize, 2 * nb + b as usize);
         let (set, clear) = if release {
-            (released, held)
+            (&mut kill, &mut gen)
         } else {
-            (held, released)
+            (&mut gen, &mut kill)
         };
-        slab.set(set, k);
-        slab.clear(clear, k);
+        set.set(b as usize, k);
+        clear.clear(b as usize, k);
     }
+    let mut held_in = BitMatrix::rectangular(nb, nl);
     for b in 0..nb {
         if b != cfg.entry.index() {
             for k in 0..nl {
-                slab.set(b, k);
+                held_in.set(b, k);
             }
         }
     }
     let words = nl.div_ceil(64);
-    let scratch = 3 * nb;
     let mut changed = true;
     while changed {
         changed = false;
@@ -155,19 +148,16 @@ fn must_hold_in(cfg: &Cfg, preds: &Predecessors, nl: usize, by_pos: &[LockOp]) -
                 let mut meet = if ps.is_empty() { 0 } else { !0 };
                 for p in ps {
                     let p = p.index();
-                    let out = (slab.row_words(p)[w] & !slab.row_words(2 * nb + p)[w])
-                        | slab.row_words(nb + p)[w];
-                    meet &= out;
+                    meet &= (held_in.row_words(p)[w] & !kill.row_words(p)[w]) | gen.row_words(p)[w];
                 }
-                slab.row_words_mut(scratch)[w] = meet;
-            }
-            if slab.row_words(b) != slab.row_words(scratch) {
-                slab.copy_row(b, scratch);
-                changed = true;
+                if held_in.row_words(b)[w] != meet {
+                    held_in.row_words_mut(b)[w] = meet;
+                    changed = true;
+                }
             }
         }
     }
-    slab
+    held_in
 }
 
 /// Computes which accesses are guarded by which locks.
@@ -203,8 +193,8 @@ pub fn compute_lock_guards(
     }
     ops.sort_unstable();
     by_pos.sort_unstable_by_key(|&(b, i, ..)| (b, i));
-    let mut slab = must_hold_in(cfg, preds, locks.len(), &by_pos);
-    let scratch = slab.num_rows() - 1;
+    let held_in = must_hold_in(cfg, preds, locks.len(), &by_pos);
+    let mut held = BitSet::new(locks.len());
     let sites = |k: usize, release: bool| {
         let lo = ops.partition_point(|&(l, r, _)| (l, r) < (k, release));
         let hi = ops.partition_point(|&(l, r, _)| (l, r) <= (k, release));
@@ -220,11 +210,12 @@ pub fn compute_lock_guards(
         // Must-hold at the access: the block's entry set, then the lock
         // operations before it in the block.
         let (block, instr) = (info.pos.block.0, info.pos.instr as u32);
-        slab.copy_row(scratch, block as usize);
+        held.clear();
+        held.union_words(held_in.row_words(block as usize));
         let lo = by_pos.partition_point(|&(b, ..)| b < block);
         let hi = by_pos.partition_point(|&(b, i, ..)| (b, i) < (block, instr));
-        apply_lock_ops(&by_pos[lo..hi], slab.row_words_mut(scratch));
-        for k in slab.row_ones(scratch) {
+        apply_lock_ops(&by_pos[lo..hi], &mut held);
+        for k in held.iter_ones() {
             let has_b1 = sites(k, false).any(|b1| {
                 dom.pos_dominates(cfg.accesses.info(b1).pos, info.pos) && d1.contains(b1, a)
             });
@@ -257,10 +248,12 @@ mod tests {
     use crate::AnalysisBase;
     use syncopt_frontend::prepare_program;
     use syncopt_ir::lower::lower_main;
+    use syncopt_ir::order::GraphScratch;
 
     fn analyzed(src: &str) -> (Cfg, LockGuards) {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let guards = AnalysisBase::build(&cfg, &SyncOptions::default()).guards;
+        let guards =
+            AnalysisBase::build(&cfg, &SyncOptions::default(), &mut GraphScratch::default()).guards;
         (cfg, guards)
     }
 

@@ -173,19 +173,9 @@ impl AnalysisBase {
     /// refinement's artifacts and the refined delay set (`D1` ∪ step 6).
     ///
     /// `opts.barrier_policy` may differ from the policy the base was built
-    /// with (the base does not depend on it); `opts.procs` must not.
+    /// with (the base does not depend on it); `opts.procs` must not. A
+    /// re-oriented mirror copy is condensed in `scratch`.
     pub fn refine(
-        &self,
-        cfg: &Cfg,
-        opts: &SyncOptions,
-        excl: &SyncExclusion,
-    ) -> (SyncAnalysis, DelaySet) {
-        self.refine_with(cfg, opts, excl, &mut GraphScratch::default())
-    }
-
-    /// [`AnalysisBase::refine`] condensing a re-oriented mirror copy in
-    /// `scratch`.
-    pub fn refine_with(
         &self,
         cfg: &Cfg,
         opts: &SyncOptions,
@@ -254,7 +244,7 @@ impl AnalysisBase {
                 DelayQueryStats::default(),
             );
         }
-        let rebuilt = reoriented.then(|| MirrorClosure::build_with(oriented, &self.po, scratch));
+        let rebuilt = reoriented.then(|| MirrorClosure::build(oriented, &self.po, scratch));
         let closure = rebuilt.as_ref().unwrap_or(&self.closure);
         let oracle = BackPathOracle::oriented(&self.conflicts, oriented, r, &self.po, closure);
         // The removal set, word-parallel: successors of u in R,
@@ -370,17 +360,20 @@ fn for_each_post_wait_edge(cfg: &Cfg, mut f: impl FnMut(AccessId, AccessId)) {
 /// every `a2` execution was preceded by the synchronization `b2`.
 #[derive(Debug, Clone)]
 pub struct D1Anchors {
-    /// Row `a1 < n` = `{b1 ≠ a1 : [a1, b1] ∈ D1, b1 postdom a1}` (the
-    /// producer anchors); row `n + b2` = `{a2 ≠ b2 : [b2, a2] ∈ D1,
-    /// b2 dom a2}` (the consumer anchors).
-    rows: BitMatrix,
+    /// Row `a1` = `{b1 ≠ a1 : [a1, b1] ∈ D1, b1 postdom a1}`.
+    producer: BitMatrix,
+    /// Row `b2` = `{a2 ≠ b2 : [b2, a2] ∈ D1, b2 dom a2}`.
+    consumer: BitMatrix,
 }
 
 impl D1Anchors {
     /// Classifies every `D1` pair once.
     pub fn compute(cfg: &Cfg, dom: &Dominators, pdom: &Dominators, d1: &DelaySet) -> Self {
         let n = cfg.accesses.len();
-        let mut rows = BitMatrix::rectangular(2 * n, n);
+        let mut anchors = D1Anchors {
+            producer: BitMatrix::new(n),
+            consumer: BitMatrix::new(n),
+        };
         for x in 0..n {
             let px = cfg.accesses.info(AccessId::from_index(x)).pos;
             for y in d1.row_ones(x) {
@@ -394,24 +387,14 @@ impl D1Anchors {
                     pdom.dominates(py.block, px.block)
                 };
                 if y_postdominates_x {
-                    rows.set(x, y);
+                    anchors.producer.set(x, y);
                 }
                 if dom.pos_dominates(px, py) {
-                    rows.set(n + x, y);
+                    anchors.consumer.set(x, y);
                 }
             }
         }
-        D1Anchors { rows }
-    }
-
-    /// The producer anchors of `a1`.
-    fn producer(&self, a1: usize) -> impl Iterator<Item = usize> + '_ {
-        self.rows.row_ones(a1)
-    }
-
-    /// The consumer anchors of `b2`, as raw words.
-    fn consumer(&self, b2: usize) -> &[u64] {
-        self.rows.row_words(self.rows.len() + b2)
+        anchors
     }
 }
 
@@ -435,16 +418,16 @@ fn grow_precedence(anchors: &D1Anchors, r: &mut Precedence) {
         for x in (0..n).rev() {
             // A row with no pair and no producer anchor derives nothing.
             let empty = |words: &[u64]| words.iter().all(|&w| w == 0);
-            if empty(r.m.row_words(x)) && empty(anchors.rows.row_words(x)) {
+            if empty(r.m.row_words(x)) && empty(anchors.producer.row_words(x)) {
                 continue;
             }
             before.clear();
             before.union_words(r.m.row_words(x));
             for z in before.iter_ones() {
                 r.m.or_row(x, z);
-                r.m.or_row_words(x, anchors.consumer(z));
+                r.m.or_row_words(x, anchors.consumer.row_words(z));
             }
-            for b1 in anchors.producer(x) {
+            for b1 in anchors.producer.row_ones(x) {
                 r.m.or_row(x, b1);
             }
             if !before.contains(x) {

@@ -54,12 +54,6 @@ impl BitMatrix {
         }
     }
 
-    /// The number of rows.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
     /// Reshapes to a `rows × cols` matrix of `false`, keeping the
     /// allocation.
     #[inline]
@@ -82,14 +76,6 @@ impl BitMatrix {
         assert_eq!(self.n, other.n);
         self.row_words_mut(dst)
             .copy_from_slice(other.row_words(src));
-    }
-
-    /// Overwrites row `dst` with row `src`.
-    #[inline]
-    pub fn copy_row(&mut self, dst: usize, src: usize) {
-        assert!(dst < self.rows && src < self.rows);
-        let w = self.words_per_row;
-        self.bits.copy_within(src * w..(src + 1) * w, dst * w);
     }
 
     /// The number of columns (the dimension of a square matrix).
@@ -566,7 +552,7 @@ impl GraphScratch {
     /// predecessors: its row is final by then, and it ORs `row ∪ members`
     /// into each successor component once.
     pub fn ancestors_of(&mut self, g: &impl Graph) -> Ancestors {
-        Ancestors::compute_with(g, &mut self.walk)
+        Ancestors::compute(g, &mut self.walk)
     }
 
     /// [`reachability_counted`] of the graph over `0..n` whose edges
@@ -767,7 +753,7 @@ pub struct Ancestors {
 }
 
 impl Ancestors {
-    fn compute_with(g: &impl Graph, walk: &mut Walk) -> Self {
+    fn compute(g: &impl Graph, walk: &mut Walk) -> Self {
         let n = g.num_nodes();
         let mut comp = vec![0; n];
         let (mut t, pushed) = walk.cut(n);
@@ -949,13 +935,8 @@ pub struct ProgramOrder {
 
 impl ProgramOrder {
     /// Computes block reachability, the access-level order and its
-    /// skeleton for `cfg`.
-    pub fn compute(cfg: &Cfg) -> Self {
-        Self::compute_with(cfg, &mut GraphScratch::default())
-    }
-
-    /// [`ProgramOrder::compute`] condensing the block graph in `scratch`.
-    pub fn compute_with(cfg: &Cfg, scratch: &mut GraphScratch) -> Self {
+    /// skeleton for `cfg`, condensing the block graph in `scratch`.
+    pub fn compute(cfg: &Cfg, scratch: &mut GraphScratch) -> Self {
         let block_reach = scratch.reachability(cfg.num_blocks(), block_edges(cfg)).0;
         let sites = sites_by_position(cfg);
         let access_succ = access_order(cfg, &sites, &block_reach);
@@ -1044,24 +1025,25 @@ fn access_order(cfg: &Cfg, sites: &[(usize, usize, usize)], block_reach: &BitMat
     let n = cfg.accesses.len();
     let nb = cfg.num_blocks();
     let mut order = BitMatrix::new(n);
-    // One access mask per block, and below them the row `later`.
-    let mut masks = BitMatrix::rectangular(nb + 1, n);
+    // One access mask per block.
+    let mut block_mask = BitMatrix::rectangular(nb, n);
     for &(b, _, x) in sites {
-        masks.set(b, x);
+        block_mask.set(b, x);
     }
+    let mut later = BitSet::new(n);
     for in_block in sites.chunk_by(|a, b| a.0 == b.0) {
-        masks.row_words_mut(nb).fill(0);
+        later.clear();
         for c in block_reach.row_ones(in_block[0].0) {
-            masks.or_row(nb, c);
+            later.union_words(block_mask.row_words(c));
         }
         // `later` grows by each instruction's accesses once every access
         // of that instruction has its row.
         for same_instr in in_block.chunk_by(|a, b| a.1 == b.1) {
             for &(_, _, x) in same_instr {
-                order.or_row_words(x, masks.row_words(nb));
+                order.or_row_words(x, later.words());
             }
             for &(_, _, x) in same_instr {
-                masks.set(nb, x);
+                later.insert(x);
             }
         }
     }
@@ -1116,7 +1098,7 @@ mod tests {
 
     fn order_of(src: &str) -> (Cfg, ProgramOrder) {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let po = ProgramOrder::compute(&cfg);
+        let po = ProgramOrder::compute(&cfg, &mut GraphScratch::default());
         (cfg, po)
     }
 

@@ -167,7 +167,7 @@ proptest! {
         let src = render(&spec);
         let cfg = lower_main(&prepare_program(&src).unwrap()).unwrap();
         let analysis = analyze(&cfg);
-        let po = syncopt::ir::order::ProgramOrder::compute(&cfg);
+        let po = syncopt::ir::order::ProgramOrder::compute(&cfg, &mut syncopt::ir::order::GraphScratch::default());
         for (u, v) in analysis.delay_ss.pairs() {
             prop_assert!(
                 po.access_precedes(u, v),
