@@ -25,7 +25,7 @@
 
 use crate::memory::Location;
 use crate::value::{ProcEnv, SimError, Value};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use syncopt_core::DelaySet;
 use syncopt_ir::arith::{self, ArithError, Leaf};
 use syncopt_ir::cfg::{Cfg, Instr, Terminator};
@@ -276,19 +276,132 @@ impl SymEnv {
 /// (processor, trace-position) order.
 pub type Outcome = Vec<i64>;
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ExploreState {
-    committed: Vec<u64>, // bitmask per processor
-    memory: BTreeMap<Location, i64>,
-    flags: BTreeSet<Location>,
-    reads: BTreeMap<(u32, u32), i64>,
+/// One trace operation as the explorer sees it: where its effect lands in
+/// a state, and which earlier operations of its processor must commit
+/// before it may.
+struct Step {
+    kind: StepKind,
+    /// The earlier operations of the same processor that must commit
+    /// first, one bit per trace position.
+    after: u64,
 }
 
-struct Explorer<'a> {
-    traces: &'a [Vec<TraceOp>],
-    delay: Option<&'a DelaySet>, // None ⇒ SC (full program order)
+/// A [`Step`]'s effect. Every index is a word of the state.
+#[derive(Clone, Copy)]
+enum StepKind {
+    /// Copies memory word `cell` into read word `slot`.
+    Read { cell: usize, slot: usize },
+    /// Stores `val` into memory word `cell` and sets `bit` of word
+    /// `written`.
+    Write {
+        cell: usize,
+        val: i64,
+        written: usize,
+        bit: i64,
+    },
+    /// Sets flag word `cell`.
+    Post { cell: usize },
+    /// Waits for flag word `cell`.
+    Wait { cell: usize },
+    /// Commits with every processor's next barrier.
+    Barrier,
+}
+
+/// A state is one slice of words: first each processor's committed
+/// operations (one bit per trace position), then the value of every shared
+/// location a trace reads or writes (0 until written), then which of those
+/// locations have been written (one bit each), then every flag a trace
+/// posts or waits on (0 or 1), then the value each shared read returned
+/// (0 until it commits), in (processor, trace position) order. Two states
+/// are equal exactly when they agree on what has committed, what has been
+/// written, posted and read, so an exploration visits the same states in
+/// the same order as one over maps and sets would.
+type State = [i64];
+
+/// The states an exploration has visited: each state's words one after
+/// another in `states`, and an open-addressing table (linear probing, at
+/// most half full) whose entries hold 32 bits of a state's hash above its
+/// index plus one, 0 for an empty slot.
+struct Visited {
+    width: usize,
+    states: Vec<i64>,
+    table: Vec<u64>,
+}
+
+impl Visited {
+    fn new(width: usize) -> Visited {
+        Visited {
+            width,
+            states: Vec::new(),
+            table: vec![0; 1024],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.states.len() / self.width
+    }
+
+    /// Adds `state`; false if it was already there.
+    fn insert(&mut self, state: &State) -> bool {
+        let tag = hash(state) >> 32;
+        let mask = self.table.len() - 1;
+        let mut slot = tag as usize & mask;
+        loop {
+            let entry = self.table[slot];
+            if entry == 0 {
+                break;
+            }
+            let at = (entry as u32 - 1) as usize * self.width;
+            if entry >> 32 == tag && self.states[at..at + self.width] == *state {
+                return false;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.states.extend_from_slice(state);
+        self.table[slot] = tag << 32 | self.len() as u64;
+        if 2 * self.len() > self.table.len() {
+            self.grow();
+        }
+        true
+    }
+
+    /// Doubles the table, placing every entry by the hash bits it keeps.
+    fn grow(&mut self) {
+        let mut table = vec![0; 2 * self.table.len()];
+        let mask = table.len() - 1;
+        for &entry in self.table.iter().filter(|&&e| e != 0) {
+            let mut slot = (entry >> 32) as usize & mask;
+            while table[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            table[slot] = entry;
+        }
+        self.table = table;
+    }
+}
+
+/// Hashes a state a word at a time, FxHash-style, then mixes the result
+/// (MurmurHash3's finalizer) so that every bit reaches the upper half.
+fn hash(state: &State) -> u64 {
+    let h = state.iter().fold(0u64, |h, &w| {
+        (h.rotate_left(5) ^ w as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    let h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+struct Explorer {
+    /// Each processor's trace, as steps.
+    steps: Vec<Vec<Step>>,
+    /// Each processor's barriers, one bit per trace position.
+    barriers: Vec<u64>,
+    /// Where the read words begin in a state.
+    reads: usize,
     outcomes: BTreeSet<Outcome>,
-    visited: HashSet<ExploreState>,
+    visited: Visited,
+    /// Spare buffers of one state each, for the search's deeper levels.
+    spare: Vec<Vec<i64>>,
     state_cap: usize,
     /// Transitions taken so far, and how many are allowed.
     transitions: u64,
@@ -338,10 +451,13 @@ pub fn is_sc_preserving(cfg: &Cfg, delay: &DelaySet, procs: u32) -> Result<bool,
 const STATE_CAP: usize = 2_000_000;
 
 /// Most transitions — steps into a state, new or visited — one
-/// exploration takes. Each costs a state clone and a hash, so this bounds
-/// the work of a search whose states are few but richly connected, where
-/// the state cap alone let a 15-line program run for most of a minute.
-const TRANSITION_CAP: u64 = 300_000;
+/// exploration takes. This bounds the work of a search whose states are
+/// few but richly connected, which the state cap alone does not. Of the
+/// corpus and kernel explorations at four processors that end inside the
+/// state cap, the longest takes 14.0 million (corpus program 10's weak
+/// outcomes without delays); the cap sits above it, so none of them is
+/// refused, and a release build takes about 5 s to reach it.
+const TRANSITION_CAP: u64 = 16_000_000;
 
 fn explore(
     traces: &[Vec<TraceOp>],
@@ -361,171 +477,197 @@ fn explore_within(
             return Err(SimError::new("litmus: trace longer than 64 operations"));
         }
     }
-    let barrier_counts: Vec<usize> = traces
+    let barriers: Vec<u64> = traces
         .iter()
         .map(|t| {
             t.iter()
-                .filter(|o| matches!(o, TraceOp::Barrier { .. }))
-                .count()
+                .enumerate()
+                .filter(|(_, o)| matches!(o, TraceOp::Barrier { .. }))
+                .fold(0, |m, (i, _)| m | 1 << i)
         })
         .collect();
-    if barrier_counts.iter().any(|&c| c != barrier_counts[0]) {
+    if barriers
+        .iter()
+        .any(|b| b.count_ones() != barriers[0].count_ones())
+    {
         return Err(SimError::new(
             "litmus: processors execute different numbers of barriers",
         ));
     }
+    let mut cells = BTreeMap::new();
+    let mut flags = BTreeMap::new();
+    for op in traces.iter().flatten() {
+        match op {
+            TraceOp::Read { loc, .. } | TraceOp::Write { loc, .. } => {
+                let next = cells.len();
+                cells.entry(*loc).or_insert(next);
+            }
+            TraceOp::Post { loc, .. } | TraceOp::Wait { loc, .. } => {
+                let next = flags.len();
+                flags.entry(*loc).or_insert(next);
+            }
+            TraceOp::Barrier { .. } => {}
+        }
+    }
+    let cell = |loc| traces.len() + cells[loc];
+    let written = traces.len() + cells.len();
+    let flag = |loc| written + cells.len().div_ceil(64) + flags[loc];
+    let reads = written + cells.len().div_ceil(64) + flags.len();
+    let mut slot = reads;
+    let steps = traces
+        .iter()
+        .map(|trace| {
+            (0..trace.len())
+                .map(|i| {
+                    let op = &trace[i];
+                    let kind = match op {
+                        TraceOp::Read { loc, .. } => {
+                            slot += 1;
+                            StepKind::Read {
+                                cell: cell(loc),
+                                slot: slot - 1,
+                            }
+                        }
+                        TraceOp::Write { loc, val, .. } => StepKind::Write {
+                            cell: cell(loc),
+                            val: *val,
+                            written: written + cells[loc] / 64,
+                            bit: 1 << (cells[loc] % 64),
+                        },
+                        TraceOp::Post { loc, .. } => StepKind::Post { cell: flag(loc) },
+                        TraceOp::Wait { loc, .. } => StepKind::Wait { cell: flag(loc) },
+                        TraceOp::Barrier { .. } => StepKind::Barrier,
+                    };
+                    let after = (0..i)
+                        .filter(|&j| must_precede(&trace[j], op, delay))
+                        .fold(0, |m, j| m | 1 << j);
+                    Step { kind, after }
+                })
+                .collect()
+        })
+        .collect();
     let mut ex = Explorer {
-        traces,
-        delay,
+        steps,
+        barriers,
+        reads,
         outcomes: BTreeSet::new(),
-        visited: HashSet::new(),
+        visited: Visited::new(slot),
+        spare: Vec::new(),
         state_cap: STATE_CAP,
         transitions: 0,
         transition_cap,
     };
-    let init = ExploreState {
-        committed: vec![0; traces.len()],
-        memory: BTreeMap::new(),
-        flags: BTreeSet::new(),
-        reads: BTreeMap::new(),
-    };
-    ex.dfs(init)?;
+    ex.dfs(&vec![0; slot])?;
     Ok(ex.outcomes)
 }
 
-impl<'a> Explorer<'a> {
-    fn dfs(&mut self, state: ExploreState) -> Result<(), SimError> {
+/// Must `earlier`, an operation before `op` in the same trace, commit
+/// before `op` may? Under SC (`delay` is `None`) always; on the weak
+/// machine when `earlier` blocks issue, when both touch one location and
+/// one of them writes it, or when `delay` orders their sites.
+fn must_precede(earlier: &TraceOp, op: &TraceOp, delay: Option<&DelaySet>) -> bool {
+    let Some(d) = delay else { return true };
+    if earlier.is_blocking() {
+        return true;
+    }
+    if let (Some(l1), Some(l2)) = (earlier.data_loc(), op.data_loc()) {
+        let write_involved =
+            matches!(earlier, TraceOp::Write { .. }) || matches!(op, TraceOp::Write { .. });
+        if l1 == l2 && write_involved {
+            return true;
+        }
+    }
+    d.contains(earlier.access(), op.access())
+}
+
+impl Explorer {
+    fn dfs(&mut self, state: &State) -> Result<(), SimError> {
         self.transitions += 1;
         if self.transitions > self.transition_cap {
             return Err(SimError::new("litmus: state space exceeded cap"));
         }
-        if self.visited.contains(&state) {
+        if !self.visited.insert(state) {
             return Ok(());
         }
-        if self.visited.len() >= self.state_cap {
+        if self.visited.len() > self.state_cap {
             return Err(SimError::new("litmus: state space exceeded cap"));
         }
-        self.visited.insert(state.clone());
 
         let mut progressed = false;
+        let mut next = self.spare.pop().unwrap_or_else(|| state.to_vec());
 
         // Individual (non-barrier) commits.
-        for (p, trace) in self.traces.iter().enumerate() {
-            for (i, op) in trace.iter().enumerate() {
-                if !self.committable(&state, p, i) {
+        for p in 0..self.steps.len() {
+            let committed = state[p] as u64;
+            for i in 0..self.steps[p].len() {
+                let step = &self.steps[p][i];
+                if committed & (1 << i) != 0 || step.after & !committed != 0 {
                     continue;
                 }
-                match op {
-                    TraceOp::Barrier { .. } => continue, // handled below
-                    TraceOp::Wait { loc, .. } if !state.flags.contains(loc) => {
-                        continue;
-                    }
+                let kind = step.kind;
+                match kind {
+                    StepKind::Barrier => continue, // handled below
+                    StepKind::Wait { cell } if state[cell] == 0 => continue,
                     _ => {}
                 }
                 progressed = true;
-                let mut next = state.clone();
-                next.committed[p] |= 1 << i;
-                match op {
-                    TraceOp::Read { loc, .. } => {
-                        let v = *next.memory.get(loc).unwrap_or(&0);
-                        next.reads.insert((p as u32, i as u32), v);
+                next.copy_from_slice(state);
+                next[p] = (committed | 1 << i) as i64;
+                match kind {
+                    StepKind::Read { cell, slot } => next[slot] = state[cell],
+                    StepKind::Write {
+                        cell,
+                        val,
+                        written,
+                        bit,
+                    } => {
+                        next[cell] = val;
+                        next[written] |= bit;
                     }
-                    TraceOp::Write { loc, val, .. } => {
-                        next.memory.insert(*loc, *val);
-                    }
-                    TraceOp::Post { loc, .. } => {
-                        next.flags.insert(*loc);
-                    }
-                    TraceOp::Wait { .. } => {}
-                    TraceOp::Barrier { .. } => unreachable!(),
+                    StepKind::Post { cell } => next[cell] = 1,
+                    StepKind::Wait { .. } => {}
+                    StepKind::Barrier => unreachable!(),
                 }
-                self.dfs(next)?;
+                self.dfs(&next)?;
             }
         }
 
         // Barrier episode: the next barrier of every processor commits
         // together when each is individually committable.
-        if let Some(episode) = self.barrier_episode(&state) {
+        if self.barrier_episode(state) {
             progressed = true;
-            let mut next = state.clone();
-            for (p, i) in episode {
-                next.committed[p] |= 1 << i;
+            next.copy_from_slice(state);
+            for (p, &b) in self.barriers.iter().enumerate() {
+                let committed = state[p] as u64;
+                next[p] = (committed | 1 << (b & !committed).trailing_zeros()) as i64;
             }
-            self.dfs(next)?;
+            self.dfs(&next)?;
         }
 
-        if !progressed && self.all_committed(&state) {
-            let outcome: Outcome = state.reads.values().copied().collect();
-            self.outcomes.insert(outcome);
+        self.spare.push(next);
+        if !progressed && self.all_committed(state) {
+            self.outcomes.insert(state[self.reads..].to_vec());
         }
         // Otherwise: deadlock along this path (e.g. wait with no
         // matching post). Such executions produce no outcome.
         Ok(())
     }
 
-    fn all_committed(&self, state: &ExploreState) -> bool {
-        self.traces
+    fn all_committed(&self, state: &State) -> bool {
+        self.steps
             .iter()
             .enumerate()
-            .all(|(p, t)| state.committed[p].count_ones() as usize == t.len())
+            .all(|(p, t)| (state[p] as u64).count_ones() as usize == t.len())
     }
 
-    /// Whether op `i` of proc `p` may commit now (ignoring flag state and
-    /// barrier episodes).
-    fn committable(&self, state: &ExploreState, p: usize, i: usize) -> bool {
-        let mask = state.committed[p];
-        if mask & (1 << i) != 0 {
-            return false;
-        }
-        let trace = &self.traces[p];
-        let op = &trace[i];
-        for (j, earlier) in trace.iter().enumerate().take(i) {
-            let committed = mask & (1 << j) != 0;
-            if committed {
-                continue;
-            }
-            // SC mode: every earlier op is a predecessor.
-            if self.delay.is_none() {
-                return false;
-            }
-            // Issue order: an uncommitted *blocking* op stalls everything
-            // after it.
-            if earlier.is_blocking() {
-                return false;
-            }
-            // Same-location per-processor order (uniprocessor dependence).
-            if let (Some(l1), Some(l2)) = (earlier.data_loc(), op.data_loc()) {
-                let write_involved =
-                    matches!(earlier, TraceOp::Write { .. }) || matches!(op, TraceOp::Write { .. });
-                if l1 == l2 && write_involved {
-                    return false;
-                }
-            }
-            // Delay edges (site-level, applied to instances in order).
-            if let Some(d) = self.delay {
-                if d.contains(earlier.access(), op.access()) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The next barrier episode if every processor's next barrier is
-    /// committable.
-    fn barrier_episode(&self, state: &ExploreState) -> Option<Vec<(usize, usize)>> {
-        let mut episode = Vec::with_capacity(self.traces.len());
-        for (p, trace) in self.traces.iter().enumerate() {
-            // First uncommitted barrier of p.
-            let i = trace.iter().enumerate().position(|(i, op)| {
-                matches!(op, TraceOp::Barrier { .. }) && state.committed[p] & (1 << i) == 0
-            })?;
-            if !self.committable(state, p, i) {
-                return None;
-            }
-            episode.push((p, i));
-        }
-        Some(episode)
+    /// Does every processor have an uncommitted barrier, and may the first
+    /// of each commit now?
+    fn barrier_episode(&self, state: &State) -> bool {
+        self.barriers.iter().enumerate().all(|(p, &b)| {
+            let committed = state[p] as u64;
+            let open = b & !committed;
+            open != 0 && self.steps[p][open.trailing_zeros() as usize].after & !committed == 0
+        })
     }
 }
 
@@ -692,6 +834,20 @@ mod tests {
         let figure1 = extract_traces(&cfg_of(FIGURE1), 4).unwrap();
         assert!(explore_within(&figure1, None, 20_000).is_ok());
         assert!(explore_within(&figure1, None, 20).is_err());
+    }
+
+    /// The transition budget refuses no search that ends inside the state
+    /// cap, however many transitions it takes: corpus program 167's weak
+    /// outcomes without delays take 524 289 at four processors (and
+    /// program 10's, the longest, 14.0 million).
+    #[test]
+    fn the_transition_budget_admits_a_long_search_that_ends() {
+        let cfg = cfg_of(&syncopt_core::corpus::corpus_program(167));
+        let no_delays = DelaySet::new(cfg.accesses.len());
+        let traces = extract_traces(&cfg, 4).unwrap();
+        assert!(explore_within(&traces, Some(&no_delays), 524_288).is_err());
+        let outcomes = weak_outcomes(&cfg, &no_delays, 4).unwrap();
+        assert!(!outcomes.is_empty());
     }
 
     #[test]
