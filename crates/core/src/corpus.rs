@@ -12,17 +12,22 @@ use std::fmt::Write;
 /// Number of seeds in the standing corpus (`0..CORPUS_SEEDS`).
 pub const CORPUS_SEEDS: u64 = 220;
 
-/// Seeded PRNG (SplitMix64).
-pub(crate) struct SplitMix64 {
+/// Seeded PRNG (SplitMix64), behind the corpus and the seeded test
+/// generators.
+pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
+    /// A generator whose first draw is seeded by `seed`.
+    pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
-    pub(crate) fn next(&mut self) -> u64 {
+    /// The next 64 random bits. The stream never ends, so this is no
+    /// `Iterator::next`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -30,7 +35,8 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
+    /// A draw in `0..n` (`next() % n`).
+    pub fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 }

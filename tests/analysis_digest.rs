@@ -11,56 +11,43 @@
 //! replaced without keeping that code.
 //!
 //! After an intended change of the analysis's results, regenerate the
-//! table with `UPDATE_GOLDEN=1 cargo test --release --test analysis_digest`.
+//! table with `UPDATE_GOLDEN=1 cargo test --release --test analysis_digest`
+//! (see `tests/common/digest.rs`).
 
 #[path = "common/compile_set.rs"]
 mod compile_set;
+#[path = "common/digest.rs"]
+mod digest;
 
+use digest::{check_table, Digest};
 use std::fmt::Write as _;
 use syncopt::core::{analyze_with, Analysis, SyncOptions};
 use syncopt::frontend::prepare_program;
 use syncopt::ir::ids::AccessId;
 use syncopt::ir::lower::lower_main;
 
-const GOLDEN: &str = "tests/golden/analysis_digest.txt";
-
-/// 64-bit FNV-1a over a stream of `u64` words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+/// A relation as its pairs, in row-major order.
+fn pairs(n: usize, contains: impl Fn(AccessId, AccessId) -> bool) -> u64 {
+    let mut digest = Digest::default();
+    let ids = || (0..n).map(AccessId::from_index);
+    for a in ids() {
+        for b in ids().filter(|&b| contains(a, b)) {
+            digest.word(a.index() as u64);
+            digest.word(b.index() as u64);
         }
     }
-
-    /// A relation as its pair count, then its pairs in row-major order.
-    fn pairs(mut self, n: usize, contains: impl Fn(AccessId, AccessId) -> bool) -> u64 {
-        let ids = || (0..n).map(AccessId::from_index);
-        for a in ids() {
-            for b in ids().filter(|&b| contains(a, b)) {
-                self.word(a.index() as u64);
-                self.word(b.index() as u64);
-            }
-        }
-        self.0
-    }
+    digest.0
 }
 
 /// One program's line of the table: `id` then the six digests.
 fn digest_line(id: &str, a: &Analysis) -> String {
     let n = a.delay_ss.num_accesses();
-    let mut counters = Digest::new();
+    let mut counters = Digest::default();
     for (name, value) in a.metrics.iter() {
         counters.word(name.len() as u64);
         counters.word(value);
     }
-    let mut guards = Digest::new();
+    let mut guards = Digest::default();
     let mut locks: Vec<_> = a.guards.locks().collect();
     locks.sort();
     for lock in locks {
@@ -79,11 +66,11 @@ fn digest_line(id: &str, a: &Analysis) -> String {
         line,
         "{id} counters={:016x} dss={:016x} dsync={:016x} prec={:016x} guards={:016x} oriented={:016x}",
         counters.0,
-        Digest::new().pairs(n, |x, y| a.delay_ss.contains(x, y)),
-        Digest::new().pairs(n, |x, y| a.delay_sync.contains(x, y)),
-        Digest::new().pairs(n, |x, y| precedence.contains(x, y)),
+        pairs(n, |x, y| a.delay_ss.contains(x, y)),
+        pairs(n, |x, y| a.delay_sync.contains(x, y)),
+        pairs(n, |x, y| precedence.contains(x, y)),
         guards.0,
-        Digest::new().pairs(n, |x, y| oriented.edge(x, y)),
+        pairs(n, |x, y| oriented.edge(x, y)),
     )
     .unwrap();
     line
@@ -109,26 +96,5 @@ fn table() -> String {
 
 #[test]
 fn every_benchmark_analysis_matches_its_pinned_digest() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(GOLDEN);
-    let actual = table();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).expect("golden table written");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).expect("golden table present");
-    let differing: Vec<(&str, &str)> = expected
-        .lines()
-        .zip(actual.lines())
-        .filter(|(e, a)| e != a)
-        .collect();
-    assert!(
-        differing.is_empty() && expected.lines().count() == actual.lines().count(),
-        "{} of {} programs analyze differently; first:\n  expected {}\n  actual   {}",
-        differing.len(),
-        expected.lines().count(),
-        differing.first().map_or("", |d| d.0),
-        differing.first().map_or("", |d| d.1),
-    );
+    check_table("tests/golden/analysis_digest.txt", &table());
 }
