@@ -39,14 +39,10 @@
 
 mod cleanup;
 mod context;
-#[cfg(test)]
-mod difftest;
 mod elim;
 pub mod fences;
 mod motion;
 mod oneway;
-#[cfg(test)]
-mod reference;
 mod split;
 
 use context::{steps, Ctx, LoopFacts};
@@ -310,5 +306,69 @@ mod tests {
             base.stats,
             opt.stats
         );
+    }
+
+    /// The subscript questions and the liveness visits of one `Full`
+    /// compile of `src` for 16 processors.
+    fn steps_of(src: &str) -> steps::Steps {
+        let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
+        let analysis = syncopt_core::analyze_with(
+            &cfg,
+            &syncopt_core::SyncOptions {
+                procs: Some(16),
+                ..syncopt_core::SyncOptions::default()
+            },
+        );
+        steps::take();
+        optimize(&cfg, &analysis, OptLevel::Full, DelayChoice::SyncRefined);
+        steps::take()
+    }
+
+    /// Four times the text may cost five times the steps, not sixteen:
+    /// every pass is a sweep. The passes before they shared one context
+    /// asked a quadratic number of subscript questions.
+    #[test]
+    fn optimizer_work_is_linear_in_the_program_text() {
+        let stencil = |unroll| {
+            syncopt_kernels::scaling::generate(&syncopt_kernels::scaling::ScalingParams {
+                idiom: syncopt_kernels::scaling::ScalingIdiom::Stencil,
+                unroll,
+                procs: 16,
+            })
+            .source
+        };
+        let (small, large) = (steps_of(&stencil(32)), steps_of(&stencil(128)));
+        assert!(small.subscript_tests > 0 && small.liveness_visits > 0);
+        assert!(
+            large.subscript_tests <= 5 * small.subscript_tests,
+            "subscript tests: {small:?} -> {large:?}"
+        );
+        assert!(
+            large.liveness_visits <= 5 * small.liveness_visits,
+            "liveness visits: {small:?} -> {large:?}"
+        );
+        for steps in [small, large] {
+            assert_eq!(
+                steps.liveness_solves, steps.cleanup_rounds,
+                "liveness is solved once per cleanup round"
+            );
+            assert_eq!(steps.dominator_builds, 0, "the analysis's dominators serve");
+        }
+    }
+
+    /// A constant branch is the one way code generation changes an edge;
+    /// the dominators are rebuilt then, and only then.
+    #[test]
+    fn a_folded_branch_rebuilds_the_dominators() {
+        let src = r#"
+            shared int A[64];
+            fn main() {
+                int i; int v;
+                v = A[MYPROC + 1];
+                while (2 < 1) { A[MYPROC] = v; }
+                work(v);
+            }
+        "#;
+        assert_eq!(steps_of(src).dominator_builds, 1);
     }
 }

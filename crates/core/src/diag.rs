@@ -976,53 +976,11 @@ pub mod json {
 
     #[cfg(test)]
     mod reference {
-        //! The `fmt` emitter, per-`char` escaper and per-`char` string
-        //! parser that the production ones replaced, kept as what the
-        //! differential tests compare against.
+        //! The per-`char` escaper and per-`char` string parser that the
+        //! word scanners replaced, kept as the spec the differential
+        //! tests hold them to.
 
-        use super::Value;
-        use std::fmt::{self, Write};
-
-        /// Renders a value the way `Display` did before
-        /// [`Value::write_to`]: a `write!` per value, integers and
-        /// booleans through `fmt`, strings through [`write_escaped`].
-        pub struct Fmt<'a>(pub &'a Value);
-
-        impl fmt::Display for Fmt<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                let escaped = |s: &str| {
-                    let mut out = String::new();
-                    write_escaped(&mut out, s);
-                    out
-                };
-                match self.0 {
-                    Value::Null => f.write_str("null"),
-                    Value::Bool(b) => write!(f, "{b}"),
-                    Value::Int(n) => write!(f, "{n}"),
-                    Value::Str(s) => f.write_str(&escaped(s)),
-                    Value::Arr(items) => {
-                        f.write_str("[")?;
-                        for (i, v) in items.iter().enumerate() {
-                            if i > 0 {
-                                f.write_str(",")?;
-                            }
-                            write!(f, "{}", Fmt(v))?;
-                        }
-                        f.write_str("]")
-                    }
-                    Value::Obj(fields) => {
-                        f.write_str("{")?;
-                        for (i, (k, v)) in fields.iter().enumerate() {
-                            if i > 0 {
-                                f.write_str(",")?;
-                            }
-                            write!(f, "{}:{}", escaped(k), Fmt(v))?;
-                        }
-                        f.write_str("}")
-                    }
-                }
-            }
-        }
+        use std::fmt::Write;
 
         pub fn write_escaped(out: &mut String, s: &str) {
             out.push('"');
@@ -1279,54 +1237,6 @@ pub mod json {
             // Depth counts open containers, not containers seen.
             let siblings = format!("[{}]", vec!["[[]]"; 1_000].join(","));
             assert!(Value::parse(&siblings).is_ok());
-        }
-
-        /// A value at most `depth` containers deep: every kind, strings
-        /// from [`random_text`] as values and as keys, and the integers at
-        /// the edges of `i64` as often as any other.
-        fn random_value(rng: &mut SplitMix64, depth: u32, n: u64) -> Value {
-            match rng.below(if depth == 0 { 4 } else { 7 }) {
-                0 => Value::Null,
-                1 => Value::Bool(rng.below(2) == 0),
-                2 => Value::Int(
-                    [i64::MIN, i64::MAX, 0, -1, rng.next() as i64][rng.below(5) as usize],
-                ),
-                3 => Value::Str(random_text(rng, n)),
-                4 => Value::Arr(
-                    (0..rng.below(4))
-                        .map(|_| random_value(rng, depth - 1, n))
-                        .collect(),
-                ),
-                _ => Value::Obj(
-                    (0..rng.below(4))
-                        .map(|_| (random_text(rng, n), random_value(rng, depth - 1, n)))
-                        .collect(),
-                ),
-            }
-        }
-
-        fn nesting(v: &Value) -> u32 {
-            match v {
-                Value::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
-                Value::Obj(fields) => 1 + fields.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
-                _ => 0,
-            }
-        }
-
-        #[test]
-        fn write_to_matches_the_fmt_reference_and_parses_back() {
-            let mut rng = SplitMix64::new(0x5eed_0003);
-            let mut deepest = 0;
-            for n in 0..2_000 {
-                let v = random_value(&mut rng, 8, n);
-                deepest = deepest.max(nesting(&v));
-                let mut text = String::new();
-                v.write_to(&mut text);
-                assert_eq!(text, reference::Fmt(&v).to_string(), "value {n}");
-                assert_eq!(v.to_string(), text, "value {n}: the `Display` shim");
-                assert_eq!(Value::parse(&text), Ok(v), "value {n}");
-            }
-            assert_eq!(deepest, 8, "the generator must reach the depth it allows");
         }
 
         /// The error of every kind of malformed document, byte for byte as

@@ -250,103 +250,6 @@ pub fn fold_cfg(cfg: &mut Cfg) -> usize {
     changes
 }
 
-/// The folder as it was before it worked in place: it rebuilds every node
-/// of the tree, folded or not. Kept as what the in-place folder is compared
-/// against.
-#[cfg(test)]
-mod reference {
-    use super::{is_int, may_trap};
-    use crate::arith::{self, Value};
-    use crate::expr::Expr;
-    use syncopt_frontend::ast::{BinOp, UnOp};
-
-    pub(super) fn fold_expr(e: &Expr) -> Expr {
-        match e {
-            Expr::Unary { op, expr } => {
-                let inner = fold_expr(expr);
-                if let Some(v) = Value::of_literal(&inner).and_then(|v| arith::unop(*op, v).ok()) {
-                    return v.into();
-                }
-                match (op, &inner) {
-                    // --x = x
-                    (
-                        UnOp::Neg,
-                        Expr::Unary {
-                            op: UnOp::Neg,
-                            expr,
-                        },
-                    ) => (**expr).clone(),
-                    (
-                        UnOp::Not,
-                        Expr::Unary {
-                            op: UnOp::Not,
-                            expr,
-                        },
-                    ) => (**expr).clone(),
-                    _ => Expr::Unary {
-                        op: *op,
-                        expr: Box::new(inner),
-                    },
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let l = fold_expr(lhs);
-                let r = fold_expr(rhs);
-                fold_binary(*op, l, r)
-            }
-            Expr::LocalElem { array, index } => Expr::LocalElem {
-                array: *array,
-                index: Box::new(fold_expr(index)),
-            },
-            other => other.clone(),
-        }
-    }
-
-    fn fold_binary(op: BinOp, l: Expr, r: Expr) -> Expr {
-        use BinOp::*;
-        if let (Some(a), Some(b)) = (Value::of_literal(&l), Value::of_literal(&r)) {
-            if let Ok(v) = arith::binop(op, a, b) {
-                return v.into();
-            }
-        }
-        // Algebraic identities (trap-free operands only: folding away a
-        // division would be wrong, but every identity below keeps or drops a
-        // *pure* side).
-        match (op, &l, &r) {
-            // x + 0, 0 + x, x - 0.
-            (Add, x, Expr::Int(0)) | (Add, Expr::Int(0), x) | (Sub, x, Expr::Int(0)) => {
-                return x.clone()
-            }
-            // x * 1, 1 * x.
-            (Mul, x, Expr::Int(1)) | (Mul, Expr::Int(1), x) => return x.clone(),
-            // x * 0, 0 * x — only when x cannot trap and is an int.
-            (Mul, x, Expr::Int(0)) | (Mul, Expr::Int(0), x)
-                if !may_trap(x) && is_int(x, &|_| false) =>
-            {
-                return Expr::Int(0)
-            }
-            // x / 1.
-            (Div, x, Expr::Int(1)) => return x.clone(),
-            // b && true / b || false.
-            (And, x, Expr::Bool(true)) | (And, Expr::Bool(true), x) => return x.clone(),
-            (Or, x, Expr::Bool(false)) | (Or, Expr::Bool(false), x) => return x.clone(),
-            // b && false / b || true — only when b cannot trap.
-            (And, x, Expr::Bool(false)) | (And, Expr::Bool(false), x) if !may_trap(x) => {
-                return Expr::Bool(false)
-            }
-            (Or, x, Expr::Bool(true)) | (Or, Expr::Bool(true), x) if !may_trap(x) => {
-                return Expr::Bool(true)
-            }
-            _ => {}
-        }
-        Expr::Binary {
-            op,
-            lhs: Box::new(l),
-            rhs: Box::new(r),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,98 +385,5 @@ mod tests {
         // Idempotent.
         assert_eq!(fold_cfg(&mut cfg), 0);
         cfg.validate().unwrap();
-    }
-
-    /// A random expression over every node kind, constants weighted so that
-    /// each folding rule fires often, division by zero included.
-    fn random_expr(next: &mut impl FnMut() -> u64, depth: u32) -> Expr {
-        let leaf = |next: &mut dyn FnMut() -> u64| match next() % 9 {
-            0 => Expr::Int(0),
-            1 => Expr::Int(1),
-            2 => Expr::Int((next() % 7) as i64 - 3),
-            3 => Expr::Bool(next().is_multiple_of(2)),
-            4 => Expr::Float((next() % 3) as f64 - 1.0),
-            5 => Expr::MyProc,
-            6 => Expr::Procs,
-            _ => Expr::Local(VarId((next() % 3) as u32)),
-        };
-        if depth == 0 || next().is_multiple_of(4) {
-            return leaf(next);
-        }
-        match next() % 8 {
-            0 => Expr::Unary {
-                op: if next().is_multiple_of(2) {
-                    UnOp::Neg
-                } else {
-                    UnOp::Not
-                },
-                expr: Box::new(random_expr(next, depth - 1)),
-            },
-            1 => Expr::LocalElem {
-                array: VarId(7),
-                index: Box::new(random_expr(next, depth - 1)),
-            },
-            _ => {
-                const OPS: [BinOp; 13] = [
-                    BinOp::Add,
-                    BinOp::Sub,
-                    BinOp::Mul,
-                    BinOp::Div,
-                    BinOp::Rem,
-                    BinOp::Eq,
-                    BinOp::Ne,
-                    BinOp::Lt,
-                    BinOp::Le,
-                    BinOp::Gt,
-                    BinOp::Ge,
-                    BinOp::And,
-                    BinOp::Or,
-                ];
-                bin(
-                    OPS[(next() % 13) as usize],
-                    random_expr(next, depth - 1),
-                    random_expr(next, depth - 1),
-                )
-            }
-        }
-    }
-
-    #[test]
-    fn folding_in_place_is_folding_by_rebuilding() {
-        let mut state = 0x5eed_f01du64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let (mut rewritten, mut untouched) = (0, 0);
-        for trial in 0..20_000 {
-            let e = random_expr(&mut next, 1 + trial % 6);
-            let expected = reference::fold_expr(&e);
-            let mut folded = e.clone();
-            let changed = fold_in_place(&mut folded);
-            // Compared as text: a folded `0.0 / 0.0` is a NaN, which `==`
-            // finds unequal to itself.
-            let text = |e: &Expr| format!("{e:?}");
-            assert_eq!(text(&folded), text(&expected), "trial {trial}: {e:?}");
-            assert_eq!(changed, expected != e, "trial {trial}: {e:?}");
-            assert_eq!(
-                text(&fold_expr(&e)),
-                text(&expected),
-                "trial {trial}: {e:?}"
-            );
-            assert!(!fold_in_place(&mut folded), "trial {trial}: not idempotent");
-            if changed {
-                rewritten += 1;
-            } else {
-                untouched += 1;
-            }
-        }
-        assert!(
-            rewritten > 2_000 && untouched > 2_000,
-            "{rewritten} / {untouched}"
-        );
     }
 }

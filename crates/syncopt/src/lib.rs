@@ -45,8 +45,6 @@ pub mod commands;
 #[cfg(unix)]
 pub mod daemon;
 pub mod lint;
-#[cfg(test)]
-mod oracle;
 pub mod report;
 pub mod rpc;
 pub mod session;

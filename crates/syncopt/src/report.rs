@@ -695,13 +695,8 @@ pub fn render_stats_table(stats: &Value) -> String {
 }
 
 #[cfg(test)]
-mod reference;
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{AnalysisSession, SessionOptions};
-    use crate::{TraceLevel, DEFAULT_TRACE_LIMIT};
 
     fn empty_report(level: OptLevel, exec: Option<u64>) -> PipelineReport {
         PipelineReport {
@@ -752,12 +747,6 @@ mod tests {
         assert!(Value::parse(&c.to_json()).unwrap().get("sim").is_none());
     }
 
-    /// The direct writers' bytes against the reference tree's, for one
-    /// report.
-    fn assert_writes_the_tree(r: &PipelineReport, label: &str) {
-        assert_eq!(r.to_json(), reference::pipeline(r).to_string(), "{label}");
-    }
-
     fn all_levels() -> [OptLevel; 4] {
         [
             OptLevel::Blocking,
@@ -765,98 +754,6 @@ mod tests {
             OptLevel::OneWay,
             OptLevel::Full,
         ]
-    }
-
-    /// The hand-made reports: no machine, no simulation, measured timings
-    /// under a phase the pipeline does not name.
-    #[test]
-    fn the_writers_write_the_bytes_the_value_tree_wrote_on_edge_reports() {
-        let mut r = empty_report(OptLevel::Pipelined, Some(7));
-        assert_writes_the_tree(&r, "simulated");
-        r.meta.machine = None;
-        r.sim = None;
-        assert_writes_the_tree(&r, "compile only");
-        r.timings = PhaseTimings::new(true);
-        r.timings.record("parse", 12);
-        r.timings.record("replay", u64::MAX);
-        assert_writes_the_tree(&r, "timed");
-        let p = ProfileReport {
-            blocking: empty_report(OptLevel::Blocking, None),
-            optimized: empty_report(OptLevel::Full, Some(3)),
-        };
-        assert_eq!(p.to_json(), reference::profile(&p).to_string());
-    }
-
-    /// The five kernels at four widths and every level: compile reports,
-    /// run reports on the three machines, profiles, and traced runs with
-    /// and without a truncated trace.
-    #[test]
-    fn the_writers_write_the_bytes_the_value_tree_wrote_on_the_kernels() {
-        let machines: [fn(u32) -> MachineConfig; 3] =
-            [MachineConfig::cm5, MachineConfig::t3d, MachineConfig::dash];
-        for procs in [4, 16, 64, 256] {
-            for kernel in syncopt_kernels::all_kernels(procs) {
-                let mut session = AnalysisSession::new();
-                for level in all_levels() {
-                    let label = format!("{} p{procs} {level:?}", kernel.name);
-                    let opts = SessionOptions {
-                        procs: Some(kernel.procs),
-                        level,
-                        trace: TraceLevel::Phases,
-                        ..SessionOptions::default()
-                    };
-                    let compiled = session.compile(&kernel.source, &opts).unwrap();
-                    assert_writes_the_tree(&compiled.report, &label);
-                    for machine in machines {
-                        let config = machine(kernel.procs);
-                        let run = session.run(&kernel.source, &opts, &config).unwrap();
-                        assert_writes_the_tree(run.report(), &format!("{label} {}", config.name));
-                    }
-                }
-                if procs > 16 {
-                    continue;
-                }
-                for machine in machines {
-                    let config = machine(kernel.procs);
-                    let opts = SessionOptions::default();
-                    let p = session.profile(&kernel.source, &opts, &config).unwrap();
-                    assert_eq!(p.to_json(), reference::profile(&p).to_string());
-                }
-                for trace_limit in [8, DEFAULT_TRACE_LIMIT] {
-                    let opts = SessionOptions {
-                        trace: TraceLevel::Events,
-                        trace_limit,
-                        ..SessionOptions::default()
-                    };
-                    let config = MachineConfig::cm5(kernel.procs);
-                    let run = session.run(&kernel.source, &opts, &config).unwrap();
-                    let truncated = run.report().sim.as_ref().unwrap().trace_truncated;
-                    assert_eq!(truncated, Some(trace_limit == 8), "{}", kernel.name);
-                    assert_writes_the_tree(run.report(), kernel.name);
-                }
-            }
-        }
-    }
-
-    /// The 220-program corpus: compile reports, and run reports of those
-    /// that simulate.
-    #[test]
-    fn the_writers_write_the_bytes_the_value_tree_wrote_on_the_corpus() {
-        let config = MachineConfig::cm5(4);
-        let opts = SessionOptions {
-            procs: Some(4),
-            ..SessionOptions::default()
-        };
-        let mut session = AnalysisSession::new();
-        for draw in 1..=220 {
-            let src = syncopt_core::corpus::corpus_program(draw);
-            let label = format!("corpus draw {draw}");
-            let compiled = session.compile(&src, &opts).unwrap();
-            assert_writes_the_tree(&compiled.report, &label);
-            if let Ok(run) = session.run(&src, &opts, &config) {
-                assert_writes_the_tree(run.report(), &label);
-            }
-        }
     }
 
     #[test]
