@@ -362,9 +362,7 @@ mod tests {
     }
 }
 
-// Needs the `proptest` crate (network registry): compiled only with
-// `RUSTFLAGS="--cfg proptest"` after re-adding the dev-dependency.
-#[cfg(all(test, proptest))]
+#[cfg(test)]
 mod fold_consistency {
     //! Cross-module property: `syncopt_ir::fold` must be semantics
     //! preserving w.r.t. this evaluator — for any expression that
@@ -372,64 +370,44 @@ mod fold_consistency {
     //! same value.
 
     use super::*;
-    use proptest::prelude::*;
+    use syncopt_core::corpus::SplitMix64;
     use syncopt_frontend::ast::BinOp;
-    use syncopt_ir::expr::Expr;
     use syncopt_ir::fold::fold_expr;
-    use syncopt_ir::vars::VarTable;
 
-    fn arb_expr() -> impl Strategy<Value = Expr> {
-        let leaf = prop_oneof![
-            (-20i64..20).prop_map(Expr::Int),
-            Just(Expr::MyProc),
-            Just(Expr::Procs),
-        ];
-        leaf.prop_recursive(4, 64, 2, |inner| {
-            (
-                inner.clone(),
-                inner,
-                prop_oneof![
-                    Just(BinOp::Add),
-                    Just(BinOp::Sub),
-                    Just(BinOp::Mul),
-                    Just(BinOp::Div),
-                    Just(BinOp::Rem),
-                ],
-            )
-                .prop_map(|(l, r, op)| Expr::Binary {
-                    op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                })
-        })
+    /// An integer expression at most `depth` operators deep.
+    fn random_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
+        if depth == 0 || rng.below(3) == 0 {
+            return match rng.below(3) {
+                0 => Expr::Int(rng.below(40) as i64 - 20),
+                1 => Expr::MyProc,
+                _ => Expr::Procs,
+            };
+        }
+        const OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem];
+        Expr::Binary {
+            op: OPS[rng.below(5) as usize],
+            lhs: Box::new(random_expr(rng, depth - 1)),
+            rhs: Box::new(random_expr(rng, depth - 1)),
+        }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn folding_preserves_evaluation(e in arb_expr(), myproc in 0u32..8) {
-            let env = ProcEnv::new(myproc, 8, &VarTable::new());
+    #[test]
+    fn folding_preserves_evaluation() {
+        let mut rng = SplitMix64::new(0x5eed_f01d);
+        for _ in 0..256 {
+            let e = random_expr(&mut rng, 4);
+            let env = ProcEnv::new(rng.below(8) as u32, 8, &VarTable::new());
             let folded = fold_expr(&e);
             // Idempotence.
-            prop_assert_eq!(&fold_expr(&folded), &folded);
+            assert_eq!(fold_expr(&folded), folded);
             match eval(&e, &env) {
                 Ok(v) => {
                     let fv = eval(&folded, &env);
-                    prop_assert_eq!(fv.ok(), Some(v), "fold changed value of {:?}", e);
+                    assert_eq!(fv.ok(), Some(v), "fold changed value of {e:?}");
                 }
-                Err(_) => {
-                    // Folding may not *introduce* success where evaluation
-                    // trapped... it may, though, if the trap was in a
-                    // discarded pure position? No: identities only discard
-                    // trap-free sides. So the folded expression must trap
-                    // too.
-                    prop_assert!(
-                        eval(&folded, &env).is_err(),
-                        "fold hid a trap in {:?}",
-                        e
-                    );
-                }
+                // Identities only discard trap-free sides, so the folded
+                // expression must trap too.
+                Err(_) => assert!(eval(&folded, &env).is_err(), "fold hid a trap in {e:?}"),
             }
         }
     }

@@ -1,13 +1,4 @@
-//! NOTE: this property-based suite needs the `proptest` crate, which is
-//! not available in offline builds. It is compiled only when the custom
-//! `proptest` cfg is set:
-//!
-//!     1. re-add `proptest = "1"` to this crate's [dev-dependencies]
-//!     2. RUSTFLAGS="--cfg proptest" cargo test
-//!
-#![cfg(proptest)]
-
-//! Property-based tests over randomly generated producer/consumer litmus
+//! Property tests over 256 seeded random producer/consumer litmus
 //! programs:
 //!
 //! * the refined delay set is always a subset of the Shasha–Snir set;
@@ -15,27 +6,34 @@
 //!   the litmus explorer);
 //! * the analysis is deterministic.
 
-use proptest::prelude::*;
 use syncopt::core::analyze;
+use syncopt::core::corpus::SplitMix64;
 use syncopt::frontend::prepare_program;
 use syncopt::ir::lower::lower_main;
 use syncopt::machine::litmus::is_sc_preserving;
 
 /// One abstract statement of a generated litmus side.
-#[derive(Debug, Clone)]
 enum Stmt {
     Write { var: usize, val: i64 },
     Read { var: usize },
 }
 
-fn stmt_strategy(nvars: usize) -> impl Strategy<Value = Stmt> {
-    prop_oneof![
-        (0..nvars, 1..5i64).prop_map(|(var, val)| Stmt::Write { var, val }),
-        (0..nvars).prop_map(|var| Stmt::Read { var }),
-    ]
+fn random_side(rng: &mut SplitMix64) -> Vec<Stmt> {
+    let nvars = 3;
+    (0..1 + rng.below(3))
+        .map(|_| {
+            let var = rng.below(nvars) as usize;
+            match rng.below(2) {
+                0 => Stmt::Write {
+                    var,
+                    val: 1 + rng.below(4) as i64,
+                },
+                _ => Stmt::Read { var },
+            }
+        })
+        .collect()
 }
 
-#[derive(Debug, Clone)]
 struct LitmusSpec {
     producer: Vec<Stmt>,
     consumer: Vec<Stmt>,
@@ -43,22 +41,18 @@ struct LitmusSpec {
     use_barrier: bool,
 }
 
-fn spec_strategy() -> impl Strategy<Value = LitmusSpec> {
-    let nvars = 3usize;
-    (
-        prop::collection::vec(stmt_strategy(nvars), 1..4),
-        prop::collection::vec(stmt_strategy(nvars), 1..4),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(producer, consumer, use_postwait, use_barrier)| LitmusSpec {
-                producer,
-                consumer,
-                use_postwait,
-                use_barrier,
-            },
-        )
+/// The 256 programs every property is checked on.
+fn programs() -> impl Iterator<Item = String> {
+    let mut rng = SplitMix64::new(0x5eed_de1a);
+    (0..256).map(move |_| {
+        let spec = LitmusSpec {
+            producer: random_side(&mut rng),
+            consumer: random_side(&mut rng),
+            use_postwait: rng.below(2) == 0,
+            use_barrier: rng.below(2) == 0,
+        };
+        render(&spec)
+    })
 }
 
 fn render(spec: &LitmusSpec) -> String {
@@ -126,50 +120,53 @@ fn analysis_scales_to_hundreds_of_accesses() {
     assert!(analysis.delay_sync.len() < analysis.delay_ss.len());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn refinement_is_always_a_subset(spec in spec_strategy()) {
-        let src = render(&spec);
+#[test]
+fn refinement_is_always_a_subset() {
+    for src in programs() {
         let cfg = lower_main(&prepare_program(&src).unwrap()).unwrap();
         let analysis = analyze(&cfg);
-        prop_assert!(
+        assert!(
             analysis.delay_sync.is_subset_of(&analysis.delay_ss),
             "refined ⊄ baseline on:\n{src}"
         );
     }
+}
 
-    #[test]
-    fn computed_delay_sets_preserve_sc(spec in spec_strategy()) {
-        let src = render(&spec);
+#[test]
+fn computed_delay_sets_preserve_sc() {
+    for src in programs() {
         let cfg = lower_main(&prepare_program(&src).unwrap()).unwrap();
         let analysis = analyze(&cfg);
         let ss_ok = is_sc_preserving(&cfg, &analysis.delay_ss, 2).unwrap();
-        prop_assert!(ss_ok, "D_SS violates SC on:\n{src}");
+        assert!(ss_ok, "D_SS violates SC on:\n{src}");
         let sync_ok = is_sc_preserving(&cfg, &analysis.delay_sync, 2).unwrap();
-        prop_assert!(sync_ok, "refined D violates SC on:\n{src}");
+        assert!(sync_ok, "refined D violates SC on:\n{src}");
     }
+}
 
-    #[test]
-    fn analysis_is_deterministic(spec in spec_strategy()) {
-        let src = render(&spec);
+#[test]
+fn analysis_is_deterministic() {
+    for src in programs() {
         let cfg = lower_main(&prepare_program(&src).unwrap()).unwrap();
         let a = analyze(&cfg);
         let b = analyze(&cfg);
-        prop_assert_eq!(a.delay_ss.pairs(), b.delay_ss.pairs());
-        prop_assert_eq!(a.delay_sync.pairs(), b.delay_sync.pairs());
-        prop_assert_eq!(a.sync.precedence.pairs(), b.sync.precedence.pairs());
+        assert_eq!(a.delay_ss.pairs(), b.delay_ss.pairs());
+        assert_eq!(a.delay_sync.pairs(), b.delay_sync.pairs());
+        assert_eq!(a.sync.precedence.pairs(), b.sync.precedence.pairs());
     }
+}
 
-    #[test]
-    fn delays_only_relate_program_ordered_accesses(spec in spec_strategy()) {
-        let src = render(&spec);
+#[test]
+fn delays_only_relate_program_ordered_accesses() {
+    for src in programs() {
         let cfg = lower_main(&prepare_program(&src).unwrap()).unwrap();
         let analysis = analyze(&cfg);
-        let po = syncopt::ir::order::ProgramOrder::compute(&cfg, &mut syncopt::ir::order::GraphScratch::default());
+        let po = syncopt::ir::order::ProgramOrder::compute(
+            &cfg,
+            &mut syncopt::ir::order::GraphScratch::default(),
+        );
         for (u, v) in analysis.delay_ss.pairs() {
-            prop_assert!(
+            assert!(
                 po.access_precedes(u, v),
                 "delay ({u}, {v}) not in program order on:\n{src}"
             );

@@ -1,19 +1,10 @@
-//! NOTE: this property-based suite needs the `proptest` crate, which is
-//! not available in offline builds. It is compiled only when the custom
-//! `proptest` cfg is set:
-//!
-//!     1. re-add `proptest = "1"` to this crate's [dev-dependencies]
-//!     2. RUSTFLAGS="--cfg proptest" cargo test
-//!
-#![cfg(proptest)]
-
-//! Property-based tests of the optimizer: on randomly generated SPMD
-//! programs (loops, barriers, post/wait, affine array traffic), the fully
+//! Property tests of the optimizer: on 256 seeded random SPMD programs
+//! (loops, barriers, post/wait, affine array traffic), the fully
 //! optimized program must compute the same final shared memory as the
 //! blocking original, never run slower, and contain no blocking accesses
 //! after split-phase conversion.
 
-use proptest::prelude::*;
+use syncopt::core::corpus::SplitMix64;
 use syncopt::machine::MachineConfig;
 use syncopt::{Compiled, DelayChoice, OptLevel, RunResult, Syncopt, SyncoptError};
 
@@ -40,7 +31,6 @@ fn run(
 }
 
 /// One abstract statement of a generated program body.
-#[derive(Debug, Clone)]
 enum Stmt {
     WriteOwn { arr: usize, off: u64, val: i64 },
     ReadNeighbor { arr: usize, off: u64 },
@@ -51,34 +41,48 @@ enum Stmt {
 
 const B: u64 = 8; // elements per processor per array
 
-fn stmt_strategy() -> impl Strategy<Value = Stmt> {
-    prop_oneof![
-        (0..2usize, 0..B, 1..9i64).prop_map(|(arr, off, val)| Stmt::WriteOwn { arr, off, val }),
-        (0..2usize, 0..B).prop_map(|(arr, off)| Stmt::ReadNeighbor { arr, off }),
-        (0..2usize, 0..B).prop_map(|(arr, off)| Stmt::ReadOwn { arr, off }),
-        (10..200u64).prop_map(|cost| Stmt::Work { cost }),
-        Just(Stmt::Barrier),
-    ]
+fn random_stmt(rng: &mut SplitMix64) -> Stmt {
+    let arr = rng.below(2) as usize;
+    match rng.below(5) {
+        0 => Stmt::WriteOwn {
+            arr,
+            off: rng.below(B),
+            val: 1 + rng.below(8) as i64,
+        },
+        1 => Stmt::ReadNeighbor {
+            arr,
+            off: rng.below(B),
+        },
+        2 => Stmt::ReadOwn {
+            arr,
+            off: rng.below(B),
+        },
+        3 => Stmt::Work {
+            cost: 10 + rng.below(190),
+        },
+        _ => Stmt::Barrier,
+    }
 }
 
-#[derive(Debug, Clone)]
 struct ProgSpec {
     body: Vec<Stmt>,
     loop_steps: u64,
     postwait: bool,
 }
 
-fn spec_strategy() -> impl Strategy<Value = ProgSpec> {
-    (
-        prop::collection::vec(stmt_strategy(), 2..8),
-        1..4u64,
-        any::<bool>(),
-    )
-        .prop_map(|(body, loop_steps, postwait)| ProgSpec {
-            body,
-            loop_steps,
-            postwait,
-        })
+/// The 256 programs every property is checked on, for 4 processors.
+fn programs() -> impl Iterator<Item = String> {
+    let mut rng = SplitMix64::new(0x5eed_0905);
+    (0..256).map(move |_| {
+        let spec = ProgSpec {
+            body: (0..2 + rng.below(6))
+                .map(|_| random_stmt(&mut rng))
+                .collect(),
+            loop_steps: 1 + rng.below(3),
+            postwait: rng.below(2) == 0,
+        };
+        render(&spec, 4)
+    })
 }
 
 fn render(spec: &ProgSpec, procs: u32) -> String {
@@ -116,42 +120,40 @@ fn render(spec: &ProgSpec, procs: u32) -> String {
     src
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn optimized_programs_compute_the_same_memory(spec in spec_strategy()) {
-        let procs = 4;
-        let src = render(&spec, procs);
-        let config = MachineConfig::cm5(procs);
+#[test]
+fn optimized_programs_compute_the_same_memory() {
+    let config = MachineConfig::cm5(4);
+    for src in programs() {
         let base = run(&src, &config, OptLevel::Blocking, DelayChoice::SyncRefined)
             .unwrap_or_else(|e| panic!("blocking run failed: {e}\n{src}"));
         for level in [OptLevel::Pipelined, OptLevel::OneWay, OptLevel::Full] {
             let opt = run(&src, &config, level, DelayChoice::SyncRefined)
                 .unwrap_or_else(|e| panic!("{level:?} run failed: {e}\n{src}"));
-            prop_assert_eq!(
+            assert_eq!(
                 &opt.sim.memory, &base.sim.memory,
-                "memory diverged at {:?} on:\n{}", level, src
+                "memory diverged at {level:?} on:\n{src}"
             );
             // Split-phase conversion carries a few cycles of counter
             // bookkeeping per access; on purely-local programs there is
             // nothing to overlap, so allow that constant overhead (but no
             // more than 5% + 64 cycles).
             let slack = base.sim.exec_cycles / 20 + 64;
-            prop_assert!(
+            assert!(
                 opt.sim.exec_cycles <= base.sim.exec_cycles + slack,
-                "{:?} slower ({} > {} + {}) on:\n{}",
-                level, opt.sim.exec_cycles, base.sim.exec_cycles, slack, src
+                "{level:?} slower ({} > {} + {slack}) on:\n{src}",
+                opt.sim.exec_cycles,
+                base.sim.exec_cycles,
             );
         }
     }
+}
 
-    #[test]
-    fn memory_is_machine_independent_for_synchronized_programs(spec in spec_strategy()) {
-        // The generated programs are race-free at phase granularity (every
-        // loop body ends with a barrier), so the final memory image must
-        // not depend on machine timing parameters.
-        let src = render(&spec, 4);
+#[test]
+fn memory_is_machine_independent_for_synchronized_programs() {
+    // The generated programs are race-free at phase granularity (every
+    // loop body ends with a barrier), so the final memory image must not
+    // depend on machine timing parameters.
+    for src in programs() {
         let results: Vec<_> = MachineConfig::table1(4)
             .into_iter()
             .map(|cfg| {
@@ -161,36 +163,38 @@ proptest! {
                     .memory
             })
             .collect();
-        prop_assert_eq!(&results[0], &results[1], "CM-5 vs T3D diverged on:\n{}", src);
-        prop_assert_eq!(&results[0], &results[2], "CM-5 vs DASH diverged on:\n{}", src);
+        assert_eq!(&results[0], &results[1], "CM-5 vs T3D diverged on:\n{src}");
+        assert_eq!(&results[0], &results[2], "CM-5 vs DASH diverged on:\n{src}");
     }
+}
 
-    #[test]
-    fn split_phase_removes_all_blocking_accesses(spec in spec_strategy()) {
-        let src = render(&spec, 4);
+#[test]
+fn split_phase_removes_all_blocking_accesses() {
+    for src in programs() {
         let c = compile(&src, 4, OptLevel::Pipelined, DelayChoice::SyncRefined).unwrap();
         for block in &c.optimized.cfg.blocks {
             for instr in &block.instrs {
-                prop_assert!(
+                assert!(
                     !matches!(
                         instr,
                         syncopt::ir::cfg::Instr::GetShared { .. }
                             | syncopt::ir::cfg::Instr::PutShared { .. }
                     ),
-                    "blocking access survived split-phase on:\n{}", src
+                    "blocking access survived split-phase on:\n{src}"
                 );
             }
         }
         c.optimized.cfg.validate().unwrap();
     }
+}
 
-    #[test]
-    fn every_initiation_has_a_sync_on_every_path(spec in spec_strategy()) {
-        // Structural safety: each get/put counter that appears in the CFG
-        // is synced at least once somewhere reachable (stores excepted).
-        let src = render(&spec, 4);
+#[test]
+fn every_initiation_has_a_sync_on_every_path() {
+    // Structural safety: each get/put counter that appears in the CFG is
+    // synced at least once somewhere reachable (stores excepted).
+    use std::collections::HashSet;
+    for src in programs() {
         let c = compile(&src, 4, OptLevel::OneWay, DelayChoice::SyncRefined).unwrap();
-        use std::collections::HashSet;
         let mut initiated: HashSet<u32> = HashSet::new();
         let mut synced: HashSet<u32> = HashSet::new();
         for block in &c.optimized.cfg.blocks {
@@ -208,9 +212,9 @@ proptest! {
             }
         }
         for ctr in &initiated {
-            prop_assert!(
+            assert!(
                 synced.contains(ctr),
-                "counter ctr{} initiated but never synced on:\n{}", ctr, src
+                "counter ctr{ctr} initiated but never synced on:\n{src}"
             );
         }
     }
