@@ -193,7 +193,7 @@ pub fn optimize(cfg: &Cfg, analysis: &Analysis, level: OptLevel, choice: DelayCh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syncopt_core::analyze;
+    use syncopt_core::{analyze, analyze_with, SyncOptions};
     use syncopt_frontend::prepare_program;
     use syncopt_ir::cfg::Instr;
     use syncopt_ir::lower::lower_main;
@@ -312,11 +312,11 @@ mod tests {
     /// compile of `src` for 16 processors.
     fn steps_of(src: &str) -> steps::Steps {
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
-        let analysis = syncopt_core::analyze_with(
+        let analysis = analyze_with(
             &cfg,
-            &syncopt_core::SyncOptions {
+            &SyncOptions {
                 procs: Some(16),
-                ..syncopt_core::SyncOptions::default()
+                ..SyncOptions::default()
             },
         );
         steps::take();
@@ -329,9 +329,10 @@ mod tests {
     /// asked a quadratic number of subscript questions.
     #[test]
     fn optimizer_work_is_linear_in_the_program_text() {
+        use syncopt_kernels::scaling::{generate, ScalingIdiom, ScalingParams};
         let stencil = |unroll| {
-            syncopt_kernels::scaling::generate(&syncopt_kernels::scaling::ScalingParams {
-                idiom: syncopt_kernels::scaling::ScalingIdiom::Stencil,
+            generate(&ScalingParams {
+                idiom: ScalingIdiom::Stencil,
                 unroll,
                 procs: 16,
             })
