@@ -225,38 +225,18 @@ fn subscript_corpus_optimizes_as_pinned() {
 }
 
 /// `i = A[i]` redefines its own subscript, so it may not serve the get of
-/// `A[i]` after it, in one block or across two. Element writes of a
-/// local array never kill the array. A loop that never runs folds to a
-/// jump.
+/// `A[i]` after it, in one block or across two.
 #[test]
-fn hand_written_programs_optimize_as_pinned() {
-    let own_subscript = [
+fn gets_into_their_own_subscript_optimize_as_pinned() {
+    let programs = [
         "shared int A[8]; shared int B[8];
          fn main() { int i; int j; i = A[MYPROC]; i = A[i]; j = A[i]; B[MYPROC] = j; }",
         "shared int A[8]; shared int B[8];
          fn main() { int i; int j; i = A[MYPROC]; i = A[i];
              if (MYPROC == 0) { j = A[i]; B[MYPROC] = j; } }",
     ];
-    let local_arrays = "
-        shared int A[64];
-        fn main() {
-            int buf[4]; int i; int v;
-            buf[0] = 1;
-            for (i = 0; i < 3; i = i + 1) { buf[i] = A[MYPROC + i]; }
-            buf[1] = 2;
-            v = buf[2];
-            A[MYPROC] = v;
-        }";
-    let dead_loop = "
-        shared int A[64];
-        fn main() {
-            int i; int v;
-            v = A[MYPROC + 1];
-            while (2 < 1) { A[MYPROC] = v; }
-            work(v);
-        }";
     let mut table = String::new();
-    for (n, src) in own_subscript.iter().enumerate() {
+    for (n, src) in programs.iter().enumerate() {
         table.push_str(&line(&format!("own subscript {n}"), src, Some(4)));
         let cfg = lower_main(&prepare_program(src).unwrap()).unwrap();
         let analysis = analyze_with(
@@ -269,9 +249,39 @@ fn hand_written_programs_optimize_as_pinned() {
         let full = optimize(&cfg, &analysis, OptLevel::Full, DelayChoice::SyncRefined);
         assert_eq!(full.stats.gets_eliminated, 0, "{src}");
     }
-    table.push_str(&line("local arrays", local_arrays, Some(4)));
-    table.push_str(&line("dead loop", dead_loop, Some(4)));
-    check_table("tests/golden/digest/optimizer_hand_written.txt", &table);
+    check_table("tests/golden/digest/optimizer_own_subscript.txt", &table);
+}
+
+/// Element writes of a local array never kill the array.
+#[test]
+fn local_arrays_optimize_as_pinned() {
+    let src = "
+        shared int A[64];
+        fn main() {
+            int buf[4]; int i; int v;
+            buf[0] = 1;
+            for (i = 0; i < 3; i = i + 1) { buf[i] = A[MYPROC + i]; }
+            buf[1] = 2;
+            v = buf[2];
+            A[MYPROC] = v;
+        }";
+    let table = line("local arrays", src, Some(4));
+    check_table("tests/golden/digest/optimizer_local_arrays.txt", &table);
+}
+
+/// A loop that never runs folds to a jump.
+#[test]
+fn a_dead_loop_optimizes_as_pinned() {
+    let src = "
+        shared int A[64];
+        fn main() {
+            int i; int v;
+            v = A[MYPROC + 1];
+            while (2 < 1) { A[MYPROC] = v; }
+            work(v);
+        }";
+    let table = line("dead loop", src, Some(4));
+    check_table("tests/golden/digest/optimizer_dead_loop.txt", &table);
 }
 
 fn procs_label(procs: Option<u32>) -> String {
