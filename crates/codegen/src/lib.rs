@@ -74,31 +74,32 @@ pub enum DelayChoice {
     SyncRefined,
 }
 
-/// Counters describing what the optimizer did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptStats {
-    /// Blocking reads converted to split-phase gets.
-    pub gets_split: usize,
-    /// Blocking writes converted to split-phase puts.
-    pub puts_split: usize,
-    /// How many instruction slots all `sync_ctr`s moved forward, summed.
-    pub sync_moves: usize,
-    /// `sync_ctr` copies merged (rule 2b of §6).
-    pub syncs_merged: usize,
-    /// How many instruction slots initiations moved backward, summed.
-    pub init_moves: usize,
-    /// Puts converted to one-way stores.
-    pub puts_to_stores: usize,
-    /// Redundant gets replaced by local copies.
-    pub gets_eliminated: usize,
-    /// Overwritten puts removed (write-back).
-    pub puts_eliminated: usize,
-    /// Dead local assignments removed by cleanup.
-    pub dead_locals_removed: usize,
-    /// Gets whose destination was never read, removed with their syncs.
-    pub dead_gets_removed: usize,
-    /// Expressions simplified by constant folding.
-    pub exprs_folded: usize,
+syncopt_core::counter_struct! {
+    /// Counters describing what the optimizer did.
+    pub struct OptStats: usize {
+        /// Blocking reads converted to split-phase gets.
+        gets_split,
+        /// Blocking writes converted to split-phase puts.
+        puts_split,
+        /// How many instruction slots all `sync_ctr`s moved forward, summed.
+        sync_moves,
+        /// `sync_ctr` copies merged (rule 2b of §6).
+        syncs_merged,
+        /// How many instruction slots initiations moved backward, summed.
+        init_moves,
+        /// Puts converted to one-way stores.
+        puts_to_stores,
+        /// Redundant gets replaced by local copies.
+        gets_eliminated,
+        /// Overwritten puts removed (write-back).
+        puts_eliminated,
+        /// Dead local assignments removed by cleanup.
+        dead_locals_removed,
+        /// Gets whose destination was never read, removed with their syncs.
+        dead_gets_removed,
+        /// Expressions simplified by constant folding.
+        exprs_folded,
+    }
 }
 
 /// The result of optimizing a program.

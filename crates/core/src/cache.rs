@@ -20,12 +20,12 @@
 //! slots linked by index into a recency list, so a hit, an insert and an
 //! eviction each cost the same whatever the cache holds. It keeps
 //! deterministic hit/miss/eviction counters (total and per kind, exported
-//! as [`Counters`]) so reports and tests can prove that a warm
+//! as [`KindStats`]) so reports and tests can prove that a warm
 //! re-analysis reused artifacts instead of rebuilding them. The cache
 //! itself never affects analysis *results* — only how much work it took
 //! to produce them.
 
-use crate::obs::Counters;
+use crate::diag::json;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,30 +34,28 @@ use syncopt_frontend::Fingerprint;
 /// Default maximum number of cached artifacts.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Cumulative cache activity counters.
-///
-/// Snapshots are `Copy`, and [`CacheStats::since`] computes a per-request
-/// delta, which is how the RPC layer reports how much of one request was
-/// served from cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to build the artifact.
-    pub misses: u64,
-    /// Artifacts dropped to stay within capacity.
-    pub evictions: u64,
+crate::counter_struct! {
+    /// Cumulative cache activity counters.
+    ///
+    /// Snapshots are `Copy`, and [`CacheStats::since`] computes a per-request
+    /// delta, which is how the RPC layer reports how much of one request was
+    /// served from cache.
+    pub struct CacheStats: u64 {
+        /// Lookups answered from the cache.
+        hits,
+        /// Lookups that had to build the artifact.
+        misses,
+        /// Artifacts dropped to stay within capacity.
+        evictions,
+    }
 }
 
 impl CacheStats {
     /// The activity between an `earlier` snapshot and this one.
     #[must_use]
     pub fn since(self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-        }
+        let (now, then) = (self.values(), earlier.values());
+        CacheStats::from_values(std::array::from_fn(|at| now[at] - then[at]))
     }
 
     /// Total lookups (hits plus misses).
@@ -81,42 +79,67 @@ struct Slot {
     older: u32,
 }
 
-/// The counters of `kind` in a per-kind list kept in order of first use.
-fn kind_stats<'a>(
-    by_kind: &'a mut Vec<(&'static str, CacheStats)>,
-    kind: &'static str,
-) -> &'a mut CacheStats {
-    let index = match by_kind.iter().position(|(k, _)| *k == kind) {
-        Some(index) => index,
-        None => {
-            by_kind.push((kind, CacheStats::default()));
-            by_kind.len() - 1
+/// Every kind of artifact the session API stores, in pipeline order, and
+/// last `other`, under which a kind not listed (a test's, a probe's) is
+/// counted.
+pub const CACHE_KINDS: [&str; 9] = [
+    "cfg", "analysis", "opt", "sim", "races", "lint", "explain", "reply", "other",
+];
+
+/// The slot of `kind` in [`CACHE_KINDS`], `other`'s for an unlisted kind.
+fn kind_slot(kind: &str) -> usize {
+    let other = CACHE_KINDS.len() - 1;
+    CACHE_KINDS[..other]
+        .iter()
+        .position(|&k| k == kind)
+        .unwrap_or(other)
+}
+
+/// Cache activity per artifact kind: one [`CacheStats`] per kind of
+/// [`CACHE_KINDS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindStats([CacheStats; CACHE_KINDS.len()]);
+
+impl KindStats {
+    /// The activity of `kind`; a kind not in [`CACHE_KINDS`] reads
+    /// `other`'s.
+    pub fn get(&self, kind: &str) -> CacheStats {
+        self.0[kind_slot(kind)]
+    }
+
+    /// The activity of `kind`, to be counted.
+    fn get_mut(&mut self, kind: &str) -> &mut CacheStats {
+        &mut self.0[kind_slot(kind)]
+    }
+
+    /// Every `(kind, activity)` pair, in [`CACHE_KINDS`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, CacheStats)> + '_ {
+        CACHE_KINDS.into_iter().zip(self.0)
+    }
+
+    /// Appends the counters as one JSON object: the member
+    /// `cache.<kind>.<counter>` of every counter that moved, keys sorted.
+    /// Kind by kind is key by key, since `.` sorts before every letter.
+    pub fn write_json(&self, out: &mut String) {
+        let counters = name_order(&CacheStats::NAMES);
+        let mut o = json::Obj::open(out);
+        for kind in name_order(&CACHE_KINDS) {
+            let values = self.0[kind].values();
+            for at in counters.into_iter().filter(|&at| values[at] > 0) {
+                let name = ["cache.", CACHE_KINDS[kind], ".", CacheStats::NAMES[at]];
+                json::write_int(o.key_escaped(&name), values[at] as i64);
+            }
         }
-    };
-    &mut by_kind[index].1
+        o.close();
+    }
 }
 
-/// The counter names of one artifact kind: hits, misses, evictions.
-macro_rules! kind_counter_names {
-    ($($kind:literal),* $(,)?) => {
-        [$((
-            $kind,
-            [
-                concat!("cache.", $kind, ".hits"),
-                concat!("cache.", $kind, ".misses"),
-                concat!("cache.", $kind, ".evictions"),
-            ],
-        )),*]
-    };
+/// The indices of `names`, in the byte order of the names.
+fn name_order<const N: usize>(names: &[&str; N]) -> [usize; N] {
+    let mut order = std::array::from_fn(|at| at);
+    order.sort_by_key(|&at| names[at]);
+    order
 }
-
-/// Every kind the session API stores, with its dotted counter names spelled
-/// out so that exporting them formats nothing.
-const KIND_COUNTER_NAMES: [(&str, [&str; 3]); 8] =
-    kind_counter_names!["cfg", "analysis", "opt", "sim", "races", "lint", "explain", "reply"];
-
-/// Where a kind not listed above (a test's, a probe's) is counted.
-const OTHER_KIND_COUNTER_NAMES: [&str; 3] = kind_counter_names!["other"][0].1;
 
 /// A content-addressed LRU artifact store.
 ///
@@ -156,10 +179,9 @@ pub struct ArtifactCache {
     /// Least recently used slot, the next to be evicted (`NIL` when empty).
     back: u32,
     stats: CacheStats,
-    /// Activity per kind, in order of first use. A handful of kinds
-    /// exist, so finding one is a short scan with no allocation — unlike
-    /// formatting a counter name on every lookup.
-    by_kind: Vec<(&'static str, CacheStats)>,
+    /// Activity per kind. A handful of kinds exist, so finding one is a
+    /// short scan with no allocation.
+    by_kind: KindStats,
 }
 
 impl ArtifactCache {
@@ -175,7 +197,7 @@ impl ArtifactCache {
             front: NIL,
             back: NIL,
             stats: CacheStats::default(),
-            by_kind: Vec::new(),
+            by_kind: KindStats::default(),
         }
     }
 
@@ -184,10 +206,6 @@ impl ArtifactCache {
     /// asks this first.
     pub fn enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    fn kind_stats(&mut self, kind: &'static str) -> &mut CacheStats {
-        kind_stats(&mut self.by_kind, kind)
     }
 
     /// Takes `slot` out of the recency list (its own links go stale).
@@ -248,11 +266,11 @@ impl ArtifactCache {
         match &found {
             Some(_) => {
                 self.stats.hits += 1;
-                self.kind_stats(kind).hits += 1;
+                self.by_kind.get_mut(kind).hits += 1;
             }
             None => {
                 self.stats.misses += 1;
-                self.kind_stats(kind).misses += 1;
+                self.by_kind.get_mut(kind).misses += 1;
             }
         }
         found
@@ -296,7 +314,7 @@ impl ArtifactCache {
             self.slots[slot as usize].value = value;
             self.index.remove(&evicted);
             self.stats.evictions += 1;
-            self.kind_stats(evicted.0).evictions += 1;
+            self.by_kind.get_mut(evicted.0).evictions += 1;
             slot
         };
         self.push_front(slot);
@@ -347,26 +365,9 @@ impl ArtifactCache {
         self.stats
     }
 
-    /// Per-kind activity as dotted counters
-    /// (`cache.<kind>.hits|misses|evictions`), mergeable into the obs
-    /// layer's pipeline counters. A counter that never moved is absent.
-    pub fn kind_counters(&self) -> Counters {
-        let mut counters = Counters::new();
-        for (kind, stats) in &self.by_kind {
-            let names = KIND_COUNTER_NAMES
-                .iter()
-                .find(|(known, _)| known == kind)
-                .map_or(OTHER_KIND_COUNTER_NAMES, |&(_, names)| names);
-            for (name, n) in names
-                .into_iter()
-                .zip([stats.hits, stats.misses, stats.evictions])
-            {
-                if n > 0 {
-                    counters.add(name, n);
-                }
-            }
-        }
-        counters
+    /// Cumulative activity per kind of [`CACHE_KINDS`].
+    pub fn kind_counters(&self) -> KindStats {
+        self.by_kind
     }
 
     /// Number of artifacts currently stored.
@@ -414,7 +415,7 @@ impl std::fmt::Debug for ArtifactCache {
 /// model the list is compared against.
 #[cfg(test)]
 mod reference {
-    use super::{CacheStats, Key};
+    use super::{CacheStats, Key, KindStats};
     use std::any::Any;
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -430,7 +431,7 @@ mod reference {
         entries: HashMap<Key, Entry>,
         tick: u64,
         pub(super) stats: CacheStats,
-        pub(super) by_kind: Vec<(&'static str, CacheStats)>,
+        pub(super) by_kind: KindStats,
     }
 
     impl TickCache {
@@ -440,12 +441,8 @@ mod reference {
                 entries: HashMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
-                by_kind: Vec::new(),
+                by_kind: KindStats::default(),
             }
-        }
-
-        fn kind_stats(&mut self, kind: &'static str) -> &mut CacheStats {
-            super::kind_stats(&mut self.by_kind, kind)
         }
 
         pub(super) fn get<T: Any + Send + Sync>(
@@ -465,11 +462,11 @@ mod reference {
             match &found {
                 Some(_) => {
                     self.stats.hits += 1;
-                    self.kind_stats(kind).hits += 1;
+                    self.by_kind.get_mut(kind).hits += 1;
                 }
                 None => {
                     self.stats.misses += 1;
-                    self.kind_stats(kind).misses += 1;
+                    self.by_kind.get_mut(kind).misses += 1;
                 }
             }
             found
@@ -505,7 +502,7 @@ mod reference {
             {
                 self.entries.remove(&key);
                 self.stats.evictions += 1;
-                self.kind_stats(key.0).evictions += 1;
+                self.by_kind.get_mut(key.0).evictions += 1;
             }
         }
 
@@ -568,7 +565,7 @@ mod tests {
 
     #[test]
     fn the_recency_list_evicts_exactly_what_the_tick_scan_evicted() {
-        const KINDS: [&str; 3] = ["a", "b", "c"];
+        const KINDS: [&str; 3] = ["cfg", "opt", "sim"];
         const STEPS: usize = 10_000;
         for capacity in [1usize, 2, 3, 8, 64] {
             let mut list = ArtifactCache::new(capacity);
@@ -763,13 +760,20 @@ mod tests {
         let fp = Fingerprint::of("x");
         cache.get_or_with("cfg", || fp, || 1usize);
         cache.get_or_with::<usize>("cfg", || fp, || unreachable!());
-        assert_eq!(cache.kind_counters().get("cache.cfg.misses"), 1);
-        assert_eq!(cache.kind_counters().get("cache.cfg.hits"), 1);
+        assert_eq!(cache.kind_counters().get("cfg").misses, 1);
+        assert_eq!(cache.kind_counters().get("cfg").hits, 1);
         // A kind the session does not store is counted, under `other`.
         cache.get_or_with("probe", || fp, || 1usize);
         cache.get_or_with("n", || fp, || 1usize);
-        assert_eq!(cache.kind_counters().get("cache.other.misses"), 2);
-        assert_eq!(cache.kind_counters().len(), 3);
+        let kinds = cache.kind_counters();
+        assert_eq!(kinds.get("other").misses, 2);
+        assert_eq!(kinds.get("probe"), kinds.get("other"));
+        let mut text = String::new();
+        kinds.write_json(&mut text);
+        assert_eq!(
+            text,
+            r#"{"cache.cfg.hits":1,"cache.cfg.misses":1,"cache.other.misses":2}"#
+        );
     }
 
     #[test]
@@ -791,12 +795,12 @@ mod tests {
         assert!(cache.is_empty() && cache.slots.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
         assert_eq!(cache.stats().lookups(), 0);
-        assert!(cache.kind_counters().is_empty());
+        assert_eq!(cache.kind_counters(), KindStats::default());
         assert!(ArtifactCache::new(1).enabled());
     }
 
     /// The cache-key table of `docs/API.md` lists exactly the kinds the
-    /// session stores, in the order their counters are declared.
+    /// session stores, in the order of [`CACHE_KINDS`].
     #[test]
     fn the_api_doc_lists_every_kind_in_order() {
         let doc = include_str!("../../../docs/API.md");
@@ -811,7 +815,7 @@ mod tests {
             .skip(2)
             .map(|row| row.split('|').nth(1).unwrap_or("").trim().trim_matches('`'))
             .collect();
-        let declared: Vec<&str> = KIND_COUNTER_NAMES.iter().map(|(kind, _)| *kind).collect();
-        assert_eq!(kinds, declared);
+        let (other, declared) = CACHE_KINDS.split_last().unwrap();
+        assert_eq!((kinds.as_slice(), *other), (declared, "other"));
     }
 }

@@ -7,8 +7,11 @@
 //!   refinement rule), one `u64` slot per [`AnalysisCounter`] declared in
 //!   [`ANALYSIS_COUNTER_NAMES`]. Counting is an array store: no name is
 //!   compared, inserted or allocated while the analysis runs.
-//! * [`Counters`] — a deterministic registry of named counters for the
-//!   open-ended vocabularies (benchmark rows, per-kind cache counters).
+//! * [`counter_struct!`](crate::counter_struct) — the declaration of a
+//!   fixed counter struct (the simulator's message, stall, cycle and
+//!   engine counters, the optimizer's action counts, the cache's
+//!   activity): its fields, names, JSON keys and field-wise add, written
+//!   once and iterated by every report writer, merge and decoder.
 //! * [`PhaseTimings`] — phase-scoped wall-clock timers. Timings are
 //!   inherently nondeterministic, so they are kept separate from the
 //!   counters: consumers that need reproducible output (golden tests,
@@ -166,85 +169,64 @@ impl AnalysisCounters {
     }
 }
 
-/// A deterministic registry of named `u64` counters.
-///
-/// Keys use dotted `stage.metric` names (`"sim.events_dequeued"`,
-/// `"cache.cfg.hits"`); iteration and JSON emission are sorted by key, so
-/// two runs over the same input produce identical output.
-///
-/// Every name is a literal of this workspace, so the registry holds
-/// `&'static str`s in one sorted `Vec`: counting never builds a `String`,
-/// and a clone is one copy of the entries.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Sorted by name, names unique.
-    values: Vec<(&'static str, u64)>,
-}
-
-impl Counters {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// The slot of `name`, created at zero if absent.
-    fn slot(&mut self, name: &'static str) -> &mut u64 {
-        let at = match self.values.binary_search_by_key(&name, |&(k, _)| k) {
-            Ok(at) => at,
-            Err(at) => {
-                self.values.insert(at, (name, 0));
-                at
-            }
-        };
-        &mut self.values[at].1
-    }
-
-    /// Adds `n` to `name` (creating it at zero first).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.slot(name) += n;
-    }
-
-    /// Sets `name` to `n`, overwriting any previous value.
-    pub fn set(&mut self, name: &'static str, n: u64) {
-        *self.slot(name) = n;
-    }
-
-    /// The value of `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.try_get(name).unwrap_or(0)
-    }
-
-    /// The value of `name`, or `None` if it was never touched.
-    pub fn try_get(&self, name: &str) -> Option<u64> {
-        self.values
-            .binary_search_by_key(&name, |&(k, _)| k)
-            .ok()
-            .map(|at| self.values[at].1)
-    }
-
-    /// All `(name, value)` pairs, sorted by name.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.values.iter().copied()
-    }
-
-    /// Number of distinct counters.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no counter was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Appends the registry as one JSON object, keys sorted.
-    pub fn write_json(&self, out: &mut String) {
-        let mut o = json::Obj::open(out);
-        for (name, n) in self.iter() {
-            json::write_int(o.key_escaped(&[name]), n as i64);
+/// Declares a fixed set of counters once, as a struct with one public
+/// field of type `$ty` per counter; a field's name is the counter's name
+/// and its JSON key. With the struct come its names and keys in
+/// declaration order (`NAMES`, `KEYS`), its values in that order
+/// (`values`, `from_values`), the `(key, value)` members a JSON writer
+/// writes (`fields`) and a field-wise `add`. Every writer, merge and
+/// decoder of the set iterates these, so a counter added to the
+/// declaration reaches all of them.
+#[macro_export]
+macro_rules! counter_struct {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident: $ty:ty {
+            $($(#[$doc:meta])* $field:ident,)+
         }
-        o.close();
-    }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)+
+        }
+
+        impl $name {
+            /// How many counters the set declares.
+            pub const COUNT: usize = [$(stringify!($field)),+].len();
+
+            /// Every counter's name, in declaration order.
+            pub const NAMES: [&'static str; Self::COUNT] = [$(stringify!($field)),+];
+
+            /// Each name as a JSON object key.
+            pub const KEYS: [$crate::diag::json::Key; Self::COUNT] = [$(
+                $crate::diag::json::Key::quoted(concat!("\"", stringify!($field), "\":")),
+            )+];
+
+            /// Every counter's value, in declaration order.
+            pub fn values(&self) -> [u64; Self::COUNT] {
+                [$(self.$field as u64),+]
+            }
+
+            /// The counters holding `values`, in declaration order.
+            pub fn from_values(values: [u64; Self::COUNT]) -> Self {
+                let [$($field),+] = values;
+                $name { $($field: $field as $ty),+ }
+            }
+
+            /// Every counter as a JSON member, `(key, value)`, in
+            /// declaration order.
+            pub fn fields(&self) -> [($crate::diag::json::Key, u64); Self::COUNT] {
+                let values = self.values();
+                ::std::array::from_fn(|at| (Self::KEYS[at], values[at]))
+            }
+
+            /// Adds `other`'s counters to these, field by field.
+            pub fn add(&mut self, other: &Self) {
+                $(self.$field += other.$field;)+
+            }
+        }
+    };
 }
 
 /// Phase-scoped wall-clock timers, recorded in microseconds.
@@ -322,19 +304,37 @@ impl PhaseTimings {
 mod tests {
     use super::*;
 
+    counter_struct! {
+        /// Two counters.
+        pub struct Pair: usize {
+            /// The first.
+            first,
+            /// The second.
+            second,
+        }
+    }
+
     #[test]
-    fn counters_accumulate_and_sort() {
-        let mut c = Counters::new();
-        c.add("b.second", 1);
-        c.add("a.first", 41);
-        c.add("a.first", 1);
-        assert_eq!(c.get("a.first"), 42);
-        assert_eq!(c.get("missing"), 0);
-        let keys: Vec<&str> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a.first", "b.second"]);
+    fn a_counter_struct_yields_its_fields_in_declaration_order() {
+        let mut pair = Pair::from_values([41, 2]);
+        pair.add(&Pair {
+            first: 1,
+            second: 0,
+        });
+        assert_eq!(
+            pair,
+            Pair {
+                first: 42,
+                second: 2
+            }
+        );
+        assert_eq!((Pair::COUNT, Pair::NAMES), (2, ["first", "second"]));
+        for (&name, key) in Pair::NAMES.iter().zip(Pair::KEYS) {
+            assert_eq!(key.name(), name);
+        }
         let mut text = String::new();
-        c.write_json(&mut text);
-        assert_eq!(text, r#"{"a.first":42,"b.second":1}"#);
+        json::write_ints(&mut text, &pair.fields());
+        assert_eq!(text, r#"{"first":42,"second":2}"#);
     }
 
     /// The declared table is the report's key order: byte-sorted, each

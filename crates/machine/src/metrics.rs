@@ -14,30 +14,33 @@
 //! holds per processor ([`ProcCycles::accounted`]); the conservation is
 //! asserted by the simulator's test suite.
 
-/// Where one processor's cycles went, from time 0 to the end of the
-/// simulation (`exec_cycles`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcCycles {
-    /// Executing instructions: local ops, `work`, memory touches, message
-    /// injection (including NIC backpressure), and cycles stolen by
-    /// message handling.
-    pub busy: u64,
-    /// Blocked on a `sync_ctr` with outstanding split-phase operations.
-    pub sync: u64,
-    /// Blocked at a barrier rendezvous.
-    pub barrier: u64,
-    /// Blocked in `wait` for a flag.
-    pub wait: u64,
-    /// Blocked for a lock grant.
-    pub lock: u64,
-    /// Blocked for the round trip of a *blocking* remote access.
-    pub network_wait: u64,
-    /// Finished while other processors were still running.
-    pub idle: u64,
-    /// Messages this processor injected into the network.
-    pub msgs_sent: u64,
-    /// Remote requests serviced at this processor's memory home.
-    pub msgs_handled: u64,
+use syncopt_core::diag::json::{key, Key};
+
+syncopt_core::counter_struct! {
+    /// Where one processor's cycles went, from time 0 to the end of the
+    /// simulation (`exec_cycles`).
+    pub struct ProcCycles: u64 {
+        /// Executing instructions: local ops, `work`, memory touches, message
+        /// injection (including NIC backpressure), and cycles stolen by
+        /// message handling.
+        busy,
+        /// Blocked on a `sync_ctr` with outstanding split-phase operations.
+        sync,
+        /// Blocked at a barrier rendezvous.
+        barrier,
+        /// Blocked in `wait` for a flag.
+        wait,
+        /// Blocked for a lock grant.
+        lock,
+        /// Blocked for the round trip of a *blocking* remote access.
+        network_wait,
+        /// Finished while other processors were still running.
+        idle,
+        /// Messages this processor injected into the network.
+        msgs_sent,
+        /// Remote requests serviced at this processor's memory home.
+        msgs_handled,
+    }
 }
 
 impl ProcCycles {
@@ -155,37 +158,39 @@ impl BarrierEpoch {
     }
 }
 
-/// All-integer work counters for the simulator engine itself: how much
-/// machinery the event queue and state tables moved to produce the
-/// result. These are the `sim_throughput` benchmark's regression-gate
-/// signal — exact, deterministic, and independent of host load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimWork {
-    /// Events pushed into the queue (arena allocations + free-list reuses).
-    pub events_scheduled: u64,
-    /// Events popped and dispatched.
-    pub events_dequeued: u64,
-    /// Calendar-wheel bucket slots inspected while seeking the next
-    /// nonempty bucket (the wheel's analogue of heap sift work).
-    pub bucket_rotations: u64,
-    /// Events that missed the wheel window and went through the
-    /// binary-heap overflow rung (scheduled far in the future).
-    pub overflow_promotions: u64,
-    /// Event-arena slots recycled from the free list (allocation-free
-    /// steady state shows up as `arena_reuses` approaching
-    /// `events_scheduled`).
-    pub arena_reuses: u64,
-    /// Waiter-list entries scanned when a `post` wakes blocked `wait`ers.
-    pub waiter_scans: u64,
-    /// Synchronization-horizon windows advanced by the sharded engine
-    /// (zero for the sequential engines).
-    pub shard_horizon_advances: u64,
-    /// Events routed through a shard-pair mailbox instead of a local
-    /// wheel (cross-shard arrivals, deliveries, and barrier traffic).
-    pub shard_cross_messages: u64,
-    /// Windows in which a shard had no event to dispatch (conservative
-    /// lookahead idling — the parallel engine's waiting-on-peers signal).
-    pub shard_idle_windows: u64,
+syncopt_core::counter_struct! {
+    /// All-integer work counters for the simulator engine itself: how much
+    /// machinery the event queue and state tables moved to produce the
+    /// result. These are the `sim_throughput` benchmark's regression-gate
+    /// signal — exact, deterministic, and independent of host load.
+    pub struct SimWork: u64 {
+        /// Events pushed into the queue (arena allocations + free-list reuses).
+        events_scheduled,
+        /// Events popped and dispatched.
+        events_dequeued,
+        /// Calendar-wheel bucket slots inspected while seeking the next
+        /// nonempty bucket (the wheel's analogue of heap sift work).
+        bucket_rotations,
+        /// Events that missed the wheel window and went through the
+        /// binary-heap overflow rung (scheduled far in the future).
+        overflow_promotions,
+        /// Event-arena slots recycled from the free list (allocation-free
+        /// steady state shows up as `arena_reuses` approaching
+        /// `events_scheduled`).
+        arena_reuses,
+        /// Waiter-list work of `post`/`wait`: one per `wait` enqueued on a
+        /// clear flag, plus one per waiter a `post` wakes.
+        waiter_scans,
+        /// Synchronization-horizon windows advanced by the sharded engine
+        /// (zero for the sequential engines).
+        shard_horizon_advances,
+        /// Events routed through a shard-pair mailbox instead of a local
+        /// wheel (cross-shard arrivals, deliveries, and barrier traffic).
+        shard_cross_messages,
+        /// Windows in which a shard had no event to dispatch (conservative
+        /// lookahead idling — the parallel engine's waiting-on-peers signal).
+        shard_idle_windows,
+    }
 }
 
 impl SimWork {
@@ -193,6 +198,21 @@ impl SimWork {
     /// proxy the bench report derives (integer, deterministic).
     pub fn events_per_1k_cycles(&self, exec_cycles: u64) -> u64 {
         self.events_dequeued * 1000 / exec_cycles.max(1)
+    }
+
+    /// The counters a report's `sim.work` section carries, in declaration
+    /// order, and then [`events_per_1k_cycles`](SimWork::events_per_1k_cycles)
+    /// of a run of `exec_cycles`. The sharded engine's `shard_*` counters
+    /// are left out: `benchmark/`'s traced probe reads them off the struct.
+    pub fn reported(&self, exec_cycles: u64) -> impl Iterator<Item = (Key, u64)> {
+        let per_1k = (
+            key!("events_per_1k_cycles"),
+            self.events_per_1k_cycles(exec_cycles),
+        );
+        self.fields()
+            .into_iter()
+            .filter(|(key, _)| !key.name().starts_with("shard_"))
+            .chain([per_1k])
     }
 }
 
@@ -232,17 +252,9 @@ mod tests {
 
     #[test]
     fn proc_cycles_accounting_sums_categories() {
-        let p = ProcCycles {
-            busy: 10,
-            sync: 1,
-            barrier: 2,
-            wait: 3,
-            lock: 4,
-            network_wait: 5,
-            idle: 6,
-            msgs_sent: 0,
-            msgs_handled: 0,
-        };
+        // busy, sync, barrier, wait, lock, network_wait, idle, then the
+        // two message counts.
+        let p = ProcCycles::from_values([10, 1, 2, 3, 4, 5, 6, 0, 0]);
         assert_eq!(p.stalled(), 10);
         assert_eq!(p.accounted(), 31);
     }

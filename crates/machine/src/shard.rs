@@ -965,29 +965,12 @@ fn merge(
     let mut latency = LatencyHistogram::new();
     let mut shard_events: Vec<u64> = Vec::with_capacity(sims.len());
     for sim in sims.iter() {
-        let n = &sim.net;
-        net.get_requests += n.get_requests;
-        net.get_replies += n.get_replies;
-        net.put_requests += n.put_requests;
-        net.put_acks += n.put_acks;
-        net.store_requests += n.store_requests;
-        net.post_messages += n.post_messages;
-        net.wait_messages += n.wait_messages;
-        net.lock_messages += n.lock_messages;
-        net.barriers += n.barriers;
-        let sl = &sim.stalls;
-        stalls.sync += sl.sync;
-        stalls.barrier += sl.barrier;
-        stalls.wait += sl.wait;
-        stalls.lock += sl.lock;
-        stalls.blocking += sl.blocking;
+        net.add(&sim.net);
+        stalls.add(&sim.stalls);
+        // A shard's own `shard_*` counters are zero: they are counted
+        // here, from its shard context.
         let w = &sim.metrics.work;
-        work.events_scheduled += w.events_scheduled;
-        work.events_dequeued += w.events_dequeued;
-        work.bucket_rotations += w.bucket_rotations;
-        work.overflow_promotions += w.overflow_promotions;
-        work.arena_reuses += w.arena_reuses;
-        work.waiter_scans += w.waiter_scans;
+        work.add(w);
         let l = &sim.metrics.latency;
         if l.count > 0 {
             latency.min = if latency.count == 0 {

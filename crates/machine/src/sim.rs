@@ -46,56 +46,52 @@ use syncopt_ir::cfg::{Cfg, CtrId, Instr, Terminator};
 use syncopt_ir::expr::SharedRef;
 use syncopt_ir::ids::{AccessId, BlockId, VarId};
 
-/// Network / synchronization message counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Split-phase or blocking read requests sent to a remote home.
-    pub get_requests: u64,
-    /// Data replies for gets.
-    pub get_replies: u64,
-    /// Two-way write requests.
-    pub put_requests: u64,
-    /// Acknowledgements for two-way writes.
-    pub put_acks: u64,
-    /// One-way store requests (never acknowledged).
-    pub store_requests: u64,
-    /// Post messages.
-    pub post_messages: u64,
-    /// Wait check/notify messages.
-    pub wait_messages: u64,
-    /// Lock request/grant/release messages.
-    pub lock_messages: u64,
-    /// Barrier episodes completed.
-    pub barriers: u64,
-}
-
-impl NetStats {
-    /// Total messages on the wire.
-    pub fn total_messages(&self) -> u64 {
-        self.get_requests
-            + self.get_replies
-            + self.put_requests
-            + self.put_acks
-            + self.store_requests
-            + self.post_messages
-            + self.wait_messages
-            + self.lock_messages
+syncopt_core::counter_struct! {
+    /// Network / synchronization message counters.
+    pub struct NetStats: u64 {
+        /// Split-phase or blocking read requests sent to a remote home.
+        get_requests,
+        /// Data replies for gets.
+        get_replies,
+        /// Two-way write requests.
+        put_requests,
+        /// Acknowledgements for two-way writes.
+        put_acks,
+        /// One-way store requests (never acknowledged).
+        store_requests,
+        /// Post messages.
+        post_messages,
+        /// Wait check/notify messages.
+        wait_messages,
+        /// Lock request/grant/release messages.
+        lock_messages,
+        /// Barrier episodes completed.
+        barriers,
     }
 }
 
-/// Cycles spent blocked, by cause, summed over processors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallStats {
-    /// Waiting on `sync_ctr`.
-    pub sync: u64,
-    /// Waiting at barriers.
-    pub barrier: u64,
-    /// Waiting on events (`wait`).
-    pub wait: u64,
-    /// Waiting for lock grants.
-    pub lock: u64,
-    /// Blocking (non-split) remote accesses.
-    pub blocking: u64,
+impl NetStats {
+    /// Total messages on the wire: every counter but `barriers`, which
+    /// counts episodes.
+    pub fn total_messages(&self) -> u64 {
+        self.values().iter().sum::<u64>() - self.barriers
+    }
+}
+
+syncopt_core::counter_struct! {
+    /// Cycles spent blocked, by cause, summed over processors.
+    pub struct StallStats: u64 {
+        /// Waiting on `sync_ctr`.
+        sync,
+        /// Waiting at barriers.
+        barrier,
+        /// Waiting on events (`wait`).
+        wait,
+        /// Waiting for lock grants.
+        lock,
+        /// Blocking (non-split) remote accesses.
+        blocking,
+    }
 }
 
 /// The outcome of a simulation.

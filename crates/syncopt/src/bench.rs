@@ -3,8 +3,8 @@
 //! Every suite is one row of [`SUITES`]: its full and smoke spec lists,
 //! the counters the regression gate watches, its table columns, and what
 //! `--threads` means for it. A spec runs into one report row (id, ordered
-//! fields, [`Counters`]); the report, its JSON, its table, the gate and
-//! the ordered thread fan-out are written once, here.
+//! fields, name-sorted counters); the report, its JSON, its table, the
+//! gate and the ordered thread fan-out are written once, here.
 //!
 //! * `delay` (suite tag `delay_scaling`) runs the delay-set analysis over
 //!   the synthetic scaling trajectory ([`syncopt_kernels::scaling`]).
@@ -38,8 +38,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use syncopt_codegen::{DelayChoice, OptLevel};
-use syncopt_core::diag::json::{key, write_array, Key, Obj, Value};
-use syncopt_core::{Counters, SyncOptions};
+use syncopt_core::diag::json::{key, write_array, write_int, Key, Obj, Value};
+use syncopt_core::SyncOptions;
 use syncopt_kernels::scaling::{self, ScalingParams};
 use syncopt_kernels::{kernels_with, KernelParams};
 use syncopt_machine::{simulate_configured, EngineKind, MachineConfig, SimOutputs};
@@ -124,14 +124,14 @@ pub static SUITES: [Suite; 2] = [
         columns: &[
             col("accesses", 9, |r| r.int("accesses").to_string()),
             col("candidates", 11, |r| {
-                r.counters.get("cycle.candidate_pairs").to_string()
+                r.counter("cycle.candidate_pairs").to_string()
             }),
             col("queries", 9, |r| {
-                (r.counters.get("cycle.backpath_queries") + r.counters.get("sync.backpath_queries"))
+                (r.counter("cycle.backpath_queries") + r.counter("sync.backpath_queries"))
                     .to_string()
             }),
             col("pruned", 10, |r| {
-                r.counters.get("cycle.pruned_candidates").to_string()
+                r.counter("cycle.pruned_candidates").to_string()
             }),
             Column {
                 head: "reduction",
@@ -176,17 +176,15 @@ pub static SUITES: [Suite; 2] = [
         columns: &[
             col("cycles", 10, |r| r.int("exec_cycles").to_string()),
             col("events", 9, |r| {
-                r.counters.get("sim.events_dequeued").to_string()
+                r.counter("sim.events_dequeued").to_string()
             }),
             col("rotations", 9, |r| {
-                r.counters.get("sim.bucket_rotations").to_string()
+                r.counter("sim.bucket_rotations").to_string()
             }),
             col("overflow", 9, |r| {
-                r.counters.get("sim.overflow_promotions").to_string()
+                r.counter("sim.overflow_promotions").to_string()
             }),
-            col("reuses", 9, |r| {
-                r.counters.get("sim.arena_reuses").to_string()
-            }),
+            col("reuses", 9, |r| r.counter("sim.arena_reuses").to_string()),
         ],
         fan_out: true,
     },
@@ -285,8 +283,11 @@ pub struct BenchRow {
     pub id: String,
     /// The fields between `id` and `counters`, in report order.
     pub fields: Vec<(Key, Cell)>,
-    /// The deterministic work counters.
-    pub counters: Counters,
+    /// The deterministic work counters, name-sorted: a `delay` row's
+    /// [`AnalysisCounters`](syncopt_core::AnalysisCounters), a `sim` row's
+    /// engine counters ([`SimWork::reported`](syncopt_machine::SimWork::reported))
+    /// under `sim.`.
+    pub counters: Vec<(String, u64)>,
 }
 
 /// The value of one row field.
@@ -305,6 +306,19 @@ impl BenchRow {
             Some(&(_, Cell::Int(n))) => n,
             _ => 0,
         }
+    }
+
+    /// The work counter `name`, if the row has it.
+    fn try_counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|&(_, n)| n)
+    }
+
+    /// The work counter `name` (zero when absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.try_counter(name).unwrap_or(0)
     }
 }
 
@@ -407,7 +421,7 @@ fn ratio_x100(n: u64) -> String {
 }
 
 /// A row's fields between `id` and `counters`, and its counters.
-type Measured = (Vec<(Key, Cell)>, Counters);
+type Measured = (Vec<(Key, Cell)>, Vec<(String, u64)>);
 
 fn run_delay(p: &ScalingParams, threads: usize) -> Result<Measured, SyncoptError> {
     let kernel = scaling::generate(p);
@@ -423,14 +437,12 @@ fn run_delay(p: &ScalingParams, threads: usize) -> Result<Measured, SyncoptError
         },
     );
     let wall = wall_bucket_us(start);
-    let mut counters = Counters::new();
-    for (name, n) in analysis.metrics.iter() {
-        counters.set(name, n);
-    }
+    let counters = analysis.metrics.iter();
+    let counters = counters.map(|(name, n)| (name.to_string(), n)).collect();
     // Candidate pairs per pair left after pruning — the pairs whose `D_SS`
     // bit is read off the ancestor rows — times 100 (100 = nothing pruned).
-    let candidates = counters.get("cycle.candidate_pairs");
-    let kept = candidates - counters.get("cycle.pruned_candidates");
+    let candidates = analysis.metrics.get("cycle.candidate_pairs");
+    let kept = candidates - analysis.metrics.get("cycle.pruned_candidates");
     let fields = vec![
         (key!("idiom"), Cell::Label(p.idiom.label())),
         (key!("unroll"), Cell::Int(p.unroll.into())),
@@ -463,18 +475,11 @@ fn run_sim(spec: &SimSpec) -> Result<Measured, SyncoptError> {
     let calendar = simulate_configured(cfg, &config, EngineKind::Calendar, SimOutputs::lean())?;
     let wall = wall_bucket_us(start);
 
-    let mut counters = Counters::default();
-    let w = calendar.metrics.work;
-    counters.set("sim.events_scheduled", w.events_scheduled);
-    counters.set("sim.events_dequeued", w.events_dequeued);
-    counters.set("sim.bucket_rotations", w.bucket_rotations);
-    counters.set("sim.overflow_promotions", w.overflow_promotions);
-    counters.set("sim.arena_reuses", w.arena_reuses);
-    counters.set("sim.waiter_scans", w.waiter_scans);
-    counters.set(
-        "sim.events_per_1k_cycles",
-        w.events_per_1k_cycles(calendar.exec_cycles),
-    );
+    let work = calendar.metrics.work.reported(calendar.exec_cycles);
+    let mut counters: Vec<_> = work
+        .map(|(key, n)| (format!("sim.{}", key.name()), n))
+        .collect();
+    counters.sort();
     let fields = vec![
         (key!("kernel"), Cell::Label(spec.kernel)),
         (key!("label"), Cell::Label(spec.label)),
@@ -504,7 +509,11 @@ impl BenchReport {
                     Cell::Int(n) => row.int(key, n),
                 }
             }
-            r.counters.write_json(row.key(key!("counters")));
+            let mut counters = Obj::open(row.key(key!("counters")));
+            for (name, n) in &r.counters {
+                write_int(counters.key_escaped(&[name]), *n as i64);
+            }
+            counters.close();
             row.close();
         });
         o.close();
@@ -576,7 +585,7 @@ impl BenchReport {
                     .get(key)
                     .and_then(Value::as_int)
                     .and_then(|n| u64::try_from(n).ok());
-                match (old, row.counters.try_get(key)) {
+                match (old, row.try_counter(key)) {
                     (None, _) => failures.push(format!("{id}: {key} missing from the baseline")),
                     (_, None) => failures.push(format!("{id}: {key} missing from this run")),
                     // new > old * 1.2, in integer math.
@@ -618,13 +627,10 @@ mod tests {
         Value::parse(&r.to_json()).unwrap()
     }
 
-    /// `counters` without `key`.
-    fn without(counters: &Counters, key: &str) -> Counters {
-        let mut out = Counters::new();
-        for (k, v) in counters.iter().filter(|&(k, _)| k != key) {
-            out.set(k, v);
-        }
-        out
+    /// The counter `key` of row `at`, to be changed.
+    fn counter_mut<'a>(r: &'a mut BenchReport, at: usize, key: &str) -> &'a mut u64 {
+        let counters = &mut r.rows[at].counters;
+        &mut counters.iter_mut().find(|(k, _)| k == key).unwrap().1
     }
 
     #[test]
@@ -634,7 +640,7 @@ mod tests {
         assert_eq!(idioms, [Cell::Label("stencil"), Cell::Label("flag")]);
         for c in &r.rows {
             assert!(c.int("accesses") > 0);
-            assert!(c.counters.get("cycle.candidate_pairs") > 0);
+            assert!(c.counter("cycle.candidate_pairs") > 0);
             assert!(c.int("wall_bucket_us").is_power_of_two());
         }
     }
@@ -646,7 +652,7 @@ mod tests {
         assert_eq!(ids, ["ocean_unopt_p4", "cholesky_opt_p4"]);
         for c in &r.rows {
             assert!(c.int("exec_cycles") > 0);
-            assert!(c.counters.get("sim.events_dequeued") > 0);
+            assert!(c.counter("sim.events_dequeued") > 0);
             assert!(c.int("wall_bucket_us").is_power_of_two());
         }
     }
@@ -804,8 +810,7 @@ mod tests {
         for row in 0..r.rows.len() {
             for &key in gated {
                 let mut worse = r.clone();
-                let bumped = worse.rows[row].counters.get(key) * 2 + 10;
-                worse.rows[row].counters.set(key, bumped);
+                *counter_mut(&mut worse, row, key) = r.rows[row].counter(key) * 2 + 10;
                 let err = worse.check_against(&baseline).unwrap_err();
                 assert!(err.contains(key), "{err}");
             }
@@ -828,9 +833,9 @@ mod tests {
         // A counter rising from 0 trips the gate: `ocean_unopt_p4` never
         // overflows the calendar wheel.
         assert_eq!(r.rows[0].id, "ocean_unopt_p4");
-        assert_eq!(r.rows[0].counters.get("sim.overflow_promotions"), 0);
+        assert_eq!(r.rows[0].counter("sim.overflow_promotions"), 0);
         let mut worse = r.clone();
-        worse.rows[0].counters.set("sim.overflow_promotions", 1);
+        *counter_mut(&mut worse, 0, "sim.overflow_promotions") = 1;
         let err = worse.check_against(&parsed(&r)).unwrap_err();
         assert!(err.contains("sim.overflow_promotions"), "{err}");
     }
@@ -841,7 +846,9 @@ mod tests {
         let baseline = parsed(&r);
 
         let mut dropped = r.clone();
-        dropped.rows[0].counters = without(&r.rows[0].counters, "cycle.backpath_queries");
+        dropped.rows[0]
+            .counters
+            .retain(|(k, _)| k != "cycle.backpath_queries");
         let err = dropped.check_against(&baseline).unwrap_err();
         assert!(
             err.contains("stencil_u8_p16: cycle.backpath_queries missing from this run"),

@@ -44,14 +44,14 @@
 //!     1 on a >20% regression or a missing gated counter; `--threads` is
 //!     the analysis worker count for `delay` and fans independent configs
 //!     across workers for `sim`, without changing any counter; no other
-//!     command takes `--threads`
+//!     command takes `--suite`, `--smoke`, `--threads` or `--check`
 //! syncoptc ping|stats|metrics|shutdown [--socket PATH]
 //!     control a running syncoptd: liveness probe, service statistics,
 //!     Prometheus metrics, clean shutdown. `stats` renders a table
 //!     (uptime, cache, per-op latency); `stats --format json` emits the
 //!     syncopt.metrics.v1 document; `stats --watch [--interval-ms N]`
-//!     refreshes the table live. `metrics` prints Prometheus text
-//!     exposition format for scraping
+//!     refreshes the table live (no other command takes either flag).
+//!     `metrics` prints Prometheus text exposition format for scraping
 //! syncoptc daemon-trace <reqlog> [--out PATH]
 //!     convert a syncoptd request log (syncoptd --log FILE, schema
 //!     syncopt.reqlog.v1) into Chrome Trace Event Format (schema
@@ -173,14 +173,14 @@ fn parse_args() -> Result<(Query, Cli), String> {
                 q.emit_report = Some(argv.next().ok_or("--emit-report needs a path")?);
             }
             "--threads" if q.command == "bench" => cli.threads = value(&mut argv, "--threads")?,
-            "--smoke" => cli.smoke = true,
-            "--suite" => {
+            "--smoke" if q.command == "bench" => cli.smoke = true,
+            "--suite" if q.command == "bench" => {
                 cli.suite = argv.next().ok_or("--suite needs a value (delay|sim)")?;
             }
             "--out" => {
                 q.out = Some(argv.next().ok_or("--out needs a path")?);
             }
-            "--check" => {
+            "--check" if q.command == "bench" => {
                 cli.check_baseline = Some(argv.next().ok_or("--check needs a baseline path")?);
             }
             "--trace-limit" => q.trace_limit = Some(value(&mut argv, "--trace-limit")?),
@@ -215,8 +215,10 @@ fn parse_args() -> Result<(Query, Cli), String> {
             "--socket" => {
                 cli.socket = Some(argv.next().ok_or("--socket needs a path")?);
             }
-            "--watch" => cli.watch = true,
-            "--interval-ms" => cli.interval_ms = value(&mut argv, "--interval-ms")?,
+            "--watch" if q.command == "stats" => cli.watch = true,
+            "--interval-ms" if q.command == "stats" => {
+                cli.interval_ms = value(&mut argv, "--interval-ms")?;
+            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }

@@ -37,11 +37,10 @@
 use crate::commands::{CmdOut, Field, FileOutput, Format, Query};
 use crate::report::{parse_delay, parse_level};
 use crate::telemetry::ServiceTelemetry;
-use syncopt_core::cache::CacheStats;
+use syncopt_core::cache::{CacheStats, KindStats};
 use syncopt_core::diag::json::{
     key, write_array, write_bool, write_escaped, write_int, write_ints, Obj, Value,
 };
-use syncopt_core::obs::Counters;
 
 /// Protocol identifier carried by every request and response.
 pub const RPC_SCHEMA: &str = "syncopt.rpc.v1";
@@ -350,18 +349,6 @@ pub fn decode_request(line: &str) -> Result<Request, (i64, RpcError)> {
     Ok(Request { id, body })
 }
 
-/// Appends a cache delta or total as its wire object.
-fn write_cache_stats(out: &mut String, stats: CacheStats) {
-    write_ints(
-        out,
-        &[
-            (key!("hits"), stats.hits),
-            (key!("misses"), stats.misses),
-            (key!("evictions"), stats.evictions),
-        ],
-    );
-}
-
 /// A control reply or a protocol error: the envelope, `ok`, and the
 /// members `write` adds.
 fn response(id: i64, ok: bool, write: impl FnOnce(&mut Obj<'_>)) -> String {
@@ -398,12 +385,12 @@ pub fn stats_response(
     stats: CacheStats,
     artifacts: usize,
     capacity: usize,
-    kinds: &Counters,
+    kinds: &KindStats,
     service: &ServiceStats,
     metrics: Option<&ServiceTelemetry>,
 ) -> String {
     response(id, true, |o| {
-        write_cache_stats(o.key(key!("cache")), stats);
+        write_ints(o.key(key!("cache")), &stats.fields());
         o.int(key!("artifacts"), artifacts as u64);
         o.int(key!("capacity"), capacity as u64);
         kinds.write_json(o.key(key!("kinds")));
@@ -490,7 +477,7 @@ pub(crate) fn write_query_response(buf: &mut String, id: i64, answer: &Answer, c
     let mut o = open_envelope(buf, id);
     o.bool(key!("ok"), true);
     o.splice(&answer.object);
-    write_cache_stats(o.key(key!("cache")), cache);
+    write_ints(o.key(key!("cache")), &cache.fields());
     o.close();
 }
 
@@ -540,17 +527,15 @@ pub enum ReplyBody {
 }
 
 fn decode_cache_stats(v: &Value) -> Result<CacheStats, RpcError> {
-    let count = |key: &str| {
-        v.get(key)
+    let mut values = [0; CacheStats::COUNT];
+    for (value, key) in values.iter_mut().zip(CacheStats::NAMES) {
+        *value = v
+            .get(key)
             .and_then(Value::as_int)
             .and_then(|n| u64::try_from(n).ok())
-            .ok_or_else(|| RpcError::bad_request(format!("cache stats missing `{key}`")))
-    };
-    Ok(CacheStats {
-        hits: count("hits")?,
-        misses: count("misses")?,
-        evictions: count("evictions")?,
-    })
+            .ok_or_else(|| RpcError::bad_request(format!("cache stats missing `{key}`")))?;
+    }
+    Ok(CacheStats::from_values(values))
 }
 
 /// Moves a query's result out of the members of a response object (or
@@ -838,8 +823,12 @@ mod tests {
             version: "0.1.0".to_string(),
         };
         let telemetry = ServiceTelemetry::new(&Default::default()).unwrap();
-        let mut kinds = Counters::new();
-        kinds.set("cache.cfg.hits", 2);
+        let mut cache = syncopt_core::ArtifactCache::new(1);
+        let fp = syncopt_frontend::Fingerprint::of("cfg");
+        for _ in 0..3 {
+            cache.get_or_with("cfg", || fp, || 0usize);
+        }
+        let kinds = cache.kind_counters();
         let stats =
             |metrics| stats_response(2, CacheStats::default(), 3, 64, &kinds, &service, metrics);
         assert_canonical(&stats(None));
@@ -852,6 +841,10 @@ mod tests {
         assert_eq!(obj.get("uptime_ms").and_then(Value::as_int), Some(1234));
         assert_eq!(obj.get("requests_total").and_then(Value::as_int), Some(17));
         assert_eq!(obj.get("version").and_then(Value::as_str), Some("0.1.0"));
+        assert_eq!(
+            obj.get("kinds").map(Value::to_string).as_deref(),
+            Some(r#"{"cache.cfg.hits":2,"cache.cfg.misses":1}"#)
+        );
         assert_eq!(
             obj.get("metrics")
                 .and_then(|m| m.get("schema"))

@@ -141,10 +141,8 @@ use crate::{
 };
 use std::sync::{Arc, OnceLock};
 use syncopt_codegen::Optimized;
-use syncopt_core::cache::{ArtifactCache, CacheStats};
-use syncopt_core::{
-    Analysis, Counters, ExplainReport, LintReport, PhaseTimings, RaceAnalysis, SyncOptions,
-};
+use syncopt_core::cache::{ArtifactCache, CacheStats, KindStats};
+use syncopt_core::{Analysis, ExplainReport, LintReport, PhaseTimings, RaceAnalysis, SyncOptions};
 use syncopt_frontend::fingerprint::Fingerprint;
 use syncopt_frontend::span::Span;
 use syncopt_frontend::Program;
@@ -383,9 +381,8 @@ impl AnalysisSession {
         self.cache.stats()
     }
 
-    /// Per-artifact-kind cache counters
-    /// (`cache.<kind>.hits|misses|evictions`).
-    pub fn kind_counters(&self) -> Counters {
+    /// Cumulative cache counters per artifact kind.
+    pub fn kind_counters(&self) -> KindStats {
         self.cache.kind_counters()
     }
 
@@ -878,7 +875,7 @@ mod tests {
         }
         assert_eq!(off.cache_stats(), CacheStats::default());
         assert_eq!((off.cached_artifacts(), off.cache_capacity()), (0, 0));
-        assert!(off.kind_counters().is_empty());
+        assert_eq!(off.kind_counters(), KindStats::default());
         // So do whole commands, in every shape a query takes: no reply key
         // is derived, every request answers afresh, and the answer is a
         // cached session's.
@@ -967,8 +964,8 @@ mod tests {
         // The reformatted source re-parses and re-lowers (raw-text keys)
         // but reuses the span-free analysis and simulation artifacts.
         let kinds = s.kind_counters();
-        assert!(kinds.get("cache.analysis.hits") >= 1, "{kinds:?}");
-        assert!(kinds.get("cache.sim.hits") >= 1, "{kinds:?}");
+        assert!(kinds.get("analysis").hits >= 1, "{kinds:?}");
+        assert!(kinds.get("sim").hits >= 1, "{kinds:?}");
     }
 
     #[test]
@@ -1189,8 +1186,8 @@ mod tests {
         let moved = format!("// a comment\n\n{SRC}");
         let second = s.compile(&moved, &opts(4)).unwrap();
         let kinds = s.kind_counters();
-        assert_eq!(kinds.get("cache.opt.hits"), 1, "{kinds:?}");
-        assert_eq!(kinds.get("cache.opt.misses"), 1, "{kinds:?}");
+        assert_eq!(kinds.get("opt").hits, 1, "{kinds:?}");
+        assert_eq!(kinds.get("opt").misses, 1, "{kinds:?}");
         let cold = Syncopt::new(&moved).procs(4).compile().unwrap();
         assert_eq!(second.optimized.cfg, cold.optimized.cfg);
         assert_eq!(second.source_cfg, cold.source_cfg);
@@ -1212,9 +1209,8 @@ mod tests {
         // One `cfg` and one `analysis` lookup: both levels read the one
         // analysis the request made, and each optimizes and simulates.
         let kinds = s.kind_counters();
-        let count = |kind: &str, what: &str| kinds.get(&format!("cache.{kind}.{what}"));
         for (kind, misses) in [("cfg", 1), ("analysis", 1), ("opt", 2), ("sim", 2)] {
-            let counts = (count(kind, "hits"), count(kind, "misses"));
+            let counts = (kinds.get(kind).hits, kinds.get(kind).misses);
             assert_eq!(counts, (0, misses), "{kind}");
         }
     }

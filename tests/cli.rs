@@ -427,6 +427,21 @@ fn threads_is_a_bench_only_flag() {
     assert_unknown_flag("lint", "--threads", "4");
 }
 
+/// A flag another command reads is refused, not ignored: `analyze
+/// --check` never read its baseline and exited 0.
+#[test]
+fn bench_and_watch_flags_are_refused_elsewhere() {
+    for command in ["analyze", "run", "check", "stats"] {
+        assert_unknown_flag(command, "--check", "missing.json");
+        assert_unknown_flag(command, "--suite", "zzz");
+        assert_unknown_flag(command, "--smoke", "--smoke");
+    }
+    for command in ["analyze", "check", "bench", "metrics"] {
+        assert_unknown_flag(command, "--watch", "--watch");
+        assert_unknown_flag(command, "--interval-ms", "10");
+    }
+}
+
 #[test]
 fn trace_rejects_sharded_engine() {
     assert_unknown_flag("trace", "--sim-shards", "4");

@@ -233,9 +233,7 @@ fn concurrent_cache_deltas_sum_to_global_counters() {
                         delta.evictions <= delta.misses,
                         "client {client} round {round}: more evictions than insertions"
                     );
-                    sum.hits += delta.hits;
-                    sum.misses += delta.misses;
-                    sum.evictions += delta.evictions;
+                    sum.add(&delta);
                 }
                 sum
             })
@@ -244,9 +242,7 @@ fn concurrent_cache_deltas_sum_to_global_counters() {
     let mut total = CacheStats::default();
     for t in threads {
         let sum = t.join().expect("client thread must not panic");
-        total.hits += sum.hits;
-        total.misses += sum.misses;
-        total.evictions += sum.evictions;
+        total.add(&sum);
     }
     // Queries are the only cache traffic, so the summed deltas must
     // equal the session's global counters exactly.
@@ -261,17 +257,9 @@ fn concurrent_cache_deltas_sum_to_global_counters() {
             .and_then(syncopt::core::diag::json::Value::as_int)
             .unwrap_or(-1) as u64
     };
-    assert_eq!(global("hits"), total.hits, "hit deltas must tile the total");
-    assert_eq!(
-        global("misses"),
-        total.misses,
-        "miss deltas must tile the total"
-    );
-    assert_eq!(
-        global("evictions"),
-        total.evictions,
-        "eviction deltas must tile the total"
-    );
+    for (name, n) in CacheStats::NAMES.into_iter().zip(total.values()) {
+        assert_eq!(global(name), n, "`{name}` deltas must tile the total");
+    }
     stop(&path, handle);
 }
 

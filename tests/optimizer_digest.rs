@@ -4,9 +4,10 @@
 //! line of the table holds digests of five things over those eight
 //! results: the optimized CFG text; what that text does not show, namely
 //! every declaration and every float constant (a float prints as the
-//! integer of the same value); the [`OptStats`]; every access position
-//! (stale ones of deleted accesses included); and the live-in and
-//! live-out rows of every block of the input and each output CFG.
+//! integer of the same value); the `OptStats`, in declaration order;
+//! every access position (stale ones of deleted accesses included); and
+//! the live-in and live-out rows of every block of the input and each
+//! output CFG.
 //! The inputs are the five kernels at four machine widths, the scaling
 //! programs, 600 draws of the analysis corpus at five processor counts, a
 //! corpus of this file's own whose statements are chosen to reach what
@@ -22,7 +23,7 @@
 mod digest;
 
 use digest::{check_table, Digest};
-use syncopt::codegen::{optimize, DelayChoice, OptLevel, OptStats};
+use syncopt::codegen::{optimize, DelayChoice, OptLevel};
 use syncopt::core::corpus::{corpus_program, SplitMix64};
 use syncopt::core::{analyze_with, SyncOptions};
 use syncopt::frontend::prepare_program;
@@ -66,33 +67,8 @@ fn line(id: &str, src: &str, procs: Option<u32>) -> String {
             let out = optimize(&cfg, &analysis, level, choice);
             text.text(&cfg_to_string(&out.cfg));
             declarations_and_floats(&mut unprinted, &out.cfg);
-            let OptStats {
-                gets_split,
-                puts_split,
-                sync_moves,
-                syncs_merged,
-                init_moves,
-                puts_to_stores,
-                gets_eliminated,
-                puts_eliminated,
-                dead_locals_removed,
-                dead_gets_removed,
-                exprs_folded,
-            } = out.stats;
-            for n in [
-                gets_split,
-                puts_split,
-                sync_moves,
-                syncs_merged,
-                init_moves,
-                puts_to_stores,
-                gets_eliminated,
-                puts_eliminated,
-                dead_locals_removed,
-                dead_gets_removed,
-                exprs_folded,
-            ] {
-                stats.word(n as u64);
+            for n in out.stats.values() {
+                stats.word(n);
             }
             positions.word(out.cfg.accesses.len() as u64);
             for (_, access) in out.cfg.accesses.iter() {

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use syncopt::commands::{answer, command_names, execute, CmdOut, Format, Query};
 use syncopt::core::corpus::{corpus_program, CORPUS_SEEDS};
 use syncopt::core::diag::json::Value;
+use syncopt::core::KindStats;
 use syncopt::ir::print::cfg_to_string;
 use syncopt::kernels::all_kernels;
 use syncopt::machine::MachineConfig;
@@ -163,33 +164,16 @@ fn annotated_report_proves_warm_rerun_does_less_work() {
     assert!(!json.contains("\"cache\""));
 }
 
-/// Every artifact kind the session caches.
-const KINDS: [&str; 8] = [
-    "cfg", "analysis", "opt", "sim", "races", "lint", "explain", "reply",
-];
-
-/// The session's cumulative `(hits, misses)` per kind, in `KINDS` order.
-fn kind_counts(session: &AnalysisSession) -> Vec<(u64, u64)> {
-    let counters = session.kind_counters();
-    KINDS
+/// What happened between two [`AnalysisSession::kind_counters`] as
+/// `kind hits/misses` words, in the order of the declared `CACHE_KINDS`, kinds without
+/// lookups left out.
+fn kind_delta(before: &KindStats, after: &KindStats) -> String {
+    before
         .iter()
-        .map(|k| {
-            (
-                counters.get(&format!("cache.{k}.hits")),
-                counters.get(&format!("cache.{k}.misses")),
-            )
-        })
-        .collect()
-}
-
-/// What happened between two [`kind_counts`] as `kind hits/misses` words,
-/// kinds without activity left out.
-fn kind_delta(before: &[(u64, u64)], after: &[(u64, u64)]) -> String {
-    KINDS
-        .iter()
-        .zip(before.iter().zip(after))
-        .filter(|(_, (b, a))| a != b)
-        .map(|(k, (b, a))| format!("{k} {}/{}", a.0 - b.0, a.1 - b.1))
+        .zip(after.iter())
+        .map(|((kind, b), (_, a))| (kind, a.since(b)))
+        .filter(|(_, delta)| delta.lookups() > 0)
+        .map(|(kind, delta)| format!("{kind} {}/{}", delta.hits, delta.misses))
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -206,12 +190,12 @@ fn cold_warm_and_renamed_activity(queries: &[Query]) -> [String; 3] {
         })
         .collect();
     let mut session = AnalysisSession::new();
-    let mut marks = vec![kind_counts(&session)];
+    let mut marks = vec![session.kind_counters()];
     for sweep in [queries, queries, &renamed] {
         for q in sweep {
             execute(&mut session, q);
         }
-        marks.push(kind_counts(&session));
+        marks.push(session.kind_counters());
     }
     [0, 1, 2].map(|i| kind_delta(&marks[i], &marks[i + 1]))
 }
@@ -377,8 +361,8 @@ fn traces_are_never_stored() {
         assert_eq!(delta.misses, 0, "{}", q.command);
     }
     let kinds = session.kind_counters();
-    assert_eq!(kinds.get("cache.reply.misses"), 1, "{kinds:?}");
-    assert_eq!(kinds.get("cache.reply.hits"), 0, "{kinds:?}");
+    assert_eq!(kinds.get("reply").misses, 1, "{kinds:?}");
+    assert_eq!(kinds.get("reply").hits, 0, "{kinds:?}");
 }
 
 /// A server's hit copies nothing: the answer `commands::answer` hands out
@@ -408,11 +392,11 @@ fn a_warm_answer_is_the_stored_one_not_a_copy() {
     let mut off = AnalysisSession::with_capacity(0);
     for q in &traces {
         let artifacts = session.cached_artifacts();
-        let replies = session.kind_counters().get("cache.reply.misses");
+        let replies = session.kind_counters().get("reply").misses;
         assert_eq!(answer(&mut session, q).decode(), cold(q), "{}", q.command);
         assert_eq!(session.cached_artifacts(), artifacts, "{}", q.command);
         assert_eq!(
-            session.kind_counters().get("cache.reply.misses"),
+            session.kind_counters().get("reply").misses,
             replies,
             "{}",
             q.command
@@ -442,7 +426,7 @@ fn a_racy_check_is_answered_from_its_stored_reply() {
         let stats = session.cache_stats();
         let again = execute(&mut session, &q);
         assert_eq!(session.cache_stats().since(stats).lookups(), 1);
-        assert_eq!(session.kind_counters().get("cache.reply.hits"), 1);
+        assert_eq!(session.kind_counters().get("reply").hits, 1);
         assert_eq!(again.failure, first.failure);
         assert_eq!(again.stdout, first.stdout);
         assert_eq!(again, cold(&q));
@@ -477,8 +461,8 @@ fn a_sharded_run_and_a_sequential_run_have_their_own_replies() {
     let warm = report(&mut session, &sharded);
     assert_eq!(warm.to_string(), fresh.to_string());
     let kinds = session.kind_counters();
-    assert_eq!(kinds.get("cache.sim.hits"), 0, "{kinds:?}");
-    assert_eq!(kinds.get("cache.sim.misses"), 1, "{kinds:?}");
+    assert_eq!(kinds.get("sim").hits, 0, "{kinds:?}");
+    assert_eq!(kinds.get("sim").misses, 1, "{kinds:?}");
 }
 
 #[test]
@@ -489,14 +473,14 @@ fn reformatted_source_still_hits_the_canonical_cfg_keys() {
         let mut session = AnalysisSession::new();
         let first = session.run(&kernel.source, &opts, &config).unwrap();
         let reformatted = format!("// moved\n{}\n\n// trailing\n", kernel.source);
-        let before = kind_counts(&session);
+        let before = session.kind_counters();
         let second = session.run(&reformatted, &opts, &config).unwrap();
         // Raw-text keys miss; the keys derived from the canonical text of
         // a CFG — memoized on artifacts built from *different* text — and
         // the per-function check key hit: the program is neither analyzed,
         // optimized nor simulated again.
         assert_eq!(
-            kind_delta(&before, &kind_counts(&session)),
+            kind_delta(&before, &session.kind_counters()),
             "cfg 0/1, analysis 1/0, opt 1/0, sim 1/0",
             "{}",
             kernel.name
@@ -533,10 +517,10 @@ fn reformatted_source_compiles_to_the_cold_result_without_reoptimizing() {
     for (name, source) in &programs {
         session.compile(source, &opts).unwrap();
         let text = reformatted(source);
-        let before = kind_counts(&session);
+        let before = session.kind_counters();
         let warm = session.compile(&text, &opts).unwrap();
         assert_eq!(
-            kind_delta(&before, &kind_counts(&session)),
+            kind_delta(&before, &session.kind_counters()),
             "cfg 0/1, analysis 1/0, opt 1/0",
             "{name}"
         );
