@@ -1,10 +1,13 @@
 #![warn(missing_docs)]
 
-//! The evaluation's tables and figures: [`FIGURES`] has one row per table
-//! or figure of the paper's §8 and of the experiments this reproduction
-//! adds, and the `figures` binary prints them by name ([`sweep`]).
-//! `tests/experiments.rs` checks EXPERIMENTS.md against them byte for byte.
+//! The evaluation's tables and figures, and the work-counter suites.
+//! [`FIGURES`] has one row per table or figure of the paper's §8 and of the
+//! experiments this reproduction adds, and the `figures` binary prints them
+//! by name ([`sweep`]). `tests/experiments.rs` checks EXPERIMENTS.md
+//! against them byte for byte. The `counters` binary runs the
+//! deterministic work-counter suites that CI gates ([`counters`]).
 
+pub mod counters;
 pub mod sweep;
 
 use std::collections::BTreeSet;

@@ -15,8 +15,8 @@
 //!   this stresses the mirror-copy reachability closure rather than the
 //!   pruning path.
 //!
-//! `syncoptc bench` and the `delay_scaling` bench binary analyze the
-//! [`trajectory`] grid and record work counters per configuration.
+//! The `delay` suite of the `counters` binary (`syncopt-bench`) analyzes
+//! the [`trajectory`] grid and records work counters per configuration.
 
 use crate::Kernel;
 use std::fmt::Write;

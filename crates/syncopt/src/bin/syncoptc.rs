@@ -35,16 +35,6 @@
 //! syncoptc lint --seeded <name> [--format json]
 //!     lint a built-in seeded example (lock-cycle | barrier-divergence |
 //!     postwait-deadlock | redundant-barrier)
-//! syncoptc bench [--suite S] [--smoke] [--threads T] [--out PATH] [--check BASELINE]
-//!     run a benchmark suite and emit its work-counter report (schema
-//!     syncopt.bench_report.v1). S ∈ delay|sim (default delay): `delay`
-//!     runs the delay-set analysis scaling trajectory, `sim` the
-//!     simulator-throughput sweep over the evaluation kernels. `--check`
-//!     compares the fresh counters against a committed baseline and exits
-//!     1 on a >20% regression or a missing gated counter; `--threads` is
-//!     the analysis worker count for `delay` and fans independent configs
-//!     across workers for `sim`, without changing any counter; no other
-//!     command takes `--suite`, `--smoke`, `--threads` or `--check`
 //! syncoptc ping|stats|metrics|shutdown [--socket PATH]
 //!     control a running syncoptd: liveness probe, service statistics,
 //!     Prometheus metrics, clean shutdown. `stats` renders a table
@@ -72,7 +62,7 @@
 //! exactly one schema-versioned JSON document on stdout; diagnostics and
 //! notes go to stderr.
 //!
-//! Every command except `bench` also accepts `--daemon [--socket PATH]`,
+//! Every query command also accepts `--daemon [--socket PATH]`,
 //! which sends the query to a running `syncoptd` (speaking
 //! syncopt.rpc.v1) instead of analyzing in-process. The daemon keeps a
 //! content-addressed artifact cache across requests, so repeated queries
@@ -88,23 +78,29 @@
 //! ```
 
 use std::process::ExitCode;
-use syncopt::commands::{execute, CmdOut, Format, Query};
+use syncopt::commands::{command_names, execute, CmdOut, Format, Query};
 use syncopt::core::diag::json;
 use syncopt::report::{parse_delay, parse_level};
 use syncopt::session::AnalysisSession;
 
-/// The flags that never reach a [`Query`]: daemon routing, `stats
-/// --watch`, and `bench`'s suite options. Every other flag sets a query
-/// field directly.
+/// The flags that never reach a [`Query`]: daemon routing and `stats
+/// --watch`. Every other flag sets a query field directly.
 struct Cli {
     daemon: bool,
     socket: Option<String>,
     watch: bool,
     interval_ms: u64,
-    smoke: bool,
-    suite: String,
-    threads: usize,
-    check_baseline: Option<String>,
+}
+
+/// The commands that control a running `syncoptd`.
+const CONTROL_COMMANDS: [&str; 4] = ["ping", "stats", "metrics", "shutdown"];
+
+/// Every command `syncoptc` runs: the query commands, the daemon controls
+/// and `daemon-trace`.
+fn commands() -> impl Iterator<Item = &'static str> {
+    command_names()
+        .chain(CONTROL_COMMANDS)
+        .chain(["daemon-trace"])
 }
 
 /// The value after `flag`, parsed.
@@ -124,6 +120,9 @@ where
 fn parse_args() -> Result<(Query, Cli), String> {
     let mut argv = std::env::args().skip(1).peekable();
     let command = argv.next().ok_or("missing command")?;
+    if !commands().any(|c| c == command) {
+        return Err(format!("unknown command `{command}`"));
+    }
     // The input file is optional for `check --kernels`.
     let file = match argv.peek() {
         Some(a) if !a.starts_with("--") => argv.next().unwrap(),
@@ -139,10 +138,6 @@ fn parse_args() -> Result<(Query, Cli), String> {
         socket: None,
         watch: false,
         interval_ms: 1000,
-        smoke: false,
-        suite: "delay".to_string(),
-        threads: 1,
-        check_baseline: None,
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -172,16 +167,8 @@ fn parse_args() -> Result<(Query, Cli), String> {
             "--emit-report" => {
                 q.emit_report = Some(argv.next().ok_or("--emit-report needs a path")?);
             }
-            "--threads" if q.command == "bench" => cli.threads = value(&mut argv, "--threads")?,
-            "--smoke" if q.command == "bench" => cli.smoke = true,
-            "--suite" if q.command == "bench" => {
-                cli.suite = argv.next().ok_or("--suite needs a value (delay|sim)")?;
-            }
             "--out" => {
                 q.out = Some(argv.next().ok_or("--out needs a path")?);
-            }
-            "--check" if q.command == "bench" => {
-                cli.check_baseline = Some(argv.next().ok_or("--check needs a baseline path")?);
             }
             "--trace-limit" => q.trace_limit = Some(value(&mut argv, "--trace-limit")?),
             "--deny" => {
@@ -224,10 +211,7 @@ fn parse_args() -> Result<(Query, Cli), String> {
     }
     let file_optional = (q.command == "check" && q.kernels)
         || (q.command == "lint" && (q.kernels || q.seeded.is_some()))
-        || matches!(
-            q.command.as_str(),
-            "bench" | "ping" | "stats" | "metrics" | "shutdown"
-        );
+        || CONTROL_COMMANDS.contains(&q.command.as_str());
     if q.file.is_empty() && !file_optional {
         return Err("missing input file".to_string());
     }
@@ -272,22 +256,13 @@ fn main() -> ExitCode {
 
 fn real_main() -> Result<(), String> {
     let (mut query, cli) = parse_args().map_err(|e| {
+        let commands: Vec<_> = commands().collect();
         format!(
-            "{e}\nrun with: syncoptc <analyze|opt|run|trace|explain|profile|litmus|check|lint|bench> <file> [flags]"
+            "{e}\nrun with: syncoptc <{}> <file> [flags]",
+            commands.join("|")
         )
     })?;
-    if query.command == "bench" {
-        if cli.daemon {
-            return Err(
-                "`bench` measures this machine and does not route through the daemon".into(),
-            );
-        }
-        return cmd_bench(&query, &cli);
-    }
-    if matches!(
-        query.command.as_str(),
-        "ping" | "stats" | "metrics" | "shutdown"
-    ) {
+    if CONTROL_COMMANDS.contains(&query.command.as_str()) {
         return cmd_daemon_control(&query, &cli);
     }
     if query.command == "daemon-trace" {
@@ -451,36 +426,4 @@ fn daemon_query(_cli: &Cli, _query: &Query) -> Result<CmdOut, String> {
 #[cfg(not(unix))]
 fn cmd_daemon_control(_q: &Query, _cli: &Cli) -> Result<(), String> {
     Err("daemon control requires Unix domain sockets".to_string())
-}
-
-fn cmd_bench(q: &Query, cli: &Cli) -> Result<(), String> {
-    let suite = syncopt::bench::suite(&cli.suite)
-        .ok_or_else(|| format!("unknown bench suite `{}` (delay|sim)", cli.suite))?;
-    let report = suite
-        .run(cli.smoke, cli.threads)
-        .map_err(|e| format!("{} bench failed: {e}", suite.name))?;
-    let report_json = report.to_json();
-    if let Some(path) = &q.out {
-        std::fs::write(path, format!("{report_json}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("bench report written to {path}");
-    }
-    match q.format {
-        Format::Json => println!("{report_json}"),
-        Format::Human => print!("{}", report.render_table()),
-    }
-    if let Some(baseline_path) = &cli.check_baseline {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-        let baseline = json::Value::parse(&text)
-            .map_err(|e| format!("baseline {baseline_path} is not valid JSON: {e}"))?;
-        report
-            .check_against(&baseline)
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        eprintln!(
-            "work counters within {}% of {baseline_path}",
-            syncopt::bench::TOLERANCE_PCT
-        );
-    }
-    Ok(())
 }

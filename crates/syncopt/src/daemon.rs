@@ -436,12 +436,6 @@ fn respond(decoded: Result<Request, (i64, RpcError)>, state: &State) -> (Respons
         ),
         RequestBody::Query(q) => {
             let op = query_op(&q.command);
-            if q.command == "bench" {
-                let e = RpcError::unsupported(
-                    "`bench` measures this machine and does not route through the daemon",
-                );
-                return control(op, error_response(id, &e), false);
-            }
             // One session serves all clients; the lock makes each query
             // atomic with respect to the cache, and per-request stats are
             // deltas over the executed query only.
@@ -545,21 +539,6 @@ mod tests {
             let (remote, _) = client.query(&q).expect(command);
             assert_eq!(remote, direct, "{command}: daemon must match direct mode");
         }
-        client.shutdown().expect("shutdown");
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn bench_is_rejected() {
-        let (path, handle) = spawn("bench");
-        let mut client = DaemonClient::connect(&path).expect("connect");
-        let err = client
-            .query(&Query {
-                command: "bench".to_string(),
-                ..Query::default()
-            })
-            .unwrap_err();
-        assert!(err.contains("bench"), "got: {err}");
         client.shutdown().expect("shutdown");
         handle.join().unwrap().unwrap();
     }

@@ -38,7 +38,6 @@
 //! # Ok::<(), syncopt::SyncoptError>(())
 //! ```
 
-pub mod bench;
 #[cfg(unix)]
 pub mod client;
 pub mod commands;

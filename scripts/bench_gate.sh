@@ -4,7 +4,8 @@
 # Usage: scripts/bench_gate.sh SYNCOPTC_BIN
 #
 # Re-runs the smoke subset of both counter suites (`delay`, `sim`)
-# through `syncoptc bench` and compares the fresh all-integer work
+# with the `counters` binary built beside SYNCOPTC_BIN (the
+# syncopt-bench package) and compares the fresh all-integer work
 # counters against the committed baselines (BENCH_delay_scaling.json,
 # BENCH_sim_throughput.json). A gated counter more than 20% above its
 # baseline, or missing on either side, fails the gate; wall-clock buckets
@@ -19,17 +20,20 @@
 set -eu
 
 BIN="${1:-./target/release/syncoptc}"
+CBIN="$(dirname "$BIN")/counters"
 
-if [ ! -x "$BIN" ]; then
-    echo "bench_gate: $BIN not found or not executable (build with: cargo build --release)" >&2
-    exit 2
-fi
+for bin in "$BIN" "$CBIN"; do
+    if [ ! -x "$bin" ]; then
+        echo "bench_gate: $bin not found or not executable (build with: cargo build --release --workspace)" >&2
+        exit 2
+    fi
+done
 
 echo "== delay_scaling gate =="
-"$BIN" bench --suite delay --smoke --check BENCH_delay_scaling.json
+"$CBIN" --suite delay --smoke --check BENCH_delay_scaling.json
 
 echo "== sim_throughput gate =="
-"$BIN" bench --suite sim --smoke --check BENCH_sim_throughput.json
+"$CBIN" --suite sim --smoke --check BENCH_sim_throughput.json
 
 echo "== telemetry-off overhead gate =="
 DBIN="$(dirname "$BIN")/syncoptd"

@@ -12,16 +12,14 @@
 # crates/syncopt/src/commands.rs) alone and with each of its flags, in
 # both formats, over programs/*.ms and one source that fails typeck; then
 # `check` and `lint` over the built-in kernels, `lint` over every seeded
-# example, `run --emit-report` and `trace --out`, whose files are
-# compared too, and the smoke subset of each `bench` suite. A command
-# that has no flag list here fails the sweep, so a new command cannot go
-# unswept.
+# example, and `run --emit-report` and `trace --out`, whose files are
+# compared too. A command that has no flag list here fails the sweep, so
+# a new command cannot go unswept.
 #
 # The only bytes masked are wall-clock measurements: the `*_us` phase
 # timings of a report (the values under `"timings"`, and the
-# `timings (us):` line of a table), and a bench row's `wall_bucket_us`
-# (the `wall(us)` column of its table). Prints the number of cases and
-# every difference; exits 1 if there is one.
+# `timings (us):` line of a table). Prints the number of cases and every
+# difference; exits 1 if there is one.
 set -eu
 
 usage() {
@@ -137,9 +135,6 @@ for format in human json; do
     for name in $SEEDED; do
         echo "lint --seeded $name --format $format"
     done
-    for suite in delay sim; do
-        echo "bench --suite $suite --smoke --format $format"
-    done
 done >>"$CASES"
 
 # Runs every case with one side's binary, each in a directory of its own.
@@ -165,12 +160,10 @@ echo "cli_sweep: $(wc -l <"$CASES") cases per side" >&2
 run_side "$PARENT_DIR/target/release/syncoptc" "$WORK/parent"
 run_side "$ROOT/target/release/syncoptc" "$WORK/change"
 
-# Zeroes the wall-clock phase timings of every report and the wall
-# buckets of every bench row, JSON and table.
+# Zeroes the wall-clock phase timings of every report, JSON and table.
 find "$WORK/parent" "$WORK/change" -type f ! -name args ! -name exit -exec sed -E -i \
     -e ':json' -e 's/("timings":\{[^}]*"[a-z_]+_us":)[1-9][0-9]*/\10/' -e 't json' \
-    -e '/^ *timings \(us\):/s/ [0-9]+/ 0/g' \
-    -e 's/("wall_bucket_us":)[0-9]+/\10/g' -e 's/ +[0-9]+≤$/ 0≤/' {} +
+    -e '/^ *timings \(us\):/s/ [0-9]+/ 0/g' {} +
 
 if diff -r "$WORK/parent" "$WORK/change" >"$WORK/diff"; then
     echo "cli_sweep: $(wc -l <"$CASES") cases, parent $PARENT_SHA and the working tree agree byte for byte"

@@ -210,19 +210,6 @@ fn sharded_engine_is_bit_identical_to_calendar_at_every_shard_count() {
     }
 }
 
-#[test]
-fn parallel_sweep_reports_are_thread_count_invariant() {
-    let sim = syncopt::bench::suite("sim").expect("the sim suite exists");
-    let serial = sim.run(true, 1).expect("sim bench runs");
-    let threaded = sim.run(true, 4).expect("sim bench runs");
-    assert_eq!(serial.rows.len(), threaded.rows.len());
-    for (a, b) in serial.rows.iter().zip(threaded.rows.iter()) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.int("exec_cycles"), b.int("exec_cycles"), "{}", a.id);
-        assert_eq!(a.counters, b.counters, "{}", a.id);
-    }
-}
-
 /// Local storage is indexed by `VarId`, not hashed: a program that lives
 /// in its local arrays — indices read from other local arrays, two deep,
 /// on both sides of an assignment and in the branch condition, with both
